@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: check vet build test race examples chaos chaos-flow chaos-spill chaos-adaptive bench bench-transport bench-transport-short bench-optrace bench-frontier bench-frontier-short bench-spill bench-spill-short fuzz-dsl fuzz-segment
+.PHONY: check vet build test race check-benchmark examples chaos chaos-flow chaos-spill chaos-adaptive bench bench-transport bench-transport-short bench-optrace bench-frontier bench-frontier-short bench-spill bench-spill-short bench-recvrun fuzz-dsl fuzz-segment
 
-check: vet build race
+check: vet build race check-benchmark
 
 vet:
 	$(GO) vet ./...
@@ -15,6 +15,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# check-benchmark vets and tests benchmark/, a module of its own that the
+# root's ./... never reaches: its layer probes import internal/ packages and
+# read metrics by name, so a rename there has to fail here, not later in the
+# benchmark pipeline. -short skips the smoke run.
+check-benchmark:
+	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
 
 # examples builds every runnable program under examples/ — they are the
 # documented entry points, so a facade change that breaks one fails here.
@@ -107,6 +114,16 @@ bench-spill:
 bench-spill-short:
 	$(GO) test -bench='StreamThroughputSpillUntriggered' -benchmem -benchtime=1s -run=^$$ ./internal/transport \
 	  | $(GO) run ./cmd/benchjson -compare BENCH_spill.json
+
+# bench-recvrun measures the receive path per message at run lengths 1 to
+# 512 (core's HandleDataRun: recorder update, ACK fan-out onto 7 links, one
+# upcall) and the ACK outbox alone (advancing and stale reports), and
+# rewrites the "current" run in BENCH_recvrun.json. The file's baseline is
+# the parent commit's per-message HandleData under the same harness, and its
+# end_to_end section (paired benchmark/run.sh runs) is carried over.
+bench-recvrun:
+	$(GO) test -bench='HandleDataRun|QueueAck' -benchmem -run=^$$ ./internal/core ./internal/transport \
+	  | $(GO) run ./cmd/benchjson -update BENCH_recvrun.json
 
 # fuzz-segment runs the shared segment reader fuzzer: truncated and
 # corrupted tails must recover the intact record prefix and stop cleanly —

@@ -53,6 +53,9 @@ type File struct {
 	Note     string `json:"note,omitempty"`
 	Baseline *Run   `json:"baseline,omitempty"`
 	Current  *Run   `json:"current,omitempty"`
+	// EndToEnd is a hand-recorded section (paired runs of benchmark/run.sh
+	// beside the microbenchmarks they explain); -update carries it over.
+	EndToEnd json.RawMessage `json:"end_to_end,omitempty"`
 }
 
 func main() {
@@ -104,6 +107,7 @@ func main() {
 		if prev.Note != "" && *note == "" {
 			out.Note = prev.Note
 		}
+		out.EndToEnd = prev.EndToEnd
 	}
 	f, err := os.Create(*update)
 	if err != nil {

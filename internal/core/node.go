@@ -199,11 +199,15 @@ type Node struct {
 	trace     *optrace.Recorder // nil when tracing is disabled
 	slow      slowOp
 
+	// The callback lists are copy-on-write: the transport's upcalls read a
+	// snapshot without taking mu; registration and detach publish a fresh
+	// copy while holding it.
+	deliverFns  cowList[DeliverFunc]
+	appFns      cowList[AppFunc]
+	peerDownFns cowList[peerHook]
+	peerUpFns   cowList[peerHook]
+
 	mu            sync.Mutex
-	deliverFns    []DeliverFunc
-	appFns        []AppFunc
-	peerDownFns   []peerHook
-	peerUpFns     []peerHook
 	nextPeerHook  int
 	customByName  map[string]uint16
 	reclaimCancel func()
@@ -309,18 +313,18 @@ func openNode(cfg Config) (*Node, error) {
 	mreg = mreg.NodeGroup(strconv.Itoa(topo.Self))
 
 	node := &Node{
-		topo:         topo,
-		types:        types,
-		tables:       tables,
-		registry:     registry,
-		log:          log,
-		env:          env,
+		topo:          topo,
+		types:         types,
+		tables:        tables,
+		registry:      registry,
+		log:           log,
+		env:           env,
 		persister:     cfg.Persister,
 		metrics:       newCoreMetrics(mreg, log),
 		customByName:  make(map[string]uint16),
 		adaptiveCtrls: make(map[string]*adaptive.Controller),
-		trace:        optrace.New(topo.Self, cfg.Trace),
-		nowFn:        time.Now,
+		trace:         optrace.New(topo.Self, cfg.Trace),
+		nowFn:         time.Now,
 	}
 	registry.EnableMetrics(mreg)
 	if node.trace != nil {
@@ -527,18 +531,38 @@ func (n *Node) sendOwnedCtx(ctx context.Context, payload []byte) (uint64, error)
 	return seq, nil
 }
 
+// cowList is a copy-on-write callback list. load returns the current
+// snapshot without locking or allocating, and the snapshot is never mutated;
+// writers, serialized by Node.mu, publish a fresh slice with store.
+type cowList[T any] struct{ p atomic.Pointer[[]T] }
+
+func (c *cowList[T]) load() []T {
+	if p := c.p.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+func (c *cowList[T]) store(list []T) { c.p.Store(&list) }
+
+// add publishes the list extended by v. Caller holds Node.mu.
+func (c *cowList[T]) add(v T) {
+	old := c.load()
+	c.store(append(old[:len(old):len(old)], v))
+}
+
 // OnDeliver registers a data-plane upcall for messages from remote origins.
 func (n *Node) OnDeliver(fn DeliverFunc) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.deliverFns = append(n.deliverFns, fn)
+	n.deliverFns.add(fn)
 }
 
 // OnApp registers a handler for out-of-band application messages.
 func (n *Node) OnApp(fn AppFunc) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.appFns = append(n.appFns, fn)
+	n.appFns.add(fn)
 }
 
 // peerHook is one OnPeerDown/OnPeerUp registration; the id makes it
@@ -548,18 +572,28 @@ type peerHook struct {
 	fn func(peer int)
 }
 
-// detachPeerHook removes the hook with the given id from *list (which is
-// either peerDownFns or peerUpFns). Caller must NOT hold n.mu.
-func (n *Node) detachPeerHook(list *[]peerHook, id int) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	hooks := (*list)[:0]
-	for _, h := range *list {
-		if h.id != id {
-			hooks = append(hooks, h)
-		}
+// addPeerHook registers fn on list (peerDownFns or peerUpFns) and returns the
+// cancel that detaches it.
+func (n *Node) addPeerHook(list *cowList[peerHook], fn func(peer int)) (cancel func()) {
+	if fn == nil {
+		return func() {}
 	}
-	*list = hooks
+	n.mu.Lock()
+	id := n.nextPeerHook
+	n.nextPeerHook++
+	list.add(peerHook{id: id, fn: fn})
+	n.mu.Unlock()
+	return func() {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		var kept []peerHook
+		for _, h := range list.load() {
+			if h.id != id {
+				kept = append(kept, h)
+			}
+		}
+		list.store(kept)
+	}
 }
 
 // OnPeerDown registers a callback fired when a peer is suspected failed.
@@ -568,29 +602,13 @@ func (n *Node) detachPeerHook(list *[]peerHook, id int) {
 // with ChangePredicate. The returned cancel detaches the callback
 // (idempotent); a nil fn is ignored and gets a no-op cancel.
 func (n *Node) OnPeerDown(fn func(peer int)) (cancel func()) {
-	if fn == nil {
-		return func() {}
-	}
-	n.mu.Lock()
-	id := n.nextPeerHook
-	n.nextPeerHook++
-	n.peerDownFns = append(n.peerDownFns, peerHook{id: id, fn: fn})
-	n.mu.Unlock()
-	return func() { n.detachPeerHook(&n.peerDownFns, id) }
+	return n.addPeerHook(&n.peerDownFns, fn)
 }
 
 // OnPeerUp registers a callback fired when a peer is (re)heard from. The
 // returned cancel detaches it, mirroring OnPeerDown.
 func (n *Node) OnPeerUp(fn func(peer int)) (cancel func()) {
-	if fn == nil {
-		return func() {}
-	}
-	n.mu.Lock()
-	id := n.nextPeerHook
-	n.nextPeerHook++
-	n.peerUpFns = append(n.peerUpFns, peerHook{id: id, fn: fn})
-	n.mu.Unlock()
-	return func() { n.detachPeerHook(&n.peerUpFns, id) }
+	return n.addPeerHook(&n.peerUpFns, fn)
 }
 
 // SendApp sends an out-of-band application message to one peer.
@@ -982,59 +1000,81 @@ func (n *Node) selfTable() *frontier.Table { return n.tables[n.topo.Self-1] }
 // callback methods on Node itself.
 type trHandler Node
 
-var _ transport.Handler = (*trHandler)(nil)
+var (
+	_ transport.Handler    = (*trHandler)(nil)
+	_ transport.RunHandler = (*trHandler)(nil)
+)
 
-// HandleData implements transport.Handler: deliver, then report stability.
+// HandleData implements transport.Handler. The transport delivers through
+// HandleDataRun; a lone message is a run of one.
 func (h *trHandler) HandleData(from int, d *wire.Data) {
+	h.HandleDataRun(from, []wire.Data{*d})
+}
+
+// HandleDataRun implements transport.RunHandler: report the run received,
+// deliver it in sequence order, report it delivered. Stability reports are
+// monotone watermarks, so each is made once, for the run's last sequence:
+// one recorder update and one queued ACK per stability type, whatever the
+// run's length.
+func (h *trHandler) HandleDataRun(from int, run []wire.Data) {
 	n := (*Node)(h)
-	m := Message{
+	table, self := n.tables[from-1], n.topo.Self
+	last := run[len(run)-1].Seq
+	report := func(typ uint16, seq uint64) {
+		n.tr.QueueAck(wire.Ack{Origin: uint16(from), By: uint16(self), Type: typ, Seq: seq})
+	}
+	start := n.nowFn().UnixNano()
+	n.metrics.deliveries.Add(int64(len(run)))
+	for i := range run {
+		n.metrics.deliveryLag.Observe(start - run[i].SentUnixNano)
+	}
+
+	// "received" is reported before the application upcalls: the run is
+	// fully decoded, past the duplicate filter and in Stabilizer's hands.
+	table.NoteReceived(from, self, last)
+	report(frontier.TypeReceived, last)
+
+	fns := n.deliverFns.load()
+	for i := range run {
+		d := &run[i]
+		m := dataMessage(from, d)
+		for _, fn := range fns {
+			fn(m)
+		}
+		if rec := n.trace; rec != nil && rec.Sampled(from, d.Seq) {
+			// Deliver is stamped after the frame's upcalls, and so before
+			// the delivered row advances: a trace can never show
+			// stabilization racing ahead of the delivery it depends on.
+			done := n.nowFn().UnixNano()
+			rec.Record(optrace.StageDeliver, from, d.Seq, 0, 0, done)
+			n.metrics.stageDeliver.Observe(done - start)
+		}
+	}
+	// "delivered" only once the last upcall has returned.
+	table.Update(self, frontier.TypeDelivered, last)
+	report(frontier.TypeDelivered, last)
+
+	if n.persister != nil {
+		var persisted uint64
+		for i := range run {
+			if err := n.persister.Persist(dataMessage(from, &run[i])); err == nil {
+				persisted = run[i].Seq
+			}
+		}
+		if persisted > 0 {
+			table.Update(self, frontier.TypePersisted, persisted)
+			report(frontier.TypePersisted, persisted)
+		}
+	}
+}
+
+// dataMessage is the application's view of one received data frame.
+func dataMessage(from int, d *wire.Data) Message {
+	return Message{
 		Origin:  from,
 		Seq:     d.Seq,
 		Payload: d.Payload,
 		SentAt:  time.Unix(0, d.SentUnixNano),
-	}
-	n.metrics.deliveries.Inc()
-	handleStart := n.nowFn().UnixNano()
-	n.metrics.deliveryLag.Observe(handleStart - d.SentUnixNano)
-	traced := n.trace != nil && n.trace.Sampled(from, d.Seq)
-	// Completeness rule (§III-C), applied remotely: learning of message
-	// d.Seq implies the ORIGIN trivially holds every stability property
-	// for it, so the origin's own row advances in our recorder too —
-	// this is what lets every WAN node evaluate predicates about any
-	// origin's stream and reach the same conclusions.
-	for _, typ := range []uint16{frontier.TypeReceived, frontier.TypePersisted, frontier.TypeDelivered} {
-		n.tables[from-1].EnsureType(typ, from, d.Seq)
-	}
-	n.tables[from-1].UpdateAll(from, d.Seq)
-
-	// "received" is reported before the application upcall: the bytes
-	// are in Stabilizer's hands.
-	n.tables[from-1].Update(n.topo.Self, frontier.TypeReceived, d.Seq)
-	n.tr.QueueAck(wire.Ack{Origin: uint16(from), By: uint16(n.topo.Self), Type: frontier.TypeReceived, Seq: d.Seq})
-
-	n.mu.Lock()
-	fns := make([]DeliverFunc, len(n.deliverFns))
-	copy(fns, n.deliverFns)
-	n.mu.Unlock()
-	for _, fn := range fns {
-		fn(m)
-	}
-	if traced {
-		// Deliver is stamped after the upcalls but before the delivered
-		// row advances, so a trace can never show stabilization racing
-		// ahead of the delivery it depends on.
-		done := n.nowFn().UnixNano()
-		n.trace.Record(optrace.StageDeliver, from, d.Seq, 0, 0, done)
-		n.metrics.stageDeliver.Observe(done - handleStart)
-	}
-	n.tables[from-1].Update(n.topo.Self, frontier.TypeDelivered, d.Seq)
-	n.tr.QueueAck(wire.Ack{Origin: uint16(from), By: uint16(n.topo.Self), Type: frontier.TypeDelivered, Seq: d.Seq})
-
-	if n.persister != nil {
-		if err := n.persister.Persist(m); err == nil {
-			n.tables[from-1].Update(n.topo.Self, frontier.TypePersisted, d.Seq)
-			n.tr.QueueAck(wire.Ack{Origin: uint16(from), By: uint16(n.topo.Self), Type: frontier.TypePersisted, Seq: d.Seq})
-		}
 	}
 }
 
@@ -1065,11 +1105,6 @@ func (h *trHandler) HandleAck(a *wire.Ack) {
 
 // HandleApp implements transport.Handler.
 func (h *trHandler) HandleApp(from int, a *wire.App) {
-	n := (*Node)(h)
-	n.mu.Lock()
-	fns := make([]AppFunc, len(n.appFns))
-	copy(fns, n.appFns)
-	n.mu.Unlock()
 	m := AppMessage{
 		From:       from,
 		ID:         a.ID,
@@ -1077,31 +1112,21 @@ func (h *trHandler) HandleApp(from int, a *wire.App) {
 		IsResponse: a.IsResponse,
 		Payload:    a.Payload,
 	}
-	for _, fn := range fns {
+	for _, fn := range (*Node)(h).appFns.load() {
 		fn(m)
 	}
 }
 
 // PeerUp implements transport.Handler.
 func (h *trHandler) PeerUp(peer int) {
-	n := (*Node)(h)
-	n.mu.Lock()
-	fns := make([]peerHook, len(n.peerUpFns))
-	copy(fns, n.peerUpFns)
-	n.mu.Unlock()
-	for _, hk := range fns {
+	for _, hk := range (*Node)(h).peerUpFns.load() {
 		hk.fn(peer)
 	}
 }
 
 // PeerDown implements transport.Handler.
 func (h *trHandler) PeerDown(peer int) {
-	n := (*Node)(h)
-	n.mu.Lock()
-	fns := make([]peerHook, len(n.peerDownFns))
-	copy(fns, n.peerDownFns)
-	n.mu.Unlock()
-	for _, hk := range fns {
+	for _, hk := range (*Node)(h).peerDownFns.load() {
 		hk.fn(peer)
 	}
 }

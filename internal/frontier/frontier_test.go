@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -149,6 +150,37 @@ func TestUpdateAllAndEnsureType(t *testing.T) {
 	tb.UpdateAll(1, 3)
 	if tb.Value(1, TypeReceived) != 9 {
 		t.Fatal("UpdateAll regressed a counter")
+	}
+}
+
+// TestNoteReceivedMatchesPerCallSequence pins NoteReceived to the calls it
+// replaces on the receive path — EnsureType for each well-known row,
+// UpdateAll for the origin, Update for the receiver — including a custom row
+// and a stale report.
+func TestNoteReceivedMatchesPerCallSequence(t *testing.T) {
+	const origin, by, custom = 2, 3, 16
+	got, want := NewTable(3), NewTable(3)
+	for _, tb := range []*Table{got, want} {
+		tb.Update(1, custom, 4)
+	}
+	for _, seq := range []uint64{7, 5, 12} {
+		got.NoteReceived(origin, by, seq)
+		for _, typ := range []uint16{TypeReceived, TypePersisted, TypeDelivered} {
+			want.EnsureType(typ, origin, seq)
+		}
+		want.UpdateAll(origin, seq)
+		want.Update(by, TypeReceived, seq)
+		if !reflect.DeepEqual(got.Snapshot(), want.Snapshot()) {
+			t.Fatalf("after seq %d: NoteReceived gives %v, the per-call sequence %v", seq, got.Snapshot(), want.Snapshot())
+		}
+	}
+	if v := got.Value(by, TypeDelivered); v != 0 {
+		t.Fatalf("NoteReceived advanced the receiver's delivered cell to %d", v)
+	}
+	got.NoteReceived(0, by, 99)
+	got.NoteReceived(origin, 4, 99)
+	if !reflect.DeepEqual(got.Snapshot(), want.Snapshot()) {
+		t.Fatal("out-of-range nodes were not ignored")
 	}
 }
 

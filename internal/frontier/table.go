@@ -88,6 +88,34 @@ func (t *Table) EnsureType(typ uint16, node int, seq uint64) {
 	}
 }
 
+// NoteReceived records, under one lock, everything node by learns from
+// holding origin's stream through seq: the well-known rows exist, origin's
+// own counter stands at seq or beyond in every row (the completeness rule
+// applied remotely — the origin trivially holds every stability property of
+// what it sent), and by has received through seq. Because the counters are
+// monotone watermarks, one call with a run's last sequence stands for the
+// whole run.
+func (t *Table) NoteReceived(origin, by int, seq uint64) {
+	if origin < 1 || origin > t.n || by < 1 || by > t.n {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, typ := range [...]uint16{TypeReceived, TypePersisted, TypeDelivered} {
+		if t.rows[typ] == nil {
+			t.rows[typ] = make([]uint64, t.n)
+		}
+	}
+	for _, row := range t.rows {
+		if row[origin-1] < seq {
+			row[origin-1] = seq
+		}
+	}
+	if row := t.rows[TypeReceived]; row[by-1] < seq {
+		row[by-1] = seq
+	}
+}
+
 // Value implements dsl.Source: the highest sequence node has acknowledged
 // for typ, or zero if nothing was recorded.
 func (t *Table) Value(node int, typ uint16) uint64 {

@@ -21,6 +21,38 @@ func (h *countHandler) HandleApp(from int, a *wire.App)   {}
 func (h *countHandler) PeerUp(peer int)                   {}
 func (h *countHandler) PeerDown(peer int)                 {}
 
+// BenchmarkQueueAck measures one stability report fanned onto the 7 links of
+// an 8-node transport: a report that advances its slots, as each received
+// run produces, and a stale one, which must cost a lock and a compare per
+// link and wake nobody. The links never connect (nothing listens), so the
+// figure is the outbox alone, without the writer it would wake.
+func BenchmarkQueueAck(b *testing.B) {
+	for _, advancing := range []bool{true, false} {
+		name := "stale"
+		if advancing {
+			name = "advancing"
+		}
+		b.Run(name, func(b *testing.B) {
+			fabric := emunet.NewMemNetwork(nil)
+			defer fabric.Close()
+			tr, err := New(Config{Self: 1, N: 8, Network: fabric, Handler: &countHandler{}, Log: NewSendLog(1)})
+			if err != nil {
+				b.Fatal(err)
+			}
+			a := wire.Ack{Origin: 2, By: 1, Type: 1, Seq: 1}
+			tr.QueueAck(a)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if advancing {
+					a.Seq++
+				}
+				tr.QueueAck(a)
+			}
+		})
+	}
+}
+
 // BenchmarkSendLogAppendDrain measures the per-entry append + cursor-walk
 // cost of the shared send log, including periodic reclaim.
 func BenchmarkSendLogAppendDrain(b *testing.B) {

@@ -32,11 +32,29 @@ const (
 	backoffCeil  = 2 * time.Second
 )
 
-// ackKey identifies one coalescing slot in a link's ACK outbox.
-type ackKey struct {
+// ackSlot is one coalescing cell of a link's ACK outbox: the stability
+// report (origin, by, typ), whose newest value overwrites older ones.
+type ackSlot struct {
+	// latest is the newest sequence reported and is never cleared.
+	latest uint64
 	origin uint16
 	by     uint16
 	typ    uint16
+	// queued marks a slot in the emission queue: its latest value has not
+	// been written on the current connection. A slot is queued exactly when
+	// it advances or the connection is replaced, so nothing else needs to
+	// remember what the wire has carried.
+	queued bool
+}
+
+// ackColumn holds the slots of one (by, typ) pair, one per origin (slot i is
+// origin i+1). A node reports its own observations, of a handful of stability
+// types, about every origin: a link has a few columns, found by scanning, of
+// N slots each, indexed directly, and no lookup hashes anything.
+type ackColumn struct {
+	by    uint16
+	typ   uint16
+	slots []ackSlot
 }
 
 // link is one outgoing connection toward a peer: it dials, handshakes,
@@ -60,19 +78,14 @@ type link struct {
 
 	mu   sync.Mutex
 	cond sync.Cond
-	// acks holds the latest known value per slot and is never cleared;
-	// sent holds what has been written on the *current* connection. On
-	// reconnect sent is reset, so the full control state is resynced —
-	// monotonicity makes the resend harmless (SST-style control plane).
-	acks map[ackKey]uint64
-	sent map[ackKey]uint64
-	// dirty is the emission queue; dirtySet mirrors it for O(1)
-	// already-queued checks.
-	dirty    []ackKey
-	dirtySet map[ackKey]struct{}
-	apps     []*wire.App
-	hbDue    bool
-	hbClock  uint64
+	// acks is the ACK outbox; dirty is its emission queue, the slots that
+	// advanced since the writer last drained it. Columns are appended, never
+	// resized, so slot pointers stay valid.
+	acks    []ackColumn
+	dirty   []*ackSlot
+	apps    []*wire.App
+	hbDue   bool
+	hbClock uint64
 	// echoDue/echoClock queue a piggybacked heartbeat echo; the newest
 	// clock wins, since the peer only matches echoes against its latest
 	// heartbeat.
@@ -132,13 +145,10 @@ type link struct {
 
 func newLink(t *Transport, peer int) *link {
 	l := &link{
-		t:        t,
-		peer:     peer,
-		ins:      t.peers[peer],
-		acks:     make(map[ackKey]uint64),
-		sent:     make(map[ackKey]uint64),
-		dirtySet: make(map[ackKey]struct{}),
-		rng:      rand.New(rand.NewSource(int64(t.cfg.Self)<<16 | int64(peer))),
+		t:    t,
+		peer: peer,
+		ins:  t.peers[peer],
+		rng:  rand.New(rand.NewSource(int64(t.cfg.Self)<<16 | int64(peer))),
 	}
 	l.cond.L = &l.mu
 	return l
@@ -169,31 +179,58 @@ func (l *link) wake() {
 // log.
 func (l *link) notifyData() { l.wake() }
 
-func (l *link) queueAck(a wire.Ack) {
-	k := ackKey{origin: a.Origin, by: a.By, typ: a.Type}
-	l.mu.Lock()
-	if prev, ok := l.acks[k]; !ok || a.Seq > prev {
-		l.acks[k] = a.Seq
-		if _, queued := l.dirtySet[k]; !queued {
-			l.dirty = append(l.dirty, k)
-			l.dirtySet[k] = struct{}{}
-		}
+// queueAck coalesces a into its outbox slot and reports whether the slot
+// advanced; a stale or repeated report changes nothing, so the caller wakes
+// the writer only on true. Reports about an origin outside [1, N] are
+// dropped: no peer's recorder has a table for them.
+func (l *link) queueAck(a wire.Ack) bool {
+	if a.Origin < 1 || int(a.Origin) > l.t.cfg.N {
+		return false
 	}
-	l.mu.Unlock()
-	l.wake()
-}
-
-// resetSent forgets per-connection send state so the next stream resyncs
-// the full control state.
-func (l *link) resetSent() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.sent = make(map[ackKey]uint64, len(l.acks))
+	s := l.slotFor(a)
+	if a.Seq <= s.latest {
+		return false
+	}
+	s.latest = a.Seq
+	if !s.queued {
+		s.queued = true
+		l.dirty = append(l.dirty, s)
+	}
+	return true
+}
+
+// slotFor returns a's outbox slot, adding its column on first use. Caller
+// holds mu and has range-checked a.Origin.
+func (l *link) slotFor(a wire.Ack) *ackSlot {
+	for i := range l.acks {
+		if c := &l.acks[i]; c.by == a.By && c.typ == a.Type {
+			return &c.slots[a.Origin-1]
+		}
+	}
+	slots := make([]ackSlot, l.t.cfg.N)
+	for i := range slots {
+		slots[i].origin, slots[i].by, slots[i].typ = uint16(i+1), a.By, a.Type
+	}
+	l.acks = append(l.acks, ackColumn{by: a.By, typ: a.Type, slots: slots})
+	return &slots[a.Origin-1]
+}
+
+// resyncAcks queues every slot that ever held a value, so the next stream
+// resyncs the full control state — monotonicity makes the resend harmless
+// (SST-style control plane).
+func (l *link) resyncAcks() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	l.dirty = l.dirty[:0]
-	clear(l.dirtySet)
-	for k := range l.acks {
-		l.dirty = append(l.dirty, k)
-		l.dirtySet[k] = struct{}{}
+	for i := range l.acks {
+		for j := range l.acks[i].slots {
+			s := &l.acks[i].slots[j]
+			if s.queued = s.latest > 0; s.queued {
+				l.dirty = append(l.dirty, s)
+			}
+		}
 	}
 }
 
@@ -289,7 +326,7 @@ func (l *link) run() {
 		}
 		connected = true
 		backoff = backoffFloor
-		l.resetSent()
+		l.resyncAcks()
 		l.stream(conn, lastSeq+1)
 		_ = conn.Close()
 	}
@@ -538,7 +575,7 @@ func (l *link) stream(conn net.Conn, cursor uint64) {
 				frame, err = l.writeCopied(conn, bw, frame)
 			}
 			if err != nil {
-				return // resetSent on reconnect resyncs everything
+				return // resyncAcks on reconnect resyncs everything
 			}
 			if len(l.traced) > 0 {
 				tWrite := nowNano()
@@ -727,17 +764,12 @@ func (l *link) takeControl() (c controlBatch, ok bool) {
 	}
 	if len(l.dirty) > 0 {
 		l.ackBuf = l.ackBuf[:0]
-		for _, k := range l.dirty {
-			v := l.acks[k]
-			if v <= l.sent[k] {
-				continue // already on the wire for this connection
-			}
-			l.sent[k] = v
-			l.ackBuf = append(l.ackBuf, wire.Ack{Origin: k.origin, By: k.by, Type: k.typ, Seq: v})
+		for _, s := range l.dirty {
+			s.queued = false
+			l.ackBuf = append(l.ackBuf, wire.Ack{Origin: s.origin, By: s.by, Type: s.typ, Seq: s.latest})
 		}
 		c.acks = l.ackBuf
 		l.dirty = l.dirty[:0]
-		clear(l.dirtySet)
 	}
 	if len(l.apps) > 0 {
 		c.apps = l.apps

@@ -39,6 +39,22 @@ type Handler interface {
 	PeerDown(peer int)
 }
 
+// RunHandler is optionally implemented by a Handler that takes received data
+// a run at a time. A run is the fresh Data frames of one peer that were
+// already decoded when the transport took the peer's delivery lock: at least
+// one frame, strictly increasing sequences, duplicates filtered. A handler
+// that implements it receives every data frame through HandleDataRun and
+// none through HandleData; the slice and its structs are transport-owned
+// scratch valid only for the duration of the call (payloads may be retained,
+// as with HandleData).
+type RunHandler interface {
+	HandleDataRun(from int, run []wire.Data)
+}
+
+// maxRecvRun caps the frames applied as one run, bounding how long a control
+// frame queued behind a burst — and the burst's own delivered report — waits.
+const maxRecvRun = 512
+
 // Config parameterizes a Transport.
 type Config struct {
 	// Self is the local node's 1-based index.
@@ -182,6 +198,9 @@ type peerInstruments struct {
 type Transport struct {
 	cfg      Config
 	listener net.Listener
+	// handleRun is the Handler's data entry point, resolved once at New:
+	// its HandleDataRun when it is a RunHandler, a HandleData loop otherwise.
+	handleRun func(from int, run []wire.Data)
 
 	links map[int]*link            // keyed by peer index
 	peers map[int]*peerInstruments // keyed by peer index
@@ -196,9 +215,10 @@ type Transport struct {
 	// (peers are 1-based).
 	recvLast []atomic.Uint64
 	// deliverMu[p] serializes the duplicate filter and the data upcall for
-	// peer p, so the Handler's per-peer FIFO contract holds even while a
-	// superseded connection from the same peer is still draining alongside
-	// its replacement. Per-peer, so peers never contend with each other.
+	// peer p, run by run, so the Handler's per-peer FIFO contract holds even
+	// while a superseded connection from the same peer is still draining
+	// alongside its replacement. Per-peer, so peers never contend with each
+	// other.
 	deliverMu []sync.Mutex
 
 	recvMu   sync.Mutex
@@ -206,11 +226,11 @@ type Transport struct {
 	accepted map[net.Conn]bool // every live accepted conn, incl. pre-handshake
 
 	// Liveness is frame-counter based so the receive hot path stays off
-	// the clock: heardTick[p] counts frames heard from peer p (bumped
-	// with one atomic add per frame), and the failure detector's ticker
-	// translates "the counter moved since my last scan" into an arrival
-	// timestamp at tick granularity. liveMu serializes only the rare
-	// up/down transitions. Index 0 is unused (peers are 1-based).
+	// the clock: heardTick[p] moves whenever peer p is heard from (one
+	// atomic add per frame, or per run of data frames), and the failure
+	// detector's ticker translates "the counter moved since my last scan"
+	// into an arrival timestamp at tick granularity. liveMu serializes only
+	// the rare up/down transitions. Index 0 is unused (peers are 1-based).
 	liveMu    sync.Mutex
 	heardTick []atomic.Int64
 	peerUpA   []atomic.Bool
@@ -225,6 +245,10 @@ type Transport struct {
 	stageBatchQueue *metrics.Histogram
 	stageWireSend   *metrics.Histogram
 	stageFlight     *metrics.Histogram
+
+	// recvRunFrames observes the frames handed to the Handler per run: the
+	// receive path's coalescing factor.
+	recvRunFrames *metrics.Histogram
 
 	// Process-wide totals, independent of the per-peer metric families so
 	// snapshot getters stay exact and O(1).
@@ -276,6 +300,15 @@ func New(cfg Config) (*Transport, error) {
 		peerUpA:   make([]atomic.Bool, cfg.N+1),
 		stop:      make(chan struct{}),
 	}
+	if rh, ok := cfg.Handler.(RunHandler); ok {
+		t.handleRun = rh.HandleDataRun
+	} else {
+		t.handleRun = func(from int, run []wire.Data) {
+			for i := range run {
+				cfg.Handler.HandleData(from, &run[i])
+			}
+		}
+	}
 	m := cfg.Metrics
 	bytesSent := m.CounterVec("stabilizer_transport_bytes_sent_total", "Frame bytes written per peer.", "peer")
 	bytesRecv := m.CounterVec("stabilizer_transport_bytes_recv_total", "Frame bytes read per peer (post-handshake).", "peer")
@@ -286,6 +319,9 @@ func New(cfg Config) (*Transport, error) {
 	fdTrips := m.CounterVec("stabilizer_transport_failure_detector_trips_total", "Failure detector suspicions raised per peer.", "peer")
 	hbRTT := m.HistogramVec("stabilizer_transport_heartbeat_rtt_seconds", "Heartbeat echo round-trip time per peer.", metrics.LatencyOpts, "peer")
 	up := m.GaugeVec("stabilizer_transport_peer_up", "1 while the peer is considered alive.", "peer")
+	t.recvRunFrames = m.Histogram("stabilizer_transport_recv_run_frames",
+		"Data frames handed to the handler per receive run.",
+		metrics.HistogramOpts{MaxPow: 10})
 
 	// Zone rollups of the byte/frame families: the same counts keyed by the
 	// destination (or source) peer's {az,region} instead of its index, for
@@ -447,17 +483,19 @@ func (t *Transport) NotifyData() {
 
 // QueueAck coalesces a stability report onto every outgoing link. Only the
 // newest sequence per (origin, by, type) is retained — monotonicity makes
-// older reports redundant.
+// older reports redundant — and only a link whose slot advanced is woken.
 func (t *Transport) QueueAck(a wire.Ack) {
 	for _, lk := range t.linkList {
-		lk.queueAck(a)
+		if lk.queueAck(a) {
+			lk.wake()
+		}
 	}
 }
 
 // QueueAckTo coalesces a stability report onto a single peer's link.
 func (t *Transport) QueueAckTo(peer int, a wire.Ack) {
-	if lk, ok := t.links[peer]; ok {
-		lk.queueAck(a)
+	if lk, ok := t.links[peer]; ok && lk.queueAck(a) {
+		lk.wake()
 	}
 }
 
@@ -601,6 +639,9 @@ func (t *Transport) serveIncoming(conn net.Conn) {
 	}
 	t.heard(from)
 
+	// run is the connection's reusable run buffer: the Data frame Next
+	// returned plus every further one already buffered behind it.
+	var run []wire.Data
 	for {
 		msg, err := r.Next()
 		if err != nil {
@@ -615,17 +656,8 @@ func (t *Transport) serveIncoming(conn net.Conn) {
 		t.heard(from)
 		switch m := msg.(type) {
 		case *wire.Data:
-			t.dataRecv.Add(1)
-			ins.dataRecv.Inc()
-			// Record the wire arrival before the duplicate filter: a
-			// resent frame really did cross the wire again, and the trace
-			// should show it.
-			if rec := t.cfg.Trace; rec != nil && rec.Sampled(from, m.Seq) {
-				now := time.Now().UnixNano()
-				rec.Record(optrace.StageWireRecv, from, m.Seq, from, 0, now)
-				t.stageFlight.Observe(now - m.SentUnixNano)
-			}
-			t.deliverData(from, m)
+			run = r.AppendBufferedData(append(run[:0], *m), maxRecvRun)
+			t.applyRun(from, ins, run)
 		case *wire.Ack:
 			ins.ackRecv.Inc()
 			t.cfg.Handler.HandleAck(m)
@@ -662,28 +694,56 @@ func (t *Transport) serveIncoming(conn net.Conn) {
 	}
 }
 
-// deliverData filters duplicates caused by resend-after-reconnect and hands
-// fresh frames to the Handler, all under the peer's delivery mutex. The
-// mutex is what makes the Handler's per-peer FIFO promise real: during a
-// reconnect a superseded connection from the same peer can still be
-// draining frames alongside its replacement, and without serialization the
-// two goroutines could both pass the filter (for different sequences) and
-// race their upcalls out of order. Normal operation has one connection per
-// peer, so the lock is uncontended.
-func (t *Transport) deliverData(from int, d *wire.Data) {
+// applyRun counts a decoded run, filters the duplicates a
+// resend-after-reconnect causes and hands what is fresh to the Handler in one
+// call, filter and upcall under the peer's delivery mutex. The mutex is what
+// makes the Handler's per-peer FIFO promise real: during a reconnect a
+// superseded connection from the same peer can still be draining frames
+// alongside its replacement, and without serialization the two goroutines
+// could both pass the filter (for different sequences) and race their upcalls
+// out of order. Normal operation has one connection per peer, so the lock is
+// uncontended. recvLast moves to the run's last sequence before the upcall:
+// every frame it covers is decoded and past the filter by then.
+func (t *Transport) applyRun(from int, ins *peerInstruments, run []wire.Data) {
+	t.dataRecv.Add(int64(len(run)))
+	ins.dataRecv.Add(int64(len(run)))
+	// Record wire arrivals before the duplicate filter: a resent frame
+	// really did cross the wire again, and the trace should show it. The
+	// run was buffered together, so its sampled frames share one clock read.
+	if rec := t.cfg.Trace; rec != nil {
+		var now int64
+		for i := range run {
+			if d := &run[i]; rec.Sampled(from, d.Seq) {
+				if now == 0 {
+					now = nowNano()
+				}
+				rec.Record(optrace.StageWireRecv, from, d.Seq, from, 0, now)
+				t.stageFlight.Observe(now - d.SentUnixNano)
+			}
+		}
+	}
 	mu := &t.deliverMu[from]
 	mu.Lock()
 	defer mu.Unlock()
-	if d.Seq <= t.recvLast[from].Load() {
+	last := t.recvLast[from].Load()
+	fresh := run[:0]
+	for i := range run {
+		if run[i].Seq > last {
+			last = run[i].Seq
+			fresh = append(fresh, run[i])
+		}
+	}
+	if len(fresh) == 0 {
 		return
 	}
-	t.recvLast[from].Store(d.Seq)
-	t.cfg.Handler.HandleData(from, d)
+	t.recvLast[from].Store(last)
+	t.recvRunFrames.Observe(int64(len(fresh)))
+	t.handleRun(from, fresh)
 }
 
 // --- liveness ---
 
-// heard notes one frame from peer. The steady-state cost is one atomic add
+// heard notes traffic from peer. The steady-state cost is one atomic add
 // plus one atomic load — no clock read, no lock, no map write — because the
 // failure detector derives arrival times from counter movement on its own
 // ticker. Only the up transition (first frame after down) takes liveMu.

@@ -463,6 +463,28 @@ func (r *Reader) Next() (Message, error) {
 	return r.decodeBody(body)
 }
 
+// AppendBufferedData decodes the complete Data frames already sitting in the
+// read buffer and appends them to dst, stopping at the first frame that is
+// not Data, is not fully buffered, or would make len(dst) exceed max. It
+// never reads from the underlying stream, so it cannot block; whatever stops
+// it (a malformed frame included) is left for the following Next to report.
+// The appended structs are copies; their payloads are stable like Next's.
+func (r *Reader) AppendBufferedData(dst []Data, max int) []Data {
+	buf, _ := r.br.Peek(r.br.Buffered()) // what is buffered: no read, no error
+	off := 0
+	for len(dst) < max && len(buf)-off >= DataFrameOverhead {
+		n := int(binary.BigEndian.Uint32(buf[off:]))
+		if Kind(buf[off+4]) != KindData || n < DataFrameOverhead-4 || n > len(buf)-off-4 {
+			break
+		}
+		dst = append(dst, Data{})
+		r.decodeData(buf[off+5:off+4+n], &dst[len(dst)-1])
+		off += 4 + n
+	}
+	_, _ = r.br.Discard(off) // buffered bytes: cannot fail
+	return dst
+}
+
 // headerErr maps a short length-prefix peek onto io.ReadFull semantics: a
 // clean boundary is io.EOF, a torn prefix is io.ErrUnexpectedEOF.
 func headerErr(got int, err error) error {
@@ -485,9 +507,7 @@ func (r *Reader) decodeBody(body []byte) (Message, error) {
 		if len(b) < 16 {
 			return nil, fmt.Errorf("wire: decode data: %w", ErrShortFrame)
 		}
-		r.data.Seq = binary.BigEndian.Uint64(b)
-		r.data.SentUnixNano = int64(binary.BigEndian.Uint64(b[8:]))
-		r.data.Payload = r.arena.copyOut(b[16:])
+		r.decodeData(b, &r.data)
 		return &r.data, nil
 	}
 	msg, err := r.message(Kind(body[0]))
@@ -498,6 +518,14 @@ func (r *Reader) decodeBody(body []byte) (Message, error) {
 		return nil, fmt.Errorf("wire: decode %s: %w", msg.Kind(), err)
 	}
 	return msg, nil
+}
+
+// decodeData fills d from a Data frame's fields b (at least 16 bytes), the
+// payload going straight from the read buffer into the arena.
+func (r *Reader) decodeData(b []byte, d *Data) {
+	d.Seq = binary.BigEndian.Uint64(b)
+	d.SentUnixNano = int64(binary.BigEndian.Uint64(b[8:]))
+	d.Payload = r.arena.copyOut(b[16:])
 }
 
 // message returns the destination struct for kind k: a reused scratch

@@ -275,3 +275,76 @@ func TestKindStrings(t *testing.T) {
 		t.Fatalf("unknown kind string = %q", Kind(200).String())
 	}
 }
+
+// chunkReader hands out its chunks one Read at a time, so a test controls
+// exactly which bytes are buffered when.
+type chunkReader struct{ chunks [][]byte }
+
+func (c *chunkReader) Read(p []byte) (int, error) {
+	if len(c.chunks) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, c.chunks[0])
+	if c.chunks[0] = c.chunks[0][n:]; len(c.chunks[0]) == 0 {
+		c.chunks = c.chunks[1:]
+	}
+	return n, nil
+}
+
+// TestAppendBufferedData pins the run decoder's three stops — a non-Data
+// frame, the end of the buffered bytes (mid-frame included) and the cap —
+// and that it never reads the stream: what stopped it is the next Next.
+func TestAppendBufferedData(t *testing.T) {
+	data := func(first, last uint64) []byte {
+		var b []byte
+		for s := first; s <= last; s++ {
+			b = AppendFrame(b, &Data{Seq: s, SentUnixNano: int64(s), Payload: []byte{byte(s), 0xAB}})
+		}
+		return b
+	}
+	first := append(data(1, 5), AppendFrame(nil, &Ack{Origin: 1, By: 2, Type: 1, Seq: 9})...)
+	first = append(first, data(6, 9)...)
+	torn := data(10, 10)
+	first = append(first, torn[:7]...) // frame 10 straddles the two reads
+	r := NewReader(&chunkReader{chunks: [][]byte{first, torn[7:]}})
+
+	next := func() Message {
+		t.Helper()
+		m, err := r.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	seqs := func(run []Data) (out []uint64) {
+		for _, d := range run {
+			if len(d.Payload) != 2 || d.Payload[0] != byte(d.Seq) || d.SentUnixNano != int64(d.Seq) {
+				t.Fatalf("frame %d decoded as %+v", d.Seq, d)
+			}
+			out = append(out, d.Seq)
+		}
+		return out
+	}
+
+	run := r.AppendBufferedData([]Data{*next().(*Data)}, 3)
+	if got := seqs(run); !reflect.DeepEqual(got, []uint64{1, 2, 3}) {
+		t.Fatalf("capped run = %v, want [1 2 3]", got)
+	}
+	run = r.AppendBufferedData(run[:0], 100)
+	if got := seqs(run); !reflect.DeepEqual(got, []uint64{4, 5}) {
+		t.Fatalf("run before the ack = %v, want [4 5]", got)
+	}
+	if a, ok := next().(*Ack); !ok || a.Seq != 9 {
+		t.Fatalf("frame after the run is not the ack")
+	}
+	run = r.AppendBufferedData(run[:0], 100)
+	if got := seqs(run); !reflect.DeepEqual(got, []uint64{6, 7, 8, 9}) {
+		t.Fatalf("run before the torn frame = %v, want [6 7 8 9]", got)
+	}
+	if d := next().(*Data); d.Seq != 10 {
+		t.Fatalf("torn frame decoded as seq %d, want 10", d.Seq)
+	}
+	if run = r.AppendBufferedData(run[:0], 100); len(run) != 0 {
+		t.Fatalf("empty buffer yielded %d frames", len(run))
+	}
+}
