@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race check-benchmark examples chaos chaos-flow chaos-spill chaos-adaptive bench bench-transport bench-transport-short bench-optrace bench-frontier bench-frontier-short bench-spill bench-spill-short bench-recvrun fuzz-dsl fuzz-segment
+.PHONY: check vet build test race deflake loc check-benchmark examples chaos chaos-flow chaos-spill chaos-adaptive bench bench-transport bench-transport-short bench-optrace bench-frontier bench-frontier-short bench-spill bench-spill-short bench-recvrun fuzz-dsl fuzz-segment
 
 check: vet build race check-benchmark
 
@@ -15,6 +15,19 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# deflake reruns the two tests whose failures were timing, not logic: the
+# spill test that listed its directory inside the spiller's stillborn-segment
+# window, and the adaptive demos whose controller used to sample boot-time
+# dial latency. A failure here is a returning flake, not noise.
+deflake:
+	$(GO) test -count=20 -run 'TestSpillTruncate$$' ./internal/transport
+	$(GO) test -count=5 -run 'TestAdaptiveDemo' ./internal/chaos
+
+# loc prints the non-test Go line count outside benchmark/: the baseline a
+# simplicity change is judged against.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l
 
 # check-benchmark vets and tests benchmark/, a module of its own that the
 # root's ./... never reaches: its layer probes import internal/ packages and

@@ -25,10 +25,8 @@ import (
 	"os"
 	"time"
 
-	"stabilizer/internal/adaptive"
 	"stabilizer/internal/bench"
 	"stabilizer/internal/core"
-	"stabilizer/internal/metrics"
 	"stabilizer/internal/optrace"
 )
 
@@ -39,72 +37,49 @@ func main() {
 	}
 }
 
-func run() error {
-	var (
-		experiment  = flag.String("experiment", "all", "which experiment to run (table1 table2 table3 micro fig3 fig4 fig5 fig6 fig7 fig8 ablation all)")
-		timescale   = flag.Float64("timescale", 1, "divide emulated latencies by this factor (1 = faithful wall-clock)")
-		fabric      = flag.String("fabric", "mem", "network fabric: mem or tcp")
-		short       = flag.Bool("short", false, "shrink workloads for a quick pass")
-		metricsAddr = flag.String("metrics-addr", "", "serve every experiment node's /metrics on this address (e.g. :9090)")
-		pprofOn     = flag.Bool("pprof", false, "also mount /debug/pprof on the metrics address")
-		traceSample = flag.Int("trace-sample", 0, "flight-record 1 in N operations and mount /debug/trace on the metrics address (0 = off, the faithful-measurement default)")
-		logStripes  = flag.Int("log-stripes", 0, "send-log producer stripes per node (0 = min(8, GOMAXPROCS), 1 = classic single-stripe log)")
-		writevMin   = flag.Int("writev-min-bytes", 0, "smallest batch payload sent as one vectored write on TCP fabrics (0 = 8 KiB default, negative disables writev)")
-		stabilize   = flag.Duration("stabilize-interval", 0, "defer predicate stabilization onto a control-plane tick of this period (0 = inline; try 1ms)")
+// options is everything the command line sets.
+type options struct {
+	experiment string
+	bench      bench.Options
+	// node holds the flags shared with wankv: the cluster template every
+	// experiment boots from and the metrics endpoint.
+	node *core.Flags
+}
 
-		adaptLadder = flag.String("adaptive-ladder", "", "run the closed-loop consistency controller on every experiment node: 'name=SOURCE;name=SOURCE' strongest rung first (empty = off)")
-		adaptKey    = flag.String("adaptive-key", "adaptive", "predicate key the adaptive controller drives")
-		adaptTarget = flag.Duration("adaptive-target", 2*time.Second, "adaptive SLO: this fraction of appends should stabilize within the target")
-		adaptObj    = flag.Float64("adaptive-objective", 0.99, "adaptive SLO good fraction in (0,1)")
-	)
+func bindFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.StringVar(&o.experiment, "experiment", "all", "which experiment to run (table1 table2 table3 micro fig3 fig4 fig5 fig6 fig7 fig8 ablation all)")
+	fs.Float64Var(&o.bench.TimeScale, "timescale", 1, "divide emulated latencies by this factor (1 = faithful wall-clock)")
+	fs.StringVar(&o.bench.Fabric, "fabric", "mem", "network fabric: mem or tcp")
+	fs.BoolVar(&o.bench.Short, "short", false, "shrink workloads for a quick pass")
+	// Tracing stays off unless asked for: always-on tracing perturbs the
+	// numbers an experiment measures.
+	o.node = core.BindFlags(fs, core.Config{})
+	fs.Float64Var(&o.node.Adaptive.Config.Objective, "adaptive-objective", 0.99, "adaptive SLO: fraction of appends, in (0,1), that should meet the target")
+	return o
+}
+
+func run() error {
+	o := bindFlags(flag.CommandLine)
 	flag.Parse()
 
-	var adaptiveSpec *core.AdaptiveSpec
-	if *adaptLadder != "" {
-		ladder, err := adaptive.ParseLadder(*adaptLadder)
-		if err != nil {
-			return fmt.Errorf("-adaptive-ladder: %w", err)
-		}
-		adaptiveSpec = &core.AdaptiveSpec{
-			Key:    *adaptKey,
-			Ladder: ladder,
-			Config: adaptive.Config{Target: *adaptTarget, Objective: *adaptObj},
-		}
+	opts := o.bench
+	opts.Out = os.Stdout
+	opts.Cluster = o.node.Cluster()
+	extra := map[string]http.Handler{}
+	served := "/metrics"
+	if opts.Cluster.Trace.Enabled() {
+		opts.TraceTarget = &bench.TraceTarget{}
+		extra["/debug/trace"] = optrace.NewHTTPHandler(opts.TraceTarget)
+		served += " and /debug/trace"
 	}
-
-	opts := bench.Options{
-		Out:               os.Stdout,
-		TimeScale:         *timescale,
-		Fabric:            *fabric,
-		Short:             *short,
-		LogStripes:        *logStripes,
-		Trace:             optrace.Config{SampleEvery: *traceSample},
-		StabilizeInterval: *stabilize,
-		Adaptive:          adaptiveSpec,
+	srv, err := o.node.Serve(extra)
+	if err != nil {
+		return err
 	}
-	opts.Batch.WritevMinBytes = *writevMin
-	if *metricsAddr != "" {
-		var sopts []metrics.ServeOption
-		if *pprofOn {
-			sopts = append(sopts, metrics.WithPprof())
-		}
-		reg := metrics.NewRegistry()
-		opts.Metrics = reg
-		extra := map[string]http.Handler{}
-		served := "/metrics"
-		if *traceSample > 0 {
-			opts.TraceTarget = &bench.TraceTarget{}
-			extra["/debug/trace"] = optrace.NewHTTPHandler(opts.TraceTarget)
-			served += " and /debug/trace"
-		}
-		srv, err := metrics.Serve(*metricsAddr, reg, extra, sopts...)
-		if err != nil {
-			return err
-		}
+	if srv != nil {
 		defer srv.Close()
 		fmt.Printf("serving %s on %s\n", served, srv.Addr)
-	} else if *pprofOn {
-		return fmt.Errorf("-pprof requires -metrics-addr")
 	}
 
 	type exp struct {
@@ -129,17 +104,14 @@ func run() error {
 			if _, err := bench.AblationControlPlane(opts); err != nil {
 				return err
 			}
-			if _, err := bench.AblationBatching(opts); err != nil {
-				return err
-			}
-			_, err := bench.AblationDeferredStabilization(opts)
+			_, err := bench.AblationBatching(opts)
 			return err
 		}},
 	}
 
 	ran := false
 	for _, e := range experiments {
-		if *experiment != "all" && *experiment != e.name {
+		if o.experiment != "all" && o.experiment != e.name {
 			continue
 		}
 		ran = true
@@ -151,7 +123,7 @@ func run() error {
 		fmt.Printf("=== %s done in %v ===\n\n", e.name, time.Since(start).Round(time.Millisecond))
 	}
 	if !ran {
-		return fmt.Errorf("unknown experiment %q", *experiment)
+		return fmt.Errorf("unknown experiment %q", o.experiment)
 	}
 	return nil
 }

@@ -60,92 +60,47 @@ func main() {
 	}
 }
 
+// options is everything the command line sets.
+type options struct {
+	topoPath  string
+	timescale float64
+	// node holds the flags shared with stabilizer-bench: the cluster
+	// template and the metrics endpoint.
+	node *stabilizer.Flags
+}
+
+func bindFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.StringVar(&o.topoPath, "topology", "", "topology JSON file (default: built-in EC2 Fig. 2)")
+	fs.Float64Var(&o.timescale, "timescale", 10, "divide emulated WAN latencies by this factor")
+	o.node = stabilizer.BindFlags(fs, stabilizer.Config{Trace: stabilizer.TraceConfig{SampleEvery: 64}})
+	o.node.BindFlowFlags(fs)
+	return o
+}
+
 func run() error {
-	var (
-		topoPath    = flag.String("topology", "", "topology JSON file (default: built-in EC2 Fig. 2)")
-		timescale   = flag.Float64("timescale", 10, "divide emulated WAN latencies by this factor")
-		metricsAddr = flag.String("metrics-addr", "", "serve every node's /metrics and /debug/stabilizer on this address (e.g. :9090)")
-		pprofOn     = flag.Bool("pprof", false, "also mount /debug/pprof on the metrics address")
-
-		flowMaxBytes   = flag.Int64("flow-max-bytes", 0, "cap each node's send log at this many buffered bytes (0 = unbounded)")
-		flowMaxEntries = flag.Int("flow-max-entries", 0, "cap each node's send log at this many buffered entries (0 = unbounded)")
-		flowMode       = flag.String("flow-mode", "block", "admission at the cap: 'block' (put waits), 'fail' (put errors) or 'spill' (cold backlog migrates to disk; needs -spill-dir)")
-		spillDir       = flag.String("spill-dir", "", "directory for on-disk spill segments in 'spill' mode (each node uses its own subdirectory)")
-		spillSegBytes  = flag.Int64("spill-segment-bytes", 0, "payload bytes per spill segment file (0 = default 4 MiB)")
-		stallDeadline  = flag.Duration("stall-deadline", 0, "declare a predicate stalled after its frontier sits still this long (0 = off)")
-		traceSample    = flag.Int("trace-sample", 64, "flight-record 1 in N operations end to end (1 = every op, 0 = off)")
-		stabilizeEvery = flag.Duration("stabilize-interval", 0, "defer predicate stabilization onto a control-plane tick of this period (0 = inline; try 1ms)")
-
-		adaptLadder = flag.String("adaptive-ladder", "", "run the closed-loop consistency controller on every node: 'name=SOURCE;name=SOURCE' strongest rung first (empty = off; inspect with the 'adaptive' command)")
-		adaptKey    = flag.String("adaptive-key", "adaptive", "predicate key the adaptive controller drives")
-		adaptTarget = flag.Duration("adaptive-target", 2*time.Second, "adaptive SLO: stabilize within this latency or step the ladder down")
-	)
+	o := bindFlags(flag.CommandLine)
 	flag.Parse()
-	var adaptiveSpec *stabilizer.AdaptiveSpec
-	if *adaptLadder != "" {
-		ladder, err := stabilizer.ParseLadder(*adaptLadder)
-		if err != nil {
-			return fmt.Errorf("-adaptive-ladder: %w", err)
-		}
-		adaptiveSpec = &stabilizer.AdaptiveSpec{
-			Key:    *adaptKey,
-			Ladder: ladder,
-			Config: stabilizer.AdaptiveConfig{Target: *adaptTarget},
-		}
-	}
-	var mode stabilizer.FlowMode
-	switch *flowMode {
-	case "block":
-		mode = stabilizer.FlowBlock
-	case "fail":
-		mode = stabilizer.FlowFail
-	case "spill":
-		mode = stabilizer.FlowSpill
-		if *spillDir == "" {
-			return fmt.Errorf("-flow-mode spill requires -spill-dir")
-		}
-		if *flowMaxBytes == 0 && *flowMaxEntries == 0 {
-			return fmt.Errorf("-flow-mode spill requires -flow-max-bytes or -flow-max-entries (the spill watermark)")
-		}
-	default:
-		return fmt.Errorf("bad -flow-mode %q (want block, fail or spill)", *flowMode)
-	}
-	flow := stabilizer.FlowConfig{
-		MaxBytes:          *flowMaxBytes,
-		MaxEntries:        *flowMaxEntries,
-		Mode:              mode,
-		SpillDir:          *spillDir,
-		SpillSegmentBytes: *spillSegBytes,
-	}
-	stall := stabilizer.StallConfig{Deadline: *stallDeadline}
 
 	topo := stabilizer.EC2Topology(1)
 	matrix := stabilizer.EC2Matrix()
-	if *topoPath != "" {
+	if o.topoPath != "" {
 		var err error
-		topo, err = stabilizer.LoadTopology(*topoPath)
+		topo, err = stabilizer.LoadTopology(o.topoPath)
 		if err != nil {
 			return err
 		}
 		matrix = stabilizer.NewMatrix()
 	}
-	network := stabilizer.NewMemNetwork(matrix.Scaled(*timescale))
+	network := stabilizer.NewMemNetwork(matrix.Scaled(o.timescale))
 	defer network.Close()
 
 	// One cluster boots every topology entry in-process; every node
 	// shares the registry, instrumenting under its own node label, so a
 	// single scrape covers the whole emulated deployment.
-	reg := stabilizer.NewMetricsRegistry()
-	cluster, err := stabilizer.OpenCluster(stabilizer.ClusterConfig{
-		Topology:          topo,
-		Network:           network,
-		Metrics:           reg,
-		Flow:              flow,
-		Stall:             stall,
-		Trace:             stabilizer.TraceConfig{SampleEvery: *traceSample},
-		StabilizeInterval: *stabilizeEvery,
-		Adaptive:          adaptiveSpec,
-	})
+	cfg := o.node.Cluster()
+	cfg.Topology, cfg.Network = topo, network
+	cluster, err := stabilizer.OpenCluster(cfg)
 	if err != nil {
 		return err
 	}
@@ -161,27 +116,21 @@ func run() error {
 			return err
 		}
 	}
-	if *metricsAddr != "" {
-		var opts []stabilizer.ServeOption
-		if *pprofOn {
-			opts = append(opts, stabilizer.WithPprof())
-		}
-		extra := map[string]http.Handler{
-			"/debug/stabilizer": debugHandler(cluster),
-		}
-		extras := "/metrics and /debug/stabilizer"
-		if *traceSample > 0 {
-			extra["/debug/trace"] = stabilizer.NewTraceHandler(cluster)
-			extras += " and /debug/trace"
-		}
-		srv, err := stabilizer.ServeMetrics(*metricsAddr, reg, extra, opts...)
-		if err != nil {
-			return err
-		}
+	extra := map[string]http.Handler{"/debug/stabilizer": debugHandler(cluster)}
+	extras := "/metrics and /debug/stabilizer"
+	if cfg.Trace.Enabled() {
+		extra["/debug/trace"] = stabilizer.NewTraceHandler(cluster)
+		extras += " and /debug/trace"
+	}
+	if o.node.Pprof {
+		extras += " and /debug/pprof"
+	}
+	srv, err := o.node.Serve(extra)
+	if err != nil {
+		return err
+	}
+	if srv != nil {
 		defer srv.Close()
-		if *pprofOn {
-			extras += " and /debug/pprof"
-		}
 		fmt.Printf("wankv: serving %s on %s\n", extras, srv.Addr)
 	}
 

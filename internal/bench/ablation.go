@@ -163,87 +163,6 @@ func AblationControlPlane(opts Options) (*AblationControlPlaneResult, error) {
 	return res, nil
 }
 
-// AblationDeferredStabilizationResult compares inline stabilization (every
-// ACK ingested evaluates each affected predicate on the data path) against
-// the deferred control-plane tick (DESIGN.md §14): with a population of
-// predicates watching the same stream, batching ACK ingestion amortizes
-// evaluation — many table updates per tick collapse into one drain.
-type AblationDeferredStabilizationResult struct {
-	Messages   int
-	Predicates int
-	// InlineTime / DeferredTime stream the same workload to majority
-	// stability with StabilizeInterval 0 and with the default tick.
-	InlineTime   time.Duration
-	DeferredTime time.Duration
-	// Speedup is inline/deferred (>1 means the tick wins).
-	Speedup float64
-}
-
-// AblationDeferredStabilization streams messages to majority stability with
-// a crowd of predicates registered over the same stream, once with inline
-// stabilization and once with the default deferred tick.
-func AblationDeferredStabilization(opts Options) (*AblationDeferredStabilizationResult, error) {
-	opts = opts.normalized()
-	msgs, preds := 2000, 256
-	if opts.Short {
-		msgs, preds = 400, 64
-	}
-	payload := make([]byte, 1<<10)
-
-	run := func(interval time.Duration) (time.Duration, error) {
-		topo := config.EC2Topology(1)
-		o := opts
-		o.StabilizeInterval = interval
-		c, err := startCluster(topo, emunet.EC2Matrix(), o)
-		if err != nil {
-			return 0, err
-		}
-		defer c.close()
-		sender := c.node(1)
-		if err := sender.RegisterPredicate("maj", predlib.MajorityWNodes()); err != nil {
-			return 0, err
-		}
-		for i := 0; i < preds; i++ {
-			if err := sender.RegisterPredicate(fmt.Sprintf("watch%d", i), predlib.MajorityWNodes()); err != nil {
-				return 0, err
-			}
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
-		defer cancel()
-		start := time.Now()
-		var last uint64
-		for i := 0; i < msgs; i++ {
-			if last, err = sender.Send(payload); err != nil {
-				return 0, err
-			}
-		}
-		if err := sender.WaitFor(ctx, last, "maj"); err != nil {
-			return 0, err
-		}
-		return opts.rescale(time.Since(start)), nil
-	}
-
-	inline, err := run(0)
-	if err != nil {
-		return nil, err
-	}
-	deferred, err := run(core.DefaultStabilizeInterval)
-	if err != nil {
-		return nil, err
-	}
-	res := &AblationDeferredStabilizationResult{
-		Messages:     msgs,
-		Predicates:   preds + 1,
-		InlineTime:   inline,
-		DeferredTime: deferred,
-		Speedup:      float64(inline) / float64(deferred),
-	}
-	fmt.Fprintf(opts.Out,
-		"Ablation (deferred stabilization): %d msgs, %d predicates — inline %v, %v tick %v (%.2fx)\n",
-		res.Messages, res.Predicates, res.InlineTime, core.DefaultStabilizeInterval, res.DeferredTime, res.Speedup)
-	return res, nil
-}
-
 // AblationBatchingResult shows monotonic upcall batching (DESIGN.md
 // ablation 4): under load, frontier monitors fire far fewer times than the
 // number of messages, because a report for message Y implies stability of

@@ -22,9 +22,7 @@ import (
 	"stabilizer/internal/config"
 	"stabilizer/internal/core"
 	"stabilizer/internal/emunet"
-	"stabilizer/internal/metrics"
 	"stabilizer/internal/optrace"
-	"stabilizer/internal/transport"
 )
 
 // Options configure an experiment run.
@@ -40,44 +38,21 @@ type Options struct {
 	// Short shrinks workloads for use under `go test -short` and
 	// testing.B iteration.
 	Short bool
-	// Metrics, when set, is shared by every node of every cluster an
-	// experiment starts: each node instruments through its own
-	// node-labeled group, so a live /metrics endpoint watches the whole
-	// run. Families are get-or-create, so successive clusters accumulate
-	// into the same counters.
-	Metrics *metrics.Registry
-	// Batch overrides the data-plane batching knobs on every node the
-	// experiment starts (zero value = transport defaults). Note the
-	// RTT-adaptive byte budget already tracks TimeScale implicitly: the
+	// Cluster is the template every cluster an experiment starts boots from
+	// (startCluster fills in the topology, the fabric and the failure
+	// detector periods). Metrics, when set, is shared by every node of every
+	// cluster: families are get-or-create, so successive clusters accumulate
+	// into the same counters and a live /metrics endpoint watches the whole
+	// run. The zero value is the faithful-measurement default: tracing and
+	// the adaptive controller both perturb what an experiment measures. The
+	// RTT-adaptive batch budget already tracks TimeScale implicitly: the
 	// scaled heartbeat RTT shrinks the bandwidth-delay product along with
 	// the emulated latencies.
-	Batch transport.BatchConfig
-	// Flow bounds every node's send log with admission control (byte and
-	// entry caps with hysteretic watermarks), so experiments can measure
-	// throughput under bounded memory. Zero value = unbounded (the
-	// pre-flow-control behavior).
-	Flow transport.FlowConfig
-	// LogStripes shards every node's send-log appends across that many
-	// producer stripes; 0 picks transport.DefaultLogStripes(), 1 forces
-	// the classic single-stripe log for A/B comparisons.
-	LogStripes int
-	// Trace arms the per-operation flight recorder on every node an
-	// experiment starts (zero value = off, the faithful-measurement
-	// default — always-on tracing perturbs the numbers it measures).
-	Trace optrace.Config
+	Cluster core.Config
 	// TraceTarget, when set, is pointed at each cluster an experiment
 	// boots, so a long-lived /debug/trace endpoint built over it follows
 	// the live run across successive short-lived clusters.
 	TraceTarget *TraceTarget
-	// StabilizeInterval defers predicate stabilization onto a periodic
-	// control-plane tick on every node an experiment starts (0 = inline;
-	// see core.Config.StabilizeInterval).
-	StabilizeInterval time.Duration
-	// Adaptive, when set, starts the closed-loop consistency controller
-	// on every node of every cluster an experiment boots (see
-	// core.ClusterConfig.Adaptive). Off by default: the controller swaps
-	// predicates underneath the measured workloads.
-	Adaptive *core.AdaptiveSpec
 }
 
 // TraceTarget adapts the most recently started experiment cluster to
@@ -143,19 +118,10 @@ type cluster struct {
 // startCluster boots the whole topology in-process on the chosen fabric.
 func startCluster(topo *config.Topology, matrix *emunet.Matrix, opts Options) (*cluster, error) {
 	net := opts.network(matrix)
-	cl, err := core.OpenCluster(core.ClusterConfig{
-		Topology:          topo,
-		Network:           net,
-		Metrics:           opts.Metrics,
-		HeartbeatEvery:    100 * time.Millisecond,
-		PeerTimeout:       5 * time.Second,
-		Batch:             opts.Batch,
-		Flow:              opts.Flow,
-		LogStripes:        opts.LogStripes,
-		Trace:             opts.Trace,
-		StabilizeInterval: opts.StabilizeInterval,
-		Adaptive:          opts.Adaptive,
-	})
+	cfg := opts.Cluster
+	cfg.Topology, cfg.Network = topo, net
+	cfg.HeartbeatEvery, cfg.PeerTimeout = 100*time.Millisecond, 5*time.Second
+	cl, err := core.OpenCluster(cfg)
 	if err != nil {
 		_ = net.Close()
 		return nil, fmt.Errorf("bench: open cluster: %w", err)

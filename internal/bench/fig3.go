@@ -8,6 +8,7 @@ import (
 
 	"stabilizer/internal/config"
 	"stabilizer/internal/emunet"
+	"stabilizer/internal/predlib"
 	"stabilizer/internal/quorum"
 )
 
@@ -58,6 +59,24 @@ func Fig3(opts Options) (*Fig3Result, error) {
 	}
 	writer := kvs[1] // Utah2
 	reader := kvs[0] // Utah1
+
+	// Reads are timed only once the reader's links carry traffic both ways:
+	// a request sent into a link's boot-time dial backoff is answered by the
+	// next-slower member instead, which is set-up cost, not read latency.
+	const linksUp = "fig3-links-up"
+	if err := c.node(1).RegisterPredicate(linksUp, predlib.AllWNodes()); err != nil {
+		return nil, err
+	}
+	seq, err := c.node(1).Send(nil)
+	if err != nil {
+		return nil, err
+	}
+	upCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	err = c.node(1).WaitFor(upCtx, seq, linksUp)
+	cancel()
+	if err != nil {
+		return nil, fmt.Errorf("bench: fig3 links up: %w", err)
+	}
 
 	sizesKB := []int{1, 2, 4, 8, 16, 32, 64}
 	reads := 20

@@ -287,33 +287,42 @@ func AdaptiveDemo(o AdaptiveOptions) (*AdaptiveReport, error) {
 	}
 
 	check := NewChecker(o.N, []int{1})
-	nodes := make([]*core.Node, o.N)
-	defer func() {
-		for _, n := range nodes {
-			if n != nil {
-				_ = n.Close()
-			}
-		}
-	}()
-	for i := 1; i <= o.N; i++ {
-		cfg := core.Config{
-			Topology:       topo.WithSelf(i),
-			Network:        fabric,
-			HeartbeatEvery: o.HeartbeatEvery,
-			PeerTimeout:    o.PeerTimeout,
-		}
-		if i == 1 {
-			cfg.Adaptive = &core.AdaptiveSpec{Key: AdaptiveKey, Ladder: ladder, Config: o.Adaptive}
-		}
-		n, err := core.Open(cfg)
-		if err != nil {
-			return rep, fmt.Errorf("chaos: open node %d: %w", i, err)
-		}
+	cl, err := core.OpenCluster(core.Config{
+		Topology:       topo,
+		Network:        fabric,
+		HeartbeatEvery: o.HeartbeatEvery,
+		PeerTimeout:    o.PeerTimeout,
+	})
+	if err != nil {
+		return rep, fmt.Errorf("chaos: open cluster: %w", err)
+	}
+	defer cl.Close()
+	nodes := cl.Nodes()
+	for _, n := range nodes {
 		check.Attach(n)
-		nodes[i-1] = n
 	}
 	sender := nodes[0]
-	ctrl := sender.AdaptiveController(AdaptiveKey)
+
+	// The controller starts only once every link carries traffic: a message
+	// sent while the links are still dialing stabilizes a connect-plus-backoff
+	// late, and a few such samples fill the short burn window and step the
+	// ladder down before the healthy warmup has begun.
+	seq, err := sender.Send([]byte("warmup"))
+	if err != nil {
+		return rep, fmt.Errorf("chaos: warmup send: %w", err)
+	}
+	for deadline := time.Now().Add(o.DrainTimeout); ; time.Sleep(time.Millisecond) {
+		if v, err := sender.EvalFor(1, "MIN($ALLWNODES)"); err == nil && v >= seq {
+			break
+		}
+		if time.Now().After(deadline) {
+			return rep, fmt.Errorf("chaos: warmup message not received everywhere within %v", o.DrainTimeout)
+		}
+	}
+	ctrl, err := sender.StartAdaptive(AdaptiveKey, ladder, o.Adaptive)
+	if err != nil {
+		return rep, fmt.Errorf("chaos: start adaptive controller: %w", err)
+	}
 
 	detach := check.AttachAdaptive(ctrl, o.Adaptive.MinDwell)
 	defer detach()

@@ -12,7 +12,6 @@ import (
 	"stabilizer/internal/emunet"
 	"stabilizer/internal/faultinject"
 	"stabilizer/internal/metrics"
-	"stabilizer/internal/optrace"
 	"stabilizer/internal/transport"
 )
 
@@ -39,21 +38,34 @@ type Options struct {
 	// DrainTimeout bounds the post-fault convergence wait (default 20s;
 	// reconnect backoff alone can take ~2s after the last heal).
 	DrainTimeout time.Duration
-	// HeartbeatEvery / PeerTimeout tune the nodes' failure detectors
-	// (defaults 25ms / 200ms — fast enough to trip during the soak).
-	HeartbeatEvery time.Duration
-	PeerTimeout    time.Duration
 	// Kinds restricts the fault kinds the schedule draws from (default all).
 	Kinds []faultinject.Kind
-	// Flow, when enabled, caps every node's send log and turns on the
-	// bounded-memory invariant: CrossCheck sweeps additionally assert no
-	// node's buffer exceeds the cap plus one payload. With Mode FlowSpill
-	// the soak switches to invariant 9: the cap bounds only the *in-memory*
-	// tier (CheckBoundedMemory), senders pump deterministic seq-derived
-	// payloads, and every delivery is checked byte-for-byte against ground
-	// truth via AttachPayloadTruth — so a corrupt disk round trip fails the
-	// run even though the stream stays FIFO.
-	Flow transport.FlowConfig
+	// Cluster is the template every soak node boots from; Soak fills in the
+	// topology, the fabric, epoch 1 and DisableAutoReclaim (see AutoReclaim).
+	// Zero HeartbeatEvery / PeerTimeout become 25ms / 200ms, fast enough to
+	// trip during the soak. Some fields also arm invariants:
+	//
+	//   - Flow, when enabled, turns on the bounded-memory invariant:
+	//     CrossCheck sweeps additionally assert no node's buffer exceeds the
+	//     cap plus one payload. With Mode FlowSpill the soak switches to
+	//     invariant 9: the cap bounds only the *in-memory* tier
+	//     (CheckBoundedMemory), senders pump deterministic seq-derived
+	//     payloads, and every delivery is checked byte-for-byte against
+	//     ground truth via AttachPayloadTruth — so a corrupt disk round trip
+	//     fails the run even though the stream stays FIFO.
+	//   - Stall, when its Deadline is set, turns on the degraded-mode
+	//     honesty invariant: every stall report must blame only peers the
+	//     schedule actually faulted.
+	//   - Trace, when enabled, turns on the trace well-orderedness
+	//     invariant: after convergence a sampled operation's merged timeline
+	//     must cover all seven lifecycle stages and validate (no Deliver
+	//     before WireRecv, no Stabilize before its ack quorum). With Stall
+	//     also enabled, every stall-triggered Health report must carry a
+	//     non-empty recorder tail for each blamed peer.
+	//   - Metrics, when set, is shared by every node (node-labeled
+	//     families); scraping it while the soak runs is itself a race test
+	//     of the registry.
+	Cluster core.Config
 	// PayloadBytes sizes every pumped message (default 96). Spill soaks
 	// raise it so a backlog measured in MBs or GBs accumulates within the
 	// horizon instead of over a literal day.
@@ -69,38 +81,11 @@ type Options struct {
 	// 200 Mbps). GB-scale spill soaks raise it so the post-heal drain fits
 	// DrainTimeout.
 	BandwidthBps float64
-	// LogStripes shards every node's send-log appends across that many
-	// producer stripes (0 = transport default, 1 = classic single-stripe
-	// log), so soaks exercise the striped merge path under faults.
-	LogStripes int
-	// Stall, when its Deadline is set, runs the nodes' stall monitors and
-	// turns on the degraded-mode honesty invariant: every stall report must
-	// blame only peers the schedule actually faulted.
-	Stall core.StallConfig
-	// Trace, when enabled, runs every node's lifecycle flight recorder and
-	// turns on the trace well-orderedness invariant: after convergence a
-	// sampled operation's merged timeline must cover all seven lifecycle
-	// stages and validate (no Deliver before WireRecv, no Stabilize before
-	// its ack quorum). With Stall also enabled, every stall-triggered
-	// Health report must carry a non-empty recorder tail for each blamed
-	// peer.
-	Trace optrace.Config
-	// StabilizeInterval defers predicate stabilization onto each node's
-	// control-plane tick of this period (0 = legacy inline evaluation on
-	// the ack path). Either way the frontier-truth invariant is swept: no
-	// frontier ahead of its own recorder evaluation, every release backed
-	// by witness receive cursors, and — with a tick — drain lag bounded
-	// well under a sweep period.
-	StabilizeInterval time.Duration
 	// AutoReclaim leaves send-log reclamation on (the soak default disables
 	// it so crash-restarted receivers can be resent the full prefix). A
 	// flow-capped soak needs it on — bounded memory requires truncation —
 	// and therefore must exclude KindCrashRestart via Kinds.
 	AutoReclaim bool
-	// Metrics, when set, is the registry shared by every node of the soak
-	// cluster (node-labeled families); scraping it while the soak runs is
-	// itself a race test of the registry. Nil keeps a private registry.
-	Metrics *metrics.Registry
 	// Logf, when set, traces faults and crash/restart events.
 	Logf func(format string, args ...any)
 }
@@ -135,11 +120,11 @@ func (o Options) withDefaults() Options {
 	if o.DrainTimeout == 0 {
 		o.DrainTimeout = 20 * time.Second
 	}
-	if o.HeartbeatEvery == 0 {
-		o.HeartbeatEvery = 25 * time.Millisecond
+	if o.Cluster.HeartbeatEvery == 0 {
+		o.Cluster.HeartbeatEvery = 25 * time.Millisecond
 	}
-	if o.PeerTimeout == 0 {
-		o.PeerTimeout = 200 * time.Millisecond
+	if o.Cluster.PeerTimeout == 0 {
+		o.Cluster.PeerTimeout = 200 * time.Millisecond
 	}
 	if o.PayloadBytes == 0 {
 		o.PayloadBytes = soakPayload
@@ -221,7 +206,7 @@ func Soak(o Options) (*Report, error) {
 		}
 	}
 
-	spill := o.Flow.Mode == transport.FlowSpill
+	spill := o.Cluster.Flow.Mode == transport.FlowSpill
 
 	sched := faultinject.Generate(o.Seed, o.genConfig())
 	if o.AutoReclaim {
@@ -316,10 +301,10 @@ func Soak(o Options) (*Report, error) {
 	// the call gap after Restart returns.
 	attach := func(n *core.Node) {
 		check.Attach(n)
-		if o.Stall.Deadline > 0 {
+		if o.Cluster.Stall.Deadline > 0 {
 			check.AttachStallHonesty(n, func(peer int) bool { return suspect[peer] })
 		}
-		if o.Trace.Enabled() && o.Stall.Deadline > 0 {
+		if o.Cluster.Trace.Enabled() && o.Cluster.Stall.Deadline > 0 {
 			check.AttachStallTraces(n)
 		}
 		if spill {
@@ -333,24 +318,15 @@ func Soak(o Options) (*Report, error) {
 	// mu serializes crash/restart (and their checker bookkeeping) against
 	// CrossCheck sweeps and the final convergence reads.
 	var mu sync.Mutex
-	cl, err := core.OpenCluster(core.ClusterConfig{
-		Topology:          topo,
-		Network:           fabric,
-		Metrics:           o.Metrics,
-		HeartbeatEvery:    o.HeartbeatEvery,
-		PeerTimeout:       o.PeerTimeout,
-		Flow:              o.Flow,
-		LogStripes:        o.LogStripes,
-		Stall:             o.Stall,
-		Trace:             o.Trace,
-		StabilizeInterval: o.StabilizeInterval,
-		// Unless the soak opts into reclamation, keep send buffers whole:
-		// a fresh-restarted receiver needs the full prefix resent, which
-		// reclaim would have truncated.
-		DisableAutoReclaim: !o.AutoReclaim,
-		// Epoch 1 for first incarnations; Cluster.Restart bumps from there.
-		Configure: func(_ int, cfg *core.Config) { cfg.Epoch = 1 },
-	})
+	cfg := o.Cluster
+	cfg.Topology, cfg.Network = topo, fabric
+	// Unless the soak opts into reclamation, keep send buffers whole: a
+	// fresh-restarted receiver needs the full prefix resent, which reclaim
+	// would have truncated.
+	cfg.DisableAutoReclaim = !o.AutoReclaim
+	// Epoch 1 for first incarnations; Cluster.Restart bumps from there.
+	cfg.Epoch = 1
+	cl, err := core.OpenCluster(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: open cluster: %w", err)
 	}
@@ -465,11 +441,11 @@ func Soak(o Options) (*Report, error) {
 	// and the sweeps also track invariant 9's peak-spill witness.
 	var peakSpill int64 // guarded by mu
 	sweepBounded := func(nodes []*core.Node) {
-		if o.Flow.MaxBytes > 0 {
+		if o.Cluster.Flow.MaxBytes > 0 {
 			if spill {
-				check.CheckBoundedMemory(nodes, o.Flow.MaxBytes, int64(o.PayloadBytes))
+				check.CheckBoundedMemory(nodes, o.Cluster.Flow.MaxBytes, int64(o.PayloadBytes))
 			} else {
-				check.CheckBounded(nodes, o.Flow.MaxBytes, int64(o.PayloadBytes))
+				check.CheckBounded(nodes, o.Cluster.Flow.MaxBytes, int64(o.PayloadBytes))
 			}
 		}
 		if spill {
@@ -611,9 +587,9 @@ func Soak(o Options) (*Report, error) {
 	// Invariant 7: after convergence a sampled op must have a complete,
 	// well-ordered merged timeline. The cluster is quiescent here (faults
 	// healed, pumps stopped, sweeps done), so no lock is needed.
-	if ok && o.Trace.Enabled() {
+	if ok && o.Cluster.Trace.Enabled() {
 		for _, s := range o.Senders {
-			check.CheckTraces(cl, s, heads[s], o.Trace.SampleEvery, quorums)
+			check.CheckTraces(cl, s, heads[s], o.Cluster.Trace.SampleEvery, quorums)
 		}
 	}
 

@@ -35,14 +35,8 @@ func TestChaosSoak(t *testing.T) {
 	o := Options{
 		Seed: seed,
 		Logf: t.Logf,
-		// Stripes > 1 so the soak's FIFO no-gap/no-dup and trace
-		// invariants run against the striped append/merge path.
-		LogStripes: 4,
-		Trace:      optrace.Config{SampleEvery: 4, RingSize: 1 << 15},
-		// Deferred stabilization on its default tick, so the frontier-truth
-		// sweeps judge the batched control plane, not the inline path.
-		StabilizeInterval: core.DefaultStabilizeInterval,
 	}
+	o.Cluster.Trace = optrace.Config{SampleEvery: 4, RingSize: 1 << 15}
 	switch {
 	case os.Getenv("STABILIZER_CHAOS_FULL") != "":
 		o.Horizon = 12 * time.Second
@@ -67,33 +61,6 @@ func TestChaosSoak(t *testing.T) {
 	}
 	t.Logf("chaos soak passed: seed=%d fingerprint=%s heads=%v deliveries=%d kinds=%v",
 		seed, rep.Schedule.Fingerprint(), rep.Heads, rep.Deliveries, rep.Schedule.Kinds())
-}
-
-// TestChaosSoakInline runs a shorter soak with StabilizeInterval zero — the
-// legacy inline stabilization path — with the same frontier-truth sweeps
-// armed, pinning the acceptance requirement that invariant 8 holds in both
-// modes (inline lag is zero by construction, so the bounded-lag clause must
-// never fire here).
-func TestChaosSoakInline(t *testing.T) {
-	seed := soakSeed(t)
-	o := Options{
-		Seed:       seed,
-		Logf:       t.Logf,
-		LogStripes: 4,
-		Horizon:    1500 * time.Millisecond,
-	}
-	if testing.Short() {
-		o.Horizon = 800 * time.Millisecond
-	}
-	rep, err := Soak(o)
-	if err != nil {
-		if rep != nil {
-			t.Logf("schedule (fingerprint %s):\n%s", rep.Schedule.Fingerprint(), rep.Schedule)
-		}
-		t.Fatalf("inline soak failed — replay byte-for-byte with STABILIZER_CHAOS_SEED=%d:\n%v", seed, err)
-	}
-	t.Logf("inline soak passed: seed=%d fingerprint=%s heads=%v deliveries=%d",
-		seed, rep.Schedule.Fingerprint(), rep.Heads, rep.Deliveries)
 }
 
 // TestSoakScheduleReplayIsIdentical pins the acceptance requirement that
@@ -125,16 +92,12 @@ func flowSoakOptions(seed int64) Options {
 	return Options{
 		Seed:  seed,
 		Kinds: kinds,
-		Flow:  transport.FlowConfig{MaxBytes: 16 << 10, Mode: transport.FlowBlock},
-		// Stripes > 1 so the bounded-memory invariant is checked against
-		// the striped log's global flow accounting.
-		LogStripes:  4,
-		Stall:       core.StallConfig{Deadline: 300 * time.Millisecond},
+		Cluster: core.Config{
+			Flow:  transport.FlowConfig{MaxBytes: 16 << 10, Mode: transport.FlowBlock},
+			Stall: core.StallConfig{Deadline: 300 * time.Millisecond},
+			Trace: optrace.Config{SampleEvery: 1, RingSize: 1 << 14},
+		},
 		AutoReclaim: true,
-		Trace:       optrace.Config{SampleEvery: 1, RingSize: 1 << 14},
-		// Deferred stabilization interacts with stall monitoring and the
-		// degraded-mode fallback; the frontier-truth sweeps watch it here.
-		StabilizeInterval: core.DefaultStabilizeInterval,
 	}
 }
 

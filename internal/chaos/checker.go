@@ -34,11 +34,10 @@
 //     never runs ahead of a fresh evaluation of its own recorder cells (no
 //     phantom release: a WaitFor resumed at seq s implies s really is
 //     stable), every frontier value is backed by a quorum of witnesses
-//     whose actual receive cursors reached it, and the deferred drain keeps
-//     up — the frontier observed at one sweep must have caught up with the
-//     ground-truth evaluation recorded a full sweep period (many tick
-//     intervals) earlier. Holds identically in inline mode, where the lag
-//     is zero by construction.
+//     whose actual receive cursors reached it, and the drainer keeps up —
+//     the frontier observed at one sweep must have caught up with the
+//     ground-truth evaluation recorded a full sweep period (many drain
+//     passes) earlier.
 //  9. Spill-tier integrity — with the send log's disk tier configured
 //     (FlowSpill), the bounded-memory invariant applies to the *in-memory*
 //     portion of the buffer while the total backlog is free to grow with
@@ -47,7 +46,7 @@
 //     segments and back is indistinguishable from data served from memory.
 //     The FIFO invariant (2) riding the same deliveries proves the
 //     disk→memory hand-off is gapless.
-// 10. Adaptive-controller honesty — a closed-loop consistency controller
+//  10. Adaptive-controller honesty — a closed-loop consistency controller
 //     (internal/adaptive) never reports a guarantee stronger than the
 //     predicate rung actually installed in the frontier registry, never
 //     moves more than one rung per transition or faster than its MinDwell
@@ -336,10 +335,9 @@ func (c *Checker) AttachPayloadTruth(node *core.Node, truth func(origin int, seq
 // passes.
 //
 // (c) Bounded lag: the frontier must be at or past the ground truth
-// recorded by the previous sweep. Sweeps are spaced many stabilization
-// ticks apart, so a deferred control plane that is keeping up has long
-// since drained the dirty marks behind that older state; in inline mode the
-// lag is zero by construction.
+// recorded by the previous sweep. Sweeps are spaced many drain passes apart,
+// so a control plane that is keeping up has long since drained the dirty
+// marks behind that older state.
 //
 // nodes is 0-indexed with nil entries for crashed nodes; the caller must
 // prevent concurrent crash/restart (the soak harness holds its cluster

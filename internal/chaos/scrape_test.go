@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"stabilizer/internal/core"
 	"stabilizer/internal/metrics"
 )
 
@@ -20,7 +21,7 @@ func TestChaosSoakSharedRegistryScrape(t *testing.T) {
 	o := Options{
 		Seed:    seed,
 		Horizon: 1500 * time.Millisecond,
-		Metrics: reg,
+		Cluster: core.Config{Metrics: reg},
 		Logf:    t.Logf,
 	}
 	if !testing.Short() {

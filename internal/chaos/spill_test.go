@@ -28,19 +28,17 @@ func spillSoakOptions(seed int64, dir string) Options {
 	return Options{
 		Seed:  seed,
 		Kinds: kinds,
-		Flow: transport.FlowConfig{
+		Cluster: core.Config{Flow: transport.FlowConfig{
 			MaxBytes:          64 << 10,
 			Mode:              transport.FlowSpill,
 			SpillDir:          dir,
 			SpillSegmentBytes: 64 << 10,
-		},
-		LogStripes:        2,
-		AutoReclaim:       true,
-		PayloadBytes:      4 << 10,
-		SendEvery:         time.Millisecond,
-		BacklogFault:      2 << 20,
-		Horizon:           2 * time.Second,
-		StabilizeInterval: core.DefaultStabilizeInterval,
+		}},
+		AutoReclaim:  true,
+		PayloadBytes: 4 << 10,
+		SendEvery:    time.Millisecond,
+		BacklogFault: 2 << 20,
+		Horizon:      2 * time.Second,
 	}
 }
 
@@ -84,9 +82,9 @@ func TestChaosSoakSpill(t *testing.T) {
 	// A spill soak that never spilled proves nothing: require the disk
 	// tier to have held more than the entire memory cap, and the post-heal
 	// drain to have actually read segments back.
-	if rep.PeakSpilledBytes <= o.Flow.MaxBytes {
+	if rep.PeakSpilledBytes <= o.Cluster.Flow.MaxBytes {
 		t.Fatalf("seed %d: peak spill %d never meaningfully exceeded the %d memory cap — invariant 9 unexercised",
-			seed, rep.PeakSpilledBytes, o.Flow.MaxBytes)
+			seed, rep.PeakSpilledBytes, o.Cluster.Flow.MaxBytes)
 	}
 	if rep.SpillReadbackBytes == 0 {
 		t.Fatalf("seed %d: backlog converged but no bytes were read back from disk", seed)

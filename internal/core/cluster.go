@@ -9,60 +9,11 @@ import (
 	"time"
 
 	"stabilizer/internal/config"
-	"stabilizer/internal/emunet"
 	"stabilizer/internal/metrics"
-	"stabilizer/internal/optrace"
-	"stabilizer/internal/transport"
 )
 
-// ClusterConfig parameterizes OpenCluster. One config describes a whole
-// in-process deployment: which of the topology's nodes to boot here, the
-// fabric they share, and the knobs applied uniformly to every node.
-// Per-node divergence (a Persister on the primary, a restored Checkpoint,
-// per-node flow caps) goes through the Configure hook.
-type ClusterConfig struct {
-	// Topology is the WAN deployment; required. Its Self field is ignored
-	// — the cluster derives a per-node topology for every booted node.
-	Topology *config.Topology
-	// Network is the fabric every node dials and listens through; required.
-	Network emunet.Network
-	// Nodes lists the 1-based indices to boot in this process. Nil or
-	// empty boots the whole topology. Duplicates and out-of-range indices
-	// are rejected.
-	Nodes []int
-	// Metrics is the registry shared by every booted node: each node
-	// instruments through its own node-labeled group view, so one scrape
-	// of this registry sees the whole in-process deployment. Nil creates
-	// a private registry (reachable via Cluster.Metrics).
-	Metrics *metrics.Registry
-	// HeartbeatEvery and PeerTimeout tune failure detection on every
-	// node; zero values pick transport defaults.
-	HeartbeatEvery time.Duration
-	PeerTimeout    time.Duration
-	// Batch, Flow, Stall, Trace, DialTimeout and StabilizeInterval apply
-	// to every node; see Config.
-	Batch             transport.BatchConfig
-	Flow              transport.FlowConfig
-	LogStripes        int
-	Stall             StallConfig
-	Trace             optrace.Config
-	DialTimeout       time.Duration
-	StabilizeInterval time.Duration
-	// DisableAutoReclaim keeps every node's send buffer forever (tests,
-	// ablations).
-	DisableAutoReclaim bool
-	// Adaptive, when set, starts the same closed-loop consistency
-	// controller on every booted node (each drives its own predicate over
-	// its own outbound stream); see Config.Adaptive. Per-node divergence
-	// goes through Configure as usual.
-	Adaptive *AdaptiveSpec
-	// Configure, when set, runs on each node's Config after the shared
-	// fields above are applied and before the node boots — the hook for
-	// anything per-node: Persister, Checkpoint, Epoch, or overriding a
-	// shared knob for one node. It also runs on Restart, so restart-aware
-	// state (epochs, checkpoints) can be re-derived there.
-	Configure func(node int, cfg *Config)
-}
+// ClusterConfig is Config under the name OpenCluster's callers know it by.
+type ClusterConfig = Config
 
 // Cluster owns a set of in-process Stabilizer nodes booted from one
 // topology — the paper's evaluation shape (§VI: many WAN nodes per machine
@@ -71,10 +22,11 @@ type ClusterConfig struct {
 // (Health, WaitAllFor, Close with ordered drain) replace per-node loops.
 type Cluster struct {
 	topo *config.Topology
-	reg  *metrics.Registry
 	ids  []int // boot order, ascending
 
-	mkCfg func(id int) Config
+	// cfg is the template every node's Config is copied from: the caller's
+	// Config with the shared registry filled in.
+	cfg Config
 
 	mu     sync.Mutex
 	nodes  map[int]*Node
@@ -85,15 +37,15 @@ type Cluster struct {
 // OpenCluster boots the requested subset of a topology's nodes in this
 // process and wires them into one shared registry. On any boot failure the
 // already-started nodes are closed and the error returned.
-func OpenCluster(cfg ClusterConfig) (*Cluster, error) {
+func OpenCluster(cfg Config) (*Cluster, error) {
 	if cfg.Topology == nil {
-		return nil, errors.New("core: ClusterConfig.Topology is required")
+		return nil, errors.New("core: Config.Topology is required")
 	}
 	if err := cfg.Topology.Validate(); err != nil {
 		return nil, err
 	}
 	if cfg.Network == nil {
-		return nil, errors.New("core: ClusterConfig.Network is required")
+		return nil, errors.New("core: Config.Network is required")
 	}
 	topo := cfg.Topology.Clone()
 	n := topo.N()
@@ -117,43 +69,22 @@ func OpenCluster(cfg ClusterConfig) (*Cluster, error) {
 		}
 	}
 
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
-	mkCfg := func(id int) Config {
-		c := Config{
-			Topology:           topo.WithSelf(id),
-			Network:            cfg.Network,
-			HeartbeatEvery:     cfg.HeartbeatEvery,
-			PeerTimeout:        cfg.PeerTimeout,
-			Metrics:            reg,
-			Batch:              cfg.Batch,
-			Flow:               cfg.Flow,
-			LogStripes:         cfg.LogStripes,
-			Stall:              cfg.Stall,
-			Trace:              cfg.Trace,
-			DialTimeout:        cfg.DialTimeout,
-			DisableAutoReclaim: cfg.DisableAutoReclaim,
-			StabilizeInterval:  cfg.StabilizeInterval,
-			Adaptive:           cfg.Adaptive,
-		}
-		if cfg.Configure != nil {
-			cfg.Configure(id, &c)
-		}
-		return c
+	if cfg.Checkpoint != nil && len(ids) > 1 {
+		return nil, fmt.Errorf("core: Config.Checkpoint is one node's state, but %d nodes are booting: set it per node in Configure", len(ids))
 	}
 
+	if cfg.Metrics == nil {
+		cfg.Metrics = metrics.NewRegistry()
+	}
 	cl := &Cluster{
 		topo:   topo,
-		reg:    reg,
 		ids:    ids,
-		mkCfg:  mkCfg,
+		cfg:    cfg,
 		nodes:  make(map[int]*Node, len(ids)),
 		epochs: make(map[int]uint64, len(ids)),
 	}
 	for _, id := range ids {
-		ncfg := mkCfg(id)
+		ncfg := cl.nodeConfig(id)
 		node, err := openNode(ncfg)
 		if err != nil {
 			_ = cl.Close()
@@ -163,6 +94,17 @@ func OpenCluster(cfg ClusterConfig) (*Cluster, error) {
 		cl.epochs[id] = ncfg.Epoch
 	}
 	return cl, nil
+}
+
+// nodeConfig derives node id's Config: the cluster template with the node's
+// own topology view, then the caller's Configure hook.
+func (c *Cluster) nodeConfig(id int) Config {
+	cfg := c.cfg
+	cfg.Topology = c.topo.WithSelf(id)
+	if cfg.Configure != nil {
+		cfg.Configure(id, &cfg)
+	}
+	return cfg
 }
 
 // Node returns the handle for the 1-based node id, or nil when the id was
@@ -191,7 +133,7 @@ func (c *Cluster) Nodes() []*Node {
 func (c *Cluster) IDs() []int { return append([]int(nil), c.ids...) }
 
 // Metrics returns the registry shared by every node in the cluster.
-func (c *Cluster) Metrics() *metrics.Registry { return c.reg }
+func (c *Cluster) Metrics() *metrics.Registry { return c.cfg.Metrics }
 
 // Topology returns a copy of the cluster's topology.
 func (c *Cluster) Topology() *config.Topology { return c.topo.Clone() }
@@ -246,7 +188,7 @@ func (c *Cluster) Restart(id int) (*Node, error) {
 	epoch := c.epochs[id]
 	c.mu.Unlock()
 
-	cfg := c.mkCfg(id)
+	cfg := c.nodeConfig(id)
 	cfg.Epoch = epoch
 	node, err := openNode(cfg)
 	if err != nil {

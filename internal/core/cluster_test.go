@@ -3,19 +3,22 @@ package core
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"stabilizer/internal/emunet"
 	"stabilizer/internal/metrics"
+	"stabilizer/internal/optrace"
+	"stabilizer/internal/transport"
 )
 
 func openTestCluster(t *testing.T, n int, nodes []int) (*Cluster, *metrics.Registry) {
 	t.Helper()
 	net := emunet.NewMemNetwork(nil)
 	reg := metrics.NewRegistry()
-	cl, err := OpenCluster(ClusterConfig{
+	cl, err := OpenCluster(Config{
 		Topology:       flatTopology(n),
 		Network:        net,
 		Nodes:          nodes,
@@ -140,7 +143,7 @@ func TestClusterRejectsBadNodeSets(t *testing.T) {
 	net := emunet.NewMemNetwork(nil)
 	defer net.Close()
 	for _, nodes := range [][]int{{1, 1}, {0}, {4}, {2, 3, 2}} {
-		_, err := OpenCluster(ClusterConfig{
+		_, err := OpenCluster(Config{
 			Topology: flatTopology(3),
 			Network:  net,
 			Nodes:    nodes,
@@ -229,18 +232,19 @@ func TestClusterWaitAllForUnknownPredicate(t *testing.T) {
 }
 
 // TestClusterConfigureHook checks per-node divergence flows through the
-// hook — here, disabling auto-reclaim on one node only.
+// hook — here, disabling auto-reclaim on one node only — at boot and again
+// on Restart.
 func TestClusterConfigureHook(t *testing.T) {
 	net := emunet.NewMemNetwork(nil)
 	defer net.Close()
 	var seen []int
-	cl, err := OpenCluster(ClusterConfig{
+	cl, err := OpenCluster(Config{
 		Topology:       flatTopology(2),
 		Network:        net,
 		HeartbeatEvery: 20 * time.Millisecond,
 		Configure: func(id int, cfg *Config) {
 			seen = append(seen, id)
-			cfg.Epoch = uint64(10 + id)
+			cfg.DisableAutoReclaim = id == 2
 		},
 	})
 	if err != nil {
@@ -249,5 +253,101 @@ func TestClusterConfigureHook(t *testing.T) {
 	defer cl.Close()
 	if len(seen) != 2 || seen[0] != 1 || seen[1] != 2 {
 		t.Fatalf("Configure ran for %v, want [1 2]", seen)
+	}
+	reclaims := func(id int) bool { return cl.Node(id).registry.Has(ReclaimPredicateKey) }
+	if !reclaims(1) || reclaims(2) {
+		t.Fatalf("reclaim installed on (node 1, node 2) = (%v, %v), want (true, false)", reclaims(1), reclaims(2))
+	}
+	if _, err := cl.Crash(2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Restart(2); err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != 3 || seen[2] != 2 {
+		t.Fatalf("Configure ran for %v, want a third call for the restarted node 2", seen)
+	}
+	if reclaims(2) {
+		t.Fatal("the restarted node lost its Configure override")
+	}
+}
+
+type nopPersister struct{}
+
+func (nopPersister) Persist(Message) error { return nil }
+
+// TestOpenIsOpenClusterOfSelf: Open(cfg) and OpenCluster(cfg) with
+// Nodes = {Self} hand openNode the same per-node Config and build nodes in
+// the same state.
+func TestOpenIsOpenClusterOfSelf(t *testing.T) {
+	boot := func(viaCluster bool) (*Node, Config) {
+		net := emunet.NewMemNetwork(nil)
+		t.Cleanup(func() { net.Close() })
+		var got Config
+		cfg := Config{
+			Topology:           flatTopology(3).WithSelf(2),
+			Network:            net,
+			HeartbeatEvery:     20 * time.Millisecond,
+			PeerTimeout:        time.Second,
+			Persister:          nopPersister{},
+			Checkpoint:         &Checkpoint{NextSeq: 42},
+			DisableAutoReclaim: true,
+			Epoch:              7,
+			Flow:               transport.FlowConfig{MaxBytes: 1 << 20, Mode: transport.FlowFail},
+			Stall:              StallConfig{Deadline: time.Second},
+			DialTimeout:        time.Second,
+			Trace:              optrace.Config{SampleEvery: 1},
+			Configure:          func(_ int, c *Config) { got = *c },
+		}
+		if !viaCluster {
+			n, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { n.Close() })
+			return n, got
+		}
+		cfg.Nodes = []int{2}
+		cl, err := OpenCluster(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cl.Close() })
+		return cl.Node(2), got
+	}
+	a, cfgA := boot(false)
+	b, cfgB := boot(true)
+	for _, c := range []*Config{&cfgA, &cfgB} {
+		// Per-run identities, equal by construction and not by value.
+		c.Network, c.Metrics, c.Configure = nil, nil, nil
+	}
+	if !reflect.DeepEqual(cfgA, cfgB) {
+		t.Fatalf("per-node configs differ:\nOpen        %+v\nOpenCluster %+v", cfgA, cfgB)
+	}
+	if cfgA.Topology.Self != 2 || cfgA.Epoch != 7 || cfgA.Checkpoint.NextSeq != 42 {
+		t.Fatalf("per-node config lost fields: %+v", cfgA)
+	}
+	sa, sb := a.DebugSnapshot(), b.DebugSnapshot()
+	sa.Stats, sb.Stats = Stats{}, Stats{}
+	if !reflect.DeepEqual(sa, sb) {
+		t.Fatalf("nodes differ:\nOpen        %+v\nOpenCluster %+v", sa, sb)
+	}
+	for _, n := range []*Node{a, b} {
+		if n.Self() != 2 || n.log.NextSeq() != 42 || n.persister == nil || n.trace == nil ||
+			n.log.Flow().MaxBytes != 1<<20 || n.stall.cfg.Deadline != time.Second || n.registry.Has(ReclaimPredicateKey) {
+			t.Fatalf("node %d was not built from its config", n.Self())
+		}
+	}
+}
+
+// TestClusterRefusesSharedCheckpoint: a Checkpoint is one node's state, so
+// setting it for a boot of several nodes is refused with an error that says
+// where it belongs.
+func TestClusterRefusesSharedCheckpoint(t *testing.T) {
+	net := emunet.NewMemNetwork(nil)
+	defer net.Close()
+	_, err := OpenCluster(Config{Topology: flatTopology(2), Network: net, Checkpoint: &Checkpoint{NextSeq: 5}})
+	if err == nil || !strings.Contains(err.Error(), "Checkpoint") || !strings.Contains(err.Error(), "Configure") {
+		t.Fatalf("err = %v, want a refusal naming Checkpoint and Configure", err)
 	}
 }

@@ -1,0 +1,93 @@
+package core
+
+import (
+	"errors"
+	"flag"
+	"fmt"
+	"net/http"
+	"time"
+
+	"stabilizer/internal/adaptive"
+	"stabilizer/internal/metrics"
+	"stabilizer/internal/transport"
+)
+
+// Flags is what BindFlags registers: the Config template a command boots its
+// cluster from, and where (if anywhere) it serves that cluster's metrics.
+type Flags struct {
+	// Config is the template; take it through Cluster after parsing.
+	Config Config
+	// MetricsAddr is the -metrics-addr listen address; empty means off.
+	MetricsAddr string
+	// Pprof is -pprof: mount /debug/pprof beside /metrics.
+	Pprof bool
+	// Adaptive is the spec -adaptive-ladder installs as Config.Adaptive.
+	Adaptive AdaptiveSpec
+}
+
+// BindFlags registers on fs the node options both commands have — the
+// metrics endpoint, the flight recorder and the adaptive controller — and
+// returns the Flags that parsing fs fills in. defaults seeds the template,
+// and so the flags' default values.
+func BindFlags(fs *flag.FlagSet, defaults Config) *Flags {
+	f := &Flags{Config: defaults}
+	c := &f.Config
+	fs.StringVar(&f.MetricsAddr, "metrics-addr", "", "serve every node's /metrics on this address (e.g. :9090)")
+	fs.BoolVar(&f.Pprof, "pprof", false, "also mount /debug/pprof on the metrics address")
+	fs.IntVar(&c.Trace.SampleEvery, "trace-sample", c.Trace.SampleEvery, "flight-record 1 in N operations end to end and mount /debug/trace on the metrics address (1 = every op, 0 = off)")
+
+	fs.Func("adaptive-ladder", "run the closed-loop consistency controller on every node: 'name=SOURCE;name=SOURCE' strongest rung first (unset = off)", func(s string) (err error) {
+		f.Adaptive.Ladder, err = adaptive.ParseLadder(s)
+		c.Adaptive = &f.Adaptive
+		return err
+	})
+	fs.StringVar(&f.Adaptive.Key, "adaptive-key", "adaptive", "predicate key the adaptive controller drives")
+	fs.DurationVar(&f.Adaptive.Config.Target, "adaptive-target", 2*time.Second, "adaptive SLO: stabilize within this latency or step the ladder down")
+	return f
+}
+
+// BindFlowFlags adds the send-log flow-control and stall-detection flags.
+func (f *Flags) BindFlowFlags(fs *flag.FlagSet) {
+	c := &f.Config
+	fs.Int64Var(&c.Flow.MaxBytes, "flow-max-bytes", c.Flow.MaxBytes, "cap each node's send log at this many buffered bytes (0 = unbounded)")
+	fs.IntVar(&c.Flow.MaxEntries, "flow-max-entries", c.Flow.MaxEntries, "cap each node's send log at this many buffered entries (0 = unbounded)")
+	fs.Func("flow-mode", "admission at the cap: 'block' (sends wait; the default), 'fail' (sends error) or 'spill' (cold backlog migrates to disk; needs -spill-dir and a cap)", func(s string) error {
+		for _, m := range []transport.FlowMode{transport.FlowBlock, transport.FlowFail, transport.FlowSpill} {
+			if s == m.String() {
+				c.Flow.Mode = m
+				return nil
+			}
+		}
+		return fmt.Errorf("want block, fail or spill")
+	})
+	fs.StringVar(&c.Flow.SpillDir, "spill-dir", c.Flow.SpillDir, "directory for on-disk spill segments in 'spill' mode (each node uses its own subdirectory)")
+	fs.Int64Var(&c.Flow.SpillSegmentBytes, "spill-segment-bytes", c.Flow.SpillSegmentBytes, "payload bytes per spill segment file (0 = default 4 MiB)")
+	fs.DurationVar(&c.Stall.Deadline, "stall-deadline", c.Stall.Deadline, "declare a predicate stalled after its frontier sits still this long (0 = off)")
+}
+
+// Cluster returns the parsed template to boot from. -metrics-addr gives it a
+// registry for Serve to expose if defaults brought none; without the flag
+// Metrics stays as given, so nil keeps each cluster's registry private.
+func (f *Flags) Cluster() Config {
+	if f.Config.Metrics == nil && f.MetricsAddr != "" {
+		f.Config.Metrics = metrics.NewRegistry()
+	}
+	return f.Config
+}
+
+// Serve exposes the Cluster template's registry at -metrics-addr with the
+// extra handlers mounted beside /metrics (and /debug/pprof with -pprof).
+// Without -metrics-addr it serves nothing and returns a nil server.
+func (f *Flags) Serve(extra map[string]http.Handler) (*http.Server, error) {
+	if f.MetricsAddr == "" {
+		if f.Pprof {
+			return nil, errors.New("-pprof requires -metrics-addr")
+		}
+		return nil, nil
+	}
+	var opts []metrics.ServeOption
+	if f.Pprof {
+		opts = append(opts, metrics.WithPprof())
+	}
+	return metrics.Serve(f.MetricsAddr, f.Cluster().Metrics, extra, opts...)
+}

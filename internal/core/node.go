@@ -41,12 +41,6 @@ import (
 // send-buffer space once a message has been received everywhere (§III-B).
 const ReclaimPredicateKey = "__stabilizer_reclaim"
 
-// DefaultStabilizeInterval is the recommended control-plane tick for
-// deferred stabilization (Config.StabilizeInterval): long enough to batch a
-// burst of ACK updates into one dirty-set drain, short enough that frontier
-// visibility lags ground truth imperceptibly next to WAN RTTs.
-const DefaultStabilizeInterval = time.Millisecond
-
 // Errors returned by Node methods.
 var (
 	ErrClosed      = errors.New("core: node closed")
@@ -89,31 +83,51 @@ type Persister interface {
 	Persist(m Message) error
 }
 
-// Config parameterizes a Node.
+// Config parameterizes Open and OpenCluster: one struct describes a single
+// node or a whole in-process deployment — which of the topology's nodes to
+// boot here, the fabric they share, and the knobs applied to every node.
+// Per-node divergence (a Persister on the primary, a restored Checkpoint,
+// per-node flow caps) goes through the Configure hook.
 type Config struct {
-	// Topology is the WAN deployment; required.
+	// Topology is the WAN deployment; required. Open boots its Self node;
+	// OpenCluster ignores Self and derives a per-node topology for every
+	// booted node.
 	Topology *config.Topology
-	// Network is the fabric the node dials through; required.
+	// Network is the fabric every node dials and listens through; required.
 	Network emunet.Network
+	// Nodes lists the 1-based indices OpenCluster boots in this process.
+	// Nil or empty boots the whole topology; duplicates and out-of-range
+	// indices are rejected. Open sets it to {Topology.Self}.
+	Nodes []int
+	// Configure, when set, runs on each node's copy of this Config before
+	// the node boots — the hook for anything per-node: Persister,
+	// Checkpoint, Epoch, or overriding a shared knob for one node. It also
+	// runs on Restart, so restart-aware state (epochs, checkpoints) can be
+	// re-derived there.
+	Configure func(node int, cfg *Config)
 	// HeartbeatEvery and PeerTimeout tune failure detection; zero values
 	// pick transport defaults.
 	HeartbeatEvery time.Duration
 	PeerTimeout    time.Duration
 	// Persister optionally persists delivered messages (see Persister).
 	Persister Persister
-	// Checkpoint resumes a restarted primary (§III-E); nil starts fresh.
+	// Checkpoint resumes a restarted primary (§III-E); nil starts fresh. It
+	// is one node's state: when more than one node boots, set it from
+	// Configure.
 	Checkpoint *Checkpoint
 	// DisableAutoReclaim keeps the send buffer forever (useful in tests
 	// and ablations). By default the node reclaims buffer space once a
 	// message is received everywhere.
 	DisableAutoReclaim bool
-	// Epoch identifies this process incarnation for reconnect handling.
+	// Epoch identifies this process incarnation for reconnect handling;
+	// Cluster.Restart counts up from it.
 	Epoch uint64
-	// Metrics receives the node's instrumentation (stabilizer_core_*,
-	// stabilizer_stability_latency_seconds, and the transport and
-	// frontier families). Nil creates a private registry, so metrics are
-	// always collected; pass one registry per node — families are
-	// node-scoped and would collide if shared.
+	// Metrics receives the instrumentation of every booted node
+	// (stabilizer_core_*, stabilizer_stability_latency_seconds, and the
+	// transport and frontier families): each node instruments through its
+	// own node-labeled group view, so one scrape of this registry sees the
+	// whole in-process deployment. Nil creates a private registry
+	// (reachable via Cluster.Metrics), so metrics are always collected.
 	Metrics *metrics.Registry
 	// Batch tunes the transport's data-plane batching (RTT-adaptive batch
 	// byte budgets per link); zero values pick the transport defaults.
@@ -121,13 +135,6 @@ type Config struct {
 	// Flow bounds the send log with admission control (byte/entry caps and
 	// high/low watermarks); the zero value keeps the log unbounded.
 	Flow transport.FlowConfig
-	// LogStripes shards send-log appends across that many producer
-	// stripes (per-stripe mutex, one shared atomic sequence) so
-	// concurrent senders stop contending on a single lock. 0 picks
-	// transport.DefaultLogStripes(); 1 keeps the classic single-stripe
-	// log. Ordering, flow control, and truncation semantics are
-	// identical at every setting.
-	LogStripes int
 	// Stall configures degraded-mode stall detection and blame attribution
 	// (see StallConfig); the zero value disables the monitor.
 	Stall StallConfig
@@ -138,20 +145,11 @@ type Config struct {
 	// (sampling rate and ring size); the zero value disables tracing and
 	// keeps every hot path allocation-free.
 	Trace optrace.Config
-	// StabilizeInterval defers predicate stabilization onto a periodic
-	// control-plane tick: ACK ingestion only marks the affected predicates
-	// dirty, and a background drain every StabilizeInterval re-evaluates
-	// them, releases waiters and fires monitors. Batching takes frontier
-	// evaluation off the append/ACK hot path at the cost of frontier
-	// visibility lagging ground truth by at most one interval.
-	// DefaultStabilizeInterval (1ms) is a good starting point; the zero
-	// value keeps the legacy inline mode (stabilize synchronously on every
-	// ACK advance).
-	StabilizeInterval time.Duration
-	// Adaptive, when set, starts a closed-loop consistency controller at
-	// Open: the ladder's strongest rung is registered under Spec.Key and
-	// the controller steps it down (and back up) against the stability
-	// SLO. Equivalent to calling StartAdaptive right after Open.
+	// Adaptive, when set, starts a closed-loop consistency controller on
+	// every booted node (each drives its own predicate over its own
+	// outbound stream): the ladder's strongest rung is registered under
+	// Spec.Key and the controller steps it down (and back up) against the
+	// stability SLO. Equivalent to calling StartAdaptive right after Open.
 	Adaptive *AdaptiveSpec
 }
 
@@ -217,40 +215,17 @@ type Node struct {
 	nowFn  func() time.Time
 }
 
-// Open starts a single Stabilizer node and connects it to its peers. It is
-// a thin wrapper over OpenCluster booting exactly Topology.Self; processes
-// hosting several WAN nodes should call OpenCluster directly so all of them
-// share one node-labeled metrics registry.
+// Open starts a single Stabilizer node and connects it to its peers: it is
+// OpenCluster booting exactly Topology.Self. Processes hosting several WAN
+// nodes should call OpenCluster directly so all of them share one
+// node-labeled metrics registry.
 func Open(cfg Config) (*Node, error) {
 	if cfg.Topology == nil {
 		return nil, errors.New("core: Config.Topology is required")
 	}
-	if cfg.Network == nil {
-		return nil, errors.New("core: Config.Network is required")
-	}
 	self := cfg.Topology.Self
-	cl, err := OpenCluster(ClusterConfig{
-		Topology:           cfg.Topology,
-		Network:            cfg.Network,
-		Nodes:              []int{self},
-		Metrics:            cfg.Metrics,
-		HeartbeatEvery:     cfg.HeartbeatEvery,
-		PeerTimeout:        cfg.PeerTimeout,
-		Batch:              cfg.Batch,
-		Flow:               cfg.Flow,
-		Stall:              cfg.Stall,
-		Trace:              cfg.Trace,
-		DialTimeout:        cfg.DialTimeout,
-		DisableAutoReclaim: cfg.DisableAutoReclaim,
-		StabilizeInterval:  cfg.StabilizeInterval,
-		Adaptive:           cfg.Adaptive,
-		Configure: func(id int, c *Config) {
-			// Per-node state only a single-node caller can supply.
-			c.Persister = cfg.Persister
-			c.Checkpoint = cfg.Checkpoint
-			c.Epoch = cfg.Epoch
-		},
-	})
+	cfg.Nodes = []int{self}
+	cl, err := OpenCluster(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -280,16 +255,11 @@ func openNode(cfg Config) (*Node, error) {
 	}
 	env := &topoEnv{topo: topo, types: types}
 	selfTable := tables[topo.Self-1]
-	registry := frontier.NewRegistry(env, selfTable)
 
 	firstSeq := uint64(1)
 	if cfg.Checkpoint != nil {
 		firstSeq = cfg.Checkpoint.NextSeq
 		selfTable.Restore(cfg.Checkpoint.SelfAcks)
-	}
-	stripes := cfg.LogStripes
-	if stripes == 0 {
-		stripes = transport.DefaultLogStripes()
 	}
 	flow := cfg.Flow
 	if flow.Mode == transport.FlowSpill && flow.SpillDir != "" {
@@ -298,9 +268,17 @@ func openNode(cfg Config) (*Node, error) {
 		// node i recovers exactly node i's backlog.
 		flow.SpillDir = filepath.Join(flow.SpillDir, fmt.Sprintf("node%d", topo.Self))
 	}
-	log, err := transport.NewSendLogTiered(firstSeq, flow, stripes)
+	log, err := transport.NewSendLogFlow(firstSeq, flow)
 	if err != nil {
 		return nil, fmt.Errorf("core: node %d send log: %w", topo.Self, err)
+	}
+	registry := frontier.NewRegistry(env, selfTable)
+	// fail releases what a half-booted node already owns: the registry's
+	// drainer goroutine and the log's spiller.
+	fail := func(err error) (*Node, error) {
+		registry.Close()
+		log.Close()
+		return nil, err
 	}
 
 	mreg := cfg.Metrics
@@ -382,32 +360,26 @@ func openNode(cfg Config) (*Node, error) {
 	}
 	tr, err := transport.New(tcfg)
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
 	node.tr = tr
 	node.initStallState(cfg.Stall, mreg)
 
 	if !cfg.DisableAutoReclaim && n > 1 {
 		if err := registry.Register(ReclaimPredicateKey, "MIN($ALLWNODES)"); err != nil {
-			return nil, fmt.Errorf("core: install reclaim predicate: %w", err)
+			return fail(fmt.Errorf("core: install reclaim predicate: %w", err))
 		}
 		cancel, err := registry.Monitor(ReclaimPredicateKey, func(f uint64) {
 			log.TruncateThrough(f)
 		})
 		if err != nil {
-			return nil, fmt.Errorf("core: monitor reclaim predicate: %w", err)
+			return fail(fmt.Errorf("core: monitor reclaim predicate: %w", err))
 		}
 		node.reclaimCancel = cancel
 	}
 
-	// Deferred mode starts after every predicate install above so the first
-	// tick sees a fully indexed registry; with the zero interval this is a
-	// no-op and stabilization stays inline.
-	registry.StartDeferred(cfg.StabilizeInterval)
-
 	if err := tr.Start(); err != nil {
-		registry.Close()
-		return nil, err
+		return fail(err)
 	}
 	if cfg.Adaptive != nil {
 		if _, err := node.StartAdaptive(cfg.Adaptive.Key, cfg.Adaptive.Ladder, cfg.Adaptive.Config); err != nil {
@@ -438,9 +410,8 @@ func (n *Node) Close() error {
 	if n.reclaimCancel != nil {
 		n.reclaimCancel()
 	}
-	// Stop the deferred stabilization tick (final drain included) before
-	// tearing down the log it may still truncate through the reclaim
-	// monitor.
+	// Stop the stabilization drainer (final drain included) before tearing
+	// down the log it may still truncate through the reclaim monitor.
 	n.registry.Close()
 	n.log.Close()
 	return n.tr.Close()

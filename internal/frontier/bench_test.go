@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 )
 
 // farFuture parks a waiter where no benchmark advance can release it, so the
@@ -47,10 +46,8 @@ func BenchmarkFrontierAdvance(b *testing.B) {
 		{1000, 1_000_000},
 	} {
 		b.Run(fmt.Sprintf("preds=%d/waiters=%d", g.preds, g.waiters), func(b *testing.B) {
-			reg, tbl, _ := newTestRegistry(benchNodes)
-			tbl.EnsureType(TypeReceived, 1, 0) // UpdateAll advances only existing rows
-			reg.StartDeferred(time.Hour)       // notes only mark dirty; Flush is the tick
-			defer reg.Close()
+			reg, tbl := newManualRegistry(benchNodes) // notes only mark dirty; Flush is the drain
+			tbl.EnsureType(TypeReceived, 1, 0)        // UpdateAll advances only existing rows
 			for i := 0; i < g.preds; i++ {
 				if err := reg.Register(fmt.Sprintf("p%d", i), "MIN($ALLWNODES)"); err != nil {
 					b.Fatal(err)
@@ -81,10 +78,8 @@ func BenchmarkFrontierAdvance(b *testing.B) {
 func BenchmarkWaiterReleaseDrain(b *testing.B) {
 	for _, k := range []int{1_000, 100_000} {
 		b.Run(fmt.Sprintf("waiters=%d", k), func(b *testing.B) {
-			reg, tbl, _ := newTestRegistry(benchNodes)
+			reg, tbl := newManualRegistry(benchNodes)
 			tbl.EnsureType(TypeReceived, 1, 0)
-			reg.StartDeferred(time.Hour)
-			defer reg.Close()
 			if err := reg.Register("p", "MIN($ALLWNODES)"); err != nil {
 				b.Fatal(err)
 			}
@@ -121,7 +116,7 @@ func BenchmarkWaiterReleaseDrain(b *testing.B) {
 func BenchmarkDetachCancel(b *testing.B) {
 	for _, k := range []int{1_000, 100_000} {
 		b.Run(fmt.Sprintf("waiters=%d", k), func(b *testing.B) {
-			reg, _, _ := newTestRegistry(benchNodes)
+			reg, _, _ := newTestRegistry(b, benchNodes)
 			if err := reg.Register("p", "MIN($ALLWNODES)"); err != nil {
 				b.Fatal(err)
 			}
@@ -159,7 +154,7 @@ func BenchmarkDetachCancel(b *testing.B) {
 func BenchmarkIdlePredicates(b *testing.B) {
 	for _, idle := range []int{0, 256, 4096} {
 		b.Run(fmt.Sprintf("idle=%d", idle), func(b *testing.B) {
-			reg, tbl, _ := newTestRegistry(benchNodes)
+			reg, tbl, _ := newTestRegistry(b, benchNodes)
 			if err := reg.Register("hot", "MIN($ALLWNODES)"); err != nil {
 				b.Fatal(err)
 			}

@@ -42,11 +42,20 @@ func (e *testEnv) NodeIndex(name string) (int, error) {
 
 func (e *testEnv) StabilityType(name string) (uint16, error) { return e.types.Lookup(name) }
 
-func newTestRegistry(n int) (*Registry, *Table, *Types) {
+func newTestRegistry(tb testing.TB, n int) (*Registry, *Table, *Types) {
 	types := NewTypes()
 	table := NewTable(n)
-	env := &testEnv{n: n, self: 1, types: types}
-	return NewRegistry(env, table), table, types
+	reg := NewRegistry(&testEnv{n: n, self: 1, types: types}, table)
+	tb.Cleanup(reg.Close)
+	return reg, table, types
+}
+
+// newManualRegistry is newTestRegistry without the drainer goroutine: Note*
+// only marks dirty, and the test decides when Flush runs.
+func newManualRegistry(n int) (*Registry, *Table) {
+	types := NewTypes()
+	table := NewTable(n)
+	return newRegistry(&testEnv{n: n, self: 1, types: types}, table), table
 }
 
 func TestTypesRegistry(t *testing.T) {
@@ -209,7 +218,7 @@ func TestSnapshotRestore(t *testing.T) {
 }
 
 func TestRegistryRegisterChangeRemove(t *testing.T) {
-	reg, table, _ := newTestRegistry(3)
+	reg, table, _ := newTestRegistry(t, 3)
 	if err := reg.Register("p", "MIN($ALLWNODES)"); err != nil {
 		t.Fatalf("register: %v", err)
 	}
@@ -260,7 +269,7 @@ func TestRegistryRegisterChangeRemove(t *testing.T) {
 }
 
 func TestWaitForReleasesInOrder(t *testing.T) {
-	reg, table, _ := newTestRegistry(2)
+	reg, table, _ := newTestRegistry(t, 2)
 	if err := reg.Register("p", "MIN($ALLWNODES)"); err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +308,7 @@ func TestWaitForReleasesInOrder(t *testing.T) {
 }
 
 func TestWaitForImmediateWhenSatisfied(t *testing.T) {
-	reg, table, _ := newTestRegistry(1)
+	reg, table, _ := newTestRegistry(t, 1)
 	if err := reg.Register("p", "MIN($ALLWNODES)"); err != nil {
 		t.Fatal(err)
 	}
@@ -316,14 +325,14 @@ func TestWaitForImmediateWhenSatisfied(t *testing.T) {
 }
 
 func TestWaitForUnknownPredicate(t *testing.T) {
-	reg, _, _ := newTestRegistry(1)
+	reg, _, _ := newTestRegistry(t, 1)
 	if err := reg.WaitFor(context.Background(), 1, "nope"); !errors.Is(err, ErrPredUnknown) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestRemoveReleasesWaiters(t *testing.T) {
-	reg, _, _ := newTestRegistry(2)
+	reg, _, _ := newTestRegistry(t, 2)
 	if err := reg.Register("p", "MIN($ALLWNODES)"); err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +350,7 @@ func TestRemoveReleasesWaiters(t *testing.T) {
 }
 
 func TestMonitorFiresOnAdvanceOnly(t *testing.T) {
-	reg, table, _ := newTestRegistry(2)
+	reg, table, _ := newTestRegistry(t, 2)
 	if err := reg.Register("p", "MIN($ALLWNODES)"); err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +384,7 @@ func TestMonitorFiresOnAdvanceOnly(t *testing.T) {
 }
 
 func TestMonitorUnknownPredicate(t *testing.T) {
-	reg, _, _ := newTestRegistry(1)
+	reg, _, _ := newTestRegistry(t, 1)
 	if _, err := reg.Monitor("nope", func(uint64) {}); !errors.Is(err, ErrPredUnknown) {
 		t.Fatalf("err = %v", err)
 	}
@@ -393,7 +402,7 @@ func TestQuickFrontierMatchesOracle(t *testing.T) {
 		const n = 5
 		k := int(kSeed)%n + 1
 		pred := fmt.Sprintf("KTH_MIN(%d, $ALLWNODES)", k)
-		reg, table, _ := newTestRegistry(n)
+		reg, table, _ := newTestRegistry(t, n)
 		if err := reg.Register("p", pred); err != nil {
 			return false
 		}
@@ -428,7 +437,7 @@ func TestQuickFrontierMatchesOracle(t *testing.T) {
 }
 
 func TestConcurrentUpdatesAndRecompute(t *testing.T) {
-	reg, table, _ := newTestRegistry(4)
+	reg, table, _ := newTestRegistry(t, 4)
 	if err := reg.Register("p", "MIN($ALLWNODES)"); err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -23,15 +24,15 @@ type MonitorFunc func(frontier uint64)
 // three control-plane interfaces (§III-D): waitfor,
 // monitor_stability_frontier, and register/change_predicate.
 //
-// Evaluation is incremental and optionally deferred. Every predicate is
+// Evaluation is incremental and off the update path. Every predicate is
 // indexed by the recorder-table cells it reads; an ACK update marks dirty
-// only the predicates whose operands moved (NoteCellUpdate/NoteNodeUpdate),
-// so idle predicates cost nothing. In inline mode (the default) the dirty
-// set drains immediately on the update path — the original synchronous
-// semantics. StartDeferred moves the drain onto a periodic control-plane
-// tick instead, batching ACK ingestion off the data path (deferred update
-// stabilization); frontier visibility then lags ground truth by at most one
-// tick interval.
+// only the predicates whose operands moved (NoteCellUpdate/NoteNodeUpdate)
+// and wakes the registry's drainer goroutine, which re-evaluates the dirty
+// set, releases waiters and fires monitors. A lone update is drained at
+// once; updates carried by goroutines already runnable when the drainer
+// wakes, or arriving while a drain is running, coalesce into one drain, so a
+// burst of k ACKs costs one evaluation per dirty predicate, not k (deferred
+// update stabilization, with the batch sized by load instead of a timer).
 type Registry struct {
 	env   dsl.Env
 	table *Table
@@ -46,11 +47,14 @@ type Registry struct {
 	byNode map[int]map[*predicate]struct{}
 	dirty  map[*predicate]struct{}
 
-	// interval is the stabilization tick period; 0 means inline mode
-	// (drain on the update path). stop/wg manage the tick goroutine.
-	interval time.Duration
-	stop     chan struct{}
-	wg       sync.WaitGroup
+	// wake is the drainer's doorbell. One pending poke covers every Note*
+	// that lands before the drainer takes it: the drain that follows sees
+	// all their dirty marks. stop ends the drainer and done reports its
+	// exit; all three are nil in a registry built without one (newRegistry).
+	wake      chan struct{}
+	stop      chan struct{}
+	done      chan struct{}
+	closeOnce sync.Once
 
 	// Instrumentation (optional; see EnableMetrics / OnAdvance).
 	recomputes   *metrics.Counter
@@ -95,8 +99,21 @@ type predicate struct {
 }
 
 // NewRegistry creates a predicate registry evaluating against table and
-// resolving predicate sources against env.
+// resolving predicate sources against env, and starts its drainer
+// goroutine; pair with Close.
 func NewRegistry(env dsl.Env, table *Table) *Registry {
+	r := newRegistry(env, table)
+	r.wake = make(chan struct{}, 1)
+	r.stop = make(chan struct{})
+	r.done = make(chan struct{})
+	go r.drainLoop()
+	return r
+}
+
+// newRegistry builds a registry with no drainer: Note* only marks dirty and
+// nothing is evaluated until Flush or Recompute. Benchmarks use it to time
+// one drain pass in isolation.
+func newRegistry(env dsl.Env, table *Table) *Registry {
 	return &Registry{
 		env:    env,
 		table:  table,
@@ -131,55 +148,39 @@ func (r *Registry) EnableMetrics(m *metrics.Registry) {
 		metrics.LatencyOpts)
 }
 
-// StartDeferred switches the registry into deferred mode: dirty predicates
-// are drained by a background tick every interval instead of inline on the
-// update path. A non-positive interval is a no-op (inline mode). Call once,
-// before concurrent use; pair with Close.
-func (r *Registry) StartDeferred(interval time.Duration) {
-	if interval <= 0 {
-		return
-	}
-	stop := make(chan struct{})
-	r.mu.Lock()
-	r.interval = interval
-	r.stop = stop
-	r.mu.Unlock()
-	r.wg.Add(1)
-	go func() {
-		defer r.wg.Done()
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				r.Flush()
-			case <-stop:
-				return
-			}
+// drainLoop is the drainer goroutine: one Flush per poke. A Note* that
+// lands after a drain emptied the dirty set finds the doorbell empty (the
+// poke was taken before the drain began) and rings it again, so no mark is
+// ever left behind.
+//
+// The drainer yields once between the poke and the drain. A report seldom
+// comes alone — one message's ACKs arrive on one connection per peer — and
+// the goroutines carrying the rest are usually already runnable; letting
+// them mark first turns one drain per report into one per burst. On an idle
+// machine the yield returns at once.
+func (r *Registry) drainLoop() {
+	defer close(r.done)
+	for {
+		select {
+		case <-r.wake:
+			runtime.Gosched()
+			r.Flush()
+		case <-r.stop:
+			return
 		}
-	}()
+	}
 }
 
-// Interval returns the stabilization tick period (0 = inline mode).
-func (r *Registry) Interval() time.Duration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.interval
-}
-
-// Close stops the deferred tick goroutine (if any), performs a final drain
-// so no dirty predicate is left unevaluated, and reverts the registry to
-// inline mode so late updates still stabilize. Safe to call when deferred
-// mode was never started, and safe to call more than once.
+// Close stops the drainer and performs a final drain so no dirty predicate
+// is left unevaluated. A Note* after Close still marks dirty and returns at
+// once, but nothing evaluates the mark until a Flush or Recompute. Safe to
+// call more than once.
 func (r *Registry) Close() {
-	r.mu.Lock()
-	stop := r.stop
-	r.stop = nil
-	r.interval = 0
-	r.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		r.wg.Wait()
+	if r.stop != nil {
+		r.closeOnce.Do(func() {
+			close(r.stop)
+			<-r.done
+		})
 	}
 	r.Flush()
 }
@@ -238,13 +239,6 @@ func (r *Registry) WaiterCount() int {
 		n += p.waiters.Len()
 	}
 	return n
-}
-
-// DirtyCount returns the number of predicates awaiting the next drain.
-func (r *Registry) DirtyCount() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.dirty)
 }
 
 // indexLocked adds p to the inverted cell and node indexes. Caller holds mu.
@@ -370,8 +364,8 @@ func (r *Registry) RegisterBatch(preds map[string]string) error {
 
 // Change swaps the predicate under key for a newly compiled source, at
 // runtime (paper §III-D / §VI-D dynamic reconfiguration). The frontier is
-// re-evaluated immediately — even in deferred mode, so callers that swap to
-// a weaker predicate observe the effect without waiting a tick; note that
+// re-evaluated immediately, on the caller's goroutine, so callers that swap
+// to a weaker predicate observe the effect when Change returns; note that
 // switching to a stronger predicate can move the frontier backwards — the
 // paper leaves handling that gap to the application, and so do we. Pending
 // waiters stay queued and are judged against the new predicate.
@@ -594,40 +588,44 @@ func (r *Registry) Monitor(key string, fn MonitorFunc) (cancel func(), err error
 }
 
 // NoteCellUpdate records that recorder cell (node, typ) advanced: every
-// predicate reading that cell is marked dirty. In inline mode the dirty set
-// drains immediately; in deferred mode it waits for the next tick.
+// predicate reading that cell is marked dirty and the drainer is woken.
 func (r *Registry) NoteCellUpdate(node int, typ uint16) {
 	r.mu.Lock()
 	for p := range r.byCell[dsl.Cell{Node: node, Type: typ}] {
 		r.dirty[p] = struct{}{}
 	}
-	r.noteFlushLocked()
+	r.wakeLocked()
 }
 
 // NoteNodeUpdate records that every stability counter of node advanced
 // (Table.UpdateAll — the origin's own counters move on sequence
-// assignment): every predicate depending on that node is marked dirty.
+// assignment): every predicate depending on that node is marked dirty and
+// the drainer is woken.
 func (r *Registry) NoteNodeUpdate(node int) {
 	r.mu.Lock()
 	for p := range r.byNode[node] {
 		r.dirty[p] = struct{}{}
 	}
-	r.noteFlushLocked()
+	r.wakeLocked()
 }
 
-// noteFlushLocked finishes a Note*: publishes the dirty gauge and, in
-// inline mode, drains immediately. Caller holds mu; released on return.
-func (r *Registry) noteFlushLocked() {
+// wakeLocked finishes a Note*: publishes the dirty gauge and, when anything
+// is dirty, rings the drainer's doorbell without blocking (a full doorbell,
+// or a nil one in a drainer-less registry, already means "drain pending" or
+// "caller flushes"). Caller holds mu; released on return.
+func (r *Registry) wakeLocked() {
+	n := len(r.dirty)
 	if r.dirtyPreds != nil {
-		r.dirtyPreds.Set(int64(len(r.dirty)))
+		r.dirtyPreds.Set(int64(n))
 	}
-	if r.interval != 0 || len(r.dirty) == 0 {
-		r.mu.Unlock()
+	r.mu.Unlock()
+	if n == 0 {
 		return
 	}
-	work, hooks := r.drainLocked()
-	r.mu.Unlock()
-	r.publish(work, hooks)
+	select {
+	case r.wake <- struct{}{}:
+	default:
+	}
 }
 
 // Recompute re-evaluates every registered predicate against the current
@@ -645,8 +643,8 @@ func (r *Registry) Recompute() {
 }
 
 // Flush drains the dirty set now: every dirty predicate is re-evaluated,
-// satisfied waiters released and monitors fired. The deferred tick calls
-// this once per interval; tests call it to force determinism.
+// satisfied waiters released and monitors fired. The drainer calls this
+// once per wakeup; Close and tests call it to drain synchronously.
 func (r *Registry) Flush() {
 	r.mu.Lock()
 	work, hooks := r.drainLocked()

@@ -5,39 +5,44 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"stabilizer/internal/metrics"
 )
 
-// waitFrontier polls until key's frontier reaches want or the deadline
-// passes, for tests racing the deferred tick.
-func waitFrontier(t *testing.T, reg *Registry, key string, want uint64, deadline time.Duration) {
-	t.Helper()
-	stop := time.Now().Add(deadline)
-	for {
-		if f, err := reg.Frontier(key); err == nil && f >= want {
-			return
-		}
-		if time.Now().After(stop) {
-			f, _ := reg.Frontier(key)
-			t.Fatalf("frontier(%q) = %d, want >= %d after %v", key, f, want, deadline)
-		}
-		time.Sleep(time.Millisecond)
-	}
+// dirtyCount is the number of predicates awaiting the next drain.
+func dirtyCount(reg *Registry) int {
+	reg.mu.Lock()
+	defer reg.mu.Unlock()
+	return len(reg.dirty)
 }
 
-func TestDeferredMarksDirtyUntilFlush(t *testing.T) {
-	reg, table, _ := newTestRegistry(2)
+// parkWaiter parks a WaitFor(seq, key) and returns once it is queued, so the
+// only thing that can release it is a drain's publish step.
+func parkWaiter(t *testing.T, reg *Registry, seq uint64, key string) <-chan error {
+	t.Helper()
+	before := reg.WaiterCount()
+	done := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		done <- reg.WaitFor(ctx, seq, key)
+	}()
+	for reg.WaiterCount() == before {
+		time.Sleep(time.Millisecond)
+	}
+	return done
+}
+
+func TestNoteMarksDirtyUntilFlush(t *testing.T) {
+	reg, table := newManualRegistry(2)
 	if err := reg.Register("p", "MIN($ALLWNODES)"); err != nil {
 		t.Fatal(err)
 	}
-	// An hour-long interval means the tick never fires inside the test:
-	// drains happen only when we ask.
-	reg.StartDeferred(time.Hour)
-	defer reg.Close()
-
 	table.Update(1, TypeReceived, 5)
 	table.Update(2, TypeReceived, 5)
 	reg.NoteCellUpdate(1, TypeReceived)
@@ -45,114 +50,199 @@ func TestDeferredMarksDirtyUntilFlush(t *testing.T) {
 	if f, _ := reg.Frontier("p"); f != 0 {
 		t.Fatalf("frontier advanced before the drain: %d", f)
 	}
-	if d := reg.DirtyCount(); d != 1 {
+	if d := dirtyCount(reg); d != 1 {
 		t.Fatalf("dirty count = %d, want 1 (same predicate marked twice)", d)
 	}
 	reg.Flush()
 	if f, _ := reg.Frontier("p"); f != 5 {
 		t.Fatalf("frontier after drain = %d, want 5", f)
 	}
-	if d := reg.DirtyCount(); d != 0 {
+	if d := dirtyCount(reg); d != 0 {
 		t.Fatalf("dirty count after drain = %d, want 0", d)
 	}
 }
 
-func TestDeferredTickDrains(t *testing.T) {
-	reg, table, _ := newTestRegistry(2)
+// TestLoneNoteReleasesParkedWaiter: one NoteCellUpdate, with no Flush call
+// and no timer anywhere, is enough to release a parked WaitFor.
+func TestLoneNoteReleasesParkedWaiter(t *testing.T) {
+	reg, table, _ := newTestRegistry(t, 2)
 	if err := reg.Register("p", "MIN($ALLWNODES)"); err != nil {
 		t.Fatal(err)
 	}
-	reg.StartDeferred(time.Millisecond)
-	defer reg.Close()
-	if got := reg.Interval(); got != time.Millisecond {
-		t.Fatalf("Interval = %v, want 1ms", got)
-	}
-	table.Update(1, TypeReceived, 9)
-	table.Update(2, TypeReceived, 9)
-	reg.NoteCellUpdate(1, TypeReceived)
-	reg.NoteCellUpdate(2, TypeReceived)
-	waitFrontier(t, reg, "p", 9, 2*time.Second)
-}
-
-func TestDeferredWaitForReleasedByTick(t *testing.T) {
-	reg, table, _ := newTestRegistry(2)
-	if err := reg.Register("p", "MIN($ALLWNODES)"); err != nil {
-		t.Fatal(err)
-	}
-	reg.StartDeferred(time.Millisecond)
-	defer reg.Close()
-	done := make(chan error, 1)
-	go func() { done <- reg.WaitFor(context.Background(), 4, "p") }()
-	time.Sleep(10 * time.Millisecond) // let the waiter park
 	table.Update(1, TypeReceived, 4)
+	released := parkWaiter(t, reg, 4, "p")
 	table.Update(2, TypeReceived, 4)
-	reg.NoteCellUpdate(1, TypeReceived)
 	reg.NoteCellUpdate(2, TypeReceived)
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("waiter errored: %v", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("tick never released the waiter")
+	if err := <-released; err != nil {
+		t.Fatalf("the lone note never released the waiter: %v", err)
 	}
 }
 
-func TestCloseDrainsAndRevertsInline(t *testing.T) {
-	reg, table, _ := newTestRegistry(1)
+// blockFirstFire installs a monitor on key whose first call parks until the
+// returned release func runs; entered is closed once the drainer is inside.
+func blockFirstFire(t *testing.T, reg *Registry, key string) (entered chan struct{}, release func()) {
+	t.Helper()
+	entered, gate := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	if _, err := reg.Monitor(key, func(uint64) {
+		once.Do(func() {
+			close(entered)
+			<-gate
+		})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return entered, func() { close(gate) }
+}
+
+// TestNotesCoalesceWhileDrainerBusy: k Note*s that land while the drainer is
+// parked inside a monitor callback cost one evaluation per dirty predicate
+// when it comes back, not k.
+func TestNotesCoalesceWhileDrainerBusy(t *testing.T) {
+	reg, table, _ := newTestRegistry(t, 2)
+	m := metrics.NewRegistry()
+	reg.EnableMetrics(m)
+	evals := m.Counter("stabilizer_frontier_pred_evals_total", "")
 	if err := reg.Register("p", "MIN($ALLWNODES)"); err != nil {
 		t.Fatal(err)
 	}
-	reg.StartDeferred(time.Hour)
+	entered, release := blockFirstFire(t, reg, "p")
+	table.Update(1, TypeReceived, 1)
+	table.Update(2, TypeReceived, 1)
+	reg.NoteCellUpdate(2, TypeReceived)
+	<-entered
+	if got := evals.Value(); got != 1 {
+		t.Fatalf("evaluations after the first note = %d, want 1", got)
+	}
+	const k = 100
+	for s := uint64(2); s <= k+1; s++ {
+		table.Update(1, TypeReceived, s)
+		reg.NoteCellUpdate(1, TypeReceived)
+		table.Update(2, TypeReceived, s)
+		reg.NoteCellUpdate(2, TypeReceived)
+	}
+	released := parkWaiter(t, reg, k+1, "p")
+	release()
+	if err := <-released; err != nil {
+		t.Fatal(err)
+	}
+	if got := evals.Value(); got != 2 {
+		t.Fatalf("evaluations = %d, want 2: one for the first note, one for the %d that followed", got, 2*k)
+	}
+}
+
+// TestRunnableNotesShareOneDrain: reports carried by goroutines that are
+// already runnable when the first of them pokes the drainer land in the same
+// drain, because the drainer yields before it evaluates. On one processor the
+// order is fixed — the yield queues the drainer behind the k-1 noters still
+// waiting to run — up to the scheduler's occasional fairness pick, hence the
+// slack in the bound (a drainer that did not yield would drain k times).
+func TestRunnableNotesShareOneDrain(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const k = 16
+	reg, table, _ := newTestRegistry(t, k)
+	m := metrics.NewRegistry()
+	reg.EnableMetrics(m)
+	drains := m.Counter("stabilizer_frontier_recomputes_total", "")
+	if err := reg.Register("p", "MIN($ALLWNODES)"); err != nil {
+		t.Fatal(err)
+	}
+	released := parkWaiter(t, reg, 1, "p")
+	var wg sync.WaitGroup
+	for node := 1; node <= k; node++ {
+		wg.Add(1)
+		go func(node int) {
+			defer wg.Done()
+			table.Update(node, TypeReceived, 1)
+			reg.NoteCellUpdate(node, TypeReceived)
+		}(node)
+	}
+	wg.Wait()
+	if err := <-released; err != nil {
+		t.Fatal(err)
+	}
+	if got := drains.Value(); got > k/4 {
+		t.Fatalf("%d runnable notes took %d drains, want about one", k, got)
+	}
+}
+
+// TestCloseDrainsAndStopsDrainer: Close with a non-empty dirty set performs
+// the final drain and leaves no goroutine behind; a Note* after Close neither
+// blocks nor panics, and its mark waits for an explicit Flush.
+func TestCloseDrainsAndStopsDrainer(t *testing.T) {
+	reg, table, _ := newTestRegistry(t, 1)
+	if err := reg.Register("p", "MIN($ALLWNODES)"); err != nil {
+		t.Fatal(err)
+	}
+	entered, release := blockFirstFire(t, reg, "p")
+	table.Update(1, TypeReceived, 1)
+	reg.NoteCellUpdate(1, TypeReceived)
+	<-entered
+	// The drainer is parked in the monitor: this mark is still in the dirty
+	// set when Close begins.
 	table.Update(1, TypeReceived, 3)
 	reg.NoteCellUpdate(1, TypeReceived)
-	if f, _ := reg.Frontier("p"); f != 0 {
-		t.Fatalf("frontier advanced before Close: %d", f)
+	if d := dirtyCount(reg); d != 1 {
+		t.Fatalf("dirty count before Close = %d, want 1", d)
 	}
-	reg.Close()
+	closed := make(chan struct{})
+	go func() {
+		reg.Close()
+		close(closed)
+	}()
+	release()
+	<-closed
 	if f, _ := reg.Frontier("p"); f != 3 {
 		t.Fatalf("Close did not drain: frontier = %d, want 3", f)
 	}
-	// After Close the registry is inline again: updates stabilize
-	// synchronously, so a straggling ACK is not lost.
+	select {
+	case <-reg.done:
+	default:
+		t.Fatal("drainer goroutine still running after Close")
+	}
 	table.Update(1, TypeReceived, 7)
-	reg.NoteCellUpdate(1, TypeReceived)
+	for i := 0; i < 3; i++ { // more notes than the doorbell holds
+		reg.NoteCellUpdate(1, TypeReceived)
+		reg.NoteNodeUpdate(1)
+	}
+	if f, _ := reg.Frontier("p"); f != 3 {
+		t.Fatalf("a note after Close was evaluated with no drainer: frontier = %d", f)
+	}
+	reg.Flush()
 	if f, _ := reg.Frontier("p"); f != 7 {
-		t.Fatalf("post-Close update not inline: frontier = %d, want 7", f)
+		t.Fatalf("Flush after Close = %d, want 7", f)
 	}
 	reg.Close() // idempotent
 }
 
 func TestIncrementalDirtiesOnlyReaders(t *testing.T) {
-	reg, table, _ := newTestRegistry(2)
+	reg, table := newManualRegistry(2)
 	if err := reg.Register("recv", "MIN($ALLWNODES)"); err != nil {
 		t.Fatal(err)
 	}
 	if err := reg.Register("deliv", "MIN($ALLWNODES.delivered)"); err != nil {
 		t.Fatal(err)
 	}
-	reg.StartDeferred(time.Hour)
-	defer reg.Close()
 
 	// A cell nobody reads dirties nothing.
 	reg.NoteCellUpdate(1, TypePersisted)
-	if d := reg.DirtyCount(); d != 0 {
+	if d := dirtyCount(reg); d != 0 {
 		t.Fatalf("unread cell dirtied %d predicates", d)
 	}
 	// A received cell dirties only the predicate reading received.
 	table.Update(1, TypeReceived, 2)
 	reg.NoteCellUpdate(1, TypeReceived)
-	if d := reg.DirtyCount(); d != 1 {
+	if d := dirtyCount(reg); d != 1 {
 		t.Fatalf("received cell dirtied %d predicates, want 1", d)
 	}
 	// A whole-node advance (UpdateAll) dirties every predicate that
 	// depends on the node, whatever type it reads.
 	reg.NoteNodeUpdate(1)
-	if d := reg.DirtyCount(); d != 2 {
+	if d := dirtyCount(reg); d != 2 {
 		t.Fatalf("node update dirtied %d predicates, want 2", d)
 	}
 	reg.Flush()
-	if d := reg.DirtyCount(); d != 0 {
+	if d := dirtyCount(reg); d != 0 {
 		t.Fatalf("dirty count after drain = %d", d)
 	}
 
@@ -162,11 +252,11 @@ func TestIncrementalDirtiesOnlyReaders(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg.NoteCellUpdate(1, TypeDelivered)
-	if d := reg.DirtyCount(); d != 0 {
+	if d := dirtyCount(reg); d != 0 {
 		t.Fatalf("stale index: delivered cell dirtied %d predicates after Change", d)
 	}
 	reg.NoteCellUpdate(1, TypePersisted)
-	if d := reg.DirtyCount(); d != 1 {
+	if d := dirtyCount(reg); d != 1 {
 		t.Fatalf("persisted cell dirtied %d predicates, want 1", d)
 	}
 	// Remove detaches from the index entirely.
@@ -175,7 +265,7 @@ func TestIncrementalDirtiesOnlyReaders(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg.NoteCellUpdate(1, TypeReceived)
-	if d := reg.DirtyCount(); d != 0 {
+	if d := dirtyCount(reg); d != 0 {
 		t.Fatalf("removed predicate still indexed: dirty = %d", d)
 	}
 }
@@ -225,7 +315,7 @@ func TestReleaseOrderSeqSorted(t *testing.T) {
 // finishes in seconds; the old linear scan under the registry lock made
 // this wave quadratic.
 func TestMassCancelBoundedTime(t *testing.T) {
-	reg, _, _ := newTestRegistry(2)
+	reg, _, _ := newTestRegistry(t, 2)
 	if err := reg.Register("p", "MIN($ALLWNODES)"); err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +372,7 @@ func TestConcurrentWaitCancelChangeProperty(t *testing.T) {
 	)
 	for round := 0; round < 3; round++ {
 		rng := rand.New(rand.NewSource(int64(1000 + round)))
-		reg, table, _ := newTestRegistry(n)
+		reg, table, _ := newTestRegistry(t, n)
 		if err := reg.Register("p", "MIN($ALLWNODES)"); err != nil {
 			t.Fatal(err)
 		}

@@ -65,7 +65,7 @@ func BenchmarkSendLogAppendDrain(b *testing.B) {
 		if _, err := l.Append(payload, 0); err != nil {
 			b.Fatal(err)
 		}
-		e, ok := l.TryNext(cursor)
+		e, ok := tryNext(l, cursor)
 		if !ok {
 			b.Fatal("entry not ready")
 		}

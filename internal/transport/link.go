@@ -506,6 +506,13 @@ func (l *link) batchBudget() int {
 // sampled) the stream loop must make zero clock calls.
 var nowNano = func() int64 { return time.Now().UnixNano() }
 
+// writevMinBytes is the smallest batch payload handed to the kernel as one
+// vectored write on a TCP connection. Smaller batches go through the copying
+// buffered writer, which coalesces consecutive little batches into one wire
+// write; so does every batch on a non-TCP connection (in-memory fabrics,
+// fault-injection wrappers).
+const writevMinBytes = 8 << 10
+
 // directWriteMin is the smallest encoded batch written straight to the
 // connection instead of through the 64 KiB buffered writer: at this size
 // the bufio copy buys no coalescing, it is pure memcpy overhead.
@@ -569,7 +576,7 @@ func (l *link) stream(conn net.Conn, cursor uint64) {
 			l.sendCursor.Store(cursor)
 			ackB, appB, hbB := l.encodeControl(&ctl)
 			var err error
-			if tcp != nil && cfg.WritevMinBytes >= 0 && payloadBytes >= cfg.WritevMinBytes {
+			if tcp != nil && payloadBytes >= writevMinBytes {
 				err = l.writeVectored(tcp, bw, payloadBytes)
 			} else {
 				frame, err = l.writeCopied(conn, bw, frame)
@@ -801,7 +808,7 @@ func (l *link) waitWork(cursor uint64) bool {
 		if len(l.dirty) > 0 || len(l.apps) > 0 || l.hbDue || l.echoDue {
 			return true
 		}
-		if _, ready := l.t.cfg.Log.TryNext(cursor); ready {
+		if l.batch = l.t.cfg.Log.TryNextBatch(cursor, l.batch[:0], 1, 0); len(l.batch) > 0 {
 			return true
 		}
 		l.cond.Wait()

@@ -43,7 +43,7 @@ const (
 	// is preserved in full and read back through the same batched drain
 	// path on reconnect. Appends block (like FlowBlock) only while the
 	// spiller is behind or the disk has failed. Requires
-	// FlowConfig.SpillDir and at least one cap; see NewSendLogTiered.
+	// FlowConfig.SpillDir and at least one cap; see NewSendLogFlow.
 	FlowSpill
 )
 
@@ -120,11 +120,11 @@ type LogEntry struct {
 // core has its own stripe, more stripes only cost merge passes.
 const maxLogStripes = 64
 
-// DefaultLogStripes returns the stripe count used when a caller asks for
-// striping without picking a number: one per core, capped at 8 — append
-// contention flattens well before then and the drainer's merge pass scales
-// with the stripe count.
-func DefaultLogStripes() int {
+// defaultLogStripes returns the stripe count of every log the exported
+// constructors build: one per core, capped at 8 — append contention flattens
+// well before then and the drainer's merge pass scales with the stripe
+// count.
+func defaultLogStripes() int {
 	n := runtime.GOMAXPROCS(0)
 	if n > 8 {
 		n = 8
@@ -151,11 +151,11 @@ type logStripe struct {
 // TruncateThrough reclaims them (the core does so once a message has been
 // delivered everywhere).
 //
-// Appends are sharded across producer stripes (NewSendLogOpts): a producer
-// reserves the next sequence from one atomic counter inside a per-stripe
-// critical section and stages the entry there, so concurrent senders no
-// longer serialize on a single mutex. Readers (TryNext/TryNextBatch/Next)
-// merge staged entries into the dense canonical slice in sequence order
+// Appends are sharded across producer stripes: a producer reserves the next
+// sequence from one atomic counter inside a per-stripe critical section and
+// stages the entry there, so concurrent senders do not serialize on a single
+// mutex. The reader (TryNextBatch) merges staged entries into the dense
+// canonical slice in sequence order
 // before looking anything up, which keeps every external invariant of the
 // single-lock log: sequences are gapless, batches are contiguous runs, and
 // truncation is exact. An entry becomes visible to readers only once every
@@ -169,9 +169,6 @@ type SendLog struct {
 	next  atomic.Uint64
 	bytes atomic.Int64
 	rr    atomic.Uint32
-	// readWaiters counts goroutines blocked in Next; fast-path appenders
-	// skip the wakeup lock entirely while it is zero.
-	readWaiters atomic.Int32
 	// closedA mirrors closed for the lock-free append fast path.
 	closedA atomic.Bool
 	// flowFast is fixed at construction: true when the optimistic
@@ -185,7 +182,6 @@ type SendLog struct {
 	stripes []logStripe
 
 	mu   sync.Mutex
-	cond sync.Cond
 	base uint64 // sequence of entries[off]; next when empty
 	// off is the reclaimed prefix length of entries: entries[:off] are
 	// zeroed husks kept so TruncateThrough can advance in O(1) and only
@@ -204,8 +200,8 @@ type SendLog struct {
 	// clears only below the low watermarks (hysteresis). spaceCh is the
 	// wakeup channel for blocked appenders: created on demand, closed and
 	// dropped when space frees, so each stall round gets a fresh channel.
-	flow    FlowConfig
-	full    bool
+	flow FlowConfig
+	full bool
 	// fullA mirrors full for the lock-free admission fast path: byte-capped
 	// appends far below the watermark skip the central mutex entirely and
 	// only fall into the exact (locked) path once the latch is set or a
@@ -221,58 +217,28 @@ type SendLog struct {
 	mBlocked *metrics.Counter
 	mShed    *metrics.Counter
 
-	// spill is the disk tier (FlowSpill mode only; nil otherwise). spillErr
-	// records a spill setup failure when the caller used a constructor that
-	// cannot return it — the log then degrades to FlowBlock semantics.
-	spill    *spillState
-	spillErr error
+	// spill is the disk tier (FlowSpill mode only; nil otherwise).
+	spill *spillState
 }
 
-// NewSendLog returns an empty single-stripe log whose first assigned
-// sequence is firstSeq (1 on a fresh start; a checkpointed value on primary
-// restart).
+// NewSendLog returns an empty, unbounded log whose first assigned sequence
+// is firstSeq (1 on a fresh start; a checkpointed value on primary restart).
 func NewSendLog(firstSeq uint64) *SendLog {
-	return NewSendLogOpts(firstSeq, FlowConfig{}, 1)
+	return newSendLog(firstSeq, FlowConfig{}, defaultLogStripes())
 }
 
-// NewSendLogFlow is NewSendLog with admission control configured.
-func NewSendLogFlow(firstSeq uint64, flow FlowConfig) *SendLog {
-	return NewSendLogOpts(firstSeq, flow, 1)
-}
-
-// NewSendLogOpts returns an empty log with flow control and producer
-// striping configured. stripes < 1 means 1; values above maxLogStripes are
-// clamped. Striping only changes append-side contention — the external
-// contract (gapless sequences, contiguous batches, global flow caps) is
-// identical at every stripe count.
-//
-// FlowSpill setup can fail (directory creation, segment recovery); use
-// NewSendLogTiered to observe the error. Through this constructor a failed
-// spill setup degrades the log to FlowBlock semantics — still bounded, no
-// disk tier — and records the cause in SpillSetupErr.
-func NewSendLogOpts(firstSeq uint64, flow FlowConfig, stripes int) *SendLog {
-	flow = flow.normalized()
-	if flow.Mode == FlowSpill {
-		l, err := NewSendLogTiered(firstSeq, flow, stripes)
-		if err == nil {
-			return l
-		}
-		fb := flow
-		fb.Mode = FlowBlock
-		l = newSendLog(firstSeq, fb, stripes)
-		l.spillErr = err
-		return l
-	}
-	return newSendLog(firstSeq, flow, stripes)
-}
-
-// NewSendLogTiered is NewSendLogOpts with spill setup errors surfaced: in
+// NewSendLogFlow is NewSendLog with admission control configured. In
 // FlowSpill mode it creates (or recovers) the on-disk segment tier under
-// flow.SpillDir and starts the spiller. Recovered segments re-anchor the
-// log: the next assigned sequence continues after the highest recovered one,
-// and the recovered backlog is served from disk exactly as if it had just
-// been spilled. For other modes it behaves like NewSendLogOpts.
-func NewSendLogTiered(firstSeq uint64, flow FlowConfig, stripes int) (*SendLog, error) {
+// flow.SpillDir and starts the spiller, and fails when that cannot be done.
+// Recovered segments re-anchor the log: the next assigned sequence continues
+// after the highest recovered one, and the recovered backlog is served from
+// disk exactly as if it had just been spilled.
+func NewSendLogFlow(firstSeq uint64, flow FlowConfig) (*SendLog, error) {
+	return newSendLogFlow(firstSeq, flow, defaultLogStripes())
+}
+
+// newSendLogFlow is NewSendLogFlow at an exact stripe count.
+func newSendLogFlow(firstSeq uint64, flow FlowConfig, stripes int) (*SendLog, error) {
 	flow = flow.normalized()
 	if flow.Mode != FlowSpill {
 		return newSendLog(firstSeq, flow, stripes), nil
@@ -305,6 +271,10 @@ func NewSendLogTiered(firstSeq uint64, flow FlowConfig, stripes int) (*SendLog, 
 	return l, nil
 }
 
+// newSendLog builds the in-memory log. stripes < 1 means 1 and values above
+// maxLogStripes are clamped; striping only changes append-side contention —
+// the external contract (gapless sequences, contiguous batches, global flow
+// caps) is identical at every stripe count. flow must be normalized.
 func newSendLog(firstSeq uint64, flow FlowConfig, stripes int) *SendLog {
 	if firstSeq == 0 {
 		firstSeq = 1
@@ -324,12 +294,8 @@ func newSendLog(firstSeq uint64, flow FlowConfig, stripes int) *SendLog {
 	l.flowFast = flow.MaxEntries <= 0 && flow.MaxBytes > 0
 	l.next.Store(firstSeq)
 	l.reclaimed = firstSeq - 1
-	l.cond.L = &l.mu
 	return l
 }
-
-// Stripes returns the configured producer stripe count.
-func (l *SendLog) Stripes() int { return len(l.stripes) }
 
 // Append assigns the next sequence number to payload and buffers it.
 // The payload is retained by reference; callers must not mutate it.
@@ -393,14 +359,6 @@ func (l *SendLog) appendFast(payload []byte, sentUnixNano int64) (uint64, error)
 	s.entries = append(s.entries, LogEntry{Seq: seq, SentUnixNano: sentUnixNano, Payload: payload})
 	s.mu.Unlock()
 	l.bytes.Add(int64(len(payload)))
-	// Wake blocked readers only when some exist. A reader that raced this
-	// publish re-checks the stripes after announcing itself (see Next), so
-	// a zero read here can never strand it.
-	if l.readWaiters.Load() != 0 {
-		l.mu.Lock()
-		l.cond.Broadcast()
-		l.mu.Unlock()
-	}
 	return seq, nil
 }
 
@@ -430,11 +388,6 @@ func (l *SendLog) appendFlow(ctx context.Context, payload []byte, sentUnixNano i
 			seq := l.next.Add(1) - 1
 			s.entries = append(s.entries, LogEntry{Seq: seq, SentUnixNano: sentUnixNano, Payload: payload})
 			s.mu.Unlock()
-			if l.readWaiters.Load() != 0 {
-				l.mu.Lock()
-				l.cond.Broadcast()
-				l.mu.Unlock()
-			}
 			return seq, nil
 		}
 		l.bytes.Add(-pl)
@@ -502,7 +455,6 @@ func (l *SendLog) appendFlow(ctx context.Context, payload []byte, sentUnixNano i
 		l.kickSpill()
 	}
 	l.mu.Unlock()
-	l.cond.Broadcast()
 	return seq, nil
 }
 
@@ -598,85 +550,6 @@ func (l *SendLog) visibleNextLocked() uint64 {
 	return l.base + uint64(len(l.entries)-l.off)
 }
 
-// Next blocks until the entry with sequence seq is available, then returns
-// it. If seq has been truncated, the oldest retained entry is returned
-// instead (its Seq tells the caller where it landed). Returns ErrLogClosed
-// once the log is closed and drained past seq.
-func (l *SendLog) Next(seq uint64) (LogEntry, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for {
-		l.mergeLocked()
-		if l.spill != nil && seq < l.base {
-			memBase := l.base
-			l.mu.Unlock()
-			e, ok, resume := l.spill.readOne(seq, memBase)
-			l.mu.Lock()
-			if ok {
-				return e, nil
-			}
-			if resume > seq {
-				seq = resume // the prefix below resume was reclaimed
-				continue
-			}
-			// Disk tier wedged (unreadable sealed segment): fall through
-			// and block rather than fabricate a gap in the stream.
-		}
-		if seq < l.base {
-			seq = l.base
-		}
-		if seq < l.visibleNextLocked() {
-			return l.entries[l.off+int(seq-l.base)], nil
-		}
-		if l.closed {
-			return LogEntry{}, ErrLogClosed
-		}
-		// Announce the sleeper before the final re-check: an appendFast
-		// that published before our merge below must observe the counter
-		// and take the broadcast path, so no wakeup can be lost between
-		// the check and the Wait.
-		l.readWaiters.Add(1)
-		l.mergeLocked()
-		if seq < l.visibleNextLocked() {
-			l.readWaiters.Add(-1)
-			continue
-		}
-		l.cond.Wait()
-		l.readWaiters.Add(-1)
-	}
-}
-
-// TryNext is Next without blocking; ok is false when no entry is ready.
-func (l *SendLog) TryNext(seq uint64) (entry LogEntry, ok bool) {
-	for {
-		l.mu.Lock()
-		l.mergeLocked()
-		if l.spill != nil && seq < l.base {
-			memBase := l.base
-			l.mu.Unlock()
-			e, ok, resume := l.spill.readOne(seq, memBase)
-			if ok {
-				return e, true
-			}
-			if resume > seq {
-				seq = resume
-				continue
-			}
-			return LogEntry{}, false // disk tier wedged: stall, don't gap
-		}
-		if seq < l.base {
-			seq = l.base
-		}
-		if seq < l.visibleNextLocked() {
-			e := l.entries[l.off+int(seq-l.base)]
-			l.mu.Unlock()
-			return e, true
-		}
-		l.mu.Unlock()
-		return LogEntry{}, false
-	}
-}
-
 // TryNextBatch drains a contiguous run of ready entries starting at seq
 // under a single lock acquisition, appending them to dst and returning the
 // extended slice. The run is capped at maxFrames entries and stops before
@@ -686,8 +559,8 @@ func (l *SendLog) TryNext(seq uint64) (entry LogEntry, ok bool) {
 // wedging the link (the oversize first-frame rule; flow control has already
 // accounted such a payload at admission, so draining it promptly is also
 // what unblocks waiting appenders). A seq below the retained base snaps to
-// the base, exactly like TryNext. Entries share payload slices with the
-// log; callers must not mutate them.
+// the base: the first entry's Seq tells the caller where it landed. Entries
+// share payload slices with the log; callers must not mutate them.
 func (l *SendLog) TryNextBatch(seq uint64, dst []LogEntry, maxFrames, maxBytes int) []LogEntry {
 	if maxFrames < 1 {
 		maxFrames = 1
@@ -898,12 +771,6 @@ func (l *SendLog) SpillDegraded() bool {
 	return false
 }
 
-// SpillSetupErr returns the spill initialization error recorded when a
-// constructor without an error result (NewSendLogOpts) had to degrade a
-// FlowSpill request to FlowBlock semantics. nil when spill is healthy or
-// was never requested.
-func (l *SendLog) SpillSetupErr() error { return l.spillErr }
-
 // SetSpillWriteFault makes every subsequent spill segment write fail with
 // cause — the fault-injection hook for disk-full and similar persistent
 // failures. The spiller degrades to FlowBlock semantics while the fault is
@@ -979,8 +846,8 @@ func (l *SendLog) setBackpressureCounters(blocked, shed *metrics.Counter) {
 	l.mu.Unlock()
 }
 
-// Close wakes all blocked readers and appenders with ErrLogClosed and
-// stops the spiller (on-disk segments are left in place for recovery).
+// Close wakes all blocked appenders with ErrLogClosed and stops the
+// spiller (on-disk segments are left in place for recovery).
 func (l *SendLog) Close() {
 	l.mu.Lock()
 	l.closed = true
@@ -990,7 +857,6 @@ func (l *SendLog) Close() {
 		l.spaceCh = nil
 	}
 	l.mu.Unlock()
-	l.cond.Broadcast()
 	if sp := l.spill; sp != nil {
 		sp.closeOnce.Do(func() { close(sp.kick) })
 		// Wait for the spiller to finish any in-flight segment write and

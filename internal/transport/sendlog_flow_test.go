@@ -29,7 +29,7 @@ func fillToCap(t *testing.T, l *SendLog, payload int) int {
 }
 
 func TestFlowFailFastShedsAtCap(t *testing.T) {
-	l := NewSendLogFlow(1, FlowConfig{MaxBytes: 4 << 10, Mode: FlowFail})
+	l := flowLog(t, FlowConfig{MaxBytes: 4 << 10, Mode: FlowFail})
 	defer l.Close()
 	fillToCap(t, l, 256)
 	if _, err := l.Append(make([]byte, 256), 0); !errors.Is(err, ErrBackpressure) {
@@ -44,7 +44,7 @@ func TestFlowFailFastShedsAtCap(t *testing.T) {
 }
 
 func TestFlowBlockResumesOnTruncate(t *testing.T) {
-	l := NewSendLogFlow(1, FlowConfig{MaxBytes: 4 << 10, Mode: FlowBlock})
+	l := flowLog(t, FlowConfig{MaxBytes: 4 << 10, Mode: FlowBlock})
 	defer l.Close()
 	n := fillToCap(t, l, 256)
 
@@ -76,7 +76,7 @@ func TestFlowBlockResumesOnTruncate(t *testing.T) {
 // above the low watermark must NOT re-admit appends (that would flap at the
 // cap boundary); only dropping to the low watermark clears the latch.
 func TestFlowHysteresis(t *testing.T) {
-	l := NewSendLogFlow(1, FlowConfig{MaxBytes: 4 << 10, LowFrac: 0.5, Mode: FlowFail})
+	l := flowLog(t, FlowConfig{MaxBytes: 4 << 10, LowFrac: 0.5, Mode: FlowFail})
 	defer l.Close()
 	fillToCap(t, l, 256)
 	// First refused append engages the latch.
@@ -106,7 +106,7 @@ func TestFlowHysteresis(t *testing.T) {
 }
 
 func TestFlowBlockHonorsContextCancel(t *testing.T) {
-	l := NewSendLogFlow(1, FlowConfig{MaxBytes: 4 << 10, Mode: FlowBlock})
+	l := flowLog(t, FlowConfig{MaxBytes: 4 << 10, Mode: FlowBlock})
 	defer l.Close()
 	fillToCap(t, l, 256)
 
@@ -136,7 +136,7 @@ func TestFlowBlockHonorsContextCancel(t *testing.T) {
 }
 
 func TestFlowCloseUnblocksWaiters(t *testing.T) {
-	l := NewSendLogFlow(1, FlowConfig{MaxBytes: 1 << 10, Mode: FlowBlock})
+	l := flowLog(t, FlowConfig{MaxBytes: 1 << 10, Mode: FlowBlock})
 	fillToCap(t, l, 256)
 
 	var wg sync.WaitGroup
@@ -167,7 +167,7 @@ func TestFlowCloseUnblocksWaiters(t *testing.T) {
 // appender is provably parked (no sleep-and-hope) and closes from a
 // concurrent goroutine, so the wakeup path itself is what's under test.
 func TestFlowCloseDuringBlockedAppendCtx(t *testing.T) {
-	l := NewSendLogFlow(1, FlowConfig{MaxBytes: 1 << 10, Mode: FlowBlock})
+	l := flowLog(t, FlowConfig{MaxBytes: 1 << 10, Mode: FlowBlock})
 	fillToCap(t, l, 256)
 
 	const waiters = 8
@@ -217,7 +217,7 @@ func TestFlowCloseDuringBlockedAppendCtx(t *testing.T) {
 }
 
 func TestFlowEntryCap(t *testing.T) {
-	l := NewSendLogFlow(1, FlowConfig{MaxEntries: 4, Mode: FlowFail})
+	l := flowLog(t, FlowConfig{MaxEntries: 4, Mode: FlowFail})
 	defer l.Close()
 	for i := 0; i < 4; i++ {
 		if _, err := l.Append([]byte("x"), 0); err != nil {

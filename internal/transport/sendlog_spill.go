@@ -62,9 +62,10 @@ type spillState struct {
 	epoch uint64         // number for the next segment file
 
 	// Cached sequential reader: the common case is one lagging peer
-	// draining the tier in order, so keep its position (and a one-entry
-	// peek, letting TryNext probe the same sequence TryNextBatch then
-	// consumes) instead of reopening per call.
+	// draining the tier in order, so keep its position instead of reopening
+	// per call, and a one-entry peek: the entry a batch read last but could
+	// not take (over its byte budget, or taken by a one-frame readiness
+	// probe) is the first the next batch asks for.
 	rd     *segment.Reader
 	rdSeg  int    // index into segs of rd's file
 	rdNext uint64 // next sequence rd will yield
@@ -308,38 +309,6 @@ func (sp *spillState) truncate(seq uint64) {
 	}
 }
 
-// readOne returns the entry at seq from the disk tier. resume is the
-// sequence the caller should retry from when the requested one is gone:
-// the oldest retained sequence if seq fell below it, or memBase when the
-// whole remaining range below memBase has been reclaimed. ok=false with
-// resume==seq means the tier is wedged (an unreadable sealed segment) and
-// the caller should stall rather than skip.
-func (sp *spillState) readOne(seq, memBase uint64) (e LogEntry, ok bool, resume uint64) {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	oldest, any := sp.oldestLocked()
-	if !any {
-		return LogEntry{}, false, memBase // nothing on disk: all reclaimed
-	}
-	if seq < oldest {
-		seq = oldest
-	}
-	if seq >= memBase {
-		return LogEntry{}, false, seq
-	}
-	if top := sp.segs[len(sp.segs)-1].last; seq > top {
-		// Beyond the spilled range but below memBase: reclaimed after
-		// spilling (see tier invariants in DESIGN.md par.15).
-		return LogEntry{}, false, memBase
-	}
-	ent, got := sp.nextLocked(seq)
-	if !got {
-		return LogEntry{}, false, seq // wedged
-	}
-	sp.readback.Add(int64(len(ent.Payload)))
-	return ent, true, seq
-}
-
 // readBatch appends entries [seq, memBase) from the disk tier to dst,
 // bounded by the caller's frame and byte budgets. start is the dst length
 // at the top of the caller's whole batch (for the oversize first-frame
@@ -476,6 +445,13 @@ func (l *SendLog) spiller() {
 
 // spillOnce migrates one segment's worth of the cold prefix to disk.
 // Returns true when it spilled and more work may remain.
+//
+// The segment file is written outside every lock and registered only after
+// l.mu is re-taken, so between those two points a spill-*.seg exists on disk
+// that no reader, truncation or SpilledSegments count knows about. If the
+// range was reclaimed meanwhile (l.base > last) the file is stillborn and is
+// removed right there; if the log closed, likewise. No path leaves it
+// behind, but a directory listing taken inside the window sees it.
 func (l *SendLog) spillOnce() bool {
 	sp := l.spill
 	if sp.loadFault() != nil {

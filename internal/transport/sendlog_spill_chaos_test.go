@@ -60,7 +60,7 @@ func runSpillCrashSchedule(t *testing.T, seed int64, ops int) {
 	dir := t.TempDir()
 	cfg := spillChaosConfig(dir)
 
-	log, err := NewSendLogTiered(1, cfg, 2)
+	log, err := newSendLogFlow(1, cfg, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func runSpillCrashSchedule(t *testing.T, seed int64, ops int) {
 	// against ground truth. Returns on the first not-ready.
 	verifyNext := func(m int) {
 		for i := 0; i < m; i++ {
-			e, ok := log.TryNext(cursor)
+			e, ok := tryNext(log, cursor)
 			if !ok {
 				return
 			}
@@ -154,7 +154,7 @@ func runSpillCrashSchedule(t *testing.T, seed int64, ops int) {
 				case 2: // clean crash: disk intact, memory tier lost
 				}
 			}
-			log, err = NewSendLogTiered(1, cfg, 2)
+			log, err = newSendLogFlow(1, cfg, 2)
 			if err != nil {
 				t.Fatalf("seed %d: recovery after crash %d: %v", seed, crashes, err)
 			}

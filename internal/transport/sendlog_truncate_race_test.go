@@ -30,7 +30,7 @@ import (
 // durable — a FIFO stream that travels back in time. Now the merge drops
 // any popped entry at or below the reclaimed high-water mark.
 func TestTruncateStagedReexposure(t *testing.T) {
-	l := NewSendLogOpts(1, FlowConfig{}, 2)
+	l := newSendLog(1, FlowConfig{}, 2)
 	defer l.Close()
 
 	for i := 1; i <= 5; i++ {
@@ -38,7 +38,7 @@ func TestTruncateStagedReexposure(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if e, ok := l.TryNext(1); !ok || e.Seq != 1 {
+	if e, ok := tryNext(l, 1); !ok || e.Seq != 1 {
 		t.Fatalf("TryNext(1) = (%v, %v)", e.Seq, ok)
 	}
 
@@ -62,7 +62,7 @@ func TestTruncateStagedReexposure(t *testing.T) {
 	stage(0, 6)
 
 	// No read, now or ever, may surface a sequence <= 8 again.
-	if e, ok := l.TryNext(1); ok {
+	if e, ok := tryNext(l, 1); ok {
 		t.Fatalf("truncated sequence %d re-exposed after merge", e.Seq)
 	}
 	if batch := l.TryNextBatch(1, nil, 16, 1<<20); len(batch) != 0 {
@@ -80,7 +80,7 @@ func TestTruncateStagedReexposure(t *testing.T) {
 	if err != nil || seq != 9 {
 		t.Fatalf("next append = (%d, %v), want seq 9", seq, err)
 	}
-	if e, ok := l.TryNext(1); !ok || e.Seq != 9 {
+	if e, ok := tryNext(l, 1); !ok || e.Seq != 9 {
 		t.Fatalf("TryNext after reclaim = (%v, %v), want seq 9", e.Seq, ok)
 	}
 }
@@ -101,7 +101,7 @@ func TestTruncateConcurrentStripeMergeNeverReexposes(t *testing.T) {
 		readers    = 3
 		perProd    = 4000
 	)
-	l := NewSendLogOpts(1, FlowConfig{}, 4)
+	l := newSendLog(1, FlowConfig{}, 4)
 	defer l.Close()
 
 	var (
@@ -154,7 +154,7 @@ func TestTruncateConcurrentStripeMergeNeverReexposes(t *testing.T) {
 			defer wg.Done()
 			for !stop.Load() {
 				pre := maxTrunc.Load()
-				if e, ok := l.TryNext(1); ok && e.Seq <= pre {
+				if e, ok := tryNext(l, 1); ok && e.Seq <= pre {
 					violated.Store(true)
 					t.Errorf("TryNext returned seq %d, already truncated through %d", e.Seq, pre)
 					return

@@ -14,7 +14,7 @@ import (
 // outage.
 func BenchmarkSpillWrite(b *testing.B) {
 	const payloadLen = 4096
-	l, err := NewSendLogTiered(1, FlowConfig{
+	l, err := newSendLogFlow(1, FlowConfig{
 		MaxBytes:          256 << 10,
 		Mode:              FlowSpill,
 		SpillDir:          b.TempDir(),
@@ -46,7 +46,7 @@ func BenchmarkSpillWrite(b *testing.B) {
 // tier adds on top of the network.
 func BenchmarkSpillReadback(b *testing.B) {
 	const payloadLen = 4096
-	l, err := NewSendLogTiered(1, FlowConfig{
+	l, err := newSendLogFlow(1, FlowConfig{
 		MaxBytes:          256 << 10,
 		Mode:              FlowSpill,
 		SpillDir:          b.TempDir(),
@@ -83,7 +83,7 @@ func BenchmarkSpillReadback(b *testing.B) {
 // window, so the spiller arms but never runs. msgs/s must stay within 5%
 // of the recorded StreamThroughputLocal numbers in BENCH_transport.json.
 func BenchmarkStreamThroughputSpillUntriggered(b *testing.B) {
-	l, err := NewSendLogTiered(1, FlowConfig{
+	l, err := newSendLogFlow(1, FlowConfig{
 		MaxBytes:          1 << 30, // the 8192-message window tops out ~2 MB
 		Mode:              FlowSpill,
 		SpillDir:          b.TempDir(),

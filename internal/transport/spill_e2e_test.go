@@ -50,7 +50,7 @@ func TestSpillEndToEndReconnectDrain(t *testing.T) {
 	net := emunet.NewMemNetwork(nil)
 	defer net.Close()
 
-	log, err := NewSendLogTiered(1, FlowConfig{
+	log, err := newSendLogFlow(1, FlowConfig{
 		MaxBytes:          capBytes,
 		Mode:              FlowSpill,
 		SpillDir:          t.TempDir(),

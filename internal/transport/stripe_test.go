@@ -15,16 +15,34 @@ import (
 // assignment (every sequence in [1, total] assigned exactly once) and
 // byte-exact occupancy (Bytes and Len return to zero once everything is
 // reclaimed). Run under -race this also proves the stripe/merge locking.
+// stripedLog builds a log at an exact stripe count (the exported
+// constructors always use defaultLogStripes).
+func stripedLog(t testing.TB, flow FlowConfig, stripes int) *SendLog {
+	t.Helper()
+	l, err := newSendLogFlow(1, flow, stripes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
+// flowLog is NewSendLogFlow for configurations that cannot fail.
+func flowLog(t testing.TB, flow FlowConfig) *SendLog {
+	t.Helper()
+	l, err := NewSendLogFlow(1, flow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
 func TestStripedAppendDrainRace(t *testing.T) {
 	const (
 		producers = 8
 		perProd   = 2000
 		total     = producers * perProd
 	)
-	l := NewSendLogOpts(1, FlowConfig{}, 4)
-	if l.Stripes() != 4 {
-		t.Fatalf("Stripes() = %d, want 4", l.Stripes())
-	}
+	l := newSendLog(1, FlowConfig{}, 4)
 
 	seqs := make([][]uint64, producers)
 	var wg sync.WaitGroup
@@ -123,7 +141,7 @@ func TestStripedFlowBlockedAppendRace(t *testing.T) {
 		maxPayload = 64
 		capBytes   = 4 << 10
 	)
-	l := NewSendLogOpts(1, FlowConfig{MaxBytes: capBytes, Mode: FlowBlock}, 4)
+	l := stripedLog(t, FlowConfig{MaxBytes: capBytes, Mode: FlowBlock}, 4)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -204,13 +222,13 @@ func TestStripedFlowBlockedAppendRace(t *testing.T) {
 	}
 }
 
-// TestStripedBlockingNextNoLostWakeup drives the blocking reader path against
-// striped fast-path appends: a reader consumes every sequence via Next while
-// producers append in bursts. A lost wakeup would hang the reader; the test
-// deadline catches it.
-func TestStripedBlockingNextNoLostWakeup(t *testing.T) {
+// TestStripedSingleFrameReaderInOrder drives one-frame reads against striped
+// fast-path appends: a reader consumes every sequence in order, one entry at
+// a time, while producers append in bursts; it must never see a sequence
+// other than the one it asked for.
+func TestStripedSingleFrameReaderInOrder(t *testing.T) {
 	const total = 20000
-	l := NewSendLogOpts(1, FlowConfig{}, 4)
+	l := newSendLog(1, FlowConfig{}, 4)
 	payload := []byte("x")
 
 	go func() {
@@ -233,23 +251,25 @@ func TestStripedBlockingNextNoLostWakeup(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for seq := uint64(1); seq <= total; seq++ {
-			e, err := l.Next(seq)
-			if err != nil {
-				t.Errorf("Next(%d): %v", seq, err)
-				return
+		stop := time.Now().Add(30 * time.Second)
+		for seq := uint64(1); seq <= total; {
+			e, ok := tryNext(l, seq)
+			if !ok {
+				if time.Now().After(stop) {
+					t.Errorf("reader stuck at %d of %d", seq, total)
+					return
+				}
+				time.Sleep(20 * time.Microsecond)
+				continue
 			}
 			if e.Seq != seq {
-				t.Errorf("Next(%d) returned seq %d", seq, e.Seq)
+				t.Errorf("read at %d returned seq %d", seq, e.Seq)
 				return
 			}
+			seq++
 		}
 	}()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatalf("reader hung — lost wakeup in striped Next path")
-	}
+	<-done
 }
 
 // TestTryNextBatchOversizeFirstFrame pins the first-frame rule on the striped
@@ -257,7 +277,7 @@ func TestStripedBlockingNextNoLostWakeup(t *testing.T) {
 // when it is the first ready entry, and entries after it wait for the next
 // batch. Without the rule an oversize payload would wedge the link forever.
 func TestTryNextBatchOversizeFirstFrame(t *testing.T) {
-	l := NewSendLogOpts(1, FlowConfig{}, 4)
+	l := newSendLog(1, FlowConfig{}, 4)
 	big := make([]byte, 4096)
 	small := []byte("small")
 	for _, p := range [][]byte{small, big, small} {
@@ -295,7 +315,7 @@ func TestTryNextBatchOversizeFirstFrame(t *testing.T) {
 // reclaiming it returns occupancy to zero and unblocks a waiting appender.
 func TestTryNextBatchOversizeFlowAccounting(t *testing.T) {
 	const capBytes = 1024
-	l := NewSendLogOpts(1, FlowConfig{MaxBytes: capBytes, Mode: FlowBlock}, 4)
+	l := stripedLog(t, FlowConfig{MaxBytes: capBytes, Mode: FlowBlock}, 4)
 
 	big := make([]byte, 4*capBytes) // larger than the whole cap
 	if _, err := l.Append(big, 0); err != nil {

@@ -126,15 +126,6 @@ type BatchConfig struct {
 	// BandwidthBps is the assumed per-link bandwidth in bits per second
 	// used in the budget rule (default 100 Mbit/s).
 	BandwidthBps float64
-	// WritevMinBytes is the smallest batch payload handed to the kernel
-	// as one vectored write (writev) on TCP connections, with per-entry
-	// frame headers and payloads as separate iovecs so payload bytes are
-	// never copied. Smaller batches go through the copying buffered
-	// writer, which coalesces consecutive little batches into one wire
-	// write. 0 picks the 8 KiB default; negative disables vectored writes
-	// entirely. Non-TCP connections (in-memory fabrics, fault-injection
-	// wrappers) always use the buffered path.
-	WritevMinBytes int
 }
 
 func (b BatchConfig) normalized() BatchConfig {
@@ -152,9 +143,6 @@ func (b BatchConfig) normalized() BatchConfig {
 	}
 	if b.BandwidthBps <= 0 {
 		b.BandwidthBps = 100e6
-	}
-	if b.WritevMinBytes == 0 {
-		b.WritevMinBytes = 8 << 10
 	}
 	return b
 }

@@ -443,52 +443,36 @@ func TestSendLogBasics(t *testing.T) {
 	if l.Head() != 2 || l.Len() != 2 || l.Bytes() != 3 {
 		t.Fatalf("head=%d len=%d bytes=%d", l.Head(), l.Len(), l.Bytes())
 	}
-	e, err := l.Next(1)
-	if err != nil || e.Seq != 1 || string(e.Payload) != "a" {
-		t.Fatalf("Next(1) = %+v, %v", e, err)
+	e, ok := tryNext(l, 1)
+	if !ok || e.Seq != 1 || string(e.Payload) != "a" {
+		t.Fatalf("read at 1 = %+v, %v", e, ok)
 	}
-	if _, ok := l.TryNext(3); ok {
-		t.Fatal("TryNext past head succeeded")
+	if _, ok := tryNext(l, 3); ok {
+		t.Fatal("read past head succeeded")
 	}
 	l.TruncateThrough(1)
 	if l.Base() != 2 || l.Bytes() != 2 {
 		t.Fatalf("after truncate: base=%d bytes=%d", l.Base(), l.Bytes())
 	}
-	// Next below base snaps to base.
-	e, err = l.Next(1)
-	if err != nil || e.Seq != 2 {
-		t.Fatalf("Next(1) after truncate = %+v, %v", e, err)
+	// A read below base snaps to base.
+	e, ok = tryNext(l, 1)
+	if !ok || e.Seq != 2 {
+		t.Fatalf("read at 1 after truncate = %+v, %v", e, ok)
 	}
 	l.Close()
 	if _, err := l.Append(nil, 0); !errors.Is(err, ErrLogClosed) {
 		t.Fatalf("append after close err = %v", err)
 	}
-	if _, err := l.Next(3); !errors.Is(err, ErrLogClosed) {
-		t.Fatalf("next after close err = %v", err)
-	}
 }
 
-func TestSendLogBlockingNext(t *testing.T) {
-	l := NewSendLog(1)
-	got := make(chan LogEntry, 1)
-	go func() {
-		e, err := l.Next(1)
-		if err == nil {
-			got <- e
-		}
-	}()
-	time.Sleep(10 * time.Millisecond)
-	if _, err := l.Append([]byte("x"), 0); err != nil {
-		t.Fatal(err)
+// tryNext reads the entry at seq (or the oldest retained one above it) as a
+// one-frame batch; ok is false when no entry is ready.
+func tryNext(l *SendLog, seq uint64) (LogEntry, bool) {
+	b := l.TryNextBatch(seq, nil, 1, 0)
+	if len(b) == 0 {
+		return LogEntry{}, false
 	}
-	select {
-	case e := <-got:
-		if e.Seq != 1 {
-			t.Fatalf("blocked Next returned seq %d", e.Seq)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("blocked Next never woke")
-	}
+	return b[0], true
 }
 
 func TestSendLogCheckpointStart(t *testing.T) {
@@ -564,11 +548,11 @@ func TestSendLogTruncateAmortized(t *testing.T) {
 		if got := l.Bytes(); got != int64(appended-truncated) {
 			t.Fatalf("round %d: bytes = %d, want %d", round, got, appended-truncated)
 		}
-		e, ok := l.TryNext(truncated + 1)
+		e, ok := tryNext(l, truncated+1)
 		if !ok || e.Seq != truncated+1 {
 			t.Fatalf("round %d: TryNext(base) = %+v, %v", round, e, ok)
 		}
-		e, ok = l.TryNext(appended)
+		e, ok = tryNext(l, appended)
 		if !ok || e.Seq != appended {
 			t.Fatalf("round %d: TryNext(head) = %+v, %v", round, e, ok)
 		}

@@ -35,7 +35,7 @@
 // deployment:
 //
 //	reg := stabilizer.NewMetricsRegistry()
-//	cluster, err := stabilizer.OpenCluster(stabilizer.ClusterConfig{
+//	cluster, err := stabilizer.OpenCluster(stabilizer.Config{
 //	    Topology: topo,          // full deployment; Nodes picks a subset
 //	    Network:  network,
 //	    Metrics:  reg,           // shared; families carry node="<id>"
@@ -60,6 +60,7 @@
 package stabilizer
 
 import (
+	"flag"
 	"net/http"
 
 	"stabilizer/internal/adaptive"
@@ -76,13 +77,15 @@ import (
 type (
 	// Node is one Stabilizer WAN node. See core.Node for method docs.
 	Node = core.Node
-	// Config parameterizes Open.
+	// Config parameterizes Open and OpenCluster.
 	Config = core.Config
 	// Cluster is a set of WAN nodes booted together in one process,
 	// sharing one metrics registry. See core.Cluster for method docs.
 	Cluster = core.Cluster
-	// ClusterConfig parameterizes OpenCluster.
+	// ClusterConfig is Config, under the name OpenCluster's callers know.
 	ClusterConfig = core.ClusterConfig
+	// Flags is the command-line binding of a Config (see BindFlags).
+	Flags = core.Flags
 	// Checkpoint captures restartable control-plane state (§III-E).
 	Checkpoint = core.Checkpoint
 	// Message is a delivered data-plane message.
@@ -99,7 +102,7 @@ type (
 	DebugSnapshot = core.DebugSnapshot
 
 	// MetricsRegistry collects instrumentation; share one across every
-	// node of a deployment (Config.Metrics / ClusterConfig.Metrics) and
+	// node of a deployment (Config.Metrics) and
 	// expose it with ServeMetrics. Registries form label groups: each
 	// node instruments through a node="<id>" view of the shared root, so
 	// one scrape distinguishes every in-process node.
@@ -141,7 +144,7 @@ type (
 	// AdaptiveDirection labels a transition AdaptiveDown or AdaptiveUp.
 	AdaptiveDirection = adaptive.Direction
 	// AdaptiveSpec starts the controller at boot time; set via
-	// Config.Adaptive / ClusterConfig.Adaptive.
+	// Config.Adaptive.
 	AdaptiveSpec = core.AdaptiveSpec
 
 	// Topology describes the WAN deployment.
@@ -155,7 +158,7 @@ type (
 	// FlowConfig bounds the send log with admission control (byte/entry
 	// caps with hysteretic high/low watermarks); set via Config.Flow.
 	FlowConfig = transport.FlowConfig
-	// FlowMode picks blocking or fail-fast admission.
+	// FlowMode picks blocking, fail-fast or disk-spilling admission.
 	FlowMode = transport.FlowMode
 	// StallConfig arms the degraded-mode stall monitor; set via
 	// Config.Stall.
@@ -172,7 +175,7 @@ type (
 	PeerLag = core.PeerLag
 
 	// TraceConfig arms the per-operation flight recorder (sampling rate
-	// and per-node ring size); set via Config.Trace / ClusterConfig.Trace.
+	// and per-node ring size); set via Config.Trace.
 	// The zero value keeps tracing off with zero hot-path cost.
 	TraceConfig = optrace.Config
 	// TraceEvent is one recorded lifecycle point of a traced operation.
@@ -216,18 +219,6 @@ const (
 // send log is full: the caller sheds load instead of queueing unbounded.
 var ErrBackpressure = transport.ErrBackpressure
 
-// DefaultStabilizeInterval is the recommended Config.StabilizeInterval /
-// ClusterConfig.StabilizeInterval for deferred stabilization: ACK ingestion
-// marks predicates dirty and a background control-plane tick drains them
-// in batches, keeping frontier evaluation off the append/ACK hot path. The
-// zero value keeps the legacy inline mode (stabilize synchronously on every
-// ACK advance).
-const DefaultStabilizeInterval = core.DefaultStabilizeInterval
-
-// DefaultLogStripes is the send-log stripe count used when
-// Config.LogStripes is zero: min(8, GOMAXPROCS). See Config.LogStripes.
-func DefaultLogStripes() int { return transport.DefaultLogStripes() }
-
 // Open starts a Stabilizer node and connects it to its peers. It is the
 // single-node form of OpenCluster: the node's metrics land in a
 // node-labeled group of the registry exactly as a cluster member's would.
@@ -235,12 +226,17 @@ func Open(cfg Config) (*Node, error) { return core.Open(cfg) }
 
 // OpenCluster boots the requested subset of a topology's nodes (all of
 // them by default) in this process, wiring every node into one shared
-// metrics registry. See ClusterConfig for the knobs and Cluster for the
+// metrics registry. See Config for the knobs and Cluster for the
 // cluster-wide helpers (Node, Health, WaitAllFor, ordered Close).
-func OpenCluster(cfg ClusterConfig) (*Cluster, error) { return core.OpenCluster(cfg) }
+func OpenCluster(cfg Config) (*Cluster, error) { return core.OpenCluster(cfg) }
 
-// NewMetricsRegistry returns an empty metrics registry for Config.Metrics
-// or ClusterConfig.Metrics.
+// BindFlags registers the node options both commands have (the metrics
+// endpoint, tracing, the adaptive controller) on fs; defaults seeds the
+// Config template the returned Flags fills in when fs is parsed.
+// Flags.BindFlowFlags adds flow control and stall detection.
+func BindFlags(fs *flag.FlagSet, defaults Config) *Flags { return core.BindFlags(fs, defaults) }
+
+// NewMetricsRegistry returns an empty metrics registry for Config.Metrics.
 func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
 
 // NewSLOMonitor starts an in-process multiwindow burn-rate monitor over a
@@ -276,7 +272,7 @@ func WithPprof() ServeOption { return metrics.WithPprof() }
 // sampled operation, ?op=latest-slow picks the slowest sampled op, and
 // &format=chrome renders Chrome trace_event JSON for about://tracing.
 // Mount it (conventionally at /debug/trace) via ServeMetrics' extra map;
-// it requires ClusterConfig.Trace to be enabled.
+// it requires Config.Trace to be enabled.
 func NewTraceHandler(cluster *Cluster) http.Handler { return optrace.NewHTTPHandler(cluster) }
 
 // LoadTopology reads and validates a topology JSON file.

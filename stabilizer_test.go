@@ -6,6 +6,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"os"
+	"regexp"
 	"sync"
 	"testing"
 	"time"
@@ -302,5 +304,50 @@ func TestPublicAPIAdaptive(t *testing.T) {
 	}
 	if len(ctrl2.History()) != 0 || len(hooked) != 0 {
 		t.Fatalf("transitions on a healthy cluster: %v / %v", ctrl2.History(), hooked)
+	}
+}
+
+// TestReadmeListsEveryMetricFamily keeps README.md's metric-family table
+// equal to what a booted cluster registers (tracing and an adaptive
+// controller on, so the conditional families register too): a family with
+// no row fails, and so does a row no family backs.
+func TestReadmeListsEveryMetricFamily(t *testing.T) {
+	network := stabilizer.NewMemNetwork(nil)
+	defer network.Close()
+	reg := stabilizer.NewMetricsRegistry()
+	cl, err := stabilizer.OpenCluster(stabilizer.Config{
+		Topology: threeNodeTopo(),
+		Nodes:    []int{1, 2},
+		Network:  network,
+		Metrics:  reg,
+		Trace:    stabilizer.TraceConfig{SampleEvery: 1},
+		Adaptive: &stabilizer.AdaptiveSpec{
+			Key:    "stable",
+			Ladder: stabilizer.LadderWNodes(),
+			Config: stabilizer.AdaptiveConfig{Target: time.Second},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	documented := make(map[string]bool)
+	row := regexp.MustCompile("(?m)^\\| `(stabilizer_[a-z0-9_]+)` \\|")
+	for _, m := range row.FindAllStringSubmatch(string(readme), -1) {
+		documented[m[1]] = true
+	}
+	for _, fam := range reg.Snapshot() {
+		if !documented[fam.Name] {
+			t.Errorf("README.md's metric table has no row for %s (%s)", fam.Name, fam.Help)
+		}
+		delete(documented, fam.Name)
+	}
+	for name := range documented {
+		t.Errorf("README.md's metric table lists %s, which no node registers", name)
 	}
 }
