@@ -16,18 +16,24 @@ test:
 race:
 	$(GO) test -race ./...
 
-# deflake reruns the two tests whose failures were timing, not logic: the
-# spill test that listed its directory inside the spiller's stillborn-segment
-# window, and the adaptive demos whose controller used to sample boot-time
-# dial latency. A failure here is a returning flake, not noise.
+# deflake reruns the tests whose failures were timing, not logic: the spill
+# test that listed its directory inside the spiller's stillborn-segment
+# window, the striped admission race whose occupancy check could catch P
+# producers' optimistic byte reservations above the cap, and the adaptive
+# demos whose controller used to sample boot-time dial latency. A failure
+# here is a returning flake, not noise.
 deflake:
 	$(GO) test -count=20 -run 'TestSpillTruncate$$' ./internal/transport
+	$(GO) test -race -count=200 -run 'TestStripedFlowBlockedAppendRace$$' ./internal/transport
 	$(GO) test -count=5 -run 'TestAdaptiveDemo' ./internal/chaos
 
-# loc prints the non-test Go line count outside benchmark/: the baseline a
-# simplicity change is judged against.
+# loc prints the two baselines a simplicity change is judged against: the
+# non-test Go line count outside benchmark/, and the number of independently
+# settable values reachable from stabilizer.Config (counted by reflection in
+# TestReadmeListsEveryConfigField).
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l
+	@$(GO) test -count=1 -v -run 'TestReadmeListsEveryConfigField$$' . | grep -o 'config fields: .*'
 
 # check-benchmark vets and tests benchmark/, a module of its own that the
 # root's ./... never reaches: its layer probes import internal/ packages and
@@ -56,7 +62,7 @@ chaos-flow:
 	STABILIZER_CHAOS_FULL=1 $(GO) test -v -run 'TestChaosSoakFlow|TestFlowDemo' ./internal/chaos
 
 # chaos-spill is invariant 9: the spill-tier soak — a backlog-driven
-# partition ("day-long region outage" measured in bytes) against FlowSpill
+# partition ("day-long region outage" measured in bytes) against spilling
 # send logs, requiring bounded memory while the backlog grows past 1 GiB
 # on disk and a gap-free, byte-identical post-heal drain — plus the seeded
 # crash-schedule harness (crash mid-spill, crash mid-read-back, disk-write
@@ -114,7 +120,7 @@ bench-frontier-short:
 # bench-spill measures the disk tier — sustained spill bandwidth (appends
 # against a small cap with no reader), tiered read-back through the batched
 # drain path — and re-records StreamThroughputLocal next to the
-# FlowSpill-configured-but-untriggered variant, so the <5% idle-overhead
+# spill-configured-but-untriggered variant, so the <5% idle-overhead
 # claim is always judged against a same-machine, same-run baseline.
 # Rewrites the "current" run in BENCH_spill.json.
 bench-spill:
@@ -122,7 +128,7 @@ bench-spill:
 	  | $(GO) run ./cmd/benchjson -update BENCH_spill.json
 
 # bench-spill-short is the CI variant: a quick pass over the untriggered
-# FlowSpill stream benchmark, compared against BENCH_spill.json on msgs/s.
+# spill-tier stream benchmark, compared against BENCH_spill.json on msgs/s.
 # Regressions under 20% warn; at or past 20% the target fails.
 bench-spill-short:
 	$(GO) test -bench='StreamThroughputSpillUntriggered' -benchmem -benchtime=1s -run=^$$ ./internal/transport \

@@ -15,8 +15,10 @@
 //	wankv -metrics-addr :9090 -pprof
 //	                            # plus /debug/pprof on the same port
 //	wankv -trace-sample 1       # trace every op instead of 1 in 64
-//	wankv -flow-max-bytes 65536 -flow-mode fail -stall-deadline 2s
+//	wankv -flow-max-bytes 65536 -stall-deadline 2s
 //	                            # bounded send logs + degraded-mode reporting
+//	wankv -flow-max-bytes 65536 -spill-dir /tmp/spill
+//	                            # ... with the cold backlog spilled to disk
 //	wankv -adaptive-ladder 'all=MIN($ALLWNODES);one=KTH_MAX(1, $ALLWNODES)'
 //	                            # closed-loop consistency controller on
 //	                            # every node; inspect with 'adaptive'
@@ -157,6 +159,11 @@ func run() error {
 
 var errQuit = fmt.Errorf("quit")
 
+// replTimeout bounds every command that can wait on the cluster — a 'wait'
+// on a frontier, a 'put' against a full send log — so the prompt always
+// comes back.
+var replTimeout = 30 * time.Second
+
 // debugHandler serves DebugSnapshots as indented JSON — every live node
 // keyed by id, or a single node with ?node=<id>.
 func debugHandler(cluster *stabilizer.Cluster) http.Handler {
@@ -194,7 +201,9 @@ func dispatch(fields []string, topo *stabilizer.Topology, primary *stabilizer.No
 		if len(fields) < 3 {
 			return fmt.Errorf("put <key> <value>")
 		}
-		res, err := kv.Put(fields[1], []byte(strings.Join(fields[2:], " ")))
+		ctx, cancel := context.WithTimeout(context.Background(), replTimeout)
+		defer cancel()
+		res, err := kv.PutCtx(ctx, fields[1], []byte(strings.Join(fields[2:], " ")))
 		if err != nil {
 			return err
 		}
@@ -237,7 +246,7 @@ func dispatch(fields []string, topo *stabilizer.Topology, primary *stabilizer.No
 		if err != nil {
 			return fmt.Errorf("bad seq %q", fields[1])
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		ctx, cancel := context.WithTimeout(context.Background(), replTimeout)
 		defer cancel()
 		start := time.Now()
 		if err := primary.WaitFor(ctx, seq, fields[2]); err != nil {

@@ -1,13 +1,18 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"stabilizer"
+	"stabilizer/apps/wankv"
+	"stabilizer/internal/emunet"
+	"stabilizer/internal/faultinject"
 )
 
 func parse(t *testing.T, args ...string) (*options, *flag.FlagSet, error) {
@@ -26,7 +31,7 @@ func TestEveryFlagReachesTheConfig(t *testing.T) {
 	o, fs, err := parse(t,
 		"-topology", "topo.json", "-timescale", "5",
 		"-metrics-addr", "127.0.0.1:0", "-pprof",
-		"-flow-max-bytes", "65536", "-flow-max-entries", "128", "-flow-mode", "spill",
+		"-flow-max-bytes", "65536",
 		"-spill-dir", "/tmp/spill", "-spill-segment-bytes", "4096",
 		"-stall-deadline", "2s", "-trace-sample", "8",
 		"-adaptive-ladder", ladder, "-adaptive-key", "k", "-adaptive-target", "500ms",
@@ -55,8 +60,7 @@ func TestEveryFlagReachesTheConfig(t *testing.T) {
 	}
 	want := stabilizer.Config{
 		Flow: stabilizer.FlowConfig{
-			MaxBytes: 65536, MaxEntries: 128, Mode: stabilizer.FlowSpill,
-			SpillDir: "/tmp/spill", SpillSegmentBytes: 4096,
+			MaxBytes: 65536, SpillDir: "/tmp/spill", SpillSegmentBytes: 4096,
 		},
 		Stall: stabilizer.StallConfig{Deadline: 2 * time.Second},
 		Trace: stabilizer.TraceConfig{SampleEvery: 8},
@@ -76,7 +80,7 @@ func TestDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := o.node.Cluster()
-	if c.Trace.SampleEvery != 64 || c.Adaptive != nil || c.Flow.Enabled() || c.Flow.Mode != stabilizer.FlowBlock || c.Stall.Deadline != 0 {
+	if c.Trace.SampleEvery != 64 || c.Adaptive != nil || c.Flow != (stabilizer.FlowConfig{}) || c.Stall.Deadline != 0 {
 		t.Fatalf("default config: %+v", c)
 	}
 	if srv, err := o.node.Serve(nil); srv != nil || err != nil {
@@ -90,11 +94,88 @@ func TestBadAndRemovedFlags(t *testing.T) {
 		{"-log-stripes", "4"},
 		{"-writev-min-bytes", "-1"},
 		{"-adaptive-objective", "0.9"},
-		{"-flow-mode", "sometimes"},
+		{"-flow-mode", "spill"},
+		{"-flow-max-entries", "128"},
 		{"-adaptive-ladder", "only=MIN($ALLWNODES)"},
 	} {
 		if _, _, err := parse(t, args...); err == nil {
 			t.Errorf("%v was accepted", args)
 		}
+	}
+}
+
+// bootCutOff boots the cluster the given flags describe, as run does, with
+// node 1's link to node 2 cut from the start: nothing node 1 sends is ever
+// acknowledged everywhere, so its send log only grows. It returns a function
+// that types one 200-byte 'put' at the prompt.
+func bootCutOff(t *testing.T, args ...string) (primary *stabilizer.Node, put func() error) {
+	t.Helper()
+	o, _, err := parse(t, args...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj := faultinject.New(nil)
+	network := emunet.NewMemNetwork(nil)
+	network.SetConnHook(inj.Hook())
+	inj.Blackhole(1, 2)
+	topo := stabilizer.EC2Topology(1)
+	cfg := o.node.Cluster()
+	cfg.Topology, cfg.Network = topo, network
+	cluster, err := stabilizer.OpenCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		cluster.Close()
+		inj.Close()
+		network.Close()
+	})
+	stores := make([]*wankv.Store, topo.N())
+	for i := range stores {
+		stores[i] = wankv.New(cluster.Node(i + 1))
+	}
+	value := strings.Repeat("v", 200)
+	return cluster.Node(1), func() error {
+		return dispatch([]string{"put", "k", value}, topo, cluster.Node(1), stores[0], stores)
+	}
+}
+
+// TestPutAtFullSendLogReturnsThePrompt: against a 1 KiB cap and a cut link,
+// 'put' gives up when the REPL's timeout does and reports backpressure; it
+// used to go through Put and hang the prompt for good.
+func TestPutAtFullSendLogReturnsThePrompt(t *testing.T) {
+	defer func(d time.Duration) { replTimeout = d }(replTimeout)
+	replTimeout = 100 * time.Millisecond
+	primary, put := bootCutOff(t, "-flow-max-bytes", "1024")
+	for i := 0; ; i++ {
+		err := put()
+		if err == nil {
+			if i > 16 {
+				t.Fatal("a 1 KiB send log took 16 200-byte puts")
+			}
+			continue
+		}
+		if !errors.Is(err, stabilizer.ErrBackpressure) {
+			t.Fatalf("put %d: err=%v, want backpressure", i, err)
+		}
+		break
+	}
+	if h := primary.Health(); h.ShedAppends != 1 || !h.Backpressured {
+		t.Fatalf("health after the refused put: %+v", h)
+	}
+}
+
+// TestSpillDirAndCapBootASpillingNode: -spill-dir with -flow-max-bytes is
+// the whole configuration of the disk tier — the same puts that fill the
+// capped log above go through, and the backlog shows up on disk.
+func TestSpillDirAndCapBootASpillingNode(t *testing.T) {
+	primary, put := bootCutOff(t, "-flow-max-bytes", "1024", "-spill-dir", t.TempDir())
+	for i := 0; i < 32; i++ {
+		if err := put(); err != nil {
+			t.Fatalf("put %d: %v", i, err)
+		}
+	}
+	if primary.SpilledBytes() == 0 {
+		t.Fatalf("32 puts past a 1 KiB cap left nothing on disk (memory %d bytes)", primary.MemoryBufferedBytes())
 	}
 }

@@ -25,7 +25,6 @@ package adaptive
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -588,10 +587,4 @@ func (c *Controller) stepLocked(to int, dir Direction, reason string, now time.T
 		c.history = append(c.history[:0], c.history[len(c.history)-maxHistory:]...)
 	}
 	return &tr
-}
-
-// SortTransitions orders transitions by time, stable on equal timestamps.
-// Chaos checkers use it to replay multi-hook observations in order.
-func SortTransitions(ts []Transition) {
-	sort.SliceStable(ts, func(i, j int) bool { return ts[i].At.Before(ts[j].At) })
 }

@@ -12,7 +12,6 @@ import (
 	"stabilizer/internal/emunet"
 	"stabilizer/internal/faultinject"
 	"stabilizer/internal/metrics"
-	"stabilizer/internal/transport"
 )
 
 // Options parameterizes a soak run. The zero value (plus a Seed) is a
@@ -47,7 +46,7 @@ type Options struct {
 	//
 	//   - Flow, when enabled, turns on the bounded-memory invariant:
 	//     CrossCheck sweeps additionally assert no node's buffer exceeds the
-	//     cap plus one payload. With Mode FlowSpill the soak switches to
+	//     cap plus one payload. With Flow.SpillDir the soak switches to
 	//     invariant 9: the cap bounds only the *in-memory* tier
 	//     (CheckBoundedMemory), senders pump deterministic seq-derived
 	//     payloads, and every delivery is checked byte-for-byte against
@@ -74,7 +73,7 @@ type Options struct {
 	// seeded schedule: the first non-sender is isolated until the senders'
 	// retransmission backlog (memory + spill) reaches this many bytes, the
 	// "day-long region outage" whose natural unit is data volume. Requires
-	// Flow.Mode == FlowSpill. The event is appended after generation, so
+	// Flow.SpillDir. The event is appended after generation, so
 	// seeded fingerprints of the generated prefix are unchanged.
 	BacklogFault int64
 	// BandwidthBps overrides the fabric's per-link bandwidth (default
@@ -179,12 +178,12 @@ type Report struct {
 	// incarnations (re-deliveries to restarted nodes included).
 	Deliveries int64
 	// PeakSpilledBytes is the high-water mark of any node's on-disk spill
-	// tier observed by the sweeps (0 unless the soak ran FlowSpill). A
+	// tier observed by the sweeps (0 unless the soak ran a spill tier). A
 	// spill soak should assert it is non-zero: a run whose backlog never
 	// left memory did not exercise invariant 9.
 	PeakSpilledBytes int64
 	// SpillReadbackBytes totals the bytes senders streamed back from disk
-	// segments (0 unless FlowSpill); non-zero proves the post-heal drain
+	// segments (0 without a spill tier); non-zero proves the post-heal drain
 	// actually crossed the disk→memory boundary.
 	SpillReadbackBytes int64
 	// Violations lists every invariant violation (empty on success).
@@ -206,7 +205,7 @@ func Soak(o Options) (*Report, error) {
 		}
 	}
 
-	spill := o.Cluster.Flow.Mode == transport.FlowSpill
+	spill := o.Cluster.Flow.SpillDir != ""
 
 	sched := faultinject.Generate(o.Seed, o.genConfig())
 	if o.AutoReclaim {
@@ -220,7 +219,7 @@ func Soak(o Options) (*Report, error) {
 	}
 	if o.BacklogFault > 0 {
 		if !spill {
-			return nil, fmt.Errorf("chaos: BacklogFault requires Flow.Mode == FlowSpill (a memory-only capped log would just block the pumps)")
+			return nil, fmt.Errorf("chaos: BacklogFault requires Flow.SpillDir (a memory-only capped log would just block the pumps)")
 		}
 		isSender := make(map[int]bool, len(o.Senders))
 		for _, s := range o.Senders {
@@ -436,7 +435,7 @@ func Soak(o Options) (*Report, error) {
 		}
 	}
 
-	// The bounded-memory sweep: under FlowSpill the cap governs only the
+	// The bounded-memory sweep: with a spill tier the cap governs only the
 	// in-memory tier (the whole point is that total backlog exceeds it),
 	// and the sweeps also track invariant 9's peak-spill witness.
 	var peakSpill int64 // guarded by mu

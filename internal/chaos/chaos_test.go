@@ -93,7 +93,7 @@ func flowSoakOptions(seed int64) Options {
 		Seed:  seed,
 		Kinds: kinds,
 		Cluster: core.Config{
-			Flow:  transport.FlowConfig{MaxBytes: 16 << 10, Mode: transport.FlowBlock},
+			Flow:  transport.FlowConfig{MaxBytes: 16 << 10},
 			Stall: core.StallConfig{Deadline: 300 * time.Millisecond},
 			Trace: optrace.Config{SampleEvery: 1, RingSize: 1 << 14},
 		},

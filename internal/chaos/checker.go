@@ -39,7 +39,7 @@
 //     ground-truth evaluation recorded a full sweep period (many drain
 //     passes) earlier.
 //  9. Spill-tier integrity — with the send log's disk tier configured
-//     (FlowSpill), the bounded-memory invariant applies to the *in-memory*
+//     (Flow.SpillDir), the bounded-memory invariant applies to the *in-memory*
 //     portion of the buffer while the total backlog is free to grow with
 //     the disk, and every delivered payload must be byte-identical to the
 //     origin's ground truth — data that round-tripped through spill
@@ -276,7 +276,7 @@ func (c *Checker) CheckBounded(nodes []*core.Node, capBytes, slack int64) {
 	}
 }
 
-// CheckBoundedMemory sweeps invariant 9's memory clause: under FlowSpill
+// CheckBoundedMemory sweeps invariant 9's memory clause: with a spill tier
 // the cap bounds the in-memory portion of each send buffer — the total
 // backlog (BufferedBytes) legitimately grows far past it, onto disk.
 func (c *Checker) CheckBoundedMemory(nodes []*core.Node, capBytes, slack int64) {

@@ -195,12 +195,9 @@ func FlowDemo(o FlowOptions) (*FlowReport, error) {
 			Network:        fabric,
 			HeartbeatEvery: o.HeartbeatEvery,
 			PeerTimeout:    o.PeerTimeout,
-			Flow: transport.FlowConfig{
-				MaxBytes: o.CapBytes,
-				Mode:     transport.FlowBlock,
-			},
-			Stall: core.StallConfig{Deadline: o.StallDeadline},
-			Trace: o.Trace,
+			Flow:           transport.FlowConfig{MaxBytes: o.CapBytes},
+			Stall:          core.StallConfig{Deadline: o.StallDeadline},
+			Trace:          o.Trace,
 			// Auto-reclaim stays ON: bounded memory requires truncation, and
 			// the demo's whole point is watching reclaim stall and fall back.
 		})

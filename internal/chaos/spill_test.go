@@ -11,7 +11,7 @@ import (
 	"stabilizer/internal/transport"
 )
 
-// spillSoakOptions is invariant 9's cluster configuration: FlowSpill send
+// spillSoakOptions is invariant 9's cluster configuration: spilling send
 // logs with a small memory cap, auto-reclaim on (so bounded memory is a
 // live claim, not an artifact of never truncating), crash_restart excluded
 // (reclaim requirement), and one backlog_partition that isolates a receiver
@@ -30,7 +30,6 @@ func spillSoakOptions(seed int64, dir string) Options {
 		Kinds: kinds,
 		Cluster: core.Config{Flow: transport.FlowConfig{
 			MaxBytes:          64 << 10,
-			Mode:              transport.FlowSpill,
 			SpillDir:          dir,
 			SpillSegmentBytes: 64 << 10,
 		}},

@@ -293,7 +293,7 @@ func TestOpenIsOpenClusterOfSelf(t *testing.T) {
 			Checkpoint:         &Checkpoint{NextSeq: 42},
 			DisableAutoReclaim: true,
 			Epoch:              7,
-			Flow:               transport.FlowConfig{MaxBytes: 1 << 20, Mode: transport.FlowFail},
+			Flow:               transport.FlowConfig{MaxBytes: 1 << 20},
 			Stall:              StallConfig{Deadline: time.Second},
 			DialTimeout:        time.Second,
 			Trace:              optrace.Config{SampleEvery: 1},

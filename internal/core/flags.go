@@ -3,13 +3,11 @@ package core
 import (
 	"errors"
 	"flag"
-	"fmt"
 	"net/http"
 	"time"
 
 	"stabilizer/internal/adaptive"
 	"stabilizer/internal/metrics"
-	"stabilizer/internal/transport"
 )
 
 // Flags is what BindFlags registers: the Config template a command boots its
@@ -50,17 +48,7 @@ func BindFlags(fs *flag.FlagSet, defaults Config) *Flags {
 func (f *Flags) BindFlowFlags(fs *flag.FlagSet) {
 	c := &f.Config
 	fs.Int64Var(&c.Flow.MaxBytes, "flow-max-bytes", c.Flow.MaxBytes, "cap each node's send log at this many buffered bytes (0 = unbounded)")
-	fs.IntVar(&c.Flow.MaxEntries, "flow-max-entries", c.Flow.MaxEntries, "cap each node's send log at this many buffered entries (0 = unbounded)")
-	fs.Func("flow-mode", "admission at the cap: 'block' (sends wait; the default), 'fail' (sends error) or 'spill' (cold backlog migrates to disk; needs -spill-dir and a cap)", func(s string) error {
-		for _, m := range []transport.FlowMode{transport.FlowBlock, transport.FlowFail, transport.FlowSpill} {
-			if s == m.String() {
-				c.Flow.Mode = m
-				return nil
-			}
-		}
-		return fmt.Errorf("want block, fail or spill")
-	})
-	fs.StringVar(&c.Flow.SpillDir, "spill-dir", c.Flow.SpillDir, "directory for on-disk spill segments in 'spill' mode (each node uses its own subdirectory)")
+	fs.StringVar(&c.Flow.SpillDir, "spill-dir", c.Flow.SpillDir, "migrate the cold send-log backlog to segment files under this directory instead of holding senders at the cap (needs -flow-max-bytes; each node uses its own subdirectory)")
 	fs.Int64Var(&c.Flow.SpillSegmentBytes, "spill-segment-bytes", c.Flow.SpillSegmentBytes, "payload bytes per spill segment file (0 = default 4 MiB)")
 	fs.DurationVar(&c.Stall.Deadline, "stall-deadline", c.Stall.Deadline, "declare a predicate stalled after its frontier sits still this long (0 = off)")
 }

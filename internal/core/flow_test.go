@@ -68,7 +68,7 @@ func waitUntil(t *testing.T, d time.Duration, what string, cond func() bool) {
 func TestSendBlocksAtCapResumesAfterHeal(t *testing.T) {
 	inj := faultinject.New(nil)
 	c := startFlowCluster(t, 3, inj, func(conf *Config) {
-		conf.Flow = transport.FlowConfig{MaxBytes: 2 << 10, Mode: transport.FlowBlock}
+		conf.Flow = transport.FlowConfig{MaxBytes: 2 << 10}
 		conf.Stall = StallConfig{Deadline: 100 * time.Millisecond}
 	})
 	sender := c.nodes[0]
@@ -141,75 +141,95 @@ func TestSendBlocksAtCapResumesAfterHeal(t *testing.T) {
 	})
 }
 
-// TestSendFailFastReturnsErrBackpressure pins the fail-fast contract: at the
-// cap, Send sheds with ErrBackpressure instead of blocking.
-func TestSendFailFastReturnsErrBackpressure(t *testing.T) {
+// fillSendLog starts a 2-node cluster whose sender's 2 KiB log nothing ever
+// truncates and fills it to the cap with SendCtx(ctx) calls (nil is Send).
+func fillSendLog(t *testing.T, ctx context.Context) (sender *Node, payload []byte) {
+	t.Helper()
 	c := startFlowCluster(t, 2, nil, func(conf *Config) {
-		conf.Flow = transport.FlowConfig{MaxBytes: 2 << 10, Mode: transport.FlowFail}
-		conf.DisableAutoReclaim = true // nothing ever truncates
+		conf.Flow = transport.FlowConfig{MaxBytes: 2 << 10}
+		conf.DisableAutoReclaim = true
 	})
-	sender := c.nodes[0]
-
-	payload := make([]byte, 256)
+	sender = c.nodes[0]
+	payload = make([]byte, 256)
 	for i := 0; i < 8; i++ {
-		if _, err := sender.Send(payload); err != nil {
+		if _, err := sender.SendCtx(ctx, payload); err != nil {
 			t.Fatalf("send %d under cap: %v", i, err)
 		}
 	}
-	if _, err := sender.Send(payload); !errors.Is(err, transport.ErrBackpressure) {
-		t.Fatalf("send at cap: err=%v, want ErrBackpressure", err)
+	return sender, payload
+}
+
+// TestSendCtxDoneContextShedsAtCap pins the no-patience end of the admission
+// contract: a SendCtx whose context is already done is refused at the cap
+// without waiting — the error is both ErrBackpressure and the context's —
+// while below the cap the same context is never consulted.
+func TestSendCtxDoneContextShedsAtCap(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	sender, payload := fillSendLog(t, ctx) // below the cap a done context sends
+	// The caller stays unblocked: every attempt at the cap fails at once
+	// rather than queueing.
+	for i := 0; i < 2; i++ {
+		start := time.Now()
+		_, err := sender.SendCtx(ctx, payload)
+		if !errors.Is(err, transport.ErrBackpressure) || !errors.Is(err, context.Canceled) {
+			t.Fatalf("send %d at cap: err=%v, want ErrBackpressure wrapping context.Canceled", i, err)
+		}
+		if el := time.Since(start); el > 100*time.Millisecond {
+			t.Fatalf("send with a done context took %v", el)
+		}
 	}
 	h := sender.Health()
-	if h.ShedAppends < 1 || !h.Backpressured {
-		t.Fatalf("health after shed: %+v", h)
-	}
-	// Fail-fast keeps the caller unblocked: the next attempt fails
-	// immediately too rather than queueing.
-	start := time.Now()
-	if _, err := sender.Send(payload); !errors.Is(err, transport.ErrBackpressure) {
-		t.Fatalf("repeat send at cap: err=%v", err)
-	}
-	if el := time.Since(start); el > 100*time.Millisecond {
-		t.Fatalf("fail-fast send took %v", el)
+	if h.ShedAppends != 2 || h.BlockedAppends != 0 || !h.Backpressured {
+		t.Fatalf("health after two sheds: %+v", h)
 	}
 }
 
-// TestSendCtxCancelUnblocksPromptly pins cancellation: a Send blocked on a
-// full log must return context.Canceled promptly, not wait for space.
-func TestSendCtxCancelUnblocksPromptly(t *testing.T) {
-	c := startFlowCluster(t, 2, nil, func(conf *Config) {
-		conf.Flow = transport.FlowConfig{MaxBytes: 2 << 10, Mode: transport.FlowBlock}
-		conf.DisableAutoReclaim = true
-	})
-	sender := c.nodes[0]
-
-	payload := make([]byte, 256)
-	for i := 0; i < 8; i++ {
-		if _, err := sender.Send(payload); err != nil {
-			t.Fatalf("send %d under cap: %v", i, err)
-		}
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, err := sender.SendCtx(ctx, payload)
-		done <- err
-	}()
-	waitUntil(t, 5*time.Second, "send to block", func() bool {
-		return sender.Health().BlockedAppends >= 1
-	})
-	start := time.Now()
-	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("canceled send: err=%v, want context.Canceled", err)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("blocked send ignored cancellation")
-	}
-	if el := time.Since(start); el > 200*time.Millisecond {
-		t.Fatalf("canceled send returned after %v, want prompt", el)
+// TestSendCtxEndsWaitWithContext pins the bounded-patience middle: a SendCtx
+// parked on a full log returns promptly once its context ends — cancelled or
+// past its deadline — with an error that is both ErrBackpressure and the
+// context's, counted as blocked and shed.
+func TestSendCtxEndsWaitWithContext(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		ctx   func() (context.Context, context.CancelFunc)
+		cause error
+	}{
+		{"cancel", func() (context.Context, context.CancelFunc) { return context.WithCancel(context.Background()) }, context.Canceled},
+		{"deadline", func() (context.Context, context.CancelFunc) {
+			return context.WithTimeout(context.Background(), 50*time.Millisecond)
+		}, context.DeadlineExceeded},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sender, payload := fillSendLog(t, nil)
+			ctx, cancel := tc.ctx()
+			defer cancel()
+			done := make(chan error, 1)
+			go func() {
+				_, err := sender.SendCtx(ctx, payload)
+				done <- err
+			}()
+			waitUntil(t, 5*time.Second, "send to block", func() bool {
+				return sender.Health().BlockedAppends >= 1
+			})
+			start := time.Now()
+			if tc.cause == context.Canceled {
+				cancel()
+			}
+			select {
+			case err := <-done:
+				if !errors.Is(err, tc.cause) || !errors.Is(err, transport.ErrBackpressure) {
+					t.Fatalf("send: err=%v, want ErrBackpressure wrapping %v", err, tc.cause)
+				}
+			case <-time.After(time.Second):
+				t.Fatal("blocked send ignored its context")
+			}
+			if el := time.Since(start); el > 200*time.Millisecond {
+				t.Fatalf("send returned %v after its context ended, want prompt", el)
+			}
+			if h := sender.Health(); h.ShedAppends != 1 || h.BlockedAppends != 1 {
+				t.Fatalf("health after the wait ended: %+v", h)
+			}
+		})
 	}
 }

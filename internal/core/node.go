@@ -129,11 +129,8 @@ type Config struct {
 	// whole in-process deployment. Nil creates a private registry
 	// (reachable via Cluster.Metrics), so metrics are always collected.
 	Metrics *metrics.Registry
-	// Batch tunes the transport's data-plane batching (RTT-adaptive batch
-	// byte budgets per link); zero values pick the transport defaults.
-	Batch transport.BatchConfig
-	// Flow bounds the send log with admission control (byte/entry caps and
-	// high/low watermarks); the zero value keeps the log unbounded.
+	// Flow bounds the send log with admission control (a byte cap, and a
+	// directory for the disk tier); the zero value keeps the log unbounded.
 	Flow transport.FlowConfig
 	// Stall configures degraded-mode stall detection and blame attribution
 	// (see StallConfig); the zero value disables the monitor.
@@ -262,7 +259,7 @@ func openNode(cfg Config) (*Node, error) {
 		selfTable.Restore(cfg.Checkpoint.SelfAcks)
 	}
 	flow := cfg.Flow
-	if flow.Mode == transport.FlowSpill && flow.SpillDir != "" {
+	if flow.SpillDir != "" {
 		// Many nodes of one cluster commonly share a Config (and thus a
 		// SpillDir); give each its own segment namespace so restarting
 		// node i recovers exactly node i's backlog.
@@ -348,7 +345,6 @@ func openNode(cfg Config) (*Node, error) {
 		PeerTimeout:    cfg.PeerTimeout,
 		Epoch:          cfg.Epoch,
 		Metrics:        mreg,
-		Batch:          cfg.Batch,
 		DialTimeout:    cfg.DialTimeout,
 		Trace:          node.trace,
 	}
@@ -450,9 +446,10 @@ func (n *Node) SendNoCopy(payload []byte) (uint64, error) {
 	return n.sendOwned(payload)
 }
 
-// SendCtx is Send with cancellation: when Config.Flow blocks the append at
-// the send-log cap, a done ctx aborts the wait with ctx.Err(). In fail-fast
-// mode it returns transport.ErrBackpressure immediately instead.
+// SendCtx is Send with the caller's patience attached: at the Config.Flow
+// send-log cap the append waits for space only as long as ctx allows — not
+// at all when ctx is already done — and then fails with an error wrapping
+// both transport.ErrBackpressure and ctx.Err().
 func (n *Node) SendCtx(ctx context.Context, payload []byte) (uint64, error) {
 	if n.closed.Load() {
 		return 0, ErrClosed
@@ -462,8 +459,8 @@ func (n *Node) SendCtx(ctx context.Context, payload []byte) (uint64, error) {
 	return n.sendOwnedCtx(ctx, buf)
 }
 
-// SendNoCopyCtx combines SendNoCopy and SendCtx: no defensive copy, and a
-// done ctx aborts a backpressure-blocked append with ctx.Err().
+// SendNoCopyCtx combines SendNoCopy and SendCtx: no defensive copy, and ctx
+// bounds the wait at the send-log cap.
 func (n *Node) SendNoCopyCtx(ctx context.Context, payload []byte) (uint64, error) {
 	if n.closed.Load() {
 		return 0, ErrClosed
@@ -482,8 +479,8 @@ func (n *Node) sendOwnedCtx(ctx context.Context, payload []byte) (uint64, error)
 		if errors.Is(err, transport.ErrLogClosed) {
 			return 0, ErrClosed
 		}
-		// ErrBackpressure (fail-fast mode) and context errors (cancelled
-		// blocking append) pass through so callers can shed or retry.
+		// ErrBackpressure (ctx ended at the cap) passes through so callers
+		// can shed or retry.
 		return 0, err
 	}
 	n.sendTimes.record(seq, sentAt)
@@ -883,16 +880,16 @@ func (n *Node) NextSeq() uint64 { return n.log.NextSeq() }
 func (n *Node) BufferedBytes() int64 { return n.log.Bytes() }
 
 // MemoryBufferedBytes reports only the in-memory portion of the send
-// buffer. Under FlowSpill this is the number the memory cap bounds, while
+// buffer. With a spill tier this is the number the memory cap bounds, while
 // BufferedBytes keeps growing with the disk tier.
 func (n *Node) MemoryBufferedBytes() int64 { return n.log.MemoryBytes() }
 
 // SpilledBytes reports the bytes parked in the send log's on-disk spill
-// tier (0 unless FlowSpill is configured).
+// tier (0 without Config.Flow.SpillDir).
 func (n *Node) SpilledBytes() int64 { return n.log.SpilledBytes() }
 
 // SpillReadbackBytes reports the cumulative bytes the send log has served
-// to peers from its spill tier (0 unless FlowSpill is configured).
+// to peers from its spill tier (0 without Config.Flow.SpillDir).
 func (n *Node) SpillReadbackBytes() int64 { return n.log.SpillReadbackBytes() }
 
 // BytesSent reports total frame bytes written to peers.

@@ -27,23 +27,6 @@ func Parse(src string) (*CallExpr, error) {
 	return call, nil
 }
 
-// ParseExpr parses a bare expression (used by tests and tooling).
-func ParseExpr(src string) (Expr, error) {
-	toks, err := lexAll(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
-	expr, err := p.parseExpr()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expect(tokEOF); err != nil {
-		return nil, err
-	}
-	return expr, nil
-}
-
 type parser struct {
 	toks []token
 	at   int

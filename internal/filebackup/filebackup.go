@@ -93,9 +93,9 @@ func (s *Service) Backup(name string, data []byte) (Result, error) {
 	return s.BackupCtx(context.Background(), name, data)
 }
 
-// BackupCtx is Backup with cancellation for bounded-memory deployments
-// (core.Config.Flow): a chunk put blocked on a full send log aborts with
-// ctx.Err(); in fail-fast mode it surfaces transport.ErrBackpressure so the
+// BackupCtx is Backup for bounded-memory deployments (core.Config.Flow): a
+// chunk put waits at a full send log only as long as ctx allows, then fails
+// with an error wrapping transport.ErrBackpressure and ctx.Err() so the
 // caller can shed and retry. The manifest is written last, so an aborted
 // backup is invisible to Restore (ErrNotBackedUp) rather than corrupt —
 // retrying the same name simply overwrites the orphaned chunks.

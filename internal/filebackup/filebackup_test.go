@@ -180,8 +180,9 @@ func TestChangePredicatePlumbing(t *testing.T) {
 	}
 }
 
-// TestBackupShedsUnderBackpressure pins the bounded-memory contract: with a
-// fail-fast send-log cap, an oversized backup surfaces ErrBackpressure and
+// TestBackupShedsUnderBackpressure pins the bounded-memory contract: against
+// a send-log cap, an oversized backup that will not wait (its context is
+// already done) surfaces ErrBackpressure through wankv.PutCtx and
 // the aborted backup stays invisible to Restore (the manifest is written
 // last), so shedding never leaves a corrupt file.
 func TestBackupShedsUnderBackpressure(t *testing.T) {
@@ -193,7 +194,7 @@ func TestBackupShedsUnderBackpressure(t *testing.T) {
 		n, err := core.Open(core.Config{
 			Topology: topo.WithSelf(i),
 			Network:  network,
-			Flow:     transport.FlowConfig{MaxBytes: 16 << 10, Mode: transport.FlowFail},
+			Flow:     transport.FlowConfig{MaxBytes: 16 << 10},
 			// Keep the log pinned so the test is deterministic: nothing
 			// ever truncates, the cap must trip.
 			DisableAutoReclaim: true,
@@ -214,9 +215,11 @@ func TestBackupShedsUnderBackpressure(t *testing.T) {
 
 	// 64 KB of chunks against a 16 KB cap: some chunk put must shed.
 	data := make([]byte, 64<<10)
-	_, err := svc.Backup("too-big", data)
-	if !errors.Is(err, transport.ErrBackpressure) {
-		t.Fatalf("oversized backup: err=%v, want ErrBackpressure", err)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := svc.BackupCtx(ctx, "too-big", data)
+	if !errors.Is(err, transport.ErrBackpressure) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("oversized backup: err=%v, want ErrBackpressure wrapping context.Canceled", err)
 	}
 	if _, err := svc.Restore(1, "too-big"); !errors.Is(err, ErrNotBackedUp) {
 		t.Fatalf("aborted backup visible to restore: err=%v, want ErrNotBackedUp", err)

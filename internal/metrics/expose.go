@@ -76,22 +76,18 @@ func (r *Registry) Find(name string) *FamilySnapshot {
 	return nil
 }
 
-// sortedChildren returns the family's children ordered by label values,
-// collected across the family's shards.
+// sortedChildren returns the family's children ordered by label values.
 func (f *Family) sortedChildren() []*child {
 	type kv struct {
 		k  string
 		ch *child
 	}
-	var all []kv
-	for i := range f.shards {
-		sh := &f.shards[i]
-		sh.mu.RLock()
-		for k, ch := range sh.children {
-			all = append(all, kv{k, ch})
-		}
-		sh.mu.RUnlock()
+	f.mu.RLock()
+	all := make([]kv, 0, len(f.children))
+	for k, ch := range f.children {
+		all = append(all, kv{k, ch})
 	}
+	f.mu.RUnlock()
 	sort.Slice(all, func(i, j int) bool { return all[i].k < all[j].k })
 	out := make([]*child, len(all))
 	for i := range all {

@@ -25,15 +25,9 @@
 // one /metrics scrape sees every node. All views over the same root expose
 // the same families; a family's label schema is the group's base labels
 // followed by the caller's labels, and re-registering a name with a
-// different schema panics (it is a programming error).
-//
-// # Sharding
-//
-// The family store and each family's children are lock-striped: names and
-// label tuples hash to independent shards so concurrent child resolution
-// from many in-process nodes does not serialize on one mutex. Resolved
-// children are plain atomics, so striping only matters on the resolution
-// and exposition paths.
+// different schema panics (it is a programming error). The family store and
+// each family's children sit behind one RWMutex each; resolved children are
+// plain atomics, so the locks are met only on resolution and exposition.
 package metrics
 
 import (
@@ -135,18 +129,9 @@ func (ch *child) value() float64 {
 	}
 }
 
-// famShardCount stripes each family's children; must be a power of two.
-const famShardCount = 16
-
-// famShard is one stripe of a family's children.
-type famShard struct {
-	mu       sync.RWMutex
-	children map[string]*child
-}
-
 // Family is a named group of metric instances sharing a type, help string
-// and label schema. Children are lock-striped by label tuple so many
-// in-process nodes resolving children of the same family do not contend.
+// and label schema. Resolving a child is a read-locked map lookup; hot paths
+// resolve once and keep the child, so they never come here.
 type Family struct {
 	name       string
 	help       string
@@ -154,7 +139,8 @@ type Family struct {
 	labelNames []string
 	hopts      HistogramOpts
 
-	shards [famShardCount]famShard
+	mu       sync.RWMutex
+	children map[string]*child // keyed by labelKey
 }
 
 // Name returns the family name.
@@ -167,19 +153,6 @@ func (f *Family) Type() MetricType { return f.typ }
 // text, making the join unambiguous.
 func labelKey(values []string) string { return strings.Join(values, "\xff") }
 
-// fnv32 is the FNV-1a hash used to pick shards.
-func fnv32(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint32(s[i])) * 16777619
-	}
-	return h
-}
-
-func (f *Family) shard(key string) *famShard {
-	return &f.shards[fnv32(key)&(famShardCount-1)]
-}
-
 // get returns the child for values, creating it with mk on first use.
 func (f *Family) get(values []string, mk func() *child) *child {
 	if len(values) != len(f.labelNames) {
@@ -187,24 +160,20 @@ func (f *Family) get(values []string, mk func() *child) *child {
 			f.name, len(f.labelNames), len(values)))
 	}
 	k := labelKey(values)
-	sh := f.shard(k)
-	sh.mu.RLock()
-	ch := sh.children[k]
-	sh.mu.RUnlock()
+	f.mu.RLock()
+	ch := f.children[k]
+	f.mu.RUnlock()
 	if ch != nil {
 		return ch
 	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if ch = sh.children[k]; ch != nil {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if ch = f.children[k]; ch != nil {
 		return ch
 	}
 	ch = mk()
 	ch.labels = append([]string(nil), values...)
-	if sh.children == nil {
-		sh.children = make(map[string]*child)
-	}
-	sh.children[k] = ch
+	f.children[k] = ch
 	return ch
 }
 
@@ -216,11 +185,9 @@ func (f *Family) setFn(values []string, fn func() float64) {
 
 // delete removes the child for values (no-op when absent).
 func (f *Family) delete(values []string) {
-	k := labelKey(values)
-	sh := f.shard(k)
-	sh.mu.Lock()
-	delete(sh.children, k)
-	sh.mu.Unlock()
+	f.mu.Lock()
+	delete(f.children, labelKey(values))
+	f.mu.Unlock()
 }
 
 // withBase prepends a view's base label values to caller values.
@@ -293,19 +260,11 @@ func (v *GaugeFuncVec) Set(fn func() float64, values ...string) {
 // Delete drops the child for the given label values.
 func (v *GaugeFuncVec) Delete(values ...string) { v.f.delete(withBase(v.base, values)) }
 
-// regShardCount stripes the family store; must be a power of two.
-const regShardCount = 16
-
-// regShard is one stripe of the family store.
-type regShard struct {
-	mu   sync.RWMutex
-	fams map[string]*Family
-}
-
 // registryRoot is the store shared by every view derived from one
 // NewRegistry call.
 type registryRoot struct {
-	shards [regShardCount]regShard
+	mu   sync.RWMutex
+	fams map[string]*Family
 }
 
 // Registry is a view over a shared store of metric families. The view
@@ -322,11 +281,7 @@ type Registry struct {
 
 // NewRegistry returns an empty registry (a root view with no base labels).
 func NewRegistry() *Registry {
-	root := &registryRoot{}
-	for i := range root.shards {
-		root.shards[i].fams = make(map[string]*Family)
-	}
-	return &Registry{root: root}
+	return &Registry{root: &registryRoot{fams: make(map[string]*Family)}}
 }
 
 // Group returns a view of r whose families all carry the given constant
@@ -372,23 +327,24 @@ func (r *Registry) family(name, help string, typ MetricType, labels []string, ho
 		}
 	}
 	full := withBase(r.baseNames, labels)
-	sh := &r.root.shards[fnv32(name)&(regShardCount-1)]
-	sh.mu.RLock()
-	f := sh.fams[name]
-	sh.mu.RUnlock()
+	root := r.root
+	root.mu.RLock()
+	f := root.fams[name]
+	root.mu.RUnlock()
 	if f == nil {
-		sh.mu.Lock()
-		if f = sh.fams[name]; f == nil {
+		root.mu.Lock()
+		if f = root.fams[name]; f == nil {
 			f = &Family{
 				name:       name,
 				help:       help,
 				typ:        typ,
 				labelNames: append([]string(nil), full...),
 				hopts:      hopts.normalized(),
+				children:   make(map[string]*child),
 			}
-			sh.fams[name] = f
+			root.fams[name] = f
 		}
-		sh.mu.Unlock()
+		root.mu.Unlock()
 	}
 	if f.typ != typ || len(f.labelNames) != len(full) {
 		panic(fmt.Sprintf("metrics: family %q re-registered with a different schema", name))
@@ -452,15 +408,13 @@ func (r *Registry) HistogramVec(name, help string, opts HistogramOpts, labels ..
 // families returns the registered families sorted by name. Every view over
 // the same root sees the same set.
 func (r *Registry) families() []*Family {
-	var out []*Family
-	for i := range r.root.shards {
-		sh := &r.root.shards[i]
-		sh.mu.RLock()
-		for _, f := range sh.fams {
-			out = append(out, f)
-		}
-		sh.mu.RUnlock()
+	root := r.root
+	root.mu.RLock()
+	out := make([]*Family, 0, len(root.fams))
+	for _, f := range root.fams {
+		out = append(out, f)
 	}
+	root.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out
 }

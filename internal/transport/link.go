@@ -103,13 +103,6 @@ type link struct {
 	// connection of this link; entries at or below it are resends.
 	// Touched only by the run/stream goroutine.
 	maxDataSeq uint64
-	// sendCursor is the next log sequence this link will drain while a
-	// connection is live, 0 while disconnected. It feeds the spill
-	// horizon: the minimum live cursor marks where the send log's cold
-	// prefix ends, so the spiller prefers migrating entries no connected
-	// peer still needs from memory. Advisory only — a stale value costs a
-	// disk read-back, never correctness.
-	sendCursor atomic.Uint64
 	// batch is the reusable drain buffer for TryNextBatch; budgetBytes
 	// caches the adaptive batch budget and budgetAge counts batches until
 	// the next recomputation. Run/stream goroutine only.
@@ -479,8 +472,8 @@ const budgetRefreshEvery = 32
 // batchBudget returns the link's current data-batch byte budget, sized
 // bandwidth-delay-product style from the observed heartbeat RTT: slower
 // links get bigger batches (budget = RTT × assumed bandwidth), clamped to
-// [BatchMinBytes, BatchMaxBytes]. Before any RTT sample exists the budget
-// is the configured minimum, which keeps fresh links latency-friendly.
+// [minBytes, maxBytes]. Before any RTT sample exists the budget
+// is the minimum, which keeps fresh links latency-friendly.
 // The histogram scan is amortized over budgetRefreshEvery batches.
 func (l *link) batchBudget() int {
 	if l.budgetAge > 0 {
@@ -488,14 +481,14 @@ func (l *link) batchBudget() int {
 		return l.budgetBytes
 	}
 	l.budgetAge = budgetRefreshEvery
-	cfg := &l.t.cfg.Batch
+	cfg := &l.t.cfg.batch
 	rttSec := l.ins.hbRTT.Quantile(0.5)
-	b := int(rttSec * cfg.BandwidthBps / 8)
-	if b < cfg.MinBytes {
-		b = cfg.MinBytes
+	b := int(rttSec * batchBandwidthBps / 8)
+	if b < cfg.minBytes {
+		b = cfg.minBytes
 	}
-	if b > cfg.MaxBytes {
-		b = cfg.MaxBytes
+	if b > cfg.maxBytes {
+		b = cfg.maxBytes
 	}
 	l.budgetBytes = b
 	return b
@@ -527,18 +520,16 @@ const directWriteMin = 32 << 10
 // (coalesced ACKs, app messages, heartbeats, piggybacked echoes) rides
 // behind each batch as trailer frames in the same write; when no data is
 // flowing, control falls back to standalone buffered writes. Control is
-// collected once per loop iteration, so it waits at most one MaxFrames
+// collected once per loop iteration, so it waits at most one maxFrames
 // batch behind bulk data — that bound is the control/data fairness rule.
 func (l *link) stream(conn net.Conn, cursor uint64) {
 	defer l.draining.Store(false)
-	l.sendCursor.Store(cursor)
-	defer l.sendCursor.Store(0)
 	tcp, _ := conn.(*net.TCPConn)
-	cfg := &l.t.cfg.Batch
+	maxFrames := l.t.cfg.batch.maxFrames
 	bw := bufio.NewWriterSize(conn, 64<<10)
 	var frame []byte
 	for {
-		l.batch = l.t.cfg.Log.TryNextBatch(cursor, l.batch[:0], cfg.MaxFrames, l.batchBudget())
+		l.batch = l.t.cfg.Log.TryNextBatch(cursor, l.batch[:0], maxFrames, l.batchBudget())
 		ctl, ok := l.takeControl()
 		if !ok {
 			return
@@ -573,7 +564,6 @@ func (l *link) stream(conn net.Conn, cursor uint64) {
 				}
 			}
 			cursor = l.batch[n-1].Seq + 1
-			l.sendCursor.Store(cursor)
 			ackB, appB, hbB := l.encodeControl(&ctl)
 			var err error
 			if tcp != nil && payloadBytes >= writevMinBytes {

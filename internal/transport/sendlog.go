@@ -11,6 +11,7 @@ package transport
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -21,70 +22,34 @@ import (
 // ErrLogClosed is returned by send-log operations after Close.
 var ErrLogClosed = errors.New("transport: send log closed")
 
-// ErrBackpressure is returned by Append in FlowFail mode while the send log
-// is above its high watermark: the slowest unreclaimed peer has put the node
-// into admission control and the caller should shed load, retry later, or
-// fall back to a weaker predicate (see core.Node.Health for blame).
+// ErrBackpressure marks an append the send log refused: the log is at its
+// byte cap — the slowest unreclaimed peer has put the node into admission
+// control — and the caller's context ended before space freed. The returned
+// error also wraps that context's error. The caller should shed load, retry
+// later, or fall back to a weaker predicate (see core.Node.Health for blame).
 var ErrBackpressure = errors.New("transport: send log backpressure")
-
-// FlowMode selects what Append does once the send log hits its high
-// watermark.
-type FlowMode uint8
-
-const (
-	// FlowBlock makes Append wait (context-aware via AppendCtx) until
-	// reclaim truncates the log back below the low watermark.
-	FlowBlock FlowMode = iota
-	// FlowFail makes Append return ErrBackpressure immediately.
-	FlowFail
-	// FlowSpill migrates the cold prefix of the log to on-disk segment
-	// files once the high watermark latches, keeping memory bounded while
-	// the total backlog grows with the disk: a partitioned peer's stream
-	// is preserved in full and read back through the same batched drain
-	// path on reconnect. Appends block (like FlowBlock) only while the
-	// spiller is behind or the disk has failed. Requires
-	// FlowConfig.SpillDir and at least one cap; see NewSendLogFlow.
-	FlowSpill
-)
-
-// String implements fmt.Stringer.
-func (m FlowMode) String() string {
-	switch m {
-	case FlowFail:
-		return "fail"
-	case FlowSpill:
-		return "spill"
-	}
-	return "block"
-}
 
 // FlowConfig bounds the send log so a partitioned or slow peer cannot grow
 // the retransmission buffer without limit. The zero value disables admission
-// control entirely (the pre-flow-control behavior: an unbounded log).
+// control entirely: an unbounded log.
 //
-// Admission control is hysteretic: once either cap is reached the log is
-// "full" and stays full until reclaim brings it back under the low
-// watermarks (LowFrac x cap), so appenders don't thrash at the boundary.
-// Caps are checked before the entry is added, so the buffer can exceed
-// MaxBytes by at most one payload — "cap plus one message", never unbounded.
-// The caps are global across all producer stripes: admission-controlled
-// appends serialize through the log's central mutex so byte and entry
-// accounting stay exact no matter how many stripes are configured.
+// The context decides how long, the directory decides where: at the cap an
+// append waits for reclaim exactly as long as its context allows (AppendCtx),
+// and with SpillDir set the cold prefix migrates to disk instead of holding
+// appenders, so they wait only while the spiller is behind or the disk has
+// failed.
+//
+// Admission control is hysteretic: once the cap is reached the log is "full"
+// and stays full until reclaim brings it back under the low watermark (half
+// the cap), so appenders don't thrash at the boundary. The cap is checked
+// before the entry is added, so the buffer can exceed MaxBytes by at most one
+// payload — "cap plus one message", never unbounded — and it is global across
+// all producer stripes.
 type FlowConfig struct {
-	// MaxBytes is the high watermark on buffered payload bytes (0 = no
-	// byte cap).
+	// MaxBytes is the high watermark on buffered payload bytes (0 = no cap).
 	MaxBytes int64
-	// MaxEntries is the high watermark on buffered entries (0 = no entry
-	// cap).
-	MaxEntries int
-	// LowFrac positions the low watermark as a fraction of each cap
-	// (default 0.5; clamped to (0, 1]).
-	LowFrac float64
-	// Mode picks blocking, fail-fast, or disk-spilling admission (default
-	// FlowBlock).
-	Mode FlowMode
-	// SpillDir is the directory holding the on-disk segment files of the
-	// spill tier. Required in FlowSpill mode; ignored otherwise. Existing
+	// SpillDir, when set, is the directory holding the on-disk segment files
+	// of the spill tier; it needs MaxBytes, the spill watermark. Existing
 	// segments found at open are recovered (crash restart).
 	SpillDir string
 	// SpillSegmentBytes bounds each spill segment file's payload bytes
@@ -93,21 +58,11 @@ type FlowConfig struct {
 	SpillSegmentBytes int64
 }
 
-// Enabled reports whether any cap is configured.
-func (f FlowConfig) Enabled() bool { return f.MaxBytes > 0 || f.MaxEntries > 0 }
+// Enabled reports whether the byte cap is configured.
+func (f FlowConfig) Enabled() bool { return f.MaxBytes > 0 }
 
-func (f FlowConfig) normalized() FlowConfig {
-	if f.LowFrac <= 0 || f.LowFrac > 1 {
-		f.LowFrac = 0.5
-	}
-	return f
-}
-
-// lowBytes returns the byte low watermark (0 when no byte cap).
-func (f FlowConfig) lowBytes() int64 { return int64(float64(f.MaxBytes) * f.LowFrac) }
-
-// lowEntries returns the entry low watermark (0 when no entry cap).
-func (f FlowConfig) lowEntries() int { return int(float64(f.MaxEntries) * f.LowFrac) }
+// lowBytes returns the low watermark the full latch clears at.
+func (f FlowConfig) lowBytes() int64 { return f.MaxBytes / 2 }
 
 // LogEntry is one sequenced data message buffered for (re)transmission.
 type LogEntry struct {
@@ -164,22 +119,26 @@ type logStripe struct {
 type SendLog struct {
 	// next is the next sequence to assign (first is 1); reservations are
 	// atomic so they need no central lock. bytes tracks buffered payload
-	// bytes (staged + merged). rr is the sticky stripe hint: the index of
-	// the stripe producers should try first (see lockStripe).
+	// bytes (reserved, staged and merged). rr is the sticky stripe hint: the
+	// index of the stripe producers should try first (see lockStripe).
 	next  atomic.Uint64
 	bytes atomic.Int64
 	rr    atomic.Uint32
-	// closedA mirrors closed for the lock-free append fast path.
-	closedA atomic.Bool
-	// flowFast is fixed at construction: true when the optimistic
-	// reserve-and-check admission fast path applies (byte cap only — an
-	// entry cap needs the retained base, which is mutex state).
-	flowFast bool
-	// flowOn is fixed at construction: admission-controlled appends take
-	// the central mutex so the caps stay global across stripes.
-	flowOn bool
+	// closed is written under mu (so a blocked appender cannot miss it) and
+	// read lock-free by the staging path.
+	closed atomic.Bool
+	// full is the hysteretic admission latch: set once the cap is hit,
+	// cleared only below the low watermark. Written under mu; appends read
+	// it lock-free to stay off the central mutex far below the cap.
+	full atomic.Bool
 
 	stripes []logStripe
+	flow    FlowConfig // fixed at construction
+	// Everything above is all an append below the cap touches; everything
+	// below changes under mu on every merge and truncation. The pad keeps the
+	// drainers' writes off the producers' cache lines (as logStripe's does
+	// between stripes).
+	_ [64]byte
 
 	mu   sync.Mutex
 	base uint64 // sequence of entries[off]; next when empty
@@ -188,7 +147,6 @@ type SendLog struct {
 	// compact when the dead prefix dominates the slice.
 	off     int
 	entries []LogEntry // canonical merged log, contiguous from base
-	closed  bool
 	// reclaimed is the highest sequence ever passed to TruncateThrough
 	// (clamped to assigned sequences). A truncation can overtake a staged
 	// entry stuck behind a reservation gap in another stripe; the merge
@@ -196,17 +154,9 @@ type SendLog struct {
 	// instead of being re-exposed to readers after its reclaim.
 	reclaimed uint64
 
-	// Flow control (admission) state. full latches once a cap is hit and
-	// clears only below the low watermarks (hysteresis). spaceCh is the
-	// wakeup channel for blocked appenders: created on demand, closed and
-	// dropped when space frees, so each stall round gets a fresh channel.
-	flow FlowConfig
-	full bool
-	// fullA mirrors full for the lock-free admission fast path: byte-capped
-	// appends far below the watermark skip the central mutex entirely and
-	// only fall into the exact (locked) path once the latch is set or a
-	// byte reservation would cross the cap.
-	fullA   atomic.Bool
+	// Flow control (admission) state. spaceCh is the wakeup channel for
+	// blocked appenders: created on demand, closed and dropped when space
+	// frees, so each stall round gets a fresh channel.
 	spaceCh chan struct{}
 	waiting int   // appenders currently blocked
 	blocked int64 // total appends that had to wait
@@ -217,7 +167,7 @@ type SendLog struct {
 	mBlocked *metrics.Counter
 	mShed    *metrics.Counter
 
-	// spill is the disk tier (FlowSpill mode only; nil otherwise).
+	// spill is the disk tier (nil without FlowConfig.SpillDir).
 	spill *spillState
 }
 
@@ -227,27 +177,23 @@ func NewSendLog(firstSeq uint64) *SendLog {
 	return newSendLog(firstSeq, FlowConfig{}, defaultLogStripes())
 }
 
-// NewSendLogFlow is NewSendLog with admission control configured. In
-// FlowSpill mode it creates (or recovers) the on-disk segment tier under
-// flow.SpillDir and starts the spiller, and fails when that cannot be done.
-// Recovered segments re-anchor the log: the next assigned sequence continues
-// after the highest recovered one, and the recovered backlog is served from
-// disk exactly as if it had just been spilled.
+// NewSendLogFlow is NewSendLog with admission control configured. With
+// flow.SpillDir set it creates (or recovers) the on-disk segment tier there
+// and starts the spiller, and fails when that cannot be done. Recovered
+// segments re-anchor the log: the next assigned sequence continues after the
+// highest recovered one, and the recovered backlog is served from disk
+// exactly as if it had just been spilled.
 func NewSendLogFlow(firstSeq uint64, flow FlowConfig) (*SendLog, error) {
 	return newSendLogFlow(firstSeq, flow, defaultLogStripes())
 }
 
 // newSendLogFlow is NewSendLogFlow at an exact stripe count.
 func newSendLogFlow(firstSeq uint64, flow FlowConfig, stripes int) (*SendLog, error) {
-	flow = flow.normalized()
-	if flow.Mode != FlowSpill {
+	if flow.SpillDir == "" {
 		return newSendLog(firstSeq, flow, stripes), nil
 	}
-	if flow.SpillDir == "" {
-		return nil, errors.New("transport: FlowSpill requires FlowConfig.SpillDir")
-	}
 	if !flow.Enabled() {
-		return nil, errors.New("transport: FlowSpill requires a byte or entry cap (the spill watermark)")
+		return nil, errors.New("transport: FlowConfig.SpillDir requires MaxBytes (the spill watermark)")
 	}
 	sp, err := newSpillState(flow)
 	if err != nil {
@@ -273,8 +219,8 @@ func newSendLogFlow(firstSeq uint64, flow FlowConfig, stripes int) (*SendLog, er
 
 // newSendLog builds the in-memory log. stripes < 1 means 1 and values above
 // maxLogStripes are clamped; striping only changes append-side contention —
-// the external contract (gapless sequences, contiguous batches, global flow
-// caps) is identical at every stripe count. flow must be normalized.
+// the external contract (gapless sequences, contiguous batches, a global flow
+// cap) is identical at every stripe count.
 func newSendLog(firstSeq uint64, flow FlowConfig, stripes int) *SendLog {
 	if firstSeq == 0 {
 		firstSeq = 1
@@ -290,8 +236,6 @@ func newSendLog(firstSeq uint64, flow FlowConfig, stripes int) *SendLog {
 		flow:    flow,
 		stripes: make([]logStripe, stripes),
 	}
-	l.flowOn = l.flow.Enabled()
-	l.flowFast = flow.MaxEntries <= 0 && flow.MaxBytes > 0
 	l.next.Store(firstSeq)
 	l.reclaimed = firstSeq - 1
 	return l
@@ -299,21 +243,40 @@ func newSendLog(firstSeq uint64, flow FlowConfig, stripes int) *SendLog {
 
 // Append assigns the next sequence number to payload and buffers it.
 // The payload is retained by reference; callers must not mutate it.
-// Under a configured FlowConfig in FlowBlock mode a full log makes Append
-// wait (without deadline — use AppendCtx for cancellation) until reclaim
-// frees space; in FlowFail mode it returns ErrBackpressure instead.
+// A log at its cap makes Append wait, without deadline, until reclaim frees
+// space or the log closes — use AppendCtx to bound the wait.
 func (l *SendLog) Append(payload []byte, sentUnixNano int64) (uint64, error) {
 	return l.AppendCtx(nil, payload, sentUnixNano)
 }
 
-// AppendCtx is Append with cancellation: a blocked append returns ctx.Err()
-// promptly when ctx is done. A nil ctx blocks until space frees or the log
-// closes.
+// AppendCtx is Append with the caller's patience attached: at the cap it
+// waits for space exactly as long as ctx allows — forever when ctx is nil,
+// not at all when ctx is already done — and then returns an error wrapping
+// both ErrBackpressure and ctx.Err(). ctx is consulted only when admission
+// would block: below the cap an append succeeds whatever its context.
+//
+// Below the cap the whole operation is an atomic byte reservation plus one
+// short per-stripe critical section; only a reservation the cap refuses
+// takes the central mutex (admit).
 func (l *SendLog) AppendCtx(ctx context.Context, payload []byte, sentUnixNano int64) (uint64, error) {
-	if !l.flowOn {
-		return l.appendFast(payload, sentUnixNano)
+	pl := int64(len(payload))
+	if !l.reserve(pl) {
+		if err := l.admit(ctx, pl); err != nil {
+			return 0, err
+		}
 	}
-	return l.appendFlow(ctx, payload, sentUnixNano)
+	// The sequence is reserved inside the stripe lock, which is what keeps
+	// each stripe internally sorted for the merge.
+	s := l.lockStripe()
+	if l.closed.Load() {
+		s.mu.Unlock()
+		l.bytes.Add(-pl)
+		return 0, ErrLogClosed
+	}
+	seq := l.next.Add(1) - 1
+	s.entries = append(s.entries, LogEntry{Seq: seq, SentUnixNano: sentUnixNano, Payload: payload})
+	s.mu.Unlock()
+	return seq, nil
 }
 
 // lockStripe picks and locks a staging stripe. Producers are sticky: each
@@ -345,67 +308,47 @@ func (l *SendLog) lockStripe() *logStripe {
 	return s
 }
 
-// appendFast is the unbounded-log append: no admission control, so the
-// whole operation is one short per-stripe critical section plus two atomic
-// adds. The sequence is reserved inside the stripe lock, which is what
-// keeps each stripe internally sorted for the merge.
-func (l *SendLog) appendFast(payload []byte, sentUnixNano int64) (uint64, error) {
-	s := l.lockStripe()
-	if l.closedA.Load() {
-		s.mu.Unlock()
-		return 0, ErrLogClosed
+// reserve is admission far below the cap: it accounts pl payload bytes
+// without the central mutex and reports whether it did. A bounded log
+// reserves by compare-and-swap and never publishes a sum at or above the cap
+// — that append, and every one while the full latch is set, goes through
+// admit — so no reader of Bytes ever sees more than the cap plus the one
+// payload admit lets through.
+func (l *SendLog) reserve(pl int64) bool {
+	max := l.flow.MaxBytes
+	if max <= 0 {
+		l.bytes.Add(pl)
+		return true
 	}
-	seq := l.next.Add(1) - 1
-	s.entries = append(s.entries, LogEntry{Seq: seq, SentUnixNano: sentUnixNano, Payload: payload})
-	s.mu.Unlock()
-	l.bytes.Add(int64(len(payload)))
-	return seq, nil
+	for !l.full.Load() {
+		b := l.bytes.Load()
+		if b+pl >= max {
+			return false
+		}
+		if l.bytes.CompareAndSwap(b, b+pl) {
+			return true
+		}
+	}
+	return false
 }
 
-// appendFlow is the admission-controlled append: capacity checks, sequence
-// reservation and byte accounting all happen under the central mutex so the
-// caps stay global and exact across stripes — except far below a byte cap,
-// where an optimistic reserve-and-check keeps the hot path striped and
-// lock-free like appendFast (a flow-configured-but-idle log must not tax
-// the stream).
-func (l *SendLog) appendFlow(ctx context.Context, payload []byte, sentUnixNano int64) (uint64, error) {
-	// Fast path: reserve the bytes atomically; if the reservation stays
-	// under the cap and the full latch is clear, admission could not have
-	// blocked this append, so the central mutex adds nothing but
-	// contention with the drainer. A reservation that crosses the cap is
-	// rolled back and retried on the exact path (which latches full, kicks
-	// the spiller, and blocks as configured). MaxEntries needs the retained
-	// base — mutex state — so entry-capped logs always take the exact path.
-	if pl := int64(len(payload)); l.flowFast && !l.fullA.Load() {
-		nb := l.bytes.Add(pl)
-		if nb < l.flow.MaxBytes {
-			s := l.lockStripe()
-			if l.closedA.Load() {
-				s.mu.Unlock()
-				l.bytes.Add(-pl)
-				return 0, ErrLogClosed
-			}
-			seq := l.next.Add(1) - 1
-			s.entries = append(s.entries, LogEntry{Seq: seq, SentUnixNano: sentUnixNano, Payload: payload})
-			s.mu.Unlock()
-			return seq, nil
-		}
-		l.bytes.Add(-pl)
-	}
+// admit is admission at the cap: under the central mutex, so the check is
+// exact across stripes, it latches full, kicks the spiller, and holds the
+// caller until reclaim (or the spiller) clears the latch, ctx ends, or the
+// log closes; then it accounts pl payload bytes.
+func (l *SendLog) admit(ctx context.Context, pl int64) error {
 	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return 0, ErrLogClosed
+	defer l.mu.Unlock()
+	if l.closed.Load() {
+		return ErrLogClosed
 	}
 	if l.overLocked() {
-		if l.flow.Mode == FlowFail {
-			l.shed++
-			c := l.mShed
-			l.mu.Unlock()
-			if c != nil {
-				c.Inc()
+		var done <-chan struct{}
+		if ctx != nil {
+			if ctx.Err() != nil {
+				return l.shedLocked(ctx)
 			}
-			return 0, ErrBackpressure
+			done = ctx.Done()
 		}
 		l.blocked++
 		if c := l.mBlocked; c != nil {
@@ -414,7 +357,7 @@ func (l *SendLog) appendFlow(ctx context.Context, payload []byte, sentUnixNano i
 		if l.spill != nil {
 			l.kickSpill()
 		}
-		for l.overLocked() {
+		for {
 			ch := l.spaceCh
 			if ch == nil {
 				ch = make(chan struct{})
@@ -422,70 +365,60 @@ func (l *SendLog) appendFlow(ctx context.Context, payload []byte, sentUnixNano i
 			}
 			l.waiting++
 			l.mu.Unlock()
-			var err error
-			if ctx == nil {
-				<-ch
-			} else {
-				select {
-				case <-ch:
-				case <-ctx.Done():
-					err = ctx.Err()
-				}
+			select {
+			case <-ch:
+			case <-done:
 			}
 			l.mu.Lock()
 			l.waiting--
-			if err != nil {
-				l.mu.Unlock()
-				return 0, err
+			if l.closed.Load() {
+				return ErrLogClosed
 			}
-			if l.closed {
-				l.mu.Unlock()
-				return 0, ErrLogClosed
+			if !l.overLocked() {
+				break
+			}
+			if ctx != nil && ctx.Err() != nil {
+				return l.shedLocked(ctx)
 			}
 		}
 	}
-	s := l.lockStripe()
-	seq := l.next.Add(1) - 1
-	s.entries = append(s.entries, LogEntry{Seq: seq, SentUnixNano: sentUnixNano, Payload: payload})
-	s.mu.Unlock()
-	l.bytes.Add(int64(len(payload)))
+	l.bytes.Add(pl)
 	if l.spill != nil && l.overLocked() {
 		// The high watermark latched: wake the spiller so the cold prefix
 		// starts migrating to disk before appenders have to block.
 		l.kickSpill()
 	}
-	l.mu.Unlock()
-	return seq, nil
+	return nil
+}
+
+// shedLocked counts an append refused because ctx ended at the cap and
+// builds its error.
+func (l *SendLog) shedLocked(ctx context.Context) error {
+	l.shed++
+	if c := l.mShed; c != nil {
+		c.Inc()
+	}
+	return fmt.Errorf("%w: %w", ErrBackpressure, ctx.Err())
 }
 
 // overLocked reports whether admission control currently gates appends,
-// updating the hysteretic full latch from the live byte/entry counts.
+// updating the hysteretic full latch from the live byte count.
 func (l *SendLog) overLocked() bool {
-	fc := &l.flow
-	if fc.MaxBytes <= 0 && fc.MaxEntries <= 0 {
-		return false
-	}
-	live := int(l.next.Load() - l.base)
-	bytes := l.bytes.Load()
-	if (fc.MaxBytes > 0 && bytes >= fc.MaxBytes) ||
-		(fc.MaxEntries > 0 && live >= fc.MaxEntries) {
-		l.full = true
-		l.fullA.Store(true)
-	} else if l.full {
-		if (fc.MaxBytes <= 0 || bytes <= fc.lowBytes()) &&
-			(fc.MaxEntries <= 0 || live <= fc.lowEntries()) {
-			l.full = false
-			l.fullA.Store(false)
+	if max := l.flow.MaxBytes; max > 0 {
+		if b := l.bytes.Load(); b >= max {
+			l.full.Store(true)
+		} else if b <= l.flow.lowBytes() && l.full.Load() {
+			l.full.Store(false)
 		}
 	}
-	return l.full
+	return l.full.Load()
 }
 
 // releaseSpaceLocked refreshes the hysteretic latch from the live counts
 // and wakes blocked appenders once it clears. It runs on every reclaim —
-// not just when appenders are waiting — so Full() tracks truncation in
-// fail-fast mode too, where nothing blocks and the next admission check
-// may be arbitrarily far away.
+// not just when appenders are waiting — so Full() tracks truncation for
+// callers that never wait, where the next admission check may be
+// arbitrarily far away.
 func (l *SendLog) releaseSpaceLocked() {
 	if !l.overLocked() && l.spaceCh != nil {
 		close(l.spaceCh)
@@ -550,94 +483,59 @@ func (l *SendLog) visibleNextLocked() uint64 {
 	return l.base + uint64(len(l.entries)-l.off)
 }
 
-// TryNextBatch drains a contiguous run of ready entries starting at seq
-// under a single lock acquisition, appending them to dst and returning the
-// extended slice. The run is capped at maxFrames entries and stops before
-// the entry that would push the accumulated payload bytes past maxBytes —
-// but always includes at least one entry when any is ready, so a single
-// payload larger than the whole byte budget is still sent rather than
-// wedging the link (the oversize first-frame rule; flow control has already
-// accounted such a payload at admission, so draining it promptly is also
-// what unblocks waiting appenders). A seq below the retained base snaps to
-// the base: the first entry's Seq tells the caller where it landed. Entries
-// share payload slices with the log; callers must not mutate them.
+// TryNextBatch drains a contiguous run of ready entries starting at seq,
+// appending them to dst and returning the extended slice. The run is capped
+// at maxFrames entries and stops before the entry that would push the
+// accumulated payload bytes past maxBytes — but always includes at least one
+// entry when any is ready, so a single payload larger than the whole byte
+// budget is still sent rather than wedging the link (the oversize first-frame
+// rule; flow control has already accounted such a payload at admission, so
+// draining it promptly is also what unblocks waiting appenders). A seq below
+// the in-memory base reads the disk tier when there is one — crossing into
+// the live memory tail within the same batch, gapless, under the same budget
+// — and snaps to the base when there is not: the first entry's Seq tells the
+// caller where it landed. Entries share payload slices with the log; callers
+// must not mutate them.
 func (l *SendLog) TryNextBatch(seq uint64, dst []LogEntry, maxFrames, maxBytes int) []LogEntry {
 	if maxFrames < 1 {
 		maxFrames = 1
 	}
-	if l.spill != nil {
-		return l.tryNextBatchTiered(seq, dst, maxFrames, maxBytes)
-	}
+	start, budget := len(dst), maxBytes
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	l.mergeLocked()
-	if seq < l.base {
-		seq = l.base
+	for seq < l.base {
+		if l.spill == nil {
+			seq = l.base
+			break
+		}
+		// Disk reads run outside l.mu so they cannot stall appends; the base
+		// may have moved by the time the lock is back, hence the loop.
+		memBase := l.base
+		l.mu.Unlock()
+		dst, seq = l.spill.readBatch(seq, memBase, dst, start, maxFrames, &budget)
+		if seq < memBase {
+			return dst // stopped inside the disk tier: batch full, or wedged (stall, don't gap)
+		}
+		l.mu.Lock()
+		l.mergeLocked()
 	}
-	budget := maxBytes
 	vnext := l.visibleNextLocked()
-	for n := 0; n < maxFrames && seq < vnext; n++ {
+	for len(dst)-start < maxFrames && seq < vnext {
 		e := l.entries[l.off+int(seq-l.base)]
-		if n > 0 && len(e.Payload) > budget {
+		if len(dst) > start && len(e.Payload) > budget {
 			break
 		}
 		dst = append(dst, e)
 		budget -= len(e.Payload)
 		seq++
 	}
+	l.mu.Unlock()
 	return dst
 }
 
-// tryNextBatchTiered is the FlowSpill drain: it serves the disk tier first
-// (sequences below the in-memory base) and crosses seamlessly into the live
-// memory tail within the same batch, preserving the gapless FIFO order the
-// link protocol depends on. The same frame/byte budget and oversize
-// first-frame rule apply across the boundary.
-func (l *SendLog) tryNextBatchTiered(seq uint64, dst []LogEntry, maxFrames, maxBytes int) []LogEntry {
-	sp := l.spill
-	budget := maxBytes
-	start := len(dst)
-	for {
-		l.mu.Lock()
-		l.mergeLocked()
-		if seq < l.base {
-			memBase := l.base
-			l.mu.Unlock()
-			prevSeq, prevLen := seq, len(dst)
-			var ok bool
-			dst, seq, ok = sp.readBatch(seq, memBase, dst, start, maxFrames, &budget)
-			if !ok || len(dst)-start >= maxFrames {
-				return dst // wedged disk (stall, don't gap) or batch full
-			}
-			if budget <= 0 && len(dst) > start {
-				return dst
-			}
-			if seq == prevSeq && len(dst) == prevLen {
-				return dst // no progress (budget-stopped mid-tier)
-			}
-			continue // advanced below memBase exhausted: re-check tiers
-		}
-		vnext := l.visibleNextLocked()
-		for len(dst)-start < maxFrames && seq < vnext {
-			e := l.entries[l.off+int(seq-l.base)]
-			if len(dst) > start && len(e.Payload) > budget {
-				break
-			}
-			dst = append(dst, e)
-			budget -= len(e.Payload)
-			seq++
-		}
-		l.mu.Unlock()
-		return dst
-	}
-}
-
-// TruncateThrough reclaims every entry with sequence ≤ seq. Reclaim is
-// amortized: dropped entries are zeroed in place (releasing their payloads
-// to the collector) and the slice is only compacted once the dead prefix
-// outgrows the live tail, so each entry is moved O(1) times over its life
-// instead of once per call. Staged stripe entries are merged first, so a
-// reclaim that has raced ahead of the drainer still accounts every byte.
+// TruncateThrough reclaims every entry with sequence ≤ seq. Staged stripe
+// entries are merged first, so a reclaim that has raced ahead of the drainer
+// still accounts every byte.
 func (l *SendLog) TruncateThrough(seq uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -660,25 +558,34 @@ func (l *SendLog) TruncateThrough(seq uint64) {
 	if live := len(l.entries) - l.off; drop > live {
 		drop = live
 	}
-	dead := l.entries[l.off : l.off+drop]
+	l.dropHeadLocked(drop)
+}
+
+// dropHeadLocked releases the first n merged entries — reclaimed, or durable
+// on disk — and advances base past them. It is amortized: dropped entries are
+// zeroed in place (releasing their payloads to the collector) and the slice
+// is only compacted once the dead prefix outgrows the live tail, so each
+// entry is moved O(1) times over its life instead of once per call.
+func (l *SendLog) dropHeadLocked(n int) {
+	dead := l.entries[l.off : l.off+n]
 	var freed int64
 	for i := range dead {
 		freed += int64(len(dead[i].Payload))
 	}
 	l.bytes.Add(-freed)
 	clear(dead) // release payload references
-	l.off += drop
-	l.base += uint64(drop)
+	l.off += n
+	l.base += uint64(n)
 	if l.off >= len(l.entries)-l.off && l.off >= compactThreshold {
-		n := copy(l.entries, l.entries[l.off:])
-		clear(l.entries[n:])
-		l.entries = l.entries[:n]
+		live := copy(l.entries, l.entries[l.off:])
+		clear(l.entries[live:])
+		l.entries = l.entries[:live]
 		l.off = 0
 	}
 	l.releaseSpaceLocked()
 }
 
-// compactThreshold is the minimum dead-prefix length before TruncateThrough
+// compactThreshold is the minimum dead-prefix length before dropHeadLocked
 // compacts the slice, so tiny logs don't shuffle on every reclaim.
 const compactThreshold = 32
 
@@ -717,8 +624,8 @@ func (l *SendLog) Bytes() int64 {
 }
 
 // MemoryBytes returns the payload bytes held in memory (staged and merged).
-// This is the quantity the FlowConfig caps bound; in FlowSpill mode the
-// on-disk remainder is excluded.
+// This is the quantity FlowConfig.MaxBytes bounds; a spill tier's on-disk
+// remainder is excluded.
 func (l *SendLog) MemoryBytes() int64 {
 	return l.bytes.Load()
 }
@@ -762,7 +669,7 @@ func (l *SendLog) SpillReadbackBytes() int64 {
 }
 
 // SpillDegraded reports whether the spill tier is currently unable to write
-// (disk fault): the log keeps running with FlowBlock semantics — bounded
+// (disk fault): the log keeps running as if it had no directory — bounded
 // memory, blocking appends, zero data loss — until the disk recovers.
 func (l *SendLog) SpillDegraded() bool {
 	if sp := l.spill; sp != nil {
@@ -773,9 +680,8 @@ func (l *SendLog) SpillDegraded() bool {
 
 // SetSpillWriteFault makes every subsequent spill segment write fail with
 // cause — the fault-injection hook for disk-full and similar persistent
-// failures. The spiller degrades to FlowBlock semantics while the fault is
-// set; nil clears it and spilling resumes on the next append over the
-// watermark.
+// failures. Appends at the cap block while the fault is set; nil clears it
+// and spilling resumes on the next append over the watermark.
 func (l *SendLog) SetSpillWriteFault(cause error) {
 	if sp := l.spill; sp != nil {
 		sp.setFault(cause)
@@ -787,20 +693,6 @@ func (l *SendLog) SetSpillWriteFault(cause error) {
 	}
 }
 
-// SetSpillHorizon installs the cold-prefix bias: fn returns the lowest
-// sequence a live reader still needs from memory (typically the minimum
-// send cursor across connected links). The spiller prefers not to migrate
-// entries at or above it, so peers that are merely slow keep streaming from
-// memory — but when the watermark demands it, bounded memory wins and the
-// bias is ignored. nil (the default) treats the whole merged prefix as
-// cold. Correctness never depends on the horizon: spilled entries remain
-// readable through the same drain calls.
-func (l *SendLog) SetSpillHorizon(fn func() uint64) {
-	if sp := l.spill; sp != nil {
-		sp.horizon.Store(&fn)
-	}
-}
-
 // Flow returns the admission-control configuration (zero when unbounded).
 func (l *SendLog) Flow() FlowConfig {
 	l.mu.Lock()
@@ -809,12 +701,7 @@ func (l *SendLog) Flow() FlowConfig {
 }
 
 // Full reports whether the admission latch is currently engaged.
-func (l *SendLog) Full() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	// Read-only view: don't recompute the latch here, just report it.
-	return l.full
-}
+func (l *SendLog) Full() bool { return l.full.Load() }
 
 // Waiting returns the number of appenders currently blocked on space.
 func (l *SendLog) Waiting() int {
@@ -850,8 +737,7 @@ func (l *SendLog) setBackpressureCounters(blocked, shed *metrics.Counter) {
 // spiller (on-disk segments are left in place for recovery).
 func (l *SendLog) Close() {
 	l.mu.Lock()
-	l.closed = true
-	l.closedA.Store(true)
+	l.closed.Store(true)
 	if l.spaceCh != nil {
 		close(l.spaceCh)
 		l.spaceCh = nil

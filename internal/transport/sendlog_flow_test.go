@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"stabilizer/internal/metrics"
 )
 
 // fillToCap appends payload-sized entries until the log's bytes reach its
@@ -28,59 +30,119 @@ func fillToCap(t *testing.T, l *SendLog, payload int) int {
 	return n
 }
 
-func TestFlowFailFastShedsAtCap(t *testing.T) {
-	l := flowLog(t, FlowConfig{MaxBytes: 4 << 10, Mode: FlowFail})
-	defer l.Close()
-	fillToCap(t, l, 256)
-	if _, err := l.Append(make([]byte, 256), 0); !errors.Is(err, ErrBackpressure) {
-		t.Fatalf("append at cap: err=%v, want ErrBackpressure", err)
+// TestAppendCtxAdmission is the one admission path, case by case: what an
+// append does is decided by where the log stands against its cap and by the
+// context the call carries — nothing else. Below the cap every context
+// succeeds untouched. At the cap the context is how long the caller waits:
+// nil until space frees, a deadline until it passes, a cancellation until it
+// lands, an already-done context not at all; a context that ends yields an
+// error that is both ErrBackpressure and the context's own, counted as shed
+// (and as blocked too when the append had parked first).
+func TestAppendCtxAdmission(t *testing.T) {
+	bg := context.Background()
+	doneCtx, cancelDone := context.WithCancel(bg)
+	cancelDone()
+	cases := []struct {
+		name string
+		ctx  func() (context.Context, context.CancelFunc)
+		// release ends the wait at the cap from outside: "truncate" frees
+		// space, "cancel" cancels ctx; "" leaves the context to end it.
+		release       string
+		cause         error // nil: the append goes through once space frees
+		blocked, shed int64
+	}{
+		{"nil ctx", func() (context.Context, context.CancelFunc) { return nil, func() {} },
+			"truncate", nil, 1, 0},
+		{"deadline", func() (context.Context, context.CancelFunc) { return context.WithTimeout(bg, 30*time.Millisecond) },
+			"", context.DeadlineExceeded, 1, 1},
+		{"cancelled mid-wait", func() (context.Context, context.CancelFunc) { return context.WithCancel(bg) },
+			"cancel", context.Canceled, 1, 1},
+		{"done on entry", func() (context.Context, context.CancelFunc) { return doneCtx, func() {} },
+			"", context.Canceled, 0, 1},
 	}
-	if got := l.ShedAppends(); got != 1 {
-		t.Fatalf("shed appends = %d, want 1", got)
-	}
-	if got := l.BlockedAppends(); got != 0 {
-		t.Fatalf("blocked appends = %d, want 0 in fail-fast mode", got)
+	for _, tc := range cases {
+		for _, atCap := range []bool{false, true} {
+			name := tc.name + "/below cap"
+			if atCap {
+				name = tc.name + "/at cap"
+			}
+			t.Run(name, func(t *testing.T) {
+				l := flowLog(t, FlowConfig{MaxBytes: 4 << 10})
+				defer l.Close()
+				bp := metrics.NewRegistry().CounterVec("bp", "", "outcome")
+				mBlocked, mShed := bp.With("blocked"), bp.With("shed")
+				l.setBackpressureCounters(mBlocked, mShed)
+				ctx, cancel := tc.ctx()
+				defer cancel()
+
+				wantCause, wantBlocked, wantShed := tc.cause, tc.blocked, tc.shed
+				filled := 0
+				if atCap {
+					filled = fillToCap(t, l, 256)
+				} else {
+					wantCause, wantBlocked, wantShed = nil, 0, 0
+				}
+
+				done := make(chan error, 1)
+				go func() {
+					_, err := l.AppendCtx(ctx, make([]byte, 256), 0)
+					done <- err
+				}()
+				if atCap && tc.release != "" {
+					waitUntil(t, 5*time.Second, func() bool { return l.Waiting() == 1 })
+					if !l.Full() {
+						t.Fatal("an append is parked but the latch is clear")
+					}
+					if tc.release == "cancel" {
+						cancel()
+					} else {
+						l.TruncateThrough(uint64(filled)) // to the low watermark and below
+					}
+				}
+				var err error
+				select {
+				case err = <-done:
+				case <-time.After(5 * time.Second):
+					t.Fatal("append never returned")
+				}
+
+				if wantCause == nil {
+					if err != nil {
+						t.Fatalf("append: %v, want success", err)
+					}
+				} else if !errors.Is(err, ErrBackpressure) || !errors.Is(err, wantCause) || !errors.Is(err, ctx.Err()) {
+					t.Fatalf("append: err=%v, want one that is ErrBackpressure and %v", err, wantCause)
+				}
+				// blocked counts exactly the appends that parked (waiting++
+				// sits beside it), so an unmoved counter is an append that
+				// never showed up in Waiting().
+				if got := l.BlockedAppends(); got != wantBlocked || mBlocked.Value() != wantBlocked {
+					t.Fatalf("blocked = %d (metric %d), want %d", got, mBlocked.Value(), wantBlocked)
+				}
+				if got := l.ShedAppends(); got != wantShed || mShed.Value() != wantShed {
+					t.Fatalf("shed = %d (metric %d), want %d", got, mShed.Value(), wantShed)
+				}
+				if got := l.Waiting(); got != 0 {
+					t.Fatalf("waiting = %d after the append returned, want 0", got)
+				}
+			})
+		}
 	}
 }
 
-func TestFlowBlockResumesOnTruncate(t *testing.T) {
-	l := flowLog(t, FlowConfig{MaxBytes: 4 << 10, Mode: FlowBlock})
-	defer l.Close()
-	n := fillToCap(t, l, 256)
-
-	done := make(chan error, 1)
-	go func() {
-		_, err := l.AppendCtx(context.Background(), make([]byte, 256), 0)
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		t.Fatalf("append completed through a full log: err=%v", err)
-	case <-time.After(50 * time.Millisecond):
-	}
-	if l.Waiting() != 1 {
-		t.Fatalf("waiting = %d, want 1", l.Waiting())
-	}
-
-	// Truncating below the low watermark must wake the blocked append.
-	l.TruncateThrough(uint64(n))
-	if err := <-done; err != nil {
-		t.Fatalf("append after truncate: %v", err)
-	}
-	if got := l.BlockedAppends(); got != 1 {
-		t.Fatalf("blocked appends = %d, want 1", got)
-	}
-}
-
-// TestFlowHysteresis pins the watermark latch: once full, small truncations
-// above the low watermark must NOT re-admit appends (that would flap at the
-// cap boundary); only dropping to the low watermark clears the latch.
+// TestFlowHysteresis pins the watermark latch, driven by appends that never
+// wait (their context is done on entry) so nothing but truncation itself
+// keeps Full() current: once full, small truncations above the low watermark
+// must NOT re-admit appends (that would flap at the cap boundary); only
+// dropping to the low watermark — half the cap — clears the latch.
 func TestFlowHysteresis(t *testing.T) {
-	l := flowLog(t, FlowConfig{MaxBytes: 4 << 10, LowFrac: 0.5, Mode: FlowFail})
+	l := flowLog(t, FlowConfig{MaxBytes: 4 << 10})
 	defer l.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
 	fillToCap(t, l, 256)
 	// First refused append engages the latch.
-	if _, err := l.Append(make([]byte, 256), 0); !errors.Is(err, ErrBackpressure) {
+	if _, err := l.AppendCtx(ctx, make([]byte, 256), 0); !errors.Is(err, ErrBackpressure) {
 		t.Fatalf("append at cap: err=%v, want ErrBackpressure", err)
 	}
 
@@ -89,54 +151,50 @@ func TestFlowHysteresis(t *testing.T) {
 	if !l.Full() {
 		t.Fatal("latch cleared above the low watermark")
 	}
-	if _, err := l.Append(make([]byte, 256), 0); !errors.Is(err, ErrBackpressure) {
+	if _, err := l.AppendCtx(ctx, make([]byte, 256), 0); !errors.Is(err, ErrBackpressure) {
 		t.Fatalf("append above low watermark: err=%v, want ErrBackpressure", err)
 	}
 
-	// Drop to the low watermark: the latch must clear.
+	// Drop to the low watermark: the latch must clear, with no appender
+	// waiting for it.
 	for seq := uint64(2); l.Full() && seq <= uint64(l.Len())+8; seq++ {
 		l.TruncateThrough(seq)
 	}
 	if l.Full() {
 		t.Fatal("latch never cleared at the low watermark")
 	}
-	if _, err := l.Append(make([]byte, 256), 0); err != nil {
+	if got := l.Bytes(); got != 2<<10 {
+		t.Fatalf("latch cleared at %d bytes, want the 2 KiB low watermark", got)
+	}
+	if _, err := l.AppendCtx(ctx, make([]byte, 256), 0); err != nil {
 		t.Fatalf("append after latch cleared: %v", err)
+	}
+	if got := l.BlockedAppends(); got != 0 {
+		t.Fatalf("blocked appends = %d, want 0: no append here may wait", got)
 	}
 }
 
-func TestFlowBlockHonorsContextCancel(t *testing.T) {
-	l := flowLog(t, FlowConfig{MaxBytes: 4 << 10, Mode: FlowBlock})
-	defer l.Close()
-	fillToCap(t, l, 256)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, err := l.AppendCtx(ctx, make([]byte, 256), 0)
-		done <- err
-	}()
-	time.Sleep(20 * time.Millisecond)
-	start := time.Now()
-	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("canceled append: err=%v, want context.Canceled", err)
+// TestFlowDiskTierFollowsSpillDir: the directory decides where the backlog
+// lives — a disk tier exists exactly when SpillDir is set. (A directory
+// without a byte cap is refused: TestSpillConfigValidation.)
+func TestFlowDiskTierFollowsSpillDir(t *testing.T) {
+	for _, flow := range []FlowConfig{{}, {MaxBytes: 1 << 10}, {MaxBytes: 1 << 10, SpillSegmentBytes: 512}} {
+		l := flowLog(t, flow)
+		if l.spill != nil {
+			t.Fatalf("%+v built a disk tier without a directory", flow)
 		}
-	case <-time.After(time.Second):
-		t.Fatal("blocked append ignored context cancellation")
+		l.Close()
 	}
-	if el := time.Since(start); el > 200*time.Millisecond {
-		t.Fatalf("canceled append returned after %v, want prompt", el)
+	dir := t.TempDir()
+	l := flowLog(t, FlowConfig{MaxBytes: 1 << 10, SpillDir: dir})
+	if l.spill == nil || l.spill.dir != dir {
+		t.Fatal("SpillDir did not build a disk tier there")
 	}
-	if l.Waiting() != 0 {
-		t.Fatalf("waiting = %d after cancel, want 0", l.Waiting())
-	}
+	l.Close()
 }
 
 func TestFlowCloseUnblocksWaiters(t *testing.T) {
-	l := flowLog(t, FlowConfig{MaxBytes: 1 << 10, Mode: FlowBlock})
+	l := flowLog(t, FlowConfig{MaxBytes: 1 << 10})
 	fillToCap(t, l, 256)
 
 	var wg sync.WaitGroup
@@ -167,7 +225,7 @@ func TestFlowCloseUnblocksWaiters(t *testing.T) {
 // appender is provably parked (no sleep-and-hope) and closes from a
 // concurrent goroutine, so the wakeup path itself is what's under test.
 func TestFlowCloseDuringBlockedAppendCtx(t *testing.T) {
-	l := flowLog(t, FlowConfig{MaxBytes: 1 << 10, Mode: FlowBlock})
+	l := flowLog(t, FlowConfig{MaxBytes: 1 << 10})
 	fillToCap(t, l, 256)
 
 	const waiters = 8
@@ -214,17 +272,4 @@ func TestFlowCloseDuringBlockedAppendCtx(t *testing.T) {
 		t.Fatalf("append after Close = %v, want ErrLogClosed", err)
 	}
 	l.Close() // idempotent
-}
-
-func TestFlowEntryCap(t *testing.T) {
-	l := flowLog(t, FlowConfig{MaxEntries: 4, Mode: FlowFail})
-	defer l.Close()
-	for i := 0; i < 4; i++ {
-		if _, err := l.Append([]byte("x"), 0); err != nil {
-			t.Fatalf("append %d: %v", i, err)
-		}
-	}
-	if _, err := l.Append([]byte("x"), 0); !errors.Is(err, ErrBackpressure) {
-		t.Fatalf("append past entry cap: err=%v, want ErrBackpressure", err)
-	}
 }

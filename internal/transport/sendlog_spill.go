@@ -48,10 +48,10 @@ type spillSegment struct {
 	bytes int64 // payload bytes written (dead prefixes included until delete)
 }
 
-// spillState is the disk tier of a FlowSpill SendLog. Lock order: l.mu may
-// be held when taking sp.mu, never the reverse — disk reads run under sp.mu
-// alone so they cannot stall appends, and the truncate/registration paths
-// that need both take l.mu first.
+// spillState is the disk tier of a SendLog with a SpillDir. Lock order: l.mu
+// may be held when taking sp.mu, never the reverse — disk reads run under
+// sp.mu alone so they cannot stall appends, and the truncate/registration
+// paths that need both take l.mu first.
 type spillState struct {
 	dir      string
 	segBytes int64
@@ -79,8 +79,6 @@ type spillState struct {
 
 	faultMu sync.Mutex
 	fault   error
-
-	horizon atomic.Pointer[func() uint64]
 
 	kick      chan struct{} // buffered(1): wake the spiller
 	done      chan struct{} // closed when the spiller exits
@@ -312,14 +310,15 @@ func (sp *spillState) truncate(seq uint64) {
 // readBatch appends entries [seq, memBase) from the disk tier to dst,
 // bounded by the caller's frame and byte budgets. start is the dst length
 // at the top of the caller's whole batch (for the oversize first-frame
-// rule). Returns the extended dst, the next sequence to read, and ok=false
-// when the tier is wedged.
-func (sp *spillState) readBatch(seq, memBase uint64, dst []LogEntry, start, maxFrames int, budget *int) ([]LogEntry, uint64, bool) {
+// rule). Returns the extended dst and the next sequence to read: memBase
+// once the tier has nothing more for this reader, less when the batch filled
+// or the tier is wedged.
+func (sp *spillState) readBatch(seq, memBase uint64, dst []LogEntry, start, maxFrames int, budget *int) ([]LogEntry, uint64) {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
 	oldest, any := sp.oldestLocked()
 	if !any {
-		return dst, memBase, true
+		return dst, memBase
 	}
 	if seq < oldest {
 		seq = oldest
@@ -327,21 +326,21 @@ func (sp *spillState) readBatch(seq, memBase uint64, dst []LogEntry, start, maxF
 	top := sp.segs[len(sp.segs)-1].last
 	for len(dst)-start < maxFrames && seq < memBase {
 		if seq > top {
-			return dst, memBase, true // reclaimed gap between tiers
+			return dst, memBase // reclaimed gap between tiers
 		}
 		e, got := sp.nextLocked(seq)
 		if !got {
-			return dst, seq, false // wedged: stall, never gap
+			return dst, seq // wedged: stall, never gap
 		}
 		if len(dst) > start && len(e.Payload) > *budget {
-			return dst, seq, true
+			return dst, seq
 		}
 		dst = append(dst, e)
 		*budget -= len(e.Payload)
 		sp.readback.Add(int64(len(e.Payload)))
 		seq++
 	}
-	return dst, seq, true
+	return dst, seq
 }
 
 // nextLocked returns the entry at seq using the cached sequential reader,
@@ -456,11 +455,11 @@ func (l *SendLog) spillOnce() bool {
 	sp := l.spill
 	if sp.loadFault() != nil {
 		sp.degraded.Store(true)
-		return false // disk faulted: FlowBlock semantics until cleared
+		return false // disk faulted: appends block at the cap until cleared
 	}
 
 	l.mu.Lock()
-	if l.closed {
+	if l.closed.Load() {
 		l.mu.Unlock()
 		return false
 	}
@@ -474,39 +473,13 @@ func (l *SendLog) spillOnce() bool {
 		l.mu.Unlock()
 		return false
 	}
-	fc := &l.flow
-	var needBytes int64
-	if fc.MaxBytes > 0 {
-		needBytes = l.bytes.Load() - fc.lowBytes()
-	}
-	needEntries := 0
-	if fc.MaxEntries > 0 {
-		needEntries = int(l.next.Load()-l.base) - fc.lowEntries()
-	}
-	// Cold-prefix bias: prefer not to spill past the horizon (what live
-	// links still need from memory) — but never let the bias starve the
-	// watermark; bounded memory wins over read locality.
-	limit := ^uint64(0)
-	if fnp := sp.horizon.Load(); fnp != nil && *fnp != nil {
-		if h := (*fnp)(); h > l.base {
-			limit = h
-		}
-	}
+	// Spill down to the low watermark, one segment's worth at a time.
+	needBytes := l.bytes.Load() - l.flow.lowBytes()
 	count := 0
 	var bytes int64
-	for count < live {
-		e := &l.entries[l.off+count]
-		if count > 0 && e.Seq >= limit {
-			break
-		}
-		bytes += int64(len(e.Payload))
+	for count < live && bytes < sp.segBytes && bytes < needBytes {
+		bytes += int64(len(l.entries[l.off+count].Payload))
 		count++
-		if bytes >= sp.segBytes {
-			break
-		}
-		if bytes >= needBytes && count >= needEntries {
-			break
-		}
 	}
 	sp.batch = append(sp.batch[:0], l.entries[l.off:l.off+count]...)
 	first := l.base
@@ -528,7 +501,7 @@ func (l *SendLog) spillOnce() bool {
 	last := first + uint64(count) - 1
 
 	l.mu.Lock()
-	if l.closed {
+	if l.closed.Load() {
 		l.mu.Unlock()
 		_ = os.Remove(path)
 		return false
@@ -550,23 +523,7 @@ func (l *SendLog) spillOnce() bool {
 	sp.mu.Unlock()
 	// Only now — with the segment durable and registered — do the entries
 	// leave memory, so no reader ever finds a hole between the tiers.
-	drop := int(last - l.base + 1)
-	dead := l.entries[l.off : l.off+drop]
-	var freed int64
-	for i := range dead {
-		freed += int64(len(dead[i].Payload))
-	}
-	l.bytes.Add(-freed)
-	clear(dead)
-	l.off += drop
-	l.base = last + 1
-	if l.off >= len(l.entries)-l.off && l.off >= compactThreshold {
-		n := copy(l.entries, l.entries[l.off:])
-		clear(l.entries[n:])
-		l.entries = l.entries[:n]
-		l.off = 0
-	}
-	l.releaseSpaceLocked()
+	l.dropHeadLocked(int(last - l.base + 1))
 	l.mu.Unlock()
 	clear(sp.batch) // release payload references from the scratch buffer
 	return true

@@ -25,7 +25,6 @@ func chaosSpillPayload(seq uint64) []byte {
 func spillChaosConfig(dir string) FlowConfig {
 	return FlowConfig{
 		MaxBytes:          4 << 10,
-		Mode:              FlowSpill,
 		SpillDir:          dir,
 		SpillSegmentBytes: 1 << 10,
 	}
@@ -96,7 +95,7 @@ func runSpillCrashSchedule(t *testing.T, seed int64, ops int) {
 		case 0, 1, 2, 3: // append burst
 			n := 1 + rng.Intn(40)
 			if faultOn {
-				// Degraded to FlowBlock semantics: once memory fills, an
+				// Degraded to memory-only semantics: once memory fills, an
 				// append can only time out. Keep bursts small and bounded.
 				n = 1 + rng.Intn(5)
 			}

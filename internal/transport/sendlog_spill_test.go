@@ -3,7 +3,6 @@ package transport
 import (
 	"context"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -68,7 +67,7 @@ func spillSegFiles(t *testing.T, dir string) []string {
 	return out
 }
 
-// TestSpillBoundedMemoryGaplessReadback is the core FlowSpill contract: a
+// TestSpillBoundedMemoryGaplessReadback is the core spill-tier contract: a
 // backlog several times the memory cap spills to disk, memory stays under
 // cap-plus-one-payload at every step, and the batched drain returns the
 // entire stream gapless and byte-identical across the disk->memory boundary.
@@ -80,7 +79,6 @@ func TestSpillBoundedMemoryGaplessReadback(t *testing.T) {
 	)
 	flow := FlowConfig{
 		MaxBytes:          capBytes,
-		Mode:              FlowSpill,
 		SpillDir:          t.TempDir(),
 		SpillSegmentBytes: 2 << 10,
 	}
@@ -123,7 +121,7 @@ func TestSpillBoundedMemoryGaplessReadback(t *testing.T) {
 // tier (the link's readiness probe).
 func TestSpillSingleEntryReads(t *testing.T) {
 	const payloadLen = 64
-	flow := FlowConfig{MaxBytes: 1 << 10, Mode: FlowSpill, SpillDir: t.TempDir()}
+	flow := FlowConfig{MaxBytes: 1 << 10, SpillDir: t.TempDir()}
 	l, err := newSendLogFlow(1, flow, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +159,7 @@ func TestSpillSingleEntryReads(t *testing.T) {
 func TestSpillTruncate(t *testing.T) {
 	const payloadLen = 64
 	dir := t.TempDir()
-	flow := FlowConfig{MaxBytes: 1 << 10, Mode: FlowSpill, SpillDir: dir, SpillSegmentBytes: 512}
+	flow := FlowConfig{MaxBytes: 1 << 10, SpillDir: dir, SpillSegmentBytes: 512}
 	l, err := newSendLogFlow(1, flow, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -221,7 +219,7 @@ func TestSpillTruncate(t *testing.T) {
 func TestSpillRecovery(t *testing.T) {
 	const payloadLen = 64
 	dir := t.TempDir()
-	flow := FlowConfig{MaxBytes: 4 << 10, Mode: FlowSpill, SpillDir: dir, SpillSegmentBytes: 1 << 10}
+	flow := FlowConfig{MaxBytes: 4 << 10, SpillDir: dir, SpillSegmentBytes: 1 << 10}
 	l, err := newSendLogFlow(1, flow, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -250,7 +248,7 @@ func TestSpillRecovery(t *testing.T) {
 		t.Fatal("recovered log is empty")
 	}
 	// Only a contiguous durable prefix survives a restart (in-memory tail
-	// entries die with the process — that is FlowSpill's contract: the
+	// entries die with the process — that is the spill tier's contract: the
 	// *spilled* backlog is durable).
 	if next := drainSpillLog(t, l2, 1, payloadLen); next != recovered+1 {
 		t.Fatalf("recovered drain ended at %d, want %d", next-1, recovered)
@@ -271,7 +269,7 @@ func TestSpillRecovery(t *testing.T) {
 func TestSpillRecoveryTornTail(t *testing.T) {
 	const payloadLen = 64
 	dir := t.TempDir()
-	flow := FlowConfig{MaxBytes: 1 << 10, Mode: FlowSpill, SpillDir: dir, SpillSegmentBytes: 1 << 10}
+	flow := FlowConfig{MaxBytes: 1 << 10, SpillDir: dir, SpillSegmentBytes: 1 << 10}
 	l, err := newSendLogFlow(1, flow, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -318,7 +316,7 @@ func TestSpillRecoveryTornTail(t *testing.T) {
 func TestSpillRecoveryChainGap(t *testing.T) {
 	const payloadLen = 64
 	dir := t.TempDir()
-	flow := FlowConfig{MaxBytes: 1 << 10, Mode: FlowSpill, SpillDir: dir, SpillSegmentBytes: 512}
+	flow := FlowConfig{MaxBytes: 1 << 10, SpillDir: dir, SpillSegmentBytes: 512}
 	l, err := newSendLogFlow(1, flow, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -359,7 +357,7 @@ func TestSpillRecoveryChainGap(t *testing.T) {
 func TestSpillCheckpointAheadDiscards(t *testing.T) {
 	const payloadLen = 64
 	dir := t.TempDir()
-	flow := FlowConfig{MaxBytes: 1 << 10, Mode: FlowSpill, SpillDir: dir}
+	flow := FlowConfig{MaxBytes: 1 << 10, SpillDir: dir}
 	l, err := newSendLogFlow(1, flow, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -389,13 +387,13 @@ func TestSpillCheckpointAheadDiscards(t *testing.T) {
 }
 
 // TestSpillWriteFaultDegradesToBlock: a failing disk must not lose data or
-// unbound memory — FlowSpill degrades to FlowBlock semantics (appends over
+// unbound memory — the log degrades to memory-only semantics (appends over
 // the watermark stall) until the fault clears, then spilling resumes and
 // the stranded appenders complete.
 func TestSpillWriteFaultDegradesToBlock(t *testing.T) {
 	const payloadLen = 64
 	const capBytes = 1 << 10
-	flow := FlowConfig{MaxBytes: capBytes, Mode: FlowSpill, SpillDir: t.TempDir()}
+	flow := FlowConfig{MaxBytes: capBytes, SpillDir: t.TempDir()}
 	l, err := newSendLogFlow(1, flow, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -449,8 +447,8 @@ func TestSpillWriteFaultDegradesToBlock(t *testing.T) {
 	}
 }
 
-// TestSpillConfigValidation: FlowSpill without a dir or without any cap is
-// a configuration error (there is no watermark to trigger spilling), and a
+// TestSpillConfigValidation: a spill directory without a byte cap is a
+// configuration error (there is no watermark to trigger spilling), and a
 // spill directory that cannot be created fails the constructor instead of
 // yielding a log without its disk tier.
 func TestSpillConfigValidation(t *testing.T) {
@@ -458,14 +456,11 @@ func TestSpillConfigValidation(t *testing.T) {
 	if err := os.WriteFile(blocker, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewSendLogFlow(1, FlowConfig{MaxBytes: 1 << 20, Mode: FlowSpill, SpillDir: filepath.Join(blocker, "sub")}); err == nil {
+	if _, err := NewSendLogFlow(1, FlowConfig{MaxBytes: 1 << 20, SpillDir: filepath.Join(blocker, "sub")}); err == nil {
 		t.Fatal("uncreatable spill dir accepted")
 	}
-	if _, err := newSendLogFlow(1, FlowConfig{Mode: FlowSpill, MaxBytes: 1}, 1); err == nil {
-		t.Fatal("FlowSpill without SpillDir accepted")
-	}
-	if _, err := newSendLogFlow(1, FlowConfig{Mode: FlowSpill, SpillDir: t.TempDir()}, 1); err == nil {
-		t.Fatal("FlowSpill without any cap accepted")
+	if _, err := newSendLogFlow(1, FlowConfig{SpillDir: t.TempDir()}, 1); err == nil {
+		t.Fatal("spill directory without any cap accepted")
 	}
 }
 
@@ -475,7 +470,7 @@ func TestSpillConfigValidation(t *testing.T) {
 func TestSpillManySegmentsEpochNaming(t *testing.T) {
 	const payloadLen = 64
 	dir := t.TempDir()
-	flow := FlowConfig{MaxBytes: 512, Mode: FlowSpill, SpillDir: dir, SpillSegmentBytes: 256}
+	flow := FlowConfig{MaxBytes: 512, SpillDir: dir, SpillSegmentBytes: 256}
 	l, err := newSendLogFlow(1, flow, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -522,7 +517,7 @@ func TestSpillManySegmentsEpochNaming(t *testing.T) {
 // must still be delivered as the sole frame of its batch (same rule as the
 // in-memory path), from the disk tier.
 func TestSpillOversizeFirstFrame(t *testing.T) {
-	flow := FlowConfig{MaxBytes: 2 << 10, Mode: FlowSpill, SpillDir: t.TempDir()}
+	flow := FlowConfig{MaxBytes: 2 << 10, SpillDir: t.TempDir()}
 	l, err := newSendLogFlow(1, flow, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -562,7 +557,7 @@ func TestSpillOversizeFirstFrame(t *testing.T) {
 // spiller goroutine (satellite of the Close-vs-blocked-append fix).
 func TestSpillCloseUnblocksSpillAppenders(t *testing.T) {
 	const payloadLen = 64
-	flow := FlowConfig{MaxBytes: 512, Mode: FlowSpill, SpillDir: t.TempDir()}
+	flow := FlowConfig{MaxBytes: 512, SpillDir: t.TempDir()}
 	l, err := newSendLogFlow(1, flow, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -604,11 +599,5 @@ func TestSpillCloseUnblocksSpillAppenders(t *testing.T) {
 	}
 	if got := l.Waiting(); got != 0 {
 		t.Fatalf("Waiting() = %d after Close", got)
-	}
-}
-
-func TestSpillFlowModeString(t *testing.T) {
-	if got := fmt.Sprint(FlowSpill); got != "spill" {
-		t.Fatalf("FlowSpill.String() = %q", got)
 	}
 }

@@ -16,7 +16,6 @@ func BenchmarkSpillWrite(b *testing.B) {
 	const payloadLen = 4096
 	l, err := newSendLogFlow(1, FlowConfig{
 		MaxBytes:          256 << 10,
-		Mode:              FlowSpill,
 		SpillDir:          b.TempDir(),
 		SpillSegmentBytes: 4 << 20,
 	}, 1)
@@ -48,7 +47,6 @@ func BenchmarkSpillReadback(b *testing.B) {
 	const payloadLen = 4096
 	l, err := newSendLogFlow(1, FlowConfig{
 		MaxBytes:          256 << 10,
-		Mode:              FlowSpill,
 		SpillDir:          b.TempDir(),
 		SpillSegmentBytes: 4 << 20,
 	}, 1)
@@ -77,15 +75,14 @@ func BenchmarkSpillReadback(b *testing.B) {
 }
 
 // BenchmarkStreamThroughputSpillUntriggered is the acceptance guard for
-// FlowSpill's zero-cost-when-idle claim: the identical end-to-end stream
+// the spill tier's zero-cost-when-idle claim: the identical end-to-end stream
 // harness as BenchmarkStreamThroughputLocal, but the sender's log is a
-// tiered FlowSpill log whose cap is far above the benchmark's in-flight
+// tiered log whose cap is far above the benchmark's in-flight
 // window, so the spiller arms but never runs. msgs/s must stay within 5%
 // of the recorded StreamThroughputLocal numbers in BENCH_transport.json.
 func BenchmarkStreamThroughputSpillUntriggered(b *testing.B) {
 	l, err := newSendLogFlow(1, FlowConfig{
 		MaxBytes:          1 << 30, // the 8192-message window tops out ~2 MB
-		Mode:              FlowSpill,
 		SpillDir:          b.TempDir(),
 		SpillSegmentBytes: 4 << 20,
 	}, 1)

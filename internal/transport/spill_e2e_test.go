@@ -35,7 +35,7 @@ func (h *spillCheckHandler) HandleData(from int, d *wire.Data) {
 	h.recorder.HandleData(from, d)
 }
 
-// TestSpillEndToEndReconnectDrain is the transport-level FlowSpill story:
+// TestSpillEndToEndReconnectDrain is the transport-level spill story:
 // while the peer is unreachable the origin's backlog overflows its memory
 // cap onto disk; when the peer comes up, the link streams the disk
 // segments back through the ordinary batched drain path and hands off to
@@ -52,7 +52,6 @@ func TestSpillEndToEndReconnectDrain(t *testing.T) {
 
 	log, err := newSendLogFlow(1, FlowConfig{
 		MaxBytes:          capBytes,
-		Mode:              FlowSpill,
 		SpillDir:          t.TempDir(),
 		SpillSegmentBytes: 8 << 10,
 	}, 2)

@@ -141,7 +141,7 @@ func TestStripedFlowBlockedAppendRace(t *testing.T) {
 		maxPayload = 64
 		capBytes   = 4 << 10
 	)
-	l := stripedLog(t, FlowConfig{MaxBytes: capBytes, Mode: FlowBlock}, 4)
+	l := stripedLog(t, FlowConfig{MaxBytes: capBytes}, 4)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -315,7 +315,7 @@ func TestTryNextBatchOversizeFirstFrame(t *testing.T) {
 // reclaiming it returns occupancy to zero and unblocks a waiting appender.
 func TestTryNextBatchOversizeFlowAccounting(t *testing.T) {
 	const capBytes = 1024
-	l := stripedLog(t, FlowConfig{MaxBytes: capBytes, Mode: FlowBlock}, 4)
+	l := stripedLog(t, FlowConfig{MaxBytes: capBytes}, 4)
 
 	big := make([]byte, 4*capBytes) // larger than the whole cap
 	if _, err := l.Append(big, 0); err != nil {

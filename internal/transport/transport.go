@@ -78,8 +78,6 @@ type Config struct {
 	// (stabilizer_transport_*). Nil uses a private registry so the
 	// counters still exist for Stats-style snapshots.
 	Metrics *metrics.Registry
-	// Batch tunes the data-plane batch writer; zero values pick defaults.
-	Batch BatchConfig
 	// DialTimeout bounds each connect attempt, handshake included, so a
 	// black-holed peer cannot hang a link's run loop (default 2s).
 	DialTimeout time.Duration
@@ -99,6 +97,10 @@ type Config struct {
 	// the stabilizer_stage_seconds batch_queue/wire_send/flight segments.
 	// Nil keeps every hot path branch-predictable and allocation-free.
 	Trace *optrace.Recorder
+
+	// batch overrides defaultBatch when non-zero: the reconnect tests cut
+	// batches mid-run with a 40-byte budget.
+	batch batchLimits
 }
 
 // TopoTag places a node in the WAN topology: its availability zone and
@@ -108,44 +110,22 @@ type TopoTag struct {
 	Region string
 }
 
-// BatchConfig tunes how each outgoing link batches data frames. The batch
+// batchLimits bounds how each outgoing link batches data frames. The batch
 // byte budget adapts to the link's observed heartbeat RTT,
-// bandwidth-delay-product style: budget = RTT × BandwidthBps/8, clamped to
-// [MinBytes, MaxBytes], so slow WAN links drain bigger runs per lock
-// acquisition and write while fast LAN links stay latency-friendly.
-type BatchConfig struct {
-	// MaxFrames caps the data frames drained per batch, bounding how long
-	// the control outbox (ACKs, heartbeats) waits behind bulk data
-	// (default 256).
-	MaxFrames int
-	// MinBytes is the batch byte budget before any RTT sample exists and
-	// the floor thereafter (default 16 KiB).
-	MinBytes int
-	// MaxBytes caps the adaptive budget (default 1 MiB).
-	MaxBytes int
-	// BandwidthBps is the assumed per-link bandwidth in bits per second
-	// used in the budget rule (default 100 Mbit/s).
-	BandwidthBps float64
+// bandwidth-delay-product style: budget = RTT × batchBandwidthBps/8, clamped
+// to [minBytes, maxBytes], so slow WAN links drain bigger runs per lock
+// acquisition and write while fast LAN links stay latency-friendly. maxFrames
+// caps the data frames drained per batch, bounding how long the control
+// outbox (ACKs, heartbeats) waits behind bulk data.
+type batchLimits struct {
+	maxFrames, minBytes, maxBytes int
 }
 
-func (b BatchConfig) normalized() BatchConfig {
-	if b.MaxFrames <= 0 {
-		b.MaxFrames = 256
-	}
-	if b.MinBytes <= 0 {
-		b.MinBytes = 16 << 10
-	}
-	if b.MaxBytes <= 0 {
-		b.MaxBytes = 1 << 20
-	}
-	if b.MaxBytes < b.MinBytes {
-		b.MaxBytes = b.MinBytes
-	}
-	if b.BandwidthBps <= 0 {
-		b.BandwidthBps = 100e6
-	}
-	return b
-}
+var defaultBatch = batchLimits{maxFrames: 256, minBytes: 16 << 10, maxBytes: 1 << 20}
+
+// batchBandwidthBps is the per-link bandwidth the budget rule assumes, in
+// bits per second.
+const batchBandwidthBps = 100e6
 
 // counterPair fans one count into the per-peer family and that peer's
 // {az,region} rollup family. Both legs are resolved at startup, so a hot
@@ -272,7 +252,9 @@ func New(cfg Config) (*Transport, error) {
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()
 	}
-	cfg.Batch = cfg.Batch.normalized()
+	if cfg.batch == (batchLimits{}) {
+		cfg.batch = defaultBatch
+	}
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = 2 * time.Second
 	}
@@ -339,7 +321,7 @@ func New(cfg Config) (*Transport, error) {
 		"Appends gated by send-log admission control, by outcome.", "outcome")
 	log.setBackpressureCounters(bp.With("blocked"), bp.With("shed"))
 
-	// Spill-tier families (zero and inert unless FlowSpill is configured):
+	// Spill-tier families (zero and inert without a spill directory):
 	// how much retransmission backlog has been migrated to disk, how much
 	// has been streamed back to reconnecting peers, and whether the tier is
 	// currently degraded by a disk fault. Same az/region tagging as the
@@ -394,25 +376,7 @@ func New(cfg Config) (*Transport, error) {
 		t.links[p] = newLink(t, p)
 		t.linkList = append(t.linkList, t.links[p])
 	}
-	// Feed the send log's spill tier (if configured) the live cursor
-	// horizon, so it migrates the truly cold prefix first. No-op for
-	// in-memory-only flow modes.
-	log.SetSpillHorizon(t.spillHorizon)
 	return t, nil
-}
-
-// spillHorizon returns the minimum next-to-send sequence across connected
-// links — the boundary below which no live peer reads from memory — or 0
-// when no link is streaming (everything buffered is cold).
-func (t *Transport) spillHorizon() uint64 {
-	var min uint64
-	for _, l := range t.linkList {
-		c := l.sendCursor.Load()
-		if c != 0 && (min == 0 || c < min) {
-			min = c
-		}
-	}
-	return min
 }
 
 // Start opens the listener, the accept loop, the per-peer dial loops, the

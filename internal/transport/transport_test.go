@@ -260,7 +260,7 @@ func TestNoDuplicateDeliveryAfterSenderReconnect(t *testing.T) {
 // tinyBatch forces multi-frame batches with a byte-budget boundary in the
 // middle of a run: 40-byte budget over 16-byte payloads cuts every batch at
 // two frames even though the frame cap allows four.
-var tinyBatch = BatchConfig{MaxFrames: 4, MinBytes: 40, MaxBytes: 40}
+var tinyBatch = batchLimits{maxFrames: 4, minBytes: 40, maxBytes: 40}
 
 // TestNoDuplicateDeliveryAfterSenderReconnectBatched is the sender-restart
 // contract under batched streaming: batch sizes > 1, a byte-budget boundary
@@ -274,7 +274,7 @@ func TestNoDuplicateDeliveryAfterSenderReconnectBatched(t *testing.T) {
 	mk := func(self int, h Handler, log *SendLog, epoch uint64) *Transport {
 		tr, err := New(Config{
 			Self: self, N: 2, Network: net, Handler: h, Log: log,
-			HeartbeatEvery: 20 * time.Millisecond, Epoch: epoch, Batch: tinyBatch,
+			HeartbeatEvery: 20 * time.Millisecond, Epoch: epoch, batch: tinyBatch,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -327,7 +327,7 @@ func TestReceiverRestartMidBatchStream(t *testing.T) {
 	mk := func(self int, h Handler, log *SendLog) *Transport {
 		tr, err := New(Config{
 			Self: self, N: 2, Network: net, Handler: h, Log: log,
-			HeartbeatEvery: 20 * time.Millisecond, Batch: tinyBatch,
+			HeartbeatEvery: 20 * time.Millisecond, batch: tinyBatch,
 		})
 		if err != nil {
 			t.Fatal(err)

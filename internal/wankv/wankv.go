@@ -89,27 +89,16 @@ func (w *Store) Node() *core.Node { return w.node }
 // the update to every mirror. Like the paper's put, it is locally stable on
 // return; use WaitStable for stronger guarantees.
 func (w *Store) Put(key string, value []byte) (PutResult, error) {
-	ver, err := w.local().Put(key, value)
-	if err != nil {
-		return PutResult{}, err
-	}
-	v, err := w.local().GetVersion(key, ver)
-	if err != nil {
-		return PutResult{}, err
-	}
-	seq, err := w.node.SendNoCopy(encodeUpdate(key, value, ver, v.Time))
-	if err != nil {
-		return PutResult{}, err
-	}
-	return PutResult{Seq: seq, Version: ver}, nil
+	return w.PutCtx(nil, key, value) // nil: wait at a full send log without deadline
 }
 
-// PutCtx is Put with cancellation: when the node's send log is bounded
-// (core.Config.Flow) and full, a blocked put aborts with ctx.Err() once ctx
-// is done; in fail-fast mode it returns transport.ErrBackpressure
-// immediately. The version is committed to the local pool either way — only
-// replication is refused — so callers shedding load should retry the same
-// key rather than treat the write as lost.
+// PutCtx is Put with the caller's patience attached: when the node's send
+// log is bounded (core.Config.Flow) and full, the put waits for space only as
+// long as ctx allows — not at all when ctx is already done — and then fails
+// with an error wrapping both transport.ErrBackpressure and ctx.Err(). The
+// version is committed to the local pool either way — only replication is
+// refused — so callers shedding load should retry the same key rather than
+// treat the write as lost.
 func (w *Store) PutCtx(ctx context.Context, key string, value []byte) (PutResult, error) {
 	ver, err := w.local().Put(key, value)
 	if err != nil {

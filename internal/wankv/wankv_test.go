@@ -13,6 +13,7 @@ import (
 	"stabilizer/internal/core"
 	"stabilizer/internal/emunet"
 	"stabilizer/internal/kvstore"
+	"stabilizer/internal/transport"
 )
 
 type testCluster struct {
@@ -283,5 +284,48 @@ func TestGetStabilityFrontierAdvances(t *testing.T) {
 	// change_predicate is plumbed through.
 	if err := w.ChangePredicate("p", "MAX($ALLWNODES-$MYWNODE)"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPutCtxShedsAtCapButCommitsLocally: a put whose context will not wait is
+// refused at a full send log with an error that is both ErrBackpressure and
+// the context's — and, as PutCtx documents, the version is in the local pool
+// anyway: only replication was refused.
+func TestPutCtxShedsAtCapButCommitsLocally(t *testing.T) {
+	topo := &config.Topology{Self: 1, Nodes: []config.Node{{Name: "a", AZ: "az1"}, {Name: "b", AZ: "az2"}}}
+	network := emunet.NewMemNetwork(nil)
+	defer network.Close()
+	node, err := core.Open(core.Config{
+		Topology: topo, Network: network,
+		Flow:               transport.FlowConfig{MaxBytes: 1 << 10},
+		DisableAutoReclaim: true, // nothing ever truncates: the cap must trip
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	w := New(node)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	value := bytes.Repeat([]byte("v"), 200)
+	for i := 0; ; i++ {
+		res, err := w.PutCtx(ctx, "k", value)
+		if err == nil {
+			if i > 16 {
+				t.Fatal("a 1 KiB send log took 16 200-byte puts")
+			}
+			continue
+		}
+		if !errors.Is(err, transport.ErrBackpressure) || !errors.Is(err, context.Canceled) {
+			t.Fatalf("put %d: err=%v, want ErrBackpressure wrapping context.Canceled", i, err)
+		}
+		if res != (PutResult{}) {
+			t.Fatalf("refused put returned %+v", res)
+		}
+		v, err := w.Get("k")
+		if err != nil || v.Num != uint64(i+1) {
+			t.Fatalf("local pool after the refused put %d: version %d, %v", i, v.Num, err)
+		}
+		return
 	}
 }

@@ -152,14 +152,12 @@ type (
 	// TopologyNode is one WAN node entry.
 	TopologyNode = config.Node
 
-	// BatchConfig tunes data-plane send batching (RTT-adaptive byte
-	// budget, flush interval); set via Config.Batch.
-	BatchConfig = transport.BatchConfig
-	// FlowConfig bounds the send log with admission control (byte/entry
-	// caps with hysteretic high/low watermarks); set via Config.Flow.
+	// FlowConfig bounds the send log with admission control: a byte cap
+	// with a hysteretic low watermark at half of it, and an optional spill
+	// directory that moves the cold backlog to disk instead of holding
+	// senders. At the cap Send waits for reclaimed space; SendCtx waits as
+	// long as its context allows. Set via Config.Flow.
 	FlowConfig = transport.FlowConfig
-	// FlowMode picks blocking, fail-fast or disk-spilling admission.
-	FlowMode = transport.FlowMode
 	// StallConfig arms the degraded-mode stall monitor; set via
 	// Config.Stall.
 	StallConfig = core.StallConfig
@@ -192,21 +190,6 @@ type (
 	Matrix = emunet.Matrix
 )
 
-// Admission modes for FlowConfig.Mode.
-const (
-	// FlowBlock makes Send wait for reclaimed space when the log is full
-	// (SendCtx for cancellation).
-	FlowBlock = transport.FlowBlock
-	// FlowFail makes Send return ErrBackpressure when the log is full.
-	FlowFail = transport.FlowFail
-	// FlowSpill migrates the cold prefix of the send log to on-disk
-	// segment files when the memory cap latches: memory stays bounded
-	// while a partitioned peer's backlog grows with the disk, and the
-	// stream is read back gapless on reconnect. Requires
-	// FlowConfig.SpillDir plus at least one cap.
-	FlowSpill = transport.FlowSpill
-)
-
 // Directions an adaptive controller transition can move.
 const (
 	// AdaptiveDown is a step to a weaker rung (higher ladder index).
@@ -215,8 +198,9 @@ const (
 	AdaptiveUp = adaptive.DirectionUp
 )
 
-// ErrBackpressure is returned by Send in FlowFail mode when the bounded
-// send log is full: the caller sheds load instead of queueing unbounded.
+// ErrBackpressure marks a SendCtx whose context ended while the bounded send
+// log was full (the error also wraps the context's): the caller sheds load
+// instead of queueing unbounded.
 var ErrBackpressure = transport.ErrBackpressure
 
 // Open starts a Stabilizer node and connects it to its peers. It is the

@@ -7,6 +7,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"reflect"
 	"regexp"
 	"sync"
 	"testing"
@@ -350,4 +351,40 @@ func TestReadmeListsEveryMetricFamily(t *testing.T) {
 	for name := range documented {
 		t.Errorf("README.md's metric table lists %s, which no node registers", name)
 	}
+}
+
+// TestReadmeListsEveryConfigField keeps README.md § Configuration the only
+// list of options: every exported field of stabilizer.Config, and of the
+// Flow, Stall and Trace structs inside it, must be named there. It logs the
+// number of independently settable values, the baseline `make loc` prints.
+func TestReadmeListsEveryConfigField(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	section := regexp.MustCompile(`(?s)\n## Configuration\n.*?\n## `).Find(readme)
+	if section == nil {
+		t.Fatal("README.md has no Configuration section")
+	}
+	settable := 0
+	var check func(typ reflect.Type, path string)
+	check = func(typ reflect.Type, path string) {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			if !f.IsExported() {
+				continue
+			}
+			if !bytes.Contains(section, []byte("`"+f.Name+"`")) {
+				t.Errorf("README.md § Configuration does not name %s%s", path, f.Name)
+			}
+			switch f.Name {
+			case "Flow", "Stall", "Trace":
+				check(f.Type, path+f.Name+".")
+			default:
+				settable++
+			}
+		}
+	}
+	check(reflect.TypeOf(stabilizer.Config{}), "Config.")
+	t.Logf("config fields: %d settable values reachable from stabilizer.Config", settable)
 }
