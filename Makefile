@@ -19,13 +19,17 @@ race:
 # deflake reruns the tests whose failures were timing, not logic: the spill
 # test that listed its directory inside the spiller's stillborn-segment
 # window, the striped admission race whose occupancy check could catch P
-# producers' optimistic byte reservations above the cap, and the adaptive
-# demos whose controller used to sample boot-time dial latency. A failure
-# here is a returning flake, not noise.
+# producers' optimistic byte reservations above the cap, the adaptive
+# demos whose controller used to sample boot-time dial latency, the Fig. 3
+# shape test that judged a 5-read mean, and the restart whose checker hooks
+# went on after the node was already listening. A failure here is a
+# returning flake, not noise.
 deflake:
 	$(GO) test -count=20 -run 'TestSpillTruncate$$' ./internal/transport
 	$(GO) test -race -count=200 -run 'TestStripedFlowBlockedAppendRace$$' ./internal/transport
 	$(GO) test -count=5 -run 'TestAdaptiveDemo' ./internal/chaos
+	$(GO) test -count=20 -run 'TestFig3ReadTracksSecondFastestMember$$' ./internal/bench
+	$(GO) test -race -count=20 -run 'TestRestartAttachesBeforeDelivery$$' ./internal/chaos
 
 # loc prints the two baselines a simplicity change is judged against: the
 # non-test Go line count outside benchmark/, and the number of independently

@@ -114,8 +114,8 @@ func AblationControlPlane(opts Options) (*AblationControlPlaneResult, error) {
 		if err != nil {
 			return 0, err
 		}
-		defer c.close()
-		sender := c.node(1)
+		defer c.Close()
+		sender := c.Node(1)
 		if err := sender.RegisterPredicate("maj", predlib.MajorityWNodes()); err != nil {
 			return 0, err
 		}
@@ -186,8 +186,8 @@ func AblationBatching(opts Options) (*AblationBatchingResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer c.close()
-	sender := c.node(1)
+	defer c.Close()
+	sender := c.Node(1)
 	if err := sender.RegisterPredicate("all", predlib.AllWNodes()); err != nil {
 		return nil, err
 	}

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -23,6 +22,7 @@ import (
 	"stabilizer/internal/core"
 	"stabilizer/internal/emunet"
 	"stabilizer/internal/optrace"
+	"stabilizer/internal/testbed"
 )
 
 // Options configure an experiment run.
@@ -89,19 +89,12 @@ func (o Options) normalized() Options {
 	if o.TimeScale <= 0 {
 		o.TimeScale = 10
 	}
-	if o.Fabric == "" {
-		o.Fabric = "mem"
-	}
 	return o
 }
 
-// network builds the chosen fabric over a time-scaled matrix.
-func (o Options) network(m *emunet.Matrix) emunet.Network {
-	scaled := m.Scaled(o.TimeScale)
-	if o.Fabric == "tcp" {
-		return emunet.NewTCPNetwork(scaled)
-	}
-	return emunet.NewMemNetwork(scaled)
+// fabric is the chosen network over a time-scaled matrix.
+func (o Options) fabric(m *emunet.Matrix) testbed.Fabric {
+	return testbed.Fabric{Matrix: m, Kind: o.Fabric, TimeScale: o.TimeScale}
 }
 
 // rescale converts a measured duration back to paper time units.
@@ -109,75 +102,28 @@ func (o Options) rescale(d time.Duration) time.Duration {
 	return time.Duration(float64(d) * o.TimeScale)
 }
 
-// cluster wraps a core.Cluster plus the fabric it runs over.
-type cluster struct {
-	cl  *core.Cluster
-	net emunet.Network
+// rescaled converts a measured series back to paper time units.
+func (o Options) rescaled(s testbed.Series) testbed.Series {
+	for i, d := range s {
+		s[i] = o.rescale(d)
+	}
+	return s
 }
 
-// startCluster boots the whole topology in-process on the chosen fabric.
-func startCluster(topo *config.Topology, matrix *emunet.Matrix, opts Options) (*cluster, error) {
-	net := opts.network(matrix)
+// startCluster boots the whole topology in-process on the chosen fabric and
+// points the trace target at it.
+func startCluster(topo *config.Topology, matrix *emunet.Matrix, opts Options) (*testbed.Bed, error) {
 	cfg := opts.Cluster
-	cfg.Topology, cfg.Network = topo, net
+	cfg.Topology = topo
 	cfg.HeartbeatEvery, cfg.PeerTimeout = 100*time.Millisecond, 5*time.Second
-	cl, err := core.OpenCluster(cfg)
+	bed, err := testbed.Boot(cfg, opts.fabric(matrix))
 	if err != nil {
-		_ = net.Close()
-		return nil, fmt.Errorf("bench: open cluster: %w", err)
+		return nil, fmt.Errorf("bench: %w", err)
 	}
 	if opts.TraceTarget != nil {
-		opts.TraceTarget.cur.Store(cl)
+		opts.TraceTarget.cur.Store(bed.Cluster)
 	}
-	return &cluster{cl: cl, net: net}, nil
-}
-
-func (c *cluster) close() {
-	if c.cl != nil {
-		_ = c.cl.Close()
-	}
-	if c.net != nil {
-		_ = c.net.Close()
-	}
-}
-
-// node returns the 1-based node.
-func (c *cluster) node(i int) *core.Node { return c.cl.Node(i) }
-
-// --- small stat helpers ---
-
-type series []time.Duration
-
-func (s series) avg() time.Duration {
-	if len(s) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, v := range s {
-		sum += v
-	}
-	return sum / time.Duration(len(s))
-}
-
-func (s series) percentile(p float64) time.Duration {
-	if len(s) == 0 {
-		return 0
-	}
-	cp := make(series, len(s))
-	copy(cp, s)
-	sort.Slice(cp, func(i, j int) bool { return cp[i] < cp[j] })
-	idx := int(p * float64(len(cp)-1))
-	return cp[idx]
-}
-
-func (s series) max() time.Duration {
-	var m time.Duration
-	for _, v := range s {
-		if v > m {
-			m = v
-		}
-	}
-	return m
+	return bed, nil
 }
 
 // ms renders a duration in milliseconds with two decimals.

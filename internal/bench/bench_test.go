@@ -98,17 +98,22 @@ func TestFig3ReadTracksSecondFastestMember(t *testing.T) {
 	for _, p := range res.Points {
 		// The quorum read is satisfied by self + Wisconsin; it must sit
 		// near the Wisconsin RTT, clearly below Clemson's for small
-		// messages.
-		if p.AvgLatency < wi {
-			t.Errorf("%dKB read %v faster than the Wisconsin RTT %v — impossible", p.MessageKB, p.AvgLatency, wi)
+		// messages. Judged on the median read: see Fig3Point.
+		if p.MedianLatency < wi {
+			t.Errorf("%dKB read %v faster than the Wisconsin RTT %v — impossible", p.MessageKB, p.MedianLatency, wi)
 		}
-		if p.MessageKB <= 8 && p.AvgLatency > clem {
-			t.Errorf("%dKB read %v above the Clemson RTT %v — wrong quorum member dominating", p.MessageKB, p.AvgLatency, clem)
+		if p.MessageKB <= 8 && p.MedianLatency > clem {
+			t.Errorf("%dKB read %v above the Clemson RTT %v — wrong quorum member dominating", p.MessageKB, p.MedianLatency, clem)
 		}
 	}
 	// Latency grows (weakly) with message size.
-	if last, first := res.Points[len(res.Points)-1].AvgLatency, res.Points[0].AvgLatency; last < first {
+	if last, first := res.Points[len(res.Points)-1].MedianLatency, res.Points[0].MedianLatency; last < first {
 		t.Errorf("read latency shrank with size: %v -> %v", first, last)
+	}
+	if t.Failed() {
+		for _, p := range res.Points {
+			t.Logf("%dKB reads: %v (mean %v, p99 %v)", p.MessageKB, p.Reads, p.AvgLatency, p.P99Latency)
+		}
 	}
 }
 

@@ -8,15 +8,20 @@ import (
 
 	"stabilizer/internal/config"
 	"stabilizer/internal/emunet"
-	"stabilizer/internal/predlib"
 	"stabilizer/internal/quorum"
+	"stabilizer/internal/testbed"
 )
 
 // Fig3Point is one quorum-read measurement.
 type Fig3Point struct {
 	MessageKB  int
 	AvgLatency time.Duration
-	P99Latency time.Duration
+	// MedianLatency is what the shape is judged on: with a handful of reads
+	// per size, one slow read moves the mean by a fifth of itself.
+	MedianLatency time.Duration
+	P99Latency    time.Duration
+	// Reads is the per-read series, in issue order.
+	Reads []time.Duration
 }
 
 // Fig3Result reproduces Fig. 3: quorum read latency versus message size,
@@ -41,13 +46,13 @@ func Fig3(opts Options) (*Fig3Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer c.close()
+	defer c.Close()
 
 	members := []int{1, 3, 4} // Utah1, Wisconsin, Clemson
 	kvs := make([]*quorum.KV, topo.N())
 	for i := 1; i <= topo.N(); i++ {
 		kv, err := quorum.New(quorum.Config{
-			Node:    c.node(i),
+			Node:    c.Node(i),
 			Members: members,
 			Nw:      2,
 			Nr:      2,
@@ -60,22 +65,11 @@ func Fig3(opts Options) (*Fig3Result, error) {
 	writer := kvs[1] // Utah2
 	reader := kvs[0] // Utah1
 
-	// Reads are timed only once the reader's links carry traffic both ways:
-	// a request sent into a link's boot-time dial backoff is answered by the
+	// Reads are timed only once every link carries traffic both ways: a
+	// request sent into a link's boot-time dial backoff is answered by the
 	// next-slower member instead, which is set-up cost, not read latency.
-	const linksUp = "fig3-links-up"
-	if err := c.node(1).RegisterPredicate(linksUp, predlib.AllWNodes()); err != nil {
-		return nil, err
-	}
-	seq, err := c.node(1).Send(nil)
-	if err != nil {
-		return nil, err
-	}
-	upCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	err = c.node(1).WaitFor(upCtx, seq, linksUp)
-	cancel()
-	if err != nil {
-		return nil, fmt.Errorf("bench: fig3 links up: %w", err)
+	if err := c.Ready(30 * time.Second); err != nil {
+		return nil, fmt.Errorf("bench: fig3: %w", err)
 	}
 
 	sizesKB := []int{1, 2, 4, 8, 16, 32, 64}
@@ -110,7 +104,7 @@ func Fig3(opts Options) (*Fig3Result, error) {
 		}
 		cancel()
 
-		var lats series
+		var lats testbed.Series
 		for i := 0; i < reads; i++ {
 			rctx, cancel := context.WithTimeout(ctx, 30*time.Second)
 			d, err := reader.ReadLatency(rctx, key)
@@ -120,7 +114,10 @@ func Fig3(opts Options) (*Fig3Result, error) {
 			}
 			lats = append(lats, opts.rescale(d))
 		}
-		p := Fig3Point{MessageKB: kb, AvgLatency: lats.avg(), P99Latency: lats.percentile(0.99)}
+		p := Fig3Point{
+			MessageKB: kb, Reads: lats,
+			AvgLatency: lats.Avg(), MedianLatency: lats.Percentile(0.5), P99Latency: lats.Percentile(0.99),
+		}
 		res.Points = append(res.Points, p)
 		fmt.Fprintf(opts.Out, "%12d %12s %12s\n", p.MessageKB, ms(p.AvgLatency), ms(p.P99Latency))
 	}

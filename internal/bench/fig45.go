@@ -4,13 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"stabilizer/internal/config"
 	"stabilizer/internal/emunet"
 	"stabilizer/internal/filebackup"
 	"stabilizer/internal/predlib"
+	"stabilizer/internal/testbed"
 	"stabilizer/internal/trace"
 	"stabilizer/internal/wankv"
 )
@@ -75,9 +75,9 @@ func Fig5(opts Options) (*Fig5Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer c.close()
+	defer c.Close()
 
-	sender := c.node(1)
+	sender := c.Node(1)
 	kv := wankv.New(sender)
 	svc := filebackup.New(kv)
 	if err := svc.RegisterTableIII(); err != nil {
@@ -90,66 +90,35 @@ func Fig5(opts Options) (*Fig5Result, error) {
 
 	preds := predlib.TableIIIOrder()
 
-	// sentAt[seq-1] and stableAt[pred][seq-1] reconcile after the run;
-	// monitors may fire before the sender records the send time.
-	var (
-		mu       sync.Mutex
-		sentAt   []time.Time
-		stableAt = make(map[string][]time.Time, len(preds))
-		covered  = make(map[string]uint64, len(preds))
-	)
-	ensureLen := func(s []time.Time, n uint64) []time.Time {
-		for uint64(len(s)) < n {
-			s = append(s, time.Time{})
-		}
-		return s
-	}
-	var cancels []func()
-	defer func() {
-		for _, cf := range cancels {
-			cf()
-		}
-	}()
+	var stamps testbed.Stamps
 	for _, p := range preds {
 		p := p
 		cancel, err := sender.MonitorStabilityFrontier(p, func(f uint64) {
-			now := time.Now()
-			mu.Lock()
-			stableAt[p] = ensureLen(stableAt[p], f)
-			for seq := covered[p] + 1; seq <= f; seq++ {
-				stableAt[p][seq-1] = now
-			}
-			covered[p] = f
-			mu.Unlock()
+			stamps.Stable(p, f, time.Now())
 		})
 		if err != nil {
 			return nil, err
 		}
-		cancels = append(cancels, cancel)
+		defer cancel()
 	}
 
 	// Replay the trace: arrival times compressed by the time scale.
 	rng := rand.New(rand.NewSource(5))
-	start := time.Now()
 	var lastSeq uint64
-	for _, r := range reqs {
-		due := start.Add(time.Duration(float64(r.At) / opts.TimeScale))
-		if d := time.Until(due); d > 0 {
-			time.Sleep(d)
-		}
+	due := func(i int) time.Duration { return time.Duration(float64(reqs[i].At) / opts.TimeScale) }
+	if err := testbed.Paced(len(reqs), due, func(i int) error {
+		r := reqs[i]
 		data := randomBytes(rng, int(r.Size))
 		now := time.Now()
 		res, err := svc.Backup(r.Name, data)
 		if err != nil {
-			return nil, fmt.Errorf("bench: backup %s: %w", r.Name, err)
+			return fmt.Errorf("bench: backup %s: %w", r.Name, err)
 		}
-		mu.Lock()
-		sentAt = ensureLen(sentAt, res.LastSeq)
-		for seq := res.FirstSeq; seq <= res.LastSeq; seq++ {
-			sentAt[seq-1] = now
-		}
-		mu.Unlock()
+		stamps.Sent(res.FirstSeq, res.LastSeq, now)
 		lastSeq = res.LastSeq
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
 	defer cancel()
@@ -159,9 +128,6 @@ func Fig5(opts Options) (*Fig5Result, error) {
 		}
 	}
 
-	// Reconcile latencies.
-	mu.Lock()
-	defer mu.Unlock()
 	res := &Fig5Result{
 		Messages: lastSeq,
 		Avg:      make(map[string]time.Duration),
@@ -169,20 +135,10 @@ func Fig5(opts Options) (*Fig5Result, error) {
 		P99:      make(map[string]time.Duration),
 		Max:      make(map[string]time.Duration),
 	}
-	lat := make(map[string]series, len(preds))
 	for _, p := range preds {
-		s := make(series, 0, lastSeq)
-		for seq := uint64(1); seq <= lastSeq; seq++ {
-			st := stableAt[p][seq-1]
-			se := sentAt[seq-1]
-			if st.IsZero() || se.IsZero() {
-				continue
-			}
-			s = append(s, opts.rescale(st.Sub(se)))
-		}
-		lat[p] = s
-		res.Avg[p] = s.avg()
-		res.Max[p] = s.max()
+		s := opts.rescaled(stamps.Latencies(p, 1, lastSeq))
+		res.Avg[p] = s.Avg()
+		res.Max[p] = s.Max()
 		// Quantiles come from the node's own histogram rather than the
 		// ad-hoc series (TestHistogramSeriesAgreement pins the two paths
 		// against each other).
@@ -206,17 +162,9 @@ func Fig5(opts Options) (*Fig5Result, error) {
 			Max: make(map[string]time.Duration),
 		}
 		for _, p := range preds {
-			var sub series
-			for seq := lo; seq <= hi; seq++ {
-				st := stableAt[p][seq-1]
-				se := sentAt[seq-1]
-				if st.IsZero() || se.IsZero() {
-					continue
-				}
-				sub = append(sub, opts.rescale(st.Sub(se)))
-			}
-			b.Avg[p] = sub.avg()
-			b.Max[p] = sub.max()
+			sub := opts.rescaled(stamps.Latencies(p, lo, hi))
+			b.Avg[p] = sub.Avg()
+			b.Max[p] = sub.Max()
 		}
 		res.Buckets = append(res.Buckets, b)
 	}

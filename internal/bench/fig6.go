@@ -60,9 +60,9 @@ func Fig6(opts Options) (*Fig6Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer c.close()
+	defer c.Close()
 
-	sender := c.node(1)
+	sender := c.Node(1)
 	svc := filebackup.New(wankv.New(sender))
 	if err := svc.RegisterTableIII(); err != nil {
 		return nil, err
@@ -76,7 +76,7 @@ func Fig6(opts Options) (*Fig6Result, error) {
 	// deployments rely on application snapshots the same way).
 	replicas := make([]*paxos.Replica, topo.N())
 	for i := 1; i <= topo.N(); i++ {
-		replicas[i-1] = paxos.NewReplica(paxos.NewCoreBus(c.node(i)), paxos.WithDiscardApplied())
+		replicas[i-1] = paxos.NewReplica(paxos.NewCoreBus(c.Node(i)), paxos.WithDiscardApplied())
 	}
 	leader := replicas[0]
 	campCtx, campCancel := context.WithTimeout(context.Background(), 30*time.Second)

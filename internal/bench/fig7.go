@@ -9,6 +9,7 @@ import (
 	"stabilizer/internal/emunet"
 	"stabilizer/internal/pubsub"
 	"stabilizer/internal/pulsarlike"
+	"stabilizer/internal/testbed"
 )
 
 // Fig7SiteStats is one (system, rate, site) cell.
@@ -100,7 +101,7 @@ func Fig7(opts Options) (*Fig7Result, error) {
 // fig7Collector accumulates per-site latency and arrival statistics.
 type fig7Collector struct {
 	mu    sync.Mutex
-	lat   map[string]series
+	lat   map[string]testbed.Series
 	first map[string]time.Time
 	last  map[string]time.Time
 	bytes map[string]int64
@@ -112,7 +113,7 @@ type fig7Collector struct {
 
 func newFig7Collector(wantPerSite, sites int) *fig7Collector {
 	return &fig7Collector{
-		lat:   make(map[string]series),
+		lat:   make(map[string]testbed.Series),
 		first: make(map[string]time.Time),
 		last:  make(map[string]time.Time),
 		bytes: make(map[string]int64),
@@ -138,6 +139,18 @@ func (col *fig7Collector) add(site string, sentAt, recvAt time.Time, n int) {
 	}
 }
 
+// wait blocks until every site has every message.
+func (col *fig7Collector) wait(system string, rate int) error {
+	select {
+	case <-col.done:
+		return nil
+	case <-time.After(5 * time.Minute):
+		col.mu.Lock()
+		defer col.mu.Unlock()
+		return fmt.Errorf("bench: fig7 %s rate %d: only %d/%d deliveries", system, rate, col.total, col.want)
+	}
+}
+
 func (col *fig7Collector) point(rate int) *Fig7Point {
 	col.mu.Lock()
 	defer col.mu.Unlock()
@@ -149,7 +162,7 @@ func (col *fig7Collector) point(rate int) *Fig7Point {
 			thp = float64(col.bytes[site]) * 8 / elapsed
 		}
 		p.Sites[site] = Fig7SiteStats{
-			AvgLatency: lats.avg(),
+			AvgLatency: lats.Avg(),
 			Throughput: thp,
 			Messages:   col.count[site],
 		}
@@ -163,11 +176,11 @@ func fig7Stabilizer(opts Options, rate, msgs int) (*Fig7Point, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer c.close()
+	defer c.Close()
 
 	brokers := make([]*pubsub.Broker, topo.N())
 	for i := 1; i <= topo.N(); i++ {
-		b, err := pubsub.New(c.node(i))
+		b, err := pubsub.New(c.Node(i))
 		if err != nil {
 			return nil, fmt.Errorf("bench: broker %d: %w", i, err)
 		}
@@ -180,26 +193,39 @@ func fig7Stabilizer(opts Options, rate, msgs int) (*Fig7Point, error) {
 			col.add(site, m.SentAt, m.ReceivedAt, len(m.Payload))
 		})
 	}
-	// Let subscription announcements settle.
-	time.Sleep(200 * time.Millisecond)
+	if err := settle(c, brokers[0], len(fig7Sites)); err != nil {
+		return nil, err
+	}
 
 	payload := make([]byte, 8<<10)
-	if err := pace(rate, msgs, func() error {
+	if err := testbed.Paced(msgs, testbed.AtRate(float64(rate)), func(int) error {
 		_, err := brokers[0].Publish(payload)
 		return err
 	}); err != nil {
 		return nil, err
 	}
-	select {
-	case <-col.done:
-	case <-time.After(5 * time.Minute):
-		return nil, fmt.Errorf("bench: fig7 stabilizer rate %d: only %d/%d deliveries", rate, col.total, col.want)
+	if err := col.wait("stabilizer", rate); err != nil {
+		return nil, err
 	}
 	return col.point(rate), nil
 }
 
+// settle blocks until every link is up and pub has heard the subscription
+// announcement of every subscribing site: a message published earlier either
+// waits out a link's dial backoff or is "delivered" by a predicate that does
+// not yet cover the missing sites.
+func settle(c *testbed.Bed, pub *pubsub.Broker, sites int) error {
+	if err := c.Ready(30 * time.Second); err != nil {
+		return fmt.Errorf("bench: %w", err)
+	}
+	if !testbed.Await(30*time.Second, func() bool { return len(pub.ActiveBrokers()) == sites }) {
+		return fmt.Errorf("bench: publisher knows subscribers at %v, want %d sites", pub.ActiveBrokers(), sites)
+	}
+	return nil
+}
+
 func fig7Pulsar(opts Options, rate, msgs int) (*Fig7Point, error) {
-	network := opts.network(emunet.CloudLabMatrix())
+	network := testbed.Network(opts.fabric(emunet.CloudLabMatrix()))
 	defer network.Close()
 
 	brokers := make([]*pulsarlike.Broker, 5)
@@ -228,32 +254,14 @@ func fig7Pulsar(opts Options, rate, msgs int) (*Fig7Point, error) {
 	}
 
 	payload := make([]byte, 8<<10)
-	if err := pace(rate, msgs, func() error {
+	if err := testbed.Paced(msgs, testbed.AtRate(float64(rate)), func(int) error {
 		_, err := brokers[0].Publish(payload)
 		return err
 	}); err != nil {
 		return nil, err
 	}
-	select {
-	case <-col.done:
-	case <-time.After(5 * time.Minute):
-		return nil, fmt.Errorf("bench: fig7 pulsar rate %d: only %d/%d deliveries", rate, col.total, col.want)
+	if err := col.wait("pulsar", rate); err != nil {
+		return nil, err
 	}
 	return col.point(rate), nil
-}
-
-// pace invokes fn `count` times at the given per-second rate.
-func pace(rate, count int, fn func() error) error {
-	interval := time.Second / time.Duration(rate)
-	next := time.Now()
-	for i := 0; i < count; i++ {
-		if d := time.Until(next); d > 0 {
-			time.Sleep(d)
-		}
-		if err := fn(); err != nil {
-			return err
-		}
-		next = next.Add(interval)
-	}
-	return nil
 }

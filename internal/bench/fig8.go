@@ -3,13 +3,13 @@ package bench
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"stabilizer/internal/config"
 	"stabilizer/internal/emunet"
 	"stabilizer/internal/predlib"
 	"stabilizer/internal/pubsub"
+	"stabilizer/internal/testbed"
 )
 
 // Fig8Bucket is one second of the reconfiguration timeline.
@@ -60,7 +60,7 @@ func Fig8(opts Options) (*Fig8Result, error) {
 	excludeSlowest := predlib.ExcludeNodes([]int{slowest})
 
 	res := &Fig8Result{Overall: make(map[string]time.Duration)}
-	perRun := make(map[string][]series) // run -> per-second latency series
+	perRun := make(map[string][]testbed.Series) // run -> per-second latency series
 
 	for _, run := range fig8Runs {
 		buckets, overall, err := fig8Run(opts, run, msgs, rate, flipEvery, allSites, threeSites, excludeSlowest)
@@ -81,7 +81,7 @@ func Fig8(opts Options) (*Fig8Result, error) {
 		bucket := Fig8Bucket{Second: s, Avg: make(map[string]time.Duration)}
 		for run, bs := range perRun {
 			if s < len(bs) {
-				bucket.Avg[run] = bs[s].avg()
+				bucket.Avg[run] = bs[s].Avg()
 			}
 		}
 		res.Buckets = append(res.Buckets, bucket)
@@ -99,17 +99,17 @@ func Fig8(opts Options) (*Fig8Result, error) {
 }
 
 // fig8Run executes one regime and returns per-paper-second latency series.
-func fig8Run(opts Options, run string, msgs, rate int, flipEvery time.Duration, allSites, threeSites, excludeSlowest string) ([]series, time.Duration, error) {
+func fig8Run(opts Options, run string, msgs, rate int, flipEvery time.Duration, allSites, threeSites, excludeSlowest string) ([]testbed.Series, time.Duration, error) {
 	topo := config.CloudLabTopology(1)
 	c, err := startCluster(topo, emunet.CloudLabMatrix(), opts)
 	if err != nil {
 		return nil, 0, err
 	}
-	defer c.close()
+	defer c.Close()
 
 	brokers := make([]*pubsub.Broker, topo.N())
 	for i := 1; i <= topo.N(); i++ {
-		b, err := pubsub.New(c.node(i))
+		b, err := pubsub.New(c.Node(i))
 		if err != nil {
 			return nil, 0, fmt.Errorf("bench: broker %d: %w", i, err)
 		}
@@ -119,9 +119,11 @@ func fig8Run(opts Options, run string, msgs, rate int, flipEvery time.Duration, 
 	for i := 2; i <= topo.N(); i++ {
 		brokers[i-1].Subscribe(func(pubsub.Message) {})
 	}
-	time.Sleep(200 * time.Millisecond)
-
 	pub := brokers[0]
+	if err := settle(c, pub, topo.N()-1); err != nil {
+		return nil, 0, err
+	}
+
 	node := pub.Node()
 	const key = "fig8"
 	initial := allSites
@@ -133,27 +135,9 @@ func fig8Run(opts Options, run string, msgs, rate int, flipEvery time.Duration, 
 	}
 
 	// Frontier monitor stamps first-stability times (cf. Fig. 5).
-	var (
-		mu       sync.Mutex
-		sentAt   []time.Time
-		stableAt []time.Time
-		covered  uint64
-	)
-	grow := func(s []time.Time, n uint64) []time.Time {
-		for uint64(len(s)) < n {
-			s = append(s, time.Time{})
-		}
-		return s
-	}
+	var stamps testbed.Stamps
 	cancelMon, err := node.MonitorStabilityFrontier(key, func(f uint64) {
-		now := time.Now()
-		mu.Lock()
-		stableAt = grow(stableAt, f)
-		for seq := covered + 1; seq <= f; seq++ {
-			stableAt[seq-1] = now
-		}
-		covered = f
-		mu.Unlock()
+		stamps.Stable(key, f, time.Now())
 	})
 	if err != nil {
 		return nil, 0, err
@@ -162,57 +146,42 @@ func fig8Run(opts Options, run string, msgs, rate int, flipEvery time.Duration, 
 
 	// The changing run flips the predicate every 5 paper-seconds,
 	// emulating the slowest site's subscriber coming and going.
-	stopFlip := make(chan struct{})
-	var flipWg sync.WaitGroup
+	var flip *testbed.Loop
 	if run == "changing predicate" {
-		flipWg.Add(1)
-		go func() {
-			defer flipWg.Done()
-			excluded := false
-			tick := time.NewTicker(time.Duration(float64(flipEvery) / opts.TimeScale))
-			defer tick.Stop()
-			for {
-				select {
-				case <-stopFlip:
-					return
-				case <-tick.C:
-					excluded = !excluded
-					src := allSites
-					if excluded {
-						src = excludeSlowest
-					}
-					_ = node.ChangePredicate(key, src)
-				}
+		excluded := false
+		flip = testbed.Every(time.Duration(float64(flipEvery)/opts.TimeScale), func(context.Context) bool {
+			excluded = !excluded
+			src := allSites
+			if excluded {
+				src = excludeSlowest
 			}
-		}()
+			_ = node.ChangePredicate(key, src)
+			return true
+		})
 	}
 
 	// Publish at the paced rate (compressed by the time scale).
-	interval := time.Duration(float64(time.Second) / float64(rate) / opts.TimeScale)
 	start := time.Now()
-	next := start
 	seqOf := make([]uint64, 0, msgs)
 	sendTick := make([]time.Duration, 0, msgs) // paper-time offset of each send
 	payload := make([]byte, 8<<10)
-	for i := 0; i < msgs; i++ {
-		if d := time.Until(next); d > 0 {
-			time.Sleep(d)
-		}
+	err = testbed.Paced(msgs, testbed.AtRate(float64(rate)*opts.TimeScale), func(int) error {
 		now := time.Now()
 		seq, err := pub.Publish(payload)
 		if err != nil {
-			return nil, 0, err
+			return err
 		}
-		mu.Lock()
-		sentAt = grow(sentAt, seq)
-		sentAt[seq-1] = now
-		mu.Unlock()
+		stamps.Sent(seq, seq, now)
 		seqOf = append(seqOf, seq)
 		sendTick = append(sendTick, opts.rescale(now.Sub(start)))
-		next = next.Add(interval)
+		return nil
+	})
+	if flip != nil {
+		flip.Stop(0)
 	}
-	close(stopFlip)
-	flipWg.Wait()
+	if err != nil {
+		return nil, 0, err
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
@@ -220,20 +189,14 @@ func fig8Run(opts Options, run string, msgs, rate int, flipEvery time.Duration, 
 		return nil, 0, fmt.Errorf("bench: fig8 drain (%s): %w", run, err)
 	}
 
-	mu.Lock()
-	defer mu.Unlock()
-	var buckets []series
-	var all series
+	var buckets []testbed.Series
+	var all testbed.Series
 	for i, seq := range seqOf {
-		se := sentAt[seq-1]
-		var st time.Time
-		if uint64(len(stableAt)) >= seq {
-			st = stableAt[seq-1]
-		}
-		if se.IsZero() || st.IsZero() {
+		d, ok := stamps.Latency(key, seq)
+		if !ok {
 			continue
 		}
-		lat := opts.rescale(st.Sub(se))
+		lat := opts.rescale(d)
 		all = append(all, lat)
 		sec := int(sendTick[i] / time.Second)
 		for len(buckets) <= sec {
@@ -241,5 +204,5 @@ func fig8Run(opts Options, run string, msgs, rate int, flipEvery time.Duration, 
 		}
 		buckets[sec] = append(buckets[sec], lat)
 	}
-	return buckets, all.avg(), nil
+	return buckets, all.Avg(), nil
 }

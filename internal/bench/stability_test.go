@@ -2,13 +2,11 @@ package bench
 
 import (
 	"context"
-	"fmt"
-	"sync"
 	"testing"
 	"time"
 
-	"stabilizer/internal/config"
 	"stabilizer/internal/emunet"
+	"stabilizer/internal/testbed"
 )
 
 // TestHistogramSeriesAgreement pins the two stability-latency measurement
@@ -21,24 +19,16 @@ import (
 func TestHistogramSeriesAgreement(t *testing.T) {
 	opts := Options{TimeScale: 5}.normalized()
 
-	topo := &config.Topology{Self: 1}
-	for i := 1; i <= 3; i++ {
-		topo.Nodes = append(topo.Nodes, config.Node{
-			Name:   fmt.Sprintf("node%d", i),
-			AZ:     fmt.Sprintf("az%d", i),
-			Region: fmt.Sprintf("region%d", i),
-		})
-	}
 	matrix := emunet.NewMatrix()
 	// 5ms emulated one-way latency (1ms wall at TimeScale 5) keeps the
 	// latencies well above bucket-zero noise.
 	matrix.Default = emunet.Link{OneWayLatency: 5 * time.Millisecond}
-	c, err := startCluster(topo, matrix, opts)
+	c, err := startCluster(testbed.Flat(3), matrix, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.close()
-	sender := c.node(1)
+	defer c.Close()
+	sender := c.Node(1)
 
 	const pred = "agree"
 	if err := sender.RegisterPredicate(pred, "MIN($ALLWNODES)"); err != nil {
@@ -47,23 +37,9 @@ func TestHistogramSeriesAgreement(t *testing.T) {
 
 	// The series path, exactly as Fig5 builds it: send timestamps on one
 	// side, monitor-upcall timestamps on the other, reconciled per seq.
-	var (
-		mu       sync.Mutex
-		sentAt   []time.Time
-		stableAt []time.Time
-		covered  uint64
-	)
+	var stamps testbed.Stamps
 	cancel, err := sender.MonitorStabilityFrontier(pred, func(f uint64) {
-		now := time.Now()
-		mu.Lock()
-		for uint64(len(stableAt)) < f {
-			stableAt = append(stableAt, time.Time{})
-		}
-		for seq := covered + 1; seq <= f; seq++ {
-			stableAt[seq-1] = now
-		}
-		covered = f
-		mu.Unlock()
+		stamps.Stable(pred, f, time.Now())
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -79,12 +55,7 @@ func TestHistogramSeriesAgreement(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mu.Lock()
-		for uint64(len(sentAt)) < seq {
-			sentAt = append(sentAt, time.Time{})
-		}
-		sentAt[seq-1] = now
-		mu.Unlock()
+		stamps.Sent(seq, seq, now)
 		lastSeq = seq
 		// Pace the workload so frontier advances spread over many
 		// recomputes instead of one coalesced jump.
@@ -98,17 +69,9 @@ func TestHistogramSeriesAgreement(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mu.Lock()
-	s := make(series, 0, lastSeq)
 	// WaitFor is released before the monitor for the same advance fires,
 	// so the monitor may not have covered the last few sequences yet.
-	for seq := uint64(1); seq <= uint64(len(stableAt)); seq++ {
-		if stableAt[seq-1].IsZero() || sentAt[seq-1].IsZero() {
-			continue
-		}
-		s = append(s, opts.rescale(stableAt[seq-1].Sub(sentAt[seq-1])))
-	}
-	mu.Unlock()
+	s := opts.rescaled(stamps.Latencies(pred, 1, lastSeq))
 	if len(s) < count*9/10 {
 		t.Fatalf("series reconciled only %d/%d messages", len(s), count)
 	}
@@ -121,7 +84,7 @@ func TestHistogramSeriesAgreement(t *testing.T) {
 		name string
 		q    float64
 	}{{"p50", 0.50}, {"p99", 0.99}} {
-		fromSeries := s.percentile(q.q)
+		fromSeries := s.Percentile(q.q)
 		fromHist := opts.stabilityQuantile(sender, pred, q.q)
 		if fromSeries <= 0 || fromHist <= 0 {
 			t.Fatalf("%s: non-positive quantile: series=%v histogram=%v", q.name, fromSeries, fromHist)

@@ -11,6 +11,7 @@ import (
 	"stabilizer/internal/emunet"
 	"stabilizer/internal/frontier"
 	"stabilizer/internal/predlib"
+	"stabilizer/internal/testbed"
 	"stabilizer/internal/wire"
 )
 
@@ -95,7 +96,7 @@ func probeMatrix(opts Options, matrix *emunet.Matrix, from int, targets []struct
 // probeLink measures RTT (median of 8 pings) and one-way bulk throughput
 // over a fresh shaped connection. Results are rescaled to paper units.
 func probeLink(opts Options, matrix *emunet.Matrix, from, to int, bulk int64) (time.Duration, float64, error) {
-	network := opts.network(matrix)
+	network := testbed.Network(opts.fabric(matrix))
 	defer network.Close()
 	l, err := network.Listen(to)
 	if err != nil {
@@ -158,7 +159,7 @@ func probeLink(opts Options, matrix *emunet.Matrix, from, to int, bulk int64) (t
 	r := wire.NewReader(conn)
 
 	// RTT: median of 8 pings after one warmup.
-	var rtts series
+	var rtts testbed.Series
 	for i := 0; i < 9; i++ {
 		start := time.Now()
 		if err := wire.WriteFrame(conn, &wire.Data{Seq: 0, Payload: []byte{1}}); err != nil {
@@ -171,7 +172,7 @@ func probeLink(opts Options, matrix *emunet.Matrix, from, to int, bulk int64) (t
 			rtts = append(rtts, time.Since(start))
 		}
 	}
-	rtt := opts.rescale(rtts.percentile(0.5))
+	rtt := opts.rescale(rtts.Percentile(0.5))
 
 	// Bulk: stream 32 KB frames one way.
 	payload := make([]byte, 32<<10)
@@ -265,13 +266,7 @@ type MicroDSLPoint struct {
 func MicroDSL(opts Options) ([]MicroDSLPoint, error) {
 	opts = opts.normalized()
 	const maxNodes = 20
-	topo := &config.Topology{Self: 1}
-	for i := 1; i <= maxNodes; i++ {
-		topo.Nodes = append(topo.Nodes, config.Node{
-			Name: fmt.Sprintf("n%d", i), AZ: fmt.Sprintf("az%d", i),
-		})
-	}
-	env := core.NewDSLEnv(topo, frontier.NewTypes())
+	env := core.NewDSLEnv(testbed.Flat(maxNodes), frontier.NewTypes())
 	table := frontier.NewTable(maxNodes)
 	for i := 1; i <= maxNodes; i++ {
 		table.Update(i, frontier.TypeReceived, uint64(i*37%101))

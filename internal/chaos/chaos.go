@@ -1,35 +1,31 @@
 package chaos
 
 import (
+	"context"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"stabilizer/internal/config"
 	"stabilizer/internal/core"
 	"stabilizer/internal/emunet"
 	"stabilizer/internal/faultinject"
-	"stabilizer/internal/metrics"
+	"stabilizer/internal/testbed"
 )
 
-// Options parameterizes a soak run. The zero value (plus a Seed) is a
-// sensible short soak: a 4-node flat cluster where nodes 1 and 2 originate
-// data and nodes 3 and 4 are crashable receivers.
+// Options parameterizes a run. The zero value (plus a Seed) is a sensible
+// short soak. Seed, Horizon and Logf mean the same to every scenario; the
+// rest is read by the soak alone, except Fault, which the adaptive scenario
+// alone reads.
 type Options struct {
 	// Seed pins the fault schedule AND the fabric's jitter, making the
 	// whole run replayable. Zero means seed 1.
 	Seed int64
-	// N is the cluster size (default 4).
-	N int
-	// Senders originate data and register stability predicates; they are
-	// never crashed (a fresh-restarted primary would need checkpoint
-	// plumbing the soak doesn't exercise). Default {1, 2}.
-	Senders []int
-	// Crashable nodes may be crash-restarted by the schedule. Defaults to
-	// every non-sender. Must be disjoint from Senders.
-	Crashable []int
+	// Fault picks the one fault the adaptive scenario injects: a blackhole
+	// unless it is faultinject.KindLatencySpike. The soak draws from Kinds.
+	Fault faultinject.Kind
 	// Horizon is the fault-injection window (default 2.5s).
 	Horizon time.Duration
 	// SendEvery is each sender's inter-message gap (default 3ms).
@@ -89,26 +85,35 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
+// Every scenario runs on the same rig: a 4-node flat cluster over a lightly
+// shaped fabric — enough latency that faults hit in-flight traffic, jitter to
+// exercise the seeded shaper, and a bandwidth cap so post-heal resends stream
+// rather than teleport — with failure detectors fast enough to trip mid-run.
+const (
+	clusterSize    = 4
+	linkLatency    = 2 * time.Millisecond
+	linkJitter     = time.Millisecond
+	heartbeatEvery = 25 * time.Millisecond
+	peerTimeout    = 200 * time.Millisecond
+	drainTimeout   = 20 * time.Second
+	linkBandwidth  = 200e6 // bits per second
+	// majority is the k of the "maj" predicate KTH_MIN(k, $ALLWNODES), which
+	// advances once clusterSize-k+1 nodes have acked that far.
+	majority = clusterSize/2 + 1
+)
+
+// In the soak nodes 1 and 2 originate data and register stability predicates;
+// they are never crashed (a fresh-restarted primary would need checkpoint
+// plumbing the soak doesn't exercise). Nodes 3 and 4 are the receivers the
+// schedule may crash-restart.
+var (
+	soakSenders   = []int{1, 2}
+	soakCrashable = []int{3, 4}
+)
+
 func (o Options) withDefaults() Options {
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.N == 0 {
-		o.N = 4
-	}
-	if len(o.Senders) == 0 {
-		o.Senders = []int{1, 2}
-	}
-	if len(o.Crashable) == 0 {
-		isSender := make(map[int]bool, len(o.Senders))
-		for _, s := range o.Senders {
-			isSender[s] = true
-		}
-		for i := 1; i <= o.N; i++ {
-			if !isSender[i] {
-				o.Crashable = append(o.Crashable, i)
-			}
-		}
 	}
 	if o.Horizon == 0 {
 		o.Horizon = 2500 * time.Millisecond
@@ -117,16 +122,19 @@ func (o Options) withDefaults() Options {
 		o.SendEvery = 3 * time.Millisecond
 	}
 	if o.DrainTimeout == 0 {
-		o.DrainTimeout = 20 * time.Second
+		o.DrainTimeout = drainTimeout
 	}
 	if o.Cluster.HeartbeatEvery == 0 {
-		o.Cluster.HeartbeatEvery = 25 * time.Millisecond
+		o.Cluster.HeartbeatEvery = heartbeatEvery
 	}
 	if o.Cluster.PeerTimeout == 0 {
-		o.Cluster.PeerTimeout = 200 * time.Millisecond
+		o.Cluster.PeerTimeout = peerTimeout
 	}
 	if o.PayloadBytes == 0 {
 		o.PayloadBytes = soakPayload
+	}
+	if o.BandwidthBps == 0 {
+		o.BandwidthBps = linkBandwidth
 	}
 	return o
 }
@@ -136,8 +144,8 @@ func (o Options) withDefaults() Options {
 // the exact configuration Soak runs.
 func (o Options) genConfig() faultinject.GenConfig {
 	return faultinject.GenConfig{
-		N:         o.N,
-		Crashable: o.Crashable,
+		N:         clusterSize,
+		Crashable: soakCrashable,
 		Horizon:   o.Horizon,
 		Kinds:     o.Kinds,
 	}
@@ -168,9 +176,10 @@ func chaosPayload(origin int, seq uint64, n int) []byte {
 // seen the whole stream too.
 const convergencePred = "MIN($ALLWNODES.delivered)"
 
-// Report summarizes a soak run.
+// Report summarizes a run.
 type Report struct {
-	// Schedule is the fault schedule that was executed.
+	// Schedule is the fault schedule that was executed; its Fingerprint is
+	// the replay artifact.
 	Schedule *faultinject.Schedule
 	// Heads maps each sender to its final stream head.
 	Heads map[int]uint64
@@ -190,21 +199,291 @@ type Report struct {
 	Violations []string
 }
 
+// scenario is one experiment on the rig: what goes wrong and when (sched),
+// the cluster it happens to, what the senders pump and for how long, and — as
+// hooks — what is attached to each node, what is set up before traffic
+// starts, what each sweep checks beyond CrossCheck, what is waited for before
+// traffic stops, and what must hold at the end.
+type scenario struct {
+	// name prefixes the error of a failed run.
+	name string
+	seed int64
+	logf func(format string, args ...any)
+	// sched is executed by a faultinject.Runner, event times counted from
+	// run.began.
+	sched   *faultinject.Schedule
+	senders []int
+	// cluster is the template every node boots from; the runner fills in the
+	// topology and the fabric.
+	cluster   core.Config
+	bandwidth float64
+	// Each sender appends payloadBytes every sendEvery. With payload set the
+	// bytes are payload(origin, seq) and the sender must be its node's only
+	// appender: the sequence is read before Send assigns it.
+	sendEvery    time.Duration
+	payloadBytes int
+	payload      func(origin int, seq uint64) []byte
+	// Traffic runs until the schedule has run out, or for horizon if that is
+	// set and shorter (the flow scenario's blackhole never heals).
+	horizon time.Duration
+	// drain bounds each wait for convergence.
+	drain time.Duration
+	// sweepEvery is the period of the invariant sweeps.
+	sweepEvery time.Duration
+	// linksUp makes the runner wait for testbed's Ready barrier before start.
+	linksUp bool
+	// backlog, for a backlog_partition event, reports the backlog that heals
+	// it.
+	backlog func(r *run) int64
+
+	// attach hooks a node's incarnation beyond Checker.Attach; may be nil.
+	attach func(r *run, n *core.Node)
+	// start runs once the cluster is up and attached, before traffic.
+	start func(r *run) error
+	// sweep extends each sweep; live is 0-indexed with nil for crashed nodes
+	// and run.mu is held.
+	sweep func(r *run, live []*core.Node)
+	// settle runs when the schedule has run out (or the horizon passed), the
+	// senders still pumping; may be nil.
+	settle func(r *run)
+	// finish asserts the end state: the pumps are stopped, run.heads is set,
+	// the sweeps are still going.
+	finish func(r *run)
+}
+
+// run is the live state of a scenario's execution.
+type run struct {
+	sc    *scenario
+	bed   *testbed.Bed
+	check *Checker
+	// mu serializes crash/restart (and their checker bookkeeping) against
+	// sweeps and the final convergence reads.
+	mu sync.Mutex
+	// began is when the schedule started.
+	began      time.Time
+	heads      map[int]uint64
+	deliveries atomic.Int64
+	// sweeps counts the sweeps begun.
+	sweeps atomic.Int64
+}
+
+func (r *run) logf(format string, args ...any) {
+	if r.sc.logf != nil {
+		r.sc.logf(format, args...)
+	}
+}
+
+// live is the checker's positional view: index i-1 holds node i, nil while
+// crashed.
+func (r *run) live() []*core.Node {
+	out := make([]*core.Node, clusterSize)
+	for i := range out {
+		out[i] = r.bed.Node(i + 1)
+	}
+	return out
+}
+
+func (r *run) attach(n *core.Node) {
+	r.check.Attach(n)
+	if r.sc.attach != nil {
+		r.sc.attach(r, n)
+	}
+	n.OnDeliver(func(core.Message) { r.deliveries.Add(1) })
+}
+
+func (r *run) sweep() {
+	r.sweeps.Add(1)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	live := r.live()
+	r.check.CrossCheck(live)
+	r.sc.sweep(r, live)
+}
+
+func (r *run) crash(i int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	// Cluster.Crash closes the node but hands back the dead handle:
+	// its receive high water is monotone within the incarnation, so
+	// reading it after Close yields the incarnation's final value.
+	dead, err := r.bed.Crash(i)
+	if err != nil {
+		return // already down
+	}
+	hw := make(map[int]uint64, len(r.sc.senders))
+	for _, s := range r.sc.senders {
+		hw[s] = dead.RecvLast(s)
+	}
+	r.check.RecordCrash(i, hw)
+	r.logf("chaos: crashed node %d, high water %v", i, hw)
+}
+
+func (r *run) restart(i int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.bed.Node(i) != nil {
+		return
+	}
+	r.check.RecordRestart(i)
+	if _, err := r.bed.Restart(i, r.attach); err != nil {
+		r.check.Violatef("restart node %d: %v", i, err)
+		return
+	}
+	r.logf("chaos: restarted node %d", i)
+}
+
+// pump starts sender s.
+func (r *run) pump(s int) *testbed.Loop {
+	sn := r.bed.Node(s)
+	fixed := make([]byte, r.sc.payloadBytes)
+	return testbed.Every(r.sc.sendEvery, func(ctx context.Context) bool {
+		payload, seq := fixed, uint64(0)
+		if r.sc.payload != nil {
+			seq = sn.NextSeq()
+			payload = r.sc.payload(s, seq)
+		}
+		// SendCtx so an append blocked at the cap can be aborted at teardown:
+		// the run then fails on assertions instead of hanging.
+		got, err := sn.SendCtx(ctx, payload)
+		switch {
+		case err != nil:
+			if ctx.Err() == nil {
+				r.check.Violatef("pump send failed: %v", err)
+			}
+			return false
+		case seq != 0 && got != seq:
+			r.check.Violatef("pump: node %d predicted seq %d but Send assigned %d", s, seq, got)
+			return false
+		}
+		return true
+	})
+}
+
+// registerAllMaj registers the two predicates the soak and the flow scenario
+// judge frontiers by on every sender, and returns the witnesses each needs:
+// MIN($ALLWNODES) every node, KTH_MIN(majority, $ALLWNODES) the rest.
+func (r *run) registerAllMaj() (quorums map[string]int, err error) {
+	for _, s := range r.sc.senders {
+		sn := r.bed.Node(s)
+		if err := sn.RegisterPredicate("all", "MIN($ALLWNODES)"); err != nil {
+			return nil, fmt.Errorf("chaos: register 'all' on node %d: %w", s, err)
+		}
+		if err := sn.RegisterPredicate("maj", majoritySource); err != nil {
+			return nil, fmt.Errorf("chaos: register 'maj' on node %d: %w", s, err)
+		}
+	}
+	return map[string]int{"all": clusterSize, "maj": clusterSize - majority + 1}, nil
+}
+
+var majoritySource = fmt.Sprintf("KTH_MIN(%d, $ALLWNODES)", majority)
+
+// run executes the scenario: boot, attach, start, then sweeps, pumps and the
+// fault schedule side by side until traffic ends, then the end-state
+// assertions and a last sweep. The returned error is non-nil iff any
+// invariant was violated (the Report carries the details either way).
+func (sc *scenario) run() (*Report, error) {
+	rep := &Report{Schedule: sc.sched}
+	if sc.logf != nil {
+		sc.logf("%s: seed=%d fingerprint=%s", sc.name, sc.seed, sc.sched.Fingerprint())
+	}
+
+	cfg := sc.cluster
+	cfg.Topology = testbed.Flat(clusterSize)
+	matrix := emunet.NewMatrix()
+	matrix.Default = emunet.Link{OneWayLatency: linkLatency, Jitter: linkJitter, BandwidthBps: sc.bandwidth}
+	bed, err := testbed.Boot(cfg, testbed.Fabric{Matrix: matrix, Seed: sc.seed, Faults: true})
+	if err != nil {
+		return rep, fmt.Errorf("%s: %w", sc.name, err)
+	}
+	defer bed.Close()
+
+	r := &run{sc: sc, bed: bed, check: NewChecker(clusterSize, sc.senders)}
+	// Attach runs before a node's peers can deliver anything: at boot no
+	// sender is pumping yet, and Bed.Restart holds the links until it has run.
+	for _, n := range bed.Nodes() {
+		r.attach(n)
+	}
+	if sc.linksUp {
+		if err := bed.Ready(sc.drain); err != nil {
+			return rep, fmt.Errorf("%s: %w", sc.name, err)
+		}
+	}
+	if err := sc.start(r); err != nil {
+		return rep, err
+	}
+
+	sweeps := testbed.Every(sc.sweepEvery, func(context.Context) bool { r.sweep(); return true })
+	// Senders are never crashed, so their *Node pointers are stable for the
+	// whole run.
+	pumps := make([]*testbed.Loop, len(sc.senders))
+	for i, s := range sc.senders {
+		pumps[i] = r.pump(s)
+	}
+
+	runner := &faultinject.Runner{
+		Inj: bed.Inj, Sched: sc.sched, N: clusterSize, Scale: 1,
+		Crash: r.crash, Restart: r.restart, Logf: sc.logf,
+	}
+	if sc.backlog != nil {
+		runner.Backlog = func(int) int64 { return sc.backlog(r) }
+	}
+	faults, stopFaults := make(chan struct{}), make(chan struct{})
+	r.began = time.Now()
+	go func() {
+		defer close(faults)
+		runner.Run(stopFaults)
+	}()
+	var horizon <-chan time.Time
+	if sc.horizon > 0 {
+		t := time.NewTimer(sc.horizon)
+		defer t.Stop()
+		horizon = t.C
+	}
+	select {
+	case <-faults:
+		// The schedule ran out: nothing it engaged stays engaged.
+		bed.Inj.HealAll()
+	case <-horizon:
+	}
+	if sc.settle != nil {
+		sc.settle(r)
+	}
+
+	for _, p := range pumps {
+		if !p.Stop(sc.drain) {
+			r.check.Violatef("pump did not finish within horizon+drain: fallback never unblocked the log")
+		}
+	}
+	r.heads = make(map[int]uint64, len(sc.senders))
+	for _, s := range sc.senders {
+		r.heads[s] = bed.Node(s).NextSeq() - 1
+	}
+	sc.finish(r)
+	close(stopFaults)
+	<-faults
+	// The end state is judged by the next periodic sweep, not by an extra one
+	// on the heels of the last: invariant 8's lag clause gives the control
+	// plane one sweep period to catch up with what the previous sweep saw.
+	last := r.sweeps.Load()
+	testbed.Await(sc.drain, func() bool { return r.sweeps.Load() > last })
+	sweeps.Stop(0)
+
+	rep.Heads = r.heads
+	rep.Deliveries = r.deliveries.Load()
+	rep.Violations = r.check.Violations()
+	if len(rep.Violations) > 0 {
+		return rep, fmt.Errorf("%s: %d invariant violation(s), seed %d (fingerprint %s):\n%s",
+			sc.name, len(rep.Violations), sc.seed, sc.sched.Fingerprint(), strings.Join(rep.Violations, "\n  "))
+	}
+	return rep, nil
+}
+
 // Soak runs one deterministic chaos soak: it boots the cluster on a seeded
 // in-memory fabric, pumps data from the senders while executing the fault
 // schedule derived from Options.Seed, then heals everything and requires
-// convergence. The returned error is non-nil iff any invariant was
-// violated (the Report carries the details either way).
+// convergence.
 func Soak(o Options) (*Report, error) {
 	o = o.withDefaults()
-	for _, s := range o.Senders {
-		for _, c := range o.Crashable {
-			if s == c {
-				return nil, fmt.Errorf("chaos: node %d is both sender and crashable", s)
-			}
-		}
-	}
-
 	spill := o.Cluster.Flow.SpillDir != ""
 
 	sched := faultinject.Generate(o.Seed, o.genConfig())
@@ -221,25 +500,11 @@ func Soak(o Options) (*Report, error) {
 		if !spill {
 			return nil, fmt.Errorf("chaos: BacklogFault requires Flow.SpillDir (a memory-only capped log would just block the pumps)")
 		}
-		isSender := make(map[int]bool, len(o.Senders))
-		for _, s := range o.Senders {
-			isSender[s] = true
-		}
-		victim := 0
-		for i := 1; i <= o.N; i++ {
-			if !isSender[i] {
-				victim = i
-				break
-			}
-		}
-		if victim == 0 {
-			return nil, fmt.Errorf("chaos: BacklogFault needs a non-sender node to isolate")
-		}
 		sched.Events = append(sched.Events, faultinject.Event{
 			At:    o.Horizon / 10,
 			Dur:   o.Horizon, // safety timeout; the backlog threshold normally heals first
 			Kind:  faultinject.KindBacklogPartition,
-			Nodes: []int{victim},
+			Nodes: []int{soakCrashable[0]},
 			Bytes: o.BacklogFault,
 		})
 	}
@@ -251,7 +516,7 @@ func Soak(o Options) (*Report, error) {
 	suspect := make(map[int]bool)
 	for _, e := range sched.Events {
 		if e.Kind == faultinject.KindPartition || e.Kind == faultinject.KindBacklogPartition {
-			for i := 1; i <= o.N; i++ {
+			for i := 1; i <= clusterSize; i++ {
 				suspect[i] = true
 			}
 			continue
@@ -261,194 +526,68 @@ func Soak(o Options) (*Report, error) {
 		}
 	}
 
-	// A lightly shaped fabric: enough latency that faults hit in-flight
-	// traffic, jitter to exercise the seeded shaper, and a bandwidth cap so
-	// post-heal resends stream rather than teleport.
-	bw := emunet.Mbps(200)
-	if o.BandwidthBps > 0 {
-		bw = o.BandwidthBps
+	sc := &scenario{
+		name: "chaos", seed: o.Seed, logf: o.Logf, sched: sched, senders: soakSenders,
+		cluster: o.Cluster, bandwidth: o.BandwidthBps,
+		sendEvery: o.SendEvery, payloadBytes: o.PayloadBytes,
+		drain: o.DrainTimeout, sweepEvery: 100 * time.Millisecond,
 	}
-	matrix := emunet.NewMatrix()
-	matrix.Default = emunet.Link{
-		OneWayLatency: 2 * time.Millisecond,
-		Jitter:        time.Millisecond,
-		BandwidthBps:  bw,
-	}
-	fabric := emunet.NewMemNetwork(matrix)
-	fabric.Seed(o.Seed)
-	defer fabric.Close()
-
-	inj := faultinject.New(metrics.NewRegistry())
-	defer inj.Close()
-	fabric.SetConnHook(inj.Hook())
-
-	topo := &config.Topology{Self: 1}
-	for i := 1; i <= o.N; i++ {
-		topo.Nodes = append(topo.Nodes, config.Node{
-			Name:   fmt.Sprintf("node%d", i),
-			AZ:     fmt.Sprintf("az%d", i),
-			Region: fmt.Sprintf("region%d", i),
-		})
-	}
-
-	check := NewChecker(o.N, o.Senders)
-	var deliveries atomic.Int64
-
-	// attach must run before the node's peers can deliver anything. At
-	// boot no sender is pumping yet; after a restart the fabric's 2ms
-	// one-way latency guarantees a reconnect handshake takes longer than
-	// the call gap after Restart returns.
-	attach := func(n *core.Node) {
-		check.Attach(n)
-		if o.Cluster.Stall.Deadline > 0 {
-			check.AttachStallHonesty(n, func(peer int) bool { return suspect[peer] })
-		}
-		if o.Cluster.Trace.Enabled() && o.Cluster.Stall.Deadline > 0 {
-			check.AttachStallTraces(n)
-		}
-		if spill {
-			check.AttachPayloadTruth(n, func(origin int, seq uint64) []byte {
-				return chaosPayload(origin, seq, o.PayloadBytes)
-			})
-		}
-		n.OnDeliver(func(core.Message) { deliveries.Add(1) })
-	}
-
-	// mu serializes crash/restart (and their checker bookkeeping) against
-	// CrossCheck sweeps and the final convergence reads.
-	var mu sync.Mutex
-	cfg := o.Cluster
-	cfg.Topology, cfg.Network = topo, fabric
 	// Unless the soak opts into reclamation, keep send buffers whole: a
 	// fresh-restarted receiver needs the full prefix resent, which reclaim
 	// would have truncated.
-	cfg.DisableAutoReclaim = !o.AutoReclaim
+	sc.cluster.DisableAutoReclaim = !o.AutoReclaim
 	// Epoch 1 for first incarnations; Cluster.Restart bumps from there.
-	cfg.Epoch = 1
-	cl, err := core.OpenCluster(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("chaos: open cluster: %w", err)
+	sc.cluster.Epoch = 1
+	truth := func(origin int, seq uint64) []byte { return chaosPayload(origin, seq, o.PayloadBytes) }
+	if spill {
+		sc.payload = truth
 	}
-	defer cl.Close()
-	for _, n := range cl.Nodes() {
-		attach(n)
-	}
-	// liveNodes rebuilds the checker's positional view: index i-1 holds
-	// node i, nil while crashed.
-	liveNodes := func() []*core.Node {
-		out := make([]*core.Node, o.N)
-		for i := 1; i <= o.N; i++ {
-			out[i-1] = cl.Node(i)
-		}
-		return out
-	}
-
-	// Quorum sizes follow the registered predicates: MIN($ALLWNODES) needs
-	// every node; KTH_MIN(k, $ALLWNODES) advances once N-k+1 nodes have
-	// acked that far. Both the frontier-truth sweeps and the trace check
-	// judge against these.
-	maj := o.N/2 + 1
-	quorums := map[string]int{"all": o.N, "maj": o.N - maj + 1}
-	for _, s := range o.Senders {
-		sn := cl.Node(s)
-		if err := sn.RegisterPredicate("all", "MIN($ALLWNODES)"); err != nil {
-			return nil, fmt.Errorf("chaos: register 'all' on node %d: %w", s, err)
-		}
-		if err := sn.RegisterPredicate("maj", fmt.Sprintf("KTH_MIN(%d, $ALLWNODES)", maj)); err != nil {
-			return nil, fmt.Errorf("chaos: register 'maj' on node %d: %w", s, err)
-		}
-	}
-
-	// Data pumps. Senders are never crashed, so their *Node pointers are
-	// stable for the whole run.
-	pumpStop := make(chan struct{})
-	var pumps sync.WaitGroup
-	for _, s := range o.Senders {
-		sn := cl.Node(s)
-		pumps.Add(1)
-		go func(s int, sn *core.Node) {
-			defer pumps.Done()
-			payload := make([]byte, o.PayloadBytes)
-			tick := time.NewTicker(o.SendEvery)
-			defer tick.Stop()
-			for {
-				select {
-				case <-pumpStop:
-					return
-				case <-tick.C:
-					if spill {
-						// The pump is its node's only appender, so the next
-						// sequence is known before Send assigns it — that is
-						// what lets the payload be derived from (origin, seq)
-						// and re-derived independently at every receiver.
-						seq := sn.NextSeq()
-						got, err := sn.Send(chaosPayload(s, seq, o.PayloadBytes))
-						if err != nil {
-							return
-						}
-						if got != seq {
-							check.Violatef("pump: node %d predicted seq %d but Send assigned %d", s, seq, got)
-							return
-						}
-					} else if _, err := sn.Send(payload); err != nil {
-						return
-					}
+	if o.BacklogFault > 0 {
+		// The backlog a region outage induces lives on the *senders*:
+		// reclamation is keyed to MIN over all nodes, so the isolated
+		// victim pins every origin's log.
+		sc.backlog = func(r *run) int64 {
+			var max int64
+			for _, s := range soakSenders {
+				if b := r.bed.Node(s).BufferedBytes(); b > max {
+					max = b
 				}
 			}
-		}(s, sn)
-	}
-
-	crash := func(i int) {
-		mu.Lock()
-		defer mu.Unlock()
-		// Cluster.Crash closes the node but hands back the dead handle:
-		// its receive high water is monotone within the incarnation, so
-		// reading it after Close yields the incarnation's final value.
-		dead, err := cl.Crash(i)
-		if err != nil {
-			return // already down
-		}
-		hw := make(map[int]uint64, len(o.Senders))
-		for _, s := range o.Senders {
-			hw[s] = dead.RecvLast(s)
-		}
-		check.RecordCrash(i, hw)
-		if o.Logf != nil {
-			o.Logf("chaos: crashed node %d, high water %v", i, hw)
+			return max
 		}
 	}
-	restart := func(i int) {
-		mu.Lock()
-		defer mu.Unlock()
-		if cl.Node(i) != nil {
-			return
+	sc.attach = func(r *run, n *core.Node) {
+		if o.Cluster.Stall.Deadline > 0 {
+			r.check.AttachStallHonesty(n, func(peer int) bool { return suspect[peer] })
 		}
-		check.RecordRestart(i)
-		n, err := cl.Restart(i)
-		if err != nil {
-			check.Violatef("restart node %d: %v", i, err)
-			return
+		if o.Cluster.Trace.Enabled() && o.Cluster.Stall.Deadline > 0 {
+			r.check.AttachStallTraces(n)
 		}
-		attach(n)
-		if o.Logf != nil {
-			o.Logf("chaos: restarted node %d", i)
+		if spill {
+			r.check.AttachPayloadTruth(n, truth)
 		}
 	}
-
-	// The bounded-memory sweep: with a spill tier the cap governs only the
-	// in-memory tier (the whole point is that total backlog exceeds it),
-	// and the sweeps also track invariant 9's peak-spill witness.
-	var peakSpill int64 // guarded by mu
-	sweepBounded := func(nodes []*core.Node) {
+	var quorums map[string]int
+	sc.start = func(r *run) (err error) {
+		quorums, err = r.registerAllMaj()
+		return err
+	}
+	// Invariants 3 (the runner's CrossCheck), 8 and 5 swept while faults fly.
+	// With a spill tier the cap governs only the in-memory tier (the whole
+	// point is that total backlog exceeds it), and the sweeps also track
+	// invariant 9's peak-spill witness.
+	var peakSpill int64 // guarded by run.mu
+	sc.sweep = func(r *run, live []*core.Node) {
+		r.check.CheckFrontierTruth(live, quorums)
 		if o.Cluster.Flow.MaxBytes > 0 {
 			if spill {
-				check.CheckBoundedMemory(nodes, o.Cluster.Flow.MaxBytes, int64(o.PayloadBytes))
+				r.check.CheckBoundedMemory(live, o.Cluster.Flow.MaxBytes, int64(o.PayloadBytes))
 			} else {
-				check.CheckBounded(nodes, o.Cluster.Flow.MaxBytes, int64(o.PayloadBytes))
+				r.check.CheckBounded(live, o.Cluster.Flow.MaxBytes, int64(o.PayloadBytes))
 			}
 		}
 		if spill {
-			for _, n := range nodes {
+			for _, n := range live {
 				if n == nil {
 					continue
 				}
@@ -458,166 +597,73 @@ func Soak(o Options) (*Report, error) {
 			}
 		}
 	}
-
-	// Continuous invariant-3 and invariant-8 sweeps while faults fly.
-	ccStop := make(chan struct{})
-	ccDone := make(chan struct{})
-	go func() {
-		defer close(ccDone)
-		tick := time.NewTicker(100 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-ccStop:
-				return
-			case <-tick.C:
-				mu.Lock()
-				live := liveNodes()
-				check.CrossCheck(live)
-				check.CheckFrontierTruth(live, quorums)
-				sweepBounded(live)
-				mu.Unlock()
+	var readback int64
+	sc.finish = func(r *run) {
+		defer func() {
+			for _, s := range soakSenders {
+				readback += r.bed.Node(s).SpillReadbackBytes()
 			}
-		}
-	}()
-
-	runner := &faultinject.Runner{
-		Inj: inj, Sched: sched, N: o.N, Scale: 1,
-		Crash: crash, Restart: restart, Logf: o.Logf,
-	}
-	if o.BacklogFault > 0 {
-		// The backlog a region outage induces lives on the *senders*:
-		// reclamation is keyed to MIN over all nodes, so the isolated
-		// victim pins every origin's log. Senders never crash, so their
-		// handles are stable for the whole run.
-		senderNodes := make([]*core.Node, 0, len(o.Senders))
-		for _, s := range o.Senders {
-			senderNodes = append(senderNodes, cl.Node(s))
-		}
-		runner.Backlog = func(int) int64 {
-			var max int64
-			for _, sn := range senderNodes {
-				if b := sn.BufferedBytes(); b > max {
-					max = b
-				}
-			}
-			return max
-		}
-	}
-	runner.Run(nil)
-	inj.HealAll()
-
-	close(pumpStop)
-	pumps.Wait()
-
-	heads := make(map[int]uint64, len(o.Senders))
-	for _, s := range o.Senders {
-		heads[s] = cl.Node(s).NextSeq() - 1
-	}
-
-	// Invariant 4: with faults healed, every node must be back up and its
-	// evaluation of the convergence predicate over every sender's stream
-	// must reach that stream's head.
-	converged := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		if len(cl.Nodes()) != o.N {
-			return false
-		}
-		for _, s := range o.Senders {
-			f, err := cl.EvalAllFor(s, convergencePred)
-			if err != nil || f < heads[s] {
+		}()
+		// Invariant 4: with faults healed, every node must be back up and its
+		// evaluation of the convergence predicate over every sender's stream
+		// must reach that stream's head.
+		ok := testbed.Await(o.DrainTimeout, func() bool {
+			r.mu.Lock()
+			defer r.mu.Unlock()
+			if len(r.bed.Nodes()) != clusterSize {
 				return false
 			}
-		}
-		return true
-	}
-	deadline := time.Now().Add(o.DrainTimeout)
-	ok := false
-	for time.Now().Before(deadline) {
-		if ok = converged(); ok {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if !ok {
-		mu.Lock()
-		var lines []string
-		for _, s := range o.Senders {
-			for i, n := range liveNodes() {
-				if n == nil {
-					lines = append(lines, fmt.Sprintf("node %d: down", i+1))
-					continue
+			for _, s := range soakSenders {
+				f, err := r.bed.EvalAllFor(s, convergencePred)
+				if err != nil || f < r.heads[s] {
+					return false
 				}
-				f, err := n.EvalFor(s, convergencePred)
-				lines = append(lines, fmt.Sprintf("node %d: origin %d frontier %d/%d recvLast %d (err=%v)",
-					i+1, s, f, heads[s], n.RecvLast(s), err))
 			}
+			return true
+		})
+		r.mu.Lock()
+		final := r.live()
+		r.mu.Unlock()
+		if !ok {
+			var lines []string
+			for _, s := range soakSenders {
+				for i, n := range final {
+					if n == nil {
+						lines = append(lines, fmt.Sprintf("node %d: down", i+1))
+						continue
+					}
+					f, err := n.EvalFor(s, convergencePred)
+					lines = append(lines, fmt.Sprintf("node %d: origin %d frontier %d/%d recvLast %d (err=%v)",
+						i+1, s, f, r.heads[s], n.RecvLast(s), err))
+				}
+			}
+			sort.Strings(lines)
+			r.check.Violatef("no convergence within %v:\n  %s", o.DrainTimeout, strings.Join(lines, "\n  "))
+			return
 		}
-		mu.Unlock()
-		sort.Strings(lines)
-		check.Violatef("no convergence within %v:\n  %s", o.DrainTimeout, joinLines(lines))
-	}
-
-	close(ccStop)
-	<-ccDone
-	mu.Lock()
-	final := liveNodes()
-	check.CrossCheck(final)
-	check.CheckFrontierTruth(final, quorums)
-	sweepBounded(final)
-	// The checker's own FIFO counters must also have reached the heads:
-	// agreement on .delivered plus gap-free counting means every message
-	// was upcalled exactly once per incarnation.
-	if ok {
-		for _, s := range o.Senders {
+		// The checker's own FIFO counters must also have reached the heads:
+		// agreement on .delivered plus gap-free counting means every message
+		// was upcalled exactly once per incarnation.
+		for _, s := range soakSenders {
 			for i, n := range final {
 				if n == nil || i+1 == s {
 					continue
 				}
-				if got := check.Delivered(i+1, s); got != heads[s] {
-					check.Violatef("delivery incomplete: node %d saw %d/%d of origin %d", i+1, got, heads[s], s)
+				if got := r.check.Delivered(i+1, s); got != r.heads[s] {
+					r.check.Violatef("delivery incomplete: node %d saw %d/%d of origin %d", i+1, got, r.heads[s], s)
 				}
 			}
 		}
-	}
-	mu.Unlock()
-
-	// Invariant 7: after convergence a sampled op must have a complete,
-	// well-ordered merged timeline. The cluster is quiescent here (faults
-	// healed, pumps stopped, sweeps done), so no lock is needed.
-	if ok && o.Cluster.Trace.Enabled() {
-		for _, s := range o.Senders {
-			check.CheckTraces(cl, s, heads[s], o.Cluster.Trace.SampleEvery, quorums)
+		// Invariant 7: after convergence a sampled op must have a complete,
+		// well-ordered merged timeline.
+		if o.Cluster.Trace.Enabled() {
+			for _, s := range soakSenders {
+				r.check.CheckTraces(r.bed.Cluster, s, r.heads[s], o.Cluster.Trace.SampleEvery, quorums)
+			}
 		}
 	}
 
-	rep := &Report{
-		Schedule:   sched,
-		Heads:      heads,
-		Deliveries: deliveries.Load(),
-		Violations: check.Violations(),
-	}
-	if spill {
-		rep.PeakSpilledBytes = peakSpill
-		for _, s := range o.Senders {
-			rep.SpillReadbackBytes += cl.Node(s).SpillReadbackBytes()
-		}
-	}
-	if len(rep.Violations) > 0 {
-		return rep, fmt.Errorf("chaos: %d invariant violation(s), seed %d:\n%s",
-			len(rep.Violations), o.Seed, joinLines(rep.Violations))
-	}
-	return rep, nil
-}
-
-func joinLines(lines []string) string {
-	out := ""
-	for i, l := range lines {
-		if i > 0 {
-			out += "\n  "
-		}
-		out += l
-	}
-	return out
+	rep, err := sc.run()
+	rep.PeakSpilledBytes, rep.SpillReadbackBytes = peakSpill, readback
+	return rep, err
 }

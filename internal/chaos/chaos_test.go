@@ -187,9 +187,3 @@ func TestCheckerViolationCap(t *testing.T) {
 		t.Fatalf("got %d violation lines, want %d capped + 1 overflow marker", len(v), maxViolations+1)
 	}
 }
-
-func TestSoakRejectsOverlappingRoles(t *testing.T) {
-	if _, err := Soak(Options{Seed: 1, Senders: []int{1}, Crashable: []int{1, 2}}); err == nil {
-		t.Fatal("Soak accepted a node that is both sender and crashable")
-	}
-}

@@ -76,6 +76,7 @@ import (
 
 	"stabilizer/internal/core"
 	"stabilizer/internal/optrace"
+	"stabilizer/internal/testbed"
 )
 
 // maxViolations caps the violation log so a systemic failure doesn't
@@ -468,21 +469,17 @@ func (c *Checker) CheckTraces(cl *core.Cluster, origin int, head uint64, sampleE
 	if head == 0 {
 		return
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		tl := findTracedOp(cl, origin, head, sampleEvery)
-		if tl != nil {
-			for _, v := range tl.Validate(quorums) {
-				c.Violatef("trace ill-ordered: origin %d seq %d: %s", origin, tl.Seq, v)
-			}
-			return
-		}
-		if time.Now().After(deadline) {
-			c.Violatef("no fully-traced sampled op for origin %d (head %d, sample 1-in-%d): every candidate timeline was incomplete",
-				origin, head, sampleEvery)
-			return
-		}
-		time.Sleep(20 * time.Millisecond)
+	var tl *optrace.Timeline
+	if !testbed.Await(2*time.Second, func() bool {
+		tl = findTracedOp(cl, origin, head, sampleEvery)
+		return tl != nil
+	}) {
+		c.Violatef("no fully-traced sampled op for origin %d (head %d, sample 1-in-%d): every candidate timeline was incomplete",
+			origin, head, sampleEvery)
+		return
+	}
+	for _, v := range tl.Validate(quorums) {
+		c.Violatef("trace ill-ordered: origin %d seq %d: %s", origin, tl.Seq, v)
 	}
 }
 

@@ -1,0 +1,221 @@
+package chaos
+
+import (
+	"context"
+	"math/rand"
+	"sync/atomic"
+	"time"
+
+	"stabilizer/internal/core"
+	"stabilizer/internal/faultinject"
+	"stabilizer/internal/optrace"
+	"stabilizer/internal/testbed"
+	"stabilizer/internal/transport"
+)
+
+// FlowOptions is Options as the flow scenario reads it: Seed, Logf, and
+// Horizon for how long the pump runs (the blackhole outlasts it).
+type FlowOptions Options
+
+// The flow scenario's fixed parameters: one sender (node 1) pumping 512-byte
+// payloads every millisecond under a 64 KiB send-log cap.
+const (
+	flowSendEvery = time.Millisecond
+	// flowPayloadBytes doubles as the bounded-memory slack: admission control
+	// may overshoot the cap by at most one in-flight payload.
+	flowPayloadBytes  = 512
+	flowCapBytes      = 64 << 10
+	flowStallDeadline = 150 * time.Millisecond
+)
+
+// flowTrace samples every op into a 16Ki-event ring, so the scenario's stall
+// reports always ship a recorder tail for the blamed victim (invariant 7's
+// stall half, enforced via AttachStallTraces).
+var flowTrace = optrace.Config{SampleEvery: 1, RingSize: 1 << 14}
+
+// seededVictim is the faulted peer a seed selects: a deterministic draw from
+// the non-sender nodes 2..N.
+func seededVictim(seed int64) int {
+	return 2 + rand.New(rand.NewSource(seed)).Intn(clusterSize-1)
+}
+
+// Victim returns the blackholed peer.
+func (o FlowOptions) Victim() int { return seededVictim(Options(o).withDefaults().Seed) }
+
+// Schedule returns the run's fault plan — a single blackhole of the
+// sender→victim direction from the first byte — as a canonical, replayable
+// artifact. "Whole run" means the victim stays dark past the last check, so
+// the event outlasts the horizon by every wait that can follow it (the pump's
+// stop grace, then the drain); the runner abandons the schedule there instead
+// of healing it.
+func (o FlowOptions) Schedule() *faultinject.Schedule {
+	d := Options(o).withDefaults()
+	return &faultinject.Schedule{Seed: d.Seed, Events: []faultinject.Event{
+		{At: 0, Dur: d.Horizon + 2*drainTimeout, Kind: faultinject.KindBlackhole, Nodes: []int{1, o.Victim()}},
+	}}
+}
+
+// FlowReport summarizes a FlowDemo run.
+type FlowReport struct {
+	*Report
+	// Victim is the blackholed peer.
+	Victim int
+	// Head is the sender's final stream head.
+	Head uint64
+	// FallbackHead is the head at the moment the reclaim predicate was
+	// swapped to the majority fallback (0 if the fallback never fired).
+	FallbackHead uint64
+	// MaxLogBytes is the largest send-log occupancy any sweep observed.
+	MaxLogBytes int64
+	// BlockedAppends counts appends that waited on admission control.
+	BlockedAppends int64
+	// StallReports counts degraded-mode notifications the sender emitted.
+	StallReports int
+}
+
+// FlowDemo runs the bounded-memory acceptance scenario: the sender pumps
+// under a hard send-log cap while one peer is blackholed for the entire run.
+// It demonstrates — and the checker enforces — that
+//
+//   - memory stays bounded: send-log bytes never exceed the cap plus one
+//     in-flight payload (invariant 5), because admission control blocks the
+//     pump once the stalled full-set reclaim predicate pins the log;
+//   - degraded mode is honest: the stall monitor blames exactly the
+//     blackholed peer (invariant 6), and Node.Health names it too;
+//   - the fallback restores progress: when the app (this harness) reacts to
+//     the stall notification by swapping reclaim to a majority predicate,
+//     truncation resumes, blocked appends drain, and appends to
+//     healthy-majority predicates keep completing to the end of the run.
+func FlowDemo(o FlowOptions) (*FlowReport, error) {
+	o = FlowOptions(Options(o).withDefaults())
+	victim := o.Victim()
+	rep := &FlowReport{Victim: victim}
+	sc := &scenario{
+		name: "chaos: flow demo", seed: o.Seed, logf: o.Logf, sched: o.Schedule(), senders: []int{1},
+		// Auto-reclaim stays ON: bounded memory requires truncation, and the
+		// scenario's whole point is watching reclaim stall and fall back.
+		cluster: core.Config{
+			HeartbeatEvery: heartbeatEvery,
+			PeerTimeout:    peerTimeout,
+			Flow:           transport.FlowConfig{MaxBytes: flowCapBytes},
+			Stall:          core.StallConfig{Deadline: flowStallDeadline},
+			Trace:          flowTrace,
+		},
+		bandwidth: linkBandwidth,
+		sendEvery: flowSendEvery, payloadBytes: flowPayloadBytes,
+		horizon: o.Horizon, drain: drainTimeout, sweepEvery: 20 * time.Millisecond,
+	}
+	sc.attach = func(r *run, n *core.Node) {
+		r.check.AttachStallHonesty(n, func(peer int) bool { return peer == victim })
+		r.check.AttachStallTraces(n)
+	}
+
+	// Degraded-mode notification → fallback trigger. The app pattern under
+	// test: on a reclaim stall naming the victim, wait for real backpressure
+	// (the log actually full), then swap reclaim to a majority predicate so
+	// truncation no longer waits on the dark peer.
+	var (
+		stallCount     atomic.Int64
+		reclaimStalled atomic.Bool
+		fallbackHead   atomic.Uint64
+	)
+	sc.start = func(r *run) error {
+		if _, err := r.registerAllMaj(); err != nil {
+			return err
+		}
+		r.bed.Node(1).OnStall(func(sr core.StallReport) {
+			stallCount.Add(1)
+			r.logf("chaos: stall report: predicate %q frontier %d/%d blames %v", sr.Predicate, sr.Frontier, sr.Head, sr.Peers)
+			if sr.Predicate == core.ReclaimPredicateKey {
+				reclaimStalled.Store(true)
+			}
+		})
+		return nil
+	}
+	// Invariant sweeps: bounded memory beside the runner's phantom-stability
+	// check, the high-water bookkeeping for the report, and the one-shot
+	// fallback.
+	sc.sweep = func(r *run, live []*core.Node) {
+		sender := live[0]
+		r.check.CheckBounded(live, flowCapBytes, flowPayloadBytes)
+		if b := sender.BufferedBytes(); b > rep.MaxLogBytes {
+			rep.MaxLogBytes = b
+		}
+		if fallbackHead.Load() != 0 || !reclaimStalled.Load() || !sender.Health().Backpressured {
+			return
+		}
+		fallbackHead.Store(sender.NextSeq() - 1)
+		if err := sender.ChangeReclaimPredicate(majoritySource); err != nil {
+			r.check.Violatef("reclaim fallback failed: %v", err)
+		} else {
+			r.logf("chaos: reclaim fallback to majority at head %d", fallbackHead.Load())
+		}
+	}
+	sc.finish = func(r *run) {
+		nodes := r.live()
+		sender, head := nodes[0], r.heads[1]
+		rep.Head = head
+		h := sender.Health()
+		rep.FallbackHead = fallbackHead.Load()
+		rep.BlockedAppends = h.BlockedAppends
+		rep.StallReports = int(stallCount.Load())
+
+		// The demo must actually have exercised the degraded path.
+		if rep.FallbackHead == 0 {
+			r.check.Violatef("reclaim fallback never fired (stalls=%d, backpressured=%v)", rep.StallReports, h.Backpressured)
+		} else if head <= rep.FallbackHead {
+			r.check.Violatef("appends stopped after fallback: head %d never passed fallback head %d", head, rep.FallbackHead)
+		}
+		if rep.BlockedAppends == 0 {
+			r.check.Violatef("admission control never engaged: 0 blocked appends at cap %d", flowCapBytes)
+		}
+		// Health must name exactly the blackholed peer as the stall cause on the
+		// full-set predicate.
+		foundAll := false
+		for _, ph := range h.Predicates {
+			if ph.Key != "all" {
+				continue
+			}
+			foundAll = true
+			if !ph.Stalled || len(ph.Blamed) != 1 || ph.Blamed[0].Peer != victim {
+				r.check.Violatef("Health misnames the stall cause: predicate 'all' stalled=%v blamed=%+v, want exactly peer %d",
+					ph.Stalled, ph.Blamed, victim)
+			}
+		}
+		if !foundAll {
+			r.check.Violatef("Health has no entry for predicate 'all'")
+		}
+
+		// Healthy-majority convergence: every node but the victim drains the full
+		// stream, and the sender's majority predicate reaches the head.
+		wctx, wcancel := context.WithTimeout(context.Background(), drainTimeout)
+		defer wcancel()
+		healthy := func(i int) bool { return i+1 != victim && i != 0 }
+		if !testbed.Await(drainTimeout, func() bool {
+			for i, n := range nodes {
+				if healthy(i) && (n.RecvLast(1) < head || r.check.Delivered(i+1, 1) < head) {
+					return false
+				}
+			}
+			return true
+		}) {
+			for i, n := range nodes {
+				if healthy(i) {
+					r.check.Violatef("healthy node %d did not drain: recvLast %d delivered %d of head %d",
+						i+1, n.RecvLast(1), r.check.Delivered(i+1, 1), head)
+				}
+			}
+		}
+		if err := sender.WaitFor(wctx, head, "maj"); err != nil {
+			r.check.Violatef("majority predicate never reached head %d: %v", head, err)
+		}
+		// The victim must still be dark — "whole run" means no quiet catch-up.
+		if got := nodes[victim-1].RecvLast(1); got != 0 {
+			r.check.Violatef("victim %d received %d messages through a whole-run blackhole", victim, got)
+		}
+	}
+
+	var err error
+	rep.Report, err = sc.run()
+	return rep, err
+}

@@ -12,27 +12,26 @@ import (
 	"stabilizer/internal/core"
 	"stabilizer/internal/emunet"
 	"stabilizer/internal/predlib"
+	"stabilizer/internal/testbed"
 	"stabilizer/internal/transport"
 	"stabilizer/internal/wankv"
 )
 
 type env struct {
-	nodes  []*core.Node
 	stores []*wankv.Store
 	svc    *Service
 }
 
 func startBackupCluster(t *testing.T, opts ...Option) *env {
 	t.Helper()
-	topo := config.EC2Topology(1)
-	network := emunet.NewMemNetwork(emunet.EC2Matrix().Scaled(50))
+	bed, err := testbed.Boot(core.Config{Topology: config.EC2Topology(1)},
+		testbed.Fabric{Matrix: emunet.EC2Matrix(), TimeScale: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = bed.Close() })
 	e := &env{}
-	for i := 1; i <= topo.N(); i++ {
-		n, err := core.Open(core.Config{Topology: topo.WithSelf(i), Network: network})
-		if err != nil {
-			t.Fatalf("open node %d: %v", i, err)
-		}
-		e.nodes = append(e.nodes, n)
+	for _, n := range bed.Nodes() {
 		e.stores = append(e.stores, wankv.New(n))
 	}
 	e.svc = New(e.stores[0], opts...)
@@ -42,12 +41,6 @@ func startBackupCluster(t *testing.T, opts ...Option) *env {
 	if err := e.stores[0].RegisterPredicate("alldel", "MIN(($ALLWNODES-$MYWNODE).delivered)"); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		for _, n := range e.nodes {
-			_ = n.Close()
-		}
-		_ = network.Close()
-	})
 	return e
 }
 

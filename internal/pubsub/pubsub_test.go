@@ -9,13 +9,11 @@ import (
 	"testing"
 	"time"
 
-	"stabilizer/internal/config"
 	"stabilizer/internal/core"
-	"stabilizer/internal/emunet"
+	"stabilizer/internal/testbed"
 )
 
 type psCluster struct {
-	nodes   []*core.Node
 	brokers []*Broker
 }
 
@@ -26,32 +24,19 @@ func startBrokers(t *testing.T, n int) *psCluster {
 
 func startBrokersCustom(t *testing.T, n int, opts ...Option) *psCluster {
 	t.Helper()
-	topo := &config.Topology{Self: 1}
-	for i := 1; i <= n; i++ {
-		topo.Nodes = append(topo.Nodes, config.Node{
-			Name: fmt.Sprintf("dc%d", i), AZ: fmt.Sprintf("az%d", i),
-		})
+	bed, err := testbed.Boot(core.Config{Topology: testbed.Flat(n)}, testbed.Fabric{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	network := emunet.NewMemNetwork(nil)
+	t.Cleanup(func() { _ = bed.Close() })
 	c := &psCluster{}
-	for i := 1; i <= n; i++ {
-		node, err := core.Open(core.Config{Topology: topo.WithSelf(i), Network: network})
-		if err != nil {
-			t.Fatalf("open node %d: %v", i, err)
-		}
+	for _, node := range bed.Nodes() {
 		b, err := New(node, opts...)
 		if err != nil {
-			t.Fatalf("broker %d: %v", i, err)
+			t.Fatalf("broker %d: %v", node.Self(), err)
 		}
-		c.nodes = append(c.nodes, node)
 		c.brokers = append(c.brokers, b)
 	}
-	t.Cleanup(func() {
-		for _, node := range c.nodes {
-			_ = node.Close()
-		}
-		_ = network.Close()
-	})
 	return c
 }
 

@@ -11,41 +11,28 @@ import (
 	"stabilizer/internal/config"
 	"stabilizer/internal/core"
 	"stabilizer/internal/emunet"
+	"stabilizer/internal/testbed"
 )
 
 type qcluster struct {
-	nodes []*core.Node
-	kvs   []*KV
+	kvs []*KV
 }
 
 func startQuorum(t *testing.T, n int, members []int, nw, nr int) *qcluster {
 	t.Helper()
-	topo := &config.Topology{Self: 1}
-	for i := 1; i <= n; i++ {
-		topo.Nodes = append(topo.Nodes, config.Node{
-			Name: fmt.Sprintf("q%d", i), AZ: fmt.Sprintf("az%d", i),
-		})
+	bed, err := testbed.Boot(core.Config{Topology: testbed.Flat(n)}, testbed.Fabric{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	network := emunet.NewMemNetwork(nil)
+	t.Cleanup(func() { _ = bed.Close() })
 	c := &qcluster{}
-	for i := 1; i <= n; i++ {
-		node, err := core.Open(core.Config{Topology: topo.WithSelf(i), Network: network})
-		if err != nil {
-			t.Fatalf("open node %d: %v", i, err)
-		}
+	for _, node := range bed.Nodes() {
 		kv, err := New(Config{Node: node, Members: members, Nw: nw, Nr: nr})
 		if err != nil {
-			t.Fatalf("quorum node %d: %v", i, err)
+			t.Fatalf("quorum node %d: %v", node.Self(), err)
 		}
-		c.nodes = append(c.nodes, node)
 		c.kvs = append(c.kvs, kv)
 	}
-	t.Cleanup(func() {
-		for _, node := range c.nodes {
-			_ = node.Close()
-		}
-		_ = network.Close()
-	})
 	return c
 }
 

@@ -13,38 +13,25 @@ import (
 	"stabilizer/internal/core"
 	"stabilizer/internal/emunet"
 	"stabilizer/internal/kvstore"
+	"stabilizer/internal/testbed"
 	"stabilizer/internal/transport"
 )
 
 type testCluster struct {
-	nodes  []*core.Node
 	stores []*Store
 }
 
 func startKVCluster(t *testing.T, n int) *testCluster {
 	t.Helper()
-	topo := &config.Topology{Self: 1}
-	for i := 1; i <= n; i++ {
-		topo.Nodes = append(topo.Nodes, config.Node{
-			Name: fmt.Sprintf("n%d", i), AZ: fmt.Sprintf("az%d", i),
-		})
+	bed, err := testbed.Boot(core.Config{Topology: testbed.Flat(n)}, testbed.Fabric{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	network := emunet.NewMemNetwork(nil)
+	t.Cleanup(func() { _ = bed.Close() })
 	c := &testCluster{}
-	for i := 1; i <= n; i++ {
-		node, err := core.Open(core.Config{Topology: topo.WithSelf(i), Network: network})
-		if err != nil {
-			t.Fatalf("open node %d: %v", i, err)
-		}
-		c.nodes = append(c.nodes, node)
+	for _, node := range bed.Nodes() {
 		c.stores = append(c.stores, New(node))
 	}
-	t.Cleanup(func() {
-		for _, node := range c.nodes {
-			_ = node.Close()
-		}
-		_ = network.Close()
-	})
 	return c
 }
 
