@@ -139,9 +139,9 @@ bench-spill-short:
 	  | $(GO) run ./cmd/benchjson -compare BENCH_spill.json
 
 # bench-recvrun measures the receive path per message at run lengths 1 to
-# 512 (core's HandleDataRun: recorder update, ACK fan-out onto 7 links, one
-# upcall) and the ACK outbox alone (advancing and stale reports), and
-# rewrites the "current" run in BENCH_recvrun.json. The file's baseline is
+# 512 (core's HandleDataRun: recorder update, reports posted on the board,
+# one upcall) and the report board alone (advancing and stale reports, at 8
+# and 32 nodes), and rewrites the "current" run in BENCH_recvrun.json. The file's baseline is
 # the parent commit's per-message HandleData under the same harness, and its
 # end_to_end section (paired benchmark/run.sh runs) is carried over.
 bench-recvrun:

@@ -85,10 +85,16 @@ func TestHookCancelDetaches(t *testing.T) {
 	if _, err := n.Send([]byte("one")); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case <-advances:
-	case <-time.After(5 * time.Second):
-		t.Fatal("OnFrontierAdvance hook never fired")
+	// The message advances two predicates, "all" and the reserved reclaim
+	// one, each once. Both hook calls must be in before the cancel: they can
+	// come from one drain pass, whose second call would otherwise land after
+	// the channel is emptied below.
+	for i := 0; i < 2; i++ {
+		select {
+		case <-advances:
+		case <-time.After(5 * time.Second):
+			t.Fatal("OnFrontierAdvance hook never fired")
+		}
 	}
 	cancel()
 	cancel() // idempotent

@@ -276,7 +276,8 @@ func (c *Cluster) WaitAllReceive(ctx context.Context, origin int, seq uint64) er
 
 // EvalAllFor evaluates source against origin's stream on every live node
 // and returns the minimum — the frontier the whole in-process deployment
-// agrees on. Crashed nodes are skipped; with no live nodes it errors.
+// agrees on, which trails origin's own by up to one HeartbeatEvery (see
+// Node.EvalFor). Crashed nodes are skipped; with no live nodes it errors.
 func (c *Cluster) EvalAllFor(origin int, source string) (uint64, error) {
 	nodes := c.Nodes()
 	if len(nodes) == 0 {

@@ -615,8 +615,9 @@ func (n *Node) RegisterStabilityType(name string) error {
 }
 
 // ReportStability records that this node has reached the named stability
-// level for origin's messages up to seq, and broadcasts the (monotonic)
-// report to every peer.
+// level for origin's messages up to seq, and sends the (monotonic) report to
+// origin at once; every other peer gets it with the next write on its link,
+// a heartbeat at the latest.
 func (n *Node) ReportStability(origin int, typeName string, seq uint64) error {
 	if n.closed.Load() {
 		return ErrClosed
@@ -834,11 +835,15 @@ func (n *Node) Eval(source string) (uint64, error) {
 }
 
 // EvalFor evaluates a predicate over another origin's stream: because
-// every node receives every node's stability reports, each WAN site can
+// every node's stability reports reach every node, each WAN site can
 // independently evaluate the same predicate about the same stream, and
-// "all WAN nodes reach the same conclusions eventually" (§III-A). The
-// predicate is compiled ad hoc; registered predicates always concern the
-// local origin's stream.
+// "all WAN nodes reach the same conclusions eventually" (§III-A). Only the
+// origin is told at once; a report about a foreign origin rides the next
+// write on the reporter's link to this node, so the result can trail the
+// origin's own Eval by one HeartbeatEvery on an idle link. It is never
+// ahead of the truth: a late report makes a frontier weaker, not stronger.
+// The predicate is compiled ad hoc; registered predicates always concern
+// the local origin's stream.
 func (n *Node) EvalFor(origin int, source string) (uint64, error) {
 	if origin < 1 || origin > n.topo.N() {
 		return 0, fmt.Errorf("core: origin %d out of range", origin)
@@ -851,7 +856,8 @@ func (n *Node) EvalFor(origin int, source string) (uint64, error) {
 }
 
 // AckValue reads one recorder cell: the highest sequence of origin's
-// stream that node has acknowledged at the named stability level.
+// stream that this node knows node to have acknowledged at the named
+// stability level. For a foreign origin it trails as EvalFor does.
 func (n *Node) AckValue(origin, node int, typeName string) (uint64, error) {
 	typ, err := n.types.Lookup(typeName)
 	if err != nil {

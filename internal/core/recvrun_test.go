@@ -20,8 +20,8 @@ import (
 //
 // Nodes 1 and 2 are real; node 3 is played by the test over a raw
 // connection, so node 2 receives origin 3's stream as exactly one k-frame
-// run. Node 1 is the observer: node 2's reports about origin 3 reach its
-// recorder like any other peer's.
+// run. Node 1 is the observer, a bystander to origin 3's stream: node 2's
+// reports about it ride the link's heartbeats.
 func TestRunReportsReceivedBeforeUpcallsDeliveredAfter(t *testing.T) {
 	const k, blockAt = 8, 3
 	fabric := emunet.NewMemNetwork(nil)
@@ -133,15 +133,15 @@ func TestRunReportsReceivedBeforeUpcallsDeliveredAfter(t *testing.T) {
 }
 
 // BenchmarkHandleDataRun measures the core receive path per message at
-// several run lengths: the recorder update, the ACK fan-out onto 7 links and
-// one OnDeliver upcall. Every iteration delivers fresh sequences, so every
-// report advances its slots, as on a live stream.
+// several run lengths: the recorder update, the reports posted on the node's
+// board and one OnDeliver upcall. Every iteration delivers fresh sequences, so
+// every report raises its cell, as on a live stream.
 func BenchmarkHandleDataRun(b *testing.B) {
 	for _, k := range []int{1, 8, 64, 512} {
 		b.Run(fmt.Sprint(k), func(b *testing.B) {
 			fabric := emunet.NewMemNetwork(nil)
 			defer fabric.Close()
-			// Only node 2 of 8 runs: its 7 links queue ACKs and never connect.
+			// Only node 2 of 8 runs: its links never connect.
 			n, err := Open(Config{Topology: flatTopology(8).WithSelf(2), Network: fabric})
 			if err != nil {
 				b.Fatal(err)

@@ -10,6 +10,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"stabilizer/internal/dsl"
 )
 
 // testEnv is a minimal dsl.Env over n flat nodes.
@@ -214,6 +216,45 @@ func TestSnapshotRestore(t *testing.T) {
 	tb3.Restore(map[uint16][]uint64{TypeReceived: {1, 2, 3}})
 	if tb3.Value(1, TypeReceived) != 0 {
 		t.Fatal("mismatched restore applied")
+	}
+}
+
+// TestTableRowsAreSparseByTypeID covers the row slice's edges: ids in the gap
+// between the well-known types and the first custom one (and beyond the
+// slice) read as absent, UpdateAll and the snapshot skip them, and a restore
+// materializes an id the table has never seen.
+func TestTableRowsAreSparseByTypeID(t *testing.T) {
+	const custom, far = firstCustomType + 1, 300
+	tb := NewTable(2)
+	if !tb.Update(2, custom, 5) || tb.Update(2, custom, 5) {
+		t.Fatal("custom-type row: first report must advance, its repeat must not")
+	}
+	for _, absent := range []uint16{0, TypeDelivered, custom - 1, custom + 1, far} {
+		if v := tb.Value(2, absent); v != 0 {
+			t.Fatalf("type %d was never recorded but reads %d", absent, v)
+		}
+	}
+	if !tb.UpdateAll(1, 9) {
+		t.Fatal("UpdateAll found no row to advance")
+	}
+	want := map[uint16][]uint64{custom: {9, 5}}
+	if got := tb.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after UpdateAll the table is %v, want only the one recorded row %v", got, want)
+	}
+
+	// An id the restoring table has never heard of, well past its rows.
+	snap := map[uint16][]uint64{TypeReceived: {3, 4}, far: {7, 8}}
+	tb.Restore(snap)
+	want[TypeReceived], want[far] = snap[TypeReceived], snap[far]
+	if got := tb.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after Restore the table is %v, want %v", got, want)
+	}
+	prog, err := dsl.Compile("MIN($ALLWNODES)", &testEnv{n: 2, self: 1, types: NewTypes()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := tb.EvalLocked(prog); f != 3 {
+		t.Fatalf("MIN over the restored received row = %d, want 3", f)
 	}
 }
 

@@ -16,16 +16,30 @@ import (
 type Table struct {
 	n  int
 	mu sync.RWMutex
-	// rows maps a stability-type id to a per-node counter slice
-	// (slot i holds node i+1's counter).
-	rows map[uint16][]uint64
+	// rows is indexed by stability-type id; a row is a per-node counter
+	// slice (slot i holds node i+1's counter) and nil while the type has
+	// never been recorded. Ids are 1–3 and 16 upward, so the slice stays
+	// short and no read or update hashes anything.
+	rows [][]uint64
 }
 
 var _ dsl.Source = (*Table)(nil)
 
 // NewTable creates a recorder for n WAN nodes.
 func NewTable(n int) *Table {
-	return &Table{n: n, rows: make(map[uint16][]uint64)}
+	return &Table{n: n}
+}
+
+// ensureRow returns typ's row, materializing it (zero-initialized) on first
+// use. Caller holds t.mu for writing.
+func (t *Table) ensureRow(typ uint16) []uint64 {
+	if int(typ) >= len(t.rows) {
+		t.rows = append(t.rows, make([][]uint64, int(typ)+1-len(t.rows))...)
+	}
+	if t.rows[typ] == nil {
+		t.rows[typ] = make([]uint64, t.n)
+	}
+	return t.rows[typ]
 }
 
 // N returns the number of WAN nodes tracked.
@@ -40,11 +54,7 @@ func (t *Table) Update(node int, typ uint16, seq uint64) bool {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	row := t.rows[typ]
-	if row == nil {
-		row = make([]uint64, t.n)
-		t.rows[typ] = row
-	}
+	row := t.ensureRow(typ)
 	if seq <= row[node-1] {
 		return false
 	}
@@ -65,7 +75,7 @@ func (t *Table) UpdateAll(node int, seq uint64) bool {
 	defer t.mu.Unlock()
 	advanced := false
 	for _, row := range t.rows {
-		if row[node-1] < seq {
+		if row != nil && row[node-1] < seq {
 			row[node-1] = seq
 			advanced = true
 		}
@@ -78,11 +88,7 @@ func (t *Table) UpdateAll(node int, seq uint64) bool {
 func (t *Table) EnsureType(typ uint16, node int, seq uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	row := t.rows[typ]
-	if row == nil {
-		row = make([]uint64, t.n)
-		t.rows[typ] = row
-	}
+	row := t.ensureRow(typ)
 	if node >= 1 && node <= t.n && row[node-1] < seq {
 		row[node-1] = seq
 	}
@@ -101,45 +107,36 @@ func (t *Table) NoteReceived(origin, by int, seq uint64) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, typ := range [...]uint16{TypeReceived, TypePersisted, TypeDelivered} {
-		if t.rows[typ] == nil {
-			t.rows[typ] = make([]uint64, t.n)
-		}
-	}
+	t.ensureRow(TypePersisted)
+	t.ensureRow(TypeDelivered)
+	received := t.ensureRow(TypeReceived)
 	for _, row := range t.rows {
-		if row[origin-1] < seq {
+		if row != nil && row[origin-1] < seq {
 			row[origin-1] = seq
 		}
 	}
-	if row := t.rows[TypeReceived]; row[by-1] < seq {
-		row[by-1] = seq
+	if received[by-1] < seq {
+		received[by-1] = seq
 	}
 }
 
 // Value implements dsl.Source: the highest sequence node has acknowledged
 // for typ, or zero if nothing was recorded.
 func (t *Table) Value(node int, typ uint16) uint64 {
-	if node < 1 || node > t.n {
-		return 0
-	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	row := t.rows[typ]
-	if row == nil {
-		return 0
-	}
-	return row[node-1]
+	return unlockedView{t}.Value(node, typ)
 }
 
 // Snapshot returns a deep copy of the table, keyed by type id.
 func (t *Table) Snapshot() map[uint16][]uint64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	out := make(map[uint16][]uint64, len(t.rows))
+	out := make(map[uint16][]uint64)
 	for typ, row := range t.rows {
-		cp := make([]uint64, len(row))
-		copy(cp, row)
-		out[typ] = cp
+		if row != nil {
+			out[uint16(typ)] = append([]uint64(nil), row...)
+		}
 	}
 	return out
 }
@@ -153,9 +150,7 @@ func (t *Table) Restore(snap map[uint16][]uint64) {
 		if len(row) != t.n {
 			continue
 		}
-		cp := make([]uint64, len(row))
-		copy(cp, row)
-		t.rows[typ] = cp
+		copy(t.ensureRow(typ), row)
 	}
 }
 
@@ -175,12 +170,9 @@ var _ dsl.Source = unlockedView{}
 
 // Value implements dsl.Source.
 func (v unlockedView) Value(node int, typ uint16) uint64 {
-	if node < 1 || node > v.t.n {
+	rows := v.t.rows
+	if node < 1 || node > v.t.n || int(typ) >= len(rows) || rows[typ] == nil {
 		return 0
 	}
-	row := v.t.rows[typ]
-	if row == nil {
-		return 0
-	}
-	return row[node-1]
+	return rows[typ][node-1]
 }

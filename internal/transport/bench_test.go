@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -21,35 +22,36 @@ func (h *countHandler) HandleApp(from int, a *wire.App)   {}
 func (h *countHandler) PeerUp(peer int)                   {}
 func (h *countHandler) PeerDown(peer int)                 {}
 
-// BenchmarkQueueAck measures one stability report fanned onto the 7 links of
-// an 8-node transport: a report that advances its slots, as each received
-// run produces, and a stale one, which must cost a lock and a compare per
-// link and wake nobody. The links never connect (nothing listens), so the
-// figure is the outbox alone, without the writer it would wake.
+// BenchmarkQueueAck measures one stability report posted on the node's board
+// at two cluster sizes: a report that raises its cell, as each received run
+// produces (a compare-and-swap, the version bump and the wake-up flag of the
+// one link to the report's origin), and a stale one, which is a column scan
+// and a load and wakes nobody. Neither touches a per-link lock, so the cost
+// must not depend on N. The links never connect (nothing listens), so the
+// figure is the board alone, without the writer it would wake.
 func BenchmarkQueueAck(b *testing.B) {
-	for _, advancing := range []bool{true, false} {
-		name := "stale"
-		if advancing {
-			name = "advancing"
-		}
-		b.Run(name, func(b *testing.B) {
-			fabric := emunet.NewMemNetwork(nil)
-			defer fabric.Close()
-			tr, err := New(Config{Self: 1, N: 8, Network: fabric, Handler: &countHandler{}, Log: NewSendLog(1)})
-			if err != nil {
-				b.Fatal(err)
-			}
-			a := wire.Ack{Origin: 2, By: 1, Type: 1, Seq: 1}
-			tr.QueueAck(a)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if advancing {
-					a.Seq++
+	for _, n := range []int{8, 32} {
+		for _, name := range []string{"advancing", "stale"} {
+			advancing := name == "advancing"
+			b.Run(fmt.Sprintf("%s/N=%d", name, n), func(b *testing.B) {
+				fabric := emunet.NewMemNetwork(nil)
+				defer fabric.Close()
+				tr, err := New(Config{Self: 1, N: n, Network: fabric, Handler: &countHandler{}, Log: NewSendLog(1)})
+				if err != nil {
+					b.Fatal(err)
 				}
+				a := wire.Ack{Origin: 2, By: 1, Type: 1, Seq: 1}
 				tr.QueueAck(a)
-			}
-		})
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if advancing {
+						a.Seq++
+					}
+					tr.QueueAck(a)
+				}
+			})
+		}
 	}
 }
 

@@ -32,31 +32,6 @@ const (
 	backoffCeil  = 2 * time.Second
 )
 
-// ackSlot is one coalescing cell of a link's ACK outbox: the stability
-// report (origin, by, typ), whose newest value overwrites older ones.
-type ackSlot struct {
-	// latest is the newest sequence reported and is never cleared.
-	latest uint64
-	origin uint16
-	by     uint16
-	typ    uint16
-	// queued marks a slot in the emission queue: its latest value has not
-	// been written on the current connection. A slot is queued exactly when
-	// it advances or the connection is replaced, so nothing else needs to
-	// remember what the wire has carried.
-	queued bool
-}
-
-// ackColumn holds the slots of one (by, typ) pair, one per origin (slot i is
-// origin i+1). A node reports its own observations, of a handful of stability
-// types, about every origin: a link has a few columns, found by scanning, of
-// N slots each, indexed directly, and no lookup hashes anything.
-type ackColumn struct {
-	by    uint16
-	typ   uint16
-	slots []ackSlot
-}
-
 // link is one outgoing connection toward a peer: it dials, handshakes,
 // then multiplexes coalesced ACKs, app messages and the shared data stream
 // over the connection, reconnecting with backoff on failure.
@@ -76,13 +51,8 @@ type link struct {
 	// of competing for the incoming connection.
 	draining atomic.Bool
 
-	mu   sync.Mutex
-	cond sync.Cond
-	// acks is the ACK outbox; dirty is its emission queue, the slots that
-	// advanced since the writer last drained it. Columns are appended, never
-	// resized, so slot pointers stay valid.
-	acks    []ackColumn
-	dirty   []*ackSlot
+	mu      sync.Mutex
+	cond    sync.Cond
 	apps    []*wire.App
 	hbDue   bool
 	hbClock uint64
@@ -113,12 +83,16 @@ type link struct {
 	// vecs is the reusable iovec list handed to writev (header and payload
 	// alternating); ctl is the encoded control trailer (ACKs, apps,
 	// heartbeat, echo) riding behind the batch; ackBuf backs the ACK slice
-	// takeControl hands out. Run/stream goroutine only (ackBuf is filled
-	// under mu but only read by the writer).
+	// takeReports hands out. Run/stream goroutine only.
 	hdrs   []byte
 	vecs   [][]byte
 	ctl    []byte
 	ackBuf []wire.Ack
+	// sent[c*N+o] is the newest value of board column c about origin o+1
+	// written on the current connection; scanned is the board version the
+	// last scan read. Run/stream goroutine only.
+	sent    []uint64
+	scanned uint64
 	// traced collects the sampled seqs of the current batch so their
 	// WireSend events can be stamped after the connection write returns.
 	// Empty whenever tracing is off or nothing in the batch was sampled.
@@ -172,59 +146,55 @@ func (l *link) wake() {
 // log.
 func (l *link) notifyData() { l.wake() }
 
-// queueAck coalesces a into its outbox slot and reports whether the slot
-// advanced; a stale or repeated report changes nothing, so the caller wakes
-// the writer only on true. Reports about an origin outside [1, N] are
-// dropped: no peer's recorder has a table for them.
-func (l *link) queueAck(a wire.Ack) bool {
-	if a.Origin < 1 || int(a.Origin) > l.t.cfg.N {
-		return false
+// takeReports returns every report on the board newer than what the current
+// connection has carried, about whichever origin, and counts it sent. The
+// stream loop calls it each time it runs, for whatever reason, so a report
+// that woke nobody rides the link's next write. The slice aliases link-owned
+// scratch valid until the next call.
+func (l *link) takeReports() []wire.Ack {
+	b := l.t.board
+	v := b.version.Load() // before the cells: see board.raise
+	if v == l.scanned {
+		return nil
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	s := l.slotFor(a)
-	if a.Seq <= s.latest {
-		return false
-	}
-	s.latest = a.Seq
-	if !s.queued {
-		s.queued = true
-		l.dirty = append(l.dirty, s)
-	}
-	return true
-}
-
-// slotFor returns a's outbox slot, adding its column on first use. Caller
-// holds mu and has range-checked a.Origin.
-func (l *link) slotFor(a wire.Ack) *ackSlot {
-	for i := range l.acks {
-		if c := &l.acks[i]; c.by == a.By && c.typ == a.Type {
-			return &c.slots[a.Origin-1]
+	l.scanned = v
+	l.ackBuf = l.ackBuf[:0]
+	for ci, c := range b.columns() {
+		if ci*b.n == len(l.sent) {
+			l.sent = append(l.sent, make([]uint64, b.n)...)
 		}
-	}
-	slots := make([]ackSlot, l.t.cfg.N)
-	for i := range slots {
-		slots[i].origin, slots[i].by, slots[i].typ = uint16(i+1), a.By, a.Type
-	}
-	l.acks = append(l.acks, ackColumn{by: a.By, typ: a.Type, slots: slots})
-	return &slots[a.Origin-1]
-}
-
-// resyncAcks queues every slot that ever held a value, so the next stream
-// resyncs the full control state — monotonicity makes the resend harmless
-// (SST-style control plane).
-func (l *link) resyncAcks() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.dirty = l.dirty[:0]
-	for i := range l.acks {
-		for j := range l.acks[i].slots {
-			s := &l.acks[i].slots[j]
-			if s.queued = s.latest > 0; s.queued {
-				l.dirty = append(l.dirty, s)
+		sent := l.sent[ci*b.n:]
+		for o := range c.cells {
+			if seq := c.cells[o].Load(); seq > sent[o] {
+				sent[o] = seq
+				l.ackBuf = append(l.ackBuf, wire.Ack{Origin: uint16(o + 1), By: c.by, Type: c.typ, Seq: seq})
 			}
 		}
 	}
+	return l.ackBuf
+}
+
+// reportDue reports whether the board holds a report about the link's own
+// peer that the connection has not carried: the one kind of report an idle
+// link writes for. The peer is that stream's origin and the only node whose
+// predicates wait on it; reports about other origins wait for the link's
+// next write. A cell whose version bump is still to come does not count:
+// QueueAck's wake follows the bump, and takeReports would not scan before it.
+func (l *link) reportDue() bool {
+	b := l.t.board
+	if b.version.Load() == l.scanned {
+		return false
+	}
+	for ci, c := range b.columns() {
+		var sent uint64
+		if i := ci*b.n + l.peer - 1; i < len(l.sent) {
+			sent = l.sent[i]
+		}
+		if c.cells[l.peer-1].Load() > sent {
+			return true
+		}
+	}
+	return false
 }
 
 func (l *link) queueApp(a *wire.App) error {
@@ -319,7 +289,11 @@ func (l *link) run() {
 		}
 		connected = true
 		backoff = backoffFloor
-		l.resyncAcks()
+		// Nothing sent, nothing scanned: the new connection carries the whole
+		// board — monotonicity makes the resend harmless (SST-style control
+		// plane).
+		clear(l.sent)
+		l.scanned = 0
 		l.stream(conn, lastSeq+1)
 		_ = conn.Close()
 	}
@@ -572,7 +546,7 @@ func (l *link) stream(conn net.Conn, cursor uint64) {
 				frame, err = l.writeCopied(conn, bw, frame)
 			}
 			if err != nil {
-				return // resyncAcks on reconnect resyncs everything
+				return // the next connection resends every report
 			}
 			if len(l.traced) > 0 {
 				tWrite := nowNano()
@@ -733,9 +707,9 @@ func (l *link) countSent(n, frames int, kind *counterPair) {
 	kind.Add(int64(frames))
 }
 
-// controlBatch is one atomically drained snapshot of a link's control
-// outbox: everything that rides as trailer frames behind the current data
-// batch, or as standalone frames when the link is idle.
+// controlBatch is what one pass of the stream loop took from the board and
+// the link's control outbox: everything that rides as trailer frames behind
+// the current data batch, or as standalone frames when the link is idle.
 type controlBatch struct {
 	acks      []wire.Ack
 	apps      []*wire.App
@@ -750,23 +724,15 @@ func (c *controlBatch) any() bool {
 	return len(c.acks) > 0 || len(c.apps) > 0 || c.hb || c.echo
 }
 
-// takeControl atomically drains the control outbox. ok is false once the
-// link is closed. The returned ACK slice aliases link-owned scratch valid
-// until the next call (the stream goroutine is the only caller).
+// takeControl drains the control outbox: the board's unsent reports, then
+// under mu the queued app messages, heartbeat and echo. ok is false once the
+// link is closed (the stream goroutine is the only caller).
 func (l *link) takeControl() (c controlBatch, ok bool) {
+	c.acks = l.takeReports()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return c, false
-	}
-	if len(l.dirty) > 0 {
-		l.ackBuf = l.ackBuf[:0]
-		for _, s := range l.dirty {
-			s.queued = false
-			l.ackBuf = append(l.ackBuf, wire.Ack{Origin: s.origin, By: s.by, Type: s.typ, Seq: s.latest})
-		}
-		c.acks = l.ackBuf
-		l.dirty = l.dirty[:0]
 	}
 	if len(l.apps) > 0 {
 		c.apps = l.apps
@@ -779,9 +745,9 @@ func (l *link) takeControl() (c controlBatch, ok bool) {
 	return c, true
 }
 
-// waitWork blocks until there is something to send: control traffic, a
-// heartbeat or echo, or a log entry at or beyond cursor. Returns false on
-// close.
+// waitWork blocks until there is something to send: an app message, a
+// heartbeat or echo, a report about the link's own peer, or a log entry at
+// or beyond cursor. Returns false on close.
 func (l *link) waitWork(cursor uint64) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -795,7 +761,7 @@ func (l *link) waitWork(cursor uint64) bool {
 		if l.closed {
 			return false
 		}
-		if len(l.dirty) > 0 || len(l.apps) > 0 || l.hbDue || l.echoDue {
+		if len(l.apps) > 0 || l.hbDue || l.echoDue || l.reportDue() {
 			return true
 		}
 		if l.batch = l.t.cfg.Log.TryNextBatch(cursor, l.batch[:0], 1, 0); len(l.batch) > 0 {

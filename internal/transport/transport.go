@@ -170,12 +170,14 @@ type Transport struct {
 	// its HandleDataRun when it is a RunHandler, a HandleData loop otherwise.
 	handleRun func(from int, run []wire.Data)
 
-	links map[int]*link            // keyed by peer index
-	peers map[int]*peerInstruments // keyed by peer index
-	// linkList is links as a dense slice: the per-message broadcast paths
-	// (NotifyData, QueueAck) walk it instead of paying map iteration on
-	// every append. Built once at construction, never mutated.
+	// links is indexed by peer (nil at 0 and Self) and linkList is the same
+	// links densely, for the paths that walk them all (NotifyData on every
+	// append). Both are built once at construction, never mutated.
+	links    []*link
 	linkList []*link
+	peers    map[int]*peerInstruments // keyed by peer index
+	// board holds this node's stability reports for every link to read.
+	board *board
 
 	// recvLast[p] is the highest contiguous data sequence received from
 	// peer p. It is written under deliverMu[p] and read lock-free by
@@ -260,7 +262,8 @@ func New(cfg Config) (*Transport, error) {
 	}
 	t := &Transport{
 		cfg:       cfg,
-		links:     make(map[int]*link, cfg.N-1),
+		links:     make([]*link, cfg.N+1),
+		board:     newBoard(cfg.N),
 		peers:     make(map[int]*peerInstruments, cfg.N-1),
 		recvLast:  make([]atomic.Uint64, cfg.N+1),
 		deliverMu: make([]sync.Mutex, cfg.N+1),
@@ -392,7 +395,7 @@ func (t *Transport) Start() error {
 	t.listener = l
 	t.wg.Add(1)
 	go t.acceptLoop()
-	for _, lk := range t.links {
+	for _, lk := range t.linkList {
 		t.wg.Add(1)
 		go lk.run()
 	}
@@ -411,7 +414,7 @@ func (t *Transport) Close() error {
 	if t.listener != nil {
 		_ = t.listener.Close()
 	}
-	for _, lk := range t.links {
+	for _, lk := range t.linkList {
 		lk.close()
 	}
 	t.recvMu.Lock()
@@ -433,31 +436,29 @@ func (t *Transport) NotifyData() {
 	}
 }
 
-// QueueAck coalesces a stability report onto every outgoing link. Only the
-// newest sequence per (origin, by, type) is retained — monotonicity makes
-// older reports redundant — and only a link whose slot advanced is woken.
+// QueueAck posts a stability report on the node's board, where only the
+// newest sequence per (origin, by, type) is kept — monotonicity makes older
+// reports redundant — and, if it is news, wakes one link: the one to
+// a.Origin, the node whose predicates read it. Every other peer gets the
+// report in the next write its link makes for any reason, a heartbeat at the
+// latest, so its view of a foreign origin trails by at most one write. The
+// cost is the same whatever N is. Reports about an origin outside [1, N] are
+// dropped: no peer's recorder has a table for them.
 func (t *Transport) QueueAck(a wire.Ack) {
-	for _, lk := range t.linkList {
-		if lk.queueAck(a) {
-			lk.wake()
-		}
+	if a.Origin < 1 || int(a.Origin) > t.cfg.N || !t.board.raise(a) {
+		return
 	}
-}
-
-// QueueAckTo coalesces a stability report onto a single peer's link.
-func (t *Transport) QueueAckTo(peer int, a wire.Ack) {
-	if lk, ok := t.links[peer]; ok && lk.queueAck(a) {
+	if lk := t.links[a.Origin]; lk != nil {
 		lk.wake()
 	}
 }
 
 // SendApp enqueues an application message toward peer.
 func (t *Transport) SendApp(peer int, a *wire.App) error {
-	lk, ok := t.links[peer]
-	if !ok {
+	if peer < 1 || peer >= len(t.links) || t.links[peer] == nil {
 		return fmt.Errorf("transport: no link to peer %d", peer)
 	}
-	return lk.queueApp(a)
+	return t.links[peer].queueApp(a)
 }
 
 // BytesSent reports the total frame bytes written on outgoing links.
@@ -732,7 +733,8 @@ func (t *Transport) failureDetector() {
 		case now := <-tick.C:
 			var downs []int
 			t.liveMu.Lock()
-			for peer := range t.links {
+			for _, lk := range t.linkList {
+				peer := lk.peer
 				if cur := t.heardTick[peer].Load(); cur != seen[peer] {
 					seen[peer] = cur
 					lastMove[peer] = now
@@ -767,7 +769,7 @@ func (t *Transport) heartbeatLoop() {
 			return
 		case <-tick.C:
 			clock++
-			for _, lk := range t.links {
+			for _, lk := range t.linkList {
 				lk.queueHeartbeat(clock)
 			}
 		}

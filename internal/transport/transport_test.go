@@ -84,6 +84,14 @@ type harness struct {
 
 func startHarness(t *testing.T, n int) *harness {
 	t.Helper()
+	return startHarnessEvery(t, n, 20*time.Millisecond)
+}
+
+// startHarnessEvery is startHarness with a chosen heartbeat period: the
+// report-routing tests set one long enough that no heartbeat can be what
+// delivers.
+func startHarnessEvery(t *testing.T, n int, heartbeat time.Duration) *harness {
+	t.Helper()
 	h := &harness{net: emunet.NewMemNetwork(nil)}
 	for i := 1; i <= n; i++ {
 		rec := newRecorder()
@@ -94,7 +102,7 @@ func startHarness(t *testing.T, n int) *harness {
 			Network:        h.net,
 			Handler:        rec,
 			Log:            log,
-			HeartbeatEvery: 20 * time.Millisecond,
+			HeartbeatEvery: heartbeat,
 		})
 		if err != nil {
 			t.Fatalf("new transport %d: %v", i, err)
@@ -162,19 +170,28 @@ func TestAckCoalescingDeliversNewest(t *testing.T) {
 	// Coalescing may drop intermediates but must deliver 1000.
 }
 
+// TestAckStateResyncsAfterReconnect restarts a peer with fresh state and
+// requires the new connection to carry the whole board: a report the old
+// connection delivered, one about a third origin that was still waiting for
+// the link's next write when the connection died (the heartbeat is long, and
+// the peer is killed right after the report is queued), and one about the
+// local origin, which wakes no link at all.
 func TestAckStateResyncsAfterReconnect(t *testing.T) {
-	h := startHarness(t, 2)
-	h.trs[0].QueueAck(wire.Ack{Origin: 1, By: 1, Type: 1, Seq: 7})
-	waitUntil(t, 5*time.Second, func() bool { return h.recs[1].maxAck(1, 1, 1) == 7 })
+	const heartbeat = 250 * time.Millisecond
+	h := startHarnessEvery(t, 3, heartbeat)
+	h.trs[0].QueueAck(wire.Ack{Origin: 2, By: 1, Type: 1, Seq: 7})
+	waitUntil(t, 5*time.Second, func() bool { return h.recs[1].maxAck(2, 1, 1) == 7 })
+
+	h.trs[0].QueueAck(wire.Ack{Origin: 3, By: 1, Type: 1, Seq: 4})
+	h.trs[0].QueueAck(wire.Ack{Origin: 1, By: 1, Type: 1, Seq: 9})
 
 	// Kill node 2's transport and restart it with fresh state: node 1
 	// must resync its full ACK state on the new connection.
 	_ = h.trs[1].Close()
 	rec := newRecorder()
-	log := NewSendLog(1)
 	tr, err := New(Config{
-		Self: 2, N: 2, Network: h.net, Handler: rec, Log: log,
-		HeartbeatEvery: 20 * time.Millisecond,
+		Self: 2, N: 3, Network: h.net, Handler: rec, Log: NewSendLog(1),
+		HeartbeatEvery: heartbeat,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -184,7 +201,9 @@ func TestAckStateResyncsAfterReconnect(t *testing.T) {
 	}
 	h.trs[1] = tr
 	h.recs[1] = rec
-	waitUntil(t, 5*time.Second, func() bool { return rec.maxAck(1, 1, 1) == 7 })
+	waitUntil(t, 5*time.Second, func() bool {
+		return rec.maxAck(2, 1, 1) == 7 && rec.maxAck(3, 1, 1) == 4 && rec.maxAck(1, 1, 1) == 9
+	})
 }
 
 func TestResendAfterReconnect(t *testing.T) {
