@@ -307,6 +307,10 @@ func openNode(cfg Config) (*Node, error) {
 	}
 	// Turn frontier advances into the headline stability-latency samples:
 	// each sequence crossing a predicate's frontier is timed from its Send.
+	// latency keeps each predicate's histogram from its first advance on (a
+	// child is never deleted); the registry runs its hooks one call at a
+	// time, so the map needs no lock.
+	latency := make(map[string]*metrics.Histogram)
 	registry.OnAdvance(func(key string, old, new uint64) {
 		// Stabilize is a cumulative watermark, recorded for every
 		// predicate (the reclaim pseudo-predicate included) whenever the
@@ -319,7 +323,11 @@ func openNode(cfg Config) (*Node, error) {
 			node.metrics.reclaimSeq.Set(int64(new))
 			return
 		}
-		h := node.metrics.stabLatency.With(key)
+		h := latency[key]
+		if h == nil {
+			h = node.metrics.stabLatency.With(key)
+			latency[key] = h
+		}
 		now := node.nowFn().UnixNano()
 		node.sendTimes.observeRange(old, new, now, func(seq uint64, lat int64) {
 			h.Observe(lat)

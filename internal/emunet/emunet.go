@@ -5,8 +5,9 @@
 //
 // Two fabrics are provided behind the same Network interface:
 //
-//   - MemNetwork: in-process, built on net.Pipe. Deterministic to set up,
-//     no sockets, used by tests and most experiments.
+//   - MemNetwork: in-process, built on buffered memory connections (memConn:
+//     a write returns once buffered, as on a socket). Deterministic to set
+//     up, no sockets, used by tests and most experiments.
 //   - TCPNetwork: real TCP over loopback, used to exercise the full socket
 //     path.
 //
@@ -156,7 +157,8 @@ func (f *fabricRand) child() *rand.Rand {
 // is deterministic by default.
 const defaultFabricSeed = 1
 
-// MemNetwork is an in-process fabric built on synchronous pipes.
+// MemNetwork is an in-process fabric built on buffered memory connections
+// (memConn).
 type MemNetwork struct {
 	matrix *Matrix
 
@@ -242,7 +244,7 @@ func (n *MemNetwork) Dial(from, to int) (net.Conn, error) {
 	if l == nil {
 		return nil, fmt.Errorf("%w: %d", ErrNoListener, to)
 	}
-	dialSide, acceptSide := net.Pipe()
+	dialSide, acceptSide := newMemConnPair(from, to)
 	shaped := ShapeSeeded(dialSide, n.matrix.Get(from, to), n.matrix.Get(to, from), rnd.child())
 	if hook != nil {
 		wrapped, err := hook(from, to, shaped)

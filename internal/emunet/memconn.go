@@ -1,0 +1,244 @@
+package emunet
+
+import (
+	"io"
+	"net"
+	"os"
+	"sync"
+	"time"
+)
+
+// memConnBytes bounds the bytes one direction of a memory connection holds
+// before Write blocks: the fabric's socket buffer.
+const memConnBytes = 1 << 20
+
+// memConnMinAlloc is the smallest buffer a direction allocates, on its first
+// byte; from there it at least doubles on demand, up to memConnBytes.
+const memConnMinAlloc = 512
+
+// memConn is one end of an in-memory connection with socket semantics: Write
+// copies into the outgoing direction's buffer and returns, blocking only
+// while that direction already holds memConnBytes; Read takes what has
+// arrived. Neither call waits for the peer to be scheduled, and there is no
+// goroutine or channel per connection.
+type memConn struct {
+	in, out       *memQueue
+	local, remote memAddr
+}
+
+var _ net.Conn = (*memConn)(nil)
+
+// newMemConnPair returns the two ends of a connection dialed by node from to
+// node to.
+func newMemConnPair(from, to int) (dialSide, acceptSide *memConn) {
+	fwd, rev := newMemQueue(), newMemQueue()
+	a, b := memAddr{node: from}, memAddr{node: to}
+	return &memConn{in: rev, out: fwd, local: a, remote: b},
+		&memConn{in: fwd, out: rev, local: b, remote: a}
+}
+
+func (c *memConn) Read(p []byte) (int, error)  { return c.in.read(p) }
+func (c *memConn) Write(p []byte) (int, error) { return c.out.write(p) }
+
+// Close fails this end's own calls, parked or future, with net.ErrClosed.
+// The peer's Writes fail with io.ErrClosedPipe; its Reads drain what this end
+// had already written and then return io.EOF (a FIN after buffered data, as
+// timedQueue.fail has it). Bytes the peer wrote that this end never read are
+// dropped.
+func (c *memConn) Close() error {
+	c.in.close(&c.in.r)
+	c.out.close(&c.out.w)
+	return nil
+}
+
+func (c *memConn) LocalAddr() net.Addr  { return c.local }
+func (c *memConn) RemoteAddr() net.Addr { return c.remote }
+
+func (c *memConn) SetDeadline(t time.Time) error {
+	if err := c.SetReadDeadline(t); err != nil {
+		return err
+	}
+	return c.SetWriteDeadline(t)
+}
+
+func (c *memConn) SetReadDeadline(t time.Time) error  { return c.in.setDeadline(&c.in.r, t) }
+func (c *memConn) SetWriteDeadline(t time.Time) error { return c.out.setDeadline(&c.out.w, t) }
+
+// memQueue is one direction of a memConn: a bounded FIFO of bytes between
+// the end that writes it and the end that reads it. The ring is allocated on
+// the first byte and doubles on demand, so a direction that has carried
+// nothing holds no buffer.
+type memQueue struct {
+	// wmu serializes whole Writes, so one that proceeds in pieces against a
+	// full buffer is not interleaved with another.
+	wmu sync.Mutex
+
+	mu       sync.Mutex
+	canRead  sync.Cond // bytes arrived, or an end closed or timed out
+	canWrite sync.Cond // room freed, or an end closed or timed out
+	buf      []byte    // ring: n bytes starting at head
+	head, n  int
+	r, w     memEnd // the reading and the writing end
+}
+
+// memEnd is what a direction knows about one of its two ends, guarded by the
+// queue's mu: whether it has closed, and its deadline for calls on this
+// direction.
+type memEnd struct {
+	closed  bool
+	expired bool
+	timer   *time.Timer
+}
+
+func newMemQueue() *memQueue {
+	q := &memQueue{}
+	q.canRead.L = &q.mu
+	q.canWrite.L = &q.mu
+	return q
+}
+
+func (q *memQueue) write(p []byte) (int, error) {
+	q.wmu.Lock()
+	defer q.wmu.Unlock()
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	total := 0
+	for {
+		switch {
+		case q.w.closed:
+			return total, net.ErrClosed
+		case q.r.closed:
+			return total, io.ErrClosedPipe
+		case q.w.expired:
+			return total, os.ErrDeadlineExceeded
+		case len(p) == 0:
+			return total, nil
+		case q.n == memConnBytes:
+			q.canWrite.Wait()
+			continue
+		}
+		k := min(len(p), memConnBytes-q.n)
+		if q.n+k > len(q.buf) {
+			q.grow(q.n + k)
+		}
+		tail := q.head + q.n
+		if tail >= len(q.buf) {
+			tail -= len(q.buf)
+		}
+		if c := copy(q.buf[tail:], p[:k]); c < k {
+			copy(q.buf, p[c:k])
+		}
+		q.n += k
+		total += k
+		p = p[k:]
+		q.canRead.Broadcast()
+	}
+}
+
+// grow reallocates the ring to hold at least need bytes (need is at most
+// memConnBytes), unwrapping what it holds. Caller holds mu.
+func (q *memQueue) grow(need int) {
+	buf := make([]byte, min(max(2*len(q.buf), need, memConnMinAlloc), memConnBytes))
+	q.peek(buf[:q.n])
+	q.buf, q.head = buf, 0
+}
+
+// peek copies the first len(p) buffered bytes into p without consuming them;
+// len(p) is at most n. Caller holds mu.
+func (q *memQueue) peek(p []byte) {
+	if c := copy(p, q.buf[q.head:]); c < len(p) {
+		copy(p[c:], q.buf)
+	}
+}
+
+func (q *memQueue) read(p []byte) (int, error) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for {
+		switch {
+		case q.r.closed:
+			return 0, net.ErrClosed
+		case q.r.expired:
+			return 0, os.ErrDeadlineExceeded
+		case len(p) == 0:
+			return 0, nil
+		case q.n > 0:
+			k := min(len(p), q.n)
+			q.peek(p[:k])
+			q.n -= k
+			if q.head += k; q.n == 0 {
+				q.head = 0
+			} else if q.head >= len(q.buf) {
+				q.head -= len(q.buf)
+			}
+			q.canWrite.Signal()
+			return k, nil
+		case q.w.closed:
+			return 0, io.EOF
+		}
+		q.canRead.Wait()
+	}
+}
+
+// close ends the direction from e, one of its two ends. Once the reading end
+// has closed nobody will read what the direction holds, so the buffer goes
+// with it; what a closed writing end leaves behind stays readable.
+func (q *memQueue) close(e *memEnd) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	e.closed = true
+	e.stopTimer()
+	if e == &q.r {
+		q.buf, q.head, q.n = nil, 0, 0
+	}
+	q.wakeAll()
+}
+
+// setDeadline arms the deadline of e, one of q's two ends, for t; the zero
+// time clears it. A call of that end parked on q fails with
+// os.ErrDeadlineExceeded when t passes. An end that has closed arms nothing,
+// so no timer outlives Close.
+func (q *memQueue) setDeadline(e *memEnd, t time.Time) error {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if e.closed {
+		return net.ErrClosed
+	}
+	e.stopTimer()
+	e.expired = false
+	if t.IsZero() {
+		return nil
+	}
+	wait := time.Until(t)
+	if wait <= 0 {
+		e.expired = true
+		q.wakeAll()
+		return nil
+	}
+	// The callback takes mu, which this call holds until tm is stored: a
+	// timer that was replaced or stopped after it fired finds another timer
+	// (or none) in e and changes nothing.
+	var tm *time.Timer
+	tm = time.AfterFunc(wait, func() {
+		q.mu.Lock()
+		defer q.mu.Unlock()
+		if e.timer == tm {
+			e.expired = true
+			q.wakeAll()
+		}
+	})
+	e.timer = tm
+	return nil
+}
+
+func (q *memQueue) wakeAll() {
+	q.canRead.Broadcast()
+	q.canWrite.Broadcast()
+}
+
+func (e *memEnd) stopTimer() {
+	if e.timer != nil {
+		e.timer.Stop()
+		e.timer = nil
+	}
+}

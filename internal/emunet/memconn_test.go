@@ -1,0 +1,415 @@
+package emunet
+
+import (
+	"bytes"
+	"errors"
+	"io"
+	"math/rand"
+	"net"
+	"os"
+	"sync"
+	"testing"
+	"time"
+)
+
+// parked is how long a call must stay blocked before a test believes it is
+// parked; a too-short value can only let a broken implementation pass, never
+// fail a working one.
+const parked = 20 * time.Millisecond
+
+// result is what one Read or Write returned.
+type result struct {
+	n   int
+	err error
+}
+
+// async runs one call on its own goroutine and hands back its result.
+func async(call func() (int, error)) <-chan result {
+	ch := make(chan result, 1)
+	go func() {
+		n, err := call()
+		ch <- result{n, err}
+	}()
+	return ch
+}
+
+// stillParked fails the test if the call behind ch has already returned.
+func stillParked(t *testing.T, ch <-chan result, what string) {
+	t.Helper()
+	select {
+	case r := <-ch:
+		t.Fatalf("%s returned (%d, %v), want it parked", what, r.n, r.err)
+	case <-time.After(parked):
+	}
+}
+
+// returns waits for the call behind ch.
+func returns(t *testing.T, ch <-chan result, what string) result {
+	t.Helper()
+	select {
+	case r := <-ch:
+		return r
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s still parked", what)
+		return result{}
+	}
+}
+
+// pattern fills a buffer with bytes that make a reordering or a repeat show.
+func pattern(n int) []byte {
+	p := make([]byte, n)
+	for i := range p {
+		p[i] = byte(i*7 + i>>8)
+	}
+	return p
+}
+
+// TestMemConnFIFO is contract (a): bytes arrive in order across arbitrary
+// write and read sizes, wrap-arounds and growth of the ring included, and a
+// single Write larger than the bound proceeds in pieces against a slow reader.
+func TestMemConnFIFO(t *testing.T) {
+	t.Run("random-sizes", func(t *testing.T) {
+		a, b := newMemConnPair(1, 2)
+		defer a.Close()
+		defer b.Close()
+		want := pattern(3*memConnBytes + 12345)
+		go func() {
+			rng := rand.New(rand.NewSource(fabricTestSeed))
+			for p := want; len(p) > 0; {
+				k := min(len(p), 1+rng.Intn(100_000))
+				if n, err := a.Write(p[:k]); n != k || err != nil {
+					t.Errorf("Write = (%d, %v), want (%d, nil)", n, err, k)
+					return
+				}
+				p = p[k:]
+			}
+		}()
+		rng := rand.New(rand.NewSource(fabricTestSeed + 1))
+		got := make([]byte, 0, len(want))
+		buf := make([]byte, 70_000)
+		for len(got) < len(want) {
+			n, err := b.Read(buf[:1+rng.Intn(len(buf))])
+			if err != nil {
+				t.Fatalf("Read after %d bytes: %v", len(got), err)
+			}
+			got = append(got, buf[:n]...)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatal("bytes arrived out of order")
+		}
+	})
+	t.Run("one-write-over-the-bound", func(t *testing.T) {
+		a, b := newMemConnPair(1, 2)
+		defer a.Close()
+		defer b.Close()
+		want := pattern(2*memConnBytes + 999)
+		w := async(func() (int, error) { return a.Write(want) })
+		stillParked(t, w, "Write of twice the bound with no reader")
+		got := make([]byte, 0, len(want))
+		buf := make([]byte, 64<<10)
+		for len(got) < len(want) {
+			n, err := b.Read(buf)
+			if err != nil {
+				t.Fatalf("Read after %d bytes: %v", len(got), err)
+			}
+			got = append(got, buf[:n]...)
+			if len(got) < 1<<20 {
+				time.Sleep(time.Millisecond) // a slow reader, for a while
+			}
+		}
+		if r := returns(t, w, "Write"); r.n != len(want) || r.err != nil {
+			t.Fatalf("Write = (%d, %v), want (%d, nil)", r.n, r.err, len(want))
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatal("bytes arrived out of order")
+		}
+	})
+}
+
+// TestMemConnWriteNeedsNoReader is contract (b), the property net.Pipe
+// lacks: Write returns with no reader present until the direction holds the
+// bound, the next Write parks, and one Read releases it. It also pins memory
+// on demand: a connection that has carried nothing holds no buffer.
+func TestMemConnWriteNeedsNoReader(t *testing.T) {
+	n := NewMemNetwork(nil)
+	defer n.Close()
+	l, err := n.Listen(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		c, err := l.Accept()
+		if err != nil {
+			t.Error(err)
+		}
+		accepted <- c
+	}()
+	dialed, err := n.Dial(1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dialed.Close()
+	a := dialed.(*memConn)
+	b := (<-accepted).(*memConn)
+	defer b.Close()
+	if a.out.buf != nil || a.in.buf != nil {
+		t.Fatalf("an idle connection holds %d + %d bytes of buffer, want none", len(a.out.buf), len(a.in.buf))
+	}
+
+	chunk := pattern(memConnBytes / 8)
+	for i := 0; i < 8; i++ { // nobody is reading b
+		if k, err := a.Write(chunk); k != len(chunk) || err != nil {
+			t.Fatalf("Write %d below the bound = (%d, %v)", i, k, err)
+		}
+	}
+	if a.in.buf != nil {
+		t.Fatalf("the direction that carried nothing holds %d bytes of buffer", len(a.in.buf))
+	}
+	w := async(func() (int, error) { return a.Write([]byte("x")) })
+	stillParked(t, w, "Write at the bound")
+	one := make([]byte, 1)
+	if k, err := b.Read(one); k != 1 || err != nil || one[0] != chunk[0] {
+		t.Fatalf("Read = (%d, %v) %q", k, err, one)
+	}
+	if r := returns(t, w, "Write after one Read"); r.n != 1 || r.err != nil {
+		t.Fatalf("released Write = (%d, %v)", r.n, r.err)
+	}
+}
+
+// TestMemConnClose is contract (c).
+func TestMemConnClose(t *testing.T) {
+	t.Run("writer-closes", func(t *testing.T) {
+		a, b := newMemConnPair(1, 2)
+		defer b.Close()
+		if _, err := a.Write([]byte("last words")); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.Close(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(b) // the buffered bytes, then io.EOF
+		if err != nil || string(got) != "last words" {
+			t.Fatalf("peer read %q, %v after close; want the buffered bytes and EOF", got, err)
+		}
+		if _, err := b.Read(make([]byte, 1)); err != io.EOF {
+			t.Fatalf("Read past the end = %v, want io.EOF", err)
+		}
+		if _, err := b.Write([]byte("x")); !errors.Is(err, io.ErrClosedPipe) {
+			t.Fatalf("Write to a closed peer = %v, want io.ErrClosedPipe", err)
+		}
+	})
+	t.Run("reader-closes", func(t *testing.T) {
+		a, b := newMemConnPair(1, 2)
+		defer a.Close()
+		if _, err := a.Write(make([]byte, memConnBytes)); err != nil {
+			t.Fatal(err)
+		}
+		w := async(func() (int, error) { return a.Write([]byte("parked")) })
+		stillParked(t, w, "Write at the bound")
+		_ = b.Close()
+		if r := returns(t, w, "parked Write after the reader closed"); !errors.Is(r.err, io.ErrClosedPipe) {
+			t.Fatalf("parked Write = (%d, %v), want io.ErrClosedPipe", r.n, r.err)
+		}
+		if _, err := a.Write([]byte("later")); !errors.Is(err, io.ErrClosedPipe) {
+			t.Fatalf("later Write = %v, want io.ErrClosedPipe", err)
+		}
+		if b.in.buf != nil {
+			t.Fatal("a closed reader still holds the direction's buffer")
+		}
+	})
+	t.Run("own-calls-fail", func(t *testing.T) {
+		a, b := newMemConnPair(1, 2)
+		defer b.Close()
+		if _, err := b.Write([]byte("unread")); err != nil {
+			t.Fatal(err)
+		}
+		r := async(func() (int, error) { return b.Read(make([]byte, 1)) })
+		stillParked(t, r, "Read of an empty direction")
+		_ = b.Close()
+		if got := returns(t, r, "parked Read after own Close"); !errors.Is(got.err, net.ErrClosed) {
+			t.Fatalf("parked Read = %v, want net.ErrClosed", got.err)
+		}
+		_ = a.Close()
+		if _, err := a.Read(make([]byte, 1)); !errors.Is(err, net.ErrClosed) {
+			t.Fatalf("own Read after Close = %v, want net.ErrClosed (even with bytes buffered)", err)
+		}
+		if _, err := a.Write([]byte("x")); !errors.Is(err, net.ErrClosed) {
+			t.Fatalf("own Write after Close = %v, want net.ErrClosed", err)
+		}
+		if err := a.Close(); err != nil {
+			t.Fatalf("second Close = %v", err)
+		}
+	})
+	// link.close() and the drain goroutine close the dialed end while the
+	// stream goroutine writes it; serveIncoming and Transport.Close close the
+	// accepted end while it reads and echoes. All of it at once, under -race.
+	t.Run("concurrent", func(t *testing.T) {
+		a, b := newMemConnPair(1, 2)
+		var wg sync.WaitGroup
+		for _, c := range []*memConn{a, b} {
+			wg.Add(4)
+			go func() {
+				defer wg.Done()
+				for p := make([]byte, 3000); ; {
+					if _, err := c.Write(p); err != nil {
+						return
+					}
+				}
+			}()
+			go func() {
+				defer wg.Done()
+				for p := make([]byte, 1000); ; {
+					if _, err := c.Read(p); err != nil {
+						return
+					}
+				}
+			}()
+			for i := 0; i < 2; i++ {
+				go func() {
+					defer wg.Done()
+					time.Sleep(time.Millisecond)
+					_ = c.SetDeadline(time.Now().Add(time.Hour))
+					_ = c.Close()
+				}()
+			}
+		}
+		wg.Wait()
+	})
+}
+
+// TestMemConnDeadlines is contract (d).
+func TestMemConnDeadlines(t *testing.T) {
+	a, b := newMemConnPair(1, 2)
+	defer b.Close()
+
+	// A parked Read is released by a deadline set after it parked.
+	r := async(func() (int, error) { return a.Read(make([]byte, 1)) })
+	stillParked(t, r, "Read of an empty direction")
+	if err := a.SetReadDeadline(time.Now().Add(10 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	if got := returns(t, r, "Read past its deadline"); !errors.Is(got.err, os.ErrDeadlineExceeded) {
+		t.Fatalf("Read = %v, want os.ErrDeadlineExceeded", got.err)
+	}
+	// An expired deadline keeps failing calls; the zero time clears it.
+	if _, err := a.Read(make([]byte, 1)); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("Read after expiry = %v, want os.ErrDeadlineExceeded", err)
+	}
+	if _, err := a.Write([]byte("w")); err != nil {
+		t.Fatalf("a read deadline failed a Write: %v", err)
+	}
+	if err := a.SetReadDeadline(time.Time{}); err != nil {
+		t.Fatal(err)
+	}
+	r = async(func() (int, error) { return a.Read(make([]byte, 1)) })
+	stillParked(t, r, "Read after the deadline was cleared")
+	if _, err := b.Write([]byte("r")); err != nil {
+		t.Fatal(err)
+	}
+	if got := returns(t, r, "Read"); got.n != 1 || got.err != nil {
+		t.Fatalf("Read = (%d, %v)", got.n, got.err)
+	}
+
+	// A parked Write is released by SetWriteDeadline, and by SetDeadline with
+	// a time already past.
+	if _, err := a.Write(make([]byte, memConnBytes-1)); err != nil {
+		t.Fatal(err)
+	}
+	w := async(func() (int, error) { return a.Write([]byte("parked")) })
+	stillParked(t, w, "Write at the bound")
+	if err := a.SetWriteDeadline(time.Now().Add(10 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	if got := returns(t, w, "Write past its deadline"); !errors.Is(got.err, os.ErrDeadlineExceeded) {
+		t.Fatalf("Write = %v, want os.ErrDeadlineExceeded", got.err)
+	}
+	if err := a.SetDeadline(time.Time{}); err != nil {
+		t.Fatal(err)
+	}
+	w = async(func() (int, error) { return a.Write([]byte("parked")) })
+	stillParked(t, w, "Write after the deadline was cleared")
+	if err := a.SetDeadline(time.Now().Add(-time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if got := returns(t, w, "Write with a deadline in the past"); !errors.Is(got.err, os.ErrDeadlineExceeded) {
+		t.Fatalf("Write = %v, want os.ErrDeadlineExceeded", got.err)
+	}
+	var ne net.Error
+	if _, err := a.Read(make([]byte, 1)); !errors.As(err, &ne) || !ne.Timeout() {
+		t.Fatalf("Read with a deadline in the past = %v, want a net.Error timeout", err)
+	}
+
+	// No timer outlives Close, and a closed end arms no new one.
+	if err := a.SetDeadline(time.Now().Add(time.Hour)); err != nil {
+		t.Fatal(err)
+	}
+	_ = a.Close()
+	if err := a.SetDeadline(time.Now().Add(time.Hour)); !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("SetDeadline after Close = %v, want net.ErrClosed", err)
+	}
+	if a.in.r.timer != nil || a.out.w.timer != nil {
+		t.Error("a deadline timer outlived Close")
+	}
+}
+
+// BenchmarkMemConn prices the fabric's connection beside the net.Pipe it
+// replaced, same loops: a 64 B ping-pong (two hand-offs per iteration either
+// way; what differs is the cost of each) and a stream of 85 B one-way writes,
+// the size of a small Data frame, against a reader that drains in bulk.
+func BenchmarkMemConn(b *testing.B) {
+	fabrics := []struct {
+		name string
+		pair func() (net.Conn, net.Conn)
+	}{
+		{"", func() (net.Conn, net.Conn) { x, y := newMemConnPair(1, 2); return x, y }},
+		{"net.Pipe-", net.Pipe},
+	}
+	for _, f := range fabrics {
+		b.Run(f.name+"pingpong-64B", func(b *testing.B) {
+			x, y := f.pair()
+			defer x.Close()
+			defer y.Close()
+			go func() {
+				buf := make([]byte, 64)
+				for {
+					if _, err := io.ReadFull(y, buf); err != nil {
+						return
+					}
+					if _, err := y.Write(buf); err != nil {
+						return
+					}
+				}
+			}()
+			buf := make([]byte, 64)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := x.Write(buf); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := io.ReadFull(x, buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(f.name+"oneway-85B", func(b *testing.B) {
+			x, y := f.pair()
+			defer x.Close()
+			drained := make(chan error, 1)
+			go func() {
+				_, err := io.CopyN(io.Discard, y, int64(b.N)*85)
+				drained <- err
+			}()
+			buf := make([]byte, 85)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := x.Write(buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := <-drained; err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}

@@ -92,6 +92,10 @@ type predicate struct {
 	prog     *dsl.Program
 	cells    []dsl.Cell
 	frontier uint64
+	// gauge is the predicate's child of the frontiers family, resolved once
+	// at install (nil with metrics off): an advance stores into it instead
+	// of looking the label up. Remove deletes the child from the family.
+	gauge *metrics.Gauge
 
 	monitors  map[int]MonitorFunc
 	nextMonID int
@@ -216,10 +220,29 @@ func (r *Registry) OnAdvance(fn func(key string, old, new uint64)) (cancel func(
 	}
 }
 
-// setFrontierGauge mirrors a predicate's frontier into its gauge.
-func (r *Registry) setFrontierGauge(key string, f uint64) {
+// installLocked evaluates prog and installs it under key, which the caller
+// has checked is free, mirroring the first frontier into the predicate's
+// gauge. Caller holds mu.
+func (r *Registry) installLocked(key string, prog *dsl.Program) {
+	p := &predicate{
+		key:      key,
+		prog:     prog,
+		cells:    prog.Cells(),
+		frontier: r.table.EvalLocked(prog),
+		monitors: make(map[int]MonitorFunc),
+	}
 	if r.frontiers != nil {
-		r.frontiers.With(key).Set(int64(f))
+		p.gauge = r.frontiers.With(key)
+	}
+	setFrontierGauge(p.gauge, p.frontier)
+	r.preds[key] = p
+	r.indexLocked(p)
+}
+
+// setFrontierGauge mirrors a predicate's frontier into its gauge.
+func setFrontierGauge(g *metrics.Gauge, f uint64) {
+	if g != nil {
+		g.Set(int64(f))
 	}
 }
 
@@ -295,18 +318,8 @@ func (r *Registry) Register(key, source string) error {
 		r.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrPredExists, key)
 	}
-	p := &predicate{
-		key:      key,
-		prog:     prog,
-		cells:    prog.Cells(),
-		frontier: r.table.EvalLocked(prog),
-		monitors: make(map[int]MonitorFunc),
-	}
-	r.preds[key] = p
-	r.indexLocked(p)
-	f := p.frontier
+	r.installLocked(key, prog)
 	r.mu.Unlock()
-	r.setFrontierGauge(key, f)
 	return nil
 }
 
@@ -337,28 +350,10 @@ func (r *Registry) RegisterBatch(preds map[string]string) error {
 			return fmt.Errorf("%w: %q", ErrPredExists, k)
 		}
 	}
-	type installed struct {
-		key string
-		f   uint64
-	}
-	out := make([]installed, 0, len(keys))
 	for _, k := range keys {
-		prog := progs[k]
-		p := &predicate{
-			key:      k,
-			prog:     prog,
-			cells:    prog.Cells(),
-			frontier: r.table.EvalLocked(prog),
-			monitors: make(map[int]MonitorFunc),
-		}
-		r.preds[k] = p
-		r.indexLocked(p)
-		out = append(out, installed{key: k, f: p.frontier})
+		r.installLocked(k, progs[k])
 	}
 	r.mu.Unlock()
-	for _, in := range out {
-		r.setFrontierGauge(in.key, in.f)
-	}
 	return nil
 }
 
@@ -386,7 +381,7 @@ func (r *Registry) Change(key, source string) error {
 	p.cells = prog.Cells()
 	r.indexLocked(p)
 	p.frontier = r.table.EvalLocked(prog)
-	newF := p.frontier
+	newF, gauge := p.frontier, p.gauge
 	released := p.releaseWaitersLocked()
 	hooks := r.onAdvance
 	// A swap to a weaker predicate can advance the frontier immediately;
@@ -404,9 +399,9 @@ func (r *Registry) Change(key, source string) error {
 	}
 	r.mu.Unlock()
 	if newF > old {
-		r.publishAdvance(key, old, newF, hooks)
+		r.publishAdvance(advance{key: key, gauge: gauge, old: old, new: newF}, hooks)
 	} else {
-		r.setFrontierGauge(key, newF)
+		setFrontierGauge(gauge, newF)
 	}
 	r.addWaiters(-len(released))
 	releaseAll(released)
@@ -659,6 +654,7 @@ type firing struct {
 
 type advance struct {
 	key      string
+	gauge    *metrics.Gauge
 	old, new uint64
 }
 
@@ -691,7 +687,7 @@ func (r *Registry) drainLocked() (flushWork, []advanceHook) {
 		if f <= p.frontier {
 			continue
 		}
-		work.advances = append(work.advances, advance{key: p.key, old: p.frontier, new: f})
+		work.advances = append(work.advances, advance{key: p.key, gauge: p.gauge, old: p.frontier, new: f})
 		p.frontier = f
 		work.released = append(work.released, p.releaseWaitersLocked()...)
 		if len(p.monitors) > 0 {
@@ -729,7 +725,7 @@ func (r *Registry) publish(work flushWork, hooks []advanceHook) {
 	// core's stability-latency samples) are recorded by the time a WaitFor
 	// caller resumes.
 	for _, a := range work.advances {
-		r.publishAdvance(a.key, a.old, a.new, hooks)
+		r.publishAdvance(a, hooks)
 	}
 	r.addWaiters(-len(work.released))
 	releaseAll(work.released)
@@ -753,19 +749,19 @@ func (r *Registry) publish(work flushWork, hooks []advanceHook) {
 // observers never sample the same sequence twice and the per-key event
 // stream stays monotonic. Hooks must not re-enter the registry's
 // publish paths (they already must not: they run under drains).
-func (r *Registry) publishAdvance(key string, old, newF uint64, hooks []advanceHook) {
+func (r *Registry) publishAdvance(a advance, hooks []advanceHook) {
 	r.pubMu.Lock()
 	defer r.pubMu.Unlock()
-	if last, seen := r.published[key]; seen {
-		if newF <= last {
+	if last, seen := r.published[a.key]; seen {
+		if a.new <= last {
 			return
 		}
-		old = last
+		a.old = last
 	}
-	r.published[key] = newF
-	r.setFrontierGauge(key, newF)
+	r.published[a.key] = a.new
+	setFrontierGauge(a.gauge, a.new)
 	for _, h := range hooks {
-		h.fn(key, old, newF)
+		h.fn(a.key, a.old, a.new)
 	}
 }
 

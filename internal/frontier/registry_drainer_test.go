@@ -492,3 +492,53 @@ func TestConcurrentWaitCancelChangeProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestFrontierGaugeFollowsItsPredicate: the stabilizer_frontier_seq child a
+// predicate resolved at install tracks its drains and swaps, goes with Remove
+// (an advance published after it must not bring the series back), and a
+// later Register under the same key starts a fresh one.
+func TestFrontierGaugeFollowsItsPredicate(t *testing.T) {
+	reg, table := newManualRegistry(2)
+	m := metrics.NewRegistry()
+	reg.EnableMetrics(m)
+	series := func() (float64, bool) {
+		for _, ms := range m.Find("stabilizer_frontier_seq").Metrics {
+			if ms.Labels["predicate"] == "p" {
+				return ms.Value, true
+			}
+		}
+		return 0, false
+	}
+	want := func(v float64, when string) {
+		t.Helper()
+		if got, ok := series(); !ok || got != v {
+			t.Fatalf("gauge %s = %v (present %v), want %v", when, got, ok, v)
+		}
+	}
+	table.Update(1, TypeReceived, 3)
+	table.Update(2, TypeReceived, 1)
+	if err := reg.Register("p", "MIN($ALLWNODES)"); err != nil {
+		t.Fatal(err)
+	}
+	want(1, "at install")
+	table.Update(2, TypeReceived, 2)
+	reg.NoteCellUpdate(2, TypeReceived)
+	reg.Flush()
+	want(2, "after a drain")
+	if err := reg.Change("p", "MAX($ALLWNODES)"); err != nil {
+		t.Fatal(err)
+	}
+	want(3, "after a swap")
+	stale := advance{key: "p", gauge: reg.preds["p"].gauge, old: 3, new: 4}
+	if err := reg.Remove("p"); err != nil {
+		t.Fatal(err)
+	}
+	reg.publishAdvance(stale, nil) // a drain that lost the race with Remove
+	if v, ok := series(); ok {
+		t.Fatalf("gauge survived Remove with value %v", v)
+	}
+	if err := reg.Register("p", "MIN($ALLWNODES)"); err != nil {
+		t.Fatal(err)
+	}
+	want(2, "after re-registering")
+}

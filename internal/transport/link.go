@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -61,7 +62,6 @@ type link struct {
 	// heartbeat.
 	echoDue   bool
 	echoClock uint64
-	dataTick  uint64 // bumped by signal(); lets waiters notice new log entries
 	closed    bool
 	// hbSentClock/hbSentAt record the newest heartbeat written on the
 	// current connection; the peer echoes it back and the drain goroutine
@@ -121,10 +121,11 @@ func newLink(t *Transport, peer int) *link {
 	return l
 }
 
-// signal wakes the writer after new data was appended to the send log.
+// signal wakes the writer. Passing through mu orders the broadcast after the
+// check waitWork makes under it: the writer is either parked by then or has
+// yet to look.
 func (l *link) signal() {
 	l.mu.Lock()
-	l.dataTick++
 	l.mu.Unlock()
 	l.cond.Broadcast()
 }
@@ -496,12 +497,25 @@ const directWriteMin = 32 << 10
 // flowing, control falls back to standalone buffered writes. Control is
 // collected once per loop iteration, so it waits at most one maxFrames
 // batch behind bulk data — that bound is the control/data fairness rule.
+//
+// A pass that finds nothing to write goes idle in a fixed order: flush, yield,
+// park. The flush comes first so no byte waits on the rest. The yield
+// (runtime.Gosched, once) happens only when the busy period's last data batch
+// held more than one entry, the mark of a producer streaming Sends: a
+// connection write returns as soon as the bytes are buffered, so the writer
+// catches up after every batch, and if it parked each time the producer
+// would pay a real wake-up per link on its next Send. Yielding lets the
+// producer append its next run before waitWork re-checks. A link carrying
+// lone messages (batches of one) skips the yield and parks at once: nothing
+// is coming that the yield could wait for, and the round through the
+// scheduler would only delay the next lone message's wake-up.
 func (l *link) stream(conn net.Conn, cursor uint64) {
 	defer l.draining.Store(false)
 	tcp, _ := conn.(*net.TCPConn)
 	maxFrames := l.t.cfg.batch.maxFrames
 	bw := bufio.NewWriterSize(conn, 64<<10)
 	var frame []byte
+	burst := false // the last data batch held more than one entry
 	for {
 		l.batch = l.t.cfg.Log.TryNextBatch(cursor, l.batch[:0], maxFrames, l.batchBudget())
 		ctl, ok := l.takeControl()
@@ -538,6 +552,7 @@ func (l *link) stream(conn net.Conn, cursor uint64) {
 				}
 			}
 			cursor = l.batch[n-1].Seq + 1
+			burst = n > 1
 			ackB, appB, hbB := l.encodeControl(&ctl)
 			var err error
 			if tcp != nil && payloadBytes >= writevMinBytes {
@@ -580,6 +595,10 @@ func (l *link) stream(conn net.Conn, cursor uint64) {
 		l.draining.Store(false)
 		if err := bw.Flush(); err != nil {
 			return
+		}
+		if burst {
+			burst = false
+			runtime.Gosched()
 		}
 		if !l.waitWork(cursor) {
 			return
@@ -747,7 +766,9 @@ func (l *link) takeControl() (c controlBatch, ok bool) {
 
 // waitWork blocks until there is something to send: an app message, a
 // heartbeat or echo, a report about the link's own peer, or a log entry at
-// or beyond cursor. Returns false on close.
+// or beyond cursor. Every source is checked before the first park, so a
+// caller that has just flushed (and perhaps yielded: see stream) gets its
+// re-check here. Returns false on close.
 func (l *link) waitWork(cursor uint64) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()

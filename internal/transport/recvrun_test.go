@@ -256,3 +256,58 @@ func TestOverlappingRunTrimmedAcrossConnections(t *testing.T) {
 	runs, _ = h.snapshot()
 	wantSeqs(t, runs[2], 16, 16)
 }
+
+// A link's writes do not wait for the peer's reader: with the receiver held
+// inside its first upcall (so nothing reads its incoming connection), the
+// sender keeps writing Sends to the fabric. Over a rendezvous connection the
+// writer parks in the flush of the second Send until the upcall returns and
+// DataSent stops at 2.
+func TestLinkWriteDoesNotWaitForPeerUpcall(t *testing.T) {
+	const sends = 5
+	h := &runRecorder{recorder: newRecorder(), entered: make(chan struct{}, sends), gate: make(chan struct{})}
+	fabric, _ := startReceiver(t, h)
+	release := sync.OnceFunc(func() { close(h.gate) })
+	t.Cleanup(release) // before the receiver's Close, which waits for the upcall
+	log := NewSendLog(1)
+	sender, err := New(Config{Self: 2, N: 2, Network: fabric, Handler: newRecorder(), Log: log,
+		HeartbeatEvery: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sender.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = sender.Close() })
+
+	send := func(i int) {
+		t.Helper()
+		if _, err := log.Append([]byte{byte(i)}, 0); err != nil {
+			t.Fatal(err)
+		}
+		sender.NotifyData()
+	}
+	send(1)
+	select {
+	case <-h.entered: // the receiver is now held inside HandleDataRun
+	case <-time.After(5 * time.Second):
+		t.Fatal("first message never reached the receiver's upcall")
+	}
+	for i := 2; i <= sends; i++ {
+		send(i)
+		waitUntil(t, 5*time.Second, func() bool { return sender.DataSent() >= int64(i) })
+	}
+	if runs, _ := h.snapshot(); len(runs) != 0 {
+		t.Fatalf("the held upcall returned: %v", runs)
+	}
+	release()
+	var all []uint64
+	waitUntil(t, 5*time.Second, func() bool {
+		runs, _ := h.snapshot()
+		all = all[:0]
+		for _, r := range runs {
+			all = append(all, r...)
+		}
+		return len(all) >= sends
+	})
+	wantSeqs(t, all, 1, sends)
+}
