@@ -31,13 +31,14 @@ deflake:
 	$(GO) test -count=20 -run 'TestFig3ReadTracksSecondFastestMember$$' ./internal/bench
 	$(GO) test -race -count=20 -run 'TestRestartAttachesBeforeDelivery$$' ./internal/chaos
 
-# loc prints the two baselines a simplicity change is judged against: the
-# non-test Go line count outside benchmark/, and the number of independently
-# settable values reachable from stabilizer.Config (counted by reflection in
-# TestReadmeListsEveryConfigField).
+# loc prints the three baselines a simplicity change is judged against: the
+# non-test Go line count outside benchmark/, the number of independently
+# settable values reachable from stabilizer.Config, and the number of
+# exported methods on Node (both counted by reflection, in
+# TestReadmeListsEveryConfigField and TestNodeSurfaceDoesNotGrowUnnoticed).
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l
-	@$(GO) test -count=1 -v -run 'TestReadmeListsEveryConfigField$$' . | grep -o 'config fields: .*'
+	@$(GO) test -count=1 -v -run 'TestReadmeListsEveryConfigField$$|TestNodeSurfaceDoesNotGrowUnnoticed$$' . | grep -o 'config fields: .*\|node methods: .*'
 
 # check-benchmark vets and tests benchmark/, a module of its own that the
 # root's ./... never reaches: its layer probes import internal/ packages and
@@ -53,15 +54,16 @@ examples:
 	$(GO) vet ./examples/...
 
 # chaos runs the full-horizon fault-injection soak (the default `go test`
-# run only gets the -short bounded variant). Pin the fault schedule with
-# STABILIZER_CHAOS_SEED=<n> to replay a failure byte-for-byte.
+# run only gets the -short bounded variant). STABILIZER_CHAOS_SEED=<n> re-runs
+# the same fault schedule: the seed pins faults, jitter and backoff; goroutine
+# and timer interleaving is the host's.
 chaos:
 	STABILIZER_CHAOS_FULL=1 $(GO) test -v -run TestChaosSoak ./internal/chaos
 
 # chaos-flow is the bounded-memory variant: the same fault soak with
 # send-log caps, blocking admission, and stall detection engaged, plus the
 # end-to-end FlowDemo (blackholed peer, 64 KiB cap, majority fallback).
-# Replays the same way: STABILIZER_CHAOS_SEED=<n> make chaos-flow.
+# The seed works the same way: STABILIZER_CHAOS_SEED=<n> make chaos-flow.
 chaos-flow:
 	STABILIZER_CHAOS_FULL=1 $(GO) test -v -run 'TestChaosSoakFlow|TestFlowDemo' ./internal/chaos
 
@@ -71,7 +73,7 @@ chaos-flow:
 # on disk and a gap-free, byte-identical post-heal drain — plus the seeded
 # crash-schedule harness (crash mid-spill, crash mid-read-back, disk-write
 # faults) and the end-to-end reconnect drain, all under the race detector.
-# CI runs the same tests -short; replay with STABILIZER_CHAOS_SEED=<n>.
+# CI runs the same tests -short; STABILIZER_CHAOS_SEED=<n> pins the schedule.
 chaos-spill:
 	STABILIZER_CHAOS_FULL=1 $(GO) test -race -v -run 'TestChaosSoakSpill' ./internal/chaos
 	STABILIZER_CHAOS_FULL=1 $(GO) test -race -v -run 'TestSpillCrashScheduleGroundTruth|TestSpillEndToEndReconnectDrain' ./internal/transport
@@ -83,7 +85,7 @@ chaos-spill:
 # report a rung stronger than the one installed), hysteresis (one rung per
 # step, never faster than MinDwell), and release consistency (every WaitFor
 # release re-evaluates under the rung active when it happened). Runs under
-# the race detector; replay with STABILIZER_CHAOS_SEED=<n>.
+# the race detector; STABILIZER_CHAOS_SEED=<n> pins the schedule.
 chaos-adaptive:
 	STABILIZER_CHAOS_FULL=1 $(GO) test -race -v -run 'TestAdaptiveDemo|TestCheckerAdaptiveFlapDetection' ./internal/chaos
 

@@ -164,7 +164,7 @@ var errQuit = fmt.Errorf("quit")
 // comes back.
 var replTimeout = 30 * time.Second
 
-// debugHandler serves DebugSnapshots as indented JSON — every live node
+// debugHandler serves Node.Snapshot as indented JSON — every live node
 // keyed by id, or a single node with ?node=<id>.
 func debugHandler(cluster *stabilizer.Cluster) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -177,12 +177,12 @@ func debugHandler(cluster *stabilizer.Cluster) http.Handler {
 				http.Error(w, fmt.Sprintf("unknown node %q", q), http.StatusNotFound)
 				return
 			}
-			_ = enc.Encode(cluster.Node(id).DebugSnapshot())
+			_ = enc.Encode(cluster.Node(id).Snapshot())
 			return
 		}
-		snaps := make(map[string]stabilizer.DebugSnapshot)
-		for _, n := range cluster.Nodes() {
-			snaps[strconv.Itoa(n.Self())] = n.DebugSnapshot()
+		snaps := make(map[string]stabilizer.Snapshot)
+		for _, s := range cluster.Snapshot() {
+			snaps[strconv.Itoa(s.Self)] = s
 		}
 		_ = enc.Encode(snaps)
 	})
@@ -316,20 +316,21 @@ func dispatch(fields []string, topo *stabilizer.Topology, primary *stabilizer.No
 		return nil
 
 	case "health":
-		h := primary.Health()
+		s := primary.Snapshot()
+		log := s.Log
 		cap := "unbounded"
-		if h.SendLogCapBytes > 0 {
-			cap = fmt.Sprintf("%d", h.SendLogCapBytes)
+		if log.CapBytes > 0 {
+			cap = fmt.Sprintf("%d", log.CapBytes)
 		}
 		fmt.Printf("head=%d send-log: %d bytes / %d entries (cap %s) backpressured=%v blocked=%d shed=%d\n",
-			h.Head, h.SendLogBytes, h.SendLogEntries, cap, h.Backpressured, h.BlockedAppends, h.ShedAppends)
-		for _, p := range h.Predicates {
+			log.Head, log.Bytes, log.Entries, cap, log.Full, log.BlockedAppends, log.ShedAppends)
+		for _, p := range s.Predicates {
 			if !p.Stalled {
-				fmt.Printf("%-22s frontier=%d/%d ok\n", p.Key, p.Frontier, p.Head)
+				fmt.Printf("%-22s frontier=%d/%d ok\n", p.Key, p.Frontier, log.Head)
 				continue
 			}
 			fmt.Printf("%-22s frontier=%d/%d STALLED for %v\n",
-				p.Key, p.Frontier, p.Head, p.StalledFor.Round(time.Millisecond))
+				p.Key, p.Frontier, log.Head, p.StalledFor.Round(time.Millisecond))
 			for _, b := range p.Blamed {
 				name, _ := topo.NodeAt(b.Peer)
 				fmt.Printf("    blames node %d (%s, %s/%s) ack=%d\n",

@@ -160,8 +160,8 @@ func TestPutAtFullSendLogReturnsThePrompt(t *testing.T) {
 		}
 		break
 	}
-	if h := primary.Health(); h.ShedAppends != 1 || !h.Backpressured {
-		t.Fatalf("health after the refused put: %+v", h)
+	if log := primary.Snapshot().Log; log.ShedAppends != 1 || !log.Full {
+		t.Fatalf("send log after the refused put: %+v", log)
 	}
 }
 
@@ -175,7 +175,7 @@ func TestSpillDirAndCapBootASpillingNode(t *testing.T) {
 			t.Fatalf("put %d: %v", i, err)
 		}
 	}
-	if primary.SpilledBytes() == 0 {
-		t.Fatalf("32 puts past a 1 KiB cap left nothing on disk (memory %d bytes)", primary.MemoryBufferedBytes())
+	if log := primary.SendLog(); log.SpilledBytes == 0 {
+		t.Fatalf("32 puts past a 1 KiB cap left nothing on disk (memory %d bytes)", log.MemoryBytes)
 	}
 }

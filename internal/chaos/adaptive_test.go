@@ -19,7 +19,7 @@ func TestAdaptiveDemo(t *testing.T) {
 	seed := soakSeed(t)
 	rep, err := AdaptiveDemo(AdaptiveOptions{Seed: seed, Logf: t.Logf})
 	if err != nil {
-		t.Fatalf("adaptive demo failed — replay byte-for-byte with STABILIZER_CHAOS_SEED=%d:\n%v", seed, err)
+		failSeeded(t, "adaptive demo", seed, err)
 	}
 	if rep.Downgrades == 0 || rep.Upgrades == 0 || rep.ValidatedReleases == 0 {
 		t.Fatalf("loop not exercised: down=%d up=%d validated=%d",
@@ -43,7 +43,7 @@ func TestAdaptiveDemoSpike(t *testing.T) {
 	seed := soakSeed(t)
 	rep, err := AdaptiveDemo(AdaptiveOptions{Seed: seed, Fault: AdaptiveFaultSpike, Logf: t.Logf})
 	if err != nil {
-		t.Fatalf("adaptive spike demo failed — replay byte-for-byte with STABILIZER_CHAOS_SEED=%d:\n%v", seed, err)
+		failSeeded(t, "adaptive spike demo", seed, err)
 	}
 	if got := rep.Transitions[0].Reason; got != "slo-burn" {
 		t.Fatalf("spike downgrade reason %q, want \"slo-burn\"", got)

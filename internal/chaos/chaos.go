@@ -55,7 +55,7 @@ type Options struct {
 	//     invariant: after convergence a sampled operation's merged timeline
 	//     must cover all seven lifecycle stages and validate (no Deliver
 	//     before WireRecv, no Stabilize before its ack quorum). With Stall
-	//     also enabled, every stall-triggered Health report must carry a
+	//     also enabled, every stall-triggered Snapshot must carry a
 	//     non-empty recorder tail for each blamed peer.
 	//   - Metrics, when set, is shared by every node (node-labeled
 	//     families); scraping it while the soak runs is itself a race test
@@ -549,7 +549,7 @@ func Soak(o Options) (*Report, error) {
 		sc.backlog = func(r *run) int64 {
 			var max int64
 			for _, s := range soakSenders {
-				if b := r.bed.Node(s).BufferedBytes(); b > max {
+				if b := r.bed.Node(s).SendLog().Bytes; b > max {
 					max = b
 				}
 			}
@@ -591,7 +591,7 @@ func Soak(o Options) (*Report, error) {
 				if n == nil {
 					continue
 				}
-				if b := n.SpilledBytes(); b > peakSpill {
+				if b := n.SendLog().SpilledBytes; b > peakSpill {
 					peakSpill = b
 				}
 			}
@@ -601,7 +601,7 @@ func Soak(o Options) (*Report, error) {
 	sc.finish = func(r *run) {
 		defer func() {
 			for _, s := range soakSenders {
-				readback += r.bed.Node(s).SpillReadbackBytes()
+				readback += r.bed.Node(s).SendLog().SpillReadbackBytes
 			}
 		}()
 		// Invariant 4: with faults healed, every node must be back up and its

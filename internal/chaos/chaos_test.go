@@ -13,10 +13,19 @@ import (
 )
 
 // defaultSoakSeed is the pinned CI seed. Every failure message carries the
-// seed; replay any schedule byte-for-byte with
+// seed; re-run any fault schedule with
 //
 //	STABILIZER_CHAOS_SEED=<seed> go test -run TestChaosSoak ./internal/chaos
 const defaultSoakSeed = 20260806
+
+// failSeeded fails a seeded scenario with the one hint they all share. It
+// says what the seed does and does not pin: a failure that came from how the
+// host scheduled goroutines and timers will not come back with the seed.
+func failSeeded(t *testing.T, what string, seed int64, err error) {
+	t.Helper()
+	t.Fatalf("%s failed — re-run the same fault schedule with STABILIZER_CHAOS_SEED=%d (the seed pins faults, jitter and backoff; goroutine and timer interleaving is the host's):\n%v",
+		what, seed, err)
+}
 
 func soakSeed(t *testing.T) int64 {
 	t.Helper()
@@ -48,7 +57,7 @@ func TestChaosSoak(t *testing.T) {
 		if rep != nil {
 			t.Logf("schedule (fingerprint %s):\n%s", rep.Schedule.Fingerprint(), rep.Schedule)
 		}
-		t.Fatalf("chaos soak failed — replay byte-for-byte with STABILIZER_CHAOS_SEED=%d:\n%v", seed, err)
+		failSeeded(t, "chaos soak", seed, err)
 	}
 	if kinds := rep.Schedule.Kinds(); len(kinds) < 3 {
 		t.Fatalf("seed %d: schedule exercised only %d fault kinds (%v), want >= 3:\n%s",
@@ -119,7 +128,7 @@ func TestChaosSoakFlow(t *testing.T) {
 		if rep != nil {
 			t.Logf("schedule (fingerprint %s):\n%s", rep.Schedule.Fingerprint(), rep.Schedule)
 		}
-		t.Fatalf("flow soak failed — replay byte-for-byte with STABILIZER_CHAOS_SEED=%d:\n%v", seed, err)
+		failSeeded(t, "flow soak", seed, err)
 	}
 	for _, k := range rep.Schedule.Kinds() {
 		if k == faultinject.KindCrashRestart {
@@ -147,7 +156,7 @@ func TestFlowDemo(t *testing.T) {
 	}
 	rep, err := FlowDemo(o)
 	if err != nil {
-		t.Fatalf("flow demo failed — replay byte-for-byte with STABILIZER_CHAOS_SEED=%d:\n%v", seed, err)
+		failSeeded(t, "flow demo", seed, err)
 	}
 	if rep.BlockedAppends == 0 || rep.FallbackHead == 0 || rep.Head <= rep.FallbackHead {
 		t.Fatalf("degraded path not exercised: blocked=%d fallbackHead=%d head=%d",

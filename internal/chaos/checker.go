@@ -270,7 +270,7 @@ func (c *Checker) CheckBounded(nodes []*core.Node, capBytes, slack int64) {
 		if n == nil {
 			continue
 		}
-		if b := n.BufferedBytes(); b > capBytes+slack {
+		if b := n.SendLog().Bytes; b > capBytes+slack {
 			c.Violatef("bounded-memory violation: node %d buffers %d send-log bytes > cap %d + slack %d",
 				i+1, b, capBytes, slack)
 		}
@@ -279,15 +279,15 @@ func (c *Checker) CheckBounded(nodes []*core.Node, capBytes, slack int64) {
 
 // CheckBoundedMemory sweeps invariant 9's memory clause: with a spill tier
 // the cap bounds the in-memory portion of each send buffer — the total
-// backlog (BufferedBytes) legitimately grows far past it, onto disk.
+// backlog (LogStats.Bytes) legitimately grows far past it, onto disk.
 func (c *Checker) CheckBoundedMemory(nodes []*core.Node, capBytes, slack int64) {
 	for i, n := range nodes {
 		if n == nil {
 			continue
 		}
-		if b := n.MemoryBufferedBytes(); b > capBytes+slack {
+		if log := n.SendLog(); log.MemoryBytes > capBytes+slack {
 			c.Violatef("spill bounded-memory violation: node %d holds %d send-log bytes in memory > cap %d + slack %d (spilled %d)",
-				i+1, b, capBytes, slack, n.SpilledBytes())
+				i+1, log.MemoryBytes, capBytes, slack, log.SpilledBytes)
 		}
 	}
 }
@@ -431,15 +431,15 @@ func (c *Checker) AttachStallHonesty(node *core.Node, allowed func(peer int) boo
 }
 
 // AttachStallTraces hooks the trace half of invariant 7 into a node's
-// degraded-mode reports: every stall-triggered Health snapshot must carry
+// degraded-mode reports: every stall-triggered Snapshot must carry
 // a non-empty flight-recorder tail for each blamed peer, so "frontier
 // stalled, blame node 3" always ships a post-mortem. Call alongside
 // Attach on traced nodes, once per incarnation.
 func (c *Checker) AttachStallTraces(node *core.Node) {
 	self := node.Self()
 	node.OnStall(func(r core.StallReport) {
-		h := node.Health()
-		for _, ph := range h.Predicates {
+		snap := node.Snapshot()
+		for _, ph := range snap.Predicates {
 			// Only judge the predicate this report is about, and only if
 			// it is still stalled (the monitor may have already cleared
 			// it by the time the hook runs).
@@ -449,7 +449,7 @@ func (c *Checker) AttachStallTraces(node *core.Node) {
 			for _, lag := range ph.Blamed {
 				if len(lag.Recent) == 0 {
 					c.Violatef("stall trace missing: node %d predicate %q blames peer %d with an empty recorder tail (frontier %d/%d)",
-						self, ph.Key, lag.Peer, ph.Frontier, ph.Head)
+						self, ph.Key, lag.Peer, ph.Frontier, snap.Log.Head)
 				}
 			}
 		}

@@ -81,7 +81,7 @@ type FlowReport struct {
 //     in-flight payload (invariant 5), because admission control blocks the
 //     pump once the stalled full-set reclaim predicate pins the log;
 //   - degraded mode is honest: the stall monitor blames exactly the
-//     blackholed peer (invariant 6), and Node.Health names it too;
+//     blackholed peer (invariant 6), and Node.Snapshot names it too;
 //   - the fallback restores progress: when the app (this harness) reacts to
 //     the stall notification by swapping reclaim to a majority predicate,
 //     truncation resumes, blocked appends drain, and appends to
@@ -138,10 +138,11 @@ func FlowDemo(o FlowOptions) (*FlowReport, error) {
 	sc.sweep = func(r *run, live []*core.Node) {
 		sender := live[0]
 		r.check.CheckBounded(live, flowCapBytes, flowPayloadBytes)
-		if b := sender.BufferedBytes(); b > rep.MaxLogBytes {
-			rep.MaxLogBytes = b
+		log := sender.SendLog()
+		if log.Bytes > rep.MaxLogBytes {
+			rep.MaxLogBytes = log.Bytes
 		}
-		if fallbackHead.Load() != 0 || !reclaimStalled.Load() || !sender.Health().Backpressured {
+		if fallbackHead.Load() != 0 || !reclaimStalled.Load() || !log.Full {
 			return
 		}
 		fallbackHead.Store(sender.NextSeq() - 1)
@@ -155,35 +156,35 @@ func FlowDemo(o FlowOptions) (*FlowReport, error) {
 		nodes := r.live()
 		sender, head := nodes[0], r.heads[1]
 		rep.Head = head
-		h := sender.Health()
+		snap := sender.Snapshot()
 		rep.FallbackHead = fallbackHead.Load()
-		rep.BlockedAppends = h.BlockedAppends
+		rep.BlockedAppends = snap.Log.BlockedAppends
 		rep.StallReports = int(stallCount.Load())
 
 		// The demo must actually have exercised the degraded path.
 		if rep.FallbackHead == 0 {
-			r.check.Violatef("reclaim fallback never fired (stalls=%d, backpressured=%v)", rep.StallReports, h.Backpressured)
+			r.check.Violatef("reclaim fallback never fired (stalls=%d, backpressured=%v)", rep.StallReports, snap.Log.Full)
 		} else if head <= rep.FallbackHead {
 			r.check.Violatef("appends stopped after fallback: head %d never passed fallback head %d", head, rep.FallbackHead)
 		}
 		if rep.BlockedAppends == 0 {
 			r.check.Violatef("admission control never engaged: 0 blocked appends at cap %d", flowCapBytes)
 		}
-		// Health must name exactly the blackholed peer as the stall cause on the
-		// full-set predicate.
+		// The snapshot must name exactly the blackholed peer as the stall cause
+		// on the full-set predicate.
 		foundAll := false
-		for _, ph := range h.Predicates {
+		for _, ph := range snap.Predicates {
 			if ph.Key != "all" {
 				continue
 			}
 			foundAll = true
 			if !ph.Stalled || len(ph.Blamed) != 1 || ph.Blamed[0].Peer != victim {
-				r.check.Violatef("Health misnames the stall cause: predicate 'all' stalled=%v blamed=%+v, want exactly peer %d",
+				r.check.Violatef("Snapshot misnames the stall cause: predicate 'all' stalled=%v blamed=%+v, want exactly peer %d",
 					ph.Stalled, ph.Blamed, victim)
 			}
 		}
 		if !foundAll {
-			r.check.Violatef("Health has no entry for predicate 'all'")
+			r.check.Violatef("Snapshot has no entry for predicate 'all'")
 		}
 
 		// Healthy-majority convergence: every node but the victim drains the full

@@ -54,7 +54,7 @@ func TestChaosSoakSharedRegistryScrape(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	if err != nil {
-		t.Fatalf("soak failed — replay with STABILIZER_CHAOS_SEED=%d:\n%v", seed, err)
+		failSeeded(t, "soak", seed, err)
 	}
 
 	// Every node — restarted incarnations included — must be visible in

@@ -72,7 +72,7 @@ func TestChaosSoakSpill(t *testing.T) {
 		if rep != nil {
 			t.Logf("schedule (fingerprint %s):\n%s", rep.Schedule.Fingerprint(), rep.Schedule)
 		}
-		t.Fatalf("spill soak failed — replay byte-for-byte with STABILIZER_CHAOS_SEED=%d:\n%v", seed, err)
+		failSeeded(t, "spill soak", seed, err)
 	}
 	last := rep.Schedule.Events[len(rep.Schedule.Events)-1]
 	if last.Kind != faultinject.KindBacklogPartition || last.Bytes != o.BacklogFault {

@@ -19,7 +19,7 @@ type ClusterConfig = Config
 // topology — the paper's evaluation shape (§VI: many WAN nodes per machine
 // over emulated links) as a first-class handle. All nodes share one
 // metrics registry with node-labeled families, and cluster-wide helpers
-// (Health, WaitAllFor, Close with ordered drain) replace per-node loops.
+// (Snapshot, WaitAllFor, Close with ordered drain) replace per-node loops.
 type Cluster struct {
 	topo *config.Topology
 	ids  []int // boot order, ascending
@@ -138,12 +138,12 @@ func (c *Cluster) Metrics() *metrics.Registry { return c.cfg.Metrics }
 // Topology returns a copy of the cluster's topology.
 func (c *Cluster) Topology() *config.Topology { return c.topo.Clone() }
 
-// Health snapshots every live node's Health, in ascending id order.
-func (c *Cluster) Health() []Health {
+// Snapshot reads every live node's Snapshot, in ascending id order.
+func (c *Cluster) Snapshot() []Snapshot {
 	nodes := c.Nodes()
-	out := make([]Health, 0, len(nodes))
+	out := make([]Snapshot, 0, len(nodes))
 	for _, n := range nodes {
-		out = append(out, n.Health())
+		out = append(out, n.Snapshot())
 	}
 	return out
 }

@@ -108,9 +108,9 @@ func TestClusterSharedRegistryExposesEveryNode(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 
-	// Cluster-wide health covers every node.
-	if h := cl.Health(); len(h) != 3 {
-		t.Errorf("Health() returned %d entries, want 3", len(h))
+	// The cluster-wide snapshot covers every node.
+	if s := cl.Snapshot(); len(s) != 3 {
+		t.Errorf("Snapshot() returned %d entries, want 3", len(s))
 	}
 }
 
@@ -295,7 +295,6 @@ func TestOpenIsOpenClusterOfSelf(t *testing.T) {
 			Epoch:              7,
 			Flow:               transport.FlowConfig{MaxBytes: 1 << 20},
 			Stall:              StallConfig{Deadline: time.Second},
-			DialTimeout:        time.Second,
 			Trace:              optrace.Config{SampleEvery: 1},
 			Configure:          func(_ int, c *Config) { got = *c },
 		}
@@ -327,14 +326,14 @@ func TestOpenIsOpenClusterOfSelf(t *testing.T) {
 	if cfgA.Topology.Self != 2 || cfgA.Epoch != 7 || cfgA.Checkpoint.NextSeq != 42 {
 		t.Fatalf("per-node config lost fields: %+v", cfgA)
 	}
-	sa, sb := a.DebugSnapshot(), b.DebugSnapshot()
-	sa.Stats, sb.Stats = Stats{}, Stats{}
+	sa, sb := a.Snapshot(), b.Snapshot()
+	sa.Totals, sb.Totals = transport.Totals{}, transport.Totals{}
 	if !reflect.DeepEqual(sa, sb) {
 		t.Fatalf("nodes differ:\nOpen        %+v\nOpenCluster %+v", sa, sb)
 	}
 	for _, n := range []*Node{a, b} {
 		if n.Self() != 2 || n.log.NextSeq() != 42 || n.persister == nil || n.trace == nil ||
-			n.log.Flow().MaxBytes != 1<<20 || n.stall.cfg.Deadline != time.Second || n.registry.Has(ReclaimPredicateKey) {
+			n.log.Stats().CapBytes != 1<<20 || n.stall.cfg.Deadline != time.Second || n.registry.Has(ReclaimPredicateKey) {
 			t.Fatalf("node %d was not built from its config", n.Self())
 		}
 	}

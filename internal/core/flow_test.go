@@ -103,17 +103,17 @@ func TestSendBlocksAtCapResumesAfterHeal(t *testing.T) {
 	// The cap is 8 payloads; with node 3 dark the reclaim frontier pins
 	// and the pump must wedge before finishing.
 	waitUntil(t, 5*time.Second, "send to block at the cap", func() bool {
-		return sender.Health().BlockedAppends >= 1
+		return sender.SendLog().BlockedAppends >= 1
 	})
 	if got := sent.Load(); got >= total {
 		t.Fatalf("all %d sends completed through a full log", got)
 	}
-	if h := sender.Health(); !h.Backpressured {
-		t.Fatalf("health not backpressured while blocked: %+v", h)
+	if log := sender.SendLog(); !log.Full {
+		t.Fatalf("send log not backpressured while blocked: %+v", log)
 	}
 	// The stall monitor must name exactly the blackholed peer.
 	waitUntil(t, 5*time.Second, "stall blame on peer 3", func() bool {
-		for _, p := range sender.Health().Predicates {
+		for _, p := range sender.Snapshot().Predicates {
 			if p.Key == ReclaimPredicateKey && p.Stalled {
 				return len(p.Blamed) == 1 && p.Blamed[0].Peer == 3
 			}
@@ -132,12 +132,12 @@ func TestSendBlocksAtCapResumesAfterHeal(t *testing.T) {
 	}
 
 	// Everyone converges and the latch clears once reclaim catches up.
-	head := sender.Health().Head
+	head := sender.Snapshot().Log.Head
 	waitUntil(t, 10*time.Second, "receivers to drain", func() bool {
 		return c.nodes[1].RecvLast(1) >= head && c.nodes[2].RecvLast(1) >= head
 	})
 	waitUntil(t, 10*time.Second, "backpressure to clear", func() bool {
-		return !sender.Health().Backpressured
+		return !sender.Snapshot().Log.Full
 	})
 }
 
@@ -179,9 +179,9 @@ func TestSendCtxDoneContextShedsAtCap(t *testing.T) {
 			t.Fatalf("send with a done context took %v", el)
 		}
 	}
-	h := sender.Health()
-	if h.ShedAppends != 2 || h.BlockedAppends != 0 || !h.Backpressured {
-		t.Fatalf("health after two sheds: %+v", h)
+	log := sender.Snapshot().Log
+	if log.ShedAppends != 2 || log.BlockedAppends != 0 || !log.Full {
+		t.Fatalf("send log after two sheds: %+v", log)
 	}
 }
 
@@ -210,7 +210,7 @@ func TestSendCtxEndsWaitWithContext(t *testing.T) {
 				done <- err
 			}()
 			waitUntil(t, 5*time.Second, "send to block", func() bool {
-				return sender.Health().BlockedAppends >= 1
+				return sender.SendLog().BlockedAppends >= 1
 			})
 			start := time.Now()
 			if tc.cause == context.Canceled {
@@ -227,8 +227,14 @@ func TestSendCtxEndsWaitWithContext(t *testing.T) {
 			if el := time.Since(start); el > 200*time.Millisecond {
 				t.Fatalf("send returned %v after its context ended, want prompt", el)
 			}
-			if h := sender.Health(); h.ShedAppends != 1 || h.BlockedAppends != 1 {
-				t.Fatalf("health after the wait ended: %+v", h)
+			log := sender.Snapshot().Log
+			if log.ShedAppends != 1 || log.BlockedAppends != 1 {
+				t.Fatalf("send log after the wait ended: %+v", log)
+			}
+			// The snapshot's counts are the registry's: one counter each.
+			bp := sender.Metrics().CounterVec("stabilizer_transport_backpressure_total", "", "outcome")
+			if b, s := bp.With("blocked").Value(), bp.With("shed").Value(); b != 1 || s != 1 {
+				t.Fatalf("stabilizer_transport_backpressure_total = blocked %d, shed %d, want 1 and 1", b, s)
 			}
 		})
 	}

@@ -135,9 +135,6 @@ type Config struct {
 	// Stall configures degraded-mode stall detection and blame attribution
 	// (see StallConfig); the zero value disables the monitor.
 	Stall StallConfig
-	// DialTimeout bounds each transport connect attempt, handshake
-	// included; zero picks the transport default (2s).
-	DialTimeout time.Duration
 	// Trace configures the per-operation lifecycle flight recorder
 	// (sampling rate and ring size); the zero value disables tracing and
 	// keeps every hot path allocation-free.
@@ -295,7 +292,7 @@ func openNode(cfg Config) (*Node, error) {
 		log:           log,
 		env:           env,
 		persister:     cfg.Persister,
-		metrics:       newCoreMetrics(mreg, log),
+		metrics:       newCoreMetrics(mreg, log.NextSeq),
 		customByName:  make(map[string]uint16),
 		adaptiveCtrls: make(map[string]*adaptive.Controller),
 		trace:         optrace.New(topo.Self, cfg.Trace),
@@ -353,7 +350,6 @@ func openNode(cfg Config) (*Node, error) {
 		PeerTimeout:    cfg.PeerTimeout,
 		Epoch:          cfg.Epoch,
 		Metrics:        mreg,
-		DialTimeout:    cfg.DialTimeout,
 		Trace:          node.trace,
 	}
 	self := topo.Nodes[topo.Self-1]
@@ -888,91 +884,6 @@ func (n *Node) Checkpoint() *Checkpoint {
 
 // NextSeq returns the sequence number the next Send will be assigned.
 func (n *Node) NextSeq() uint64 { return n.log.NextSeq() }
-
-// BufferedBytes reports the bytes currently held in the send buffer —
-// memory plus any on-disk spill tier (the total retransmission backlog).
-func (n *Node) BufferedBytes() int64 { return n.log.Bytes() }
-
-// MemoryBufferedBytes reports only the in-memory portion of the send
-// buffer. With a spill tier this is the number the memory cap bounds, while
-// BufferedBytes keeps growing with the disk tier.
-func (n *Node) MemoryBufferedBytes() int64 { return n.log.MemoryBytes() }
-
-// SpilledBytes reports the bytes parked in the send log's on-disk spill
-// tier (0 without Config.Flow.SpillDir).
-func (n *Node) SpilledBytes() int64 { return n.log.SpilledBytes() }
-
-// SpillReadbackBytes reports the cumulative bytes the send log has served
-// to peers from its spill tier (0 without Config.Flow.SpillDir).
-func (n *Node) SpillReadbackBytes() int64 { return n.log.SpillReadbackBytes() }
-
-// BytesSent reports total frame bytes written to peers.
-func (n *Node) BytesSent() int64 { return n.tr.BytesSent() }
-
-// Stats is a point-in-time snapshot of a node's data- and control-plane
-// state, for dashboards and debugging. It is a cheap view over the same
-// counters the metrics registry exposes.
-type Stats struct {
-	// Self is the local node index; N the cluster size.
-	Self, N int
-	// NextSeq is the next outbound sequence number.
-	NextSeq uint64
-	// BufferedBytes/BufferedMessages describe the retransmission buffer.
-	BufferedBytes    int64
-	BufferedMessages int
-	// Sends counts messages sequenced locally; Deliveries counts
-	// remote-origin messages handed to the application.
-	Sends      int64
-	Deliveries int64
-	// BytesSent/BytesRecv count all frame bytes written to / read from
-	// peers; DataFramesSent/DataFramesRecv count data frames
-	// (retransmissions and duplicates included).
-	BytesSent      int64
-	BytesRecv      int64
-	DataFramesSent int64
-	DataFramesRecv int64
-	// ResentFrames counts data frames rewritten after reconnects;
-	// Reconnects counts successful re-dials; FailureDetectorTrips counts
-	// peers declared suspect.
-	ResentFrames         int64
-	Reconnects           int64
-	FailureDetectorTrips int64
-	// RecvLast is the highest contiguous data sequence received per peer.
-	RecvLast map[int]uint64
-	// Waiters is the number of WaitFor callers currently blocked.
-	Waiters int
-	// Predicates maps each registered predicate to its current frontier.
-	Predicates map[string]uint64
-}
-
-// Stats captures a snapshot of the node's state.
-func (n *Node) Stats() Stats {
-	s := Stats{
-		Self:                 n.topo.Self,
-		N:                    n.topo.N(),
-		NextSeq:              n.log.NextSeq(),
-		BufferedBytes:        n.log.Bytes(),
-		BufferedMessages:     n.log.Len(),
-		Sends:                n.metrics.sends.Value(),
-		Deliveries:           n.metrics.deliveries.Value(),
-		BytesSent:            n.tr.BytesSent(),
-		BytesRecv:            n.tr.BytesRecv(),
-		DataFramesSent:       n.tr.DataSent(),
-		DataFramesRecv:       n.tr.DataRecv(),
-		ResentFrames:         n.tr.Resent(),
-		Reconnects:           n.tr.Reconnects(),
-		FailureDetectorTrips: n.tr.FailureDetectorTrips(),
-		RecvLast:             n.tr.RecvLastAll(),
-		Waiters:              n.registry.WaiterCount(),
-		Predicates:           make(map[string]uint64),
-	}
-	for _, key := range n.Predicates() {
-		if f, err := n.registry.Frontier(key); err == nil {
-			s.Predicates[key] = f
-		}
-	}
-	return s
-}
 
 func (n *Node) selfTable() *frontier.Table { return n.tables[n.topo.Self-1] }
 

@@ -408,10 +408,10 @@ func TestBufferReclaimedWhenReceivedEverywhere(t *testing.T) {
 	// Reclamation runs on the same recompute path that released the
 	// waiter, so by now the buffer must be (nearly) empty.
 	deadline := time.Now().Add(2 * time.Second)
-	for sender.BufferedBytes() > 0 && time.Now().Before(deadline) {
+	for sender.SendLog().Bytes > 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	if b := sender.BufferedBytes(); b != 0 {
+	if b := sender.SendLog().Bytes; b != 0 {
 		t.Fatalf("send buffer still holds %d bytes after full stability", b)
 	}
 }

@@ -127,7 +127,7 @@ func TestRunReportsReceivedBeforeUpcallsDeliveredAfter(t *testing.T) {
 	if n := acks.Value(); n != 2 {
 		t.Fatalf("node 2 wrote %d ack frames to node 1 for a %d-frame run, want 2", n, k)
 	}
-	if n := receiver.Stats().Deliveries; n != k {
+	if n := receiver.Snapshot().Deliveries; n != k {
 		t.Fatalf("deliveries counter is %d, want one per message (%d)", n, k)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"stabilizer/internal/dsl"
 	"stabilizer/internal/metrics"
 	"stabilizer/internal/optrace"
 )
@@ -18,22 +19,15 @@ type StallConfig struct {
 	// Deadline is how long a lagging frontier may sit still before the
 	// predicate is declared stalled (0 disables the monitor).
 	Deadline time.Duration
-	// CheckEvery is the monitor sweep period (default Deadline/4,
-	// floor 5ms).
-	CheckEvery time.Duration
 }
 
-func (s StallConfig) normalized() StallConfig {
-	if s.Deadline <= 0 {
-		return StallConfig{}
+// checkEvery is the monitor's sweep period: a quarter of the deadline, so a
+// stall is declared at most a quarter late, and never under 5ms.
+func (s StallConfig) checkEvery() time.Duration {
+	if every := s.Deadline / 4; every > 5*time.Millisecond {
+		return every
 	}
-	if s.CheckEvery <= 0 {
-		s.CheckEvery = s.Deadline / 4
-	}
-	if s.CheckEvery < 5*time.Millisecond {
-		s.CheckEvery = 5 * time.Millisecond
-	}
-	return s
+	return 5 * time.Millisecond
 }
 
 // StallReport is the degraded-mode notification delivered to OnStall hooks
@@ -51,56 +45,6 @@ type StallReport struct {
 	// peers whose predicate-read ack cells sit at or below Frontier, i.e.
 	// the ones whose advance would move it.
 	Peers []int
-}
-
-// PeerLag describes one blamed peer inside a Health snapshot.
-type PeerLag struct {
-	Peer   int
-	AZ     string
-	Region string
-	// Ack is the lowest recorder-cell value the predicate reads from this
-	// peer (how far behind Head it is).
-	Ack uint64
-	// Recent is the flight-recorder tail snapshotted when this peer was
-	// blamed: the newest traced events that involve the peer or describe
-	// local not-yet-stable operations past the stuck frontier. Nil when
-	// tracing is disabled.
-	Recent []optrace.Event
-}
-
-// PredicateHealth is one predicate's entry in a Health snapshot.
-type PredicateHealth struct {
-	Key      string
-	Frontier uint64
-	Head     uint64
-	Stalled  bool
-	// StalledFor is how long the predicate has been stalled (0 unless
-	// Stalled).
-	StalledFor time.Duration
-	// Blamed lists the peers holding the frontier back, ascending by index
-	// (nil unless Stalled).
-	Blamed []PeerLag
-}
-
-// Health is a point-in-time degraded-mode snapshot: send-log occupancy and
-// admission-control pressure plus per-predicate stall state with blame.
-type Health struct {
-	Self int
-	// Head is the highest locally assigned sequence.
-	Head uint64
-	// SendLogBytes/SendLogEntries describe the retransmission buffer;
-	// SendLogCapBytes is the configured cap (0 = unbounded).
-	SendLogBytes    int64
-	SendLogEntries  int
-	SendLogCapBytes int64
-	// Backpressured is true while the admission latch is engaged;
-	// BlockedAppends/ShedAppends count appends that waited / were rejected.
-	Backpressured  bool
-	BlockedAppends int64
-	ShedAppends    int64
-	// Predicates holds one entry per registered predicate (reclaim
-	// included), sorted by key.
-	Predicates []PredicateHealth
 }
 
 // predStall is the monitor's per-predicate bookkeeping.
@@ -129,10 +73,10 @@ type stallState struct {
 	hooks      []stallHook
 	nextHookID int
 	stop       chan struct{}
-	wg     sync.WaitGroup
-	cfg    StallConfig
-	gauge  *metrics.GaugeVec // stabilizer_frontier_stalled{predicate,peer}
-	byZone *metrics.GaugeVec // stabilizer_frontier_stalled_peers{az,region}
+	wg         sync.WaitGroup
+	cfg        StallConfig
+	gauge      *metrics.GaugeVec // stabilizer_frontier_stalled{predicate,peer}
+	byZone     *metrics.GaugeVec // stabilizer_frontier_stalled_peers{az,region}
 	// zoneSet tracks which (az,region) children currently exist so sweeps
 	// can zero rollups whose count dropped.
 	zoneSet map[[2]string]bool
@@ -144,7 +88,7 @@ func (n *Node) initStallState(cfg StallConfig, mreg *metrics.Registry) {
 	st := &stallState{
 		preds:   make(map[string]*predStall),
 		stop:    make(chan struct{}),
-		cfg:     cfg.normalized(),
+		cfg:     cfg,
 		zoneSet: make(map[[2]string]bool),
 	}
 	st.gauge = mreg.GaugeVec("stabilizer_frontier_stalled",
@@ -160,7 +104,7 @@ func (n *Node) initStallState(cfg StallConfig, mreg *metrics.Registry) {
 	st.wg.Add(1)
 	go func() {
 		defer st.wg.Done()
-		tick := time.NewTicker(st.cfg.CheckEvery)
+		tick := time.NewTicker(st.cfg.checkEvery())
 		defer tick.Stop()
 		for {
 			select {
@@ -212,15 +156,11 @@ func (n *Node) OnStall(fn func(StallReport)) (cancel func()) {
 	}
 }
 
-// blamePeers names the dependent peers holding key's frontier at f: those
-// whose predicate-read ack cells are ≤ f. Peers strictly ahead of f cannot
-// be the binding constraint, so healthy-but-slightly-lagging peers are never
-// over-blamed.
-func (n *Node) blamePeers(key string, f uint64) []int {
-	cells, err := n.registry.Cells(key)
-	if err != nil {
-		return nil
-	}
+// blamePeers names the dependent peers holding at f the frontier of a
+// predicate that reads cells: those whose predicate-read ack cells are ≤ f.
+// Peers strictly ahead of f cannot be the binding constraint, so
+// healthy-but-slightly-lagging peers are never over-blamed.
+func (n *Node) blamePeers(cells []dsl.Cell, f uint64) []int {
 	table := n.selfTable()
 	seen := make(map[int]bool, len(cells))
 	var peers []int
@@ -237,14 +177,11 @@ func (n *Node) blamePeers(key string, f uint64) []int {
 	return peers
 }
 
-// peerLagFor builds the Health view of one blamed peer.
-func (n *Node) peerLagFor(key string, peer int) PeerLag {
+// peerLagFor builds the Snapshot view of one blamed peer of a predicate that
+// reads cells.
+func (n *Node) peerLagFor(cells []dsl.Cell, peer int) PeerLag {
 	node := n.topo.Nodes[peer-1]
 	lag := PeerLag{Peer: peer, AZ: node.AZ, Region: node.Region}
-	cells, err := n.registry.Cells(key)
-	if err != nil {
-		return lag
-	}
 	table := n.selfTable()
 	first := true
 	for _, c := range cells {
@@ -260,7 +197,7 @@ func (n *Node) peerLagFor(key string, peer int) PeerLag {
 }
 
 // captureStallTails snapshots the flight-recorder tail for each blamed
-// peer at the moment blame is (re)assigned, so a Health report carries the
+// peer at the moment blame is (re)assigned, so a Snapshot carries the
 // post-mortem of the stuck op stream, not a view from after recovery.
 // Returns nil when tracing is disabled.
 func (n *Node) captureStallTails(blamed []int, frontier uint64) map[int][]optrace.Event {
@@ -280,16 +217,13 @@ func (n *Node) captureStallTails(blamed []int, frontier uint64) map[int][]optrac
 func (n *Node) checkStalls(now time.Time) {
 	st := n.stall
 	head := n.log.Head()
-	keys := n.registry.Keys()
+	states := n.registry.States()
 	var reports []StallReport
 
 	st.mu.Lock()
-	live := make(map[string]bool, len(keys))
-	for _, key := range keys {
-		f, err := n.registry.Frontier(key)
-		if err != nil {
-			continue
-		}
+	live := make(map[string]bool, len(states))
+	for _, state := range states {
+		key, f := state.Key, state.Frontier
 		live[key] = true
 		ps := st.preds[key]
 		if ps == nil {
@@ -311,7 +245,7 @@ func (n *Node) checkStalls(now time.Time) {
 		case lagging && !ps.stalled:
 			ps.stalled = true
 			ps.since = ps.lastChange
-			ps.blamed = n.blamePeers(key, f)
+			ps.blamed = n.blamePeers(state.Cells, f)
 			ps.tails = n.captureStallTails(ps.blamed, f)
 			for _, p := range ps.blamed {
 				st.gauge.With(key, strconv.Itoa(p)).Set(1)
@@ -321,7 +255,7 @@ func (n *Node) checkStalls(now time.Time) {
 				Since: ps.since, Peers: append([]int(nil), ps.blamed...),
 			})
 		case lagging && ps.stalled:
-			blamed := n.blamePeers(key, f)
+			blamed := n.blamePeers(state.Cells, f)
 			if !equalInts(blamed, ps.blamed) {
 				for _, p := range ps.blamed {
 					st.gauge.Delete(key, strconv.Itoa(p))
@@ -392,45 +326,6 @@ func (n *Node) refreshZoneRollupLocked() {
 		st.byZone.With(zone[0], zone[1]).Set(int64(c))
 		st.zoneSet[zone] = true
 	}
-}
-
-// Health returns a degraded-mode snapshot: send-log occupancy and
-// admission-control pressure, plus per-predicate stall state with blame
-// attribution (populated by the stall monitor when Config.Stall is set).
-func (n *Node) Health() Health {
-	st := n.stall
-	head := n.log.Head()
-	h := Health{
-		Self:            n.topo.Self,
-		Head:            head,
-		SendLogBytes:    n.log.Bytes(),
-		SendLogEntries:  n.log.Len(),
-		SendLogCapBytes: n.log.Flow().MaxBytes,
-		Backpressured:   n.log.Full(),
-		BlockedAppends:  n.log.BlockedAppends(),
-		ShedAppends:     n.log.ShedAppends(),
-	}
-	now := n.nowFn()
-	st.mu.Lock()
-	for _, key := range n.registry.Keys() { // Keys() is sorted
-		f, err := n.registry.Frontier(key)
-		if err != nil {
-			continue
-		}
-		ph := PredicateHealth{Key: key, Frontier: f, Head: head}
-		if ps := st.preds[key]; ps != nil && ps.stalled {
-			ph.Stalled = true
-			ph.StalledFor = now.Sub(ps.since)
-			for _, p := range ps.blamed {
-				lag := n.peerLagFor(key, p)
-				lag.Recent = ps.tails[p]
-				ph.Blamed = append(ph.Blamed, lag)
-			}
-		}
-		h.Predicates = append(h.Predicates, ph)
-	}
-	st.mu.Unlock()
-	return h
 }
 
 func equalInts(a, b []int) bool {

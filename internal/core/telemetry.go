@@ -2,10 +2,12 @@ package core
 
 import (
 	"sync"
+	"time"
 
 	"stabilizer/internal/config"
 	"stabilizer/internal/metrics"
 	"stabilizer/internal/optrace"
+	"stabilizer/internal/transport"
 )
 
 // coreMetrics are the node-level metric instances, resolved once at Open.
@@ -33,11 +35,7 @@ func (m *coreMetrics) initStageMetrics() {
 	m.stageAckReturn = stage.With(optrace.SegAckReturn)
 }
 
-func newCoreMetrics(reg *metrics.Registry, log interface {
-	Bytes() int64
-	Len() int
-	NextSeq() uint64
-}) *coreMetrics {
+func newCoreMetrics(reg *metrics.Registry, nextSeq func() uint64) *coreMetrics {
 	m := &coreMetrics{
 		reg: reg,
 		sends: reg.Counter("stabilizer_core_sends_total",
@@ -54,15 +52,9 @@ func newCoreMetrics(reg *metrics.Registry, log interface {
 		reclaimSeq: reg.Gauge("stabilizer_core_reclaim_seq",
 			"Highest sequence reclaimed from the send buffer."),
 	}
-	reg.GaugeFunc("stabilizer_core_buffered_bytes",
-		"Payload bytes held in the retransmission buffer.",
-		func() float64 { return float64(log.Bytes()) })
-	reg.GaugeFunc("stabilizer_core_buffered_messages",
-		"Messages held in the retransmission buffer.",
-		func() float64 { return float64(log.Len()) })
 	reg.GaugeFunc("stabilizer_core_next_seq",
 		"Sequence number the next Send will be assigned.",
-		func() float64 { return float64(log.NextSeq()) })
+		func() float64 { return float64(nextSeq()) })
 	return m
 }
 
@@ -142,57 +134,118 @@ func (s *slowOp) get() (seq uint64, lat int64, pred string, ok bool) {
 	return s.seq, s.lat, s.pred, s.ok
 }
 
-// --- debug snapshot (served at /debug/stabilizer) ---
+// --- the snapshot (Node.Snapshot, served at /debug/stabilizer) ---
 
-// PredicateDebug describes one registered predicate in a DebugSnapshot.
-type PredicateDebug struct {
+// PeerLag describes one blamed peer of a stalled predicate.
+type PeerLag struct {
+	Peer   int    `json:"peer"`
+	AZ     string `json:"az"`
+	Region string `json:"region"`
+	// Ack is the lowest recorder-cell value the predicate reads from this
+	// peer (how far behind the log's Head it is).
+	Ack uint64 `json:"ack"`
+	// Recent is the flight-recorder tail snapshotted when this peer was
+	// blamed: the newest traced events that involve the peer or describe
+	// local not-yet-stable operations past the stuck frontier. Nil when
+	// tracing is disabled.
+	Recent []optrace.Event `json:"recent,omitempty"`
+}
+
+// PredicateState is one registered predicate in a Snapshot: what it is, where
+// its frontier stands (against Snapshot.Log.Head) and, once the stall monitor
+// has declared it stalled, for how long and who holds it back.
+type PredicateState struct {
 	Key       string `json:"key"`
 	Source    string `json:"source"`
 	Frontier  uint64 `json:"frontier"`
 	DependsOn []int  `json:"dependsOn,omitempty"`
+	Stalled   bool   `json:"stalled"`
+	// StalledFor is how long the predicate has been stalled (0 unless
+	// Stalled); Blamed the peers holding the frontier back, ascending by
+	// index (nil unless Stalled).
+	StalledFor time.Duration `json:"stalledFor"`
+	Blamed     []PeerLag     `json:"blamed,omitempty"`
 }
 
-// DebugSnapshot is a JSON-friendly dump of a node's control-plane state:
-// topology, predicate sources, the local origin's frontier table, and the
-// traffic snapshot. Served by the cmds' -metrics-addr HTTP endpoint.
-type DebugSnapshot struct {
-	Self           int                 `json:"self"`
-	Nodes          []config.Node       `json:"nodes"`
-	StabilityTypes []string            `json:"stabilityTypes"`
-	Predicates     []PredicateDebug    `json:"predicates"`
-	Acks           map[string][]uint64 `json:"acks"`
-	RecvLast       map[int]uint64      `json:"recvLast"`
-	LogBase        uint64              `json:"logBase"`
-	Stats          Stats               `json:"stats"`
+// Snapshot is the one read of a node's state, for dashboards, operators,
+// /debug/stabilizer and checkers: every number appears in it once. The
+// predicates are read under one hold of the registry lock and the send log
+// under one hold of its mutex; the sections are taken one after another, so
+// the snapshot is consistent within each and only roughly simultaneous
+// across them. The counters are the node's children in the metrics registry
+// (a registry shared across an in-process restart keeps counting).
+type Snapshot struct {
+	// Self is the local node index; Nodes the whole topology.
+	Self           int           `json:"self"`
+	Nodes          []config.Node `json:"nodes"`
+	StabilityTypes []string      `json:"stabilityTypes"`
+	// Log is the send log: occupancy of both tiers, the admission latch and
+	// its blocked/shed counts. Log.Head is the highest sequence assigned.
+	Log transport.LogStats `json:"log"`
+	// Totals is the traffic summed over peers; RecvLast the highest
+	// contiguous data sequence received per peer that has sent any.
+	transport.Totals
+	RecvLast map[int]uint64 `json:"recvLast"`
+	// Sends counts messages sequenced locally, Deliveries remote-origin
+	// messages handed to the application, Waiters the WaitFor callers
+	// currently blocked.
+	Sends      int64 `json:"sends"`
+	Deliveries int64 `json:"deliveries"`
+	Waiters    int   `json:"waiters"`
+	// Acks is the local origin's recorder, one row per stability type name.
+	Acks map[string][]uint64 `json:"acks"`
+	// Predicates holds one entry per registered predicate, sorted by key,
+	// the reserved reclaim predicate included so buffer reclamation (and a
+	// stalled reclaim, which is what pins the send log) is observable. Stall
+	// fields are filled by the monitor Config.Stall arms.
+	Predicates []PredicateState `json:"predicates"`
 }
 
-// DebugSnapshot captures the node's control-plane state for inspection.
-// The reserved reclaim predicate is included so buffer reclamation is
-// observable.
-func (n *Node) DebugSnapshot() DebugSnapshot {
-	d := DebugSnapshot{
-		Self:     n.topo.Self,
-		Nodes:    append([]config.Node(nil), n.topo.Nodes...),
-		RecvLast: n.tr.RecvLastAll(),
-		LogBase:  n.log.Base(),
-		Stats:    n.Stats(),
-		Acks:     make(map[string][]uint64),
+// Snapshot reads the node's state once.
+func (n *Node) Snapshot() Snapshot {
+	s := Snapshot{
+		Self:       n.topo.Self,
+		Nodes:      append([]config.Node(nil), n.topo.Nodes...),
+		Log:        n.log.Stats(),
+		Totals:     n.tr.Totals(),
+		RecvLast:   n.tr.RecvLastAll(),
+		Sends:      n.metrics.sends.Value(),
+		Deliveries: n.metrics.deliveries.Value(),
+		Acks:       make(map[string][]uint64),
 	}
 	for _, id := range n.types.IDs() {
-		d.StabilityTypes = append(d.StabilityTypes, n.types.Name(id))
+		s.StabilityTypes = append(s.StabilityTypes, n.types.Name(id))
 	}
 	for typ, row := range n.selfTable().Snapshot() {
-		d.Acks[n.types.Name(typ)] = row
+		s.Acks[n.types.Name(typ)] = row
 	}
-	for _, key := range n.registry.Keys() {
-		pd := PredicateDebug{Key: key}
-		pd.Source, _ = n.registry.Source(key)
-		pd.Frontier, _ = n.registry.Frontier(key)
-		pd.DependsOn, _ = n.registry.DependsOn(key)
-		d.Predicates = append(d.Predicates, pd)
+	states := n.registry.States()
+	s.Predicates = make([]PredicateState, 0, len(states))
+	now := n.nowFn()
+	st := n.stall
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for _, ps := range states {
+		s.Waiters += ps.Waiters
+		p := PredicateState{Key: ps.Key, Source: ps.Source, Frontier: ps.Frontier, DependsOn: ps.DependsOn}
+		if sp := st.preds[ps.Key]; sp != nil && sp.stalled {
+			p.Stalled = true
+			p.StalledFor = now.Sub(sp.since)
+			for _, peer := range sp.blamed {
+				lag := n.peerLagFor(ps.Cells, peer)
+				lag.Recent = sp.tails[peer]
+				p.Blamed = append(p.Blamed, lag)
+			}
+		}
+		s.Predicates = append(s.Predicates, p)
 	}
-	return d
+	return s
 }
+
+// SendLog reads the send log alone: by value, without allocating, for
+// callers that sweep occupancy often (Snapshot carries the same reading as
+// its Log field).
+func (n *Node) SendLog() transport.LogStats { return n.log.Stats() }
 
 // Metrics returns the node's view of its metrics registry: the registry
 // from Config.Metrics (or the private one created at Open) seen through

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"stabilizer/internal/emunet"
+	"stabilizer/internal/faultinject"
 	"stabilizer/internal/metrics"
 )
 
@@ -86,26 +87,25 @@ func TestStabilityLatencyHistogram(t *testing.T) {
 		t.Fatal("no stability-latency histogram for predicate \"maj\"")
 	}
 
-	// The rewritten Stats must reflect the new counters and stay a view
-	// over the same state the registry exposes.
-	s := sender.Stats()
+	// The snapshot reads the same counters the registry exposes.
+	s := sender.Snapshot()
 	if s.Sends != msgs {
-		t.Errorf("Stats.Sends = %d, want %d", s.Sends, msgs)
+		t.Errorf("Snapshot.Sends = %d, want %d", s.Sends, msgs)
 	}
 	if s.BytesSent == 0 || s.BytesRecv == 0 {
-		t.Errorf("Stats bandwidth accounting asymmetric: sent=%d recv=%d", s.BytesSent, s.BytesRecv)
+		t.Errorf("Snapshot bandwidth accounting asymmetric: sent=%d recv=%d", s.BytesSent, s.BytesRecv)
 	}
 	if s.Waiters != 0 {
-		t.Errorf("Stats.Waiters = %d, want 0", s.Waiters)
+		t.Errorf("Snapshot.Waiters = %d, want 0", s.Waiters)
 	}
-	// A receiver's stats must show symmetric accounting: data frames in,
+	// A receiver's snapshot must show symmetric accounting: data frames in,
 	// recv cursor advanced for the sender. KTH_MIN(2, ...) released the
 	// wait as soon as ONE receiver acked, so this particular receiver may
 	// still be catching up — poll briefly before judging its counters.
-	var r Stats
+	var r Snapshot
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		r = c.nodes[1].Stats()
+		r = c.nodes[1].Snapshot()
 		if (r.RecvLast[1] == lastSeq && r.Deliveries == msgs) || time.Now().After(deadline) {
 			break
 		}
@@ -128,5 +128,170 @@ func TestStabilityLatencyHistogram(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), `stabilizer_stability_latency_seconds_count{node="1",predicate="maj"} 5`) {
 		t.Errorf("prometheus output missing labeled stability-latency count:\n%s", sb.String())
+	}
+}
+
+// TestSnapshotNeverShowsAHalfRemovedPredicate registers and removes a
+// predicate in a loop beside Snapshot: an entry is read under one hold of the
+// registry lock, so it is either whole or absent, never a key whose source
+// was already gone when it was looked up.
+func TestSnapshotNeverShowsAHalfRemovedPredicate(t *testing.T) {
+	c := startCluster(t, flatTopology(2), nil)
+	node := c.nodes[0]
+	const source = "MIN($ALLWNODES)"
+	stop := make(chan struct{})
+	churned := make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				churned <- nil
+				return
+			default:
+			}
+			if err := node.RegisterPredicate("ghost", source); err != nil {
+				churned <- err
+				return
+			}
+			if err := node.RemovePredicate("ghost"); err != nil {
+				churned <- err
+				return
+			}
+		}
+	}()
+	seen := 0
+	for i := 0; i < 20000 && !t.Failed(); i++ {
+		for _, p := range node.Snapshot().Predicates {
+			if p.Key != "ghost" {
+				continue
+			}
+			seen++
+			if p.Source != source || len(p.DependsOn) != 2 {
+				t.Errorf("snapshot %d shows a half-removed predicate: %+v", i, p)
+			}
+		}
+	}
+	close(stop)
+	if err := <-churned; err != nil {
+		t.Fatalf("churn: %v", err)
+	}
+	if seen == 0 {
+		t.Fatal("20000 snapshots beside the churn never saw the predicate: the test raced nothing")
+	}
+}
+
+// TestSnapshotTotalsEqualPerPeerFamilies: a Snapshot total is the sum of its
+// family's children under the node's label and nothing else. Three nodes in
+// one registry, traffic both ways, a partition long enough to trip the
+// failure detector and a flap; the nodes are then closed, so the counters
+// stand still and the comparison is exact.
+func TestSnapshotTotalsEqualPerPeerFamilies(t *testing.T) {
+	inj := faultinject.New(nil)
+	defer inj.Close()
+	net := emunet.NewMemNetwork(nil)
+	defer net.Close()
+	net.SetConnHook(inj.Hook())
+	reg := metrics.NewRegistry()
+	cl, err := OpenCluster(Config{
+		Topology:       flatTopology(3),
+		Network:        net,
+		HeartbeatEvery: 10 * time.Millisecond,
+		Metrics:        reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	nodes := cl.Nodes()
+
+	// exchange sends k messages from nodes 1 and 2 and waits until everybody
+	// has received both streams.
+	heads := map[int]uint64{}
+	exchange := func(k int) {
+		t.Helper()
+		for i := 0; i < k; i++ {
+			for _, origin := range []int{1, 2} {
+				seq, err := cl.Node(origin).Send([]byte(fmt.Sprintf("m-%d-%d", origin, i)))
+				if err != nil {
+					t.Fatalf("send from %d: %v", origin, err)
+				}
+				heads[origin] = seq
+			}
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		for origin, head := range heads {
+			if err := cl.WaitAllReceive(ctx, origin, head); err != nil {
+				t.Fatalf("stream of node %d did not reach everybody: %v", origin, err)
+			}
+		}
+	}
+	exchange(10)
+	inj.Partition([]int{3}, 3)
+	waitUntil(t, 5*time.Second, "a failure-detector trip", func() bool {
+		return nodes[0].Snapshot().FailureDetectorTrips > 0 && nodes[2].Snapshot().FailureDetectorTrips > 0
+	})
+	if _, err := nodes[0].Send([]byte("into the partition")); err != nil {
+		t.Fatal(err)
+	}
+	inj.HealPartition([]int{3}, 3)
+	inj.Flap(1, 2)
+	exchange(10)
+	if err := cl.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	sum := func(family string, match map[string]string) int64 {
+		t.Helper()
+		fs := reg.Find(family)
+		if fs == nil {
+			t.Fatalf("family %q not registered", family)
+		}
+		var total float64
+	children:
+		for _, m := range fs.Metrics {
+			for k, v := range match {
+				if m.Labels[k] != v {
+					continue children
+				}
+			}
+			total += m.Value
+		}
+		return int64(total)
+	}
+	var reconnects int64
+	for _, n := range nodes {
+		s := n.Snapshot()
+		id := map[string]string{"node": fmt.Sprint(s.Self)}
+		kind := func(k, v string) map[string]string { return map[string]string{"node": id["node"], k: v} }
+		for _, c := range []struct {
+			field  string
+			got    int64
+			family string
+			match  map[string]string
+		}{
+			{"BytesSent", s.BytesSent, "stabilizer_transport_bytes_sent_total", id},
+			{"BytesRecv", s.BytesRecv, "stabilizer_transport_bytes_recv_total", id},
+			{"DataFramesSent", s.DataFramesSent, "stabilizer_transport_frames_sent_total", kind("kind", "data")},
+			{"DataFramesRecv", s.DataFramesRecv, "stabilizer_transport_frames_recv_total", kind("kind", "data")},
+			{"ResentFrames", s.ResentFrames, "stabilizer_transport_data_resent_total", id},
+			{"Reconnects", s.Reconnects, "stabilizer_transport_reconnects_total", id},
+			{"FailureDetectorTrips", s.FailureDetectorTrips, "stabilizer_transport_failure_detector_trips_total", id},
+			{"Sends", s.Sends, "stabilizer_core_sends_total", id},
+			{"Deliveries", s.Deliveries, "stabilizer_core_deliveries_total", id},
+			{"Log.BlockedAppends", s.Log.BlockedAppends, "stabilizer_transport_backpressure_total", kind("outcome", "blocked")},
+			{"Log.ShedAppends", s.Log.ShedAppends, "stabilizer_transport_backpressure_total", kind("outcome", "shed")},
+		} {
+			if want := sum(c.family, c.match); c.got != want {
+				t.Errorf("node %d: Snapshot.%s = %d, %s%v sums to %d", s.Self, c.field, c.got, c.family, c.match, want)
+			}
+		}
+		if s.BytesSent == 0 || s.BytesRecv == 0 || s.DataFramesRecv == 0 {
+			t.Errorf("node %d saw no traffic: %+v", s.Self, s.Totals)
+		}
+		reconnects += s.Reconnects
+	}
+	if reconnects == 0 {
+		t.Error("a partition and a flap caused no reconnect: the test exercised no redial")
 	}
 }

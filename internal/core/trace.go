@@ -36,7 +36,7 @@ func (n *Node) traceTail(peer int, frontier uint64) []optrace.Event {
 }
 
 // stallTailEvents bounds the recorder tail attached to each blamed peer in
-// a Health report.
+// a Snapshot.
 const stallTailEvents = 24
 
 // ErrTracingDisabled is returned by trace queries when no live node has a

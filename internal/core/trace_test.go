@@ -130,7 +130,7 @@ func TestTraceDisabled(t *testing.T) {
 }
 
 // TestStallHealthIncludesTraceTail blackholes a peer and asserts the
-// stall-triggered Health report carries a non-empty recorder snapshot for
+// stall-triggered Snapshot carries a non-empty recorder snapshot for
 // the blamed peer.
 func TestStallHealthIncludesTraceTail(t *testing.T) {
 	net := emunet.NewMemNetwork(nil)
@@ -139,7 +139,7 @@ func TestStallHealthIncludesTraceTail(t *testing.T) {
 		Network:        net,
 		Metrics:        metrics.NewRegistry(),
 		HeartbeatEvery: 20 * time.Millisecond,
-		Stall:          StallConfig{Deadline: 100 * time.Millisecond, CheckEvery: 20 * time.Millisecond},
+		Stall:          StallConfig{Deadline: 100 * time.Millisecond},
 		Trace:          optrace.Config{SampleEvery: 1, RingSize: 1 << 12},
 	})
 	if err != nil {
@@ -186,7 +186,7 @@ func TestStallHealthIncludesTraceTail(t *testing.T) {
 		t.Fatal("no stall report")
 	}
 
-	h := sender.Health()
+	h := sender.Snapshot()
 	foundBlamed := false
 	for _, ph := range h.Predicates {
 		if !ph.Stalled {

@@ -487,17 +487,40 @@ func (r *Registry) DependsOn(key string) ([]int, error) {
 	return p.prog.DependsOn(), nil
 }
 
-// Cells returns the recorder-table cells the predicate under key reads,
-// in first-load order. Stall blame attribution compares each dependent
-// peer's cell value against the stalled frontier.
-func (r *Registry) Cells(key string) ([]dsl.Cell, error) {
+// PredicateState is one registered predicate as States read it.
+type PredicateState struct {
+	Key      string
+	Source   string
+	Frontier uint64
+	// DependsOn lists the WAN nodes the predicate reads; Cells the recorder
+	// cells, in first-load order (stall blame compares each dependent peer's
+	// cell against the stalled frontier).
+	DependsOn []int
+	Cells     []dsl.Cell
+	// Waiters is the number of WaitFor callers parked on the predicate.
+	Waiters int
+}
+
+// States returns every registered predicate, sorted by key, read under one
+// hold of the registry lock: a predicate removed or swapped beside the call
+// is either wholly in the result or wholly absent, never a key without its
+// source.
+func (r *Registry) States() []PredicateState {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	p, ok := r.preds[key]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrPredUnknown, key)
+	out := make([]PredicateState, 0, len(r.preds))
+	for _, p := range r.preds {
+		out = append(out, PredicateState{
+			Key:       p.key,
+			Source:    p.prog.Source(),
+			Frontier:  p.frontier,
+			DependsOn: p.prog.DependsOn(),
+			Cells:     p.cells,
+			Waiters:   p.waiters.Len(),
+		})
 	}
-	return p.prog.Cells(), nil
+	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	return out
 }
 
 // Frontier returns the last computed stability frontier of key.

@@ -7,6 +7,7 @@ import (
 	"stabilizer/internal/emunet"
 	"stabilizer/internal/faultinject"
 	"stabilizer/internal/metrics"
+	"stabilizer/internal/wire"
 )
 
 // TestReconnectMetricsConsistency forces a link flap with in-flight frames
@@ -16,8 +17,10 @@ import (
 // bytes exceed received bytes by precisely the resent frames' bytes.
 //
 // Heartbeats are disabled and no acks are queued, so data frames are the
-// only counted traffic and the byte math is exact (handshakes are excluded
-// from the per-peer counters by design).
+// only traffic the sender counts and the byte math is exact. The receiver
+// also books the Hello that opens each connection to the peer that sent it
+// (the dialer does not count its handshake), so its side of the books is the
+// data plus one Hello per connection made.
 func TestReconnectMetricsConsistency(t *testing.T) {
 	fabric := emunet.NewMemNetwork(nil)
 	defer fabric.Close()
@@ -52,7 +55,13 @@ func TestReconnectMetricsConsistency(t *testing.T) {
 	}
 	recvBytes := func() int64 {
 		return regR.CounterVec("stabilizer_transport_bytes_recv_total",
-			"Frame bytes read per peer (post-handshake).", "peer").With("1").Value()
+			"Frame bytes read per peer.", "peer").With("1").Value()
+	}
+	helloBytes := int64(len(wire.AppendFrame(nil, &wire.Hello{From: 1})))
+	// recvData is what the receiver read of the sender's counted traffic:
+	// everything but the Hello of each connection the sender has made.
+	recvData := func() int64 {
+		return recvBytes() - helloBytes*(1+sender.Totals().Reconnects)
 	}
 	resentFrames := func() int64 {
 		return regS.CounterVec("stabilizer_transport_data_resent_total",
@@ -70,8 +79,17 @@ func TestReconnectMetricsConsistency(t *testing.T) {
 	sender.NotifyData()
 	waitUntil(t, 5*time.Second, func() bool { return receiver.RecvLast(1) == 3 })
 	// Quiesce: with only data frames on the wire, both ends must agree.
-	waitUntil(t, 5*time.Second, func() bool { return sentBytes() == recvBytes() && sentBytes() > 0 })
-	s0, r0 := sentBytes(), recvBytes()
+	waitUntil(t, 5*time.Second, func() bool { return sentBytes() == recvData() && sentBytes() > 0 })
+	// A clean exchange over one connection: the receiver's books are the
+	// sender's plus exactly the one Hello.
+	if got, want := recvBytes(), sentBytes()+helloBytes; got != want {
+		t.Fatalf("receiver read %d bytes from peer 1, want the %d sent + one %d-byte Hello = %d",
+			got, sentBytes(), helloBytes, want)
+	}
+	if tot := receiver.Totals(); tot.BytesRecv != recvBytes() || tot.DataFramesRecv != 3 {
+		t.Fatalf("receiver totals = %+v, want BytesRecv %d and 3 data frames", tot, recvBytes())
+	}
+	s0, r0 := sentBytes(), recvData()
 
 	// Phase 2: cut the link while idle, then append. The frames are
 	// counted as sent when they enter the link's write path but every byte
@@ -84,8 +102,8 @@ func TestReconnectMetricsConsistency(t *testing.T) {
 		}
 	}
 	sender.NotifyData()
-	waitUntil(t, 5*time.Second, func() bool { return sender.DataSent() > 3 })
-	if got := receiver.DataRecv(); got != 3 {
+	waitUntil(t, 5*time.Second, func() bool { return sender.Totals().DataFramesSent > 3 })
+	if got := receiver.Totals().DataFramesRecv; got != 3 {
 		t.Fatalf("receiver saw %d data frames through a cut link, want 3", got)
 	}
 
@@ -96,7 +114,7 @@ func TestReconnectMetricsConsistency(t *testing.T) {
 	inj.HealLink(1, 2)
 
 	waitUntil(t, 10*time.Second, func() bool { return receiver.RecvLast(1) == 8 })
-	waitUntil(t, 5*time.Second, func() bool { return sentBytes()-s0 > recvBytes()-r0 && recvBytes() > r0 })
+	waitUntil(t, 5*time.Second, func() bool { return sentBytes()-s0 > recvData()-r0 && recvData() > r0 })
 
 	// FIFO with no gaps or duplicates across the flap.
 	seqs := rec.dataSeqs(1)
@@ -112,27 +130,26 @@ func TestReconnectMetricsConsistency(t *testing.T) {
 	// Books must balance. The receiver read frames 4..8 exactly once:
 	// recvDelta = 5 frames. The sender wrote those 5 plus `resent` frames
 	// a second time, all the same wire size.
-	sDelta, rDelta := sentBytes()-s0, recvBytes()-r0
+	sDelta, rDelta := sentBytes()-s0, recvData()-r0
 	resent := resentFrames()
 	if resent < 1 {
 		t.Fatalf("flap lost frames but resent counter = %d", resent)
 	}
-	if rDelta%5 != 0 {
-		t.Fatalf("received byte delta %d is not 5 equal frames", rDelta)
+	// Exactly five frames once one Hello per connection made, the flap's
+	// included, is set aside.
+	frameBytes := int64(wire.DataFrameOverhead + len(payload))
+	if rDelta != 5*frameBytes {
+		t.Fatalf("received byte delta %d beyond %d Hellos, want 5 frames × %d bytes", rDelta, 1+sender.Totals().Reconnects, frameBytes)
 	}
-	frameBytes := rDelta / 5
 	if want := rDelta + resent*frameBytes; sDelta != want {
 		t.Fatalf("byte books don't balance: sent delta %d, want recv delta %d + %d resent frames × %d bytes = %d",
 			sDelta, rDelta, resent, frameBytes, want)
 	}
-	// The metrics families must agree with the transport's own counters.
-	if resent != sender.Resent() {
-		t.Fatalf("resent metric %d != accessor %d", resent, sender.Resent())
+	tot := sender.Totals()
+	if tot.DataFramesSent != 8+resent {
+		t.Fatalf("DataFramesSent = %d, want 8 first sends + %d resends", tot.DataFramesSent, resent)
 	}
-	if got := sender.DataSent(); got != 8+resent {
-		t.Fatalf("DataSent = %d, want 8 first sends + %d resends", got, resent)
-	}
-	if sender.Reconnects() < 1 {
-		t.Fatalf("reconnects = %d after a flap", sender.Reconnects())
+	if tot.Reconnects < 1 {
+		t.Fatalf("reconnects = %d after a flap", tot.Reconnects)
 	}
 }

@@ -22,8 +22,11 @@ const maxAppQueue = 4096
 // saturated.
 var ErrAppQueueFull = errors.New("transport: app queue full")
 
-// errDialTimeout is returned by a connect attempt that exceeded
-// Config.DialTimeout (dial plus handshake).
+// dialTimeout bounds each connect attempt, handshake included, so a
+// black-holed peer cannot hang a link's run loop.
+const dialTimeout = 2 * time.Second
+
+// errDialTimeout is returned by a connect attempt that exceeded dialTimeout.
 var errDialTimeout = errors.New("transport: dial timeout")
 
 // Reconnect backoff bounds: the mean sleep doubles from the floor to the
@@ -285,7 +288,6 @@ func (l *link) run() {
 			continue
 		}
 		if connected {
-			l.t.reconnects.Add(1)
 			l.ins.reconn.Inc()
 		}
 		connected = true
@@ -316,7 +318,7 @@ func (l *link) sleep(d time.Duration) bool {
 	}
 }
 
-// dial connects and handshakes within Config.DialTimeout, returning the
+// dial connects and handshakes within dialTimeout, returning the
 // peer's last received contiguous data sequence. Both the connect and the
 // handshake round trip run in a goroutine: a black-holed fabric dial, or a
 // peer that accepts but never answers the Hello, cannot hang the run loop.
@@ -324,7 +326,6 @@ func (l *link) sleep(d time.Duration) bool {
 // an abandoning caller can close it — which aborts a handshake stalled in a
 // fault gate or a dead network, letting the goroutine finish.
 func (l *link) dial() (net.Conn, uint64, error) {
-	timeout := l.t.cfg.DialTimeout
 	connCh := make(chan net.Conn, 1)
 	resCh := make(chan dialResult, 1)
 	go func() {
@@ -336,7 +337,7 @@ func (l *link) dial() (net.Conn, uint64, error) {
 		connCh <- conn
 		// A deadline as defense in depth: on transports whose reads honor it
 		// the handshake self-aborts even if nobody reaps the attempt.
-		_ = conn.SetDeadline(time.Now().Add(timeout))
+		_ = conn.SetDeadline(time.Now().Add(dialTimeout))
 		frame := wire.AppendFrame(nil, &wire.Hello{From: uint16(l.t.cfg.Self), Epoch: l.t.cfg.Epoch})
 		if _, err := conn.Write(frame); err != nil {
 			resCh <- dialResult{conn: conn, err: err}
@@ -357,7 +358,7 @@ func (l *link) dial() (net.Conn, uint64, error) {
 		resCh <- dialResult{conn: conn, r: r, lastSeq: ack.LastSeq}
 	}()
 
-	timer := time.NewTimer(timeout)
+	timer := time.NewTimer(dialTimeout)
 	defer timer.Stop()
 	var res dialResult
 	select {
@@ -572,11 +573,7 @@ func (l *link) stream(conn net.Conn, cursor uint64) {
 				l.traced = l.traced[:0]
 			}
 			l.countSent(len(l.hdrs)+payloadBytes, n, &l.ins.dataSent)
-			l.t.dataSent.Add(int64(n))
-			if resends > 0 {
-				l.t.resent.Add(int64(resends))
-				l.ins.resent.Add(int64(resends))
-			}
+			l.ins.resent.Add(int64(resends))
 			l.noteControlSent(&ctl, ackB, appB, hbB)
 			wrote = true
 		} else if ctl.any() {
@@ -719,9 +716,8 @@ func (l *link) noteControlSent(c *controlBatch, ackB, appB, hbB int) {
 }
 
 // countSent records one written batch of `frames` frames totalling n bytes
-// in the transport total and the per-peer byte and frame-kind counters.
+// in the per-peer byte and frame-kind counters.
 func (l *link) countSent(n, frames int, kind *counterPair) {
-	l.t.bytesSent.Add(int64(n))
 	l.ins.bytesSent.Add(int64(n))
 	kind.Add(int64(frames))
 }

@@ -294,7 +294,7 @@ func TestLinkWriteDoesNotWaitForPeerUpcall(t *testing.T) {
 	}
 	for i := 2; i <= sends; i++ {
 		send(i)
-		waitUntil(t, 5*time.Second, func() bool { return sender.DataSent() >= int64(i) })
+		waitUntil(t, 5*time.Second, func() bool { return sender.Totals().DataFramesSent >= int64(i) })
 	}
 	if runs, _ := h.snapshot(); len(runs) != 0 {
 		t.Fatalf("the held upcall returned: %v", runs)

@@ -26,7 +26,7 @@ var ErrLogClosed = errors.New("transport: send log closed")
 // byte cap — the slowest unreclaimed peer has put the node into admission
 // control — and the caller's context ended before space freed. The returned
 // error also wraps that context's error. The caller should shed load, retry
-// later, or fall back to a weaker predicate (see core.Node.Health for blame).
+// later, or fall back to a weaker predicate (see core.Node.Snapshot for blame).
 var ErrBackpressure = errors.New("transport: send log backpressure")
 
 // FlowConfig bounds the send log so a partitioned or slow peer cannot grow
@@ -158,14 +158,14 @@ type SendLog struct {
 	// blocked appenders: created on demand, closed and dropped when space
 	// frees, so each stall round gets a fresh channel.
 	spaceCh chan struct{}
-	waiting int   // appenders currently blocked
-	blocked int64 // total appends that had to wait
-	shed    int64 // total appends rejected with ErrBackpressure
-
-	// Optional backpressure counters, set by the transport when metrics are
-	// enabled (same-package wiring; nil-safe).
-	mBlocked *metrics.Counter
-	mShed    *metrics.Counter
+	waiting int // appenders currently blocked
+	// blocked and shed count the appends that had to wait and the ones
+	// rejected with ErrBackpressure. A log starts with counters of its own;
+	// transport.New, under mu, swaps in the node's children of
+	// stabilizer_transport_backpressure_total, so the number Stats reports
+	// and the number /metrics exposes are one counter.
+	blocked *metrics.Counter
+	shed    *metrics.Counter
 
 	// spill is the disk tier (nil without FlowConfig.SpillDir).
 	spill *spillState
@@ -235,6 +235,8 @@ func newSendLog(firstSeq uint64, flow FlowConfig, stripes int) *SendLog {
 		base:    firstSeq,
 		flow:    flow,
 		stripes: make([]logStripe, stripes),
+		blocked: new(metrics.Counter),
+		shed:    new(metrics.Counter),
 	}
 	l.next.Store(firstSeq)
 	l.reclaimed = firstSeq - 1
@@ -350,10 +352,7 @@ func (l *SendLog) admit(ctx context.Context, pl int64) error {
 			}
 			done = ctx.Done()
 		}
-		l.blocked++
-		if c := l.mBlocked; c != nil {
-			c.Inc()
-		}
+		l.blocked.Inc()
 		if l.spill != nil {
 			l.kickSpill()
 		}
@@ -394,10 +393,7 @@ func (l *SendLog) admit(ctx context.Context, pl int64) error {
 // shedLocked counts an append refused because ctx ended at the cap and
 // builds its error.
 func (l *SendLog) shedLocked(ctx context.Context) error {
-	l.shed++
-	if c := l.mShed; c != nil {
-		c.Inc()
-	}
+	l.shed.Inc()
 	return fmt.Errorf("%w: %w", ErrBackpressure, ctx.Err())
 }
 
@@ -599,22 +595,9 @@ func (l *SendLog) NextSeq() uint64 {
 	return l.next.Load()
 }
 
-// Base returns the oldest retained sequence, across both tiers: with a
-// spill tier holding data, that is the oldest sequence still on disk.
-func (l *SendLog) Base() uint64 {
-	if sp := l.spill; sp != nil {
-		if first, ok := sp.oldest(); ok {
-			return first
-		}
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.base
-}
-
 // Bytes returns the payload bytes currently buffered across both tiers:
-// the total retransmission backlog. Use MemoryBytes for the in-memory
-// share that admission control bounds.
+// the total retransmission backlog. It is two atomic loads, for the callers
+// that poll it; Stats has the memory and disk shares.
 func (l *SendLog) Bytes() int64 {
 	b := l.bytes.Load()
 	if sp := l.spill; sp != nil {
@@ -623,59 +606,71 @@ func (l *SendLog) Bytes() int64 {
 	return b
 }
 
-// MemoryBytes returns the payload bytes held in memory (staged and merged).
-// This is the quantity FlowConfig.MaxBytes bounds; a spill tier's on-disk
-// remainder is excluded.
-func (l *SendLog) MemoryBytes() int64 {
-	return l.bytes.Load()
+// Full reports whether the admission latch is currently engaged.
+func (l *SendLog) Full() bool { return l.full.Load() }
+
+// LogStats is one reading of a send log: every field is taken under a single
+// hold of the log's mutex, so the fields describe the same instant.
+type LogStats struct {
+	// Base is the oldest retained sequence across both tiers (Head+1 when
+	// nothing is buffered); Head the highest assigned sequence (0 if none).
+	Base uint64 `json:"base"`
+	Head uint64 `json:"head"`
+	// Entries and Bytes size the whole retransmission backlog, memory plus
+	// disk. MemoryBytes is the in-memory share, the quantity CapBytes bounds.
+	Entries     int   `json:"entries"`
+	Bytes       int64 `json:"bytes"`
+	MemoryBytes int64 `json:"memoryBytes"`
+	// SpilledBytes and SpilledSegments describe the live on-disk segments;
+	// SpillReadbackBytes is the cumulative payload served back from them.
+	// SpillDegraded is set while the disk tier cannot write and the log runs
+	// as if it had no directory: bounded memory, blocking appends, no loss.
+	// All zero without FlowConfig.SpillDir.
+	SpilledBytes       int64 `json:"spilledBytes"`
+	SpilledSegments    int64 `json:"spilledSegments"`
+	SpillReadbackBytes int64 `json:"spillReadbackBytes"`
+	SpillDegraded      bool  `json:"spillDegraded"`
+	// CapBytes is FlowConfig.MaxBytes (0 = unbounded); Full the admission
+	// latch; Waiting the appenders blocked on it right now.
+	CapBytes int64 `json:"capBytes"`
+	Full     bool  `json:"full"`
+	Waiting  int   `json:"waiting"`
+	// BlockedAppends and ShedAppends count the appends that had to wait and
+	// the ones rejected with ErrBackpressure. Under a transport they are the
+	// node's stabilizer_transport_backpressure_total counters, which a
+	// registry keeps across an in-process restart of the node.
+	BlockedAppends int64 `json:"blockedAppends"`
+	ShedAppends    int64 `json:"shedAppends"`
 }
 
-// Len returns the number of buffered entries across both tiers.
-func (l *SendLog) Len() int {
-	if sp := l.spill; sp != nil {
-		if first, ok := sp.oldest(); ok {
-			return int(l.next.Load() - first)
-		}
-	}
+// Stats reads the log once. It is for snapshots, gauges and sweeps, not for
+// a data path: it takes the central mutex (and the disk tier's).
+func (l *SendLog) Stats() LogStats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return int(l.next.Load() - l.base)
-}
-
-// SpilledBytes returns the payload bytes currently parked in on-disk spill
-// segments (0 without a spill tier).
-func (l *SendLog) SpilledBytes() int64 {
-	if sp := l.spill; sp != nil {
-		return sp.spilled.Load()
+	head := l.next.Load() - 1
+	s := LogStats{
+		Base:           l.base,
+		Head:           head,
+		MemoryBytes:    l.bytes.Load(),
+		CapBytes:       l.flow.MaxBytes,
+		Full:           l.full.Load(),
+		Waiting:        l.waiting,
+		BlockedAppends: l.blocked.Value(),
+		ShedAppends:    l.shed.Value(),
 	}
-	return 0
-}
-
-// SpilledSegments returns the number of live on-disk spill segment files.
-func (l *SendLog) SpilledSegments() int64 {
 	if sp := l.spill; sp != nil {
-		return sp.segCount.Load()
+		if first, ok := sp.oldest(); ok {
+			s.Base = first
+		}
+		s.SpilledBytes = sp.spilled.Load()
+		s.SpilledSegments = sp.segCount.Load()
+		s.SpillReadbackBytes = sp.readback.Load()
+		s.SpillDegraded = sp.degraded.Load()
 	}
-	return 0
-}
-
-// SpillReadbackBytes returns the cumulative payload bytes served back to
-// readers from the disk tier.
-func (l *SendLog) SpillReadbackBytes() int64 {
-	if sp := l.spill; sp != nil {
-		return sp.readback.Load()
-	}
-	return 0
-}
-
-// SpillDegraded reports whether the spill tier is currently unable to write
-// (disk fault): the log keeps running as if it had no directory — bounded
-// memory, blocking appends, zero data loss — until the disk recovers.
-func (l *SendLog) SpillDegraded() bool {
-	if sp := l.spill; sp != nil {
-		return sp.degraded.Load()
-	}
-	return false
+	s.Entries = int(head + 1 - s.Base)
+	s.Bytes = s.MemoryBytes + s.SpilledBytes
+	return s
 }
 
 // SetSpillWriteFault makes every subsequent spill segment write fail with
@@ -691,46 +686,6 @@ func (l *SendLog) SetSpillWriteFault(cause error) {
 			l.kickSpill()
 		}
 	}
-}
-
-// Flow returns the admission-control configuration (zero when unbounded).
-func (l *SendLog) Flow() FlowConfig {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.flow
-}
-
-// Full reports whether the admission latch is currently engaged.
-func (l *SendLog) Full() bool { return l.full.Load() }
-
-// Waiting returns the number of appenders currently blocked on space.
-func (l *SendLog) Waiting() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.waiting
-}
-
-// BlockedAppends returns the total appends that had to wait for space.
-func (l *SendLog) BlockedAppends() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.blocked
-}
-
-// ShedAppends returns the total appends rejected with ErrBackpressure.
-func (l *SendLog) ShedAppends() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.shed
-}
-
-// setBackpressureCounters wires optional metrics counters for blocked and
-// shed appends (transport-internal).
-func (l *SendLog) setBackpressureCounters(blocked, shed *metrics.Counter) {
-	l.mu.Lock()
-	l.mBlocked = blocked
-	l.mShed = shed
-	l.mu.Unlock()
 }
 
 // Close wakes all blocked appenders with ErrLogClosed and stops the

@@ -6,8 +6,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"stabilizer/internal/metrics"
 )
 
 // fillToCap appends payload-sized entries until the log's bytes reach its
@@ -18,7 +16,7 @@ import (
 func fillToCap(t *testing.T, l *SendLog, payload int) int {
 	t.Helper()
 	n := 0
-	for l.Bytes() < l.Flow().MaxBytes {
+	for l.Bytes() < l.Stats().CapBytes {
 		if _, err := l.Append(make([]byte, payload), 0); err != nil {
 			t.Fatalf("append %d while under cap: %v", n, err)
 		}
@@ -69,9 +67,6 @@ func TestAppendCtxAdmission(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				l := flowLog(t, FlowConfig{MaxBytes: 4 << 10})
 				defer l.Close()
-				bp := metrics.NewRegistry().CounterVec("bp", "", "outcome")
-				mBlocked, mShed := bp.With("blocked"), bp.With("shed")
-				l.setBackpressureCounters(mBlocked, mShed)
 				ctx, cancel := tc.ctx()
 				defer cancel()
 
@@ -89,7 +84,7 @@ func TestAppendCtxAdmission(t *testing.T) {
 					done <- err
 				}()
 				if atCap && tc.release != "" {
-					waitUntil(t, 5*time.Second, func() bool { return l.Waiting() == 1 })
+					waitUntil(t, 5*time.Second, func() bool { return l.Stats().Waiting == 1 })
 					if !l.Full() {
 						t.Fatal("an append is parked but the latch is clear")
 					}
@@ -115,15 +110,16 @@ func TestAppendCtxAdmission(t *testing.T) {
 				}
 				// blocked counts exactly the appends that parked (waiting++
 				// sits beside it), so an unmoved counter is an append that
-				// never showed up in Waiting().
-				if got := l.BlockedAppends(); got != wantBlocked || mBlocked.Value() != wantBlocked {
-					t.Fatalf("blocked = %d (metric %d), want %d", got, mBlocked.Value(), wantBlocked)
+				// never showed up in Stats().Waiting.
+				st := l.Stats()
+				if st.BlockedAppends != wantBlocked {
+					t.Fatalf("blocked = %d, want %d", st.BlockedAppends, wantBlocked)
 				}
-				if got := l.ShedAppends(); got != wantShed || mShed.Value() != wantShed {
-					t.Fatalf("shed = %d (metric %d), want %d", got, mShed.Value(), wantShed)
+				if st.ShedAppends != wantShed {
+					t.Fatalf("shed = %d, want %d", st.ShedAppends, wantShed)
 				}
-				if got := l.Waiting(); got != 0 {
-					t.Fatalf("waiting = %d after the append returned, want 0", got)
+				if st.Waiting != 0 {
+					t.Fatalf("waiting = %d after the append returned, want 0", st.Waiting)
 				}
 			})
 		}
@@ -157,7 +153,7 @@ func TestFlowHysteresis(t *testing.T) {
 
 	// Drop to the low watermark: the latch must clear, with no appender
 	// waiting for it.
-	for seq := uint64(2); l.Full() && seq <= uint64(l.Len())+8; seq++ {
+	for seq := uint64(2); l.Full() && seq <= uint64(l.Stats().Entries)+8; seq++ {
 		l.TruncateThrough(seq)
 	}
 	if l.Full() {
@@ -169,7 +165,7 @@ func TestFlowHysteresis(t *testing.T) {
 	if _, err := l.AppendCtx(ctx, make([]byte, 256), 0); err != nil {
 		t.Fatalf("append after latch cleared: %v", err)
 	}
-	if got := l.BlockedAppends(); got != 0 {
+	if got := l.Stats().BlockedAppends; got != 0 {
 		t.Fatalf("blocked appends = %d, want 0: no append here may wait", got)
 	}
 }
@@ -244,9 +240,9 @@ func TestFlowCloseDuringBlockedAppendCtx(t *testing.T) {
 		}(i)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for l.Waiting() < waiters {
+	for l.Stats().Waiting < waiters {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d appenders parked", l.Waiting(), waiters)
+			t.Fatalf("only %d/%d appenders parked", l.Stats().Waiting, waiters)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -264,7 +260,7 @@ func TestFlowCloseDuringBlockedAppendCtx(t *testing.T) {
 		}
 	}
 	<-closed
-	if got := l.Waiting(); got != 0 {
+	if got := l.Stats().Waiting; got != 0 {
 		t.Fatalf("Waiting() = %d after Close, want 0", got)
 	}
 	// Terminal: appends after Close fail immediately, blocked or not.

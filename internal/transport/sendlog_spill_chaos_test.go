@@ -65,7 +65,7 @@ func runSpillCrashSchedule(t *testing.T, seed int64, ops int) {
 	}
 	defer func() { log.Close() }()
 
-	cursor := log.Base() // next sequence the simulated peer expects
+	cursor := log.Stats().Base // next sequence the simulated peer expects
 	faultOn := false
 	everSpilled := false
 	crashes := 0
@@ -114,13 +114,13 @@ func runSpillCrashSchedule(t *testing.T, seed int64, ops int) {
 					t.Fatalf("seed %d: predicted seq %d but Append assigned %d", seed, seq, got)
 				}
 			}
-			if log.SpilledBytes() > 0 {
+			if log.Stats().SpilledBytes > 0 {
 				everSpilled = true
 			}
 		case 4, 5: // partial drain, so crashes land mid-read-back
 			verifyNext(1 + rng.Intn(80))
 		case 6: // reclaim the delivered prefix
-			if cursor > log.Base() {
+			if cursor > log.Stats().Base {
 				log.TruncateThrough(cursor - 1)
 			}
 		case 7: // toggle the disk-write fault window
@@ -131,7 +131,7 @@ func runSpillCrashSchedule(t *testing.T, seed int64, ops int) {
 			}
 			faultOn = !faultOn
 		case 8, 9: // crash: close, mutilate the newest segment, recover
-			readback += log.SpillReadbackBytes()
+			readback += log.Stats().SpillReadbackBytes
 			log.Close()
 			if files := spillSegFiles(t, dir); len(files) > 0 {
 				path := files[len(files)-1]
@@ -160,7 +160,7 @@ func runSpillCrashSchedule(t *testing.T, seed int64, ops int) {
 			// The peer re-syncs from the recovered base. Sequences above
 			// the recovered tail will be re-assigned to new payloads, but
 			// ground truth is f(seq), so re-assignment is byte-invisible.
-			cursor = log.Base()
+			cursor = log.Stats().Base
 			faultOn = false
 			crashes++
 		}
@@ -174,13 +174,13 @@ func runSpillCrashSchedule(t *testing.T, seed int64, ops int) {
 	if cursor != log.NextSeq() {
 		t.Fatalf("seed %d: final drain stuck at %d, log next is %d", seed, cursor, log.NextSeq())
 	}
-	readback += log.SpillReadbackBytes()
-	if cursor > log.Base() {
+	readback += log.Stats().SpillReadbackBytes
+	if cursor > log.Stats().Base {
 		log.TruncateThrough(cursor - 1)
 	}
-	if log.Len() != 0 || log.Bytes() != 0 || log.SpilledBytes() != 0 {
+	if log.Stats().Entries != 0 || log.Bytes() != 0 || log.Stats().SpilledBytes != 0 {
 		t.Fatalf("seed %d: after full drain+reclaim: len=%d bytes=%d spilled=%d",
-			seed, log.Len(), log.Bytes(), log.SpilledBytes())
+			seed, log.Stats().Entries, log.Bytes(), log.Stats().SpilledBytes)
 	}
 	if !everSpilled {
 		t.Fatalf("seed %d: schedule never spilled — harness did not exercise the disk tier", seed)

@@ -95,25 +95,25 @@ func TestSpillBoundedMemoryGaplessReadback(t *testing.T) {
 			t.Fatalf("append %d: %v", seq, err)
 		}
 		sent += payloadLen
-		if mem := l.MemoryBytes(); mem > capBytes+payloadLen {
+		if mem := l.Stats().MemoryBytes; mem > capBytes+payloadLen {
 			t.Fatalf("after append %d: memory %d exceeds cap %d + one payload", seq, mem, capBytes)
 		}
 	}
 	if got := l.Bytes(); got != sent {
 		t.Fatalf("total backlog Bytes() = %d, want %d (memory+disk)", got, sent)
 	}
-	if l.SpilledBytes() == 0 || l.SpilledSegments() == 0 {
+	if l.Stats().SpilledBytes == 0 || l.Stats().SpilledSegments == 0 {
 		t.Fatalf("no spill despite %d bytes against a %d cap (spilled=%d segs=%d)",
-			sent, capBytes, l.SpilledBytes(), l.SpilledSegments())
+			sent, capBytes, l.Stats().SpilledBytes, l.Stats().SpilledSegments)
 	}
 	if next := drainSpillLog(t, l, 1, payloadLen); next != total+1 {
 		t.Fatalf("drained through seq %d, want %d", next-1, total)
 	}
-	if l.SpillReadbackBytes() == 0 {
+	if l.Stats().SpillReadbackBytes == 0 {
 		t.Fatal("drain crossed the disk tier but SpillReadbackBytes is 0")
 	}
-	if l.Len() != total {
-		t.Fatalf("Len() = %d, want %d (nothing truncated)", l.Len(), total)
+	if l.Stats().Entries != total {
+		t.Fatalf("Entries = %d, want %d (nothing truncated)", l.Stats().Entries, total)
 	}
 }
 
@@ -132,7 +132,7 @@ func TestSpillSingleEntryReads(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if l.SpilledSegments() == 0 {
+	if l.Stats().SpilledSegments == 0 {
 		t.Fatal("expected spilled segments")
 	}
 	// Seq 1 now lives on disk; a probe must serve it, twice over.
@@ -171,8 +171,8 @@ func TestSpillTruncate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if l.SpilledSegments() < 2 {
-		t.Fatalf("want >= 2 segments, got %d", l.SpilledSegments())
+	if l.Stats().SpilledSegments < 2 {
+		t.Fatalf("want >= 2 segments, got %d", l.Stats().SpilledSegments)
 	}
 	files := len(spillSegFiles(t, dir))
 
@@ -182,17 +182,17 @@ func TestSpillTruncate(t *testing.T) {
 	if got := len(spillSegFiles(t, dir)); got >= files {
 		t.Fatalf("truncate reclaimed no segment files (%d -> %d)", files, got)
 	}
-	if base := l.Base(); base != total/2+1 {
+	if base := l.Stats().Base; base != total/2+1 {
 		t.Fatalf("Base() = %d after TruncateThrough(%d)", base, total/2)
 	}
-	if next := drainSpillLog(t, l, l.Base(), payloadLen); next != total+1 {
+	if next := drainSpillLog(t, l, l.Stats().Base, payloadLen); next != total+1 {
 		t.Fatalf("post-truncate drain ended at %d, want %d", next-1, total)
 	}
 
 	// Full reclaim: the disk tier empties and every file is gone.
 	l.TruncateThrough(total)
-	if l.SpilledBytes() != 0 || l.SpilledSegments() != 0 {
-		t.Fatalf("after full truncate: spilled=%d segs=%d, want 0,0", l.SpilledBytes(), l.SpilledSegments())
+	if l.Stats().SpilledBytes != 0 || l.Stats().SpilledSegments != 0 {
+		t.Fatalf("after full truncate: spilled=%d segs=%d, want 0,0", l.Stats().SpilledBytes, l.Stats().SpilledSegments)
 	}
 	// The spiller may still be inside its stillborn-segment window (see
 	// spillOnce): a file it wrote for a range this truncation reclaimed, not
@@ -207,8 +207,8 @@ func TestSpillTruncate(t *testing.T) {
 			t.Fatalf("segment files survive full truncation: %v", got)
 		}
 	}
-	if l.Len() != 0 {
-		t.Fatalf("Len() = %d after full truncation", l.Len())
+	if l.Stats().Entries != 0 {
+		t.Fatalf("Entries = %d after full truncation", l.Stats().Entries)
 	}
 }
 
@@ -230,7 +230,7 @@ func TestSpillRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if l.SpilledSegments() == 0 {
+	if l.Stats().SpilledSegments == 0 {
 		t.Fatal("expected spill before close")
 	}
 	l.Close() // waits for the spiller: the directory is quiescent
@@ -240,10 +240,10 @@ func TestSpillRecovery(t *testing.T) {
 		t.Fatalf("recover: %v", err)
 	}
 	defer l2.Close()
-	if base := l2.Base(); base != 1 {
+	if base := l2.Stats().Base; base != 1 {
 		t.Fatalf("recovered Base() = %d, want 1", base)
 	}
-	recovered := uint64(l2.Len())
+	recovered := uint64(l2.Stats().Entries)
 	if recovered == 0 {
 		t.Fatal("recovered log is empty")
 	}
@@ -301,7 +301,7 @@ func TestSpillRecoveryTornTail(t *testing.T) {
 		t.Fatalf("recover from torn tail: %v", err)
 	}
 	defer l2.Close()
-	recovered := uint64(l2.Len())
+	recovered := uint64(l2.Stats().Entries)
 	if recovered == 0 {
 		t.Fatal("torn tail destroyed the whole chain")
 	}
@@ -374,8 +374,8 @@ func TestSpillCheckpointAheadDiscards(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	if l2.SpilledBytes() != 0 || l2.SpilledSegments() != 0 {
-		t.Fatalf("stale chain kept: spilled=%d segs=%d", l2.SpilledBytes(), l2.SpilledSegments())
+	if l2.Stats().SpilledBytes != 0 || l2.Stats().SpilledSegments != 0 {
+		t.Fatalf("stale chain kept: spilled=%d segs=%d", l2.Stats().SpilledBytes, l2.Stats().SpilledSegments)
 	}
 	if got := spillSegFiles(t, dir); len(got) != 0 {
 		t.Fatalf("stale segment files kept: %v", got)
@@ -405,7 +405,7 @@ func TestSpillWriteFaultDegradesToBlock(t *testing.T) {
 
 	// Fill to the watermark: these appends stay in memory.
 	n := 0
-	for l.MemoryBytes()+payloadLen <= capBytes {
+	for l.Stats().MemoryBytes+payloadLen <= capBytes {
 		n++
 		if _, err := l.Append(spillPayload(uint64(n), payloadLen), int64(uint64(n)*1000+7)); err != nil {
 			t.Fatal(err)
@@ -417,13 +417,13 @@ func TestSpillWriteFaultDegradesToBlock(t *testing.T) {
 	if _, err := l.AppendCtx(ctx, spillPayload(uint64(n+1), payloadLen), int64(uint64(n+1)*1000+7)); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("append over watermark with faulted disk = %v, want DeadlineExceeded", err)
 	}
-	if l.SpilledBytes() != 0 {
-		t.Fatalf("spilled %d bytes through a faulted disk", l.SpilledBytes())
+	if l.Stats().SpilledBytes != 0 {
+		t.Fatalf("spilled %d bytes through a faulted disk", l.Stats().SpilledBytes)
 	}
-	if !l.SpillDegraded() {
+	if !l.Stats().SpillDegraded {
 		t.Fatal("SpillDegraded() = false while the disk fault is active")
 	}
-	if mem := l.MemoryBytes(); mem > capBytes+payloadLen {
+	if mem := l.Stats().MemoryBytes; mem > capBytes+payloadLen {
 		t.Fatalf("memory %d exceeds cap under fault", mem)
 	}
 
@@ -490,7 +490,7 @@ func TestSpillManySegmentsEpochNaming(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	base := uint64(l2.Len()) + 1
+	base := uint64(l2.Stats().Entries) + 1
 	for i := 0; i < 64; i++ {
 		seq := base + uint64(i)
 		if _, err := l2.Append(spillPayload(seq, payloadLen), int64(seq*1000+7)); err != nil {
@@ -535,7 +535,7 @@ func TestSpillOversizeFirstFrame(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if l.SpilledBytes() == 0 {
+	if l.Stats().SpilledBytes == 0 {
 		t.Fatal("expected spill")
 	}
 	batch := l.TryNextBatch(1, nil, 32, 1024) // budget smaller than entry 1
@@ -564,7 +564,7 @@ func TestSpillCloseUnblocksSpillAppenders(t *testing.T) {
 	}
 	l.SetSpillWriteFault(errors.New("wedged disk"))
 	n := 0
-	for l.MemoryBytes()+payloadLen <= 512 {
+	for l.Stats().MemoryBytes+payloadLen <= 512 {
 		n++
 		if _, err := l.Append(spillPayload(uint64(n), payloadLen), 1); err != nil {
 			t.Fatal(err)
@@ -580,9 +580,9 @@ func TestSpillCloseUnblocksSpillAppenders(t *testing.T) {
 	}
 	// Wait until all of them are provably parked on the space latch.
 	deadline := time.Now().Add(5 * time.Second)
-	for l.Waiting() < blocked {
+	for l.Stats().Waiting < blocked {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d appenders blocked", l.Waiting(), blocked)
+			t.Fatalf("only %d/%d appenders blocked", l.Stats().Waiting, blocked)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -597,7 +597,7 @@ func TestSpillCloseUnblocksSpillAppenders(t *testing.T) {
 			t.Fatal("blocked appender leaked past Close")
 		}
 	}
-	if got := l.Waiting(); got != 0 {
+	if got := l.Stats().Waiting; got != 0 {
 		t.Fatalf("Waiting() = %d after Close", got)
 	}
 }

@@ -68,8 +68,8 @@ func TestTruncateStagedReexposure(t *testing.T) {
 	if batch := l.TryNextBatch(1, nil, 16, 1<<20); len(batch) != 0 {
 		t.Fatalf("truncated sequences re-exposed in batch: first %d", batch[0].Seq)
 	}
-	if n := l.Len(); n != 0 {
-		t.Fatalf("Len() = %d after full truncation, want 0", n)
+	if n := l.Stats().Entries; n != 0 {
+		t.Fatalf("Entries = %d after full truncation, want 0", n)
 	}
 	if b := l.Bytes(); b != 0 {
 		t.Fatalf("Bytes() = %d after full truncation, want 0 (accounting leak)", b)
@@ -191,7 +191,7 @@ func TestTruncateConcurrentStripeMergeNeverReexposes(t *testing.T) {
 	// Drain-down sanity: reclaim everything and confirm the accounting
 	// returns to zero (no husk entries survived the interleavings).
 	l.TruncateThrough(uint64(producers * perProd))
-	if l.Len() != 0 || l.Bytes() != 0 {
-		t.Fatalf("after final truncation: Len=%d Bytes=%d, want 0,0", l.Len(), l.Bytes())
+	if l.Stats().Entries != 0 || l.Bytes() != 0 {
+		t.Fatalf("after final truncation: Len=%d Bytes=%d, want 0,0", l.Stats().Entries, l.Bytes())
 	}
 }

@@ -33,7 +33,7 @@ func BenchmarkSpillWrite(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	if l.SpilledBytes() == 0 && int64(b.N)*payloadLen > l.Flow().MaxBytes {
+	if l.Stats().SpilledBytes == 0 && int64(b.N)*payloadLen > l.Stats().CapBytes {
 		b.Fatal("benchmark never spilled")
 	}
 }
@@ -90,7 +90,7 @@ func BenchmarkStreamThroughputSpillUntriggered(b *testing.B) {
 		b.Fatal(err)
 	}
 	benchmarkThroughputLog(b, emunet.NewMemNetwork(nil), l, 256, optrace.Config{})
-	if l.SpilledBytes() != 0 {
-		b.Fatalf("spiller ran (%d bytes): the benchmark no longer measures the untriggered path", l.SpilledBytes())
+	if l.Stats().SpilledBytes != 0 {
+		b.Fatalf("spiller ran (%d bytes): the benchmark no longer measures the untriggered path", l.Stats().SpilledBytes)
 	}
 }

@@ -82,20 +82,20 @@ func TestSpillEndToEndReconnectDrain(t *testing.T) {
 		if _, err := log.Append(spillPayload(seq, payloadLen), int64(seq*1000+7)); err != nil {
 			t.Fatal(err)
 		}
-		if mem := log.MemoryBytes(); mem > capBytes+payloadLen {
+		if mem := log.Stats().MemoryBytes; mem > capBytes+payloadLen {
 			t.Fatalf("memory %d exceeded cap while peer down", mem)
 		}
 	}
 	tr1.NotifyData()
-	if log.SpilledBytes() == 0 || log.SpilledSegments() == 0 {
-		t.Fatalf("no spill with peer down: spilled=%d segs=%d", log.SpilledBytes(), log.SpilledSegments())
+	if log.Stats().SpilledBytes == 0 || log.Stats().SpilledSegments == 0 {
+		t.Fatalf("no spill with peer down: spilled=%d segs=%d", log.Stats().SpilledBytes, log.Stats().SpilledSegments)
 	}
 	match := map[string]string{"az": "az-a", "region": "us"}
-	if got := famTotal(t, reg, "stabilizer_sendlog_spilled_bytes", match); got != float64(log.SpilledBytes()) {
-		t.Fatalf("spilled_bytes gauge = %v, log says %d", got, log.SpilledBytes())
+	if got := famTotal(t, reg, "stabilizer_sendlog_spilled_bytes", match); got != float64(log.Stats().SpilledBytes) {
+		t.Fatalf("spilled_bytes gauge = %v, log says %d", got, log.Stats().SpilledBytes)
 	}
-	if got := famTotal(t, reg, "stabilizer_sendlog_spilled_segments", match); got != float64(log.SpilledSegments()) {
-		t.Fatalf("spilled_segments gauge = %v, log says %d", got, log.SpilledSegments())
+	if got := famTotal(t, reg, "stabilizer_sendlog_spilled_segments", match); got != float64(log.Stats().SpilledSegments) {
+		t.Fatalf("spilled_segments gauge = %v, log says %d", got, log.Stats().SpilledSegments)
 	}
 	if got := famTotal(t, reg, "stabilizer_sendlog_spill_degraded", match); got != 0 {
 		t.Fatalf("spill_degraded gauge = %v with a healthy disk", got)
@@ -122,17 +122,17 @@ func TestSpillEndToEndReconnectDrain(t *testing.T) {
 			t.Fatalf("delivery %d has seq %d: stream not gapless FIFO across the tier boundary", i, s)
 		}
 	}
-	if log.SpillReadbackBytes() == 0 {
+	if log.Stats().SpillReadbackBytes == 0 {
 		t.Fatal("backlog drained but SpillReadbackBytes is 0 — the disk tier was never read")
 	}
-	if got := famTotal(t, reg, "stabilizer_sendlog_readback_bytes", match); got != float64(log.SpillReadbackBytes()) {
-		t.Fatalf("readback_bytes gauge = %v, log says %d", got, log.SpillReadbackBytes())
+	if got := famTotal(t, reg, "stabilizer_sendlog_readback_bytes", match); got != float64(log.Stats().SpillReadbackBytes) {
+		t.Fatalf("readback_bytes gauge = %v, log says %d", got, log.Stats().SpillReadbackBytes)
 	}
 
 	// Reclaim after global receipt empties both tiers, like invariant 3
 	// (occupancy returns to zero) extended to the disk.
 	log.TruncateThrough(total)
-	if log.Bytes() != 0 || log.SpilledBytes() != 0 || log.SpilledSegments() != 0 {
-		t.Fatalf("after full reclaim: bytes=%d spilled=%d segs=%d", log.Bytes(), log.SpilledBytes(), log.SpilledSegments())
+	if log.Bytes() != 0 || log.Stats().SpilledBytes != 0 || log.Stats().SpilledSegments != 0 {
+		t.Fatalf("after full reclaim: bytes=%d spilled=%d segs=%d", log.Bytes(), log.Stats().SpilledBytes, log.Stats().SpilledSegments)
 	}
 }

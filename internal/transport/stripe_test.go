@@ -120,8 +120,8 @@ func TestStripedAppendDrainRace(t *testing.T) {
 	if got := l.Bytes(); got != 0 {
 		t.Fatalf("Bytes() = %d after draining and truncating everything, want 0", got)
 	}
-	if got := l.Len(); got != 0 {
-		t.Fatalf("Len() = %d after draining and truncating everything, want 0", got)
+	if got := l.Stats().Entries; got != 0 {
+		t.Fatalf("Entries = %d after draining and truncating everything, want 0", got)
 	}
 	if got := l.Head(); got != total {
 		t.Fatalf("Head() = %d, want %d", got, total)
@@ -217,7 +217,7 @@ func TestStripedFlowBlockedAppendRace(t *testing.T) {
 	if got := l.Bytes(); got != 0 {
 		t.Fatalf("Bytes() = %d after full reclaim, want 0", got)
 	}
-	if got := l.BlockedAppends(); got == 0 {
+	if got := l.Stats().BlockedAppends; got == 0 {
 		t.Log("note: no append ever blocked; cap may be too generous for this machine")
 	}
 }

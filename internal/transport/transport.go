@@ -75,12 +75,9 @@ type Config struct {
 	// Epoch identifies this process incarnation.
 	Epoch uint64
 	// Metrics receives the transport's instrumentation families
-	// (stabilizer_transport_*). Nil uses a private registry so the
-	// counters still exist for Stats-style snapshots.
+	// (stabilizer_transport_*). Nil uses a private registry: the per-peer
+	// counters are the only traffic ledger there is, and Totals sums them.
 	Metrics *metrics.Registry
-	// DialTimeout bounds each connect attempt, handshake included, so a
-	// black-holed peer cannot hang a link's run loop (default 2s).
-	DialTimeout time.Duration
 	// TopoTags optionally labels the node-level sendlog/backpressure
 	// families with the local availability zone and region so registries
 	// aggregating many nodes can roll them up (empty strings omit no
@@ -219,16 +216,6 @@ type Transport struct {
 	// recvRunFrames observes the frames handed to the Handler per run: the
 	// receive path's coalescing factor.
 	recvRunFrames *metrics.Histogram
-
-	// Process-wide totals, independent of the per-peer metric families so
-	// snapshot getters stay exact and O(1).
-	bytesSent  atomic.Int64
-	bytesRecv  atomic.Int64
-	dataSent   atomic.Int64
-	dataRecv   atomic.Int64
-	resent     atomic.Int64
-	reconnects atomic.Int64
-	fdTrips    atomic.Int64
 }
 
 // New creates a transport. Call Start to begin dialing and accepting.
@@ -257,9 +244,6 @@ func New(cfg Config) (*Transport, error) {
 	if cfg.batch == (batchLimits{}) {
 		cfg.batch = defaultBatch
 	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 2 * time.Second
-	}
 	t := &Transport{
 		cfg:       cfg,
 		links:     make([]*link, cfg.N+1),
@@ -284,7 +268,7 @@ func New(cfg Config) (*Transport, error) {
 	}
 	m := cfg.Metrics
 	bytesSent := m.CounterVec("stabilizer_transport_bytes_sent_total", "Frame bytes written per peer.", "peer")
-	bytesRecv := m.CounterVec("stabilizer_transport_bytes_recv_total", "Frame bytes read per peer (post-handshake).", "peer")
+	bytesRecv := m.CounterVec("stabilizer_transport_bytes_recv_total", "Frame bytes read per peer.", "peer")
 	framesSent := m.CounterVec("stabilizer_transport_frames_sent_total", "Frames written per peer and kind.", "peer", "kind")
 	framesRecv := m.CounterVec("stabilizer_transport_frames_recv_total", "Frames read per peer and kind.", "peer", "kind")
 	resent := m.CounterVec("stabilizer_transport_data_resent_total", "Data frames retransmitted after reconnect, per peer.", "peer")
@@ -306,46 +290,46 @@ func New(cfg Config) (*Transport, error) {
 
 	// Node-level send-log occupancy and backpressure families, tagged with
 	// the local topology so multi-node registries can roll them up by
-	// AZ/region. GaugeFuncs read the log directly at exposition time.
-	log, az, region := cfg.Log, cfg.TopoTags.AZ, cfg.TopoTags.Region
-	m.GaugeFuncVec("stabilizer_transport_sendlog_bytes",
-		"Payload bytes buffered in the send log awaiting global reclaim.",
-		"az", "region").Set(func() float64 { return float64(log.Bytes()) }, az, region)
-	m.GaugeFuncVec("stabilizer_transport_sendlog_entries",
-		"Entries buffered in the send log awaiting global reclaim.",
-		"az", "region").Set(func() float64 { return float64(log.Len()) }, az, region)
-	m.GaugeFuncVec("stabilizer_transport_sendlog_cap_bytes",
-		"Configured send-log byte cap (0 = unbounded).",
-		"az", "region").Set(func() float64 { return float64(log.Flow().MaxBytes) }, az, region)
-	m.GaugeFuncVec("stabilizer_transport_backpressure_waiters",
-		"Appends currently blocked on send-log admission control.",
-		"az", "region").Set(func() float64 { return float64(log.Waiting()) }, az, region)
+	// AZ/region. Each gauge is one field of the log's Stats, read at
+	// exposition time. The spill-tier families (zero and inert without a
+	// spill directory) say how much retransmission backlog has been migrated
+	// to disk, how much has been streamed back to reconnecting peers, and
+	// whether the tier is currently degraded by a disk fault.
+	log := cfg.Log
+	for _, g := range []struct {
+		name, help string
+		read       func(LogStats) int64
+	}{
+		{"stabilizer_transport_sendlog_bytes", "Payload bytes buffered in the send log awaiting global reclaim.",
+			func(s LogStats) int64 { return s.Bytes }},
+		{"stabilizer_transport_sendlog_entries", "Entries buffered in the send log awaiting global reclaim.",
+			func(s LogStats) int64 { return int64(s.Entries) }},
+		{"stabilizer_transport_sendlog_cap_bytes", "Configured send-log byte cap (0 = unbounded).",
+			func(s LogStats) int64 { return s.CapBytes }},
+		{"stabilizer_transport_backpressure_waiters", "Appends currently blocked on send-log admission control.",
+			func(s LogStats) int64 { return int64(s.Waiting) }},
+		{"stabilizer_sendlog_spilled_bytes", "Payload bytes parked in on-disk spill segments awaiting reclaim or read-back.",
+			func(s LogStats) int64 { return s.SpilledBytes }},
+		{"stabilizer_sendlog_spilled_segments", "Live on-disk spill segment files.",
+			func(s LogStats) int64 { return s.SpilledSegments }},
+		{"stabilizer_sendlog_readback_bytes", "Cumulative payload bytes served to readers from the spill tier.",
+			func(s LogStats) int64 { return s.SpillReadbackBytes }},
+		{"stabilizer_sendlog_spill_degraded", "1 while the spill tier cannot write (log degraded to blocking admission).",
+			func(s LogStats) int64 {
+				if s.SpillDegraded {
+					return 1
+				}
+				return 0
+			}},
+	} {
+		m.GaugeFuncVec(g.name, g.help, "az", "region").Set(
+			func() float64 { return float64(g.read(log.Stats())) }, cfg.TopoTags.AZ, cfg.TopoTags.Region)
+	}
 	bp := m.CounterVec("stabilizer_transport_backpressure_total",
 		"Appends gated by send-log admission control, by outcome.", "outcome")
-	log.setBackpressureCounters(bp.With("blocked"), bp.With("shed"))
-
-	// Spill-tier families (zero and inert without a spill directory):
-	// how much retransmission backlog has been migrated to disk, how much
-	// has been streamed back to reconnecting peers, and whether the tier is
-	// currently degraded by a disk fault. Same az/region tagging as the
-	// sendlog family, for the same rollups.
-	m.GaugeFuncVec("stabilizer_sendlog_spilled_bytes",
-		"Payload bytes parked in on-disk spill segments awaiting reclaim or read-back.",
-		"az", "region").Set(func() float64 { return float64(log.SpilledBytes()) }, az, region)
-	m.GaugeFuncVec("stabilizer_sendlog_spilled_segments",
-		"Live on-disk spill segment files.",
-		"az", "region").Set(func() float64 { return float64(log.SpilledSegments()) }, az, region)
-	m.GaugeFuncVec("stabilizer_sendlog_readback_bytes",
-		"Cumulative payload bytes served to readers from the spill tier.",
-		"az", "region").Set(func() float64 { return float64(log.SpillReadbackBytes()) }, az, region)
-	m.GaugeFuncVec("stabilizer_sendlog_spill_degraded",
-		"1 while the spill tier cannot write (log degraded to blocking admission).",
-		"az", "region").Set(func() float64 {
-		if log.SpillDegraded() {
-			return 1
-		}
-		return 0
-	}, az, region)
+	log.mu.Lock()
+	log.blocked, log.shed = bp.With("blocked"), bp.With("shed")
+	log.mu.Unlock()
 	if cfg.Trace != nil {
 		stage := m.HistogramVec(optrace.StageFamily, optrace.StageFamilyHelp, metrics.LatencyOpts, "stage")
 		t.stageBatchQueue = stage.With(optrace.SegBatchQueue)
@@ -461,28 +445,39 @@ func (t *Transport) SendApp(peer int, a *wire.App) error {
 	return t.links[peer].queueApp(a)
 }
 
-// BytesSent reports the total frame bytes written on outgoing links.
-func (t *Transport) BytesSent() int64 { return t.bytesSent.Load() }
+// Totals is the node's traffic summed over its peers: frame bytes written
+// to and read from them (the Hello that opens an accepted connection
+// included), data frames written (retransmissions included) and read
+// (duplicates included), data frames rewritten after reconnects, successful
+// re-dials after each link's first connect, and peers declared suspect.
+type Totals struct {
+	BytesSent            int64 `json:"bytesSent"`
+	BytesRecv            int64 `json:"bytesRecv"`
+	DataFramesSent       int64 `json:"dataFramesSent"`
+	DataFramesRecv       int64 `json:"dataFramesRecv"`
+	ResentFrames         int64 `json:"resentFrames"`
+	Reconnects           int64 `json:"reconnects"`
+	FailureDetectorTrips int64 `json:"failureDetectorTrips"`
+}
 
-// BytesRecv reports the total frame bytes read on incoming links.
-func (t *Transport) BytesRecv() int64 { return t.bytesRecv.Load() }
-
-// DataSent reports the number of data frames written (retransmissions
-// included).
-func (t *Transport) DataSent() int64 { return t.dataSent.Load() }
-
-// DataRecv reports the number of data frames read (duplicates included).
-func (t *Transport) DataRecv() int64 { return t.dataRecv.Load() }
-
-// Resent reports the number of data frames rewritten after reconnects.
-func (t *Transport) Resent() int64 { return t.resent.Load() }
-
-// Reconnects reports successful re-dials after each link's first connect.
-func (t *Transport) Reconnects() int64 { return t.reconnects.Load() }
-
-// FailureDetectorTrips reports how many times a live peer was declared
-// suspect.
-func (t *Transport) FailureDetectorTrips() int64 { return t.fdTrips.Load() }
+// Totals sums the per-peer counters: the children of the
+// stabilizer_transport_* families under this node's label are the only
+// ledger, so a total is worked out when somebody asks and always equals what
+// a scrape would add up. A registry outlives an in-process restart of the
+// node, and so do the counts.
+func (t *Transport) Totals() Totals {
+	var s Totals
+	for _, ins := range t.peers {
+		s.BytesSent += ins.bytesSent.peer.Value()
+		s.BytesRecv += ins.bytesRecv.peer.Value()
+		s.DataFramesSent += ins.dataSent.peer.Value()
+		s.DataFramesRecv += ins.dataRecv.peer.Value()
+		s.ResentFrames += ins.resent.Value()
+		s.Reconnects += ins.reconn.Value()
+		s.FailureDetectorTrips += ins.fdTrips.Value()
+	}
+	return s
+}
 
 // RecvLast returns the highest contiguous data sequence received from peer.
 func (t *Transport) RecvLast(peer int) uint64 {
@@ -529,24 +524,31 @@ func (t *Transport) acceptLoop() {
 	}
 }
 
-// countingReader counts bytes flowing through an incoming connection into
-// the transport-wide total and, once the handshake identifies the peer, a
-// per-peer counter.
+// countingReader counts the bytes read from an incoming connection into the
+// sending peer's counter. Who that is is not known until the Hello is
+// decoded, so the bytes read before then are held and credited by identify.
+// Only the connection's serveIncoming goroutine touches it.
 type countingReader struct {
-	r     io.Reader
-	total *atomic.Int64
-	peer  atomic.Pointer[counterPair]
+	r    io.Reader
+	peer *counterPair
+	held int64
 }
 
 func (cr *countingReader) Read(p []byte) (int, error) {
 	n, err := cr.r.Read(p)
-	if n > 0 {
-		cr.total.Add(int64(n))
-		if c := cr.peer.Load(); c != nil {
-			c.Add(int64(n))
-		}
+	if cr.peer != nil {
+		cr.peer.Add(int64(n))
+	} else {
+		cr.held += int64(n)
 	}
 	return n, err
+}
+
+// identify names the peer and credits it everything read so far: the Hello
+// and whatever the first reads brought in behind it.
+func (cr *countingReader) identify(peer *counterPair) {
+	cr.peer = peer
+	peer.Add(cr.held)
 }
 
 func (t *Transport) serveIncoming(conn net.Conn) {
@@ -557,7 +559,7 @@ func (t *Transport) serveIncoming(conn net.Conn) {
 		t.recvMu.Unlock()
 		_ = conn.Close()
 	}()
-	cr := &countingReader{r: conn, total: &t.bytesRecv}
+	cr := &countingReader{r: conn}
 	r := wire.NewReader(cr)
 	msg, err := r.Next()
 	if err != nil {
@@ -571,7 +573,7 @@ func (t *Transport) serveIncoming(conn net.Conn) {
 	}
 	from := int(hello.From)
 	ins := t.peerIns(from)
-	cr.peer.Store(&ins.bytesRecv)
+	cr.identify(&ins.bytesRecv)
 
 	t.recvMu.Lock()
 	if old := t.incoming[from]; old != nil {
@@ -658,7 +660,6 @@ func (t *Transport) serveIncoming(conn net.Conn) {
 // uncontended. recvLast moves to the run's last sequence before the upcall:
 // every frame it covers is decoded and past the filter by then.
 func (t *Transport) applyRun(from int, ins *peerInstruments, run []wire.Data) {
-	t.dataRecv.Add(int64(len(run)))
 	ins.dataRecv.Add(int64(len(run)))
 	// Record wire arrivals before the duplicate filter: a resent frame
 	// really did cross the wire again, and the trace should show it. The
@@ -747,7 +748,6 @@ func (t *Transport) failureDetector() {
 			}
 			t.liveMu.Unlock()
 			for _, p := range downs {
-				t.fdTrips.Add(1)
 				if ins := t.peerIns(p); ins != nil {
 					ins.fdTrips.Inc()
 					ins.up.Set(0)

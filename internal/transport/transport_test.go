@@ -459,8 +459,8 @@ func TestSendLogBasics(t *testing.T) {
 	if s1 != 1 || s2 != 2 {
 		t.Fatalf("seqs = %d, %d", s1, s2)
 	}
-	if l.Head() != 2 || l.Len() != 2 || l.Bytes() != 3 {
-		t.Fatalf("head=%d len=%d bytes=%d", l.Head(), l.Len(), l.Bytes())
+	if l.Head() != 2 || l.Stats().Entries != 2 || l.Bytes() != 3 {
+		t.Fatalf("head=%d len=%d bytes=%d", l.Head(), l.Stats().Entries, l.Bytes())
 	}
 	e, ok := tryNext(l, 1)
 	if !ok || e.Seq != 1 || string(e.Payload) != "a" {
@@ -470,8 +470,8 @@ func TestSendLogBasics(t *testing.T) {
 		t.Fatal("read past head succeeded")
 	}
 	l.TruncateThrough(1)
-	if l.Base() != 2 || l.Bytes() != 2 {
-		t.Fatalf("after truncate: base=%d bytes=%d", l.Base(), l.Bytes())
+	if l.Stats().Base != 2 || l.Bytes() != 2 {
+		t.Fatalf("after truncate: base=%d bytes=%d", l.Stats().Base, l.Bytes())
 	}
 	// A read below base snaps to base.
 	e, ok = tryNext(l, 1)
@@ -558,10 +558,10 @@ func TestSendLogTruncateAmortized(t *testing.T) {
 			l.TruncateThrough(appended - 5)
 			truncated = appended - 5
 		}
-		if got := l.Base(); got != truncated+1 {
+		if got := l.Stats().Base; got != truncated+1 {
 			t.Fatalf("round %d: base = %d, want %d", round, got, truncated+1)
 		}
-		if got := l.Len(); got != int(appended-truncated) {
+		if got := l.Stats().Entries; got != int(appended-truncated) {
 			t.Fatalf("round %d: len = %d, want %d", round, got, appended-truncated)
 		}
 		if got := l.Bytes(); got != int64(appended-truncated) {
@@ -578,8 +578,8 @@ func TestSendLogTruncateAmortized(t *testing.T) {
 	}
 	// Truncating everything leaves an empty, still-appendable log.
 	l.TruncateThrough(appended)
-	if l.Len() != 0 {
-		t.Fatalf("len after full truncate = %d", l.Len())
+	if l.Stats().Entries != 0 {
+		t.Fatalf("len after full truncate = %d", l.Stats().Entries)
 	}
 	s, err := l.Append(nil, 0)
 	if err != nil || s != appended+1 {

@@ -96,10 +96,16 @@ type (
 	DeliverFunc = core.DeliverFunc
 	// Persister persists delivered messages for the "persisted" level.
 	Persister = core.Persister
-	// Stats is a point-in-time node state snapshot.
-	Stats = core.Stats
-	// DebugSnapshot is a JSON-friendly control-plane dump (Node.DebugSnapshot).
-	DebugSnapshot = core.DebugSnapshot
+	// Snapshot is the one read of a node's state (Node.Snapshot,
+	// Cluster.Snapshot, /debug/stabilizer): topology, send log, traffic
+	// totals, the local recorder and every predicate with its stall state.
+	Snapshot = core.Snapshot
+	// PredicateState is one predicate's entry in a Snapshot.
+	PredicateState = core.PredicateState
+	// PeerLag describes one blamed peer inside a stalled PredicateState.
+	PeerLag = core.PeerLag
+	// LogStats is one reading of the send log (Snapshot.Log, Node.SendLog).
+	LogStats = transport.LogStats
 
 	// MetricsRegistry collects instrumentation; share one across every
 	// node of a deployment (Config.Metrics) and
@@ -164,13 +170,6 @@ type (
 	// StallReport is one stall notification with blame attribution
 	// (see Node.OnStall).
 	StallReport = core.StallReport
-	// Health is a degraded-mode snapshot: send-log occupancy, admission
-	// pressure, and per-predicate stall state (see Node.Health).
-	Health = core.Health
-	// PredicateHealth is one predicate's stall view inside Health.
-	PredicateHealth = core.PredicateHealth
-	// PeerLag describes one blamed peer inside PredicateHealth.
-	PeerLag = core.PeerLag
 
 	// TraceConfig arms the per-operation flight recorder (sampling rate
 	// and per-node ring size); set via Config.Trace.
@@ -211,7 +210,7 @@ func Open(cfg Config) (*Node, error) { return core.Open(cfg) }
 // OpenCluster boots the requested subset of a topology's nodes (all of
 // them by default) in this process, wiring every node into one shared
 // metrics registry. See Config for the knobs and Cluster for the
-// cluster-wide helpers (Node, Health, WaitAllFor, ordered Close).
+// cluster-wide helpers (Node, Snapshot, WaitAllFor, ordered Close).
 func OpenCluster(cfg Config) (*Cluster, error) { return core.OpenCluster(cfg) }
 
 // BindFlags registers the node options both commands have (the metrics

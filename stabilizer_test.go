@@ -203,18 +203,24 @@ func TestPublicAPIStats(t *testing.T) {
 	if err := sender.WaitFor(ctx, seq, "maj"); err != nil {
 		t.Fatal(err)
 	}
-	var s stabilizer.Stats = sender.Stats()
-	if s.Self != 1 || s.N != 3 {
-		t.Fatalf("identity = %d/%d", s.Self, s.N)
+	var s stabilizer.Snapshot = sender.Snapshot()
+	if s.Self != 1 || len(s.Nodes) != 3 {
+		t.Fatalf("identity = %d/%d", s.Self, len(s.Nodes))
 	}
-	if s.NextSeq != seq+1 {
-		t.Fatalf("NextSeq = %d, want %d", s.NextSeq, seq+1)
+	if s.Log.Head != seq {
+		t.Fatalf("Log.Head = %d, want %d", s.Log.Head, seq)
 	}
 	if s.BytesSent == 0 || s.DataFramesSent < 2 {
 		t.Fatalf("traffic counters empty: %+v", s)
 	}
-	if f, ok := s.Predicates["maj"]; !ok || f < seq {
-		t.Fatalf("predicate frontier = %d (ok=%v)", f, ok)
+	var maj *stabilizer.PredicateState
+	for i := range s.Predicates {
+		if s.Predicates[i].Key == "maj" {
+			maj = &s.Predicates[i]
+		}
+	}
+	if maj == nil || maj.Frontier < seq {
+		t.Fatalf("predicate maj = %+v, want a frontier of at least %d", maj, seq)
 	}
 }
 
@@ -387,4 +393,17 @@ func TestReadmeListsEveryConfigField(t *testing.T) {
 	}
 	check(reflect.TypeOf(stabilizer.Config{}), "Config.")
 	t.Logf("config fields: %d settable values reachable from stabilizer.Config", settable)
+}
+
+// TestNodeSurfaceDoesNotGrowUnnoticed counts the exported methods of Node,
+// the third baseline `make loc` prints. The paper's node has five interfaces
+// (§III-D); a method added here has to raise the ceiling in the same change,
+// next to what it replaces.
+func TestNodeSurfaceDoesNotGrowUnnoticed(t *testing.T) {
+	const ceiling = 42
+	n := reflect.TypeOf((*stabilizer.Node)(nil)).NumMethod()
+	t.Logf("node methods: %d exported", n)
+	if n > ceiling {
+		t.Errorf("*stabilizer.Node exports %d methods, ceiling %d", n, ceiling)
+	}
 }
