@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race deflake loc check-benchmark examples chaos chaos-flow chaos-spill chaos-adaptive bench bench-transport bench-transport-short bench-optrace bench-frontier bench-frontier-short bench-spill bench-spill-short bench-recvrun fuzz-dsl fuzz-segment
+.PHONY: check vet build test race deflake loc check-benchmark examples chaos chaos-flow chaos-spill chaos-adaptive bench bench-transport bench-transport-short bench-recvrun fuzz-dsl fuzz-segment
 
 check: vet build race check-benchmark
 
@@ -108,38 +108,6 @@ bench-transport-short:
 	$(GO) test -bench='StreamThroughput' -benchmem -benchtime=1s -run=^$$ ./internal/transport \
 	  | $(GO) run ./cmd/benchjson -compare BENCH_transport.json
 
-# bench-frontier measures the frontier control plane: batched advance cost
-# across a predicate × parked-waiter grid (1k to 1M waiters), waiter release
-# drains, mass-cancel detach, and idle-predicate insulation. Rewrites the
-# "current" run in BENCH_frontier.json (the first run seeds the baseline).
-bench-frontier:
-	$(GO) test -bench='FrontierAdvance|WaiterReleaseDrain|DetachCancel|IdlePredicates' -benchmem -run=^$$ ./internal/frontier \
-	  | $(GO) run ./cmd/benchjson -update BENCH_frontier.json
-
-# bench-frontier-short is the CI variant: a quick pass over the advance
-# grid, compared against BENCH_frontier.json on ns/op (lower is better).
-# Regressions under 50% warn; at or past 50% the target fails.
-bench-frontier-short:
-	$(GO) test -bench='FrontierAdvance' -benchtime=0.5s -run=^$$ ./internal/frontier \
-	  | $(GO) run ./cmd/benchjson -compare BENCH_frontier.json -match FrontierAdvance -metric ns/op -threshold 0.50
-
-# bench-spill measures the disk tier — sustained spill bandwidth (appends
-# against a small cap with no reader), tiered read-back through the batched
-# drain path — and re-records StreamThroughputLocal next to the
-# spill-configured-but-untriggered variant, so the <5% idle-overhead
-# claim is always judged against a same-machine, same-run baseline.
-# Rewrites the "current" run in BENCH_spill.json.
-bench-spill:
-	$(GO) test -bench='SpillWrite|SpillReadback|StreamThroughputLocal$$|StreamThroughputSpillUntriggered' -benchmem -run=^$$ ./internal/transport \
-	  | $(GO) run ./cmd/benchjson -update BENCH_spill.json
-
-# bench-spill-short is the CI variant: a quick pass over the untriggered
-# spill-tier stream benchmark, compared against BENCH_spill.json on msgs/s.
-# Regressions under 20% warn; at or past 20% the target fails.
-bench-spill-short:
-	$(GO) test -bench='StreamThroughputSpillUntriggered' -benchmem -benchtime=1s -run=^$$ ./internal/transport \
-	  | $(GO) run ./cmd/benchjson -compare BENCH_spill.json
-
 # bench-recvrun measures the receive path per message at run lengths 1 to
 # 512 (core's HandleDataRun: recorder update, reports posted on the board,
 # one upcall) and the report board alone (advancing and stale reports, at 8
@@ -163,11 +131,3 @@ fuzz-segment:
 # depends on.
 fuzz-dsl:
 	$(GO) test -fuzz=FuzzCompileEval -fuzztime=30s -run=^$$ ./internal/dsl
-
-# bench-optrace measures the flight recorder's cost: the raw Record and
-# sampler-miss microbenchmarks plus end-to-end stream throughput with
-# tracing off / 1-in-64 sampled / tracing every message. Rewrites the
-# "current" run in BENCH_optrace.json (the first run seeds the baseline).
-bench-optrace:
-	$(GO) test -bench='Record|SampledMiss|StreamThroughputLocal' -benchmem -run=^$$ ./internal/optrace ./internal/transport \
-	  | $(GO) run ./cmd/benchjson -update BENCH_optrace.json

@@ -42,11 +42,10 @@ func run() error {
 	network := stabilizer.NewMemNetwork(nil)
 	defer network.Close()
 
-	open := func(i int, epoch uint64, adaptive *stabilizer.AdaptiveSpec) (*stabilizer.Node, error) {
+	open := func(i int, adaptive *stabilizer.AdaptiveSpec) (*stabilizer.Node, error) {
 		return stabilizer.Open(stabilizer.Config{
 			Topology:       topo.WithSelf(i),
 			Network:        network,
-			Epoch:          epoch,
 			HeartbeatEvery: 20 * time.Millisecond,
 			PeerTimeout:    150 * time.Millisecond,
 			Adaptive:       adaptive,
@@ -78,7 +77,7 @@ func run() error {
 		if i == 1 {
 			s = spec
 		}
-		n, err := open(i, 1, s)
+		n, err := open(i, s)
 		if err != nil {
 			return err
 		}
@@ -143,7 +142,7 @@ func run() error {
 	}
 
 	fmt.Println("\n— MirrorC restarts: backlog drains, controller climbs back —")
-	restarted, err := open(4, 2, nil)
+	restarted, err := open(4, nil)
 	if err != nil {
 		return err
 	}

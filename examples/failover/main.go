@@ -131,7 +131,6 @@ func run() error {
 		HeartbeatEvery: 20 * time.Millisecond,
 		PeerTimeout:    150 * time.Millisecond,
 		Checkpoint:     ckpt,
-		Epoch:          2,
 	})
 	if err != nil {
 		return err

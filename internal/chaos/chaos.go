@@ -536,8 +536,6 @@ func Soak(o Options) (*Report, error) {
 	// fresh-restarted receiver needs the full prefix resent, which reclaim
 	// would have truncated.
 	sc.cluster.DisableAutoReclaim = !o.AutoReclaim
-	// Epoch 1 for first incarnations; Cluster.Restart bumps from there.
-	sc.cluster.Epoch = 1
 	truth := func(origin int, seq uint64) []byte { return chaosPayload(origin, seq, o.PayloadBytes) }
 	if spill {
 		sc.payload = truth

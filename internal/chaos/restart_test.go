@@ -28,7 +28,6 @@ func TestRestartAttachesBeforeDelivery(t *testing.T) {
 		HeartbeatEvery:     heartbeatEvery,
 		PeerTimeout:        peerTimeout,
 		DisableAutoReclaim: true, // a fresh incarnation is resent the stream from seq 1
-		Epoch:              1,
 	}, testbed.Fabric{Matrix: matrix, Seed: 1, Faults: true})
 	if err != nil {
 		t.Fatal(err)

@@ -30,7 +30,6 @@ type Cluster struct {
 
 	mu     sync.Mutex
 	nodes  map[int]*Node
-	epochs map[int]uint64
 	closed bool
 }
 
@@ -77,21 +76,18 @@ func OpenCluster(cfg Config) (*Cluster, error) {
 		cfg.Metrics = metrics.NewRegistry()
 	}
 	cl := &Cluster{
-		topo:   topo,
-		ids:    ids,
-		cfg:    cfg,
-		nodes:  make(map[int]*Node, len(ids)),
-		epochs: make(map[int]uint64, len(ids)),
+		topo:  topo,
+		ids:   ids,
+		cfg:   cfg,
+		nodes: make(map[int]*Node, len(ids)),
 	}
 	for _, id := range ids {
-		ncfg := cl.nodeConfig(id)
-		node, err := openNode(ncfg)
+		node, err := openNode(cl.nodeConfig(id))
 		if err != nil {
 			_ = cl.Close()
 			return nil, fmt.Errorf("core: open cluster node %d: %w", id, err)
 		}
 		cl.nodes[id] = node
-		cl.epochs[id] = ncfg.Epoch
 	}
 	return cl, nil
 }
@@ -151,7 +147,7 @@ func (c *Cluster) Snapshot() []Snapshot {
 // Crash closes the node and removes it from the live set, keeping its dead
 // handle available to the caller for post-mortem reads (RecvLast and other
 // snapshot getters stay valid on a closed node). Restart brings the id
-// back with a bumped epoch.
+// back.
 func (c *Cluster) Crash(id int) (*Node, error) {
 	c.mu.Lock()
 	node := c.nodes[id]
@@ -163,9 +159,9 @@ func (c *Cluster) Crash(id int) (*Node, error) {
 	return node, node.Close()
 }
 
-// Restart reboots a crashed node with the next epoch. The node's Config is
-// rebuilt (the Configure hook runs again) so restart-aware callers can
-// re-derive checkpoints there.
+// Restart reboots a crashed node. The node's Config is rebuilt (the
+// Configure hook runs again) so restart-aware callers can re-derive
+// checkpoints there.
 func (c *Cluster) Restart(id int) (*Node, error) {
 	c.mu.Lock()
 	if c.closed {
@@ -184,13 +180,9 @@ func (c *Cluster) Restart(id int) (*Node, error) {
 		c.mu.Unlock()
 		return nil, fmt.Errorf("core: node %d is not part of this cluster", id)
 	}
-	c.epochs[id]++
-	epoch := c.epochs[id]
 	c.mu.Unlock()
 
-	cfg := c.nodeConfig(id)
-	cfg.Epoch = epoch
-	node, err := openNode(cfg)
+	node, err := openNode(c.nodeConfig(id))
 	if err != nil {
 		return nil, fmt.Errorf("core: restart cluster node %d: %w", id, err)
 	}

@@ -292,7 +292,6 @@ func TestOpenIsOpenClusterOfSelf(t *testing.T) {
 			Persister:          nopPersister{},
 			Checkpoint:         &Checkpoint{NextSeq: 42},
 			DisableAutoReclaim: true,
-			Epoch:              7,
 			Flow:               transport.FlowConfig{MaxBytes: 1 << 20},
 			Stall:              StallConfig{Deadline: time.Second},
 			Trace:              optrace.Config{SampleEvery: 1},
@@ -323,7 +322,7 @@ func TestOpenIsOpenClusterOfSelf(t *testing.T) {
 	if !reflect.DeepEqual(cfgA, cfgB) {
 		t.Fatalf("per-node configs differ:\nOpen        %+v\nOpenCluster %+v", cfgA, cfgB)
 	}
-	if cfgA.Topology.Self != 2 || cfgA.Epoch != 7 || cfgA.Checkpoint.NextSeq != 42 {
+	if cfgA.Topology.Self != 2 || cfgA.Checkpoint.NextSeq != 42 {
 		t.Fatalf("per-node config lost fields: %+v", cfgA)
 	}
 	sa, sb := a.Snapshot(), b.Snapshot()

@@ -120,6 +120,32 @@ func TestSendBlocksAtCapResumesAfterHeal(t *testing.T) {
 		}
 		return false
 	})
+	// The zone rollup keeps no count of its own: a scrape counts the blamed
+	// pairs, so peer 3's zone reads what the snapshot blames and peer 2's
+	// zone reads nothing.
+	stalledIn := func(zone string) float64 {
+		fs := sender.Metrics().Find("stabilizer_frontier_stalled_peers")
+		if fs == nil {
+			t.Fatal("stabilizer_frontier_stalled_peers not registered")
+		}
+		for _, m := range fs.Metrics {
+			if m.Labels["az"] == "az"+zone && m.Labels["region"] == "region"+zone {
+				return m.Value
+			}
+		}
+		t.Fatalf("no stalled_peers child for zone %s: %+v", zone, fs.Metrics)
+		return 0
+	}
+	waitUntil(t, 5*time.Second, "stalled_peers{az3,region3} to read the snapshot's blamed pairs", func() bool {
+		pairs := 0
+		for _, p := range sender.Snapshot().Predicates {
+			pairs += len(p.Blamed)
+		}
+		return pairs >= 1 && stalledIn("3") == float64(pairs)
+	})
+	if got := stalledIn("2"); got != 0 {
+		t.Fatalf("stalled_peers{az2,region2} = %v with only peer 3 blamed", got)
+	}
 
 	inj.HealBlackhole(1, 3)
 	select {
@@ -139,6 +165,7 @@ func TestSendBlocksAtCapResumesAfterHeal(t *testing.T) {
 	waitUntil(t, 10*time.Second, "backpressure to clear", func() bool {
 		return !sender.Snapshot().Log.Full
 	})
+	waitUntil(t, 5*time.Second, "zone rollup to clear", func() bool { return stalledIn("3") == 0 })
 }
 
 // fillSendLog starts a 2-node cluster whose sender's 2 KiB log nothing ever

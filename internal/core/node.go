@@ -101,9 +101,9 @@ type Config struct {
 	Nodes []int
 	// Configure, when set, runs on each node's copy of this Config before
 	// the node boots — the hook for anything per-node: Persister,
-	// Checkpoint, Epoch, or overriding a shared knob for one node. It also
-	// runs on Restart, so restart-aware state (epochs, checkpoints) can be
-	// re-derived there.
+	// Checkpoint, or overriding a shared knob for one node. It also runs on
+	// Restart, so restart-aware state (checkpoints) can be re-derived
+	// there.
 	Configure func(node int, cfg *Config)
 	// HeartbeatEvery and PeerTimeout tune failure detection; zero values
 	// pick transport defaults.
@@ -119,9 +119,6 @@ type Config struct {
 	// and ablations). By default the node reclaims buffer space once a
 	// message is received everywhere.
 	DisableAutoReclaim bool
-	// Epoch identifies this process incarnation for reconnect handling;
-	// Cluster.Restart counts up from it.
-	Epoch uint64
 	// Metrics receives the instrumentation of every booted node
 	// (stabilizer_core_*, stabilizer_stability_latency_seconds, and the
 	// transport and frontier families): each node instruments through its
@@ -348,7 +345,6 @@ func openNode(cfg Config) (*Node, error) {
 		Log:            log,
 		HeartbeatEvery: cfg.HeartbeatEvery,
 		PeerTimeout:    cfg.PeerTimeout,
-		Epoch:          cfg.Epoch,
 		Metrics:        mreg,
 		Trace:          node.trace,
 	}

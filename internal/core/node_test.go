@@ -315,7 +315,6 @@ func TestCheckpointRestartResumesSequence(t *testing.T) {
 		Topology:   topo.WithSelf(1),
 		Network:    net,
 		Checkpoint: ckpt,
-		Epoch:      2,
 	})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)

@@ -76,27 +76,41 @@ type stallState struct {
 	wg         sync.WaitGroup
 	cfg        StallConfig
 	gauge      *metrics.GaugeVec // stabilizer_frontier_stalled{predicate,peer}
-	byZone     *metrics.GaugeVec // stabilizer_frontier_stalled_peers{az,region}
-	// zoneSet tracks which (az,region) children currently exist so sweeps
-	// can zero rollups whose count dropped.
-	zoneSet map[[2]string]bool
 }
 
 // initStallState wires the stall monitor's metric families and, when a
 // deadline is configured, starts the sweep goroutine.
 func (n *Node) initStallState(cfg StallConfig, mreg *metrics.Registry) {
 	st := &stallState{
-		preds:   make(map[string]*predStall),
-		stop:    make(chan struct{}),
-		cfg:     cfg,
-		zoneSet: make(map[[2]string]bool),
+		preds: make(map[string]*predStall),
+		stop:  make(chan struct{}),
+		cfg:   cfg,
 	}
 	st.gauge = mreg.GaugeVec("stabilizer_frontier_stalled",
 		"1 while the predicate's frontier is stalled with this peer blamed.",
 		"predicate", "peer")
-	st.byZone = mreg.GaugeVec("stabilizer_frontier_stalled_peers",
+	// The zone rollup keeps no count: each zone of the topology gets one
+	// child that counts the blamed pairs when it is scraped.
+	byZone := mreg.GaugeFuncVec("stabilizer_frontier_stalled_peers",
 		"Currently blamed (predicate, peer) stall pairs whose peer is in this zone.",
 		"az", "region")
+	nodes := n.topo.Nodes
+	for _, tn := range nodes {
+		az, rg := tn.AZ, tn.Region
+		byZone.Set(func() float64 {
+			st.mu.Lock()
+			defer st.mu.Unlock()
+			count := 0
+			for _, ps := range st.preds {
+				for _, p := range ps.blamed {
+					if nodes[p-1].AZ == az && nodes[p-1].Region == rg {
+						count++
+					}
+				}
+			}
+			return float64(count)
+		}, az, rg)
+	}
 	n.stall = st
 	if st.cfg.Deadline <= 0 {
 		return
@@ -289,7 +303,6 @@ func (n *Node) checkStalls(now time.Time) {
 		}
 		delete(st.preds, key)
 	}
-	n.refreshZoneRollupLocked()
 	hooks := make([]stallHook, len(st.hooks))
 	copy(hooks, st.hooks)
 	st.mu.Unlock()
@@ -298,33 +311,6 @@ func (n *Node) checkStalls(now time.Time) {
 		for _, h := range hooks {
 			h.fn(r)
 		}
-	}
-}
-
-// refreshZoneRollupLocked recounts blamed (predicate, peer) pairs per
-// (az, region) and mirrors the counts into the rollup gauge, zeroing zones
-// whose count dropped to nothing. Caller holds st.mu.
-func (n *Node) refreshZoneRollupLocked() {
-	st := n.stall
-	counts := make(map[[2]string]int)
-	for _, ps := range st.preds {
-		if !ps.stalled {
-			continue
-		}
-		for _, p := range ps.blamed {
-			node := n.topo.Nodes[p-1]
-			counts[[2]string{node.AZ, node.Region}]++
-		}
-	}
-	for zone := range st.zoneSet {
-		if _, ok := counts[zone]; !ok {
-			st.byZone.With(zone[0], zone[1]).Set(0)
-			delete(st.zoneSet, zone)
-		}
-	}
-	for zone, c := range counts {
-		st.byZone.With(zone[0], zone[1]).Set(int64(c))
-		st.zoneSet[zone] = true
 	}
 }
 

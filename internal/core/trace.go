@@ -7,18 +7,6 @@ import (
 	"stabilizer/internal/optrace"
 )
 
-// TraceRecorder returns the node's lifecycle flight recorder, nil when
-// tracing is disabled (Config.Trace zero).
-func (n *Node) TraceRecorder() *optrace.Recorder { return n.trace }
-
-// SlowestSampled reports the slowest sampled operation this node has seen
-// stabilize: its sequence, stability latency, and the predicate whose
-// frontier crossing produced the sample. ok is false until a sampled op
-// has stabilized (or when tracing is disabled).
-func (n *Node) SlowestSampled() (seq uint64, latNanos int64, predicate string, ok bool) {
-	return n.slow.get()
-}
-
 // traceTail snapshots the newest events that involve the given peer or
 // describe this node's own not-yet-stable operations past frontier — the
 // post-mortem slice attached to stall blame.
@@ -51,8 +39,8 @@ func (c *Cluster) TraceOp(origin int, seq uint64) (*optrace.Timeline, error) {
 	nodes := c.Nodes()
 	recs := make([]*optrace.Recorder, 0, len(nodes))
 	for _, n := range nodes {
-		if r := n.TraceRecorder(); r != nil {
-			recs = append(recs, r)
+		if n.trace != nil {
+			recs = append(recs, n.trace)
 		}
 	}
 	if len(recs) == 0 {
@@ -77,7 +65,7 @@ func (c *Cluster) SlowestOp() (*optrace.Timeline, error) {
 	for _, n := range c.Nodes() {
 		// Each node tracks ops it originated, so the node id is the
 		// op's origin.
-		if seq, lat, _, ok := n.SlowestSampled(); ok && (!found || lat > bestLat) {
+		if seq, lat, _, ok := n.slow.get(); ok && (!found || lat > bestLat) {
 			bestNode, bestSeq, bestLat, found = n.Self(), seq, lat, true
 		}
 	}

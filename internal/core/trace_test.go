@@ -118,14 +118,14 @@ func TestTraceOpEndToEnd(t *testing.T) {
 // TestTraceDisabled asserts the disabled path: no recorder, queries error.
 func TestTraceDisabled(t *testing.T) {
 	cl := openTracedCluster(t, 2, optrace.Config{})
-	if cl.Node(1).TraceRecorder() != nil {
+	if cl.Node(1).trace != nil {
 		t.Fatal("recorder exists with tracing disabled")
 	}
 	if _, err := cl.TraceOp(1, 1); err != ErrTracingDisabled {
 		t.Fatalf("TraceOp error = %v, want ErrTracingDisabled", err)
 	}
-	if _, _, _, ok := cl.Node(1).SlowestSampled(); ok {
-		t.Fatal("SlowestSampled reported an op with tracing disabled")
+	if _, _, _, ok := cl.Node(1).slow.get(); ok {
+		t.Fatal("slowest-op tracker reported an op with tracing disabled")
 	}
 }
 

@@ -157,16 +157,67 @@ func (f *fabricRand) child() *rand.Rand {
 // is deterministic by default.
 const defaultFabricSeed = 1
 
+// fabric is what the two Network implementations share: the matrix every
+// dialed connection is shaped by, the seed its jitter is drawn from, the dial
+// hook and the closed latch, behind the mutex that also guards the embedding
+// fabric's listener table.
+type fabric struct {
+	matrix *Matrix
+
+	mu     sync.Mutex
+	closed bool
+	hook   ConnHook
+	rnd    *fabricRand
+}
+
+// init sets the matrix (nil yields unshaped links) and the default seed.
+func (f *fabric) init(matrix *Matrix) {
+	if matrix == nil {
+		matrix = NewMatrix()
+	}
+	f.matrix, f.rnd = matrix, newFabricRand(defaultFabricSeed)
+}
+
+// Seed pins the fabric's random source (shaped-link jitter) to seed, making
+// runs replayable. Call before dialing; the default seed is 1.
+func (f *fabric) Seed(seed int64) {
+	f.mu.Lock()
+	f.rnd = newFabricRand(seed)
+	f.mu.Unlock()
+}
+
+// SetConnHook installs a dial-path hook (see ConnHook). Pass nil to remove.
+// Call before dialing begins; concurrent dials observe the latest hook.
+func (f *fabric) SetConnHook(h ConnHook) {
+	f.mu.Lock()
+	f.hook = h
+	f.mu.Unlock()
+}
+
+// connect finishes a dial over the raw connection: it is shaped by the matrix
+// profiles of both directions and then handed to the hook, if any. A hook that
+// rejects the dial gets the shaped connection closed and its error returned.
+func (f *fabric) connect(from, to int, raw net.Conn) (net.Conn, error) {
+	f.mu.Lock()
+	hook, rnd := f.hook, f.rnd
+	f.mu.Unlock()
+	shaped := ShapeSeeded(raw, f.matrix.Get(from, to), f.matrix.Get(to, from), rnd.child())
+	if hook == nil {
+		return shaped, nil
+	}
+	wrapped, err := hook(from, to, shaped)
+	if err != nil {
+		_ = shaped.Close()
+		return nil, err
+	}
+	return wrapped, nil
+}
+
 // MemNetwork is an in-process fabric built on buffered memory connections
 // (memConn).
 type MemNetwork struct {
-	matrix *Matrix
-
-	mu        sync.Mutex
+	fabric
 	listeners map[int]*memListener
-	closed    bool
-	hook      ConnHook
-	rnd       *fabricRand
 }
 
 var _ Network = (*MemNetwork)(nil)
@@ -174,30 +225,9 @@ var _ Network = (*MemNetwork)(nil)
 // NewMemNetwork creates an in-memory fabric shaped by matrix. A nil matrix
 // yields unshaped links.
 func NewMemNetwork(matrix *Matrix) *MemNetwork {
-	if matrix == nil {
-		matrix = NewMatrix()
-	}
-	return &MemNetwork{
-		matrix:    matrix,
-		listeners: make(map[int]*memListener),
-		rnd:       newFabricRand(defaultFabricSeed),
-	}
-}
-
-// Seed pins the fabric's random source (shaped-link jitter) to seed, making
-// runs replayable. Call before dialing; the default seed is 1.
-func (n *MemNetwork) Seed(seed int64) {
-	n.mu.Lock()
-	n.rnd = newFabricRand(seed)
-	n.mu.Unlock()
-}
-
-// SetConnHook installs a dial-path hook (see ConnHook). Pass nil to remove.
-// Call before dialing begins; concurrent dials observe the latest hook.
-func (n *MemNetwork) SetConnHook(h ConnHook) {
-	n.mu.Lock()
-	n.hook = h
-	n.mu.Unlock()
+	n := &MemNetwork{listeners: make(map[int]*memListener)}
+	n.init(matrix)
+	return n
 }
 
 // Errors returned by the fabrics.
@@ -239,27 +269,21 @@ func (n *MemNetwork) Dial(from, to int) (net.Conn, error) {
 		return nil, ErrClosed
 	}
 	l := n.listeners[to]
-	hook, rnd := n.hook, n.rnd
 	n.mu.Unlock()
 	if l == nil {
 		return nil, fmt.Errorf("%w: %d", ErrNoListener, to)
 	}
 	dialSide, acceptSide := newMemConnPair(from, to)
-	shaped := ShapeSeeded(dialSide, n.matrix.Get(from, to), n.matrix.Get(to, from), rnd.child())
-	if hook != nil {
-		wrapped, err := hook(from, to, shaped)
-		if err != nil {
-			_ = shaped.Close()
-			_ = acceptSide.Close()
-			return nil, err
-		}
-		shaped = wrapped
+	conn, err := n.connect(from, to, dialSide)
+	if err != nil {
+		_ = acceptSide.Close()
+		return nil, err
 	}
 	select {
 	case l.accept <- acceptSide:
-		return shaped, nil
+		return conn, nil
 	case <-l.done:
-		_ = shaped.Close()
+		_ = conn.Close()
 		_ = acceptSide.Close()
 		return nil, fmt.Errorf("%w: %d", ErrNoListener, to)
 	}
@@ -324,40 +348,18 @@ func (a memAddr) String() string  { return fmt.Sprintf("emunet:%d", a.node) }
 // TCPNetwork is a loopback-TCP fabric. Each node gets an ephemeral listener
 // on 127.0.0.1; dialed connections are shaped exactly like MemNetwork's.
 type TCPNetwork struct {
-	matrix *Matrix
-
-	mu        sync.Mutex
+	fabric
 	addrs     map[int]string
 	listeners []net.Listener
-	closed    bool
-	hook      ConnHook
-	rnd       *fabricRand
 }
 
 var _ Network = (*TCPNetwork)(nil)
 
 // NewTCPNetwork creates a loopback TCP fabric shaped by matrix.
 func NewTCPNetwork(matrix *Matrix) *TCPNetwork {
-	if matrix == nil {
-		matrix = NewMatrix()
-	}
-	return &TCPNetwork{matrix: matrix, addrs: make(map[int]string), rnd: newFabricRand(defaultFabricSeed)}
-}
-
-// Seed pins the fabric's random source (shaped-link jitter) to seed, making
-// runs replayable. Call before dialing; the default seed is 1.
-func (n *TCPNetwork) Seed(seed int64) {
-	n.mu.Lock()
-	n.rnd = newFabricRand(seed)
-	n.mu.Unlock()
-}
-
-// SetConnHook installs a dial-path hook (see ConnHook). Pass nil to remove.
-// Call before dialing begins; concurrent dials observe the latest hook.
-func (n *TCPNetwork) SetConnHook(h ConnHook) {
-	n.mu.Lock()
-	n.hook = h
-	n.mu.Unlock()
+	n := &TCPNetwork{addrs: make(map[int]string)}
+	n.init(matrix)
+	return n
 }
 
 // Listen implements Network.
@@ -387,7 +389,6 @@ func (n *TCPNetwork) Dial(from, to int) (net.Conn, error) {
 		return nil, ErrClosed
 	}
 	addr := n.addrs[to]
-	hook, rnd := n.hook, n.rnd
 	n.mu.Unlock()
 	if addr == "" {
 		return nil, fmt.Errorf("%w: %d", ErrNoListener, to)
@@ -396,16 +397,7 @@ func (n *TCPNetwork) Dial(from, to int) (net.Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("emunet: dial node %d: %w", to, err)
 	}
-	shaped := ShapeSeeded(c, n.matrix.Get(from, to), n.matrix.Get(to, from), rnd.child())
-	if hook != nil {
-		wrapped, herr := hook(from, to, shaped)
-		if herr != nil {
-			_ = shaped.Close()
-			return nil, herr
-		}
-		shaped = wrapped
-	}
-	return shaped, nil
+	return n.connect(from, to, c)
 }
 
 // Close implements Network.

@@ -42,38 +42,45 @@ func (r *Registry) Snapshot() []FamilySnapshot {
 	fams := r.families()
 	out := make([]FamilySnapshot, 0, len(fams))
 	for _, f := range fams {
-		fs := FamilySnapshot{Name: f.name, Type: f.typ.String(), Help: f.help}
-		for _, ch := range f.sortedChildren() {
-			m := MetricSnapshot{}
-			if len(f.labelNames) > 0 {
-				m.Labels = make(map[string]string, len(f.labelNames))
-				for i, ln := range f.labelNames {
-					m.Labels[ln] = ch.labels[i]
-				}
-			}
-			if ch.h != nil {
-				snap := ch.h.Snapshot()
-				m.Histogram = &snap
-				m.P50 = ch.h.Quantile(0.50)
-				m.P99 = ch.h.Quantile(0.99)
-			} else {
-				m.Value = ch.value()
-			}
-			fs.Metrics = append(fs.Metrics, m)
-		}
-		out = append(out, fs)
+		out = append(out, f.snapshot())
 	}
 	return out
 }
 
-// Find returns the snapshot of the named family, or nil if absent.
-func (r *Registry) Find(name string) *FamilySnapshot {
-	for _, fs := range r.Snapshot() {
-		if fs.Name == name {
-			return &fs
+// snapshot copies the family's children as they read now.
+func (f *Family) snapshot() FamilySnapshot {
+	fs := FamilySnapshot{Name: f.name, Type: f.typ.String(), Help: f.help}
+	for _, ch := range f.sortedChildren() {
+		m := MetricSnapshot{}
+		if len(f.labelNames) > 0 {
+			m.Labels = make(map[string]string, len(f.labelNames))
+			for i, ln := range f.labelNames {
+				m.Labels[ln] = ch.labels[i]
+			}
 		}
+		if ch.h != nil {
+			snap := ch.h.Snapshot()
+			m.Histogram = &snap
+			m.P50 = ch.h.Quantile(0.50)
+			m.P99 = ch.h.Quantile(0.99)
+		} else {
+			m.Value = ch.value()
+		}
+		fs.Metrics = append(fs.Metrics, m)
 	}
-	return nil
+	return fs
+}
+
+// Find returns the snapshot of the named family alone, or nil if absent.
+func (r *Registry) Find(name string) *FamilySnapshot {
+	r.root.mu.RLock()
+	f := r.root.fams[name]
+	r.root.mu.RUnlock()
+	if f == nil {
+		return nil
+	}
+	fs := f.snapshot()
+	return &fs
 }
 
 // sortedChildren returns the family's children ordered by label values.

@@ -75,6 +75,35 @@ func TestGaugeFuncReplacedOnLiveRegistry(t *testing.T) {
 	}
 }
 
+// TestCounterFuncVecSumsAtExposition is the zone-rollup shape: a callback
+// child exposed as a counter whose value is derived from counters kept
+// elsewhere, read when scraped and re-bound by a restart.
+func TestCounterFuncVecSumsAtExposition(t *testing.T) {
+	root := NewRegistry()
+	g := root.NodeGroup("1")
+	peers := g.CounterVec("grp_bytes_total", "h", "peer")
+	a, b := peers.With("2"), peers.With("3")
+	zone := g.CounterFuncVec("grp_zone_bytes_total", "h", "az")
+	zone.Set(func() float64 { return -1 }, "az-b")
+	zone.Set(func() float64 { return float64(a.Value() + b.Value()) }, "az-b") // restart re-binds
+	a.Add(5)
+	b.Add(7)
+	fs := root.Find("grp_zone_bytes_total")
+	if fs == nil || fs.Type != "counter" || len(fs.Metrics) != 1 {
+		t.Fatalf("family = %+v, want one counter child", fs)
+	}
+	if m := fs.Metrics[0]; m.Value != 12 || m.Labels["az"] != "az-b" || m.Labels["node"] != "1" {
+		t.Fatalf("child = %+v, want 12 under az-b of node 1", m)
+	}
+	var out strings.Builder
+	if err := root.WritePrometheus(&out); err != nil {
+		t.Fatal(err)
+	}
+	if want := "# TYPE grp_zone_bytes_total counter\ngrp_zone_bytes_total{node=\"1\",az=\"az-b\"} 12\n"; !strings.Contains(out.String(), want) {
+		t.Fatalf("exposition lacks %q:\n%s", want, out.String())
+	}
+}
+
 func TestHistogramCountLe(t *testing.T) {
 	h := NewHistogram(HistogramOpts{Unit: 1, MinPow: 2, MaxPow: 6})
 	// Buckets (upper bounds): 4, 8, 16, 32, 64, +Inf.

@@ -260,6 +260,22 @@ func (v *GaugeFuncVec) Set(fn func() float64, values ...string) {
 // Delete drops the child for the given label values.
 func (v *GaugeFuncVec) Delete(values ...string) { v.f.delete(withBase(v.base, values)) }
 
+// CounterFuncVec is a family of callback counters distinguished by label
+// values: the counter-typed twin of GaugeFuncVec, for totals derived at
+// exposition time from counters kept elsewhere (a zone rollup is the sum of
+// its peers' counters). The callback must be monotone for the family to read
+// as a counter.
+type CounterFuncVec struct {
+	f    *Family
+	base []string
+}
+
+// Set installs fn as the callback for the given label values, replacing any
+// previous callback for the same tuple. Safe on a live registry.
+func (v *CounterFuncVec) Set(fn func() float64, values ...string) {
+	v.f.setFn(withBase(v.base, values), fn)
+}
+
 // registryRoot is the store shared by every view derived from one
 // NewRegistry call.
 type registryRoot struct {
@@ -392,6 +408,14 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 // owned state.
 func (r *Registry) GaugeFuncVec(name, help string, labels ...string) *GaugeFuncVec {
 	return &GaugeFuncVec{f: r.family(name, help, TypeGaugeFunc, labels, HistogramOpts{}), base: r.baseValues}
+}
+
+// CounterFuncVec returns the labeled callback-counter family named name:
+// exposed as a counter, each child's value computed at exposition time. It
+// shares TypeCounter with CounterVec, so one name must be registered as one
+// or the other.
+func (r *Registry) CounterFuncVec(name, help string, labels ...string) *CounterFuncVec {
+	return &CounterFuncVec{f: r.family(name, help, TypeCounter, labels, HistogramOpts{}), base: r.baseValues}
 }
 
 // Histogram returns the histogram named name carrying only the view's base

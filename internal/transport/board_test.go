@@ -13,7 +13,7 @@ import (
 const noHeartbeat = time.Hour
 
 // ackFramesTo reads how many ACK frames tr has written toward peer.
-func ackFramesTo(tr *Transport, peer int) int64 { return tr.peers[peer].ackSent.peer.Value() }
+func ackFramesTo(tr *Transport, peer int) int64 { return tr.peers[peer].ackSent.Value() }
 
 func (r *recorder) appCount() int {
 	r.mu.Lock()

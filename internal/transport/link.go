@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"stabilizer/internal/metrics"
 	"stabilizer/internal/optrace"
 	"stabilizer/internal/wire"
 )
@@ -49,26 +50,16 @@ type link struct {
 	// re-checks for work, so a burst of Sends (or queued ACKs) costs one
 	// cond broadcast per idle link instead of one per message.
 	notified atomic.Bool
-	// draining is true while the writer is actively pushing data batches.
-	// The accept side reads it to decide whether a heartbeat echo should
-	// ride this link's data stream as a trailer frame (queueEcho) instead
-	// of competing for the incoming connection.
-	draining atomic.Bool
 
 	mu      sync.Mutex
 	cond    sync.Cond
 	apps    []*wire.App
 	hbDue   bool
 	hbClock uint64
-	// echoDue/echoClock queue a piggybacked heartbeat echo; the newest
-	// clock wins, since the peer only matches echoes against its latest
-	// heartbeat.
-	echoDue   bool
-	echoClock uint64
-	closed    bool
+	closed  bool
 	// hbSentClock/hbSentAt record the newest heartbeat written on the
-	// current connection; the peer echoes it back and the drain goroutine
-	// turns the match into an RTT sample.
+	// current connection; the peer echoes it back on the same connection and
+	// the reverse reader turns the match into an RTT sample.
 	hbSentClock uint64
 	hbSentAt    time.Time
 
@@ -76,16 +67,13 @@ type link struct {
 	// connection of this link; entries at or below it are resends.
 	// Touched only by the run/stream goroutine.
 	maxDataSeq uint64
-	// batch is the reusable drain buffer for TryNextBatch; budgetBytes
-	// caches the adaptive batch budget and budgetAge counts batches until
-	// the next recomputation. Run/stream goroutine only.
-	batch       []LogEntry
-	budgetBytes int
-	budgetAge   int
+	// batch is the reusable drain buffer for TryNextBatch. Run/stream
+	// goroutine only.
+	batch []LogEntry
 	// hdrs packs the batch's per-entry Data frame headers back to back;
 	// vecs is the reusable iovec list handed to writev (header and payload
 	// alternating); ctl is the encoded control trailer (ACKs, apps,
-	// heartbeat, echo) riding behind the batch; ackBuf backs the ACK slice
+	// heartbeat) riding behind the batch; ackBuf backs the ACK slice
 	// takeReports hands out. Run/stream goroutine only.
 	hdrs   []byte
 	vecs   [][]byte
@@ -225,30 +213,6 @@ func (l *link) queueHeartbeat(clock uint64) {
 	l.wake()
 }
 
-// queueEcho accepts a heartbeat echo for piggybacking if the writer is
-// actively draining data, reporting whether it took it. The echo rides the
-// next batch as a trailer frame; on a quiet link the caller falls back to
-// echoing directly on the incoming connection. A stale draining read is
-// harmless: waitWork treats a pending echo as work, so an accepted echo is
-// written promptly even if the stream goes idle right after.
-func (l *link) queueEcho(clock uint64) bool {
-	if !l.draining.Load() {
-		return false
-	}
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return false
-	}
-	l.echoDue = true
-	if clock > l.echoClock {
-		l.echoClock = clock
-	}
-	l.mu.Unlock()
-	l.wake()
-	return true
-}
-
 func (l *link) close() {
 	l.mu.Lock()
 	l.closed = true
@@ -338,12 +302,13 @@ func (l *link) dial() (net.Conn, uint64, error) {
 		// A deadline as defense in depth: on transports whose reads honor it
 		// the handshake self-aborts even if nobody reaps the attempt.
 		_ = conn.SetDeadline(time.Now().Add(dialTimeout))
-		frame := wire.AppendFrame(nil, &wire.Hello{From: uint16(l.t.cfg.Self), Epoch: l.t.cfg.Epoch})
+		frame := wire.AppendFrame(nil, &wire.Hello{From: uint16(l.t.cfg.Self)})
 		if _, err := conn.Write(frame); err != nil {
 			resCh <- dialResult{conn: conn, err: err}
 			return
 		}
-		r := wire.NewReader(conn)
+		cr := &countingReader{r: conn}
+		r := wire.NewReader(cr)
 		msg, err := r.Next()
 		if err != nil {
 			resCh <- dialResult{conn: conn, err: err}
@@ -355,6 +320,10 @@ func (l *link) dial() (net.Conn, uint64, error) {
 			return
 		}
 		_ = conn.SetDeadline(time.Time{})
+		// Counting starts here. A dialer keeps its handshake out of the
+		// ledger (the Hello above is not in bytes_sent either); the echoes
+		// that follow are counted by the peer as sent, so here as received.
+		cr.peer = l.ins.bytesRecv
 		resCh <- dialResult{conn: conn, r: r, lastSeq: ack.LastSeq}
 	}()
 
@@ -383,8 +352,9 @@ func (l *link) dial() (net.Conn, uint64, error) {
 	l.t.heard(l.peer)
 
 	// Drain the reverse direction so connection teardown is noticed even
-	// while the writer is idle. The only frames peers send here are
-	// heartbeat echoes, which double as RTT probes and liveness evidence.
+	// while the writer is idle. The only frames peers send here are our own
+	// heartbeats echoed back, which double as RTT probes and liveness
+	// evidence.
 	go func() {
 		for {
 			msg, err := r.Next()
@@ -392,10 +362,8 @@ func (l *link) dial() (net.Conn, uint64, error) {
 				_ = conn.Close()
 				return
 			}
-			switch m := msg.(type) {
-			case *wire.Heartbeat:
-				l.observeEcho(m.Clock)
-			case *wire.HeartbeatEcho:
+			if m, ok := msg.(*wire.Heartbeat); ok {
+				l.ins.hbRecv.Inc()
 				l.observeEcho(m.Clock)
 			}
 		}
@@ -441,35 +409,6 @@ func (l *link) observeEcho(clock uint64) {
 	l.t.heard(l.peer)
 }
 
-// budgetRefreshEvery is how many data batches are sized from one cached
-// budget before the heartbeat-RTT histogram is consulted again.
-const budgetRefreshEvery = 32
-
-// batchBudget returns the link's current data-batch byte budget, sized
-// bandwidth-delay-product style from the observed heartbeat RTT: slower
-// links get bigger batches (budget = RTT × assumed bandwidth), clamped to
-// [minBytes, maxBytes]. Before any RTT sample exists the budget
-// is the minimum, which keeps fresh links latency-friendly.
-// The histogram scan is amortized over budgetRefreshEvery batches.
-func (l *link) batchBudget() int {
-	if l.budgetAge > 0 {
-		l.budgetAge--
-		return l.budgetBytes
-	}
-	l.budgetAge = budgetRefreshEvery
-	cfg := &l.t.cfg.batch
-	rttSec := l.ins.hbRTT.Quantile(0.5)
-	b := int(rttSec * batchBandwidthBps / 8)
-	if b < cfg.minBytes {
-		b = cfg.minBytes
-	}
-	if b > cfg.maxBytes {
-		b = cfg.maxBytes
-	}
-	l.budgetBytes = b
-	return b
-}
-
 // nowNano is the data-path clock. It is a variable so tests can count
 // clock reads on the drain path: with tracing off (or nothing in the batch
 // sampled) the stream loop must make zero clock calls.
@@ -482,22 +421,17 @@ var nowNano = func() int64 { return time.Now().UnixNano() }
 // fault-injection wrappers).
 const writevMinBytes = 8 << 10
 
-// directWriteMin is the smallest encoded batch written straight to the
-// connection instead of through the 64 KiB buffered writer: at this size
-// the bufio copy buys no coalescing, it is pure memcpy overhead.
-const directWriteMin = 32 << 10
-
 // stream multiplexes the send log + control outbox over an established
 // connection until it fails or the link closes. Data is written in batches:
 // a run of log entries is drained under one lock acquisition, framed, and
 // handed to the connection as one write — via writev (per-entry header and
 // payload iovecs, no payload copy) on TCP connections carrying enough
 // bytes, via one reusable frame buffer otherwise. Pending control traffic
-// (coalesced ACKs, app messages, heartbeats, piggybacked echoes) rides
-// behind each batch as trailer frames in the same write; when no data is
-// flowing, control falls back to standalone buffered writes. Control is
-// collected once per loop iteration, so it waits at most one maxFrames
-// batch behind bulk data — that bound is the control/data fairness rule.
+// (coalesced ACKs, app messages, heartbeats) rides behind each batch as
+// trailer frames in the same write; when no data is flowing, control falls
+// back to standalone buffered writes. Control is collected once per loop
+// iteration, so it waits at most one batch (batchLimits) behind bulk data —
+// that bound is the control/data fairness rule.
 //
 // A pass that finds nothing to write goes idle in a fixed order: flush, yield,
 // park. The flush comes first so no byte waits on the rest. The yield
@@ -511,21 +445,19 @@ const directWriteMin = 32 << 10
 // is coming that the yield could wait for, and the round through the
 // scheduler would only delay the next lone message's wake-up.
 func (l *link) stream(conn net.Conn, cursor uint64) {
-	defer l.draining.Store(false)
 	tcp, _ := conn.(*net.TCPConn)
-	maxFrames := l.t.cfg.batch.maxFrames
+	lim := l.t.cfg.batch
 	bw := bufio.NewWriterSize(conn, 64<<10)
 	var frame []byte
 	burst := false // the last data batch held more than one entry
 	for {
-		l.batch = l.t.cfg.Log.TryNextBatch(cursor, l.batch[:0], maxFrames, l.batchBudget())
+		l.batch = l.t.cfg.Log.TryNextBatch(cursor, l.batch[:0], lim.maxFrames, lim.maxBytes)
 		ctl, ok := l.takeControl()
 		if !ok {
 			return
 		}
 		wrote := false
 		if n := len(l.batch); n > 0 {
-			l.draining.Store(true)
 			rec := l.t.cfg.Trace
 			if rec != nil {
 				l.traced = l.traced[:0]
@@ -559,7 +491,7 @@ func (l *link) stream(conn net.Conn, cursor uint64) {
 			if tcp != nil && payloadBytes >= writevMinBytes {
 				err = l.writeVectored(tcp, bw, payloadBytes)
 			} else {
-				frame, err = l.writeCopied(conn, bw, frame)
+				frame, err = l.writeCopied(bw, frame)
 			}
 			if err != nil {
 				return // the next connection resends every report
@@ -572,7 +504,7 @@ func (l *link) stream(conn net.Conn, cursor uint64) {
 				}
 				l.traced = l.traced[:0]
 			}
-			l.countSent(len(l.hdrs)+payloadBytes, n, &l.ins.dataSent)
+			l.countSent(len(l.hdrs)+payloadBytes, n, l.ins.dataSent)
 			l.ins.resent.Add(int64(resends))
 			l.noteControlSent(&ctl, ackB, appB, hbB)
 			wrote = true
@@ -589,7 +521,6 @@ func (l *link) stream(conn net.Conn, cursor uint64) {
 		if wrote {
 			continue
 		}
-		l.draining.Store(false)
 		if err := bw.Flush(); err != nil {
 			return
 		}
@@ -640,11 +571,10 @@ func (l *link) writeVectored(tcp *net.TCPConn, bw *bufio.Writer, payloadBytes in
 }
 
 // writeCopied encodes the current batch plus control trailer into the
-// reusable frame buffer and writes it in one call: straight to the
-// connection for large batches (the bufio copy would buy nothing), through
-// the buffered writer for small ones so consecutive little batches still
-// coalesce into one wire write.
-func (l *link) writeCopied(conn net.Conn, bw *bufio.Writer, frame []byte) ([]byte, error) {
+// reusable frame buffer and hands it to the buffered writer in one call, so
+// consecutive little batches coalesce into one wire write. (A slice larger
+// than the writer's buffer passes straight through to the connection.)
+func (l *link) writeCopied(bw *bufio.Writer, frame []byte) ([]byte, error) {
 	frame = frame[:0]
 	h := 0
 	for i := range l.batch {
@@ -653,21 +583,12 @@ func (l *link) writeCopied(conn net.Conn, bw *bufio.Writer, frame []byte) ([]byt
 		frame = append(frame, l.batch[i].Payload...)
 	}
 	frame = append(frame, l.ctl...)
-	if len(frame) >= directWriteMin {
-		if bw.Buffered() > 0 {
-			if err := bw.Flush(); err != nil {
-				return frame, err
-			}
-		}
-		_, err := conn.Write(frame)
-		return frame, err
-	}
 	_, err := bw.Write(frame)
 	return frame, err
 }
 
 // encodeControl frames the drained control batch into l.ctl, returning the
-// per-kind byte spans (ACKs, apps, heartbeat+echo) for metric attribution.
+// per-kind byte spans (ACKs, apps, heartbeat) for metric attribution.
 func (l *link) encodeControl(c *controlBatch) (ackB, appB, hbB int) {
 	l.ctl = l.ctl[:0]
 	for i := range c.acks {
@@ -681,9 +602,6 @@ func (l *link) encodeControl(c *controlBatch) (ackB, appB, hbB int) {
 	if c.hb {
 		l.ctl = wire.AppendFrame(l.ctl, &wire.Heartbeat{Clock: c.hbClock})
 	}
-	if c.echo {
-		l.ctl = wire.AppendFrame(l.ctl, &wire.HeartbeatEcho{Clock: c.echoClock})
-	}
 	hbB = len(l.ctl) - ackB - appB
 	return ackB, appB, hbB
 }
@@ -693,22 +611,13 @@ func (l *link) encodeControl(c *controlBatch) (ackB, appB, hbB int) {
 // matching.
 func (l *link) noteControlSent(c *controlBatch, ackB, appB, hbB int) {
 	if len(c.acks) > 0 {
-		l.countSent(ackB, len(c.acks), &l.ins.ackSent)
+		l.countSent(ackB, len(c.acks), l.ins.ackSent)
 	}
 	if len(c.apps) > 0 {
-		l.countSent(appB, len(c.apps), &l.ins.appSent)
-	}
-	hbFrames := 0
-	if c.hb {
-		hbFrames++
-	}
-	if c.echo {
-		hbFrames++
-	}
-	if hbFrames > 0 {
-		l.countSent(hbB, hbFrames, &l.ins.hbSent)
+		l.countSent(appB, len(c.apps), l.ins.appSent)
 	}
 	if c.hb {
+		l.countSent(hbB, 1, l.ins.hbSent)
 		l.mu.Lock()
 		l.hbSentClock, l.hbSentAt = c.hbClock, time.Now()
 		l.mu.Unlock()
@@ -717,7 +626,7 @@ func (l *link) noteControlSent(c *controlBatch, ackB, appB, hbB int) {
 
 // countSent records one written batch of `frames` frames totalling n bytes
 // in the per-peer byte and frame-kind counters.
-func (l *link) countSent(n, frames int, kind *counterPair) {
+func (l *link) countSent(n, frames int, kind *metrics.Counter) {
 	l.ins.bytesSent.Add(int64(n))
 	kind.Add(int64(frames))
 }
@@ -726,21 +635,19 @@ func (l *link) countSent(n, frames int, kind *counterPair) {
 // the link's control outbox: everything that rides as trailer frames behind
 // the current data batch, or as standalone frames when the link is idle.
 type controlBatch struct {
-	acks      []wire.Ack
-	apps      []*wire.App
-	hb        bool
-	hbClock   uint64
-	echo      bool
-	echoClock uint64
+	acks    []wire.Ack
+	apps    []*wire.App
+	hb      bool
+	hbClock uint64
 }
 
 // any reports whether the batch carries anything to write.
 func (c *controlBatch) any() bool {
-	return len(c.acks) > 0 || len(c.apps) > 0 || c.hb || c.echo
+	return len(c.acks) > 0 || len(c.apps) > 0 || c.hb
 }
 
 // takeControl drains the control outbox: the board's unsent reports, then
-// under mu the queued app messages, heartbeat and echo. ok is false once the
+// under mu the queued app messages and heartbeat. ok is false once the
 // link is closed (the stream goroutine is the only caller).
 func (l *link) takeControl() (c controlBatch, ok bool) {
 	c.acks = l.takeReports()
@@ -755,13 +662,11 @@ func (l *link) takeControl() (c controlBatch, ok bool) {
 	}
 	c.hb, c.hbClock = l.hbDue, l.hbClock
 	l.hbDue = false
-	c.echo, c.echoClock = l.echoDue, l.echoClock
-	l.echoDue = false
 	return c, true
 }
 
 // waitWork blocks until there is something to send: an app message, a
-// heartbeat or echo, a report about the link's own peer, or a log entry at
+// heartbeat, a report about the link's own peer, or a log entry at
 // or beyond cursor. Every source is checked before the first park, so a
 // caller that has just flushed (and perhaps yielded: see stream) gets its
 // re-check here. Returns false on close.
@@ -778,7 +683,7 @@ func (l *link) waitWork(cursor uint64) bool {
 		if l.closed {
 			return false
 		}
-		if len(l.apps) > 0 || l.hbDue || l.echoDue || l.reportDue() {
+		if len(l.apps) > 0 || l.hbDue || l.reportDue() {
 			return true
 		}
 		if l.batch = l.t.cfg.Log.TryNextBatch(cursor, l.batch[:0], 1, 0); len(l.batch) > 0 {

@@ -72,8 +72,6 @@ type Config struct {
 	// PeerTimeout is the silence threshold for failure detection
 	// (default 4×HeartbeatEvery).
 	PeerTimeout time.Duration
-	// Epoch identifies this process incarnation.
-	Epoch uint64
 	// Metrics receives the transport's instrumentation families
 	// (stabilizer_transport_*). Nil uses a private registry: the per-peer
 	// counters are the only traffic ledger there is, and Totals sums them.
@@ -96,7 +94,7 @@ type Config struct {
 	Trace *optrace.Recorder
 
 	// batch overrides defaultBatch when non-zero: the reconnect tests cut
-	// batches mid-run with a 40-byte budget.
+	// batches mid-run with a 40-byte bound.
 	batch batchLimits
 }
 
@@ -107,49 +105,30 @@ type TopoTag struct {
 	Region string
 }
 
-// batchLimits bounds how each outgoing link batches data frames. The batch
-// byte budget adapts to the link's observed heartbeat RTT,
-// bandwidth-delay-product style: budget = RTT × batchBandwidthBps/8, clamped
-// to [minBytes, maxBytes], so slow WAN links drain bigger runs per lock
-// acquisition and write while fast LAN links stay latency-friendly. maxFrames
-// caps the data frames drained per batch, bounding how long the control
-// outbox (ACKs, heartbeats) waits behind bulk data.
+// batchLimits bounds the data one pass of a link's writer drains from the
+// send log and hands to the connection as one write: that many frames or that
+// many payload bytes, whichever comes first (one frame always goes, whatever
+// its size). It is also how long the control outbox (ACKs, heartbeats) waits
+// behind bulk data.
 type batchLimits struct {
-	maxFrames, minBytes, maxBytes int
+	maxFrames, maxBytes int
 }
 
-var defaultBatch = batchLimits{maxFrames: 256, minBytes: 16 << 10, maxBytes: 1 << 20}
-
-// batchBandwidthBps is the per-link bandwidth the budget rule assumes, in
-// bits per second.
-const batchBandwidthBps = 100e6
-
-// counterPair fans one count into the per-peer family and that peer's
-// {az,region} rollup family. Both legs are resolved at startup, so a hot
-// path pays exactly two atomic adds.
-type counterPair struct {
-	peer *metrics.Counter
-	zone *metrics.Counter
-}
-
-func (p *counterPair) Inc() { p.peer.Inc(); p.zone.Inc() }
-
-func (p *counterPair) Add(n int64) { p.peer.Add(n); p.zone.Add(n) }
+var defaultBatch = batchLimits{maxFrames: 256, maxBytes: 16 << 10}
 
 // peerInstruments are the per-peer metric instances, resolved once at
-// startup so hot paths touch only atomics. Byte and frame counters are
-// pairs feeding the per-peer family plus the peer's zone rollup.
+// startup so hot paths touch only atomics.
 type peerInstruments struct {
-	bytesSent counterPair
-	bytesRecv counterPair
-	dataSent  counterPair
-	ackSent   counterPair
-	appSent   counterPair
-	hbSent    counterPair
-	dataRecv  counterPair
-	ackRecv   counterPair
-	appRecv   counterPair
-	hbRecv    counterPair
+	bytesSent *metrics.Counter
+	bytesRecv *metrics.Counter
+	dataSent  *metrics.Counter
+	ackSent   *metrics.Counter
+	appSent   *metrics.Counter
+	hbSent    *metrics.Counter
+	dataRecv  *metrics.Counter
+	ackRecv   *metrics.Counter
+	appRecv   *metrics.Counter
+	hbRecv    *metrics.Counter
 	resent    *metrics.Counter
 	reconn    *metrics.Counter
 	fdTrips   *metrics.Counter
@@ -280,14 +259,6 @@ func New(cfg Config) (*Transport, error) {
 		"Data frames handed to the handler per receive run.",
 		metrics.HistogramOpts{MaxPow: 10})
 
-	// Zone rollups of the byte/frame families: the same counts keyed by the
-	// destination (or source) peer's {az,region} instead of its index, for
-	// dashboards over deployments too large to chart per peer.
-	zoneBytesSent := m.CounterVec("stabilizer_transport_zone_bytes_sent_total", "Frame bytes written, rolled up by destination peer zone.", "az", "region")
-	zoneBytesRecv := m.CounterVec("stabilizer_transport_zone_bytes_recv_total", "Frame bytes read, rolled up by source peer zone.", "az", "region")
-	zoneFramesSent := m.CounterVec("stabilizer_transport_zone_frames_sent_total", "Frames written, rolled up by destination peer zone and kind.", "az", "region", "kind")
-	zoneFramesRecv := m.CounterVec("stabilizer_transport_zone_frames_recv_total", "Frames read, rolled up by source peer zone and kind.", "az", "region", "kind")
-
 	// Node-level send-log occupancy and backpressure families, tagged with
 	// the local topology so multi-node registries can roll them up by
 	// AZ/region. Each gauge is one field of the log's Stats, read at
@@ -341,19 +312,17 @@ func New(cfg Config) (*Transport, error) {
 			continue
 		}
 		ps := strconv.Itoa(p)
-		tag := cfg.PeerTags[p] // zero value → blank zone labels
-		az, rg := tag.AZ, tag.Region
 		t.peers[p] = &peerInstruments{
-			bytesSent: counterPair{bytesSent.With(ps), zoneBytesSent.With(az, rg)},
-			bytesRecv: counterPair{bytesRecv.With(ps), zoneBytesRecv.With(az, rg)},
-			dataSent:  counterPair{framesSent.With(ps, "data"), zoneFramesSent.With(az, rg, "data")},
-			ackSent:   counterPair{framesSent.With(ps, "ack"), zoneFramesSent.With(az, rg, "ack")},
-			appSent:   counterPair{framesSent.With(ps, "app"), zoneFramesSent.With(az, rg, "app")},
-			hbSent:    counterPair{framesSent.With(ps, "heartbeat"), zoneFramesSent.With(az, rg, "heartbeat")},
-			dataRecv:  counterPair{framesRecv.With(ps, "data"), zoneFramesRecv.With(az, rg, "data")},
-			ackRecv:   counterPair{framesRecv.With(ps, "ack"), zoneFramesRecv.With(az, rg, "ack")},
-			appRecv:   counterPair{framesRecv.With(ps, "app"), zoneFramesRecv.With(az, rg, "app")},
-			hbRecv:    counterPair{framesRecv.With(ps, "heartbeat"), zoneFramesRecv.With(az, rg, "heartbeat")},
+			bytesSent: bytesSent.With(ps),
+			bytesRecv: bytesRecv.With(ps),
+			dataSent:  framesSent.With(ps, "data"),
+			ackSent:   framesSent.With(ps, "ack"),
+			appSent:   framesSent.With(ps, "app"),
+			hbSent:    framesSent.With(ps, "heartbeat"),
+			dataRecv:  framesRecv.With(ps, "data"),
+			ackRecv:   framesRecv.With(ps, "ack"),
+			appRecv:   framesRecv.With(ps, "app"),
+			hbRecv:    framesRecv.With(ps, "heartbeat"),
 			resent:    resent.With(ps),
 			reconn:    reconn.With(ps),
 			fdTrips:   fdTrips.With(ps),
@@ -363,7 +332,50 @@ func New(cfg Config) (*Transport, error) {
 		t.links[p] = newLink(t, p)
 		t.linkList = append(t.linkList, t.links[p])
 	}
+	t.registerZoneRollups()
 	return t, nil
+}
+
+// registerZoneRollups exposes the byte/frame families keyed by the destination
+// (or source) peer's {az,region} instead of its index, for dashboards over
+// deployments too large to chart per peer. A rollup child holds no count of
+// its own: a scrape sums the per-peer counters of the zone's peers (peers
+// without a tag roll up under blank labels), so the two families cannot
+// disagree and a counted frame is one atomic add.
+func (t *Transport) registerZoneRollups() {
+	zones := make(map[TopoTag][]*peerInstruments)
+	for p, ins := range t.peers {
+		tag := t.cfg.PeerTags[p]
+		zones[tag] = append(zones[tag], ins)
+	}
+	m := t.cfg.Metrics
+	bytesSent := m.CounterFuncVec("stabilizer_transport_zone_bytes_sent_total", "Frame bytes written, rolled up by destination peer zone.", "az", "region")
+	bytesRecv := m.CounterFuncVec("stabilizer_transport_zone_bytes_recv_total", "Frame bytes read, rolled up by source peer zone.", "az", "region")
+	framesSent := m.CounterFuncVec("stabilizer_transport_zone_frames_sent_total", "Frames written, rolled up by destination peer zone and kind.", "az", "region", "kind")
+	framesRecv := m.CounterFuncVec("stabilizer_transport_zone_frames_recv_total", "Frames read, rolled up by source peer zone and kind.", "az", "region", "kind")
+	type pick func(*peerInstruments) *metrics.Counter
+	for tag, members := range zones {
+		sum := func(of pick) func() float64 {
+			return func() float64 {
+				var s int64
+				for _, ins := range members {
+					s += of(ins).Value()
+				}
+				return float64(s)
+			}
+		}
+		az, rg := tag.AZ, tag.Region
+		bytesSent.Set(sum(func(i *peerInstruments) *metrics.Counter { return i.bytesSent }), az, rg)
+		bytesRecv.Set(sum(func(i *peerInstruments) *metrics.Counter { return i.bytesRecv }), az, rg)
+		framesSent.Set(sum(func(i *peerInstruments) *metrics.Counter { return i.dataSent }), az, rg, "data")
+		framesSent.Set(sum(func(i *peerInstruments) *metrics.Counter { return i.ackSent }), az, rg, "ack")
+		framesSent.Set(sum(func(i *peerInstruments) *metrics.Counter { return i.appSent }), az, rg, "app")
+		framesSent.Set(sum(func(i *peerInstruments) *metrics.Counter { return i.hbSent }), az, rg, "heartbeat")
+		framesRecv.Set(sum(func(i *peerInstruments) *metrics.Counter { return i.dataRecv }), az, rg, "data")
+		framesRecv.Set(sum(func(i *peerInstruments) *metrics.Counter { return i.ackRecv }), az, rg, "ack")
+		framesRecv.Set(sum(func(i *peerInstruments) *metrics.Counter { return i.appRecv }), az, rg, "app")
+		framesRecv.Set(sum(func(i *peerInstruments) *metrics.Counter { return i.hbRecv }), az, rg, "heartbeat")
+	}
 }
 
 // Start opens the listener, the accept loop, the per-peer dial loops, the
@@ -468,10 +480,10 @@ type Totals struct {
 func (t *Transport) Totals() Totals {
 	var s Totals
 	for _, ins := range t.peers {
-		s.BytesSent += ins.bytesSent.peer.Value()
-		s.BytesRecv += ins.bytesRecv.peer.Value()
-		s.DataFramesSent += ins.dataSent.peer.Value()
-		s.DataFramesRecv += ins.dataRecv.peer.Value()
+		s.BytesSent += ins.bytesSent.Value()
+		s.BytesRecv += ins.bytesRecv.Value()
+		s.DataFramesSent += ins.dataSent.Value()
+		s.DataFramesRecv += ins.dataRecv.Value()
 		s.ResentFrames += ins.resent.Value()
 		s.Reconnects += ins.reconn.Value()
 		s.FailureDetectorTrips += ins.fdTrips.Value()
@@ -524,13 +536,14 @@ func (t *Transport) acceptLoop() {
 	}
 }
 
-// countingReader counts the bytes read from an incoming connection into the
-// sending peer's counter. Who that is is not known until the Hello is
-// decoded, so the bytes read before then are held and credited by identify.
-// Only the connection's serveIncoming goroutine touches it.
+// countingReader counts the bytes read from a connection into the peer's
+// counter. On an accepted connection who that is is not known until the Hello
+// is decoded, so the bytes read before then are held and credited by
+// identify; a dialer names the peer once the handshake is done and leaves
+// what it held uncounted. One goroutine at a time touches it.
 type countingReader struct {
 	r    io.Reader
-	peer *counterPair
+	peer *metrics.Counter
 	held int64
 }
 
@@ -546,7 +559,7 @@ func (cr *countingReader) Read(p []byte) (int, error) {
 
 // identify names the peer and credits it everything read so far: the Hello
 // and whatever the first reads brought in behind it.
-func (cr *countingReader) identify(peer *counterPair) {
+func (cr *countingReader) identify(peer *metrics.Counter) {
 	cr.peer = peer
 	peer.Add(cr.held)
 }
@@ -573,7 +586,7 @@ func (t *Transport) serveIncoming(conn net.Conn) {
 	}
 	from := int(hello.From)
 	ins := t.peerIns(from)
-	cr.identify(&ins.bytesRecv)
+	cr.identify(ins.bytesRecv)
 
 	t.recvMu.Lock()
 	if old := t.incoming[from]; old != nil {
@@ -620,29 +633,19 @@ func (t *Transport) serveIncoming(conn net.Conn) {
 			ins.appRecv.Inc()
 			t.cfg.Handler.HandleApp(from, m)
 		case *wire.Heartbeat:
-			// Echo the heartbeat so the dialer can measure round-trip
-			// time. Prefer piggybacking the echo on our own outgoing link
-			// to the sender while it is draining data — that way the echo
-			// rides inside a batch write instead of stealing a wakeup.
-			// When that link is idle (or absent), fall back to a direct
-			// write on this connection; this goroutine is the
+			// Echo the heartbeat, the same frame on the connection it came
+			// in on, so the dialer measures one network round trip whatever
+			// our own link toward it is busy with. This goroutine is the
 			// connection's only writer after the HelloAck, so the write
 			// (and scratch reuse) is race-free.
 			ins.hbRecv.Inc()
-			if lk := t.links[from]; lk != nil && lk.queueEcho(m.Clock) {
-				break
-			}
 			scratch = wire.AppendFrame(scratch[:0], m)
 			if _, err := conn.Write(scratch); err != nil {
 				_ = conn.Close()
+				break
 			}
-		case *wire.HeartbeatEcho:
-			// Our heartbeat coming back piggybacked on the peer's data
-			// stream; route it to the outgoing link's RTT estimator.
-			ins.hbRecv.Inc()
-			if lk := t.links[from]; lk != nil {
-				lk.observeEcho(m.Clock)
-			}
+			ins.hbSent.Inc()
+			ins.bytesSent.Add(int64(len(scratch)))
 		case *wire.Hello, *wire.HelloAck:
 			// Unexpected mid-stream; ignore.
 		}

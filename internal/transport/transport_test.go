@@ -252,7 +252,7 @@ func TestNoDuplicateDeliveryAfterSenderReconnect(t *testing.T) {
 	_ = h.trs[0].Close()
 	tr, err := New(Config{
 		Self: 1, N: 2, Network: h.net, Handler: newRecorder(), Log: h.logs[0],
-		HeartbeatEvery: 20 * time.Millisecond, Epoch: 2,
+		HeartbeatEvery: 20 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -279,7 +279,7 @@ func TestNoDuplicateDeliveryAfterSenderReconnect(t *testing.T) {
 // tinyBatch forces multi-frame batches with a byte-budget boundary in the
 // middle of a run: 40-byte budget over 16-byte payloads cuts every batch at
 // two frames even though the frame cap allows four.
-var tinyBatch = batchLimits{maxFrames: 4, minBytes: 40, maxBytes: 40}
+var tinyBatch = batchLimits{maxFrames: 4, maxBytes: 40}
 
 // TestNoDuplicateDeliveryAfterSenderReconnectBatched is the sender-restart
 // contract under batched streaming: batch sizes > 1, a byte-budget boundary
@@ -290,10 +290,10 @@ func TestNoDuplicateDeliveryAfterSenderReconnectBatched(t *testing.T) {
 	defer net.Close()
 	sendLog := NewSendLog(1)
 	rec := newRecorder()
-	mk := func(self int, h Handler, log *SendLog, epoch uint64) *Transport {
+	mk := func(self int, h Handler, log *SendLog) *Transport {
 		tr, err := New(Config{
 			Self: self, N: 2, Network: net, Handler: h, Log: log,
-			HeartbeatEvery: 20 * time.Millisecond, Epoch: epoch, batch: tinyBatch,
+			HeartbeatEvery: 20 * time.Millisecond, batch: tinyBatch,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -303,8 +303,8 @@ func TestNoDuplicateDeliveryAfterSenderReconnectBatched(t *testing.T) {
 		}
 		return tr
 	}
-	sender := mk(1, newRecorder(), sendLog, 1)
-	receiver := mk(2, rec, NewSendLog(1), 1)
+	sender := mk(1, newRecorder(), sendLog)
+	receiver := mk(2, rec, NewSendLog(1))
 	defer receiver.Close()
 
 	payload := make([]byte, 16)
@@ -319,7 +319,7 @@ func TestNoDuplicateDeliveryAfterSenderReconnectBatched(t *testing.T) {
 
 	// Restart the sender; it resumes from what the receiver reports.
 	_ = sender.Close()
-	sender = mk(1, newRecorder(), sendLog, 2)
+	sender = mk(1, newRecorder(), sendLog)
 	defer sender.Close()
 	for i := 0; i < after; i++ {
 		if _, err := sendLog.Append(payload, 0); err != nil {

@@ -30,7 +30,6 @@ const (
 	KindAck
 	KindHeartbeat
 	KindApp
-	KindHeartbeatEcho
 )
 
 // String returns the kind's human-readable name.
@@ -48,8 +47,6 @@ func (k Kind) String() string {
 		return "heartbeat"
 	case KindApp:
 		return "app"
-	case KindHeartbeatEcho:
-		return "hbecho"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}
@@ -82,9 +79,6 @@ type Message interface {
 type Hello struct {
 	// From is the 1-based WAN node index of the dialer.
 	From uint16
-	// Epoch distinguishes successive processes at the same node; a higher
-	// epoch supersedes links from older incarnations.
-	Epoch uint64
 }
 
 // HelloAck is the accepting side's reply: it reports the highest contiguous
@@ -122,17 +116,6 @@ type Heartbeat struct {
 	Clock uint64
 }
 
-// HeartbeatEcho returns a peer's heartbeat clock to it. A heartbeat
-// received while the echoing node's own link back to the sender is busy
-// draining data is answered with this frame riding that data stream as a
-// batch trailer, instead of a competing write on the idle incoming
-// connection; the original same-connection Heartbeat echo remains the idle
-// fallback.
-type HeartbeatEcho struct {
-	// Clock is the echoed sender-local counter.
-	Clock uint64
-}
-
 // App carries an application-level request or response outside the
 // sequenced data stream (e.g. quorum read RPCs).
 type App struct {
@@ -156,7 +139,6 @@ var (
 	_ Message = (*Ack)(nil)
 	_ Message = (*Heartbeat)(nil)
 	_ Message = (*App)(nil)
-	_ Message = (*HeartbeatEcho)(nil)
 )
 
 // Kind implements Message.
@@ -177,20 +159,15 @@ func (*Heartbeat) Kind() Kind { return KindHeartbeat }
 // Kind implements Message.
 func (*App) Kind() Kind { return KindApp }
 
-// Kind implements Message.
-func (*HeartbeatEcho) Kind() Kind { return KindHeartbeatEcho }
-
 // AppendBody implements Message.
 func (m *Hello) AppendBody(buf []byte) []byte {
-	buf = appendU16(buf, m.From)
-	return appendU64(buf, m.Epoch)
+	return appendU16(buf, m.From)
 }
 
 // DecodeBody implements Message.
 func (m *Hello) DecodeBody(body []byte) error {
 	d := decoder{buf: body}
 	m.From = d.u16()
-	m.Epoch = d.u64()
 	return d.finish()
 }
 
@@ -252,18 +229,6 @@ func (m *Heartbeat) AppendBody(buf []byte) []byte {
 
 // DecodeBody implements Message.
 func (m *Heartbeat) DecodeBody(body []byte) error {
-	d := decoder{buf: body}
-	m.Clock = d.u64()
-	return d.finish()
-}
-
-// AppendBody implements Message.
-func (m *HeartbeatEcho) AppendBody(buf []byte) []byte {
-	return appendU64(buf, m.Clock)
-}
-
-// DecodeBody implements Message.
-func (m *HeartbeatEcho) DecodeBody(body []byte) error {
 	d := decoder{buf: body}
 	m.Clock = d.u64()
 	return d.finish()
@@ -352,7 +317,6 @@ type Reader struct {
 	data Data
 	ack  Ack
 	hb   Heartbeat
-	hbe  HeartbeatEcho
 }
 
 // payloadArena amortizes the per-Data-frame payload allocation: payloads
@@ -401,8 +365,8 @@ func NewReader(r io.Reader) *Reader {
 }
 
 // Next reads and decodes the next frame. The returned message is valid
-// only until the following call to Next — Data, Ack, Heartbeat and
-// HeartbeatEcho decode into Reader-owned scratch structs. Payload slices
+// only until the following call to Next — Data, Ack and Heartbeat decode
+// into Reader-owned scratch structs. Payload slices
 // (Data.Payload, App.Payload) are stable copies that remain valid
 // indefinitely; callers that need other fields past the next call must
 // copy them out.
@@ -543,8 +507,6 @@ func (r *Reader) message(k Kind) (Message, error) {
 		return &r.ack, nil
 	case KindHeartbeat:
 		return &r.hb, nil
-	case KindHeartbeatEcho:
-		return &r.hbe, nil
 	case KindApp:
 		return &App{}, nil
 	default:

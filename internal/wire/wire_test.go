@@ -26,13 +26,12 @@ func roundTrip(t *testing.T, msg Message, fresh func() Message) Message {
 
 func TestRoundTripAllKinds(t *testing.T) {
 	msgs := []Message{
-		&Hello{From: 3, Epoch: 42},
+		&Hello{From: 3},
 		&HelloAck{From: 7, LastSeq: 1 << 40},
 		&Data{Seq: 99, SentUnixNano: 123456789, Payload: []byte("payload")},
 		&Data{Seq: 1, Payload: nil},
 		&Ack{Origin: 1, By: 5, Type: 16, Seq: 77},
 		&Heartbeat{Clock: 8},
-		&HeartbeatEcho{Clock: 8},
 		&App{ID: 12, Method: 0x5152, IsResponse: true, From: 2, Payload: []byte{0, 1, 2}},
 		&App{ID: 0, Method: 1, IsResponse: false, From: 8, Payload: []byte{}},
 	}
@@ -96,11 +95,22 @@ func TestTruncatedFrame(t *testing.T) {
 	}
 }
 
+// TestUnknownKindRejected covers a kind that never existed and the retired
+// one: kind 7 was a heartbeat echo (a clock, like kind 5) until the echo
+// became the Heartbeat frame itself, and a peer still sending it is input to
+// refuse, not decode. The kinds are wire contract: six, ending at KindApp.
 func TestUnknownKindRejected(t *testing.T) {
-	frame := []byte{0, 0, 0, 2, 0xEE, 0x01}
-	r := NewReader(bytes.NewReader(frame))
-	if _, err := r.Next(); !errors.Is(err, ErrUnknownKind) {
-		t.Fatalf("err = %v, want ErrUnknownKind", err)
+	if KindApp != 6 {
+		t.Fatalf("KindApp = %d: kinds must not renumber", KindApp)
+	}
+	for _, frame := range [][]byte{
+		{0, 0, 0, 2, 0xEE, 0x01},
+		append([]byte{0, 0, 0, 9, byte(KindApp) + 1}, make([]byte, 8)...),
+	} {
+		r := NewReader(bytes.NewReader(frame))
+		if _, err := r.Next(); !errors.Is(err, ErrUnknownKind) {
+			t.Fatalf("kind %d: err = %v, want ErrUnknownKind", frame[4], err)
+		}
 	}
 }
 
@@ -266,7 +276,7 @@ func TestAppendDataFrameHeaderMatchesAppendFrame(t *testing.T) {
 }
 
 func TestKindStrings(t *testing.T) {
-	for k := KindHello; k <= KindHeartbeatEcho; k++ {
+	for k := KindHello; k <= KindApp; k++ {
 		if s := k.String(); s == "" || s[0] == 'k' {
 			t.Fatalf("kind %d has bad name %q", k, s)
 		}

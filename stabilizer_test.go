@@ -393,6 +393,12 @@ func TestReadmeListsEveryConfigField(t *testing.T) {
 	}
 	check(reflect.TypeOf(stabilizer.Config{}), "Config.")
 	t.Logf("config fields: %d settable values reachable from stabilizer.Config", settable)
+	// A value added here has to raise the ceiling in the same change, next to
+	// what it replaces.
+	const ceiling = 17
+	if settable > ceiling {
+		t.Errorf("stabilizer.Config reaches %d settable values, ceiling %d", settable, ceiling)
+	}
 }
 
 // TestNodeSurfaceDoesNotGrowUnnoticed counts the exported methods of Node,
@@ -400,7 +406,7 @@ func TestReadmeListsEveryConfigField(t *testing.T) {
 // (§III-D); a method added here has to raise the ceiling in the same change,
 // next to what it replaces.
 func TestNodeSurfaceDoesNotGrowUnnoticed(t *testing.T) {
-	const ceiling = 42
+	const ceiling = 40
 	n := reflect.TypeOf((*stabilizer.Node)(nil)).NumMethod()
 	t.Logf("node methods: %d exported", n)
 	if n > ceiling {
