@@ -32,7 +32,7 @@ func TestEveryFlagReachesTheConfig(t *testing.T) {
 		"-topology", "topo.json", "-timescale", "5",
 		"-metrics-addr", "127.0.0.1:0", "-pprof",
 		"-flow-max-bytes", "65536",
-		"-spill-dir", "/tmp/spill", "-spill-segment-bytes", "4096",
+		"-spill-dir", "/tmp/spill",
 		"-stall-deadline", "2s", "-trace-sample", "8",
 		"-adaptive-ladder", ladder, "-adaptive-key", "k", "-adaptive-target", "500ms",
 	)
@@ -60,7 +60,7 @@ func TestEveryFlagReachesTheConfig(t *testing.T) {
 	}
 	want := stabilizer.Config{
 		Flow: stabilizer.FlowConfig{
-			MaxBytes: 65536, SpillDir: "/tmp/spill", SpillSegmentBytes: 4096,
+			MaxBytes: 65536, SpillDir: "/tmp/spill",
 		},
 		Stall: stabilizer.StallConfig{Deadline: 2 * time.Second},
 		Trace: stabilizer.TraceConfig{SampleEvery: 8},

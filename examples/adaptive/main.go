@@ -92,7 +92,7 @@ func run() error {
 	}()
 	primary := nodes[0]
 
-	ctrl := primary.AdaptiveController("stable")
+	ctrl := primary.AdaptiveControllers()[0] // the one Config.Adaptive started
 	cancel := ctrl.OnTransition(func(tr stabilizer.AdaptiveTransition) {
 		fmt.Printf("  >> controller: %-4s %s -> %s (%s)\n",
 			tr.Direction, tr.FromRung.Name, tr.ToRung.Name, tr.Reason)

@@ -29,9 +29,8 @@ func spillSoakOptions(seed int64, dir string) Options {
 		Seed:  seed,
 		Kinds: kinds,
 		Cluster: core.Config{Flow: transport.FlowConfig{
-			MaxBytes:          64 << 10,
-			SpillDir:          dir,
-			SpillSegmentBytes: 64 << 10,
+			MaxBytes: 64 << 10,
+			SpillDir: dir,
 		}},
 		AutoReclaim:  true,
 		PayloadBytes: 4 << 10,

@@ -145,8 +145,8 @@ func TestStartAdaptiveLifecycle(t *testing.T) {
 	if _, err := n.StartAdaptive("stable", bad, cfg); err == nil {
 		t.Fatal("ladder with a broken rung accepted")
 	}
-	if n.AdaptiveController("stable") != nil {
-		t.Fatal("controller registered despite rung validation failure")
+	if all := n.AdaptiveControllers(); len(all) != 0 {
+		t.Fatalf("controller registered despite rung validation failure: %v", all)
 	}
 
 	ctrl, err := n.StartAdaptive("stable", ladder, cfg)
@@ -155,9 +155,6 @@ func TestStartAdaptiveLifecycle(t *testing.T) {
 	}
 	if src, err := n.PredicateSource("stable"); err != nil || src != "MIN($ALLWNODES)" {
 		t.Fatalf("rung 0 not installed: %q, %v", src, err)
-	}
-	if got := n.AdaptiveController("stable"); got != ctrl {
-		t.Fatal("AdaptiveController lookup mismatch")
 	}
 	if all := n.AdaptiveControllers(); len(all) != 1 || all[0] != ctrl {
 		t.Fatalf("AdaptiveControllers = %v", all)
@@ -215,9 +212,8 @@ func TestOpenWithAdaptiveSpec(t *testing.T) {
 	}
 	defer cl.Close()
 	for _, n := range cl.Nodes() {
-		ctrl := n.AdaptiveController("stable")
-		if ctrl == nil {
-			t.Fatalf("node %d: no adaptive controller", n.Self())
+		if all := n.AdaptiveControllers(); len(all) != 1 || all[0].Key() != "stable" {
+			t.Fatalf("node %d: adaptive controllers = %v, want one for \"stable\"", n.Self(), all)
 		}
 		if src, err := n.PredicateSource("stable"); err != nil || src != "MIN($ALLWNODES)" {
 			t.Fatalf("node %d: rung 0 not installed: %q, %v", n.Self(), src, err)

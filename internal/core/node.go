@@ -803,14 +803,6 @@ func (n *Node) StartAdaptive(key string, ladder adaptive.Ladder, cfg adaptive.Co
 	return ctrl, nil
 }
 
-// AdaptiveController returns the running controller for key, or nil when
-// none was started.
-func (n *Node) AdaptiveController(key string) *adaptive.Controller {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.adaptiveCtrls[key]
-}
-
 // AdaptiveControllers returns every running adaptive controller, sorted by
 // predicate key.
 func (n *Node) AdaptiveControllers() []*adaptive.Controller {

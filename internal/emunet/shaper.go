@@ -1,7 +1,6 @@
 package emunet
 
 import (
-	"errors"
 	"io"
 	"math/rand"
 	"net"
@@ -34,9 +33,7 @@ func ShapeSeeded(conn net.Conn, fwd, rev Link, rng *rand.Rand) net.Conn {
 	if fwd.zero() && rev.zero() {
 		// Both directions are unshaped: wrapping would only add chunk
 		// copies, two relay goroutines and a timestamp per chunk. Hand
-		// the raw connection back so unshaped fabrics keep kernel-level
-		// behavior (TCP conns stay *net.TCPConn and remain eligible for
-		// vectored writes upstream).
+		// the raw connection back.
 		return conn
 	}
 	var fr, rr *rand.Rand
@@ -266,10 +263,4 @@ func (q *timedQueue) fail(err error) {
 	q.mu.Unlock()
 	q.notEmpty.Broadcast()
 	q.notFull.Broadcast()
-}
-
-// errTimedQueueClosed reports whether err marks a poisoned queue rather
-// than transport data corruption.
-func errTimedQueueClosed(err error) bool {
-	return errors.Is(err, net.ErrClosed) || errors.Is(err, io.EOF)
 }

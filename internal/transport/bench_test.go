@@ -118,8 +118,7 @@ func benchmarkThroughput(b *testing.B, matrix *emunet.Matrix, payloadSize int, t
 }
 
 // benchmarkThroughputNet is benchmarkThroughput over an explicit fabric, so
-// the TCP variant can exercise the kernel writev path (vectored writes only
-// engage on raw *net.TCPConn).
+// the TCP variants run the same harness over kernel sockets.
 func benchmarkThroughputNet(b *testing.B, net emunet.Network, payloadSize int, trace optrace.Config) {
 	b.Helper()
 	benchmarkThroughputLog(b, net, NewSendLog(1), payloadSize, trace)
@@ -206,11 +205,17 @@ func BenchmarkStreamThroughputLocalTraceAlways(b *testing.B) {
 }
 
 // BenchmarkStreamThroughputTCP measures delivery rate over unshaped
-// loopback TCP: the only fabric whose connections reach the link as raw
-// *net.TCPConn, so this is the benchmark that exercises the vectored
-// (writev) batch path end to end.
+// loopback TCP: the link writer is the one every fabric gets, what differs
+// from Local is a system call per connection write and per read.
 func BenchmarkStreamThroughputTCP(b *testing.B) {
 	benchmarkThroughputNet(b, emunet.NewTCPNetwork(nil), 256, optrace.Config{})
+}
+
+// BenchmarkStreamThroughputTCPLarge is the TCP benchmark at the payload size
+// the paper names (8 KiB file-backup chunks, §V-A and §VI-B), where the
+// per-byte cost of the write path shows and the per-message cost does not.
+func BenchmarkStreamThroughputTCPLarge(b *testing.B) {
+	benchmarkThroughputNet(b, emunet.NewTCPNetwork(nil), 8<<10, optrace.Config{})
 }
 
 // BenchmarkStreamThroughputEmunet measures delivery rate over an

@@ -1,9 +1,7 @@
 package transport
 
 import (
-	"bufio"
 	"errors"
-	"io"
 	"math/rand"
 	"net"
 	"runtime"
@@ -11,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"stabilizer/internal/metrics"
 	"stabilizer/internal/optrace"
 	"stabilizer/internal/wire"
 )
@@ -70,28 +67,21 @@ type link struct {
 	// batch is the reusable drain buffer for TryNextBatch. Run/stream
 	// goroutine only.
 	batch []LogEntry
-	// hdrs packs the batch's per-entry Data frame headers back to back;
-	// vecs is the reusable iovec list handed to writev (header and payload
-	// alternating); ctl is the encoded control trailer (ACKs, apps,
-	// heartbeat) riding behind the batch; ackBuf backs the ACK slice
-	// takeReports hands out. Run/stream goroutine only.
-	hdrs   []byte
-	vecs   [][]byte
-	ctl    []byte
+	// out holds the frames encoded since the last connection write, data and
+	// control in wire order; ackBuf backs the ACK slice takeReports hands
+	// out. Run/stream goroutine only.
+	out    []byte
 	ackBuf []wire.Ack
 	// sent[c*N+o] is the newest value of board column c about origin o+1
 	// written on the current connection; scanned is the board version the
 	// last scan read. Run/stream goroutine only.
 	sent    []uint64
 	scanned uint64
-	// traced collects the sampled seqs of the current batch so their
-	// WireSend events can be stamped after the connection write returns.
-	// Empty whenever tracing is off or nothing in the batch was sampled.
-	// Run/stream goroutine only.
-	traced []uint64
-	// scratch is the handshake frame buffer, reused across redials.
-	// Run goroutine only.
-	scratch []byte
+	// traced collects the sampled entries encoded into out, so their WireSend
+	// events can be stamped after the connection write returns. Empty
+	// whenever tracing is off or nothing in out was sampled. Run/stream
+	// goroutine only.
+	traced []tracedSend
 	// rng drives the reconnect backoff jitter. Seeded from the link's
 	// identity so seeded chaos runs replay the same sleep sequence.
 	// Run goroutine only.
@@ -414,26 +404,24 @@ func (l *link) observeEcho(clock uint64) {
 // sampled) the stream loop must make zero clock calls.
 var nowNano = func() int64 { return time.Now().UnixNano() }
 
-// writevMinBytes is the smallest batch payload handed to the kernel as one
-// vectored write on a TCP connection. Smaller batches go through the copying
-// buffered writer, which coalesces consecutive little batches into one wire
-// write; so does every batch on a non-TCP connection (in-memory fabrics,
-// fault-injection wrappers).
-const writevMinBytes = 8 << 10
+// outFlushBytes is how much encoded output a busy link gathers before it
+// writes without waiting to go idle: enough that consecutive little batches
+// share one connection write, small enough that control waits behind at most
+// one batch and one flush of bulk data.
+const outFlushBytes = 64 << 10
 
-// stream multiplexes the send log + control outbox over an established
-// connection until it fails or the link closes. Data is written in batches:
-// a run of log entries is drained under one lock acquisition, framed, and
-// handed to the connection as one write — via writev (per-entry header and
-// payload iovecs, no payload copy) on TCP connections carrying enough
-// bytes, via one reusable frame buffer otherwise. Pending control traffic
-// (coalesced ACKs, app messages, heartbeats) rides behind each batch as
-// trailer frames in the same write; when no data is flowing, control falls
-// back to standalone buffered writes. Control is collected once per loop
-// iteration, so it waits at most one batch (batchLimits) behind bulk data —
-// that bound is the control/data fairness rule.
+// stream multiplexes the send log and the control outbox over an established
+// connection until it fails or the link closes. Every pass drains a run of
+// log entries under one lock acquisition (batchLimits) and appends their
+// frames to l.out, then appends whatever control traffic is pending (the
+// board's unsent reports, app messages, a due heartbeat) behind them. l.out
+// goes to the connection in one write when a pass finds nothing to append or
+// l.out has reached outFlushBytes. Control is collected once per pass, so it
+// waits at most one batch and one flush behind bulk data — that bound is the
+// control/data fairness rule. Nothing encoded for one connection is written
+// on its successor: l.out starts every stream empty.
 //
-// A pass that finds nothing to write goes idle in a fixed order: flush, yield,
+// A pass that finds nothing to append goes idle in a fixed order: flush, yield,
 // park. The flush comes first so no byte waits on the rest. The yield
 // (runtime.Gosched, once) happens only when the busy period's last data batch
 // held more than one entry, the mark of a producer streaming Sends: a
@@ -445,31 +433,20 @@ const writevMinBytes = 8 << 10
 // is coming that the yield could wait for, and the round through the
 // scheduler would only delay the next lone message's wake-up.
 func (l *link) stream(conn net.Conn, cursor uint64) {
-	tcp, _ := conn.(*net.TCPConn)
 	lim := l.t.cfg.batch
-	bw := bufio.NewWriterSize(conn, 64<<10)
-	var frame []byte
+	rec := l.t.cfg.Trace
+	l.out, l.traced = l.out[:0], l.traced[:0]
 	burst := false // the last data batch held more than one entry
 	for {
+		mark := len(l.out)
 		l.batch = l.t.cfg.Log.TryNextBatch(cursor, l.batch[:0], lim.maxFrames, lim.maxBytes)
-		ctl, ok := l.takeControl()
-		if !ok {
-			return
-		}
-		wrote := false
 		if n := len(l.batch); n > 0 {
-			rec := l.t.cfg.Trace
-			if rec != nil {
-				l.traced = l.traced[:0]
-			}
 			var tDrain int64
 			resends := 0
-			payloadBytes := 0
-			l.hdrs = l.hdrs[:0]
 			for i := range l.batch {
 				e := &l.batch[i]
-				l.hdrs = wire.AppendDataFrameHeader(l.hdrs, e.Seq, e.SentUnixNano, len(e.Payload))
-				payloadBytes += len(e.Payload)
+				l.out = wire.AppendDataFrameHeader(l.out, e.Seq, e.SentUnixNano, len(e.Payload))
+				l.out = append(l.out, e.Payload...)
 				if e.Seq <= l.maxDataSeq {
 					resends++
 				} else {
@@ -481,48 +458,38 @@ func (l *link) stream(conn net.Conn, cursor uint64) {
 					}
 					rec.Record(optrace.StageBatchEnqueue, l.t.cfg.Self, e.Seq, l.peer, 0, tDrain)
 					l.t.stageBatchQueue.Observe(tDrain - e.SentUnixNano)
-					l.traced = append(l.traced, e.Seq)
+					l.traced = append(l.traced, tracedSend{e.Seq, tDrain})
 				}
 			}
 			cursor = l.batch[n-1].Seq + 1
 			burst = n > 1
-			ackB, appB, hbB := l.encodeControl(&ctl)
-			var err error
-			if tcp != nil && payloadBytes >= writevMinBytes {
-				err = l.writeVectored(tcp, bw, payloadBytes)
-			} else {
-				frame, err = l.writeCopied(bw, frame)
-			}
-			if err != nil {
+			l.ins.dataSent.Add(int64(n))
+			l.ins.resent.Add(int64(resends))
+		}
+		if !l.encodeControl() {
+			return
+		}
+		busy := len(l.out) > mark
+		l.ins.bytesSent.Add(int64(len(l.out) - mark))
+		if busy && len(l.out) < outFlushBytes {
+			continue
+		}
+		if len(l.out) > 0 {
+			if _, err := conn.Write(l.out); err != nil {
 				return // the next connection resends every report
 			}
+			l.out = l.out[:0]
 			if len(l.traced) > 0 {
 				tWrite := nowNano()
-				for _, seq := range l.traced {
-					rec.Record(optrace.StageWireSend, l.t.cfg.Self, seq, l.peer, 0, tWrite)
-					l.t.stageWireSend.Observe(tWrite - tDrain)
+				for _, s := range l.traced {
+					rec.Record(optrace.StageWireSend, l.t.cfg.Self, s.seq, l.peer, 0, tWrite)
+					l.t.stageWireSend.Observe(tWrite - s.drained)
 				}
 				l.traced = l.traced[:0]
 			}
-			l.countSent(len(l.hdrs)+payloadBytes, n, l.ins.dataSent)
-			l.ins.resent.Add(int64(resends))
-			l.noteControlSent(&ctl, ackB, appB, hbB)
-			wrote = true
-		} else if ctl.any() {
-			// Idle fallback: standalone control frames through the
-			// buffered writer.
-			ackB, appB, hbB := l.encodeControl(&ctl)
-			if _, err := bw.Write(l.ctl); err != nil {
-				return
-			}
-			l.noteControlSent(&ctl, ackB, appB, hbB)
-			wrote = true
 		}
-		if wrote {
+		if busy {
 			continue
-		}
-		if err := bw.Flush(); err != nil {
-			return
 		}
 		if burst {
 			burst = false
@@ -534,135 +501,45 @@ func (l *link) stream(conn net.Conn, cursor uint64) {
 	}
 }
 
-// writeVectored hands the current batch to the kernel as one writev: the
-// headers packed in l.hdrs and each entry's payload become alternating
-// iovecs, with the control trailer as the final one. Payload bytes are
-// never copied. Any bytes still sitting in the buffered writer are flushed
-// first so frame order is preserved.
-func (l *link) writeVectored(tcp *net.TCPConn, bw *bufio.Writer, payloadBytes int) error {
-	if bw.Buffered() > 0 {
-		if err := bw.Flush(); err != nil {
-			return err
-		}
-	}
-	l.vecs = l.vecs[:0]
-	h := 0
-	for i := range l.batch {
-		e := &l.batch[i]
-		l.vecs = append(l.vecs, l.hdrs[h:h+wire.DataFrameOverhead])
-		h += wire.DataFrameOverhead
-		if len(e.Payload) > 0 {
-			l.vecs = append(l.vecs, e.Payload)
-		}
-	}
-	if len(l.ctl) > 0 {
-		l.vecs = append(l.vecs, l.ctl)
-	}
-	total := int64(len(l.hdrs) + payloadBytes + len(l.ctl))
-	bufs := net.Buffers(l.vecs)
-	n, err := bufs.WriteTo(tcp)
-	if err != nil {
-		return err
-	}
-	if n != total {
-		return io.ErrShortWrite
-	}
-	return nil
+// tracedSend is one sampled entry encoded into l.out and not yet written.
+type tracedSend struct {
+	seq     uint64
+	drained int64 // its StageBatchEnqueue stamp
 }
 
-// writeCopied encodes the current batch plus control trailer into the
-// reusable frame buffer and hands it to the buffered writer in one call, so
-// consecutive little batches coalesce into one wire write. (A slice larger
-// than the writer's buffer passes straight through to the connection.)
-func (l *link) writeCopied(bw *bufio.Writer, frame []byte) ([]byte, error) {
-	frame = frame[:0]
-	h := 0
-	for i := range l.batch {
-		frame = append(frame, l.hdrs[h:h+wire.DataFrameOverhead]...)
-		h += wire.DataFrameOverhead
-		frame = append(frame, l.batch[i].Payload...)
+// encodeControl drains the control outbox into l.out as frames — the board's
+// unsent reports, then the app messages and the heartbeat queued under mu —
+// counting each kind where it is encoded and stamping the heartbeat for RTT
+// matching. It returns false once the link is closed (the stream goroutine
+// is the only caller).
+func (l *link) encodeControl() bool {
+	acks := l.takeReports()
+	for i := range acks {
+		l.out = wire.AppendFrame(l.out, &acks[i])
 	}
-	frame = append(frame, l.ctl...)
-	_, err := bw.Write(frame)
-	return frame, err
-}
+	l.ins.ackSent.Add(int64(len(acks)))
 
-// encodeControl frames the drained control batch into l.ctl, returning the
-// per-kind byte spans (ACKs, apps, heartbeat) for metric attribution.
-func (l *link) encodeControl(c *controlBatch) (ackB, appB, hbB int) {
-	l.ctl = l.ctl[:0]
-	for i := range c.acks {
-		l.ctl = wire.AppendFrame(l.ctl, &c.acks[i])
+	l.mu.Lock()
+	if l.closed {
+		l.mu.Unlock()
+		return false
 	}
-	ackB = len(l.ctl)
-	for _, a := range c.apps {
-		l.ctl = wire.AppendFrame(l.ctl, a)
-	}
-	appB = len(l.ctl) - ackB
-	if c.hb {
-		l.ctl = wire.AppendFrame(l.ctl, &wire.Heartbeat{Clock: c.hbClock})
-	}
-	hbB = len(l.ctl) - ackB - appB
-	return ackB, appB, hbB
-}
+	apps, hb, clock := l.apps, l.hbDue, l.hbClock
+	l.apps, l.hbDue = nil, false
+	l.mu.Unlock()
 
-// noteControlSent updates the per-kind counters for a control batch that
-// reached the connection and stamps the heartbeat send time for RTT
-// matching.
-func (l *link) noteControlSent(c *controlBatch, ackB, appB, hbB int) {
-	if len(c.acks) > 0 {
-		l.countSent(ackB, len(c.acks), l.ins.ackSent)
+	for _, a := range apps {
+		l.out = wire.AppendFrame(l.out, a)
 	}
-	if len(c.apps) > 0 {
-		l.countSent(appB, len(c.apps), l.ins.appSent)
-	}
-	if c.hb {
-		l.countSent(hbB, 1, l.ins.hbSent)
+	l.ins.appSent.Add(int64(len(apps)))
+	if hb {
+		l.out = wire.AppendFrame(l.out, &wire.Heartbeat{Clock: clock})
+		l.ins.hbSent.Inc()
 		l.mu.Lock()
-		l.hbSentClock, l.hbSentAt = c.hbClock, time.Now()
+		l.hbSentClock, l.hbSentAt = clock, time.Now()
 		l.mu.Unlock()
 	}
-}
-
-// countSent records one written batch of `frames` frames totalling n bytes
-// in the per-peer byte and frame-kind counters.
-func (l *link) countSent(n, frames int, kind *metrics.Counter) {
-	l.ins.bytesSent.Add(int64(n))
-	kind.Add(int64(frames))
-}
-
-// controlBatch is what one pass of the stream loop took from the board and
-// the link's control outbox: everything that rides as trailer frames behind
-// the current data batch, or as standalone frames when the link is idle.
-type controlBatch struct {
-	acks    []wire.Ack
-	apps    []*wire.App
-	hb      bool
-	hbClock uint64
-}
-
-// any reports whether the batch carries anything to write.
-func (c *controlBatch) any() bool {
-	return len(c.acks) > 0 || len(c.apps) > 0 || c.hb
-}
-
-// takeControl drains the control outbox: the board's unsent reports, then
-// under mu the queued app messages and heartbeat. ok is false once the
-// link is closed (the stream goroutine is the only caller).
-func (l *link) takeControl() (c controlBatch, ok bool) {
-	c.acks = l.takeReports()
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return c, false
-	}
-	if len(l.apps) > 0 {
-		c.apps = l.apps
-		l.apps = nil
-	}
-	c.hb, c.hbClock = l.hbDue, l.hbClock
-	l.hbDue = false
-	return c, true
+	return true
 }
 
 // waitWork blocks until there is something to send: an app message, a

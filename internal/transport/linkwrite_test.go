@@ -1,0 +1,258 @@
+package transport
+
+import (
+	"bytes"
+	"errors"
+	"io"
+	"net"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"stabilizer/internal/emunet"
+	"stabilizer/internal/wire"
+)
+
+// hookedFabric is what both emunet fabrics offer these tests: a Network whose
+// dial path takes a ConnHook.
+type hookedFabric interface {
+	emunet.Network
+	SetConnHook(emunet.ConnHook)
+}
+
+// countedConn counts the Write calls, and the bytes they carried, of the
+// connection it wraps.
+type countedConn struct {
+	net.Conn
+	writes, bytes *atomic.Int64
+}
+
+func (c countedConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	n, err := c.Conn.Write(p)
+	c.bytes.Add(int64(n))
+	return n, err
+}
+
+// TestLinkWriteCoalescesUntilIdle pins what the link's one buffer promises on
+// every fabric: batches drained while the writer is busy share a connection
+// write, a lone message costs exactly one, and bytes_sent is what reached the
+// connection (the dialer's Hello aside, which the ledger leaves out).
+func TestLinkWriteCoalescesUntilIdle(t *testing.T) {
+	fabrics := []struct {
+		name string
+		mk   func() hookedFabric
+	}{
+		{"mem", func() hookedFabric { return emunet.NewMemNetwork(nil) }},
+		{"tcp", func() hookedFabric { return emunet.NewTCPNetwork(nil) }},
+	}
+	for _, f := range fabrics {
+		t.Run(f.name, func(t *testing.T) {
+			fabric := f.mk()
+			var writes, sent atomic.Int64
+			fabric.SetConnHook(func(from, to int, conn net.Conn) (net.Conn, error) {
+				if from == 1 && to == 2 {
+					return countedConn{conn, &writes, &sent}, nil
+				}
+				return conn, nil
+			})
+			// One entry per batch: a burst appended before the wake-up is
+			// k passes of a busy writer, not one.
+			h := startHarnessOn(t, fabric, 2, noHeartbeat, batchLimits{maxFrames: 1, maxBytes: 16 << 10})
+			parkLinks(t, h, 1)
+			delivered := func(n int) func() bool {
+				return func() bool { return len(h.recs[1].dataSeqs(1)) == n }
+			}
+
+			before := writes.Load()
+			if _, err := h.logs[0].Append([]byte("lone"), 0); err != nil {
+				t.Fatal(err)
+			}
+			h.trs[0].NotifyData()
+			waitUntil(t, 5*time.Second, delivered(1))
+			if got := writes.Load() - before; got != 1 {
+				t.Fatalf("a lone message reached the connection in %d writes, want 1", got)
+			}
+
+			const k = 32
+			before = writes.Load()
+			for i := 0; i < k; i++ {
+				if _, err := h.logs[0].Append(make([]byte, 100), 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			h.trs[0].NotifyData()
+			waitUntil(t, 5*time.Second, delivered(1+k))
+			if got := writes.Load() - before; got >= k {
+				t.Fatalf("%d one-entry batches reached the connection in %d writes, want fewer", k, got)
+			}
+
+			// Everything written has been delivered and nothing else wakes
+			// the link, so both counts are final.
+			hello := int64(len(wire.AppendFrame(nil, &wire.Hello{From: 1})))
+			if got, want := sent.Load(), h.trs[0].peers[2].bytesSent.Value()+hello; got != want {
+				t.Fatalf("connection saw %d bytes, bytes_sent plus the Hello is %d", got, want)
+			}
+		})
+	}
+}
+
+// tappedConn copies what is written to and read from the connection it wraps.
+type tappedConn struct {
+	net.Conn
+	mu            *sync.Mutex
+	written, read *bytes.Buffer
+}
+
+func (c tappedConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	c.mu.Lock()
+	c.written.Write(p[:n])
+	c.mu.Unlock()
+	return n, err
+}
+
+func (c tappedConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.mu.Lock()
+	c.read.Write(p[:n])
+	c.mu.Unlock()
+	return n, err
+}
+
+// cutConn fails the write that would take the connection past *budget more
+// bytes, after passing the bytes that fit: a connection dying inside a pass.
+// A negative budget leaves it alone.
+type cutConn struct {
+	net.Conn
+	budget *atomic.Int64
+}
+
+func (c cutConn) Write(p []byte) (int, error) {
+	left := c.budget.Load()
+	if left < 0 {
+		return c.Conn.Write(p)
+	}
+	if int64(len(p)) <= left {
+		c.budget.Add(-int64(len(p)))
+		return c.Conn.Write(p)
+	}
+	n, _ := c.Conn.Write(p[:left])
+	_ = c.Conn.Close()
+	return n, errors.New("cutConn: injected write failure")
+}
+
+// TestReconnectStartsOnAFrameBoundary kills a connection in the middle of a
+// pass's write and reads what the link puts on its successor: whole frames
+// only, data from the LastSeq+1 the peer's HelloAck named, and every report
+// on the board again. Bytes encoded for the dead connection (the rest of the
+// failed write sits in the link's buffer) must not cross over.
+func TestReconnectStartsOnAFrameBoundary(t *testing.T) {
+	fabric := emunet.NewMemNetwork(nil)
+	var (
+		dials  atomic.Int64
+		budget atomic.Int64
+		mu     sync.Mutex
+		wrote  bytes.Buffer
+		read   bytes.Buffer
+	)
+	budget.Store(-1)
+	fabric.SetConnHook(func(from, to int, conn net.Conn) (net.Conn, error) {
+		if from != 1 || to != 2 {
+			return conn, nil
+		}
+		if dials.Add(1) == 1 {
+			return cutConn{conn, &budget}, nil
+		}
+		return tappedConn{conn, &mu, &wrote, &read}, nil
+	})
+	h := startHarnessOn(t, fabric, 2, noHeartbeat, batchLimits{})
+	parkLinks(t, h, 1)
+	rec := h.recs[1]
+
+	// Two reports the first connection carries, so the second has a board to
+	// resend.
+	board := []wire.Ack{{Origin: 2, By: 1, Type: 1, Seq: 7}, {Origin: 2, By: 1, Type: 2, Seq: 9}}
+	for _, a := range board {
+		h.trs[0].QueueAck(a)
+	}
+	waitUntil(t, 5*time.Second, func() bool { return rec.maxAck(2, 1, 1) == 7 && rec.maxAck(2, 1, 2) == 9 })
+
+	// One pass of fifty 121-byte frames in one write; the connection dies
+	// sixty bytes into the eleventh.
+	const msgs, payloadLen = 50, 100
+	for i := 0; i < msgs; i++ {
+		if _, err := h.logs[0].Append(make([]byte, payloadLen), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	budget.Store(10*(wire.DataFrameOverhead+payloadLen) + 60)
+	h.trs[0].NotifyData()
+	ackCount := func() int {
+		rec.mu.Lock()
+		defer rec.mu.Unlock()
+		return len(rec.acks)
+	}
+	waitUntil(t, 10*time.Second, func() bool {
+		return len(rec.dataSeqs(1)) == msgs && ackCount() >= 2*len(board)
+	})
+	for i, s := range rec.dataSeqs(1) {
+		if s != uint64(i+1) {
+			t.Fatalf("delivery %d is seq %d: gap or duplicate across the reconnect", i, s)
+		}
+	}
+	if n := dials.Load(); n != 2 {
+		t.Fatalf("link dialed %d times, want 2", n)
+	}
+
+	mu.Lock()
+	out, in := append([]byte(nil), wrote.Bytes()...), append([]byte(nil), read.Bytes()...)
+	mu.Unlock()
+	first, err := wire.NewReader(bytes.NewReader(in)).Next()
+	if err != nil {
+		t.Fatalf("successor's first frame in: %v", err)
+	}
+	helloAck, ok := first.(*wire.HelloAck)
+	if !ok {
+		t.Fatalf("successor's first frame in is %T, want *wire.HelloAck", first)
+	}
+	t.Logf("peer held %d of %d when the link came back", helloAck.LastSeq, msgs)
+
+	r := wire.NewReader(bytes.NewReader(out))
+	if m, err := r.Next(); err != nil {
+		t.Fatalf("successor's first frame out: %v", err)
+	} else if _, ok := m.(*wire.Hello); !ok {
+		t.Fatalf("successor's first frame out is %T, want *wire.Hello", m)
+	}
+	next := helloAck.LastSeq + 1
+	resent := make(map[wire.Ack]bool)
+	for {
+		m, err := r.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("successor's bytes do not end on a frame boundary: %v", err)
+		}
+		switch m := m.(type) {
+		case *wire.Data:
+			if m.Seq != next {
+				t.Fatalf("successor carries seq %d where %d was due (LastSeq %d)", m.Seq, next, helloAck.LastSeq)
+			}
+			next++
+		case *wire.Ack:
+			resent[*m] = true
+		default:
+			t.Fatalf("successor carries an unexpected %T", m)
+		}
+	}
+	if next != msgs+1 {
+		t.Fatalf("successor's data ends at seq %d, want %d", next-1, msgs)
+	}
+	for _, a := range board {
+		if !resent[a] {
+			t.Fatalf("report %+v was not resent on the successor (carried: %v)", a, resent)
+		}
+	}
+}

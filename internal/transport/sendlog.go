@@ -52,10 +52,9 @@ type FlowConfig struct {
 	// of the spill tier; it needs MaxBytes, the spill watermark. Existing
 	// segments found at open are recovered (crash restart).
 	SpillDir string
-	// SpillSegmentBytes bounds each spill segment file's payload bytes
-	// (default 4 MiB). Smaller segments reclaim disk sooner as the peer
-	// catches up; larger ones amortize file overhead.
-	SpillSegmentBytes int64
+	// segBytes overrides spillSegmentBytes for tests that need several small
+	// segments (0 = the constant).
+	segBytes int64
 }
 
 // Enabled reports whether the byte cap is configured.

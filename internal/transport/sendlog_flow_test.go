@@ -174,7 +174,7 @@ func TestFlowHysteresis(t *testing.T) {
 // lives — a disk tier exists exactly when SpillDir is set. (A directory
 // without a byte cap is refused: TestSpillConfigValidation.)
 func TestFlowDiskTierFollowsSpillDir(t *testing.T) {
-	for _, flow := range []FlowConfig{{}, {MaxBytes: 1 << 10}, {MaxBytes: 1 << 10, SpillSegmentBytes: 512}} {
+	for _, flow := range []FlowConfig{{}, {MaxBytes: 1 << 10}, {MaxBytes: 1 << 10, segBytes: 512}} {
 		l := flowLog(t, flow)
 		if l.spill != nil {
 			t.Fatalf("%+v built a disk tier without a directory", flow)

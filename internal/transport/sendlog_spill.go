@@ -25,10 +25,11 @@ import (
 // memory) only after its file is fsynced, and successive segments are
 // contiguous by construction.
 
-// defaultSpillSegmentBytes bounds each segment file's payload when the
-// caller does not choose (4 MiB: large enough to amortize open/sync, small
-// enough that truncation reclaims disk promptly).
-const defaultSpillSegmentBytes = 4 << 20
+// spillSegmentBytes bounds each segment file's payload (4 MiB: large enough
+// to amortize open/sync, small enough that truncation reclaims disk
+// promptly). A spill pass stops at the low watermark first, so the bound
+// binds only when MaxBytes is above twice this.
+const spillSegmentBytes = 4 << 20
 
 // spillRecordOverhead is the per-record body prefix: sequence and
 // sent-timestamp, both big-endian.
@@ -93,9 +94,9 @@ func newSpillState(flow FlowConfig) (*spillState, error) {
 	if err := os.MkdirAll(flow.SpillDir, 0o755); err != nil {
 		return nil, fmt.Errorf("transport: spill dir: %w", err)
 	}
-	segBytes := flow.SpillSegmentBytes
+	segBytes := flow.segBytes
 	if segBytes <= 0 {
-		segBytes = defaultSpillSegmentBytes
+		segBytes = spillSegmentBytes
 	}
 	sp := &spillState{
 		dir:      flow.SpillDir,

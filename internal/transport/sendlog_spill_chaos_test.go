@@ -24,9 +24,9 @@ func chaosSpillPayload(seq uint64) []byte {
 // on a multi-segment chain.
 func spillChaosConfig(dir string) FlowConfig {
 	return FlowConfig{
-		MaxBytes:          4 << 10,
-		SpillDir:          dir,
-		SpillSegmentBytes: 1 << 10,
+		MaxBytes: 4 << 10,
+		SpillDir: dir,
+		segBytes: 1 << 10,
 	}
 }
 

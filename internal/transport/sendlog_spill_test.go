@@ -78,9 +78,9 @@ func TestSpillBoundedMemoryGaplessReadback(t *testing.T) {
 		capBytes   = 8 << 10
 	)
 	flow := FlowConfig{
-		MaxBytes:          capBytes,
-		SpillDir:          t.TempDir(),
-		SpillSegmentBytes: 2 << 10,
+		MaxBytes: capBytes,
+		SpillDir: t.TempDir(),
+		segBytes: 2 << 10,
 	}
 	l, err := newSendLogFlow(1, flow, 4)
 	if err != nil {
@@ -159,7 +159,7 @@ func TestSpillSingleEntryReads(t *testing.T) {
 func TestSpillTruncate(t *testing.T) {
 	const payloadLen = 64
 	dir := t.TempDir()
-	flow := FlowConfig{MaxBytes: 1 << 10, SpillDir: dir, SpillSegmentBytes: 512}
+	flow := FlowConfig{MaxBytes: 1 << 10, SpillDir: dir, segBytes: 512}
 	l, err := newSendLogFlow(1, flow, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -219,7 +219,7 @@ func TestSpillTruncate(t *testing.T) {
 func TestSpillRecovery(t *testing.T) {
 	const payloadLen = 64
 	dir := t.TempDir()
-	flow := FlowConfig{MaxBytes: 4 << 10, SpillDir: dir, SpillSegmentBytes: 1 << 10}
+	flow := FlowConfig{MaxBytes: 4 << 10, SpillDir: dir, segBytes: 1 << 10}
 	l, err := newSendLogFlow(1, flow, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -269,7 +269,7 @@ func TestSpillRecovery(t *testing.T) {
 func TestSpillRecoveryTornTail(t *testing.T) {
 	const payloadLen = 64
 	dir := t.TempDir()
-	flow := FlowConfig{MaxBytes: 1 << 10, SpillDir: dir, SpillSegmentBytes: 1 << 10}
+	flow := FlowConfig{MaxBytes: 1 << 10, SpillDir: dir, segBytes: 1 << 10}
 	l, err := newSendLogFlow(1, flow, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -316,7 +316,7 @@ func TestSpillRecoveryTornTail(t *testing.T) {
 func TestSpillRecoveryChainGap(t *testing.T) {
 	const payloadLen = 64
 	dir := t.TempDir()
-	flow := FlowConfig{MaxBytes: 1 << 10, SpillDir: dir, SpillSegmentBytes: 512}
+	flow := FlowConfig{MaxBytes: 1 << 10, SpillDir: dir, segBytes: 512}
 	l, err := newSendLogFlow(1, flow, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -470,7 +470,7 @@ func TestSpillConfigValidation(t *testing.T) {
 func TestSpillManySegmentsEpochNaming(t *testing.T) {
 	const payloadLen = 64
 	dir := t.TempDir()
-	flow := FlowConfig{MaxBytes: 512, SpillDir: dir, SpillSegmentBytes: 256}
+	flow := FlowConfig{MaxBytes: 512, SpillDir: dir, segBytes: 256}
 	l, err := newSendLogFlow(1, flow, 1)
 	if err != nil {
 		t.Fatal(err)

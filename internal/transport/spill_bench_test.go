@@ -15,9 +15,8 @@ import (
 func BenchmarkSpillWrite(b *testing.B) {
 	const payloadLen = 4096
 	l, err := newSendLogFlow(1, FlowConfig{
-		MaxBytes:          256 << 10,
-		SpillDir:          b.TempDir(),
-		SpillSegmentBytes: 4 << 20,
+		MaxBytes: 256 << 10,
+		SpillDir: b.TempDir(),
 	}, 1)
 	if err != nil {
 		b.Fatal(err)
@@ -46,9 +45,8 @@ func BenchmarkSpillWrite(b *testing.B) {
 func BenchmarkSpillReadback(b *testing.B) {
 	const payloadLen = 4096
 	l, err := newSendLogFlow(1, FlowConfig{
-		MaxBytes:          256 << 10,
-		SpillDir:          b.TempDir(),
-		SpillSegmentBytes: 4 << 20,
+		MaxBytes: 256 << 10,
+		SpillDir: b.TempDir(),
 	}, 1)
 	if err != nil {
 		b.Fatal(err)
@@ -82,9 +80,8 @@ func BenchmarkSpillReadback(b *testing.B) {
 // of the recorded StreamThroughputLocal numbers in BENCH_transport.json.
 func BenchmarkStreamThroughputSpillUntriggered(b *testing.B) {
 	l, err := newSendLogFlow(1, FlowConfig{
-		MaxBytes:          1 << 30, // the 8192-message window tops out ~2 MB
-		SpillDir:          b.TempDir(),
-		SpillSegmentBytes: 4 << 20,
+		MaxBytes: 1 << 30, // the 8192-message window tops out ~2 MB
+		SpillDir: b.TempDir(),
 	}, 1)
 	if err != nil {
 		b.Fatal(err)

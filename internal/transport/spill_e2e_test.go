@@ -51,9 +51,9 @@ func TestSpillEndToEndReconnectDrain(t *testing.T) {
 	defer net.Close()
 
 	log, err := newSendLogFlow(1, FlowConfig{
-		MaxBytes:          capBytes,
-		SpillDir:          t.TempDir(),
-		SpillSegmentBytes: 8 << 10,
+		MaxBytes: capBytes,
+		SpillDir: t.TempDir(),
+		segBytes: 8 << 10,
 	}, 2)
 	if err != nil {
 		t.Fatal(err)

@@ -76,7 +76,7 @@ func (r *recorder) maxAck(origin, by, typ int) uint64 {
 }
 
 type harness struct {
-	net  *emunet.MemNetwork
+	net  emunet.Network
 	trs  []*Transport
 	recs []*recorder
 	logs []*SendLog
@@ -92,7 +92,14 @@ func startHarness(t *testing.T, n int) *harness {
 // delivers.
 func startHarnessEvery(t *testing.T, n int, heartbeat time.Duration) *harness {
 	t.Helper()
-	h := &harness{net: emunet.NewMemNetwork(nil)}
+	return startHarnessOn(t, emunet.NewMemNetwork(nil), n, heartbeat, batchLimits{})
+}
+
+// startHarnessOn is the general form: the caller supplies the fabric (with
+// whatever ConnHook it carries) and the links' batch bound (zero = default).
+func startHarnessOn(t *testing.T, fabric emunet.Network, n int, heartbeat time.Duration, batch batchLimits) *harness {
+	t.Helper()
+	h := &harness{net: fabric}
 	for i := 1; i <= n; i++ {
 		rec := newRecorder()
 		log := NewSendLog(1)
@@ -103,6 +110,7 @@ func startHarnessEvery(t *testing.T, n int, heartbeat time.Duration) *harness {
 			Handler:        rec,
 			Log:            log,
 			HeartbeatEvery: heartbeat,
+			batch:          batch,
 		})
 		if err != nil {
 			t.Fatalf("new transport %d: %v", i, err)

@@ -275,15 +275,13 @@ func AppendFrame(buf []byte, msg Message) []byte {
 // DataFrameOverhead is the encoded size of a Data frame minus its payload:
 // the 4-byte length prefix, the kind byte, and the fixed seq + timestamp
 // fields. A Data frame on the wire is exactly a DataFrameOverhead-byte
-// header followed by the raw payload, which is what lets the transport hand
-// header and payload to the kernel as separate iovecs (writev) without ever
-// copying the payload.
+// header followed by the raw payload.
 const DataFrameOverhead = 4 + 1 + 8 + 8
 
 // AppendDataFrameHeader appends the complete frame header for a Data
 // message with a payloadLen-byte payload: the bytes such that
 // header||payload is identical to AppendFrame(nil, &Data{...}). It exists
-// so vectored writers can frame payloads in place.
+// so a writer can frame a log entry's payload without building a Data for it.
 func AppendDataFrameHeader(buf []byte, seq uint64, sentUnixNano int64, payloadLen int) []byte {
 	var b [DataFrameOverhead]byte
 	binary.BigEndian.PutUint32(b[0:4], uint32(DataFrameOverhead-4+payloadLen))

@@ -256,9 +256,9 @@ func TestReaderBufferShrinksAfterOversizeFrame(t *testing.T) {
 	}
 }
 
-// TestAppendDataFrameHeaderMatchesAppendFrame pins the vectored-write
-// invariant: a data frame header encoded standalone (for writev iovecs)
-// followed by the payload must be byte-identical to AppendFrame's output.
+// TestAppendDataFrameHeaderMatchesAppendFrame pins the link writer's
+// invariant: a data frame header encoded standalone and followed by the
+// payload must be byte-identical to AppendFrame's output.
 func TestAppendDataFrameHeaderMatchesAppendFrame(t *testing.T) {
 	payloads := [][]byte{nil, {}, []byte("x"), bytes.Repeat([]byte("ab"), 1000)}
 	for _, p := range payloads {

@@ -143,7 +143,7 @@ type (
 	AdaptiveConfig = adaptive.Config
 	// AdaptiveController is the handle for a running controller: current
 	// rung, transition history, OnTransition hook. Obtain one from
-	// Node.StartAdaptive or Node.AdaptiveController.
+	// Node.StartAdaptive or Node.AdaptiveControllers.
 	AdaptiveController = adaptive.Controller
 	// AdaptiveTransition is one recorded controller rung change.
 	AdaptiveTransition = adaptive.Transition

@@ -274,10 +274,11 @@ func TestPublicAPIAdaptive(t *testing.T) {
 		_ = net.Close()
 	})
 	n1 := cluster.Node(1)
-	ctrl := n1.AdaptiveController("stable")
-	if ctrl == nil {
-		t.Fatal("no adaptive controller on node 1")
+	ctrls := n1.AdaptiveControllers()
+	if len(ctrls) != 1 || ctrls[0].Key() != "stable" {
+		t.Fatalf("adaptive controllers on node 1 = %v, want one for \"stable\"", ctrls)
 	}
+	ctrl := ctrls[0]
 	if ctrl.RungIndex() != 0 || ctrl.Rung().Name != "all" {
 		t.Fatalf("initial rung = %d (%s)", ctrl.RungIndex(), ctrl.Rung().Name)
 	}
@@ -395,7 +396,7 @@ func TestReadmeListsEveryConfigField(t *testing.T) {
 	t.Logf("config fields: %d settable values reachable from stabilizer.Config", settable)
 	// A value added here has to raise the ceiling in the same change, next to
 	// what it replaces.
-	const ceiling = 17
+	const ceiling = 16
 	if settable > ceiling {
 		t.Errorf("stabilizer.Config reaches %d settable values, ceiling %d", settable, ceiling)
 	}
@@ -406,7 +407,7 @@ func TestReadmeListsEveryConfigField(t *testing.T) {
 // (§III-D); a method added here has to raise the ceiling in the same change,
 // next to what it replaces.
 func TestNodeSurfaceDoesNotGrowUnnoticed(t *testing.T) {
-	const ceiling = 40
+	const ceiling = 39
 	n := reflect.TypeOf((*stabilizer.Node)(nil)).NumMethod()
 	t.Logf("node methods: %d exported", n)
 	if n > ceiling {
