@@ -29,6 +29,7 @@ import (
 	"sync"
 	"time"
 
+	"stabilizer/internal/frontier"
 	"stabilizer/internal/metrics"
 )
 
@@ -279,11 +280,10 @@ type Controller struct {
 	hooks     map[int]func(Transition)
 	nextHook  int
 
-	lastChange    time.Time // last transition (hysteresis dwell anchor)
-	quietSince    time.Time // start of the current no-burn-no-stall run
-	lastFrontier  uint64
-	frontierMoved time.Time // last time the frontier was seen to move
-	seeded        bool      // first tick has primed the time anchors
+	lastChange time.Time    // last transition (hysteresis dwell anchor)
+	quietSince time.Time    // start of the current no-burn-no-stall run
+	lag        frontier.Lag // how long the frontier has sat still below the head
+	seeded     bool         // first tick has primed the time anchors
 
 	stop chan struct{}
 	done chan struct{}
@@ -470,21 +470,14 @@ func (c *Controller) Tick(now time.Time) {
 	// Stall detection: the histogram only sees frontier advances, so a
 	// pinned frontier with appends outstanding is burning even at zero
 	// sample volume.
-	frontier, ferr := c.host.StabilityFrontier(c.key)
-	head := c.host.NextSeq() // next unused; head-1 is the last appended
+	f, ferr := c.host.StabilityFrontier(c.key)
+	still := c.lag.Observe(f, c.host.NextSeq()-1, now) // NextSeq()-1 is the last appended
 	if !c.seeded {
 		c.seeded = true
-		c.lastFrontier = frontier
-		c.frontierMoved = now
 		c.lastChange = now.Add(-c.cfg.MinDwell) // first step needs no dwell
 		c.quietSince = now
 	}
-	if frontier != c.lastFrontier {
-		c.lastFrontier = frontier
-		c.frontierMoved = now
-	}
-	stalled := ferr == nil && head > frontier+1 &&
-		now.Sub(c.frontierMoved) >= c.cfg.StallAfter
+	stalled := ferr == nil && still >= c.cfg.StallAfter
 
 	reason := ""
 	switch {

@@ -263,6 +263,30 @@ func TestControllerStallStepsDownWithoutSamples(t *testing.T) {
 	}
 }
 
+// TestControllerIdleThenInFlightIsNotAStall: a quiet spell longer than
+// StallAfter does not count against the first message sent after it — the
+// stall clock restarts whenever nothing is outstanding.
+func TestControllerIdleThenInFlightIsNotAStall(t *testing.T) {
+	h := newFakeHost("stable", "MIN($ALLWNODES)")
+	c, err := StartPaused(h, "stable", testLadder(t), testConfig(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	h.set(func(f *fakeHost) { f.next = 6; f.frontier = 5 }) // everything sent is stable
+	now := time.Unix(40_000, 0)
+	for i := 0; i < 40; i++ { // 10 minutes idle, StallAfter is 45s
+		c.Tick(now)
+		now = now.Add(c.cfg.CheckEvery)
+	}
+	h.set(func(f *fakeHost) { f.next = 7 }) // one message in flight
+	c.Tick(now)
+	if c.RungIndex() != 0 || len(c.History()) != 0 {
+		t.Fatalf("one message in flight after an idle spell: rung %d, history %+v", c.RungIndex(), c.History())
+	}
+}
+
 func TestControllerRecoversAfterCooldown(t *testing.T) {
 	h := newFakeHost("stable", "MIN($ALLWNODES)")
 	c, err := StartPaused(h, "stable", testLadder(t), testConfig(), nil)

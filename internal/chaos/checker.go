@@ -358,7 +358,7 @@ func (c *Checker) CheckFrontierTruth(nodes []*core.Node, quorums map[string]int)
 			if err != nil {
 				continue
 			}
-			gt, err := sn.Eval(src)
+			gt, err := sn.EvalFor(sn.Self(), src)
 			if err != nil {
 				c.Violatef("frontier truth: node %d predicate %q unevaluable: %v", s, key, err)
 				continue

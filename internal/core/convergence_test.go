@@ -153,7 +153,7 @@ func TestEvalForTrailsByAtMostOneHeartbeat(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if own, err := origin.Eval(pred); err != nil || own != last {
+	if own, err := origin.EvalFor(origin.Self(), pred); err != nil || own != last {
 		t.Fatalf("origin's own evaluation = %d, %v; want %d", own, err, last)
 	}
 }

@@ -359,11 +359,11 @@ func TestEvalAdHocPredicate(t *testing.T) {
 	if err := sender.WaitFor(ctx, seq, "all"); err != nil {
 		t.Fatal(err)
 	}
-	got, err := sender.Eval("MAX($ALLWNODES)")
+	got, err := sender.EvalFor(sender.Self(), "MAX($ALLWNODES)")
 	if err != nil || got != seq {
 		t.Fatalf("Eval = %d, %v; want %d", got, err, seq)
 	}
-	if _, err := sender.Eval("MIN($99)"); err == nil {
+	if _, err := sender.EvalFor(sender.Self(), "MIN($99)"); err == nil {
 		t.Fatal("bad ad-hoc predicate accepted")
 	}
 }

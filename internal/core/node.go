@@ -193,12 +193,11 @@ type Node struct {
 	// copy while holding it.
 	deliverFns  cowList[DeliverFunc]
 	appFns      cowList[AppFunc]
-	peerDownFns cowList[peerHook]
-	peerUpFns   cowList[peerHook]
+	peerDownFns cowList[hook[int]]
+	peerUpFns   cowList[hook[int]]
 
 	mu            sync.Mutex
-	nextPeerHook  int
-	customByName  map[string]uint16
+	nextHook      int
 	reclaimCancel func()
 	adaptiveCtrls map[string]*adaptive.Controller
 
@@ -290,7 +289,6 @@ func openNode(cfg Config) (*Node, error) {
 		env:           env,
 		persister:     cfg.Persister,
 		metrics:       newCoreMetrics(mreg, log.NextSeq),
-		customByName:  make(map[string]uint16),
 		adaptiveCtrls: make(map[string]*adaptive.Controller),
 		trace:         optrace.New(topo.Self, cfg.Trace),
 		nowFn:         time.Now,
@@ -533,28 +531,28 @@ func (n *Node) OnApp(fn AppFunc) {
 	n.appFns.add(fn)
 }
 
-// peerHook is one OnPeerDown/OnPeerUp registration; the id makes it
+// hook is one OnPeerDown, OnPeerUp or OnStall registration; the id makes it
 // detachable via the returned cancel.
-type peerHook struct {
+type hook[A any] struct {
 	id int
-	fn func(peer int)
+	fn func(A)
 }
 
-// addPeerHook registers fn on list (peerDownFns or peerUpFns) and returns the
-// cancel that detaches it.
-func (n *Node) addPeerHook(list *cowList[peerHook], fn func(peer int)) (cancel func()) {
+// addHook registers fn on one of n's hook lists and returns the cancel that
+// detaches it (idempotent). A nil fn is ignored and gets a no-op cancel.
+func addHook[A any](n *Node, list *cowList[hook[A]], fn func(A)) (cancel func()) {
 	if fn == nil {
 		return func() {}
 	}
 	n.mu.Lock()
-	id := n.nextPeerHook
-	n.nextPeerHook++
-	list.add(peerHook{id: id, fn: fn})
+	id := n.nextHook
+	n.nextHook++
+	list.add(hook[A]{id: id, fn: fn})
 	n.mu.Unlock()
 	return func() {
 		n.mu.Lock()
 		defer n.mu.Unlock()
-		var kept []peerHook
+		var kept []hook[A]
 		for _, h := range list.load() {
 			if h.id != id {
 				kept = append(kept, h)
@@ -570,13 +568,13 @@ func (n *Node) addPeerHook(list *cowList[peerHook], fn func(peer int)) (cancel f
 // with ChangePredicate. The returned cancel detaches the callback
 // (idempotent); a nil fn is ignored and gets a no-op cancel.
 func (n *Node) OnPeerDown(fn func(peer int)) (cancel func()) {
-	return n.addPeerHook(&n.peerDownFns, fn)
+	return addHook(n, &n.peerDownFns, fn)
 }
 
 // OnPeerUp registers a callback fired when a peer is (re)heard from. The
 // returned cancel detaches it, mirroring OnPeerDown.
 func (n *Node) OnPeerUp(fn func(peer int)) (cancel func()) {
-	return n.addPeerHook(&n.peerUpFns, fn)
+	return addHook(n, &n.peerUpFns, fn)
 }
 
 // SendApp sends an out-of-band application message to one peer.
@@ -608,9 +606,6 @@ func (n *Node) RegisterStabilityType(name string) error {
 	// Completeness: the local origin trivially satisfies the new level
 	// for everything it has sent so far.
 	n.selfTable().EnsureType(id, n.topo.Self, n.log.Head())
-	n.mu.Lock()
-	n.customByName[name] = id
-	n.mu.Unlock()
 	return nil
 }
 
@@ -664,7 +659,11 @@ func (n *Node) RegisterPredicates(preds map[string]string) error {
 }
 
 // ChangePredicate swaps the predicate under key at runtime (paper
-// change_predicate, exercised by the dynamic reconfiguration experiment).
+// change_predicate, exercised by the dynamic reconfiguration experiment). What
+// a weaker predicate releases is released when it returns; what a stronger one
+// takes back is re-climbed in silence (see MonitorStabilityFrontier). It waits
+// for a frontier publication in progress, so it must not be called from a
+// MonitorStabilityFrontier or OnFrontierAdvance callback.
 func (n *Node) ChangePredicate(key, source string) error {
 	if key == ReclaimPredicateKey {
 		return fmt.Errorf("%w: %q", ErrReservedKey, key)
@@ -727,7 +726,15 @@ func (n *Node) WaitFor(ctx context.Context, seq uint64, key string) error {
 // MonitorStabilityFrontier registers fn to run with the newest frontier
 // each time the named predicate advances (paper
 // monitor_stability_frontier). Intermediate values may be skipped; an
-// upcall with sequence s implies the stability of every message ≤ s.
+// upcall with sequence s implies the stability of every message ≤ s. The
+// sequence fn hears is strictly increasing: after ChangePredicate swaps in a
+// stronger predicate the frontier may retreat, and fn hears nothing until it
+// passes the last value fn was told. fn runs on the control plane's one
+// publication path, after the WaitFor callers the advance satisfies are
+// released: keep it short, and do not call ChangePredicate or Close from it,
+// nor wait there for a lock their callers hold — an adaptive controller's
+// accessors, for one (hand off to a goroutine); registering and cancelling
+// monitors, Send and this node's reads are fine.
 func (n *Node) MonitorStabilityFrontier(key string, fn func(seq uint64)) (cancel func(), err error) {
 	return n.registry.Monitor(key, frontier.MonitorFunc(fn))
 }
@@ -742,10 +749,13 @@ func (n *Node) StabilityFrontier(key string) (uint64, error) {
 // frontier advances, with the predicate key and the old and new frontiers.
 // Unlike MonitorStabilityFrontier it covers every predicate (the reserved
 // reclaim predicate included) and reports the previous value, which is what
-// invariant checkers need to assert monotonicity. Hooks accumulate until
-// their returned cancel detaches them, and are safe to add on a live node;
-// fn runs on the control-plane recompute path, so keep it short. A nil fn
-// is ignored and gets a no-op cancel.
+// invariant checkers need to assert monotonicity: per key each call's old is
+// the previous call's new, strictly increasing, with the re-climb after a swap
+// to a stronger predicate left out. Hooks accumulate until their returned
+// cancel detaches them, and are safe to add on a live node; fn runs on the
+// control plane's publication path before waiters are released, so keep it
+// short, and like a monitor it must not call ChangePredicate or Close. A nil
+// fn is ignored and gets a no-op cancel.
 func (n *Node) OnFrontierAdvance(fn func(key string, old, new uint64)) (cancel func()) {
 	return n.registry.OnAdvance(fn)
 }
@@ -820,19 +830,13 @@ func (n *Node) AdaptiveControllers() []*adaptive.Controller {
 // over this node's lifetime (volatile: a restarted node starts from 0).
 func (n *Node) RecvLast(peer int) uint64 { return n.tr.RecvLast(peer) }
 
-// Eval compiles source against this node's topology and evaluates it once
-// against the local origin's ACK recorder, without registering anything.
-func (n *Node) Eval(source string) (uint64, error) {
-	return n.EvalFor(n.topo.Self, source)
-}
-
 // EvalFor evaluates a predicate over another origin's stream: because
 // every node's stability reports reach every node, each WAN site can
 // independently evaluate the same predicate about the same stream, and
 // "all WAN nodes reach the same conclusions eventually" (§III-A). Only the
 // origin is told at once; a report about a foreign origin rides the next
 // write on the reporter's link to this node, so the result can trail the
-// origin's own Eval by one HeartbeatEvery on an idle link. It is never
+// origin's own view by one HeartbeatEvery on an idle link. It is never
 // ahead of the truth: a late report makes a frontier weaker, not stronger.
 // The predicate is compiled ad hoc; registered predicates always concern
 // the local origin's stream.

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"stabilizer/internal/dsl"
+	"stabilizer/internal/frontier"
 	"stabilizer/internal/metrics"
 	"stabilizer/internal/optrace"
 )
@@ -49,33 +50,25 @@ type StallReport struct {
 
 // predStall is the monitor's per-predicate bookkeeping.
 type predStall struct {
-	lastFrontier uint64
-	lastChange   time.Time
-	stalled      bool
-	since        time.Time
-	blamed       []int
+	frontier.Lag
+	stalled bool
+	since   time.Time
+	blamed  []int
 	// tails holds the per-blamed-peer recorder snapshots taken at the
 	// stall (or blame-change) transition; cleared on unstall.
 	tails map[int][]optrace.Event
 }
 
-// stallHook is one OnStall registration; the id makes it detachable.
-type stallHook struct {
-	id int
-	fn func(StallReport)
-}
-
 // stallState is the node's stall-monitor state, split out of Node so the
 // hot data plane never touches it.
 type stallState struct {
-	mu         sync.Mutex
-	preds      map[string]*predStall
-	hooks      []stallHook
-	nextHookID int
-	stop       chan struct{}
-	wg         sync.WaitGroup
-	cfg        StallConfig
-	gauge      *metrics.GaugeVec // stabilizer_frontier_stalled{predicate,peer}
+	mu    sync.Mutex
+	preds map[string]*predStall
+	hooks cowList[hook[StallReport]]
+	stop  chan struct{}
+	wg    sync.WaitGroup
+	cfg   StallConfig
+	gauge *metrics.GaugeVec // stabilizer_frontier_stalled{predicate,peer}
 }
 
 // initStallState wires the stall monitor's metric families and, when a
@@ -148,26 +141,7 @@ func (n *Node) stopStallMonitor() {
 // returned cancel detaches the hook (idempotent); a nil fn is ignored and
 // gets a harmless no-op cancel.
 func (n *Node) OnStall(fn func(StallReport)) (cancel func()) {
-	if fn == nil {
-		return func() {}
-	}
-	st := n.stall
-	st.mu.Lock()
-	id := st.nextHookID
-	st.nextHookID++
-	st.hooks = append(st.hooks, stallHook{id: id, fn: fn})
-	st.mu.Unlock()
-	return func() {
-		st.mu.Lock()
-		hooks := st.hooks[:0]
-		for _, h := range st.hooks {
-			if h.id != id {
-				hooks = append(hooks, h)
-			}
-		}
-		st.hooks = hooks
-		st.mu.Unlock()
-	}
+	return addHook(n, &n.stall.hooks, fn)
 }
 
 // blamePeers names the dependent peers holding at f the frontier of a
@@ -241,24 +215,15 @@ func (n *Node) checkStalls(now time.Time) {
 		live[key] = true
 		ps := st.preds[key]
 		if ps == nil {
-			ps = &predStall{lastFrontier: f, lastChange: now}
+			ps = &predStall{}
 			st.preds[key] = ps
 		}
-		if f != ps.lastFrontier {
-			ps.lastFrontier = f
-			ps.lastChange = now
-		}
-		if f >= head {
-			// Nothing outstanding: an idle predicate is never stalled, and
-			// resetting the clock here means a later burst of sends gets a
-			// full deadline before blame.
-			ps.lastChange = now
-		}
-		lagging := f < head && now.Sub(ps.lastChange) >= st.cfg.Deadline
+		still := ps.Observe(f, head, now)
+		lagging := still >= st.cfg.Deadline // the sweep runs only with Deadline > 0
 		switch {
 		case lagging && !ps.stalled:
 			ps.stalled = true
-			ps.since = ps.lastChange
+			ps.since = now.Add(-still)
 			ps.blamed = n.blamePeers(state.Cells, f)
 			ps.tails = n.captureStallTails(ps.blamed, f)
 			for _, p := range ps.blamed {
@@ -303,12 +268,10 @@ func (n *Node) checkStalls(now time.Time) {
 		}
 		delete(st.preds, key)
 	}
-	hooks := make([]stallHook, len(st.hooks))
-	copy(hooks, st.hooks)
 	st.mu.Unlock()
 
 	for _, r := range reports {
-		for _, h := range hooks {
+		for _, h := range st.hooks.load() {
 			h.fn(r)
 		}
 	}

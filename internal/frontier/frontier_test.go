@@ -52,6 +52,14 @@ func newTestRegistry(tb testing.TB, n int) (*Registry, *Table, *Types) {
 	return reg, table, types
 }
 
+// report is the receive path in two lines: raise node's received cell and, if
+// it moved, mark the predicates reading it dirty.
+func report(reg *Registry, table *Table, node int, seq uint64) {
+	if table.Update(node, TypeReceived, seq) {
+		reg.NoteCellUpdate(node, TypeReceived)
+	}
+}
+
 // newManualRegistry is newTestRegistry without the drainer goroutine: Note*
 // only marks dirty, and the test decides when Flush runs.
 func newManualRegistry(n int) (*Registry, *Table) {
@@ -280,10 +288,10 @@ func TestRegistryRegisterChangeRemove(t *testing.T) {
 		t.Fatalf("DependsOn = %v", deps)
 	}
 
-	table.Update(1, TypeReceived, 5)
-	table.Update(2, TypeReceived, 5)
-	table.Update(3, TypeReceived, 3)
-	reg.Recompute()
+	report(reg, table, 1, 5)
+	report(reg, table, 2, 5)
+	report(reg, table, 3, 3)
+	reg.Flush()
 	if f, _ := reg.Frontier("p"); f != 3 {
 		t.Fatalf("frontier = %d, want 3", f)
 	}
@@ -333,9 +341,9 @@ func TestWaitForReleasesInOrder(t *testing.T) {
 	}
 	time.Sleep(20 * time.Millisecond) // let waiters park
 	for s := uint64(1); s <= 3; s++ {
-		table.Update(1, TypeReceived, s)
-		table.Update(2, TypeReceived, s)
-		reg.Recompute()
+		report(reg, table, 1, s)
+		report(reg, table, 2, s)
+		reg.Flush()
 		time.Sleep(10 * time.Millisecond)
 	}
 	wg.Wait()
@@ -353,8 +361,8 @@ func TestWaitForImmediateWhenSatisfied(t *testing.T) {
 	if err := reg.Register("p", "MIN($ALLWNODES)"); err != nil {
 		t.Fatal(err)
 	}
-	table.Update(1, TypeReceived, 10)
-	reg.Recompute()
+	report(reg, table, 1, 10)
+	reg.Flush()
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	if err := reg.WaitFor(ctx, 10, "p"); err != nil {
@@ -405,16 +413,16 @@ func TestMonitorFiresOnAdvanceOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	table.Update(1, TypeReceived, 5)
-	reg.Recompute() // min still 0: no fire
-	table.Update(2, TypeReceived, 3)
-	reg.Recompute() // min 3: fire
-	reg.Recompute() // unchanged: no fire
-	table.Update(2, TypeReceived, 7)
-	reg.Recompute() // min 5: fire
+	report(reg, table, 1, 5)
+	reg.Flush() // min still 0: no fire
+	report(reg, table, 2, 3)
+	reg.Flush() // min 3: fire
+	reg.Flush() // unchanged: no fire
+	report(reg, table, 2, 7)
+	reg.Flush() // min 5: fire
 	cancel()
-	table.Update(1, TypeReceived, 9)
-	reg.Recompute() // cancelled: no fire
+	report(reg, table, 1, 9)
+	reg.Flush() // cancelled: no fire
 
 	mu.Lock()
 	defer mu.Unlock()
@@ -451,11 +459,11 @@ func TestQuickFrontierMatchesOracle(t *testing.T) {
 		for _, u := range updates {
 			node := int(u.Node)%n + 1
 			seq := uint64(u.Seq)
-			table.Update(node, TypeReceived, seq)
+			report(reg, table, node, seq)
 			if seq > shadow[node-1] {
 				shadow[node-1] = seq
 			}
-			reg.Recompute()
+			reg.Flush()
 			// Oracle: k-th smallest of shadow.
 			cp := append([]uint64{}, shadow...)
 			for i := 1; i < len(cp); i++ {
@@ -489,13 +497,13 @@ func TestConcurrentUpdatesAndRecompute(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for s := uint64(1); s <= 500; s++ {
-				table.Update(node, TypeReceived, s)
-				reg.Recompute()
+				report(reg, table, node, s)
+				reg.Flush()
 			}
 		}()
 	}
 	wg.Wait()
-	reg.Recompute()
+	reg.Flush()
 	if f, _ := reg.Frontier("p"); f != 500 {
 		t.Fatalf("final frontier = %d, want 500", f)
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -37,6 +38,14 @@ type Registry struct {
 	env   dsl.Env
 	table *Table
 
+	// pub spans one whole publication: Flush and Change take it before mu,
+	// collect under mu what the frontier's move owes the outside world, drop
+	// mu and pay it out through deliver. The lock order is pub before mu,
+	// never the reverse; everything else (Note*, WaitFor, Register, Remove,
+	// OnAdvance, Monitor, the reads) takes mu alone, so a callback may call
+	// any of those, and must not call Change, Flush or Close.
+	pub sync.Mutex
+
 	mu    sync.Mutex
 	preds map[string]*predicate
 	// byCell and byNode invert each predicate's read set: byCell keys the
@@ -46,6 +55,11 @@ type Registry struct {
 	byCell map[dsl.Cell]map[*predicate]struct{}
 	byNode map[int]map[*predicate]struct{}
 	dirty  map[*predicate]struct{}
+	// observers is copy-on-write: OnAdvance, Monitor, their cancel funcs and
+	// Remove swap in a fresh slice under mu, so the snapshot a publication
+	// takes under mu stays safe to iterate after unlock.
+	observers    []observer
+	nextObserver int
 
 	// wake is the drainer's doorbell. One pending poke covers every Note*
 	// that lands before the drainer takes it: the drain that follows sees
@@ -56,7 +70,7 @@ type Registry struct {
 	done      chan struct{}
 	closeOnce sync.Once
 
-	// Instrumentation (optional; see EnableMetrics / OnAdvance).
+	// Instrumentation (optional; see EnableMetrics).
 	recomputes   *metrics.Counter
 	predEvals    *metrics.Counter
 	monitorFires *metrics.Counter
@@ -64,27 +78,17 @@ type Registry struct {
 	dirtyPreds   *metrics.Gauge
 	frontiers    *metrics.GaugeVec
 	tickDur      *metrics.Histogram
-	// onAdvance is copy-on-write: OnAdvance and its cancel funcs swap in a
-	// fresh slice under mu, so a snapshot taken under mu stays safe to
-	// iterate after unlock.
-	onAdvance     []advanceHook
-	nextAdvanceID int
-
-	// pubMu orders advance deliveries per predicate. The drain path
-	// (publish) and the swap path (Change) both fire onAdvance hooks
-	// outside mu, so two racing publishes for the same key could hand
-	// observers the same frontier twice — or an older value after a newer
-	// one. published is the high-water of values already delivered per
-	// key; pubMu stays held across the hook calls because the claim and
-	// the delivery must be atomic for the per-key stream to stay ordered.
-	pubMu     sync.Mutex
-	published map[string]uint64
 }
 
-// advanceHook is one OnAdvance registration; the id makes it detachable.
-type advanceHook struct {
-	id int
-	fn func(key string, old, new uint64)
+// observer is one OnAdvance or Monitor registration. An advance hook has no
+// key and hears every predicate before waiters are released; a monitor hears
+// its key only, after them (late). ids are registry-wide, so a cancel that
+// outlives its predicate detaches nothing else.
+type observer struct {
+	id   int
+	key  string
+	late bool
+	fn   func(key string, old, new uint64)
 }
 
 type predicate struct {
@@ -92,14 +96,17 @@ type predicate struct {
 	prog     *dsl.Program
 	cells    []dsl.Cell
 	frontier uint64
+	// delivered is the highest frontier observers have been told (the install
+	// value to begin with): never below frontier, above it only while a swap
+	// to a stronger predicate has the frontier retreated. Written under pub
+	// and mu; it goes with the predicate at Remove.
+	delivered uint64
 	// gauge is the predicate's child of the frontiers family, resolved once
 	// at install (nil with metrics off): an advance stores into it instead
 	// of looking the label up. Remove deletes the child from the family.
 	gauge *metrics.Gauge
 
-	monitors  map[int]MonitorFunc
-	nextMonID int
-	waiters   waiterHeap
+	waiters waiterHeap
 }
 
 // NewRegistry creates a predicate registry evaluating against table and
@@ -115,8 +122,8 @@ func NewRegistry(env dsl.Env, table *Table) *Registry {
 }
 
 // newRegistry builds a registry with no drainer: Note* only marks dirty and
-// nothing is evaluated until Flush or Recompute. Benchmarks use it to time
-// one drain pass in isolation.
+// nothing is evaluated until Flush. Benchmarks use it to time one drain pass
+// in isolation.
 func newRegistry(env dsl.Env, table *Table) *Registry {
 	return &Registry{
 		env:    env,
@@ -125,8 +132,6 @@ func newRegistry(env dsl.Env, table *Table) *Registry {
 		byCell: make(map[dsl.Cell]map[*predicate]struct{}),
 		byNode: make(map[int]map[*predicate]struct{}),
 		dirty:  make(map[*predicate]struct{}),
-
-		published: make(map[string]uint64),
 	}
 }
 
@@ -177,8 +182,8 @@ func (r *Registry) drainLoop() {
 
 // Close stops the drainer and performs a final drain so no dirty predicate
 // is left unevaluated. A Note* after Close still marks dirty and returns at
-// once, but nothing evaluates the mark until a Flush or Recompute. Safe to
-// call more than once.
+// once, but nothing evaluates the mark until a Flush. Safe to call more than
+// once; no callback may call it.
 func (r *Registry) Close() {
 	if r.stop != nil {
 		r.closeOnce.Do(func() {
@@ -190,33 +195,51 @@ func (r *Registry) Close() {
 }
 
 // OnAdvance adds a hook invoked with (key, old, new) after a predicate's
-// frontier moves forward — outside the registry lock, before waiters are
-// released, so latency samples exist by the time WaitFor returns. The core
-// uses it to record stability latency; invariant checkers use it to watch
-// monotonicity. Hooks run in registration order and accumulate until their
-// cancel func detaches them (cancel is idempotent). Safe to call on a live
-// registry; a nil fn returns a harmless no-op cancel.
+// frontier moves past everything the key's observers have heard — before
+// waiters are released, so latency samples exist by the time WaitFor returns.
+// Per key each call's old is the previous call's new, strictly increasing: a
+// frontier that a swap to a stronger predicate pulled back re-climbs in
+// silence. The core uses it to record stability latency; invariant checkers
+// use it to watch monotonicity. Hooks run one call at a time, in registration
+// order, and accumulate until their cancel func detaches them (cancel is
+// idempotent). fn must not call Change, Flush or Close on this registry. Safe
+// to call on a live registry; a nil fn returns a harmless no-op cancel.
 func (r *Registry) OnAdvance(fn func(key string, old, new uint64)) (cancel func()) {
 	if fn == nil {
 		return func() {}
 	}
 	r.mu.Lock()
-	id := r.nextAdvanceID
-	r.nextAdvanceID++
-	hooks := make([]advanceHook, len(r.onAdvance), len(r.onAdvance)+1)
-	copy(hooks, r.onAdvance)
-	r.onAdvance = append(hooks, advanceHook{id: id, fn: fn})
-	r.mu.Unlock()
+	defer r.mu.Unlock()
+	return r.observeLocked(observer{fn: fn})
+}
+
+// Monitor registers fn to run with key's newest frontier each time it
+// advances, after the waiters that advance satisfies are released, and returns
+// a cancel function. fn hears a strictly increasing sequence, as OnAdvance
+// hooks do, and like them runs on the stabilization drain path (or on Change's
+// caller) and must not call Change, Flush or Close on this registry; keep it
+// short or hand off to a goroutine. Remove detaches the key's monitors.
+func (r *Registry) Monitor(key string, fn MonitorFunc) (cancel func(), err error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, ok := r.preds[key]; !ok {
+		return nil, fmt.Errorf("%w: %q", ErrPredUnknown, key)
+	}
+	return r.observeLocked(observer{key: key, late: true,
+		fn: func(_ string, _, f uint64) { fn(f) }}), nil
+}
+
+// observeLocked publishes the observer list extended by o under a fresh id and
+// returns the cancel that detaches it. Caller holds mu.
+func (r *Registry) observeLocked(o observer) (cancel func()) {
+	id := r.nextObserver
+	r.nextObserver++
+	o.id = id
+	r.observers = append(slices.Clip(r.observers), o)
 	return func() {
 		r.mu.Lock()
-		hooks := make([]advanceHook, 0, len(r.onAdvance))
-		for _, h := range r.onAdvance {
-			if h.id != id {
-				hooks = append(hooks, h)
-			}
-		}
-		r.onAdvance = hooks
-		r.mu.Unlock()
+		defer r.mu.Unlock()
+		r.observers = slices.DeleteFunc(slices.Clone(r.observers), func(o observer) bool { return o.id == id })
 	}
 }
 
@@ -224,13 +247,8 @@ func (r *Registry) OnAdvance(fn func(key string, old, new uint64)) (cancel func(
 // has checked is free, mirroring the first frontier into the predicate's
 // gauge. Caller holds mu.
 func (r *Registry) installLocked(key string, prog *dsl.Program) {
-	p := &predicate{
-		key:      key,
-		prog:     prog,
-		cells:    prog.Cells(),
-		frontier: r.table.EvalLocked(prog),
-		monitors: make(map[int]MonitorFunc),
-	}
+	f := r.table.EvalLocked(prog)
+	p := &predicate{key: key, prog: prog, cells: prog.Cells(), frontier: f, delivered: f}
 	if r.frontiers != nil {
 		p.gauge = r.frontiers.With(key)
 	}
@@ -359,64 +377,43 @@ func (r *Registry) RegisterBatch(preds map[string]string) error {
 
 // Change swaps the predicate under key for a newly compiled source, at
 // runtime (paper §III-D / §VI-D dynamic reconfiguration). The frontier is
-// re-evaluated immediately, on the caller's goroutine, so callers that swap
-// to a weaker predicate observe the effect when Change returns; note that
-// switching to a stronger predicate can move the frontier backwards — the
-// paper leaves handling that gap to the application, and so do we. Pending
-// waiters stay queued and are judged against the new predicate.
+// re-evaluated immediately and published on the caller's goroutine through the
+// same deliver a drain uses, so callers that swap to a weaker predicate
+// observe the effect — waiters released, monitors fired; send-log reclaim
+// depends on that when the full set has stopped acking — when Change returns.
+// Switching to a stronger predicate can move the frontier backwards — the
+// paper leaves handling that gap to the application, and so do we: observers
+// hear nothing until it passes what they were last told. Pending waiters stay
+// queued and are judged against the new predicate. Change waits for a
+// publication in progress, so no callback may call it.
 func (r *Registry) Change(key, source string) error {
 	prog, err := dsl.Compile(source, r.env)
 	if err != nil {
 		return fmt.Errorf("change predicate %q: %w", key, err)
 	}
+	r.pub.Lock()
+	defer r.pub.Unlock()
 	r.mu.Lock()
 	p, ok := r.preds[key]
 	if !ok {
 		r.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrPredUnknown, key)
 	}
-	old := p.frontier
 	r.unindexLocked(p)
 	p.prog = prog
 	p.cells = prog.Cells()
 	r.indexLocked(p)
-	p.frontier = r.table.EvalLocked(prog)
-	newF, gauge := p.frontier, p.gauge
-	released := p.releaseWaitersLocked()
-	hooks := r.onAdvance
-	// A swap to a weaker predicate can advance the frontier immediately;
-	// monitors must hear about it just like a drain advance, or state
-	// keyed to the frontier (send-log reclaim, most importantly) would wait
-	// for an ACK that may never come — e.g. the degraded-mode fallback that
-	// swaps reclaim to a majority predicate precisely because the full set
-	// has stopped acking.
-	var fns []MonitorFunc
-	if newF > old && len(p.monitors) > 0 {
-		fns = make([]MonitorFunc, 0, len(p.monitors))
-		for _, fn := range p.monitors {
-			fns = append(fns, fn)
-		}
-	}
+	w := publication{observers: r.observers}
+	w.move(p, r.table.EvalLocked(prog))
 	r.mu.Unlock()
-	if newF > old {
-		r.publishAdvance(advance{key: key, gauge: gauge, old: old, new: newF}, hooks)
-	} else {
-		setFrontierGauge(gauge, newF)
-	}
-	r.addWaiters(-len(released))
-	releaseAll(released)
-	for _, fn := range fns {
-		fn(newF)
-	}
-	if len(fns) > 0 && r.monitorFires != nil {
-		r.monitorFires.Add(int64(len(fns)))
-	}
+	r.deliver(w)
 	return nil
 }
 
-// Remove deletes the predicate under key. Pending waiters are released
-// with no error — callers that need stricter semantics should not remove
-// predicates with active waiters.
+// Remove deletes the predicate under key and detaches its monitors. Pending
+// waiters are released with no error — callers that need stricter semantics
+// should not remove predicates with active waiters. A later Register under
+// the same key starts a fresh event stream.
 func (r *Registry) Remove(key string) error {
 	r.mu.Lock()
 	p, ok := r.preds[key]
@@ -426,22 +423,18 @@ func (r *Registry) Remove(key string) error {
 	}
 	delete(r.preds, key)
 	r.unindexLocked(p)
-	released := make([]chan struct{}, 0, p.waiters.Len())
+	r.observers = slices.DeleteFunc(slices.Clone(r.observers), func(o observer) bool { return o.late && o.key == key })
+	released := p.waiters.Len()
 	for _, w := range p.waiters {
 		w.idx = -1
-		released = append(released, w.done)
+		close(w.done)
 	}
 	p.waiters = nil
 	r.mu.Unlock()
 	if r.frontiers != nil {
 		r.frontiers.Delete(key)
 	}
-	// A later Register under the same key starts a fresh event stream.
-	r.pubMu.Lock()
-	delete(r.published, key)
-	r.pubMu.Unlock()
-	r.addWaiters(-len(released))
-	releaseAll(released)
+	r.addWaiters(-released)
 	return nil
 }
 
@@ -583,28 +576,6 @@ func (r *Registry) detachWaiter(p *predicate, w *waiter) {
 	r.mu.Unlock()
 }
 
-// Monitor registers fn to run each time key's frontier advances, and
-// returns a cancel function. fn runs on the stabilization drain path; keep
-// it short or hand off to a goroutine.
-func (r *Registry) Monitor(key string, fn MonitorFunc) (cancel func(), err error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	p, ok := r.preds[key]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrPredUnknown, key)
-	}
-	id := p.nextMonID
-	p.nextMonID++
-	p.monitors[id] = fn
-	return func() {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		if p2, ok := r.preds[key]; ok {
-			delete(p2.monitors, id)
-		}
-	}, nil
-}
-
 // NoteCellUpdate records that recorder cell (node, typ) advanced: every
 // predicate reading that cell is marked dirty and the drainer is woken.
 func (r *Registry) NoteCellUpdate(node int, typ uint16) {
@@ -646,146 +617,109 @@ func (r *Registry) wakeLocked() {
 	}
 }
 
-// Recompute re-evaluates every registered predicate against the current
-// ACK recorder state, regardless of dirtiness — the full pass older callers
-// and crash-recovery paths rely on (e.g. after Table.Restore, which bypasses
-// the Note* hooks).
-func (r *Registry) Recompute() {
-	r.mu.Lock()
-	for _, p := range r.preds {
-		r.dirty[p] = struct{}{}
-	}
-	work, hooks := r.drainLocked()
-	r.mu.Unlock()
-	r.publish(work, hooks)
-}
-
-// Flush drains the dirty set now: every dirty predicate is re-evaluated,
-// satisfied waiters released and monitors fired. The drainer calls this
-// once per wakeup; Close and tests call it to drain synchronously.
+// Flush drains the dirty set now: every dirty predicate is re-evaluated and
+// what advanced is published through deliver. The drainer calls this once per
+// wakeup; Close and tests call it to drain synchronously. No callback may call
+// it: it waits for the publication the callback is running in.
 func (r *Registry) Flush() {
+	r.pub.Lock()
+	defer r.pub.Unlock()
 	r.mu.Lock()
-	work, hooks := r.drainLocked()
+	evals := len(r.dirty)
+	if evals == 0 {
+		r.mu.Unlock()
+		return
+	}
+	var start time.Time
+	if r.tickDur != nil {
+		start = time.Now()
+	}
+	w := publication{observers: r.observers}
+	for p := range r.dirty {
+		delete(r.dirty, p)
+		if f := r.table.EvalLocked(p.prog); f > p.frontier {
+			w.move(p, f)
+		}
+	}
 	r.mu.Unlock()
-	r.publish(work, hooks)
+	if r.tickDur != nil {
+		r.tickDur.Observe(int64(time.Since(start)))
+	}
+	if r.recomputes != nil {
+		r.recomputes.Inc()
+	}
+	if r.predEvals != nil {
+		r.predEvals.Add(int64(evals))
+	}
+	if r.dirtyPreds != nil {
+		r.dirtyPreds.Set(0)
+	}
+	r.deliver(w)
 }
 
-type firing struct {
-	fns      []MonitorFunc
-	frontier uint64
+// publication is what one Flush or Change collected under mu and owes the
+// world outside it; deliver pays it out.
+type publication struct {
+	advances  []advance
+	released  []chan struct{}
+	observers []observer
 }
 
+// advance is one predicate's move to frontier new, the gauge's next value. old
+// is the highest frontier its observers have been told, and they hear the move
+// only when new passes it: not when the frontier retreated, nor while it
+// re-climbs ground already delivered.
 type advance struct {
 	key      string
 	gauge    *metrics.Gauge
 	old, new uint64
 }
 
-// flushWork is everything a drain produced under mu that must be published
-// outside it: gauge moves and advance hooks first, then waiter releases,
-// then monitor fires — so latency observers run before WaitFor returns.
-type flushWork struct {
-	advances []advance
-	released []chan struct{}
-	firings  []firing
-	evals    int
-	took     time.Duration
+// move sets p's frontier to f and collects what that owes: the advance, and
+// the waiters f satisfies. Caller holds pub and mu.
+func (w *publication) move(p *predicate, f uint64) {
+	w.advances = append(w.advances, advance{key: p.key, gauge: p.gauge, old: p.delivered, new: f})
+	p.frontier = f
+	if f > p.delivered {
+		p.delivered = f
+	}
+	w.released = append(w.released, p.releaseWaitersLocked()...)
 }
 
-// drainLocked evaluates and clears the dirty set. Caller holds mu.
-func (r *Registry) drainLocked() (flushWork, []advanceHook) {
-	var work flushWork
-	if len(r.dirty) == 0 {
-		return work, nil
+// deliver is the registry's one way out: gauge moves and advance hooks first,
+// then waiter releases — so latency observers have run by the time a WaitFor
+// caller resumes — then monitors, so send-log reclaim stays behind the release
+// of the waiters it frees entries for. Caller holds pub and not mu; pub is
+// what makes each key's stream ordered across drains and swaps.
+func (r *Registry) deliver(w publication) {
+	for _, a := range w.advances {
+		setFrontierGauge(a.gauge, a.new)
+		a.notify(w.observers, false)
 	}
-	var start time.Time
-	if r.tickDur != nil {
-		start = time.Now()
+	r.addWaiters(-len(w.released))
+	releaseAll(w.released)
+	fires := 0
+	for _, a := range w.advances {
+		fires += a.notify(w.observers, true)
 	}
-	hooks := r.onAdvance
-	for p := range r.dirty {
-		delete(r.dirty, p)
-		work.evals++
-		f := r.table.EvalLocked(p.prog)
-		if f <= p.frontier {
-			continue
-		}
-		work.advances = append(work.advances, advance{key: p.key, gauge: p.gauge, old: p.frontier, new: f})
-		p.frontier = f
-		work.released = append(work.released, p.releaseWaitersLocked()...)
-		if len(p.monitors) > 0 {
-			fns := make([]MonitorFunc, 0, len(p.monitors))
-			for _, fn := range p.monitors {
-				fns = append(fns, fn)
-			}
-			work.firings = append(work.firings, firing{fns: fns, frontier: f})
-		}
-	}
-	if r.tickDur != nil {
-		work.took = time.Since(start)
-	}
-	return work, hooks
-}
-
-// publish applies a drain's effects outside the registry lock.
-func (r *Registry) publish(work flushWork, hooks []advanceHook) {
-	if work.evals == 0 {
-		return
-	}
-	if r.recomputes != nil {
-		r.recomputes.Inc()
-	}
-	if r.predEvals != nil {
-		r.predEvals.Add(int64(work.evals))
-	}
-	if r.dirtyPreds != nil {
-		r.dirtyPreds.Set(0)
-	}
-	if r.tickDur != nil {
-		r.tickDur.Observe(int64(work.took))
-	}
-	// The advance hook runs before waiters are released so observers (the
-	// core's stability-latency samples) are recorded by the time a WaitFor
-	// caller resumes.
-	for _, a := range work.advances {
-		r.publishAdvance(a, hooks)
-	}
-	r.addWaiters(-len(work.released))
-	releaseAll(work.released)
-	for _, f := range work.firings {
-		for _, fn := range f.fns {
-			fn(f.frontier)
-		}
-		if r.monitorFires != nil {
-			r.monitorFires.Add(int64(len(f.fns)))
-		}
+	if fires > 0 && r.monitorFires != nil {
+		r.monitorFires.Add(int64(fires))
 	}
 }
 
-// publishAdvance delivers one frontier advance to the gauge and the
-// onAdvance hooks, in strictly increasing per-key order. Both publish
-// paths — drain and swap — run outside mu, so without this guard two
-// concurrent publishes could deliver the same value twice or out of
-// order. Advances at or below the published high-water are dropped:
-// after a swap to a stronger predicate legally retreats the frontier,
-// the re-climb back to ground already covered stays silent, so latency
-// observers never sample the same sequence twice and the per-key event
-// stream stays monotonic. Hooks must not re-enter the registry's
-// publish paths (they already must not: they run under drains).
-func (r *Registry) publishAdvance(a advance, hooks []advanceHook) {
-	r.pubMu.Lock()
-	defer r.pubMu.Unlock()
-	if last, seen := r.published[a.key]; seen {
-		if a.new <= last {
-			return
+// notify tells a to the advance hooks (late false) or to its key's monitors
+// (late true) and returns how many it called.
+func (a advance) notify(observers []observer, late bool) (called int) {
+	if a.new <= a.old {
+		return 0
+	}
+	for _, o := range observers {
+		if o.late == late && (!late || o.key == a.key) {
+			o.fn(a.key, a.old, a.new)
+			called++
 		}
-		a.old = last
 	}
-	r.published[a.key] = a.new
-	setFrontierGauge(a.gauge, a.new)
-	for _, h := range hooks {
-		h.fn(a.key, a.old, a.new)
-	}
+	return called
 }
 
 // releaseWaitersLocked pops and returns the done channels of waiters

@@ -441,7 +441,7 @@ func TestConcurrentWaitCancelChangeProperty(t *testing.T) {
 			}
 		}()
 		updWg.Wait()
-		reg.Recompute()
+		reg.Flush()
 		frontier, err := reg.Frontier("p")
 		if err != nil {
 			t.Fatal(err)
@@ -533,7 +533,7 @@ func TestFrontierGaugeFollowsItsPredicate(t *testing.T) {
 	if err := reg.Remove("p"); err != nil {
 		t.Fatal(err)
 	}
-	reg.publishAdvance(stale, nil) // a drain that lost the race with Remove
+	reg.deliver(publication{advances: []advance{stale}}) // a drain that lost the race with Remove
 	if v, ok := series(); ok {
 		t.Fatalf("gauge survived Remove with value %v", v)
 	}
@@ -541,4 +541,169 @@ func TestFrontierGaugeFollowsItsPredicate(t *testing.T) {
 		t.Fatal(err)
 	}
 	want(2, "after re-registering")
+}
+
+// TestSwapVsDrainMonitorOrder: a swap to a weaker predicate that lands while a
+// drain's monitor call is still running publishes after it, not around it, so
+// the monitor never hears the frontier go backwards.
+func TestSwapVsDrainMonitorOrder(t *testing.T) {
+	reg, table := newManualRegistry(2)
+	if err := reg.Register("p", "MIN($ALLWNODES)"); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var heard []uint64
+	parked, entered, gate := false, make(chan struct{}), make(chan struct{})
+	if _, err := reg.Monitor("p", func(f uint64) {
+		mu.Lock()
+		first := !parked
+		parked = true
+		mu.Unlock()
+		if first {
+			close(entered)
+			<-gate
+		}
+		mu.Lock()
+		heard = append(heard, f)
+		mu.Unlock()
+	}); err != nil {
+		t.Fatal(err)
+	}
+	report(reg, table, 1, 15)
+	report(reg, table, 2, 10)
+	drained, swapped := make(chan struct{}), make(chan struct{})
+	go func() {
+		reg.Flush()
+		close(drained)
+	}()
+	<-entered // the drain is inside its firing of 10
+	var swapErr error
+	go func() {
+		swapErr = reg.Change("p", "MAX($ALLWNODES)")
+		close(swapped)
+	}()
+	// The swap has to wait for the drain; a registry that lets it through gets
+	// the time to fire 15 first.
+	select {
+	case <-swapped:
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(gate)
+	<-drained
+	<-swapped
+	if swapErr != nil {
+		t.Fatal(swapErr)
+	}
+	if len(heard) != 2 || heard[0] != 10 || heard[1] != 15 {
+		t.Fatalf("monitor heard %v, want [10 15]", heard)
+	}
+}
+
+// TestFreshStreamAfterRemoveAndRegister: what was delivered about a predicate
+// goes with it at Remove, even when a drain that lost the race with Remove
+// delivers afterwards; the key's next predicate is heard from its first advance.
+func TestFreshStreamAfterRemoveAndRegister(t *testing.T) {
+	reg, table := newManualRegistry(2)
+	table.Update(1, TypeReceived, 3)
+	table.Update(2, TypeReceived, 1)
+	if err := reg.Register("p", "MIN($ALLWNODES)"); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Remove("p"); err != nil {
+		t.Fatal(err)
+	}
+	reg.deliver(publication{advances: []advance{{key: "p", old: 1, new: 4}}}) // collected before the Remove
+	if err := reg.Register("p", "MIN($ALLWNODES)"); err != nil {
+		t.Fatal(err)
+	}
+	var heard []uint64
+	reg.OnAdvance(func(_ string, _, new uint64) { heard = append(heard, new) })
+	report(reg, table, 2, 3)
+	reg.Flush()
+	if len(heard) != 1 || heard[0] != 3 {
+		t.Fatalf("heard %v, want [3]", heard)
+	}
+}
+
+// TestStaleCancelLeavesNewMonitorAttached: the cancel of a monitor that went
+// with its predicate at Remove detaches nothing from the key's next predicate.
+func TestStaleCancelLeavesNewMonitorAttached(t *testing.T) {
+	reg, table := newManualRegistry(1)
+	if err := reg.Register("p", "MIN($ALLWNODES)"); err != nil {
+		t.Fatal(err)
+	}
+	staleCancel, err := reg.Monitor("p", func(uint64) { t.Error("a removed predicate's monitor fired") })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Remove("p"); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Register("p", "MIN($ALLWNODES)"); err != nil {
+		t.Fatal(err)
+	}
+	fired := 0
+	if _, err := reg.Monitor("p", func(uint64) { fired++ }); err != nil {
+		t.Fatal(err)
+	}
+	staleCancel()
+	report(reg, table, 1, 1)
+	reg.Flush()
+	if fired != 1 {
+		t.Fatalf("fired %d times, want 1", fired)
+	}
+}
+
+// TestObserverChainsKeepOrderAcrossRacingChangeAndFlush: with 200 drains racing
+// 200 swaps between a weak and a strong predicate, a hook and a monitor on the
+// key hear the same strictly increasing chain — each old is the previous new,
+// no gap, no repeat, nothing from the re-climbs. The callbacks append without a
+// lock: under -race that is the check that they run one at a time.
+func TestObserverChainsKeepOrderAcrossRacingChangeAndFlush(t *testing.T) {
+	const rounds = 200
+	reg, table := newManualRegistry(2)
+	if err := reg.Register("p", "MIN($ALLWNODES)"); err != nil {
+		t.Fatal(err)
+	}
+	type step struct{ old, new uint64 }
+	var hook []step
+	var monitor []uint64
+	reg.OnAdvance(func(_ string, old, new uint64) { hook = append(hook, step{old, new}) })
+	if _, err := reg.Monitor("p", func(f uint64) { monitor = append(monitor, f) }); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for s := uint64(1); s <= rounds; s++ {
+			report(reg, table, 1, 2*s) // node 1 runs ahead, so MAX and MIN differ
+			report(reg, table, 2, s)
+			reg.Flush()
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		srcs := []string{"MAX($ALLWNODES)", "MIN($ALLWNODES)"}
+		for i := 0; i < rounds; i++ {
+			if err := reg.Change("p", srcs[i%2]); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	if len(hook) == 0 || len(hook) != len(monitor) {
+		t.Fatalf("hook heard %d advances, monitor %d", len(hook), len(monitor))
+	}
+	last := uint64(0)
+	for i, s := range hook {
+		if s.old != last || s.new <= s.old {
+			t.Fatalf("hook call %d is %d→%d after %d", i, s.old, s.new, last)
+		}
+		if monitor[i] != s.new {
+			t.Fatalf("monitor call %d heard %d, the hook %d", i, monitor[i], s.new)
+		}
+		last = s.new
+	}
 }
