@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race deflake loc check-benchmark examples chaos chaos-flow chaos-spill chaos-adaptive bench bench-transport bench-transport-short bench-recvrun fuzz-dsl fuzz-segment
+.PHONY: check vet build test race deflake loc check-benchmark examples chaos chaos-flow chaos-spill chaos-adaptive bench bench-transport bench-transport-short bench-recvrun fuzz-dsl fuzz-segment fuzz-wire
 
 check: vet build race check-benchmark
 
@@ -131,3 +131,10 @@ fuzz-segment:
 # depends on.
 fuzz-dsl:
 	$(GO) test -fuzz=FuzzCompileEval -fuzztime=30s -run=^$$ ./internal/dsl
+
+# fuzz-wire runs the frame reader fuzzer for a bounded session: under any
+# read-cut pattern an arbitrary stream decodes as it does in one read, and
+# every payload the reader lent from its read chunk is intact once the
+# stream has drained — the contract that lets payloads skip the copy.
+fuzz-wire:
+	$(GO) test -fuzz=FuzzReaderCuts -fuzztime=30s -run=^$$ ./internal/wire

@@ -53,8 +53,11 @@ type Message struct {
 	Origin int
 	// Seq is the origin-assigned sequence number.
 	Seq uint64
-	// Payload is the application data. The slice is owned by the
-	// receiver and may be retained.
+	// Payload is the application data. On a receiver it lives in the
+	// connection's read chunk: it stays valid indefinitely, is never
+	// written again by the library, and has no spare capacity, so an
+	// append copies. Retaining it pins at most one chunk (64 KiB, or the
+	// frame if larger); copy a small payload kept for long.
 	Payload []byte
 	// SentAt is the origin's send timestamp.
 	SentAt time.Time

@@ -178,7 +178,7 @@ func (b *Broker) PublishTopic(topic string, payload []byte) (uint64, error) {
 		Topic:   topic,
 		Origin:  b.self,
 		Seq:     seq,
-		Payload: append([]byte{}, payload...),
+		Payload: payload,
 		SentAt:  time.Now(),
 	})
 	return seq, nil
@@ -311,11 +311,14 @@ func (b *Broker) Node() *core.Node { return b.node }
 
 // --- internals ---
 
-// retain appends m to its topic's retained ring.
+// retain appends m to its topic's retained ring, with a copy of its payload:
+// the caller's buffer on publish, a connection's 64 KiB read chunk on
+// delivery — which a ring entry would otherwise pin for as long as it stays.
 func (b *Broker) retain(m Message) {
 	if b.retention == 0 {
 		return
 	}
+	m.Payload = append([]byte{}, m.Payload...)
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	st := b.topic(m.Topic)

@@ -153,6 +153,42 @@ func TestRetentionReplaysBacklog(t *testing.T) {
 	}
 }
 
+// TestRetainedPayloadIsACopy: a delivered payload lives in the connection's
+// read chunk, so the retention ring keeps a copy — an entry must not pin the
+// chunk, nor see a subscriber's writes to the message it was handed.
+func TestRetainedPayloadIsACopy(t *testing.T) {
+	c := startBrokersWithOpts(t, 2, WithRetention(1))
+	pub, sub := c.brokers[0], c.brokers[1]
+	delivered := make(chan []byte, 1)
+	sub.Subscribe(func(m Message) { delivered <- m.Payload })
+	waitActive(t, pub, 1)
+	if _, err := pub.Publish([]byte("tail")); err != nil {
+		t.Fatal(err)
+	}
+	var live []byte
+	select {
+	case live = <-delivered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("message never delivered")
+	}
+	var kept []byte
+	sub.Subscribe(func(m Message) {
+		if m.Replayed {
+			kept = m.Payload
+		}
+	})
+	if string(kept) != "tail" {
+		t.Fatalf("replayed %q, want %q", kept, "tail")
+	}
+	if &kept[0] == &live[0] {
+		t.Fatal("retained payload shares the delivered message's backing memory")
+	}
+	live[0] = 'X'
+	if string(kept) != "tail" {
+		t.Fatalf("a write to the delivered payload reached the retained one: %q", kept)
+	}
+}
+
 func TestRetentionDisabledByDefault(t *testing.T) {
 	c := startBrokers(t, 2)
 	if _, err := c.brokers[0].Publish([]byte("gone")); err != nil {

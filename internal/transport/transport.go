@@ -24,7 +24,9 @@ type Handler interface {
 	// from. Duplicates are filtered by the transport; sequence numbers
 	// are strictly increasing per peer. The Data struct is transport-owned
 	// scratch valid only for the duration of the call — retain d.Payload
-	// (which is freshly allocated per frame) rather than d itself.
+	// rather than d itself. The payload lives in the connection's read
+	// chunk: it stays valid indefinitely, is never written again, and
+	// retaining it pins at most one chunk (wire.Reader.Next).
 	HandleData(from int, d *wire.Data)
 	// HandleAck delivers one monotonic stability report. Like Data, the
 	// struct is only valid during the call.
@@ -45,8 +47,9 @@ type Handler interface {
 // one frame, strictly increasing sequences, duplicates filtered. A handler
 // that implements it receives every data frame through HandleDataRun and
 // none through HandleData; the slice and its structs are transport-owned
-// scratch valid only for the duration of the call (payloads may be retained,
-// as with HandleData).
+// scratch valid only for the duration of the call. Payloads are not: each
+// lives in the connection's read chunk, stays valid indefinitely, is never
+// written again, and retaining it pins at most one chunk, as with HandleData.
 type RunHandler interface {
 	HandleDataRun(from int, run []wire.Data)
 }

@@ -57,6 +57,12 @@ func BenchmarkDecodeData1K(b *testing.B) {
 	benchmarkDecode(b, &Data{Seq: 42, SentUnixNano: 1700000000, Payload: make([]byte, 1024)})
 }
 
+// BenchmarkDecodeData8K decodes the paper's payload, the 8 KiB backup chunk
+// (§VI-B): a read chunk lends seven payloads before the next is made.
+func BenchmarkDecodeData8K(b *testing.B) {
+	benchmarkDecode(b, &Data{Seq: 42, SentUnixNano: 1700000000, Payload: make([]byte, 8<<10)})
+}
+
 func BenchmarkDecodeData64(b *testing.B) {
 	benchmarkDecode(b, &Data{Seq: 42, SentUnixNano: 1700000000, Payload: make([]byte, 64)})
 }

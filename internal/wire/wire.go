@@ -12,7 +12,6 @@
 package wire
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -298,17 +297,24 @@ func WriteFrame(w io.Writer, msg Message) error {
 	return err
 }
 
-// Reader decodes a stream of frames. It owns an internal buffered reader;
-// do not read from the underlying stream while a Reader is attached.
+// Reader decodes a stream of frames. The stream is read straight into one
+// read chunk and every frame is decoded where it landed; do not read from
+// the underlying stream while a Reader is attached.
 //
-// Readers are zero-allocation on the hot path: frame bodies are read into
-// an internal buffer reused across calls, and the high-rate message kinds
-// (Data, Ack, Heartbeat) are decoded into Reader-owned scratch structs.
+// A Data payload is not copied out: it is a full-capacity sub-slice of the
+// chunk it arrived in. A chunk that has lent a payload is never written
+// again below w; when the undecoded tail needs more room than the chunk has
+// left, the tail moves to a fresh chunk and the old one is left to the
+// payloads that still hold it. A chunk that lent nothing (a handshake, a
+// heartbeat-echo or ACK-only stream) is compacted and reused in place. The
+// high-rate message kinds (Data, Ack, Heartbeat) decode into Reader-owned
+// scratch structs.
 type Reader struct {
-	br    *bufio.Reader
-	hdr   [4]byte // length-prefix scratch, kept here so it never escapes
-	buf   []byte  // reusable frame-body buffer (slow path: oversized frames)
-	arena payloadArena
+	src  io.Reader
+	buf  []byte // the read chunk; buf[r:w] is read but not yet decoded
+	r, w int
+	lent bool  // a payload aliases buf: nothing below w is written again
+	err  error // the stream's read error, reported once buf[r:w] runs short
 
 	// Scratch messages for the hot-path kinds; handed out by Next and
 	// overwritten by the following call.
@@ -317,154 +323,115 @@ type Reader struct {
 	hb   Heartbeat
 }
 
-// payloadArena amortizes the per-Data-frame payload allocation: payloads
-// are carved from shared slab chunks instead of individually heap
-// allocated. A carved payload stays valid indefinitely (it is never reused
-// — a full chunk is simply abandoned to the collector), at the cost that a
-// long-retained payload pins its whole chunk; payloads big enough to make
-// that waste matter are allocated exactly instead.
-type payloadArena struct {
-	buf []byte
-}
+// readChunk is the size of a read chunk. A chunk is larger only when one
+// frame is: it then holds exactly that frame, so the next frame moves to a
+// chunk of readChunk again and the Reader keeps no oversize memory past it.
+const readChunk = 64 << 10
 
-// arenaChunk is the slab size; payloads of arenaChunk/4 bytes or more
-// bypass the arena so one retained payload never pins more than 4x its own
-// size.
-const arenaChunk = 32 << 10
-
-// copyOut returns a stable copy of src.
-func (a *payloadArena) copyOut(src []byte) []byte {
-	n := len(src)
-	if n == 0 {
-		return []byte{}
-	}
-	if n >= arenaChunk/4 {
-		out := make([]byte, n)
-		copy(out, src)
-		return out
-	}
-	if cap(a.buf)-len(a.buf) < n {
-		a.buf = make([]byte, 0, arenaChunk)
-	}
-	off := len(a.buf)
-	a.buf = a.buf[:off+n]
-	out := a.buf[off : off+n : off+n] // full-cap: appends cannot bleed over
-	copy(out, src)
-	return out
-}
-
-// bufKeep caps how much body-buffer capacity a Reader retains between
-// frames: one oversized frame must not pin its buffer forever.
-const bufKeep = 1 << 20
-
-// NewReader wraps r in a frame decoder.
-func NewReader(r io.Reader) *Reader {
-	return &Reader{br: bufio.NewReaderSize(r, 64<<10)}
+// NewReader wraps src in a frame decoder.
+func NewReader(src io.Reader) *Reader {
+	return &Reader{src: src, buf: make([]byte, readChunk)}
 }
 
 // Next reads and decodes the next frame. The returned message is valid
 // only until the following call to Next — Data, Ack and Heartbeat decode
-// into Reader-owned scratch structs. Payload slices
-// (Data.Payload, App.Payload) are stable copies that remain valid
-// indefinitely; callers that need other fields past the next call must
-// copy them out.
+// into Reader-owned scratch structs; callers that need their fields past
+// the next call must copy them out.
 //
-// Frames that fit inside the internal buffer are decoded in place via
-// Peek/Discard, so the body is copied at most once (payload into the
-// arena) instead of twice; only oversized frames take the copying path.
+// Payloads outlive that. A Data.Payload lives in the read chunk it arrived
+// in: it stays valid indefinitely, the Reader never writes it again, and it
+// has no spare capacity, so appending to it copies instead of running into
+// the next frame. Retaining it pins at most one chunk (readChunk bytes, or
+// its own frame if that is larger). An App.Payload is a copy.
 func (r *Reader) Next() (Message, error) {
-	hdr, err := r.br.Peek(4)
-	if len(hdr) < 4 {
-		return nil, headerErr(len(hdr), err)
+	if err := r.fill(4); err != nil {
+		return nil, eofErr(err, r.w > r.r)
 	}
-	n := binary.BigEndian.Uint32(hdr)
+	n := binary.BigEndian.Uint32(r.buf[r.r:])
 	if n == 0 {
 		return nil, ErrShortFrame
 	}
 	if n > MaxFrameSize {
 		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
-	if total := 4 + int(n); total <= r.br.Size() {
-		if cap(r.buf) > bufKeep {
-			r.buf = nil // a normal frame followed an oversize one: unpin
-		}
-		frame, err := r.br.Peek(total)
-		if len(frame) < total {
-			if err == nil || errors.Is(err, io.EOF) {
-				err = io.ErrUnexpectedEOF
-			}
-			return nil, err
-		}
-		msg, err := r.decodeBody(frame[4:])
-		if err != nil {
-			return nil, err
-		}
-		if _, err := r.br.Discard(total); err != nil {
-			return nil, err
-		}
-		return msg, nil
+	if err := r.fill(4 + int(n)); err != nil {
+		return nil, eofErr(err, true)
 	}
-
-	// Oversized frame: stage the body in the reusable buffer.
-	if _, err := r.br.Discard(4); err != nil {
+	end := r.r + 4 + int(n)
+	msg, err := r.decodeBody(r.buf[r.r+4 : end : end])
+	if err != nil {
 		return nil, err
 	}
-	if uint32(cap(r.buf)) < n {
-		r.buf = make([]byte, n)
-	}
-	body := r.buf[:n]
-	if _, err := io.ReadFull(r.br, body); err != nil {
-		if errors.Is(err, io.EOF) {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, err
-	}
-	if cap(r.buf) > bufKeep && n <= bufKeep {
-		r.buf = nil // drop an oversized buffer once a normal frame follows
-	}
-	return r.decodeBody(body)
+	r.r = end
+	return msg, nil
 }
 
 // AppendBufferedData decodes the complete Data frames already sitting in the
-// read buffer and appends them to dst, stopping at the first frame that is
+// read chunk and appends them to dst, stopping at the first frame that is
 // not Data, is not fully buffered, or would make len(dst) exceed max. It
 // never reads from the underlying stream, so it cannot block; whatever stops
 // it (a malformed frame included) is left for the following Next to report.
-// The appended structs are copies; their payloads are stable like Next's.
+// The appended structs are copies; their payloads are lent like Next's.
 func (r *Reader) AppendBufferedData(dst []Data, max int) []Data {
-	buf, _ := r.br.Peek(r.br.Buffered()) // what is buffered: no read, no error
-	off := 0
-	for len(dst) < max && len(buf)-off >= DataFrameOverhead {
-		n := int(binary.BigEndian.Uint32(buf[off:]))
-		if Kind(buf[off+4]) != KindData || n < DataFrameOverhead-4 || n > len(buf)-off-4 {
+	for len(dst) < max && r.w-r.r >= DataFrameOverhead {
+		b := r.buf[r.r:r.w]
+		n := int(binary.BigEndian.Uint32(b))
+		if Kind(b[4]) != KindData || n < DataFrameOverhead-4 || n > len(b)-4 {
 			break
 		}
+		end := r.r + 4 + n
 		dst = append(dst, Data{})
-		r.decodeData(buf[off+5:off+4+n], &dst[len(dst)-1])
-		off += 4 + n
+		r.decodeData(r.buf[r.r+5:end:end], &dst[len(dst)-1])
+		r.r = end
 	}
-	_, _ = r.br.Discard(off) // buffered bytes: cannot fail
 	return dst
 }
 
-// headerErr maps a short length-prefix peek onto io.ReadFull semantics: a
-// clean boundary is io.EOF, a torn prefix is io.ErrUnexpectedEOF.
-func headerErr(got int, err error) error {
-	if err == nil {
-		err = io.ErrUnexpectedEOF
+// fill reads until buf[r:w] holds at least need bytes. When a frame of need
+// bytes would run past the chunk's end, the undecoded tail first moves to
+// the front of a chunk of max(readChunk, need): this one if it lent nothing
+// and is that size, a fresh one otherwise.
+func (r *Reader) fill(need int) error {
+	if r.r+need > len(r.buf) {
+		size, chunk := max(readChunk, need), r.buf
+		if r.lent || len(chunk) != size {
+			chunk, r.lent = make([]byte, size), false
+		}
+		r.w = copy(chunk, r.buf[r.r:r.w])
+		r.buf, r.r = chunk, 0
 	}
-	if errors.Is(err, io.EOF) && got > 0 {
+	for empty := 0; r.w-r.r < need; {
+		if r.err != nil {
+			return r.err
+		}
+		if empty == 100 { // bufio's bound on a Read that keeps returning 0, nil
+			return io.ErrNoProgress
+		}
+		n, err := r.src.Read(r.buf[r.w:])
+		if n == 0 {
+			empty++
+		}
+		r.w, r.err = r.w+n, err
+	}
+	return nil
+}
+
+// eofErr maps a short read onto io.ReadFull semantics: io.EOF at a clean
+// frame boundary, io.ErrUnexpectedEOF once a frame has begun.
+func eofErr(err error, torn bool) error {
+	if torn && errors.Is(err, io.EOF) {
 		return io.ErrUnexpectedEOF
 	}
 	return err
 }
 
-// decodeBody decodes one frame body (kind byte + fields). body may alias
-// the internal read buffer: every retained slice is copied out.
+// decodeBody decodes one frame body (kind byte + fields), a full-capacity
+// slice of the read chunk. A Data payload is lent in place, on Next's terms;
+// every other retained slice is copied out.
 func (r *Reader) decodeBody(body []byte) (Message, error) {
 	if Kind(body[0]) == KindData {
-		// Decoded by hand so the payload goes straight from the read
-		// buffer into the arena, skipping the generic copy in rest().
+		// Decoded by hand so the payload stays in the chunk instead of
+		// taking the generic copy in rest().
 		b := body[1:]
 		if len(b) < 16 {
 			return nil, fmt.Errorf("wire: decode data: %w", ErrShortFrame)
@@ -482,12 +449,13 @@ func (r *Reader) decodeBody(body []byte) (Message, error) {
 	return msg, nil
 }
 
-// decodeData fills d from a Data frame's fields b (at least 16 bytes), the
-// payload going straight from the read buffer into the arena.
+// decodeData fills d from a Data frame's fields b (at least 16 bytes, a
+// full-capacity slice of the chunk) and lends the chunk its payload.
 func (r *Reader) decodeData(b []byte, d *Data) {
 	d.Seq = binary.BigEndian.Uint64(b)
 	d.SentUnixNano = int64(binary.BigEndian.Uint64(b[8:]))
-	d.Payload = r.arena.copyOut(b[16:])
+	d.Payload = b[16:]
+	r.lent = true
 }
 
 // message returns the destination struct for kind k: a reused scratch

@@ -2,7 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"reflect"
@@ -195,7 +197,7 @@ func TestQuickDecoderNeverPanics(t *testing.T) {
 
 // TestReaderScratchReuse pins the Reader's zero-alloc contract: hot-path
 // kinds decode into Reader-owned scratch structs (same pointer every call),
-// while payload slices are fresh per frame and survive later calls.
+// while payload slices are not scratch and survive later calls.
 func TestReaderScratchReuse(t *testing.T) {
 	var buf bytes.Buffer
 	_ = WriteFrame(&buf, &Data{Seq: 1, Payload: []byte("first")})
@@ -234,25 +236,145 @@ func TestReaderScratchReuse(t *testing.T) {
 }
 
 // TestReaderBufferShrinksAfterOversizeFrame checks one giant frame does not
-// pin its body buffer once normal-sized frames resume.
+// pin its chunk once normal-sized frames resume: a lent oversize payload
+// (Data) and an unlent one (App, whose payload is copied) alike.
 func TestReaderBufferShrinksAfterOversizeFrame(t *testing.T) {
-	var buf bytes.Buffer
 	big := make([]byte, 2<<20)
-	_ = WriteFrame(&buf, &Data{Seq: 1, Payload: big})
-	_ = WriteFrame(&buf, &Data{Seq: 2, Payload: []byte("small")})
-	_ = WriteFrame(&buf, &Data{Seq: 3, Payload: []byte("again")})
-	r := NewReader(&buf)
-	for i := 1; i <= 3; i++ {
-		m, err := r.Next()
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
+	for _, first := range []Message{&Data{Seq: 1, Payload: big}, &App{ID: 1, Payload: big}} {
+		var buf bytes.Buffer
+		_ = WriteFrame(&buf, first)
+		_ = WriteFrame(&buf, &Data{Seq: 2, Payload: []byte("small")})
+		_ = WriteFrame(&buf, &Data{Seq: 3, Payload: []byte("again")})
+		r := NewReader(&buf)
+		if _, err := r.Next(); err != nil {
+			t.Fatalf("%v frame: %v", first.Kind(), err)
 		}
-		if d := m.(*Data); d.Seq != uint64(i) {
-			t.Fatalf("frame %d: seq %d", i, d.Seq)
+		if want := len(AppendFrame(nil, first)); len(r.buf) != want {
+			t.Fatalf("%v frame: chunk %d bytes, want exactly the frame's %d", first.Kind(), len(r.buf), want)
+		}
+		for i := 2; i <= 3; i++ {
+			m, err := r.Next()
+			if err != nil {
+				t.Fatalf("frame %d: %v", i, err)
+			}
+			if d := m.(*Data); d.Seq != uint64(i) {
+				t.Fatalf("frame %d: seq %d", i, d.Seq)
+			}
+		}
+		if len(r.buf) != readChunk {
+			t.Fatalf("after an oversize %v frame the chunk is %d bytes, want readChunk %d", first.Kind(), len(r.buf), readChunk)
 		}
 	}
-	if cap(r.buf) > bufKeep {
-		t.Fatalf("body buffer still %d bytes after oversize frame", cap(r.buf))
+}
+
+// TestReaderPayloadsSurviveChunkMoves retains every payload of a long stream
+// — frames straddling chunk ends, oversize frames among them, the stream cut
+// at seeded random points — and checks each byte for byte once it drained:
+// a chunk that lent a payload is never written below w again.
+func TestReaderPayloadsSurviveChunkMoves(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	var stream []byte
+	var want [][]byte
+	for seq := uint64(1); len(stream) < 8*readChunk; seq++ {
+		p := make([]byte, rng.Intn(9<<10))
+		if seq%40 == 0 {
+			p = make([]byte, readChunk+rng.Intn(readChunk)) // oversize
+		}
+		rng.Read(p)
+		want = append(want, p)
+		stream = AppendFrame(stream, &Data{Seq: seq, Payload: p})
+		if seq%7 == 0 { // unlent frames between the lent ones
+			stream = AppendFrame(stream, &Ack{Origin: 1, By: 2, Type: 3, Seq: seq})
+		}
+	}
+	cuts := &chunkReader{}
+	for rest := stream; len(rest) > 0; {
+		n := min(len(rest), 1+rng.Intn(20<<10))
+		cuts.chunks, rest = append(cuts.chunks, rest[:n]), rest[n:]
+	}
+	r := NewReader(cuts)
+	var got [][]byte
+	var run []Data
+	for {
+		m, err := r.Next()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d, ok := m.(*Data); ok {
+			for _, d := range r.AppendBufferedData(append(run[:0], *d), 3) {
+				got = append(got, d.Payload)
+			}
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("decoded %d payloads, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("payload %d (%d bytes) changed after the stream drained", i+1, len(want[i]))
+		}
+	}
+}
+
+// TestReaderReusesUnlentChunk pins the other half of the chunk rule: a
+// stream that lends nothing (ACKs and heartbeats) compacts its one chunk in
+// place and allocates nothing per frame.
+func TestReaderReusesUnlentChunk(t *testing.T) {
+	frames := AppendFrame(nil, &Hello{From: 1}) // 7 bytes: frames straddle chunk ends
+	for i := 0; len(frames) < 3*readChunk; i++ {
+		frames = AppendFrame(frames, &Ack{Origin: 1, By: 2, Type: 3, Seq: uint64(i)})
+		frames = AppendFrame(frames, &Heartbeat{Clock: uint64(i)})
+	}
+	r := NewReader(&repeatReader{data: frames})
+	chunk := &r.buf[0]
+	allocs := testing.AllocsPerRun(10000, func() {
+		if _, err := r.Next(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%.3f allocs per ACK/heartbeat frame, want 0", allocs)
+	}
+	if &r.buf[0] != chunk {
+		t.Fatal("a chunk that lent nothing was replaced instead of reused")
+	}
+}
+
+// TestAppendingToPayloadKeepsNextFrame: a delivered payload has no spare
+// capacity, so a consumer appending to it gets its own copy and never
+// writes into the frame behind it in the chunk — on Next's path and on
+// AppendBufferedData's.
+func TestAppendingToPayloadKeepsNextFrame(t *testing.T) {
+	var stream []byte
+	for seq := uint64(1); seq <= 4; seq++ {
+		stream = AppendFrame(stream, &Data{Seq: seq, Payload: []byte{byte(seq), byte(seq)}})
+	}
+	r := NewReader(bytes.NewReader(stream))
+	m, err := r.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := m.(*Data).Payload
+	if cap(first) != len(first) {
+		t.Fatalf("payload cap %d > len %d: appends would run into the next frame", cap(first), len(first))
+	}
+	_ = append(first, bytes.Repeat([]byte{0xEE}, 64)...)
+	run := r.AppendBufferedData(nil, 2)
+	if len(run) != 2 {
+		t.Fatalf("buffered run of %d frames after an append to the first payload, want 2", len(run))
+	}
+	_ = append(run[0].Payload, bytes.Repeat([]byte{0xEE}, 64)...)
+	m, err = r.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range [][]byte{first, run[0].Payload, run[1].Payload, m.(*Data).Payload} {
+		if want := []byte{byte(i + 1), byte(i + 1)}; !bytes.Equal(p, want) {
+			t.Fatalf("payload %d = %x after an append to its neighbour, want %x", i+1, p, want)
+		}
 	}
 }
 
@@ -299,6 +421,86 @@ func (c *chunkReader) Read(p []byte) (int, error) {
 		c.chunks = c.chunks[1:]
 	}
 	return n, nil
+}
+
+// FuzzReaderCuts reads an arbitrary byte stream under an arbitrary cut
+// pattern (each byte of cuts is one Read's length, less one, cycled) and
+// holds it to a one-shot read of the same stream: the same frames, the same
+// stopping error, no panic, and every payload it lent still intact once the
+// stream has drained. The stream is part repeated 1+copies times, so an
+// input small enough to fuzz quickly still spans several read chunks.
+func FuzzReaderCuts(f *testing.F) {
+	seed := AppendFrame(nil, &Hello{From: 2})
+	seed = AppendFrame(seed, &Data{Seq: 1, SentUnixNano: 5, Payload: bytes.Repeat([]byte{0xA5}, 300)})
+	seed = AppendFrame(seed, &Data{Seq: 2})
+	seed = AppendFrame(seed, &Ack{Origin: 1, By: 2, Type: 3, Seq: 2})
+	seed = AppendFrame(seed, &App{ID: 4, Method: 1, From: 2, Payload: []byte("app")})
+	seed = AppendFrame(seed, &Heartbeat{Clock: 9})
+	f.Add(seed, []byte{0, 6, 200, 3}, uint8(255))
+	f.Add(AppendFrame(seed, &Data{Seq: 3, Payload: make([]byte, 500)})[:len(seed)+300], []byte{255}, uint8(1))
+	f.Add([]byte{0, 0, 0, 0}, []byte{}, uint8(0))
+	f.Fuzz(func(t *testing.T, part, cuts []byte, copies uint8) {
+		stream := bytes.Repeat(part, 1+int(copies))
+		for off := 0; off+4 <= len(stream); {
+			n := int(binary.BigEndian.Uint32(stream[off:]))
+			if n > 1<<20 && n <= MaxFrameSize {
+				return // a header claiming megabytes only costs an allocation
+			}
+			off += 4 + n
+		}
+		want, wantErr := drainFrames(NewReader(bytes.NewReader(stream)), false)
+		cr := &chunkReader{}
+		for rest, i := stream, 0; len(rest) > 0; i++ {
+			n := len(rest)
+			if len(cuts) > 0 {
+				n = min(n, int(cuts[i%len(cuts)])+1)
+			}
+			cr.chunks, rest = append(cr.chunks, rest[:n]), rest[n:]
+		}
+		got, gotErr := drainFrames(NewReader(cr), true)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("cut read stopped with %v, one-shot read with %v", gotErr, wantErr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("cut read decoded %d frames unlike the one-shot read's %d:\n%#v\nvs\n%#v", len(got), len(want), got, want)
+		}
+	})
+}
+
+// drainFrames decodes r up to its first error, copying each scratch struct
+// out. The one-shot reference (cut false) also copies each payload the
+// moment it is decoded; a cut read takes Data a buffered run at a time and
+// leaves every payload where the Reader lent it.
+func drainFrames(r *Reader, cut bool) ([]Message, error) {
+	var out []Message
+	var run []Data
+	for {
+		m, err := r.Next()
+		if err != nil {
+			return out, err
+		}
+		switch m := m.(type) {
+		case *Data:
+			run = append(run[:0], *m)
+			if cut {
+				run = r.AppendBufferedData(run, 4)
+			}
+			for _, d := range run {
+				if !cut {
+					d.Payload = bytes.Clone(d.Payload)
+				}
+				out = append(out, &d)
+			}
+		case *Ack:
+			a := *m
+			out = append(out, &a)
+		case *Heartbeat:
+			hb := *m
+			out = append(out, &hb)
+		default: // Hello, HelloAck and App are fresh per frame
+			out = append(out, m)
+		}
+	}
 }
 
 // TestAppendBufferedData pins the run decoder's three stops — a non-Data
