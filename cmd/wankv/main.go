@@ -16,7 +16,7 @@
 //	                            # plus /debug/pprof on the same port
 //	wankv -trace-sample 1       # trace every op instead of 1 in 64
 //	wankv -flow-max-bytes 65536 -stall-deadline 2s
-//	                            # bounded send logs + degraded-mode reporting
+//	                            # bounded send logs + stall verdicts
 //	wankv -flow-max-bytes 65536 -spill-dir /tmp/spill
 //	                            # ... with the cold backlog spilled to disk
 //	wankv -adaptive-ladder 'all=MIN($ALLWNODES);one=KTH_MAX(1, $ALLWNODES)'
@@ -35,7 +35,8 @@
 //	predicates                       list registered predicates
 //	adaptive                         adaptive controller rungs + history
 //	acks                             dump the ACK recorder for node 1
-//	health                           send-log pressure + stall blame for node 1
+//	explain [key]                    why node 1's frontiers are not moving:
+//	                                 frontier/head, stuck, stalled, holders
 //	help, quit
 package main
 
@@ -45,6 +46,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"strconv"
@@ -194,7 +196,7 @@ func dispatch(fields []string, topo *stabilizer.Topology, primary *stabilizer.No
 		return errQuit
 
 	case "help":
-		fmt.Println("put get mirror wait register change frontier predicates adaptive acks health quit")
+		fmt.Println("put get mirror wait register change frontier predicates adaptive acks explain quit")
 		return nil
 
 	case "put":
@@ -281,8 +283,9 @@ func dispatch(fields []string, topo *stabilizer.Topology, primary *stabilizer.No
 
 	case "predicates":
 		for _, k := range primary.Predicates() {
-			src, _ := primary.PredicateSource(k)
-			fmt.Printf("%-20s %s\n", k, src)
+			if v, err := primary.Explain(k); err == nil {
+				fmt.Printf("%-20s %s\n", k, v.Source)
+			}
 		}
 		return nil
 
@@ -315,31 +318,47 @@ func dispatch(fields []string, topo *stabilizer.Topology, primary *stabilizer.No
 		}
 		return nil
 
-	case "health":
-		s := primary.Snapshot()
+	case "explain":
+		if len(fields) > 2 {
+			return fmt.Errorf("explain [predicate-key]")
+		}
+		return explain(os.Stdout, topo, primary, fields[1:])
+
+	default:
+		return fmt.Errorf("unknown command %q (try 'help')", fields[0])
+	}
+}
+
+// explain prints the verdict on the predicate under keys[0] or, with no key,
+// the send log and the verdict on every predicate (reclaim included): each
+// line is one PredicateState, as Node.Explain and Node.Snapshot hand it out.
+func explain(w io.Writer, topo *stabilizer.Topology, n *stabilizer.Node, keys []string) error {
+	var verdicts []stabilizer.PredicateState
+	if len(keys) == 1 {
+		v, err := n.Explain(keys[0])
+		if err != nil {
+			return err
+		}
+		verdicts = append(verdicts, v)
+	} else {
+		s := n.Snapshot()
 		log := s.Log
 		cap := "unbounded"
 		if log.CapBytes > 0 {
 			cap = fmt.Sprintf("%d", log.CapBytes)
 		}
-		fmt.Printf("head=%d send-log: %d bytes / %d entries (cap %s) backpressured=%v blocked=%d shed=%d\n",
-			log.Head, log.Bytes, log.Entries, cap, log.Full, log.BlockedAppends, log.ShedAppends)
-		for _, p := range s.Predicates {
-			if !p.Stalled {
-				fmt.Printf("%-22s frontier=%d/%d ok\n", p.Key, p.Frontier, log.Head)
-				continue
-			}
-			fmt.Printf("%-22s frontier=%d/%d STALLED for %v\n",
-				p.Key, p.Frontier, log.Head, p.StalledFor.Round(time.Millisecond))
-			for _, b := range p.Blamed {
-				name, _ := topo.NodeAt(b.Peer)
-				fmt.Printf("    blames node %d (%s, %s/%s) ack=%d\n",
-					b.Peer, name.Name, b.AZ, b.Region, b.Ack)
-			}
-		}
-		return nil
-
-	default:
-		return fmt.Errorf("unknown command %q (try 'help')", fields[0])
+		fmt.Fprintf(w, "send-log: %d bytes / %d entries (cap %s) backpressured=%v blocked=%d shed=%d\n",
+			log.Bytes, log.Entries, cap, log.Full, log.BlockedAppends, log.ShedAppends)
+		verdicts = s.Predicates
 	}
+	for _, v := range verdicts {
+		fmt.Fprintf(w, "%-22s frontier=%d/%d stuck=%v stalled=%v\n",
+			v.Key, v.Frontier, v.Head, v.Stuck.Round(time.Millisecond), v.Stalled)
+		for _, h := range v.Holding {
+			name, _ := topo.NodeAt(h.Peer)
+			fmt.Fprintf(w, "    held by node %d (%s, %s/%s) up=%v ack=%d\n",
+				h.Peer, name.Name, h.AZ, h.Region, h.Up, h.Ack)
+		}
+	}
+	return nil
 }

@@ -179,3 +179,46 @@ func TestSpillDirAndCapBootASpillingNode(t *testing.T) {
 		t.Fatalf("32 puts past a 1 KiB cap left nothing on disk (memory %d bytes)", log.MemoryBytes)
 	}
 }
+
+// TestExplainPrintsTheVerdict: with node 1's link to node 2 cut, 'explain'
+// prints the all-nodes predicate stalled and held by node 2 — whose received
+// cell never left 0 — and the bare form prints the send log and every
+// verdict, reclaim included.
+func TestExplainPrintsTheVerdict(t *testing.T) {
+	primary, put := bootCutOff(t, "-stall-deadline", "100ms")
+	topo := stabilizer.EC2Topology(1)
+	if err := primary.RegisterPredicate("all", "MIN($ALLWNODES)"); err != nil {
+		t.Fatal(err)
+	}
+	if err := put(); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	deadline := time.Now().Add(5 * time.Second)
+	for !strings.Contains(out.String(), "stalled=true") {
+		if time.Now().After(deadline) {
+			t.Fatalf("'explain all' never read stalled:\n%s", out.String())
+		}
+		time.Sleep(10 * time.Millisecond)
+		out.Reset()
+		if err := explain(&out, topo, primary, []string{"all"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := out.String(); !strings.Contains(got, "frontier=0/1") || !strings.Contains(got, "held by node 2 (") ||
+		!strings.Contains(got, "ack=0") || strings.Contains(got, "held by node 3 (") {
+		t.Fatalf("'explain all' = %q, want frontier 0/1 held by node 2 alone at ack 0", got)
+	}
+	out.Reset()
+	if err := explain(&out, topo, primary, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"send-log: ", "\nall ", "\n__stabilizer_reclaim "} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("bare 'explain' lacks %q:\n%s", want, out.String())
+		}
+	}
+	if err := explain(&out, topo, primary, []string{"nope"}); err == nil {
+		t.Fatal("'explain nope' named no error")
+	}
+}

@@ -76,11 +76,11 @@ func run() error {
 		name, _ := topo.NodeAt(peer)
 		fmt.Printf("!! detected failure of %s ($%d); reconfiguring predicates\n", name.Name, peer)
 		for _, key := range primary.Predicates() {
-			deps, err := primary.PredicateDependsOn(key)
+			v, err := primary.Explain(key)
 			if err != nil {
 				continue
 			}
-			for _, d := range deps {
+			for _, d := range v.DependsOn {
 				if d == peer {
 					_ = primary.ChangePredicate(key, stabilizer.ExcludeNodes([]int{peer}))
 					break
@@ -152,9 +152,9 @@ func run() error {
 }
 
 func mustSource(n *stabilizer.Node, key string) string {
-	src, err := n.PredicateSource(key)
+	v, err := n.Explain(key)
 	if err != nil {
 		return "<" + err.Error() + ">"
 	}
-	return src
+	return v.Source
 }

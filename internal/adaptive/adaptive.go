@@ -19,8 +19,9 @@
 // stability-latency histogram only gains samples when the frontier
 // *advances*. A full stall — partitioned quorum, frontier pinned — produces
 // silence, not slow samples, and silence reads as zero burn. The controller
-// therefore runs its own stall detector (appended head past the frontier
-// with no frontier movement for StallAfter) and treats a stall as burning.
+// therefore also reads the node's stall clock (Host.Stuck: appended head past
+// the frontier with no frontier movement) and treats StallAfter of it as
+// burning.
 package adaptive
 
 import (
@@ -29,7 +30,6 @@ import (
 	"sync"
 	"time"
 
-	"stabilizer/internal/frontier"
 	"stabilizer/internal/metrics"
 )
 
@@ -238,17 +238,14 @@ func (c Config) normalized() (Config, error) {
 	return c, nil
 }
 
-// Host is the slice of a node the controller drives. *core.Node satisfies
-// it; tests use fakes.
+// Host is the slice of a node the controller drives. core.Node.StartAdaptive
+// passes an adapter over the node; tests use fakes.
 type Host interface {
 	// ChangePredicate swaps the predicate registered under key.
 	ChangePredicate(key, source string) error
-	// StabilityFrontier returns the current frontier for key.
-	StabilityFrontier(key string) (uint64, error)
-	// NextSeq returns the next unused local sequence number; NextSeq()-1
-	// is the highest appended seq, which the stall detector compares to
-	// the frontier.
-	NextSeq() uint64
+	// Stuck returns how long key's frontier has sat still below the highest
+	// appended sequence — the one stall clock the node keeps per predicate.
+	Stuck(key string) (time.Duration, error)
 	// StabilityLatencyHistogram returns the stability-latency histogram
 	// for key. Re-resolved every tick, so vec-child re-binds are seen.
 	StabilityLatencyHistogram(key string) *metrics.Histogram
@@ -280,10 +277,9 @@ type Controller struct {
 	hooks     map[int]func(Transition)
 	nextHook  int
 
-	lastChange time.Time    // last transition (hysteresis dwell anchor)
-	quietSince time.Time    // start of the current no-burn-no-stall run
-	lag        frontier.Lag // how long the frontier has sat still below the head
-	seeded     bool         // first tick has primed the time anchors
+	lastChange time.Time // last transition (hysteresis dwell anchor)
+	quietSince time.Time // start of the current no-burn-no-stall run
+	seeded     bool      // first tick has primed the time anchors
 
 	stop chan struct{}
 	done chan struct{}
@@ -470,14 +466,13 @@ func (c *Controller) Tick(now time.Time) {
 	// Stall detection: the histogram only sees frontier advances, so a
 	// pinned frontier with appends outstanding is burning even at zero
 	// sample volume.
-	f, ferr := c.host.StabilityFrontier(c.key)
-	still := c.lag.Observe(f, c.host.NextSeq()-1, now) // NextSeq()-1 is the last appended
+	stuck, serr := c.host.Stuck(c.key)
 	if !c.seeded {
 		c.seeded = true
 		c.lastChange = now.Add(-c.cfg.MinDwell) // first step needs no dwell
 		c.quietSince = now
 	}
-	stalled := ferr == nil && still >= c.cfg.StallAfter
+	stalled := serr == nil && stuck >= c.cfg.StallAfter
 
 	reason := ""
 	switch {

@@ -9,23 +9,21 @@ import (
 	"stabilizer/internal/metrics"
 )
 
-// fakeHost is a minimal Host: a predicate table, a settable frontier/head,
+// fakeHost is a minimal Host: a predicate table, a settable stall clock,
 // and one latency histogram the controller samples.
 type fakeHost struct {
-	mu       sync.Mutex
-	sources  map[string]string
-	frontier uint64
-	next     uint64
-	hist     *metrics.Histogram
-	swapErr  error
-	swaps    []string
+	mu      sync.Mutex
+	sources map[string]string
+	stuck   time.Duration
+	hist    *metrics.Histogram
+	swapErr error
+	swaps   []string
 }
 
 func newFakeHost(key, source string) *fakeHost {
 	return &fakeHost{
 		sources: map[string]string{key: source},
 		hist:    metrics.NewHistogram(metrics.LatencyOpts),
-		next:    1,
 	}
 }
 
@@ -40,16 +38,10 @@ func (f *fakeHost) ChangePredicate(key, source string) error {
 	return nil
 }
 
-func (f *fakeHost) StabilityFrontier(key string) (uint64, error) {
+func (f *fakeHost) Stuck(string) (time.Duration, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.frontier, nil
-}
-
-func (f *fakeHost) NextSeq() uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.next
+	return f.stuck, nil
 }
 
 func (f *fakeHost) StabilityLatencyHistogram(string) *metrics.Histogram {
@@ -230,14 +222,10 @@ func TestControllerStallStepsDownWithoutSamples(t *testing.T) {
 	}
 	defer c.Close()
 
-	// Appends outstanding, frontier pinned, zero histogram samples: the
-	// SLO monitor is silent, the stall detector is not.
-	h.set(func(f *fakeHost) { f.next = 100; f.frontier = 5 })
-	now := time.Unix(20_000, 0)
-	for i := 0; i < 6; i++ { // 6 ticks = 75s > StallAfter (45s)
-		c.Tick(now)
-		now = now.Add(c.cfg.CheckEvery)
-	}
+	// Appends outstanding, frontier pinned for StallAfter, zero histogram
+	// samples: the SLO monitor is silent, the stall clock is not.
+	h.set(func(f *fakeHost) { f.stuck = c.cfg.StallAfter })
+	c.Tick(time.Unix(20_000, 0))
 	hist := c.History()
 	if len(hist) == 0 {
 		t.Fatal("stalled frontier never triggered a downgrade")
@@ -245,45 +233,21 @@ func TestControllerStallStepsDownWithoutSamples(t *testing.T) {
 	if hist[0].Reason != "stall" {
 		t.Fatalf("reason %q, want stall", hist[0].Reason)
 	}
-	// A frontier that keeps up (head close behind) must NOT read as a stall.
+	// A frontier stuck for less than StallAfter must NOT read as a stall.
 	h2 := newFakeHost("stable", "MIN($ALLWNODES)")
 	c2, err := StartPaused(h2, "stable", testLadder(t), testConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	h2.set(func(f *fakeHost) { f.next = 100; f.frontier = 99 })
-	now = time.Unix(30_000, 0)
+	h2.set(func(f *fakeHost) { f.stuck = c2.cfg.StallAfter - time.Millisecond })
+	now := time.Unix(30_000, 0)
 	for i := 0; i < 10; i++ {
 		c2.Tick(now)
 		now = now.Add(c2.cfg.CheckEvery)
 	}
 	if len(c2.History()) != 0 {
-		t.Fatal("caught-up frontier misread as a stall")
-	}
-}
-
-// TestControllerIdleThenInFlightIsNotAStall: a quiet spell longer than
-// StallAfter does not count against the first message sent after it — the
-// stall clock restarts whenever nothing is outstanding.
-func TestControllerIdleThenInFlightIsNotAStall(t *testing.T) {
-	h := newFakeHost("stable", "MIN($ALLWNODES)")
-	c, err := StartPaused(h, "stable", testLadder(t), testConfig(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	h.set(func(f *fakeHost) { f.next = 6; f.frontier = 5 }) // everything sent is stable
-	now := time.Unix(40_000, 0)
-	for i := 0; i < 40; i++ { // 10 minutes idle, StallAfter is 45s
-		c.Tick(now)
-		now = now.Add(c.cfg.CheckEvery)
-	}
-	h.set(func(f *fakeHost) { f.next = 7 }) // one message in flight
-	c.Tick(now)
-	if c.RungIndex() != 0 || len(c.History()) != 0 {
-		t.Fatalf("one message in flight after an idle spell: rung %d, history %+v", c.RungIndex(), c.History())
+		t.Fatal("a frontier stuck under StallAfter misread as a stall")
 	}
 }
 

@@ -189,10 +189,11 @@ func AdaptiveDemo(o AdaptiveOptions) (*AdaptiveReport, error) {
 		validator = testbed.Every(50*time.Millisecond, func(ctx context.Context) bool {
 			hist0 := len(ctrl.History())
 			r1 := ctrl.RungIndex()
-			src1, err := sender.PredicateSource(AdaptiveKey)
+			v1, err := sender.Explain(AdaptiveKey)
 			if err != nil {
 				return true
 			}
+			src1 := v1.Source
 			seq, err := sender.SendCtx(ctx, []byte("probe"))
 			if err != nil {
 				return true
@@ -200,14 +201,14 @@ func AdaptiveDemo(o AdaptiveOptions) (*AdaptiveReport, error) {
 			wctx, wcancel := context.WithTimeout(context.Background(), 400*time.Millisecond)
 			werr := sender.WaitFor(wctx, seq, AdaptiveKey)
 			wcancel()
-			src2, err2 := sender.PredicateSource(AdaptiveKey)
+			v2, err2 := sender.Explain(AdaptiveKey)
 			r2 := ctrl.RungIndex()
 			hist1 := len(ctrl.History())
 			if werr != nil {
 				timedOut.Add(1) // stalled phase; the controller is expected to fix this
 				return true
 			}
-			if err2 != nil || src1 != src2 || r1 != r2 || hist0 != hist1 {
+			if err2 != nil || src1 != v2.Source || r1 != r2 || hist0 != hist1 {
 				return true // rung changed mid-probe; release rung is ambiguous
 			}
 			v, everr := sender.EvalFor(1, src1)
@@ -307,8 +308,8 @@ func AdaptiveDemo(o AdaptiveOptions) (*AdaptiveReport, error) {
 			r.check.Violatef("controller did not return to the strongest rung: rung %d after %d down / %d up",
 				ctrl.RungIndex(), rep.Downgrades, rep.Upgrades)
 		}
-		if src, err := sender.PredicateSource(AdaptiveKey); err != nil || src != ladder.Rung(0).Source {
-			r.check.Violatef("final installed predicate %q (%v), want rung 0 %q", src, err, ladder.Rung(0).Source)
+		if v, err := sender.Explain(AdaptiveKey); err != nil || v.Source != ladder.Rung(0).Source {
+			r.check.Violatef("final installed predicate %q (%v), want rung 0 %q", v.Source, err, ladder.Rung(0).Source)
 		}
 		if rep.ValidatedReleases == 0 {
 			r.check.Violatef("release validator never completed a probe (timeouts: %d)", timedOut.Load())

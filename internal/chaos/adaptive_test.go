@@ -76,9 +76,8 @@ func TestAdaptiveDemoScheduleReplayIsIdentical(t *testing.T) {
 // synthetic clock.
 type flapHost struct{ hist *metrics.Histogram }
 
-func (h *flapHost) ChangePredicate(key, source string) error     { return nil }
-func (h *flapHost) StabilityFrontier(key string) (uint64, error) { return 1, nil }
-func (h *flapHost) NextSeq() uint64                              { return 2 }
+func (h *flapHost) ChangePredicate(key, source string) error { return nil }
+func (h *flapHost) Stuck(string) (time.Duration, error)      { return 0, nil }
 func (h *flapHost) StabilityLatencyHistogram(string) *metrics.Histogram {
 	return h.hist
 }

@@ -49,14 +49,14 @@ type Options struct {
 	//     ground truth via AttachPayloadTruth — so a corrupt disk round trip
 	//     fails the run even though the stream stays FIFO.
 	//   - Stall, when its Deadline is set, turns on the degraded-mode
-	//     honesty invariant: every stall report must blame only peers the
-	//     schedule actually faulted.
+	//     honesty invariant: every stalled verdict may name as holders only
+	//     peers the schedule actually faulted.
 	//   - Trace, when enabled, turns on the trace well-orderedness
 	//     invariant: after convergence a sampled operation's merged timeline
 	//     must cover all seven lifecycle stages and validate (no Deliver
 	//     before WireRecv, no Stabilize before its ack quorum). With Stall
-	//     also enabled, every stall-triggered Snapshot must carry a
-	//     non-empty recorder tail for each blamed peer.
+	//     also enabled, every stalled verdict OnStall passes must carry a
+	//     non-empty recorder tail for each holding peer.
 	//   - Metrics, when set, is shared by every node (node-labeled
 	//     families); scraping it while the soak runs is itself a race test
 	//     of the registry.
@@ -509,7 +509,7 @@ func Soak(o Options) (*Report, error) {
 		})
 	}
 	// Ground truth for the honesty invariant: the set of nodes any schedule
-	// event touches. A stall report may only blame these. A partition cuts
+	// event touches. A stalled verdict may only name these. A partition cuts
 	// every link crossing the set boundary, so both sides are affected — if
 	// the isolated set contains a sender, the peers left outside genuinely
 	// fall behind on its stream.

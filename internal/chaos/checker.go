@@ -18,9 +18,9 @@
 //     retransmission buffer exceeds the cap plus one in-flight append,
 //     no matter which peers stop draining it. Admission control, not
 //     fault-free weather, is what keeps memory bounded.
-//  6. Degraded-mode honesty — every stall report names only peers the
+//  6. Degraded-mode honesty — every stall verdict names only holders the
 //     harness knows to be faulted or genuinely behind, and never an empty
-//     set. Blaming a healthy peer would route an operator (or an automated
+//     set. Naming a healthy peer would route an operator (or an automated
 //     fallback) at the wrong subsystem.
 //  7. Trace well-orderedness — with the flight recorder on, a sampled
 //     operation's merged cross-node timeline must cover the whole
@@ -63,7 +63,7 @@
 // 4 by the harness at drain time via Violatef; invariant 6 by
 // AttachStallHonesty on each node's OnStall stream; invariant 7 by
 // CheckTraces after convergence plus AttachStallTraces on each stall
-// report; invariant 9's byte-identity by AttachPayloadTruth on the same
+// verdict; invariant 9's byte-identity by AttachPayloadTruth on the same
 // delivery hooks as invariant 2; invariant 10 by AttachAdaptive on each
 // controller's transition stream plus CheckAdaptiveHonesty sweeps and the
 // release validator inside AdaptiveDemo.
@@ -350,15 +350,12 @@ func (c *Checker) CheckFrontierTruth(nodes []*core.Node, quorums map[string]int)
 			continue
 		}
 		for key, quorum := range quorums {
-			fr, err := sn.StabilityFrontier(key)
+			v, err := sn.Explain(key)
 			if err != nil {
 				continue // predicate not registered on this node
 			}
-			src, err := sn.PredicateSource(key)
-			if err != nil {
-				continue
-			}
-			gt, err := sn.EvalFor(sn.Self(), src)
+			fr := v.Frontier
+			gt, err := sn.EvalFor(sn.Self(), v.Source)
 			if err != nil {
 				c.Violatef("frontier truth: node %d predicate %q unevaluable: %v", s, key, err)
 				continue
@@ -407,50 +404,40 @@ func (c *Checker) CheckFrontierTruth(nodes []*core.Node, quorums map[string]int)
 	}
 }
 
-// AttachStallHonesty hooks invariant 6 into a node's degraded-mode reports:
-// every stall report must blame at least one peer, and only peers for which
-// allowed returns true — the harness supplies allowed from its ground-truth
-// knowledge of which peers the schedule faulted (or which are genuinely
-// behind). Call alongside Attach, once per incarnation.
+// AttachStallHonesty hooks invariant 6 into the verdicts a node's stall sweep
+// fires: every stalled verdict must name at least one holding peer, and only
+// peers for which allowed returns true — the harness supplies allowed from
+// its ground-truth knowledge of which peers the schedule faulted (or which
+// are genuinely behind). Call alongside Attach, once per incarnation.
 func (c *Checker) AttachStallHonesty(node *core.Node, allowed func(peer int) bool) {
 	self := node.Self()
-	node.OnStall(func(r core.StallReport) {
+	node.OnStall(func(v core.PredicateState) {
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		if len(r.Peers) == 0 {
-			c.failf("stall report without blame: node %d predicate %q stalled at %d/%d naming no peers",
-				self, r.Predicate, r.Frontier, r.Head)
+		if len(v.Holding) == 0 {
+			c.failf("stall verdict without holders: node %d predicate %q stalled at %d/%d naming no peers",
+				self, v.Key, v.Frontier, v.Head)
 		}
-		for _, p := range r.Peers {
-			if !allowed(p) {
-				c.failf("dishonest stall blame: node %d predicate %q blamed healthy peer %d (frontier %d/%d)",
-					self, r.Predicate, p, r.Frontier, r.Head)
+		for _, h := range v.Holding {
+			if !allowed(h.Peer) {
+				c.failf("dishonest stall verdict: node %d predicate %q held by healthy peer %d (frontier %d/%d)",
+					self, v.Key, h.Peer, v.Frontier, v.Head)
 			}
 		}
 	})
 }
 
-// AttachStallTraces hooks the trace half of invariant 7 into a node's
-// degraded-mode reports: every stall-triggered Snapshot must carry
-// a non-empty flight-recorder tail for each blamed peer, so "frontier
-// stalled, blame node 3" always ships a post-mortem. Call alongside
-// Attach on traced nodes, once per incarnation.
+// AttachStallTraces hooks the trace half of invariant 7 into the verdicts a
+// node's stall sweep fires: each must carry a non-empty flight-recorder tail
+// for every holding peer, so "frontier stalled, held by node 3" always ships
+// a post-mortem. Call alongside Attach on traced nodes, once per incarnation.
 func (c *Checker) AttachStallTraces(node *core.Node) {
 	self := node.Self()
-	node.OnStall(func(r core.StallReport) {
-		snap := node.Snapshot()
-		for _, ph := range snap.Predicates {
-			// Only judge the predicate this report is about, and only if
-			// it is still stalled (the monitor may have already cleared
-			// it by the time the hook runs).
-			if ph.Key != r.Predicate || !ph.Stalled {
-				continue
-			}
-			for _, lag := range ph.Blamed {
-				if len(lag.Recent) == 0 {
-					c.Violatef("stall trace missing: node %d predicate %q blames peer %d with an empty recorder tail (frontier %d/%d)",
-						self, ph.Key, lag.Peer, ph.Frontier, snap.Log.Head)
-				}
+	node.OnStall(func(v core.PredicateState) {
+		for _, h := range v.Holding {
+			if len(h.Recent) == 0 {
+				c.Violatef("stall trace missing: node %d predicate %q held by peer %d with an empty recorder tail (frontier %d/%d)",
+					self, v.Key, h.Peer, v.Frontier, v.Head)
 			}
 		}
 	})

@@ -45,15 +45,15 @@ func (c *Checker) CheckAdaptiveHonesty(nodes []*core.Node) {
 	for _, n := range nodes {
 		for _, ctrl := range n.AdaptiveControllers() {
 			r1 := ctrl.RungIndex()
-			src, err := n.PredicateSource(ctrl.Key())
+			v, err := n.Explain(ctrl.Key())
 			r2 := ctrl.RungIndex()
 			if err != nil || r1 != r2 {
 				continue
 			}
-			idx := ctrl.Ladder().IndexOfSource(src)
+			idx := ctrl.Ladder().IndexOfSource(v.Source)
 			if idx == -1 {
 				c.Violatef("adaptive honesty: node %d predicate %q installed source %q is not a ladder rung",
-					n.Self(), ctrl.Key(), src)
+					n.Self(), ctrl.Key(), v.Source)
 				continue
 			}
 			if r1 < idx {

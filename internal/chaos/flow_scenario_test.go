@@ -69,7 +69,7 @@ type FlowReport struct {
 	MaxLogBytes int64
 	// BlockedAppends counts appends that waited on admission control.
 	BlockedAppends int64
-	// StallReports counts degraded-mode notifications the sender emitted.
+	// StallReports counts the stall verdicts the sender's sweep fired.
 	StallReports int
 }
 
@@ -123,10 +123,10 @@ func FlowDemo(o FlowOptions) (*FlowReport, error) {
 		if _, err := r.registerAllMaj(); err != nil {
 			return err
 		}
-		r.bed.Node(1).OnStall(func(sr core.StallReport) {
+		r.bed.Node(1).OnStall(func(v core.PredicateState) {
 			stallCount.Add(1)
-			r.logf("chaos: stall report: predicate %q frontier %d/%d blames %v", sr.Predicate, sr.Frontier, sr.Head, sr.Peers)
-			if sr.Predicate == core.ReclaimPredicateKey {
+			r.logf("chaos: stall verdict: predicate %q frontier %d/%d held by %+v", v.Key, v.Frontier, v.Head, v.Holding)
+			if v.Key == core.ReclaimPredicateKey {
 				reclaimStalled.Store(true)
 			}
 		})
@@ -170,21 +170,13 @@ func FlowDemo(o FlowOptions) (*FlowReport, error) {
 		if rep.BlockedAppends == 0 {
 			r.check.Violatef("admission control never engaged: 0 blocked appends at cap %d", flowCapBytes)
 		}
-		// The snapshot must name exactly the blackholed peer as the stall cause
-		// on the full-set predicate.
-		foundAll := false
-		for _, ph := range snap.Predicates {
-			if ph.Key != "all" {
-				continue
-			}
-			foundAll = true
-			if !ph.Stalled || len(ph.Blamed) != 1 || ph.Blamed[0].Peer != victim {
-				r.check.Violatef("Snapshot misnames the stall cause: predicate 'all' stalled=%v blamed=%+v, want exactly peer %d",
-					ph.Stalled, ph.Blamed, victim)
-			}
-		}
-		if !foundAll {
-			r.check.Violatef("Snapshot has no entry for predicate 'all'")
+		// The verdict on the full-set predicate must name exactly the
+		// blackholed peer as what holds it.
+		if v, err := sender.Explain("all"); err != nil {
+			r.check.Violatef("no verdict on predicate 'all': %v", err)
+		} else if !v.Stalled || len(v.Holding) != 1 || v.Holding[0].Peer != victim {
+			r.check.Violatef("Explain misnames the stall cause: predicate 'all' stalled=%v holding=%+v, want exactly peer %d",
+				v.Stalled, v.Holding, victim)
 		}
 
 		// Healthy-majority convergence: every node but the victim drains the full

@@ -31,7 +31,7 @@ func TestRegisterPredicatesAllOrNothing(t *testing.T) {
 		t.Fatalf("batch register: %v", err)
 	}
 	for _, key := range []string{"all", "maj"} {
-		if _, err := n.PredicateSource(key); err != nil {
+		if _, err := n.Explain(key); err != nil {
 			t.Fatalf("predicate %q missing after batch: %v", key, err)
 		}
 	}
@@ -44,7 +44,7 @@ func TestRegisterPredicatesAllOrNothing(t *testing.T) {
 	if err == nil {
 		t.Fatal("batch with a broken source succeeded")
 	}
-	if _, srcErr := n.PredicateSource("ok"); srcErr == nil {
+	if _, srcErr := n.Explain("ok"); srcErr == nil {
 		t.Fatal("partial batch: \"ok\" registered despite sibling failure")
 	}
 
@@ -56,7 +56,7 @@ func TestRegisterPredicatesAllOrNothing(t *testing.T) {
 	if !errors.Is(err, frontier.ErrPredExists) {
 		t.Fatalf("dup-key batch error = %v, want ErrPredExists", err)
 	}
-	if _, srcErr := n.PredicateSource("fresh"); srcErr == nil {
+	if _, srcErr := n.Explain("fresh"); srcErr == nil {
 		t.Fatal("partial batch: \"fresh\" registered despite dup sibling")
 	}
 
@@ -122,7 +122,7 @@ func TestHookCancelDetaches(t *testing.T) {
 	upCancel := n.OnPeerUp(func(int) { t.Error("canceled OnPeerUp fired") })
 	upCancel()
 	// OnStall with no monitor configured: registration and cancel are safe.
-	stallCancel := n.OnStall(func(StallReport) {})
+	stallCancel := n.OnStall(func(PredicateState) {})
 	stallCancel()
 	stallCancel()
 }
@@ -153,8 +153,8 @@ func TestStartAdaptiveLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if src, err := n.PredicateSource("stable"); err != nil || src != "MIN($ALLWNODES)" {
-		t.Fatalf("rung 0 not installed: %q, %v", src, err)
+	if v, err := n.Explain("stable"); err != nil || v.Source != "MIN($ALLWNODES)" {
+		t.Fatalf("rung 0 not installed: %q, %v", v.Source, err)
 	}
 	if all := n.AdaptiveControllers(); len(all) != 1 || all[0] != ctrl {
 		t.Fatalf("AdaptiveControllers = %v", all)
@@ -215,8 +215,8 @@ func TestOpenWithAdaptiveSpec(t *testing.T) {
 		if all := n.AdaptiveControllers(); len(all) != 1 || all[0].Key() != "stable" {
 			t.Fatalf("node %d: adaptive controllers = %v, want one for \"stable\"", n.Self(), all)
 		}
-		if src, err := n.PredicateSource("stable"); err != nil || src != "MIN($ALLWNODES)" {
-			t.Fatalf("node %d: rung 0 not installed: %q, %v", n.Self(), src, err)
+		if v, err := n.Explain("stable"); err != nil || v.Source != "MIN($ALLWNODES)" {
+			t.Fatalf("node %d: rung 0 not installed: %q, %v", n.Self(), v.Source, err)
 		}
 	}
 }

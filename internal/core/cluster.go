@@ -222,7 +222,7 @@ func (c *Cluster) Close() error {
 func (c *Cluster) WaitAllFor(ctx context.Context, seq uint64, key string) error {
 	var targets []*Node
 	for _, n := range c.Nodes() {
-		if _, err := n.PredicateSource(key); err == nil {
+		if n.registry.Has(key) {
 			targets = append(targets, n)
 		}
 	}

@@ -1,0 +1,123 @@
+package core
+
+import (
+	"context"
+	"testing"
+	"time"
+
+	"stabilizer/internal/emunet"
+	"stabilizer/internal/faultinject"
+	"stabilizer/internal/optrace"
+)
+
+// holders lists a verdict's holding peers.
+func holders(v PredicateState) []int {
+	peers := make([]int, len(v.Holding))
+	for i, l := range v.Holding {
+		peers[i] = l.Peer
+	}
+	return peers
+}
+
+// TestExplainNamesTheCutPeer cuts node 3 off in both directions and asks the
+// sender why its frontiers stopped. The all-nodes predicate stalls, held by
+// peer 3 alone — down once the failure detector has waited PeerTimeout, with
+// a recorder tail; a predicate over nodes 1 and 2 holds nothing; the verdict
+// OnStall fired names the same holders; and after the heal nothing holds and
+// nothing is stuck.
+func TestExplainNamesTheCutPeer(t *testing.T) {
+	inj := faultinject.New(nil)
+	net := emunet.NewMemNetwork(nil)
+	net.SetConnHook(inj.Hook())
+	cl, err := OpenCluster(Config{
+		Topology:       flatTopology(3),
+		Network:        net,
+		HeartbeatEvery: 10 * time.Millisecond,
+		PeerTimeout:    100 * time.Millisecond,
+		Stall:          StallConfig{Deadline: 100 * time.Millisecond},
+		Trace:          optrace.Config{SampleEvery: 1, RingSize: 1 << 12},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		_ = cl.Close()
+		inj.Close()
+		_ = net.Close()
+	})
+	sender := cl.Node(1)
+	for key, src := range map[string]string{"all": "MIN($ALLWNODES)", "pair": "MIN($1, $2)"} {
+		if err := sender.RegisterPredicate(key, src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fired := make(chan PredicateState, 64)
+	sender.OnStall(func(v PredicateState) {
+		if v.Key == "all" {
+			select {
+			case fired <- v:
+			default:
+			}
+		}
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+
+	// Warm up, so the recorder holds events with peer 3, then cut it off.
+	seq, err := sender.Send([]byte("warm"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sender.WaitFor(ctx, seq, "all"); err != nil {
+		t.Fatal(err)
+	}
+	inj.Partition([]int{3}, 3)
+	if seq, err = sender.Send([]byte("cut")); err != nil {
+		t.Fatal(err)
+	}
+
+	var v PredicateState
+	waitUntil(t, 5*time.Second, "'all' stalled, held by a peer that is down", func() bool {
+		v, err = sender.Explain("all")
+		return err == nil && v.Stalled && len(v.Holding) == 1 && !v.Holding[0].Up
+	})
+	if h := v.Holding[0]; h.Peer != 3 || h.Ack >= seq || len(h.Recent) == 0 {
+		t.Fatalf("'all' held by %+v, want peer 3 below seq %d with a recorder tail", h, seq)
+	}
+	if v.Frontier >= v.Head {
+		t.Fatalf("stalled verdict %+v: frontier not below head", v)
+	}
+
+	if err := sender.WaitFor(ctx, seq, "pair"); err != nil {
+		t.Fatal(err)
+	}
+	if p, err := sender.Explain("pair"); err != nil || p.Stalled || len(p.Holding) != 0 {
+		t.Fatalf("'pair' over nodes 1 and 2: %+v, %v; want nothing holding it", p, err)
+	}
+
+	// Every edge the sweep fired has happened by now; the last names who
+	// holds the frontier, as Explain does.
+	var last PredicateState
+	for len(fired) > 0 || last.Key == "" {
+		select {
+		case last = <-fired:
+		case <-time.After(5 * time.Second):
+			t.Fatal("OnStall never fired for 'all'")
+		}
+	}
+	if got, want := holders(last), holders(v); len(got) != 1 || got[0] != want[0] || len(last.Holding[0].Recent) == 0 {
+		t.Fatalf("OnStall's verdict held by %v (%+v), Explain's by %v", got, last.Holding, want)
+	}
+
+	inj.HealPartition([]int{3}, 3)
+	if err := sender.WaitFor(ctx, seq, "all"); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, 5*time.Second, "'all' to reach its head with nothing stuck", func() bool {
+		v, err = sender.Explain("all")
+		return err == nil && v.Frontier == v.Head
+	})
+	if v.Stuck != 0 || v.Stalled || len(v.Holding) != 0 {
+		t.Fatalf("healed verdict %+v: want nothing stuck, stalled or holding", v)
+	}
+}

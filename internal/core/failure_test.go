@@ -48,11 +48,11 @@ func TestPredicateAdjustmentOnPeerFailure(t *testing.T) {
 	// predicate that depends on the dead node without it.
 	sender.OnPeerDown(func(peer int) {
 		for _, key := range sender.Predicates() {
-			deps, err := sender.PredicateDependsOn(key)
+			v, err := sender.Explain(key)
 			if err != nil {
 				continue
 			}
-			for _, d := range deps {
+			for _, d := range v.DependsOn {
 				if d == peer {
 					_ = sender.ChangePredicate(key,
 						fmt.Sprintf("MIN($ALLWNODES-$MYWNODE-$%d)", peer))
@@ -76,10 +76,10 @@ func TestPredicateAdjustmentOnPeerFailure(t *testing.T) {
 	if err := sender.WaitFor(ctx, seq, "strong"); err != nil {
 		t.Fatalf("waiter never released after predicate adjustment: %v", err)
 	}
-	deps, _ := sender.PredicateDependsOn("strong")
-	for _, d := range deps {
+	v, _ := sender.Explain("strong")
+	for _, d := range v.DependsOn {
 		if d == 4 {
-			t.Fatalf("predicate still depends on dead node: %v", deps)
+			t.Fatalf("predicate still depends on dead node: %v", v.DependsOn)
 		}
 	}
 }

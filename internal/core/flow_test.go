@@ -111,18 +111,14 @@ func TestSendBlocksAtCapResumesAfterHeal(t *testing.T) {
 	if log := sender.SendLog(); !log.Full {
 		t.Fatalf("send log not backpressured while blocked: %+v", log)
 	}
-	// The stall monitor must name exactly the blackholed peer.
-	waitUntil(t, 5*time.Second, "stall blame on peer 3", func() bool {
-		for _, p := range sender.Snapshot().Predicates {
-			if p.Key == ReclaimPredicateKey && p.Stalled {
-				return len(p.Blamed) == 1 && p.Blamed[0].Peer == 3
-			}
-		}
-		return false
+	// The verdict on reclaim must name exactly the blackholed peer.
+	waitUntil(t, 5*time.Second, "reclaim held by peer 3", func() bool {
+		v, err := sender.Explain(ReclaimPredicateKey)
+		return err == nil && v.Stalled && len(v.Holding) == 1 && v.Holding[0].Peer == 3
 	})
-	// The zone rollup keeps no count of its own: a scrape counts the blamed
-	// pairs, so peer 3's zone reads what the snapshot blames and peer 2's
-	// zone reads nothing.
+	// The zone rollup keeps no count of its own: a scrape counts the stalled
+	// pairs, so peer 3's zone reads what the snapshot's stalled verdicts hold
+	// and peer 2's zone reads nothing.
 	stalledIn := func(zone string) float64 {
 		fs := sender.Metrics().Find("stabilizer_frontier_stalled_peers")
 		if fs == nil {
@@ -136,15 +132,17 @@ func TestSendBlocksAtCapResumesAfterHeal(t *testing.T) {
 		t.Fatalf("no stalled_peers child for zone %s: %+v", zone, fs.Metrics)
 		return 0
 	}
-	waitUntil(t, 5*time.Second, "stalled_peers{az3,region3} to read the snapshot's blamed pairs", func() bool {
+	waitUntil(t, 5*time.Second, "stalled_peers{az3,region3} to read the snapshot's stalled pairs", func() bool {
 		pairs := 0
 		for _, p := range sender.Snapshot().Predicates {
-			pairs += len(p.Blamed)
+			if p.Stalled {
+				pairs += len(p.Holding)
+			}
 		}
 		return pairs >= 1 && stalledIn("3") == float64(pairs)
 	})
 	if got := stalledIn("2"); got != 0 {
-		t.Fatalf("stalled_peers{az2,region2} = %v with only peer 3 blamed", got)
+		t.Fatalf("stalled_peers{az2,region2} = %v with only peer 3 holding", got)
 	}
 
 	inj.HealBlackhole(1, 3)

@@ -132,8 +132,8 @@ type Config struct {
 	// Flow bounds the send log with admission control (a byte cap, and a
 	// directory for the disk tier); the zero value keeps the log unbounded.
 	Flow transport.FlowConfig
-	// Stall configures degraded-mode stall detection and blame attribution
-	// (see StallConfig); the zero value disables the monitor.
+	// Stall sets when a verdict reads stalled and arms the sweep behind
+	// OnStall (see StallConfig); the zero value disables both.
 	Stall StallConfig
 	// Trace configures the per-operation lifecycle flight recorder
 	// (sampling rate and ring size); the zero value disables tracing and
@@ -567,7 +567,7 @@ func addHook[A any](n *Node, list *cowList[hook[A]], fn func(A)) (cancel func())
 
 // OnPeerDown registers a callback fired when a peer is suspected failed.
 // The paper's recovery recipe (§III-E): the application inspects which
-// predicates depend on the dead node (PredicateDependsOn) and adjusts them
+// predicates depend on the dead node (Explain(key).DependsOn) and adjusts them
 // with ChangePredicate. The returned cancel detaches the callback
 // (idempotent); a nil fn is ignored and gets a no-op cancel.
 func (n *Node) OnPeerDown(fn func(peer int)) (cancel func()) {
@@ -710,16 +710,6 @@ func (n *Node) Predicates() []string {
 	return out
 }
 
-// PredicateSource returns the DSL source registered under key.
-func (n *Node) PredicateSource(key string) (string, error) {
-	return n.registry.Source(key)
-}
-
-// PredicateDependsOn lists the WAN nodes the predicate under key reads.
-func (n *Node) PredicateDependsOn(key string) ([]int, error) {
-	return n.registry.DependsOn(key)
-}
-
 // WaitFor blocks until the stability frontier of the named predicate
 // reaches seq (paper waitfor).
 func (n *Node) WaitFor(ctx context.Context, seq uint64, key string) error {
@@ -798,7 +788,7 @@ func (n *Node) StartAdaptive(key string, ladder adaptive.Ladder, cfg adaptive.Co
 	} else if err := n.registry.Register(key, ladder.Rung(0).Source); err != nil {
 		return nil, err
 	}
-	ctrl, err := adaptive.Start(n, key, ladder, cfg, n.metrics.reg)
+	ctrl, err := adaptive.Start(adaptiveHost{n}, key, ladder, cfg, n.metrics.reg)
 	if err != nil {
 		return nil, err
 	}
@@ -814,6 +804,16 @@ func (n *Node) StartAdaptive(key string, ladder adaptive.Ladder, cfg adaptive.Co
 	}
 	n.adaptiveCtrls[key] = ctrl
 	return ctrl, nil
+}
+
+// adaptiveHost is the node as an adaptive controller sees it: its stall input
+// is the predicate's one stall clock, read on the node's clock like every
+// other reading of it.
+type adaptiveHost struct{ *Node }
+
+func (h adaptiveHost) Stuck(key string) (time.Duration, error) {
+	st, err := h.registry.State(key, h.log.Head(), h.nowFn())
+	return st.Stuck, err
 }
 
 // AdaptiveControllers returns every running adaptive controller, sorted by

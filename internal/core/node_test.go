@@ -245,12 +245,12 @@ func TestChangePredicateAtRuntime(t *testing.T) {
 	if d := time.Since(start); d > 300*time.Millisecond {
 		t.Fatalf("wait after reconfiguration took %v; straggler should be excluded", d)
 	}
-	deps, err := sender.PredicateDependsOn("p")
+	v, err := sender.Explain("p")
 	if err != nil {
-		t.Fatalf("depends on: %v", err)
+		t.Fatalf("explain: %v", err)
 	}
-	if len(deps) != 1 || deps[0] != 2 {
-		t.Fatalf("depends on %v, want [2]", deps)
+	if len(v.DependsOn) != 1 || v.DependsOn[0] != 2 {
+		t.Fatalf("depends on %v, want [2]", v.DependsOn)
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"sync"
-	"time"
 
 	"stabilizer/internal/config"
 	"stabilizer/internal/metrics"
@@ -136,37 +135,6 @@ func (s *slowOp) get() (seq uint64, lat int64, pred string, ok bool) {
 
 // --- the snapshot (Node.Snapshot, served at /debug/stabilizer) ---
 
-// PeerLag describes one blamed peer of a stalled predicate.
-type PeerLag struct {
-	Peer   int    `json:"peer"`
-	AZ     string `json:"az"`
-	Region string `json:"region"`
-	// Ack is the lowest recorder-cell value the predicate reads from this
-	// peer (how far behind the log's Head it is).
-	Ack uint64 `json:"ack"`
-	// Recent is the flight-recorder tail snapshotted when this peer was
-	// blamed: the newest traced events that involve the peer or describe
-	// local not-yet-stable operations past the stuck frontier. Nil when
-	// tracing is disabled.
-	Recent []optrace.Event `json:"recent,omitempty"`
-}
-
-// PredicateState is one registered predicate in a Snapshot: what it is, where
-// its frontier stands (against Snapshot.Log.Head) and, once the stall monitor
-// has declared it stalled, for how long and who holds it back.
-type PredicateState struct {
-	Key       string `json:"key"`
-	Source    string `json:"source"`
-	Frontier  uint64 `json:"frontier"`
-	DependsOn []int  `json:"dependsOn,omitempty"`
-	Stalled   bool   `json:"stalled"`
-	// StalledFor is how long the predicate has been stalled (0 unless
-	// Stalled); Blamed the peers holding the frontier back, ascending by
-	// index (nil unless Stalled).
-	StalledFor time.Duration `json:"stalledFor"`
-	Blamed     []PeerLag     `json:"blamed,omitempty"`
-}
-
 // Snapshot is the one read of a node's state, for dashboards, operators,
 // /debug/stabilizer and checkers: every number appears in it once. The
 // predicates are read under one hold of the registry lock and the send log
@@ -194,10 +162,10 @@ type Snapshot struct {
 	Waiters    int   `json:"waiters"`
 	// Acks is the local origin's recorder, one row per stability type name.
 	Acks map[string][]uint64 `json:"acks"`
-	// Predicates holds one entry per registered predicate, sorted by key,
-	// the reserved reclaim predicate included so buffer reclamation (and a
-	// stalled reclaim, which is what pins the send log) is observable. Stall
-	// fields are filled by the monitor Config.Stall arms.
+	// Predicates holds the verdict on every registered predicate, sorted by
+	// key, against Log.Head: the reserved reclaim predicate included, so
+	// buffer reclamation (and a stalled reclaim, which is what pins the send
+	// log) is observable.
 	Predicates []PredicateState `json:"predicates"`
 }
 
@@ -219,25 +187,11 @@ func (n *Node) Snapshot() Snapshot {
 	for typ, row := range n.selfTable().Snapshot() {
 		s.Acks[n.types.Name(typ)] = row
 	}
-	states := n.registry.States()
+	states := n.registry.States(s.Log.Head, n.nowFn())
 	s.Predicates = make([]PredicateState, 0, len(states))
-	now := n.nowFn()
-	st := n.stall
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	for _, ps := range states {
 		s.Waiters += ps.Waiters
-		p := PredicateState{Key: ps.Key, Source: ps.Source, Frontier: ps.Frontier, DependsOn: ps.DependsOn}
-		if sp := st.preds[ps.Key]; sp != nil && sp.stalled {
-			p.Stalled = true
-			p.StalledFor = now.Sub(sp.since)
-			for _, peer := range sp.blamed {
-				lag := n.peerLagFor(ps.Cells, peer)
-				lag.Recent = sp.tails[peer]
-				p.Blamed = append(p.Blamed, lag)
-			}
-		}
-		s.Predicates = append(s.Predicates, p)
+		s.Predicates = append(s.Predicates, n.verdict(ps, s.Log.Head))
 	}
 	return s
 }

@@ -9,7 +9,7 @@ import (
 
 // traceTail snapshots the newest events that involve the given peer or
 // describe this node's own not-yet-stable operations past frontier — the
-// post-mortem slice attached to stall blame.
+// post-mortem slice a stalled verdict carries for each holding peer.
 func (n *Node) traceTail(peer int, frontier uint64) []optrace.Event {
 	if n.trace == nil {
 		return nil
@@ -23,8 +23,8 @@ func (n *Node) traceTail(peer int, frontier uint64) []optrace.Event {
 	})
 }
 
-// stallTailEvents bounds the recorder tail attached to each blamed peer in
-// a Snapshot.
+// stallTailEvents bounds the recorder tail a stalled verdict carries for each
+// holding peer.
 const stallTailEvents = 24
 
 // ErrTracingDisabled is returned by trace queries when no live node has a

@@ -129,9 +129,9 @@ func TestTraceDisabled(t *testing.T) {
 	}
 }
 
-// TestStallHealthIncludesTraceTail blackholes a peer and asserts the
-// stall-triggered Snapshot carries a non-empty recorder snapshot for
-// the blamed peer.
+// TestStallHealthIncludesTraceTail crashes a peer and asserts the stalled
+// verdict in the Snapshot carries a non-empty recorder tail for the peer
+// holding it.
 func TestStallHealthIncludesTraceTail(t *testing.T) {
 	net := emunet.NewMemNetwork(nil)
 	cl, err := OpenCluster(ClusterConfig{
@@ -155,8 +155,8 @@ func TestStallHealthIncludesTraceTail(t *testing.T) {
 	if err := sender.RegisterPredicate("all", "MIN($ALLWNODES)"); err != nil {
 		t.Fatal(err)
 	}
-	stalled := make(chan StallReport, 8)
-	sender.OnStall(func(r StallReport) {
+	stalled := make(chan PredicateState, 8)
+	sender.OnStall(func(r PredicateState) {
 		select {
 		case stalled <- r:
 		default:
@@ -187,27 +187,27 @@ func TestStallHealthIncludesTraceTail(t *testing.T) {
 	}
 
 	h := sender.Snapshot()
-	foundBlamed := false
+	foundHolder := false
 	for _, ph := range h.Predicates {
 		if !ph.Stalled {
 			continue
 		}
-		for _, lag := range ph.Blamed {
+		for _, lag := range ph.Holding {
 			if lag.Peer != 3 {
 				continue
 			}
-			foundBlamed = true
+			foundHolder = true
 			if len(lag.Recent) == 0 {
-				t.Fatalf("blamed peer %d has empty trace tail (predicate %q)", lag.Peer, ph.Key)
+				t.Fatalf("holding peer %d has empty trace tail (predicate %q)", lag.Peer, ph.Key)
 			}
 			for _, ev := range lag.Recent {
 				if ev.Peer != 3 && !(ev.Origin == 1 && ev.Seq > ph.Frontier) {
-					t.Fatalf("tail event unrelated to blame: %+v", ev)
+					t.Fatalf("tail event unrelated to the holder: %+v", ev)
 				}
 			}
 		}
 	}
-	if !foundBlamed {
-		t.Fatalf("no stalled predicate blames peer 3: %+v", h.Predicates)
+	if !foundHolder {
+		t.Fatalf("no stalled predicate held by peer 3: %+v", h.Predicates)
 	}
 }

@@ -169,8 +169,8 @@ type Cell struct {
 }
 
 // Cells lists the distinct recorder-table cells the program loads, in
-// first-load order. Stall blame attribution uses it to ask, per dependent
-// peer, which ack value the predicate actually consumed.
+// first-load order. A node's Explain uses it to ask, per dependent peer,
+// which ack value the predicate actually consumed.
 func (p *Program) Cells() []Cell {
 	seen := make(map[Cell]struct{}, len(p.instrs))
 	var out []Cell

@@ -280,12 +280,12 @@ func TestRegistryRegisterChangeRemove(t *testing.T) {
 	if !reg.Has("p") || reg.Has("q") {
 		t.Fatal("Has misreports")
 	}
-	if src, _ := reg.Source("p"); src != "MIN($ALLWNODES)" {
-		t.Fatalf("Source = %q", src)
+	st, err := reg.State("p", 0, time.Now())
+	if err != nil || st.Source != "MIN($ALLWNODES)" || len(st.DependsOn) != 3 {
+		t.Fatalf("State = %+v, %v", st, err)
 	}
-	deps, _ := reg.DependsOn("p")
-	if len(deps) != 3 {
-		t.Fatalf("DependsOn = %v", deps)
+	if _, err := reg.State("q", 0, time.Now()); !errors.Is(err, ErrPredUnknown) {
+		t.Fatalf("State of an unknown key err = %v", err)
 	}
 
 	report(reg, table, 1, 5)

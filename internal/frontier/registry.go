@@ -105,6 +105,9 @@ type predicate struct {
 	// at install (nil with metrics off): an advance stores into it instead
 	// of looking the label up. Remove deletes the child from the family.
 	gauge *metrics.Gauge
+	// lag times how long frontier has sat still below the send head; State
+	// and States observe it under mu.
+	lag lag
 
 	waiters waiterHeap
 }
@@ -458,59 +461,61 @@ func (r *Registry) Keys() []string {
 	return out
 }
 
-// Source returns the DSL source of the predicate under key.
-func (r *Registry) Source(key string) (string, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	p, ok := r.preds[key]
-	if !ok {
-		return "", fmt.Errorf("%w: %q", ErrPredUnknown, key)
-	}
-	return p.prog.Source(), nil
-}
-
-// DependsOn returns the WAN nodes the predicate under key reads.
-func (r *Registry) DependsOn(key string) ([]int, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	p, ok := r.preds[key]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrPredUnknown, key)
-	}
-	return p.prog.DependsOn(), nil
-}
-
-// PredicateState is one registered predicate as States read it.
+// PredicateState is one registered predicate as State and States read it.
 type PredicateState struct {
 	Key      string
 	Source   string
 	Frontier uint64
 	// DependsOn lists the WAN nodes the predicate reads; Cells the recorder
-	// cells, in first-load order (stall blame compares each dependent peer's
-	// cell against the stalled frontier).
+	// cells, in first-load order (the peers holding a frontier are those
+	// whose cells sit at or below it).
 	DependsOn []int
 	Cells     []dsl.Cell
 	// Waiters is the number of WaitFor callers parked on the predicate.
 	Waiters int
+	// Stuck is how long Frontier has sat still below the head the read was
+	// given, measured between readings: the clock starts at the first read
+	// that finds the frontier at this value with messages outstanding.
+	Stuck time.Duration
 }
 
-// States returns every registered predicate, sorted by key, read under one
-// hold of the registry lock: a predicate removed or swapped beside the call
-// is either wholly in the result or wholly absent, never a key without its
-// source.
-func (r *Registry) States() []PredicateState {
+// stateLocked reads p and takes one reading of its stall clock against head
+// at now. Caller holds mu.
+func (p *predicate) stateLocked(head uint64, now time.Time) PredicateState {
+	return PredicateState{
+		Key:       p.key,
+		Source:    p.prog.Source(),
+		Frontier:  p.frontier,
+		DependsOn: p.prog.DependsOn(),
+		Cells:     p.cells,
+		Waiters:   p.waiters.Len(),
+		Stuck:     p.lag.observe(p.frontier, head, now),
+	}
+}
+
+// State reads the predicate under key in one hold of the registry lock, with
+// its stall clock observed against head (the highest sequence of the stream
+// the predicate trails) at now.
+func (r *Registry) State(key string, head uint64, now time.Time) (PredicateState, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	p, ok := r.preds[key]
+	if !ok {
+		return PredicateState{}, fmt.Errorf("%w: %q", ErrPredUnknown, key)
+	}
+	return p.stateLocked(head, now), nil
+}
+
+// States is State for every registered predicate, sorted by key, read under
+// one hold of the registry lock: a predicate removed or swapped beside the
+// call is either wholly in the result or wholly absent, never a key without
+// its source.
+func (r *Registry) States(head uint64, now time.Time) []PredicateState {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]PredicateState, 0, len(r.preds))
 	for _, p := range r.preds {
-		out = append(out, PredicateState{
-			Key:       p.key,
-			Source:    p.prog.Source(),
-			Frontier:  p.frontier,
-			DependsOn: p.prog.DependsOn(),
-			Cells:     p.cells,
-			Waiters:   p.waiters.Len(),
-		})
+		out = append(out, p.stateLocked(head, now))
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out

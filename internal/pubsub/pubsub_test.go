@@ -125,12 +125,12 @@ func TestPublishWaitDoesNotWaitForSubscriberlessSites(t *testing.T) {
 	c := startBrokers(t, 3)
 	c.brokers[1].Subscribe(func(Message) {})
 	waitActive(t, c.brokers[0], 1)
-	deps, err := c.brokers[0].Node().PredicateDependsOn(DeliveryPredicateKey)
+	v, err := c.brokers[0].Node().Explain(DeliveryPredicateKey)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(deps) != 1 || deps[0] != 2 {
-		t.Fatalf("delivery predicate depends on %v, want [2]", deps)
+	if len(v.DependsOn) != 1 || v.DependsOn[0] != 2 {
+		t.Fatalf("delivery predicate depends on %v, want [2]", v.DependsOn)
 	}
 }
 

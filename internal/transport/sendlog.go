@@ -26,7 +26,7 @@ var ErrLogClosed = errors.New("transport: send log closed")
 // byte cap — the slowest unreclaimed peer has put the node into admission
 // control — and the caller's context ended before space freed. The returned
 // error also wraps that context's error. The caller should shed load, retry
-// later, or fall back to a weaker predicate (see core.Node.Snapshot for blame).
+// later, or fall back to a weaker predicate (core.Node.Explain names the peer).
 var ErrBackpressure = errors.New("transport: send log backpressure")
 
 // FlowConfig bounds the send log so a partitioned or slow peer cannot grow

@@ -376,7 +376,7 @@ func (sp *spillState) nextLocked(seq uint64) (LogEntry, bool) {
 		if err == io.EOF || err != nil {
 			// A sealed segment ended before its recorded range: disk
 			// corruption after the seal. Wedge rather than fabricate a
-			// gap; the stall monitor surfaces the blame.
+			// gap; the node's Explain names what it holds up.
 			sp.dropReaderLocked()
 			return LogEntry{}, false
 		}

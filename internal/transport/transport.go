@@ -502,6 +502,9 @@ func (t *Transport) RecvLast(peer int) uint64 {
 	return t.recvLast[peer].Load()
 }
 
+// Up reports whether the failure detector holds peer alive.
+func (t *Transport) Up(peer int) bool { return t.peerUpA[peer].Load() }
+
 // RecvLastAll returns the highest contiguous data sequence received from
 // every peer that has sent data.
 func (t *Transport) RecvLastAll() map[int]uint64 {

@@ -98,11 +98,13 @@ type (
 	Persister = core.Persister
 	// Snapshot is the one read of a node's state (Node.Snapshot,
 	// Cluster.Snapshot, /debug/stabilizer): topology, send log, traffic
-	// totals, the local recorder and every predicate with its stall state.
+	// totals, the local recorder and the verdict on every predicate.
 	Snapshot = core.Snapshot
-	// PredicateState is one predicate's entry in a Snapshot.
+	// PredicateState is the verdict on one predicate (Node.Explain, a
+	// Snapshot entry, the OnStall argument): frontier against head, how
+	// long it has been stuck, and the peers holding it.
 	PredicateState = core.PredicateState
-	// PeerLag describes one blamed peer inside a stalled PredicateState.
+	// PeerLag is one peer holding a PredicateState's frontier back.
 	PeerLag = core.PeerLag
 	// LogStats is one reading of the send log (Snapshot.Log, Node.SendLog).
 	LogStats = transport.LogStats
@@ -164,12 +166,9 @@ type (
 	// senders. At the cap Send waits for reclaimed space; SendCtx waits as
 	// long as its context allows. Set via Config.Flow.
 	FlowConfig = transport.FlowConfig
-	// StallConfig arms the degraded-mode stall monitor; set via
+	// StallConfig arms the stall sweep behind Node.OnStall; set via
 	// Config.Stall.
 	StallConfig = core.StallConfig
-	// StallReport is one stall notification with blame attribution
-	// (see Node.OnStall).
-	StallReport = core.StallReport
 
 	// TraceConfig arms the per-operation flight recorder (sampling rate
 	// and per-node ring size); set via Config.Trace.
