@@ -135,8 +135,8 @@ fuzz-dsl:
 	$(GO) test -fuzz=FuzzCompileEval -fuzztime=30s -run=^$$ ./internal/dsl
 
 # fuzz-wire runs the frame reader fuzzer for a bounded session: under any
-# read-cut pattern an arbitrary stream decodes as it does in one read, and
-# every payload the reader lent from its read chunk is intact once the
-# stream has drained — the contract that lets payloads skip the copy.
+# read-cut pattern an arbitrary stream decodes as it does in one read, every
+# payload lent from the reused read chunk reading right until the following
+# Next — the contract that lets payloads skip the copy.
 fuzz-wire:
 	$(GO) test -fuzz=FuzzReaderCuts -fuzztime=30s -run=^$$ ./internal/wire

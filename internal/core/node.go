@@ -53,11 +53,9 @@ type Message struct {
 	Origin int
 	// Seq is the origin-assigned sequence number.
 	Seq uint64
-	// Payload is the application data. On a receiver it lives in the
-	// connection's read chunk: it stays valid indefinitely, is never
-	// written again by the library, and has no spare capacity, so an
-	// append copies. Retaining it pins at most one chunk (64 KiB, or the
-	// frame if larger); copy a small payload kept for long.
+	// Payload is the application data. On a receiver it is lent from the
+	// connection's read chunk until the upcall returns (wire.Reader states
+	// the rule); a consumer that keeps it copies it.
 	Payload []byte
 	// SentAt is the origin's send timestamp.
 	SentAt time.Time
@@ -81,7 +79,8 @@ type AppMessage struct {
 type AppFunc func(m AppMessage)
 
 // Persister, when configured, is invoked after delivery; a nil error makes
-// the node report the "persisted" stability level for the message.
+// the node report the "persisted" stability level for the message. The
+// payload is lent until Persist returns (see Message.Payload).
 type Persister interface {
 	Persist(m Message) error
 }
@@ -521,6 +520,7 @@ func (c *cowList[T]) add(v T) {
 }
 
 // OnDeliver registers a data-plane upcall for messages from remote origins.
+// The payload is lent until fn returns (see Message.Payload).
 func (n *Node) OnDeliver(fn DeliverFunc) {
 	n.mu.Lock()
 	defer n.mu.Unlock()

@@ -16,7 +16,8 @@ type Bus interface {
 	Broadcast(payload []byte) error
 	// Send sends payload to one node, FIFO per pair.
 	Send(to int, payload []byte) error
-	// SetHandler installs the delivery callback (call before traffic).
+	// SetHandler installs the delivery callback (call before traffic). The
+	// payload is valid until fn returns; fn copies what it keeps.
 	SetHandler(fn func(from int, payload []byte))
 }
 

@@ -7,6 +7,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"stabilizer/internal/core"
+	"stabilizer/internal/testbed"
 )
 
 func startReplicas(t *testing.T, n int) (*MemHub, []*Replica) {
@@ -273,5 +276,50 @@ func TestPipelinedProposals(t *testing.T) {
 	hub.Wait()
 	if got := rs[0].CommittedThrough(); got != n {
 		t.Fatalf("committed through %d, want %d", got, n)
+	}
+}
+
+// TestCoreBusReplicaKeepsEveryPayload: over a Stabilizer node an Accept is a
+// delivered payload, lent from the read chunk only until the upcall returns,
+// so an acceptor keeps a copy of its value (decode makes it). 200 distinct
+// 1 KiB values, more than three read chunks per connection, are committed,
+// and every one is read back on a remote replica after the chunk has been
+// reused under the early ones.
+func TestCoreBusReplicaKeepsEveryPayload(t *testing.T) {
+	bed, err := testbed.Boot(core.Config{Topology: testbed.Flat(3)}, testbed.Fabric{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = bed.Close() })
+	var rs []*Replica
+	for _, node := range bed.Nodes() {
+		rs = append(rs, NewReplica(NewCoreBus(node)))
+	}
+	t.Cleanup(func() {
+		for _, r := range rs {
+			r.Close()
+		}
+	})
+	campaign(t, rs[0])
+	const n = 200
+	value := func(i int) []byte { return bytes.Repeat([]byte{byte(i), byte(i >> 8), 0xA5, byte(i * 7)}, 256) }
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	var slots []uint64
+	for i := 0; i <= n; i++ { // the last Accept carries the commit of the n before it
+		slot, err := rs[0].Propose(ctx, value(i))
+		if err != nil {
+			t.Fatalf("propose %d: %v", i, err)
+		}
+		slots = append(slots, slot)
+	}
+	remote := rs[2]
+	if !testbed.Await(10*time.Second, func() bool { return remote.CommittedThrough() >= slots[n-1] }) {
+		t.Fatalf("remote replica committed through %d, want %d", remote.CommittedThrough(), slots[n-1])
+	}
+	for i, slot := range slots[:n] {
+		if v, ok := remote.Value(slot); !ok || !bytes.Equal(v, value(i)) {
+			t.Fatalf("value %d on the remote replica changed after its upcall returned", i)
+		}
 	}
 }

@@ -72,7 +72,9 @@ type Message struct {
 	Origin int
 	// Seq is the publisher-assigned sequence number.
 	Seq uint64
-	// Payload is the published data.
+	// Payload is the published data, valid until the SubscribeFunc returns:
+	// a live message lends it from the read chunk (core.Message.Payload). A
+	// subscriber that keeps it copies it.
 	Payload []byte
 	// SentAt is the publisher's send timestamp; ReceivedAt the local
 	// delivery timestamp (end-to-end latency = ReceivedAt - SentAt).
@@ -312,8 +314,8 @@ func (b *Broker) Node() *core.Node { return b.node }
 // --- internals ---
 
 // retain appends m to its topic's retained ring, with a copy of its payload:
-// the caller's buffer on publish, a connection's 64 KiB read chunk on
-// delivery — which a ring entry would otherwise pin for as long as it stays.
+// the caller's buffer on publish, and on delivery a payload lent only until
+// the upcall returns (Message.Payload).
 func (b *Broker) retain(m Message) {
 	if b.retention == 0 {
 		return

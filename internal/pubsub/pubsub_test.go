@@ -1,6 +1,7 @@
 package pubsub
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -189,6 +190,7 @@ func TestSubscriberSeesTimestamps(t *testing.T) {
 	c := startBrokers(t, 2)
 	gotMsg := make(chan Message, 1)
 	c.brokers[1].Subscribe(func(m Message) {
+		m.Payload = bytes.Clone(m.Payload) // lent only until we return
 		select {
 		case gotMsg <- m:
 		default:

@@ -153,39 +153,42 @@ func TestRetentionReplaysBacklog(t *testing.T) {
 	}
 }
 
-// TestRetainedPayloadIsACopy: a delivered payload lives in the connection's
-// read chunk, so the retention ring keeps a copy — an entry must not pin the
-// chunk, nor see a subscriber's writes to the message it was handed.
+// TestRetainedPayloadIsACopy: a delivered payload is lent from the
+// connection's read chunk only until the upcall returns, so the retention
+// ring keeps a copy — an entry must not share the chunk, nor see a
+// subscriber's writes to the message it was handed.
 func TestRetainedPayloadIsACopy(t *testing.T) {
 	c := startBrokersWithOpts(t, 2, WithRetention(1))
 	pub, sub := c.brokers[0], c.brokers[1]
-	delivered := make(chan []byte, 1)
-	sub.Subscribe(func(m Message) { delivered <- m.Payload })
+	delivered := make(chan *byte, 1)
+	sub.Subscribe(func(m Message) {
+		m.Payload[0] = 'X' // a subscriber writing to the payload it was lent
+		delivered <- &m.Payload[0]
+	})
 	waitActive(t, pub, 1)
 	if _, err := pub.Publish([]byte("tail")); err != nil {
 		t.Fatal(err)
 	}
-	var live []byte
+	var live *byte
 	select {
 	case live = <-delivered:
 	case <-time.After(5 * time.Second):
 		t.Fatal("message never delivered")
 	}
-	var kept []byte
+	var replayed string
 	sub.Subscribe(func(m Message) {
 		if m.Replayed {
-			kept = m.Payload
+			replayed = string(m.Payload)
 		}
 	})
-	if string(kept) != "tail" {
-		t.Fatalf("replayed %q, want %q", kept, "tail")
+	if replayed != "tail" {
+		t.Fatalf("replayed %q, want %q: a subscriber's write reached the retained payload", replayed, "tail")
 	}
-	if &kept[0] == &live[0] {
+	sub.mu.Lock()
+	kept := sub.topic(DefaultTopic).retained[0].Payload
+	sub.mu.Unlock()
+	if &kept[0] == live {
 		t.Fatal("retained payload shares the delivered message's backing memory")
-	}
-	live[0] = 'X'
-	if string(kept) != "tail" {
-		t.Fatalf("a write to the delivered payload reached the retained one: %q", kept)
 	}
 }
 

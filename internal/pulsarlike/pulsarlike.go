@@ -160,7 +160,9 @@ func (b *Broker) Close() error {
 	return nil
 }
 
-// Subscribe registers a local subscriber callback.
+// Subscribe registers a local subscriber callback. Message.Payload is lent
+// from the connection's read chunk until fn returns (wire.Reader states the
+// rule); a subscriber that keeps it copies it.
 func (b *Broker) Subscribe(fn func(Message)) {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -1,6 +1,7 @@
 package quorum
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -95,6 +96,33 @@ func TestNonMemberClientCanWriteAndRead(t *testing.T) {
 	// Members do.
 	if _, ok := c.kvs[0].Version("k"); !ok {
 		t.Fatal("member missing replica after quorum write")
+	}
+}
+
+// TestReplicaKeepsEveryPayload: a delivered payload is lent from the read
+// chunk only until the upcall returns, so a replica keeps a copy (storeEntry
+// makes it). 200 distinct 1 KiB values, more than three read chunks per
+// connection, are written, and every one is read back from a remote replica's
+// store after the chunk has been reused under the early ones.
+func TestReplicaKeepsEveryPayload(t *testing.T) {
+	c := startQuorum(t, 3, []int{1, 2, 3}, 2, 2)
+	const n = 200
+	value := func(i int) []byte { return bytes.Repeat([]byte{byte(i), byte(i >> 8), 0xA5, byte(i * 7)}, 256) }
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for i := 0; i < n; i++ {
+		if _, err := c.kvs[0].Write(ctx, fmt.Sprintf("k/%d", i), value(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	remote := c.kvs[2]
+	if !testbed.Await(10*time.Second, func() bool { _, ok := remote.Version(fmt.Sprintf("k/%d", n-1)); return ok }) {
+		t.Fatal("the remote replica never applied the last write")
+	}
+	for i := 0; i < n; i++ {
+		if r := remote.localRead(fmt.Sprintf("k/%d", i)); !r.found || !bytes.Equal(r.value, value(i)) {
+			t.Fatalf("value %d on the remote replica changed after its upcall returned", i)
+		}
 	}
 }
 

@@ -22,11 +22,9 @@ import (
 type Handler interface {
 	// HandleData delivers one sequenced data message originated by peer
 	// from. Duplicates are filtered by the transport; sequence numbers
-	// are strictly increasing per peer. The Data struct is transport-owned
-	// scratch valid only for the duration of the call — retain d.Payload
-	// rather than d itself. The payload lives in the connection's read
-	// chunk: it stays valid indefinitely, is never written again, and
-	// retaining it pins at most one chunk (wire.Reader.Next).
+	// are strictly increasing per peer. The Data struct and its payload
+	// are valid only for the duration of the call (wire.Reader states the
+	// rule); copy what is kept.
 	HandleData(from int, d *wire.Data)
 	// HandleAck delivers one monotonic stability report. Like Data, the
 	// struct is only valid during the call.
@@ -46,10 +44,8 @@ type Handler interface {
 // already decoded when the transport took the peer's delivery lock: at least
 // one frame, strictly increasing sequences, duplicates filtered. A handler
 // that implements it receives every data frame through HandleDataRun and
-// none through HandleData; the slice and its structs are transport-owned
-// scratch valid only for the duration of the call. Payloads are not: each
-// lives in the connection's read chunk, stays valid indefinitely, is never
-// written again, and retaining it pins at most one chunk, as with HandleData.
+// none through HandleData; the slice, its structs and their payloads are
+// valid only for the duration of the call, as with HandleData.
 type RunHandler interface {
 	HandleDataRun(from int, run []wire.Data)
 }

@@ -212,6 +212,36 @@ func TestApplyHookFires(t *testing.T) {
 	}
 }
 
+// TestMirrorKeepsEveryPayload: a delivered payload is lent from the read chunk
+// only until the upcall returns, so a mirror keeps a copy (kvstore.Apply makes
+// it). 200 distinct 1 KiB values, more than three read chunks per connection,
+// are written, and every one is read back on a remote mirror after the chunk
+// has been reused under the early ones.
+func TestMirrorKeepsEveryPayload(t *testing.T) {
+	c := startKVCluster(t, 3)
+	const n = 200
+	value := func(i int) []byte { return bytes.Repeat([]byte{byte(i), byte(i >> 8), 0xA5, byte(i * 7)}, 256) }
+	var last uint64
+	for i := 0; i < n; i++ {
+		res, err := c.stores[0].Put(fmt.Sprintf("k/%d", i), value(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		last = res.Seq
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := c.stores[2].WaitApplied(ctx, 1, last); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		v, err := c.stores[2].GetFrom(1, fmt.Sprintf("k/%d", i))
+		if err != nil || !bytes.Equal(v.Value, value(i)) {
+			t.Fatalf("value %d on the remote mirror changed after its upcall returned (err %v)", i, err)
+		}
+	}
+}
+
 func TestWithLocalStoreUsesProvided(t *testing.T) {
 	topo := &config.Topology{Self: 1, Nodes: []config.Node{{Name: "solo", AZ: "z"}}}
 	network := emunet.NewMemNetwork(nil)

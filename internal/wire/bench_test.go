@@ -4,14 +4,21 @@ import (
 	"testing"
 )
 
-// repeatReader replays one encoded frame forever, so decode benchmarks
-// measure the Reader alone with no per-iteration source allocation.
+// repeatReader replays data forever with no per-Read allocation, so decode
+// benchmarks measure the Reader alone. A Read stops at the end of data and,
+// when cuts is set, after the next of its lengths (cycled), so a test decides
+// where reads end.
 type repeatReader struct {
-	data []byte
-	off  int
+	data   []byte
+	cuts   []int
+	off, n int
 }
 
 func (r *repeatReader) Read(p []byte) (int, error) {
+	if len(r.cuts) > 0 {
+		p = p[:min(len(p), r.cuts[r.n%len(r.cuts)])]
+		r.n++
+	}
 	n := copy(p, r.data[r.off:])
 	r.off += n
 	if r.off == len(r.data) {
@@ -58,7 +65,8 @@ func BenchmarkDecodeData1K(b *testing.B) {
 }
 
 // BenchmarkDecodeData8K decodes the paper's payload, the 8 KiB backup chunk
-// (§VI-B): a read chunk lends seven payloads before the next is made.
+// (§VI-B): the one read chunk is reused, and the frame that straddles its
+// end moves to its front.
 func BenchmarkDecodeData8K(b *testing.B) {
 	benchmarkDecode(b, &Data{Seq: 42, SentUnixNano: 1700000000, Payload: make([]byte, 8<<10)})
 }

@@ -298,22 +298,21 @@ func WriteFrame(w io.Writer, msg Message) error {
 }
 
 // Reader decodes a stream of frames. The stream is read straight into one
-// read chunk and every frame is decoded where it landed; do not read from
-// the underlying stream while a Reader is attached.
+// read chunk, every frame is decoded where it landed, and the undecoded tail
+// moves to the chunk's front when the next frame would run past its end; do
+// not read from the underlying stream while a Reader is attached.
 //
-// A Data payload is not copied out: it is a full-capacity sub-slice of the
-// chunk it arrived in. A chunk that has lent a payload is never written
-// again below w; when the undecoded tail needs more room than the chunk has
-// left, the tail moves to a fresh chunk and the old one is left to the
-// payloads that still hold it. A chunk that lent nothing (a handshake, a
-// heartbeat-echo or ACK-only stream) is compacted and reused in place. The
-// high-rate message kinds (Data, Ack, Heartbeat) decode into Reader-owned
-// scratch structs.
+// The one ownership rule of the receive path: everything Next and
+// AppendBufferedData return — the scratch structs for Data, Ack and
+// Heartbeat, and every Data.Payload, a full-capacity sub-slice of the chunk
+// — is valid until the following call to Next. A transport that makes its
+// upcalls before reading on therefore lends each payload for the length of
+// its upcall; a consumer that keeps one copies it. Hello, HelloAck and App
+// are fresh per frame, and an App.Payload is a copy.
 type Reader struct {
 	src  io.Reader
 	buf  []byte // the read chunk; buf[r:w] is read but not yet decoded
 	r, w int
-	lent bool  // a payload aliases buf: nothing below w is written again
 	err  error // the stream's read error, reported once buf[r:w] runs short
 
 	// Scratch messages for the hot-path kinds; handed out by Next and
@@ -326,6 +325,7 @@ type Reader struct {
 // readChunk is the size of a read chunk. A chunk is larger only when one
 // frame is: it then holds exactly that frame, so the next frame moves to a
 // chunk of readChunk again and the Reader keeps no oversize memory past it.
+// Those two moves are the only chunks a Reader allocates after NewReader.
 const readChunk = 64 << 10
 
 // NewReader wraps src in a frame decoder.
@@ -333,16 +333,9 @@ func NewReader(src io.Reader) *Reader {
 	return &Reader{src: src, buf: make([]byte, readChunk)}
 }
 
-// Next reads and decodes the next frame. The returned message is valid
-// only until the following call to Next — Data, Ack and Heartbeat decode
-// into Reader-owned scratch structs; callers that need their fields past
-// the next call must copy them out.
-//
-// Payloads outlive that. A Data.Payload lives in the read chunk it arrived
-// in: it stays valid indefinitely, the Reader never writes it again, and it
-// has no spare capacity, so appending to it copies instead of running into
-// the next frame. Retaining it pins at most one chunk (readChunk bytes, or
-// its own frame if that is larger). An App.Payload is a copy.
+// Next reads and decodes the next frame, valid on the Reader's terms: until
+// the following call to Next. A Data.Payload has no spare capacity, so an
+// append to it copies instead of running into the frame behind it.
 func (r *Reader) Next() (Message, error) {
 	if err := r.fill(4); err != nil {
 		return nil, eofErr(err, r.w > r.r)
@@ -371,7 +364,8 @@ func (r *Reader) Next() (Message, error) {
 // not Data, is not fully buffered, or would make len(dst) exceed max. It
 // never reads from the underlying stream, so it cannot block; whatever stops
 // it (a malformed frame included) is left for the following Next to report.
-// The appended structs are copies; their payloads are lent like Next's.
+// The appended structs are copies; their payloads are lent like Next's, until
+// the following Next.
 func (r *Reader) AppendBufferedData(dst []Data, max int) []Data {
 	for len(dst) < max && r.w-r.r >= DataFrameOverhead {
 		b := r.buf[r.r:r.w]
@@ -381,7 +375,7 @@ func (r *Reader) AppendBufferedData(dst []Data, max int) []Data {
 		}
 		end := r.r + 4 + n
 		dst = append(dst, Data{})
-		r.decodeData(r.buf[r.r+5:end:end], &dst[len(dst)-1])
+		decodeData(r.buf[r.r+5:end:end], &dst[len(dst)-1])
 		r.r = end
 	}
 	return dst
@@ -389,13 +383,13 @@ func (r *Reader) AppendBufferedData(dst []Data, max int) []Data {
 
 // fill reads until buf[r:w] holds at least need bytes. When a frame of need
 // bytes would run past the chunk's end, the undecoded tail first moves to
-// the front of a chunk of max(readChunk, need): this one if it lent nothing
-// and is that size, a fresh one otherwise.
+// the front of a chunk of max(readChunk, need): this one if it is that size,
+// a fresh one otherwise.
 func (r *Reader) fill(need int) error {
 	if r.r+need > len(r.buf) {
 		size, chunk := max(readChunk, need), r.buf
-		if r.lent || len(chunk) != size {
-			chunk, r.lent = make([]byte, size), false
+		if len(chunk) != size {
+			chunk = make([]byte, size)
 		}
 		r.w = copy(chunk, r.buf[r.r:r.w])
 		r.buf, r.r = chunk, 0
@@ -426,8 +420,8 @@ func eofErr(err error, torn bool) error {
 }
 
 // decodeBody decodes one frame body (kind byte + fields), a full-capacity
-// slice of the read chunk. A Data payload is lent in place, on Next's terms;
-// every other retained slice is copied out.
+// slice of the read chunk. A Data payload is lent in place, on the Reader's
+// terms; every other retained slice is copied out.
 func (r *Reader) decodeBody(body []byte) (Message, error) {
 	if Kind(body[0]) == KindData {
 		// Decoded by hand so the payload stays in the chunk instead of
@@ -436,7 +430,7 @@ func (r *Reader) decodeBody(body []byte) (Message, error) {
 		if len(b) < 16 {
 			return nil, fmt.Errorf("wire: decode data: %w", ErrShortFrame)
 		}
-		r.decodeData(b, &r.data)
+		decodeData(b, &r.data)
 		return &r.data, nil
 	}
 	msg, err := r.message(Kind(body[0]))
@@ -450,12 +444,11 @@ func (r *Reader) decodeBody(body []byte) (Message, error) {
 }
 
 // decodeData fills d from a Data frame's fields b (at least 16 bytes, a
-// full-capacity slice of the chunk) and lends the chunk its payload.
-func (r *Reader) decodeData(b []byte, d *Data) {
+// full-capacity slice of the chunk) and lends it the payload in place.
+func decodeData(b []byte, d *Data) {
 	d.Seq = binary.BigEndian.Uint64(b)
 	d.SentUnixNano = int64(binary.BigEndian.Uint64(b[8:]))
 	d.Payload = b[16:]
-	r.lent = true
 }
 
 // message returns the destination struct for kind k: a reused scratch

@@ -197,7 +197,7 @@ func TestQuickDecoderNeverPanics(t *testing.T) {
 
 // TestReaderScratchReuse pins the Reader's zero-alloc contract: hot-path
 // kinds decode into Reader-owned scratch structs (same pointer every call),
-// while payload slices are not scratch and survive later calls.
+// each valid, payload included, until the following Next.
 func TestReaderScratchReuse(t *testing.T) {
 	var buf bytes.Buffer
 	_ = WriteFrame(&buf, &Data{Seq: 1, Payload: []byte("first")})
@@ -211,8 +211,10 @@ func TestReaderScratchReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	d1 := m1.(*Data)
-	p1 := d1.Payload
-	if _, err := r.Next(); err != nil { // Ack overwrites nothing of Data
+	if d1.Seq != 1 || string(d1.Payload) != "first" {
+		t.Fatalf("first Data = %+v", d1)
+	}
+	if _, err := r.Next(); err != nil {
 		t.Fatal(err)
 	}
 	m3, err := r.Next()
@@ -226,18 +228,14 @@ func TestReaderScratchReuse(t *testing.T) {
 	if d3.Seq != 2 || string(d3.Payload) != "second" {
 		t.Fatalf("second Data = %+v", d3)
 	}
-	// The first payload slice must still be intact after two more frames.
-	if string(p1) != "first" {
-		t.Fatalf("retained payload corrupted: %q", p1)
-	}
 	if _, err := r.Next(); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestReaderBufferShrinksAfterOversizeFrame checks one giant frame does not
-// pin its chunk once normal-sized frames resume: a lent oversize payload
-// (Data) and an unlent one (App, whose payload is copied) alike.
+// keep its chunk once normal-sized frames resume: a Data frame and an App
+// frame (whose payload is copied) alike.
 func TestReaderBufferShrinksAfterOversizeFrame(t *testing.T) {
 	big := make([]byte, 2<<20)
 	for _, first := range []Message{&Data{Seq: 1, Payload: big}, &App{ID: 1, Payload: big}} {
@@ -267,86 +265,107 @@ func TestReaderBufferShrinksAfterOversizeFrame(t *testing.T) {
 	}
 }
 
-// TestReaderPayloadsSurviveChunkMoves retains every payload of a long stream
-// — frames straddling chunk ends, oversize frames among them, the stream cut
-// at seeded random points — and checks each byte for byte once it drained:
-// a chunk that lent a payload is never written below w again.
+// TestReaderPayloadsSurviveChunkMoves streams 8 read chunks of 1–9 KiB Data
+// frames with an ACK after every seventh, replayed under seeded random read
+// cuts: each fill moves the undecoded tail to the front of the one chunk, and
+// every payload of a buffered run still reads byte for byte before the
+// following Next.
 func TestReaderPayloadsSurviveChunkMoves(t *testing.T) {
-	rng := rand.New(rand.NewSource(25))
-	var stream []byte
-	var want [][]byte
-	for seq := uint64(1); len(stream) < 8*readChunk; seq++ {
-		p := make([]byte, rng.Intn(9<<10))
-		if seq%40 == 0 {
-			p = make([]byte, readChunk+rng.Intn(readChunk)) // oversize
-		}
+	rng := rand.New(rand.NewSource(27))
+	var want []Message
+	for seq, n := uint64(1), 0; n < 8*readChunk; seq++ {
+		p := make([]byte, 1<<10+rng.Intn(8<<10))
 		rng.Read(p)
-		want = append(want, p)
-		stream = AppendFrame(stream, &Data{Seq: seq, Payload: p})
-		if seq%7 == 0 { // unlent frames between the lent ones
-			stream = AppendFrame(stream, &Ack{Origin: 1, By: 2, Type: 3, Seq: seq})
+		want = append(want, &Data{Seq: seq, SentUnixNano: int64(seq), Payload: p})
+		n += DataFrameOverhead + len(p)
+		if seq%7 == 0 {
+			want = append(want, &Ack{Origin: 1, By: 2, Type: 3, Seq: seq})
 		}
 	}
-	cuts := &chunkReader{}
-	for rest := stream; len(rest) > 0; {
-		n := min(len(rest), 1+rng.Intn(20<<10))
-		cuts.chunks, rest = append(cuts.chunks, rest[:n]), rest[n:]
-	}
-	r := NewReader(cuts)
-	var got [][]byte
-	var run []Data
-	for {
-		m, err := r.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d, ok := m.(*Data); ok {
-			for _, d := range r.AppendBufferedData(append(run[:0], *d), 3) {
-				got = append(got, d.Payload)
-			}
-		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("decoded %d payloads, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if !bytes.Equal(got[i], want[i]) {
-			t.Fatalf("payload %d (%d bytes) changed after the stream drained", i+1, len(want[i]))
-		}
-	}
+	readInOneChunk(t, rng, want)
 }
 
-// TestReaderReusesUnlentChunk pins the other half of the chunk rule: a
-// stream that lends nothing (ACKs and heartbeats) compacts its one chunk in
-// place and allocates nothing per frame.
+// TestReaderReusesUnlentChunk streams 3 read chunks of ACKs and heartbeats,
+// which carry no payload, behind one 13-byte frame so they straddle chunk
+// ends, replayed under seeded random read cuts.
 func TestReaderReusesUnlentChunk(t *testing.T) {
-	frames := AppendFrame(nil, &Hello{From: 1}) // 7 bytes: frames straddle chunk ends
-	for i := 0; len(frames) < 3*readChunk; i++ {
-		frames = AppendFrame(frames, &Ack{Origin: 1, By: 2, Type: 3, Seq: uint64(i)})
-		frames = AppendFrame(frames, &Heartbeat{Clock: uint64(i)})
+	rng := rand.New(rand.NewSource(28))
+	want := []Message{&Heartbeat{Clock: 1}}
+	for seq := uint64(1); len(want) < 3*readChunk/16; seq++ {
+		want = append(want, &Ack{Origin: 1, By: 2, Type: 3, Seq: seq}, &Heartbeat{Clock: seq})
 	}
-	r := NewReader(&repeatReader{data: frames})
+	readInOneChunk(t, rng, want)
+}
+
+// readInOneChunk pins the one read chunk: it replays want's frames under 64
+// seeded random read cuts of 1 B–20 KiB and checks that every frame, and every
+// payload of its buffered run, decodes byte for byte before the following
+// Next, that 10 000 frames allocate nothing, and that the chunk is never
+// replaced.
+func readInOneChunk(t *testing.T, rng *rand.Rand, want []Message) {
+	t.Helper()
+	var stream []byte
+	for _, m := range want {
+		stream = AppendFrame(stream, m)
+	}
+	src := &repeatReader{data: stream}
+	for range 64 {
+		src.cuts = append(src.cuts, 1+rng.Intn(20<<10))
+	}
+	r := NewReader(src)
 	chunk := &r.buf[0]
-	allocs := testing.AllocsPerRun(10000, func() {
-		if _, err := r.Next(); err != nil {
-			t.Fatal(err)
+	i := 0
+	check := func(got Message) {
+		switch want := want[i%len(want)].(type) {
+		case *Data:
+			g, ok := got.(*Data)
+			if !ok || g.Seq != want.Seq || g.SentUnixNano != want.SentUnixNano || !bytes.Equal(g.Payload, want.Payload) {
+				t.Fatalf("frame %d is not Data seq %d (%d bytes) before the following Next", i, want.Seq, len(want.Payload))
+			}
+		case *Ack:
+			if g, ok := got.(*Ack); !ok || *g != *want {
+				t.Fatalf("frame %d is not Ack seq %d", i, want.Seq)
+			}
+		case *Heartbeat:
+			if g, ok := got.(*Heartbeat); !ok || *g != *want {
+				t.Fatalf("frame %d is not Heartbeat clock %d", i, want.Clock)
+			}
+		}
+		i++
+	}
+	run := make([]Data, 0, 3)
+	allocs := testing.AllocsPerRun(10, func() {
+		for start := i; i-start < 1000; {
+			m, err := r.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, ok := m.(*Data)
+			if !ok {
+				check(m)
+				continue
+			}
+			run = r.AppendBufferedData(append(run[:0], *d), cap(run))
+			for j := range run {
+				check(&run[j])
+			}
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("%.3f allocs per ACK/heartbeat frame, want 0", allocs)
+		t.Fatalf("%.0f allocs per 1 000 frames, want 0", allocs)
 	}
 	if &r.buf[0] != chunk {
-		t.Fatal("a chunk that lent nothing was replaced instead of reused")
+		t.Fatal("the read chunk was replaced instead of reused")
+	}
+	if i < 10000+1000 {
+		t.Fatalf("only %d frames decoded", i)
 	}
 }
 
 // TestAppendingToPayloadKeepsNextFrame: a delivered payload has no spare
-// capacity, so a consumer appending to it gets its own copy and never
-// writes into the frame behind it in the chunk — on Next's path and on
-// AppendBufferedData's.
+// capacity, so a consumer appending to it during its upcall gets its own copy
+// and never writes into the frame behind it in the chunk — on Next's path and
+// on AppendBufferedData's.
 func TestAppendingToPayloadKeepsNextFrame(t *testing.T) {
 	var stream []byte
 	for seq := uint64(1); seq <= 4; seq++ {
@@ -367,14 +386,18 @@ func TestAppendingToPayloadKeepsNextFrame(t *testing.T) {
 		t.Fatalf("buffered run of %d frames after an append to the first payload, want 2", len(run))
 	}
 	_ = append(run[0].Payload, bytes.Repeat([]byte{0xEE}, 64)...)
+	_ = append(run[1].Payload, bytes.Repeat([]byte{0xEE}, 64)...)
+	for i, p := range [][]byte{first, run[0].Payload, run[1].Payload} {
+		if want := []byte{byte(i + 1), byte(i + 1)}; !bytes.Equal(p, want) {
+			t.Fatalf("payload %d = %x after an append to its neighbour, want %x", i+1, p, want)
+		}
+	}
 	m, err = r.Next()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, p := range [][]byte{first, run[0].Payload, run[1].Payload, m.(*Data).Payload} {
-		if want := []byte{byte(i + 1), byte(i + 1)}; !bytes.Equal(p, want) {
-			t.Fatalf("payload %d = %x after an append to its neighbour, want %x", i+1, p, want)
-		}
+	if p := m.(*Data).Payload; !bytes.Equal(p, []byte{4, 4}) {
+		t.Fatalf("payload 4 = %x after an append to its neighbour, want 0404", p)
 	}
 }
 
@@ -425,10 +448,10 @@ func (c *chunkReader) Read(p []byte) (int, error) {
 
 // FuzzReaderCuts reads an arbitrary byte stream under an arbitrary cut
 // pattern (each byte of cuts is one Read's length, less one, cycled) and
-// holds it to a one-shot read of the same stream: the same frames, the same
-// stopping error, no panic, and every payload it lent still intact once the
-// stream has drained. The stream is part repeated 1+copies times, so an
-// input small enough to fuzz quickly still spans several read chunks.
+// holds it to a one-shot read of the same stream: the same frames, payloads
+// as they read before the following Next, the same stopping error and no
+// panic. The stream is part repeated 1+copies times, so an input small
+// enough to fuzz quickly still spans several read chunks.
 func FuzzReaderCuts(f *testing.F) {
 	seed := AppendFrame(nil, &Hello{From: 2})
 	seed = AppendFrame(seed, &Data{Seq: 1, SentUnixNano: 5, Payload: bytes.Repeat([]byte{0xA5}, 300)})
@@ -468,9 +491,9 @@ func FuzzReaderCuts(f *testing.F) {
 }
 
 // drainFrames decodes r up to its first error, copying each scratch struct
-// out. The one-shot reference (cut false) also copies each payload the
-// moment it is decoded; a cut read takes Data a buffered run at a time and
-// leaves every payload where the Reader lent it.
+// and each payload out the moment it is decoded, before the following Next
+// may reuse the chunk under it. A cut read takes Data a buffered run at a
+// time.
 func drainFrames(r *Reader, cut bool) ([]Message, error) {
 	var out []Message
 	var run []Data
@@ -486,9 +509,7 @@ func drainFrames(r *Reader, cut bool) ([]Message, error) {
 				run = r.AppendBufferedData(run, 4)
 			}
 			for _, d := range run {
-				if !cut {
-					d.Payload = bytes.Clone(d.Payload)
-				}
+				d.Payload = bytes.Clone(d.Payload)
 				out = append(out, &d)
 			}
 		case *Ack:

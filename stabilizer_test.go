@@ -143,6 +143,7 @@ func TestPublicAPIPubSub(t *testing.T) {
 	}
 	got := make(chan pubsub.Message, 1)
 	brokers[1].Subscribe(func(m pubsub.Message) {
+		m.Payload = bytes.Clone(m.Payload) // lent only until we return
 		select {
 		case got <- m:
 		default:
