@@ -64,7 +64,7 @@ chaos:
 
 # chaos-flow is the bounded-memory variant: the same fault soak with
 # send-log caps, blocking admission, and stall detection engaged, plus the
-# end-to-end FlowDemo (blackholed peer, 64 KiB cap, majority fallback).
+# end-to-end FlowDemo (blackholed peer, 64 KiB cap, reclaim fallback).
 # The seed works the same way: STABILIZER_CHAOS_SEED=<n> make chaos-flow.
 chaos-flow:
 	STABILIZER_CHAOS_FULL=1 $(GO) test -v -run 'TestChaosSoakFlow|TestFlowDemo' ./internal/chaos

@@ -146,8 +146,9 @@ func TestSoakRejectsCrashWithAutoReclaim(t *testing.T) {
 }
 
 // TestFlowDemo runs the bounded-memory acceptance scenario end to end: cap
-// hit, stall blamed on exactly the blackholed peer, majority fallback
-// restores progress, memory stays bounded throughout.
+// hit, stall blamed on exactly the blackholed peer, the reclaim fallback
+// restores progress without passing a healthy receiver, memory stays bounded
+// throughout.
 func TestFlowDemo(t *testing.T) {
 	seed := soakSeed(t)
 	o := FlowOptions{Seed: seed, Logf: t.Logf}

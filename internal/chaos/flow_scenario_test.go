@@ -28,6 +28,15 @@ const (
 	flowStallDeadline = 150 * time.Millisecond
 )
 
+// reclaimFallbackSource is the reclaim predicate the flow scenario falls back
+// to: the strongest one that still advances with one peer dark. $ALLWNODES
+// counts the origin, whose value is the head, so with the dark peer lowest
+// the second-lowest value is the slower healthy receiver's. The majority
+// predicate, KTH_MIN(3) over four nodes, is the faster one's: truncating
+// there passes the slower receiver's link cursor, which an unspilled log then
+// snaps to its base, and that receiver's stream has a gap.
+const reclaimFallbackSource = "KTH_MIN(2, $ALLWNODES)"
+
 // flowTrace samples every op into a 16Ki-event ring, so the scenario's stall
 // reports always ship a recorder tail for the blamed victim (invariant 7's
 // stall half, enforced via AttachStallTraces).
@@ -63,7 +72,7 @@ type FlowReport struct {
 	// Head is the sender's final stream head.
 	Head uint64
 	// FallbackHead is the head at the moment the reclaim predicate was
-	// swapped to the majority fallback (0 if the fallback never fired).
+	// swapped to reclaimFallbackSource (0 if the fallback never fired).
 	FallbackHead uint64
 	// MaxLogBytes is the largest send-log occupancy any sweep observed.
 	MaxLogBytes int64
@@ -83,9 +92,11 @@ type FlowReport struct {
 //   - degraded mode is honest: the stall monitor blames exactly the
 //     blackholed peer (invariant 6), and Node.Snapshot names it too;
 //   - the fallback restores progress: when the app (this harness) reacts to
-//     the stall notification by swapping reclaim to a majority predicate,
-//     truncation resumes, blocked appends drain, and appends to
-//     healthy-majority predicates keep completing to the end of the run.
+//     the stall notification by swapping reclaim to one the dark peer cannot
+//     hold, truncation resumes, blocked appends drain, and appends to
+//     healthy-majority predicates keep completing to the end of the run;
+//   - the fallback is safe: truncation never passes what a healthy receiver
+//     holds, which every sweep checks.
 func FlowDemo(o FlowOptions) (*FlowReport, error) {
 	o = FlowOptions(Options(o).withDefaults())
 	victim := o.Victim()
@@ -112,7 +123,7 @@ func FlowDemo(o FlowOptions) (*FlowReport, error) {
 
 	// Degraded-mode notification → fallback trigger. The app pattern under
 	// test: on a reclaim stall naming the victim, wait for real backpressure
-	// (the log actually full), then swap reclaim to a majority predicate so
+	// (the log actually full), then swap reclaim to reclaimFallbackSource so
 	// truncation no longer waits on the dark peer.
 	var (
 		stallCount     atomic.Int64
@@ -142,14 +153,28 @@ func FlowDemo(o FlowOptions) (*FlowReport, error) {
 		if log.Bytes > rep.MaxLogBytes {
 			rep.MaxLogBytes = log.Bytes
 		}
+		// The reclaim never passes a healthy receiver: Base-1 is at most the
+		// "received" ACK the sender holds from it, which the runner's cross
+		// check bounds by RecvLast(1), so Base <= RecvLast(1)+1 follows. The
+		// ACK, not RecvLast, is checked because a reclaim ahead of the slower
+		// receiver passes its ACK on every run but its RecvLast only when its
+		// link also lags. Base is read first and both only grow.
+		for p := 2; p <= clusterSize; p++ {
+			if p == victim {
+				continue
+			}
+			if ack, err := sender.AckValue(1, p, "received"); err != nil || log.Base > ack+1 {
+				r.check.Violatef("sender reclaimed through %d past healthy node %d's received ACK %d (%v)", log.Base-1, p, ack, err)
+			}
+		}
 		if fallbackHead.Load() != 0 || !reclaimStalled.Load() || !log.Full {
 			return
 		}
 		fallbackHead.Store(sender.NextSeq() - 1)
-		if err := sender.ChangeReclaimPredicate(majoritySource); err != nil {
+		if err := sender.ChangeReclaimPredicate(reclaimFallbackSource); err != nil {
 			r.check.Violatef("reclaim fallback failed: %v", err)
 		} else {
-			r.logf("chaos: reclaim fallback to majority at head %d", fallbackHead.Load())
+			r.logf("chaos: reclaim fallback to %s at head %d", reclaimFallbackSource, fallbackHead.Load())
 		}
 	}
 	sc.finish = func(r *run) {

@@ -427,52 +427,21 @@ func (n *Node) Topology() *config.Topology { return n.topo.Clone() }
 // stronger guarantee follow up with WaitFor on a predicate matching their
 // consistency model (paper §V-A).
 //
-// The payload is copied; callers may reuse the slice.
+// The payload is the caller's again when Send returns: the send log copies
+// it (transport.SendLog.AppendCtx states the rule).
 func (n *Node) Send(payload []byte) (uint64, error) {
-	if n.closed.Load() {
-		return 0, ErrClosed
-	}
-	buf := make([]byte, len(payload))
-	copy(buf, payload)
-	return n.sendOwned(buf)
-}
-
-// SendNoCopy is Send without the defensive copy, for callers that promise
-// not to mutate payload afterwards (bulk paths such as file backup).
-func (n *Node) SendNoCopy(payload []byte) (uint64, error) {
-	if n.closed.Load() {
-		return 0, ErrClosed
-	}
-	return n.sendOwned(payload)
+	return n.SendCtx(nil, payload)
 }
 
 // SendCtx is Send with the caller's patience attached: at the Config.Flow
 // send-log cap the append waits for space only as long as ctx allows — not
 // at all when ctx is already done — and then fails with an error wrapping
-// both transport.ErrBackpressure and ctx.Err().
+// both transport.ErrBackpressure and ctx.Err(). A nil ctx waits without
+// deadline, as Send does.
 func (n *Node) SendCtx(ctx context.Context, payload []byte) (uint64, error) {
 	if n.closed.Load() {
 		return 0, ErrClosed
 	}
-	buf := make([]byte, len(payload))
-	copy(buf, payload)
-	return n.sendOwnedCtx(ctx, buf)
-}
-
-// SendNoCopyCtx combines SendNoCopy and SendCtx: no defensive copy, and ctx
-// bounds the wait at the send-log cap.
-func (n *Node) SendNoCopyCtx(ctx context.Context, payload []byte) (uint64, error) {
-	if n.closed.Load() {
-		return 0, ErrClosed
-	}
-	return n.sendOwnedCtx(ctx, payload)
-}
-
-func (n *Node) sendOwned(payload []byte) (uint64, error) {
-	return n.sendOwnedCtx(nil, payload)
-}
-
-func (n *Node) sendOwnedCtx(ctx context.Context, payload []byte) (uint64, error) {
 	sentAt := n.nowFn().UnixNano()
 	seq, err := n.log.AppendCtx(ctx, payload, sentAt)
 	if err != nil {

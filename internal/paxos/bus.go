@@ -59,9 +59,10 @@ func (b *CoreBus) Self() int { return b.node.Self() }
 // N implements Bus.
 func (b *CoreBus) N() int { return b.node.Topology().N() }
 
-// Broadcast implements Bus.
+// Broadcast implements Bus. The payload is copied before it returns (the
+// send-side rule of transport.SendLog.AppendCtx).
 func (b *CoreBus) Broadcast(payload []byte) error {
-	_, err := b.node.SendNoCopy(payload)
+	_, err := b.node.Send(payload)
 	return err
 }
 

@@ -163,6 +163,8 @@ func (b *Broker) Publish(payload []byte) (uint64, error) {
 
 // PublishTopic multicasts payload on the named topic through the
 // asynchronous data plane and returns immediately with its sequence number.
+// The send log copies what it sends before the call returns
+// (transport.SendLog.AppendCtx).
 func (b *Broker) PublishTopic(topic string, payload []byte) (uint64, error) {
 	if len(topic) > maxTopicLen {
 		return 0, fmt.Errorf("%w: %d bytes", ErrBadTopic, len(topic))
@@ -172,7 +174,7 @@ func (b *Broker) PublishTopic(topic string, payload []byte) (uint64, error) {
 	buf = binary.BigEndian.AppendUint16(buf, uint16(len(topic)))
 	buf = append(buf, topic...)
 	buf = append(buf, payload...)
-	seq, err := b.node.SendNoCopy(buf)
+	seq, err := b.node.Send(buf)
 	if err != nil {
 		return 0, err
 	}

@@ -111,10 +111,12 @@ func New(cfg Config) (*KV, error) {
 func (kv *KV) WritePredicate() string { return predlib.QuorumWrite(kv.members, kv.nw) }
 
 // Write replicates key=value and blocks until a write quorum holds it.
-// The returned version is the write's Stabilizer sequence number.
+// The returned version is the write's Stabilizer sequence number. The send
+// log copies the encoded write before Send returns
+// (transport.SendLog.AppendCtx).
 func (kv *KV) Write(ctx context.Context, key string, value []byte) (uint64, error) {
 	payload := encodeWrite(key, value)
-	seq, err := kv.node.SendNoCopy(payload)
+	seq, err := kv.node.Send(payload)
 	if err != nil {
 		return 0, err
 	}

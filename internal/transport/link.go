@@ -445,8 +445,7 @@ func (l *link) stream(conn net.Conn, cursor uint64) {
 			resends := 0
 			for i := range l.batch {
 				e := &l.batch[i]
-				l.out = wire.AppendDataFrameHeader(l.out, e.Seq, e.SentUnixNano, len(e.Payload))
-				l.out = append(l.out, e.Payload...)
+				l.out = append(l.out, e.Frame...)
 				if e.Seq <= l.maxDataSeq {
 					resends++
 				} else {
@@ -456,8 +455,10 @@ func (l *link) stream(conn net.Conn, cursor uint64) {
 					if tDrain == 0 {
 						tDrain = nowNano() // first sampled entry pays the clock read
 					}
+					var d wire.Data
+					wire.DecodeDataFrame(e.Frame, &d)
 					rec.Record(optrace.StageBatchEnqueue, l.t.cfg.Self, e.Seq, l.peer, 0, tDrain)
-					l.t.stageBatchQueue.Observe(tDrain - e.SentUnixNano)
+					l.t.stageBatchQueue.Observe(tDrain - d.SentUnixNano)
 					l.traced = append(l.traced, tracedSend{e.Seq, tDrain})
 				}
 			}

@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 
 	"stabilizer/internal/metrics"
+	"stabilizer/internal/wire"
 )
 
 // ErrLogClosed is returned by send-log operations after Close.
@@ -63,12 +64,17 @@ func (f FlowConfig) Enabled() bool { return f.MaxBytes > 0 }
 // lowBytes returns the low watermark the full latch clears at.
 func (f FlowConfig) lowBytes() int64 { return f.MaxBytes / 2 }
 
-// LogEntry is one sequenced data message buffered for (re)transmission.
+// LogEntry is one sequenced data message buffered for (re)transmission: its
+// finished wire Data frame, the one record of the message in memory, on disk
+// and on every link (wire.DecodeDataFrame reads it), beside its sequence.
 type LogEntry struct {
-	Seq          uint64
-	SentUnixNano int64
-	Payload      []byte
+	Seq   uint64
+	Frame []byte
 }
+
+// payloadLen is the entry's payload size, the unit of flow accounting and
+// batch budgets.
+func (e *LogEntry) payloadLen() int { return len(e.Frame) - wire.DataFrameOverhead }
 
 // maxLogStripes caps the producer stripe count: past the point where every
 // core has its own stripe, more stripes only cost merge passes.
@@ -242,10 +248,10 @@ func newSendLog(firstSeq uint64, flow FlowConfig, stripes int) *SendLog {
 	return l
 }
 
-// Append assigns the next sequence number to payload and buffers it.
-// The payload is retained by reference; callers must not mutate it.
-// A log at its cap makes Append wait, without deadline, until reclaim frees
-// space or the log closes — use AppendCtx to bound the wait.
+// Append assigns the next sequence number to payload and buffers it, on
+// AppendCtx's terms. A log at its cap makes Append wait, without deadline,
+// until reclaim frees space or the log closes — use AppendCtx to bound the
+// wait.
 func (l *SendLog) Append(payload []byte, sentUnixNano int64) (uint64, error) {
 	return l.AppendCtx(nil, payload, sentUnixNano)
 }
@@ -256,9 +262,14 @@ func (l *SendLog) Append(payload []byte, sentUnixNano int64) (uint64, error) {
 // both ErrBackpressure and ctx.Err(). ctx is consulted only when admission
 // would block: below the cap an append succeeds whatever its context.
 //
-// Below the cap the whole operation is an atomic byte reservation plus one
-// short per-stripe critical section; only a reservation the cap refuses
-// takes the central mutex (admit).
+// The one ownership rule of the send path: the payload is copied before the
+// call returns, so the caller may reuse or mutate it at once. That copy is
+// the message's wire Data frame, which the log keeps, spills and hands to
+// every link as it is.
+//
+// Below the cap the whole operation is an atomic byte reservation, the copy,
+// and one short per-stripe critical section; only a reservation the cap
+// refuses takes the central mutex (admit).
 func (l *SendLog) AppendCtx(ctx context.Context, payload []byte, sentUnixNano int64) (uint64, error) {
 	pl := int64(len(payload))
 	if !l.reserve(pl) {
@@ -266,6 +277,7 @@ func (l *SendLog) AppendCtx(ctx context.Context, payload []byte, sentUnixNano in
 			return 0, err
 		}
 	}
+	frame := wire.AppendDataFrame(make([]byte, 0, wire.DataFrameOverhead+len(payload)), 0, sentUnixNano, payload)
 	// The sequence is reserved inside the stripe lock, which is what keeps
 	// each stripe internally sorted for the merge.
 	s := l.lockStripe()
@@ -275,7 +287,8 @@ func (l *SendLog) AppendCtx(ctx context.Context, payload []byte, sentUnixNano in
 		return 0, ErrLogClosed
 	}
 	seq := l.next.Add(1) - 1
-	s.entries = append(s.entries, LogEntry{Seq: seq, SentUnixNano: sentUnixNano, Payload: payload})
+	wire.PutDataSeq(frame, seq)
+	s.entries = append(s.entries, LogEntry{Seq: seq, Frame: frame})
 	s.mu.Unlock()
 	return seq, nil
 }
@@ -446,7 +459,7 @@ func (l *SendLog) mergeLocked() {
 					// implies the merged region is empty (truncation strips
 					// merged entries <= reclaimed), so advancing base keeps
 					// the dense invariant.
-					l.bytes.Add(-int64(len(s.entries[n].Payload)))
+					l.bytes.Add(-int64(s.entries[n].payloadLen()))
 					l.base++
 					dropped = true
 				} else {
@@ -458,7 +471,7 @@ func (l *SendLog) mergeLocked() {
 			if n > 0 {
 				advanced = true
 				rest := copy(s.entries, s.entries[n:])
-				clear(s.entries[rest:]) // drop stale payload references
+				clear(s.entries[rest:]) // drop stale frame references
 				s.entries = s.entries[:rest]
 			}
 			s.mu.Unlock()
@@ -489,7 +502,7 @@ func (l *SendLog) visibleNextLocked() uint64 {
 // the in-memory base reads the disk tier when there is one — crossing into
 // the live memory tail within the same batch, gapless, under the same budget
 // — and snaps to the base when there is not: the first entry's Seq tells the
-// caller where it landed. Entries share payload slices with the log; callers
+// caller where it landed. Entries share their frames with the log; callers
 // must not mutate them.
 func (l *SendLog) TryNextBatch(seq uint64, dst []LogEntry, maxFrames, maxBytes int) []LogEntry {
 	if maxFrames < 1 {
@@ -517,11 +530,11 @@ func (l *SendLog) TryNextBatch(seq uint64, dst []LogEntry, maxFrames, maxBytes i
 	vnext := l.visibleNextLocked()
 	for len(dst)-start < maxFrames && seq < vnext {
 		e := l.entries[l.off+int(seq-l.base)]
-		if len(dst) > start && len(e.Payload) > budget {
+		if len(dst) > start && e.payloadLen() > budget {
 			break
 		}
 		dst = append(dst, e)
-		budget -= len(e.Payload)
+		budget -= e.payloadLen()
 		seq++
 	}
 	l.mu.Unlock()
@@ -558,17 +571,17 @@ func (l *SendLog) TruncateThrough(seq uint64) {
 
 // dropHeadLocked releases the first n merged entries — reclaimed, or durable
 // on disk — and advances base past them. It is amortized: dropped entries are
-// zeroed in place (releasing their payloads to the collector) and the slice
+// zeroed in place (releasing their frames to the collector) and the slice
 // is only compacted once the dead prefix outgrows the live tail, so each
 // entry is moved O(1) times over its life instead of once per call.
 func (l *SendLog) dropHeadLocked(n int) {
 	dead := l.entries[l.off : l.off+n]
 	var freed int64
 	for i := range dead {
-		freed += int64(len(dead[i].Payload))
+		freed += int64(dead[i].payloadLen())
 	}
 	l.bytes.Add(-freed)
-	clear(dead) // release payload references
+	clear(dead) // release frame references
 	l.off += n
 	l.base += uint64(n)
 	if l.off >= len(l.entries)-l.off && l.off >= compactThreshold {

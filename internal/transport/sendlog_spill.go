@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -13,6 +12,7 @@ import (
 	"sync/atomic"
 
 	"stabilizer/internal/storage/segment"
+	"stabilizer/internal/wire"
 )
 
 // The spill tier turns the bounded in-memory send log into the hot tail of
@@ -23,17 +23,14 @@ import (
 // batched drain calls the links already use. Sequences stay gapless across
 // the boundary: a segment is registered (and its entries dropped from
 // memory) only after its file is fsynced, and successive segments are
-// contiguous by construction.
+// contiguous by construction. A segment record's body is an entry's wire Data
+// frame, written as the log holds it and served back as it was read.
 
 // spillSegmentBytes bounds each segment file's payload (4 MiB: large enough
 // to amortize open/sync, small enough that truncation reclaims disk
 // promptly). A spill pass stops at the low watermark first, so the bound
 // binds only when MaxBytes is above twice this.
 const spillSegmentBytes = 4 << 20
-
-// spillRecordOverhead is the per-record body prefix: sequence and
-// sent-timestamp, both big-endian.
-const spillRecordOverhead = 16
 
 const (
 	spillSegPrefix = "spill-"
@@ -86,8 +83,7 @@ type spillState struct {
 	closeOnce sync.Once
 
 	// Spiller-goroutine-only scratch.
-	batch  []LogEntry
-	encBuf []byte
+	batch []LogEntry
 }
 
 func newSpillState(flow FlowConfig) (*spillState, error) {
@@ -188,7 +184,7 @@ func scanSpillFile(path string) (seg spillSegment, intact, ok bool) {
 		if err != nil {
 			return seg, intact, ok // clean EOF keeps intact=true
 		}
-		e, decOK := decodeSpillRecord(body)
+		e, decOK := spillEntry(body)
 		if !decOK || (ok && e.Seq != seg.last+1) {
 			// Undecodable or discontiguous record: treat as a torn tail.
 			return seg, false, ok
@@ -198,27 +194,19 @@ func scanSpillFile(path string) (seg spillSegment, intact, ok bool) {
 			ok = true
 		}
 		seg.last = e.Seq
-		seg.bytes += int64(len(e.Payload))
+		seg.bytes += int64(e.payloadLen())
 	}
 }
 
-func encodeSpillRecord(buf []byte, e LogEntry) []byte {
-	buf = buf[:0]
-	buf = binary.BigEndian.AppendUint64(buf, e.Seq)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(e.SentUnixNano))
-	buf = append(buf, e.Payload...)
-	return buf
-}
-
-func decodeSpillRecord(body []byte) (LogEntry, bool) {
-	if len(body) < spillRecordOverhead {
+// spillEntry reads a segment record body back as a log entry. A body is
+// accepted only when it is exactly one whole Data frame, so a record of any
+// other layout is never served.
+func spillEntry(body []byte) (LogEntry, bool) {
+	var d wire.Data
+	if n := wire.DecodeDataFrame(body, &d); n == 0 || n != len(body) {
 		return LogEntry{}, false
 	}
-	return LogEntry{
-		Seq:          binary.BigEndian.Uint64(body[:8]),
-		SentUnixNano: int64(binary.BigEndian.Uint64(body[8:16])),
-		Payload:      body[16:],
-	}, true
+	return LogEntry{Seq: d.Seq, Frame: body}, true
 }
 
 func (sp *spillState) setFault(cause error) {
@@ -333,12 +321,12 @@ func (sp *spillState) readBatch(seq, memBase uint64, dst []LogEntry, start, maxF
 		if !got {
 			return dst, seq // wedged: stall, never gap
 		}
-		if len(dst) > start && len(e.Payload) > *budget {
+		if len(dst) > start && e.payloadLen() > *budget {
 			return dst, seq
 		}
 		dst = append(dst, e)
-		*budget -= len(e.Payload)
-		sp.readback.Add(int64(len(e.Payload)))
+		*budget -= e.payloadLen()
+		sp.readback.Add(int64(e.payloadLen()))
 		seq++
 	}
 	return dst, seq
@@ -380,13 +368,13 @@ func (sp *spillState) nextLocked(seq uint64) (LogEntry, bool) {
 			sp.dropReaderLocked()
 			return LogEntry{}, false
 		}
-		e, ok := decodeSpillRecord(body)
+		e, ok := spillEntry(body)
 		if !ok || e.Seq != sp.rdNext {
 			sp.dropReaderLocked()
 			return LogEntry{}, false
 		}
 		// The segment reader hands out a fresh allocation per record, so
-		// the payload (a sub-slice of it) is safe to retain and share.
+		// the frame is safe to retain and share.
 		sp.rdNext++
 		if e.Seq == seq {
 			sp.peek, sp.peekOK = e, true
@@ -479,7 +467,7 @@ func (l *SendLog) spillOnce() bool {
 	count := 0
 	var bytes int64
 	for count < live && bytes < sp.segBytes && bytes < needBytes {
-		bytes += int64(len(l.entries[l.off+count].Payload))
+		bytes += int64(l.entries[l.off+count].payloadLen())
 		count++
 	}
 	sp.batch = append(sp.batch[:0], l.entries[l.off:l.off+count]...)
@@ -526,7 +514,7 @@ func (l *SendLog) spillOnce() bool {
 	// leave memory, so no reader ever finds a hole between the tiers.
 	l.dropHeadLocked(int(last - l.base + 1))
 	l.mu.Unlock()
-	clear(sp.batch) // release payload references from the scratch buffer
+	clear(sp.batch) // release frame references from the scratch buffer
 	return true
 }
 
@@ -539,8 +527,7 @@ func writeSpillSegment(path string, sp *spillState, batch []LogEntry) error {
 		w.SetWriteFault(f)
 	}
 	for i := range batch {
-		sp.encBuf = encodeSpillRecord(sp.encBuf, batch[i])
-		if err := w.Append(sp.encBuf); err != nil {
+		if err := w.Append(batch[i].Frame); err != nil {
 			_ = w.Close()
 			return err
 		}

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -8,6 +9,8 @@ import (
 	"os"
 	"testing"
 	"time"
+
+	"stabilizer/internal/wire"
 )
 
 // chaosSpillPayload is the seeded harness's ground truth: payload bytes and
@@ -82,9 +85,9 @@ func runSpillCrashSchedule(t *testing.T, seed int64, ops int) {
 			if e.Seq != cursor {
 				t.Fatalf("seed %d: reader at %d got seq %d — gap or duplicate across the tier boundary", seed, cursor, e.Seq)
 			}
-			want := chaosSpillPayload(e.Seq)
-			if string(e.Payload) != string(want) || e.SentUnixNano != int64(e.Seq*1000+7) {
-				t.Fatalf("seed %d: seq %d differs from ground truth (%d bytes vs %d)", seed, e.Seq, len(e.Payload), len(want))
+			want := wire.AppendFrame(nil, &wire.Data{Seq: e.Seq, SentUnixNano: int64(e.Seq*1000 + 7), Payload: chaosSpillPayload(e.Seq)})
+			if !bytes.Equal(e.Frame, want) {
+				t.Fatalf("seed %d: seq %d differs from ground truth (%d bytes vs %d)", seed, e.Seq, len(e.Frame), len(want))
 			}
 			cursor++
 		}

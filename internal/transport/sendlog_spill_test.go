@@ -1,13 +1,18 @@
 package transport
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"stabilizer/internal/storage/segment"
+	"stabilizer/internal/wire"
 )
 
 // spillPayload is the deterministic, sequence-derived payload used across
@@ -21,14 +26,13 @@ func spillPayload(seq uint64, n int) []byte {
 	return p
 }
 
+// checkSpillEntry checks an entry from either tier against ground truth: its
+// frame must be byte-identical to what AppendFrame encodes for it.
 func checkSpillEntry(t *testing.T, e LogEntry, payloadLen int) {
 	t.Helper()
-	want := spillPayload(e.Seq, payloadLen)
-	if string(e.Payload) != string(want) {
-		t.Fatalf("seq %d payload corrupted across the tier boundary", e.Seq)
-	}
-	if e.SentUnixNano != int64(e.Seq*1000+7) {
-		t.Fatalf("seq %d SentUnixNano = %d, want %d", e.Seq, e.SentUnixNano, e.Seq*1000+7)
+	want := wire.AppendFrame(nil, &wire.Data{Seq: e.Seq, SentUnixNano: int64(e.Seq*1000 + 7), Payload: spillPayload(e.Seq, payloadLen)})
+	if !bytes.Equal(e.Frame, want) {
+		t.Fatalf("seq %d frame differs from AppendFrame's across the tier boundary:\n%x\nvs\n%x", e.Seq, e.Frame, want)
 	}
 }
 
@@ -310,6 +314,53 @@ func TestSpillRecoveryTornTail(t *testing.T) {
 	}
 }
 
+// TestSpillRecoveryOldRecordLayout upgrades in place: a spill directory left
+// by a build whose record bodies were seq | sent | payload, not Data frames.
+// No such body is a whole Data frame, so recovery discards the chain — the
+// file goes, nothing is served, and sequencing starts at the caller's
+// firstSeq — instead of misparsing it.
+func TestSpillRecoveryOldRecordLayout(t *testing.T) {
+	const payloadLen = 64
+	dir := t.TempDir()
+	path := filepath.Join(dir, "spill-00000000.seg")
+	w, err := segment.OpenWriter(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seq := uint64(1); seq <= 20; seq++ {
+		body := binary.BigEndian.AppendUint64(nil, seq)
+		body = binary.BigEndian.AppendUint64(body, seq*1000+7)
+		if err := w.Append(append(body, spillPayload(seq, payloadLen)...)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	l, err := newSendLogFlow(1, FlowConfig{MaxBytes: 1 << 10, SpillDir: dir}, 1)
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	defer l.Close()
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("old-layout segment kept (stat err %v)", err)
+	}
+	if st := l.Stats(); st.Entries != 0 || st.SpilledSegments != 0 || st.SpilledBytes != 0 {
+		t.Fatalf("old-layout chain recovered: %+v", st)
+	}
+	if e, ok := tryNext(l, 1); ok {
+		t.Fatalf("served seq %d from an old-layout segment", e.Seq)
+	}
+	seq, err := l.Append(spillPayload(1, payloadLen), 1007)
+	if err != nil || seq != 1 {
+		t.Fatalf("first append after discard = (%d, %v), want seq 1", seq, err)
+	}
+	if next := drainSpillLog(t, l, 1, payloadLen); next != 2 {
+		t.Fatalf("drain ended at %d, want 1", next-1)
+	}
+}
+
 // TestSpillRecoveryChainGap: a missing middle segment (manual deletion,
 // disk loss) must not let recovery serve a stream with a hole — everything
 // after the gap is discarded.
@@ -539,11 +590,11 @@ func TestSpillOversizeFirstFrame(t *testing.T) {
 		t.Fatal("expected spill")
 	}
 	batch := l.TryNextBatch(1, nil, 32, 1024) // budget smaller than entry 1
-	if len(batch) != 1 || batch[0].Seq != 1 || len(batch[0].Payload) != len(big) {
+	if len(batch) != 1 || batch[0].Seq != 1 {
 		t.Fatalf("oversize first frame: got %d frames, first seq %d", len(batch), batch[0].Seq)
 	}
-	if string(batch[0].Payload) != string(big) {
-		t.Fatal("oversize payload corrupted through the disk tier")
+	if !bytes.Equal(batch[0].Frame, wire.AppendFrame(nil, &wire.Data{Seq: 1, SentUnixNano: 1, Payload: big})) {
+		t.Fatal("oversize frame corrupted through the disk tier")
 	}
 	// The next batch resumes right after it.
 	batch = l.TryNextBatch(2, nil, 8, 1<<20)

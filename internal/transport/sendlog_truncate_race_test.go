@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"stabilizer/internal/wire"
 )
 
 // TestTruncateStagedReexposure is the deterministic regression for the
@@ -49,7 +51,7 @@ func TestTruncateStagedReexposure(t *testing.T) {
 	stage := func(stripe int, seq uint64) {
 		s := &l.stripes[stripe]
 		s.mu.Lock()
-		s.entries = append(s.entries, LogEntry{Seq: seq, Payload: make([]byte, 8)})
+		s.entries = append(s.entries, LogEntry{Seq: seq, Frame: wire.AppendDataFrame(nil, seq, 0, make([]byte, 8))})
 		s.mu.Unlock()
 		l.bytes.Add(8)
 	}

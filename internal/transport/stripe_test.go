@@ -299,8 +299,8 @@ func TestTryNextBatchOversizeFirstFrame(t *testing.T) {
 	if len(batch) != 1 {
 		t.Fatalf("batch 2: got %d entries, want the oversize entry alone", len(batch))
 	}
-	if batch[0].Seq != 2 || len(batch[0].Payload) != len(big) {
-		t.Fatalf("batch 2: got seq %d payload %d bytes, want seq 2 with %d bytes", batch[0].Seq, len(batch[0].Payload), len(big))
+	if batch[0].Seq != 2 || batch[0].payloadLen() != len(big) {
+		t.Fatalf("batch 2: got seq %d payload %d bytes, want seq 2 with %d bytes", batch[0].Seq, batch[0].payloadLen(), len(big))
 	}
 	// Third batch resumes normally after the oversize entry.
 	batch = l.TryNextBatch(3, nil, 16, budget)
@@ -341,7 +341,7 @@ func TestTryNextBatchOversizeFlowAccounting(t *testing.T) {
 	// byte budget (first-frame rule), or the blocked appender above would
 	// never be released.
 	batch := l.TryNextBatch(1, nil, 16, 64)
-	if len(batch) != 1 || batch[0].Seq != 1 || len(batch[0].Payload) != len(big) {
+	if len(batch) != 1 || batch[0].Seq != 1 || batch[0].payloadLen() != len(big) {
 		t.Fatalf("oversize entry not drained: got %d entries", len(batch))
 	}
 	l.TruncateThrough(1)

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -471,8 +472,9 @@ func TestSendLogBasics(t *testing.T) {
 		t.Fatalf("head=%d len=%d bytes=%d", l.Head(), l.Stats().Entries, l.Bytes())
 	}
 	e, ok := tryNext(l, 1)
-	if !ok || e.Seq != 1 || string(e.Payload) != "a" {
-		t.Fatalf("read at 1 = %+v, %v", e, ok)
+	var d wire.Data
+	if !ok || e.Seq != 1 || wire.DecodeDataFrame(e.Frame, &d) != len(e.Frame) || d.Seq != 1 || d.SentUnixNano != 1 || string(d.Payload) != "a" {
+		t.Fatalf("read at 1 = %+v (%+v), %v", e, d, ok)
 	}
 	if _, ok := tryNext(l, 3); ok {
 		t.Fatal("read past head succeeded")
@@ -489,6 +491,23 @@ func TestSendLogBasics(t *testing.T) {
 	l.Close()
 	if _, err := l.Append(nil, 0); !errors.Is(err, ErrLogClosed) {
 		t.Fatalf("append after close err = %v", err)
+	}
+}
+
+// TestSendLogAppendCopiesPayload pins the send path's ownership rule: the
+// payload is the caller's again when Append returns, so reusing the slice
+// cannot change what the log sends.
+func TestSendLogAppendCopiesPayload(t *testing.T) {
+	l := NewSendLog(1)
+	defer l.Close()
+	p := []byte("first")
+	if _, err := l.Append(p, 5); err != nil {
+		t.Fatal(err)
+	}
+	copy(p, "xxxxx")
+	e, _ := tryNext(l, 1)
+	if want := wire.AppendFrame(nil, &wire.Data{Seq: 1, SentUnixNano: 5, Payload: []byte("first")}); !bytes.Equal(e.Frame, want) {
+		t.Fatalf("frame after the caller reused its payload = %x, want %x", e.Frame, want)
 	}
 }
 

@@ -98,7 +98,8 @@ func (w *Store) Put(key string, value []byte) (PutResult, error) {
 // with an error wrapping both transport.ErrBackpressure and ctx.Err(). The
 // version is committed to the local pool either way — only replication is
 // refused — so callers shedding load should retry the same key rather than
-// treat the write as lost.
+// treat the write as lost. value is the caller's again on return: the pool
+// and the send log each keep their own copy (transport.SendLog.AppendCtx).
 func (w *Store) PutCtx(ctx context.Context, key string, value []byte) (PutResult, error) {
 	ver, err := w.local().Put(key, value)
 	if err != nil {
@@ -108,7 +109,7 @@ func (w *Store) PutCtx(ctx context.Context, key string, value []byte) (PutResult
 	if err != nil {
 		return PutResult{}, err
 	}
-	seq, err := w.node.SendNoCopyCtx(ctx, encodeUpdate(key, value, ver, v.Time))
+	seq, err := w.node.SendCtx(ctx, encodeUpdate(key, value, ver, v.Time))
 	if err != nil {
 		return PutResult{}, err
 	}

@@ -277,17 +277,39 @@ func AppendFrame(buf []byte, msg Message) []byte {
 // header followed by the raw payload.
 const DataFrameOverhead = 4 + 1 + 8 + 8
 
-// AppendDataFrameHeader appends the complete frame header for a Data
-// message with a payloadLen-byte payload: the bytes such that
-// header||payload is identical to AppendFrame(nil, &Data{...}). It exists
-// so a writer can frame a log entry's payload without building a Data for it.
-func AppendDataFrameHeader(buf []byte, seq uint64, sentUnixNano int64, payloadLen int) []byte {
-	var b [DataFrameOverhead]byte
-	binary.BigEndian.PutUint32(b[0:4], uint32(DataFrameOverhead-4+payloadLen))
-	b[4] = byte(KindData)
-	binary.BigEndian.PutUint64(b[5:13], seq)
-	binary.BigEndian.PutUint64(b[13:21], uint64(sentUnixNano))
-	return append(buf, b[:]...)
+// AppendDataFrame appends the complete Data frame for seq, sentUnixNano and
+// payload: the bytes AppendFrame(buf, &Data{...}) appends, without building
+// a Data. The send log keeps each message as this frame, in memory and on
+// disk, and a link writes it as it is.
+func AppendDataFrame(buf []byte, seq uint64, sentUnixNano int64, payload []byte) []byte {
+	buf = binary.BigEndian.AppendUint32(buf, uint32(DataFrameOverhead-4+len(payload)))
+	buf = append(buf, byte(KindData))
+	buf = binary.BigEndian.AppendUint64(buf, seq)
+	buf = binary.BigEndian.AppendUint64(buf, uint64(sentUnixNano))
+	return append(buf, payload...)
+}
+
+// PutDataSeq stamps seq into a frame AppendDataFrame built.
+func PutDataSeq(frame []byte, seq uint64) {
+	binary.BigEndian.PutUint64(frame[5:13], seq)
+}
+
+// DecodeDataFrame decodes the Data frame at the head of b into d and returns
+// its length, or returns 0 when b does not begin with a complete Data frame.
+// d.Payload is a full-capacity sub-slice of b, lent in place.
+func DecodeDataFrame(b []byte, d *Data) int {
+	if len(b) < DataFrameOverhead || Kind(b[4]) != KindData {
+		return 0
+	}
+	n := int(binary.BigEndian.Uint32(b))
+	if n < DataFrameOverhead-4 || n > len(b)-4 {
+		return 0
+	}
+	end := 4 + n
+	d.Seq = binary.BigEndian.Uint64(b[5:])
+	d.SentUnixNano = int64(binary.BigEndian.Uint64(b[13:]))
+	d.Payload = b[DataFrameOverhead:end:end]
+	return end
 }
 
 // WriteFrame encodes msg as one frame and writes it to w.
@@ -351,7 +373,16 @@ func (r *Reader) Next() (Message, error) {
 		return nil, eofErr(err, true)
 	}
 	end := r.r + 4 + int(n)
-	msg, err := r.decodeBody(r.buf[r.r+4 : end : end])
+	if Kind(r.buf[r.r+4]) == KindData {
+		// Decoded in place, so the payload stays in the chunk instead of
+		// taking the generic copy in rest().
+		if DecodeDataFrame(r.buf[r.r:end], &r.data) == 0 {
+			return nil, fmt.Errorf("wire: decode data: %w", ErrShortFrame)
+		}
+		r.r = end
+		return &r.data, nil
+	}
+	msg, err := r.decodeBody(r.buf[r.r+4 : end])
 	if err != nil {
 		return nil, err
 	}
@@ -367,16 +398,15 @@ func (r *Reader) Next() (Message, error) {
 // The appended structs are copies; their payloads are lent like Next's, until
 // the following Next.
 func (r *Reader) AppendBufferedData(dst []Data, max int) []Data {
-	for len(dst) < max && r.w-r.r >= DataFrameOverhead {
-		b := r.buf[r.r:r.w]
-		n := int(binary.BigEndian.Uint32(b))
-		if Kind(b[4]) != KindData || n < DataFrameOverhead-4 || n > len(b)-4 {
-			break
-		}
-		end := r.r + 4 + n
+	for len(dst) < max {
+		// Decoded in place, not into a local Data copied in after: this
+		// loop runs once per received frame.
 		dst = append(dst, Data{})
-		decodeData(r.buf[r.r+5:end:end], &dst[len(dst)-1])
-		r.r = end
+		n := DecodeDataFrame(r.buf[r.r:r.w], &dst[len(dst)-1])
+		if n == 0 {
+			return dst[:len(dst)-1]
+		}
+		r.r += n
 	}
 	return dst
 }
@@ -419,20 +449,9 @@ func eofErr(err error, torn bool) error {
 	return err
 }
 
-// decodeBody decodes one frame body (kind byte + fields), a full-capacity
-// slice of the read chunk. A Data payload is lent in place, on the Reader's
-// terms; every other retained slice is copied out.
+// decodeBody decodes one frame body (kind byte + fields) of any kind but
+// Data, copying out every slice it retains.
 func (r *Reader) decodeBody(body []byte) (Message, error) {
-	if Kind(body[0]) == KindData {
-		// Decoded by hand so the payload stays in the chunk instead of
-		// taking the generic copy in rest().
-		b := body[1:]
-		if len(b) < 16 {
-			return nil, fmt.Errorf("wire: decode data: %w", ErrShortFrame)
-		}
-		decodeData(b, &r.data)
-		return &r.data, nil
-	}
 	msg, err := r.message(Kind(body[0]))
 	if err != nil {
 		return nil, err
@@ -441,14 +460,6 @@ func (r *Reader) decodeBody(body []byte) (Message, error) {
 		return nil, fmt.Errorf("wire: decode %s: %w", msg.Kind(), err)
 	}
 	return msg, nil
-}
-
-// decodeData fills d from a Data frame's fields b (at least 16 bytes, a
-// full-capacity slice of the chunk) and lends it the payload in place.
-func decodeData(b []byte, d *Data) {
-	d.Seq = binary.BigEndian.Uint64(b)
-	d.SentUnixNano = int64(binary.BigEndian.Uint64(b[8:]))
-	d.Payload = b[16:]
 }
 
 // message returns the destination struct for kind k: a reused scratch
@@ -460,8 +471,6 @@ func (r *Reader) message(k Kind) (Message, error) {
 		return &Hello{}, nil
 	case KindHelloAck:
 		return &HelloAck{}, nil
-	case KindData:
-		return &r.data, nil
 	case KindAck:
 		return &r.ack, nil
 	case KindHeartbeat:

@@ -401,22 +401,36 @@ func TestAppendingToPayloadKeepsNextFrame(t *testing.T) {
 	}
 }
 
-// TestAppendDataFrameHeaderMatchesAppendFrame pins the link writer's
-// invariant: a data frame header encoded standalone and followed by the
-// payload must be byte-identical to AppendFrame's output.
-func TestAppendDataFrameHeaderMatchesAppendFrame(t *testing.T) {
+// TestAppendDataFrameMatchesAppendFrame pins the send log's invariant: the
+// frame it builds once, sequenced afterwards by PutDataSeq, is byte-identical
+// to AppendFrame's output, and DecodeDataFrame reads back exactly that frame
+// and nothing short of it.
+func TestAppendDataFrameMatchesAppendFrame(t *testing.T) {
 	payloads := [][]byte{nil, {}, []byte("x"), bytes.Repeat([]byte("ab"), 1000)}
 	for _, p := range payloads {
 		d := &Data{Seq: 1 << 33, SentUnixNano: -7, Payload: p}
 		whole := AppendFrame(nil, d)
-		split := AppendDataFrameHeader(nil, d.Seq, d.SentUnixNano, len(p))
-		if len(split) != DataFrameOverhead {
-			t.Fatalf("header length %d, want DataFrameOverhead %d", len(split), DataFrameOverhead)
+		frame := AppendDataFrame(nil, 0, d.SentUnixNano, p)
+		PutDataSeq(frame, d.Seq)
+		if len(frame) != DataFrameOverhead+len(p) {
+			t.Fatalf("frame length %d, want DataFrameOverhead+%d", len(frame), len(p))
 		}
-		split = append(split, p...)
-		if !bytes.Equal(whole, split) {
-			t.Fatalf("payload len %d: header+payload differs from AppendFrame:\n%x\nvs\n%x", len(p), split, whole)
+		if !bytes.Equal(whole, frame) {
+			t.Fatalf("payload len %d: AppendDataFrame differs from AppendFrame:\n%x\nvs\n%x", len(p), frame, whole)
 		}
+		var got Data
+		if n := DecodeDataFrame(append(frame, 0xEE), &got); n != len(frame) {
+			t.Fatalf("payload len %d: DecodeDataFrame = %d, want %d", len(p), n, len(frame))
+		}
+		if got.Seq != d.Seq || got.SentUnixNano != d.SentUnixNano || !bytes.Equal(got.Payload, p) || cap(got.Payload) != len(p) {
+			t.Fatalf("payload len %d: decoded %+v (cap %d)", len(p), got, cap(got.Payload))
+		}
+		if n := DecodeDataFrame(frame[:len(frame)-1], &got); n != 0 {
+			t.Fatalf("payload len %d: a frame one byte short decoded as %d bytes", len(p), n)
+		}
+	}
+	if n := DecodeDataFrame(AppendFrame(nil, &App{ID: 1, Payload: make([]byte, 32)}), &Data{}); n != 0 {
+		t.Fatalf("an App frame decoded as a %d-byte Data frame", n)
 	}
 }
 

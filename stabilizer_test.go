@@ -408,7 +408,7 @@ func TestReadmeListsEveryConfigField(t *testing.T) {
 // (§III-D); a method added here has to raise the ceiling in the same change,
 // next to what it replaces.
 func TestNodeSurfaceDoesNotGrowUnnoticed(t *testing.T) {
-	const ceiling = 37
+	const ceiling = 35
 	n := reflect.TypeOf((*stabilizer.Node)(nil)).NumMethod()
 	t.Logf("node methods: %d exported", n)
 	if n > ceiling {
