@@ -9,10 +9,6 @@
 //	stabilizer-bench -metrics-addr :9090 -trace-sample 64
 //	                       # /metrics plus /debug/trace (per-op flight
 //	                       # recorder: ?origin=N&seq=M, ?op=latest-slow)
-//	stabilizer-bench -experiment fig6 \
-//	    -adaptive-ladder 'all=MIN($ALLWNODES);one=KTH_MAX(1, $ALLWNODES)' \
-//	    -adaptive-target 500ms
-//	                       # closed-loop consistency controller on every node
 //
 // Experiments: table1 table2 table3 micro fig3 fig4 fig5 fig6 fig7 fig8
 // ablation all.
@@ -55,7 +51,6 @@ func bindFlags(fs *flag.FlagSet) *options {
 	// Tracing stays off unless asked for: always-on tracing perturbs the
 	// numbers an experiment measures.
 	o.node = core.BindFlags(fs, core.Config{})
-	fs.Float64Var(&o.node.Adaptive.Config.Objective, "adaptive-objective", 0.99, "adaptive SLO: fraction of appends, in (0,1), that should meet the target")
 	return o
 }
 

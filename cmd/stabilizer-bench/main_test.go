@@ -4,7 +4,6 @@ import (
 	"flag"
 	"io"
 	"testing"
-	"time"
 )
 
 func parse(t *testing.T, args ...string) (*options, error) {
@@ -22,7 +21,6 @@ func TestFlagsReachTheClusterTemplate(t *testing.T) {
 	o, err := parse(t,
 		"-experiment", "fig6", "-timescale", "10", "-fabric", "tcp", "-short",
 		"-metrics-addr", "127.0.0.1:0", "-trace-sample", "64",
-		"-adaptive-ladder", "all=MIN($ALLWNODES);one=KTH_MAX(1, $ALLWNODES)", "-adaptive-target", "500ms", "-adaptive-objective", "0.9",
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -34,21 +32,17 @@ func TestFlagsReachTheClusterTemplate(t *testing.T) {
 	if o.node.MetricsAddr != "127.0.0.1:0" || c.Metrics == nil || c.Trace.SampleEvery != 64 {
 		t.Fatalf("node flags lost: %+v / %+v", o.node, c)
 	}
-	a := c.Adaptive
-	if a == nil || a.Key != "adaptive" || a.Ladder.Len() != 2 || a.Config.Target != 500*time.Millisecond || a.Config.Objective != 0.9 {
-		t.Fatalf("adaptive spec: %+v", a)
-	}
 }
 
-// TestDefaultsMeasureFaithfully: with no flags an experiment runs untraced
-// with no controller, and each cluster keeps a registry of its own.
+// TestDefaultsMeasureFaithfully: with no flags an experiment runs untraced,
+// and each cluster keeps a registry of its own.
 func TestDefaultsMeasureFaithfully(t *testing.T) {
 	o, err := parse(t)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := o.node.Cluster()
-	if o.experiment != "all" || o.bench.TimeScale != 1 || c.Trace.Enabled() || c.Adaptive != nil || c.Metrics != nil {
+	if o.experiment != "all" || o.bench.TimeScale != 1 || c.Trace.Enabled() || c.Metrics != nil {
 		t.Fatalf("defaults: %+v / %+v", o, c)
 	}
 	o.node.Pprof = true
@@ -57,12 +51,18 @@ func TestDefaultsMeasureFaithfully(t *testing.T) {
 	}
 }
 
-// TestFlagSetDidNotGrow: the three mode knobs are gone and wankv's flow
-// flags did not arrive with the shared helper.
+// TestFlagSetDidNotGrow: the three mode knobs are gone, wankv's flow and
+// adaptive flags did not arrive with the shared helper, and the adaptive
+// controller is not a flag here (no experiment waits on its key).
 func TestFlagSetDidNotGrow(t *testing.T) {
-	for _, name := range []string{"-stabilize-interval", "-log-stripes", "-writev-min-bytes", "-flow-max-bytes", "-stall-deadline"} {
-		if _, err := parse(t, name, "1"); err == nil {
-			t.Errorf("%s is still a flag", name)
+	fs := flag.NewFlagSet("stabilizer-bench", flag.ContinueOnError)
+	bindFlags(fs)
+	for _, name := range []string{
+		"stabilize-interval", "log-stripes", "writev-min-bytes", "flow-max-bytes", "stall-deadline",
+		"adaptive-ladder", "adaptive-key", "adaptive-target", "adaptive-objective",
+	} {
+		if fs.Lookup(name) != nil {
+			t.Errorf("-%s is still a flag", name)
 		}
 	}
 }

@@ -71,6 +71,11 @@ type options struct {
 	// node holds the flags shared with stabilizer-bench: the cluster
 	// template and the metrics endpoint.
 	node *stabilizer.Flags
+	// The controller -adaptive-ladder starts on every node: the predicate
+	// key it drives, its ladder (empty = off) and its tuning.
+	adaptiveKey    string
+	adaptiveLadder stabilizer.Ladder
+	adaptive       stabilizer.AdaptiveConfig
 }
 
 func bindFlags(fs *flag.FlagSet) *options {
@@ -79,7 +84,33 @@ func bindFlags(fs *flag.FlagSet) *options {
 	fs.Float64Var(&o.timescale, "timescale", 10, "divide emulated WAN latencies by this factor")
 	o.node = stabilizer.BindFlags(fs, stabilizer.Config{Trace: stabilizer.TraceConfig{SampleEvery: 64}})
 	o.node.BindFlowFlags(fs)
+	fs.Func("adaptive-ladder", "run the closed-loop consistency controller on every node: 'name=SOURCE;name=SOURCE' strongest rung first (unset = off)", func(s string) (err error) {
+		o.adaptiveLadder, err = stabilizer.ParseLadder(s)
+		return err
+	})
+	fs.StringVar(&o.adaptiveKey, "adaptive-key", "adaptive", "predicate key the adaptive controller drives")
+	fs.DurationVar(&o.adaptive.Target, "adaptive-target", 2*time.Second, "adaptive SLO: stabilize within this latency or step the ladder down")
 	return o
+}
+
+// startAdaptive starts the -adaptive-ladder controller on every node of cl
+// and returns node 1's, which the 'adaptive' command reports (nil without the
+// flag). Each node closes its own controller when it closes.
+func (o *options) startAdaptive(cl *stabilizer.Cluster) (*stabilizer.AdaptiveController, error) {
+	if o.adaptiveLadder.Len() == 0 {
+		return nil, nil
+	}
+	var primary *stabilizer.AdaptiveController
+	for _, n := range cl.Nodes() {
+		ctrl, err := n.StartAdaptive(o.adaptiveKey, o.adaptiveLadder, o.adaptive)
+		if err != nil {
+			return nil, fmt.Errorf("node %d: start adaptive controller: %w", n.Self(), err)
+		}
+		if n.Self() == 1 {
+			primary = ctrl
+		}
+	}
+	return primary, nil
 }
 
 func run() error {
@@ -109,6 +140,10 @@ func run() error {
 		return err
 	}
 	defer cluster.Close()
+	ctrl, err := o.startAdaptive(cluster)
+	if err != nil {
+		return err
+	}
 	stores := make([]*wankv.Store, topo.N())
 	for i := 1; i <= topo.N(); i++ {
 		stores[i-1] = wankv.New(cluster.Node(i))
@@ -150,7 +185,7 @@ func run() error {
 		if len(fields) == 0 {
 			continue
 		}
-		if err := dispatch(fields, topo, primary, kv, stores); err != nil {
+		if err := dispatch(fields, topo, primary, kv, stores, ctrl); err != nil {
 			if err == errQuit {
 				return nil
 			}
@@ -190,7 +225,7 @@ func debugHandler(cluster *stabilizer.Cluster) http.Handler {
 	})
 }
 
-func dispatch(fields []string, topo *stabilizer.Topology, primary *stabilizer.Node, kv *wankv.Store, stores []*wankv.Store) error {
+func dispatch(fields []string, topo *stabilizer.Topology, primary *stabilizer.Node, kv *wankv.Store, stores []*wankv.Store, ctrl *stabilizer.AdaptiveController) error {
 	switch fields[0] {
 	case "quit", "exit":
 		return errQuit
@@ -268,53 +303,47 @@ func dispatch(fields []string, topo *stabilizer.Topology, primary *stabilizer.No
 		return primary.ChangePredicate(fields[1], src)
 
 	case "frontier":
-		keys := primary.Predicates()
 		if len(fields) == 2 {
-			keys = []string{fields[1]}
-		}
-		for _, k := range keys {
-			f, err := primary.StabilityFrontier(k)
+			f, err := primary.StabilityFrontier(fields[1])
 			if err != nil {
 				return err
 			}
-			fmt.Printf("%-20s %d\n", k, f)
+			fmt.Printf("%-20s %d\n", fields[1], f)
+			return nil
+		}
+		for _, v := range primary.Snapshot().Predicates {
+			fmt.Printf("%-20s %d\n", v.Key, v.Frontier)
 		}
 		return nil
 
 	case "predicates":
-		for _, k := range primary.Predicates() {
-			if v, err := primary.Explain(k); err == nil {
-				fmt.Printf("%-20s %s\n", k, v.Source)
-			}
+		for _, v := range primary.Snapshot().Predicates {
+			fmt.Printf("%-20s %s\n", v.Key, v.Source)
 		}
 		return nil
 
 	case "adaptive":
-		ctrls := primary.AdaptiveControllers()
-		if len(ctrls) == 0 {
+		if ctrl == nil {
 			fmt.Println("no adaptive controllers (start wankv with -adaptive-ladder)")
 			return nil
 		}
-		for _, c := range ctrls {
-			rung := c.Rung()
-			fmt.Printf("%-20s rung %d (%s) installed=%d firing=%v ladder=%s\n",
-				c.Key(), c.RungIndex(), rung.Name, c.InstalledIndex(), c.Firing(), c.Ladder())
-			for _, tr := range c.History() {
-				fmt.Printf("    %s %s %s->%s (%s)\n",
-					tr.At.Format("15:04:05.000"), tr.Direction,
-					tr.FromRung.Name, tr.ToRung.Name, tr.Reason)
-			}
+		rung := ctrl.Rung()
+		fmt.Printf("%-20s rung %d (%s) installed=%d firing=%v ladder=%s\n",
+			ctrl.Key(), ctrl.RungIndex(), rung.Name, ctrl.InstalledIndex(), ctrl.Firing(), ctrl.Ladder())
+		for _, tr := range ctrl.History() {
+			fmt.Printf("    %s %s %s->%s (%s)\n",
+				tr.At.Format("15:04:05.000"), tr.Direction,
+				tr.FromRung.Name, tr.ToRung.Name, tr.Reason)
 		}
 		return nil
 
 	case "acks":
+		acks := primary.Snapshot().Acks
 		fmt.Printf("%-12s %10s %10s %10s\n", "node", "received", "delivered", "persisted")
 		for i := 1; i <= topo.N(); i++ {
 			name, _ := topo.NodeAt(i)
-			r, _ := primary.AckValue(1, i, "received")
-			d, _ := primary.AckValue(1, i, "delivered")
-			p, _ := primary.AckValue(1, i, "persisted")
-			fmt.Printf("%-12s %10d %10d %10d\n", name.Name, r, d, p)
+			fmt.Printf("%-12s %10d %10d %10d\n", name.Name,
+				acks["received"][i-1], acks["delivered"][i-1], acks["persisted"][i-1])
 		}
 		return nil
 

@@ -39,6 +39,10 @@ func TestEveryFlagReachesTheConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	wantLadder, err := stabilizer.ParseLadder(ladder)
+	if err != nil {
+		t.Fatal(err)
+	}
 	registered, set := 0, 0
 	fs.VisitAll(func(*flag.Flag) { registered++ })
 	fs.Visit(func(*flag.Flag) { set++ })
@@ -49,25 +53,21 @@ func TestEveryFlagReachesTheConfig(t *testing.T) {
 	if o.topoPath != "topo.json" || o.timescale != 5 || o.node.MetricsAddr != "127.0.0.1:0" || !o.node.Pprof {
 		t.Fatalf("command flags lost: %+v / %+v", o, o.node)
 	}
+	if o.adaptiveKey != "k" || !reflect.DeepEqual(o.adaptiveLadder, wantLadder) ||
+		!reflect.DeepEqual(o.adaptive, stabilizer.AdaptiveConfig{Target: 500 * time.Millisecond}) {
+		t.Fatalf("adaptive flags lost: key %q ladder %s config %+v", o.adaptiveKey, o.adaptiveLadder, o.adaptive)
+	}
 	got := o.node.Cluster()
 	if got.Metrics == nil {
 		t.Fatal("-metrics-addr gave the template no registry to serve")
 	}
 	got.Metrics = nil
-	wantLadder, err := stabilizer.ParseLadder(ladder)
-	if err != nil {
-		t.Fatal(err)
-	}
 	want := stabilizer.Config{
 		Flow: stabilizer.FlowConfig{
 			MaxBytes: 65536, SpillDir: "/tmp/spill",
 		},
 		Stall: stabilizer.StallConfig{Deadline: 2 * time.Second},
 		Trace: stabilizer.TraceConfig{SampleEvery: 8},
-		Adaptive: &stabilizer.AdaptiveSpec{
-			Key: "k", Ladder: wantLadder,
-			Config: stabilizer.AdaptiveConfig{Target: 500 * time.Millisecond},
-		},
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("config from flags:\n got %+v\nwant %+v", got, want)
@@ -80,8 +80,11 @@ func TestDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := o.node.Cluster()
-	if c.Trace.SampleEvery != 64 || c.Adaptive != nil || c.Flow != (stabilizer.FlowConfig{}) || c.Stall.Deadline != 0 {
+	if c.Trace.SampleEvery != 64 || c.Flow != (stabilizer.FlowConfig{}) || c.Stall.Deadline != 0 {
 		t.Fatalf("default config: %+v", c)
+	}
+	if o.adaptiveLadder.Len() != 0 {
+		t.Fatalf("a controller is on by default: %s", o.adaptiveLadder)
 	}
 	if srv, err := o.node.Serve(nil); srv != nil || err != nil {
 		t.Fatalf("Serve without -metrics-addr = (%v, %v), want nothing served", srv, err)
@@ -100,6 +103,42 @@ func TestBadAndRemovedFlags(t *testing.T) {
 	} {
 		if _, _, err := parse(t, args...); err == nil {
 			t.Errorf("%v was accepted", args)
+		}
+	}
+}
+
+// TestAdaptiveLadderStartsEveryNode: -adaptive-ladder starts a controller on
+// every node, each with rung 0 installed under -adaptive-key, and the handle
+// the 'adaptive' command reports is node 1's.
+func TestAdaptiveLadderStartsEveryNode(t *testing.T) {
+	o, _, err := parse(t, "-adaptive-ladder", "all=MIN($ALLWNODES);one=KTH_MAX(1, $ALLWNODES)", "-adaptive-key", "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	network := emunet.NewMemNetwork(nil)
+	cfg := o.node.Cluster()
+	cfg.Topology, cfg.Network = stabilizer.EC2Topology(1), network
+	cluster, err := stabilizer.OpenCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		cluster.Close()
+		network.Close()
+	})
+	ctrl, err := o.startAdaptive(cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ctrl == nil || ctrl.Key() != "k" || ctrl.RungIndex() != 0 {
+		t.Fatalf("node 1's controller = %v", ctrl)
+	}
+	for _, n := range cluster.Nodes() {
+		if v, err := n.Explain("k"); err != nil || v.Source != "MIN($ALLWNODES)" {
+			t.Fatalf("node %d: rung 0 not installed under k: %q, %v", n.Self(), v.Source, err)
+		}
+		if _, err := n.StartAdaptive("k", o.adaptiveLadder, o.adaptive); err == nil {
+			t.Fatalf("node %d ran no controller for k: a second one started", n.Self())
 		}
 	}
 }
@@ -136,7 +175,7 @@ func bootCutOff(t *testing.T, args ...string) (primary *stabilizer.Node, put fun
 	}
 	value := strings.Repeat("v", 200)
 	return cluster.Node(1), func() error {
-		return dispatch([]string{"put", "k", value}, topo, cluster.Node(1), stores[0], stores)
+		return dispatch([]string{"put", "k", value}, topo, cluster.Node(1), stores[0], stores, nil)
 	}
 }
 
@@ -175,7 +214,7 @@ func TestSpillDirAndCapBootASpillingNode(t *testing.T) {
 			t.Fatalf("put %d: %v", i, err)
 		}
 	}
-	if log := primary.SendLog(); log.SpilledBytes == 0 {
+	if log := primary.Snapshot().Log; log.SpilledBytes == 0 {
 		t.Fatalf("32 puts past a 1 KiB cap left nothing on disk (memory %d bytes)", log.MemoryBytes)
 	}
 }

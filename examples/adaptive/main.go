@@ -42,42 +42,18 @@ func run() error {
 	network := stabilizer.NewMemNetwork(nil)
 	defer network.Close()
 
-	open := func(i int, adaptive *stabilizer.AdaptiveSpec) (*stabilizer.Node, error) {
+	open := func(i int) (*stabilizer.Node, error) {
 		return stabilizer.Open(stabilizer.Config{
 			Topology:       topo.WithSelf(i),
 			Network:        network,
 			HeartbeatEvery: 20 * time.Millisecond,
 			PeerTimeout:    150 * time.Millisecond,
-			Adaptive:       adaptive,
 		})
-	}
-
-	// The ladder, strongest rung first: every mirror -> a majority of
-	// mirrors -> any one mirror. The controller may only walk it one rung
-	// at a time; demo-sized windows keep the run short.
-	spec := &stabilizer.AdaptiveSpec{
-		Key:    "stable",
-		Ladder: stabilizer.LadderWNodes(),
-		Config: stabilizer.AdaptiveConfig{
-			Target:      50 * time.Millisecond,
-			Objective:   0.9,
-			ShortWindow: 400 * time.Millisecond,
-			LongWindow:  1200 * time.Millisecond,
-			Burn:        2,
-			CheckEvery:  50 * time.Millisecond,
-			MinDwell:    150 * time.Millisecond,
-			Cooldown:    time.Second,
-			StallAfter:  300 * time.Millisecond,
-		},
 	}
 
 	nodes := make([]*stabilizer.Node, 4)
 	for i := 1; i <= 4; i++ {
-		var s *stabilizer.AdaptiveSpec
-		if i == 1 {
-			s = spec
-		}
-		n, err := open(i, s)
+		n, err := open(i)
 		if err != nil {
 			return err
 		}
@@ -92,7 +68,23 @@ func run() error {
 	}()
 	primary := nodes[0]
 
-	ctrl := primary.AdaptiveControllers()[0] // the one Config.Adaptive started
+	// The ladder, strongest rung first: every mirror -> a majority of
+	// mirrors -> any one mirror. The controller may only walk it one rung
+	// at a time; demo-sized windows keep the run short.
+	ctrl, err := primary.StartAdaptive("stable", stabilizer.LadderWNodes(), stabilizer.AdaptiveConfig{
+		Target:      50 * time.Millisecond,
+		Objective:   0.9,
+		ShortWindow: 400 * time.Millisecond,
+		LongWindow:  1200 * time.Millisecond,
+		Burn:        2,
+		CheckEvery:  50 * time.Millisecond,
+		MinDwell:    150 * time.Millisecond,
+		Cooldown:    time.Second,
+		StallAfter:  300 * time.Millisecond,
+	})
+	if err != nil {
+		return err
+	}
 	cancel := ctrl.OnTransition(func(tr stabilizer.AdaptiveTransition) {
 		fmt.Printf("  >> controller: %-4s %s -> %s (%s)\n",
 			tr.Direction, tr.FromRung.Name, tr.ToRung.Name, tr.Reason)
@@ -127,7 +119,7 @@ func run() error {
 	_ = nodes[3].Close()
 	nodes[3] = nil
 	// This write blocks under the "all" rung until the stall detector
-	// fires and the controller steps down — no operator, no OnPeerDown
+	// fires and the controller steps down — no operator, no OnPeer
 	// policy, just the SLO loop. In this 4-node topology a majority of
 	// W-nodes is 3, which the 3 mirrors only satisfy when all of them
 	// ack — so the majority rung stalls too and the controller honestly
@@ -142,7 +134,7 @@ func run() error {
 	}
 
 	fmt.Println("\n— MirrorC restarts: backlog drains, controller climbs back —")
-	restarted, err := open(4, nil)
+	restarted, err := open(4)
 	if err != nil {
 		return err
 	}

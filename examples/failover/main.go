@@ -72,17 +72,17 @@ func run() error {
 
 	// §III-E recovery policy: when a mirror dies, rebuild any predicate
 	// that still watches it.
-	primary.OnPeerDown(func(peer int) {
+	primary.OnPeer(func(peer int, up bool) {
+		if up {
+			return
+		}
 		name, _ := topo.NodeAt(peer)
 		fmt.Printf("!! detected failure of %s ($%d); reconfiguring predicates\n", name.Name, peer)
-		for _, key := range primary.Predicates() {
-			v, err := primary.Explain(key)
-			if err != nil {
-				continue
-			}
+		for _, v := range primary.Snapshot().Predicates {
 			for _, d := range v.DependsOn {
 				if d == peer {
-					_ = primary.ChangePredicate(key, stabilizer.ExcludeNodes([]int{peer}))
+					// The reserved reclaim predicate refuses the change.
+					_ = primary.ChangePredicate(v.Key, stabilizer.ExcludeNodes([]int{peer}))
 					break
 				}
 			}

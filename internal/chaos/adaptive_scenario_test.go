@@ -227,7 +227,7 @@ func AdaptiveDemo(o AdaptiveOptions) (*AdaptiveReport, error) {
 	}
 	// Frontier/FIFO/phantom-stability come from the runner; the scenario adds
 	// the honesty half of invariant 10.
-	sc.sweep = func(r *run, live []*core.Node) { r.check.CheckAdaptiveHonesty(live) }
+	sc.sweep = func(r *run, live []*core.Node) { r.check.CheckAdaptiveHonesty(live[0], ctrl) }
 	// The fault is healed: wait out the recovery climb back to rung 0, then
 	// let the restored strongest rung release one more validated probe.
 	sc.settle = func(r *run) {
@@ -321,7 +321,7 @@ func AdaptiveDemo(o AdaptiveOptions) (*AdaptiveReport, error) {
 		defer wcancel()
 		if !testbed.Await(drainTimeout, func() bool {
 			for i, n := range nodes[1:] {
-				if n.RecvLast(1) < head || r.check.Delivered(i+2, 1) < head {
+				if n.Snapshot().RecvLast[1] < head || r.check.Delivered(i+2, 1) < head {
 					return false
 				}
 			}
@@ -329,7 +329,7 @@ func AdaptiveDemo(o AdaptiveOptions) (*AdaptiveReport, error) {
 		}) {
 			for i, n := range nodes[1:] {
 				r.check.Violatef("node %d did not drain after heal: recvLast %d delivered %d of head %d",
-					i+2, n.RecvLast(1), r.check.Delivered(i+2, 1), head)
+					i+2, n.Snapshot().RecvLast[1], r.check.Delivered(i+2, 1), head)
 			}
 		}
 		if err := sender.WaitFor(wctx, head, AdaptiveKey); err != nil {

@@ -310,9 +310,10 @@ func (r *run) crash(i int) {
 	if err != nil {
 		return // already down
 	}
+	recv := dead.Snapshot().RecvLast
 	hw := make(map[int]uint64, len(r.sc.senders))
 	for _, s := range r.sc.senders {
-		hw[s] = dead.RecvLast(s)
+		hw[s] = recv[s]
 	}
 	r.check.RecordCrash(i, hw)
 	r.logf("chaos: crashed node %d, high water %v", i, hw)
@@ -547,7 +548,7 @@ func Soak(o Options) (*Report, error) {
 		sc.backlog = func(r *run) int64 {
 			var max int64
 			for _, s := range soakSenders {
-				if b := r.bed.Node(s).SendLog().Bytes; b > max {
+				if b := r.bed.Node(s).Snapshot().Log.Bytes; b > max {
 					max = b
 				}
 			}
@@ -589,7 +590,7 @@ func Soak(o Options) (*Report, error) {
 				if n == nil {
 					continue
 				}
-				if b := n.SendLog().SpilledBytes; b > peakSpill {
+				if b := n.Snapshot().Log.SpilledBytes; b > peakSpill {
 					peakSpill = b
 				}
 			}
@@ -599,7 +600,7 @@ func Soak(o Options) (*Report, error) {
 	sc.finish = func(r *run) {
 		defer func() {
 			for _, s := range soakSenders {
-				readback += r.bed.Node(s).SendLog().SpillReadbackBytes
+				readback += r.bed.Node(s).Snapshot().Log.SpillReadbackBytes
 			}
 		}()
 		// Invariant 4: with faults healed, every node must be back up and its
@@ -632,7 +633,7 @@ func Soak(o Options) (*Report, error) {
 					}
 					f, err := n.EvalFor(s, convergencePred)
 					lines = append(lines, fmt.Sprintf("node %d: origin %d frontier %d/%d recvLast %d (err=%v)",
-						i+1, s, f, r.heads[s], n.RecvLast(s), err))
+						i+1, s, f, r.heads[s], n.Snapshot().RecvLast[s], err))
 				}
 			}
 			sort.Strings(lines)

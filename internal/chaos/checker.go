@@ -219,16 +219,22 @@ func (c *Checker) RecordRestart(node int) {
 
 // CrossCheck sweeps invariant 3 over a snapshot of the cluster: for every
 // live node A, origin o, and witness b, A's record of "b received seq v of
-// o" must not exceed b's actual receive high water. nodes is 0-indexed
-// with nil entries for crashed nodes; the caller must prevent concurrent
+// o" must not exceed b's actual receive high water. The claim is A's
+// recorder cell (EvalFor); the high water is b's transport cursor
+// (Snapshot().RecvLast), never A's recorder again. nodes is 0-indexed with
+// nil entries for crashed nodes; the caller must prevent concurrent
 // crash/restart (the soak harness holds its cluster lock).
 //
-// Read order matters: the claimed ack value is read before the witness's
-// high water. Receipt at b happens-before b emits the ack happens-before A
-// records it, and high waters are monotone within an incarnation (crashes
-// are covered by RecordCrash), so a genuine report can never observe
-// claim > high water.
+// Read order matters: every claim is read before any witness's high water.
+// Receipt at b happens-before b emits the ack happens-before A records it,
+// and high waters are monotone within an incarnation (crashes are covered
+// by RecordCrash), so a genuine report can never observe claim > high water.
 func (c *Checker) CrossCheck(nodes []*core.Node) {
+	type claim struct {
+		a, o, b int
+		seq     uint64
+	}
+	var claims []claim
 	for ai, a := range nodes {
 		if a == nil {
 			continue
@@ -238,26 +244,44 @@ func (c *Checker) CrossCheck(nodes []*core.Node) {
 				if b == o {
 					continue // an origin trivially "received" its own stream
 				}
-				claim, err := a.AckValue(o, b, "received")
-				if err != nil || claim == 0 {
-					continue
+				seq, err := a.EvalFor(o, fmt.Sprintf("MAX($%d.received)", b))
+				if err == nil && seq > 0 {
+					claims = append(claims, claim{ai + 1, o, b, seq})
 				}
-				var hw uint64
-				if bn := nodes[b-1]; bn != nil {
-					hw = bn.RecvLast(o)
-				}
-				c.mu.Lock()
-				if chw := c.crashHW[streamKey{b, o}]; chw > hw {
-					hw = chw
-				}
-				if claim > hw {
-					c.failf("phantom stability report: node %d records node %d received seq %d of origin %d, but node %d only reached %d",
-						ai+1, b, claim, o, b, hw)
-				}
-				c.mu.Unlock()
 			}
 		}
 	}
+	if len(claims) == 0 {
+		return
+	}
+	snaps := witnesses(nodes)
+	for _, cl := range claims {
+		if hw := c.highWater(snaps, cl.b, cl.o); cl.seq > hw {
+			c.Violatef("phantom stability report: node %d records node %d received seq %d of origin %d, but node %d only reached %d",
+				cl.a, cl.b, cl.seq, cl.o, cl.b, hw)
+		}
+	}
+}
+
+// witnesses reads one Snapshot per live node (the zero Snapshot for a
+// crashed one), after the claims a sweep judges against them.
+func witnesses(nodes []*core.Node) []core.Snapshot {
+	snaps := make([]core.Snapshot, len(nodes))
+	for i, n := range nodes {
+		if n != nil {
+			snaps[i] = n.Snapshot()
+		}
+	}
+	return snaps
+}
+
+// highWater is how far witness b has received origin o's stream: its
+// receive cursor in snaps or, if higher, what a crashed incarnation of b had
+// reached (an ack can outlive its sender's incarnation).
+func (c *Checker) highWater(snaps []core.Snapshot, b, o int) uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return max(snaps[b-1].RecvLast[o], c.crashHW[streamKey{b, o}])
 }
 
 // CheckBounded sweeps invariant 5 over a snapshot of the cluster: no live
@@ -270,7 +294,7 @@ func (c *Checker) CheckBounded(nodes []*core.Node, capBytes, slack int64) {
 		if n == nil {
 			continue
 		}
-		if b := n.SendLog().Bytes; b > capBytes+slack {
+		if b := n.Snapshot().Log.Bytes; b > capBytes+slack {
 			c.Violatef("bounded-memory violation: node %d buffers %d send-log bytes > cap %d + slack %d",
 				i+1, b, capBytes, slack)
 		}
@@ -285,7 +309,7 @@ func (c *Checker) CheckBoundedMemory(nodes []*core.Node, capBytes, slack int64) 
 		if n == nil {
 			continue
 		}
-		if log := n.SendLog(); log.MemoryBytes > capBytes+slack {
+		if log := n.Snapshot().Log; log.MemoryBytes > capBytes+slack {
 			c.Violatef("spill bounded-memory violation: node %d holds %d send-log bytes in memory > cap %d + slack %d (spilled %d)",
 				i+1, log.MemoryBytes, capBytes, slack, log.SpilledBytes)
 		}
@@ -332,8 +356,8 @@ func (c *Checker) AttachPayloadTruth(node *core.Node, truth func(origin int, seq
 // receive cursors (crash high waters included — an ack can outlive its
 // sender's incarnation) that actually reached f. Receipt happens-before the
 // ack happens-before the table update happens-before the drain that
-// published f, and cursors are read after f, so a genuine release always
-// passes.
+// published f, and the cursors (one Snapshot per witness) are read after
+// every frontier of the sweep, so a genuine release always passes.
 //
 // (c) Bounded lag: the frontier must be at or past the ground truth
 // recorded by the previous sweep. Sweeps are spaced many drain passes apart,
@@ -344,12 +368,18 @@ func (c *Checker) AttachPayloadTruth(node *core.Node, truth func(origin int, seq
 // prevent concurrent crash/restart (the soak harness holds its cluster
 // lock).
 func (c *Checker) CheckFrontierTruth(nodes []*core.Node, quorums map[string]int) {
+	type claim struct {
+		s   int
+		key string
+		fr  uint64
+	}
+	var claims []claim
 	for _, s := range c.senders {
 		sn := nodes[s-1]
 		if sn == nil {
 			continue
 		}
-		for key, quorum := range quorums {
+		for key := range quorums {
 			v, err := sn.Explain(key)
 			if err != nil {
 				continue // predicate not registered on this node
@@ -365,30 +395,7 @@ func (c *Checker) CheckFrontierTruth(nodes []*core.Node, quorums map[string]int)
 					s, key, fr, gt)
 			}
 			if fr > 0 {
-				stable := 0
-				for b := 1; b <= c.n; b++ {
-					var hw uint64
-					if b == s {
-						// The origin trivially "received" its own stream.
-						hw = sn.NextSeq() - 1
-					} else {
-						if bn := nodes[b-1]; bn != nil {
-							hw = bn.RecvLast(s)
-						}
-						c.mu.Lock()
-						if chw := c.crashHW[streamKey{b, s}]; chw > hw {
-							hw = chw
-						}
-						c.mu.Unlock()
-					}
-					if hw >= fr {
-						stable++
-					}
-				}
-				if stable < quorum {
-					c.Violatef("phantom release: node %d predicate %q frontier %d backed by only %d/%d witness receive cursors",
-						s, key, fr, stable, quorum)
-				}
+				claims = append(claims, claim{s, key, fr})
 			}
 			c.mu.Lock()
 			prev := c.lastTruth[frontierKey{s, key}]
@@ -400,6 +407,26 @@ func (c *Checker) CheckFrontierTruth(nodes []*core.Node, quorums map[string]int)
 				c.Violatef("frontier lag unbounded: node %d predicate %q frontier %d still behind ground truth %d from the previous sweep",
 					s, key, fr, prev)
 			}
+		}
+	}
+	if len(claims) == 0 {
+		return
+	}
+	snaps := witnesses(nodes)
+	for _, cl := range claims {
+		stable := 0
+		for b := 1; b <= c.n; b++ {
+			hw := snaps[b-1].Log.Head // the origin trivially "received" its own stream
+			if b != cl.s {
+				hw = c.highWater(snaps, b, cl.s)
+			}
+			if hw >= cl.fr {
+				stable++
+			}
+		}
+		if stable < quorums[cl.key] {
+			c.Violatef("phantom release: node %d predicate %q frontier %d backed by only %d/%d witness receive cursors",
+				cl.s, cl.key, cl.fr, stable, quorums[cl.key])
 		}
 	}
 }

@@ -36,30 +36,32 @@ func (c *Checker) AttachAdaptive(ctrl *adaptive.Controller, minDwell time.Durati
 }
 
 // CheckAdaptiveHonesty sweeps the guarantee half of invariant 10: no
-// controller may report a rung stronger (lower index) than the predicate
-// actually installed in the registry. The reported rung is re-read around
-// the registry read; a mismatch means a transition is in flight and the
-// sample is skipped — the honesty ordering inside the controller makes the
-// remaining samples race-free in both directions.
-func (c *Checker) CheckAdaptiveHonesty(nodes []*core.Node) {
-	for _, n := range nodes {
-		for _, ctrl := range n.AdaptiveControllers() {
-			r1 := ctrl.RungIndex()
-			v, err := n.Explain(ctrl.Key())
-			r2 := ctrl.RungIndex()
-			if err != nil || r1 != r2 {
-				continue
-			}
-			idx := ctrl.Ladder().IndexOfSource(v.Source)
-			if idx == -1 {
-				c.Violatef("adaptive honesty: node %d predicate %q installed source %q is not a ladder rung",
-					n.Self(), ctrl.Key(), v.Source)
-				continue
-			}
-			if r1 < idx {
-				c.Violatef("adaptive honesty: node %d predicate %q reports rung %d but only rung %d (weaker) is installed",
-					n.Self(), ctrl.Key(), r1, idx)
-			}
+// controller the scenario started on node n may report a rung stronger
+// (lower index) than the predicate actually installed in n's registry. The
+// reported rung is re-read around the registry read; a mismatch means a
+// transition is in flight and the sample is skipped — the honesty ordering
+// inside the controller makes the remaining samples race-free in both
+// directions. A nil n (crashed) is skipped.
+func (c *Checker) CheckAdaptiveHonesty(n *core.Node, ctrls ...*adaptive.Controller) {
+	if n == nil {
+		return
+	}
+	for _, ctrl := range ctrls {
+		r1 := ctrl.RungIndex()
+		v, err := n.Explain(ctrl.Key())
+		r2 := ctrl.RungIndex()
+		if err != nil || r1 != r2 {
+			continue
+		}
+		idx := ctrl.Ladder().IndexOfSource(v.Source)
+		if idx == -1 {
+			c.Violatef("adaptive honesty: node %d predicate %q installed source %q is not a ladder rung",
+				n.Self(), ctrl.Key(), v.Source)
+			continue
+		}
+		if r1 < idx {
+			c.Violatef("adaptive honesty: node %d predicate %q reports rung %d but only rung %d (weaker) is installed",
+				n.Self(), ctrl.Key(), r1, idx)
 		}
 	}
 }

@@ -149,22 +149,23 @@ func FlowDemo(o FlowOptions) (*FlowReport, error) {
 	sc.sweep = func(r *run, live []*core.Node) {
 		sender := live[0]
 		r.check.CheckBounded(live, flowCapBytes, flowPayloadBytes)
-		log := sender.SendLog()
+		log := sender.Snapshot().Log
 		if log.Bytes > rep.MaxLogBytes {
 			rep.MaxLogBytes = log.Bytes
 		}
 		// The reclaim never passes a healthy receiver: Base-1 is at most the
 		// "received" ACK the sender holds from it, which the runner's cross
-		// check bounds by RecvLast(1), so Base <= RecvLast(1)+1 follows. The
+		// check bounds by RecvLast[1], so Base <= RecvLast[1]+1 follows. The
 		// ACK, not RecvLast, is checked because a reclaim ahead of the slower
 		// receiver passes its ACK on every run but its RecvLast only when its
 		// link also lags. Base is read first and both only grow.
+		received := sender.Snapshot().Acks["received"]
 		for p := 2; p <= clusterSize; p++ {
 			if p == victim {
 				continue
 			}
-			if ack, err := sender.AckValue(1, p, "received"); err != nil || log.Base > ack+1 {
-				r.check.Violatef("sender reclaimed through %d past healthy node %d's received ACK %d (%v)", log.Base-1, p, ack, err)
+			if ack := received[p-1]; log.Base > ack+1 {
+				r.check.Violatef("sender reclaimed through %d past healthy node %d's received ACK %d", log.Base-1, p, ack)
 			}
 		}
 		if fallbackHead.Load() != 0 || !reclaimStalled.Load() || !log.Full {
@@ -211,7 +212,7 @@ func FlowDemo(o FlowOptions) (*FlowReport, error) {
 		healthy := func(i int) bool { return i+1 != victim && i != 0 }
 		if !testbed.Await(drainTimeout, func() bool {
 			for i, n := range nodes {
-				if healthy(i) && (n.RecvLast(1) < head || r.check.Delivered(i+1, 1) < head) {
+				if healthy(i) && (n.Snapshot().RecvLast[1] < head || r.check.Delivered(i+1, 1) < head) {
 					return false
 				}
 			}
@@ -220,7 +221,7 @@ func FlowDemo(o FlowOptions) (*FlowReport, error) {
 			for i, n := range nodes {
 				if healthy(i) {
 					r.check.Violatef("healthy node %d did not drain: recvLast %d delivered %d of head %d",
-						i+1, n.RecvLast(1), r.check.Delivered(i+1, 1), head)
+						i+1, n.Snapshot().RecvLast[1], r.check.Delivered(i+1, 1), head)
 				}
 			}
 		}
@@ -228,7 +229,7 @@ func FlowDemo(o FlowOptions) (*FlowReport, error) {
 			r.check.Violatef("majority predicate never reached head %d: %v", head, err)
 		}
 		// The victim must still be dark — "whole run" means no quiet catch-up.
-		if got := nodes[victim-1].RecvLast(1); got != 0 {
+		if got := nodes[victim-1].Snapshot().RecvLast[1]; got != 0 {
 			r.check.Violatef("victim %d received %d messages through a whole-run blackhole", victim, got)
 		}
 	}

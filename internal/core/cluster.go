@@ -145,9 +145,8 @@ func (c *Cluster) Snapshot() []Snapshot {
 }
 
 // Crash closes the node and removes it from the live set, keeping its dead
-// handle available to the caller for post-mortem reads (RecvLast and other
-// snapshot getters stay valid on a closed node). Restart brings the id
-// back.
+// handle available to the caller for post-mortem reads (Snapshot stays valid
+// on a closed node). Restart brings the id back.
 func (c *Cluster) Crash(id int) (*Node, error) {
 	c.mu.Lock()
 	node := c.nodes[id]
@@ -250,7 +249,7 @@ func (c *Cluster) WaitAllReceive(ctx context.Context, origin int, seq uint64) er
 			if n.Self() == origin {
 				continue
 			}
-			if n.RecvLast(origin) < seq {
+			if n.tr.RecvLast(origin) < seq {
 				done = false
 				break
 			}

@@ -196,8 +196,8 @@ func TestClusterCrashRestart(t *testing.T) {
 	}
 	// Post-mortem read on the dead handle: its receive high-water is what
 	// the chaos checker feeds RecordCrash.
-	if got := dead.RecvLast(1); got != last {
-		t.Errorf("dead handle RecvLast = %d, want %d", got, last)
+	if got := dead.Snapshot().RecvLast[1]; got != last {
+		t.Errorf("dead handle's RecvLast[1] = %d, want %d", got, last)
 	}
 	if _, err := cl.Crash(2); err == nil {
 		t.Fatal("double crash succeeded")

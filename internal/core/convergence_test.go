@@ -119,7 +119,7 @@ func TestEvalForTrailsByAtMostOneHeartbeat(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, n := range nodes[1:] {
-			if truth := n.RecvLast(1); claim > truth {
+			if truth := n.Snapshot().RecvLast[1]; claim > truth {
 				t.Fatalf("node 3 evaluates %q about origin 1 as %d; node %d holds only %d", pred, claim, n.Self(), truth)
 			}
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -12,8 +13,8 @@ import (
 
 // TestPredicateAdjustmentOnPeerFailure exercises the paper's §III-E
 // recovery recipe end to end: a secondary crashes mid-stream, the sender's
-// strong predicate stalls, OnPeerDown fires, the application drops the dead
-// node via ChangePredicate, and the stalled waiter completes.
+// strong predicate stalls, OnPeer reports the secondary down, the application
+// drops the dead node via ChangePredicate, and the stalled waiter completes.
 func TestPredicateAdjustmentOnPeerFailure(t *testing.T) {
 	net := emunet.NewMemNetwork(nil)
 	defer net.Close()
@@ -45,16 +46,16 @@ func TestPredicateAdjustmentOnPeerFailure(t *testing.T) {
 	}
 
 	// The application's recovery policy: on failure, re-derive every
-	// predicate that depends on the dead node without it.
-	sender.OnPeerDown(func(peer int) {
-		for _, key := range sender.Predicates() {
-			v, err := sender.Explain(key)
-			if err != nil {
-				continue
-			}
+	// predicate that depends on the dead node without it (the reserved
+	// reclaim predicate refuses the change).
+	sender.OnPeer(func(peer int, up bool) {
+		if up {
+			return
+		}
+		for _, v := range sender.Snapshot().Predicates {
 			for _, d := range v.DependsOn {
 				if d == peer {
-					_ = sender.ChangePredicate(key,
+					_ = sender.ChangePredicate(v.Key,
 						fmt.Sprintf("MIN($ALLWNODES-$MYWNODE-$%d)", peer))
 					break
 				}
@@ -296,11 +297,12 @@ func TestRegisterPredicateValidation(t *testing.T) {
 	if err := n.RegisterPredicate("ok", "MIN($ALLWNODES)"); err != nil {
 		t.Fatal(err)
 	}
-	keys := n.Predicates()
-	for _, k := range keys {
-		if k == ReclaimPredicateKey {
-			t.Fatal("reserved key leaked into Predicates()")
-		}
+	var keys []string
+	for _, v := range n.Snapshot().Predicates {
+		keys = append(keys, v.Key)
+	}
+	if want := []string{ReclaimPredicateKey, "ok"}; !reflect.DeepEqual(keys, want) {
+		t.Fatalf("snapshot lists predicates %q, want %q", keys, want)
 	}
 }
 
@@ -322,9 +324,9 @@ func TestReportStabilityValidation(t *testing.T) {
 	if err := n.ReportStability(2, "audited", 5); err != nil {
 		t.Fatal(err)
 	}
-	v, err := n.AckValue(2, 1, "audited")
+	v, err := n.EvalFor(2, "MAX($1.audited)")
 	if err != nil || v != 5 {
-		t.Fatalf("AckValue = %d, %v", v, err)
+		t.Fatalf("node 1's audited cell for origin 2 = %d, %v", v, err)
 	}
 }
 

@@ -4,9 +4,7 @@ import (
 	"errors"
 	"flag"
 	"net/http"
-	"time"
 
-	"stabilizer/internal/adaptive"
 	"stabilizer/internal/metrics"
 )
 
@@ -19,28 +17,18 @@ type Flags struct {
 	MetricsAddr string
 	// Pprof is -pprof: mount /debug/pprof beside /metrics.
 	Pprof bool
-	// Adaptive is the spec -adaptive-ladder installs as Config.Adaptive.
-	Adaptive AdaptiveSpec
 }
 
 // BindFlags registers on fs the node options both commands have — the
-// metrics endpoint, the flight recorder and the adaptive controller — and
-// returns the Flags that parsing fs fills in. defaults seeds the template,
-// and so the flags' default values.
+// metrics endpoint and the flight recorder — and returns the Flags that
+// parsing fs fills in. defaults seeds the template, and so the flags' default
+// values.
 func BindFlags(fs *flag.FlagSet, defaults Config) *Flags {
 	f := &Flags{Config: defaults}
 	c := &f.Config
 	fs.StringVar(&f.MetricsAddr, "metrics-addr", "", "serve every node's /metrics on this address (e.g. :9090)")
 	fs.BoolVar(&f.Pprof, "pprof", false, "also mount /debug/pprof on the metrics address")
 	fs.IntVar(&c.Trace.SampleEvery, "trace-sample", c.Trace.SampleEvery, "flight-record 1 in N operations end to end and mount /debug/trace on the metrics address (1 = every op, 0 = off)")
-
-	fs.Func("adaptive-ladder", "run the closed-loop consistency controller on every node: 'name=SOURCE;name=SOURCE' strongest rung first (unset = off)", func(s string) (err error) {
-		f.Adaptive.Ladder, err = adaptive.ParseLadder(s)
-		c.Adaptive = &f.Adaptive
-		return err
-	})
-	fs.StringVar(&f.Adaptive.Key, "adaptive-key", "adaptive", "predicate key the adaptive controller drives")
-	fs.DurationVar(&f.Adaptive.Config.Target, "adaptive-target", 2*time.Second, "adaptive SLO: stabilize within this latency or step the ladder down")
 	return f
 }
 

@@ -80,7 +80,7 @@ func TestSendBlocksAtCapResumesAfterHeal(t *testing.T) {
 		t.Fatalf("warmup send: %v", err)
 	}
 	waitUntil(t, 5*time.Second, "warmup delivery", func() bool {
-		return c.nodes[1].RecvLast(1) >= 1 && c.nodes[2].RecvLast(1) >= 1
+		return c.nodes[1].Snapshot().RecvLast[1] >= 1 && c.nodes[2].Snapshot().RecvLast[1] >= 1
 	})
 
 	inj.Blackhole(1, 3)
@@ -103,12 +103,12 @@ func TestSendBlocksAtCapResumesAfterHeal(t *testing.T) {
 	// The cap is 8 payloads; with node 3 dark the reclaim frontier pins
 	// and the pump must wedge before finishing.
 	waitUntil(t, 5*time.Second, "send to block at the cap", func() bool {
-		return sender.SendLog().BlockedAppends >= 1
+		return sender.Snapshot().Log.BlockedAppends >= 1
 	})
 	if got := sent.Load(); got >= total {
 		t.Fatalf("all %d sends completed through a full log", got)
 	}
-	if log := sender.SendLog(); !log.Full {
+	if log := sender.Snapshot().Log; !log.Full {
 		t.Fatalf("send log not backpressured while blocked: %+v", log)
 	}
 	// The verdict on reclaim must name exactly the blackholed peer.
@@ -158,7 +158,7 @@ func TestSendBlocksAtCapResumesAfterHeal(t *testing.T) {
 	// Everyone converges and the latch clears once reclaim catches up.
 	head := sender.Snapshot().Log.Head
 	waitUntil(t, 10*time.Second, "receivers to drain", func() bool {
-		return c.nodes[1].RecvLast(1) >= head && c.nodes[2].RecvLast(1) >= head
+		return c.nodes[1].Snapshot().RecvLast[1] >= head && c.nodes[2].Snapshot().RecvLast[1] >= head
 	})
 	waitUntil(t, 10*time.Second, "backpressure to clear", func() bool {
 		return !sender.Snapshot().Log.Full
@@ -235,7 +235,7 @@ func TestSendCtxEndsWaitWithContext(t *testing.T) {
 				done <- err
 			}()
 			waitUntil(t, 5*time.Second, "send to block", func() bool {
-				return sender.SendLog().BlockedAppends >= 1
+				return sender.Snapshot().Log.BlockedAppends >= 1
 			})
 			start := time.Now()
 			if tc.cause == context.Canceled {

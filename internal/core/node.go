@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -138,27 +137,6 @@ type Config struct {
 	// (sampling rate and ring size); the zero value disables tracing and
 	// keeps every hot path allocation-free.
 	Trace optrace.Config
-	// Adaptive, when set, starts a closed-loop consistency controller on
-	// every booted node (each drives its own predicate over its own
-	// outbound stream): the ladder's strongest rung is registered under
-	// Spec.Key and the controller steps it down (and back up) against the
-	// stability SLO. Equivalent to calling StartAdaptive right after Open.
-	Adaptive *AdaptiveSpec
-}
-
-// AdaptiveSpec wires an SLO-driven predicate controller into a node: the
-// ladder's rung 0 predicate is registered under Key at Open and an
-// adaptive.Controller steps the active predicate down the ladder when the
-// stability SLO burns (or the frontier stalls) and back up, with
-// hysteresis, when it recovers.
-type AdaptiveSpec struct {
-	// Key is the predicate key the controller owns.
-	Key string
-	// Ladder orders the rungs, strongest first (adaptive.NewLadder /
-	// adaptive.ParseLadder).
-	Ladder adaptive.Ladder
-	// Config is the controller tuning (SLO target, windows, hysteresis).
-	Config adaptive.Config
 }
 
 // Checkpoint captures the durable control-plane state of a node so a
@@ -193,10 +171,9 @@ type Node struct {
 	// The callback lists are copy-on-write: the transport's upcalls read a
 	// snapshot without taking mu; registration and detach publish a fresh
 	// copy while holding it.
-	deliverFns  cowList[DeliverFunc]
-	appFns      cowList[AppFunc]
-	peerDownFns cowList[hook[int]]
-	peerUpFns   cowList[hook[int]]
+	deliverFns cowList[DeliverFunc]
+	appFns     cowList[AppFunc]
+	peerFns    cowList[hook[peerEvent]]
 
 	mu            sync.Mutex
 	nextHook      int
@@ -377,12 +354,6 @@ func openNode(cfg Config) (*Node, error) {
 	if err := tr.Start(); err != nil {
 		return fail(err)
 	}
-	if cfg.Adaptive != nil {
-		if _, err := node.StartAdaptive(cfg.Adaptive.Key, cfg.Adaptive.Ladder, cfg.Adaptive.Config); err != nil {
-			node.Close()
-			return nil, fmt.Errorf("core: start adaptive controller: %w", err)
-		}
-	}
 	return node, nil
 }
 
@@ -503,8 +474,8 @@ func (n *Node) OnApp(fn AppFunc) {
 	n.appFns.add(fn)
 }
 
-// hook is one OnPeerDown, OnPeerUp or OnStall registration; the id makes it
-// detachable via the returned cancel.
+// hook is one OnPeer or OnStall registration; the id makes it detachable
+// via the returned cancel.
 type hook[A any] struct {
 	id int
 	fn func(A)
@@ -534,19 +505,24 @@ func addHook[A any](n *Node, list *cowList[hook[A]], fn func(A)) (cancel func())
 	}
 }
 
-// OnPeerDown registers a callback fired when a peer is suspected failed.
-// The paper's recovery recipe (§III-E): the application inspects which
-// predicates depend on the dead node (Explain(key).DependsOn) and adjusts them
-// with ChangePredicate. The returned cancel detaches the callback
-// (idempotent); a nil fn is ignored and gets a no-op cancel.
-func (n *Node) OnPeerDown(fn func(peer int)) (cancel func()) {
-	return addHook(n, &n.peerDownFns, fn)
+// peerEvent is one failure-detector transition, as OnPeer hears it.
+type peerEvent struct {
+	peer int
+	up   bool
 }
 
-// OnPeerUp registers a callback fired when a peer is (re)heard from. The
-// returned cancel detaches it, mirroring OnPeerDown.
-func (n *Node) OnPeerUp(fn func(peer int)) (cancel func()) {
-	return addHook(n, &n.peerUpFns, fn)
+// OnPeer registers a callback fired when the failure detector changes its
+// mind about a peer: up=false when the peer is suspected failed, up=true when
+// it is (re)heard from. The paper's recovery recipe (§III-E): on a down, the
+// application inspects which predicates depend on the dead node
+// (Explain(key).DependsOn) and adjusts them with ChangePredicate. The returned
+// cancel detaches the callback (idempotent); a nil fn is ignored and gets a
+// no-op cancel.
+func (n *Node) OnPeer(fn func(peer int, up bool)) (cancel func()) {
+	if fn == nil {
+		return func() {}
+	}
+	return addHook(n, &n.peerFns, func(e peerEvent) { fn(e.peer, e.up) })
 }
 
 // SendApp sends an out-of-band application message to one peer.
@@ -667,18 +643,6 @@ func (n *Node) RemovePredicate(key string) error {
 	return n.registry.Remove(key)
 }
 
-// Predicates lists the application-registered predicate keys.
-func (n *Node) Predicates() []string {
-	keys := n.registry.Keys()
-	out := keys[:0]
-	for _, k := range keys {
-		if k != ReclaimPredicateKey {
-			out = append(out, k)
-		}
-	}
-	return out
-}
-
 // WaitFor blocks until the stability frontier of the named predicate
 // reaches seq (paper waitfor).
 func (n *Node) WaitFor(ctx context.Context, seq uint64, key string) error {
@@ -785,23 +749,6 @@ func (h adaptiveHost) Stuck(key string) (time.Duration, error) {
 	return st.Stuck, err
 }
 
-// AdaptiveControllers returns every running adaptive controller, sorted by
-// predicate key.
-func (n *Node) AdaptiveControllers() []*adaptive.Controller {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make([]*adaptive.Controller, 0, len(n.adaptiveCtrls))
-	for _, c := range n.adaptiveCtrls {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
-	return out
-}
-
-// RecvLast returns the highest contiguous data sequence received from peer
-// over this node's lifetime (volatile: a restarted node starts from 0).
-func (n *Node) RecvLast(peer int) uint64 { return n.tr.RecvLast(peer) }
-
 // EvalFor evaluates a predicate over another origin's stream: because
 // every node's stability reports reach every node, each WAN site can
 // independently evaluate the same predicate about the same stream, and
@@ -811,7 +758,10 @@ func (n *Node) RecvLast(peer int) uint64 { return n.tr.RecvLast(peer) }
 // origin's own view by one HeartbeatEvery on an idle link. It is never
 // ahead of the truth: a late report makes a frontier weaker, not stronger.
 // The predicate is compiled ad hoc; registered predicates always concern
-// the local origin's stream.
+// the local origin's stream. One recorder cell is a one-operand predicate:
+// EvalFor(o, "MAX($b.t)") is the highest sequence of o's stream this node
+// knows b to have acknowledged at level t (for the local origin,
+// Snapshot().Acks[t][b-1] holds the same number).
 func (n *Node) EvalFor(origin int, source string) (uint64, error) {
 	if origin < 1 || origin > n.topo.N() {
 		return 0, fmt.Errorf("core: origin %d out of range", origin)
@@ -821,20 +771,6 @@ func (n *Node) EvalFor(origin int, source string) (uint64, error) {
 		return 0, err
 	}
 	return n.tables[origin-1].EvalLocked(prog), nil
-}
-
-// AckValue reads one recorder cell: the highest sequence of origin's
-// stream that this node knows node to have acknowledged at the named
-// stability level. For a foreign origin it trails as EvalFor does.
-func (n *Node) AckValue(origin, node int, typeName string) (uint64, error) {
-	typ, err := n.types.Lookup(typeName)
-	if err != nil {
-		return 0, err
-	}
-	if origin < 1 || origin > n.topo.N() {
-		return 0, fmt.Errorf("core: origin %d out of range", origin)
-	}
-	return n.tables[origin-1].Value(node, typ), nil
 }
 
 // Checkpoint exports the control-plane state needed to restart the node as
@@ -975,16 +911,14 @@ func (h *trHandler) HandleApp(from int, a *wire.App) {
 }
 
 // PeerUp implements transport.Handler.
-func (h *trHandler) PeerUp(peer int) {
-	for _, hk := range (*Node)(h).peerUpFns.load() {
-		hk.fn(peer)
-	}
-}
+func (h *trHandler) PeerUp(peer int) { (*Node)(h).firePeer(peer, true) }
 
 // PeerDown implements transport.Handler.
-func (h *trHandler) PeerDown(peer int) {
-	for _, hk := range (*Node)(h).peerDownFns.load() {
-		hk.fn(peer)
+func (h *trHandler) PeerDown(peer int) { (*Node)(h).firePeer(peer, false) }
+
+func (n *Node) firePeer(peer int, up bool) {
+	for _, hk := range n.peerFns.load() {
+		hk.fn(peerEvent{peer, up})
 	}
 }
 

@@ -3,12 +3,14 @@ package core
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"stabilizer/internal/config"
 	"stabilizer/internal/emunet"
+	"stabilizer/internal/faultinject"
 )
 
 // cluster spins up one Node per topology entry on a shared in-memory
@@ -338,49 +340,79 @@ func TestCheckpointRestartResumesSequence(t *testing.T) {
 	}
 }
 
+// TestPeerDownDetection: node 1's OnPeer hook hears a cut-off peer go down
+// and, after the heal, come back up — once each, in that order.
 func TestPeerDownDetection(t *testing.T) {
+	inj := faultinject.New(nil)
 	net := emunet.NewMemNetwork(nil)
-	defer net.Close()
-	topo := flatTopology(3)
-
-	var nodes []*Node
-	for i := 1; i <= 3; i++ {
-		n, err := Open(Config{
-			Topology:       topo.WithSelf(i),
-			Network:        net,
-			HeartbeatEvery: 10 * time.Millisecond,
-			PeerTimeout:    50 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatalf("open %d: %v", i, err)
-		}
-		nodes = append(nodes, n)
+	net.SetConnHook(inj.Hook())
+	cl, err := OpenCluster(Config{
+		Topology:       flatTopology(3),
+		Network:        net,
+		HeartbeatEvery: 10 * time.Millisecond,
+		PeerTimeout:    100 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	defer func() {
-		for _, n := range nodes {
-			_ = n.Close()
-		}
+		_ = cl.Close()
+		inj.Close()
+		_ = net.Close()
 	}()
+	n1 := cl.Node(1)
 
-	down := make(chan int, 8)
-	nodes[0].OnPeerDown(func(p int) { down <- p })
-
-	// Give the mesh time to come up, then kill node 3.
-	time.Sleep(100 * time.Millisecond)
-	if err := nodes[2].Close(); err != nil {
-		t.Fatalf("close node 3: %v", err)
+	type event struct {
+		peer int
+		up   bool
+	}
+	var mu sync.Mutex
+	var events []event
+	n1.OnPeer(func(p int, up bool) {
+		mu.Lock()
+		events = append(events, event{p, up})
+		mu.Unlock()
+	})
+	// of3 lists what node 1 has heard about node 3 since the mesh came up.
+	mark := 0
+	of3 := func() []event {
+		mu.Lock()
+		defer mu.Unlock()
+		var out []event
+		for _, e := range events[mark:] {
+			if e.peer == 3 {
+				out = append(out, e)
+			}
+		}
+		return out
 	}
 
-	deadline := time.After(3 * time.Second)
-	for {
-		select {
-		case p := <-down:
-			if p == 3 {
-				return // detected
-			}
-		case <-deadline:
-			t.Fatal("node 1 never detected node 3's failure")
-		}
+	// Once every peer has acknowledged a message, node 1 has heard from each
+	// of them: any boot-time up has fired, and what follows is the fault's.
+	if err := n1.RegisterPredicate("all", "MIN($ALLWNODES)"); err != nil {
+		t.Fatal(err)
+	}
+	seq, err := n1.Send([]byte("warm"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := n1.WaitFor(ctx, seq, "all"); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	mark = len(events)
+	mu.Unlock()
+
+	inj.Partition([]int{3}, 3)
+	waitUntil(t, 3*time.Second, "node 3 reported down", func() bool { return len(of3()) >= 1 })
+	inj.HealPartition([]int{3}, 3)
+	waitUntil(t, 3*time.Second, "node 3 reported up again", func() bool { return len(of3()) >= 2 })
+	// A repeat would land within a few failure-detector ticks.
+	time.Sleep(300 * time.Millisecond)
+	if got, want := of3(), []event{{3, false}, {3, true}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("OnPeer heard %v about node 3 across the cut and heal, want %v", got, want)
 	}
 }
 
@@ -407,10 +439,10 @@ func TestBufferReclaimedWhenReceivedEverywhere(t *testing.T) {
 	// Reclamation runs on the same recompute path that released the
 	// waiter, so by now the buffer must be (nearly) empty.
 	deadline := time.Now().Add(2 * time.Second)
-	for sender.SendLog().Bytes > 0 && time.Now().Before(deadline) {
+	for sender.Snapshot().Log.Bytes > 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	if b := sender.SendLog().Bytes; b != 0 {
+	if b := sender.Snapshot().Log.Bytes; b != 0 {
 		t.Fatalf("send buffer still holds %d bytes after full stability", b)
 	}
 }

@@ -85,7 +85,7 @@ func TestPersistedStabilityEndToEnd(t *testing.T) {
 
 	// The recorder agrees: both receivers report persisted ≥ last.
 	for peer := 2; peer <= 3; peer++ {
-		v, err := sender.AckValue(1, peer, "persisted")
+		v, err := sender.EvalFor(1, fmt.Sprintf("MAX($%d.persisted)", peer))
 		if err != nil || v < last {
 			t.Fatalf("node %d persisted ack = %d, %v; want ≥ %d", peer, v, err, last)
 		}
@@ -152,7 +152,7 @@ func TestPersisterErrorWithholdsAck(t *testing.T) {
 	}
 	// ...but persisted must stay at zero.
 	time.Sleep(50 * time.Millisecond)
-	if v, _ := n1.AckValue(1, 2, "persisted"); v != 0 {
+	if v := n1.Snapshot().Acks["persisted"][1]; v != 0 {
 		t.Fatalf("failing persister produced persisted ack %d", v)
 	}
 }

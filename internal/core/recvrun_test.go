@@ -54,7 +54,7 @@ func TestRunReportsReceivedBeforeUpcallsDeliveredAfter(t *testing.T) {
 		returned.Store(m.Seq)
 	})
 	cell := func(typ string) uint64 {
-		v, err := observer.AckValue(3, 2, typ)
+		v, err := observer.EvalFor(3, "MAX($2."+typ+")")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +65,7 @@ func TestRunReportsReceivedBeforeUpcallsDeliveredAfter(t *testing.T) {
 	honest := func() {
 		t.Helper()
 		recv, deliv := cell("received"), cell("delivered")
-		if truth := receiver.RecvLast(3); recv > truth {
+		if truth := receiver.Snapshot().RecvLast[3]; recv > truth {
 			t.Fatalf("received cell %d exceeds what node 2 holds (%d)", recv, truth)
 		}
 		if truth := returned.Load(); deliv > truth {
@@ -117,7 +117,7 @@ func TestRunReportsReceivedBeforeUpcallsDeliveredAfter(t *testing.T) {
 	honest()
 	// Origin 3's own row advanced by completeness, in every well-known type.
 	for _, typ := range []string{"received", "persisted", "delivered"} {
-		if v, _ := receiver.AckValue(3, 3, typ); v != k {
+		if v, _ := receiver.EvalFor(3, "MAX($3."+typ+")"); v != k {
 			t.Fatalf("origin's own %s cell at node 2 is %d, want %d", typ, v, k)
 		}
 	}

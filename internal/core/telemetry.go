@@ -196,11 +196,6 @@ func (n *Node) Snapshot() Snapshot {
 	return s
 }
 
-// SendLog reads the send log alone: by value, without allocating, for
-// callers that sweep occupancy often (Snapshot carries the same reading as
-// its Log field).
-func (n *Node) SendLog() transport.LogStats { return n.log.Stats() }
-
 // Metrics returns the node's view of its metrics registry: the registry
 // from Config.Metrics (or the private one created at Open) seen through
 // this node's group, so families resolved here carry the node label.

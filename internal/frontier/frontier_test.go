@@ -312,8 +312,8 @@ func TestRegistryRegisterChangeRemove(t *testing.T) {
 	if err := reg.Remove("p"); !errors.Is(err, ErrPredUnknown) {
 		t.Fatalf("double remove err = %v", err)
 	}
-	if len(reg.Keys()) != 0 {
-		t.Fatalf("keys after remove = %v", reg.Keys())
+	if states := reg.States(0, time.Now()); len(states) != 0 {
+		t.Fatalf("predicates after remove = %+v", states)
 	}
 }
 

@@ -449,18 +449,6 @@ func (r *Registry) Has(key string) bool {
 	return ok
 }
 
-// Keys returns the registered predicate keys, sorted.
-func (r *Registry) Keys() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.preds))
-	for k := range r.preds {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // PredicateState is one registered predicate as State and States read it.
 type PredicateState struct {
 	Key      string

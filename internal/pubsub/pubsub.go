@@ -139,7 +139,11 @@ func New(node *core.Node, opts ...Option) (*Broker, error) {
 	}
 	node.OnDeliver(b.deliver)
 	node.OnApp(b.handleApp)
-	node.OnPeerUp(b.announceTo)
+	node.OnPeer(func(peer int, up bool) {
+		if up {
+			b.announceTo(peer)
+		}
+	})
 	return b, nil
 }
 

@@ -143,11 +143,9 @@ func (b *Bed) Ready(timeout time.Duration) error {
 	var from, to int
 	up := Await(timeout, func() bool {
 		for i, n := range nodes {
+			received := n.Snapshot().Acks["received"]
 			for _, p := range nodes {
-				if p == n {
-					continue
-				}
-				if v, err := n.AckValue(n.Self(), p.Self(), "received"); err != nil || v < sent[i] {
+				if p != n && received[p.Self()-1] < sent[i] {
 					from, to = n.Self(), p.Self()
 					return false
 				}

@@ -38,7 +38,7 @@ func TestReadyWaitsForEveryDirectedLink(t *testing.T) {
 	n1 := bed.Node(1)
 	if !Await(10*time.Second, func() bool {
 		for _, p := range []int{2, 3} {
-			if v, err := n1.AckValue(1, p, "received"); err != nil || v < 1 {
+			if n1.Snapshot().Acks["received"][p-1] < 1 {
 				return false
 			}
 		}

@@ -46,9 +46,8 @@ func ExcludeNodes(excluded []int) string { return predlib.ExcludeNodes(excluded)
 // KOfRemote waits until at least k remote sites acknowledge.
 func KOfRemote(k int) string { return predlib.KOfRemote(k) }
 
-// Ladder presets for the adaptive controller (Node.StartAdaptive,
-// Config.Adaptive): ready-made strong→weak sequences over the Table III
-// predicates.
+// Ladder presets for the adaptive controller (Node.StartAdaptive):
+// ready-made strong→weak sequences over the Table III predicates.
 
 // LadderWNodes: all remote WAN nodes → majority → any one.
 func LadderWNodes() Ladder { return predlib.LadderWNodes() }

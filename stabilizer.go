@@ -106,7 +106,7 @@ type (
 	PredicateState = core.PredicateState
 	// PeerLag is one peer holding a PredicateState's frontier back.
 	PeerLag = core.PeerLag
-	// LogStats is one reading of the send log (Snapshot.Log, Node.SendLog).
+	// LogStats is one reading of the send log (Snapshot.Log).
 	LogStats = transport.LogStats
 
 	// MetricsRegistry collects instrumentation; share one across every
@@ -145,15 +145,12 @@ type (
 	AdaptiveConfig = adaptive.Config
 	// AdaptiveController is the handle for a running controller: current
 	// rung, transition history, OnTransition hook. Obtain one from
-	// Node.StartAdaptive or Node.AdaptiveControllers.
+	// Node.StartAdaptive.
 	AdaptiveController = adaptive.Controller
 	// AdaptiveTransition is one recorded controller rung change.
 	AdaptiveTransition = adaptive.Transition
 	// AdaptiveDirection labels a transition AdaptiveDown or AdaptiveUp.
 	AdaptiveDirection = adaptive.Direction
-	// AdaptiveSpec starts the controller at boot time; set via
-	// Config.Adaptive.
-	AdaptiveSpec = core.AdaptiveSpec
 
 	// Topology describes the WAN deployment.
 	Topology = config.Topology
@@ -213,8 +210,8 @@ func Open(cfg Config) (*Node, error) { return core.Open(cfg) }
 func OpenCluster(cfg Config) (*Cluster, error) { return core.OpenCluster(cfg) }
 
 // BindFlags registers the node options both commands have (the metrics
-// endpoint, tracing, the adaptive controller) on fs; defaults seeds the
-// Config template the returned Flags fills in when fs is parsed.
+// endpoint and tracing) on fs; defaults seeds the Config template the
+// returned Flags fills in when fs is parsed.
 // Flags.BindFlowFlags adds flow control and stall detection.
 func BindFlags(fs *flag.FlagSet, defaults Config) *Flags { return core.BindFlags(fs, defaults) }
 
