@@ -196,9 +196,6 @@ type Config struct {
 	// long, the controller treats the predicate as burning even though
 	// the histogram is silent. Default ShortWindow.
 	StallAfter time.Duration
-	// OnTransition, when set, is called after every transition (from the
-	// controller goroutine or the Tick caller). Keep it fast or hand off.
-	OnTransition func(Transition)
 }
 
 func (c Config) normalized() (Config, error) {
@@ -324,10 +321,6 @@ func StartPaused(host Host, key string, ladder Ladder, cfg Config, reg *metrics.
 		hooks:  map[int]func(Transition){},
 		stop:   make(chan struct{}),
 	}
-	if fn := cfg.OnTransition; fn != nil {
-		c.hooks[c.nextHook] = fn
-		c.nextHook++
-	}
 	c.mon, err = metrics.NewSLOMonitorPaused(nil, metrics.SLOConfig{
 		Name:        key,
 		Threshold:   cfg.Target.Nanoseconds(),
@@ -424,9 +417,10 @@ func (c *Controller) History() []Transition {
 	return append([]Transition(nil), c.history...)
 }
 
-// OnTransition registers a hook called after every transition and returns
-// a cancel func that detaches it. A nil fn is ignored (the cancel is still
-// non-nil and harmless).
+// OnTransition registers a hook called after every transition, from the
+// controller goroutine or the Tick caller (keep it fast or hand off), and
+// returns a cancel func that detaches it. A nil fn is ignored (the cancel is
+// still non-nil and harmless).
 func (c *Controller) OnTransition(fn func(Transition)) (cancel func()) {
 	if fn == nil {
 		return func() {}

@@ -44,9 +44,7 @@ type Options struct {
 	// cluster: families are get-or-create, so successive clusters accumulate
 	// into the same counters and a live /metrics endpoint watches the whole
 	// run. The zero value is the faithful-measurement default: tracing
-	// perturbs what an experiment measures. The RTT-adaptive batch budget
-	// already tracks TimeScale implicitly: the scaled heartbeat RTT shrinks
-	// the bandwidth-delay product along with the emulated latencies.
+	// perturbs what an experiment measures.
 	Cluster core.Config
 	// TraceTarget, when set, is pointed at each cluster an experiment
 	// boots, so a long-lived /debug/trace endpoint built over it follows

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -33,50 +32,40 @@ type Cluster struct {
 	closed bool
 }
 
-// OpenCluster boots the requested subset of a topology's nodes in this
-// process and wires them into one shared registry. On any boot failure the
-// already-started nodes are closed and the error returned.
+// OpenCluster boots every node of the topology in this process from one
+// Config template and wires them into one shared registry. On any boot
+// failure the already-started nodes are closed and the error returned.
+// Anything per-node — a Checkpoint, a Persister on one node, a process that
+// hosts only some of the nodes — goes through Open, once per node with one
+// shared Config.Metrics; a Checkpoint here is refused.
 func OpenCluster(cfg Config) (*Cluster, error) {
+	if cfg.Checkpoint != nil {
+		return nil, errors.New("core: Config.Checkpoint is one node's state: resume that node with Open")
+	}
 	if cfg.Topology == nil {
 		return nil, errors.New("core: Config.Topology is required")
 	}
+	ids := make([]int, len(cfg.Topology.Nodes))
+	for i := range ids {
+		ids[i] = i + 1
+	}
+	return openCluster(cfg, ids)
+}
+
+// openCluster boots the nodes ids, ascending, from the template cfg, whose
+// Topology its callers have checked is set.
+func openCluster(cfg Config, ids []int) (*Cluster, error) {
 	if err := cfg.Topology.Validate(); err != nil {
 		return nil, err
 	}
 	if cfg.Network == nil {
 		return nil, errors.New("core: Config.Network is required")
 	}
-	topo := cfg.Topology.Clone()
-	n := topo.N()
-
-	ids := cfg.Nodes
-	if len(ids) == 0 {
-		ids = make([]int, n)
-		for i := range ids {
-			ids[i] = i + 1
-		}
-	} else {
-		ids = append([]int(nil), ids...)
-		sort.Ints(ids)
-		for i, id := range ids {
-			if id < 1 || id > n {
-				return nil, fmt.Errorf("core: cluster node %d out of range [1,%d]", id, n)
-			}
-			if i > 0 && ids[i-1] == id {
-				return nil, fmt.Errorf("core: duplicate cluster node %d", id)
-			}
-		}
-	}
-
-	if cfg.Checkpoint != nil && len(ids) > 1 {
-		return nil, fmt.Errorf("core: Config.Checkpoint is one node's state, but %d nodes are booting: set it per node in Configure", len(ids))
-	}
-
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()
 	}
 	cl := &Cluster{
-		topo:  topo,
+		topo:  cfg.Topology.Clone(),
 		ids:   ids,
 		cfg:   cfg,
 		nodes: make(map[int]*Node, len(ids)),
@@ -93,13 +82,10 @@ func OpenCluster(cfg Config) (*Cluster, error) {
 }
 
 // nodeConfig derives node id's Config: the cluster template with the node's
-// own topology view, then the caller's Configure hook.
+// own topology view.
 func (c *Cluster) nodeConfig(id int) Config {
 	cfg := c.cfg
 	cfg.Topology = c.topo.WithSelf(id)
-	if cfg.Configure != nil {
-		cfg.Configure(id, &cfg)
-	}
 	return cfg
 }
 
@@ -158,9 +144,7 @@ func (c *Cluster) Crash(id int) (*Node, error) {
 	return node, node.Close()
 }
 
-// Restart reboots a crashed node. The node's Config is rebuilt (the
-// Configure hook runs again) so restart-aware callers can re-derive
-// checkpoints there.
+// Restart reboots a crashed node from the cluster's template.
 func (c *Cluster) Restart(id int) (*Node, error) {
 	c.mu.Lock()
 	if c.closed {

@@ -14,14 +14,13 @@ import (
 	"stabilizer/internal/transport"
 )
 
-func openTestCluster(t *testing.T, n int, nodes []int) (*Cluster, *metrics.Registry) {
+func openTestCluster(t *testing.T, n int) (*Cluster, *metrics.Registry) {
 	t.Helper()
 	net := emunet.NewMemNetwork(nil)
 	reg := metrics.NewRegistry()
 	cl, err := OpenCluster(Config{
 		Topology:       flatTopology(n),
 		Network:        net,
-		Nodes:          nodes,
 		Metrics:        reg,
 		HeartbeatEvery: 20 * time.Millisecond,
 	})
@@ -40,7 +39,7 @@ func openTestCluster(t *testing.T, n int, nodes []int) (*Cluster, *metrics.Regis
 // check: one registry, one scrape, every in-process node visible through
 // node-labeled families.
 func TestClusterSharedRegistryExposesEveryNode(t *testing.T) {
-	cl, reg := openTestCluster(t, 3, nil)
+	cl, reg := openTestCluster(t, 3)
 	if got := len(cl.Nodes()); got != 3 {
 		t.Fatalf("live nodes = %d, want 3", got)
 	}
@@ -114,48 +113,8 @@ func TestClusterSharedRegistryExposesEveryNode(t *testing.T) {
 	}
 }
 
-func TestClusterPartialBoot(t *testing.T) {
-	cl, _ := openTestCluster(t, 3, []int{1, 2})
-	if cl.Node(3) != nil {
-		t.Fatal("node 3 booted despite partial subset")
-	}
-	if got := cl.IDs(); len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("IDs = %v, want [1 2]", got)
-	}
-	// A majority predicate over the booted pair still stabilizes even with
-	// node 3 absent.
-	sender := cl.Node(1)
-	if err := sender.RegisterPredicate("pair", "KTH_MIN(2, $ALLWNODES)"); err != nil {
-		t.Fatal(err)
-	}
-	seq, err := sender.Send([]byte("x"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := sender.WaitFor(ctx, seq, "pair"); err != nil {
-		t.Fatalf("pair predicate did not stabilize on partial cluster: %v", err)
-	}
-}
-
-func TestClusterRejectsBadNodeSets(t *testing.T) {
-	net := emunet.NewMemNetwork(nil)
-	defer net.Close()
-	for _, nodes := range [][]int{{1, 1}, {0}, {4}, {2, 3, 2}} {
-		_, err := OpenCluster(Config{
-			Topology: flatTopology(3),
-			Network:  net,
-			Nodes:    nodes,
-		})
-		if err == nil {
-			t.Errorf("OpenCluster(%v) succeeded, want rejection", nodes)
-		}
-	}
-}
-
 func TestClusterCloseOrderedIdempotent(t *testing.T) {
-	cl, _ := openTestCluster(t, 3, nil)
+	cl, _ := openTestCluster(t, 3)
 	if err := cl.Close(); err != nil {
 		t.Fatalf("first close: %v", err)
 	}
@@ -171,7 +130,7 @@ func TestClusterCloseOrderedIdempotent(t *testing.T) {
 }
 
 func TestClusterCrashRestart(t *testing.T) {
-	cl, _ := openTestCluster(t, 3, nil)
+	cl, _ := openTestCluster(t, 3)
 	sender := cl.Node(1)
 	var last uint64
 	for i := 0; i < 5; i++ {
@@ -223,7 +182,7 @@ func TestClusterCrashRestart(t *testing.T) {
 }
 
 func TestClusterWaitAllForUnknownPredicate(t *testing.T) {
-	cl, _ := openTestCluster(t, 2, nil)
+	cl, _ := openTestCluster(t, 2)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
 	if err := cl.WaitAllFor(ctx, 1, "nope"); err == nil {
@@ -231,32 +190,28 @@ func TestClusterWaitAllForUnknownPredicate(t *testing.T) {
 	}
 }
 
-// TestClusterConfigureHook checks per-node divergence flows through the
-// hook — here, disabling auto-reclaim on one node only — at boot and again
-// on Restart.
-func TestClusterConfigureHook(t *testing.T) {
+// TestClusterBootsEveryNodeFromTheTemplate: every node of the topology is
+// built from the one Config template — here, auto-reclaim disabled — and a
+// restarted node is built from it again.
+func TestClusterBootsEveryNodeFromTheTemplate(t *testing.T) {
 	net := emunet.NewMemNetwork(nil)
 	defer net.Close()
-	var seen []int
 	cl, err := OpenCluster(Config{
-		Topology:       flatTopology(2),
-		Network:        net,
-		HeartbeatEvery: 20 * time.Millisecond,
-		Configure: func(id int, cfg *Config) {
-			seen = append(seen, id)
-			cfg.DisableAutoReclaim = id == 2
-		},
+		Topology:           flatTopology(2),
+		Network:            net,
+		HeartbeatEvery:     20 * time.Millisecond,
+		DisableAutoReclaim: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if len(seen) != 2 || seen[0] != 1 || seen[1] != 2 {
-		t.Fatalf("Configure ran for %v, want [1 2]", seen)
+	if got := cl.IDs(); !reflect.DeepEqual(got, []int{1, 2}) {
+		t.Fatalf("IDs = %v, want [1 2]", got)
 	}
 	reclaims := func(id int) bool { return cl.Node(id).registry.Has(ReclaimPredicateKey) }
-	if !reclaims(1) || reclaims(2) {
-		t.Fatalf("reclaim installed on (node 1, node 2) = (%v, %v), want (true, false)", reclaims(1), reclaims(2))
+	if reclaims(1) || reclaims(2) {
+		t.Fatalf("reclaim installed on (node 1, node 2) = (%v, %v), want neither", reclaims(1), reclaims(2))
 	}
 	if _, err := cl.Crash(2); err != nil {
 		t.Fatal(err)
@@ -264,11 +219,8 @@ func TestClusterConfigureHook(t *testing.T) {
 	if _, err := cl.Restart(2); err != nil {
 		t.Fatal(err)
 	}
-	if len(seen) != 3 || seen[2] != 2 {
-		t.Fatalf("Configure ran for %v, want a third call for the restarted node 2", seen)
-	}
 	if reclaims(2) {
-		t.Fatal("the restarted node lost its Configure override")
+		t.Fatal("the restarted node was not built from the template")
 	}
 }
 
@@ -276,76 +228,58 @@ type nopPersister struct{}
 
 func (nopPersister) Persist(Message) error { return nil }
 
-// TestOpenIsOpenClusterOfSelf: Open(cfg) and OpenCluster(cfg) with
-// Nodes = {Self} hand openNode the same per-node Config and build nodes in
-// the same state.
+// TestOpenIsOpenClusterOfSelf: Open boots Topology.Self through the cluster
+// boot path, and the node it returns is built from every field of its Config
+// — the Checkpoint OpenCluster refuses included — with its families in the
+// caller's registry under its own node label.
 func TestOpenIsOpenClusterOfSelf(t *testing.T) {
-	boot := func(viaCluster bool) (*Node, Config) {
-		net := emunet.NewMemNetwork(nil)
-		t.Cleanup(func() { net.Close() })
-		var got Config
-		cfg := Config{
-			Topology:           flatTopology(3).WithSelf(2),
-			Network:            net,
-			HeartbeatEvery:     20 * time.Millisecond,
-			PeerTimeout:        time.Second,
-			Persister:          nopPersister{},
-			Checkpoint:         &Checkpoint{NextSeq: 42},
-			DisableAutoReclaim: true,
-			Flow:               transport.FlowConfig{MaxBytes: 1 << 20},
-			Stall:              StallConfig{Deadline: time.Second},
-			Trace:              optrace.Config{SampleEvery: 1},
-			Configure:          func(_ int, c *Config) { got = *c },
-		}
-		if !viaCluster {
-			n, err := Open(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { n.Close() })
-			return n, got
-		}
-		cfg.Nodes = []int{2}
-		cl, err := OpenCluster(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { cl.Close() })
-		return cl.Node(2), got
+	net := emunet.NewMemNetwork(nil)
+	defer net.Close()
+	reg := metrics.NewRegistry()
+	n, err := Open(Config{
+		Topology:           flatTopology(3).WithSelf(2),
+		Network:            net,
+		HeartbeatEvery:     20 * time.Millisecond,
+		PeerTimeout:        time.Second,
+		Persister:          nopPersister{},
+		Checkpoint:         &Checkpoint{NextSeq: 42},
+		DisableAutoReclaim: true,
+		Metrics:            reg,
+		Flow:               transport.FlowConfig{MaxBytes: 1 << 20},
+		Stall:              StallConfig{Deadline: time.Second},
+		Trace:              optrace.Config{SampleEvery: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	a, cfgA := boot(false)
-	b, cfgB := boot(true)
-	for _, c := range []*Config{&cfgA, &cfgB} {
-		// Per-run identities, equal by construction and not by value.
-		c.Network, c.Metrics, c.Configure = nil, nil, nil
+	defer n.Close()
+	if n.Self() != 2 || n.log.NextSeq() != 42 || n.persister == nil || n.trace == nil ||
+		n.log.Stats().CapBytes != 1<<20 || n.stall.cfg.Deadline != time.Second || n.registry.Has(ReclaimPredicateKey) {
+		t.Fatalf("node %d was not built from its config", n.Self())
 	}
-	if !reflect.DeepEqual(cfgA, cfgB) {
-		t.Fatalf("per-node configs differ:\nOpen        %+v\nOpenCluster %+v", cfgA, cfgB)
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
 	}
-	if cfgA.Topology.Self != 2 || cfgA.Checkpoint.NextSeq != 42 {
-		t.Fatalf("per-node config lost fields: %+v", cfgA)
-	}
-	sa, sb := a.Snapshot(), b.Snapshot()
-	sa.Totals, sb.Totals = transport.Totals{}, transport.Totals{}
-	if !reflect.DeepEqual(sa, sb) {
-		t.Fatalf("nodes differ:\nOpen        %+v\nOpenCluster %+v", sa, sb)
-	}
-	for _, n := range []*Node{a, b} {
-		if n.Self() != 2 || n.log.NextSeq() != 42 || n.persister == nil || n.trace == nil ||
-			n.log.Stats().CapBytes != 1<<20 || n.stall.cfg.Deadline != time.Second || n.registry.Has(ReclaimPredicateKey) {
-			t.Fatalf("node %d was not built from its config", n.Self())
-		}
+	if want := `stabilizer_core_next_seq{node="2"}`; !strings.Contains(sb.String(), want) {
+		t.Fatalf("the caller's registry is missing %s", want)
 	}
 }
 
 // TestClusterRefusesSharedCheckpoint: a Checkpoint is one node's state, so
-// setting it for a boot of several nodes is refused with an error that says
-// where it belongs.
+// OpenCluster refuses it at any node count — a restarted cluster node would
+// be rebuilt from it and re-issue sequences its peers already hold — with an
+// error that names Open, the one way to resume a node.
 func TestClusterRefusesSharedCheckpoint(t *testing.T) {
 	net := emunet.NewMemNetwork(nil)
 	defer net.Close()
-	_, err := OpenCluster(Config{Topology: flatTopology(2), Network: net, Checkpoint: &Checkpoint{NextSeq: 5}})
-	if err == nil || !strings.Contains(err.Error(), "Checkpoint") || !strings.Contains(err.Error(), "Configure") {
-		t.Fatalf("err = %v, want a refusal naming Checkpoint and Configure", err)
+	for _, n := range []int{1, 3} {
+		cl, err := OpenCluster(Config{Topology: flatTopology(n), Network: net, Checkpoint: &Checkpoint{NextSeq: 5}})
+		if err == nil {
+			_ = cl.Close()
+		}
+		if err == nil || !strings.Contains(err.Error(), "Checkpoint") || !strings.Contains(err.Error(), "Open") {
+			t.Fatalf("%d nodes: err = %v, want a refusal naming Checkpoint and Open", n, err)
+		}
 	}
 }

@@ -85,10 +85,10 @@ type Persister interface {
 }
 
 // Config parameterizes Open and OpenCluster: one struct describes a single
-// node or a whole in-process deployment — which of the topology's nodes to
-// boot here, the fabric they share, and the knobs applied to every node.
-// Per-node divergence (a Persister on the primary, a restored Checkpoint,
-// per-node flow caps) goes through the Configure hook.
+// node or a whole in-process deployment — the fabric the nodes share and the
+// knobs applied to every node. Per-node divergence (a Persister on the
+// primary, a restored Checkpoint, per-node flow caps) means one Open per
+// node, each with its own Config and one shared Metrics.
 type Config struct {
 	// Topology is the WAN deployment; required. Open boots its Self node;
 	// OpenCluster ignores Self and derives a per-node topology for every
@@ -96,16 +96,6 @@ type Config struct {
 	Topology *config.Topology
 	// Network is the fabric every node dials and listens through; required.
 	Network emunet.Network
-	// Nodes lists the 1-based indices OpenCluster boots in this process.
-	// Nil or empty boots the whole topology; duplicates and out-of-range
-	// indices are rejected. Open sets it to {Topology.Self}.
-	Nodes []int
-	// Configure, when set, runs on each node's copy of this Config before
-	// the node boots — the hook for anything per-node: Persister,
-	// Checkpoint, or overriding a shared knob for one node. It also runs on
-	// Restart, so restart-aware state (checkpoints) can be re-derived
-	// there.
-	Configure func(node int, cfg *Config)
 	// HeartbeatEvery and PeerTimeout tune failure detection; zero values
 	// pick transport defaults.
 	HeartbeatEvery time.Duration
@@ -113,8 +103,7 @@ type Config struct {
 	// Persister optionally persists delivered messages (see Persister).
 	Persister Persister
 	// Checkpoint resumes a restarted primary (§III-E); nil starts fresh. It
-	// is one node's state: when more than one node boots, set it from
-	// Configure.
+	// is one node's state, so only Open takes it; OpenCluster refuses it.
 	Checkpoint *Checkpoint
 	// DisableAutoReclaim keeps the send buffer forever (useful in tests
 	// and ablations). By default the node reclaims buffer space once a
@@ -185,16 +174,16 @@ type Node struct {
 }
 
 // Open starts a single Stabilizer node and connects it to its peers: it is
-// OpenCluster booting exactly Topology.Self. Processes hosting several WAN
-// nodes should call OpenCluster directly so all of them share one
-// node-labeled metrics registry.
+// the cluster boot path for exactly Topology.Self. A process hosting some of
+// a topology's nodes calls Open once per node with one shared Config.Metrics,
+// so all of them land in one node-labeled registry; one hosting all of them
+// can call OpenCluster.
 func Open(cfg Config) (*Node, error) {
 	if cfg.Topology == nil {
 		return nil, errors.New("core: Config.Topology is required")
 	}
 	self := cfg.Topology.Self
-	cfg.Nodes = []int{self}
-	cl, err := OpenCluster(cfg)
+	cl, err := openCluster(cfg, []int{self})
 	if err != nil {
 		return nil, err
 	}

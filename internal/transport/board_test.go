@@ -22,10 +22,11 @@ func (r *recorder) appCount() int {
 }
 
 // parkLinks brings every outgoing link of node self up and waits until its
-// writer is parked in waitWork with nothing left to write: an app message to
-// each peer proves the connection, and the wake-up flag it set is cleared only
-// by waitWork, under the mutex the writer gives up when it sleeps. From here
-// on a link writes only when something wakes it.
+// writer has nothing left to write: an app message to each peer proves the
+// connection, and only the writer empties the link's doorbell. Once the
+// message has arrived, an empty bell means the writer has taken every ring
+// and found nothing more: it is parked in waitWork or on its way there. From
+// here on a link writes only when something wakes it.
 func parkLinks(t *testing.T, h *harness, self int) {
 	t.Helper()
 	tr := h.trs[self-1]
@@ -37,12 +38,7 @@ func parkLinks(t *testing.T, h *harness, self int) {
 	for _, lk := range tr.linkList {
 		lk := lk
 		waitUntil(t, 5*time.Second, func() bool {
-			if h.recs[lk.peer-1].appCount() == 0 || lk.notified.Load() {
-				return false
-			}
-			lk.mu.Lock()
-			defer lk.mu.Unlock()
-			return true
+			return h.recs[lk.peer-1].appCount() > 0 && len(lk.bell) == 0
 		})
 	}
 }
@@ -108,30 +104,55 @@ func TestDeferredReportRidesTheHeartbeat(t *testing.T) {
 	}
 }
 
-// Several goroutines raise reports about one peer while its link keeps going
-// idle. There is no heartbeat to paper over a lost wake-up: each round's
-// highest sequence must arrive on the strength of QueueAck's wake alone.
+// Several goroutines raise reports about one peer, or append to the send log,
+// while its link keeps going idle. There is no heartbeat to paper over a lost
+// wake-up: each round's highest sequence must arrive on the strength of
+// QueueAck's or NotifyData's wake alone.
 func TestConcurrentReportsNeverLoseTheWakeup(t *testing.T) {
-	h := startHarnessEvery(t, 2, noHeartbeat)
-	parkLinks(t, h, 1)
 	const writers, rounds = 4, 150
-	for r := 0; r < rounds; r++ {
-		var wg sync.WaitGroup
-		for w := 1; w <= writers; w++ {
-			wg.Add(1)
-			go func(seq uint64) {
-				defer wg.Done()
+	for _, tc := range []struct {
+		name string
+		// raise is one writer's contribution to a round; held reads how far
+		// the peer has got.
+		raise func(t *testing.T, h *harness, seq uint64)
+		held  func(h *harness) uint64
+	}{
+		{"report",
+			func(_ *testing.T, h *harness, seq uint64) {
 				h.trs[0].QueueAck(wire.Ack{Origin: 2, By: 1, Type: 1, Seq: seq})
-			}(uint64(r*writers + w))
-		}
-		wg.Wait()
-		want := uint64((r + 1) * writers)
-		deadline := time.Now().Add(5 * time.Second)
-		for h.recs[1].maxAck(2, 1, 1) != want {
-			if time.Now().After(deadline) {
-				t.Fatalf("round %d: peer holds %d, want %d: a wake-up was lost", r, h.recs[1].maxAck(2, 1, 1), want)
+			},
+			func(h *harness) uint64 { return h.recs[1].maxAck(2, 1, 1) }},
+		{"data",
+			func(t *testing.T, h *harness, _ uint64) {
+				if _, err := h.logs[0].Append([]byte("x"), 0); err != nil {
+					t.Error(err)
+				}
+				h.trs[0].NotifyData()
+			},
+			func(h *harness) uint64 { return h.trs[1].RecvLast(1) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := startHarnessEvery(t, 2, noHeartbeat)
+			parkLinks(t, h, 1)
+			for r := 0; r < rounds; r++ {
+				var wg sync.WaitGroup
+				for w := 1; w <= writers; w++ {
+					wg.Add(1)
+					go func(seq uint64) {
+						defer wg.Done()
+						tc.raise(t, h, seq)
+					}(uint64(r*writers + w))
+				}
+				wg.Wait()
+				want := uint64((r + 1) * writers)
+				deadline := time.Now().Add(5 * time.Second)
+				for tc.held(h) != want {
+					if time.Now().After(deadline) {
+						t.Fatalf("round %d: peer holds %d, want %d: a wake-up was lost", r, tc.held(h), want)
+					}
+					time.Sleep(100 * time.Microsecond)
+				}
 			}
-			time.Sleep(100 * time.Microsecond)
-		}
+		})
 	}
 }

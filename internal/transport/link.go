@@ -6,7 +6,6 @@ import (
 	"net"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"stabilizer/internal/optrace"
@@ -42,14 +41,15 @@ type link struct {
 	peer int
 	ins  *peerInstruments
 
-	// notified coalesces writer wakeups: it is set by the first wake()
-	// after the writer goes idle and cleared by the writer before it
-	// re-checks for work, so a burst of Sends (or queued ACKs) costs one
-	// cond broadcast per idle link instead of one per message.
-	notified atomic.Bool
+	// bell is the writer's doorbell, capacity one, the shape the registry
+	// drainer and the spiller park on too. One pending ring covers every
+	// wake that lands before the writer takes it, so a burst of Sends (or
+	// queued ACKs) costs one channel send per idle link, and a wake never
+	// blocks or takes a lock.
+	bell chan struct{}
 
+	// mu guards apps, hbDue, hbClock, closed and the hbSent pair.
 	mu      sync.Mutex
-	cond    sync.Cond
 	apps    []*wire.App
 	hbDue   bool
 	hbClock uint64
@@ -92,41 +92,23 @@ type link struct {
 }
 
 func newLink(t *Transport, peer int) *link {
-	l := &link{
+	return &link{
 		t:    t,
 		peer: peer,
 		ins:  t.peers[peer],
+		bell: make(chan struct{}, 1),
 		rng:  rand.New(rand.NewSource(int64(t.cfg.Self)<<16 | int64(peer))),
 	}
-	l.cond.L = &l.mu
-	return l
 }
 
-// signal wakes the writer. Passing through mu orders the broadcast after the
-// check waitWork makes under it: the writer is either parked by then or has
-// yet to look.
-func (l *link) signal() {
-	l.mu.Lock()
-	l.mu.Unlock()
-	l.cond.Broadcast()
-}
-
-// wake coalesces writer wakeups: only the first notification after the
-// writer went idle pays for the lock and broadcast; the rest of a burst is
-// a single atomic load. Safe because waitWork re-arms the flag under mu
-// before re-checking every work source.
+// wake rings the writer's doorbell without blocking: a full bell already
+// means the writer will look again.
 func (l *link) wake() {
-	if l.notified.Load() {
-		return
-	}
-	if !l.notified.Swap(true) {
-		l.signal()
+	select {
+	case l.bell <- struct{}{}:
+	default:
 	}
 }
-
-// notifyData wakes the writer after new entries were appended to the send
-// log.
-func (l *link) notifyData() { l.wake() }
 
 // takeReports returns every report on the board newer than what the current
 // connection has carried, about whichever origin, and counts it sent. The
@@ -207,7 +189,7 @@ func (l *link) close() {
 	l.mu.Lock()
 	l.closed = true
 	l.mu.Unlock()
-	l.cond.Broadcast()
+	l.wake()
 	l.connMu.Lock()
 	if l.conn != nil {
 		_ = l.conn.Close()
@@ -549,24 +531,30 @@ func (l *link) encodeControl() bool {
 // caller that has just flushed (and perhaps yielded: see stream) gets its
 // re-check here. Returns false on close.
 func (l *link) waitWork(cursor uint64) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	for {
-		// Re-arm notifications before checking for work: any append or
-		// queue that lands after this store triggers a real signal, and
-		// any that landed before it is visible to the checks below — so
-		// no wakeup is lost while the flag keeps bursts down to one
-		// broadcast per idle period.
-		l.notified.Store(false)
-		if l.closed {
+		// Clear the bell, check every source, then wait: a wake that lands
+		// before the clear has its work visible to the checks, and one that
+		// lands after it stays in the bell for the wait — so no wake-up is
+		// lost, and a ring left over from a busy period costs no extra pass.
+		// The wait is on the bell alone, not on the transport's shared stop
+		// channel as well: a two-case select locks both channels on every
+		// park and every wake.
+		select {
+		case <-l.bell:
+		default:
+		}
+		l.mu.Lock()
+		closed, queued := l.closed, len(l.apps) > 0 || l.hbDue
+		l.mu.Unlock()
+		if closed {
 			return false
 		}
-		if len(l.apps) > 0 || l.hbDue || l.reportDue() {
+		if queued || l.reportDue() {
 			return true
 		}
 		if l.batch = l.t.cfg.Log.TryNextBatch(cursor, l.batch[:0], 1, 0); len(l.batch) > 0 {
 			return true
 		}
-		l.cond.Wait()
+		<-l.bell // close rings it too
 	}
 }

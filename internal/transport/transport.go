@@ -172,10 +172,10 @@ type Transport struct {
 
 	// Liveness is frame-counter based so the receive hot path stays off
 	// the clock: heardTick[p] moves whenever peer p is heard from (one
-	// atomic add per frame, or per run of data frames), and the failure
-	// detector's ticker translates "the counter moved since my last scan"
-	// into an arrival timestamp at tick granularity. liveMu serializes only
-	// the rare up/down transitions. Index 0 is unused (peers are 1-based).
+	// atomic add per frame, or per run of data frames), and the transport's
+	// tick translates "the counter moved since my last scan" into an arrival
+	// timestamp at tick granularity. liveMu serializes only the rare
+	// up/down transitions. Index 0 is unused (peers are 1-based).
 	liveMu    sync.Mutex
 	heardTick []atomic.Int64
 	peerUpA   []atomic.Bool
@@ -377,8 +377,8 @@ func (t *Transport) registerZoneRollups() {
 	}
 }
 
-// Start opens the listener, the accept loop, the per-peer dial loops, the
-// heartbeat ticker and the failure detector.
+// Start opens the listener, the accept loop, the per-peer dial loops and the
+// transport's one tick, which queues heartbeats and runs the failure detector.
 func (t *Transport) Start() error {
 	if t.started.Swap(true) {
 		return errors.New("transport: already started")
@@ -394,9 +394,8 @@ func (t *Transport) Start() error {
 		t.wg.Add(1)
 		go lk.run()
 	}
-	t.wg.Add(2)
-	go t.heartbeatLoop()
-	go t.failureDetector()
+	t.wg.Add(1)
+	go t.tickLoop()
 	return nil
 }
 
@@ -423,11 +422,10 @@ func (t *Transport) Close() error {
 
 // NotifyData wakes every outgoing link after new entries were appended to
 // the send log. Wakeups are coalesced per link: during a burst of appends
-// only the first notification after a link goes idle broadcasts; the rest
-// cost one atomic load each.
+// the first ring fills a link's doorbell and the rest find it full.
 func (t *Transport) NotifyData() {
 	for _, lk := range t.linkList {
-		lk.notifyData()
+		lk.wake()
 	}
 }
 
@@ -704,8 +702,8 @@ func (t *Transport) applyRun(from int, ins *peerInstruments, run []wire.Data) {
 
 // heard notes traffic from peer. The steady-state cost is one atomic add
 // plus one atomic load — no clock read, no lock, no map write — because the
-// failure detector derives arrival times from counter movement on its own
-// ticker. Only the up transition (first frame after down) takes liveMu.
+// transport's tick derives arrival times from counter movement. Only the up
+// transition (first frame after down) takes liveMu.
 func (t *Transport) heard(peer int) {
 	t.heardTick[peer].Add(1)
 	if t.peerUpA[peer].Load() {
@@ -722,14 +720,17 @@ func (t *Transport) heard(peer int) {
 	}
 }
 
-func (t *Transport) failureDetector() {
+// tickLoop is the transport's one clock. Every HeartbeatEvery it queues a
+// heartbeat on each link, then runs the failure detector's scan: a peer up
+// whose heard counter has not moved for PeerTimeout is declared down.
+func (t *Transport) tickLoop() {
 	defer t.wg.Done()
-	tick := time.NewTicker(t.cfg.PeerTimeout / 2)
+	tick := time.NewTicker(t.cfg.HeartbeatEvery)
 	defer tick.Stop()
+	var clock uint64
 	// seen/lastMove are the detector's private view: the heard counter's
 	// value at the last scan and the scan time at which it last advanced.
-	// Detection latency is PeerTimeout plus at most one tick — the slop the
-	// half-interval ticker always had.
+	// Detection latency is PeerTimeout plus at most one tick.
 	seen := make([]int64, len(t.heardTick))
 	lastMove := make([]time.Time, len(t.heardTick))
 	for {
@@ -737,6 +738,10 @@ func (t *Transport) failureDetector() {
 		case <-t.stop:
 			return
 		case now := <-tick.C:
+			clock++
+			for _, lk := range t.linkList {
+				lk.queueHeartbeat(clock)
+			}
 			var downs []int
 			t.liveMu.Lock()
 			for _, lk := range t.linkList {
@@ -758,24 +763,6 @@ func (t *Transport) failureDetector() {
 					ins.up.Set(0)
 				}
 				t.cfg.Handler.PeerDown(p)
-			}
-		}
-	}
-}
-
-func (t *Transport) heartbeatLoop() {
-	defer t.wg.Done()
-	tick := time.NewTicker(t.cfg.HeartbeatEvery)
-	defer tick.Stop()
-	var clock uint64
-	for {
-		select {
-		case <-t.stop:
-			return
-		case <-tick.C:
-			clock++
-			for _, lk := range t.linkList {
-				lk.queueHeartbeat(clock)
 			}
 		}
 	}

@@ -36,7 +36,7 @@
 //
 //	reg := stabilizer.NewMetricsRegistry()
 //	cluster, err := stabilizer.OpenCluster(stabilizer.Config{
-//	    Topology: topo,          // full deployment; Nodes picks a subset
+//	    Topology: topo,          // full deployment, every node booted
 //	    Network:  network,
 //	    Metrics:  reg,           // shared; families carry node="<id>"
 //	})
@@ -203,10 +203,11 @@ var ErrBackpressure = transport.ErrBackpressure
 // node-labeled group of the registry exactly as a cluster member's would.
 func Open(cfg Config) (*Node, error) { return core.Open(cfg) }
 
-// OpenCluster boots the requested subset of a topology's nodes (all of
-// them by default) in this process, wiring every node into one shared
-// metrics registry. See Config for the knobs and Cluster for the
-// cluster-wide helpers (Node, Snapshot, WaitAllFor, ordered Close).
+// OpenCluster boots every node of a topology in this process from one
+// Config, wiring every node into one shared metrics registry. See Config for
+// the knobs and Cluster for the cluster-wide helpers (Node, Snapshot,
+// WaitAllFor, ordered Close). A Checkpoint, or anything else that differs
+// per node, takes one Open per node with one shared Config.Metrics.
 func OpenCluster(cfg Config) (*Cluster, error) { return core.OpenCluster(cfg) }
 
 // BindFlags registers the node options both commands have (the metrics

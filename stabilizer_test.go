@@ -390,7 +390,6 @@ func TestReadmeListsEveryMetricFamily(t *testing.T) {
 	reg := stabilizer.NewMetricsRegistry()
 	cl, err := stabilizer.OpenCluster(stabilizer.Config{
 		Topology: threeNodeTopo(),
-		Nodes:    []int{1, 2},
 		Network:  network,
 		Metrics:  reg,
 		Trace:    stabilizer.TraceConfig{SampleEvery: 1},
@@ -459,7 +458,7 @@ func TestReadmeListsEveryConfigField(t *testing.T) {
 	t.Logf("config fields: %d settable values reachable from stabilizer.Config", settable)
 	// A value added here has to raise the ceiling in the same change, next to
 	// what it replaces.
-	const ceiling = 15
+	const ceiling = 13
 	if settable > ceiling {
 		t.Errorf("stabilizer.Config reaches %d settable values, ceiling %d", settable, ceiling)
 	}
