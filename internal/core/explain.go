@@ -39,9 +39,10 @@ type PredicateState struct {
 	Frontier  uint64 `json:"frontier"`
 	Head      uint64 `json:"head"`
 	// Stuck is how long Frontier has sat still below Head; 0 once it reaches
-	// Head. The clock is read, not run: the stall sweep, Explain, Snapshot
-	// and an adaptive controller each take a reading, and the first reading
-	// that finds a message outstanding starts it.
+	// Head, and 0 while no peer holds it (a drain is pending). The clock is
+	// read, not run: the stall sweep, Explain, Snapshot and an adaptive
+	// controller each take a reading, and the first reading that finds a
+	// message outstanding starts it.
 	Stuck time.Duration `json:"stuck"`
 	// Stalled is Stuck at or past Config.Stall.Deadline; never while the
 	// deadline is zero.
@@ -68,11 +69,9 @@ func (n *Node) Explain(key string) (PredicateState, error) {
 // verdict builds the verdict on one predicate from its registry reading
 // against head: the only place holders are named.
 func (n *Node) verdict(st frontier.PredicateState, head uint64) PredicateState {
-	deadline := n.stall.cfg.Deadline
 	v := PredicateState{
 		Key: st.Key, Source: st.Source, DependsOn: st.DependsOn,
-		Frontier: st.Frontier, Head: head, Stuck: st.Stuck,
-		Stalled: deadline > 0 && st.Stuck >= deadline,
+		Frontier: st.Frontier, Head: head,
 	}
 	if st.Frontier >= head {
 		return v
@@ -93,7 +92,15 @@ func (n *Node) verdict(st frontier.PredicateState, head uint64) PredicateState {
 		tn := n.topo.Nodes[c.Node-1]
 		v.Holding = append(v.Holding, PeerLag{Peer: c.Node, AZ: tn.AZ, Region: tn.Region, Up: n.tr.Up(c.Node), Ack: ack})
 	}
+	if len(v.Holding) == 0 {
+		// No peer's cell sits at or below the frontier: the cells were read
+		// after the registry lock was dropped, and what holds the frontier
+		// is a drain still pending, not a peer.
+		return v
+	}
 	slices.SortFunc(v.Holding, func(a, b PeerLag) int { return a.Peer - b.Peer })
+	deadline := n.stall.cfg.Deadline
+	v.Stuck, v.Stalled = st.Stuck, deadline > 0 && st.Stuck >= deadline
 	if v.Stalled {
 		for i := range v.Holding {
 			v.Holding[i].Recent = n.traceTail(v.Holding[i].Peer, st.Frontier)

@@ -7,6 +7,7 @@ import (
 
 	"stabilizer/internal/emunet"
 	"stabilizer/internal/faultinject"
+	"stabilizer/internal/frontier"
 	"stabilizer/internal/optrace"
 )
 
@@ -19,13 +20,10 @@ func holders(v PredicateState) []int {
 	return peers
 }
 
-// TestExplainNamesTheCutPeer cuts node 3 off in both directions and asks the
-// sender why its frontiers stopped. The all-nodes predicate stalls, held by
-// peer 3 alone — down once the failure detector has waited PeerTimeout, with
-// a recorder tail; a predicate over nodes 1 and 2 holds nothing; the verdict
-// OnStall fired names the same holders; and after the heal nothing holds and
-// nothing is stuck.
-func TestExplainNamesTheCutPeer(t *testing.T) {
+// openCuttableCluster boots three traced nodes on a memory fabric whose links
+// the returned injector can cut, with a 100ms stall deadline.
+func openCuttableCluster(t *testing.T) (*Cluster, *faultinject.Injector) {
+	t.Helper()
 	inj := faultinject.New(nil)
 	net := emunet.NewMemNetwork(nil)
 	net.SetConnHook(inj.Hook())
@@ -45,6 +43,17 @@ func TestExplainNamesTheCutPeer(t *testing.T) {
 		inj.Close()
 		_ = net.Close()
 	})
+	return cl, inj
+}
+
+// TestExplainNamesTheCutPeer cuts node 3 off in both directions and asks the
+// sender why its frontiers stopped. The all-nodes predicate stalls, held by
+// peer 3 alone — down once the failure detector has waited PeerTimeout, with
+// a recorder tail; a predicate over nodes 1 and 2 holds nothing; the verdict
+// OnStall fired names the same holders; and after the heal nothing holds and
+// nothing is stuck.
+func TestExplainNamesTheCutPeer(t *testing.T) {
+	cl, inj := openCuttableCluster(t)
 	sender := cl.Node(1)
 	for key, src := range map[string]string{"all": "MIN($ALLWNODES)", "pair": "MIN($1, $2)"} {
 		if err := sender.RegisterPredicate(key, src); err != nil {
@@ -119,5 +128,45 @@ func TestExplainNamesTheCutPeer(t *testing.T) {
 	})
 	if v.Stuck != 0 || v.Stalled || len(v.Holding) != 0 {
 		t.Fatalf("healed verdict %+v: want nothing stuck, stalled or holding", v)
+	}
+}
+
+// TestVerdictWithADrainPendingIsNotStalled stalls 'all' behind a cut peer,
+// then moves that peer's cell in the sender's recorder without noting it, as
+// an ACK does between its table write and the drain that follows. No peer
+// holds the frontier any more, so the verdict must not read stalled: a stall
+// that names no holder is what chaos invariant 6 rejects.
+func TestVerdictWithADrainPendingIsNotStalled(t *testing.T) {
+	cl, inj := openCuttableCluster(t)
+	sender := cl.Node(1)
+	if err := sender.RegisterPredicate("all", "MIN($ALLWNODES)"); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	seq, err := sender.Send([]byte("warm"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sender.WaitFor(ctx, seq, "all"); err != nil {
+		t.Fatal(err)
+	}
+	inj.Partition([]int{3}, 3)
+	if seq, err = sender.Send([]byte("cut")); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, 5*time.Second, "'all' stalled, held by peer 3", func() bool {
+		v, err := sender.Explain("all")
+		return err == nil && v.Stalled && len(holders(v)) == 1 && holders(v)[0] == 3
+	})
+
+	sender.selfTable().Update(3, frontier.TypeReceived, seq)
+	v, err := sender.Explain("all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Stalled || v.Stuck != 0 || len(v.Holding) != 0 {
+		t.Fatalf("verdict with a drain pending: stalled=%v stuck=%v frontier=%d head=%d holders=%v; want nothing stalled, stuck or holding",
+			v.Stalled, v.Stuck, v.Frontier, v.Head, holders(v))
 	}
 }

@@ -261,6 +261,9 @@ func openNode(cfg Config) (*Node, error) {
 		trace:         optrace.New(topo.Self, cfg.Trace),
 		nowFn:         time.Now,
 	}
+	// A send time is on record before its message can be acknowledged, so
+	// a frontier that passes a sequence finds it in the ring.
+	log.OnAppend(node.sendTimes.record)
 	registry.EnableMetrics(mreg)
 	if node.trace != nil {
 		node.metrics.initStageMetrics()
@@ -269,8 +272,11 @@ func openNode(cfg Config) (*Node, error) {
 	// each sequence crossing a predicate's frontier is timed from its Send.
 	// latency keeps each predicate's histogram from its first advance on (a
 	// child is never deleted); the registry runs its hooks one call at a
-	// time, so the map needs no lock.
+	// time, so the map and the tally need no lock. An advance's samples are
+	// tallied and published together before the hook returns, so they exist
+	// by the time the waiters it releases resume.
 	latency := make(map[string]*metrics.Histogram)
+	var tally metrics.Tally
 	registry.OnAdvance(func(key string, old, new uint64) {
 		// Stabilize is a cumulative watermark, recorded for every
 		// predicate (the reclaim pseudo-predicate included) whenever the
@@ -290,11 +296,12 @@ func openNode(cfg Config) (*Node, error) {
 		}
 		now := node.nowFn().UnixNano()
 		node.sendTimes.observeRange(old, new, now, func(seq uint64, lat int64) {
-			h.Observe(lat)
+			tally.Observe(lat)
 			if node.trace.Sampled(node.topo.Self, seq) {
 				node.slow.update(seq, lat, key)
 			}
 		})
+		tally.AddTo(h)
 	})
 	// Materialize the well-known stability rows so the completeness rule
 	// (UpdateAll on Send) covers them from the first message.
@@ -412,7 +419,6 @@ func (n *Node) SendCtx(ctx context.Context, payload []byte) (uint64, error) {
 		// can shed or retry.
 		return 0, err
 	}
-	n.sendTimes.record(seq, sentAt)
 	if rec := n.trace; rec != nil && rec.Sampled(n.topo.Self, seq) {
 		rec.Record(optrace.StageAppend, n.topo.Self, seq, 0, 0, sentAt)
 	}
@@ -805,11 +811,15 @@ func (h *trHandler) HandleDataRun(from int, run []wire.Data) {
 	report := func(typ uint16, seq uint64) {
 		n.tr.QueueAck(wire.Ack{Origin: uint16(from), By: uint16(self), Type: typ, Seq: seq})
 	}
+	// The run's lag samples are published together, and before the
+	// delivery count moves: a reader that sees the count sees every sample.
 	start := n.nowFn().UnixNano()
-	n.metrics.deliveries.Add(int64(len(run)))
+	var lag metrics.Tally
 	for i := range run {
-		n.metrics.deliveryLag.Observe(start - run[i].SentUnixNano)
+		lag.Observe(start - run[i].SentUnixNano)
 	}
+	lag.AddTo(n.metrics.deliveryLag)
+	n.metrics.deliveries.Add(int64(len(run)))
 
 	// "received" is reported before the application upcalls: the run is
 	// fully decoded, past the duplicate filter and in Stabilizer's hands.

@@ -64,8 +64,9 @@ func newCoreMetrics(reg *metrics.Registry, nextSeq func() uint64) *coreMetrics {
 const sendTimeRingBits = 13
 
 // sendTimes maps recent sequence numbers to their send timestamps. Writes
-// come from Send callers, reads from the frontier-advance hook; both are
-// short critical sections over fixed arrays (no allocation).
+// come from the send log's OnAppend hook, inside the append and so before
+// the message can be acknowledged; reads from the frontier-advance hook. Both
+// are short critical sections over fixed arrays (no allocation).
 type sendTimes struct {
 	mu  sync.Mutex
 	seq [1 << sendTimeRingBits]uint64

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -13,22 +14,23 @@ import (
 )
 
 // TestStabilityLatencyHistogram drives a KTH_MIN predicate on a 3-node
-// in-memory cluster and asserts the headline stability-latency histogram
-// records one sane sample per stabilized message.
+// in-memory cluster sharing one metrics registry and asserts the headline
+// stability-latency histogram records one sane sample per stabilized message,
+// and each receiver's delivery-lag histogram one per delivered message. The
+// burst fits the send-time ring, so advances cover ranges of sequences and
+// receive runs hold many frames: a sample lost or doubled while a range or a
+// run is tallied shows as a count off 2 000.
 func TestStabilityLatencyHistogram(t *testing.T) {
 	reg := metrics.NewRegistry()
 	topo := flatTopology(3)
 	c := &cluster{net: emunet.NewMemNetwork(nil)}
 	for i := 1; i <= topo.N(); i++ {
-		cfg := Config{
+		n, err := Open(Config{
 			Topology:       topo.WithSelf(i),
 			Network:        c.net,
 			HeartbeatEvery: 20 * time.Millisecond,
-		}
-		if i == 1 {
-			cfg.Metrics = reg
-		}
-		n, err := Open(cfg)
+			Metrics:        reg,
+		})
 		if err != nil {
 			t.Fatalf("open node %d: %v", i, err)
 		}
@@ -46,7 +48,7 @@ func TestStabilityLatencyHistogram(t *testing.T) {
 		t.Fatalf("register predicate: %v", err)
 	}
 
-	const msgs = 5
+	const msgs = 2000
 	var lastSeq uint64
 	for i := 0; i < msgs; i++ {
 		seq, err := sender.Send([]byte(fmt.Sprintf("payload-%d", i)))
@@ -67,7 +69,7 @@ func TestStabilityLatencyHistogram(t *testing.T) {
 	}
 	var found bool
 	for _, m := range fam.Metrics {
-		if m.Labels["predicate"] != "maj" {
+		if m.Labels["node"] != "1" || m.Labels["predicate"] != "maj" {
 			continue
 		}
 		found = true
@@ -100,25 +102,33 @@ func TestStabilityLatencyHistogram(t *testing.T) {
 	}
 	// A receiver's snapshot must show symmetric accounting: data frames in,
 	// recv cursor advanced for the sender. KTH_MIN(2, ...) released the
-	// wait as soon as ONE receiver acked, so this particular receiver may
-	// still be catching up — poll briefly before judging its counters.
-	var r Snapshot
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		r = c.nodes[1].Snapshot()
-		if (r.RecvLast[1] == lastSeq && r.Deliveries == msgs) || time.Now().After(deadline) {
-			break
+	// wait as soon as ONE receiver acked, so a receiver may still be
+	// catching up — poll briefly before judging its counters. Its lag
+	// samples are published before its delivery count moves.
+	for _, rn := range c.nodes[1:] {
+		var r Snapshot
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			r = rn.Snapshot()
+			if (r.RecvLast[1] == lastSeq && r.Deliveries == msgs) || time.Now().After(deadline) {
+				break
+			}
+			time.Sleep(5 * time.Millisecond)
 		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if r.DataFramesRecv < msgs {
-		t.Errorf("receiver DataFramesRecv = %d, want >= %d", r.DataFramesRecv, msgs)
-	}
-	if r.RecvLast[1] != lastSeq {
-		t.Errorf("receiver RecvLast[1] = %d, want %d", r.RecvLast[1], lastSeq)
-	}
-	if r.Deliveries != msgs {
-		t.Errorf("receiver Deliveries = %d, want %d", r.Deliveries, msgs)
+		if r.DataFramesRecv < msgs {
+			t.Errorf("receiver %d DataFramesRecv = %d, want >= %d", rn.Self(), r.DataFramesRecv, msgs)
+		}
+		if r.RecvLast[1] != lastSeq {
+			t.Errorf("receiver %d RecvLast[1] = %d, want %d", rn.Self(), r.RecvLast[1], lastSeq)
+		}
+		if r.Deliveries != msgs {
+			t.Errorf("receiver %d Deliveries = %d, want %d", rn.Self(), r.Deliveries, msgs)
+		}
+		lag := reg.NodeGroup(strconv.Itoa(rn.Self())).Histogram("stabilizer_core_delivery_lag_seconds",
+			"Origin send timestamp to local delivery.", metrics.LatencyOpts)
+		if got := lag.Count(); got != msgs {
+			t.Errorf("receiver %d delivery-lag samples = %d, want %d", rn.Self(), got, msgs)
+		}
 	}
 
 	// Prometheus exposition includes the histogram with its label.
@@ -126,7 +136,7 @@ func TestStabilityLatencyHistogram(t *testing.T) {
 	if err := reg.WritePrometheus(&sb); err != nil {
 		t.Fatalf("write prometheus: %v", err)
 	}
-	if !strings.Contains(sb.String(), `stabilizer_stability_latency_seconds_count{node="1",predicate="maj"} 5`) {
+	if !strings.Contains(sb.String(), `stabilizer_stability_latency_seconds_count{node="1",predicate="maj"} 2000`) {
 		t.Errorf("prometheus output missing labeled stability-latency count:\n%s", sb.String())
 	}
 }

@@ -54,13 +54,14 @@ func TestTraceOpEndToEnd(t *testing.T) {
 	}
 
 	// The frontier hook that records Stabilize may run a hair after
-	// WaitAllFor unblocks; poll briefly.
+	// WaitAllFor unblocks, and a receiver stamps Deliver after its upcalls,
+	// which may be after "all" (received) has passed: poll briefly.
 	deadline := time.Now().Add(2 * time.Second)
 	var tl *optrace.Timeline
 	for {
 		var err error
 		tl, err = cl.TraceOp(1, last)
-		if err == nil && tl.HasAllStages() {
+		if err == nil && tl.HasAllStages() && tl.Stages()[optrace.StageDeliver] >= 2 {
 			break
 		}
 		if time.Now().After(deadline) {

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"stabilizer/internal/dsl"
@@ -55,6 +56,11 @@ type Registry struct {
 	byCell map[dsl.Cell]map[*predicate]struct{}
 	byNode map[int]map[*predicate]struct{}
 	dirty  map[*predicate]struct{}
+	// noted[n] is set while every predicate depending on node n is dirty, so
+	// a NoteNodeUpdate for n has nothing to add and returns after one load.
+	// It is set under mu after the marks and cleared under mu before a drain
+	// evaluates and whenever a predicate over n is indexed or unindexed.
+	noted []atomic.Bool
 	// observers is copy-on-write: OnAdvance, Monitor, their cancel funcs and
 	// Remove swap in a fresh slice under mu, so the snapshot a publication
 	// takes under mu stays safe to iterate after unlock.
@@ -135,6 +141,7 @@ func newRegistry(env dsl.Env, table *Table) *Registry {
 		byCell: make(map[dsl.Cell]map[*predicate]struct{}),
 		byNode: make(map[int]map[*predicate]struct{}),
 		dirty:  make(map[*predicate]struct{}),
+		noted:  make([]atomic.Bool, table.N()+1),
 	}
 }
 
@@ -302,6 +309,7 @@ func (r *Registry) indexLocked(p *predicate) {
 			r.byNode[n] = m
 		}
 		m[p] = struct{}{}
+		r.clearNotedLocked(n)
 	}
 }
 
@@ -323,8 +331,17 @@ func (r *Registry) unindexLocked(p *predicate) {
 				delete(r.byNode, n)
 			}
 		}
+		r.clearNotedLocked(n)
 	}
 	delete(r.dirty, p)
+}
+
+// clearNotedLocked clears node n's note flag, so the next NoteNodeUpdate for
+// n marks its predicates again. Caller holds mu.
+func (r *Registry) clearNotedLocked(n int) {
+	if r.noted[n].Load() {
+		r.noted[n].Store(false)
+	}
 }
 
 // Register compiles source and installs it under key. Registering an
@@ -582,11 +599,24 @@ func (r *Registry) NoteCellUpdate(node int, typ uint16) {
 // NoteNodeUpdate records that every stability counter of node advanced
 // (Table.UpdateAll — the origin's own counters move on sequence
 // assignment): every predicate depending on that node is marked dirty and
-// the drainer is woken.
+// the drainer is woken. A note that finds node's flag set returns at once:
+// its predicates are all dirty and a drain is pending.
+//
+// Skipping is safe because the caller writes the table before the note loads
+// the flag, and a drain clears the flag before it reads the table: a note
+// that still sees the flag set made its write before that clear, so the
+// drain that clears it evaluates the write.
 func (r *Registry) NoteNodeUpdate(node int) {
+	inRange := node >= 0 && node < len(r.noted)
+	if inRange && r.noted[node].Load() {
+		return
+	}
 	r.mu.Lock()
 	for p := range r.byNode[node] {
 		r.dirty[p] = struct{}{}
+	}
+	if inRange {
+		r.noted[node].Store(true)
 	}
 	r.wakeLocked()
 }
@@ -618,6 +648,9 @@ func (r *Registry) Flush() {
 	r.pub.Lock()
 	defer r.pub.Unlock()
 	r.mu.Lock()
+	for n := range r.noted {
+		r.clearNotedLocked(n)
+	}
 	evals := len(r.dirty)
 	if evals == 0 {
 		r.mu.Unlock()

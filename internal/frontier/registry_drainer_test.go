@@ -707,3 +707,94 @@ func TestObserverChainsKeepOrderAcrossRacingChangeAndFlush(t *testing.T) {
 		last = s.new
 	}
 }
+
+// TestNodeNoteMarksAgain: a NoteNodeUpdate that finds its node's flag set
+// returns without marking, so every step that leaves a predicate over the
+// node undirty must clear the flag — a drain, and the registration, swap or
+// removal of a predicate over the node — or the next note marks nothing.
+func TestNodeNoteMarksAgain(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		step func(t *testing.T, reg *Registry)
+		want int // predicates dirty after the note that follows step
+	}{
+		{"Flush", func(t *testing.T, reg *Registry) { reg.Flush() }, 1},
+		{"Register", func(t *testing.T, reg *Registry) {
+			if err := reg.Register("q", "MIN($1, $2)"); err != nil {
+				t.Fatal(err)
+			}
+		}, 2},
+		{"Change", func(t *testing.T, reg *Registry) {
+			if err := reg.Change("p", "MIN($1, $2)"); err != nil {
+				t.Fatal(err)
+			}
+		}, 1},
+		{"Remove", func(t *testing.T, reg *Registry) {
+			if err := reg.Remove("p"); err != nil {
+				t.Fatal(err)
+			}
+			if reg.noted[1].Load() {
+				t.Fatal("Remove left node 1's note flag set")
+			}
+			if err := reg.Register("p", "MIN($1)"); err != nil {
+				t.Fatal(err)
+			}
+		}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg, _ := newManualRegistry(2)
+			if err := reg.Register("p", "MIN($1)"); err != nil {
+				t.Fatal(err)
+			}
+			reg.NoteNodeUpdate(1)
+			if d := dirtyCount(reg); d != 1 || !reg.noted[1].Load() {
+				t.Fatalf("after the first note: %d dirty, flag %v; want 1 and set", d, reg.noted[1].Load())
+			}
+			tc.step(t, reg)
+			reg.NoteNodeUpdate(1)
+			if d := dirtyCount(reg); d != tc.want {
+				t.Fatalf("note after %s dirtied %d predicates, want %d", tc.name, d, tc.want)
+			}
+		})
+	}
+}
+
+// TestNodeNoteNeverLosesAnUpdate races whole-node notes against a live
+// drainer: four writers each advance node 1 and note it, most of them finding
+// the flag set and skipping the registry lock, and the last write must still
+// reach the frontier. It is a net, not a proof: a drain that cleared the flag
+// after evaluating instead of before would lose a skipped write only when a
+// writer lands in that window, which these rounds catch often, not always.
+func TestNodeNoteNeverLosesAnUpdate(t *testing.T) {
+	const rounds, writers, notes = 200, 4, 50
+	for r := 0; r < rounds; r++ {
+		types := NewTypes()
+		table := NewTable(2)
+		table.EnsureType(TypeReceived, 1, 0)
+		reg := NewRegistry(&testEnv{n: 2, self: 1, types: types}, table)
+		if err := reg.Register("p", "MIN($1)"); err != nil {
+			t.Fatal(err)
+		}
+		var seq atomic.Uint64
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < notes; i++ {
+					table.UpdateAll(1, seq.Add(1))
+					reg.NoteNodeUpdate(1)
+				}
+			}()
+		}
+		wg.Wait()
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		err := reg.WaitFor(ctx, seq.Load(), "p")
+		cancel()
+		f, _ := reg.Frontier("p")
+		reg.Close()
+		if err != nil {
+			t.Fatalf("round %d: frontier stuck at %d below the last write %d: %v", r, f, seq.Load(), err)
+		}
+	}
+}

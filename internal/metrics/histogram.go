@@ -45,8 +45,9 @@ func (o HistogramOpts) normalized() HistogramOpts {
 }
 
 // Histogram is a fixed-bucket log-scale histogram safe for concurrent
-// observers. Observe is a bit-length computation plus two atomic adds: no
-// locks, no allocation.
+// observers. Observe is a bit-length computation plus three atomic adds: no
+// locks, no allocation. A caller with a run of values to observe tallies
+// them in a Tally and publishes the run with Tally.AddTo.
 type Histogram struct {
 	opts   HistogramOpts
 	counts []atomic.Int64 // MaxPow-MinPow+1 bounded buckets, then overflow
@@ -71,16 +72,53 @@ func (h *Histogram) Observe(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	idx := bits.Len64(uint64(v)) - h.opts.MinPow
-	switch {
-	case idx < 0:
-		idx = 0
-	case idx >= len(h.counts):
-		idx = len(h.counts) - 1
-	}
-	h.counts[idx].Add(1)
+	h.counts[h.bucket(bits.Len64(uint64(v)))].Add(1)
 	h.count.Add(1)
 	h.sum.Add(v)
+}
+
+// bucket is the index of the bucket holding values of bit length l, clamped
+// to the histogram's exponent range.
+func (h *Histogram) bucket(l int) int {
+	return min(max(l-h.opts.MinPow, 0), len(h.counts)-1)
+}
+
+// Tally collects observations for a Histogram without atomic operations, so
+// a run of values costs one atomic add per touched bucket instead of three
+// per value. A Tally is not safe for concurrent use; its zero value is empty.
+type Tally struct {
+	counts [64]int64 // by bits.Len64 of the (non-negative) value
+	used   uint64    // bit l set while counts[l] != 0
+	n, sum int64
+}
+
+// Observe tallies one value in base units. Negative values clamp to zero,
+// as in Histogram.Observe.
+func (t *Tally) Observe(v int64) {
+	if v < 0 {
+		v = 0
+	}
+	l := bits.Len64(uint64(v))
+	t.counts[l]++
+	t.used |= 1 << l
+	t.n++
+	t.sum += v
+}
+
+// AddTo publishes the tally into h — one atomic add per touched bucket, then
+// count and sum once each — and empties the tally.
+func (t *Tally) AddTo(h *Histogram) {
+	if t.n == 0 {
+		return
+	}
+	for u := t.used; u != 0; u &= u - 1 {
+		l := bits.TrailingZeros64(u)
+		h.counts[h.bucket(l)].Add(t.counts[l])
+		t.counts[l] = 0
+	}
+	h.count.Add(t.n)
+	h.sum.Add(t.sum)
+	t.used, t.n, t.sum = 0, 0, 0
 }
 
 // Count returns the number of observations.

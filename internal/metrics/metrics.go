@@ -71,9 +71,6 @@ func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 // Inc adds one.
 func (g *Gauge) Inc() { g.v.Add(1) }
 
-// Dec subtracts one.
-func (g *Gauge) Dec() { g.v.Add(-1) }
-
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
@@ -324,12 +321,6 @@ func (r *Registry) Group(pairs ...string) *Registry {
 // NodeGroup is the conventional per-node group: it tags every family with a
 // node label carrying id (a 1-based WAN node index rendered in decimal).
 func (r *Registry) NodeGroup(id string) *Registry { return r.Group("node", id) }
-
-// BaseLabels returns the view's base label names and values (nil for a
-// root view).
-func (r *Registry) BaseLabels() (names, values []string) {
-	return append([]string(nil), r.baseNames...), append([]string(nil), r.baseValues...)
-}
 
 // family gets or creates a family, validating schema compatibility. The
 // family's label schema is the view's base labels followed by labels.

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -19,7 +20,7 @@ func TestCounterGauge(t *testing.T) {
 	g.Set(10)
 	g.Add(-3)
 	g.Inc()
-	g.Dec()
+	g.Add(-1)
 	if got := g.Value(); got != 7 {
 		t.Fatalf("gauge = %d, want 7", got)
 	}
@@ -83,6 +84,55 @@ func TestHistogramBucketsAndQuantile(t *testing.T) {
 	}
 	if q := h.Quantile(1); q != 64 {
 		t.Fatalf("p100 = %v, want overflow lower bound 64", q)
+	}
+}
+
+// TestTallyMatchesObserve feeds the same values to one histogram value by
+// value and to another through tallies published in runs of uneven length:
+// both must end bucket for bucket, count and sum alike, and a published tally
+// must be empty.
+func TestTallyMatchesObserve(t *testing.T) {
+	opts := HistogramOpts{Unit: 1, MinPow: 4, MaxPow: 20}
+	values := []int64{
+		math.MinInt64, -5, -1, 0, 1, 7, 15, // clamp to zero or below 2^MinPow
+		16, 17, 31, 32,
+		1<<20 - 1, 1 << 20, 1<<20 + 1, 1 << 40, 1 << 62, // at and past 2^MaxPow
+	}
+	for i := int64(0); i < 500; i++ {
+		values = append(values, i*i*i*37)
+	}
+	direct, tallied := NewHistogram(opts), NewHistogram(opts)
+	var tally Tally
+	run := 1
+	for i, v := range values {
+		direct.Observe(v)
+		tally.Observe(v)
+		if i%run == 0 {
+			tally.AddTo(tallied)
+			if tally != (Tally{}) {
+				t.Fatalf("tally after AddTo = %+v, want empty", tally)
+			}
+			run = run%7 + 1
+		}
+	}
+	tally.AddTo(tallied)
+	tally.AddTo(tallied) // empty: adds nothing
+
+	if d, g := direct.Count(), tallied.Count(); d != g || d != int64(len(values)) {
+		t.Fatalf("count: Observe %d, Tally %d, want %d", d, g, len(values))
+	}
+	if d, g := direct.Sum(), tallied.Sum(); d != g {
+		t.Fatalf("sum: Observe %d, Tally %d", d, g)
+	}
+	if d, g := direct.Snapshot(), tallied.Snapshot(); !reflect.DeepEqual(d, g) {
+		t.Fatalf("snapshot: Observe %+v, Tally %+v", d, g)
+	}
+	for p := opts.MinPow; p <= opts.MaxPow+1; p++ {
+		for _, le := range []int64{1<<p - 1, 1 << p} {
+			if d, g := direct.CountLe(le), tallied.CountLe(le); d != g {
+				t.Fatalf("CountLe(%d): Observe %d, Tally %d", le, d, g)
+			}
+		}
 	}
 }
 

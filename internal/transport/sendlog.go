@@ -139,6 +139,9 @@ type SendLog struct {
 
 	stripes []logStripe
 	flow    FlowConfig // fixed at construction
+	// onAppend hears each sequence inside its stripe lock (see OnAppend);
+	// set before the first append.
+	onAppend func(seq uint64, sentUnixNano int64)
 	// Everything above is all an append below the cap touches; everything
 	// below changes under mu on every merge and truncation. The pad keeps the
 	// drainers' writes off the producers' cache lines (as logStripe's does
@@ -248,6 +251,13 @@ func newSendLog(firstSeq uint64, flow FlowConfig, stripes int) *SendLog {
 	return l
 }
 
+// OnAppend makes fn hear every sequence the log assigns, with its send time,
+// before any reader can see the entry: a record fn keeps exists before the
+// message can be sent, let alone acknowledged. fn runs inside the append's
+// stripe lock, so it must be short and must not call the log. Call it before
+// the first append.
+func (l *SendLog) OnAppend(fn func(seq uint64, sentUnixNano int64)) { l.onAppend = fn }
+
 // Append assigns the next sequence number to payload and buffers it, on
 // AppendCtx's terms. A log at its cap makes Append wait, without deadline,
 // until reclaim frees space or the log closes — use AppendCtx to bound the
@@ -288,6 +298,9 @@ func (l *SendLog) AppendCtx(ctx context.Context, payload []byte, sentUnixNano in
 	}
 	seq := l.next.Add(1) - 1
 	wire.PutDataSeq(frame, seq)
+	if l.onAppend != nil {
+		l.onAppend(seq, sentUnixNano)
+	}
 	s.entries = append(s.entries, LogEntry{Seq: seq, Frame: frame})
 	s.mu.Unlock()
 	return seq, nil
@@ -617,9 +630,6 @@ func (l *SendLog) Bytes() int64 {
 	}
 	return b
 }
-
-// Full reports whether the admission latch is currently engaged.
-func (l *SendLog) Full() bool { return l.full.Load() }
 
 // LogStats is one reading of a send log: every field is taken under a single
 // hold of the log's mutex, so the fields describe the same instant.

@@ -85,7 +85,7 @@ func TestAppendCtxAdmission(t *testing.T) {
 				}()
 				if atCap && tc.release != "" {
 					waitUntil(t, 5*time.Second, func() bool { return l.Stats().Waiting == 1 })
-					if !l.Full() {
+					if !l.Stats().Full {
 						t.Fatal("an append is parked but the latch is clear")
 					}
 					if tc.release == "cancel" {
@@ -144,7 +144,7 @@ func TestFlowHysteresis(t *testing.T) {
 
 	// Free one entry: 256 bytes below cap, far above the 2 KiB low mark.
 	l.TruncateThrough(1)
-	if !l.Full() {
+	if !l.Stats().Full {
 		t.Fatal("latch cleared above the low watermark")
 	}
 	if _, err := l.AppendCtx(ctx, make([]byte, 256), 0); !errors.Is(err, ErrBackpressure) {
@@ -153,10 +153,10 @@ func TestFlowHysteresis(t *testing.T) {
 
 	// Drop to the low watermark: the latch must clear, with no appender
 	// waiting for it.
-	for seq := uint64(2); l.Full() && seq <= uint64(l.Stats().Entries)+8; seq++ {
+	for seq := uint64(2); l.Stats().Full && seq <= uint64(l.Stats().Entries)+8; seq++ {
 		l.TruncateThrough(seq)
 	}
-	if l.Full() {
+	if l.Stats().Full {
 		t.Fatal("latch never cleared at the low watermark")
 	}
 	if got := l.Bytes(); got != 2<<10 {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -12,9 +13,10 @@ import (
 // TestStripedAppendDrainRace hammers the unbounded striped append fast path:
 // N producers append concurrently while a drainer walks the log with
 // TryNextBatch and truncates behind itself. Asserts gapless sequence
-// assignment (every sequence in [1, total] assigned exactly once) and
-// byte-exact occupancy (Bytes and Len return to zero once everything is
-// reclaimed). Run under -race this also proves the stripe/merge locking.
+// assignment (every sequence in [1, total] assigned exactly once), that
+// OnAppend hears each sequence once with its send time, and byte-exact
+// occupancy (Bytes and Len return to zero once everything is reclaimed). Run
+// under -race this also proves the stripe/merge locking.
 // stripedLog builds a log at an exact stripe count (the exported
 // constructors always use defaultLogStripes).
 func stripedLog(t testing.TB, flow FlowConfig, stripes int) *SendLog {
@@ -43,6 +45,13 @@ func TestStripedAppendDrainRace(t *testing.T) {
 		total     = producers * perProd
 	)
 	l := newSendLog(1, FlowConfig{}, 4)
+	// heard[seq] is 1 + the send time OnAppend heard for seq.
+	heard := make([]atomic.Int64, total+1)
+	l.OnAppend(func(seq uint64, sentUnixNano int64) {
+		if heard[seq].Swap(sentUnixNano+1) != 0 {
+			t.Errorf("OnAppend heard seq %d twice", seq)
+		}
+	})
 
 	seqs := make([][]uint64, producers)
 	var wg sync.WaitGroup
@@ -115,6 +124,14 @@ func TestStripedAppendDrainRace(t *testing.T) {
 			t.Fatalf("sequence assignment not gapless: position %d holds %d", i, s)
 		}
 	}
+	// Producer p's i-th append was sent at time i.
+	for p, mine := range seqs {
+		for i, seq := range mine {
+			if got := heard[seq].Load() - 1; got != int64(i) {
+				t.Fatalf("OnAppend heard producer %d's seq %d at time %d, want %d", p, seq, got, i)
+			}
+		}
+	}
 
 	// Byte-exact occupancy: everything was truncated, so nothing is buffered.
 	if got := l.Bytes(); got != 0 {
@@ -125,6 +142,31 @@ func TestStripedAppendDrainRace(t *testing.T) {
 	}
 	if got := l.Head(); got != total {
 		t.Fatalf("Head() = %d, want %d", got, total)
+	}
+}
+
+// TestOnAppendRunsBeforeTheEntryIsStaged: the hook hears a sequence while
+// its entry is in no stripe yet, so no reader can have drained it, and a
+// record the hook keeps exists before the message can be acknowledged.
+func TestOnAppendRunsBeforeTheEntryIsStaged(t *testing.T) {
+	l := newSendLog(1, FlowConfig{}, 1)
+	var heard []uint64
+	l.OnAppend(func(seq uint64, _ int64) {
+		// The hook runs inside the stripe lock this goroutine holds.
+		for _, e := range l.stripes[0].entries {
+			if e.Seq == seq {
+				t.Errorf("seq %d staged before OnAppend heard it", seq)
+			}
+		}
+		heard = append(heard, seq)
+	})
+	for i := 0; i < 3; i++ {
+		if _, err := l.Append([]byte("x"), int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(heard) != 3 || heard[0] != 1 || heard[2] != 3 {
+		t.Fatalf("OnAppend heard %v, want [1 2 3]", heard)
 	}
 }
 
