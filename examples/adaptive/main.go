@@ -77,7 +77,6 @@ func run() error {
 		ShortWindow: 400 * time.Millisecond,
 		LongWindow:  1200 * time.Millisecond,
 		Burn:        2,
-		CheckEvery:  50 * time.Millisecond,
 		MinDwell:    150 * time.Millisecond,
 		Cooldown:    time.Second,
 		StallAfter:  300 * time.Millisecond,

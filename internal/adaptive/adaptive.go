@@ -180,8 +180,6 @@ type Config struct {
 	// Burn is the burn-rate multiple both windows must exceed before the
 	// SLO counts as burning. Default 10.
 	Burn float64
-	// CheckEvery is the controller tick interval. Default ShortWindow/4.
-	CheckEvery time.Duration
 	// MinDwell is the minimum time between transitions: once the
 	// controller moves, it stays on the new rung at least this long in
 	// either direction. Default ShortWindow.
@@ -220,9 +218,6 @@ func (c Config) normalized() (Config, error) {
 	if c.Burn <= 0 {
 		c.Burn = 10
 	}
-	if c.CheckEvery <= 0 {
-		c.CheckEvery = c.ShortWindow / 4
-	}
 	if c.MinDwell <= 0 {
 		c.MinDwell = c.ShortWindow
 	}
@@ -243,18 +238,14 @@ type Host interface {
 	// Stuck returns how long key's frontier has sat still below the highest
 	// appended sequence — the one stall clock the node keeps per predicate.
 	Stuck(key string) (time.Duration, error)
-	// StabilityLatencyHistogram returns the stability-latency histogram
-	// for key. Re-resolved every tick, so vec-child re-binds are seen.
-	StabilityLatencyHistogram(key string) *metrics.Histogram
 }
 
 // maxHistory bounds the in-memory transition history per controller.
 const maxHistory = 256
 
-// Controller runs the closed loop for one predicate key. Create one with
-// Start (background goroutine on the wall clock) or StartPaused (the
-// caller drives Tick — what core uses under a virtual timescale and what
-// the unit tests use for determinism).
+// Controller runs the closed loop for one predicate key. It has no clock of
+// its own: whoever owns it calls Tick — core's node tick every
+// HeartbeatEvery, the unit tests with a clock they step by hand.
 type Controller struct {
 	host   Host
 	key    string
@@ -277,29 +268,14 @@ type Controller struct {
 	lastChange time.Time // last transition (hysteresis dwell anchor)
 	quietSince time.Time // start of the current no-burn-no-stall run
 	seeded     bool      // first tick has primed the time anchors
-
-	stop chan struct{}
-	done chan struct{}
+	closed     bool
 }
 
-// Start launches a controller with a background goroutine ticking
-// cfg.CheckEvery on the wall clock. The ladder's rung 0 predicate must
-// already be registered under key (core.Node.StartAdaptive does this).
-// reg, when non-nil, receives the controller metric families.
-func Start(host Host, key string, ladder Ladder, cfg Config, reg *metrics.Registry) (*Controller, error) {
-	c, err := StartPaused(host, key, ladder, cfg, reg)
-	if err != nil {
-		return nil, err
-	}
-	c.done = make(chan struct{})
-	go c.run()
-	return c, nil
-}
-
-// StartPaused builds a controller without the background goroutine: the
-// caller drives it by calling Tick with its own clock. Deterministic tests
-// and virtual-time harnesses use this form.
-func StartPaused(host Host, key string, ladder Ladder, cfg Config, reg *metrics.Registry) (*Controller, error) {
+// New builds a controller for key over hist, key's stability-latency
+// histogram; the caller drives it by calling Tick. The ladder's rung 0
+// predicate must already be registered under key (core.Node.StartAdaptive
+// does this). reg, when non-nil, receives the controller metric families.
+func New(host Host, key string, ladder Ladder, cfg Config, hist *metrics.Histogram, reg *metrics.Registry) (*Controller, error) {
 	if host == nil {
 		return nil, fmt.Errorf("adaptive: nil host")
 	}
@@ -319,16 +295,14 @@ func StartPaused(host Host, key string, ladder Ladder, cfg Config, reg *metrics.
 		ladder: ladder,
 		cfg:    cfg,
 		hooks:  map[int]func(Transition){},
-		stop:   make(chan struct{}),
 	}
-	c.mon, err = metrics.NewSLOMonitorPaused(nil, metrics.SLOConfig{
+	c.mon, err = metrics.NewSLOMonitorPaused(hist, metrics.SLOConfig{
 		Name:        key,
 		Threshold:   cfg.Target.Nanoseconds(),
 		Objective:   cfg.Objective,
 		ShortWindow: cfg.ShortWindow,
 		LongWindow:  cfg.LongWindow,
 		Burn:        cfg.Burn,
-		Source:      func() *metrics.Histogram { return host.StabilityLatencyHistogram(key) },
 	})
 	if err != nil {
 		return nil, err
@@ -350,36 +324,15 @@ func StartPaused(host Host, key string, ladder Ladder, cfg Config, reg *metrics.
 	return c, nil
 }
 
-func (c *Controller) run() {
-	defer close(c.done)
-	t := time.NewTicker(c.cfg.CheckEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-c.stop:
-			return
-		case now := <-t.C:
-			c.Tick(now)
-		}
-	}
-}
-
-// Close stops the controller. The active predicate stays on whatever rung
-// was installed last — Close freezes the loop, it does not restore rung 0.
-// Safe to call more than once and concurrently with Tick.
+// Close stops the controller: it returns after any Tick in progress has
+// taken its step, and every later Tick is a no-op. The active predicate
+// stays on whatever rung was installed last — Close freezes the loop, it
+// does not restore rung 0. Safe to call more than once, concurrently with
+// Tick, and from an OnTransition hook.
 func (c *Controller) Close() {
 	c.mu.Lock()
-	select {
-	case <-c.stop:
-	default:
-		close(c.stop)
-	}
-	done := c.done
+	c.closed = true
 	c.mu.Unlock()
-	if done != nil {
-		<-done
-	}
-	c.mon.Close()
 }
 
 // Key returns the predicate key the controller drives.
@@ -417,8 +370,8 @@ func (c *Controller) History() []Transition {
 	return append([]Transition(nil), c.history...)
 }
 
-// OnTransition registers a hook called after every transition, from the
-// controller goroutine or the Tick caller (keep it fast or hand off), and
+// OnTransition registers a hook called after every transition, on the Tick
+// caller's goroutine — core's node tick (keep it fast or hand off) — and
 // returns a cancel func that detaches it. A nil fn is ignored (the cancel is
 // still non-nil and harmless).
 func (c *Controller) OnTransition(fn func(Transition)) (cancel func()) {
@@ -442,20 +395,16 @@ func (c *Controller) OnTransition(fn func(Transition)) (cancel func()) {
 func (c *Controller) Firing() bool { return c.mon.Firing() }
 
 // Tick runs one controller evaluation at now: sample the SLO, update the
-// stall detector, and take at most one ladder step. The background
-// goroutine calls it every CheckEvery; paused controllers are driven by
-// the caller. A tick after Close is a no-op.
+// stall detector, and take at most one ladder step. Core's node tick calls
+// it every HeartbeatEvery. A tick after Close is a no-op.
 func (c *Controller) Tick(now time.Time) {
-	shortBurn, longBurn := c.mon.Tick(now)
-	burning := c.mon.Firing()
-
 	c.mu.Lock()
-	select {
-	case <-c.stop:
+	if c.closed {
 		c.mu.Unlock()
 		return
-	default:
 	}
+	shortBurn, longBurn := c.mon.Tick(now)
+	burning := c.mon.Firing()
 
 	// Stall detection: the histogram only sees frontier advances, so a
 	// pinned frontier with appends outstanding is burning even at zero

@@ -9,8 +9,8 @@ import (
 	"stabilizer/internal/metrics"
 )
 
-// fakeHost is a minimal Host: a predicate table, a settable stall clock,
-// and one latency histogram the controller samples.
+// fakeHost is a minimal Host: a predicate table and a settable stall clock.
+// hist is the latency histogram its controller samples.
 type fakeHost struct {
 	mu      sync.Mutex
 	sources map[string]string
@@ -44,12 +44,6 @@ func (f *fakeHost) Stuck(string) (time.Duration, error) {
 	return f.stuck, nil
 }
 
-func (f *fakeHost) StabilityLatencyHistogram(string) *metrics.Histogram {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.hist
-}
-
 func (f *fakeHost) source(key string) string {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -80,8 +74,11 @@ func testLadder(t *testing.T) Ladder {
 	return l
 }
 
-// testConfig: 15s ticks, short window 1m, long 2m, burn 2 at objective
-// 0.75 (all-bad traffic burns at 4×), dwell 30s, cooldown 90s.
+// tickEvery is the step the tests' hand-driven clock takes between ticks.
+const tickEvery = 15 * time.Second
+
+// testConfig: short window 1m, long 2m, burn 2 at objective 0.75 (all-bad
+// traffic burns at 4×), dwell 30s, cooldown 90s.
 func testConfig() Config {
 	return Config{
 		Target:      time.Millisecond,
@@ -89,7 +86,6 @@ func testConfig() Config {
 		ShortWindow: time.Minute,
 		LongWindow:  2 * time.Minute,
 		Burn:        2,
-		CheckEvery:  15 * time.Second,
 		MinDwell:    30 * time.Second,
 		Cooldown:    90 * time.Second,
 		StallAfter:  45 * time.Second,
@@ -156,7 +152,7 @@ func observe(h *metrics.Histogram, v int64, n int) {
 	}
 }
 
-// driveBurn advances the controller by `ticks` ticks of CheckEvery,
+// driveBurn advances the controller by `ticks` ticks of tickEvery,
 // observing n latency samples of v before each tick. Returns the time
 // after the last tick.
 func driveBurn(c *Controller, h *fakeHost, now time.Time, ticks int, v int64, n int) time.Time {
@@ -165,7 +161,7 @@ func driveBurn(c *Controller, h *fakeHost, now time.Time, ticks int, v int64, n 
 			observe(h.hist, v, n)
 		}
 		c.Tick(now)
-		now = now.Add(c.cfg.CheckEvery)
+		now = now.Add(tickEvery)
 	}
 	return now
 }
@@ -173,7 +169,7 @@ func driveBurn(c *Controller, h *fakeHost, now time.Time, ticks int, v int64, n 
 func TestControllerStepsDownOnBurn(t *testing.T) {
 	h := newFakeHost("stable", "MIN($ALLWNODES)")
 	reg := metrics.NewRegistry()
-	c, err := StartPaused(h, "stable", testLadder(t), testConfig(), reg)
+	c, err := New(h, "stable", testLadder(t), testConfig(), h.hist, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +212,7 @@ func TestControllerStepsDownOnBurn(t *testing.T) {
 
 func TestControllerStallStepsDownWithoutSamples(t *testing.T) {
 	h := newFakeHost("stable", "MIN($ALLWNODES)")
-	c, err := StartPaused(h, "stable", testLadder(t), testConfig(), nil)
+	c, err := New(h, "stable", testLadder(t), testConfig(), h.hist, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +231,7 @@ func TestControllerStallStepsDownWithoutSamples(t *testing.T) {
 	}
 	// A frontier stuck for less than StallAfter must NOT read as a stall.
 	h2 := newFakeHost("stable", "MIN($ALLWNODES)")
-	c2, err := StartPaused(h2, "stable", testLadder(t), testConfig(), nil)
+	c2, err := New(h2, "stable", testLadder(t), testConfig(), h2.hist, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +240,7 @@ func TestControllerStallStepsDownWithoutSamples(t *testing.T) {
 	now := time.Unix(30_000, 0)
 	for i := 0; i < 10; i++ {
 		c2.Tick(now)
-		now = now.Add(c2.cfg.CheckEvery)
+		now = now.Add(tickEvery)
 	}
 	if len(c2.History()) != 0 {
 		t.Fatal("a frontier stuck under StallAfter misread as a stall")
@@ -253,7 +249,7 @@ func TestControllerStallStepsDownWithoutSamples(t *testing.T) {
 
 func TestControllerRecoversAfterCooldown(t *testing.T) {
 	h := newFakeHost("stable", "MIN($ALLWNODES)")
-	c, err := StartPaused(h, "stable", testLadder(t), testConfig(), nil)
+	c, err := New(h, "stable", testLadder(t), testConfig(), h.hist, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +286,7 @@ func TestControllerRecoversAfterCooldown(t *testing.T) {
 
 func TestControllerHonestyAcrossSwapFailure(t *testing.T) {
 	h := newFakeHost("stable", "MIN($ALLWNODES)")
-	c, err := StartPaused(h, "stable", testLadder(t), testConfig(), nil)
+	c, err := New(h, "stable", testLadder(t), testConfig(), h.hist, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +325,7 @@ func TestControllerHonestyAcrossSwapFailure(t *testing.T) {
 
 func TestControllerOnTransitionCancel(t *testing.T) {
 	h := newFakeHost("stable", "MIN($ALLWNODES)")
-	c, err := StartPaused(h, "stable", testLadder(t), testConfig(), nil)
+	c, err := New(h, "stable", testLadder(t), testConfig(), h.hist, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +368,7 @@ func TestControllerOnTransitionCancel(t *testing.T) {
 
 func TestControllerCloseIsIdempotentAndStopsTicks(t *testing.T) {
 	h := newFakeHost("stable", "MIN($ALLWNODES)")
-	c, err := StartPaused(h, "stable", testLadder(t), testConfig(), nil)
+	c, err := New(h, "stable", testLadder(t), testConfig(), h.hist, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,38 +379,42 @@ func TestControllerCloseIsIdempotentAndStopsTicks(t *testing.T) {
 		t.Fatal("transitioned after Close")
 	}
 
-	// Background form: Start must come up and tear down cleanly.
+	// Close from the controller's own hook returns (no goroutine to wait on)
+	// and stops the steps that would follow.
 	h2 := newFakeHost("stable", "MIN($ALLWNODES)")
-	cfg := testConfig()
-	cfg.CheckEvery = time.Millisecond
-	bg, err := Start(h2, "stable", testLadder(t), cfg, metrics.NewRegistry())
+	c2, err := New(h2, "stable", testLadder(t), testConfig(), h2.hist, metrics.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(5 * time.Millisecond)
-	bg.Close()
-	bg.Close()
+	c2.OnTransition(func(Transition) { c2.Close() })
+	driveBurn(c2, h2, time.Unix(80_000, 0), 12, badNs, 50)
+	if n := len(c2.History()); n != 1 {
+		t.Fatalf("%d transitions, want the 1 whose hook closed the controller", n)
+	}
 }
 
 func TestConfigValidation(t *testing.T) {
 	h := newFakeHost("k", "MIN($ALLWNODES)")
 	l := testLadder(t)
-	if _, err := StartPaused(h, "k", l, Config{}, nil); err == nil {
+	if _, err := New(h, "k", l, Config{}, h.hist, nil); err == nil {
 		t.Fatal("zero Target accepted")
 	}
-	if _, err := StartPaused(h, "k", l, Config{Target: time.Millisecond, Objective: 1.5}, nil); err == nil {
+	if _, err := New(h, "k", l, Config{Target: time.Millisecond, Objective: 1.5}, h.hist, nil); err == nil {
 		t.Fatal("objective out of range accepted")
 	}
-	if _, err := StartPaused(h, "", l, Config{Target: time.Millisecond}, nil); err == nil {
+	if _, err := New(h, "k", l, Config{Target: time.Millisecond}, nil, nil); err == nil {
+		t.Fatal("nil histogram accepted")
+	}
+	if _, err := New(h, "", l, Config{Target: time.Millisecond}, h.hist, nil); err == nil {
 		t.Fatal("empty key accepted")
 	}
-	if _, err := StartPaused(nil, "k", l, Config{Target: time.Millisecond}, nil); err == nil {
+	if _, err := New(nil, "k", l, Config{Target: time.Millisecond}, h.hist, nil); err == nil {
 		t.Fatal("nil host accepted")
 	}
-	if _, err := StartPaused(h, "k", Ladder{}, Config{Target: time.Millisecond}, nil); err == nil {
+	if _, err := New(h, "k", Ladder{}, Config{Target: time.Millisecond}, h.hist, nil); err == nil {
 		t.Fatal("zero ladder accepted")
 	}
-	c, err := StartPaused(h, "k", l, Config{Target: time.Millisecond}, nil)
+	c, err := New(h, "k", l, Config{Target: time.Millisecond}, h.hist, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,7 +67,6 @@ func (o AdaptiveOptions) tuning() adaptive.Config {
 		ShortWindow: 200 * time.Millisecond,
 		LongWindow:  600 * time.Millisecond,
 		Burn:        2,
-		CheckEvery:  25 * time.Millisecond,
 		MinDwell:    100 * time.Millisecond,
 		Cooldown:    1500 * time.Millisecond,
 		StallAfter:  200 * time.Millisecond,

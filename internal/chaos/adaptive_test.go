@@ -71,16 +71,13 @@ func TestAdaptiveDemoScheduleReplayIsIdentical(t *testing.T) {
 	}
 }
 
-// flapHost is a minimal adaptive.Host whose histogram the test feeds
-// directly, so a paused controller can be marched through transitions on a
-// synthetic clock.
-type flapHost struct{ hist *metrics.Histogram }
+// flapHost is a minimal adaptive.Host: swaps always succeed and nothing is
+// ever stuck, so the histogram the test feeds directly marches the
+// controller through transitions on a synthetic clock.
+type flapHost struct{}
 
-func (h *flapHost) ChangePredicate(key, source string) error { return nil }
-func (h *flapHost) Stuck(string) (time.Duration, error)      { return 0, nil }
-func (h *flapHost) StabilityLatencyHistogram(string) *metrics.Histogram {
-	return h.hist
-}
+func (flapHost) ChangePredicate(key, source string) error { return nil }
+func (flapHost) Stuck(string) (time.Duration, error)      { return 0, nil }
 
 // TestCheckerAdaptiveFlapDetection proves the invariant-10 spacing check
 // actually fires: a controller legally stepping every 30s must be flagged
@@ -94,18 +91,17 @@ func TestCheckerAdaptiveFlapDetection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	host := &flapHost{hist: metrics.NewHistogram(metrics.LatencyOpts)}
-	ctrl, err := adaptive.StartPaused(host, "p", ladder, adaptive.Config{
+	hist := metrics.NewHistogram(metrics.LatencyOpts)
+	ctrl, err := adaptive.New(flapHost{}, "p", ladder, adaptive.Config{
 		Target:      time.Millisecond,
 		Objective:   0.75,
 		ShortWindow: time.Minute,
 		LongWindow:  2 * time.Minute,
 		Burn:        2,
-		CheckEvery:  15 * time.Second,
 		MinDwell:    time.Second,
 		Cooldown:    time.Hour,
 		StallAfter:  time.Hour,
-	}, nil)
+	}, hist, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +114,7 @@ func TestCheckerAdaptiveFlapDetection(t *testing.T) {
 	now := time.Unix(0, 0)
 	for i := 0; i < 12 && len(ctrl.History()) < 2; i++ {
 		for j := 0; j < 50; j++ {
-			host.hist.Observe(int64(time.Second)) // every sample blows the SLO
+			hist.Observe(int64(time.Second)) // every sample blows the SLO
 		}
 		now = now.Add(30 * time.Second)
 		ctrl.Tick(now)

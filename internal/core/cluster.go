@@ -201,7 +201,8 @@ func (c *Cluster) Close() error {
 
 // WaitAllFor blocks until every live node that has the named predicate
 // registered sees its stability frontier reach seq. It errors immediately
-// when no live node knows the predicate.
+// when no live node knows the predicate. The first error a node's wait ends
+// with cancels the other nodes' waits, and is returned once they have ended.
 func (c *Cluster) WaitAllFor(ctx context.Context, seq uint64, key string) error {
 	var targets []*Node
 	for _, n := range c.Nodes() {
@@ -212,16 +213,20 @@ func (c *Cluster) WaitAllFor(ctx context.Context, seq uint64, key string) error 
 	if len(targets) == 0 {
 		return fmt.Errorf("core: no live cluster node has predicate %q", key)
 	}
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	errs := make(chan error, len(targets))
 	for _, n := range targets {
 		go func(n *Node) { errs <- n.WaitFor(ctx, seq, key) }(n)
 	}
+	var first error
 	for range targets {
-		if err := <-errs; err != nil {
-			return err
+		if err := <-errs; err != nil && first == nil {
+			first = err
+			cancel()
 		}
 	}
-	return nil
+	return first
 }
 
 // WaitAllReceive polls until every live node other than origin has received

@@ -2,13 +2,16 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"stabilizer/internal/emunet"
+	"stabilizer/internal/frontier"
 	"stabilizer/internal/metrics"
 	"stabilizer/internal/optrace"
 	"stabilizer/internal/transport"
@@ -282,4 +285,51 @@ func TestClusterRefusesSharedCheckpoint(t *testing.T) {
 			t.Fatalf("%d nodes: err = %v, want a refusal naming Checkpoint and Open", n, err)
 		}
 	}
+}
+
+// waitAllForGoroutines counts the goroutines WaitAllFor started that are
+// still running: other goroutines come and go with the links (a redial under
+// load), these must not outlive the call.
+func waitAllForGoroutines() int {
+	buf := make([]byte, 4<<20)
+	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "(*Cluster).WaitAllFor.func")
+}
+
+// TestClusterWaitAllForErrorLeavesNoGoroutines: when one node's wait fails,
+// WaitAllFor returns its error and the other nodes' waits end with it, under
+// a context that never does.
+func TestClusterWaitAllForErrorLeavesNoGoroutines(t *testing.T) {
+	cl, _ := openTestCluster(t, 3)
+	for _, n := range cl.Nodes() {
+		if err := n.RegisterPredicate("p", "MIN($ALLWNODES)"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done := make(chan error, 1)
+	go func() { done <- cl.WaitAllFor(context.Background(), 1<<40, "p") }()
+	waitUntil(t, 5*time.Second, "a waiter on every node", func() bool {
+		for _, n := range cl.Nodes() {
+			if n.registry.WaiterCount() != 1 {
+				return false
+			}
+		}
+		return true
+	})
+	if n := waitAllForGoroutines(); n != 3 {
+		t.Fatalf("%d WaitAllFor goroutines parked, want one per node", n)
+	}
+	if err := cl.Node(2).RemovePredicate("p"); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if !errors.Is(err, frontier.ErrPredUnknown) {
+			t.Fatalf("WaitAllFor: %v, want ErrPredUnknown", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("WaitAllFor still waiting after a node's wait failed")
+	}
+	waitUntil(t, 5*time.Second, "WaitAllFor's goroutines to end", func() bool {
+		return waitAllForGoroutines() == 0
+	})
 }

@@ -39,10 +39,10 @@ type PredicateState struct {
 	Frontier  uint64 `json:"frontier"`
 	Head      uint64 `json:"head"`
 	// Stuck is how long Frontier has sat still below Head; 0 once it reaches
-	// Head, and 0 while no peer holds it (a drain is pending). The clock is
-	// read, not run: the stall sweep, Explain, Snapshot and an adaptive
-	// controller each take a reading, and the first reading that finds a
-	// message outstanding starts it.
+	// Head, and 0 while no peer holds it (a drain is pending). The node's tick
+	// reads the clock every HeartbeatEvery, deadline or not, so it starts
+	// within one tick of a message being outstanding; Explain, Snapshot and
+	// an adaptive controller read the same clock.
 	Stuck time.Duration `json:"stuck"`
 	// Stalled is Stuck at or past Config.Stall.Deadline; never while the
 	// deadline is zero.
@@ -109,24 +109,17 @@ func (n *Node) verdict(st frontier.PredicateState, head uint64) PredicateState {
 	return v
 }
 
-// StallConfig arms the stall sweep: once a registered predicate's frontier
-// has sat still below the send head for Deadline, its verdict reads Stalled,
-// OnStall fires and the stabilizer_frontier_stalled gauges name the peers
-// holding it. The zero value disables the sweep; Explain and Snapshot still
+// StallConfig sets when a verdict reads stalled: once a registered
+// predicate's frontier has sat still below the send head for Deadline, its
+// verdict reads Stalled, OnStall fires and the stabilizer_frontier_stalled
+// gauges name the peers holding it. The node's tick sweeps every
+// HeartbeatEvery, so a stall is declared within one HeartbeatEvery of its
+// deadline. The zero value declares no stall; Explain and Snapshot still
 // report Stuck and Holding.
 type StallConfig struct {
 	// Deadline is how long a lagging frontier may sit still before the
-	// predicate is declared stalled (0 disables the sweep).
+	// predicate is declared stalled (0: never).
 	Deadline time.Duration
-}
-
-// checkEvery is the sweep period: a quarter of the deadline, so a stall is
-// declared at most a quarter late, and never under 5ms.
-func (s StallConfig) checkEvery() time.Duration {
-	if every := s.Deadline / 4; every > 5*time.Millisecond {
-		return every
-	}
-	return 5 * time.Millisecond
 }
 
 // stallState is the stall sweep's memory, split out of Node so the hot data
@@ -137,17 +130,13 @@ type stallState struct {
 	gauge *metrics.GaugeVec // stabilizer_frontier_stalled{predicate,peer}
 	mu    sync.Mutex
 	fired map[string][]int // a key is present while stalled
-	stop  chan struct{}
-	wg    sync.WaitGroup
 }
 
-// initStallState wires the stall metric families and, when a deadline is
-// configured, starts the sweep goroutine.
+// initStallState wires the stall metric families.
 func (n *Node) initStallState(cfg StallConfig, mreg *metrics.Registry) {
 	st := &stallState{
 		cfg:   cfg,
 		fired: make(map[string][]int),
-		stop:  make(chan struct{}),
 	}
 	st.gauge = mreg.GaugeVec("stabilizer_frontier_stalled",
 		"1 while the predicate's frontier is stalled with this peer holding it.",
@@ -175,51 +164,28 @@ func (n *Node) initStallState(cfg StallConfig, mreg *metrics.Registry) {
 		}, az, rg)
 	}
 	n.stall = st
-	if st.cfg.Deadline <= 0 {
-		return
-	}
-	st.wg.Add(1)
-	go func() {
-		defer st.wg.Done()
-		tick := time.NewTicker(st.cfg.checkEvery())
-		defer tick.Stop()
-		for {
-			select {
-			case <-st.stop:
-				return
-			case <-tick.C:
-				n.checkStalls()
-			}
-		}
-	}()
-}
-
-// stopStallMonitor halts the sweep goroutine (idempotent close path).
-func (n *Node) stopStallMonitor() {
-	st := n.stall
-	if st == nil || st.cfg.Deadline <= 0 {
-		return
-	}
-	close(st.stop)
-	st.wg.Wait()
 }
 
 // OnStall registers fn to hear the verdict on a predicate when it first
 // stalls and again whenever a stalled predicate's holders change. fn runs on
-// the sweep goroutine; keep it short or hand off. Requires
-// Config.Stall.Deadline > 0 for the sweep to run. The returned cancel
-// detaches the hook (idempotent); a nil fn is ignored and gets a harmless
-// no-op cancel.
+// the node's tick, after the heartbeats are queued, and delays the next tick
+// while it runs: keep it short or hand off. Requires Config.Stall.Deadline >
+// 0. The returned cancel detaches the hook (idempotent); a nil fn is ignored
+// and gets a harmless no-op cancel.
 func (n *Node) OnStall(fn func(PredicateState)) (cancel func()) {
 	return addHook(n, &n.stall.hooks, fn)
 }
 
-// checkStalls is one sweep: take every predicate's verdict, fire the hooks on
-// each stall edge and move the stalled gauges with it.
-func (n *Node) checkStalls() {
+// checkStalls is one sweep at now: read every predicate's stall clock and,
+// with a deadline set, take every verdict, fire the hooks on each stall edge
+// and move the stalled gauges with it.
+func (n *Node) checkStalls(now time.Time) {
 	st := n.stall
 	head := n.log.Head()
-	states := n.registry.States(head, n.nowFn())
+	states := n.registry.States(head, now)
+	if st.cfg.Deadline <= 0 {
+		return
+	}
 	var edges []PredicateState
 
 	st.mu.Lock()

@@ -21,8 +21,9 @@ func holders(v PredicateState) []int {
 }
 
 // openCuttableCluster boots three traced nodes on a memory fabric whose links
-// the returned injector can cut, with a 100ms stall deadline.
-func openCuttableCluster(t *testing.T) (*Cluster, *faultinject.Injector) {
+// the returned injector can cut, with a 10ms heartbeat and the given stall
+// deadline.
+func openCuttableCluster(t *testing.T, stall time.Duration) (*Cluster, *faultinject.Injector) {
 	t.Helper()
 	inj := faultinject.New(nil)
 	net := emunet.NewMemNetwork(nil)
@@ -32,7 +33,7 @@ func openCuttableCluster(t *testing.T) (*Cluster, *faultinject.Injector) {
 		Network:        net,
 		HeartbeatEvery: 10 * time.Millisecond,
 		PeerTimeout:    100 * time.Millisecond,
-		Stall:          StallConfig{Deadline: 100 * time.Millisecond},
+		Stall:          StallConfig{Deadline: stall},
 		Trace:          optrace.Config{SampleEvery: 1, RingSize: 1 << 12},
 	})
 	if err != nil {
@@ -53,7 +54,7 @@ func openCuttableCluster(t *testing.T) (*Cluster, *faultinject.Injector) {
 // OnStall fired names the same holders; and after the heal nothing holds and
 // nothing is stuck.
 func TestExplainNamesTheCutPeer(t *testing.T) {
-	cl, inj := openCuttableCluster(t)
+	cl, inj := openCuttableCluster(t, 100*time.Millisecond)
 	sender := cl.Node(1)
 	for key, src := range map[string]string{"all": "MIN($ALLWNODES)", "pair": "MIN($1, $2)"} {
 		if err := sender.RegisterPredicate(key, src); err != nil {
@@ -137,7 +138,7 @@ func TestExplainNamesTheCutPeer(t *testing.T) {
 // holds the frontier any more, so the verdict must not read stalled: a stall
 // that names no holder is what chaos invariant 6 rejects.
 func TestVerdictWithADrainPendingIsNotStalled(t *testing.T) {
-	cl, inj := openCuttableCluster(t)
+	cl, inj := openCuttableCluster(t, 100*time.Millisecond)
 	sender := cl.Node(1)
 	if err := sender.RegisterPredicate("all", "MIN($ALLWNODES)"); err != nil {
 		t.Fatal(err)

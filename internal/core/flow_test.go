@@ -10,6 +10,7 @@ import (
 
 	"stabilizer/internal/emunet"
 	"stabilizer/internal/faultinject"
+	"stabilizer/internal/metrics"
 	"stabilizer/internal/transport"
 )
 
@@ -18,7 +19,7 @@ import (
 func startFlowCluster(t *testing.T, n int, inj *faultinject.Injector, cfg func(c *Config)) *cluster {
 	t.Helper()
 	topo := flatTopology(n)
-	c := &cluster{net: emunet.NewMemNetwork(nil)}
+	c := &cluster{net: emunet.NewMemNetwork(nil), metrics: metrics.NewRegistry()}
 	if inj != nil {
 		c.net.SetConnHook(inj.Hook())
 	}
@@ -27,6 +28,7 @@ func startFlowCluster(t *testing.T, n int, inj *faultinject.Injector, cfg func(c
 			Topology:       topo.WithSelf(i),
 			Network:        c.net,
 			HeartbeatEvery: 10 * time.Millisecond,
+			Metrics:        c.metrics,
 		}
 		if cfg != nil {
 			cfg(&conf)
@@ -120,7 +122,7 @@ func TestSendBlocksAtCapResumesAfterHeal(t *testing.T) {
 	// pairs, so peer 3's zone reads what the snapshot's stalled verdicts hold
 	// and peer 2's zone reads nothing.
 	stalledIn := func(zone string) float64 {
-		fs := sender.Metrics().Find("stabilizer_frontier_stalled_peers")
+		fs := c.metrics.NodeGroup("1").Find("stabilizer_frontier_stalled_peers")
 		if fs == nil {
 			t.Fatal("stabilizer_frontier_stalled_peers not registered")
 		}
@@ -168,20 +170,20 @@ func TestSendBlocksAtCapResumesAfterHeal(t *testing.T) {
 
 // fillSendLog starts a 2-node cluster whose sender's 2 KiB log nothing ever
 // truncates and fills it to the cap with SendCtx(ctx) calls (nil is Send).
-func fillSendLog(t *testing.T, ctx context.Context) (sender *Node, payload []byte) {
+func fillSendLog(t *testing.T, ctx context.Context) (c *cluster, payload []byte) {
 	t.Helper()
-	c := startFlowCluster(t, 2, nil, func(conf *Config) {
+	c = startFlowCluster(t, 2, nil, func(conf *Config) {
 		conf.Flow = transport.FlowConfig{MaxBytes: 2 << 10}
 		conf.DisableAutoReclaim = true
 	})
-	sender = c.nodes[0]
+	sender := c.nodes[0]
 	payload = make([]byte, 256)
 	for i := 0; i < 8; i++ {
 		if _, err := sender.SendCtx(ctx, payload); err != nil {
 			t.Fatalf("send %d under cap: %v", i, err)
 		}
 	}
-	return sender, payload
+	return c, payload
 }
 
 // TestSendCtxDoneContextShedsAtCap pins the no-patience end of the admission
@@ -191,7 +193,8 @@ func fillSendLog(t *testing.T, ctx context.Context) (sender *Node, payload []byt
 func TestSendCtxDoneContextShedsAtCap(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	sender, payload := fillSendLog(t, ctx) // below the cap a done context sends
+	c, payload := fillSendLog(t, ctx) // below the cap a done context sends
+	sender := c.nodes[0]
 	// The caller stays unblocked: every attempt at the cap fails at once
 	// rather than queueing.
 	for i := 0; i < 2; i++ {
@@ -226,7 +229,8 @@ func TestSendCtxEndsWaitWithContext(t *testing.T) {
 		}, context.DeadlineExceeded},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			sender, payload := fillSendLog(t, nil)
+			c, payload := fillSendLog(t, nil)
+			sender := c.nodes[0]
 			ctx, cancel := tc.ctx()
 			defer cancel()
 			done := make(chan error, 1)
@@ -257,7 +261,7 @@ func TestSendCtxEndsWaitWithContext(t *testing.T) {
 				t.Fatalf("send log after the wait ended: %+v", log)
 			}
 			// The snapshot's counts are the registry's: one counter each.
-			bp := sender.Metrics().CounterVec("stabilizer_transport_backpressure_total", "", "outcome")
+			bp := c.metrics.NodeGroup("1").CounterVec("stabilizer_transport_backpressure_total", "", "outcome")
 			if b, s := bp.With("blocked").Value(), bp.With("shed").Value(); b != 1 || s != 1 {
 				t.Fatalf("stabilizer_transport_backpressure_total = blocked %d, shed %d, want 1 and 1", b, s)
 			}

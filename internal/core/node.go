@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -115,6 +116,7 @@ type Config struct {
 	// own node-labeled group view, so one scrape of this registry sees the
 	// whole in-process deployment. Nil creates a private registry
 	// (reachable via Cluster.Metrics), so metrics are always collected.
+	// Pass a registry to read the families of a node booted with Open.
 	Metrics *metrics.Registry
 	// Flow bounds the send log with admission control (a byte cap, and a
 	// directory for the disk tier); the zero value keeps the log unbounded.
@@ -167,7 +169,9 @@ type Node struct {
 	mu            sync.Mutex
 	nextHook      int
 	reclaimCancel func()
-	adaptiveCtrls map[string]*adaptive.Controller
+	// adaptiveCtrls holds every controller StartAdaptive started; the node's
+	// tick drives them.
+	adaptiveCtrls cowList[*adaptive.Controller]
 
 	closed atomic.Bool
 	nowFn  func() time.Time
@@ -249,17 +253,16 @@ func openNode(cfg Config) (*Node, error) {
 	mreg = mreg.NodeGroup(strconv.Itoa(topo.Self))
 
 	node := &Node{
-		topo:          topo,
-		types:         types,
-		tables:        tables,
-		registry:      registry,
-		log:           log,
-		env:           env,
-		persister:     cfg.Persister,
-		metrics:       newCoreMetrics(mreg, log.NextSeq),
-		adaptiveCtrls: make(map[string]*adaptive.Controller),
-		trace:         optrace.New(topo.Self, cfg.Trace),
-		nowFn:         time.Now,
+		topo:      topo,
+		types:     types,
+		tables:    tables,
+		registry:  registry,
+		log:       log,
+		env:       env,
+		persister: cfg.Persister,
+		metrics:   newCoreMetrics(mreg, log.NextSeq),
+		trace:     optrace.New(topo.Self, cfg.Trace),
+		nowFn:     time.Now,
 	}
 	// A send time is on record before its message can be acknowledged, so
 	// a frontier that passes a sequence finds it in the ring.
@@ -320,6 +323,7 @@ func openNode(cfg Config) (*Node, error) {
 		PeerTimeout:    cfg.PeerTimeout,
 		Metrics:        mreg,
 		Trace:          node.trace,
+		OnTick:         node.tick,
 	}
 	self := topo.Nodes[topo.Self-1]
 	tcfg.TopoTags.AZ, tcfg.TopoTags.Region = self.AZ, self.Region
@@ -359,17 +363,11 @@ func (n *Node) Close() error {
 		return nil
 	}
 	// Stop the adaptive controllers first: they drive ChangePredicate into
-	// the registry this teardown is about to close.
-	n.mu.Lock()
-	ctrls := make([]*adaptive.Controller, 0, len(n.adaptiveCtrls))
-	for _, c := range n.adaptiveCtrls {
-		ctrls = append(ctrls, c)
-	}
-	n.mu.Unlock()
-	for _, c := range ctrls {
+	// the registry this teardown is about to close. A tick in flight finishes
+	// its step before Close returns; a later one finds the node closed.
+	for _, c := range n.adaptiveCtrls.load() {
 		c.Close()
 	}
-	n.stopStallMonitor()
 	if n.reclaimCancel != nil {
 		n.reclaimCancel()
 	}
@@ -385,6 +383,20 @@ func (n *Node) Self() int { return n.topo.Self }
 
 // Topology returns a copy of the node's topology.
 func (n *Node) Topology() *config.Topology { return n.topo.Clone() }
+
+// tick is the node's one clock, run by the transport every HeartbeatEvery
+// after its heartbeats and failure detector: every predicate's stall clock
+// gets a reading, then every adaptive controller takes its step. OnStall and
+// OnTransition hooks run here.
+func (n *Node) tick(now time.Time) {
+	if n.closed.Load() {
+		return
+	}
+	n.checkStalls(now)
+	for _, c := range n.adaptiveCtrls.load() {
+		c.Tick(now)
+	}
+}
 
 // --- data plane ---
 
@@ -639,9 +651,15 @@ func (n *Node) RemovePredicate(key string) error {
 }
 
 // WaitFor blocks until the stability frontier of the named predicate
-// reaches seq (paper waitfor).
+// reaches seq (paper waitfor), and returns nil only then. It returns
+// ErrClosed once the node closes, an error wrapping frontier.ErrPredUnknown
+// when the predicate is removed, and one wrapping ctx's error when ctx ends.
 func (n *Node) WaitFor(ctx context.Context, seq uint64, key string) error {
-	return n.registry.WaitFor(ctx, seq, key)
+	err := n.registry.WaitFor(ctx, seq, key)
+	if errors.Is(err, frontier.ErrClosed) {
+		return ErrClosed
+	}
+	return err
 }
 
 // MonitorStabilityFrontier registers fn to run with the newest frontier
@@ -687,8 +705,9 @@ func (n *Node) OnFrontierAdvance(fn func(key string, old, new uint64)) (cancel f
 // hysteresis, when it recovers. Every rung is validated through the real
 // DSL compile path up front, so a broken rung fails here instead of
 // mid-incident. If key is already registered, the existing predicate is
-// swapped to rung 0. One controller per key; the controller stops at node
-// Close (or its own Close), leaving the last installed rung in place.
+// swapped to rung 0. One controller per key. The node's tick steps it every
+// HeartbeatEvery, and it stops at node Close (or its own Close), leaving the
+// last installed rung in place.
 func (n *Node) StartAdaptive(key string, ladder adaptive.Ladder, cfg adaptive.Config) (*adaptive.Controller, error) {
 	if n.closed.Load() {
 		return nil, ErrClosed
@@ -706,7 +725,7 @@ func (n *Node) StartAdaptive(key string, ladder adaptive.Ladder, cfg adaptive.Co
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if _, dup := n.adaptiveCtrls[key]; dup {
+	if slices.ContainsFunc(n.adaptiveCtrls.load(), func(c *adaptive.Controller) bool { return c.Key() == key }) {
 		return nil, fmt.Errorf("core: adaptive controller already running for %q", key)
 	}
 	if n.registry.Has(key) {
@@ -716,7 +735,7 @@ func (n *Node) StartAdaptive(key string, ladder adaptive.Ladder, cfg adaptive.Co
 	} else if err := n.registry.Register(key, ladder.Rung(0).Source); err != nil {
 		return nil, err
 	}
-	ctrl, err := adaptive.Start(adaptiveHost{n}, key, ladder, cfg, n.metrics.reg)
+	ctrl, err := adaptive.New(adaptiveHost{n}, key, ladder, cfg, n.metrics.stabLatency.With(key), n.metrics.reg)
 	if err != nil {
 		return nil, err
 	}
@@ -730,7 +749,7 @@ func (n *Node) StartAdaptive(key string, ladder adaptive.Ladder, cfg adaptive.Co
 			rec.Record(optrace.StageStabilize, n.topo.Self, f, tr.To, label, n.nowFn().UnixNano())
 		})
 	}
-	n.adaptiveCtrls[key] = ctrl
+	n.adaptiveCtrls.add(ctrl)
 	return ctrl, nil
 }
 

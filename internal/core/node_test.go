@@ -11,6 +11,7 @@ import (
 	"stabilizer/internal/config"
 	"stabilizer/internal/emunet"
 	"stabilizer/internal/faultinject"
+	"stabilizer/internal/metrics"
 )
 
 // cluster spins up one Node per topology entry on a shared in-memory
@@ -18,6 +19,8 @@ import (
 type cluster struct {
 	nodes []*Node
 	net   *emunet.MemNetwork
+	// metrics is the registry the nodes share, when the helper passed one.
+	metrics *metrics.Registry
 }
 
 func startCluster(t *testing.T, topo *config.Topology, matrix *emunet.Matrix) *cluster {

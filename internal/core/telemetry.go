@@ -197,11 +197,6 @@ func (n *Node) Snapshot() Snapshot {
 	return s
 }
 
-// Metrics returns the node's view of its metrics registry: the registry
-// from Config.Metrics (or the private one created at Open) seen through
-// this node's group, so families resolved here carry the node label.
-func (n *Node) Metrics() *metrics.Registry { return n.metrics.reg }
-
 // StabilityLatencyHistogram returns the node's headline stability-latency
 // histogram for the given predicate key (the child is created on first
 // use). It is the series SLO monitors and the bench harness read.

@@ -1,0 +1,185 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"runtime"
+	"testing"
+	"time"
+
+	"stabilizer/internal/adaptive"
+	"stabilizer/internal/emunet"
+	"stabilizer/internal/frontier"
+)
+
+// settledGoroutines returns the goroutine count once it has held still for
+// 20ms, so goroutines of earlier tests still on their way out are not
+// counted against this one.
+func settledGoroutines(t *testing.T) int {
+	t.Helper()
+	last := runtime.NumGoroutine()
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
+		time.Sleep(20 * time.Millisecond)
+		cur := runtime.NumGoroutine()
+		if cur == last {
+			return cur
+		}
+		last = cur
+	}
+	t.Fatalf("goroutine count never settled (last %d)", last)
+	return 0
+}
+
+// TestNodeTickRunsTheStallClock cuts a peer off with no stall deadline set.
+// The node's tick reads every predicate's stall clock each HeartbeatEvery, so
+// the first Explain after the cut already sees the time the frontier has sat
+// still, to within a tick.
+func TestNodeTickRunsTheStallClock(t *testing.T) {
+	const heartbeat = 10 * time.Millisecond // openCuttableCluster's
+	cl, inj := openCuttableCluster(t, 0)
+	sender := cl.Node(1)
+	if err := sender.RegisterPredicate("all", "MIN($ALLWNODES)"); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	seq, err := sender.Send([]byte("warm"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sender.WaitFor(ctx, seq, "all"); err != nil {
+		t.Fatal(err)
+	}
+
+	inj.Partition([]int{3}, 3)
+	if _, err := sender.Send([]byte("cut")); err != nil {
+		t.Fatal(err)
+	}
+	const cut = 500 * time.Millisecond
+	time.Sleep(cut)
+	v, err := sender.Explain("all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("first verdict %v after the cut: stuck %v", cut, v.Stuck)
+	if v.Stuck < cut-2*heartbeat || v.Stalled || len(v.Holding) != 1 || v.Holding[0].Peer != 3 {
+		t.Fatalf("first verdict %v after the cut: %+v; want stuck at least %v, held by peer 3, not stalled",
+			cut, v, cut-2*heartbeat)
+	}
+}
+
+// TestNodeTickAddsNoGoroutines: the stall sweep and every adaptive controller
+// run on the transport's tick, so a node with a stall deadline and two
+// running controllers runs exactly as many goroutines as one with neither.
+func TestNodeTickAddsNoGoroutines(t *testing.T) {
+	open := func(stall StallConfig) *Node {
+		net := emunet.NewMemNetwork(nil)
+		n, err := Open(Config{
+			Topology:       flatTopology(1),
+			Network:        net,
+			HeartbeatEvery: 5 * time.Millisecond,
+			Stall:          stall,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			_ = n.Close()
+			_ = net.Close()
+		})
+		return n
+	}
+	base := settledGoroutines(t)
+	open(StallConfig{})
+	plain := settledGoroutines(t) - base
+
+	armed := open(StallConfig{Deadline: 50 * time.Millisecond})
+	ladder := mustLadder(t,
+		adaptive.Rung{Name: "all", Source: "MIN($ALLWNODES)"},
+		adaptive.Rung{Name: "one", Source: "KTH_MAX(1, $ALLWNODES)"},
+	)
+	for _, key := range []string{"a", "b"} {
+		if _, err := armed.StartAdaptive(key, ladder, adaptive.Config{Target: time.Second}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := settledGoroutines(t) - base - plain; got != plain {
+		t.Fatalf("a node with a stall deadline and two controllers runs %d goroutines, one with neither %d", got, plain)
+	}
+}
+
+// TestNodeTickStepsAdaptiveControllers: with no goroutine of its own, a
+// controller still steps down when its predicate stalls, on the node's tick.
+func TestNodeTickStepsAdaptiveControllers(t *testing.T) {
+	cl, inj := openCuttableCluster(t, 0)
+	sender := cl.Node(1)
+	ladder := mustLadder(t,
+		adaptive.Rung{Name: "all", Source: "MIN($ALLWNODES)"},
+		adaptive.Rung{Name: "majority", Source: "KTH_MAX(2, $ALLWNODES)"},
+	)
+	ctrl, err := sender.StartAdaptive("stable", ladder, adaptive.Config{
+		Target: time.Second, StallAfter: 50 * time.Millisecond, MinDwell: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj.Partition([]int{3}, 3)
+	if _, err := sender.Send([]byte("cut")); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, 5*time.Second, "the controller to step down", func() bool { return ctrl.RungIndex() == 1 })
+	if h := ctrl.History(); len(h) != 1 || h[0].Reason != "stall" {
+		t.Fatalf("transitions %+v, want one step down on the stall", h)
+	}
+}
+
+// TestWaitForReturnsNilOnlyAtTheFrontier: a waiter whose predicate is
+// removed, one parked when its node closes and one that calls after Close
+// each get an error, at once.
+func TestWaitForReturnsNilOnlyAtTheFrontier(t *testing.T) {
+	c := startCluster(t, flatTopology(2), nil)
+	n := c.nodes[0]
+	for _, key := range []string{"gone", "all"} {
+		if err := n.RegisterPredicate(key, "MIN($ALLWNODES)"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	never := n.NextSeq() + 100
+	wait := func(key string) <-chan error {
+		errc := make(chan error, 1)
+		go func() { errc <- n.WaitFor(context.Background(), never, key) }()
+		return errc
+	}
+	result := func(errc <-chan error, what string) error {
+		t.Helper()
+		select {
+		case err := <-errc:
+			return err
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s: WaitFor still parked after 2s", what)
+			return nil
+		}
+	}
+	parked := func() bool { return n.registry.WaiterCount() == 1 }
+
+	removed := wait("gone")
+	waitUntil(t, 5*time.Second, "a waiter on 'gone'", parked)
+	if err := n.RemovePredicate("gone"); err != nil {
+		t.Fatal(err)
+	}
+	if err := result(removed, "waiter on a removed predicate"); !errors.Is(err, frontier.ErrPredUnknown) {
+		t.Fatalf("waiter on a removed predicate: %v, want ErrPredUnknown", err)
+	}
+
+	closed := wait("all")
+	waitUntil(t, 5*time.Second, "a waiter on 'all'", parked)
+	if err := n.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := result(closed, "waiter at Close"); !errors.Is(err, ErrClosed) {
+		t.Fatalf("waiter at Close: %v, want ErrClosed", err)
+	}
+	if err := result(wait("all"), "WaitFor after Close"); !errors.Is(err, ErrClosed) {
+		t.Fatalf("WaitFor after Close: %v, want ErrClosed", err)
+	}
+}

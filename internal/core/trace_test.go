@@ -92,14 +92,14 @@ func TestTraceOpEndToEnd(t *testing.T) {
 	}
 
 	// Stage histograms saw samples on the origin's registry.
-	stage := sender.Metrics().HistogramVec(optrace.StageFamily, optrace.StageFamilyHelp, metrics.LatencyOpts, "stage")
+	stage := cl.Metrics().NodeGroup("1").HistogramVec(optrace.StageFamily, optrace.StageFamilyHelp, metrics.LatencyOpts, "stage")
 	for _, seg := range []string{optrace.SegBatchQueue, optrace.SegWireSend, optrace.SegAckReturn} {
 		if stage.With(seg).Count() == 0 {
 			t.Errorf("stage %q histogram empty on origin", seg)
 		}
 	}
 	// Flight and deliver are observed where the data lands: the receivers.
-	recvStage := cl.Node(2).Metrics().HistogramVec(optrace.StageFamily, optrace.StageFamilyHelp, metrics.LatencyOpts, "stage")
+	recvStage := cl.Metrics().NodeGroup("2").HistogramVec(optrace.StageFamily, optrace.StageFamilyHelp, metrics.LatencyOpts, "stage")
 	for _, seg := range []string{optrace.SegFlight, optrace.SegDeliver} {
 		if recvStage.With(seg).Count() == 0 {
 			t.Errorf("stage %q histogram empty on receiver", seg)

@@ -66,6 +66,9 @@ type Registry struct {
 	// takes under mu stays safe to iterate after unlock.
 	observers    []observer
 	nextObserver int
+	// closed is set by Close, under mu: it releases every parked waiter and
+	// refuses the WaitFor calls that follow.
+	closed bool
 
 	// wake is the drainer's doorbell. One pending poke covers every Note*
 	// that lands before the drainer takes it: the drain that follows sees
@@ -191,9 +194,11 @@ func (r *Registry) drainLoop() {
 }
 
 // Close stops the drainer and performs a final drain so no dirty predicate
-// is left unevaluated. A Note* after Close still marks dirty and returns at
-// once, but nothing evaluates the mark until a Flush. Safe to call more than
-// once; no callback may call it.
+// is left unevaluated, then lets every waiter the drain did not satisfy go
+// with ErrClosed; a WaitFor after Close returns ErrClosed at once. A Note*
+// after Close still marks dirty and returns at once, but nothing evaluates
+// the mark until a Flush. Safe to call more than once; no callback may call
+// it.
 func (r *Registry) Close() {
 	if r.stop != nil {
 		r.closeOnce.Do(func() {
@@ -202,6 +207,14 @@ func (r *Registry) Close() {
 		})
 	}
 	r.Flush()
+	r.mu.Lock()
+	r.closed = true
+	released := 0
+	for _, p := range r.preds {
+		released += p.dropWaitersLocked(ErrClosed)
+	}
+	r.mu.Unlock()
+	r.addWaiters(-released)
 }
 
 // OnAdvance adds a hook invoked with (key, old, new) after a predicate's
@@ -431,9 +444,9 @@ func (r *Registry) Change(key, source string) error {
 }
 
 // Remove deletes the predicate under key and detaches its monitors. Pending
-// waiters are released with no error — callers that need stricter semantics
-// should not remove predicates with active waiters. A later Register under
-// the same key starts a fresh event stream.
+// waiters are released with an error wrapping ErrPredUnknown: the frontier
+// they waited for will never be computed. A later Register under the same
+// key starts a fresh event stream.
 func (r *Registry) Remove(key string) error {
 	r.mu.Lock()
 	p, ok := r.preds[key]
@@ -444,12 +457,7 @@ func (r *Registry) Remove(key string) error {
 	delete(r.preds, key)
 	r.unindexLocked(p)
 	r.observers = slices.DeleteFunc(slices.Clone(r.observers), func(o observer) bool { return o.late && o.key == key })
-	released := p.waiters.Len()
-	for _, w := range p.waiters {
-		w.idx = -1
-		close(w.done)
-	}
-	p.waiters = nil
+	released := p.dropWaitersLocked(fmt.Errorf("%w: %q removed while waited on", ErrPredUnknown, key))
 	r.mu.Unlock()
 	if r.frontiers != nil {
 		r.frontiers.Delete(key)
@@ -538,9 +546,14 @@ func (r *Registry) Frontier(key string) (uint64, error) {
 }
 
 // WaitFor blocks until the stability frontier of key reaches seq, the
-// context is cancelled, or the predicate is removed.
+// context is cancelled, the predicate is removed or the registry is closed.
+// It returns nil only in the first case.
 func (r *Registry) WaitFor(ctx context.Context, seq uint64, key string) error {
 	r.mu.Lock()
+	if r.closed {
+		r.mu.Unlock()
+		return ErrClosed
+	}
 	p, ok := r.preds[key]
 	if !ok {
 		r.mu.Unlock()
@@ -557,14 +570,14 @@ func (r *Registry) WaitFor(ctx context.Context, seq uint64, key string) error {
 
 	select {
 	case <-w.done:
-		return nil
+		return w.err
 	case <-ctx.Done():
 		r.detachWaiter(p, w)
-		// The frontier may have advanced concurrently with cancellation;
-		// prefer success if the wait actually completed.
+		// The waiter may have been released concurrently with cancellation;
+		// prefer what released it.
 		select {
 		case <-w.done:
-			return nil
+			return w.err
 		default:
 		}
 		return fmt.Errorf("%w: predicate %q seq %d: %v", ErrWaitCancelled, key, seq, ctx.Err())
@@ -573,8 +586,8 @@ func (r *Registry) WaitFor(ctx context.Context, seq uint64, key string) error {
 
 // detachWaiter removes a cancelled waiter from its predicate's heap in
 // O(log n). The predicate object stays valid across Change (which mutates
-// in place); after Remove or release the waiter's idx is already -1 and
-// this is a no-op.
+// in place); after Remove, Close or release the waiter's idx is already -1
+// and this is a no-op.
 func (r *Registry) detachWaiter(p *predicate, w *waiter) {
 	r.mu.Lock()
 	if w.idx >= 0 {
@@ -760,6 +773,19 @@ func (p *predicate) releaseWaitersLocked() []chan struct{} {
 		released = append(released, heap.Pop(&p.waiters).(*waiter).done)
 	}
 	return released
+}
+
+// dropWaitersLocked lets every waiter parked on p go with err and returns
+// how many there were. Caller holds the registry mutex.
+func (p *predicate) dropWaitersLocked(err error) int {
+	n := p.waiters.Len()
+	for _, w := range p.waiters {
+		w.idx = -1
+		w.err = err
+		close(w.done)
+	}
+	p.waiters = nil
+	return n
 }
 
 func releaseAll(chans []chan struct{}) {

@@ -360,10 +360,11 @@ func TestMassCancelBoundedTime(t *testing.T) {
 
 // TestConcurrentWaitCancelChangeProperty drives randomized concurrent
 // WaitFor / cancellation / Change / table-update / Remove interleavings
-// and asserts the release property: a waiter that resumed successfully
-// before Remove had seq <= the final frontier (no phantom release), every
-// waiter with seq <= frontier is released once the dust settles
-// (completeness), and cancellations never strand heap entries.
+// and asserts the release property: a waiter that resumed successfully had
+// seq <= the final frontier (no phantom release, Remove included: it lets its
+// waiters go with ErrPredUnknown), every waiter with seq <= frontier is
+// released once the dust settles (completeness), and cancellations never
+// strand heap entries.
 func TestConcurrentWaitCancelChangeProperty(t *testing.T) {
 	const (
 		n       = 3
@@ -382,12 +383,7 @@ func TestConcurrentWaitCancelChangeProperty(t *testing.T) {
 		// the main goroutine can inspect inputs while waiters still run.
 		seqs := make([]uint64, waiters)
 		cancels := make([]bool, waiters)
-		type wres struct {
-			preRemove bool // returned before Remove started
-			err       error
-		}
-		results := make([]wres, waiters)
-		var removed atomic.Bool
+		errs := make([]error, waiters)
 		var wg sync.WaitGroup
 		for i := 0; i < waiters; i++ {
 			seq := uint64(rng.Intn(2*maxSeq)) + 1
@@ -407,9 +403,7 @@ func TestConcurrentWaitCancelChangeProperty(t *testing.T) {
 						cancel()
 					}()
 				}
-				err := reg.WaitFor(ctx, seq, "p")
-				results[i].preRemove = !removed.Load()
-				results[i].err = err
+				errs[i] = reg.WaitFor(ctx, seq, "p")
 			}(i, seq, doCancel, delay)
 		}
 
@@ -467,24 +461,29 @@ func TestConcurrentWaitCancelChangeProperty(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 
-		removed.Store(true)
 		if err := reg.Remove("p"); err != nil {
 			t.Fatal(err)
 		}
 		wg.Wait()
 
-		for i, r := range results {
-			if r.err == nil && r.preRemove && seqs[i] > frontier {
-				t.Fatalf("round %d: waiter %d released with seq %d > frontier %d",
-					round, i, seqs[i], frontier)
-			}
-			if r.err != nil {
-				if !errors.Is(r.err, ErrWaitCancelled) {
-					t.Fatalf("round %d: waiter %d unexpected error %v", round, i, r.err)
+		for i, err := range errs {
+			switch {
+			case err == nil:
+				if seqs[i] > frontier {
+					t.Fatalf("round %d: waiter %d released with seq %d > frontier %d",
+						round, i, seqs[i], frontier)
 				}
+			case errors.Is(err, ErrPredUnknown):
+				if seqs[i] <= frontier {
+					t.Fatalf("round %d: waiter %d with seq %d <= frontier %d let go by Remove",
+						round, i, seqs[i], frontier)
+				}
+			case errors.Is(err, ErrWaitCancelled):
 				if !cancels[i] {
 					t.Fatalf("round %d: waiter %d cancelled without a cancel", round, i)
 				}
+			default:
+				t.Fatalf("round %d: waiter %d unexpected error %v", round, i, err)
 			}
 		}
 		if n := reg.WaiterCount(); n != 0 {

@@ -32,6 +32,7 @@ var (
 	ErrTooManyTypes  = errors.New("frontier: stability type space exhausted")
 	ErrBadTypeName   = errors.New("frontier: malformed stability type name")
 	ErrWaitCancelled = errors.New("frontier: wait cancelled")
+	ErrClosed        = errors.New("frontier: registry closed")
 )
 
 // Types maps stability-type names to compact numeric ids used on the wire

@@ -9,6 +9,10 @@ import "container/heap"
 type waiter struct {
 	seq  uint64
 	done chan struct{}
+	// err is what WaitFor returns once done is closed: nil when the frontier
+	// reached seq, else why the waiter was let go. Written before done is
+	// closed.
+	err error
 	// idx is the waiter's position in its predicate's heap, maintained by
 	// the heap.Interface methods; -1 once released or detached. Only valid
 	// under the registry mutex.

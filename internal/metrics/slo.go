@@ -38,12 +38,6 @@ type SLOConfig struct {
 	// Called from the monitor goroutine (or from Tick when the caller
 	// drives the clock); keep it fast or hand off.
 	OnAlert func(BurnAlert)
-	// Source, when set, re-resolves the observed histogram before every
-	// sample. Use it when the histogram identity can change under the
-	// monitor — e.g. a HistogramVec child re-bound after a Delete, whose
-	// replacement is a fresh instance the original pointer no longer
-	// sees. A nil return keeps the previous histogram.
-	Source func() *Histogram
 }
 
 func (c SLOConfig) normalized() (SLOConfig, error) {
@@ -107,7 +101,7 @@ type SLOMonitor struct {
 }
 
 // NewSLOMonitor starts a monitor over h. Close it to stop the background
-// sampler. h may be nil when cfg.Source is set (the source resolves it).
+// sampler.
 func NewSLOMonitor(h *Histogram, cfg SLOConfig) (*SLOMonitor, error) {
 	m, err := NewSLOMonitorPaused(h, cfg)
 	if err != nil {
@@ -127,8 +121,8 @@ func NewSLOMonitorPaused(h *Histogram, cfg SLOConfig) (*SLOMonitor, error) {
 	if err != nil {
 		return nil, err
 	}
-	if h == nil && cfg.Source == nil {
-		return nil, fmt.Errorf("metrics: SLO %q: nil histogram and no Source", cfg.Name)
+	if h == nil {
+		return nil, fmt.Errorf("metrics: SLO %q: nil histogram", cfg.Name)
 	}
 	return &SLOMonitor{cfg: cfg, hist: h, stop: make(chan struct{})}, nil
 }
@@ -185,16 +179,10 @@ func (m *SLOMonitor) Tick(now time.Time) (shortBurn, longBurn float64) {
 		return 0, 0
 	default:
 	}
-	if m.cfg.Source != nil {
-		if h := m.cfg.Source(); h != nil {
-			m.hist = h
-		}
-	}
 	total := m.hist.Count()
 	good := m.hist.CountLe(m.cfg.Threshold)
 
-	// A histogram re-bind (vec child deleted and re-created) or any other
-	// counter reset shows up as the running totals moving backwards. The
+	// A counter reset shows up as the running totals moving backwards. The
 	// old baselines are meaningless against the new counters, so restart
 	// the sample history rather than reporting a bogus burn.
 	if n := len(m.samples); n > 0 {

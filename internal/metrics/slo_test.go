@@ -94,20 +94,16 @@ func TestSLOMonitorZeroSampleWindows(t *testing.T) {
 	}
 }
 
-// TestSLOMonitorCounterResetOnRebind simulates a histogram re-bind: a vec
-// child is dropped and re-created, so the monitor's Source suddenly
-// resolves a fresh histogram whose totals are far below the recorded
-// baselines. The monitor must treat the backwards step as a reset — restart
-// its sample history, report zero burn for that tick, and keep working
-// (including firing for real) against the new counters.
+// TestSLOMonitorCounterResetOnRebind simulates a counter reset: the
+// monitor's histogram is swapped for a fresh one whose totals are far below
+// the recorded baselines. The monitor must treat the backwards step as a
+// reset — restart its sample history, report zero burn for that tick, and
+// keep working (including firing for real) against the new counters.
 func TestSLOMonitorCounterResetOnRebind(t *testing.T) {
 	old := sloHist()
-	cur := old
-	var mu sync.Mutex
-	m, err := NewSLOMonitorPaused(nil, SLOConfig{
+	m, err := NewSLOMonitorPaused(old, SLOConfig{
 		Name: "rebind", Threshold: 1 << 20, Objective: 0.99,
 		ShortWindow: time.Minute, LongWindow: 5 * time.Minute, Burn: 2,
-		Source: func() *Histogram { mu.Lock(); defer mu.Unlock(); return cur },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -127,9 +123,9 @@ func TestSLOMonitorCounterResetOnRebind(t *testing.T) {
 	// good observations — strictly below every recorded baseline.
 	fresh := sloHist()
 	observeN(fresh, sloGood, 10)
-	mu.Lock()
-	cur = fresh
-	mu.Unlock()
+	m.mu.Lock()
+	m.hist = fresh
+	m.mu.Unlock()
 	if s, l := m.Tick(now); s != 0 || l != 0 {
 		t.Fatalf("burn across the reset = (%v, %v), want (0, 0)", s, l)
 	}

@@ -91,6 +91,11 @@ type Config struct {
 	// the stabilizer_stage_seconds batch_queue/wire_send/flight segments.
 	// Nil keeps every hot path branch-predictable and allocation-free.
 	Trace *optrace.Recorder
+	// OnTick, when set, runs on every tick of the transport's one clock, after
+	// the heartbeats are queued and the failure detector has scanned, with the
+	// tick's time. It runs on the tick goroutine and delays the next tick
+	// while it runs: keep it short or hand off.
+	OnTick func(now time.Time)
 
 	// batch overrides defaultBatch when non-zero: the reconnect tests cut
 	// batches mid-run with a 40-byte bound.
@@ -722,7 +727,8 @@ func (t *Transport) heard(peer int) {
 
 // tickLoop is the transport's one clock. Every HeartbeatEvery it queues a
 // heartbeat on each link, then runs the failure detector's scan: a peer up
-// whose heard counter has not moved for PeerTimeout is declared down.
+// whose heard counter has not moved for PeerTimeout is declared down. Last it
+// calls Config.OnTick, the node's clock for everything else.
 func (t *Transport) tickLoop() {
 	defer t.wg.Done()
 	tick := time.NewTicker(t.cfg.HeartbeatEvery)
@@ -763,6 +769,9 @@ func (t *Transport) tickLoop() {
 					ins.up.Set(0)
 				}
 				t.cfg.Handler.PeerDown(p)
+			}
+			if t.cfg.OnTick != nil {
+				t.cfg.OnTick(now)
 			}
 		}
 	}

@@ -163,8 +163,8 @@ type (
 	// senders. At the cap Send waits for reclaimed space; SendCtx waits as
 	// long as its context allows. Set via Config.Flow.
 	FlowConfig = transport.FlowConfig
-	// StallConfig arms the stall sweep behind Node.OnStall; set via
-	// Config.Stall.
+	// StallConfig sets when a verdict reads stalled and Node.OnStall fires;
+	// set via Config.Stall.
 	StallConfig = core.StallConfig
 
 	// TraceConfig arms the per-operation flight recorder (sampling rate

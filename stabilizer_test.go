@@ -469,7 +469,7 @@ func TestReadmeListsEveryConfigField(t *testing.T) {
 // (§III-D); a method added here has to raise the ceiling in the same change,
 // next to what it replaces.
 func TestNodeSurfaceDoesNotGrowUnnoticed(t *testing.T) {
-	const ceiling = 29
+	const ceiling = 28
 	n := reflect.TypeOf((*stabilizer.Node)(nil)).NumMethod()
 	t.Logf("node methods: %d exported", n)
 	if n > ceiling {
