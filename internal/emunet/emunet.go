@@ -11,9 +11,11 @@
 //   - TCPNetwork: real TCP over loopback, used to exercise the full socket
 //     path.
 //
-// All shaping happens at the dialing endpoint: its writes are delayed and
+// On MemNetwork each direction of a connection is one queue that carries its
+// link's schedule, as tc shapes a link's own egress queue. On TCPNetwork all
+// shaping happens at the dialing endpoint: its writes are delayed and
 // throttled by the forward link profile, and its reads by the reverse
-// profile, so the accepting side can use the connection unmodified.
+// profile, so the accepting side can use the socket unmodified.
 package emunet
 
 import (
@@ -41,8 +43,8 @@ type Link struct {
 	Jitter time.Duration
 }
 
-// zero reports whether the link applies no shaping at all; a connection
-// whose both directions are zero links is passed through unwrapped.
+// zero reports whether the link applies no shaping at all: its direction
+// gets no schedule, and a connection with two such is not wrapped.
 func (l Link) zero() bool {
 	return l.OneWayLatency <= 0 && l.BandwidthBps <= 0 && l.Jitter <= 0
 }
@@ -97,18 +99,17 @@ func (m *Matrix) Scaled(factor float64) *Matrix {
 	if factor <= 0 {
 		factor = 1
 	}
-	out := NewMatrix()
-	out.Default = Link{
-		OneWayLatency: time.Duration(float64(m.Default.OneWayLatency) / factor),
-		BandwidthBps:  m.Default.BandwidthBps * factor,
-		Jitter:        time.Duration(float64(m.Default.Jitter) / factor),
-	}
-	for k, l := range m.links {
-		out.links[k] = Link{
+	scale := func(l Link) Link {
+		return Link{
 			OneWayLatency: time.Duration(float64(l.OneWayLatency) / factor),
 			BandwidthBps:  l.BandwidthBps * factor,
 			Jitter:        time.Duration(float64(l.Jitter) / factor),
 		}
+	}
+	out := NewMatrix()
+	out.Default = scale(m.Default)
+	for k, l := range m.links {
+		out.links[k] = scale(l)
 	}
 	return out
 }
@@ -194,27 +195,30 @@ func (f *fabric) SetConnHook(h ConnHook) {
 	f.mu.Unlock()
 }
 
-// connect finishes a dial over the raw connection: it is shaped by the matrix
-// profiles of both directions and then handed to the hook, if any. A hook that
-// rejects the dial gets the shaped connection closed and its error returned.
-func (f *fabric) connect(from, to int, raw net.Conn) (net.Conn, error) {
+// connect dials from → to: open builds the connection on the schedules of
+// its two directions, drawn from the matrix and from one child of the
+// fabric's source (every dial draws one, shaped or not, so a seed pins each
+// dial's jitter), and the hook, if any, gets it. A hook that rejects the dial
+// gets the connection closed and its error returned.
+func (f *fabric) connect(from, to int, open func(fwd, rev *schedule) net.Conn) (net.Conn, error) {
 	f.mu.Lock()
 	hook, rnd := f.hook, f.rnd
 	f.mu.Unlock()
-	shaped := ShapeSeeded(raw, f.matrix.Get(from, to), f.matrix.Get(to, from), rnd.child())
+	conn := open(schedules(f.matrix.Get(from, to), f.matrix.Get(to, from), rnd.child()))
 	if hook == nil {
-		return shaped, nil
+		return conn, nil
 	}
-	wrapped, err := hook(from, to, shaped)
+	wrapped, err := hook(from, to, conn)
 	if err != nil {
-		_ = shaped.Close()
+		_ = conn.Close()
 		return nil, err
 	}
 	return wrapped, nil
 }
 
 // MemNetwork is an in-process fabric built on buffered memory connections
-// (memConn).
+// (memConn), each direction shaped in its own queue: a dial starts no
+// goroutine.
 type MemNetwork struct {
 	fabric
 	listeners map[int]*memListener
@@ -273,8 +277,11 @@ func (n *MemNetwork) Dial(from, to int) (net.Conn, error) {
 	if l == nil {
 		return nil, fmt.Errorf("%w: %d", ErrNoListener, to)
 	}
-	dialSide, acceptSide := newMemConnPair(from, to)
-	conn, err := n.connect(from, to, dialSide)
+	var acceptSide *memConn
+	conn, err := n.connect(from, to, func(fwd, rev *schedule) (dialSide net.Conn) {
+		dialSide, acceptSide = newMemConnPair(from, to, fwd, rev)
+		return dialSide
+	})
 	if err != nil {
 		_ = acceptSide.Close()
 		return nil, err
@@ -346,7 +353,8 @@ func (a memAddr) Network() string { return "emunet" }
 func (a memAddr) String() string  { return fmt.Sprintf("emunet:%d", a.node) }
 
 // TCPNetwork is a loopback-TCP fabric. Each node gets an ephemeral listener
-// on 127.0.0.1; dialed connections are shaped exactly like MemNetwork's.
+// on 127.0.0.1; dialed connections are shaped by the same schedules as
+// MemNetwork's, in a shapedConn at the dialing end.
 type TCPNetwork struct {
 	fabric
 	addrs     map[int]string
@@ -397,7 +405,7 @@ func (n *TCPNetwork) Dial(from, to int) (net.Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("emunet: dial node %d: %w", to, err)
 	}
-	return n.connect(from, to, c)
+	return n.connect(from, to, func(fwd, rev *schedule) net.Conn { return shape(c, fwd, rev) })
 }
 
 // Close implements Network.

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -238,6 +240,86 @@ func TestFIFOUnderConcurrencyAndShaping(t *testing.T) {
 	}
 	if err := <-errc; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestShapedConnDeadlines: a shaped connection honours its deadlines on both
+// fabrics, as link.dial's handshake deadline assumes. A Read with nobody
+// writing and a Write on a full direction return os.ErrDeadlineExceeded.
+func TestShapedConnDeadlines(t *testing.T) {
+	matrix := NewMatrix()
+	matrix.SetSymmetric(1, 2, Link{OneWayLatency: 5 * time.Millisecond, BandwidthBps: Mbps(100)})
+	testFabrics(t, matrix, func(t *testing.T, n Network) {
+		l, err := n.Listen(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		accepted := make(chan net.Conn, 1)
+		go func() {
+			if c, err := l.Accept(); err == nil {
+				accepted <- c
+			}
+		}()
+		conn, err := n.Dial(1, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		peer := <-accepted // neither reads nor writes
+		defer peer.Close()
+
+		if err := conn.SetReadDeadline(time.Now().Add(20 * time.Millisecond)); err != nil {
+			t.Fatal(err)
+		}
+		r := async(func() (int, error) { return conn.Read(make([]byte, 1)) })
+		if got := returns(t, r, "Read with nobody writing past its deadline"); !errors.Is(got.err, os.ErrDeadlineExceeded) {
+			t.Fatalf("Read = (%d, %v), want os.ErrDeadlineExceeded", got.n, got.err)
+		}
+		// More than the direction holds, in flight and unread, and more than
+		// 100 Mbit/s drains into a socket before the deadline.
+		if err := conn.SetWriteDeadline(time.Now().Add(100 * time.Millisecond)); err != nil {
+			t.Fatal(err)
+		}
+		w := async(func() (int, error) { return conn.Write(make([]byte, 4*shaperQueueBytes)) })
+		if got := returns(t, w, "Write on a full direction past its deadline"); !errors.Is(got.err, os.ErrDeadlineExceeded) {
+			t.Fatalf("Write = (%d, %v), want os.ErrDeadlineExceeded", got.n, got.err)
+		}
+	})
+}
+
+// TestShapedMemDialStartsNoGoroutine: a shaped direction of the memory
+// fabric is one queue with its schedule, so dialing starts no relay.
+func TestShapedMemDialStartsNoGoroutine(t *testing.T) {
+	n := NewMemNetwork(EC2Matrix())
+	defer n.Close()
+	l, err := n.Listen(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const dials = 16
+	accepted := make(chan net.Conn, dials)
+	go func() {
+		for {
+			c, err := l.Accept()
+			if err != nil {
+				return
+			}
+			accepted <- c
+		}
+	}()
+	before := runtime.NumGoroutine()
+	for i := 0; i < dials; i++ {
+		c, err := n.Dial(1, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		defer (<-accepted).Close()
+	}
+	// Goroutines of earlier tests may end, or a stray timer callback run,
+	// while this one counts; a relay per dial would add at least dials.
+	if after := runtime.NumGoroutine(); after-before >= dials {
+		t.Fatalf("%d shaped dials took the goroutine count from %d to %d, want no goroutine per dial", dials, before, after)
 	}
 }
 

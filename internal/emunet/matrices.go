@@ -52,7 +52,7 @@ func EC2Matrix() *Matrix {
 				// Remote↔remote: triangle through North California.
 				l = Link{
 					OneWayLatency: halfMS(lat[ra] + lat[rb]),
-					BandwidthBps:  Mbps(minF(bw[ra], bw[rb])),
+					BandwidthBps:  Mbps(min(bw[ra], bw[rb])),
 				}
 			}
 			m.SetSymmetric(a, b, l)
@@ -82,14 +82,14 @@ func CloudLabMatrix() *Matrix {
 		m.SetSymmetric(1, idx, Link{OneWayLatency: halfMS(s.lat), BandwidthBps: Mbps(s.bw)})
 		// Utah2 shares Utah1's vantage point for remote sites.
 		if idx != 2 {
-			m.SetSymmetric(2, idx, Link{OneWayLatency: halfMS(s.lat + sites[2].lat), BandwidthBps: Mbps(minF(s.bw, sites[2].bw))})
+			m.SetSymmetric(2, idx, Link{OneWayLatency: halfMS(s.lat + sites[2].lat), BandwidthBps: Mbps(min(s.bw, sites[2].bw))})
 		}
 	}
 	for a := 3; a <= 5; a++ {
 		for b := a + 1; b <= 5; b++ {
 			m.SetSymmetric(a, b, Link{
 				OneWayLatency: halfMS(sites[a].lat + sites[b].lat),
-				BandwidthBps:  Mbps(minF(sites[a].bw, sites[b].bw)),
+				BandwidthBps:  Mbps(min(sites[a].bw, sites[b].bw)),
 			})
 		}
 	}
@@ -98,11 +98,4 @@ func CloudLabMatrix() *Matrix {
 
 func halfMS(rttMS float64) time.Duration {
 	return time.Duration(rttMS / 2 * float64(time.Millisecond))
-}
-
-func minF(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
 }

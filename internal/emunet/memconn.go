@@ -18,9 +18,11 @@ const memConnMinAlloc = 512
 
 // memConn is one end of an in-memory connection with socket semantics: Write
 // copies into the outgoing direction's buffer and returns, blocking only
-// while that direction already holds memConnBytes; Read takes what has
-// arrived. Neither call waits for the peer to be scheduled, and there is no
-// goroutine or channel per connection.
+// while that direction already holds its bound; Read takes what has arrived.
+// Neither call waits for the peer to be scheduled, and there is no goroutine
+// or channel per connection. A shaped direction carries its link's schedule
+// (see schedule), so the emulated WAN is this one queue per direction, as tc
+// puts delay and rate on the link's own egress queue.
 type memConn struct {
 	in, out       *memQueue
 	local, remote memAddr
@@ -29,12 +31,13 @@ type memConn struct {
 var _ net.Conn = (*memConn)(nil)
 
 // newMemConnPair returns the two ends of a connection dialed by node from to
-// node to.
-func newMemConnPair(from, to int) (dialSide, acceptSide *memConn) {
-	fwd, rev := newMemQueue(), newMemQueue()
+// node to, its from → to direction shaped by fwd and the other by rev; a nil
+// schedule leaves its direction unshaped.
+func newMemConnPair(from, to int, fwd, rev *schedule) (dialSide, acceptSide *memConn) {
+	f, r := newMemQueue(fwd), newMemQueue(rev)
 	a, b := memAddr{node: from}, memAddr{node: to}
-	return &memConn{in: rev, out: fwd, local: a, remote: b},
-		&memConn{in: fwd, out: rev, local: b, remote: a}
+	return &memConn{in: r, out: f, local: a, remote: b},
+		&memConn{in: f, out: r, local: b, remote: a}
 }
 
 func (c *memConn) Read(p []byte) (int, error)  { return c.in.read(p) }
@@ -42,9 +45,9 @@ func (c *memConn) Write(p []byte) (int, error) { return c.out.write(p) }
 
 // Close fails this end's own calls, parked or future, with net.ErrClosed.
 // The peer's Writes fail with io.ErrClosedPipe; its Reads drain what this end
-// had already written and then return io.EOF (a FIN after buffered data, as
-// timedQueue.fail has it). Bytes the peer wrote that this end never read are
-// dropped.
+// had already written, bytes still in flight at their arrival times, and then
+// return io.EOF (a FIN after buffered data). Bytes the peer wrote that this
+// end never read are dropped.
 func (c *memConn) Close() error {
 	c.in.close(&c.in.r)
 	c.out.close(&c.out.w)
@@ -67,7 +70,9 @@ func (c *memConn) SetWriteDeadline(t time.Time) error { return c.out.setDeadline
 // memQueue is one direction of a memConn: a bounded FIFO of bytes between
 // the end that writes it and the end that reads it. The ring is allocated on
 // the first byte and doubles on demand, so a direction that has carried
-// nothing holds no buffer.
+// nothing holds no buffer. An unshaped direction holds up to memConnBytes and
+// a byte is readable once written; a shaped one holds up to shaperQueueBytes,
+// and a byte is readable once its schedule says it has arrived.
 type memQueue struct {
 	// wmu serializes whole Writes, so one that proceeds in pieces against a
 	// full buffer is not interleaved with another.
@@ -78,7 +83,8 @@ type memQueue struct {
 	canWrite sync.Cond // room freed, or an end closed or timed out
 	buf      []byte    // ring: n bytes starting at head
 	head, n  int
-	r, w     memEnd // the reading and the writing end
+	r, w     memEnd    // the reading and the writing end
+	s        *schedule // the link schedule; nil on an unshaped direction
 }
 
 // memEnd is what a direction knows about one of its two ends, guarded by the
@@ -90,8 +96,8 @@ type memEnd struct {
 	timer   *time.Timer
 }
 
-func newMemQueue() *memQueue {
-	q := &memQueue{}
+func newMemQueue(s *schedule) *memQueue {
+	q := &memQueue{s: s}
 	q.canRead.L = &q.mu
 	q.canWrite.L = &q.mu
 	return q
@@ -113,13 +119,17 @@ func (q *memQueue) write(p []byte) (int, error) {
 			return total, os.ErrDeadlineExceeded
 		case len(p) == 0:
 			return total, nil
-		case q.n == memConnBytes:
+		}
+		bound, k := memConnBytes, len(p)
+		if q.s != nil {
+			bound, k = shaperQueueBytes, min(k, maxChunk)
+		}
+		if k = min(k, bound-q.n); k == 0 {
 			q.canWrite.Wait()
 			continue
 		}
-		k := min(len(p), memConnBytes-q.n)
 		if q.n+k > len(q.buf) {
-			q.grow(q.n + k)
+			q.grow(q.n+k, bound)
 		}
 		tail := q.head + q.n
 		if tail >= len(q.buf) {
@@ -131,14 +141,19 @@ func (q *memQueue) write(p []byte) (int, error) {
 		q.n += k
 		total += k
 		p = p[k:]
-		q.canRead.Broadcast()
+		if q.s != nil {
+			q.s.stamp(k)
+			q.armArrival()
+		} else {
+			q.canRead.Broadcast()
+		}
 	}
 }
 
 // grow reallocates the ring to hold at least need bytes (need is at most
-// memConnBytes), unwrapping what it holds. Caller holds mu.
-func (q *memQueue) grow(need int) {
-	buf := make([]byte, min(max(2*len(q.buf), need, memConnMinAlloc), memConnBytes))
+// bound, the direction's), unwrapping what it holds. Caller holds mu.
+func (q *memQueue) grow(need, bound int) {
+	buf := make([]byte, min(max(2*len(q.buf), need, memConnMinAlloc), bound))
 	q.peek(buf[:q.n])
 	q.buf, q.head = buf, 0
 }
@@ -155,6 +170,10 @@ func (q *memQueue) read(p []byte) (int, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for {
+		ready := q.n
+		if q.s != nil {
+			ready = q.s.arrived(q.n)
+		}
 		switch {
 		case q.r.closed:
 			return 0, net.ErrClosed
@@ -162,8 +181,8 @@ func (q *memQueue) read(p []byte) (int, error) {
 			return 0, os.ErrDeadlineExceeded
 		case len(p) == 0:
 			return 0, nil
-		case q.n > 0:
-			k := min(len(p), q.n)
+		case ready > 0:
+			k := min(len(p), ready)
 			q.peek(p[:k])
 			q.n -= k
 			if q.head += k; q.n == 0 {
@@ -173,6 +192,9 @@ func (q *memQueue) read(p []byte) (int, error) {
 			}
 			q.canWrite.Signal()
 			return k, nil
+		case q.n > 0:
+			// Every byte held is still in flight on a shaped direction.
+			q.armArrival()
 		case q.w.closed:
 			return 0, io.EOF
 		}
@@ -181,15 +203,20 @@ func (q *memQueue) read(p []byte) (int, error) {
 }
 
 // close ends the direction from e, one of its two ends. Once the reading end
-// has closed nobody will read what the direction holds, so the buffer goes
-// with it; what a closed writing end leaves behind stays readable.
+// has closed nobody will read what the direction holds, so the buffer and
+// the schedule's arrivals and timer go with it; what a closed writing end
+// leaves behind stays readable, each byte at its arrival time.
 func (q *memQueue) close(e *memEnd) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	e.closed = true
-	e.stopTimer()
+	stopTimer(&e.timer)
 	if e == &q.r {
 		q.buf, q.head, q.n = nil, 0, 0
+		if s := q.s; s != nil {
+			s.units, s.head, s.inFlight = nil, 0, 0
+			stopTimer(&s.timer)
+		}
 	}
 	q.wakeAll()
 }
@@ -204,7 +231,7 @@ func (q *memQueue) setDeadline(e *memEnd, t time.Time) error {
 	if e.closed {
 		return net.ErrClosed
 	}
-	e.stopTimer()
+	stopTimer(&e.timer)
 	e.expired = false
 	if t.IsZero() {
 		return nil
@@ -231,14 +258,36 @@ func (q *memQueue) setDeadline(e *memEnd, t time.Time) error {
 	return nil
 }
 
+// armArrival arms the arrival timer for the first unit in flight, unless it
+// is armed: a read parked on bytes in flight wakes when they arrive. As with
+// a deadline, a callback whose timer was stopped first changes nothing.
+// Caller holds mu.
+func (q *memQueue) armArrival() {
+	s := q.s
+	if s.timer != nil || s.head == len(s.units) {
+		return
+	}
+	var tm *time.Timer
+	tm = time.AfterFunc(time.Until(s.units[s.head].at), func() {
+		q.mu.Lock()
+		defer q.mu.Unlock()
+		if s.timer == tm {
+			s.timer = nil
+			q.canRead.Broadcast()
+		}
+	})
+	s.timer = tm
+}
+
 func (q *memQueue) wakeAll() {
 	q.canRead.Broadcast()
 	q.canWrite.Broadcast()
 }
 
-func (e *memEnd) stopTimer() {
-	if e.timer != nil {
-		e.timer.Stop()
-		e.timer = nil
+// stopTimer stops the timer *t, if any, and forgets it.
+func stopTimer(t **time.Timer) {
+	if *t != nil {
+		(*t).Stop()
+		*t = nil
 	}
 }

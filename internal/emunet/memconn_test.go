@@ -64,65 +64,97 @@ func pattern(n int) []byte {
 	return p
 }
 
+// pairKind is one kind of connection memConn's contract holds for, with the
+// bytes one direction of it holds before Write blocks.
+type pairKind struct {
+	name  string
+	link  Link
+	bound int
+}
+
+// pairKinds are an unshaped pair and one shaped both ways by a link long
+// enough that bytes are still in flight when a test looks.
+var pairKinds = []pairKind{
+	{"unshaped", Link{}, memConnBytes},
+	{"shaped", Link{OneWayLatency: 30 * time.Millisecond, BandwidthBps: Mbps(1000), Jitter: 5 * time.Millisecond}, shaperQueueBytes},
+}
+
+func (k pairKind) pair() (a, b *memConn) {
+	fwd, rev := schedules(k.link, k.link, rand.New(rand.NewSource(fabricTestSeed)))
+	return newMemConnPair(1, 2, fwd, rev)
+}
+
+// forEachPair runs fn once per pairKind, as a subtest named after it.
+func forEachPair(t *testing.T, fn func(t *testing.T, k pairKind)) {
+	t.Helper()
+	for _, k := range pairKinds {
+		t.Run(k.name, func(t *testing.T) { fn(t, k) })
+	}
+}
+
 // TestMemConnFIFO is contract (a): bytes arrive in order across arbitrary
 // write and read sizes, wrap-arounds and growth of the ring included, and a
 // single Write larger than the bound proceeds in pieces against a slow reader.
 func TestMemConnFIFO(t *testing.T) {
 	t.Run("random-sizes", func(t *testing.T) {
-		a, b := newMemConnPair(1, 2)
-		defer a.Close()
-		defer b.Close()
-		want := pattern(3*memConnBytes + 12345)
-		go func() {
-			rng := rand.New(rand.NewSource(fabricTestSeed))
-			for p := want; len(p) > 0; {
-				k := min(len(p), 1+rng.Intn(100_000))
-				if n, err := a.Write(p[:k]); n != k || err != nil {
-					t.Errorf("Write = (%d, %v), want (%d, nil)", n, err, k)
-					return
+		forEachPair(t, func(t *testing.T, kind pairKind) {
+			a, b := kind.pair()
+			defer a.Close()
+			defer b.Close()
+			want := pattern(3*kind.bound + 12345)
+			go func() {
+				rng := rand.New(rand.NewSource(fabricTestSeed))
+				for p := want; len(p) > 0; {
+					k := min(len(p), 1+rng.Intn(100_000))
+					if n, err := a.Write(p[:k]); n != k || err != nil {
+						t.Errorf("Write = (%d, %v), want (%d, nil)", n, err, k)
+						return
+					}
+					p = p[k:]
 				}
-				p = p[k:]
+			}()
+			rng := rand.New(rand.NewSource(fabricTestSeed + 1))
+			got := make([]byte, 0, len(want))
+			buf := make([]byte, 70_000)
+			for len(got) < len(want) {
+				n, err := b.Read(buf[:1+rng.Intn(len(buf))])
+				if err != nil {
+					t.Fatalf("Read after %d bytes: %v", len(got), err)
+				}
+				got = append(got, buf[:n]...)
 			}
-		}()
-		rng := rand.New(rand.NewSource(fabricTestSeed + 1))
-		got := make([]byte, 0, len(want))
-		buf := make([]byte, 70_000)
-		for len(got) < len(want) {
-			n, err := b.Read(buf[:1+rng.Intn(len(buf))])
-			if err != nil {
-				t.Fatalf("Read after %d bytes: %v", len(got), err)
+			if !bytes.Equal(got, want) {
+				t.Fatal("bytes arrived out of order")
 			}
-			got = append(got, buf[:n]...)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatal("bytes arrived out of order")
-		}
+		})
 	})
 	t.Run("one-write-over-the-bound", func(t *testing.T) {
-		a, b := newMemConnPair(1, 2)
-		defer a.Close()
-		defer b.Close()
-		want := pattern(2*memConnBytes + 999)
-		w := async(func() (int, error) { return a.Write(want) })
-		stillParked(t, w, "Write of twice the bound with no reader")
-		got := make([]byte, 0, len(want))
-		buf := make([]byte, 64<<10)
-		for len(got) < len(want) {
-			n, err := b.Read(buf)
-			if err != nil {
-				t.Fatalf("Read after %d bytes: %v", len(got), err)
+		forEachPair(t, func(t *testing.T, kind pairKind) {
+			a, b := kind.pair()
+			defer a.Close()
+			defer b.Close()
+			want := pattern(2*kind.bound + 999)
+			w := async(func() (int, error) { return a.Write(want) })
+			stillParked(t, w, "Write of twice the bound with no reader")
+			got := make([]byte, 0, len(want))
+			buf := make([]byte, 64<<10)
+			for len(got) < len(want) {
+				n, err := b.Read(buf)
+				if err != nil {
+					t.Fatalf("Read after %d bytes: %v", len(got), err)
+				}
+				got = append(got, buf[:n]...)
+				if len(got) < 1<<20 {
+					time.Sleep(time.Millisecond) // a slow reader, for a while
+				}
 			}
-			got = append(got, buf[:n]...)
-			if len(got) < 1<<20 {
-				time.Sleep(time.Millisecond) // a slow reader, for a while
+			if r := returns(t, w, "Write"); r.n != len(want) || r.err != nil {
+				t.Fatalf("Write = (%d, %v), want (%d, nil)", r.n, r.err, len(want))
 			}
-		}
-		if r := returns(t, w, "Write"); r.n != len(want) || r.err != nil {
-			t.Fatalf("Write = (%d, %v), want (%d, nil)", r.n, r.err, len(want))
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatal("bytes arrived out of order")
-		}
+			if !bytes.Equal(got, want) {
+				t.Fatal("bytes arrived out of order")
+			}
+		})
 	})
 }
 
@@ -177,180 +209,206 @@ func TestMemConnWriteNeedsNoReader(t *testing.T) {
 	}
 }
 
-// TestMemConnClose is contract (c).
+// TestMemConnClose is contract (c). On a shaped pair, bytes still in flight
+// when their writer closes arrive at their times, before io.EOF, and the
+// reading end's Close stops the arrival timer.
 func TestMemConnClose(t *testing.T) {
 	t.Run("writer-closes", func(t *testing.T) {
-		a, b := newMemConnPair(1, 2)
-		defer b.Close()
-		if _, err := a.Write([]byte("last words")); err != nil {
-			t.Fatal(err)
-		}
-		if err := a.Close(); err != nil {
-			t.Fatal(err)
-		}
-		got, err := io.ReadAll(b) // the buffered bytes, then io.EOF
-		if err != nil || string(got) != "last words" {
-			t.Fatalf("peer read %q, %v after close; want the buffered bytes and EOF", got, err)
-		}
-		if _, err := b.Read(make([]byte, 1)); err != io.EOF {
-			t.Fatalf("Read past the end = %v, want io.EOF", err)
-		}
-		if _, err := b.Write([]byte("x")); !errors.Is(err, io.ErrClosedPipe) {
-			t.Fatalf("Write to a closed peer = %v, want io.ErrClosedPipe", err)
-		}
+		forEachPair(t, func(t *testing.T, kind pairKind) {
+			a, b := kind.pair()
+			defer b.Close()
+			start := time.Now()
+			if _, err := a.Write([]byte("last words")); err != nil {
+				t.Fatal(err)
+			}
+			if err := a.Close(); err != nil {
+				t.Fatal(err)
+			}
+			got, err := io.ReadAll(b) // the buffered bytes, then io.EOF
+			if err != nil || string(got) != "last words" {
+				t.Fatalf("peer read %q, %v after close; want the buffered bytes and EOF", got, err)
+			}
+			if took := time.Since(start); took < kind.link.OneWayLatency {
+				t.Fatalf("bytes in flight arrived after %v, before the link's %v", took, kind.link.OneWayLatency)
+			}
+			if _, err := b.Read(make([]byte, 1)); err != io.EOF {
+				t.Fatalf("Read past the end = %v, want io.EOF", err)
+			}
+			if _, err := b.Write([]byte("x")); !errors.Is(err, io.ErrClosedPipe) {
+				t.Fatalf("Write to a closed peer = %v, want io.ErrClosedPipe", err)
+			}
+		})
 	})
 	t.Run("reader-closes", func(t *testing.T) {
-		a, b := newMemConnPair(1, 2)
-		defer a.Close()
-		if _, err := a.Write(make([]byte, memConnBytes)); err != nil {
-			t.Fatal(err)
-		}
-		w := async(func() (int, error) { return a.Write([]byte("parked")) })
-		stillParked(t, w, "Write at the bound")
-		_ = b.Close()
-		if r := returns(t, w, "parked Write after the reader closed"); !errors.Is(r.err, io.ErrClosedPipe) {
-			t.Fatalf("parked Write = (%d, %v), want io.ErrClosedPipe", r.n, r.err)
-		}
-		if _, err := a.Write([]byte("later")); !errors.Is(err, io.ErrClosedPipe) {
-			t.Fatalf("later Write = %v, want io.ErrClosedPipe", err)
-		}
-		if b.in.buf != nil {
-			t.Fatal("a closed reader still holds the direction's buffer")
-		}
+		forEachPair(t, func(t *testing.T, kind pairKind) {
+			a, b := kind.pair()
+			defer a.Close()
+			if _, err := a.Write(make([]byte, kind.bound)); err != nil {
+				t.Fatal(err)
+			}
+			w := async(func() (int, error) { return a.Write([]byte("parked")) })
+			stillParked(t, w, "Write at the bound")
+			_ = b.Close()
+			if r := returns(t, w, "parked Write after the reader closed"); !errors.Is(r.err, io.ErrClosedPipe) {
+				t.Fatalf("parked Write = (%d, %v), want io.ErrClosedPipe", r.n, r.err)
+			}
+			if _, err := a.Write([]byte("later")); !errors.Is(err, io.ErrClosedPipe) {
+				t.Fatalf("later Write = %v, want io.ErrClosedPipe", err)
+			}
+			if b.in.buf != nil {
+				t.Fatal("a closed reader still holds the direction's buffer")
+			}
+			if s := b.in.s; s != nil && (s.timer != nil || s.units != nil) {
+				t.Fatal("a closed reader still holds the direction's arrivals or arrival timer")
+			}
+		})
 	})
 	t.Run("own-calls-fail", func(t *testing.T) {
-		a, b := newMemConnPair(1, 2)
-		defer b.Close()
-		if _, err := b.Write([]byte("unread")); err != nil {
-			t.Fatal(err)
-		}
-		r := async(func() (int, error) { return b.Read(make([]byte, 1)) })
-		stillParked(t, r, "Read of an empty direction")
-		_ = b.Close()
-		if got := returns(t, r, "parked Read after own Close"); !errors.Is(got.err, net.ErrClosed) {
-			t.Fatalf("parked Read = %v, want net.ErrClosed", got.err)
-		}
-		_ = a.Close()
-		if _, err := a.Read(make([]byte, 1)); !errors.Is(err, net.ErrClosed) {
-			t.Fatalf("own Read after Close = %v, want net.ErrClosed (even with bytes buffered)", err)
-		}
-		if _, err := a.Write([]byte("x")); !errors.Is(err, net.ErrClosed) {
-			t.Fatalf("own Write after Close = %v, want net.ErrClosed", err)
-		}
-		if err := a.Close(); err != nil {
-			t.Fatalf("second Close = %v", err)
-		}
+		forEachPair(t, func(t *testing.T, kind pairKind) {
+			a, b := kind.pair()
+			defer b.Close()
+			if _, err := b.Write([]byte("unread")); err != nil {
+				t.Fatal(err)
+			}
+			r := async(func() (int, error) { return b.Read(make([]byte, 1)) })
+			stillParked(t, r, "Read of an empty direction")
+			_ = b.Close()
+			if got := returns(t, r, "parked Read after own Close"); !errors.Is(got.err, net.ErrClosed) {
+				t.Fatalf("parked Read = %v, want net.ErrClosed", got.err)
+			}
+			_ = a.Close()
+			if _, err := a.Read(make([]byte, 1)); !errors.Is(err, net.ErrClosed) {
+				t.Fatalf("own Read after Close = %v, want net.ErrClosed (even with bytes buffered)", err)
+			}
+			if _, err := a.Write([]byte("x")); !errors.Is(err, net.ErrClosed) {
+				t.Fatalf("own Write after Close = %v, want net.ErrClosed", err)
+			}
+			if err := a.Close(); err != nil {
+				t.Fatalf("second Close = %v", err)
+			}
+		})
 	})
 	// link.close() and the drain goroutine close the dialed end while the
 	// stream goroutine writes it; serveIncoming and Transport.Close close the
 	// accepted end while it reads and echoes. All of it at once, under -race.
 	t.Run("concurrent", func(t *testing.T) {
-		a, b := newMemConnPair(1, 2)
-		var wg sync.WaitGroup
-		for _, c := range []*memConn{a, b} {
-			wg.Add(4)
-			go func() {
-				defer wg.Done()
-				for p := make([]byte, 3000); ; {
-					if _, err := c.Write(p); err != nil {
-						return
-					}
-				}
-			}()
-			go func() {
-				defer wg.Done()
-				for p := make([]byte, 1000); ; {
-					if _, err := c.Read(p); err != nil {
-						return
-					}
-				}
-			}()
-			for i := 0; i < 2; i++ {
+		forEachPair(t, func(t *testing.T, kind pairKind) {
+			a, b := kind.pair()
+			var wg sync.WaitGroup
+			for _, c := range []*memConn{a, b} {
+				wg.Add(4)
 				go func() {
 					defer wg.Done()
-					time.Sleep(time.Millisecond)
-					_ = c.SetDeadline(time.Now().Add(time.Hour))
-					_ = c.Close()
+					for p := make([]byte, 3000); ; {
+						if _, err := c.Write(p); err != nil {
+							return
+						}
+					}
 				}()
+				go func() {
+					defer wg.Done()
+					for p := make([]byte, 1000); ; {
+						if _, err := c.Read(p); err != nil {
+							return
+						}
+					}
+				}()
+				for i := 0; i < 2; i++ {
+					go func() {
+						defer wg.Done()
+						time.Sleep(time.Millisecond)
+						_ = c.SetDeadline(time.Now().Add(time.Hour))
+						_ = c.Close()
+					}()
+				}
 			}
-		}
-		wg.Wait()
+			wg.Wait()
+		})
 	})
 }
 
 // TestMemConnDeadlines is contract (d).
 func TestMemConnDeadlines(t *testing.T) {
-	a, b := newMemConnPair(1, 2)
-	defer b.Close()
+	forEachPair(t, func(t *testing.T, kind pairKind) {
+		a, b := kind.pair()
+		defer b.Close()
 
-	// A parked Read is released by a deadline set after it parked.
-	r := async(func() (int, error) { return a.Read(make([]byte, 1)) })
-	stillParked(t, r, "Read of an empty direction")
-	if err := a.SetReadDeadline(time.Now().Add(10 * time.Millisecond)); err != nil {
-		t.Fatal(err)
-	}
-	if got := returns(t, r, "Read past its deadline"); !errors.Is(got.err, os.ErrDeadlineExceeded) {
-		t.Fatalf("Read = %v, want os.ErrDeadlineExceeded", got.err)
-	}
-	// An expired deadline keeps failing calls; the zero time clears it.
-	if _, err := a.Read(make([]byte, 1)); !errors.Is(err, os.ErrDeadlineExceeded) {
-		t.Fatalf("Read after expiry = %v, want os.ErrDeadlineExceeded", err)
-	}
-	if _, err := a.Write([]byte("w")); err != nil {
-		t.Fatalf("a read deadline failed a Write: %v", err)
-	}
-	if err := a.SetReadDeadline(time.Time{}); err != nil {
-		t.Fatal(err)
-	}
-	r = async(func() (int, error) { return a.Read(make([]byte, 1)) })
-	stillParked(t, r, "Read after the deadline was cleared")
-	if _, err := b.Write([]byte("r")); err != nil {
-		t.Fatal(err)
-	}
-	if got := returns(t, r, "Read"); got.n != 1 || got.err != nil {
-		t.Fatalf("Read = (%d, %v)", got.n, got.err)
-	}
+		// A parked Read is released by a deadline set after it parked.
+		r := async(func() (int, error) { return a.Read(make([]byte, 1)) })
+		stillParked(t, r, "Read of an empty direction")
+		if err := a.SetReadDeadline(time.Now().Add(10 * time.Millisecond)); err != nil {
+			t.Fatal(err)
+		}
+		if got := returns(t, r, "Read past its deadline"); !errors.Is(got.err, os.ErrDeadlineExceeded) {
+			t.Fatalf("Read = %v, want os.ErrDeadlineExceeded", got.err)
+		}
+		// An expired deadline keeps failing calls; the zero time clears it.
+		if _, err := a.Read(make([]byte, 1)); !errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("Read after expiry = %v, want os.ErrDeadlineExceeded", err)
+		}
+		if _, err := a.Write([]byte("w")); err != nil {
+			t.Fatalf("a read deadline failed a Write: %v", err)
+		}
+		if err := a.SetReadDeadline(time.Time{}); err != nil {
+			t.Fatal(err)
+		}
+		r = async(func() (int, error) { return a.Read(make([]byte, 1)) })
+		stillParked(t, r, "Read after the deadline was cleared")
+		if _, err := b.Write([]byte("r")); err != nil {
+			t.Fatal(err)
+		}
+		if got := returns(t, r, "Read"); got.n != 1 || got.err != nil {
+			t.Fatalf("Read = (%d, %v)", got.n, got.err)
+		}
 
-	// A parked Write is released by SetWriteDeadline, and by SetDeadline with
-	// a time already past.
-	if _, err := a.Write(make([]byte, memConnBytes-1)); err != nil {
-		t.Fatal(err)
-	}
-	w := async(func() (int, error) { return a.Write([]byte("parked")) })
-	stillParked(t, w, "Write at the bound")
-	if err := a.SetWriteDeadline(time.Now().Add(10 * time.Millisecond)); err != nil {
-		t.Fatal(err)
-	}
-	if got := returns(t, w, "Write past its deadline"); !errors.Is(got.err, os.ErrDeadlineExceeded) {
-		t.Fatalf("Write = %v, want os.ErrDeadlineExceeded", got.err)
-	}
-	if err := a.SetDeadline(time.Time{}); err != nil {
-		t.Fatal(err)
-	}
-	w = async(func() (int, error) { return a.Write([]byte("parked")) })
-	stillParked(t, w, "Write after the deadline was cleared")
-	if err := a.SetDeadline(time.Now().Add(-time.Second)); err != nil {
-		t.Fatal(err)
-	}
-	if got := returns(t, w, "Write with a deadline in the past"); !errors.Is(got.err, os.ErrDeadlineExceeded) {
-		t.Fatalf("Write = %v, want os.ErrDeadlineExceeded", got.err)
-	}
-	var ne net.Error
-	if _, err := a.Read(make([]byte, 1)); !errors.As(err, &ne) || !ne.Timeout() {
-		t.Fatalf("Read with a deadline in the past = %v, want a net.Error timeout", err)
-	}
+		// A parked Write is released by SetWriteDeadline, and by SetDeadline
+		// with a time already past.
+		if _, err := a.Write(make([]byte, kind.bound-1)); err != nil {
+			t.Fatal(err)
+		}
+		w := async(func() (int, error) { return a.Write([]byte("parked")) })
+		stillParked(t, w, "Write at the bound")
+		if err := a.SetWriteDeadline(time.Now().Add(10 * time.Millisecond)); err != nil {
+			t.Fatal(err)
+		}
+		if got := returns(t, w, "Write past its deadline"); !errors.Is(got.err, os.ErrDeadlineExceeded) {
+			t.Fatalf("Write = %v, want os.ErrDeadlineExceeded", got.err)
+		}
+		if err := a.SetDeadline(time.Time{}); err != nil {
+			t.Fatal(err)
+		}
+		w = async(func() (int, error) { return a.Write([]byte("parked")) })
+		stillParked(t, w, "Write after the deadline was cleared")
+		if err := a.SetDeadline(time.Now().Add(-time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		if got := returns(t, w, "Write with a deadline in the past"); !errors.Is(got.err, os.ErrDeadlineExceeded) {
+			t.Fatalf("Write = %v, want os.ErrDeadlineExceeded", got.err)
+		}
+		var ne net.Error
+		if _, err := a.Read(make([]byte, 1)); !errors.As(err, &ne) || !ne.Timeout() {
+			t.Fatalf("Read with a deadline in the past = %v, want a net.Error timeout", err)
+		}
 
-	// No timer outlives Close, and a closed end arms no new one.
-	if err := a.SetDeadline(time.Now().Add(time.Hour)); err != nil {
-		t.Fatal(err)
-	}
-	_ = a.Close()
-	if err := a.SetDeadline(time.Now().Add(time.Hour)); !errors.Is(err, net.ErrClosed) {
-		t.Fatalf("SetDeadline after Close = %v, want net.ErrClosed", err)
-	}
-	if a.in.r.timer != nil || a.out.w.timer != nil {
-		t.Error("a deadline timer outlived Close")
-	}
+		// No timer outlives Close, and a closed end arms no new one: not the
+		// deadlines, and not the arrival timer of bytes still in flight.
+		if err := a.SetDeadline(time.Now().Add(time.Hour)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.Write([]byte("in flight")); err != nil {
+			t.Fatal(err)
+		}
+		_ = a.Close()
+		if err := a.SetDeadline(time.Now().Add(time.Hour)); !errors.Is(err, net.ErrClosed) {
+			t.Fatalf("SetDeadline after Close = %v, want net.ErrClosed", err)
+		}
+		if a.in.r.timer != nil || a.out.w.timer != nil {
+			t.Error("a deadline timer outlived Close")
+		}
+		if s := a.in.s; s != nil && s.timer != nil {
+			t.Error("the arrival timer outlived Close")
+		}
+	})
 }
 
 // BenchmarkMemConn prices the fabric's connection beside the net.Pipe it
@@ -362,7 +420,7 @@ func BenchmarkMemConn(b *testing.B) {
 		name string
 		pair func() (net.Conn, net.Conn)
 	}{
-		{"", func() (net.Conn, net.Conn) { x, y := newMemConnPair(1, 2); return x, y }},
+		{"", func() (net.Conn, net.Conn) { x, y := newMemConnPair(1, 2, nil, nil); return x, y }},
 		{"net.Pipe-", net.Pipe},
 	}
 	for _, f := range fabrics {

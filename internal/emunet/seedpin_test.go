@@ -15,18 +15,16 @@ import (
 const fabricTestSeed int64 = 1
 
 // TestJitterSequenceIsSeedPinned checks the shaper's randomness contract
-// at the queue level, where it is timing-free: the same seed must yield
+// at the schedule level, where it is timing-free: the same seed must yield
 // the identical jitter sequence, a different seed a different one, and
 // every draw must stay inside [0, Jitter).
 func TestJitterSequenceIsSeedPinned(t *testing.T) {
 	link := Link{OneWayLatency: time.Millisecond, Jitter: 5 * time.Millisecond}
 	draw := func(seed int64, n int) []time.Duration {
-		q := newTimedQueue(link, rand.New(rand.NewSource(seed)))
+		s := newSchedule(link, rand.New(rand.NewSource(seed)))
 		out := make([]time.Duration, n)
-		q.mu.Lock()
-		defer q.mu.Unlock()
 		for i := range out {
-			out[i] = q.jitter()
+			out[i] = s.jitter()
 		}
 		return out
 	}
@@ -56,12 +54,66 @@ func TestJitterSequenceIsSeedPinned(t *testing.T) {
 // jittered link profile must degrade to pure latency, not panic or hang.
 func TestJitterZeroWithoutSource(t *testing.T) {
 	link := Link{Jitter: 5 * time.Millisecond}
-	q := newTimedQueue(link, nil)
-	q.mu.Lock()
-	defer q.mu.Unlock()
+	s := newSchedule(link, nil)
 	for i := 0; i < 16; i++ {
-		if j := q.jitter(); j != 0 {
-			t.Fatalf("sourceless queue drew jitter %v, want 0", j)
+		if j := s.jitter(); j != 0 {
+			t.Fatalf("sourceless schedule drew jitter %v, want 0", j)
+		}
+	}
+}
+
+// TestJitterSourcesFollowTheDialOrder pins where a seeded fabric's jitter
+// comes from: every dial, shaped or not, takes one child of the fabric's
+// source, and a shaped dial draws its forward source from that child, then
+// its reverse one. A seed then replays each direction's draws.
+func TestJitterSourcesFollowTheDialOrder(t *testing.T) {
+	jittered := Link{OneWayLatency: time.Millisecond, Jitter: 5 * time.Millisecond}
+	matrix := NewMatrix() // 1 ↔ 3 stays unshaped
+	matrix.SetSymmetric(1, 2, jittered)
+	matrix.SetSymmetric(1, 4, jittered)
+	n := NewMemNetwork(matrix)
+	defer n.Close()
+	n.Seed(fabricTestSeed)
+	for _, node := range []int{2, 3, 4} {
+		l, err := n.Listen(node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			for {
+				c, err := l.Accept()
+				if err != nil {
+					return
+				}
+				_ = c.Close()
+			}
+		}()
+	}
+	master := rand.New(rand.NewSource(fabricTestSeed))
+	for _, to := range []int{2, 3, 4} {
+		conn, err := n.Dial(1, to)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		child := rand.New(rand.NewSource(master.Int63()))
+		c := conn.(*memConn)
+		if to == 3 {
+			if c.out.s != nil || c.in.s != nil {
+				t.Fatalf("the unshaped dial 1 -> 3 got a schedule")
+			}
+			continue
+		}
+		for _, dir := range []struct {
+			name string
+			s    *schedule
+		}{{"forward", c.out.s}, {"reverse", c.in.s}} {
+			want := rand.New(rand.NewSource(child.Int63()))
+			for i := 0; i < 8; i++ {
+				if got, w := dir.s.jitter(), time.Duration(want.Int63n(int64(jittered.Jitter))); got != w {
+					t.Fatalf("seed %d, dial 1 -> %d: %s draw %d = %v, want %v", fabricTestSeed, to, dir.name, i, got, w)
+				}
+			}
 		}
 	}
 }

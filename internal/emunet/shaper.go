@@ -1,20 +1,107 @@
 package emunet
 
 import (
-	"io"
 	"math/rand"
 	"net"
 	"sync"
 	"time"
 )
 
-// shaperQueueBytes bounds the number of in-flight bytes a shaped direction
-// may hold before Write blocks, emulating a finite socket buffer.
+// shaperQueueBytes bounds the number of bytes a shaped direction may hold,
+// in flight or arrived and unread, before Write blocks, emulating a finite
+// socket buffer.
 const shaperQueueBytes = 4 << 20
 
-// maxChunk bounds the size of one shaped unit so very large writes do not
-// pin large buffers and are serialized progressively.
+// maxChunk bounds the size of one shaped unit so very large writes are
+// serialized progressively.
 const maxChunk = 64 << 10
+
+// schedule is a shaped direction's link model: the latency + token-bucket
+// bandwidth + jitter model of Link, applied per write unit of at most
+// maxChunk bytes. Unit i's serialization starts when unit i-1's ends, and it
+// arrives one propagation delay (plus a jitter draw) after serialization
+// completes, but never before unit i-1: jitter perturbs arrival times, never
+// order. A schedule belongs to one memQueue and is guarded by its mu.
+type schedule struct {
+	link Link
+	rng  *rand.Rand // jitter source; nil = no jitter
+
+	free     time.Time // when the link is free to serialize the next unit
+	units    []arrival // units[head:] are not yet seen to arrive, oldest first
+	head     int
+	inFlight int         // bytes of units[head:]
+	timer    *time.Timer // wakes a read parked on bytes in flight
+}
+
+// arrival is one write unit of n bytes, readable from at on.
+type arrival struct {
+	at time.Time
+	n  int
+}
+
+// newSchedule returns the schedule of a direction shaped by l, or nil if l
+// shapes nothing.
+func newSchedule(l Link, rng *rand.Rand) *schedule {
+	if l.zero() {
+		return nil
+	}
+	return &schedule{link: l, rng: rng}
+}
+
+// schedules returns the schedules of a connection's two directions, shaped
+// by fwd and rev. If either is shaped, each direction draws its own jitter
+// source from rng, fwd first, so a seed replays the per-direction draws; a
+// nil rng disables jitter.
+func schedules(fwd, rev Link, rng *rand.Rand) (f, r *schedule) {
+	if fwd.zero() && rev.zero() {
+		return nil, nil
+	}
+	var fr, rr *rand.Rand
+	if rng != nil {
+		fr = rand.New(rand.NewSource(rng.Int63()))
+		rr = rand.New(rand.NewSource(rng.Int63()))
+	}
+	return newSchedule(fwd, fr), newSchedule(rev, rr)
+}
+
+// jitter draws one unit's extra propagation delay.
+func (s *schedule) jitter() time.Duration {
+	if s.link.Jitter <= 0 || s.rng == nil {
+		return 0
+	}
+	return time.Duration(s.rng.Int63n(int64(s.link.Jitter)))
+}
+
+// stamp schedules a unit of n bytes written now.
+func (s *schedule) stamp(n int) {
+	now := time.Now()
+	if s.free.Before(now) {
+		s.free = now
+	}
+	s.free = s.free.Add(s.link.Transmission(n))
+	if s.head > 0 && len(s.units) == cap(s.units) {
+		s.units = s.units[:copy(s.units, s.units[s.head:])]
+		s.head = 0
+	}
+	s.units = append(s.units, arrival{at: s.free.Add(s.link.OneWayLatency + s.jitter()), n: n})
+	s.inFlight += n
+}
+
+// arrived returns how many of the n bytes the direction holds have arrived:
+// the prefix whose units are all due.
+func (s *schedule) arrived(n int) int {
+	if s.inFlight > 0 {
+		now := time.Now()
+		for s.head < len(s.units) && !s.units[s.head].at.After(now) {
+			s.inFlight -= s.units[s.head].n
+			s.head++
+		}
+		if s.head == len(s.units) {
+			s.units, s.head = s.units[:0], 0
+		}
+	}
+	return n - s.inFlight
+}
 
 // Shape wraps conn so that writes experience the fwd link profile and reads
 // the rev profile. The wrapper owns conn: closing the shaped connection
@@ -30,22 +117,21 @@ func Shape(conn net.Conn, fwd, rev Link) net.Conn {
 // jitter. Each direction gets its own sub-source so the two queues never
 // contend on rng.
 func ShapeSeeded(conn net.Conn, fwd, rev Link, rng *rand.Rand) net.Conn {
-	if fwd.zero() && rev.zero() {
-		// Both directions are unshaped: wrapping would only add chunk
-		// copies, two relay goroutines and a timestamp per chunk. Hand
-		// the raw connection back.
+	f, r := schedules(fwd, rev, rng)
+	return shape(conn, f, r)
+}
+
+// shape puts conn behind two memQueues, the outgoing one scheduled by fwd and
+// the incoming one by rev, with one relay goroutine each between them and
+// conn: a kernel socket cannot carry a schedule. If both are nil there is
+// nothing to shape, and conn comes back as it is.
+func shape(conn net.Conn, fwd, rev *schedule) net.Conn {
+	if fwd == nil && rev == nil {
 		return conn
 	}
-	var fr, rr *rand.Rand
-	if rng != nil {
-		fr = rand.New(rand.NewSource(rng.Int63()))
-		rr = rand.New(rand.NewSource(rng.Int63()))
-	}
 	s := &shapedConn{
-		conn: conn,
-		out:  newTimedQueue(fwd, fr),
-		in:   newTimedQueue(rev, rr),
-		done: make(chan struct{}),
+		memConn: memConn{in: newMemQueue(rev), out: newMemQueue(fwd)},
+		conn:    conn,
 	}
 	s.wg.Add(2)
 	go s.writeLoop()
@@ -53,94 +139,60 @@ func ShapeSeeded(conn net.Conn, fwd, rev Link, rng *rand.Rand) net.Conn {
 	return s
 }
 
+// shapedConn is a memConn whose far ends are two relays to a raw connection:
+// Read, Write and the deadlines are memConn's, on the shaped queues.
 type shapedConn struct {
+	memConn
 	conn net.Conn
-	out  *timedQueue // bytes we wrote, awaiting shaped delivery to conn
-	in   *timedQueue // bytes read from conn, awaiting shaped delivery to Read
-
-	pending []byte // partially consumed chunk for Read
 
 	closeOnce sync.Once
-	done      chan struct{}
 	wg        sync.WaitGroup
 }
 
 var _ net.Conn = (*shapedConn)(nil)
 
-// Write enqueues p for shaped delivery and returns once the bytes are
-// buffered (possibly blocking on the bounded queue).
-func (s *shapedConn) Write(p []byte) (int, error) {
-	total := 0
-	for len(p) > 0 {
-		n := len(p)
-		if n > maxChunk {
-			n = maxChunk
-		}
-		chunk := make([]byte, n)
-		copy(chunk, p[:n])
-		if err := s.out.push(chunk); err != nil {
-			return total, err
-		}
-		total += n
-		p = p[n:]
-	}
-	return total, nil
-}
-
-// Read delivers shaped inbound bytes.
-func (s *shapedConn) Read(p []byte) (int, error) {
-	if len(s.pending) == 0 {
-		chunk, err := s.in.pop()
-		if err != nil {
-			return 0, err
-		}
-		s.pending = chunk
-	}
-	n := copy(p, s.pending)
-	s.pending = s.pending[n:]
-	return n, nil
-}
-
+// writeLoop moves bytes that have arrived on out to conn. If conn fails, out's
+// reading end closes, so Write fails rather than blocking at the bound.
 func (s *shapedConn) writeLoop() {
 	defer s.wg.Done()
+	buf := make([]byte, maxChunk)
 	for {
-		chunk, err := s.out.pop()
+		n, err := s.out.read(buf)
 		if err != nil {
 			return
 		}
-		if _, err := s.conn.Write(chunk); err != nil {
-			s.out.fail(err)
+		if _, err := s.conn.Write(buf[:n]); err != nil {
+			s.out.close(&s.out.r)
 			return
 		}
 	}
 }
 
+// readLoop moves bytes read from conn into in, where they arrive on rev's
+// schedule. When conn fails, in's writing end closes: Read drains what is
+// still in flight and then returns io.EOF.
 func (s *shapedConn) readLoop() {
 	defer s.wg.Done()
 	buf := make([]byte, 32<<10)
 	for {
 		n, err := s.conn.Read(buf)
-		if n > 0 {
-			chunk := make([]byte, n)
-			copy(chunk, buf[:n])
-			if perr := s.in.push(chunk); perr != nil {
-				return
-			}
+		if _, werr := s.in.write(buf[:n]); werr != nil {
+			return
 		}
 		if err != nil {
-			s.in.fail(err)
+			s.in.close(&s.in.w)
 			return
 		}
 	}
 }
 
-// Close tears the connection down.
+// Close fails the connection's own calls with net.ErrClosed, drops what is
+// still in flight either way, closes conn and waits for both relays.
 func (s *shapedConn) Close() error {
 	var err error
 	s.closeOnce.Do(func() {
-		close(s.done)
-		s.out.fail(net.ErrClosed)
-		s.in.fail(net.ErrClosed)
+		s.memConn.Close()
+		s.out.close(&s.out.r)
 		err = s.conn.Close()
 		s.wg.Wait()
 	})
@@ -152,115 +204,3 @@ func (s *shapedConn) LocalAddr() net.Addr { return s.conn.LocalAddr() }
 
 // RemoteAddr implements net.Conn.
 func (s *shapedConn) RemoteAddr() net.Addr { return s.conn.RemoteAddr() }
-
-// SetDeadline is a no-op: shaped connections are used by the transport
-// layer, which relies on Close for unblocking rather than deadlines.
-func (s *shapedConn) SetDeadline(time.Time) error { return nil }
-
-// SetReadDeadline is a no-op; see SetDeadline.
-func (s *shapedConn) SetReadDeadline(time.Time) error { return nil }
-
-// SetWriteDeadline is a no-op; see SetDeadline.
-func (s *shapedConn) SetWriteDeadline(time.Time) error { return nil }
-
-// timedQueue is a bounded FIFO of byte chunks, each released no earlier than
-// its link-computed delivery time. It implements the latency + token-bucket
-// bandwidth model: chunk i's serialization starts when chunk i-1's ends, and
-// delivery happens one propagation delay after serialization completes.
-type timedQueue struct {
-	link Link
-	rng  *rand.Rand // jitter source; guarded by mu, nil = no jitter
-
-	mu       sync.Mutex
-	notEmpty sync.Cond
-	notFull  sync.Cond
-	items    []timedChunk
-	bytes    int
-	nextFree time.Time // virtual clock: when the link is free to serialize
-	err      error
-}
-
-type timedChunk struct {
-	data      []byte
-	deliverAt time.Time
-}
-
-func newTimedQueue(link Link, rng *rand.Rand) *timedQueue {
-	q := &timedQueue{link: link, rng: rng}
-	q.notEmpty.L = &q.mu
-	q.notFull.L = &q.mu
-	return q
-}
-
-// jitter draws this chunk's extra propagation delay. Caller holds q.mu.
-func (q *timedQueue) jitter() time.Duration {
-	if q.link.Jitter <= 0 || q.rng == nil {
-		return 0
-	}
-	return time.Duration(q.rng.Int63n(int64(q.link.Jitter)))
-}
-
-// push enqueues a chunk, blocking while the queue is full.
-func (q *timedQueue) push(data []byte) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for q.err == nil && q.bytes+len(data) > shaperQueueBytes && q.bytes > 0 {
-		q.notFull.Wait()
-	}
-	if q.err != nil {
-		return q.err
-	}
-	now := time.Now()
-	start := q.nextFree
-	if start.Before(now) {
-		start = now
-	}
-	done := start.Add(q.link.Transmission(len(data)))
-	q.nextFree = done
-	q.items = append(q.items, timedChunk{
-		data:      data,
-		deliverAt: done.Add(q.link.OneWayLatency + q.jitter()),
-	})
-	q.bytes += len(data)
-	q.notEmpty.Signal()
-	return nil
-}
-
-// pop dequeues the next chunk, sleeping until its delivery time.
-func (q *timedQueue) pop() ([]byte, error) {
-	q.mu.Lock()
-	for len(q.items) == 0 && q.err == nil {
-		q.notEmpty.Wait()
-	}
-	if len(q.items) == 0 {
-		err := q.err
-		q.mu.Unlock()
-		return nil, err
-	}
-	item := q.items[0]
-	q.items = q.items[1:]
-	q.bytes -= len(item.data)
-	q.notFull.Broadcast()
-	q.mu.Unlock()
-
-	if d := time.Until(item.deliverAt); d > 0 {
-		time.Sleep(d)
-	}
-	return item.data, nil
-}
-
-// fail poisons the queue; blocked and future operations return err. Chunks
-// already queued remain poppable so in-flight data drains (like a FIN after
-// buffered data).
-func (q *timedQueue) fail(err error) {
-	if err == nil {
-		err = io.EOF
-	}
-	q.mu.Lock()
-	if q.err == nil {
-		q.err = err
-	}
-	q.mu.Unlock()
-	q.notEmpty.Broadcast()
-	q.notFull.Broadcast()
-}
