@@ -19,10 +19,12 @@ const memConnMinAlloc = 512
 // memConn is one end of an in-memory connection with socket semantics: Write
 // copies into the outgoing direction's buffer and returns, blocking only
 // while that direction already holds its bound; Read takes what has arrived.
-// Neither call waits for the peer to be scheduled, and there is no goroutine
-// or channel per connection. A shaped direction carries its link's schedule
-// (see schedule), so the emulated WAN is this one queue per direction, as tc
-// puts delay and rate on the link's own egress queue.
+// WriteBuffers is Write of a concatenation it never builds: each buffer is
+// copied straight into the direction, as a kernel writev copies its iovecs
+// into the socket. Neither call waits for the peer to be scheduled, and there
+// is no goroutine or channel per connection. A shaped direction carries its
+// link's schedule (see schedule), so the emulated WAN is this one queue per
+// direction, as tc puts delay and rate on the link's own egress queue.
 type memConn struct {
 	in, out       *memQueue
 	local, remote memAddr
@@ -41,7 +43,13 @@ func newMemConnPair(from, to int, fwd, rev *schedule) (dialSide, acceptSide *mem
 }
 
 func (c *memConn) Read(p []byte) (int, error)  { return c.in.read(p) }
-func (c *memConn) Write(p []byte) (int, error) { return c.out.write(p) }
+func (c *memConn) Write(p []byte) (int, error) { return c.out.write([][]byte{p}) }
+
+// WriteBuffers writes the concatenation of bufs as one Write of it would, but
+// copies each buffer straight into the direction: a writer that gathers its
+// frames by reference pays one copy per byte here, the one a kernel writev
+// makes. It keeps none of bufs.
+func (c *memConn) WriteBuffers(bufs [][]byte) (int, error) { return c.out.write(bufs) }
 
 // Close fails this end's own calls, parked or future, with net.ErrClosed.
 // The peer's Writes fail with io.ErrClosedPipe; its Reads drain what this end
@@ -68,8 +76,9 @@ func (c *memConn) SetReadDeadline(t time.Time) error  { return c.in.setDeadline(
 func (c *memConn) SetWriteDeadline(t time.Time) error { return c.out.setDeadline(&c.out.w, t) }
 
 // memQueue is one direction of a memConn: a bounded FIFO of bytes between
-// the end that writes it and the end that reads it. The ring is allocated on
-// the first byte and doubles on demand, so a direction that has carried
+// the end that writes it and the end that reads it. Its one write takes a
+// vector of buffers (a plain Write is a vector of one). The ring is allocated
+// on the first byte and doubles on demand, so a direction that has carried
 // nothing holds no buffer. An unshaped direction holds up to memConnBytes and
 // a byte is readable once written; a shaped one holds up to shaperQueueBytes,
 // and a byte is readable once its schedule says it has arrived.
@@ -103,50 +112,88 @@ func newMemQueue(s *schedule) *memQueue {
 	return q
 }
 
-func (q *memQueue) write(p []byte) (int, error) {
+// write appends the concatenation of bufs to the direction, blocking while it
+// holds its bound, and returns how many bytes it took: all of them, or fewer
+// and the error that stopped it. Each byte is copied once, from its buffer
+// straight into the ring, and wmu keeps the whole vector contiguous against
+// other writers. Copied bytes are published (stamped with their arrival on a
+// shaped direction, announced to a parked reader on an unshaped one) in
+// units of at most maxChunk of the concatenation, however it is cut into
+// buffers, and before every wait for room: a unit never spans a wait, and a
+// reader never sees a byte the schedule has not stamped. Nothing changes
+// while mu is held, so what stops a write is looked for on entry and after
+// each wait, when everything copied has been published.
+func (q *memQueue) write(bufs [][]byte) (int, error) {
 	q.wmu.Lock()
 	defer q.wmu.Unlock()
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	total := 0
-	for {
-		switch {
-		case q.w.closed:
-			return total, net.ErrClosed
-		case q.r.closed:
-			return total, io.ErrClosedPipe
-		case q.w.expired:
-			return total, os.ErrDeadlineExceeded
-		case len(p) == 0:
-			return total, nil
+	if err := q.writeErr(); err != nil {
+		return 0, err
+	}
+	bound, unit := memConnBytes, memConnBytes
+	if q.s != nil {
+		bound, unit = shaperQueueBytes, maxChunk
+	}
+	total, fresh := 0, 0 // fresh: copied and not yet published
+	for _, p := range bufs {
+		for len(p) > 0 {
+			k := min(len(p), bound-q.n, unit-fresh)
+			if k == 0 {
+				q.publish(fresh)
+				fresh = 0
+				if q.n == bound {
+					q.canWrite.Wait()
+					if err := q.writeErr(); err != nil {
+						return total, err
+					}
+				}
+				continue
+			}
+			if q.n+k > len(q.buf) {
+				q.grow(q.n+k, bound)
+			}
+			tail := q.head + q.n
+			if tail >= len(q.buf) {
+				tail -= len(q.buf)
+			}
+			if c := copy(q.buf[tail:], p[:k]); c < k {
+				copy(q.buf, p[c:k])
+			}
+			q.n += k
+			total += k
+			fresh += k
+			p = p[k:]
 		}
-		bound, k := memConnBytes, len(p)
-		if q.s != nil {
-			bound, k = shaperQueueBytes, min(k, maxChunk)
-		}
-		if k = min(k, bound-q.n); k == 0 {
-			q.canWrite.Wait()
-			continue
-		}
-		if q.n+k > len(q.buf) {
-			q.grow(q.n+k, bound)
-		}
-		tail := q.head + q.n
-		if tail >= len(q.buf) {
-			tail -= len(q.buf)
-		}
-		if c := copy(q.buf[tail:], p[:k]); c < k {
-			copy(q.buf, p[c:k])
-		}
-		q.n += k
-		total += k
-		p = p[k:]
-		if q.s != nil {
-			q.s.stamp(k)
-			q.armArrival()
-		} else {
-			q.canRead.Broadcast()
-		}
+	}
+	q.publish(fresh)
+	return total, nil
+}
+
+// writeErr is what fails a write on the direction now, if anything. Caller
+// holds mu.
+func (q *memQueue) writeErr() error {
+	switch {
+	case q.w.closed:
+		return net.ErrClosed
+	case q.r.closed:
+		return io.ErrClosedPipe
+	case q.w.expired:
+		return os.ErrDeadlineExceeded
+	}
+	return nil
+}
+
+// publish makes the last n bytes written readable: one unit on the schedule
+// of a shaped direction, at once on an unshaped one. Caller holds mu.
+func (q *memQueue) publish(n int) {
+	switch {
+	case n == 0:
+	case q.s != nil:
+		q.s.stamp(n)
+		q.armArrival()
+	default:
+		q.canRead.Broadcast()
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net"
 	"os"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -411,6 +412,195 @@ func TestMemConnDeadlines(t *testing.T) {
 	})
 }
 
+// vector cuts pattern(total) into buffers of the given sizes, so the
+// concatenation of any vector it returns is pattern of its total size.
+func vector(sizes ...int) [][]byte {
+	total := 0
+	for _, n := range sizes {
+		total += n
+	}
+	p := pattern(total)
+	bufs := make([][]byte, len(sizes))
+	for i, n := range sizes {
+		bufs[i], p = p[:n:n], p[n:]
+	}
+	return bufs
+}
+
+// writeVector returns a call that writes bufs to c as one WriteBuffers, or
+// as one Write of their concatenation.
+func writeVector(c *memConn, vectored bool, bufs [][]byte) func() (int, error) {
+	if vectored {
+		return func() (int, error) { return c.WriteBuffers(bufs) }
+	}
+	joined := bytes.Join(bufs, nil)
+	return func() (int, error) { return c.Write(joined) }
+}
+
+// fills waits until q holds n bytes: a write over the bound has copied what
+// fits and is parked for room (or about to park, which is the same to a
+// caller that only looks at what the write returns).
+func fills(t *testing.T, q *memQueue, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		q.mu.Lock()
+		held := q.n
+		q.mu.Unlock()
+		if held == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the direction holds %d bytes, want %d", held, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// unitSizes returns the sizes of the units the direction's schedule has
+// stamped and no read has yet seen arrive; nil on an unshaped direction.
+func unitSizes(q *memQueue) []int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.s == nil {
+		return nil
+	}
+	var sizes []int
+	for _, u := range q.s.units[q.s.head:] {
+		sizes = append(sizes, u.n)
+	}
+	return sizes
+}
+
+// TestMemConnWriteBuffers pins that a vectored write is a Write of the
+// concatenation: the same bytes in the same order, the same units on a
+// shaped direction's schedule (at most maxChunk of the concatenation each,
+// wherever the buffers are cut), the same bound, and the same partial count
+// and error when the write is stopped half way through the vector.
+func TestMemConnWriteBuffers(t *testing.T) {
+	cases := []struct {
+		name string
+		// prime is written and then partly read before the vector, placing
+		// the ring's head; the bytes left unread come out ahead of it.
+		prime, primeRead int
+		sizes            []int
+		units            []int // the vector's units on a shaped direction
+	}{
+		{name: "straddles-the-wrap", prime: 400, primeRead: 300, sizes: []int{50, 100, 150}, units: []int{300}},
+		{name: "units-across-buffers", sizes: []int{40_000, 50_000, 60_000}, units: []int{maxChunk, maxChunk, 150_000 - 2*maxChunk}},
+		{name: "unit-boundary-between-buffers", sizes: []int{maxChunk, 1, maxChunk - 1, 10}, units: []int{maxChunk, maxChunk, 10}},
+		{name: "zero-length-buffers", sizes: []int{0, 10, 0, 0, 20, 0}, units: []int{30}},
+		{name: "only-empty-buffers", sizes: []int{0, 0}},
+		{name: "no-buffers"},
+	}
+	forEachPair(t, func(t *testing.T, kind pairKind) {
+		for _, tc := range cases {
+			t.Run(tc.name, func(t *testing.T) {
+				var got [2][]byte
+				var units [2][]int
+				for i, vectored := range []bool{false, true} {
+					a, b := kind.pair()
+					defer a.Close()
+					defer b.Close()
+					if tc.prime > 0 {
+						if _, err := a.Write(bytes.Repeat([]byte{0xEE}, tc.prime)); err != nil {
+							t.Fatal(err)
+						}
+						if _, err := io.ReadFull(b, make([]byte, tc.primeRead)); err != nil {
+							t.Fatal(err)
+						}
+					}
+					before := len(unitSizes(a.out))
+					bufs := vector(tc.sizes...)
+					want := len(bytes.Join(bufs, nil))
+					if tc.prime > 0 && a.out.head+a.out.n+want <= len(a.out.buf) {
+						t.Fatalf("the vector does not reach the ring's end (head %d, %d held, ring %d)", a.out.head, a.out.n, len(a.out.buf))
+					}
+					if n, err := writeVector(a, vectored, bufs)(); n != want || err != nil {
+						t.Fatalf("vectored=%v: wrote (%d, %v), want (%d, nil)", vectored, n, err, want)
+					}
+					units[i] = unitSizes(a.out)[before:]
+					got[i] = make([]byte, tc.prime-tc.primeRead+want)
+					if _, err := io.ReadFull(b, got[i]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if !bytes.Equal(got[1], got[0]) {
+					t.Fatal("WriteBuffers carried other bytes than a Write of the concatenation")
+				}
+				if kind.link.zero() {
+					return
+				}
+				if !slices.Equal(units[0], tc.units) {
+					t.Fatalf("Write stamped units %v, want %v", units[0], tc.units)
+				}
+				if !slices.Equal(units[1], tc.units) {
+					t.Fatalf("WriteBuffers stamped units %v, want %v (one per unit of the concatenation)", units[1], tc.units)
+				}
+			})
+		}
+
+		// A vector over the bound parks mid-vector and resumes as the reader
+		// drains, and a Write that comes while it is parked lands behind all
+		// of it, not inside it.
+		t.Run("over-the-bound", func(t *testing.T) {
+			a, b := kind.pair()
+			defer a.Close()
+			defer b.Close()
+			bufs := vector(kind.bound/2, kind.bound/2+500, 7000)
+			want := bytes.Join(bufs, nil)
+			other := bytes.Repeat([]byte{0xEE}, 5000)
+			w1 := async(func() (int, error) { return a.WriteBuffers(bufs) })
+			fills(t, a.out, kind.bound)
+			stillParked(t, w1, "WriteBuffers over the bound with no reader")
+			w2 := async(func() (int, error) { return a.Write(other) })
+			stillParked(t, w2, "Write behind a parked WriteBuffers")
+			got := make([]byte, len(want)+len(other))
+			if _, err := io.ReadFull(b, got); err != nil {
+				t.Fatal(err)
+			}
+			if r := returns(t, w1, "WriteBuffers"); r.n != len(want) || r.err != nil {
+				t.Fatalf("WriteBuffers = (%d, %v), want (%d, nil)", r.n, r.err, len(want))
+			}
+			if r := returns(t, w2, "Write"); r.n != len(other) || r.err != nil {
+				t.Fatalf("Write = (%d, %v), want (%d, nil)", r.n, r.err, len(other))
+			}
+			if !bytes.Equal(got[:len(want)], want) || !bytes.Equal(got[len(want):], other) {
+				t.Fatal("a second writer's bytes landed inside the vector")
+			}
+		})
+
+		// Stopped mid-vector, WriteBuffers returns what a Write of the
+		// concatenation returns: the bound, taken, and the error.
+		stops := []struct {
+			name string
+			stop func(a, b *memConn)
+			want error
+		}{
+			{"own-close", func(a, _ *memConn) { _ = a.Close() }, net.ErrClosed},
+			{"reader-closes", func(_, b *memConn) { _ = b.Close() }, io.ErrClosedPipe},
+			{"deadline", func(a, _ *memConn) { _ = a.SetWriteDeadline(time.Now().Add(10 * time.Millisecond)) }, os.ErrDeadlineExceeded},
+		}
+		for _, st := range stops {
+			t.Run(st.name, func(t *testing.T) {
+				for _, vectored := range []bool{false, true} {
+					a, b := kind.pair()
+					bufs := vector(kind.bound/2, kind.bound/2-1, 2, 1000)
+					w := async(writeVector(a, vectored, bufs))
+					fills(t, a.out, kind.bound)
+					stillParked(t, w, "write over the bound with no reader")
+					st.stop(a, b)
+					if r := returns(t, w, "stopped write"); r.n != kind.bound || !errors.Is(r.err, st.want) {
+						t.Fatalf("vectored=%v: stopped write = (%d, %v), want (%d, %v)", vectored, r.n, r.err, kind.bound, st.want)
+					}
+					_ = a.Close()
+					_ = b.Close()
+				}
+			})
+		}
+	})
+}
+
 // BenchmarkMemConn prices the fabric's connection beside the net.Pipe it
 // replaced, same loops: a 64 B ping-pong (two hand-offs per iteration either
 // way; what differs is the cost of each) and a stream of 85 B one-way writes,
@@ -462,6 +652,49 @@ func BenchmarkMemConn(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := x.Write(buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := <-drained; err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+	// One 64 KiB flush of eight 8 KiB frames, the large stream's shape: handed
+	// over as the frames, and gathered into one buffer first, as a link did
+	// before connections took buffers.
+	const frames, frameSize = 8, 8 << 10
+	bufs := vector(frameSize, frameSize, frameSize, frameSize, frameSize, frameSize, frameSize, frameSize)
+	flush := map[string]func(c net.Conn, joined []byte) ([]byte, error){
+		"buffers": func(c net.Conn, joined []byte) ([]byte, error) {
+			_, err := c.(*memConn).WriteBuffers(bufs)
+			return joined, err
+		},
+		"gather": func(c net.Conn, joined []byte) ([]byte, error) {
+			joined = joined[:0]
+			for _, p := range bufs {
+				joined = append(joined, p...)
+			}
+			_, err := c.Write(joined)
+			return joined, err
+		},
+	}
+	for _, how := range []string{"buffers", "gather"} {
+		b.Run(how+"-8x8KiB", func(b *testing.B) {
+			x, y := newMemConnPair(1, 2, nil, nil)
+			defer x.Close()
+			drained := make(chan error, 1)
+			go func() {
+				_, err := io.CopyN(io.Discard, y, int64(b.N)*frames*frameSize)
+				drained <- err
+			}()
+			joined := make([]byte, 0, frames*frameSize)
+			b.SetBytes(frames * frameSize)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var err error
+				if joined, err = flush[how](x, joined); err != nil {
 					b.Fatal(err)
 				}
 			}

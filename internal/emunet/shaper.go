@@ -176,7 +176,7 @@ func (s *shapedConn) readLoop() {
 	buf := make([]byte, 32<<10)
 	for {
 		n, err := s.conn.Read(buf)
-		if _, werr := s.in.write(buf[:n]); werr != nil {
+		if _, werr := s.in.write([][]byte{buf[:n]}); werr != nil {
 			return
 		}
 		if err != nil {

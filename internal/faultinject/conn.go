@@ -38,11 +38,23 @@ type Conn struct {
 
 var _ net.Conn = (*Conn)(nil)
 
-// Write pushes p through the fault gate in chunks: each chunk first waits
+// buffersWriter is a connection that takes a write as the buffers it is made
+// of, as the memory fabric's does.
+type buffersWriter interface {
+	WriteBuffers(bufs [][]byte) (int, error)
+}
+
+// Write is WriteBuffers of p alone.
+func (c *Conn) Write(p []byte) (int, error) { return c.WriteBuffers([][]byte{p}) }
+
+// WriteBuffers pushes the concatenation of bufs through the fault gate in
+// chunks of at most writeChunk bytes of it: each chunk after the first waits
 // out any cut on the forward direction, so a concurrently engaged fault
 // stalls (or a sever kills) the write mid-frame. Spike delay applies once
-// per call, before the first byte.
-func (c *Conn) Write(p []byte) (int, error) {
+// per call, before the first byte. A chunk goes to a connection that takes
+// buffers as its pieces, and to any other as one Write, so the connection
+// below sees the same writes whichever way the caller cut the bytes.
+func (c *Conn) WriteBuffers(bufs [][]byte) (int, error) {
 	d, err := c.inj.gateWrite(c)
 	if err != nil {
 		return 0, err
@@ -50,25 +62,53 @@ func (c *Conn) Write(p []byte) (int, error) {
 	if d > 0 {
 		time.Sleep(d)
 	}
-	total := 0
-	for len(p) > 0 {
+	bw, _ := c.base.(buffersWriter)
+	var (
+		chunk  [][]byte
+		joined []byte
+		total  int
+	)
+	for i, off := 0, 0; ; {
+		chunk = chunk[:0]
+		n := 0
+		for n < writeChunk && i < len(bufs) {
+			p := bufs[i][off:]
+			if k := writeChunk - n; len(p) > k {
+				p, off = p[:k], off+k
+			} else {
+				i, off = i+1, 0
+			}
+			if len(p) > 0 {
+				chunk = append(chunk, p)
+				n += len(p)
+			}
+		}
+		if n == 0 {
+			return total, nil
+		}
 		if total > 0 { // re-check the gate between chunks
 			if _, err := c.inj.gateWrite(c); err != nil {
 				return total, err
 			}
 		}
-		n := len(p)
-		if n > writeChunk {
-			n = writeChunk
+		var m int
+		switch {
+		case bw != nil:
+			m, err = bw.WriteBuffers(chunk)
+		case len(chunk) == 1:
+			m, err = c.base.Write(chunk[0])
+		default:
+			joined = joined[:0]
+			for _, p := range chunk {
+				joined = append(joined, p...)
+			}
+			m, err = c.base.Write(joined)
 		}
-		m, err := c.base.Write(p[:n])
 		total += m
 		if err != nil {
 			return total, err
 		}
-		p = p[n:]
 	}
-	return total, nil
 }
 
 // Read waits out any cut on the reverse direction (whose traffic these

@@ -1,9 +1,12 @@
 package faultinject
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -277,3 +280,197 @@ func (nopConn) RemoteAddr() net.Addr             { return nil }
 func (nopConn) SetDeadline(time.Time) error      { return nil }
 func (nopConn) SetReadDeadline(time.Time) error  { return nil }
 func (nopConn) SetWriteDeadline(time.Time) error { return nil }
+
+// recordingConn records the writes it is handed: one entry per call, the
+// sizes of the pieces it carried.
+type recordingConn struct {
+	nopConn
+	calls *[][]int
+	bytes *[]byte
+}
+
+func (c recordingConn) Write(p []byte) (int, error) {
+	*c.calls = append(*c.calls, []int{len(p)})
+	*c.bytes = append(*c.bytes, p...)
+	return len(p), nil
+}
+
+// recordingBuffersConn is a recordingConn that takes buffers.
+type recordingBuffersConn struct{ recordingConn }
+
+func (c recordingBuffersConn) WriteBuffers(bufs [][]byte) (int, error) {
+	var sizes []int
+	n := 0
+	for _, p := range bufs {
+		sizes = append(sizes, len(p))
+		*c.bytes = append(*c.bytes, p...)
+		n += len(p)
+	}
+	*c.calls = append(*c.calls, sizes)
+	return n, nil
+}
+
+// TestWriteBuffersIsAWriteOfTheConcatenation pins what the connection below
+// sees of a vectored write: the concatenation in chunks of writeChunk bytes
+// of it, wherever the buffers are cut, as the buffers' pieces if it takes
+// buffers and as one Write per chunk if not, exactly what a Write of the
+// concatenation gives it.
+func TestWriteBuffersIsAWriteOfTheConcatenation(t *testing.T) {
+	var want []byte
+	var bufs [][]byte
+	for i, n := range []int{3000, 0, 3000, 5000} {
+		p := make([]byte, n)
+		for j := range p {
+			p[j] = byte(i*7 + j)
+		}
+		bufs = append(bufs, p)
+		want = append(want, p...)
+	}
+	chunks := [][]int{{writeChunk}, {writeChunk}, {len(want) - 2*writeChunk}}
+	for _, tc := range []struct {
+		name      string
+		takesBufs bool
+		vectored  bool
+		want      [][]int
+	}{
+		{"buffers-to-buffers", true, true, [][]int{{3000, writeChunk - 3000}, {6000 - writeChunk, 2*writeChunk - 6000}, {len(want) - 2*writeChunk}}},
+		{"buffers-to-write", false, true, chunks},
+		{"write-to-write", false, false, chunks},
+		{"write-to-buffers", true, false, chunks},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			in := New(nil)
+			defer in.Close()
+			var calls [][]int
+			var got []byte
+			var base net.Conn = recordingConn{calls: &calls, bytes: &got}
+			if tc.takesBufs {
+				base = recordingBuffersConn{recordingConn{calls: &calls, bytes: &got}}
+			}
+			wrapped, err := in.Hook()(1, 2, base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := wrapped.(*Conn)
+			var n int
+			if tc.vectored {
+				n, err = c.WriteBuffers(bufs)
+			} else {
+				n, err = c.Write(want)
+			}
+			if n != len(want) || err != nil {
+				t.Fatalf("wrote (%d, %v), want (%d, nil)", n, err, len(want))
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatal("the connection below got other bytes than the concatenation")
+			}
+			if fmt.Sprint(calls) != fmt.Sprint(tc.want) {
+				t.Fatalf("the connection below got writes %v, want %v", calls, tc.want)
+			}
+		})
+	}
+}
+
+// TestWriteBuffersKeepsWriteFaults: the spike delays a vectored write once,
+// not once per chunk, and a sever engaged after the first chunk lands
+// mid-vector, on a connection that takes buffers and on one that does not.
+func TestWriteBuffersKeepsWriteFaults(t *testing.T) {
+	vector := [][]byte{make([]byte, writeChunk), make([]byte, writeChunk), make([]byte, writeChunk)}
+	pairs := []struct {
+		name string
+		pair func(t *testing.T) (net.Conn, net.Conn)
+	}{
+		{"pipe", func(*testing.T) (net.Conn, net.Conn) { return net.Pipe() }},
+		{"mem", func(t *testing.T) (net.Conn, net.Conn) {
+			fabric := emunet.NewMemNetwork(nil)
+			t.Cleanup(func() { _ = fabric.Close() })
+			l, err := fabric.Listen(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			accepted := make(chan net.Conn, 1)
+			go func() {
+				c, _ := l.Accept()
+				accepted <- c
+			}()
+			a, err := fabric.Dial(1, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return a, <-accepted
+		}},
+	}
+	for _, p := range pairs {
+		t.Run(p.name+"/spike-once", func(t *testing.T) {
+			in := New(nil)
+			defer in.Close()
+			a, peer := p.pair(t)
+			defer peer.Close()
+			go func() { _, _ = io.Copy(io.Discard, peer) }()
+			wrapped, err := in.Hook()(1, 2, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := wrapped.(*Conn)
+			const spike = 60 * time.Millisecond
+			in.Spike(1, 2, spike)
+			start := time.Now()
+			if _, err := c.WriteBuffers(vector); err != nil {
+				t.Fatal(err)
+			}
+			if el := time.Since(start); el < spike || el >= time.Duration(len(vector))*spike {
+				t.Fatalf("spiked vectored write of %d chunks took %v, want one spike of %v", len(vector), el, spike)
+			}
+		})
+		t.Run(p.name+"/sever-mid-vector", func(t *testing.T) {
+			in := New(nil)
+			defer in.Close()
+			a, peer := p.pair(t)
+			defer peer.Close()
+			go func() { _, _ = io.Copy(io.Discard, peer) }()
+			// The first chunk lands, then the cut stalls the remainder and
+			// the sever kills it.
+			var base net.Conn = firstWriteConn{Conn: a, once: new(sync.Once), f: func() {
+				in.CutLink(1, 2)
+				time.AfterFunc(20*time.Millisecond, func() { in.Sever(1, 2) })
+			}}
+			if bw, ok := a.(buffersWriter); ok {
+				base = firstWriteBuffersConn{base.(firstWriteConn), bw}
+			}
+			wrapped, err := in.Hook()(1, 2, base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, err := wrapped.(*Conn).WriteBuffers(vector)
+			if n != writeChunk || err == nil {
+				t.Fatalf("vectored write = (%d, %v), want the first chunk's %d bytes and an error", n, err, writeChunk)
+			}
+		})
+	}
+}
+
+// firstWriteConn runs f once, after the first write to the connection it
+// wraps returns.
+type firstWriteConn struct {
+	net.Conn
+	once *sync.Once
+	f    func()
+}
+
+func (c firstWriteConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	c.once.Do(c.f)
+	return n, err
+}
+
+// firstWriteBuffersConn is a firstWriteConn that takes buffers.
+type firstWriteBuffersConn struct {
+	firstWriteConn
+	bw buffersWriter
+}
+
+func (c firstWriteBuffersConn) WriteBuffers(bufs [][]byte) (int, error) {
+	n, err := c.bw.WriteBuffers(bufs)
+	c.once.Do(c.f)
+	return n, err
+}

@@ -205,8 +205,10 @@ func BenchmarkStreamThroughputLocalTraceAlways(b *testing.B) {
 }
 
 // BenchmarkStreamThroughputTCP measures delivery rate over unshaped
-// loopback TCP: the link writer is the one every fabric gets, what differs
-// from Local is a system call per connection write and per read.
+// loopback TCP. A kernel socket does not take buffers, so the link joins each
+// flush into one buffer and writes it in one system call, where Local hands
+// the memory fabric its frames to copy once; the other difference is a
+// system call per read.
 func BenchmarkStreamThroughputTCP(b *testing.B) {
 	benchmarkThroughputNet(b, emunet.NewTCPNetwork(nil), 256, optrace.Config{})
 }

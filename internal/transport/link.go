@@ -67,19 +67,24 @@ type link struct {
 	// batch is the reusable drain buffer for TryNextBatch. Run/stream
 	// goroutine only.
 	batch []LogEntry
-	// out holds the frames encoded since the last connection write, data and
-	// control in wire order; ackBuf backs the ACK slice takeReports hands
-	// out. Run/stream goroutine only.
+	// vec is the flush being gathered, in wire order: each data frame as the
+	// log holds it (a visible frame is never written again, so it is handed
+	// on by reference), and each pass's control frames as one sub-slice of
+	// out, which holds only those. joined backs the one Write a connection
+	// that does not take buffers gets (see joinWriter). ackBuf backs the ACK
+	// slice takeReports hands out. Run/stream goroutine only.
+	vec    [][]byte
 	out    []byte
+	joined []byte
 	ackBuf []wire.Ack
 	// sent[c*N+o] is the newest value of board column c about origin o+1
 	// written on the current connection; scanned is the board version the
 	// last scan read. Run/stream goroutine only.
 	sent    []uint64
 	scanned uint64
-	// traced collects the sampled entries encoded into out, so their WireSend
-	// events can be stamped after the connection write returns. Empty
-	// whenever tracing is off or nothing in out was sampled. Run/stream
+	// traced collects the sampled entries gathered into vec, so their
+	// WireSend events can be stamped after the connection write returns.
+	// Empty whenever tracing is off or nothing in vec was sampled. Run/stream
 	// goroutine only.
 	traced []tracedSend
 	// rng drives the reconnect backoff jitter. Seeded from the link's
@@ -386,24 +391,63 @@ func (l *link) observeEcho(clock uint64) {
 // sampled) the stream loop must make zero clock calls.
 var nowNano = func() int64 { return time.Now().UnixNano() }
 
-// outFlushBytes is how much encoded output a busy link gathers before it
-// writes without waiting to go idle: enough that consecutive little batches
-// share one connection write, small enough that control waits behind at most
-// one batch and one flush of bulk data.
+// outFlushBytes is how much a busy link gathers before it writes without
+// waiting to go idle: enough that consecutive little batches share one
+// connection write, small enough that control waits behind at most one batch
+// and one flush of bulk data.
 const outFlushBytes = 64 << 10
+
+// buffersWriter is a connection that takes a flush as the frames it is made
+// of and writes their concatenation as one Write of it would, keeping none of
+// them. The memory fabric's connection is one: its queue is the socket, so
+// the copy into it is the only one a frame gets on the way, the one a kernel
+// writev would make.
+type buffersWriter interface {
+	WriteBuffers(bufs [][]byte) (int, error)
+}
+
+// joinWriter is how a connection that does not take buffers (a kernel socket,
+// a caller's Network) gets a flush: concatenated into the link's joined
+// buffer and written in one Write. A kernel socket sees one system call per
+// flush, and at small frames one copy beats a writev of many iovecs.
+type joinWriter struct {
+	conn net.Conn
+	buf  *[]byte
+}
+
+func (j joinWriter) WriteBuffers(bufs [][]byte) (int, error) {
+	b := (*j.buf)[:0]
+	for _, p := range bufs {
+		b = append(b, p...)
+	}
+	*j.buf = b
+	return j.conn.Write(b)
+}
+
+// writerFor is how the stream hands its flushes to conn, chosen once per
+// connection.
+func (l *link) writerFor(conn net.Conn) buffersWriter {
+	if w, ok := conn.(buffersWriter); ok {
+		return w
+	}
+	return joinWriter{conn: conn, buf: &l.joined}
+}
 
 // stream multiplexes the send log and the control outbox over an established
 // connection until it fails or the link closes. Every pass drains a run of
-// log entries under one lock acquisition (batchLimits) and appends their
-// frames to l.out, then appends whatever control traffic is pending (the
-// board's unsent reports, app messages, a due heartbeat) behind them. l.out
-// goes to the connection in one write when a pass finds nothing to append or
-// l.out has reached outFlushBytes. Control is collected once per pass, so it
-// waits at most one batch and one flush behind bulk data — that bound is the
-// control/data fairness rule. Nothing encoded for one connection is written
-// on its successor: l.out starts every stream empty.
+// log entries under one lock acquisition (batchLimits) and gathers their
+// frames into l.vec by reference, then encodes whatever control traffic is
+// pending (the board's unsent reports, app messages, a due heartbeat) into
+// l.out and gathers that behind them. The gathered frames go to the
+// connection in one WriteBuffers when a pass finds nothing to gather or
+// outFlushBytes have gathered: the memory fabric copies each frame once,
+// into its queue, and any other connection gets their concatenation in one
+// Write (writerFor). Control is collected once per pass, so it waits at most
+// one batch and one flush behind bulk data — that bound is the control/data
+// fairness rule. Nothing gathered for one connection is written on its
+// successor: every stream starts empty.
 //
-// A pass that finds nothing to append goes idle in a fixed order: flush, yield,
+// A pass that finds nothing to gather goes idle in a fixed order: flush, yield,
 // park. The flush comes first so no byte waits on the rest. The yield
 // (runtime.Gosched, once) happens only when the busy period's last data batch
 // held more than one entry, the mark of a producer streaming Sends: a
@@ -417,17 +461,20 @@ const outFlushBytes = 64 << 10
 func (l *link) stream(conn net.Conn, cursor uint64) {
 	lim := l.t.cfg.batch
 	rec := l.t.cfg.Trace
-	l.out, l.traced = l.out[:0], l.traced[:0]
+	w := l.writerFor(conn)
+	l.vec, l.out, l.traced = l.vec[:0], l.out[:0], l.traced[:0]
+	gathered := 0  // bytes in l.vec
 	burst := false // the last data batch held more than one entry
 	for {
-		mark := len(l.out)
+		mark := gathered
 		l.batch = l.t.cfg.Log.TryNextBatch(cursor, l.batch[:0], lim.maxFrames, lim.maxBytes)
 		if n := len(l.batch); n > 0 {
 			var tDrain int64
 			resends := 0
 			for i := range l.batch {
 				e := &l.batch[i]
-				l.out = append(l.out, e.Frame...)
+				l.vec = append(l.vec, e.Frame)
+				gathered += len(e.Frame)
 				if e.Seq <= l.maxDataSeq {
 					resends++
 				} else {
@@ -449,19 +496,28 @@ func (l *link) stream(conn net.Conn, cursor uint64) {
 			l.ins.dataSent.Add(int64(n))
 			l.ins.resent.Add(int64(resends))
 		}
+		ctl := len(l.out)
 		if !l.encodeControl() {
 			return
 		}
-		busy := len(l.out) > mark
-		l.ins.bytesSent.Add(int64(len(l.out) - mark))
-		if busy && len(l.out) < outFlushBytes {
+		if len(l.out) > ctl {
+			// A later pass may move out as it grows; this sub-slice keeps
+			// the bytes it names where they are.
+			l.vec = append(l.vec, l.out[ctl:])
+			gathered += len(l.out) - ctl
+		}
+		busy := gathered > mark
+		l.ins.bytesSent.Add(int64(gathered - mark))
+		if busy && gathered < outFlushBytes {
 			continue
 		}
-		if len(l.out) > 0 {
-			if _, err := conn.Write(l.out); err != nil {
+		if gathered > 0 {
+			_, err := w.WriteBuffers(l.vec)
+			clear(l.vec) // pin no frame the log has let go of
+			if err != nil {
 				return // the next connection resends every report
 			}
-			l.out = l.out[:0]
+			l.vec, l.out, gathered = l.vec[:0], l.out[:0], 0
 			if len(l.traced) > 0 {
 				tWrite := nowNano()
 				for _, s := range l.traced {
@@ -484,7 +540,7 @@ func (l *link) stream(conn net.Conn, cursor uint64) {
 	}
 }
 
-// tracedSend is one sampled entry encoded into l.out and not yet written.
+// tracedSend is one sampled entry gathered into l.vec and not yet written.
 type tracedSend struct {
 	seq     uint64
 	drained int64 // its StageBatchEnqueue stamp

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"stabilizer/internal/emunet"
+	"stabilizer/internal/optrace"
 	"stabilizer/internal/wire"
 )
 
@@ -21,8 +22,9 @@ type hookedFabric interface {
 	SetConnHook(emunet.ConnHook)
 }
 
-// countedConn counts the Write calls, and the bytes they carried, of the
-// connection it wraps.
+// countedConn counts the writes, and the bytes they carried, of the
+// connection it wraps. It has no WriteBuffers, so the link joins each flush
+// for it, whatever it wraps.
 type countedConn struct {
 	net.Conn
 	writes, bytes *atomic.Int64
@@ -35,27 +37,54 @@ func (c countedConn) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// TestLinkWriteCoalescesUntilIdle pins what the link's one buffer promises on
-// every fabric: batches drained while the writer is busy share a connection
-// write, a lone message costs exactly one, and bytes_sent is what reached the
-// connection (the dialer's Hello aside, which the ledger leaves out).
+// countedBuffersConn is a countedConn around a connection that takes
+// buffers, and passes them on: a WriteBuffers is one write.
+type countedBuffersConn struct {
+	countedConn
+	bw buffersWriter
+}
+
+func (c countedBuffersConn) WriteBuffers(bufs [][]byte) (int, error) {
+	c.writes.Add(1)
+	n, err := c.bw.WriteBuffers(bufs)
+	c.bytes.Add(int64(n))
+	return n, err
+}
+
+// TestLinkWriteCoalescesUntilIdle pins what the link's flush promises on
+// every fabric and either way a connection takes it (as buffers, or joined
+// into one Write): batches drained while the writer is busy share a
+// connection write, a lone message costs exactly one, and bytes_sent is what
+// reached the connection (the dialer's Hello aside, which the ledger leaves
+// out).
 func TestLinkWriteCoalescesUntilIdle(t *testing.T) {
 	fabrics := []struct {
-		name string
-		mk   func() hookedFabric
+		name      string
+		mk        func() hookedFabric
+		writeOnly bool // hide the connection's WriteBuffers from the link
+		takesBufs bool // the fabric's connection takes buffers
 	}{
-		{"mem", func() hookedFabric { return emunet.NewMemNetwork(nil) }},
-		{"tcp", func() hookedFabric { return emunet.NewTCPNetwork(nil) }},
+		{"mem", func() hookedFabric { return emunet.NewMemNetwork(nil) }, false, true},
+		{"mem-write-only", func() hookedFabric { return emunet.NewMemNetwork(nil) }, true, true},
+		{"tcp", func() hookedFabric { return emunet.NewTCPNetwork(nil) }, false, false},
 	}
 	for _, f := range fabrics {
 		t.Run(f.name, func(t *testing.T) {
 			fabric := f.mk()
 			var writes, sent atomic.Int64
 			fabric.SetConnHook(func(from, to int, conn net.Conn) (net.Conn, error) {
-				if from == 1 && to == 2 {
-					return countedConn{conn, &writes, &sent}, nil
+				if from != 1 || to != 2 {
+					return conn, nil
 				}
-				return conn, nil
+				c := countedConn{conn, &writes, &sent}
+				bw, ok := conn.(buffersWriter)
+				if ok != f.takesBufs {
+					t.Errorf("the fabric's connection takes buffers: %v, want %v", ok, f.takesBufs)
+				}
+				if ok && !f.writeOnly {
+					return countedBuffersConn{c, bw}, nil
+				}
+				return c, nil
 			})
 			// One entry per batch: a burst appended before the wake-up is
 			// k passes of a busy writer, not one.
@@ -121,6 +150,35 @@ func (c tappedConn) Read(p []byte) (int, error) {
 	return n, err
 }
 
+// tappedBuffersConn is a tappedConn around a connection that takes buffers,
+// and passes them on.
+type tappedBuffersConn struct {
+	tappedConn
+	bw buffersWriter
+}
+
+func (c tappedBuffersConn) WriteBuffers(bufs [][]byte) (int, error) {
+	n, err := c.bw.WriteBuffers(bufs)
+	c.mu.Lock()
+	for left, i := n, 0; left > 0; i++ {
+		k := min(left, len(bufs[i]))
+		c.written.Write(bufs[i][:k])
+		left -= k
+	}
+	c.mu.Unlock()
+	return n, err
+}
+
+// tap wraps conn in a tappedConn, or in a tappedBuffersConn if it takes
+// buffers.
+func tap(conn net.Conn, mu *sync.Mutex, written, read *bytes.Buffer) net.Conn {
+	c := tappedConn{conn, mu, written, read}
+	if bw, ok := conn.(buffersWriter); ok {
+		return tappedBuffersConn{c, bw}
+	}
+	return c
+}
+
 // cutConn fails the write that would take the connection past *budget more
 // bytes, after passing the bytes that fit: a connection dying inside a pass.
 // A negative budget leaves it alone.
@@ -165,7 +223,7 @@ func TestReconnectStartsOnAFrameBoundary(t *testing.T) {
 		if dials.Add(1) == 1 {
 			return cutConn{conn, &budget}, nil
 		}
-		return tappedConn{conn, &mu, &wrote, &read}, nil
+		return tap(conn, &mu, &wrote, &read), nil
 	})
 	h := startHarnessOn(t, fabric, 2, noHeartbeat, batchLimits{})
 	parkLinks(t, h, 1)
@@ -254,5 +312,120 @@ func TestReconnectStartsOnAFrameBoundary(t *testing.T) {
 		if !resent[a] {
 			t.Fatalf("report %+v was not resent on the successor (carried: %v)", a, resent)
 		}
+	}
+}
+
+// TestLinkWriteFramesSurviveOutGrowing gives every pass of a flush window an
+// app frame behind its one-entry data batch, each larger than the last, so the
+// link's control buffer reallocates while the flush it is gathering still
+// holds sub-slices of its earlier arrays beside the log's frames. The bytes
+// that reach the connection must decode to every frame, intact and in order.
+func TestLinkWriteFramesSurviveOutGrowing(t *testing.T) {
+	const msgs, apps = 2000, 400
+	body := func(i, n int) []byte {
+		p := make([]byte, n)
+		for j := range p {
+			p[j] = byte(i*31 + j)
+		}
+		return p
+	}
+	// With every entry sampled, the link reads the data-path clock once per
+	// pass, between draining its batch and encoding control: the hook queues
+	// the next app frame there, so it rides that pass.
+	var tr1 *Transport
+	var queued atomic.Int64
+	origNow := nowNano
+	nowNano = func() int64 {
+		if i := queued.Add(1) - 1; i < apps {
+			if err := tr1.SendApp(2, &wire.App{ID: uint64(i), From: 1, Payload: body(int(i), 16+8*int(i))}); err != nil {
+				t.Error(err)
+			}
+		}
+		return origNow()
+	}
+	defer func() { nowNano = origNow }()
+
+	fabric := emunet.NewMemNetwork(nil)
+	defer fabric.Close()
+	var (
+		mu          sync.Mutex
+		wrote, read bytes.Buffer
+	)
+	fabric.SetConnHook(func(from, to int, conn net.Conn) (net.Conn, error) {
+		if from != 1 || to != 2 {
+			return conn, nil
+		}
+		c := tap(conn, &mu, &wrote, &read)
+		if _, ok := c.(buffersWriter); !ok {
+			t.Error("the memory fabric's connection does not take buffers")
+		}
+		return c, nil
+	})
+	log, rec := NewSendLog(1), newRecorder()
+	var err error
+	tr1, err = New(Config{
+		Self: 1, N: 2, Network: fabric, Handler: newRecorder(), Log: log,
+		HeartbeatEvery: noHeartbeat,
+		Trace:          optrace.New(1, optrace.Config{SampleEvery: 1}),
+		batch:          batchLimits{maxFrames: 1, maxBytes: 16 << 10},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr2, err := New(Config{Self: 2, N: 2, Network: fabric, Handler: rec, Log: NewSendLog(1), HeartbeatEvery: noHeartbeat})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range []*Transport{tr1, tr2} {
+		if err := tr.Start(); err != nil {
+			t.Fatal(err)
+		}
+		defer tr.Close()
+	}
+	for i := 0; i < msgs; i++ {
+		if _, err := log.Append(body(i, 100), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr1.NotifyData()
+	waitUntil(t, 10*time.Second, func() bool {
+		return len(rec.dataSeqs(1)) == msgs && rec.appCount() == apps
+	})
+
+	mu.Lock()
+	out := append([]byte(nil), wrote.Bytes()...)
+	mu.Unlock()
+	r := wire.NewReader(bytes.NewReader(out))
+	if m, err := r.Next(); err != nil {
+		t.Fatal(err)
+	} else if _, ok := m.(*wire.Hello); !ok {
+		t.Fatalf("first frame is %T, want *wire.Hello", m)
+	}
+	var data, app int
+	for {
+		m, err := r.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("after %d data and %d app frames: %v", data, app, err)
+		}
+		switch m := m.(type) {
+		case *wire.Data:
+			if m.Seq != uint64(data+1) || !bytes.Equal(m.Payload, body(data, 100)) {
+				t.Fatalf("data frame %d arrived as seq %d with a payload that is not its own", data, m.Seq)
+			}
+			data++
+		case *wire.App:
+			if m.ID != uint64(app) || !bytes.Equal(m.Payload, body(app, 16+8*app)) {
+				t.Fatalf("app frame %d arrived as ID %d with a payload that is not its own", app, m.ID)
+			}
+			app++
+		default:
+			t.Fatalf("unexpected %T on the connection", m)
+		}
+	}
+	if data != msgs || app != apps {
+		t.Fatalf("connection carried %d data and %d app frames, want %d and %d", data, app, msgs, apps)
 	}
 }
