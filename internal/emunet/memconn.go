@@ -12,18 +12,18 @@ import (
 // before Write blocks: the fabric's socket buffer.
 const memConnBytes = 1 << 20
 
-// memConnMinAlloc is the smallest buffer a direction allocates, on its first
-// byte; from there it at least doubles on demand, up to memConnBytes.
-const memConnMinAlloc = 512
+// memBlockBytes is the smallest block a direction copies Writes into.
+const memBlockBytes = 4 << 10
 
 // memConn is one end of an in-memory connection with socket semantics: Write
-// copies into the outgoing direction's buffer and returns, blocking only
-// while that direction already holds its bound; Read takes what has arrived.
-// WriteBuffers is Write of a concatenation it never builds: each buffer is
-// copied straight into the direction, as a kernel writev copies its iovecs
-// into the socket. Neither call waits for the peer to be scheduled, and there
-// is no goroutine or channel per connection. A shaped direction carries its
-// link's schedule (see schedule), so the emulated WAN is this one queue per
+// copies p into the outgoing direction and returns, blocking only while that
+// direction already holds its bound; Read takes what has arrived.
+// WriteBuffers is Write of a concatenation it never builds, and it borrows
+// the buffers until the peer has read them (the rule of transport's
+// buffersWriter): the peer's Read is the one copy a byte gets, as through
+// net.Pipe. No call waits for the peer to be scheduled, and there is no
+// goroutine or channel per connection. A shaped direction carries its link's
+// schedule (see schedule), so the emulated WAN is this one queue per
 // direction, as tc puts delay and rate on the link's own egress queue.
 type memConn struct {
 	in, out       *memQueue
@@ -43,13 +43,12 @@ func newMemConnPair(from, to int, fwd, rev *schedule) (dialSide, acceptSide *mem
 }
 
 func (c *memConn) Read(p []byte) (int, error)  { return c.in.read(p) }
-func (c *memConn) Write(p []byte) (int, error) { return c.out.write([][]byte{p}) }
+func (c *memConn) Write(p []byte) (int, error) { return c.out.write([][]byte{p}, false) }
 
 // WriteBuffers writes the concatenation of bufs as one Write of it would, but
-// copies each buffer straight into the direction: a writer that gathers its
-// frames by reference pays one copy per byte here, the one a kernel writev
-// makes. It keeps none of bufs.
-func (c *memConn) WriteBuffers(bufs [][]byte) (int, error) { return c.out.write(bufs) }
+// lends bufs to the direction instead of copying them: the caller must not
+// write to them again, and the peer's Read copies each byte out of them.
+func (c *memConn) WriteBuffers(bufs [][]byte) (int, error) { return c.out.write(bufs, true) }
 
 // Close fails this end's own calls, parked or future, with net.ErrClosed.
 // The peer's Writes fail with io.ErrClosedPipe; its Reads drain what this end
@@ -75,25 +74,26 @@ func (c *memConn) SetDeadline(t time.Time) error {
 func (c *memConn) SetReadDeadline(t time.Time) error  { return c.in.setDeadline(&c.in.r, t) }
 func (c *memConn) SetWriteDeadline(t time.Time) error { return c.out.setDeadline(&c.out.w, t) }
 
-// memQueue is one direction of a memConn: a bounded FIFO of bytes between
-// the end that writes it and the end that reads it. Its one write takes a
-// vector of buffers (a plain Write is a vector of one). The ring is allocated
-// on the first byte and doubles on demand, so a direction that has carried
-// nothing holds no buffer. An unshaped direction holds up to memConnBytes and
-// a byte is readable once written; a shaped one holds up to shaperQueueBytes,
-// and a byte is readable once its schedule says it has arrived.
+// memQueue is one direction of a memConn: a bounded FIFO of borrowed slices
+// between the end that writes it and the end that reads it, which copies out
+// of them. Its one write takes a vector of buffers (a plain Write is a vector
+// of one, copied into blk first). An unshaped direction holds up to
+// memConnBytes and a byte is readable once written; a shaped one holds up to
+// shaperQueueBytes, and a byte is readable once its schedule says it has
+// arrived.
 type memQueue struct {
 	// wmu serializes whole Writes, so one that proceeds in pieces against a
-	// full buffer is not interleaved with another.
+	// full direction is not interleaved with another.
 	wmu sync.Mutex
+	blk []byte // its unused tail takes the next Write's copy; guarded by wmu and mu
 
-	mu       sync.Mutex
-	canRead  sync.Cond // bytes arrived, or an end closed or timed out
-	canWrite sync.Cond // room freed, or an end closed or timed out
-	buf      []byte    // ring: n bytes starting at head
-	head, n  int
-	r, w     memEnd    // the reading and the writing end
-	s        *schedule // the link schedule; nil on an unshaped direction
+	mu           sync.Mutex
+	canRead      sync.Cond // bytes arrived, or an end closed or timed out
+	canWrite     sync.Cond // room freed, or an end closed or timed out
+	bufs         [][]byte  // bufs[head:] hold n bytes, the first from off on
+	head, off, n int
+	r, w         memEnd    // the reading and the writing end
+	s            *schedule // the link schedule; nil on an unshaped direction
 }
 
 // memEnd is what a direction knows about one of its two ends, guarded by the
@@ -114,16 +114,17 @@ func newMemQueue(s *schedule) *memQueue {
 
 // write appends the concatenation of bufs to the direction, blocking while it
 // holds its bound, and returns how many bytes it took: all of them, or fewer
-// and the error that stopped it. Each byte is copied once, from its buffer
-// straight into the ring, and wmu keeps the whole vector contiguous against
-// other writers. Copied bytes are published (stamped with their arrival on a
-// shaped direction, announced to a parked reader on an unshaped one) in
-// units of at most maxChunk of the concatenation, however it is cut into
-// buffers, and before every wait for room: a unit never spans a wait, and a
-// reader never sees a byte the schedule has not stamped. Nothing changes
-// while mu is held, so what stops a write is looked for on entry and after
-// each wait, when everything copied has been published.
-func (q *memQueue) write(bufs [][]byte) (int, error) {
+// and the error that stopped it. It holds each piece it takes until that is
+// read: the caller's, if lend, or else a copy in blk. wmu keeps the whole
+// vector contiguous against other writers. Taken bytes are published
+// (stamped with their arrival on a shaped direction, announced to a parked
+// reader on an unshaped one) in units of at most maxChunk of the
+// concatenation, however it is cut into buffers, and before every wait for
+// room: a unit never spans a wait, and a reader never sees a byte the
+// schedule has not stamped. Nothing changes while mu is held, so what stops a
+// write is looked for on entry and after each wait, when everything taken
+// has been published.
+func (q *memQueue) write(bufs [][]byte, lend bool) (int, error) {
 	q.wmu.Lock()
 	defer q.wmu.Unlock()
 	q.mu.Lock()
@@ -135,7 +136,7 @@ func (q *memQueue) write(bufs [][]byte) (int, error) {
 	if q.s != nil {
 		bound, unit = shaperQueueBytes, maxChunk
 	}
-	total, fresh := 0, 0 // fresh: copied and not yet published
+	total, fresh := 0, 0 // fresh: taken and not yet published
 	for _, p := range bufs {
 		for len(p) > 0 {
 			k := min(len(p), bound-q.n, unit-fresh)
@@ -150,15 +151,24 @@ func (q *memQueue) write(bufs [][]byte) (int, error) {
 				}
 				continue
 			}
-			if q.n+k > len(q.buf) {
-				q.grow(q.n+k, bound)
+			piece := p[:k]
+			if !lend { // copy into blk, which then moves past the copy
+				if q.n == 0 {
+					q.blk = q.blk[:0] // the direction holds none of it
+				}
+				if cap(q.blk)-len(q.blk) < k {
+					q.blk = make([]byte, 0, max(k, memBlockBytes))
+				}
+				q.blk = append(q.blk, piece...)
+				piece = q.blk[len(q.blk)-k:]
 			}
-			tail := q.head + q.n
-			if tail >= len(q.buf) {
-				tail -= len(q.buf)
-			}
-			if c := copy(q.buf[tail:], p[:k]); c < k {
-				copy(q.buf, p[c:k])
+			if last := len(q.bufs) - 1; last >= q.head && adjoins(q.bufs[last], piece) {
+				q.bufs[last] = q.bufs[last][:len(q.bufs[last])+k]
+			} else {
+				if q.head > 0 && len(q.bufs) == cap(q.bufs) { // compact, not grow
+					q.bufs, q.head = q.bufs[:copy(q.bufs, q.bufs[q.head:])], 0
+				}
+				q.bufs = append(q.bufs, piece)
 			}
 			q.n += k
 			total += k
@@ -197,20 +207,10 @@ func (q *memQueue) publish(n int) {
 	}
 }
 
-// grow reallocates the ring to hold at least need bytes (need is at most
-// bound, the direction's), unwrapping what it holds. Caller holds mu.
-func (q *memQueue) grow(need, bound int) {
-	buf := make([]byte, min(max(2*len(q.buf), need, memConnMinAlloc), bound))
-	q.peek(buf[:q.n])
-	q.buf, q.head = buf, 0
-}
-
-// peek copies the first len(p) buffered bytes into p without consuming them;
-// len(p) is at most n. Caller holds mu.
-func (q *memQueue) peek(p []byte) {
-	if c := copy(p, q.buf[q.head:]); c < len(p) {
-		copy(p[c:], q.buf)
-	}
+// adjoins reports whether b starts where a ends, inside a's capacity: b
+// extends a, as consecutive copies into one block do.
+func adjoins(a, b []byte) bool {
+	return len(b) > 0 && len(b) <= cap(a)-len(a) && &a[:len(a)+1][len(a)] == &b[0]
 }
 
 func (q *memQueue) read(p []byte) (int, error) {
@@ -230,13 +230,13 @@ func (q *memQueue) read(p []byte) (int, error) {
 			return 0, nil
 		case ready > 0:
 			k := min(len(p), ready)
-			q.peek(p[:k])
-			q.n -= k
-			if q.head += k; q.n == 0 {
-				q.head = 0
-			} else if q.head >= len(q.buf) {
-				q.head -= len(q.buf)
+			for c := 0; c < k; {
+				m := copy(p[c:k], q.bufs[q.head][q.off:])
+				if c, q.off = c+m, q.off+m; q.off == len(q.bufs[q.head]) {
+					q.bufs[q.head], q.head, q.off = nil, q.head+1, 0 // pin nothing read
+				}
 			}
+			q.n -= k
 			q.canWrite.Signal()
 			return k, nil
 		case q.n > 0:
@@ -250,7 +250,7 @@ func (q *memQueue) read(p []byte) (int, error) {
 }
 
 // close ends the direction from e, one of its two ends. Once the reading end
-// has closed nobody will read what the direction holds, so the buffer and
+// has closed nobody will read what the direction holds, so its slices and
 // the schedule's arrivals and timer go with it; what a closed writing end
 // leaves behind stays readable, each byte at its arrival time.
 func (q *memQueue) close(e *memEnd) {
@@ -259,7 +259,7 @@ func (q *memQueue) close(e *memEnd) {
 	e.closed = true
 	stopTimer(&e.timer)
 	if e == &q.r {
-		q.buf, q.head, q.n = nil, 0, 0
+		q.bufs, q.head, q.off, q.n = nil, 0, 0, 0
 		if s := q.s; s != nil {
 			s.units, s.head, s.inFlight = nil, 0, 0
 			stopTimer(&s.timer)

@@ -94,8 +94,9 @@ func forEachPair(t *testing.T, fn func(t *testing.T, k pairKind)) {
 }
 
 // TestMemConnFIFO is contract (a): bytes arrive in order across arbitrary
-// write and read sizes, wrap-arounds and growth of the ring included, and a
-// single Write larger than the bound proceeds in pieces against a slow reader.
+// write and read sizes, reads that end inside a slice or span many included,
+// and a single Write larger than the bound proceeds in pieces against a slow
+// reader.
 func TestMemConnFIFO(t *testing.T) {
 	t.Run("random-sizes", func(t *testing.T) {
 		forEachPair(t, func(t *testing.T, kind pairKind) {
@@ -162,7 +163,7 @@ func TestMemConnFIFO(t *testing.T) {
 // TestMemConnWriteNeedsNoReader is contract (b), the property net.Pipe
 // lacks: Write returns with no reader present until the direction holds the
 // bound, the next Write parks, and one Read releases it. It also pins memory
-// on demand: a connection that has carried nothing holds no buffer.
+// on demand: a connection that has carried nothing holds no slice.
 func TestMemConnWriteNeedsNoReader(t *testing.T) {
 	n := NewMemNetwork(nil)
 	defer n.Close()
@@ -186,8 +187,8 @@ func TestMemConnWriteNeedsNoReader(t *testing.T) {
 	a := dialed.(*memConn)
 	b := (<-accepted).(*memConn)
 	defer b.Close()
-	if a.out.buf != nil || a.in.buf != nil {
-		t.Fatalf("an idle connection holds %d + %d bytes of buffer, want none", len(a.out.buf), len(a.in.buf))
+	if a.out.bufs != nil || a.in.bufs != nil {
+		t.Fatalf("an idle connection holds %d + %d slices, want none", len(a.out.bufs), len(a.in.bufs))
 	}
 
 	chunk := pattern(memConnBytes / 8)
@@ -196,8 +197,8 @@ func TestMemConnWriteNeedsNoReader(t *testing.T) {
 			t.Fatalf("Write %d below the bound = (%d, %v)", i, k, err)
 		}
 	}
-	if a.in.buf != nil {
-		t.Fatalf("the direction that carried nothing holds %d bytes of buffer", len(a.in.buf))
+	if a.in.bufs != nil {
+		t.Fatalf("the direction that carried nothing holds %d slices", len(a.in.bufs))
 	}
 	w := async(func() (int, error) { return a.Write([]byte("x")) })
 	stillParked(t, w, "Write at the bound")
@@ -256,8 +257,8 @@ func TestMemConnClose(t *testing.T) {
 			if _, err := a.Write([]byte("later")); !errors.Is(err, io.ErrClosedPipe) {
 				t.Fatalf("later Write = %v, want io.ErrClosedPipe", err)
 			}
-			if b.in.buf != nil {
-				t.Fatal("a closed reader still holds the direction's buffer")
+			if b.in.bufs != nil || b.in.n != 0 {
+				t.Fatalf("a closed reader still holds %d slices (%d bytes)", len(b.in.bufs), b.in.n)
 			}
 			if s := b.in.s; s != nil && (s.timer != nil || s.units != nil) {
 				t.Fatal("a closed reader still holds the direction's arrivals or arrival timer")
@@ -480,13 +481,14 @@ func unitSizes(q *memQueue) []int {
 func TestMemConnWriteBuffers(t *testing.T) {
 	cases := []struct {
 		name string
-		// prime is written and then partly read before the vector, placing
-		// the ring's head; the bytes left unread come out ahead of it.
+		// prime is written and then partly read before the vector, which
+		// queues behind the partly read slice; the bytes left unread come out
+		// ahead of it.
 		prime, primeRead int
 		sizes            []int
 		units            []int // the vector's units on a shaped direction
 	}{
-		{name: "straddles-the-wrap", prime: 400, primeRead: 300, sizes: []int{50, 100, 150}, units: []int{300}},
+		{name: "behind-a-partly-read-slice", prime: 400, primeRead: 300, sizes: []int{50, 100, 150}, units: []int{300}},
 		{name: "units-across-buffers", sizes: []int{40_000, 50_000, 60_000}, units: []int{maxChunk, maxChunk, 150_000 - 2*maxChunk}},
 		{name: "unit-boundary-between-buffers", sizes: []int{maxChunk, 1, maxChunk - 1, 10}, units: []int{maxChunk, maxChunk, 10}},
 		{name: "zero-length-buffers", sizes: []int{0, 10, 0, 0, 20, 0}, units: []int{30}},
@@ -513,8 +515,8 @@ func TestMemConnWriteBuffers(t *testing.T) {
 					before := len(unitSizes(a.out))
 					bufs := vector(tc.sizes...)
 					want := len(bytes.Join(bufs, nil))
-					if tc.prime > 0 && a.out.head+a.out.n+want <= len(a.out.buf) {
-						t.Fatalf("the vector does not reach the ring's end (head %d, %d held, ring %d)", a.out.head, a.out.n, len(a.out.buf))
+					if tc.prime > 0 && (a.out.off != tc.primeRead || len(a.out.bufs)-a.out.head != 1) {
+						t.Fatalf("the prime is not one partly read slice (%d slices, %d read of the first)", len(a.out.bufs)-a.out.head, a.out.off)
 					}
 					if n, err := writeVector(a, vectored, bufs)(); n != want || err != nil {
 						t.Fatalf("vectored=%v: wrote (%d, %v), want (%d, nil)", vectored, n, err, want)
@@ -601,10 +603,212 @@ func TestMemConnWriteBuffers(t *testing.T) {
 	})
 }
 
+// held returns the slices q holds, the first cut past what has been read of
+// it.
+func held(q *memQueue) [][]byte {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.head == len(q.bufs) {
+		return nil
+	}
+	h := slices.Clone(q.bufs[q.head:])
+	h[0] = h[0][q.off:]
+	return h
+}
+
+// TestMemConnBorrowedSlices pins the FIFO of borrowed slices under a direction:
+// WriteBuffers queues the caller's own buffers, a piece that starts where the
+// last one ends extends it, a read copies out of them wherever its cuts fall,
+// and the direction lets go of every slice once it is read, or once its
+// reader closes. The slice-header array is compacted, not grown, by a stream
+// that never drains to empty, and plain Writes share one reused block.
+func TestMemConnBorrowedSlices(t *testing.T) {
+	t.Run("lends-the-buffers", func(t *testing.T) {
+		a, b := newMemConnPair(1, 2, nil, nil)
+		defer a.Close()
+		defer b.Close()
+		bufs := vector(10, 20, 30)
+		if _, err := a.WriteBuffers(bufs); err != nil {
+			t.Fatal(err)
+		}
+		h := held(a.out)
+		if len(h) != len(bufs) {
+			t.Fatalf("the direction holds %d slices for a vector of %d", len(h), len(bufs))
+		}
+		for i := range bufs {
+			if &h[i][0] != &bufs[i][0] || len(h[i]) != len(bufs[i]) {
+				t.Fatalf("slice %d is not the caller's buffer", i)
+			}
+		}
+	})
+	t.Run("read-ends-mid-slice", func(t *testing.T) {
+		a, b := newMemConnPair(1, 2, nil, nil)
+		defer a.Close()
+		defer b.Close()
+		bufs := vector(100, 50)
+		if _, err := a.WriteBuffers(bufs); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, 150)
+		if n, err := b.Read(got[:30]); n != 30 || err != nil {
+			t.Fatalf("Read = (%d, %v), want (30, nil)", n, err)
+		}
+		if h := held(a.out); len(h) != 2 || len(h[0]) != 70 {
+			t.Fatalf("after 30 bytes the direction holds %d slices, the first of %d bytes; want 2, 70", len(h), len(h[0]))
+		}
+		if n, err := b.Read(got[30:]); n != 120 || err != nil {
+			t.Fatalf("resumed Read = (%d, %v), want (120, nil)", n, err)
+		}
+		if !bytes.Equal(got, pattern(150)) {
+			t.Fatal("a read resumed mid-slice returned other bytes")
+		}
+	})
+	t.Run("one-read-spans-many-slices", func(t *testing.T) {
+		forEachPair(t, func(t *testing.T, kind pairKind) {
+			a, b := kind.pair()
+			defer a.Close()
+			defer b.Close()
+			sizes := make([]int, 200)
+			for i := range sizes {
+				sizes[i] = 1 + i%13
+			}
+			bufs := vector(sizes...)
+			want := bytes.Join(bufs, nil)
+			if _, err := a.WriteBuffers(bufs); err != nil {
+				t.Fatal(err)
+			}
+			got := make([]byte, len(want)+1)
+			n, err := b.Read(got) // one unit on a shaped link: all arrive at once
+			if n != len(want) || err != nil || !bytes.Equal(got[:n], want) {
+				t.Fatalf("Read = (%d, %v), want all %d bytes of %d slices in one", n, err, len(want), len(bufs))
+			}
+			if h := held(a.out); h != nil {
+				t.Fatalf("a drained direction holds %d slices", len(h))
+			}
+		})
+	})
+	t.Run("zero-length-buffers-queue-nothing", func(t *testing.T) {
+		a, b := newMemConnPair(1, 2, nil, nil)
+		defer a.Close()
+		defer b.Close()
+		if n, err := a.WriteBuffers([][]byte{nil, {}, make([]byte, 0, 8)}); n != 0 || err != nil {
+			t.Fatalf("WriteBuffers of empty buffers = (%d, %v)", n, err)
+		}
+		if n, err := a.Write(nil); n != 0 || err != nil {
+			t.Fatalf("Write(nil) = (%d, %v)", n, err)
+		}
+		if a.out.bufs != nil {
+			t.Fatalf("empty writes queued %d slices", len(a.out.bufs))
+		}
+		if _, err := a.WriteBuffers(vector(0, 10, 0, 0)); err != nil {
+			t.Fatal(err)
+		}
+		if h := held(a.out); len(h) != 1 || len(h[0]) != 10 {
+			t.Fatalf("a vector with one non-empty buffer queued %d slices", len(h))
+		}
+	})
+	t.Run("closed-reader-drops-every-slice", func(t *testing.T) {
+		forEachPair(t, func(t *testing.T, kind pairKind) {
+			a, b := kind.pair()
+			defer a.Close()
+			if _, err := a.WriteBuffers(vector(10, 20, 30)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := a.Write(pattern(40)); err != nil {
+				t.Fatal(err)
+			}
+			_ = b.Close()
+			if a.out.bufs != nil || a.out.n != 0 || a.out.head != 0 || a.out.off != 0 {
+				t.Fatalf("a closed reader's direction holds %d slices, %d bytes", len(a.out.bufs), a.out.n)
+			}
+		})
+	})
+	t.Run("compacts-when-never-empty", func(t *testing.T) {
+		a, b := newMemConnPair(1, 2, nil, nil)
+		defer a.Close()
+		defer b.Close()
+		const writes = 100_000
+		bufs := vector(7, 11)
+		got := make([]byte, 11)
+		for i := 0; i < writes; i++ {
+			p := bufs[i%2]
+			if _, err := a.WriteBuffers([][]byte{p}); err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				continue
+			}
+			// Read the older slice only: the reader stays one slice behind.
+			prev := bufs[(i-1)%2]
+			if n, err := io.ReadFull(b, got[:len(prev)]); n != len(prev) || err != nil {
+				t.Fatalf("Read %d = (%d, %v)", i, n, err)
+			}
+			if !bytes.Equal(got[:len(prev)], prev) {
+				t.Fatalf("Read %d returned other bytes", i)
+			}
+		}
+		if h := held(a.out); len(h) != 1 {
+			t.Fatalf("the direction holds %d slices, want the one unread", len(h))
+		}
+		if c := cap(a.out.bufs); c > 8 {
+			t.Fatalf("after %d writes one slice ahead of the reader, the slice-header array has room for %d", writes, c)
+		}
+	})
+	t.Run("adjoining-pieces-extend-one-slice", func(t *testing.T) {
+		a, b := newMemConnPair(1, 2, nil, nil)
+		defer a.Close()
+		defer b.Close()
+		for i := 0; i < 3; i++ { // copies land one after another in one block
+			if _, err := a.Write(pattern(100)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if h := held(a.out); len(h) != 1 || len(h[0]) != 300 {
+			t.Fatalf("three Writes into one block are held as %d slices", len(h))
+		}
+		if _, err := io.ReadFull(b, make([]byte, 300)); err != nil {
+			t.Fatal(err)
+		}
+		p := pattern(90)
+		if _, err := a.WriteBuffers([][]byte{p[:30], p[30:60], p[70:]}); err != nil {
+			t.Fatal(err)
+		}
+		if h := held(a.out); len(h) != 2 || len(h[0]) != 60 || len(h[1]) != 20 {
+			t.Fatalf("lent pieces p[:30], p[30:60], p[70:] are held as %d slices, want 2 (60 and 20 bytes)", len(h))
+		}
+		got := make([]byte, 80)
+		if _, err := io.ReadFull(b, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, append(pattern(60), p[70:]...)) {
+			t.Fatal("joined slices returned other bytes")
+		}
+	})
+	t.Run("writes-share-a-block", func(t *testing.T) {
+		a, b := newMemConnPair(1, 2, nil, nil)
+		defer a.Close()
+		defer b.Close()
+		p, got := pattern(85), make([]byte, 85)
+		allocs := testing.AllocsPerRun(1000, func() {
+			if _, err := a.Write(p); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := io.ReadFull(b, got); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("an 85 B Write and its Read allocate %v times, want 0 amortized", allocs)
+		}
+	})
+}
+
 // BenchmarkMemConn prices the fabric's connection beside the net.Pipe it
 // replaced, same loops: a 64 B ping-pong (two hand-offs per iteration either
 // way; what differs is the cost of each) and a stream of 85 B one-way writes,
-// the size of a small Data frame, against a reader that drains in bulk.
+// the size of a small Data frame, against a reader that drains in bulk. Both
+// reuse their buffer after every Write, so the fabric copies each Write into
+// a block of its own, as a socket copies it into its buffer.
 func BenchmarkMemConn(b *testing.B) {
 	fabrics := []struct {
 		name string
@@ -661,8 +865,9 @@ func BenchmarkMemConn(b *testing.B) {
 		})
 	}
 	// One 64 KiB flush of eight 8 KiB frames, the large stream's shape: handed
-	// over as the frames, and gathered into one buffer first, as a link did
-	// before connections took buffers.
+	// over as the frames, which the direction borrows until the reader copies
+	// them out, and gathered into one buffer first, as a link did before
+	// connections took buffers, and written, which the direction copies.
 	const frames, frameSize = 8, 8 << 10
 	bufs := vector(frameSize, frameSize, frameSize, frameSize, frameSize, frameSize, frameSize, frameSize)
 	flush := map[string]func(c net.Conn, joined []byte) ([]byte, error){

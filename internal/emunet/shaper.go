@@ -169,16 +169,22 @@ func (s *shapedConn) writeLoop() {
 }
 
 // readLoop moves bytes read from conn into in, where they arrive on rev's
-// schedule. When conn fails, in's writing end closes: Read drains what is
-// still in flight and then returns io.EOF.
+// schedule. Each read lands in the unused tail of a block that in borrows, so
+// the relay copies nothing, and the next read goes past it. When conn fails,
+// in's writing end closes: Read drains what is still in flight and then
+// returns io.EOF.
 func (s *shapedConn) readLoop() {
 	defer s.wg.Done()
-	buf := make([]byte, 32<<10)
+	var buf []byte
 	for {
+		if len(buf) < memBlockBytes {
+			buf = make([]byte, 32<<10)
+		}
 		n, err := s.conn.Read(buf)
-		if _, werr := s.in.write([][]byte{buf[:n]}); werr != nil {
+		if _, werr := s.in.write([][]byte{buf[:n]}, true); werr != nil {
 			return
 		}
+		buf = buf[n:]
 		if err != nil {
 			s.in.close(&s.in.w)
 			return

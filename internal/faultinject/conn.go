@@ -39,22 +39,33 @@ type Conn struct {
 var _ net.Conn = (*Conn)(nil)
 
 // buffersWriter is a connection that takes a write as the buffers it is made
-// of, as the memory fabric's does.
+// of and borrows them, as the memory fabric's does (the rule is stated on
+// transport's buffersWriter).
 type buffersWriter interface {
 	WriteBuffers(bufs [][]byte) (int, error)
 }
 
-// Write is WriteBuffers of p alone.
-func (c *Conn) Write(p []byte) (int, error) { return c.WriteBuffers([][]byte{p}) }
+// Write is WriteBuffers of p alone, except that every chunk goes below as a
+// Write: the connection below copies it, so the caller may reuse p as soon
+// as Write returns, as on a socket.
+func (c *Conn) Write(p []byte) (int, error) { return c.write([][]byte{p}, nil) }
 
 // WriteBuffers pushes the concatenation of bufs through the fault gate in
 // chunks of at most writeChunk bytes of it: each chunk after the first waits
 // out any cut on the forward direction, so a concurrently engaged fault
 // stalls (or a sever kills) the write mid-frame. Spike delay applies once
 // per call, before the first byte. A chunk goes to a connection that takes
-// buffers as its pieces, and to any other as one Write, so the connection
-// below sees the same writes whichever way the caller cut the bytes.
+// buffers as its pieces, lending them on, and to any other as one Write, so
+// the connection below sees the same writes whichever way the caller cut the
+// bytes.
 func (c *Conn) WriteBuffers(bufs [][]byte) (int, error) {
+	bw, _ := c.base.(buffersWriter)
+	return c.write(bufs, bw)
+}
+
+// write is WriteBuffers, handing each chunk to bw if it is not nil and to
+// the connection's Write if it is.
+func (c *Conn) write(bufs [][]byte, bw buffersWriter) (int, error) {
 	d, err := c.inj.gateWrite(c)
 	if err != nil {
 		return 0, err
@@ -62,7 +73,6 @@ func (c *Conn) WriteBuffers(bufs [][]byte) (int, error) {
 	if d > 0 {
 		time.Sleep(d)
 	}
-	bw, _ := c.base.(buffersWriter)
 	var (
 		chunk  [][]byte
 		joined []byte

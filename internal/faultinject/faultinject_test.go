@@ -474,3 +474,94 @@ func (c firstWriteBuffersConn) WriteBuffers(bufs [][]byte) (int, error) {
 	c.once.Do(c.f)
 	return n, err
 }
+
+// dialPair listens on node 2 of fabric, dials it from node 1 and returns the
+// dialed and the accepted end.
+func dialPair(t *testing.T, fabric emunet.Network) (dialed, accepted net.Conn) {
+	t.Helper()
+	l, err := fabric.Listen(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch := make(chan net.Conn, 1)
+	go func() {
+		c, _ := l.Accept()
+		ch <- c
+	}()
+	if dialed, err = fabric.Dial(1, 2); err != nil {
+		t.Fatal(err)
+	}
+	accepted = <-ch
+	t.Cleanup(func() {
+		_ = dialed.Close()
+		_ = accepted.Close()
+		_ = fabric.Close()
+	})
+	return dialed, accepted
+}
+
+// TestWriteLendsNothing: a Write keeps socket semantics on every connection
+// the fabrics hand out, whichever lends its WriteBuffers: the caller may
+// write over p as soon as Write returns, before the peer has read, and the
+// peer still reads what was written. On a shaped TCP dial the relay that
+// feeds the shaped queue from the socket must not lend a buffer it reads
+// into again either.
+func TestWriteLendsNothing(t *testing.T) {
+	shaped := func() *emunet.Matrix {
+		m := emunet.NewMatrix()
+		m.SetSymmetric(1, 2, emunet.Link{OneWayLatency: 30 * time.Millisecond})
+		return m
+	}
+	cases := []struct {
+		name string
+		pair func(t *testing.T) (net.Conn, net.Conn)
+	}{
+		{"mem", func(t *testing.T) (net.Conn, net.Conn) { return dialPair(t, emunet.NewMemNetwork(nil)) }},
+		{"mem-shaped", func(t *testing.T) (net.Conn, net.Conn) { return dialPair(t, emunet.NewMemNetwork(shaped())) }},
+		{"faultinject-over-mem", func(t *testing.T) (net.Conn, net.Conn) {
+			in := New(nil)
+			t.Cleanup(func() { in.Close() })
+			fabric := emunet.NewMemNetwork(nil)
+			fabric.SetConnHook(in.Hook())
+			a, b := dialPair(t, fabric)
+			if _, ok := a.(*Conn); !ok {
+				t.Fatalf("the hook left a %T", a)
+			}
+			return a, b
+		}},
+		{"tcp-shaped", func(t *testing.T) (net.Conn, net.Conn) { return dialPair(t, emunet.NewTCPNetwork(shaped())) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			a, b := tc.pair(t)
+			// Each end writes three writes from one buffer it overwrites
+			// after each returns; the other end reads only once all three
+			// have returned.
+			for _, dir := range [][2]net.Conn{{a, b}, {b, a}} {
+				w, r := dir[0], dir[1]
+				p := make([]byte, 1000)
+				var want []byte
+				for i := 0; i < 3; i++ {
+					for j := range p {
+						p[j] = byte(i*101 + j)
+					}
+					if n, err := w.Write(p); n != len(p) || err != nil {
+						t.Fatalf("Write %d = (%d, %v)", i, n, err)
+					}
+					want = append(want, p...)
+					time.Sleep(5 * time.Millisecond) // separate reads at a relay
+				}
+				for j := range p {
+					p[j] = 0xEE
+				}
+				got := make([]byte, len(want))
+				if _, err := io.ReadFull(r, got); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatal("the peer read bytes the writer wrote over after Write returned")
+				}
+			}
+		})
+	}
+}

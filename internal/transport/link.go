@@ -70,9 +70,10 @@ type link struct {
 	// vec is the flush being gathered, in wire order: each data frame as the
 	// log holds it (a visible frame is never written again, so it is handed
 	// on by reference), and each pass's control frames as one sub-slice of
-	// out, which holds only those. joined backs the one Write a connection
-	// that does not take buffers gets (see joinWriter). ackBuf backs the ACK
-	// slice takeReports hands out. Run/stream goroutine only.
+	// out, which holds only those and is never written again below its
+	// length once handed over (see moveOut). joined backs the one Write a
+	// connection that does not take buffers gets (see joinWriter). ackBuf
+	// backs the ACK slice takeReports hands out. Run/stream goroutine only.
 	vec    [][]byte
 	out    []byte
 	joined []byte
@@ -398,10 +399,13 @@ var nowNano = func() int64 { return time.Now().UnixNano() }
 const outFlushBytes = 64 << 10
 
 // buffersWriter is a connection that takes a flush as the frames it is made
-// of and writes their concatenation as one Write of it would, keeping none of
-// them. The memory fabric's connection is one: its queue is the socket, so
-// the copy into it is the only one a frame gets on the way, the one a kernel
-// writev would make.
+// of and writes their concatenation as one Write of it would. It borrows
+// them: the connection may hold a buffer it was handed until the peer has
+// read it, after WriteBuffers has returned, so the caller never writes to
+// one again. This is the send side's twin of wire.Reader's rule that a
+// received payload is lent until the next Next. The memory fabric's
+// connection is one: its queue holds the frames, and the peer's read is the
+// only copy a frame gets on the way, as through net.Pipe.
 type buffersWriter interface {
 	WriteBuffers(bufs [][]byte) (int, error)
 }
@@ -424,6 +428,24 @@ func (j joinWriter) WriteBuffers(bufs [][]byte) (int, error) {
 	return j.conn.Write(b)
 }
 
+// The link encodes control frames into out blocks of outBlockBytes, and moves
+// to a fresh block once fewer than outMinTail bytes are left behind what it
+// has handed over.
+const (
+	outBlockBytes = 4 << 10
+	outMinTail    = 512
+)
+
+// moveOut starts out behind the bytes it holds, which a connection may still
+// borrow, so the next pass encodes after them and never over them.
+func (l *link) moveOut() {
+	if cap(l.out)-len(l.out) < outMinTail {
+		l.out = make([]byte, 0, outBlockBytes)
+	} else {
+		l.out = l.out[len(l.out):]
+	}
+}
+
 // writerFor is how the stream hands its flushes to conn, chosen once per
 // connection.
 func (l *link) writerFor(conn net.Conn) buffersWriter {
@@ -440,11 +462,11 @@ func (l *link) writerFor(conn net.Conn) buffersWriter {
 // pending (the board's unsent reports, app messages, a due heartbeat) into
 // l.out and gathers that behind them. The gathered frames go to the
 // connection in one WriteBuffers when a pass finds nothing to gather or
-// outFlushBytes have gathered: the memory fabric copies each frame once,
-// into its queue, and any other connection gets their concatenation in one
-// Write (writerFor). Control is collected once per pass, so it waits at most
-// one batch and one flush behind bulk data — that bound is the control/data
-// fairness rule. Nothing gathered for one connection is written on its
+// outFlushBytes have gathered: the memory fabric borrows the frames and its
+// peer's read is the one copy each gets, and any other connection gets their
+// concatenation in one Write (writerFor). Control is collected once per
+// pass, so it waits at most one batch and one flush behind bulk data — that
+// bound is the control/data fairness rule. Nothing gathered for one connection is written on its
 // successor: every stream starts empty.
 //
 // A pass that finds nothing to gather goes idle in a fixed order: flush, yield,
@@ -462,7 +484,8 @@ func (l *link) stream(conn net.Conn, cursor uint64) {
 	lim := l.t.cfg.batch
 	rec := l.t.cfg.Trace
 	w := l.writerFor(conn)
-	l.vec, l.out, l.traced = l.vec[:0], l.out[:0], l.traced[:0]
+	l.vec, l.traced = l.vec[:0], l.traced[:0]
+	l.moveOut()
 	gathered := 0  // bytes in l.vec
 	burst := false // the last data batch held more than one entry
 	for {
@@ -514,10 +537,11 @@ func (l *link) stream(conn net.Conn, cursor uint64) {
 		if gathered > 0 {
 			_, err := w.WriteBuffers(l.vec)
 			clear(l.vec) // pin no frame the log has let go of
+			l.moveOut()
 			if err != nil {
 				return // the next connection resends every report
 			}
-			l.vec, l.out, gathered = l.vec[:0], l.out[:0], 0
+			l.vec, gathered = l.vec[:0], 0
 			if len(l.traced) > 0 {
 				tWrite := nowNano()
 				for _, s := range l.traced {

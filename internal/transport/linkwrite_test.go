@@ -429,3 +429,120 @@ func TestLinkWriteFramesSurviveOutGrowing(t *testing.T) {
 		t.Fatalf("connection carried %d data and %d app frames, want %d and %d", data, app, msgs, apps)
 	}
 }
+
+// TestLinkControlFramesSurviveASlowReader has a peer that reads nothing while
+// the link flushes pass after pass of reports, app frames and heartbeats: the
+// memory fabric borrows each flush, so the bytes of one pass are still
+// queued, unread, while the link encodes the next. Once the peer does read,
+// its stream must decode to every frame, intact and in order.
+func TestLinkControlFramesSurviveASlowReader(t *testing.T) {
+	const rounds = 6
+	body := func(i int) []byte {
+		p := make([]byte, 16+40*i)
+		for j := range p {
+			p[j] = byte(i*31 + j)
+		}
+		return p
+	}
+	fabric := emunet.NewMemNetwork(nil)
+	defer fabric.Close()
+	var writes, wrote atomic.Int64
+	fabric.SetConnHook(func(from, to int, conn net.Conn) (net.Conn, error) {
+		bw, ok := conn.(buffersWriter)
+		if !ok {
+			t.Error("the memory fabric's connection does not take buffers")
+		}
+		return countedBuffersConn{countedConn{conn, &writes, &wrote}, bw}, nil
+	})
+	// Node 2 is this test: it answers the handshake and then reads nothing.
+	l, err := fabric.Listen(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		c, err := l.Accept()
+		if err != nil {
+			t.Error(err)
+		}
+		accepted <- c
+	}()
+	tr, err := New(Config{Self: 1, N: 2, Network: fabric, Handler: newRecorder(), Log: NewSendLog(1), HeartbeatEvery: noHeartbeat})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	peer := <-accepted
+	defer peer.Close()
+	hello := wire.AppendFrame(nil, &wire.Hello{From: 1})
+	if _, err := io.ReadFull(peer, make([]byte, len(hello))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := peer.Write(wire.AppendFrame(nil, &wire.HelloAck{From: 2})); err != nil {
+		t.Fatal(err)
+	}
+
+	// Each round is flushed whole before the next is queued.
+	want := int64(len(hello))
+	for i := 0; i < rounds; i++ {
+		ack := wire.Ack{Origin: 2, By: 1, Type: 1, Seq: uint64(i + 1)}
+		app := wire.App{ID: uint64(i), From: 1, Payload: body(i)}
+		hb := wire.Heartbeat{Clock: uint64(i + 1)}
+		tr.QueueAck(ack)
+		if err := tr.SendApp(2, &app); err != nil {
+			t.Fatal(err)
+		}
+		tr.links[2].queueHeartbeat(hb.Clock)
+		want += int64(len(wire.AppendFrame(nil, &ack)) + len(wire.AppendFrame(nil, &app)) + len(wire.AppendFrame(nil, &hb)))
+		waitUntil(t, 5*time.Second, func() bool { return wrote.Load() == want })
+	}
+	if n := writes.Load(); n < 1+3 {
+		t.Fatalf("the link flushed %d times after the Hello, want at least 3", n-1)
+	}
+
+	got := make([]byte, want-int64(len(hello)))
+	if _, err := io.ReadFull(peer, got); err != nil {
+		t.Fatal(err)
+	}
+	r := wire.NewReader(bytes.NewReader(got))
+	var acks, apps, hbs int
+	for round := 0; ; {
+		m, err := r.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("after %d reports, %d app frames and %d heartbeats: %v", acks, apps, hbs, err)
+		}
+		var seq int // the round this frame was queued in
+		switch m := m.(type) {
+		case *wire.Ack:
+			if m.Seq != uint64(acks+1) || m.Origin != 2 || m.By != 1 || m.Type != 1 {
+				t.Fatalf("report %d arrived as %+v", acks, *m)
+			}
+			seq, acks = acks, acks+1
+		case *wire.App:
+			if m.ID != uint64(apps) || !bytes.Equal(m.Payload, body(apps)) {
+				t.Fatalf("app frame %d arrived as ID %d with a payload that is not its own", apps, m.ID)
+			}
+			seq, apps = apps, apps+1
+		case *wire.Heartbeat:
+			if m.Clock != uint64(hbs+1) {
+				t.Fatalf("heartbeat %d arrived with clock %d", hbs, m.Clock)
+			}
+			seq, hbs = hbs, hbs+1
+		default:
+			t.Fatalf("unexpected %T on the connection", m)
+		}
+		if seq < round {
+			t.Fatalf("a frame of round %d arrived after one of round %d", seq, round)
+		}
+		round = seq
+	}
+	if acks != rounds || apps != rounds || hbs != rounds {
+		t.Fatalf("the peer read %d reports, %d app frames and %d heartbeats, want %d each", acks, apps, hbs, rounds)
+	}
+}
