@@ -86,6 +86,11 @@ type memQueue struct {
 	// full direction is not interleaved with another.
 	wmu sync.Mutex
 	blk []byte // its unused tail takes the next Write's copy; guarded by wmu and mu
+	// spare is the block blk was before, and since counts the bytes taken
+	// since then: once at most that many are unread, the reader has copied
+	// spare's last byte out and a copy may take it back. Guarded like blk.
+	spare []byte
+	since int
 
 	mu           sync.Mutex
 	canRead      sync.Cond // bytes arrived, or an end closed or timed out
@@ -157,7 +162,7 @@ func (q *memQueue) write(bufs [][]byte, lend bool) (int, error) {
 					q.blk = q.blk[:0] // the direction holds none of it
 				}
 				if cap(q.blk)-len(q.blk) < k {
-					q.blk = make([]byte, 0, max(k, memBlockBytes))
+					q.nextBlock(k)
 				}
 				q.blk = append(q.blk, piece...)
 				piece = q.blk[len(q.blk)-k:]
@@ -171,6 +176,7 @@ func (q *memQueue) write(bufs [][]byte, lend bool) (int, error) {
 				q.bufs = append(q.bufs, piece)
 			}
 			q.n += k
+			q.since += k
 			total += k
 			fresh += k
 			p = p[k:]
@@ -178,6 +184,25 @@ func (q *memQueue) write(bufs [][]byte, lend bool) (int, error) {
 	}
 	q.publish(fresh)
 	return total, nil
+}
+
+// nextBlock swaps blk for spare once the reader has copied spare empty, if
+// it is no smaller; else for a fresh block, twice blk's size (up to
+// memConnBytes, where an unshaped direction's spare is always read empty
+// when blk fills) while the reader lags by more than a block. A lent buffer
+// is never a block. Caller holds wmu and mu.
+func (q *memQueue) nextBlock(k int) {
+	read := q.n <= q.since
+	if read && cap(q.spare) >= max(k, cap(q.blk)) {
+		q.blk, q.spare = q.spare[:0], q.blk
+	} else {
+		size := cap(q.blk)
+		if !read {
+			size = min(2*size, memConnBytes)
+		}
+		q.blk, q.spare = make([]byte, 0, max(k, memBlockBytes, size)), q.blk
+	}
+	q.since = 0
 }
 
 // writeErr is what fails a write on the direction now, if anything. Caller

@@ -621,7 +621,8 @@ func held(q *memQueue) [][]byte {
 // last one ends extends it, a read copies out of them wherever its cuts fall,
 // and the direction lets go of every slice once it is read, or once its
 // reader closes. The slice-header array is compacted, not grown, by a stream
-// that never drains to empty, and plain Writes share one reused block.
+// that never drains to empty, plain Writes share one reused block, and a
+// block they filled is taken back only once its reader has copied it empty.
 func TestMemConnBorrowedSlices(t *testing.T) {
 	t.Run("lends-the-buffers", func(t *testing.T) {
 		a, b := newMemConnPair(1, 2, nil, nil)
@@ -799,6 +800,41 @@ func TestMemConnBorrowedSlices(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Fatalf("an 85 B Write and its Read allocate %v times, want 0 amortized", allocs)
+		}
+	})
+	t.Run("a-block-is-reused-once-read-empty", func(t *testing.T) {
+		for _, unread := range []int{0, 1} {
+			a, b := newMemConnPair(1, 2, nil, nil)
+			var want []byte
+			write := func(n int) {
+				p := pattern(n)
+				if _, err := a.Write(p); err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, p...)
+			}
+			write(memBlockBytes) // fills the first block
+			first := &held(a.out)[0][0]
+			write(100) // goes to a second block, the first still unread
+			if _, err := io.ReadFull(b, make([]byte, memBlockBytes-unread)); err != nil {
+				t.Fatal(err)
+			}
+			want = want[memBlockBytes-unread:]
+			write(memBlockBytes - 100) // fills the second block
+			write(100)
+			h := held(a.out)
+			if reused := &h[len(h)-1][0] == first; reused != (unread == 0) {
+				t.Fatalf("with %d byte(s) of the first block unread, the next Write was copied into it: %v", unread, reused)
+			}
+			got := make([]byte, len(want))
+			if _, err := io.ReadFull(b, got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("with %d byte(s) of the first block unread, the reader got other bytes", unread)
+			}
+			_ = a.Close()
+			_ = b.Close()
 		}
 	})
 }
