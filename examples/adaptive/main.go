@@ -47,7 +47,6 @@ func run() error {
 			Topology:       topo.WithSelf(i),
 			Network:        network,
 			HeartbeatEvery: 20 * time.Millisecond,
-			PeerTimeout:    150 * time.Millisecond,
 		})
 	}
 

@@ -1,8 +1,8 @@
 // SLO burn-rate alerting, in process: the runnable twin of the Prometheus
 // rules in stability-slo.rules.yml. A three-node cluster streams updates
-// over an emulated WAN while an SLOMonitor watches the sender's
-// stability-latency histogram and fires multiwindow burn alerts — no
-// Prometheus server required.
+// over an emulated WAN while an SLOMonitor on the sender's node tick watches
+// each predicate's stability-latency histogram and fires multiwindow burn
+// alerts — no Prometheus server required.
 //
 // The demo registers two consistency models: "eu" stabilizes within the
 // ~10ms European ring and comfortably meets a 33ms objective, while "all"
@@ -45,10 +45,12 @@ func run() error {
 	network := stabilizer.NewMemNetwork(matrix)
 	defer network.Close()
 
+	// The monitors sample on the node tick, every HeartbeatEvery.
 	cluster, err := stabilizer.OpenCluster(stabilizer.ClusterConfig{
-		Topology: topo,
-		Network:  network,
-		Metrics:  stabilizer.NewMetricsRegistry(),
+		Topology:       topo,
+		Network:        network,
+		Metrics:        stabilizer.NewMetricsRegistry(),
+		HeartbeatEvery: 250 * time.Millisecond,
 	})
 	if err != nil {
 		return err
@@ -69,16 +71,13 @@ func run() error {
 	// The windows are demo-scale seconds; production rules use the
 	// 5m/1h pairing from stability-slo.rules.yml.
 	slo := func(pred string) (*stabilizer.SLOMonitor, error) {
-		return stabilizer.NewSLOMonitor(
-			frankfurt.StabilityLatencyHistogram(pred),
+		return stabilizer.NewSLOMonitor(frankfurt, pred,
 			stabilizer.SLOConfig{
-				Name:        pred,
 				Threshold:   1 << 25, // ns
 				Objective:   0.99,
 				ShortWindow: time.Second,
 				LongWindow:  4 * time.Second,
 				Burn:        10,
-				CheckEvery:  250 * time.Millisecond,
 				OnAlert: func(a stabilizer.BurnAlert) {
 					state := "RESOLVED"
 					if a.Firing {

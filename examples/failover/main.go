@@ -45,7 +45,6 @@ func run() error {
 			Topology:       topo.WithSelf(i),
 			Network:        network,
 			HeartbeatEvery: 20 * time.Millisecond,
-			PeerTimeout:    150 * time.Millisecond,
 		})
 	}
 	nodes := make([]*stabilizer.Node, 4)
@@ -129,7 +128,6 @@ func run() error {
 		Topology:       topo.WithSelf(1),
 		Network:        network,
 		HeartbeatEvery: 20 * time.Millisecond,
-		PeerTimeout:    150 * time.Millisecond,
 		Checkpoint:     ckpt,
 	})
 	if err != nil {

@@ -296,7 +296,7 @@ func New(host Host, key string, ladder Ladder, cfg Config, hist *metrics.Histogr
 		cfg:    cfg,
 		hooks:  map[int]func(Transition){},
 	}
-	c.mon, err = metrics.NewSLOMonitorPaused(hist, metrics.SLOConfig{
+	c.mon, err = metrics.NewSLOMonitor(hist, metrics.SLOConfig{
 		Name:        key,
 		Threshold:   cfg.Target.Nanoseconds(),
 		Objective:   cfg.Objective,
@@ -403,7 +403,7 @@ func (c *Controller) Tick(now time.Time) {
 		c.mu.Unlock()
 		return
 	}
-	shortBurn, longBurn := c.mon.Tick(now)
+	shortBurn, longBurn, _ := c.mon.Tick(now)
 	burning := c.mon.Firing()
 
 	// Stall detection: the histogram only sees frontier advances, so a

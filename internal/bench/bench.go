@@ -39,8 +39,8 @@ type Options struct {
 	// testing.B iteration.
 	Short bool
 	// Cluster is the template every cluster an experiment starts boots from
-	// (startCluster fills in the topology, the fabric and the failure
-	// detector periods). Metrics, when set, is shared by every node of every
+	// (startCluster fills in the topology, the fabric and the tick
+	// period). Metrics, when set, is shared by every node of every
 	// cluster: families are get-or-create, so successive clusters accumulate
 	// into the same counters and a live /metrics endpoint watches the whole
 	// run. The zero value is the faithful-measurement default: tracing
@@ -112,7 +112,7 @@ func (o Options) rescaled(s testbed.Series) testbed.Series {
 func startCluster(topo *config.Topology, matrix *emunet.Matrix, opts Options) (*testbed.Bed, error) {
 	cfg := opts.Cluster
 	cfg.Topology = topo
-	cfg.HeartbeatEvery, cfg.PeerTimeout = 100*time.Millisecond, 5*time.Second
+	cfg.HeartbeatEvery = 100 * time.Millisecond
 	bed, err := testbed.Boot(cfg, opts.fabric(matrix))
 	if err != nil {
 		return nil, fmt.Errorf("bench: %w", err)

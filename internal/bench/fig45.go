@@ -142,8 +142,8 @@ func Fig5(opts Options) (*Fig5Result, error) {
 		// Quantiles come from the node's own histogram rather than the
 		// ad-hoc series (TestHistogramSeriesAgreement pins the two paths
 		// against each other).
-		res.P50[p] = opts.stabilityQuantile(sender, p, 0.50)
-		res.P99[p] = opts.stabilityQuantile(sender, p, 0.99)
+		res.P50[p] = opts.stabilityQuantile(c.Cluster, 1, p, 0.50)
+		res.P99[p] = opts.stabilityQuantile(c.Cluster, 1, p, 0.99)
 	}
 
 	const nBuckets = 24

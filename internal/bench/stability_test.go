@@ -76,7 +76,7 @@ func TestHistogramSeriesAgreement(t *testing.T) {
 		t.Fatalf("series reconciled only %d/%d messages", len(s), count)
 	}
 
-	if got := stabilityHistogram(sender, pred).Count(); got == 0 {
+	if got := stabilityHistogram(c.Cluster, 1, pred).Count(); got == 0 {
 		t.Fatal("stability histogram never observed anything")
 	}
 
@@ -85,7 +85,7 @@ func TestHistogramSeriesAgreement(t *testing.T) {
 		q    float64
 	}{{"p50", 0.50}, {"p99", 0.99}} {
 		fromSeries := s.Percentile(q.q)
-		fromHist := opts.stabilityQuantile(sender, pred, q.q)
+		fromHist := opts.stabilityQuantile(c.Cluster, 1, pred, q.q)
 		if fromSeries <= 0 || fromHist <= 0 {
 			t.Fatalf("%s: non-positive quantile: series=%v histogram=%v", q.name, fromSeries, fromHist)
 		}

@@ -45,7 +45,9 @@ const (
 	adaptiveSpikeBy      = 300 * time.Millisecond
 	adaptiveSendEvery    = 5 * time.Millisecond
 	adaptivePayloadBytes = 128
-	adaptivePeerTimeout  = 250 * time.Millisecond
+	// adaptiveHeartbeat is the scenario's node tick: a silent peer is down
+	// after 8 ticks, 250ms.
+	adaptiveHeartbeat = 250 * time.Millisecond / 8
 )
 
 // AdaptiveKey is the predicate key the scenario's controller drives.
@@ -137,7 +139,7 @@ func AdaptiveDemo(o AdaptiveOptions) (*AdaptiveReport, error) {
 	rep := &AdaptiveReport{Victim: victim}
 	sc := &scenario{
 		name: "chaos: adaptive demo", seed: o.seed(), logf: o.Logf, sched: sched, senders: []int{1},
-		cluster:   core.Config{HeartbeatEvery: heartbeatEvery, PeerTimeout: adaptivePeerTimeout},
+		cluster:   core.Config{HeartbeatEvery: adaptiveHeartbeat},
 		bandwidth: linkBandwidth,
 		// The pump appends continuously so the stall detector has
 		// head-past-frontier evidence during the blackhole phase.

@@ -37,8 +37,9 @@ type Options struct {
 	Kinds []faultinject.Kind
 	// Cluster is the template every soak node boots from; Soak fills in the
 	// topology, the fabric, epoch 1 and DisableAutoReclaim (see AutoReclaim).
-	// Zero HeartbeatEvery / PeerTimeout become 25ms / 200ms, fast enough to
-	// trip during the soak. Some fields also arm invariants:
+	// A zero HeartbeatEvery becomes 25ms, so a silent peer is down after
+	// 200ms (8 ticks), fast enough to trip during the soak. Some fields also
+	// arm invariants:
 	//
 	//   - Flow, when enabled, turns on the bounded-memory invariant:
 	//     CrossCheck sweeps additionally assert no node's buffer exceeds the
@@ -94,7 +95,6 @@ const (
 	linkLatency    = 2 * time.Millisecond
 	linkJitter     = time.Millisecond
 	heartbeatEvery = 25 * time.Millisecond
-	peerTimeout    = 200 * time.Millisecond
 	drainTimeout   = 20 * time.Second
 	linkBandwidth  = 200e6 // bits per second
 	// majority is the k of the "maj" predicate KTH_MIN(k, $ALLWNODES), which
@@ -126,9 +126,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Cluster.HeartbeatEvery == 0 {
 		o.Cluster.HeartbeatEvery = heartbeatEvery
-	}
-	if o.Cluster.PeerTimeout == 0 {
-		o.Cluster.PeerTimeout = peerTimeout
 	}
 	if o.PayloadBytes == 0 {
 		o.PayloadBytes = soakPayload

@@ -107,7 +107,6 @@ func FlowDemo(o FlowOptions) (*FlowReport, error) {
 		// scenario's whole point is watching reclaim stall and fall back.
 		cluster: core.Config{
 			HeartbeatEvery: heartbeatEvery,
-			PeerTimeout:    peerTimeout,
 			Flow:           transport.FlowConfig{MaxBytes: flowCapBytes},
 			Stall:          core.StallConfig{Deadline: flowStallDeadline},
 			Trace:          flowTrace,

@@ -26,7 +26,6 @@ func TestRestartAttachesBeforeDelivery(t *testing.T) {
 	bed, err := testbed.Boot(core.Config{
 		Topology:           testbed.Flat(3),
 		HeartbeatEvery:     heartbeatEvery,
-		PeerTimeout:        peerTimeout,
 		DisableAutoReclaim: true, // a fresh incarnation is resent the stream from seq 1
 	}, testbed.Fabric{Matrix: matrix, Seed: 1, Faults: true})
 	if err != nil {

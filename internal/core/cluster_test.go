@@ -242,8 +242,7 @@ func TestOpenIsOpenClusterOfSelf(t *testing.T) {
 	n, err := Open(Config{
 		Topology:           flatTopology(3).WithSelf(2),
 		Network:            net,
-		HeartbeatEvery:     20 * time.Millisecond,
-		PeerTimeout:        time.Second,
+		HeartbeatEvery:     125 * time.Millisecond,
 		Persister:          nopPersister{},
 		Checkpoint:         &Checkpoint{NextSeq: 42},
 		DisableAutoReclaim: true,

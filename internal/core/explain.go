@@ -17,7 +17,7 @@ type PeerLag struct {
 	AZ     string `json:"az"`
 	Region string `json:"region"`
 	// Up is the failure detector's view of the peer: false once it has been
-	// silent for PeerTimeout.
+	// silent for 8 ticks.
 	Up bool `json:"up"`
 	// Ack is the lowest recorder-cell value the predicate reads from this
 	// peer: at or below the frontier, which is why the peer holds it.

@@ -31,8 +31,7 @@ func openCuttableCluster(t *testing.T, stall time.Duration) (*Cluster, *faultinj
 	cl, err := OpenCluster(Config{
 		Topology:       flatTopology(3),
 		Network:        net,
-		HeartbeatEvery: 10 * time.Millisecond,
-		PeerTimeout:    100 * time.Millisecond,
+		HeartbeatEvery: 12500 * time.Microsecond,
 		Stall:          StallConfig{Deadline: stall},
 		Trace:          optrace.Config{SampleEvery: 1, RingSize: 1 << 12},
 	})
@@ -49,7 +48,7 @@ func openCuttableCluster(t *testing.T, stall time.Duration) (*Cluster, *faultinj
 
 // TestExplainNamesTheCutPeer cuts node 3 off in both directions and asks the
 // sender why its frontiers stopped. The all-nodes predicate stalls, held by
-// peer 3 alone — down once the failure detector has waited PeerTimeout, with
+// peer 3 alone — down once the failure detector has counted 8 quiet ticks, with
 // a recorder tail; a predicate over nodes 1 and 2 holds nothing; the verdict
 // OnStall fired names the same holders; and after the heal nothing holds and
 // nothing is stuck.

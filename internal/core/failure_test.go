@@ -25,8 +25,7 @@ func TestPredicateAdjustmentOnPeerFailure(t *testing.T) {
 		n, err := Open(Config{
 			Topology:       topo.WithSelf(i),
 			Network:        net,
-			HeartbeatEvery: 10 * time.Millisecond,
-			PeerTimeout:    60 * time.Millisecond,
+			HeartbeatEvery: 7500 * time.Microsecond,
 		})
 		if err != nil {
 			t.Fatalf("open %d: %v", i, err)
@@ -98,7 +97,6 @@ func TestReceiverCrashAndRecoveryResumesStream(t *testing.T) {
 			Topology:           topo.WithSelf(i),
 			Network:            net,
 			HeartbeatEvery:     10 * time.Millisecond,
-			PeerTimeout:        80 * time.Millisecond,
 			DisableAutoReclaim: i == 1, // keep the backlog replayable
 		})
 		if err != nil {

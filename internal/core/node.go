@@ -97,10 +97,11 @@ type Config struct {
 	Topology *config.Topology
 	// Network is the fabric every node dials and listens through; required.
 	Network emunet.Network
-	// HeartbeatEvery and PeerTimeout tune failure detection; zero values
-	// pick transport defaults.
+	// HeartbeatEvery is the node's tick (default 500ms): a heartbeat to
+	// every peer, the failure detector's scan, the stall clocks, adaptive
+	// controllers and SLO monitors. A peer is down after 8 ticks without a
+	// frame from it.
 	HeartbeatEvery time.Duration
-	PeerTimeout    time.Duration
 	// Persister optionally persists delivered messages (see Persister).
 	Persister Persister
 	// Checkpoint resumes a restarted primary (§III-E); nil starts fresh. It
@@ -169,9 +170,10 @@ type Node struct {
 	mu            sync.Mutex
 	nextHook      int
 	reclaimCancel func()
-	// adaptiveCtrls holds every controller StartAdaptive started; the node's
-	// tick drives them.
-	adaptiveCtrls cowList[*adaptive.Controller]
+	// tickers is everything the node tick drives after the stall sweep, in
+	// the order attached: the controllers StartAdaptive started and the
+	// monitors NewSLOMonitor attached.
+	tickers cowList[*ticker]
 
 	closed atomic.Bool
 	nowFn  func() time.Time
@@ -320,7 +322,6 @@ func openNode(cfg Config) (*Node, error) {
 		Handler:        (*trHandler)(node),
 		Log:            log,
 		HeartbeatEvery: cfg.HeartbeatEvery,
-		PeerTimeout:    cfg.PeerTimeout,
 		Metrics:        mreg,
 		Trace:          node.trace,
 		OnTick:         node.tick,
@@ -365,8 +366,10 @@ func (n *Node) Close() error {
 	// Stop the adaptive controllers first: they drive ChangePredicate into
 	// the registry this teardown is about to close. A tick in flight finishes
 	// its step before Close returns; a later one finds the node closed.
-	for _, c := range n.adaptiveCtrls.load() {
-		c.Close()
+	for _, t := range n.tickers.load() {
+		if t.ctrl != nil {
+			t.ctrl.Close()
+		}
 	}
 	if n.reclaimCancel != nil {
 		n.reclaimCancel()
@@ -384,17 +387,29 @@ func (n *Node) Self() int { return n.topo.Self }
 // Topology returns a copy of the node's topology.
 func (n *Node) Topology() *config.Topology { return n.topo.Clone() }
 
+// A ticker is one thing the node tick drives: an adaptive controller or an
+// SLO monitor. step reports false once the thing is closed, and the tick
+// detaches it.
+type ticker struct {
+	ctrl *adaptive.Controller // nil for an SLO monitor
+	step func(now time.Time) (open bool)
+}
+
 // tick is the node's one clock, run by the transport every HeartbeatEvery
 // after its heartbeats and failure detector: every predicate's stall clock
-// gets a reading, then every adaptive controller takes its step. OnStall and
-// OnTransition hooks run here.
+// gets a reading, then every adaptive controller and SLO monitor takes its
+// step. OnStall, OnTransition and OnAlert hooks run here.
 func (n *Node) tick(now time.Time) {
 	if n.closed.Load() {
 		return
 	}
 	n.checkStalls(now)
-	for _, c := range n.adaptiveCtrls.load() {
-		c.Tick(now)
+	for _, t := range n.tickers.load() {
+		if !t.step(now) {
+			n.mu.Lock()
+			n.tickers.remove(func(u *ticker) bool { return u == t })
+			n.mu.Unlock()
+		}
 	}
 }
 
@@ -466,6 +481,12 @@ func (c *cowList[T]) add(v T) {
 	c.store(append(old[:len(old):len(old)], v))
 }
 
+// remove publishes the list without the entries drop picks. Caller holds
+// Node.mu.
+func (c *cowList[T]) remove(drop func(T) bool) {
+	c.store(slices.DeleteFunc(slices.Clone(c.load()), drop))
+}
+
 // OnDeliver registers a data-plane upcall for messages from remote origins.
 // The payload is lent until fn returns (see Message.Payload).
 func (n *Node) OnDeliver(fn DeliverFunc) {
@@ -502,13 +523,7 @@ func addHook[A any](n *Node, list *cowList[hook[A]], fn func(A)) (cancel func())
 	return func() {
 		n.mu.Lock()
 		defer n.mu.Unlock()
-		var kept []hook[A]
-		for _, h := range list.load() {
-			if h.id != id {
-				kept = append(kept, h)
-			}
-		}
-		list.store(kept)
+		list.remove(func(h hook[A]) bool { return h.id == id })
 	}
 }
 
@@ -725,7 +740,7 @@ func (n *Node) StartAdaptive(key string, ladder adaptive.Ladder, cfg adaptive.Co
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if slices.ContainsFunc(n.adaptiveCtrls.load(), func(c *adaptive.Controller) bool { return c.Key() == key }) {
+	if slices.ContainsFunc(n.tickers.load(), func(t *ticker) bool { return t.ctrl != nil && t.ctrl.Key() == key }) {
 		return nil, fmt.Errorf("core: adaptive controller already running for %q", key)
 	}
 	if n.registry.Has(key) {
@@ -749,7 +764,10 @@ func (n *Node) StartAdaptive(key string, ladder adaptive.Ladder, cfg adaptive.Co
 			rec.Record(optrace.StageStabilize, n.topo.Self, f, tr.To, label, n.nowFn().UnixNano())
 		})
 	}
-	n.adaptiveCtrls.add(ctrl)
+	n.tickers.add(&ticker{ctrl: ctrl, step: func(now time.Time) bool {
+		ctrl.Tick(now)
+		return true
+	}})
 	return ctrl, nil
 }
 
@@ -761,6 +779,31 @@ type adaptiveHost struct{ *Node }
 func (h adaptiveHost) Stuck(key string) (time.Duration, error) {
 	st, err := h.registry.State(key, h.log.Head(), h.nowFn())
 	return st.Stuck, err
+}
+
+// NewSLOMonitor attaches a multiwindow burn-rate monitor to n's tick. It
+// watches the stability latency of the registered predicate key, the
+// stabilizer_stability_latency_seconds{predicate=key} child of n's
+// registry, takes a sample every HeartbeatEvery and runs cfg.OnAlert on the
+// node tick. An empty cfg.Name becomes key. Closing the monitor detaches it.
+func NewSLOMonitor(n *Node, key string, cfg metrics.SLOConfig) (*metrics.SLOMonitor, error) {
+	if !n.registry.Has(key) {
+		return nil, fmt.Errorf("%w: %q", frontier.ErrPredUnknown, key)
+	}
+	if cfg.Name == "" {
+		cfg.Name = key
+	}
+	m, err := metrics.NewSLOMonitor(n.metrics.stabLatency.With(key), cfg)
+	if err != nil {
+		return nil, err
+	}
+	n.mu.Lock()
+	n.tickers.add(&ticker{step: func(now time.Time) bool {
+		_, _, open := m.Tick(now)
+		return open
+	}})
+	n.mu.Unlock()
+	return m, nil
 }
 
 // EvalFor evaluates a predicate over another origin's stream: because

@@ -352,8 +352,7 @@ func TestPeerDownDetection(t *testing.T) {
 	cl, err := OpenCluster(Config{
 		Topology:       flatTopology(3),
 		Network:        net,
-		HeartbeatEvery: 10 * time.Millisecond,
-		PeerTimeout:    100 * time.Millisecond,
+		HeartbeatEvery: 12500 * time.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -196,10 +196,3 @@ func (n *Node) Snapshot() Snapshot {
 	}
 	return s
 }
-
-// StabilityLatencyHistogram returns the node's headline stability-latency
-// histogram for the given predicate key (the child is created on first
-// use). It is the series SLO monitors and the bench harness read.
-func (n *Node) StabilityLatencyHistogram(key string) *metrics.Histogram {
-	return n.metrics.stabLatency.With(key)
-}

@@ -4,12 +4,15 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
 	"stabilizer/internal/adaptive"
 	"stabilizer/internal/emunet"
 	"stabilizer/internal/frontier"
+	"stabilizer/internal/metrics"
 )
 
 // settledGoroutines returns the goroutine count once it has held still for
@@ -35,7 +38,7 @@ func settledGoroutines(t *testing.T) int {
 // the first Explain after the cut already sees the time the frontier has sat
 // still, to within a tick.
 func TestNodeTickRunsTheStallClock(t *testing.T) {
-	const heartbeat = 10 * time.Millisecond // openCuttableCluster's
+	const heartbeat = 12500 * time.Microsecond // openCuttableCluster's
 	cl, inj := openCuttableCluster(t, 0)
 	sender := cl.Node(1)
 	if err := sender.RegisterPredicate("all", "MIN($ALLWNODES)"); err != nil {
@@ -103,8 +106,103 @@ func TestNodeTickAddsNoGoroutines(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if _, err := NewSLOMonitor(armed, "a", metrics.SLOConfig{Threshold: 1 << 20, Objective: 0.99}); err != nil {
+		t.Fatal(err)
+	}
 	if got := settledGoroutines(t) - base - plain; got != plain {
-		t.Fatalf("a node with a stall deadline and two controllers runs %d goroutines, one with neither %d", got, plain)
+		t.Fatalf("a node with a stall deadline, two controllers and an SLO monitor runs %d goroutines, one with neither %d", got, plain)
+	}
+}
+
+// TestNodeTickDrivesSLOMonitors attaches a monitor to a node whose transport
+// tick never fires and steps the node tick by hand, one virtual second
+// apart. Every stabilization of "all" crosses a 2ms link, past the 1ms
+// threshold, so a burst burns both windows at once: the monitor fires on the
+// first tick after it, resolves on the first tick whose short window holds
+// no sample of it, and fires nothing once Close has returned, even with a
+// tick racing the Close.
+func TestNodeTickDrivesSLOMonitors(t *testing.T) {
+	matrix := emunet.NewMatrix()
+	matrix.Default = emunet.Link{OneWayLatency: 2 * time.Millisecond}
+	net := emunet.NewMemNetwork(matrix)
+	cl, err := OpenCluster(Config{Topology: flatTopology(2), Network: net, HeartbeatEvery: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		_ = cl.Close()
+		_ = net.Close()
+	})
+	n := cl.Node(1)
+	if err := n.RegisterPredicate("all", "MIN($ALLWNODES)"); err != nil {
+		t.Fatal(err)
+	}
+	cfg := metrics.SLOConfig{Threshold: 1 << 20, Objective: 0.99, ShortWindow: 4 * time.Second, LongWindow: 16 * time.Second}
+	if _, err := NewSLOMonitor(n, "none", cfg); !errors.Is(err, frontier.ErrPredUnknown) {
+		t.Fatalf("monitor on an unregistered key: %v, want ErrPredUnknown", err)
+	}
+	var mu sync.Mutex
+	var alerts []metrics.BurnAlert
+	cfg.OnAlert = func(a metrics.BurnAlert) {
+		mu.Lock()
+		alerts = append(alerts, a)
+		mu.Unlock()
+	}
+	fired := func() []metrics.BurnAlert {
+		mu.Lock()
+		defer mu.Unlock()
+		return slices.Clone(alerts)
+	}
+	m, err := NewSLOMonitor(n, "all", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	burst := func() {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		var seq uint64
+		for i := 0; i < 10; i++ {
+			if seq, err = n.Send([]byte("burn")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := n.WaitFor(ctx, seq, "all"); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	start := time.Unix(10_000, 0)
+	at := func(i int) time.Time { return start.Add(time.Duration(i) * time.Second) }
+	n.tick(at(0))
+	burst()
+	for i := 1; i <= 6; i++ {
+		n.tick(at(i))
+	}
+	got := fired()
+	if len(got) != 2 || !got[0].Firing || got[0].At != at(1) || got[0].Name != "all" ||
+		got[1].Firing || got[1].At != at(5) {
+		t.Fatalf("alerts %+v; want firing at tick 1 and resolved at tick 5", got)
+	}
+
+	// A burst the next tick would fire on, and a Close racing that tick.
+	burst()
+	ticked := make(chan struct{})
+	go func() {
+		defer close(ticked)
+		for i := 7; i <= 12; i++ {
+			n.tick(at(i))
+		}
+	}()
+	m.Close()
+	atClose := len(fired())
+	<-ticked
+	n.tick(at(13))
+	if got := fired(); len(got) != atClose {
+		t.Fatalf("alerts after Close returned: %+v", got[atClose:])
+	}
+	if len(n.tickers.load()) != 0 {
+		t.Fatal("the node tick still drives a closed monitor")
 	}
 }
 

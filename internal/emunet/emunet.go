@@ -91,10 +91,12 @@ func (m *Matrix) Get(from, to int) Link {
 	return m.Default
 }
 
-// Scaled returns a copy of the matrix with every latency divided by factor.
-// Bandwidths are left unchanged: scaling time compresses propagation delay
-// while keeping serialization ratios intact, so experiment *shapes* are
-// preserved while wall-clock time shrinks. Use factor 1 for faithful runs.
+// Scaled returns a copy of the matrix with every latency and jitter divided
+// by factor and every bandwidth multiplied by it: the whole emulated clock
+// runs factor times faster, so a transfer's serialization delay shrinks with
+// its propagation delay, experiment *shapes* are preserved while wall-clock
+// time shrinks, and a measured throughput is divided by factor to read in
+// the matrix's own units. Use factor 1 for faithful runs.
 func (m *Matrix) Scaled(factor float64) *Matrix {
 	if factor <= 0 {
 		factor = 1

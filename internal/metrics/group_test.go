@@ -135,7 +135,6 @@ func TestSLOMonitorBurnTransitions(t *testing.T) {
 		ShortWindow: time.Minute,
 		LongWindow:  5 * time.Minute,
 		Burn:        5,
-		CheckEvery:  time.Hour, // background ticks irrelevant; we drive tick()
 		OnAlert:     func(a BurnAlert) { alerts = append(alerts, a) },
 	})
 	if err != nil {
@@ -195,7 +194,7 @@ func TestSLOMonitorBurnTransitions(t *testing.T) {
 func TestSLOMonitorNoTrafficNoAlert(t *testing.T) {
 	h := NewHistogram(LatencyOpts)
 	m, err := NewSLOMonitor(h, SLOConfig{
-		Name: "idle", Threshold: 1 << 20, Objective: 0.999, CheckEvery: time.Hour,
+		Name: "idle", Threshold: 1 << 20, Objective: 0.999,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package metrics
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -32,11 +33,9 @@ type SLOConfig struct {
 	// consume budget at ≥ Burn× the rate that would exactly exhaust it
 	// over the SLO period. Default 10.
 	Burn float64
-	// CheckEvery is the sampling interval. Default ShortWindow/4.
-	CheckEvery time.Duration
-	// OnAlert is called on every transition (firing and resolving).
-	// Called from the monitor goroutine (or from Tick when the caller
-	// drives the clock); keep it fast or hand off.
+	// OnAlert is called on every transition (firing and resolving), from
+	// the Tick that made it — core's node tick for a monitor attached to a
+	// node. Keep it fast or hand off, and do not call Close from it.
 	OnAlert func(BurnAlert)
 }
 
@@ -58,9 +57,6 @@ func (c SLOConfig) normalized() (SLOConfig, error) {
 	}
 	if c.Burn <= 0 {
 		c.Burn = 10
-	}
-	if c.CheckEvery <= 0 {
-		c.CheckEvery = c.ShortWindow / 4
 	}
 	return c, nil
 }
@@ -88,35 +84,24 @@ type sloSample struct {
 // SLOMonitor watches a Histogram and fires multiwindow burn-rate alerts
 // against an SLOConfig. It samples counts rather than recomputing
 // quantiles, so a check costs a few atomic loads regardless of traffic.
+// It has no clock of its own: whoever owns it calls Tick — core's node
+// tick every HeartbeatEvery, an adaptive controller from its own Tick, the
+// unit tests with a clock they step by hand.
 type SLOMonitor struct {
 	cfg  SLOConfig
 	hist *Histogram
 
+	// mu is held through a whole Tick, OnAlert included, so Close returns
+	// after any Tick in progress has fired what it fires.
 	mu      sync.Mutex
 	samples []sloSample // ring, oldest first, bounded by LongWindow
-	firing  bool
-
-	stop chan struct{}
-	done chan struct{}
+	firing  atomic.Bool
+	closed  bool
 }
 
-// NewSLOMonitor starts a monitor over h. Close it to stop the background
-// sampler.
+// NewSLOMonitor builds a monitor over h; the caller drives it by calling
+// Tick.
 func NewSLOMonitor(h *Histogram, cfg SLOConfig) (*SLOMonitor, error) {
-	m, err := NewSLOMonitorPaused(h, cfg)
-	if err != nil {
-		return nil, err
-	}
-	m.done = make(chan struct{})
-	go m.run()
-	return m, nil
-}
-
-// NewSLOMonitorPaused constructs a monitor without starting the background
-// sampler: the caller drives it by invoking Tick on its own clock. The
-// adaptive consistency controller uses this form so SLO evaluation and
-// ladder decisions share one deterministic tick.
-func NewSLOMonitorPaused(h *Histogram, cfg SLOConfig) (*SLOMonitor, error) {
 	cfg, err := cfg.normalized()
 	if err != nil {
 		return nil, err
@@ -124,60 +109,30 @@ func NewSLOMonitorPaused(h *Histogram, cfg SLOConfig) (*SLOMonitor, error) {
 	if h == nil {
 		return nil, fmt.Errorf("metrics: SLO %q: nil histogram", cfg.Name)
 	}
-	return &SLOMonitor{cfg: cfg, hist: h, stop: make(chan struct{})}, nil
+	return &SLOMonitor{cfg: cfg, hist: h}, nil
 }
 
-func (m *SLOMonitor) run() {
-	defer close(m.done)
-	t := time.NewTicker(m.cfg.CheckEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-m.stop:
-			return
-		case now := <-t.C:
-			m.Tick(now)
-		}
-	}
-}
-
-// Close stops the monitor. It does not emit a resolving alert; callers that
+// Close stops the monitor: it returns after any Tick in progress, and every
+// later Tick is a no-op. It does not emit a resolving alert; callers that
 // care should treat Close as end-of-signal. Safe to call more than once and
-// concurrently with Tick.
+// concurrently with Tick, but not from OnAlert.
 func (m *SLOMonitor) Close() {
 	m.mu.Lock()
-	select {
-	case <-m.stop:
-	default:
-		close(m.stop)
-	}
-	done := m.done
+	m.closed = true
 	m.mu.Unlock()
-	if done != nil {
-		<-done
-	}
 }
 
 // Firing reports whether the alert is currently active.
-func (m *SLOMonitor) Firing() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.firing
-}
+func (m *SLOMonitor) Firing() bool { return m.firing.Load() }
 
 // Tick takes one sample at now and evaluates both windows, firing OnAlert
-// on a transition. The background sampler calls it every CheckEvery;
-// paused monitors (NewSLOMonitorPaused) and tests drive it directly with
-// their own clock. Returns the burn rates the evaluation produced.
-func (m *SLOMonitor) Tick(now time.Time) (shortBurn, longBurn float64) {
+// on a transition. It returns the burn rates the evaluation produced, and
+// open is false once the monitor is closed: that Tick took no sample.
+func (m *SLOMonitor) Tick(now time.Time) (shortBurn, longBurn float64, open bool) {
 	m.mu.Lock()
-	select {
-	case <-m.stop:
-		// Closed concurrently with a pending tick: drop the sample so no
-		// alert transition fires after Close returns.
-		m.mu.Unlock()
-		return 0, 0
-	default:
+	defer m.mu.Unlock()
+	if m.closed {
+		return 0, 0, false
 	}
 	total := m.hist.Count()
 	good := m.hist.CountLe(m.cfg.Threshold)
@@ -207,13 +162,8 @@ func (m *SLOMonitor) Tick(now time.Time) (shortBurn, longBurn float64) {
 	shortBurn = m.burnRate(now, m.cfg.ShortWindow)
 	longBurn = m.burnRate(now, m.cfg.LongWindow)
 	shouldFire := shortBurn >= m.cfg.Burn && longBurn >= m.cfg.Burn
-	transition := shouldFire != m.firing
-	m.firing = shouldFire
-	cb := m.cfg.OnAlert
-	m.mu.Unlock()
-
-	if transition && cb != nil {
-		cb(BurnAlert{
+	if m.firing.Swap(shouldFire) != shouldFire && m.cfg.OnAlert != nil {
+		m.cfg.OnAlert(BurnAlert{
 			Name:      m.cfg.Name,
 			Firing:    shouldFire,
 			ShortBurn: shortBurn,
@@ -221,7 +171,7 @@ func (m *SLOMonitor) Tick(now time.Time) (shortBurn, longBurn float64) {
 			At:        now,
 		})
 	}
-	return shortBurn, longBurn
+	return shortBurn, longBurn, true
 }
 
 // burnRate computes the budget burn multiple over the trailing window:

@@ -38,7 +38,7 @@ func TestSLOMonitorZeroSampleWindows(t *testing.T) {
 			name: "never any traffic",
 			run: func(t *testing.T, h *Histogram, m *SLOMonitor, now time.Time) {
 				for i := 0; i < 12; i++ {
-					s, l := m.Tick(now)
+					s, l, _ := m.Tick(now)
 					if s != 0 || l != 0 {
 						t.Fatalf("tick %d: burn = (%v, %v), want (0, 0)", i, s, l)
 					}
@@ -58,7 +58,7 @@ func TestSLOMonitorZeroSampleWindows(t *testing.T) {
 					now = now.Add(30 * time.Second)
 					m.Tick(now)
 				}
-				if s, l := m.Tick(now); s != 0 || l != 0 {
+				if s, l, _ := m.Tick(now); s != 0 || l != 0 {
 					t.Fatalf("burn after silence = (%v, %v), want (0, 0)", s, l)
 				}
 				if m.Firing() {
@@ -81,7 +81,7 @@ func TestSLOMonitorZeroSampleWindows(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			h := sloHist()
-			m, err := NewSLOMonitorPaused(h, SLOConfig{
+			m, err := NewSLOMonitor(h, SLOConfig{
 				Name: tc.name, Threshold: 1 << 20, Objective: 0.99,
 				ShortWindow: time.Minute, LongWindow: 5 * time.Minute, Burn: 2,
 			})
@@ -101,7 +101,7 @@ func TestSLOMonitorZeroSampleWindows(t *testing.T) {
 // keep working (including firing for real) against the new counters.
 func TestSLOMonitorCounterResetOnRebind(t *testing.T) {
 	old := sloHist()
-	m, err := NewSLOMonitorPaused(old, SLOConfig{
+	m, err := NewSLOMonitor(old, SLOConfig{
 		Name: "rebind", Threshold: 1 << 20, Objective: 0.99,
 		ShortWindow: time.Minute, LongWindow: 5 * time.Minute, Burn: 2,
 	})
@@ -126,7 +126,7 @@ func TestSLOMonitorCounterResetOnRebind(t *testing.T) {
 	m.mu.Lock()
 	m.hist = fresh
 	m.mu.Unlock()
-	if s, l := m.Tick(now); s != 0 || l != 0 {
+	if s, l, _ := m.Tick(now); s != 0 || l != 0 {
 		t.Fatalf("burn across the reset = (%v, %v), want (0, 0)", s, l)
 	}
 	if m.Firing() {
@@ -155,7 +155,7 @@ func TestSLOMonitorBurnExactlyAtThreshold(t *testing.T) {
 	// burn exactly 2.0 against Burn: 2.
 	run := func(bad, total int) (*SLOMonitor, bool) {
 		h := sloHist()
-		m, err := NewSLOMonitorPaused(h, SLOConfig{
+		m, err := NewSLOMonitor(h, SLOConfig{
 			Name: "edge", Threshold: 1 << 20, Objective: 0.75,
 			ShortWindow: time.Minute, LongWindow: 5 * time.Minute, Burn: 2,
 		})
@@ -179,10 +179,9 @@ func TestSLOMonitorBurnExactlyAtThreshold(t *testing.T) {
 	}
 }
 
-// TestSLOMonitorCloseDuringTick races Close against a storm of manual Ticks
-// and the background sampler: no tick may fire an alert after Close
-// returns, double-Close must be safe, and nothing may deadlock. Run with
-// -race to make the interleavings count.
+// TestSLOMonitorCloseDuringTick races Close against a storm of Ticks: no
+// tick may fire an alert after Close returns, double-Close must be safe, and
+// nothing may deadlock. Run with -race to make the interleavings count.
 func TestSLOMonitorCloseDuringTick(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		h := sloHist()
@@ -191,8 +190,7 @@ func TestSLOMonitorCloseDuringTick(t *testing.T) {
 		m, err := NewSLOMonitor(h, SLOConfig{
 			Name: "close-race", Threshold: 1 << 20, Objective: 0.99,
 			ShortWindow: time.Minute, LongWindow: 5 * time.Minute, Burn: 2,
-			CheckEvery: time.Microsecond, // background sampler spins hard
-			OnAlert:    func(a BurnAlert) { alerts <- a },
+			OnAlert: func(a BurnAlert) { alerts <- a },
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -214,22 +212,26 @@ func TestSLOMonitorCloseDuringTick(t *testing.T) {
 			}(g)
 		}
 		wg.Add(1)
+		var atClose int
 		go func() {
 			defer wg.Done()
 			<-start
 			m.Close()
+			atClose = len(alerts)
 			m.Close() // idempotent
 		}()
 		close(start)
 		wg.Wait()
 
-		// Close has returned everywhere; the alert stream must be closed
-		// for business — a post-Close Tick is a no-op.
-		drained := len(alerts)
-		if s, l := m.Tick(time.Unix(3000, 0)); s != 0 || l != 0 {
-			t.Fatalf("post-Close Tick evaluated: burn (%v, %v)", s, l)
+		// Close has returned: no tick in flight fired after it, and a
+		// post-Close Tick is a no-op.
+		if len(alerts) != atClose {
+			t.Fatalf("%d alerts fired after Close returned", len(alerts)-atClose)
 		}
-		if len(alerts) != drained {
+		if s, l, open := m.Tick(time.Unix(3000, 0)); open || s != 0 || l != 0 {
+			t.Fatalf("post-Close Tick evaluated: burn (%v, %v), open %v", s, l, open)
+		}
+		if len(alerts) != atClose {
 			t.Fatal("post-Close Tick fired an alert")
 		}
 	}

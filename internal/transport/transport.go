@@ -34,8 +34,8 @@ type Handler interface {
 	// PeerUp fires when a peer is first heard from, or heard again after
 	// a failure.
 	PeerUp(peer int)
-	// PeerDown fires when a peer has been silent past the failure
-	// timeout.
+	// PeerDown fires when a peer has been silent for peerDownTicks
+	// consecutive ticks.
 	PeerDown(peer int)
 }
 
@@ -66,11 +66,10 @@ type Config struct {
 	Handler Handler
 	// Log is the shared send log feeding every outgoing link. Required.
 	Log *SendLog
-	// HeartbeatEvery is the idle heartbeat period (default 500ms).
+	// HeartbeatEvery is the tick period (default 500ms): a heartbeat on
+	// every link, a failure-detector scan and OnTick each tick. A peer is
+	// down after peerDownTicks ticks without a frame from it.
 	HeartbeatEvery time.Duration
-	// PeerTimeout is the silence threshold for failure detection
-	// (default 4×HeartbeatEvery).
-	PeerTimeout time.Duration
 	// Metrics receives the transport's instrumentation families
 	// (stabilizer_transport_*). Nil uses a private registry: the per-peer
 	// counters are the only traffic ledger there is, and Totals sums them.
@@ -178,12 +177,17 @@ type Transport struct {
 	// Liveness is frame-counter based so the receive hot path stays off
 	// the clock: heardTick[p] moves whenever peer p is heard from (one
 	// atomic add per frame, or per run of data frames), and the transport's
-	// tick translates "the counter moved since my last scan" into an arrival
-	// timestamp at tick granularity. liveMu serializes only the rare
-	// up/down transitions. Index 0 is unused (peers are 1-based).
+	// tick counts the scans at which it did not move. liveMu serializes
+	// only the rare up/down transitions. Index 0 is unused (peers are
+	// 1-based).
 	liveMu    sync.Mutex
 	heardTick []atomic.Int64
 	peerUpA   []atomic.Bool
+	// The tick's own state: the heartbeat counter, and per peer the heard
+	// counter at the last scan and the scans since it last moved.
+	clock uint64
+	seen  []int64
+	quiet []int
 
 	stop    chan struct{}
 	wg      sync.WaitGroup
@@ -218,9 +222,6 @@ func New(cfg Config) (*Transport, error) {
 	if cfg.HeartbeatEvery <= 0 {
 		cfg.HeartbeatEvery = 500 * time.Millisecond
 	}
-	if cfg.PeerTimeout <= 0 {
-		cfg.PeerTimeout = 4 * cfg.HeartbeatEvery
-	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()
 	}
@@ -237,6 +238,8 @@ func New(cfg Config) (*Transport, error) {
 		incoming:  make(map[int]net.Conn, cfg.N-1),
 		accepted:  make(map[net.Conn]bool, cfg.N-1),
 		heardTick: make([]atomic.Int64, cfg.N+1),
+		seen:      make([]int64, cfg.N+1),
+		quiet:     make([]int, cfg.N+1),
 		peerUpA:   make([]atomic.Bool, cfg.N+1),
 		stop:      make(chan struct{}),
 	}
@@ -725,54 +728,59 @@ func (t *Transport) heard(peer int) {
 	}
 }
 
-// tickLoop is the transport's one clock. Every HeartbeatEvery it queues a
-// heartbeat on each link, then runs the failure detector's scan: a peer up
-// whose heard counter has not moved for PeerTimeout is declared down. Last it
-// calls Config.OnTick, the node's clock for everything else.
+// peerDownTicks is the failure detector's threshold: a peer up is declared
+// down at the peerDownTicks-th consecutive tick that finds no frame from it
+// since the tick before.
+const peerDownTicks = 8
+
+// tickLoop is the transport's one clock: it runs tick every HeartbeatEvery.
 func (t *Transport) tickLoop() {
 	defer t.wg.Done()
-	tick := time.NewTicker(t.cfg.HeartbeatEvery)
-	defer tick.Stop()
-	var clock uint64
-	// seen/lastMove are the detector's private view: the heard counter's
-	// value at the last scan and the scan time at which it last advanced.
-	// Detection latency is PeerTimeout plus at most one tick.
-	seen := make([]int64, len(t.heardTick))
-	lastMove := make([]time.Time, len(t.heardTick))
+	ticker := time.NewTicker(t.cfg.HeartbeatEvery)
+	defer ticker.Stop()
 	for {
 		select {
 		case <-t.stop:
 			return
-		case now := <-tick.C:
-			clock++
-			for _, lk := range t.linkList {
-				lk.queueHeartbeat(clock)
-			}
-			var downs []int
-			t.liveMu.Lock()
-			for _, lk := range t.linkList {
-				peer := lk.peer
-				if cur := t.heardTick[peer].Load(); cur != seen[peer] {
-					seen[peer] = cur
-					lastMove[peer] = now
-					continue
-				}
-				if t.peerUpA[peer].Load() && now.Sub(lastMove[peer]) > t.cfg.PeerTimeout {
-					t.peerUpA[peer].Store(false)
-					downs = append(downs, peer)
-				}
-			}
-			t.liveMu.Unlock()
-			for _, p := range downs {
-				if ins := t.peerIns(p); ins != nil {
-					ins.fdTrips.Inc()
-					ins.up.Set(0)
-				}
-				t.cfg.Handler.PeerDown(p)
-			}
-			if t.cfg.OnTick != nil {
-				t.cfg.OnTick(now)
-			}
+		case now := <-ticker.C:
+			t.tick(now)
 		}
+	}
+}
+
+// tick queues a heartbeat on each link, then runs the failure detector's
+// scan: a peer up whose heard counter has not moved for peerDownTicks scans
+// is declared down. Last it calls Config.OnTick, the node's clock for
+// everything else.
+func (t *Transport) tick(now time.Time) {
+	t.clock++
+	for _, lk := range t.linkList {
+		lk.queueHeartbeat(t.clock)
+	}
+	var downs []int
+	t.liveMu.Lock()
+	for _, lk := range t.linkList {
+		peer := lk.peer
+		if cur := t.heardTick[peer].Load(); cur != t.seen[peer] {
+			t.seen[peer] = cur
+			t.quiet[peer] = 0
+			continue
+		}
+		t.quiet[peer]++
+		if t.quiet[peer] >= peerDownTicks && t.peerUpA[peer].Load() {
+			t.peerUpA[peer].Store(false)
+			downs = append(downs, peer)
+		}
+	}
+	t.liveMu.Unlock()
+	for _, p := range downs {
+		if ins := t.peerIns(p); ins != nil {
+			ins.fdTrips.Inc()
+			ins.up.Set(0)
+		}
+		t.cfg.Handler.PeerDown(p)
+	}
+	if t.cfg.OnTick != nil {
+		t.cfg.OnTick(now)
 	}
 }

@@ -431,6 +431,67 @@ func TestPeerUpDown(t *testing.T) {
 	})
 }
 
+// TestPeerDownOnTheEighthQuietTick drives the failure detector by hand: with
+// the tick loop parked, each tick call is one scan. Once the silenced peer's
+// last frame has been read, the first scan still sees the counter move; a
+// frame heard after five quiet scans starts the count again; then seven
+// quiet scans pass without a verdict, and the eighth declares the peer down,
+// once.
+func TestPeerDownOnTheEighthQuietTick(t *testing.T) {
+	h := startHarnessEvery(t, 2, time.Hour)
+	a, rec := h.trs[0], h.recs[0]
+	// Both connections between the two are up, so no dial of the peer's is
+	// left in flight to reach a after it closes.
+	waitUntil(t, 5*time.Second, func() bool {
+		a.recvMu.Lock()
+		in := a.incoming[2] != nil
+		a.recvMu.Unlock()
+		lk := a.links[2]
+		lk.connMu.Lock()
+		defer lk.connMu.Unlock()
+		return in && lk.conn != nil
+	})
+	_ = h.trs[1].Close()
+	// Nothing reaches a from the closed peer once its accepted connection's
+	// reader has returned; the link's echo reader gets no echo of a heartbeat
+	// never sent.
+	waitUntil(t, 5*time.Second, func() bool {
+		a.recvMu.Lock()
+		defer a.recvMu.Unlock()
+		return len(a.accepted) == 0
+	})
+	downs := func() int {
+		rec.mu.Lock()
+		defer rec.mu.Unlock()
+		return len(rec.downs)
+	}
+	now := time.Now()
+	tick := func() {
+		now = now.Add(time.Hour)
+		a.tick(now)
+	}
+	tick() // the counter moved since the last scan (there was none)
+	// Five quiet ticks, then one frame: the count starts again.
+	for i := 0; i < 5; i++ {
+		tick()
+	}
+	a.heard(2)
+	tick()
+	for quiet := 1; quiet <= peerDownTicks+2; quiet++ {
+		tick()
+		want := 0
+		if quiet >= peerDownTicks {
+			want = 1
+		}
+		if got := downs(); got != want {
+			t.Fatalf("after quiet tick %d: %d PeerDown calls, want %d", quiet, got, want)
+		}
+	}
+	if trips := a.peerIns(2).fdTrips.Value(); trips != 1 {
+		t.Fatalf("fd_trips = %d, want 1", trips)
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
 	net := emunet.NewMemNetwork(nil)
 	defer net.Close()

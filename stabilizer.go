@@ -115,18 +115,19 @@ type (
 	// node instruments through a node="<id>" view of the shared root, so
 	// one scrape distinguishes every in-process node.
 	MetricsRegistry = metrics.Registry
-	// MetricsHistogram is a log2-bucketed latency histogram (for example
-	// the per-predicate stability-latency histogram returned by
-	// Node.StabilityLatencyHistogram); feed one to NewSLOMonitor.
+	// MetricsHistogram is a log2-bucketed latency histogram, such as a
+	// node's per-predicate stability-latency child of
+	// stabilizer_stability_latency_seconds.
 	MetricsHistogram = metrics.Histogram
 	// ServeOption tweaks the ServeMetrics endpoint (see WithPprof).
 	ServeOption = metrics.ServeOption
 
 	// SLOConfig parameterizes an in-process multiwindow burn-rate
-	// monitor over a latency histogram (see NewSLOMonitor). The
-	// Prometheus-rule equivalent lives in examples/alerts.
+	// monitor over a predicate's stability latency (see NewSLOMonitor).
+	// The Prometheus-rule equivalent lives in examples/alerts.
 	SLOConfig = metrics.SLOConfig
-	// SLOMonitor watches a histogram and fires BurnAlert transitions.
+	// SLOMonitor samples a stability-latency histogram on the node tick
+	// and fires BurnAlert transitions.
 	SLOMonitor = metrics.SLOMonitor
 	// BurnAlert is one SLO alert state change.
 	BurnAlert = metrics.BurnAlert
@@ -219,11 +220,14 @@ func BindFlags(fs *flag.FlagSet, defaults Config) *Flags { return core.BindFlags
 // NewMetricsRegistry returns an empty metrics registry for Config.Metrics.
 func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
 
-// NewSLOMonitor starts an in-process multiwindow burn-rate monitor over a
-// latency histogram — the code-level twin of the Prometheus alert rules in
-// examples/alerts/stability-slo.rules.yml. Close it to stop the sampler.
-func NewSLOMonitor(h *MetricsHistogram, cfg SLOConfig) (*SLOMonitor, error) {
-	return metrics.NewSLOMonitor(h, cfg)
+// NewSLOMonitor attaches an in-process multiwindow burn-rate monitor over
+// the stability latency of node's registered predicate key — the code-level
+// twin of the Prometheus alert rules in
+// examples/alerts/stability-slo.rules.yml. It rides the node tick: one
+// sample every HeartbeatEvery, OnAlert called on the tick. An unregistered
+// key is an error; Close detaches the monitor.
+func NewSLOMonitor(node *Node, key string, cfg SLOConfig) (*SLOMonitor, error) {
+	return core.NewSLOMonitor(node, key, cfg)
 }
 
 // NewLadder validates and builds an adaptation ladder, strongest rung

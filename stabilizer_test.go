@@ -458,7 +458,7 @@ func TestReadmeListsEveryConfigField(t *testing.T) {
 	t.Logf("config fields: %d settable values reachable from stabilizer.Config", settable)
 	// A value added here has to raise the ceiling in the same change, next to
 	// what it replaces.
-	const ceiling = 13
+	const ceiling = 12
 	if settable > ceiling {
 		t.Errorf("stabilizer.Config reaches %d settable values, ceiling %d", settable, ceiling)
 	}
@@ -469,7 +469,7 @@ func TestReadmeListsEveryConfigField(t *testing.T) {
 // (§III-D); a method added here has to raise the ceiling in the same change,
 // next to what it replaces.
 func TestNodeSurfaceDoesNotGrowUnnoticed(t *testing.T) {
-	const ceiling = 28
+	const ceiling = 27
 	n := reflect.TypeOf((*stabilizer.Node)(nil)).NumMethod()
 	t.Logf("node methods: %d exported", n)
 	if n > ceiling {
