@@ -188,7 +188,12 @@ func TestFig6PaxosMatchesMajorityWNodesAndLosesToMajorityRegions(t *testing.T) {
 
 func TestFig8ThreeSitesBeatsAllSites(t *testing.T) {
 	skipUnderRace(t)
-	res, err := Fig8(shortOpts())
+	opts := shortOpts()
+	// The all/three gap is Clemson's RTT over Massachusetts', 2.84 ms: at
+	// TimeScale 10 that is 0.28 ms of wall time, inside the host's noise
+	// once shaped arrivals land on time; at 2 it is 1.4 ms.
+	opts.TimeScale = 2
+	res, err := Fig8(opts)
 	if err != nil {
 		t.Fatal(err)
 	}

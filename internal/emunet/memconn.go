@@ -331,16 +331,17 @@ func (q *memQueue) setDeadline(e *memEnd, t time.Time) error {
 }
 
 // armArrival arms the arrival timer for the first unit in flight, unless it
-// is armed: a read parked on bytes in flight wakes when they arrive. As with
-// a deadline, a callback whose timer was stopped first changes nothing.
-// Caller holds mu.
+// is armed: a read parked on bytes in flight wakes when they arrive (see
+// afterArrival for how close to the schedule). As with a deadline, a callback
+// whose timer was stopped first changes nothing, even one whose wait had
+// begun. Caller holds mu.
 func (q *memQueue) armArrival() {
 	s := q.s
 	if s.timer != nil || s.head == len(s.units) {
 		return
 	}
 	var tm *time.Timer
-	tm = time.AfterFunc(time.Until(s.units[s.head].at), func() {
+	tm = afterArrival(s.units[s.head].at, func() {
 		q.mu.Lock()
 		defer q.mu.Unlock()
 		if s.timer == tm {
