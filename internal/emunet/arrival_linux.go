@@ -17,13 +17,16 @@ const arriveEarly = time.Millisecond
 
 // maxFreeTimerfds bounds the timerfds kept between waits: a wait that finds
 // none free makes one (an epoll registration), and one handed back to a full
-// list is closed. Waits overlap only within a millisecond of their arrivals,
-// at most one per shaped direction, so a few dozen cover a full mesh of the
-// paper's eight sites.
+// list is closed. The benchmark's wan-sync workload (eight sites, 2 cores)
+// had at most 15 to 20 waits under way at once in four runs of some 11 000
+// waits each, and made that many timerfds; making and closing one per wait
+// instead cost 19 % more CPU per message. The bound keeps that peak with room
+// for a slower host.
 const maxFreeTimerfds = 32
 
-// freeTimerfds is the free list. It is not a sync.Pool, which would drop
-// descriptors without closing them.
+// freeTimerfds is the free list. It is not a sync.Pool, which drops what it
+// holds at a collection and leaves the descriptors open until their
+// finalizers run.
 var freeTimerfds = make(chan *timerfd, maxFreeTimerfds)
 
 // timerfd is a kernel timer read through the netpoller. fd is the file's

@@ -3,19 +3,17 @@
 package emunet
 
 import (
-	"io"
-	"net"
 	"os"
 	"sync"
 	"testing"
 	"time"
 )
 
-// TestArrivalTimerfdsAreBounded: however many arrivals wait at once, the
+// TestArrivalTimerfdsAreBounded: however many arrival waits overlap, the
 // timerfds left open once they are over are at most the free list's bound.
-// 10 080 arrivals cross every direction of an 8-node full mesh of shaped
-// links (56 directions), and after Close the process holds no more
-// descriptors than before, plus what the free list had room for.
+// Four times that many waits end at one instant 50 ms away, so all of them
+// hold a timerfd at once, and the process then holds no more descriptors
+// than before, plus what the free list had room for.
 func TestArrivalTimerfdsAreBounded(t *testing.T) {
 	fds := func() int {
 		ents, err := os.ReadDir("/proc/self/fd")
@@ -26,76 +24,20 @@ func TestArrivalTimerfdsAreBounded(t *testing.T) {
 	}
 	// Descriptors already on the free list are counted in before and may
 	// not be counted twice.
-	before, bound := fds(), maxFreeTimerfds-len(freeTimerfds)
-	const nodes, rounds = 8, 180
-	m := NewMatrix()
-	for a := 1; a <= nodes; a++ {
-		for b := a + 1; b <= nodes; b++ {
-			m.SetSymmetric(a, b, Link{OneWayLatency: 500 * time.Microsecond})
-		}
-	}
-	n := NewMemNetwork(m)
-	defer n.Close()
-	// Both ends of every connection write a round and then read the other's,
-	// so all 56 directions have a unit in flight at once, more than the free
-	// list keeps.
+	before, room := fds(), maxFreeTimerfds-len(freeTimerfds)
+	const waits = 4 * maxFreeTimerfds
 	var wg sync.WaitGroup
-	errs := make(chan error, nodes*nodes) // at most one per end
-	exchange := func(c net.Conn) {
-		defer wg.Done()
-		defer c.Close()
-		buf := make([]byte, 64)
-		for i := 0; i < rounds; i++ {
-			if _, err := c.Write(buf); err != nil {
-				errs <- err
-				return
-			}
-			if _, err := io.ReadFull(c, buf); err != nil {
-				errs <- err
-				return
-			}
-		}
-	}
-	wg.Add(nodes * (nodes - 1)) // both ends of every connection
-	for b := 2; b <= nodes; b++ {
-		l, err := n.Listen(b)
-		if err != nil {
-			t.Fatal(err)
-		}
+	wg.Add(waits)
+	at := time.Now().Add(50 * time.Millisecond)
+	for i := 0; i < waits; i++ {
 		go func() {
-			for a := 1; a < b; a++ {
-				c, err := l.Accept()
-				if err != nil {
-					errs <- err
-					wg.Done()
-					continue
-				}
-				go exchange(c)
-			}
+			defer wg.Done()
+			sleepUntil(at)
 		}()
 	}
-	for a := 1; a <= nodes; a++ {
-		for b := a + 1; b <= nodes; b++ {
-			c, err := n.Dial(a, b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			go exchange(c)
-		}
-	}
 	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	n.Close()
-	// The last waits end within a millisecond of their arrivals.
-	deadline := time.Now().Add(2 * time.Second)
-	for fds() > before+bound {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d descriptors open after Close, %d before with %d on the free list: more than its bound %d",
-				fds(), before, maxFreeTimerfds-bound, maxFreeTimerfds)
-		}
-		time.Sleep(5 * time.Millisecond)
+	if n := fds(); n > before+room {
+		t.Fatalf("%d descriptors open after %d overlapping waits, %d before with %d on the free list: more than its bound %d",
+			n, waits, before, maxFreeTimerfds-room, maxFreeTimerfds)
 	}
 }

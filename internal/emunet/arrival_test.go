@@ -13,6 +13,11 @@ import (
 // configured round trip and little more. On Linux an arrival's wait ends on
 // a kernel timer, so the median excess stays under 300 µs; elsewhere the
 // runtime timer's quantum of about a millisecond per leg is logged only.
+// Each round also times the same two legs on the runtime timer alone, as a
+// shaped link waited before it had a kernel timer: a stalled host slows both
+// alike, so a median over the bound fails only if the round trip also lost
+// to the runtime timer in more than a third of the rounds. An arrival woken
+// by the runtime timer alone won at most 31 of 50 (2 cores, go1.24).
 func TestShapedArrivalIsOnTime(t *testing.T) {
 	const (
 		oneWay = 5 * time.Millisecond
@@ -48,7 +53,9 @@ func TestShapedArrivalIsOnTime(t *testing.T) {
 	}
 	defer c.Close()
 	buf := make([]byte, 64)
+	fired := make(chan struct{})
 	excess := make([]time.Duration, pings)
+	beat := 0 // rounds whose round trip beat the runtime timer's two legs
 	for i := range excess {
 		t0 := time.Now()
 		if _, err := c.Write(buf); err != nil {
@@ -58,15 +65,24 @@ func TestShapedArrivalIsOnTime(t *testing.T) {
 			t.Fatal(err)
 		}
 		excess[i] = time.Since(t0) - 2*oneWay
+		t0 = time.Now()
+		for range 2 {
+			time.AfterFunc(oneWay, func() { fired <- struct{}{} })
+			<-fired
+		}
+		if excess[i] < time.Since(t0)-2*oneWay {
+			beat++
+		}
 	}
 	slices.Sort(excess)
 	med := excess[pings/2]
 	if excess[0] < 0 {
 		t.Fatalf("a round trip took %v less than the configured %v", -excess[0], 2*oneWay)
 	}
-	t.Logf("median excess over the %v round trip: %v", 2*oneWay, med)
-	if runtime.GOOS == "linux" && med > 300*time.Microsecond {
-		t.Fatalf("median excess over the %v round trip is %v, want at most 300µs (p90 %v)", 2*oneWay, med, excess[pings*9/10])
+	t.Logf("median excess over the %v round trip: %v; beat the runtime timer in %d of %d rounds", 2*oneWay, med, beat, pings)
+	if runtime.GOOS == "linux" && med > 300*time.Microsecond && beat < pings*2/3 {
+		t.Fatalf("median excess over the %v round trip is %v, want at most 300µs (p90 %v), and it beat the runtime timer in only %d of %d rounds",
+			2*oneWay, med, excess[pings*9/10], beat, pings)
 	}
 }
 
