@@ -15,8 +15,8 @@
 //	wankv -metrics-addr :9090 -pprof
 //	                            # plus /debug/pprof on the same port
 //	wankv -trace-sample 1       # trace every op instead of 1 in 64
-//	wankv -flow-max-bytes 65536 -stall-deadline 2s
-//	                            # bounded send logs + stall verdicts
+//	wankv -flow-max-bytes 65536 # bounded send logs; 'explain' shows
+//	                            # what holds each frontier, for how long
 //	wankv -flow-max-bytes 65536 -spill-dir /tmp/spill
 //	                            # ... with the cold backlog spilled to disk
 //	wankv -adaptive-ladder 'all=MIN($ALLWNODES);one=KTH_MAX(1, $ALLWNODES)'
@@ -36,7 +36,7 @@
 //	adaptive                         adaptive controller rungs + history
 //	acks                             dump the ACK recorder for node 1
 //	explain [key]                    why node 1's frontiers are not moving:
-//	                                 frontier/head, stuck, stalled, holders
+//	                                 frontier/head, stuck, holders
 //	help, quit
 package main
 
@@ -381,8 +381,8 @@ func explain(w io.Writer, topo *stabilizer.Topology, n *stabilizer.Node, keys []
 		verdicts = s.Predicates
 	}
 	for _, v := range verdicts {
-		fmt.Fprintf(w, "%-22s frontier=%d/%d stuck=%v stalled=%v\n",
-			v.Key, v.Frontier, v.Head, v.Stuck.Round(time.Millisecond), v.Stalled)
+		fmt.Fprintf(w, "%-22s frontier=%d/%d stuck=%v\n",
+			v.Key, v.Frontier, v.Head, v.Stuck.Round(time.Millisecond))
 		for _, h := range v.Holding {
 			name, _ := topo.NodeAt(h.Peer)
 			fmt.Fprintf(w, "    held by node %d (%s, %s/%s) up=%v ack=%d\n",

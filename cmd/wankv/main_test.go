@@ -33,7 +33,7 @@ func TestEveryFlagReachesTheConfig(t *testing.T) {
 		"-metrics-addr", "127.0.0.1:0", "-pprof",
 		"-flow-max-bytes", "65536",
 		"-spill-dir", "/tmp/spill",
-		"-stall-deadline", "2s", "-trace-sample", "8",
+		"-trace-sample", "8",
 		"-adaptive-ladder", ladder, "-adaptive-key", "k", "-adaptive-target", "500ms",
 	)
 	if err != nil {
@@ -66,7 +66,6 @@ func TestEveryFlagReachesTheConfig(t *testing.T) {
 		Flow: stabilizer.FlowConfig{
 			MaxBytes: 65536, SpillDir: "/tmp/spill",
 		},
-		Stall: stabilizer.StallConfig{Deadline: 2 * time.Second},
 		Trace: stabilizer.TraceConfig{SampleEvery: 8},
 	}
 	if !reflect.DeepEqual(got, want) {
@@ -80,7 +79,7 @@ func TestDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := o.node.Cluster()
-	if c.Trace.SampleEvery != 64 || c.Flow != (stabilizer.FlowConfig{}) || c.Stall.Deadline != 0 {
+	if c.Trace.SampleEvery != 64 || c.Flow != (stabilizer.FlowConfig{}) {
 		t.Fatalf("default config: %+v", c)
 	}
 	if o.adaptiveLadder.Len() != 0 {
@@ -99,6 +98,7 @@ func TestBadAndRemovedFlags(t *testing.T) {
 		{"-adaptive-objective", "0.9"},
 		{"-flow-mode", "spill"},
 		{"-flow-max-entries", "128"},
+		{"-stall-deadline", "2s"},
 		{"-adaptive-ladder", "only=MIN($ALLWNODES)"},
 	} {
 		if _, _, err := parse(t, args...); err == nil {
@@ -220,11 +220,11 @@ func TestSpillDirAndCapBootASpillingNode(t *testing.T) {
 }
 
 // TestExplainPrintsTheVerdict: with node 1's link to node 2 cut, 'explain'
-// prints the all-nodes predicate stalled and held by node 2 — whose received
+// prints the all-nodes predicate stuck and held by node 2 — whose received
 // cell never left 0 — and the bare form prints the send log and every
 // verdict, reclaim included.
 func TestExplainPrintsTheVerdict(t *testing.T) {
-	primary, put := bootCutOff(t, "-stall-deadline", "100ms")
+	primary, put := bootCutOff(t)
 	topo := stabilizer.EC2Topology(1)
 	if err := primary.RegisterPredicate("all", "MIN($ALLWNODES)"); err != nil {
 		t.Fatal(err)
@@ -234,9 +234,13 @@ func TestExplainPrintsTheVerdict(t *testing.T) {
 	}
 	var out strings.Builder
 	deadline := time.Now().Add(5 * time.Second)
-	for !strings.Contains(out.String(), "stalled=true") {
+	heldByTwoAlone := func(got string) bool {
+		return strings.Count(got, "held by node ") == 1 && strings.Contains(got, "held by node 2 (") &&
+			!strings.Contains(got, "stuck=0s")
+	}
+	for !heldByTwoAlone(out.String()) {
 		if time.Now().After(deadline) {
-			t.Fatalf("'explain all' never read stalled:\n%s", out.String())
+			t.Fatalf("'explain all' never read stuck>0 held by node 2 alone:\n%s", out.String())
 		}
 		time.Sleep(10 * time.Millisecond)
 		out.Reset()
@@ -244,9 +248,8 @@ func TestExplainPrintsTheVerdict(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := out.String(); !strings.Contains(got, "frontier=0/1") || !strings.Contains(got, "held by node 2 (") ||
-		!strings.Contains(got, "ack=0") || strings.Contains(got, "held by node 3 (") {
-		t.Fatalf("'explain all' = %q, want frontier 0/1 held by node 2 alone at ack 0", got)
+	if got := out.String(); !strings.Contains(got, "frontier=0/1") || !strings.Contains(got, "ack=0") {
+		t.Fatalf("'explain all' = %q, want frontier 0/1 held by node 2 at ack 0", got)
 	}
 	out.Reset()
 	if err := explain(&out, topo, primary, nil); err != nil {

@@ -49,19 +49,21 @@ type Options struct {
 	//     payloads, and every delivery is checked byte-for-byte against
 	//     ground truth via AttachPayloadTruth — so a corrupt disk round trip
 	//     fails the run even though the stream stays FIFO.
-	//   - Stall, when its Deadline is set, turns on the degraded-mode
-	//     honesty invariant: every stalled verdict may name as holders only
-	//     peers the schedule actually faulted.
 	//   - Trace, when enabled, turns on the trace well-orderedness
 	//     invariant: after convergence a sampled operation's merged timeline
 	//     must cover all seven lifecycle stages and validate (no Deliver
-	//     before WireRecv, no Stabilize before its ack quorum). With Stall
-	//     also enabled, every stalled verdict OnStall passes must carry a
-	//     non-empty recorder tail for each holding peer.
+	//     before WireRecv, no Stabilize before its ack quorum). With
+	//     StallAfter also set, every verdict a sweep finds stuck past it
+	//     must carry a non-empty recorder tail for each holding peer.
 	//   - Metrics, when set, is shared by every node (node-labeled
 	//     families); scraping it while the soak runs is itself a race test
 	//     of the registry.
 	Cluster core.Config
+	// StallAfter, when > 0, turns on the degraded-mode honesty invariant:
+	// every verdict a sweep finds stuck for at least StallAfter may name as
+	// holders only peers the schedule actually faulted. It must be at least
+	// Cluster.HeartbeatEvery.
+	StallAfter time.Duration
 	// PayloadBytes sizes every pumped message (default 96). Spill soaks
 	// raise it so a backlog measured in MBs or GBs accumulates within the
 	// horizon instead of over a literal day.
@@ -507,7 +509,7 @@ func Soak(o Options) (*Report, error) {
 		})
 	}
 	// Ground truth for the honesty invariant: the set of nodes any schedule
-	// event touches. A stalled verdict may only name these. A partition cuts
+	// event touches. A stuck verdict may only name these. A partition cuts
 	// every link crossing the set boundary, so both sides are affected — if
 	// the isolated set contains a sender, the peers left outside genuinely
 	// fall behind on its stream.
@@ -552,26 +554,18 @@ func Soak(o Options) (*Report, error) {
 			return max
 		}
 	}
-	sc.attach = func(r *run, n *core.Node) {
-		if o.Cluster.Stall.Deadline > 0 {
-			r.check.AttachStallHonesty(n, func(peer int) bool { return suspect[peer] })
-		}
-		if o.Cluster.Trace.Enabled() && o.Cluster.Stall.Deadline > 0 {
-			r.check.AttachStallTraces(n)
-		}
-		if spill {
-			r.check.AttachPayloadTruth(n, truth)
-		}
+	if spill {
+		sc.attach = func(r *run, n *core.Node) { r.check.AttachPayloadTruth(n, truth) }
 	}
 	var quorums map[string]int
 	sc.start = func(r *run) (err error) {
 		quorums, err = r.registerAllMaj()
 		return err
 	}
-	// Invariants 3 (the runner's CrossCheck), 8 and 5 swept while faults fly.
-	// With a spill tier the cap governs only the in-memory tier (the whole
-	// point is that total backlog exceeds it), and the sweeps also track
-	// invariant 9's peak-spill witness.
+	// Invariants 3 (the runner's CrossCheck), 8, 5 and 6 swept while faults
+	// fly. With a spill tier the cap governs only the in-memory tier (the
+	// whole point is that total backlog exceeds it), and the sweeps also
+	// track invariant 9's peak-spill witness.
 	var peakSpill int64 // guarded by run.mu
 	sc.sweep = func(r *run, live []*core.Node) {
 		r.check.CheckFrontierTruth(live, quorums)
@@ -591,6 +585,9 @@ func Soak(o Options) (*Report, error) {
 					peakSpill = b
 				}
 			}
+		}
+		if o.StallAfter > 0 {
+			r.check.CheckStalls(live, o.StallAfter, func(peer int) bool { return suspect[peer] }, o.Cluster.Trace.Enabled())
 		}
 	}
 	var readback int64

@@ -88,7 +88,7 @@ func TestSoakScheduleReplayIsIdentical(t *testing.T) {
 }
 
 // flowSoakOptions is the flow-capped soak configuration: every node's send
-// log capped with blocking admission control, stall monitoring on, and
+// log capped with blocking admission control, stall checks on, and
 // auto-reclaim enabled (bounded memory requires truncation) — which in turn
 // requires excluding crash_restart from the schedule.
 func flowSoakOptions(seed int64) Options {
@@ -103,9 +103,9 @@ func flowSoakOptions(seed int64) Options {
 		Kinds: kinds,
 		Cluster: core.Config{
 			Flow:  transport.FlowConfig{MaxBytes: 16 << 10},
-			Stall: core.StallConfig{Deadline: 300 * time.Millisecond},
 			Trace: optrace.Config{SampleEvery: 1, RingSize: 1 << 14},
 		},
+		StallAfter:  300 * time.Millisecond,
 		AutoReclaim: true,
 	}
 }
@@ -163,12 +163,12 @@ func TestFlowDemo(t *testing.T) {
 		t.Fatalf("degraded path not exercised: blocked=%d fallbackHead=%d head=%d",
 			rep.BlockedAppends, rep.FallbackHead, rep.Head)
 	}
-	if rep.StallReports == 0 {
-		t.Fatalf("no stall reports emitted")
+	if rep.StuckVerdicts == 0 {
+		t.Fatalf("no sweep found a verdict stuck past %v", flowStallAfter)
 	}
-	t.Logf("flow demo passed: seed=%d fingerprint=%s victim=%d head=%d fallbackHead=%d maxLogBytes=%d blocked=%d stalls=%d",
+	t.Logf("flow demo passed: seed=%d fingerprint=%s victim=%d head=%d fallbackHead=%d maxLogBytes=%d blocked=%d stuck=%d",
 		seed, rep.Schedule.Fingerprint(), rep.Victim, rep.Head, rep.FallbackHead,
-		rep.MaxLogBytes, rep.BlockedAppends, rep.StallReports)
+		rep.MaxLogBytes, rep.BlockedAppends, rep.StuckVerdicts)
 }
 
 // TestFlowDemoScheduleReplayIsIdentical pins the acceptance requirement that

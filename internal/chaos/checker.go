@@ -18,10 +18,10 @@
 //     retransmission buffer exceeds the cap plus one in-flight append,
 //     no matter which peers stop draining it. Admission control, not
 //     fault-free weather, is what keeps memory bounded.
-//  6. Degraded-mode honesty — every stall verdict names only holders the
-//     harness knows to be faulted or genuinely behind, and never an empty
-//     set. Naming a healthy peer would route an operator (or an automated
-//     fallback) at the wrong subsystem.
+//  6. Degraded-mode honesty — every verdict stuck past the harness's
+//     threshold names only holders the harness knows to be faulted or
+//     genuinely behind, and never an empty set. Naming a healthy peer would
+//     route an operator (or an automated fallback) at the wrong subsystem.
 //  7. Trace well-orderedness — with the flight recorder on, a sampled
 //     operation's merged cross-node timeline must cover the whole
 //     append→stabilize lifecycle and be causally well-ordered: no Deliver
@@ -58,12 +58,11 @@
 //
 // Invariants 1 and 2 are asserted continuously from hooks on the live
 // nodes; invariant 3 by periodic CrossCheck sweeps (CheckBounded and
-// CheckFrontierTruth ride the same sweeps for invariants 5 and 8, and
-// CheckBoundedMemory plus peak-spill tracking for invariant 9); invariant
-// 4 by the harness at drain time via Violatef; invariant 6 by
-// AttachStallHonesty on each node's OnStall stream; invariant 7 by
-// CheckTraces after convergence plus AttachStallTraces on each stall
-// verdict; invariant 9's byte-identity by AttachPayloadTruth on the same
+// CheckFrontierTruth ride the same sweeps for invariants 5 and 8,
+// CheckBoundedMemory plus peak-spill tracking for invariant 9, and
+// CheckStalls for invariant 6 and the stall half of 7); invariant 4 by the
+// harness at drain time via Violatef; invariant 7 by CheckTraces after
+// convergence; invariant 9's byte-identity by AttachPayloadTruth on the same
 // delivery hooks as invariant 2; invariant 10 by AttachAdaptive on each
 // controller's transition stream plus CheckAdaptiveHonesty sweeps and the
 // release validator inside AdaptiveDemo.
@@ -431,43 +430,43 @@ func (c *Checker) CheckFrontierTruth(nodes []*core.Node, quorums map[string]int)
 	}
 }
 
-// AttachStallHonesty hooks invariant 6 into the verdicts a node's stall sweep
-// fires: every stalled verdict must name at least one holding peer, and only
-// peers for which allowed returns true — the harness supplies allowed from
-// its ground-truth knowledge of which peers the schedule faulted (or which
-// are genuinely behind). Call alongside Attach, once per incarnation.
-func (c *Checker) AttachStallHonesty(node *core.Node, allowed func(peer int) bool) {
-	self := node.Self()
-	node.OnStall(func(v core.PredicateState) {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		if len(v.Holding) == 0 {
-			c.failf("stall verdict without holders: node %d predicate %q stalled at %d/%d naming no peers",
-				self, v.Key, v.Frontier, v.Head)
+// CheckStalls sweeps invariant 6, and with traced the stall half of
+// invariant 7, over every verdict of the live nodes stuck for at least after.
+// Each must name at least one holding peer, and only peers for which allowed
+// returns true: the harness supplies allowed from its ground-truth knowledge
+// of which peers the schedule faulted (or which are genuinely behind).
+// Traced, each must also carry a non-empty flight-recorder tail for every
+// holding peer, so "frontier stuck, held by node 3" always ships a
+// post-mortem; a verdict carries its tails once stuck for one
+// HeartbeatEvery, so after must be at least that. It returns the number of
+// verdicts judged.
+func (c *Checker) CheckStalls(nodes []*core.Node, after time.Duration, allowed func(peer int) bool, traced bool) (judged int) {
+	for i, n := range nodes {
+		if n == nil {
+			continue
 		}
-		for _, h := range v.Holding {
-			if !allowed(h.Peer) {
-				c.failf("dishonest stall verdict: node %d predicate %q held by healthy peer %d (frontier %d/%d)",
-					self, v.Key, h.Peer, v.Frontier, v.Head)
+		for _, v := range n.Snapshot().Predicates {
+			if v.Stuck < after {
+				continue
+			}
+			judged++
+			if len(v.Holding) == 0 {
+				c.Violatef("stall verdict without holders: node %d predicate %q stuck %v at %d/%d naming no peers",
+					i+1, v.Key, v.Stuck, v.Frontier, v.Head)
+			}
+			for _, h := range v.Holding {
+				if !allowed(h.Peer) {
+					c.Violatef("dishonest stall verdict: node %d predicate %q held by healthy peer %d (frontier %d/%d)",
+						i+1, v.Key, h.Peer, v.Frontier, v.Head)
+				}
+				if traced && len(h.Recent) == 0 {
+					c.Violatef("stall trace missing: node %d predicate %q held by peer %d with an empty recorder tail (frontier %d/%d)",
+						i+1, v.Key, h.Peer, v.Frontier, v.Head)
+				}
 			}
 		}
-	})
-}
-
-// AttachStallTraces hooks the trace half of invariant 7 into the verdicts a
-// node's stall sweep fires: each must carry a non-empty flight-recorder tail
-// for every holding peer, so "frontier stalled, held by node 3" always ships
-// a post-mortem. Call alongside Attach on traced nodes, once per incarnation.
-func (c *Checker) AttachStallTraces(node *core.Node) {
-	self := node.Self()
-	node.OnStall(func(v core.PredicateState) {
-		for _, h := range v.Holding {
-			if len(h.Recent) == 0 {
-				c.Violatef("stall trace missing: node %d predicate %q held by peer %d with an empty recorder tail (frontier %d/%d)",
-					self, v.Key, h.Peer, v.Frontier, v.Head)
-			}
-		}
-	})
+	}
+	return judged
 }
 
 // CheckTraces asserts the timeline half of invariant 7 for one origin

@@ -23,9 +23,12 @@ const (
 	flowSendEvery = time.Millisecond
 	// flowPayloadBytes doubles as the bounded-memory slack: admission control
 	// may overshoot the cap by at most one in-flight payload.
-	flowPayloadBytes  = 512
-	flowCapBytes      = 64 << 10
-	flowStallDeadline = 150 * time.Millisecond
+	flowPayloadBytes = 512
+	flowCapBytes     = 64 << 10
+	// flowStallAfter is how long a verdict sits stuck before the sweeps
+	// judge it (invariants 6 and 7) and, for the reclaim verdict, before it
+	// triggers the fallback.
+	flowStallAfter = 150 * time.Millisecond
 )
 
 // reclaimFallbackSource is the reclaim predicate the flow scenario falls back
@@ -37,9 +40,9 @@ const (
 // snaps to its base, and that receiver's stream has a gap.
 const reclaimFallbackSource = "KTH_MIN(2, $ALLWNODES)"
 
-// flowTrace samples every op into a 16Ki-event ring, so the scenario's stall
-// reports always ship a recorder tail for the blamed victim (invariant 7's
-// stall half, enforced via AttachStallTraces).
+// flowTrace samples every op into a 16Ki-event ring, so the scenario's stuck
+// verdicts always ship a recorder tail for the blamed victim (invariant 7's
+// stall half, enforced via CheckStalls).
 var flowTrace = optrace.Config{SampleEvery: 1, RingSize: 1 << 14}
 
 // seededVictim is the faulted peer a seed selects: a deterministic draw from
@@ -78,8 +81,9 @@ type FlowReport struct {
 	MaxLogBytes int64
 	// BlockedAppends counts appends that waited on admission control.
 	BlockedAppends int64
-	// StallReports counts the stall verdicts the sender's sweep fired.
-	StallReports int
+	// StuckVerdicts counts the verdicts the sweeps found stuck past
+	// flowStallAfter.
+	StuckVerdicts int
 }
 
 // FlowDemo runs the bounded-memory acceptance scenario: the sender pumps
@@ -89,10 +93,11 @@ type FlowReport struct {
 //   - memory stays bounded: send-log bytes never exceed the cap plus one
 //     in-flight payload (invariant 5), because admission control blocks the
 //     pump once the stalled full-set reclaim predicate pins the log;
-//   - degraded mode is honest: the stall monitor blames exactly the
-//     blackholed peer (invariant 6), and Node.Snapshot names it too;
-//   - the fallback restores progress: when the app (this harness) reacts to
-//     the stall notification by swapping reclaim to one the dark peer cannot
+//   - degraded mode is honest: every verdict stuck past flowStallAfter
+//     blames exactly the blackholed peer (invariant 6), and Node.Explain
+//     names it too;
+//   - the fallback restores progress: when the app (this harness) reads the
+//     reclaim verdict stuck and swaps reclaim to one the dark peer cannot
 //     hold, truncation resumes, blocked appends drain, and appends to
 //     healthy-majority predicates keep completing to the end of the run;
 //   - the fallback is safe: truncation never passes what a healthy receiver
@@ -108,46 +113,27 @@ func FlowDemo(o FlowOptions) (*FlowReport, error) {
 		cluster: core.Config{
 			HeartbeatEvery: heartbeatEvery,
 			Flow:           transport.FlowConfig{MaxBytes: flowCapBytes},
-			Stall:          core.StallConfig{Deadline: flowStallDeadline},
 			Trace:          flowTrace,
 		},
 		bandwidth: linkBandwidth,
 		sendEvery: flowSendEvery, payloadBytes: flowPayloadBytes,
 		horizon: o.Horizon, drain: drainTimeout, sweepEvery: 20 * time.Millisecond,
 	}
-	sc.attach = func(r *run, n *core.Node) {
-		r.check.AttachStallHonesty(n, func(peer int) bool { return peer == victim })
-		r.check.AttachStallTraces(n)
-	}
-
-	// Degraded-mode notification → fallback trigger. The app pattern under
-	// test: on a reclaim stall naming the victim, wait for real backpressure
-	// (the log actually full), then swap reclaim to reclaimFallbackSource so
-	// truncation no longer waits on the dark peer.
 	var (
-		stallCount     atomic.Int64
-		reclaimStalled atomic.Bool
-		fallbackHead   atomic.Uint64
+		stuck        atomic.Int64
+		fallbackHead atomic.Uint64
 	)
 	sc.start = func(r *run) error {
-		if _, err := r.registerAllMaj(); err != nil {
-			return err
-		}
-		r.bed.Node(1).OnStall(func(v core.PredicateState) {
-			stallCount.Add(1)
-			r.logf("chaos: stall verdict: predicate %q frontier %d/%d held by %+v", v.Key, v.Frontier, v.Head, v.Holding)
-			if v.Key == core.ReclaimPredicateKey {
-				reclaimStalled.Store(true)
-			}
-		})
-		return nil
+		_, err := r.registerAllMaj()
+		return err
 	}
-	// Invariant sweeps: bounded memory beside the runner's phantom-stability
-	// check, the high-water bookkeeping for the report, and the one-shot
-	// fallback.
+	// Invariant sweeps: bounded memory and honest stuck verdicts beside the
+	// runner's phantom-stability check, the high-water bookkeeping for the
+	// report, and the one-shot fallback.
 	sc.sweep = func(r *run, live []*core.Node) {
 		sender := live[0]
 		r.check.CheckBounded(live, flowCapBytes, flowPayloadBytes)
+		stuck.Add(int64(r.check.CheckStalls(live, flowStallAfter, func(peer int) bool { return peer == victim }, true)))
 		log := sender.Snapshot().Log
 		if log.Bytes > rep.MaxLogBytes {
 			rep.MaxLogBytes = log.Bytes
@@ -167,9 +153,18 @@ func FlowDemo(o FlowOptions) (*FlowReport, error) {
 				r.check.Violatef("sender reclaimed through %d past healthy node %d's received ACK %d", log.Base-1, p, ack)
 			}
 		}
-		if fallbackHead.Load() != 0 || !reclaimStalled.Load() || !log.Full {
+		// The app pattern under test: once the reclaim verdict has sat stuck
+		// past flowStallAfter and the log is actually full, swap reclaim to
+		// reclaimFallbackSource so truncation no longer waits on the dark
+		// peer.
+		if fallbackHead.Load() != 0 || !log.Full {
 			return
 		}
+		v, err := sender.Explain(core.ReclaimPredicateKey)
+		if err != nil || v.Stuck < flowStallAfter {
+			return
+		}
+		r.logf("chaos: reclaim stuck %v at %d/%d held by %+v", v.Stuck, v.Frontier, v.Head, v.Holding)
 		fallbackHead.Store(sender.NextSeq() - 1)
 		if err := sender.ChangeReclaimPredicate(reclaimFallbackSource); err != nil {
 			r.check.Violatef("reclaim fallback failed: %v", err)
@@ -184,11 +179,11 @@ func FlowDemo(o FlowOptions) (*FlowReport, error) {
 		snap := sender.Snapshot()
 		rep.FallbackHead = fallbackHead.Load()
 		rep.BlockedAppends = snap.Log.BlockedAppends
-		rep.StallReports = int(stallCount.Load())
+		rep.StuckVerdicts = int(stuck.Load())
 
 		// The demo must actually have exercised the degraded path.
 		if rep.FallbackHead == 0 {
-			r.check.Violatef("reclaim fallback never fired (stalls=%d, backpressured=%v)", rep.StallReports, snap.Log.Full)
+			r.check.Violatef("reclaim fallback never fired (stuck verdicts=%d, backpressured=%v)", rep.StuckVerdicts, snap.Log.Full)
 		} else if head <= rep.FallbackHead {
 			r.check.Violatef("appends stopped after fallback: head %d never passed fallback head %d", head, rep.FallbackHead)
 		}
@@ -199,9 +194,9 @@ func FlowDemo(o FlowOptions) (*FlowReport, error) {
 		// blackholed peer as what holds it.
 		if v, err := sender.Explain("all"); err != nil {
 			r.check.Violatef("no verdict on predicate 'all': %v", err)
-		} else if !v.Stalled || len(v.Holding) != 1 || v.Holding[0].Peer != victim {
-			r.check.Violatef("Explain misnames the stall cause: predicate 'all' stalled=%v holding=%+v, want exactly peer %d",
-				v.Stalled, v.Holding, victim)
+		} else if v.Stuck < flowStallAfter || len(v.Holding) != 1 || v.Holding[0].Peer != victim {
+			r.check.Violatef("Explain misnames the stall cause: predicate 'all' stuck %v holding=%+v, want past %v and exactly peer %d",
+				v.Stuck, v.Holding, flowStallAfter, victim)
 		}
 
 		// Healthy-majority convergence: every node but the victim drains the full

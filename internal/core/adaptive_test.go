@@ -119,10 +119,7 @@ func TestHookCancelDetaches(t *testing.T) {
 	n.OnPeer(nil)() // nil fn: no-op cancel must not panic
 	peerCancel := n.OnPeer(func(int, bool) { t.Error("canceled OnPeer fired") })
 	peerCancel()
-	// OnStall with no monitor configured: registration and cancel are safe.
-	stallCancel := n.OnStall(func(PredicateState) {})
-	stallCancel()
-	stallCancel()
+	peerCancel()
 }
 
 func TestStartAdaptiveLifecycle(t *testing.T) {

@@ -248,7 +248,6 @@ func TestOpenIsOpenClusterOfSelf(t *testing.T) {
 		DisableAutoReclaim: true,
 		Metrics:            reg,
 		Flow:               transport.FlowConfig{MaxBytes: 1 << 20},
-		Stall:              StallConfig{Deadline: time.Second},
 		Trace:              optrace.Config{SampleEvery: 1},
 	})
 	if err != nil {
@@ -256,7 +255,7 @@ func TestOpenIsOpenClusterOfSelf(t *testing.T) {
 	}
 	defer n.Close()
 	if n.Self() != 2 || n.log.NextSeq() != 42 || n.persister == nil || n.trace == nil ||
-		n.log.Stats().CapBytes != 1<<20 || n.stall.cfg.Deadline != time.Second || n.registry.Has(ReclaimPredicateKey) {
+		n.log.Stats().CapBytes != 1<<20 || n.tickEvery != 125*time.Millisecond || n.registry.Has(ReclaimPredicateKey) {
 		t.Fatalf("node %d was not built from its config", n.Self())
 	}
 	var sb strings.Builder

@@ -21,9 +21,8 @@ func holders(v PredicateState) []int {
 }
 
 // openCuttableCluster boots three traced nodes on a memory fabric whose links
-// the returned injector can cut, with a 10ms heartbeat and the given stall
-// deadline.
-func openCuttableCluster(t *testing.T, stall time.Duration) (*Cluster, *faultinject.Injector) {
+// the returned injector can cut, with a 12.5ms heartbeat.
+func openCuttableCluster(t *testing.T) (*Cluster, *faultinject.Injector) {
 	t.Helper()
 	inj := faultinject.New(nil)
 	net := emunet.NewMemNetwork(nil)
@@ -32,7 +31,6 @@ func openCuttableCluster(t *testing.T, stall time.Duration) (*Cluster, *faultinj
 		Topology:       flatTopology(3),
 		Network:        net,
 		HeartbeatEvery: 12500 * time.Microsecond,
-		Stall:          StallConfig{Deadline: stall},
 		Trace:          optrace.Config{SampleEvery: 1, RingSize: 1 << 12},
 	})
 	if err != nil {
@@ -47,28 +45,19 @@ func openCuttableCluster(t *testing.T, stall time.Duration) (*Cluster, *faultinj
 }
 
 // TestExplainNamesTheCutPeer cuts node 3 off in both directions and asks the
-// sender why its frontiers stopped. The all-nodes predicate stalls, held by
+// sender why its frontiers stopped. The all-nodes predicate is stuck, held by
 // peer 3 alone — down once the failure detector has counted 8 quiet ticks, with
-// a recorder tail; a predicate over nodes 1 and 2 holds nothing; the verdict
-// OnStall fired names the same holders; and after the heal nothing holds and
+// a recorder tail, which a verdict carries from one tick stuck on; a predicate
+// over nodes 1 and 2 holds nothing; and after the heal nothing holds and
 // nothing is stuck.
 func TestExplainNamesTheCutPeer(t *testing.T) {
-	cl, inj := openCuttableCluster(t, 100*time.Millisecond)
+	cl, inj := openCuttableCluster(t)
 	sender := cl.Node(1)
 	for key, src := range map[string]string{"all": "MIN($ALLWNODES)", "pair": "MIN($1, $2)"} {
 		if err := sender.RegisterPredicate(key, src); err != nil {
 			t.Fatal(err)
 		}
 	}
-	fired := make(chan PredicateState, 64)
-	sender.OnStall(func(v PredicateState) {
-		if v.Key == "all" {
-			select {
-			case fired <- v:
-			default:
-			}
-		}
-	})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
@@ -86,36 +75,36 @@ func TestExplainNamesTheCutPeer(t *testing.T) {
 	}
 
 	var v PredicateState
-	waitUntil(t, 5*time.Second, "'all' stalled, held by a peer that is down", func() bool {
+	waitUntil(t, 5*time.Second, "'all' stuck, held by a peer that is down", func() bool {
 		v, err = sender.Explain("all")
-		return err == nil && v.Stalled && len(v.Holding) == 1 && !v.Holding[0].Up
+		return err == nil && v.Stuck > 0 && len(v.Holding) == 1 && !v.Holding[0].Up
 	})
 	if h := v.Holding[0]; h.Peer != 3 || h.Ack >= seq || len(h.Recent) == 0 {
 		t.Fatalf("'all' held by %+v, want peer 3 below seq %d with a recorder tail", h, seq)
 	}
 	if v.Frontier >= v.Head {
-		t.Fatalf("stalled verdict %+v: frontier not below head", v)
+		t.Fatalf("stuck verdict %+v: frontier not below head", v)
+	}
+	// The same reading a hair short of one tick carries no tail.
+	st, err := sender.registry.State("all", v.Head, time.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		stuck time.Duration
+		tail  bool
+	}{{sender.tickEvery - 1, false}, {sender.tickEvery, true}} {
+		st.Stuck = tc.stuck
+		if got := sender.verdict(st, v.Head); len(got.Holding) != 1 || (len(got.Holding[0].Recent) > 0) != tc.tail {
+			t.Fatalf("verdict stuck %v: %+v, want a recorder tail %v", tc.stuck, got.Holding, tc.tail)
+		}
 	}
 
 	if err := sender.WaitFor(ctx, seq, "pair"); err != nil {
 		t.Fatal(err)
 	}
-	if p, err := sender.Explain("pair"); err != nil || p.Stalled || len(p.Holding) != 0 {
+	if p, err := sender.Explain("pair"); err != nil || p.Stuck != 0 || len(p.Holding) != 0 {
 		t.Fatalf("'pair' over nodes 1 and 2: %+v, %v; want nothing holding it", p, err)
-	}
-
-	// Every edge the sweep fired has happened by now; the last names who
-	// holds the frontier, as Explain does.
-	var last PredicateState
-	for len(fired) > 0 || last.Key == "" {
-		select {
-		case last = <-fired:
-		case <-time.After(5 * time.Second):
-			t.Fatal("OnStall never fired for 'all'")
-		}
-	}
-	if got, want := holders(last), holders(v); len(got) != 1 || got[0] != want[0] || len(last.Holding[0].Recent) == 0 {
-		t.Fatalf("OnStall's verdict held by %v (%+v), Explain's by %v", got, last.Holding, want)
 	}
 
 	inj.HealPartition([]int{3}, 3)
@@ -126,18 +115,18 @@ func TestExplainNamesTheCutPeer(t *testing.T) {
 		v, err = sender.Explain("all")
 		return err == nil && v.Frontier == v.Head
 	})
-	if v.Stuck != 0 || v.Stalled || len(v.Holding) != 0 {
-		t.Fatalf("healed verdict %+v: want nothing stuck, stalled or holding", v)
+	if v.Stuck != 0 || len(v.Holding) != 0 {
+		t.Fatalf("healed verdict %+v: want nothing stuck or holding", v)
 	}
 }
 
-// TestVerdictWithADrainPendingIsNotStalled stalls 'all' behind a cut peer,
+// TestVerdictWithADrainPendingIsNotStalled sticks 'all' behind a cut peer,
 // then moves that peer's cell in the sender's recorder without noting it, as
 // an ACK does between its table write and the drain that follows. No peer
-// holds the frontier any more, so the verdict must not read stalled: a stall
-// that names no holder is what chaos invariant 6 rejects.
+// holds the frontier any more, so the verdict must not read stuck: a stuck
+// verdict that names no holder is what chaos invariant 6 rejects.
 func TestVerdictWithADrainPendingIsNotStalled(t *testing.T) {
-	cl, inj := openCuttableCluster(t, 100*time.Millisecond)
+	cl, inj := openCuttableCluster(t)
 	sender := cl.Node(1)
 	if err := sender.RegisterPredicate("all", "MIN($ALLWNODES)"); err != nil {
 		t.Fatal(err)
@@ -155,9 +144,9 @@ func TestVerdictWithADrainPendingIsNotStalled(t *testing.T) {
 	if seq, err = sender.Send([]byte("cut")); err != nil {
 		t.Fatal(err)
 	}
-	waitUntil(t, 5*time.Second, "'all' stalled, held by peer 3", func() bool {
+	waitUntil(t, 5*time.Second, "'all' stuck, held by peer 3", func() bool {
 		v, err := sender.Explain("all")
-		return err == nil && v.Stalled && len(holders(v)) == 1 && holders(v)[0] == 3
+		return err == nil && v.Stuck > 0 && len(holders(v)) == 1 && holders(v)[0] == 3
 	})
 
 	sender.selfTable().Update(3, frontier.TypeReceived, seq)
@@ -165,8 +154,8 @@ func TestVerdictWithADrainPendingIsNotStalled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Stalled || v.Stuck != 0 || len(v.Holding) != 0 {
-		t.Fatalf("verdict with a drain pending: stalled=%v stuck=%v frontier=%d head=%d holders=%v; want nothing stalled, stuck or holding",
-			v.Stalled, v.Stuck, v.Frontier, v.Head, holders(v))
+	if v.Stuck != 0 || len(v.Holding) != 0 {
+		t.Fatalf("verdict with a drain pending: stuck=%v frontier=%d head=%d holders=%v; want nothing stuck or holding",
+			v.Stuck, v.Frontier, v.Head, holders(v))
 	}
 }

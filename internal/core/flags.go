@@ -32,12 +32,11 @@ func BindFlags(fs *flag.FlagSet, defaults Config) *Flags {
 	return f
 }
 
-// BindFlowFlags adds the send-log flow-control and stall-detection flags.
+// BindFlowFlags adds the send-log flow-control flags.
 func (f *Flags) BindFlowFlags(fs *flag.FlagSet) {
 	c := &f.Config
 	fs.Int64Var(&c.Flow.MaxBytes, "flow-max-bytes", c.Flow.MaxBytes, "cap each node's send log at this many buffered bytes (0 = unbounded)")
 	fs.StringVar(&c.Flow.SpillDir, "spill-dir", c.Flow.SpillDir, "migrate the cold send-log backlog to segment files under this directory instead of holding senders at the cap (needs -flow-max-bytes; each node uses its own subdirectory)")
-	fs.DurationVar(&c.Stall.Deadline, "stall-deadline", c.Stall.Deadline, "declare a predicate stalled after its frontier sits still this long (0 = off)")
 }
 
 // Cluster returns the parsed template to boot from. -metrics-addr gives it a

@@ -122,14 +122,15 @@ type Config struct {
 	// Flow bounds the send log with admission control (a byte cap, and a
 	// directory for the disk tier); the zero value keeps the log unbounded.
 	Flow transport.FlowConfig
-	// Stall sets when a verdict reads stalled and arms the sweep behind
-	// OnStall (see StallConfig); the zero value disables both.
-	Stall StallConfig
 	// Trace configures the per-operation lifecycle flight recorder
 	// (sampling rate and ring size); the zero value disables tracing and
 	// keeps every hot path allocation-free.
 	Trace optrace.Config
 }
+
+// defaultHeartbeatEvery is the node tick's period when
+// Config.HeartbeatEvery is zero.
+const defaultHeartbeatEvery = 500 * time.Millisecond
 
 // Checkpoint captures the durable control-plane state of a node so a
 // restarted primary resumes sequence numbering and frontier tracking where
@@ -156,7 +157,6 @@ type Node struct {
 
 	metrics   *coreMetrics
 	sendTimes sendTimes
-	stall     *stallState
 	trace     *optrace.Recorder // nil when tracing is disabled
 	slow      slowOp
 
@@ -165,12 +165,14 @@ type Node struct {
 	// copy while holding it.
 	deliverFns cowList[DeliverFunc]
 	appFns     cowList[AppFunc]
-	peerFns    cowList[hook[peerEvent]]
+	peerFns    cowList[peerHook]
 
 	mu            sync.Mutex
 	nextHook      int
 	reclaimCancel func()
-	// tickers is everything the node tick drives after the stall sweep, in
+	// tickEvery is the node tick's period, Config.HeartbeatEvery defaulted.
+	tickEvery time.Duration
+	// tickers is everything the node tick drives after the stall clocks, in
 	// the order attached: the controllers StartAdaptive started and the
 	// monitors NewSLOMonitor attached.
 	tickers cowList[*ticker]
@@ -249,7 +251,7 @@ func openNode(cfg Config) (*Node, error) {
 	if mreg == nil {
 		mreg = metrics.NewRegistry()
 	}
-	// Everything this node instruments — core, frontier, transport, stall
+	// Everything this node instruments — core, frontier and transport
 	// families — goes through the node-labeled view, so any number of
 	// in-process nodes can share one registry and one scrape.
 	mreg = mreg.NodeGroup(strconv.Itoa(topo.Self))
@@ -264,7 +266,11 @@ func openNode(cfg Config) (*Node, error) {
 		persister: cfg.Persister,
 		metrics:   newCoreMetrics(mreg, log.NextSeq),
 		trace:     optrace.New(topo.Self, cfg.Trace),
+		tickEvery: cfg.HeartbeatEvery,
 		nowFn:     time.Now,
+	}
+	if node.tickEvery <= 0 {
+		node.tickEvery = defaultHeartbeatEvery
 	}
 	// A send time is on record before its message can be acknowledged, so
 	// a frontier that passes a sequence finds it in the ring.
@@ -321,7 +327,7 @@ func openNode(cfg Config) (*Node, error) {
 		Network:        cfg.Network,
 		Handler:        (*trHandler)(node),
 		Log:            log,
-		HeartbeatEvery: cfg.HeartbeatEvery,
+		HeartbeatEvery: node.tickEvery,
 		Metrics:        mreg,
 		Trace:          node.trace,
 		OnTick:         node.tick,
@@ -337,7 +343,6 @@ func openNode(cfg Config) (*Node, error) {
 		return fail(err)
 	}
 	node.tr = tr
-	node.initStallState(cfg.Stall, mreg)
 
 	if !cfg.DisableAutoReclaim && n > 1 {
 		if err := registry.Register(ReclaimPredicateKey, "MIN($ALLWNODES)"); err != nil {
@@ -398,12 +403,14 @@ type ticker struct {
 // tick is the node's one clock, run by the transport every HeartbeatEvery
 // after its heartbeats and failure detector: every predicate's stall clock
 // gets a reading, then every adaptive controller and SLO monitor takes its
-// step. OnStall, OnTransition and OnAlert hooks run here.
+// step. OnTransition and OnAlert hooks run here.
 func (n *Node) tick(now time.Time) {
 	if n.closed.Load() {
 		return
 	}
-	n.checkStalls(now)
+	// Reading every stall clock starts Stuck within one tick of a message
+	// being outstanding, whether or not anyone calls Explain.
+	n.registry.States(n.log.Head(), now)
 	for _, t := range n.tickers.load() {
 		if !t.step(now) {
 			n.mu.Lock()
@@ -502,35 +509,11 @@ func (n *Node) OnApp(fn AppFunc) {
 	n.appFns.add(fn)
 }
 
-// hook is one OnPeer or OnStall registration; the id makes it detachable
-// via the returned cancel.
-type hook[A any] struct {
+// peerHook is one OnPeer registration; the id makes it detachable via the
+// returned cancel.
+type peerHook struct {
 	id int
-	fn func(A)
-}
-
-// addHook registers fn on one of n's hook lists and returns the cancel that
-// detaches it (idempotent). A nil fn is ignored and gets a no-op cancel.
-func addHook[A any](n *Node, list *cowList[hook[A]], fn func(A)) (cancel func()) {
-	if fn == nil {
-		return func() {}
-	}
-	n.mu.Lock()
-	id := n.nextHook
-	n.nextHook++
-	list.add(hook[A]{id: id, fn: fn})
-	n.mu.Unlock()
-	return func() {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		list.remove(func(h hook[A]) bool { return h.id == id })
-	}
-}
-
-// peerEvent is one failure-detector transition, as OnPeer hears it.
-type peerEvent struct {
-	peer int
-	up   bool
+	fn func(peer int, up bool)
 }
 
 // OnPeer registers a callback fired when the failure detector changes its
@@ -544,7 +527,16 @@ func (n *Node) OnPeer(fn func(peer int, up bool)) (cancel func()) {
 	if fn == nil {
 		return func() {}
 	}
-	return addHook(n, &n.peerFns, func(e peerEvent) { fn(e.peer, e.up) })
+	n.mu.Lock()
+	id := n.nextHook
+	n.nextHook++
+	n.peerFns.add(peerHook{id: id, fn: fn})
+	n.mu.Unlock()
+	return func() {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		n.peerFns.remove(func(h peerHook) bool { return h.id == id })
+	}
 }
 
 // SendApp sends an out-of-band application message to one peer.
@@ -979,7 +971,7 @@ func (h *trHandler) PeerDown(peer int) { (*Node)(h).firePeer(peer, false) }
 
 func (n *Node) firePeer(peer int, up bool) {
 	for _, hk := range n.peerFns.load() {
-		hk.fn(peerEvent{peer, up})
+		hk.fn(peer, up)
 	}
 }
 

@@ -33,13 +33,12 @@ func settledGoroutines(t *testing.T) int {
 	return 0
 }
 
-// TestNodeTickRunsTheStallClock cuts a peer off with no stall deadline set.
-// The node's tick reads every predicate's stall clock each HeartbeatEvery, so
-// the first Explain after the cut already sees the time the frontier has sat
-// still, to within a tick.
+// TestNodeTickRunsTheStallClock cuts a peer off. The node's tick reads every
+// predicate's stall clock each HeartbeatEvery, so the first Explain after the
+// cut already sees the time the frontier has sat still, to within a tick.
 func TestNodeTickRunsTheStallClock(t *testing.T) {
 	const heartbeat = 12500 * time.Microsecond // openCuttableCluster's
-	cl, inj := openCuttableCluster(t, 0)
+	cl, inj := openCuttableCluster(t)
 	sender := cl.Node(1)
 	if err := sender.RegisterPredicate("all", "MIN($ALLWNODES)"); err != nil {
 		t.Fatal(err)
@@ -65,23 +64,23 @@ func TestNodeTickRunsTheStallClock(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("first verdict %v after the cut: stuck %v", cut, v.Stuck)
-	if v.Stuck < cut-2*heartbeat || v.Stalled || len(v.Holding) != 1 || v.Holding[0].Peer != 3 {
-		t.Fatalf("first verdict %v after the cut: %+v; want stuck at least %v, held by peer 3, not stalled",
+	if v.Stuck < cut-2*heartbeat || len(v.Holding) != 1 || v.Holding[0].Peer != 3 {
+		t.Fatalf("first verdict %v after the cut: %+v; want stuck at least %v, held by peer 3",
 			cut, v, cut-2*heartbeat)
 	}
 }
 
-// TestNodeTickAddsNoGoroutines: the stall sweep and every adaptive controller
-// run on the transport's tick, so a node with a stall deadline and two
-// running controllers runs exactly as many goroutines as one with neither.
+// TestNodeTickAddsNoGoroutines: the stall clocks, every adaptive controller
+// and every SLO monitor run on the transport's tick, so a node with two
+// running controllers and a monitor runs exactly as many goroutines as one
+// with neither.
 func TestNodeTickAddsNoGoroutines(t *testing.T) {
-	open := func(stall StallConfig) *Node {
+	open := func() *Node {
 		net := emunet.NewMemNetwork(nil)
 		n, err := Open(Config{
 			Topology:       flatTopology(1),
 			Network:        net,
 			HeartbeatEvery: 5 * time.Millisecond,
-			Stall:          stall,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -93,10 +92,10 @@ func TestNodeTickAddsNoGoroutines(t *testing.T) {
 		return n
 	}
 	base := settledGoroutines(t)
-	open(StallConfig{})
+	open()
 	plain := settledGoroutines(t) - base
 
-	armed := open(StallConfig{Deadline: 50 * time.Millisecond})
+	armed := open()
 	ladder := mustLadder(t,
 		adaptive.Rung{Name: "all", Source: "MIN($ALLWNODES)"},
 		adaptive.Rung{Name: "one", Source: "KTH_MAX(1, $ALLWNODES)"},
@@ -110,7 +109,7 @@ func TestNodeTickAddsNoGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := settledGoroutines(t) - base - plain; got != plain {
-		t.Fatalf("a node with a stall deadline, two controllers and an SLO monitor runs %d goroutines, one with neither %d", got, plain)
+		t.Fatalf("a node with two controllers and an SLO monitor runs %d goroutines, one with neither %d", got, plain)
 	}
 }
 
@@ -209,7 +208,7 @@ func TestNodeTickDrivesSLOMonitors(t *testing.T) {
 // TestNodeTickStepsAdaptiveControllers: with no goroutine of its own, a
 // controller still steps down when its predicate stalls, on the node's tick.
 func TestNodeTickStepsAdaptiveControllers(t *testing.T) {
-	cl, inj := openCuttableCluster(t, 0)
+	cl, inj := openCuttableCluster(t)
 	sender := cl.Node(1)
 	ladder := mustLadder(t,
 		adaptive.Rung{Name: "all", Source: "MIN($ALLWNODES)"},

@@ -9,7 +9,7 @@ import (
 
 // traceTail snapshots the newest events that involve the given peer or
 // describe this node's own not-yet-stable operations past frontier — the
-// post-mortem slice a stalled verdict carries for each holding peer.
+// post-mortem slice a stuck verdict carries for each holding peer.
 func (n *Node) traceTail(peer int, frontier uint64) []optrace.Event {
 	if n.trace == nil {
 		return nil
@@ -23,7 +23,7 @@ func (n *Node) traceTail(peer int, frontier uint64) []optrace.Event {
 	})
 }
 
-// stallTailEvents bounds the recorder tail a stalled verdict carries for each
+// stallTailEvents bounds the recorder tail a stuck verdict carries for each
 // holding peer.
 const stallTailEvents = 24
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"time"
 
@@ -130,9 +131,10 @@ func TestTraceDisabled(t *testing.T) {
 	}
 }
 
-// TestStallHealthIncludesTraceTail crashes a peer and asserts the stalled
-// verdict in the Snapshot carries a non-empty recorder tail for the peer
-// holding it.
+// TestStallHealthIncludesTraceTail crashes a peer and asserts that once the
+// all-nodes verdict in the Snapshot has been stuck for one HeartbeatEvery it
+// carries a non-empty recorder tail for the peer holding it, of events that
+// involve that peer or the sender's operations past the frontier.
 func TestStallHealthIncludesTraceTail(t *testing.T) {
 	net := emunet.NewMemNetwork(nil)
 	cl, err := OpenCluster(ClusterConfig{
@@ -140,7 +142,6 @@ func TestStallHealthIncludesTraceTail(t *testing.T) {
 		Network:        net,
 		Metrics:        metrics.NewRegistry(),
 		HeartbeatEvery: 20 * time.Millisecond,
-		Stall:          StallConfig{Deadline: 100 * time.Millisecond},
 		Trace:          optrace.Config{SampleEvery: 1, RingSize: 1 << 12},
 	})
 	if err != nil {
@@ -156,14 +157,6 @@ func TestStallHealthIncludesTraceTail(t *testing.T) {
 	if err := sender.RegisterPredicate("all", "MIN($ALLWNODES)"); err != nil {
 		t.Fatal(err)
 	}
-	stalled := make(chan PredicateState, 8)
-	sender.OnStall(func(r PredicateState) {
-		select {
-		case stalled <- r:
-		default:
-		}
-	})
-
 	// Let traffic flow first so the recorder has events for peer 3, then
 	// cut node 3 off and keep sending.
 	for i := 0; i < 5; i++ {
@@ -181,23 +174,25 @@ func TestStallHealthIncludesTraceTail(t *testing.T) {
 		}
 	}
 
-	select {
-	case <-stalled:
-	case <-time.After(5 * time.Second):
-		t.Fatal("no stall report")
-	}
-
-	h := sender.Snapshot()
-	foundHolder := false
+	// Every predicate stuck for a tick, held by peer 3, must ship its tail.
+	var h Snapshot
+	waitUntil(t, 5*time.Second, "'all' stuck for a tick, held by peer 3", func() bool {
+		h = sender.Snapshot()
+		for _, ph := range h.Predicates {
+			if ph.Key == "all" && ph.Stuck >= sender.tickEvery && slices.Contains(holders(ph), 3) {
+				return true
+			}
+		}
+		return false
+	})
 	for _, ph := range h.Predicates {
-		if !ph.Stalled {
+		if ph.Stuck < sender.tickEvery {
 			continue
 		}
 		for _, lag := range ph.Holding {
 			if lag.Peer != 3 {
 				continue
 			}
-			foundHolder = true
 			if len(lag.Recent) == 0 {
 				t.Fatalf("holding peer %d has empty trace tail (predicate %q)", lag.Peer, ph.Key)
 			}
@@ -207,8 +202,5 @@ func TestStallHealthIncludesTraceTail(t *testing.T) {
 				}
 			}
 		}
-	}
-	if !foundHolder {
-		t.Fatalf("no stalled predicate held by peer 3: %+v", h.Predicates)
 	}
 }

@@ -101,8 +101,8 @@ type (
 	// totals, the local recorder and the verdict on every predicate.
 	Snapshot = core.Snapshot
 	// PredicateState is the verdict on one predicate (Node.Explain, a
-	// Snapshot entry, the OnStall argument): frontier against head, how
-	// long it has been stuck, and the peers holding it.
+	// Snapshot entry): frontier against head, how long it has been stuck,
+	// and the peers holding it.
 	PredicateState = core.PredicateState
 	// PeerLag is one peer holding a PredicateState's frontier back.
 	PeerLag = core.PeerLag
@@ -164,9 +164,6 @@ type (
 	// senders. At the cap Send waits for reclaimed space; SendCtx waits as
 	// long as its context allows. Set via Config.Flow.
 	FlowConfig = transport.FlowConfig
-	// StallConfig sets when a verdict reads stalled and Node.OnStall fires;
-	// set via Config.Stall.
-	StallConfig = core.StallConfig
 
 	// TraceConfig arms the per-operation flight recorder (sampling rate
 	// and per-node ring size); set via Config.Trace.

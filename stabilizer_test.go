@@ -424,7 +424,7 @@ func TestReadmeListsEveryMetricFamily(t *testing.T) {
 
 // TestReadmeListsEveryConfigField keeps README.md § Configuration the only
 // list of options: every exported field of stabilizer.Config, and of the
-// Flow, Stall and Trace structs inside it, must be named there. It logs the
+// Flow and Trace structs inside it, must be named there. It logs the
 // number of independently settable values, the baseline `make loc` prints.
 func TestReadmeListsEveryConfigField(t *testing.T) {
 	readme, err := os.ReadFile("README.md")
@@ -447,7 +447,7 @@ func TestReadmeListsEveryConfigField(t *testing.T) {
 				t.Errorf("README.md § Configuration does not name %s%s", path, f.Name)
 			}
 			switch f.Name {
-			case "Flow", "Stall", "Trace":
+			case "Flow", "Trace":
 				check(f.Type, path+f.Name+".")
 			default:
 				settable++
@@ -458,7 +458,7 @@ func TestReadmeListsEveryConfigField(t *testing.T) {
 	t.Logf("config fields: %d settable values reachable from stabilizer.Config", settable)
 	// A value added here has to raise the ceiling in the same change, next to
 	// what it replaces.
-	const ceiling = 12
+	const ceiling = 11
 	if settable > ceiling {
 		t.Errorf("stabilizer.Config reaches %d settable values, ceiling %d", settable, ceiling)
 	}
@@ -469,7 +469,7 @@ func TestReadmeListsEveryConfigField(t *testing.T) {
 // (§III-D); a method added here has to raise the ceiling in the same change,
 // next to what it replaces.
 func TestNodeSurfaceDoesNotGrowUnnoticed(t *testing.T) {
-	const ceiling = 27
+	const ceiling = 26
 	n := reflect.TypeOf((*stabilizer.Node)(nil)).NumMethod()
 	t.Logf("node methods: %d exported", n)
 	if n > ceiling {
