@@ -21,17 +21,15 @@ race:
 # window, the striped admission race whose occupancy check could catch P
 # producers' optimistic byte reservations above the cap, the adaptive
 # demos whose controller used to sample boot-time dial latency, the Fig. 3
-# shape test that judged a 5-read mean, the restart whose checker hooks
-# went on after the node was already listening, and the snapshot test that
-# stopped sampling before one P had ever preempted its churn mid-flight. A
-# failure here is a returning flake, not noise.
+# shape test that judged a 5-read mean, and the restart whose checker hooks
+# went on after the node was already listening. A failure here is a
+# returning flake, not noise.
 deflake:
 	$(GO) test -count=20 -run 'TestSpillTruncate$$' ./internal/transport
 	$(GO) test -race -count=200 -run 'TestStripedFlowBlockedAppendRace$$' ./internal/transport
 	$(GO) test -count=5 -run 'TestAdaptiveDemo' ./internal/chaos
 	$(GO) test -count=20 -run 'TestFig3ReadTracksSecondFastestMember$$' ./internal/bench
 	$(GO) test -race -count=20 -run 'TestRestartAttachesBeforeDelivery$$' ./internal/chaos
-	$(GO) test -cpu=1 -count=200 -run 'TestSnapshotNeverShowsAHalfRemovedPredicate$$' ./internal/core
 
 # loc prints the three baselines a simplicity change is judged against: the
 # non-test Go line count outside benchmark/, the number of independently

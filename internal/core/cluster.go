@@ -35,9 +35,9 @@ type Cluster struct {
 // OpenCluster boots every node of the topology in this process from one
 // Config template and wires them into one shared registry. On any boot
 // failure the already-started nodes are closed and the error returned.
-// Anything per-node — a Checkpoint, a Persister on one node, a process that
-// hosts only some of the nodes — goes through Open, once per node with one
-// shared Config.Metrics; a Checkpoint here is refused.
+// Anything per-node — a Checkpoint, a process that hosts only some of the
+// nodes — goes through Open, once per node with one shared Config.Metrics; a
+// Checkpoint here is refused.
 func OpenCluster(cfg Config) (*Cluster, error) {
 	if cfg.Checkpoint != nil {
 		return nil, errors.New("core: Config.Checkpoint is one node's state: resume that node with Open")

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"stabilizer/internal/emunet"
-	"stabilizer/internal/frontier"
 	"stabilizer/internal/metrics"
 	"stabilizer/internal/optrace"
 	"stabilizer/internal/transport"
@@ -227,10 +226,6 @@ func TestClusterBootsEveryNodeFromTheTemplate(t *testing.T) {
 	}
 }
 
-type nopPersister struct{}
-
-func (nopPersister) Persist(Message) error { return nil }
-
 // TestOpenIsOpenClusterOfSelf: Open boots Topology.Self through the cluster
 // boot path, and the node it returns is built from every field of its Config
 // — the Checkpoint OpenCluster refuses included — with its families in the
@@ -243,7 +238,6 @@ func TestOpenIsOpenClusterOfSelf(t *testing.T) {
 		Topology:           flatTopology(3).WithSelf(2),
 		Network:            net,
 		HeartbeatEvery:     125 * time.Millisecond,
-		Persister:          nopPersister{},
 		Checkpoint:         &Checkpoint{NextSeq: 42},
 		DisableAutoReclaim: true,
 		Metrics:            reg,
@@ -254,7 +248,7 @@ func TestOpenIsOpenClusterOfSelf(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer n.Close()
-	if n.Self() != 2 || n.log.NextSeq() != 42 || n.persister == nil || n.trace == nil ||
+	if n.Self() != 2 || n.log.NextSeq() != 42 || n.trace == nil ||
 		n.log.Stats().CapBytes != 1<<20 || n.tickEvery != 125*time.Millisecond || n.registry.Has(ReclaimPredicateKey) {
 		t.Fatalf("node %d was not built from its config", n.Self())
 	}
@@ -293,9 +287,9 @@ func waitAllForGoroutines() int {
 	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "(*Cluster).WaitAllFor.func")
 }
 
-// TestClusterWaitAllForErrorLeavesNoGoroutines: when one node's wait fails,
-// WaitAllFor returns its error and the other nodes' waits end with it, under
-// a context that never does.
+// TestClusterWaitAllForErrorLeavesNoGoroutines: when one node's wait fails —
+// here because the node crashed mid-wait — WaitAllFor returns its error and
+// the other nodes' waits end with it, under a context that never does.
 func TestClusterWaitAllForErrorLeavesNoGoroutines(t *testing.T) {
 	cl, _ := openTestCluster(t, 3)
 	for _, n := range cl.Nodes() {
@@ -316,13 +310,13 @@ func TestClusterWaitAllForErrorLeavesNoGoroutines(t *testing.T) {
 	if n := waitAllForGoroutines(); n != 3 {
 		t.Fatalf("%d WaitAllFor goroutines parked, want one per node", n)
 	}
-	if err := cl.Node(2).RemovePredicate("p"); err != nil {
+	if _, err := cl.Crash(2); err != nil {
 		t.Fatal(err)
 	}
 	select {
 	case err := <-done:
-		if !errors.Is(err, frontier.ErrPredUnknown) {
-			t.Fatalf("WaitAllFor: %v, want ErrPredUnknown", err)
+		if !errors.Is(err, ErrClosed) {
+			t.Fatalf("WaitAllFor: %v, want ErrClosed", err)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("WaitAllFor still waiting after a node's wait failed")

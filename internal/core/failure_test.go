@@ -286,9 +286,6 @@ func TestRegisterPredicateValidation(t *testing.T) {
 	if err := n.ChangePredicate(ReclaimPredicateKey, "MIN($1)"); err == nil {
 		t.Fatal("reserved key change accepted")
 	}
-	if err := n.RemovePredicate(ReclaimPredicateKey); err == nil {
-		t.Fatal("reserved key removal accepted")
-	}
 	if err := n.RegisterPredicate("bad", "MIN($99)"); err == nil {
 		t.Fatal("unresolvable predicate accepted")
 	}

@@ -78,18 +78,13 @@ type AppMessage struct {
 // AppFunc handles application messages.
 type AppFunc func(m AppMessage)
 
-// Persister, when configured, is invoked after delivery; a nil error makes
-// the node report the "persisted" stability level for the message. The
-// payload is lent until Persist returns (see Message.Payload).
-type Persister interface {
-	Persist(m Message) error
-}
-
 // Config parameterizes Open and OpenCluster: one struct describes a single
 // node or a whole in-process deployment — the fabric the nodes share and the
-// knobs applied to every node. Per-node divergence (a Persister on the
-// primary, a restored Checkpoint, per-node flow caps) means one Open per
-// node, each with its own Config and one shared Metrics.
+// knobs applied to every node. Per-node divergence (a restored Checkpoint,
+// per-node flow caps) means one Open per node, each with its own Config and
+// one shared Metrics. The "persisted" level is reported like any other
+// stability type: from an OnDeliver handler, with ReportStability once the
+// application's write has succeeded.
 type Config struct {
 	// Topology is the WAN deployment; required. Open boots its Self node;
 	// OpenCluster ignores Self and derives a per-node topology for every
@@ -102,8 +97,6 @@ type Config struct {
 	// controllers and SLO monitors. A peer is down after 8 ticks without a
 	// frame from it.
 	HeartbeatEvery time.Duration
-	// Persister optionally persists delivered messages (see Persister).
-	Persister Persister
 	// Checkpoint resumes a restarted primary (§III-E); nil starts fresh. It
 	// is one node's state, so only Open takes it; OpenCluster refuses it.
 	Checkpoint *Checkpoint
@@ -152,8 +145,6 @@ type Node struct {
 	log      *transport.SendLog
 	tr       *transport.Transport
 	env      *topoEnv
-
-	persister Persister
 
 	metrics   *coreMetrics
 	sendTimes sendTimes
@@ -263,7 +254,6 @@ func openNode(cfg Config) (*Node, error) {
 		registry:  registry,
 		log:       log,
 		env:       env,
-		persister: cfg.Persister,
 		metrics:   newCoreMetrics(mreg, log.NextSeq),
 		trace:     optrace.New(topo.Self, cfg.Trace),
 		tickEvery: cfg.HeartbeatEvery,
@@ -649,18 +639,11 @@ func (n *Node) ChangeReclaimPredicate(source string) error {
 	return n.registry.Change(ReclaimPredicateKey, source)
 }
 
-// RemovePredicate deletes the predicate under key.
-func (n *Node) RemovePredicate(key string) error {
-	if key == ReclaimPredicateKey {
-		return fmt.Errorf("%w: %q", ErrReservedKey, key)
-	}
-	return n.registry.Remove(key)
-}
-
 // WaitFor blocks until the stability frontier of the named predicate
 // reaches seq (paper waitfor), and returns nil only then. It returns
 // ErrClosed once the node closes, an error wrapping frontier.ErrPredUnknown
-// when the predicate is removed, and one wrapping ctx's error when ctx ends.
+// when no predicate is registered under key, and one wrapping ctx's error
+// when ctx ends.
 func (n *Node) WaitFor(ctx context.Context, seq uint64, key string) error {
 	err := n.registry.WaitFor(ctx, seq, key)
 	if errors.Is(err, frontier.ErrClosed) {
@@ -899,19 +882,6 @@ func (h *trHandler) HandleDataRun(from int, run []wire.Data) {
 	// "delivered" only once the last upcall has returned.
 	table.Update(self, frontier.TypeDelivered, last)
 	report(frontier.TypeDelivered, last)
-
-	if n.persister != nil {
-		var persisted uint64
-		for i := range run {
-			if err := n.persister.Persist(dataMessage(from, &run[i])); err == nil {
-				persisted = run[i].Seq
-			}
-		}
-		if persisted > 0 {
-			table.Update(self, frontier.TypePersisted, persisted)
-			report(frontier.TypePersisted, persisted)
-		}
-	}
 }
 
 // dataMessage is the application's view of one received data frame.

@@ -11,24 +11,12 @@ import (
 	"stabilizer/internal/kvstore"
 )
 
-// walPersister persists delivered messages to a kvstore WAL — the durable
-// flavor of the "persisted" stability level (§III-A: "persistent logging"
-// as one interpretation of 'having a copy').
-type walPersister struct {
-	store *kvstore.Store
-}
-
-var _ Persister = (*walPersister)(nil)
-
-func (p *walPersister) Persist(m Message) error {
-	_, err := p.store.Put(fmt.Sprintf("msg/%d/%d", m.Origin, m.Seq), m.Payload)
-	return err
-}
-
-// TestPersistedStabilityEndToEnd drives the full "persisted" pipeline: a
-// receiver persists delivered messages through a real write-ahead log, the
-// persisted ACKs stream back, a .persisted predicate releases the sender,
-// and the WAL replays the payloads after a simulated crash.
+// TestPersistedStabilityEndToEnd drives the full "persisted" pipeline the way
+// an application reports it: each receiver's OnDeliver handler writes the
+// message through a real write-ahead log and, once the write succeeds, calls
+// ReportStability("persisted") from inside the delivery upcall; the persisted
+// ACKs stream back, a .persisted predicate releases the sender, and the WAL
+// replays the payloads after a simulated crash.
 func TestPersistedStabilityEndToEnd(t *testing.T) {
 	net := emunet.NewMemNetwork(nil)
 	defer net.Close()
@@ -39,25 +27,29 @@ func TestPersistedStabilityEndToEnd(t *testing.T) {
 	nodes := make([]*Node, 3)
 	dir := t.TempDir()
 	for i := 1; i <= 3; i++ {
-		var persister Persister
-		if i != 1 {
-			walPaths[i-1] = filepath.Join(dir, fmt.Sprintf("node%d.wal", i))
-			w, err := kvstore.OpenWAL(walPaths[i-1], false)
-			if err != nil {
-				t.Fatalf("open wal %d: %v", i, err)
-			}
-			wals[i-1] = w
-			persister = &walPersister{store: kvstore.New(kvstore.WithWAL(w))}
-		}
-		n, err := Open(Config{
-			Topology:  topo.WithSelf(i),
-			Network:   net,
-			Persister: persister,
-		})
+		n, err := Open(Config{Topology: topo.WithSelf(i), Network: net})
 		if err != nil {
 			t.Fatalf("open node %d: %v", i, err)
 		}
 		nodes[i-1] = n
+		if i == 1 {
+			continue
+		}
+		walPaths[i-1] = filepath.Join(dir, fmt.Sprintf("node%d.wal", i))
+		w, err := kvstore.OpenWAL(walPaths[i-1], false)
+		if err != nil {
+			t.Fatalf("open wal %d: %v", i, err)
+		}
+		wals[i-1] = w
+		store := kvstore.New(kvstore.WithWAL(w))
+		n.OnDeliver(func(m Message) {
+			if _, err := store.Put(fmt.Sprintf("msg/%d/%d", m.Origin, m.Seq), m.Payload); err != nil {
+				return
+			}
+			if err := n.ReportStability(m.Origin, "persisted", m.Seq); err != nil {
+				t.Errorf("node %d: report persisted %d: %v", n.Self(), m.Seq, err)
+			}
+		})
 	}
 	defer func() {
 		for _, n := range nodes {
@@ -114,49 +106,3 @@ func TestPersistedStabilityEndToEnd(t *testing.T) {
 		}
 	}
 }
-
-// TestPersisterErrorWithholdsAck: a failing persister must not produce
-// persisted stability.
-func TestPersisterErrorWithholdsAck(t *testing.T) {
-	net := emunet.NewMemNetwork(nil)
-	defer net.Close()
-	topo := flatTopology(2)
-
-	n1, err := Open(Config{Topology: topo.WithSelf(1), Network: net})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n1.Close()
-	n2, err := Open(Config{
-		Topology:  topo.WithSelf(2),
-		Network:   net,
-		Persister: failingPersister{},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n2.Close()
-
-	if err := n1.RegisterPredicate("recv", "MIN($ALLWNODES-$MYWNODE)"); err != nil {
-		t.Fatal(err)
-	}
-	seq, err := n1.Send([]byte("x"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	// Received stability arrives...
-	if err := n1.WaitFor(ctx, seq, "recv"); err != nil {
-		t.Fatal(err)
-	}
-	// ...but persisted must stay at zero.
-	time.Sleep(50 * time.Millisecond)
-	if v := n1.Snapshot().Acks["persisted"][1]; v != 0 {
-		t.Fatalf("failing persister produced persisted ack %d", v)
-	}
-}
-
-type failingPersister struct{}
-
-func (failingPersister) Persist(Message) error { return fmt.Errorf("disk full") }

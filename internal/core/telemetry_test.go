@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -141,52 +142,50 @@ func TestStabilityLatencyHistogram(t *testing.T) {
 	}
 }
 
-// TestSnapshotNeverShowsAHalfRemovedPredicate registers and removes a
-// predicate in a loop beside Snapshot: an entry is read under one hold of the
-// registry lock, so it is either whole or absent, never a key whose source
-// was already gone when it was looked up.
-func TestSnapshotNeverShowsAHalfRemovedPredicate(t *testing.T) {
-	c := startCluster(t, flatTopology(2), nil)
+// TestSnapshotNeverShowsAHalfSwappedPredicate swaps one key between two
+// sources in a loop beside Snapshot. Nobody reports "persisted", so each
+// source's frontier sits at 0 below a head of 1, held by the one peer it
+// reads: the verdict names its source, its dependencies and, through Holding,
+// its cells. An entry is read under one hold of the registry lock, so it
+// matches one source whole, never one's source with the other's read set.
+func TestSnapshotNeverShowsAHalfSwappedPredicate(t *testing.T) {
+	c := startCluster(t, flatTopology(3), nil)
 	node := c.nodes[0]
-	const source = "MIN($ALLWNODES)"
+	sources := [2]string{"MIN($2.persisted)", "MIN($3.persisted)"}
+	if err := node.RegisterPredicate("swapped", sources[0]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := node.Send([]byte("x")); err != nil {
+		t.Fatal(err)
+	}
 	stop := make(chan struct{})
 	churned := make(chan error, 1)
 	go func() {
-		for {
+		for i := 1; ; i++ {
 			select {
 			case <-stop:
 				churned <- nil
 				return
 			default:
 			}
-			if err := node.RegisterPredicate("ghost", source); err != nil {
-				churned <- err
-				return
-			}
-			if err := node.RemovePredicate("ghost"); err != nil {
+			if err := node.ChangePredicate("swapped", sources[i%2]); err != nil {
 				churned <- err
 				return
 			}
 		}
 	}()
-	// The ghost is visible only while the churn goroutine is between its
-	// Register and its Remove. On one P that happens only when the churn is
-	// preempted there, a few times a second, so the loop runs until it has
-	// seen the ghost as well as taken 20 000 snapshots, and gives up on the
-	// ghost only after 10 s.
-	seen := 0
-	deadline := time.Now().Add(10 * time.Second)
-	for i := 0; (i < 20000 || seen == 0) && !t.Failed(); i++ {
-		if seen == 0 && time.Now().After(deadline) {
-			t.Fatalf("%d snapshots in 10s beside the churn never saw the predicate: the test raced nothing", i)
-		}
+	for i := 0; i < 20000 && !t.Failed(); i++ {
 		for _, p := range node.Snapshot().Predicates {
-			if p.Key != "ghost" {
+			if p.Key != "swapped" {
 				continue
 			}
-			seen++
-			if p.Source != source || len(p.DependsOn) != 2 {
-				t.Errorf("snapshot %d shows a half-removed predicate: %+v", i, p)
+			peer := 2
+			if p.Source == sources[1] {
+				peer = 3
+			}
+			if p.Source != sources[peer-2] || !slices.Equal(p.DependsOn, []int{peer}) ||
+				len(p.Holding) != 1 || p.Holding[0].Peer != peer {
+				t.Errorf("snapshot %d shows a half-swapped predicate: %+v", i, p)
 			}
 		}
 	}

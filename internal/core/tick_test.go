@@ -230,16 +230,13 @@ func TestNodeTickStepsAdaptiveControllers(t *testing.T) {
 	}
 }
 
-// TestWaitForReturnsNilOnlyAtTheFrontier: a waiter whose predicate is
-// removed, one parked when its node closes and one that calls after Close
-// each get an error, at once.
+// TestWaitForReturnsNilOnlyAtTheFrontier: a waiter parked when its node
+// closes and one that calls after Close each get an error, at once.
 func TestWaitForReturnsNilOnlyAtTheFrontier(t *testing.T) {
 	c := startCluster(t, flatTopology(2), nil)
 	n := c.nodes[0]
-	for _, key := range []string{"gone", "all"} {
-		if err := n.RegisterPredicate(key, "MIN($ALLWNODES)"); err != nil {
-			t.Fatal(err)
-		}
+	if err := n.RegisterPredicate("all", "MIN($ALLWNODES)"); err != nil {
+		t.Fatal(err)
 	}
 	never := n.NextSeq() + 100
 	wait := func(key string) <-chan error {
@@ -258,15 +255,6 @@ func TestWaitForReturnsNilOnlyAtTheFrontier(t *testing.T) {
 		}
 	}
 	parked := func() bool { return n.registry.WaiterCount() == 1 }
-
-	removed := wait("gone")
-	waitUntil(t, 5*time.Second, "a waiter on 'gone'", parked)
-	if err := n.RemovePredicate("gone"); err != nil {
-		t.Fatal(err)
-	}
-	if err := result(removed, "waiter on a removed predicate"); !errors.Is(err, frontier.ErrPredUnknown) {
-		t.Fatalf("waiter on a removed predicate: %v, want ErrPredUnknown", err)
-	}
 
 	closed := wait("all")
 	waitUntil(t, 5*time.Second, "a waiter on 'all'", parked)

@@ -4,9 +4,9 @@ import "time"
 
 // lag is the stall rule, written once: how long a frontier has sat still
 // below the head of the stream it trails. Each registered predicate holds
-// one, so it starts fresh at Register and goes at Remove; State and States
-// observe it, and every reader of a stall (core's sweep, its Explain and
-// Snapshot, the adaptive controller) reads it through them.
+// one, so it starts fresh at Register; State and States observe it, and every
+// reader of a stall (core's sweep, its Explain and Snapshot, the adaptive
+// controller) reads it through them.
 type lag struct {
 	frontier uint64
 	since    time.Time

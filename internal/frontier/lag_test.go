@@ -50,36 +50,9 @@ func TestStateIdleThenInFlightIsNotAStall(t *testing.T) {
 	if d := stuck(t, reg, "p", 7, now.Add(time.Minute)); d != 0 {
 		t.Fatalf("a frontier that just moved reads stuck %v", d)
 	}
-}
-
-// TestStateRemoveRegisterStartsAFreshStuck: the stall clock belongs to the
-// registered predicate, so Remove takes it along and a Register of the same
-// key starts from zero, however long the old one had been stuck.
-func TestStateRemoveRegisterStartsAFreshStuck(t *testing.T) {
-	reg, _, _ := newTestRegistry(t, 3)
-	if err := reg.Register("p", "MIN($ALLWNODES)"); err != nil {
-		t.Fatal(err)
-	}
-	t0 := time.Unix(50_000, 0)
-	stuck(t, reg, "p", 10, t0)
-	if d := stuck(t, reg, "p", 10, t0.Add(time.Minute)); d != time.Minute {
-		t.Fatalf("stuck %v after a minute below the head, want 1m", d)
-	}
-	if err := reg.Remove("p"); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.Register("p", "MIN($ALLWNODES)"); err != nil {
-		t.Fatal(err)
-	}
-	if d := stuck(t, reg, "p", 10, t0.Add(2*time.Minute)); d != 0 {
-		t.Fatalf("a re-registered key inherited stuck %v", d)
-	}
-	if d := stuck(t, reg, "p", 10, t0.Add(3*time.Minute)); d != time.Minute {
-		t.Fatalf("re-registered key: stuck %v a minute on, want 1m", d)
-	}
 	// States reads the same clock State does.
-	states := reg.States(10, t0.Add(4*time.Minute))
-	if len(states) != 1 || states[0].Stuck != 2*time.Minute {
-		t.Fatalf("States = %+v, want p stuck 2m", states)
+	states := reg.States(7, now.Add(2*time.Minute))
+	if len(states) != 1 || states[0].Stuck != time.Minute {
+		t.Fatalf("States = %+v, want p stuck 1m", states)
 	}
 }

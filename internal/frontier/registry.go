@@ -42,7 +42,7 @@ type Registry struct {
 	// pub spans one whole publication: Flush and Change take it before mu,
 	// collect under mu what the frontier's move owes the outside world, drop
 	// mu and pay it out through deliver. The lock order is pub before mu,
-	// never the reverse; everything else (Note*, WaitFor, Register, Remove,
+	// never the reverse; everything else (Note*, WaitFor, Register,
 	// OnAdvance, Monitor, the reads) takes mu alone, so a callback may call
 	// any of those, and must not call Change, Flush or Close.
 	pub sync.Mutex
@@ -61,9 +61,9 @@ type Registry struct {
 	// It is set under mu after the marks and cleared under mu before a drain
 	// evaluates and whenever a predicate over n is indexed or unindexed.
 	noted []atomic.Bool
-	// observers is copy-on-write: OnAdvance, Monitor, their cancel funcs and
-	// Remove swap in a fresh slice under mu, so the snapshot a publication
-	// takes under mu stays safe to iterate after unlock.
+	// observers is copy-on-write: OnAdvance, Monitor and their cancel funcs
+	// swap in a fresh slice under mu, so the snapshot a publication takes
+	// under mu stays safe to iterate after unlock.
 	observers    []observer
 	nextObserver int
 	// closed is set by Close, under mu: it releases every parked waiter and
@@ -91,8 +91,8 @@ type Registry struct {
 
 // observer is one OnAdvance or Monitor registration. An advance hook has no
 // key and hears every predicate before waiters are released; a monitor hears
-// its key only, after them (late). ids are registry-wide, so a cancel that
-// outlives its predicate detaches nothing else.
+// its key only, after them (late). ids are registry-wide, so a cancel called
+// again detaches nothing else.
 type observer struct {
 	id   int
 	key  string
@@ -108,11 +108,11 @@ type predicate struct {
 	// delivered is the highest frontier observers have been told (the install
 	// value to begin with): never below frontier, above it only while a swap
 	// to a stronger predicate has the frontier retreated. Written under pub
-	// and mu; it goes with the predicate at Remove.
+	// and mu.
 	delivered uint64
 	// gauge is the predicate's child of the frontiers family, resolved once
 	// at install (nil with metrics off): an advance stores into it instead
-	// of looking the label up. Remove deletes the child from the family.
+	// of looking the label up.
 	gauge *metrics.Gauge
 	// lag times how long frontier has sat still below the send head; State
 	// and States observe it under mu.
@@ -211,7 +211,7 @@ func (r *Registry) Close() {
 	r.closed = true
 	released := 0
 	for _, p := range r.preds {
-		released += p.dropWaitersLocked(ErrClosed)
+		released += p.closeWaitersLocked()
 	}
 	r.mu.Unlock()
 	r.addWaiters(-released)
@@ -241,7 +241,7 @@ func (r *Registry) OnAdvance(fn func(key string, old, new uint64)) (cancel func(
 // a cancel function. fn hears a strictly increasing sequence, as OnAdvance
 // hooks do, and like them runs on the stabilization drain path (or on Change's
 // caller) and must not call Change, Flush or Close on this registry; keep it
-// short or hand off to a goroutine. Remove detaches the key's monitors.
+// short or hand off to a goroutine.
 func (r *Registry) Monitor(key string, fn MonitorFunc) (cancel func(), err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -443,29 +443,6 @@ func (r *Registry) Change(key, source string) error {
 	return nil
 }
 
-// Remove deletes the predicate under key and detaches its monitors. Pending
-// waiters are released with an error wrapping ErrPredUnknown: the frontier
-// they waited for will never be computed. A later Register under the same
-// key starts a fresh event stream.
-func (r *Registry) Remove(key string) error {
-	r.mu.Lock()
-	p, ok := r.preds[key]
-	if !ok {
-		r.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrPredUnknown, key)
-	}
-	delete(r.preds, key)
-	r.unindexLocked(p)
-	r.observers = slices.DeleteFunc(slices.Clone(r.observers), func(o observer) bool { return o.late && o.key == key })
-	released := p.dropWaitersLocked(fmt.Errorf("%w: %q removed while waited on", ErrPredUnknown, key))
-	r.mu.Unlock()
-	if r.frontiers != nil {
-		r.frontiers.Delete(key)
-	}
-	r.addWaiters(-released)
-	return nil
-}
-
 // Has reports whether key is registered.
 func (r *Registry) Has(key string) bool {
 	r.mu.Lock()
@@ -520,9 +497,9 @@ func (r *Registry) State(key string, head uint64, now time.Time) (PredicateState
 }
 
 // States is State for every registered predicate, sorted by key, read under
-// one hold of the registry lock: a predicate removed or swapped beside the
-// call is either wholly in the result or wholly absent, never a key without
-// its source.
+// one hold of the registry lock: a predicate swapped beside the call reads
+// wholly as its old or wholly as its new source, never one's source with the
+// other's read set.
 func (r *Registry) States(head uint64, now time.Time) []PredicateState {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -546,8 +523,8 @@ func (r *Registry) Frontier(key string) (uint64, error) {
 }
 
 // WaitFor blocks until the stability frontier of key reaches seq, the
-// context is cancelled, the predicate is removed or the registry is closed.
-// It returns nil only in the first case.
+// context is cancelled or the registry is closed. It returns nil only in the
+// first case.
 func (r *Registry) WaitFor(ctx context.Context, seq uint64, key string) error {
 	r.mu.Lock()
 	if r.closed {
@@ -586,8 +563,8 @@ func (r *Registry) WaitFor(ctx context.Context, seq uint64, key string) error {
 
 // detachWaiter removes a cancelled waiter from its predicate's heap in
 // O(log n). The predicate object stays valid across Change (which mutates
-// in place); after Remove, Close or release the waiter's idx is already -1
-// and this is a no-op.
+// in place); after Close or release the waiter's idx is already -1 and this
+// is a no-op.
 func (r *Registry) detachWaiter(p *predicate, w *waiter) {
 	r.mu.Lock()
 	if w.idx >= 0 {
@@ -775,13 +752,13 @@ func (p *predicate) releaseWaitersLocked() []chan struct{} {
 	return released
 }
 
-// dropWaitersLocked lets every waiter parked on p go with err and returns
-// how many there were. Caller holds the registry mutex.
-func (p *predicate) dropWaitersLocked(err error) int {
+// closeWaitersLocked lets every waiter parked on p go with ErrClosed and
+// returns how many there were. Caller holds the registry mutex.
+func (p *predicate) closeWaitersLocked() int {
 	n := p.waiters.Len()
 	for _, w := range p.waiters {
 		w.idx = -1
-		w.err = err
+		w.err = ErrClosed
 		close(w.done)
 	}
 	p.waiters = nil

@@ -259,14 +259,15 @@ func TestIncrementalDirtiesOnlyReaders(t *testing.T) {
 	if d := dirtyCount(reg); d != 1 {
 		t.Fatalf("persisted cell dirtied %d predicates, want 1", d)
 	}
-	// Remove detaches from the index entirely.
+	// A swap that drops every cell of the old read set leaves none of them
+	// indexed.
 	reg.Flush()
-	if err := reg.Remove("recv"); err != nil {
+	if err := reg.Change("recv", "MIN($ALLWNODES.delivered)"); err != nil {
 		t.Fatal(err)
 	}
 	reg.NoteCellUpdate(1, TypeReceived)
 	if d := dirtyCount(reg); d != 0 {
-		t.Fatalf("removed predicate still indexed: dirty = %d", d)
+		t.Fatalf("swapped-out cells still indexed: dirty = %d", d)
 	}
 }
 
@@ -359,12 +360,11 @@ func TestMassCancelBoundedTime(t *testing.T) {
 }
 
 // TestConcurrentWaitCancelChangeProperty drives randomized concurrent
-// WaitFor / cancellation / Change / table-update / Remove interleavings
-// and asserts the release property: a waiter that resumed successfully had
-// seq <= the final frontier (no phantom release, Remove included: it lets its
-// waiters go with ErrPredUnknown), every waiter with seq <= frontier is
-// released once the dust settles (completeness), and cancellations never
-// strand heap entries.
+// WaitFor / cancellation / Change / table-update interleavings and asserts
+// the release property: a waiter that resumed successfully had seq <= the
+// final frontier (no phantom release, Close included: it lets the rest go
+// with ErrClosed), every waiter with seq <= frontier is released once the
+// dust settles (completeness), and cancellations never strand heap entries.
 func TestConcurrentWaitCancelChangeProperty(t *testing.T) {
 	const (
 		n       = 3
@@ -461,9 +461,7 @@ func TestConcurrentWaitCancelChangeProperty(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 
-		if err := reg.Remove("p"); err != nil {
-			t.Fatal(err)
-		}
+		reg.Close()
 		wg.Wait()
 
 		for i, err := range errs {
@@ -473,9 +471,9 @@ func TestConcurrentWaitCancelChangeProperty(t *testing.T) {
 					t.Fatalf("round %d: waiter %d released with seq %d > frontier %d",
 						round, i, seqs[i], frontier)
 				}
-			case errors.Is(err, ErrPredUnknown):
+			case errors.Is(err, ErrClosed):
 				if seqs[i] <= frontier {
-					t.Fatalf("round %d: waiter %d with seq %d <= frontier %d let go by Remove",
+					t.Fatalf("round %d: waiter %d with seq %d <= frontier %d let go by Close",
 						round, i, seqs[i], frontier)
 				}
 			case errors.Is(err, ErrWaitCancelled):
@@ -487,15 +485,13 @@ func TestConcurrentWaitCancelChangeProperty(t *testing.T) {
 			}
 		}
 		if n := reg.WaiterCount(); n != 0 {
-			t.Fatalf("round %d: %d waiters left after Remove", round, n)
+			t.Fatalf("round %d: %d waiters left after Close", round, n)
 		}
 	}
 }
 
 // TestFrontierGaugeFollowsItsPredicate: the stabilizer_frontier_seq child a
-// predicate resolved at install tracks its drains and swaps, goes with Remove
-// (an advance published after it must not bring the series back), and a
-// later Register under the same key starts a fresh one.
+// predicate resolved at install tracks its drains and swaps.
 func TestFrontierGaugeFollowsItsPredicate(t *testing.T) {
 	reg, table := newManualRegistry(2)
 	m := metrics.NewRegistry()
@@ -528,18 +524,6 @@ func TestFrontierGaugeFollowsItsPredicate(t *testing.T) {
 		t.Fatal(err)
 	}
 	want(3, "after a swap")
-	stale := advance{key: "p", gauge: reg.preds["p"].gauge, old: 3, new: 4}
-	if err := reg.Remove("p"); err != nil {
-		t.Fatal(err)
-	}
-	reg.deliver(publication{advances: []advance{stale}}) // a drain that lost the race with Remove
-	if v, ok := series(); ok {
-		t.Fatalf("gauge survived Remove with value %v", v)
-	}
-	if err := reg.Register("p", "MIN($ALLWNODES)"); err != nil {
-		t.Fatal(err)
-	}
-	want(2, "after re-registering")
 }
 
 // TestSwapVsDrainMonitorOrder: a swap to a weaker predicate that lands while a
@@ -598,49 +582,18 @@ func TestSwapVsDrainMonitorOrder(t *testing.T) {
 	}
 }
 
-// TestFreshStreamAfterRemoveAndRegister: what was delivered about a predicate
-// goes with it at Remove, even when a drain that lost the race with Remove
-// delivers afterwards; the key's next predicate is heard from its first advance.
-func TestFreshStreamAfterRemoveAndRegister(t *testing.T) {
-	reg, table := newManualRegistry(2)
-	table.Update(1, TypeReceived, 3)
-	table.Update(2, TypeReceived, 1)
-	if err := reg.Register("p", "MIN($ALLWNODES)"); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.Remove("p"); err != nil {
-		t.Fatal(err)
-	}
-	reg.deliver(publication{advances: []advance{{key: "p", old: 1, new: 4}}}) // collected before the Remove
-	if err := reg.Register("p", "MIN($ALLWNODES)"); err != nil {
-		t.Fatal(err)
-	}
-	var heard []uint64
-	reg.OnAdvance(func(_ string, _, new uint64) { heard = append(heard, new) })
-	report(reg, table, 2, 3)
-	reg.Flush()
-	if len(heard) != 1 || heard[0] != 3 {
-		t.Fatalf("heard %v, want [3]", heard)
-	}
-}
-
-// TestStaleCancelLeavesNewMonitorAttached: the cancel of a monitor that went
-// with its predicate at Remove detaches nothing from the key's next predicate.
+// TestStaleCancelLeavesNewMonitorAttached: a monitor's cancel, called again
+// after a fresh monitor attached to the same key, detaches nothing but its own.
 func TestStaleCancelLeavesNewMonitorAttached(t *testing.T) {
 	reg, table := newManualRegistry(1)
 	if err := reg.Register("p", "MIN($ALLWNODES)"); err != nil {
 		t.Fatal(err)
 	}
-	staleCancel, err := reg.Monitor("p", func(uint64) { t.Error("a removed predicate's monitor fired") })
+	staleCancel, err := reg.Monitor("p", func(uint64) { t.Error("a cancelled monitor fired") })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.Remove("p"); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.Register("p", "MIN($ALLWNODES)"); err != nil {
-		t.Fatal(err)
-	}
+	staleCancel()
 	fired := 0
 	if _, err := reg.Monitor("p", func(uint64) { fired++ }); err != nil {
 		t.Fatal(err)
@@ -709,8 +662,8 @@ func TestObserverChainsKeepOrderAcrossRacingChangeAndFlush(t *testing.T) {
 
 // TestNodeNoteMarksAgain: a NoteNodeUpdate that finds its node's flag set
 // returns without marking, so every step that leaves a predicate over the
-// node undirty must clear the flag — a drain, and the registration, swap or
-// removal of a predicate over the node — or the next note marks nothing.
+// node undirty must clear the flag — a drain, and the registration or swap of
+// a predicate over the node — or the next note marks nothing.
 func TestNodeNoteMarksAgain(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -727,16 +680,8 @@ func TestNodeNoteMarksAgain(t *testing.T) {
 			if err := reg.Change("p", "MIN($1, $2)"); err != nil {
 				t.Fatal(err)
 			}
-		}, 1},
-		{"Remove", func(t *testing.T, reg *Registry) {
-			if err := reg.Remove("p"); err != nil {
-				t.Fatal(err)
-			}
 			if reg.noted[1].Load() {
-				t.Fatal("Remove left node 1's note flag set")
-			}
-			if err := reg.Register("p", "MIN($1)"); err != nil {
-				t.Fatal(err)
+				t.Fatal("Change left node 1's note flag set")
 			}
 		}, 1},
 	} {

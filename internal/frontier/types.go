@@ -104,14 +104,6 @@ func (t *Types) Name(id uint16) string {
 	return fmt.Sprintf("type(%d)", id)
 }
 
-// Known reports whether id is a registered type.
-func (t *Types) Known(id uint16) bool {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	_, ok := t.byID[id]
-	return ok
-}
-
 // IDs returns all registered type ids, ascending.
 func (t *Types) IDs() []uint16 {
 	t.mu.RLock()

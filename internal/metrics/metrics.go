@@ -180,13 +180,6 @@ func (f *Family) setFn(values []string, fn func() float64) {
 	ch.fn.Store(&fn)
 }
 
-// delete removes the child for values (no-op when absent).
-func (f *Family) delete(values []string) {
-	f.mu.Lock()
-	delete(f.children, labelKey(values))
-	f.mu.Unlock()
-}
-
 // withBase prepends a view's base label values to caller values.
 func withBase(base, values []string) []string {
 	if len(base) == 0 {
@@ -209,9 +202,6 @@ func (v *CounterVec) With(values ...string) *Counter {
 	return v.f.get(withBase(v.base, values), func() *child { return &child{c: &Counter{}} }).c
 }
 
-// Delete drops the child for the given label values.
-func (v *CounterVec) Delete(values ...string) { v.f.delete(withBase(v.base, values)) }
-
 // GaugeVec is a family of gauges distinguished by label values.
 type GaugeVec struct {
 	f    *Family
@@ -222,9 +212,6 @@ type GaugeVec struct {
 func (v *GaugeVec) With(values ...string) *Gauge {
 	return v.f.get(withBase(v.base, values), func() *child { return &child{g: &Gauge{}} }).g
 }
-
-// Delete drops the child for the given label values.
-func (v *GaugeVec) Delete(values ...string) { v.f.delete(withBase(v.base, values)) }
 
 // HistogramVec is a family of histograms distinguished by label values.
 type HistogramVec struct {
@@ -239,9 +226,6 @@ func (v *HistogramVec) With(values ...string) *Histogram {
 	return f.get(withBase(v.base, values), func() *child { return &child{h: newHistogram(f.hopts)} }).h
 }
 
-// Delete drops the child for the given label values.
-func (v *HistogramVec) Delete(values ...string) { v.f.delete(withBase(v.base, values)) }
-
 // GaugeFuncVec is a family of callback gauges distinguished by label values.
 type GaugeFuncVec struct {
 	f    *Family
@@ -253,9 +237,6 @@ type GaugeFuncVec struct {
 func (v *GaugeFuncVec) Set(fn func() float64, values ...string) {
 	v.f.setFn(withBase(v.base, values), fn)
 }
-
-// Delete drops the child for the given label values.
-func (v *GaugeFuncVec) Delete(values ...string) { v.f.delete(withBase(v.base, values)) }
 
 // CounterFuncVec is a family of callback counters distinguished by label
 // values: the counter-typed twin of GaugeFuncVec, for totals derived at

@@ -94,8 +94,6 @@ type (
 	AppMessage = core.AppMessage
 	// DeliverFunc consumes delivered messages.
 	DeliverFunc = core.DeliverFunc
-	// Persister persists delivered messages for the "persisted" level.
-	Persister = core.Persister
 	// Snapshot is the one read of a node's state (Node.Snapshot,
 	// Cluster.Snapshot, /debug/stabilizer): topology, send log, traffic
 	// totals, the local recorder and the verdict on every predicate.
@@ -211,7 +209,7 @@ func OpenCluster(cfg Config) (*Cluster, error) { return core.OpenCluster(cfg) }
 // BindFlags registers the node options both commands have (the metrics
 // endpoint and tracing) on fs; defaults seeds the Config template the
 // returned Flags fills in when fs is parsed.
-// Flags.BindFlowFlags adds flow control and stall detection.
+// Flags.BindFlowFlags adds flow control.
 func BindFlags(fs *flag.FlagSet, defaults Config) *Flags { return core.BindFlags(fs, defaults) }
 
 // NewMetricsRegistry returns an empty metrics registry for Config.Metrics.
