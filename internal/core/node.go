@@ -786,9 +786,9 @@ func NewSLOMonitor(n *Node, key string, cfg metrics.SLOConfig) (*metrics.SLOMoni
 // independently evaluate the same predicate about the same stream, and
 // "all WAN nodes reach the same conclusions eventually" (§III-A). Only the
 // origin is told at once; a report about a foreign origin rides the next
-// write on the reporter's link to this node, so the result can trail the
-// origin's own view by one HeartbeatEvery on an idle link. It is never
-// ahead of the truth: a late report makes a frontier weaker, not stronger.
+// heartbeat on the reporter's link to this node, so the result can trail
+// the origin's own view by one HeartbeatEvery. It is never ahead of the
+// truth: a late report makes a frontier weaker, not stronger.
 // The predicate is compiled ad hoc; registered predicates always concern
 // the local origin's stream. One recorder cell is a one-operand predicate:
 // EvalFor(o, "MAX($b.t)") is the highest sequence of o's stream this node

@@ -19,7 +19,8 @@ const readChunk = 4 << 10
 // Conn is the injectable connection wrapper the Injector's Hook installs on
 // every dialed connection. Its reads and writes consult the injector's
 // fault state: a cut direction stalls them (no bytes lost — TCP semantics),
-// a spike delays writes, and a sever fails everything immediately.
+// a spike delays the bytes of its direction (writes going out, reads coming
+// back), and a sever fails everything immediately.
 type Conn struct {
 	inj      *Injector
 	from, to int
@@ -127,7 +128,10 @@ func (c *Conn) write(bufs [][]byte, bw buffersWriter) (int, error) {
 // real one-way blackhole, which cannot recall packets past the bottleneck.
 // A SlowReceiver fault on that direction charges its delay per readChunk
 // bytes: the read is clipped to one chunk and sleeps first, bounding the
-// drain rate regardless of the caller's buffer size.
+// drain rate regardless of the caller's buffer size. A Spike on that
+// direction holds back what a read returns: the spike engaged once the bytes
+// are in is slept before they are handed over, so what the peer writes back
+// on this connection is delayed as what it writes on its own is.
 func (c *Conn) Read(p []byte) (int, error) {
 	d, err := c.inj.gateRead(c)
 	if err != nil {
@@ -139,7 +143,13 @@ func (c *Conn) Read(p []byte) (int, error) {
 			p = p[:readChunk]
 		}
 	}
-	return c.base.Read(p)
+	n, err := c.base.Read(p)
+	if n > 0 {
+		if d := c.inj.readSpike(c); d > 0 {
+			time.Sleep(d)
+		}
+	}
+	return n, err
 }
 
 // kill severs the connection: called by the injector after marking severed.

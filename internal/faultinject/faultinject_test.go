@@ -204,6 +204,35 @@ func TestSpikeDelaysWrites(t *testing.T) {
 	}
 }
 
+// A spike on 2→1 also delays what node 2 writes back on node 1's connection:
+// a read hands its bytes over a spike after they are in, and one after
+// ClearSpike does not wait.
+func TestSpikeDelaysReverseReads(t *testing.T) {
+	in := New(nil)
+	defer in.Close()
+	c, peer := pipePair(t, in, 1, 2)
+
+	const spike = 60 * time.Millisecond
+	in.Spike(2, 1, spike)
+	go func() { _, _ = peer.Write([]byte("x")) }()
+	start := time.Now()
+	if _, err := c.Read(make([]byte, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if el := time.Since(start); el < spike {
+		t.Fatalf("spiked read returned after %v, want ≥ %v", el, spike)
+	}
+	in.ClearSpike(2, 1, spike)
+	go func() { _, _ = peer.Write([]byte("y")) }()
+	start = time.Now()
+	if _, err := c.Read(make([]byte, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if el := time.Since(start); el > spike {
+		t.Fatalf("read after ClearSpike took %v, want < %v", el, spike)
+	}
+}
+
 func TestSlowReceiverThrottlesReads(t *testing.T) {
 	in := New(nil)
 	defer in.Close()

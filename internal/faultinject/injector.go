@@ -186,8 +186,10 @@ func (in *Injector) HealPartition(set []int, n int) {
 	}
 }
 
-// Spike adds d of extra one-way delay to writes on the directed from→to
-// link until ClearSpike. Overlapping spikes compose: the largest applies.
+// Spike adds d of extra one-way delay to the directed from→to link until
+// ClearSpike: to writes on from's connections to to, and to reads on to's
+// connections to from, which carry what from writes back. Overlapping spikes
+// compose: the largest applies.
 func (in *Injector) Spike(from, to int, d time.Duration) {
 	in.RecordFault(KindLatencySpike)
 	in.mu.Lock()
@@ -326,13 +328,27 @@ func (in *Injector) gateWrite(c *Conn) (time.Duration, error) {
 	if c.severed || c.closed || in.closed {
 		return 0, net.ErrClosed
 	}
+	return maxOf(in.delay[pair{c.from, c.to}]), nil
+}
+
+// readSpike returns the spike engaged on the conn's reverse direction, the
+// traffic its reads carry.
+func (in *Injector) readSpike(c *Conn) time.Duration {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return maxOf(in.delay[pair{c.to, c.from}])
+}
+
+// maxOf is the largest of a stack of delays (zero for none): overlapping
+// faults of one kind compose by the largest.
+func maxOf(ds []time.Duration) time.Duration {
 	var d time.Duration
-	for _, v := range in.delay[pair{c.from, c.to}] {
+	for _, v := range ds {
 		if v > d {
 			d = v
 		}
 	}
-	return d, nil
+	return d
 }
 
 // gateRead blocks while the conn's reverse direction (the traffic its reads
@@ -347,11 +363,5 @@ func (in *Injector) gateRead(c *Conn) (time.Duration, error) {
 	if c.severed || c.closed || in.closed {
 		return 0, net.ErrClosed
 	}
-	var d time.Duration
-	for _, v := range in.slow[pair{c.to, c.from}] {
-		if v > d {
-			d = v
-		}
-	}
-	return d, nil
+	return maxOf(in.slow[pair{c.to, c.from}]), nil
 }

@@ -71,6 +71,40 @@ func TestReadyTimesOutNamingTheLink(t *testing.T) {
 	}
 }
 
+// A spike on the direction 2→1 delays what node 2 says to node 1 however it
+// travels: on node 2's link, or written back on node 1's own connection, the
+// way the reports about a lone message return. So node 1's lone Send and its
+// wait for node 2's report take at least the spike.
+func TestSpikeDelaysTheReportsBack(t *testing.T) {
+	const spike = 100 * time.Millisecond
+	bed, err := Boot(core.Config{Topology: Flat(2)}, Fabric{Faults: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bed.Close()
+	n1 := bed.Node(1)
+	if err := n1.RegisterPredicate("two", "MIN($2)"); err != nil {
+		t.Fatal(err)
+	}
+	if err := bed.Ready(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	bed.Inj.Spike(2, 1, spike)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	start := time.Now()
+	seq, err := n1.Send([]byte("lone"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n1.WaitFor(ctx, seq, "two"); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d < spike {
+		t.Fatalf("Send and WaitFor(MIN($2)) took %v under a %v spike on 2->1", d, spike)
+	}
+}
+
 // TestBootIsSeedPinned boots twice from one seed and once from another and
 // compares the fabric's jitter draws, observed as the one-way delay of
 // successive writes over a link whose delay is almost all jitter. The bed has

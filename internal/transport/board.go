@@ -73,3 +73,33 @@ func (b *board) raise(a wire.Ack) bool {
 		}
 	}
 }
+
+// reportsBack is an accepted connection's record of the reports about its
+// peer that it has written back (serveIncoming): carried[c] is the newest
+// value of board column c about the peer. It is the connection's own and
+// shared with no link, so a report may go both ways; a duplicate is a
+// watermark repeated. ack is the frame each report is encoded from, reused.
+// The connection's reader alone touches it.
+type reportsBack struct {
+	carried []uint64
+	ack     wire.Ack
+}
+
+// appendAbout frames, behind buf, every report on b about origin newer than
+// what the connection has carried, raises carried to match and returns how
+// many it framed.
+func (rb *reportsBack) appendAbout(buf []byte, b *board, origin int) ([]byte, int) {
+	n := 0
+	for ci, c := range b.columns() {
+		if ci == len(rb.carried) {
+			rb.carried = append(rb.carried, 0)
+		}
+		if seq := c.cells[origin-1].Load(); seq > rb.carried[ci] {
+			rb.carried[ci] = seq
+			rb.ack = wire.Ack{Origin: uint16(origin), By: c.by, Type: c.typ, Seq: seq}
+			buf = wire.AppendFrame(buf, &rb.ack)
+			n++
+		}
+	}
+	return buf, n
+}

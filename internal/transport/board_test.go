@@ -44,9 +44,11 @@ func parkLinks(t *testing.T, h *harness, self int) {
 }
 
 // A report about origin 2 goes to node 2 at once and to nobody else: the
-// links to 3 and 4 stay parked and write no frame for it. Each carries it in
-// the first write it makes for another reason — behind an app message on one,
-// behind a data frame on the other — as one ACK frame in that write.
+// links to 3 and 4 stay parked and write no frame for it. Nor does it ride
+// the writes they make for other reasons, an app message on one and a data
+// frame on both: a report about a foreign origin waits for a heartbeat. The
+// next heartbeat on the link to 3 carries it, as one ACK frame, and the link
+// to 4, with no heartbeat of its own, still has not.
 func TestReportWakesOnlyItsOriginsLink(t *testing.T) {
 	h := startHarnessEvery(t, 4, noHeartbeat)
 	parkLinks(t, h, 1)
@@ -55,38 +57,56 @@ func TestReportWakesOnlyItsOriginsLink(t *testing.T) {
 	n1.QueueAck(wire.Ack{Origin: 2, By: 1, Type: 1, Seq: 5})
 	waitUntil(t, 5*time.Second, func() bool { return h.recs[1].maxAck(2, 1, 1) == 5 })
 	time.Sleep(50 * time.Millisecond) // absence has no event to wait on
-	for _, peer := range []int{3, 4} {
-		if got := h.recs[peer-1].maxAck(2, 1, 1); got != 0 {
-			t.Fatalf("bystander %d holds the report (%d) with nothing else written to it", peer, got)
-		}
-		if f := ackFramesTo(n1, peer); f != 0 {
-			t.Fatalf("idle link to %d wrote %d ACK frame(s) for a report about origin 2", peer, f)
+	bystandersLack := func(when string) {
+		t.Helper()
+		for _, peer := range []int{3, 4} {
+			if got := h.recs[peer-1].maxAck(2, 1, 1); got != 0 {
+				t.Fatalf("%s: bystander %d holds the report (%d)", when, peer, got)
+			}
+			if f := ackFramesTo(n1, peer); f != 0 {
+				t.Fatalf("%s: link to %d wrote %d ACK frame(s) for a report about origin 2", when, peer, f)
+			}
 		}
 	}
+	bystandersLack("idle links")
 
 	// ACK frames precede app frames in a write, and the peer handles a
-	// connection's frames in order: once the app message is in, so is the
-	// report.
+	// connection's frames in order: once the app message is in, the report
+	// would be too had the write carried it.
 	if err := n1.SendApp(3, &wire.App{ID: 2, From: 1}); err != nil {
 		t.Fatal(err)
 	}
 	waitUntil(t, 5*time.Second, func() bool { return h.recs[2].appCount() == 2 })
-	if got := h.recs[2].maxAck(2, 1, 1); got != 5 {
-		t.Fatalf("report did not ride the app message's write to 3: have %d, want 5", got)
-	}
+	bystandersLack("after an app write to 3")
 
-	// Control rides behind the data batch, so the report lands after the
-	// data frame; what pins it to that write is that nothing else woke the
-	// link and exactly one ACK frame went out.
+	// Control rides behind the data batch. An app message queued after the
+	// append is the last frame either link writes, so once it is in, so is
+	// any report a pass took.
 	if _, err := h.logs[0].Append([]byte("x"), 0); err != nil {
 		t.Fatal(err)
 	}
 	n1.NotifyData()
-	waitUntil(t, 5*time.Second, func() bool { return h.recs[3].maxAck(2, 1, 1) == 5 })
-	for _, peer := range []int{2, 3, 4} {
-		if f := ackFramesTo(n1, peer); f != 1 {
-			t.Fatalf("link to %d wrote %d ACK frames for one report, want 1", peer, f)
+	for _, peer := range []int{3, 4} {
+		if err := n1.SendApp(peer, &wire.App{ID: 3, From: 1}); err != nil {
+			t.Fatal(err)
 		}
+	}
+	waitUntil(t, 5*time.Second, func() bool {
+		return h.recs[2].appCount() == 3 && h.recs[3].appCount() == 2 &&
+			h.trs[2].RecvLast(1) == 1 && h.trs[3].RecvLast(1) == 1
+	})
+	bystandersLack("after a data write")
+
+	n1.links[3].queueHeartbeat(1)
+	waitUntil(t, 5*time.Second, func() bool { return h.recs[2].maxAck(2, 1, 1) == 5 })
+	if f := ackFramesTo(n1, 3); f != 1 {
+		t.Fatalf("the heartbeat to 3 carried %d ACK frames for one report, want 1", f)
+	}
+	if got := h.recs[3].maxAck(2, 1, 1); got != 0 {
+		t.Fatalf("bystander 4 holds the report (%d) with no heartbeat written to it", got)
+	}
+	if f := ackFramesTo(n1, 2); f != 1 {
+		t.Fatalf("link to 2 wrote %d ACK frames for one report, want 1", f)
 	}
 }
 

@@ -79,10 +79,13 @@ type link struct {
 	joined []byte
 	ackBuf []wire.Ack
 	// sent[c*N+o] is the newest value of board column c about origin o+1
-	// written on the current connection; scanned is the board version the
-	// last scan read. Run/stream goroutine only.
-	sent    []uint64
-	scanned uint64
+	// written on the current connection. scanned is the board version the
+	// last scan of every origin read (a heartbeat pass), peerScanned the one
+	// the last scan of the peer's cells read (every pass). Run/stream
+	// goroutine only.
+	sent        []uint64
+	scanned     uint64
+	peerScanned uint64
 	// traced collects the sampled entries gathered into vec, so their
 	// WireSend events can be stamped after the connection write returns.
 	// Empty whenever tracing is off or nothing in vec was sampled. Run/stream
@@ -116,18 +119,26 @@ func (l *link) wake() {
 	}
 }
 
-// takeReports returns every report on the board newer than what the current
-// connection has carried, about whichever origin, and counts it sent. The
-// stream loop calls it each time it runs, for whatever reason, so a report
-// that woke nobody rides the link's next write. The slice aliases link-owned
-// scratch valid until the next call.
-func (l *link) takeReports() []wire.Ack {
+// takeReports returns the reports on the board newer than what the current
+// connection has carried and counts them sent. Reports about the link's own
+// peer go on every pass: the peer is that stream's origin and the only node
+// whose predicates wait on them. Reports about any other origin go only on a
+// pass that also writes a heartbeat (withForeign), so a bystander's view of a
+// foreign origin trails by at most one HeartbeatEvery and costs no frame in
+// between. The stream loop calls it each time it runs, for whatever reason,
+// so a report about the peer that woke nobody (a lone message's, written back
+// on the peer's connection) rides the link's next write too. The slice
+// aliases link-owned scratch valid until the next call.
+func (l *link) takeReports(withForeign bool) []wire.Ack {
 	b := l.t.board
 	v := b.version.Load() // before the cells: see board.raise
-	if v == l.scanned {
+	if v == l.peerScanned && (!withForeign || v == l.scanned) {
 		return nil
 	}
-	l.scanned = v
+	l.peerScanned = v
+	if withForeign {
+		l.scanned = v
+	}
 	l.ackBuf = l.ackBuf[:0]
 	for ci, c := range b.columns() {
 		if ci*b.n == len(l.sent) {
@@ -135,6 +146,9 @@ func (l *link) takeReports() []wire.Ack {
 		}
 		sent := l.sent[ci*b.n:]
 		for o := range c.cells {
+			if !withForeign && o != l.peer-1 {
+				continue
+			}
 			if seq := c.cells[o].Load(); seq > sent[o] {
 				sent[o] = seq
 				l.ackBuf = append(l.ackBuf, wire.Ack{Origin: uint16(o + 1), By: c.by, Type: c.typ, Seq: seq})
@@ -146,13 +160,12 @@ func (l *link) takeReports() []wire.Ack {
 
 // reportDue reports whether the board holds a report about the link's own
 // peer that the connection has not carried: the one kind of report an idle
-// link writes for. The peer is that stream's origin and the only node whose
-// predicates wait on it; reports about other origins wait for the link's
-// next write. A cell whose version bump is still to come does not count:
+// link writes for. Reports about other origins wait for the next heartbeat
+// (takeReports). A cell whose version bump is still to come does not count:
 // QueueAck's wake follows the bump, and takeReports would not scan before it.
 func (l *link) reportDue() bool {
 	b := l.t.board
-	if b.version.Load() == l.scanned {
+	if b.version.Load() == l.peerScanned {
 		return false
 	}
 	for ci, c := range b.columns() {
@@ -238,7 +251,7 @@ func (l *link) run() {
 		// board — monotonicity makes the resend harmless (SST-style control
 		// plane).
 		clear(l.sent)
-		l.scanned = 0
+		l.scanned, l.peerScanned = 0, 0
 		l.stream(conn, lastSeq+1)
 		_ = conn.Close()
 	}
@@ -330,19 +343,29 @@ func (l *link) dial() (net.Conn, uint64, error) {
 	l.t.heard(l.peer)
 
 	// Drain the reverse direction so connection teardown is noticed even
-	// while the writer is idle. The only frames peers send here are our own
+	// while the writer is idle. Peers send two kinds of frame here: our own
 	// heartbeats echoed back, which double as RTT probes and liveness
-	// evidence.
+	// evidence, and the reports about our stream that a lone message of ours
+	// raised at the peer (serveIncoming writes them back on this
+	// connection). The goroutine is in the transport's wait group, so no
+	// report reaches the Handler after Close has returned.
+	l.t.wg.Add(1)
 	go func() {
+		defer l.t.wg.Done()
 		for {
 			msg, err := r.Next()
 			if err != nil {
 				_ = conn.Close()
 				return
 			}
-			if m, ok := msg.(*wire.Heartbeat); ok {
+			switch m := msg.(type) {
+			case *wire.Heartbeat:
 				l.ins.hbRecv.Inc()
 				l.observeEcho(m.Clock)
+			case *wire.Ack:
+				l.ins.ackRecv.Inc()
+				l.t.heard(l.peer)
+				l.t.cfg.Handler.HandleAck(m)
 			}
 		}
 	}()
@@ -573,15 +596,11 @@ type tracedSend struct {
 // encodeControl drains the control outbox into l.out as frames — the board's
 // unsent reports, then the app messages and the heartbeat queued under mu —
 // counting each kind where it is encoded and stamping the heartbeat for RTT
-// matching. It returns false once the link is closed (the stream goroutine
-// is the only caller).
+// matching. A pass that writes a heartbeat carries the reports about every
+// origin; any other carries those about the peer alone (takeReports). It
+// returns false once the link is closed (the stream goroutine is the only
+// caller).
 func (l *link) encodeControl() bool {
-	acks := l.takeReports()
-	for i := range acks {
-		l.out = wire.AppendFrame(l.out, &acks[i])
-	}
-	l.ins.ackSent.Add(int64(len(acks)))
-
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
@@ -591,6 +610,11 @@ func (l *link) encodeControl() bool {
 	l.apps, l.hbDue = nil, false
 	l.mu.Unlock()
 
+	acks := l.takeReports(hb)
+	for i := range acks {
+		l.out = wire.AppendFrame(l.out, &acks[i])
+	}
+	l.ins.ackSent.Add(int64(len(acks)))
 	for _, a := range apps {
 		l.out = wire.AppendFrame(l.out, a)
 	}

@@ -27,7 +27,12 @@ type Handler interface {
 	// rule); copy what is kept.
 	HandleData(from int, d *wire.Data)
 	// HandleAck delivers one monotonic stability report. Like Data, the
-	// struct is only valid during the call.
+	// struct is only valid during the call. Two goroutines may call it for
+	// one reporting peer at once: the reader of the peer's connection to
+	// us, and the reader of our connection to the peer, which carries back
+	// the reports a lone message of ours raised there. Reports are
+	// watermarks, so their order across the two does not matter, and a
+	// report may arrive twice.
 	HandleAck(a *wire.Ack)
 	// HandleApp delivers an application request/response message.
 	HandleApp(from int, a *wire.App)
@@ -169,6 +174,11 @@ type Transport struct {
 	// alongside its replacement. Per-peer, so peers never contend with each
 	// other.
 	deliverMu []sync.Mutex
+	// loneRun[p] is set, under deliverMu[p], while a run of one frame from
+	// peer p is in the Handler: the reports about p raised meanwhile wake no
+	// link, because the reader writes them back on p's connection once the
+	// run is applied (serveIncoming). Index 0 is unused.
+	loneRun []atomic.Bool
 
 	recvMu   sync.Mutex
 	incoming map[int]net.Conn  // current accepted conn per peer
@@ -235,6 +245,7 @@ func New(cfg Config) (*Transport, error) {
 		peers:     make(map[int]*peerInstruments, cfg.N-1),
 		recvLast:  make([]atomic.Uint64, cfg.N+1),
 		deliverMu: make([]sync.Mutex, cfg.N+1),
+		loneRun:   make([]atomic.Bool, cfg.N+1),
 		incoming:  make(map[int]net.Conn, cfg.N-1),
 		accepted:  make(map[net.Conn]bool, cfg.N-1),
 		heardTick: make([]atomic.Int64, cfg.N+1),
@@ -440,16 +451,20 @@ func (t *Transport) NotifyData() {
 // QueueAck posts a stability report on the node's board, where only the
 // newest sequence per (origin, by, type) is kept — monotonicity makes older
 // reports redundant — and, if it is news, wakes one link: the one to
-// a.Origin, the node whose predicates read it. Every other peer gets the
-// report in the next write its link makes for any reason, a heartbeat at the
-// latest, so its view of a foreign origin trails by at most one write. The
-// cost is the same whatever N is. Reports about an origin outside [1, N] are
-// dropped: no peer's recorder has a table for them.
+// a.Origin, the node whose predicates read it. While a lone message from
+// a.Origin is being applied it wakes nothing: the reader that applies it
+// writes the report back on the origin's own connection once the message is
+// in (serveIncoming). Either way the link to a.Origin also carries the report
+// in its next write, a heartbeat at the latest. Every other peer gets the
+// report with its link's next heartbeat, so its view of a foreign origin
+// trails by at most one HeartbeatEvery. The cost is the same whatever N is.
+// Reports about an origin outside [1, N] are dropped: no peer's recorder has
+// a table for them.
 func (t *Transport) QueueAck(a wire.Ack) {
 	if a.Origin < 1 || int(a.Origin) > t.cfg.N || !t.board.raise(a) {
 		return
 	}
-	if lk := t.links[a.Origin]; lk != nil {
+	if lk := t.links[a.Origin]; lk != nil && !t.loneRun[a.Origin].Load() {
 		lk.wake()
 	}
 }
@@ -605,9 +620,12 @@ func (t *Transport) serveIncoming(conn net.Conn) {
 	last := t.recvLast[from].Load()
 
 	// scratch is the connection's reusable write buffer: the HelloAck here
-	// and every heartbeat echo below are framed into it instead of paying
-	// wire.WriteFrame's per-call allocation.
-	var scratch []byte
+	// and every heartbeat echo and report written back below are framed into
+	// it instead of paying wire.WriteFrame's per-call allocation.
+	var (
+		scratch []byte
+		back    reportsBack
+	)
 	scratch = wire.AppendFrame(scratch, &wire.HelloAck{From: uint16(t.cfg.Self), LastSeq: last})
 	if _, err := conn.Write(scratch); err != nil {
 		_ = conn.Close()
@@ -633,7 +651,26 @@ func (t *Transport) serveIncoming(conn net.Conn) {
 		switch m := msg.(type) {
 		case *wire.Data:
 			run = r.AppendBufferedData(append(run[:0], *m), maxRecvRun)
-			t.applyRun(from, ins, run)
+			if !t.applyRun(from, ins, run) {
+				break
+			}
+			// A lone message: its reports go back to the origin on this
+			// connection now, read after applyRun cleared loneRun, so a
+			// report raised by any goroutine while the mark was up is in
+			// what the board shows here. A report raised after the clear
+			// woke the link. The write is a shortcut: the link carries
+			// every report too, so one lost with this connection costs at
+			// most a heartbeat.
+			var n int
+			if scratch, n = back.appendAbout(scratch[:0], t.board, from); n == 0 {
+				break
+			}
+			if _, err := conn.Write(scratch); err != nil {
+				_ = conn.Close()
+				break
+			}
+			ins.ackSent.Add(int64(n))
+			ins.bytesSent.Add(int64(len(scratch)))
 		case *wire.Ack:
 			ins.ackRecv.Inc()
 			t.cfg.Handler.HandleAck(m)
@@ -669,8 +706,10 @@ func (t *Transport) serveIncoming(conn net.Conn) {
 // could both pass the filter (for different sequences) and race their upcalls
 // out of order. Normal operation has one connection per peer, so the lock is
 // uncontended. recvLast moves to the run's last sequence before the upcall:
-// every frame it covers is decoded and past the filter by then.
-func (t *Transport) applyRun(from int, ins *peerInstruments, run []wire.Data) {
+// every frame it covers is decoded and past the filter by then. It reports
+// whether the run held exactly one fresh frame, a lone message, whose
+// reports the caller writes back (loneRun).
+func (t *Transport) applyRun(from int, ins *peerInstruments, run []wire.Data) bool {
 	ins.dataRecv.Add(int64(len(run)))
 	// Record wire arrivals before the duplicate filter: a resent frame
 	// really did cross the wire again, and the trace should show it. The
@@ -699,11 +738,19 @@ func (t *Transport) applyRun(from int, ins *peerInstruments, run []wire.Data) {
 		}
 	}
 	if len(fresh) == 0 {
-		return
+		return false
 	}
 	t.recvLast[from].Store(last)
 	t.recvRunFrames.Observe(int64(len(fresh)))
+	lone := len(fresh) == 1
+	if lone {
+		t.loneRun[from].Store(true)
+	}
 	t.handleRun(from, fresh)
+	if lone {
+		t.loneRun[from].Store(false)
+	}
+	return lone
 }
 
 // --- liveness ---
