@@ -50,6 +50,16 @@ func (c *memConn) Write(p []byte) (int, error) { return c.out.write([][]byte{p},
 // write to them again, and the peer's Read copies each byte out of them.
 func (c *memConn) WriteBuffers(bufs [][]byte) (int, error) { return c.out.write(bufs, true) }
 
+// TryWriteBuffers is WriteBuffers of bufs if the direction takes all of them
+// now, and returns true; otherwise it writes nothing and returns false. It
+// never waits: it refuses while another write holds the direction, once
+// either end has closed or the write deadline has passed, when the bytes would
+// not fit under the bound, and always on a shaped direction, whose arrival
+// timer is better armed by the connection's own writer than by a caller that
+// writes on several links in turn. An empty bufs asks whether the direction
+// takes try-writes at all.
+func (c *memConn) TryWriteBuffers(bufs [][]byte) bool { return c.out.tryWrite(bufs) }
+
 // Close fails this end's own calls, parked or future, with net.ErrClosed.
 // The peer's Writes fail with io.ErrClosedPipe; its Reads drain what this end
 // had already written, bytes still in flight at their arrival times, and then
@@ -156,27 +166,7 @@ func (q *memQueue) write(bufs [][]byte, lend bool) (int, error) {
 				}
 				continue
 			}
-			piece := p[:k]
-			if !lend { // copy into blk, which then moves past the copy
-				if q.n == 0 {
-					q.blk = q.blk[:0] // the direction holds none of it
-				}
-				if cap(q.blk)-len(q.blk) < k {
-					q.nextBlock(k)
-				}
-				q.blk = append(q.blk, piece...)
-				piece = q.blk[len(q.blk)-k:]
-			}
-			if last := len(q.bufs) - 1; last >= q.head && adjoins(q.bufs[last], piece) {
-				q.bufs[last] = q.bufs[last][:len(q.bufs[last])+k]
-			} else {
-				if q.head > 0 && len(q.bufs) == cap(q.bufs) { // compact, not grow
-					q.bufs, q.head = q.bufs[:copy(q.bufs, q.bufs[q.head:])], 0
-				}
-				q.bufs = append(q.bufs, piece)
-			}
-			q.n += k
-			q.since += k
+			q.take(p[:k], lend)
 			total += k
 			fresh += k
 			p = p[k:]
@@ -184,6 +174,57 @@ func (q *memQueue) write(bufs [][]byte, lend bool) (int, error) {
 	}
 	q.publish(fresh)
 	return total, nil
+}
+
+// tryWrite is write of bufs, lent, if the unshaped direction can take all of
+// them without waiting; else it takes nothing and returns false.
+func (q *memQueue) tryWrite(bufs [][]byte) bool {
+	if q.s != nil || !q.wmu.TryLock() {
+		return false
+	}
+	defer q.wmu.Unlock()
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	total := 0
+	for _, p := range bufs {
+		total += len(p)
+	}
+	if q.writeErr() != nil || total > memConnBytes-q.n {
+		return false
+	}
+	for _, p := range bufs {
+		if len(p) > 0 {
+			q.take(p, true)
+		}
+	}
+	q.publish(total)
+	return true
+}
+
+// take appends piece, non-empty, to the direction: piece itself if lend, else
+// a copy in blk. Caller holds wmu and mu and has room for it.
+func (q *memQueue) take(piece []byte, lend bool) {
+	k := len(piece)
+	if !lend { // copy into blk, which then moves past the copy
+		if q.n == 0 {
+			q.blk = q.blk[:0] // the direction holds none of it
+		}
+		if cap(q.blk)-len(q.blk) < k {
+			q.nextBlock(k)
+		}
+		q.blk = append(q.blk, piece...)
+		piece = q.blk[len(q.blk)-k:]
+	}
+	if last := len(q.bufs) - 1; last >= q.head && adjoins(q.bufs[last], piece) {
+		q.bufs[last] = q.bufs[last][:len(q.bufs[last])+k]
+	} else {
+		if q.head > 0 && len(q.bufs) == cap(q.bufs) { // compact, not grow
+			q.bufs, q.head = q.bufs[:copy(q.bufs, q.bufs[q.head:])], 0
+		}
+		q.bufs = append(q.bufs, piece)
+	}
+	q.n += k
+	q.since += k
 }
 
 // nextBlock swaps blk for spare once the reader has copied spare empty, if

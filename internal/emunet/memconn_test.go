@@ -945,3 +945,93 @@ func BenchmarkMemConn(b *testing.B) {
 		})
 	}
 }
+
+// TestMemConnTryWriteBuffers pins the try-write: on an unshaped direction it
+// is a WriteBuffers of the whole vector when that fits under the bound now,
+// and otherwise it takes none of it and returns at once: at the bound, while
+// another write holds the direction, and after either end closes. A shaped
+// direction always refuses, even an empty vector.
+func TestMemConnTryWriteBuffers(t *testing.T) {
+	t.Run("takes-the-vector", func(t *testing.T) {
+		a, b := pairKinds[0].pair()
+		defer a.Close()
+		defer b.Close()
+		if !a.TryWriteBuffers(nil) {
+			t.Fatal("an unshaped direction refused an empty try-write")
+		}
+		bufs := vector(100, 0, 300)
+		if !a.TryWriteBuffers(bufs) {
+			t.Fatal("an empty unshaped direction refused a 400-byte try-write")
+		}
+		if got := held(a.out); len(got) != 2 || &got[0][0] != &bufs[0][0] || &got[1][0] != &bufs[2][0] {
+			t.Fatal("the try-write copied the vector instead of borrowing it")
+		}
+		got := make([]byte, 400)
+		if _, err := io.ReadFull(b, got); err != nil || !bytes.Equal(got, bytes.Join(bufs, nil)) {
+			t.Fatalf("the peer read other bytes than the vector's concatenation (%v)", err)
+		}
+	})
+	t.Run("all-or-nothing-at-the-bound", func(t *testing.T) {
+		a, b := pairKinds[0].pair()
+		defer a.Close()
+		defer b.Close()
+		if _, err := a.Write(pattern(memConnBytes - 100)); err != nil {
+			t.Fatal(err)
+		}
+		if a.TryWriteBuffers(vector(60, 41)) {
+			t.Fatal("a try-write over the bound by one byte was taken")
+		}
+		fills(t, a.out, memConnBytes-100)
+		if !a.TryWriteBuffers(vector(60, 40)) {
+			t.Fatal("a try-write that fills the direction exactly was refused")
+		}
+		fills(t, a.out, memConnBytes)
+	})
+	t.Run("beside-a-write-parked-for-room", func(t *testing.T) {
+		a, b := pairKinds[0].pair()
+		defer a.Close()
+		defer b.Close()
+		w := async(func() (int, error) { return a.Write(pattern(memConnBytes + 10)) })
+		fills(t, a.out, memConnBytes)
+		stillParked(t, w, "the write over the bound")
+		// The parked write holds the direction: the try-write returns at
+		// once, and does not queue behind it.
+		try := async(func() (int, error) {
+			if a.TryWriteBuffers(vector(10)) {
+				return 10, nil
+			}
+			return 0, nil
+		})
+		if r := returns(t, try, "the try-write"); r.n != 0 {
+			t.Fatal("a try-write was taken while another write held the direction")
+		}
+		if _, err := io.Copy(io.Discard, io.LimitReader(b, memConnBytes+10)); err != nil {
+			t.Fatal(err)
+		}
+		if r := returns(t, w, "the write over the bound"); r.err != nil {
+			t.Fatal(r.err)
+		}
+	})
+	t.Run("closed", func(t *testing.T) {
+		a, b := pairKinds[0].pair()
+		_ = b.Close()
+		if a.TryWriteBuffers(vector(10)) {
+			t.Fatal("a try-write was taken after the peer closed")
+		}
+		_ = a.Close()
+		if a.TryWriteBuffers(vector(10)) {
+			t.Fatal("a try-write was taken after its own end closed")
+		}
+	})
+	t.Run("shaped", func(t *testing.T) {
+		a, b := pairKinds[1].pair()
+		defer a.Close()
+		defer b.Close()
+		if a.TryWriteBuffers(vector(10)) || a.TryWriteBuffers(nil) {
+			t.Fatal("a shaped direction took a try-write")
+		}
+		if got := unitSizes(a.out); len(got) != 0 {
+			t.Fatalf("a refused try-write stamped units %v", got)
+		}
+	})
+}

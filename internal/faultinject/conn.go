@@ -46,6 +46,25 @@ type buffersWriter interface {
 	WriteBuffers(bufs [][]byte) (int, error)
 }
 
+// tryWriter is a connection that takes a write whole now or not at all, as
+// the memory fabric's unshaped directions do (the rule is stated on
+// transport's tryWriter).
+type tryWriter interface {
+	TryWriteBuffers(bufs [][]byte) bool
+}
+
+// TryWriteBuffers hands bufs to the connection below's TryWriteBuffers while
+// no fault is engaged on the conn's direction: it is neither cut nor spiked,
+// and the conn is neither severed nor closed. Otherwise, and when the
+// connection below has no try-write, it writes nothing and returns false, so
+// whatever a fault would hold goes by WriteBuffers and its gate. A fault
+// engaged as the write goes through lands just after it, as one engaged
+// between two writes does.
+func (c *Conn) TryWriteBuffers(bufs [][]byte) bool {
+	tw, ok := c.base.(tryWriter)
+	return ok && c.inj.quiet(c) && tw.TryWriteBuffers(bufs)
+}
+
 // Write is WriteBuffers of p alone, except that every chunk goes below as a
 // Write: the connection below copies it, so the caller may reuse p as soon
 // as Write returns, as on a socket.

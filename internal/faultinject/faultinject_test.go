@@ -594,3 +594,76 @@ func TestWriteLendsNothing(t *testing.T) {
 		})
 	}
 }
+
+// TestTryWriteBuffersOnlyWhileNoFaultIsEngaged: a Conn passes a try-write on
+// to the memory fabric's connection while its direction is neither cut nor
+// spiked, whatever holds the other direction, and refuses it, writing
+// nothing, under a cut, under a spike, once severed, and over a connection
+// that has no try-write.
+func TestTryWriteBuffersOnlyWhileNoFaultIsEngaged(t *testing.T) {
+	fabric := emunet.NewMemNetwork(nil)
+	defer fabric.Close()
+	l, err := fabric.Listen(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		c, _ := l.Accept()
+		accepted <- c
+	}()
+	a, err := fabric.Dial(1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer := <-accepted
+	defer peer.Close()
+	in := New(nil)
+	defer in.Close()
+	wrapped, err := in.Hook()(1, 2, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := wrapped.(*Conn)
+
+	var sent []byte
+	try := func(want bool, when string) {
+		t.Helper()
+		p := []byte(when)
+		if got := c.TryWriteBuffers([][]byte{p}); got != want {
+			t.Fatalf("%s: try-write returned %v, want %v", when, got, want)
+		}
+		if want {
+			sent = append(sent, p...)
+		}
+	}
+	const spike = time.Second
+	try(true, "no fault")
+	in.CutLink(2, 1)
+	try(true, "the other direction cut")
+	in.HealLink(2, 1)
+	in.CutLink(1, 2)
+	try(false, "cut")
+	in.HealLink(1, 2)
+	try(true, "healed")
+	in.Spike(1, 2, spike)
+	try(false, "spiked")
+	in.ClearSpike(1, 2, spike)
+	try(true, "spike cleared")
+	got := make([]byte, len(sent))
+	if _, err := io.ReadFull(peer, got); err != nil || !bytes.Equal(got, sent) {
+		t.Fatalf("the peer read %q (%v), want the taken writes %q", got, err, sent)
+	}
+	in.Sever(1, 2)
+	try(false, "severed")
+
+	p1, p2 := net.Pipe()
+	defer p2.Close()
+	pipe, err := in.Hook()(1, 2, p1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pipe.(*Conn).TryWriteBuffers([][]byte{[]byte("x")}) {
+		t.Fatal("a try-write was taken over a connection that has none")
+	}
+}

@@ -219,9 +219,14 @@ func (in *Injector) ClearSpike(from, to int, d time.Duration) {
 	in.mu.Unlock()
 }
 
-// SlowReceiver throttles the receive side of the directed from→to link:
-// every read chunk carrying that traffic pays d of extra delay until
-// ClearSlowReceiver. Overlapping throttles compose: the largest applies.
+// SlowReceiver throttles reads of from→to traffic on the connections the
+// injector wraps, which are the dialed ones: each read chunk pays d of extra
+// delay until ClearSlowReceiver. Overlapping throttles compose: the largest
+// applies. In a cluster that slows to's reads of its own dialed connection to
+// from, which carries from's heartbeat echoes and the reports from writes back
+// about to's lone messages. It does not slow from's data stream to to: that
+// arrives on the connection from dialed, whose accepting end is not wrapped.
+// ROADMAP item 13 holds the fix, a throttle on the accepting end's reads.
 func (in *Injector) SlowReceiver(from, to int, d time.Duration) {
 	in.RecordFault(KindSlowReceiver)
 	in.mu.Lock()
@@ -329,6 +334,15 @@ func (in *Injector) gateWrite(c *Conn) (time.Duration, error) {
 		return 0, net.ErrClosed
 	}
 	return maxOf(in.delay[pair{c.from, c.to}]), nil
+}
+
+// quiet reports whether no fault would hold a write on c now: its forward
+// direction is neither cut nor spiked, and c and the injector are live.
+func (in *Injector) quiet(c *Conn) bool {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	p := pair{c.from, c.to}
+	return in.cut[p] == 0 && len(in.delay[p]) == 0 && !c.severed && !c.closed && !in.closed
 }
 
 // readSpike returns the spike engaged on the conn's reverse direction, the

@@ -275,6 +275,14 @@ func TestTracingDisabledDrainZeroAlloc(t *testing.T) {
 	if n := clockCalls.Load(); n != 0 {
 		t.Fatalf("tracing-off stream made %d data-path clock calls, want 0", n)
 	}
+	// The same for lone messages, which a Send writes on the link's
+	// connection itself (link.borrow).
+	if _, tap := loneMessages(t, optrace.Config{}, 64); tap.taken.Load() == 0 {
+		t.Fatal("no lone message went out borrowed")
+	}
+	if n := clockCalls.Load(); n != 0 {
+		t.Fatalf("tracing-off lone messages made %d data-path clock calls, want 0", n)
+	}
 	// Positive control: with every op sampled the same path must read the
 	// clock, proving the shim actually intercepts the drain loop.
 	clockCalls.Store(0)
@@ -332,4 +340,54 @@ func streamMessages(t *testing.T, trace optrace.Config, msgs int) {
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
+}
+
+// loneMessages sends msgs messages from node 1 to node 2 over an unshaped
+// in-memory fabric one at a time, each once node 2's report of the one
+// before is back, as a closed-loop client does: node 1's link lends its
+// stream, and most of them are written by the sending goroutine. It closes
+// both transports (joining every link goroutine) and returns node 1's and the
+// tally of its link's try-writes.
+func loneMessages(t *testing.T, trace optrace.Config, msgs int) (*Transport, *tryTap) {
+	t.Helper()
+	fabric := emunet.NewMemNetwork(nil)
+	defer fabric.Close()
+	tap := tapTries(fabric, nil)
+	sendLog, rec := NewSendLog(1), newRecorder()
+	rep := &reporter{recorder: newRecorder(), self: 2}
+	tr1, err := New(Config{
+		Self: 1, N: 2, Network: fabric, Handler: rec, Log: sendLog,
+		HeartbeatEvery: 20 * time.Millisecond,
+		Trace:          optrace.New(1, trace),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr2, err := New(Config{
+		Self: 2, N: 2, Network: fabric, Handler: rep, Log: NewSendLog(1),
+		HeartbeatEvery: 20 * time.Millisecond,
+		Trace:          optrace.New(2, trace),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep.tr.Store(tr2)
+	if err := tr1.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr2.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer tr2.Close()
+	defer tr1.Close()
+
+	payload := make([]byte, 64)
+	for i := uint64(1); i <= uint64(msgs); i++ {
+		if _, err := sendLog.Append(payload, 0); err != nil {
+			t.Fatal(err)
+		}
+		tr1.NotifyData()
+		poll(t, "the message's report", func() bool { return rec.maxAck(1, 2, 1) >= i })
+	}
+	return tr1, tap
 }

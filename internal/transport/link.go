@@ -6,6 +6,7 @@ import (
 	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"stabilizer/internal/optrace"
@@ -47,6 +48,12 @@ type link struct {
 	// queued ACKs) costs one channel send per idle link, and a wake never
 	// blocks or takes a lock.
 	bell chan struct{}
+	// state hands the stream between the writer and a Send that borrows it
+	// (streamRunning and the rest; see borrow). Whoever holds the stream owns
+	// maxDataSeq, batch, vec and traced below and cursor and tw further on:
+	// the writer while it runs, a borrower while it is lent. It sits beside
+	// bell because NotifyData reads both, for every link on every Send.
+	state atomic.Int32
 
 	// mu guards apps, hbDue, hbClock, closed and the hbSent pair.
 	mu      sync.Mutex
@@ -62,10 +69,10 @@ type link struct {
 
 	// maxDataSeq is the highest data sequence ever written on any
 	// connection of this link; entries at or below it are resends.
-	// Touched only by the run/stream goroutine.
+	// Whoever holds the stream (see state) touches it.
 	maxDataSeq uint64
-	// batch is the reusable drain buffer for TryNextBatch. Run/stream
-	// goroutine only.
+	// batch is the reusable drain buffer for TryNextBatch. Whoever holds
+	// the stream.
 	batch []LogEntry
 	// vec is the flush being gathered, in wire order: each data frame as the
 	// log holds it (a visible frame is never written again, so it is handed
@@ -73,7 +80,8 @@ type link struct {
 	// out, which holds only those and is never written again below its
 	// length once handed over (see moveOut). joined backs the one Write a
 	// connection that does not take buffers gets (see joinWriter). ackBuf
-	// backs the ACK slice takeReports hands out. Run/stream goroutine only.
+	// backs the ACK slice takeReports hands out. Run/stream goroutine only,
+	// but vec, empty while the writer parks, is whoever holds the stream's.
 	vec    [][]byte
 	out    []byte
 	joined []byte
@@ -88,13 +96,23 @@ type link struct {
 	peerScanned uint64
 	// traced collects the sampled entries gathered into vec, so their
 	// WireSend events can be stamped after the connection write returns.
-	// Empty whenever tracing is off or nothing in vec was sampled. Run/stream
-	// goroutine only.
+	// Empty whenever tracing is off or nothing in vec was sampled, and
+	// while the writer parks. Whoever holds the stream.
 	traced []tracedSend
 	// rng drives the reconnect backoff jitter. Seeded from the link's
 	// identity so seeded chaos runs replay the same sleep sequence.
 	// Run goroutine only.
 	rng *rand.Rand
+
+	// cursor is the next sequence the connection has not carried, published
+	// by the writer as it parks and moved by each borrower that writes.
+	cursor uint64
+	// tw is the current connection's try-write, nil if it has none: a
+	// writer without one never lends its stream.
+	tw tryWriter
+	// acked is the highest sequence of this node's stream that the peer has
+	// reported anything about, on either connection (noteReport).
+	acked atomic.Uint64
 
 	connMu sync.Mutex
 	conn   net.Conn
@@ -116,6 +134,84 @@ func (l *link) wake() {
 	select {
 	case l.bell <- struct{}{}:
 	default:
+	}
+}
+
+// The states of link.state. A writer parks lending its stream only after a
+// pass whose data batch held at most one entry, and only on a connection with
+// a try-write; a borrower takes it parked → lent and gives it back as parked,
+// ringing the bell if the writer asked for it meanwhile (lent → wanted).
+const (
+	streamRunning int32 = iota // the writer holds it
+	streamParked               // the writer waits on the bell; a Send may borrow it
+	streamLent                 // a Send is writing on it
+	streamWanted               // lent, and the writer waits on the bell for it back
+)
+
+// borrow writes the send log's new frames on the link's connection from the
+// calling Send's goroutine instead of waking the writer, and reports whether
+// it took the wake-up over; false leaves the ring to the caller. It borrows
+// only a stream its writer parked lending, only while the peer has reported
+// on every message before head (so nothing else is in flight to it and the
+// connection is drained), and only if the connection takes the whole write
+// now (tryWriter): two atomic loads decide, and a streaming producer, whose
+// writer parks after bursts, never gets past the first. A refused write
+// leaves the cursor where it was and rings, and so does a batch that left
+// frames behind, so the writer carries what the borrower did not.
+func (l *link) borrow(head uint64) bool {
+	if l.state.Load() != streamParked || l.acked.Load()+1 < head ||
+		!l.state.CompareAndSwap(streamParked, streamLent) {
+		return false
+	}
+	lim, rec := l.t.cfg.batch, l.t.cfg.Trace
+	l.batch = l.t.cfg.Log.TryNextBatch(l.cursor, l.batch[:0], lim.maxFrames, lim.maxBytes)
+	if n := len(l.batch); n > 0 {
+		for i := range l.batch {
+			l.vec = append(l.vec, l.batch[i].Frame)
+		}
+		taken := l.tw.TryWriteBuffers(l.vec)
+		clear(l.vec) // pin no frame the log has let go of
+		l.vec = l.vec[:0]
+		if taken {
+			// Accounted once the connection took it: a refused batch is
+			// the writer's to count when it writes it.
+			l.countData(l.batch, rec)
+			l.stampWireSend(rec)
+			l.cursor = l.batch[n-1].Seq + 1
+		}
+	}
+	// A cursor short of the head is a refused write or a batch that left
+	// frames behind.
+	left := l.cursor <= l.t.cfg.Log.Head()
+	if l.state.Swap(streamParked) == streamWanted || left {
+		l.wake()
+	}
+	return true
+}
+
+// reclaim takes the stream back for the writer after a wake-up: at once if
+// it is parked, else once the borrower gives it back, which rings the bell
+// for a writer that marked it wanted. A ring taken here may have been meant
+// for other work; waitWork checks every source after it.
+func (l *link) reclaim() {
+	for !l.state.CompareAndSwap(streamParked, streamRunning) {
+		if l.state.CompareAndSwap(streamLent, streamWanted) || l.state.Load() == streamWanted {
+			<-l.bell
+		}
+	}
+}
+
+// noteReport raises acked from a report about this node's stream made by the
+// link's peer; any other report leaves it.
+func (l *link) noteReport(a *wire.Ack) {
+	if int(a.Origin) != l.t.cfg.Self || int(a.By) != l.peer {
+		return
+	}
+	for {
+		cur := l.acked.Load()
+		if a.Seq <= cur || l.acked.CompareAndSwap(cur, a.Seq) {
+			return
+		}
 	}
 }
 
@@ -365,6 +461,7 @@ func (l *link) dial() (net.Conn, uint64, error) {
 			case *wire.Ack:
 				l.ins.ackRecv.Inc()
 				l.t.heard(l.peer)
+				l.noteReport(m)
 				l.t.cfg.Handler.HandleAck(m)
 			}
 		}
@@ -469,6 +566,18 @@ func (l *link) moveOut() {
 	}
 }
 
+// tryWriter is a connection that can take a flush without blocking:
+// TryWriteBuffers writes the whole concatenation of bufs as WriteBuffers
+// would, borrowing the buffers alike, if it can now, and otherwise writes
+// none of it and returns false. The memory fabric's unshaped directions are
+// one. A shaped direction refuses every try-write, an empty one included,
+// which is how the stream learns not to lend it: a Send that borrowed would
+// arm each link's arrival timer in turn. A kernel socket has none, so its
+// links keep the wake.
+type tryWriter interface {
+	TryWriteBuffers(bufs [][]byte) bool
+}
+
 // writerFor is how the stream hands its flushes to conn, chosen once per
 // connection.
 func (l *link) writerFor(conn net.Conn) buffersWriter {
@@ -507,6 +616,9 @@ func (l *link) stream(conn net.Conn, cursor uint64) {
 	lim := l.t.cfg.batch
 	rec := l.t.cfg.Trace
 	w := l.writerFor(conn)
+	if l.tw, _ = conn.(tryWriter); l.tw != nil && !l.tw.TryWriteBuffers(nil) {
+		l.tw = nil // it never takes one, or not on this connection
+	}
 	l.vec, l.traced = l.vec[:0], l.traced[:0]
 	l.moveOut()
 	gathered := 0  // bytes in l.vec
@@ -515,45 +627,25 @@ func (l *link) stream(conn net.Conn, cursor uint64) {
 		mark := gathered
 		l.batch = l.t.cfg.Log.TryNextBatch(cursor, l.batch[:0], lim.maxFrames, lim.maxBytes)
 		if n := len(l.batch); n > 0 {
-			var tDrain int64
-			resends := 0
 			for i := range l.batch {
-				e := &l.batch[i]
-				l.vec = append(l.vec, e.Frame)
-				gathered += len(e.Frame)
-				if e.Seq <= l.maxDataSeq {
-					resends++
-				} else {
-					l.maxDataSeq = e.Seq
-				}
-				if rec != nil && rec.Sampled(l.t.cfg.Self, e.Seq) {
-					if tDrain == 0 {
-						tDrain = nowNano() // first sampled entry pays the clock read
-					}
-					var d wire.Data
-					wire.DecodeDataFrame(e.Frame, &d)
-					rec.Record(optrace.StageBatchEnqueue, l.t.cfg.Self, e.Seq, l.peer, 0, tDrain)
-					l.t.stageBatchQueue.Observe(tDrain - d.SentUnixNano)
-					l.traced = append(l.traced, tracedSend{e.Seq, tDrain})
-				}
+				l.vec = append(l.vec, l.batch[i].Frame)
 			}
+			gathered += l.countData(l.batch, rec)
 			cursor = l.batch[n-1].Seq + 1
 			burst = n > 1
-			l.ins.dataSent.Add(int64(n))
-			l.ins.resent.Add(int64(resends))
 		}
 		ctl := len(l.out)
 		if !l.encodeControl() {
 			return
 		}
-		if len(l.out) > ctl {
+		if k := len(l.out) - ctl; k > 0 {
 			// A later pass may move out as it grows; this sub-slice keeps
 			// the bytes it names where they are.
 			l.vec = append(l.vec, l.out[ctl:])
-			gathered += len(l.out) - ctl
+			gathered += k
+			l.ins.bytesSent.Add(int64(k))
 		}
 		busy := gathered > mark
-		l.ins.bytesSent.Add(int64(gathered - mark))
 		if busy && gathered < outFlushBytes {
 			continue
 		}
@@ -565,26 +657,67 @@ func (l *link) stream(conn net.Conn, cursor uint64) {
 				return // the next connection resends every report
 			}
 			l.vec, gathered = l.vec[:0], 0
-			if len(l.traced) > 0 {
-				tWrite := nowNano()
-				for _, s := range l.traced {
-					rec.Record(optrace.StageWireSend, l.t.cfg.Self, s.seq, l.peer, 0, tWrite)
-					l.t.stageWireSend.Observe(tWrite - s.drained)
-				}
-				l.traced = l.traced[:0]
-			}
+			l.stampWireSend(rec)
 		}
 		if busy {
 			continue
 		}
 		if burst {
-			burst = false
 			runtime.Gosched()
 		}
-		if !l.waitWork(cursor) {
+		if !l.waitWork(cursor, !burst) {
 			return
 		}
+		cursor, burst = l.cursor, false // a borrower may have moved it
 	}
+}
+
+// countData accounts a batch of data frames drained for the connection: the
+// resends among them (at or below maxDataSeq, which rises to the newest),
+// dataSent and bytesSent, and a StageBatchEnqueue stamp for each sampled
+// entry, queued in traced for stampWireSend. It returns the frames' bytes.
+// The stream calls it as it gathers a batch and a borrower once its write is
+// taken, so a borrowed batch's two stamps both follow its write.
+func (l *link) countData(batch []LogEntry, rec *optrace.Recorder) int {
+	var tDrain int64
+	resends, bytes := 0, 0
+	for i := range batch {
+		e := &batch[i]
+		bytes += len(e.Frame)
+		if e.Seq <= l.maxDataSeq {
+			resends++
+		} else {
+			l.maxDataSeq = e.Seq
+		}
+		if rec != nil && rec.Sampled(l.t.cfg.Self, e.Seq) {
+			if tDrain == 0 {
+				tDrain = nowNano() // first sampled entry pays the clock read
+			}
+			var d wire.Data
+			wire.DecodeDataFrame(e.Frame, &d)
+			rec.Record(optrace.StageBatchEnqueue, l.t.cfg.Self, e.Seq, l.peer, 0, tDrain)
+			l.t.stageBatchQueue.Observe(tDrain - d.SentUnixNano)
+			l.traced = append(l.traced, tracedSend{e.Seq, tDrain})
+		}
+	}
+	l.ins.dataSent.Add(int64(len(batch)))
+	l.ins.resent.Add(int64(resends))
+	l.ins.bytesSent.Add(int64(bytes))
+	return bytes
+}
+
+// stampWireSend stamps StageWireSend on the sampled entries in traced, which
+// the connection write that has just returned carried, and empties it.
+func (l *link) stampWireSend(rec *optrace.Recorder) {
+	if len(l.traced) == 0 {
+		return
+	}
+	tWrite := nowNano()
+	for _, s := range l.traced {
+		rec.Record(optrace.StageWireSend, l.t.cfg.Self, s.seq, l.peer, 0, tWrite)
+		l.t.stageWireSend.Observe(tWrite - s.drained)
+	}
+	l.traced = l.traced[:0]
 }
 
 // tracedSend is one sampled entry gathered into l.vec and not yet written.
@@ -633,8 +766,13 @@ func (l *link) encodeControl() bool {
 // heartbeat, a report about the link's own peer, or a log entry at
 // or beyond cursor. Every source is checked before the first park, so a
 // caller that has just flushed (and perhaps yielded: see stream) gets its
-// re-check here. Returns false on close.
-func (l *link) waitWork(cursor uint64) bool {
+// re-check here. Returns false on close. It publishes cursor in l.cursor, and
+// with lend (and a try-write on the connection) parks the stream for a Send to
+// borrow (borrow), taking it back on each wake-up (reclaim) and reading the
+// cursor the borrowers left: the caller resumes from l.cursor.
+func (l *link) waitWork(cursor uint64, lend bool) bool {
+	l.cursor = cursor
+	lend = lend && l.tw != nil
 	for {
 		// Clear the bell, check every source, then wait: a wake that lands
 		// before the clear has its work visible to the checks, and one that
@@ -656,9 +794,15 @@ func (l *link) waitWork(cursor uint64) bool {
 		if queued || l.reportDue() {
 			return true
 		}
-		if l.batch = l.t.cfg.Log.TryNextBatch(cursor, l.batch[:0], 1, 0); len(l.batch) > 0 {
+		if l.batch = l.t.cfg.Log.TryNextBatch(l.cursor, l.batch[:0], 1, 0); len(l.batch) > 0 {
 			return true
 		}
-		<-l.bell // close rings it too
+		if !lend {
+			<-l.bell // close rings it too
+			continue
+		}
+		l.state.Store(streamParked)
+		<-l.bell
+		l.reclaim()
 	}
 }

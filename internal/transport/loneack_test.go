@@ -46,15 +46,22 @@ func (r *reporter) runLens() []int {
 	return append([]int(nil), r.runs...)
 }
 
-// startReporters is startHarnessOn with a reporter as every node's handler.
+// startReporters is startHarnessOn with a reporter as every node's handler
+// and no heartbeat.
 func startReporters(t *testing.T, fabric emunet.Network, n int) (*harness, []*reporter) {
+	t.Helper()
+	return startReportersEvery(t, fabric, n, noHeartbeat)
+}
+
+// startReportersEvery is startReporters with a chosen heartbeat period.
+func startReportersEvery(t *testing.T, fabric emunet.Network, n int, heartbeat time.Duration) (*harness, []*reporter) {
 	t.Helper()
 	h := &harness{net: fabric}
 	var reps []*reporter
 	for i := 1; i <= n; i++ {
 		rep := &reporter{recorder: newRecorder(), self: i}
 		log := NewSendLog(1)
-		tr, err := New(Config{Self: i, N: n, Network: fabric, Handler: rep, Log: log, HeartbeatEvery: noHeartbeat})
+		tr, err := New(Config{Self: i, N: n, Network: fabric, Handler: rep, Log: log, HeartbeatEvery: heartbeat})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -439,12 +439,19 @@ func (t *Transport) Close() error {
 	return nil
 }
 
-// NotifyData wakes every outgoing link after new entries were appended to
-// the send log. Wakeups are coalesced per link: during a burst of appends
+// NotifyData hands the entries just appended to the send log to every
+// outgoing link. A link whose writer parked lending its stream, whose peer has
+// reported on every message before the log's head and whose connection takes
+// the write now gets the new frames written by the caller, and no wake-up
+// (link.borrow): a lone message goes out on the Send's goroutine. Every other
+// link is woken. Wake-ups are coalesced per link: during a burst of appends
 // the first ring fills a link's doorbell and the rest find it full.
 func (t *Transport) NotifyData() {
+	head := t.cfg.Log.Head()
 	for _, lk := range t.linkList {
-		lk.wake()
+		if !lk.borrow(head) {
+			lk.wake()
+		}
 	}
 }
 
@@ -673,6 +680,7 @@ func (t *Transport) serveIncoming(conn net.Conn) {
 			ins.bytesSent.Add(int64(len(scratch)))
 		case *wire.Ack:
 			ins.ackRecv.Inc()
+			t.links[from].noteReport(m)
 			t.cfg.Handler.HandleAck(m)
 		case *wire.App:
 			ins.appRecv.Inc()
