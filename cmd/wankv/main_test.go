@@ -153,10 +153,8 @@ func bootCutOff(t *testing.T, args ...string) (primary *stabilizer.Node, put fun
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj := faultinject.New(nil)
 	network := emunet.NewMemNetwork(nil)
-	network.SetConnHook(inj.Hook())
-	inj.Blackhole(1, 2)
+	faultinject.New(network, nil).Blackhole(1, 2)
 	topo := stabilizer.EC2Topology(1)
 	cfg := o.node.Cluster()
 	cfg.Topology, cfg.Network = topo, network
@@ -166,7 +164,6 @@ func bootCutOff(t *testing.T, args ...string) (primary *stabilizer.Node, put fun
 	}
 	t.Cleanup(func() {
 		cluster.Close()
-		inj.Close()
 		network.Close()
 	})
 	stores := make([]*wankv.Store, topo.N())

@@ -79,6 +79,10 @@ type Options struct {
 	// 200 Mbps). GB-scale spill soaks raise it so the post-heal drain fits
 	// DrainTimeout.
 	BandwidthBps float64
+	// unshaped runs every link with no latency, jitter or bandwidth cap in
+	// place of the rig's light shaping, so a lone message goes out on its
+	// Send's goroutine (a borrowed write) and meets the faults there.
+	unshaped bool
 	// AutoReclaim leaves send-log reclamation on (the soak default disables
 	// it so crash-restarted receivers can be resent the full prefix). A
 	// flow-capped soak needs it on — bounded memory requires truncation —
@@ -216,6 +220,9 @@ type scenario struct {
 	// topology and the fabric.
 	cluster   core.Config
 	bandwidth float64
+	// unshaped leaves every link of the fabric unshaped: no latency, jitter
+	// or bandwidth cap.
+	unshaped bool
 	// Each sender appends payloadBytes every sendEvery. With payload set the
 	// bytes are payload(origin, seq) and the sender must be its node's only
 	// appender: the sequence is read before Send assigns it.
@@ -390,7 +397,9 @@ func (sc *scenario) run() (*Report, error) {
 	cfg := sc.cluster
 	cfg.Topology = testbed.Flat(clusterSize)
 	matrix := emunet.NewMatrix()
-	matrix.Default = emunet.Link{OneWayLatency: linkLatency, Jitter: linkJitter, BandwidthBps: sc.bandwidth}
+	if !sc.unshaped {
+		matrix.Default = emunet.Link{OneWayLatency: linkLatency, Jitter: linkJitter, BandwidthBps: sc.bandwidth}
+	}
 	bed, err := testbed.Boot(cfg, testbed.Fabric{Matrix: matrix, Seed: sc.seed, Faults: true})
 	if err != nil {
 		return rep, fmt.Errorf("%s: %w", sc.name, err)
@@ -528,7 +537,7 @@ func Soak(o Options) (*Report, error) {
 
 	sc := &scenario{
 		name: "chaos", seed: o.Seed, logf: o.Logf, sched: sched, senders: soakSenders,
-		cluster: o.Cluster, bandwidth: o.BandwidthBps,
+		cluster: o.Cluster, bandwidth: o.BandwidthBps, unshaped: o.unshaped,
 		sendEvery: o.SendEvery, payloadBytes: o.PayloadBytes,
 		drain: o.DrainTimeout, sweepEvery: 100 * time.Millisecond,
 	}

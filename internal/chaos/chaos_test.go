@@ -70,6 +70,22 @@ func TestChaosSoak(t *testing.T) {
 	}
 	t.Logf("chaos soak passed: seed=%d fingerprint=%s heads=%v deliveries=%d kinds=%v",
 		seed, rep.Schedule.Fingerprint(), rep.Heads, rep.Deliveries, rep.Schedule.Kinds())
+
+	// On unshaped links a lone message goes out on its Send's goroutine, so
+	// the borrowed write meets every fault kind under the same invariants.
+	// Seed 1's schedule draws all six kinds within 800 ms.
+	t.Run("unshaped", func(t *testing.T) {
+		const seed = 1
+		o := Options{Seed: seed, Horizon: 800 * time.Millisecond, unshaped: true, Logf: t.Logf}
+		o.Cluster.Trace = optrace.Config{SampleEvery: 4, RingSize: 1 << 15}
+		rep, err := Soak(o)
+		if err != nil {
+			if rep != nil {
+				t.Logf("schedule (fingerprint %s):\n%s", rep.Schedule.Fingerprint(), rep.Schedule)
+			}
+			failSeeded(t, "unshaped chaos soak", seed, err)
+		}
+	})
 }
 
 // TestSoakScheduleReplayIsIdentical pins the acceptance requirement that

@@ -24,9 +24,8 @@ func holders(v PredicateState) []int {
 // the returned injector can cut, with a 12.5ms heartbeat.
 func openCuttableCluster(t *testing.T) (*Cluster, *faultinject.Injector) {
 	t.Helper()
-	inj := faultinject.New(nil)
 	net := emunet.NewMemNetwork(nil)
-	net.SetConnHook(inj.Hook())
+	inj := faultinject.New(net, nil)
 	cl, err := OpenCluster(Config{
 		Topology:       flatTopology(3),
 		Network:        net,
@@ -38,7 +37,6 @@ func openCuttableCluster(t *testing.T) (*Cluster, *faultinject.Injector) {
 	}
 	t.Cleanup(func() {
 		_ = cl.Close()
-		inj.Close()
 		_ = net.Close()
 	})
 	return cl, inj

@@ -14,15 +14,12 @@ import (
 	"stabilizer/internal/transport"
 )
 
-// startFlowCluster is startCluster with admission control engaged and an
-// optional fault injector wired into the fabric's dial path.
-func startFlowCluster(t *testing.T, n int, inj *faultinject.Injector, cfg func(c *Config)) *cluster {
+// startFlowCluster is startCluster with admission control engaged; a fault
+// injector made on c.net reaches its links.
+func startFlowCluster(t *testing.T, n int, cfg func(c *Config)) *cluster {
 	t.Helper()
 	topo := flatTopology(n)
 	c := &cluster{net: emunet.NewMemNetwork(nil), metrics: metrics.NewRegistry()}
-	if inj != nil {
-		c.net.SetConnHook(inj.Hook())
-	}
 	for i := 1; i <= n; i++ {
 		conf := Config{
 			Topology:       topo.WithSelf(i),
@@ -42,9 +39,6 @@ func startFlowCluster(t *testing.T, n int, inj *faultinject.Injector, cfg func(c
 	t.Cleanup(func() {
 		for _, node := range c.nodes {
 			_ = node.Close()
-		}
-		if inj != nil {
-			inj.Close()
 		}
 		_ = c.net.Close()
 	})
@@ -68,10 +62,10 @@ func waitUntil(t *testing.T, d time.Duration, what string, cond func() bool) {
 // fills, Send blocks — and healing the link drains the backlog, truncates,
 // and lets the blocked send complete.
 func TestSendBlocksAtCapResumesAfterHeal(t *testing.T) {
-	inj := faultinject.New(nil)
-	c := startFlowCluster(t, 3, inj, func(conf *Config) {
+	c := startFlowCluster(t, 3, func(conf *Config) {
 		conf.Flow = transport.FlowConfig{MaxBytes: 2 << 10}
 	})
+	inj := faultinject.New(c.net, nil)
 	sender := c.nodes[0]
 
 	// Warm up: make sure every link is live before cutting one, so the
@@ -146,7 +140,7 @@ func TestSendBlocksAtCapResumesAfterHeal(t *testing.T) {
 // truncates and fills it to the cap with SendCtx(ctx) calls (nil is Send).
 func fillSendLog(t *testing.T, ctx context.Context) (c *cluster, payload []byte) {
 	t.Helper()
-	c = startFlowCluster(t, 2, nil, func(conf *Config) {
+	c = startFlowCluster(t, 2, func(conf *Config) {
 		conf.Flow = transport.FlowConfig{MaxBytes: 2 << 10}
 		conf.DisableAutoReclaim = true
 	})

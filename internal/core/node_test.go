@@ -346,9 +346,8 @@ func TestCheckpointRestartResumesSequence(t *testing.T) {
 // TestPeerDownDetection: node 1's OnPeer hook hears a cut-off peer go down
 // and, after the heal, come back up — once each, in that order.
 func TestPeerDownDetection(t *testing.T) {
-	inj := faultinject.New(nil)
 	net := emunet.NewMemNetwork(nil)
-	net.SetConnHook(inj.Hook())
+	inj := faultinject.New(net, nil)
 	cl, err := OpenCluster(Config{
 		Topology:       flatTopology(3),
 		Network:        net,
@@ -359,7 +358,6 @@ func TestPeerDownDetection(t *testing.T) {
 	}
 	defer func() {
 		_ = cl.Close()
-		inj.Close()
 		_ = net.Close()
 	}()
 	n1 := cl.Node(1)

@@ -201,11 +201,9 @@ func TestSnapshotNeverShowsAHalfSwappedPredicate(t *testing.T) {
 // failure detector and a flap; the nodes are then closed, so the counters
 // stand still and the comparison is exact.
 func TestSnapshotTotalsEqualPerPeerFamilies(t *testing.T) {
-	inj := faultinject.New(nil)
-	defer inj.Close()
 	net := emunet.NewMemNetwork(nil)
 	defer net.Close()
-	net.SetConnHook(inj.Hook())
+	inj := faultinject.New(net, nil)
 	reg := metrics.NewRegistry()
 	cl, err := OpenCluster(Config{
 		Topology:       flatTopology(3),

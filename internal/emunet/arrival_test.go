@@ -121,9 +121,9 @@ func TestArrivalCloseWhileWaitIsPending(t *testing.T) {
 		time.Sleep(time.Until(at) + 2*time.Millisecond)
 		q.mu.Lock()
 		s := q.s
-		if s.timer != nil || s.units != nil || s.inFlight != 0 || q.n != 0 || q.bufs != nil {
+		if q.timer != nil || s.units != nil || s.inFlight != 0 || q.n != 0 || q.bufs != nil {
 			t.Fatalf("after Close and the arrival: timer %v, %d units, %d in flight, %d held; want all gone",
-				s.timer, len(s.units), s.inFlight, q.n)
+				q.timer, len(s.units), s.inFlight, q.n)
 		}
 		q.mu.Unlock()
 		if _, err := q.read(make([]byte, 1)); err != net.ErrClosed {
@@ -142,23 +142,23 @@ func TestArrivalRearmWhileWaitIsPending(t *testing.T) {
 		q, _ := pendingArrival(t)
 		q.mu.Lock()
 		s := q.s
-		if s.timer == nil { // a stall made the unit arrive already
+		if q.timer == nil { // a stall made the unit arrive already
 			q.mu.Unlock()
 			continue
 		}
-		if !s.timer.Stop() {
+		if !q.timer.Stop() {
 			late++
 		}
-		s.timer = nil
+		q.timer = nil
 		at := time.Now().Add(20 * time.Millisecond)
 		s.units[s.head].at = at
 		q.armArrival()
-		rearmed := s.timer
+		rearmed := q.timer
 		q.mu.Unlock()
 
 		time.Sleep(5 * time.Millisecond)
 		q.mu.Lock()
-		armed := s.timer
+		armed := q.timer
 		q.mu.Unlock()
 		if armed != rearmed {
 			t.Fatalf("round %d: the stopped timer's fire replaced the re-armed timer %p with %p", i, rearmed, armed)

@@ -130,12 +130,6 @@ type Network interface {
 // Mbps converts megabits per second to bits per second.
 func Mbps(v float64) float64 { return v * 1e6 }
 
-// ConnHook intercepts the dial path of a fabric: it runs after shaping and
-// may wrap the connection (fault injection, tracing) or reject the dial by
-// returning an error, in which case the dial fails as if the target were
-// unreachable. The hook runs on the dialer's goroutine.
-type ConnHook func(from, to int, conn net.Conn) (net.Conn, error)
-
 // fabricRand derives per-connection random sources from one master seed so
 // shaped-link jitter is pinned by the fabric's seed rather than global
 // process randomness. Dial-order dependence is accepted: the seed pins the
@@ -161,15 +155,14 @@ func (f *fabricRand) child() *rand.Rand {
 const defaultFabricSeed = 1
 
 // fabric is what the two Network implementations share: the matrix every
-// dialed connection is shaped by, the seed its jitter is drawn from, the dial
-// hook and the closed latch, behind the mutex that also guards the embedding
-// fabric's listener table.
+// dialed connection is shaped by, the seed its jitter is drawn from and the
+// closed latch, behind the mutex that also guards the embedding fabric's
+// own tables.
 type fabric struct {
 	matrix *Matrix
 
 	mu     sync.Mutex
 	closed bool
-	hook   ConnHook
 	rnd    *fabricRand
 }
 
@@ -189,41 +182,25 @@ func (f *fabric) Seed(seed int64) {
 	f.mu.Unlock()
 }
 
-// SetConnHook installs a dial-path hook (see ConnHook). Pass nil to remove.
-// Call before dialing begins; concurrent dials observe the latest hook.
-func (f *fabric) SetConnHook(h ConnHook) {
+// schedules returns the schedules of a connection dialed from → to, drawn
+// from the matrix and from one child of the fabric's source: every dial
+// draws one, shaped or not, so a seed pins each dial's jitter.
+func (f *fabric) schedules(from, to int) (fwd, rev *schedule) {
 	f.mu.Lock()
-	f.hook = h
+	rnd := f.rnd
 	f.mu.Unlock()
-}
-
-// connect dials from → to: open builds the connection on the schedules of
-// its two directions, drawn from the matrix and from one child of the
-// fabric's source (every dial draws one, shaped or not, so a seed pins each
-// dial's jitter), and the hook, if any, gets it. A hook that rejects the dial
-// gets the connection closed and its error returned.
-func (f *fabric) connect(from, to int, open func(fwd, rev *schedule) net.Conn) (net.Conn, error) {
-	f.mu.Lock()
-	hook, rnd := f.hook, f.rnd
-	f.mu.Unlock()
-	conn := open(schedules(f.matrix.Get(from, to), f.matrix.Get(to, from), rnd.child()))
-	if hook == nil {
-		return conn, nil
-	}
-	wrapped, err := hook(from, to, conn)
-	if err != nil {
-		_ = conn.Close()
-		return nil, err
-	}
-	return wrapped, nil
+	return schedules(f.matrix.Get(from, to), f.matrix.Get(to, from), rnd.child())
 }
 
 // MemNetwork is an in-process fabric built on buffered memory connections
 // (memConn), each direction shaped in its own queue: a dial starts no
-// goroutine.
+// goroutine. Faults are a state of those queues too (SetFault, Sever), so
+// they apply to a direction whichever end dialed.
 type MemNetwork struct {
 	fabric
 	listeners map[int]*memListener
+	faults    map[[2]int]Fault                  // engaged, by directed pair
+	live      map[[2]int]map[*memQueue]struct{} // read, by directed pair
 }
 
 var _ Network = (*MemNetwork)(nil)
@@ -231,7 +208,11 @@ var _ Network = (*MemNetwork)(nil)
 // NewMemNetwork creates an in-memory fabric shaped by matrix. A nil matrix
 // yields unshaped links.
 func NewMemNetwork(matrix *Matrix) *MemNetwork {
-	n := &MemNetwork{listeners: make(map[int]*memListener)}
+	n := &MemNetwork{
+		listeners: make(map[int]*memListener),
+		faults:    make(map[[2]int]Fault),
+		live:      make(map[[2]int]map[*memQueue]struct{}),
+	}
 	n.init(matrix)
 	return n
 }
@@ -241,6 +222,9 @@ var (
 	ErrClosed     = errors.New("emunet: network closed")
 	ErrNoListener = errors.New("emunet: no listener for node")
 	ErrDupListen  = errors.New("emunet: node already listening")
+	// ErrLinkCut fails a dial whose direction is cut (Fault.Cut): a dropped
+	// SYN, surfaced at once so the dialer's backoff drives the retry.
+	ErrLinkCut = errors.New("emunet: link cut")
 )
 
 // Listen implements Network.
@@ -279,13 +263,12 @@ func (n *MemNetwork) Dial(from, to int) (net.Conn, error) {
 	if l == nil {
 		return nil, fmt.Errorf("%w: %d", ErrNoListener, to)
 	}
-	var acceptSide *memConn
-	conn, err := n.connect(from, to, func(fwd, rev *schedule) (dialSide net.Conn) {
-		dialSide, acceptSide = newMemConnPair(from, to, fwd, rev)
-		return dialSide
-	})
+	fwd, rev := n.schedules(from, to)
+	conn, acceptSide := newMemConnPair(from, to, fwd, rev)
+	n.mu.Lock()
+	err := n.track(conn)
+	n.mu.Unlock()
 	if err != nil {
-		_ = acceptSide.Close()
 		return nil, err
 	}
 	select {
@@ -407,7 +390,8 @@ func (n *TCPNetwork) Dial(from, to int) (net.Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("emunet: dial node %d: %w", to, err)
 	}
-	return n.connect(from, to, func(fwd, rev *schedule) net.Conn { return shape(c, fwd, rev) })
+	fwd, rev := n.schedules(from, to)
+	return shape(c, fwd, rev), nil
 }
 
 // Close implements Network.

@@ -37,6 +37,7 @@ var _ net.Conn = (*memConn)(nil)
 // schedule leaves its direction unshaped.
 func newMemConnPair(from, to int, fwd, rev *schedule) (dialSide, acceptSide *memConn) {
 	f, r := newMemQueue(fwd), newMemQueue(rev)
+	f.dir, r.dir = [2]int{from, to}, [2]int{to, from}
 	a, b := memAddr{node: from}, memAddr{node: to}
 	return &memConn{in: r, out: f, local: a, remote: b},
 		&memConn{in: f, out: r, local: b, remote: a}
@@ -54,10 +55,10 @@ func (c *memConn) WriteBuffers(bufs [][]byte) (int, error) { return c.out.write(
 // now, and returns true; otherwise it writes nothing and returns false. It
 // never waits: it refuses while another write holds the direction, once
 // either end has closed or the write deadline has passed, when the bytes would
-// not fit under the bound, and always on a shaped direction, whose arrival
-// timer is better armed by the connection's own writer than by a caller that
-// writes on several links in turn. An empty bufs asks whether the direction
-// takes try-writes at all.
+// not fit under the bound, while a fault is engaged on the direction, and
+// always on a shaped direction, whose arrival timer is better armed by the
+// connection's own writer than by a caller that writes on several links in
+// turn. An empty bufs asks whether the direction takes try-writes now.
 func (c *memConn) TryWriteBuffers(bufs [][]byte) bool { return c.out.tryWrite(bufs) }
 
 // Close fails this end's own calls, parked or future, with net.ErrClosed.
@@ -90,7 +91,9 @@ func (c *memConn) SetWriteDeadline(t time.Time) error { return c.out.setDeadline
 // of one, copied into blk first). An unshaped direction holds up to
 // memConnBytes and a byte is readable once written; a shaped one holds up to
 // shaperQueueBytes, and a byte is readable once its schedule says it has
-// arrived.
+// arrived. A fault engaged on the direction (see Fault) holds back what would
+// be readable, and a spike gives an unshaped direction a schedule of its own
+// while it lasts.
 type memQueue struct {
 	// wmu serializes whole Writes, so one that proceeds in pieces against a
 	// full direction is not interleaved with another.
@@ -107,8 +110,20 @@ type memQueue struct {
 	canWrite     sync.Cond // room freed, or an end closed or timed out
 	bufs         [][]byte  // bufs[head:] hold n bytes, the first from off on
 	head, off, n int
+	bound, unit  int       // bytes held before a write waits; bytes per publish
 	r, w         memEnd    // the reading and the writing end
 	s            *schedule // the link schedule; nil on an unshaped direction
+	fault        *fault    // what is engaged on the direction; nil while nothing is
+
+	// timer wakes a read parked on bytes in flight or held by a pace, at
+	// timerAt.
+	timer   *time.Timer
+	timerAt time.Time
+
+	// net is the fabric that lists the direction under dir, from → to, for
+	// its faults; nil outside a MemNetwork.
+	net *MemNetwork
+	dir [2]int
 }
 
 // memEnd is what a direction knows about one of its two ends, guarded by the
@@ -121,7 +136,10 @@ type memEnd struct {
 }
 
 func newMemQueue(s *schedule) *memQueue {
-	q := &memQueue{s: s}
+	q := &memQueue{s: s, bound: memConnBytes, unit: memConnBytes}
+	if s != nil {
+		q.bound, q.unit = shaperQueueBytes, maxChunk
+	}
 	q.canRead.L = &q.mu
 	q.canWrite.L = &q.mu
 	return q
@@ -147,10 +165,7 @@ func (q *memQueue) write(bufs [][]byte, lend bool) (int, error) {
 	if err := q.writeErr(); err != nil {
 		return 0, err
 	}
-	bound, unit := memConnBytes, memConnBytes
-	if q.s != nil {
-		bound, unit = shaperQueueBytes, maxChunk
-	}
+	bound, unit := q.bound, q.unit
 	total, fresh := 0, 0 // fresh: taken and not yet published
 	for _, p := range bufs {
 		for len(p) > 0 {
@@ -176,15 +191,19 @@ func (q *memQueue) write(bufs [][]byte, lend bool) (int, error) {
 	return total, nil
 }
 
-// tryWrite is write of bufs, lent, if the unshaped direction can take all of
-// them without waiting; else it takes nothing and returns false.
+// tryWrite is write of bufs, lent, if the unshaped direction with no fault
+// engaged can take all of them without waiting; else it takes nothing and
+// returns false.
 func (q *memQueue) tryWrite(bufs [][]byte) bool {
-	if q.s != nil || !q.wmu.TryLock() {
+	if !q.wmu.TryLock() {
 		return false
 	}
 	defer q.wmu.Unlock()
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	if q.s != nil || q.fault != nil {
+		return false
+	}
 	total := 0
 	for _, p := range bufs {
 		total += len(p)
@@ -283,9 +302,13 @@ func (q *memQueue) read(p []byte) (int, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for {
-		ready := q.n
+		ready, f := q.n, q.fault
 		if q.s != nil {
-			ready = q.s.arrived(q.n)
+			ready = q.arrived()
+		}
+		var paced time.Time
+		if f != nil {
+			ready, paced = f.limit(ready)
 		}
 		switch {
 		case q.r.closed:
@@ -303,11 +326,18 @@ func (q *memQueue) read(p []byte) (int, error) {
 				}
 			}
 			q.n -= k
+			if f != nil {
+				f.took(k)
+			}
 			q.canWrite.Signal()
 			return k, nil
+		case !paced.IsZero():
+			q.armAt(paced)
 		case q.n > 0:
-			// Every byte held is still in flight on a shaped direction.
-			q.armArrival()
+			// Every byte held is still in flight, or held by a cut.
+			if q.s != nil {
+				q.armArrival()
+			}
 		case q.w.closed:
 			return 0, io.EOF
 		}
@@ -315,23 +345,40 @@ func (q *memQueue) read(p []byte) (int, error) {
 	}
 }
 
+// arrived is how many of the bytes the shaped direction holds have arrived,
+// before any fault holds them back. A spike's schedule on an unshaped
+// direction goes once the spike has cleared and its last unit has arrived.
+// Caller holds mu.
+func (q *memQueue) arrived() int {
+	s := q.s
+	ready := s.arrived(q.n)
+	if s.spikeOnly && s.spike == 0 && s.inFlight == 0 {
+		q.s = nil
+	}
+	return ready
+}
+
 // close ends the direction from e, one of its two ends. Once the reading end
 // has closed nobody will read what the direction holds, so its slices and
-// the schedule's arrivals and timer go with it; what a closed writing end
-// leaves behind stays readable, each byte at its arrival time.
+// the schedule's arrivals and timer go with it, and its fabric forgets it;
+// what a closed writing end leaves behind stays readable, each byte at its
+// arrival time.
 func (q *memQueue) close(e *memEnd) {
 	q.mu.Lock()
-	defer q.mu.Unlock()
 	e.closed = true
 	stopTimer(&e.timer)
 	if e == &q.r {
 		q.bufs, q.head, q.off, q.n = nil, 0, 0, 0
 		if s := q.s; s != nil {
 			s.units, s.head, s.inFlight = nil, 0, 0
-			stopTimer(&s.timer)
 		}
+		stopTimer(&q.timer)
 	}
 	q.wakeAll()
+	q.mu.Unlock()
+	if e == &q.r && q.net != nil {
+		q.net.forget(q)
+	}
 }
 
 // setDeadline arms the deadline of e, one of q's two ends, for t; the zero
@@ -372,25 +419,33 @@ func (q *memQueue) setDeadline(e *memEnd, t time.Time) error {
 }
 
 // armArrival arms the arrival timer for the first unit in flight, unless it
-// is armed: a read parked on bytes in flight wakes when they arrive (see
-// afterArrival for how close to the schedule). As with a deadline, a callback
-// whose timer was stopped first changes nothing, even one whose wait had
-// begun. Caller holds mu.
+// is armed no later: a read parked on bytes in flight wakes when they arrive.
+// Caller holds mu.
 func (q *memQueue) armArrival() {
-	s := q.s
-	if s.timer != nil || s.head == len(s.units) {
+	if s := q.s; s.head < len(s.units) {
+		q.armAt(s.units[s.head].at)
+	}
+}
+
+// armAt arms the direction's one timer to wake its parked reads at at (see
+// afterArrival for how close to it), unless it is armed no later. As with a
+// deadline, a callback whose timer was stopped first changes nothing, even
+// one whose wait had begun. Caller holds mu.
+func (q *memQueue) armAt(at time.Time) {
+	if q.timer != nil && !q.timerAt.After(at) {
 		return
 	}
+	stopTimer(&q.timer)
 	var tm *time.Timer
-	tm = afterArrival(s.units[s.head].at, func() {
+	tm = afterArrival(at, func() {
 		q.mu.Lock()
 		defer q.mu.Unlock()
-		if s.timer == tm {
-			s.timer = nil
+		if q.timer == tm {
+			q.timer = nil
 			q.canRead.Broadcast()
 		}
 	})
-	s.timer = tm
+	q.timer, q.timerAt = tm, at
 }
 
 func (q *memQueue) wakeAll() {

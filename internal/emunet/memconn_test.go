@@ -260,7 +260,7 @@ func TestMemConnClose(t *testing.T) {
 			if b.in.bufs != nil || b.in.n != 0 {
 				t.Fatalf("a closed reader still holds %d slices (%d bytes)", len(b.in.bufs), b.in.n)
 			}
-			if s := b.in.s; s != nil && (s.timer != nil || s.units != nil) {
+			if s := b.in.s; b.in.timer != nil || s != nil && s.units != nil {
 				t.Fatal("a closed reader still holds the direction's arrivals or arrival timer")
 			}
 		})
@@ -407,7 +407,7 @@ func TestMemConnDeadlines(t *testing.T) {
 		if a.in.r.timer != nil || a.out.w.timer != nil {
 			t.Error("a deadline timer outlived Close")
 		}
-		if s := a.in.s; s != nil && s.timer != nil {
+		if a.in.timer != nil {
 			t.Error("the arrival timer outlived Close")
 		}
 	})

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"io"
 	"math/rand"
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -199,78 +198,54 @@ func TestJitteredLinkPreservesFIFOAndBounds(t *testing.T) {
 	}
 }
 
-// TestConnHook covers the dial-path hook on both fabrics: a wrapping hook
-// sees the right endpoints and its wrapper carries the traffic; a
-// rejecting hook fails the dial with the hook's error.
-func TestConnHook(t *testing.T) {
-	errVetoed := errors.New("vetoed")
-	testFabrics(t, nil, func(t *testing.T, n Network) {
-		type hooked interface {
-			SetConnHook(ConnHook)
-		}
-		var (
-			mu    sync.Mutex
-			calls [][2]int
-		)
-		n.(hooked).SetConnHook(func(from, to int, conn net.Conn) (net.Conn, error) {
-			mu.Lock()
-			calls = append(calls, [2]int{from, to})
-			mu.Unlock()
-			if to == 3 {
-				return nil, errVetoed
-			}
-			return conn, nil
-		})
-
-		l, err := n.Listen(2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		go func() {
-			conn, err := l.Accept()
+// TestEveryDialDrawsOneJitterChild: on both fabrics each dial takes exactly
+// one child of the fabric's source, unshaped or shaped, and so does a dial a
+// cut fails, so faults leave every later dial's jitter where the seed put it.
+func TestEveryDialDrawsOneJitterChild(t *testing.T) {
+	matrix := NewMatrix() // 1 -> 3 stays unshaped
+	matrix.SetSymmetric(1, 2, Link{OneWayLatency: time.Millisecond, Jitter: time.Millisecond})
+	testFabrics(t, matrix, func(t *testing.T, n Network) {
+		for _, node := range []int{2, 3} {
+			l, err := n.Listen(node)
 			if err != nil {
-				return
+				t.Fatal(err)
 			}
-			defer conn.Close()
-			_, _ = io.Copy(conn, conn)
-		}()
-		// Node 3 listens too: the veto must come from the hook, not from a
-		// missing listener.
-		l3, err := n.Listen(3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		go func() {
-			for {
-				conn, err := l3.Accept()
-				if err != nil {
-					return
+			go func() {
+				for {
+					c, err := l.Accept()
+					if err != nil {
+						return
+					}
+					_ = c.Close()
 				}
-				_ = conn.Close()
+			}()
+		}
+		dials := []int{2, 3, 2}
+		for _, to := range dials {
+			conn, err := n.Dial(1, to)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}()
-		conn, err := n.Dial(1, 2)
-		if err != nil {
-			t.Fatalf("hooked dial: %v", err)
+			_ = conn.Close()
 		}
-		defer conn.Close()
-		if _, err := conn.Write([]byte("ping")); err != nil {
-			t.Fatal(err)
+		var f *fabric
+		switch n := n.(type) {
+		case *MemNetwork:
+			n.SetFault(1, 3, Fault{Cut: true})
+			if _, err := n.Dial(1, 3); !errors.Is(err, ErrLinkCut) {
+				t.Fatalf("dial under a cut: %v, want ErrLinkCut", err)
+			}
+			dials = append(dials, 3)
+			f = &n.fabric
+		case *TCPNetwork:
+			f = &n.fabric
 		}
-		buf := make([]byte, 4)
-		if _, err := io.ReadFull(conn, buf); err != nil || string(buf) != "ping" {
-			t.Fatalf("echo through hooked conn: %q, %v", buf, err)
+		master := rand.New(rand.NewSource(fabricTestSeed))
+		for range dials {
+			master.Int63()
 		}
-
-		if _, err := n.Dial(1, 3); !errors.Is(err, errVetoed) {
-			t.Fatalf("vetoed dial err = %v, want %v", err, errVetoed)
-		}
-
-		mu.Lock()
-		defer mu.Unlock()
-		want := [][2]int{{1, 2}, {1, 3}}
-		if len(calls) != len(want) || calls[0] != want[0] || calls[1] != want[1] {
-			t.Fatalf("hook calls = %v, want %v", calls, want)
+		if got, want := f.rnd.master.Int63(), master.Int63(); got != want {
+			t.Fatalf("seed %d: after %d dials the source's next draw is %d, want %d", fabricTestSeed, len(dials), got, want)
 		}
 	})
 }

@@ -21,7 +21,8 @@ const maxChunk = 64 << 10
 // maxChunk bytes. Unit i's serialization starts when unit i-1's ends, and it
 // arrives one propagation delay (plus a jitter draw) after serialization
 // completes, but never before unit i-1: jitter perturbs arrival times, never
-// order. A schedule belongs to one memQueue and is guarded by its mu.
+// order. A spike adds its delay to the arrival of each unit stamped while it
+// is engaged. A schedule belongs to one memQueue and is guarded by its mu.
 type schedule struct {
 	link Link
 	rng  *rand.Rand // jitter source; nil = no jitter
@@ -29,8 +30,12 @@ type schedule struct {
 	free     time.Time // when the link is free to serialize the next unit
 	units    []arrival // units[head:] are not yet seen to arrive, oldest first
 	head     int
-	inFlight int         // bytes of units[head:]
-	timer    *time.Timer // wakes a read parked on bytes in flight
+	inFlight int // bytes of units[head:]
+
+	spike time.Duration // the spike engaged on the direction
+	// spikeOnly marks the schedule a spike gave an unshaped direction: its
+	// link is zero, and it goes once the spike has cleared and drained.
+	spikeOnly bool
 }
 
 // arrival is one write unit of n bytes, readable from at on.
@@ -83,7 +88,7 @@ func (s *schedule) stamp(n int) {
 		s.units = s.units[:copy(s.units, s.units[s.head:])]
 		s.head = 0
 	}
-	s.units = append(s.units, arrival{at: s.free.Add(s.link.OneWayLatency + s.jitter()), n: n})
+	s.units = append(s.units, arrival{at: s.free.Add(s.link.OneWayLatency + s.jitter() + s.spike), n: n})
 	s.inFlight += n
 }
 

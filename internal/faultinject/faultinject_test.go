@@ -3,10 +3,9 @@ package faultinject
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"io"
 	"net"
-	"sync"
+	"os"
 	"testing"
 	"time"
 
@@ -50,107 +49,169 @@ func TestGenerateRespectsKindSubset(t *testing.T) {
 	}
 }
 
-// pipePair returns an injected conn in front of one side of a net.Pipe.
-func pipePair(t *testing.T, in *Injector, from, to int) (*Conn, net.Conn) {
+// dialPair listens on node to of fabric, dials it from node from and returns
+// the dialed and the accepted end.
+func dialPair(t *testing.T, fabric emunet.Network, from, to int) (dialed, accepted net.Conn) {
 	t.Helper()
-	a, b := net.Pipe()
-	wrapped, err := in.Hook()(from, to, a)
+	l, err := fabric.Listen(to)
 	if err != nil {
-		t.Fatalf("hook: %v", err)
+		t.Fatal(err)
 	}
-	return wrapped.(*Conn), b
+	ch := make(chan net.Conn, 1)
+	go func() {
+		c, _ := l.Accept()
+		ch <- c
+	}()
+	if dialed, err = fabric.Dial(from, to); err != nil {
+		t.Fatal(err)
+	}
+	accepted = <-ch
+	t.Cleanup(func() {
+		_ = dialed.Close()
+		_ = accepted.Close()
+		_ = fabric.Close()
+	})
+	return dialed, accepted
 }
 
+// faulted returns an injector on a fresh memory fabric (shaped by matrix, if
+// not nil) and a connection between nodes 1 and 2 that node dialer dialed:
+// node 1's end and node 2's.
+func faulted(t *testing.T, matrix *emunet.Matrix, dialer int) (in *Injector, one, two net.Conn) {
+	t.Helper()
+	fabric := emunet.NewMemNetwork(matrix)
+	in = New(fabric, nil)
+	if dialer == 1 {
+		one, two = dialPair(t, fabric, 1, 2)
+	} else {
+		two, one = dialPair(t, fabric, 2, 1)
+	}
+	return in, one, two
+}
+
+// dialers names the two ways a connection between nodes 1 and 2 comes about:
+// a fault on a direction applies to both.
+var dialers = []struct {
+	name string
+	node int
+}{{"dialed-by-1", 1}, {"dialed-by-2", 2}}
+
+// quiet fails t if r delivers anything within d.
+func quiet(t *testing.T, r net.Conn, d time.Duration, what string) {
+	t.Helper()
+	_ = r.SetReadDeadline(time.Now().Add(d))
+	defer r.SetReadDeadline(time.Time{})
+	if n, err := r.Read(make([]byte, 1)); n > 0 || !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("%s: read (%d, %v), want nothing", what, n, err)
+	}
+}
+
+// readAll reads len(want) bytes from r and fails t unless they are want.
+func readAll(t *testing.T, r net.Conn, want []byte) {
+	t.Helper()
+	got := make([]byte, len(want))
+	if _, err := io.ReadFull(r, got); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("read %q (%v), want %q", got, err, want)
+	}
+}
+
+// A cut 1→2 holds what node 1 writes, on a connection either node dialed:
+// the write returns, as into a socket's buffer, node 2 reads nothing, and
+// the bytes flow once the cut heals. What node 2 writes to node 1 goes on.
 func TestCutStallsWriteUntilHeal(t *testing.T) {
-	in := New(nil)
-	defer in.Close()
-	c, peer := pipePair(t, in, 1, 2)
-
-	in.CutLink(1, 2)
-	wrote := make(chan error, 1)
-	go func() {
-		_, err := c.Write([]byte("hello"))
-		wrote <- err
-	}()
-	select {
-	case err := <-wrote:
-		t.Fatalf("write completed through a cut link: err=%v", err)
-	case <-time.After(50 * time.Millisecond):
-	}
-
-	// Heal: the stalled bytes must now flow, unmodified.
-	go in.HealLink(1, 2)
-	buf := make([]byte, 16)
-	n, err := peer.Read(buf)
-	if err != nil || string(buf[:n]) != "hello" {
-		t.Fatalf("read after heal: %q, %v", buf[:n], err)
-	}
-	if err := <-wrote; err != nil {
-		t.Fatalf("write after heal: %v", err)
+	for _, d := range dialers {
+		t.Run(d.name, func(t *testing.T) {
+			in, one, two := faulted(t, nil, d.node)
+			in.CutLink(1, 2)
+			if _, err := one.Write([]byte("hello")); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := two.Write([]byte("back")); err != nil {
+				t.Fatal(err)
+			}
+			readAll(t, one, []byte("back"))
+			quiet(t, two, 50*time.Millisecond, "through the cut")
+			in.HealLink(1, 2)
+			readAll(t, two, []byte("hello"))
+		})
 	}
 }
 
-func TestSeverFailsStalledWriteMidFrame(t *testing.T) {
-	in := New(nil)
-	defer in.Close()
-	c, peer := pipePair(t, in, 1, 2)
-
-	// A frame bigger than one write chunk: the first chunk lands, then the
-	// cut engages and the sever kills the rest — a mid-frame break.
-	frame := make([]byte, writeChunk*3)
-	go func() {
-		buf := make([]byte, writeChunk)
-		_, _ = io.ReadFull(peer, buf) // accept the first chunk
-		in.CutLink(1, 2)              // stall the remainder
-		time.Sleep(20 * time.Millisecond)
-		in.Sever(1, 2)
-	}()
-	n, err := c.Write(frame)
-	if err == nil {
-		t.Fatalf("write survived a sever (n=%d)", n)
-	}
-	// The kill may surface at the fault gate (net.ErrClosed) or inside the
-	// underlying pipe write (io.ErrClosedPipe); either way it must land
-	// mid-frame.
-	if n == 0 || n >= len(frame) {
-		t.Fatalf("sever did not land mid-frame: wrote %d of %d (err=%v)", n, len(frame), err)
-	}
-}
-
+// A cut holds what was written before it engaged too, unless it had arrived:
+// on a shaped direction the bytes in flight wait for the heal, and a writer
+// that fills the direction's bound blocks until then.
 func TestCutStallsReadsOfReverseTraffic(t *testing.T) {
-	in := New(nil)
-	defer in.Close()
-	// Conn dialed 2→1: its reads carry 1→2 traffic.
-	c, peer := pipePair(t, in, 2, 1)
-
-	in.CutLink(1, 2)
-	readDone := make(chan error, 1)
-	go func() {
-		buf := make([]byte, 4)
-		_, err := c.Read(buf)
-		readDone <- err
-	}()
-	go func() { _, _ = peer.Write([]byte("ping")) }()
-	select {
-	case err := <-readDone:
-		t.Fatalf("read completed through a cut reverse link: err=%v", err)
-	case <-time.After(50 * time.Millisecond):
+	m := emunet.NewMatrix()
+	m.SetSymmetric(1, 2, emunet.Link{OneWayLatency: 20 * time.Millisecond})
+	for _, d := range dialers {
+		t.Run(d.name, func(t *testing.T) {
+			in, one, two := faulted(t, m, d.node)
+			if _, err := one.Write([]byte("in flight")); err != nil {
+				t.Fatal(err)
+			}
+			in.CutLink(1, 2)
+			quiet(t, two, 60*time.Millisecond, "in flight through the cut")
+			wrote := make(chan error, 1)
+			go func() {
+				_, err := one.Write(make([]byte, 8<<20))
+				wrote <- err
+			}()
+			select {
+			case err := <-wrote:
+				t.Fatalf("a write past the bound returned through the cut: %v", err)
+			case <-time.After(50 * time.Millisecond):
+			}
+			in.HealLink(1, 2)
+			readAll(t, two, []byte("in flight"))
+			go func() { _, _ = io.Copy(io.Discard, two) }()
+			if err := <-wrote; err != nil {
+				t.Fatalf("write after heal: %v", err)
+			}
+		})
 	}
-	in.HealLink(1, 2)
-	if err := <-readDone; err != nil {
-		t.Fatalf("read after heal: %v", err)
+}
+
+// A sever fails a write parked at the bound mid-frame, whichever end wrote
+// and whichever dialed, and closes both ends.
+func TestSeverFailsStalledWriteMidFrame(t *testing.T) {
+	for _, d := range dialers {
+		t.Run(d.name, func(t *testing.T) {
+			in, one, two := faulted(t, nil, d.node)
+			in.CutLink(1, 2)
+			frame := make([]byte, 3<<20)
+			type result struct {
+				n   int
+				err error
+			}
+			wrote := make(chan result, 1)
+			go func() {
+				n, err := one.Write(frame)
+				wrote <- result{n, err}
+			}()
+			time.Sleep(20 * time.Millisecond)
+			in.Sever(1, 2)
+			select {
+			case r := <-wrote:
+				if r.err == nil || r.n == 0 || r.n >= len(frame) {
+					t.Fatalf("sever did not land mid-frame: wrote %d of %d (err=%v)", r.n, len(frame), r.err)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("a write parked under a cut outlived the sever")
+			}
+			if _, err := two.Read(make([]byte, 1)); err == nil {
+				t.Fatal("the other end reads after the sever")
+			}
+		})
 	}
 }
 
 func TestDialFailsWhileCut(t *testing.T) {
-	net1 := emunet.NewMemNetwork(nil)
-	defer net1.Close()
+	fabric := emunet.NewMemNetwork(nil)
+	defer fabric.Close()
 	reg := metrics.NewRegistry()
-	in := New(reg)
-	defer in.Close()
-	net1.SetConnHook(in.Hook())
+	in := New(fabric, reg)
 
-	l, err := net1.Listen(2)
+	l, err := fabric.Listen(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,11 +226,11 @@ func TestDialFailsWhileCut(t *testing.T) {
 	}()
 
 	in.Blackhole(1, 2)
-	if _, err := net1.Dial(1, 2); !errors.Is(err, ErrLinkCut) {
+	if _, err := fabric.Dial(1, 2); !errors.Is(err, emunet.ErrLinkCut) {
 		t.Fatalf("dial through cut link: err=%v, want ErrLinkCut", err)
 	}
 	in.HealBlackhole(1, 2)
-	c, err := net1.Dial(1, 2)
+	c, err := fabric.Dial(1, 2)
 	if err != nil {
 		t.Fatalf("dial after heal: %v", err)
 	}
@@ -179,105 +240,113 @@ func TestDialFailsWhileCut(t *testing.T) {
 	}
 }
 
+// spikeRead writes p on w and reports how long r took to read it, and how
+// long the write took.
+func spikeRead(t *testing.T, w, r net.Conn, p []byte) (write, read time.Duration) {
+	t.Helper()
+	start := time.Now()
+	if _, err := w.Write(p); err != nil {
+		t.Fatal(err)
+	}
+	write = time.Since(start)
+	readAll(t, r, p)
+	return write, time.Since(start)
+}
+
+// A spike on 1→2 delays what node 1 writes by the spike, on a connection
+// either node dialed, and is no sleep in the writer: the write returns at
+// once. What is written after ClearSpike is not delayed, and still arrives
+// after what the spike delayed.
 func TestSpikeDelaysWrites(t *testing.T) {
-	in := New(nil)
-	defer in.Close()
-	c, peer := pipePair(t, in, 1, 2)
-	go func() { _, _ = io.Copy(io.Discard, peer) }()
-
 	const spike = 60 * time.Millisecond
-	in.Spike(1, 2, spike)
-	start := time.Now()
-	if _, err := c.Write([]byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if el := time.Since(start); el < spike {
-		t.Fatalf("spiked write took %v, want ≥ %v", el, spike)
-	}
-	in.ClearSpike(1, 2, spike)
-	start = time.Now()
-	if _, err := c.Write([]byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if el := time.Since(start); el > spike {
-		t.Fatalf("write after ClearSpike took %v, want < %v", el, spike)
+	for _, d := range dialers {
+		t.Run(d.name, func(t *testing.T) {
+			in, one, two := faulted(t, nil, d.node)
+			in.Spike(1, 2, spike)
+			if w, r := spikeRead(t, one, two, []byte("x")); w >= spike || r < spike {
+				t.Fatalf("spiked write took %v and arrived after %v, want at once and ≥ %v", w, r, spike)
+			}
+			if _, err := one.Write([]byte("a")); err != nil {
+				t.Fatal(err)
+			}
+			in.ClearSpike(1, 2, spike)
+			start := time.Now()
+			if _, err := one.Write([]byte("b")); err != nil {
+				t.Fatal(err)
+			}
+			readAll(t, two, []byte("ab"))
+			if el := time.Since(start); el < spike/2 {
+				t.Fatalf("a write after ClearSpike overtook the spiked one: both read after %v", el)
+			}
+			if _, r := spikeRead(t, one, two, []byte("y")); r >= spike {
+				t.Fatalf("write after ClearSpike arrived after %v, want < %v", r, spike)
+			}
+		})
 	}
 }
 
-// A spike on 2→1 also delays what node 2 writes back on node 1's connection:
-// a read hands its bytes over a spike after they are in, and one after
-// ClearSpike does not wait.
+// A spike on 2→1 delays what node 2 writes back on a connection either node
+// dialed, on top of the link's own latency on a shaped one.
 func TestSpikeDelaysReverseReads(t *testing.T) {
-	in := New(nil)
-	defer in.Close()
-	c, peer := pipePair(t, in, 1, 2)
-
-	const spike = 60 * time.Millisecond
-	in.Spike(2, 1, spike)
-	go func() { _, _ = peer.Write([]byte("x")) }()
-	start := time.Now()
-	if _, err := c.Read(make([]byte, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if el := time.Since(start); el < spike {
-		t.Fatalf("spiked read returned after %v, want ≥ %v", el, spike)
-	}
-	in.ClearSpike(2, 1, spike)
-	go func() { _, _ = peer.Write([]byte("y")) }()
-	start = time.Now()
-	if _, err := c.Read(make([]byte, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if el := time.Since(start); el > spike {
-		t.Fatalf("read after ClearSpike took %v, want < %v", el, spike)
+	const spike, latency = 60 * time.Millisecond, 20 * time.Millisecond
+	m := emunet.NewMatrix()
+	m.SetSymmetric(1, 2, emunet.Link{OneWayLatency: latency})
+	for _, d := range dialers {
+		t.Run(d.name, func(t *testing.T) {
+			in, one, two := faulted(t, m, d.node)
+			in.Spike(2, 1, spike)
+			if _, r := spikeRead(t, two, one, []byte("x")); r < spike+latency {
+				t.Fatalf("spiked reply arrived after %v, want ≥ %v", r, spike+latency)
+			}
+			in.ClearSpike(2, 1, spike)
+			if _, r := spikeRead(t, two, one, []byte("y")); r >= spike {
+				t.Fatalf("reply after ClearSpike arrived after %v, want < %v", r, spike)
+			}
+		})
 	}
 }
 
+// A slow receiver on 1→2 paces node 2's reads of what node 1 writes, on a
+// connection either node dialed: at most one 4 KiB chunk per delay.
 func TestSlowReceiverThrottlesReads(t *testing.T) {
-	in := New(nil)
-	defer in.Close()
-	// Conn dialed 2→1: its reads carry 1→2 traffic, the throttled direction.
-	c, peer := pipePair(t, in, 2, 1)
-
-	payload := make([]byte, 3*readChunk)
-	go func() {
-		_, _ = peer.Write(payload)
-	}()
-
+	const chunk = 4 << 10
 	const slow = 20 * time.Millisecond
-	in.SlowReceiver(1, 2, slow)
-	start := time.Now()
-	buf := make([]byte, len(payload))
-	total := 0
-	for total < len(payload) {
-		n, err := c.Read(buf[total:])
-		if err != nil {
-			t.Fatalf("throttled read: %v", err)
-		}
-		if n > readChunk {
-			t.Fatalf("throttled read returned %d bytes, want ≤ %d per chunk", n, readChunk)
-		}
-		total += n
-	}
-	// Three chunks at ≥ slow each; allow scheduler slop on the floor.
-	if el := time.Since(start); el < 3*slow-slow/2 {
-		t.Fatalf("throttled drain of %d bytes took %v, want ≥ ~%v", total, el, 3*slow)
-	}
-	in.ClearSlowReceiver(1, 2, slow)
-
-	go func() { _, _ = peer.Write(payload[:4]) }()
-	start = time.Now()
-	if _, err := c.Read(buf[:4]); err != nil {
-		t.Fatalf("read after clear: %v", err)
-	}
-	if el := time.Since(start); el > slow {
-		t.Fatalf("read after ClearSlowReceiver took %v, want < %v", el, slow)
+	for _, d := range dialers {
+		t.Run(d.name, func(t *testing.T) {
+			in, one, two := faulted(t, nil, d.node)
+			payload := make([]byte, 3*chunk)
+			in.SlowReceiver(1, 2, slow)
+			if _, err := one.Write(payload); err != nil {
+				t.Fatal(err)
+			}
+			start := time.Now()
+			buf := make([]byte, len(payload))
+			for total := 0; total < len(payload); {
+				n, err := two.Read(buf[total:])
+				if err != nil {
+					t.Fatalf("throttled read: %v", err)
+				}
+				if n > chunk {
+					t.Fatalf("throttled read returned %d bytes, want ≤ %d per chunk", n, chunk)
+				}
+				total += n
+			}
+			// Three chunks at ≥ slow each; allow scheduler slop on the floor.
+			if el := time.Since(start); el < 3*slow-slow/2 {
+				t.Fatalf("throttled drain of %d bytes took %v, want ≥ ~%v", len(payload), el, 3*slow)
+			}
+			in.ClearSlowReceiver(1, 2, slow)
+			if _, r := spikeRead(t, one, two, payload); r > slow {
+				t.Fatalf("a %d-byte read after ClearSlowReceiver took %v, want < %v", len(payload), r, slow)
+			}
+		})
 	}
 }
 
 func TestRunnerAppliesAndHealsInOrder(t *testing.T) {
-	in := New(nil)
-	defer in.Close()
+	fabric := emunet.NewMemNetwork(nil)
+	defer fabric.Close()
+	in := New(fabric, nil)
 	sched := &Schedule{Seed: 1, Events: []Event{
 		{At: 10 * time.Millisecond, Dur: 30 * time.Millisecond, Kind: KindBlackhole, Nodes: []int{1, 2}},
 		{At: 20 * time.Millisecond, Kind: KindFlap, Nodes: []int{1, 3}},
@@ -293,240 +362,44 @@ func TestRunnerAppliesAndHealsInOrder(t *testing.T) {
 		t.Fatal("runner did not finish")
 	}
 	// After Run, every engaged fault has healed: dials must succeed.
-	if _, err := in.Hook()(1, 2, nopConn{}); err != nil {
-		t.Fatalf("link still cut after runner finished: %v", err)
-	}
-}
-
-// nopConn is a do-nothing net.Conn for hook-only tests.
-type nopConn struct{}
-
-func (nopConn) Read([]byte) (int, error)         { return 0, io.EOF }
-func (nopConn) Write(p []byte) (int, error)      { return len(p), nil }
-func (nopConn) Close() error                     { return nil }
-func (nopConn) LocalAddr() net.Addr              { return nil }
-func (nopConn) RemoteAddr() net.Addr             { return nil }
-func (nopConn) SetDeadline(time.Time) error      { return nil }
-func (nopConn) SetReadDeadline(time.Time) error  { return nil }
-func (nopConn) SetWriteDeadline(time.Time) error { return nil }
-
-// recordingConn records the writes it is handed: one entry per call, the
-// sizes of the pieces it carried.
-type recordingConn struct {
-	nopConn
-	calls *[][]int
-	bytes *[]byte
-}
-
-func (c recordingConn) Write(p []byte) (int, error) {
-	*c.calls = append(*c.calls, []int{len(p)})
-	*c.bytes = append(*c.bytes, p...)
-	return len(p), nil
-}
-
-// recordingBuffersConn is a recordingConn that takes buffers.
-type recordingBuffersConn struct{ recordingConn }
-
-func (c recordingBuffersConn) WriteBuffers(bufs [][]byte) (int, error) {
-	var sizes []int
-	n := 0
-	for _, p := range bufs {
-		sizes = append(sizes, len(p))
-		*c.bytes = append(*c.bytes, p...)
-		n += len(p)
-	}
-	*c.calls = append(*c.calls, sizes)
-	return n, nil
-}
-
-// TestWriteBuffersIsAWriteOfTheConcatenation pins what the connection below
-// sees of a vectored write: the concatenation in chunks of writeChunk bytes
-// of it, wherever the buffers are cut, as the buffers' pieces if it takes
-// buffers and as one Write per chunk if not, exactly what a Write of the
-// concatenation gives it.
-func TestWriteBuffersIsAWriteOfTheConcatenation(t *testing.T) {
-	var want []byte
-	var bufs [][]byte
-	for i, n := range []int{3000, 0, 3000, 5000} {
-		p := make([]byte, n)
-		for j := range p {
-			p[j] = byte(i*7 + j)
-		}
-		bufs = append(bufs, p)
-		want = append(want, p...)
-	}
-	chunks := [][]int{{writeChunk}, {writeChunk}, {len(want) - 2*writeChunk}}
-	for _, tc := range []struct {
-		name      string
-		takesBufs bool
-		vectored  bool
-		want      [][]int
-	}{
-		{"buffers-to-buffers", true, true, [][]int{{3000, writeChunk - 3000}, {6000 - writeChunk, 2*writeChunk - 6000}, {len(want) - 2*writeChunk}}},
-		{"buffers-to-write", false, true, chunks},
-		{"write-to-write", false, false, chunks},
-		{"write-to-buffers", true, false, chunks},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			in := New(nil)
-			defer in.Close()
-			var calls [][]int
-			var got []byte
-			var base net.Conn = recordingConn{calls: &calls, bytes: &got}
-			if tc.takesBufs {
-				base = recordingBuffersConn{recordingConn{calls: &calls, bytes: &got}}
-			}
-			wrapped, err := in.Hook()(1, 2, base)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c := wrapped.(*Conn)
-			var n int
-			if tc.vectored {
-				n, err = c.WriteBuffers(bufs)
-			} else {
-				n, err = c.Write(want)
-			}
-			if n != len(want) || err != nil {
-				t.Fatalf("wrote (%d, %v), want (%d, nil)", n, err, len(want))
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatal("the connection below got other bytes than the concatenation")
-			}
-			if fmt.Sprint(calls) != fmt.Sprint(tc.want) {
-				t.Fatalf("the connection below got writes %v, want %v", calls, tc.want)
-			}
-		})
-	}
+	dialPair(t, fabric, 1, 2)
 }
 
 // TestWriteBuffersKeepsWriteFaults: the spike delays a vectored write once,
-// not once per chunk, and a sever engaged after the first chunk lands
-// mid-vector, on a connection that takes buffers and on one that does not.
+// not once per buffer, and a sever engaged while it is parked at the bound
+// fails it mid-vector.
 func TestWriteBuffersKeepsWriteFaults(t *testing.T) {
-	vector := [][]byte{make([]byte, writeChunk), make([]byte, writeChunk), make([]byte, writeChunk)}
-	pairs := []struct {
-		name string
-		pair func(t *testing.T) (net.Conn, net.Conn)
-	}{
-		{"pipe", func(*testing.T) (net.Conn, net.Conn) { return net.Pipe() }},
-		{"mem", func(t *testing.T) (net.Conn, net.Conn) {
-			fabric := emunet.NewMemNetwork(nil)
-			t.Cleanup(func() { _ = fabric.Close() })
-			l, err := fabric.Listen(2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			accepted := make(chan net.Conn, 1)
-			go func() {
-				c, _ := l.Accept()
-				accepted <- c
-			}()
-			a, err := fabric.Dial(1, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return a, <-accepted
-		}},
-	}
-	for _, p := range pairs {
-		t.Run(p.name+"/spike-once", func(t *testing.T) {
-			in := New(nil)
-			defer in.Close()
-			a, peer := p.pair(t)
-			defer peer.Close()
-			go func() { _, _ = io.Copy(io.Discard, peer) }()
-			wrapped, err := in.Hook()(1, 2, a)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c := wrapped.(*Conn)
-			const spike = 60 * time.Millisecond
-			in.Spike(1, 2, spike)
-			start := time.Now()
-			if _, err := c.WriteBuffers(vector); err != nil {
-				t.Fatal(err)
-			}
-			if el := time.Since(start); el < spike || el >= time.Duration(len(vector))*spike {
-				t.Fatalf("spiked vectored write of %d chunks took %v, want one spike of %v", len(vector), el, spike)
-			}
-		})
-		t.Run(p.name+"/sever-mid-vector", func(t *testing.T) {
-			in := New(nil)
-			defer in.Close()
-			a, peer := p.pair(t)
-			defer peer.Close()
-			go func() { _, _ = io.Copy(io.Discard, peer) }()
-			// The first chunk lands, then the cut stalls the remainder and
-			// the sever kills it.
-			var base net.Conn = firstWriteConn{Conn: a, once: new(sync.Once), f: func() {
-				in.CutLink(1, 2)
-				time.AfterFunc(20*time.Millisecond, func() { in.Sever(1, 2) })
-			}}
-			if bw, ok := a.(buffersWriter); ok {
-				base = firstWriteBuffersConn{base.(firstWriteConn), bw}
-			}
-			wrapped, err := in.Hook()(1, 2, base)
-			if err != nil {
-				t.Fatal(err)
-			}
-			n, err := wrapped.(*Conn).WriteBuffers(vector)
-			if n != writeChunk || err == nil {
-				t.Fatalf("vectored write = (%d, %v), want the first chunk's %d bytes and an error", n, err, writeChunk)
-			}
-		})
-	}
-}
-
-// firstWriteConn runs f once, after the first write to the connection it
-// wraps returns.
-type firstWriteConn struct {
-	net.Conn
-	once *sync.Once
-	f    func()
-}
-
-func (c firstWriteConn) Write(p []byte) (int, error) {
-	n, err := c.Conn.Write(p)
-	c.once.Do(c.f)
-	return n, err
-}
-
-// firstWriteBuffersConn is a firstWriteConn that takes buffers.
-type firstWriteBuffersConn struct {
-	firstWriteConn
-	bw buffersWriter
-}
-
-func (c firstWriteBuffersConn) WriteBuffers(bufs [][]byte) (int, error) {
-	n, err := c.bw.WriteBuffers(bufs)
-	c.once.Do(c.f)
-	return n, err
-}
-
-// dialPair listens on node 2 of fabric, dials it from node 1 and returns the
-// dialed and the accepted end.
-func dialPair(t *testing.T, fabric emunet.Network) (dialed, accepted net.Conn) {
-	t.Helper()
-	l, err := fabric.Listen(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch := make(chan net.Conn, 1)
-	go func() {
-		c, _ := l.Accept()
-		ch <- c
-	}()
-	if dialed, err = fabric.Dial(1, 2); err != nil {
-		t.Fatal(err)
-	}
-	accepted = <-ch
-	t.Cleanup(func() {
-		_ = dialed.Close()
-		_ = accepted.Close()
-		_ = fabric.Close()
+	vector := [][]byte{make([]byte, 4<<10), make([]byte, 4<<10), make([]byte, 4<<10)}
+	t.Run("mem/spike-once", func(t *testing.T) {
+		in, one, two := faulted(t, nil, 1)
+		const spike = 60 * time.Millisecond
+		in.Spike(1, 2, spike)
+		start := time.Now()
+		if _, err := one.(buffersWriter).WriteBuffers(vector); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(two, make([]byte, 3*len(vector[0]))); err != nil {
+			t.Fatal(err)
+		}
+		if el := time.Since(start); el < spike || el >= time.Duration(len(vector))*spike {
+			t.Fatalf("spiked vectored write of %d buffers arrived after %v, want one spike of %v", len(vector), el, spike)
+		}
 	})
-	return dialed, accepted
+	t.Run("mem/sever-mid-vector", func(t *testing.T) {
+		in, one, _ := faulted(t, nil, 1)
+		in.CutLink(1, 2)
+		big := [][]byte{make([]byte, 1<<20-1<<10), make([]byte, 4<<10), make([]byte, 4<<10)}
+		time.AfterFunc(20*time.Millisecond, func() { in.Sever(1, 2) })
+		n, err := one.(buffersWriter).WriteBuffers(big)
+		if n != 1<<20 || err == nil {
+			t.Fatalf("vectored write = (%d, %v), want the bound's %d bytes and an error", n, err, 1<<20)
+		}
+	})
+}
+
+// buffersWriter is the memory fabric's vectored write.
+type buffersWriter interface {
+	WriteBuffers(bufs [][]byte) (int, error)
 }
 
 // TestWriteLendsNothing: a Write keeps socket semantics on every connection
@@ -545,20 +418,9 @@ func TestWriteLendsNothing(t *testing.T) {
 		name string
 		pair func(t *testing.T) (net.Conn, net.Conn)
 	}{
-		{"mem", func(t *testing.T) (net.Conn, net.Conn) { return dialPair(t, emunet.NewMemNetwork(nil)) }},
-		{"mem-shaped", func(t *testing.T) (net.Conn, net.Conn) { return dialPair(t, emunet.NewMemNetwork(shaped())) }},
-		{"faultinject-over-mem", func(t *testing.T) (net.Conn, net.Conn) {
-			in := New(nil)
-			t.Cleanup(func() { in.Close() })
-			fabric := emunet.NewMemNetwork(nil)
-			fabric.SetConnHook(in.Hook())
-			a, b := dialPair(t, fabric)
-			if _, ok := a.(*Conn); !ok {
-				t.Fatalf("the hook left a %T", a)
-			}
-			return a, b
-		}},
-		{"tcp-shaped", func(t *testing.T) (net.Conn, net.Conn) { return dialPair(t, emunet.NewTCPNetwork(shaped())) }},
+		{"mem", func(t *testing.T) (net.Conn, net.Conn) { return dialPair(t, emunet.NewMemNetwork(nil), 1, 2) }},
+		{"mem-shaped", func(t *testing.T) (net.Conn, net.Conn) { return dialPair(t, emunet.NewMemNetwork(shaped()), 1, 2) }},
+		{"tcp-shaped", func(t *testing.T) (net.Conn, net.Conn) { return dialPair(t, emunet.NewTCPNetwork(shaped()), 1, 2) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -595,75 +457,47 @@ func TestWriteLendsNothing(t *testing.T) {
 	}
 }
 
-// TestTryWriteBuffersOnlyWhileNoFaultIsEngaged: a Conn passes a try-write on
-// to the memory fabric's connection while its direction is neither cut nor
-// spiked, whatever holds the other direction, and refuses it, writing
-// nothing, under a cut, under a spike, once severed, and over a connection
-// that has no try-write.
+// TestTryWriteBuffersOnlyWhileNoFaultIsEngaged: the memory fabric takes a
+// try-write while no fault holds the direction, whatever holds the other
+// one, and refuses it, writing nothing, under a cut, a spike or a pace,
+// whichever end of the connection writes, and once severed.
 func TestTryWriteBuffersOnlyWhileNoFaultIsEngaged(t *testing.T) {
-	fabric := emunet.NewMemNetwork(nil)
-	defer fabric.Close()
-	l, err := fabric.Listen(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	accepted := make(chan net.Conn, 1)
-	go func() {
-		c, _ := l.Accept()
-		accepted <- c
-	}()
-	a, err := fabric.Dial(1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	peer := <-accepted
-	defer peer.Close()
-	in := New(nil)
-	defer in.Close()
-	wrapped, err := in.Hook()(1, 2, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := wrapped.(*Conn)
-
-	var sent []byte
-	try := func(want bool, when string) {
-		t.Helper()
-		p := []byte(when)
-		if got := c.TryWriteBuffers([][]byte{p}); got != want {
-			t.Fatalf("%s: try-write returned %v, want %v", when, got, want)
-		}
-		if want {
-			sent = append(sent, p...)
-		}
-	}
-	const spike = time.Second
-	try(true, "no fault")
-	in.CutLink(2, 1)
-	try(true, "the other direction cut")
-	in.HealLink(2, 1)
-	in.CutLink(1, 2)
-	try(false, "cut")
-	in.HealLink(1, 2)
-	try(true, "healed")
-	in.Spike(1, 2, spike)
-	try(false, "spiked")
-	in.ClearSpike(1, 2, spike)
-	try(true, "spike cleared")
-	got := make([]byte, len(sent))
-	if _, err := io.ReadFull(peer, got); err != nil || !bytes.Equal(got, sent) {
-		t.Fatalf("the peer read %q (%v), want the taken writes %q", got, err, sent)
-	}
-	in.Sever(1, 2)
-	try(false, "severed")
-
-	p1, p2 := net.Pipe()
-	defer p2.Close()
-	pipe, err := in.Hook()(1, 2, p1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pipe.(*Conn).TryWriteBuffers([][]byte{[]byte("x")}) {
-		t.Fatal("a try-write was taken over a connection that has none")
+	type tryWriter interface{ TryWriteBuffers(bufs [][]byte) bool }
+	for _, d := range dialers {
+		t.Run(d.name, func(t *testing.T) {
+			in, one, two := faulted(t, nil, d.node)
+			c := one.(tryWriter)
+			var sent []byte
+			try := func(want bool, when string) {
+				t.Helper()
+				p := []byte(when)
+				if got := c.TryWriteBuffers([][]byte{p}); got != want {
+					t.Fatalf("%s: try-write returned %v, want %v", when, got, want)
+				}
+				if want {
+					sent = append(sent, p...)
+				}
+			}
+			const spike = time.Second
+			try(true, "no fault")
+			in.CutLink(2, 1)
+			try(true, "the other direction cut")
+			in.HealLink(2, 1)
+			in.CutLink(1, 2)
+			try(false, "cut")
+			in.HealLink(1, 2)
+			try(true, "healed")
+			in.Spike(1, 2, spike)
+			try(false, "spiked")
+			in.ClearSpike(1, 2, spike)
+			try(true, "spike cleared")
+			in.SlowReceiver(1, 2, time.Millisecond)
+			try(false, "paced")
+			in.ClearSlowReceiver(1, 2, time.Millisecond)
+			try(true, "pace cleared")
+			readAll(t, two, sent)
+			in.Sever(1, 2)
+			try(false, "severed")
+		})
 	}
 }

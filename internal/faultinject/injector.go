@@ -1,8 +1,6 @@
 package faultinject
 
 import (
-	"fmt"
-	"net"
 	"sync"
 	"time"
 
@@ -10,122 +8,94 @@ import (
 	"stabilizer/internal/metrics"
 )
 
-// ErrLinkCut is returned by the dial hook while the dialed direction is cut.
-var ErrLinkCut = fmt.Errorf("faultinject: link cut")
-
 // pair is a directed (from, to) link.
 type pair [2]int
 
-// Injector applies faults to a live fabric. Install its Hook on an emunet
-// network; every dialed connection is then wrapped in an injectable Conn
-// whose reads and writes the injector can stall, delay, or sever at any
-// moment — including mid-frame.
+// Injector applies faults to a live memory fabric. Each fault is a state of
+// the fabric's directions (emunet.Fault): after every change the injector
+// hands the directed pair's effective state to the fabric, which applies it
+// to the pair's live connections, whichever end dialed, at once, mid-frame
+// included, and to the connections dialed later.
 //
 // Cut state is refcounted per directed pair so overlapping faults compose:
-// a link stays cut until every fault holding it heals.
+// a link stays cut until every fault holding it heals. Spikes and receive
+// throttles stack: the largest engaged applies.
 type Injector struct {
-	mu     sync.Mutex
-	cond   sync.Cond
-	cut    map[pair]int             // stall refcount per directed pair
-	delay  map[pair][]time.Duration // extra write delays (stack; max applies)
-	slow   map[pair][]time.Duration // per-chunk read delays (stack; max applies)
-	conns  map[pair]map[*Conn]struct{}
-	closed bool
+	net *emunet.MemNetwork
+
+	mu    sync.Mutex
+	cut   map[pair]int             // cut refcount per directed pair
+	delay map[pair][]time.Duration // spikes engaged (stack; max applies)
+	slow  map[pair][]time.Duration // receive throttles engaged (stack; max applies)
 
 	injected *metrics.CounterVec
 	active   *metrics.Gauge
 }
 
-// New creates an injector publishing fault counters into reg (nil uses a
-// private registry): stabilizer_faults_injected_total{kind} and
+// New creates an injector for net, publishing fault counters into reg (nil
+// uses a private registry): stabilizer_faults_injected_total{kind} and
 // stabilizer_faults_active.
-func New(reg *metrics.Registry) *Injector {
+func New(net *emunet.MemNetwork, reg *metrics.Registry) *Injector {
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
-	in := &Injector{
+	return &Injector{
+		net:   net,
 		cut:   make(map[pair]int),
 		delay: make(map[pair][]time.Duration),
 		slow:  make(map[pair][]time.Duration),
-		conns: make(map[pair]map[*Conn]struct{}),
 		injected: reg.CounterVec("stabilizer_faults_injected_total",
 			"Fault events injected, by fault kind.", "kind"),
 		active: reg.Gauge("stabilizer_faults_active",
 			"Fault effects currently engaged (cut directions plus delayed directions)."),
 	}
-	in.cond.L = &in.mu
-	return in
 }
 
-// Hook returns the dial-path hook to install via SetConnHook. Dials in a
-// cut direction fail with ErrLinkCut (a dropped SYN, surfaced fast so the
-// transport's backoff drives retry); successful dials return an injectable
-// wrapper registered with the injector.
-func (in *Injector) Hook() emunet.ConnHook {
-	return func(from, to int, conn net.Conn) (net.Conn, error) {
-		in.mu.Lock()
-		defer in.mu.Unlock()
-		if in.closed {
-			return nil, net.ErrClosed
-		}
-		if in.cut[pair{from, to}] > 0 {
-			return nil, fmt.Errorf("%w: %d->%d", ErrLinkCut, from, to)
-		}
-		c := &Conn{inj: in, from: from, to: to, base: conn}
-		set := in.conns[pair{from, to}]
-		if set == nil {
-			set = make(map[*Conn]struct{})
-			in.conns[pair{from, to}] = set
-		}
-		set[c] = struct{}{}
-		return c, nil
-	}
+// push hands p's effective state to the fabric. Caller holds in.mu, so the
+// fabric sees a pair's changes in the order they were made.
+func (in *Injector) push(p pair) {
+	in.net.SetFault(p[0], p[1], emunet.Fault{
+		Cut:   in.cut[p] > 0,
+		Delay: maxOf(in.delay[p]),
+		Pace:  maxOf(in.slow[p]),
+	})
 }
 
 // RecordFault bumps the injected-fault counter for kind. The Runner calls
 // it once per applied event; direct Injector users may call it themselves.
 func (in *Injector) RecordFault(k Kind) { in.injected.With(k.String()).Inc() }
 
-// CutLink cuts the directed from→to traffic: writes carrying it stall,
-// reads carrying it stall, and new dials in that direction fail. Refcounted;
-// every CutLink needs a matching HealLink.
+// CutLink cuts the directed from→to traffic: nothing more becomes readable
+// on it, its writers block once its bound is full, and new dials in that
+// direction fail. Refcounted; every CutLink needs a matching HealLink.
 func (in *Injector) CutLink(from, to int) {
 	in.mu.Lock()
+	defer in.mu.Unlock()
 	if in.cut[pair{from, to}] == 0 {
 		in.active.Add(1)
 	}
 	in.cut[pair{from, to}]++
-	in.mu.Unlock()
-	in.cond.Broadcast()
+	in.push(pair{from, to})
 }
 
-// HealLink releases one CutLink of the directed from→to traffic. Stalled
-// operations resume; the stalled bytes then flow (TCP retransmission after
-// the blackhole lifts).
+// HealLink releases one CutLink of the directed from→to traffic. What the
+// cut held flows on (TCP retransmission after the blackhole lifts).
 func (in *Injector) HealLink(from, to int) {
 	in.mu.Lock()
+	defer in.mu.Unlock()
 	if n := in.cut[pair{from, to}]; n > 1 {
 		in.cut[pair{from, to}] = n - 1
 	} else if n == 1 {
 		delete(in.cut, pair{from, to})
 		in.active.Add(-1)
 	}
-	in.mu.Unlock()
-	in.cond.Broadcast()
+	in.push(pair{from, to})
 }
 
-// Sever closes every live injected connection between a and b (both
-// directions). Stalled reads and writes on those connections fail
-// immediately with net.ErrClosed — a mid-frame connection kill.
-func (in *Injector) Sever(a, b int) {
-	in.mu.Lock()
-	victims := in.takeConnsLocked(pair{a, b}, pair{b, a})
-	in.mu.Unlock()
-	in.cond.Broadcast()
-	for _, c := range victims {
-		c.kill()
-	}
-}
+// Sever closes both ends of every live connection between a and b. Their
+// reads and writes, parked ones included, fail at once: a mid-frame
+// connection kill.
+func (in *Injector) Sever(a, b int) { in.net.Sever(a, b) }
 
 // Flap severs both directions of the a↔b link without leaving it cut:
 // transports may redial immediately and resend through the reconnect
@@ -135,9 +105,9 @@ func (in *Injector) Flap(a, b int) {
 	in.Sever(a, b)
 }
 
-// Blackhole engages a one-way blackhole on from→to. Existing connections
-// stall silently (no error, no progress) and dials from→to fail until
-// HealBlackhole.
+// Blackhole engages a one-way blackhole on from→to (CutLink): existing
+// connections deliver nothing more that way, with no error, and dials from→to
+// fail until HealBlackhole.
 func (in *Injector) Blackhole(from, to int) {
 	in.RecordFault(KindBlackhole)
 	in.CutLink(from, to)
@@ -186,61 +156,50 @@ func (in *Injector) HealPartition(set []int, n int) {
 	}
 }
 
-// Spike adds d of extra one-way delay to the directed from→to link until
-// ClearSpike: to writes on from's connections to to, and to reads on to's
-// connections to from, which carry what from writes back. Overlapping spikes
-// compose: the largest applies.
+// Spike adds d of extra one-way delay to the directed from→to traffic until
+// ClearSpike: the bytes written on it meanwhile arrive d later, whichever
+// end of their connection dialed, in order. Overlapping spikes compose: the
+// largest applies.
 func (in *Injector) Spike(from, to int, d time.Duration) {
 	in.RecordFault(KindLatencySpike)
-	in.mu.Lock()
-	if len(in.delay[pair{from, to}]) == 0 {
-		in.active.Add(1)
-	}
-	in.delay[pair{from, to}] = append(in.delay[pair{from, to}], d)
-	in.mu.Unlock()
+	in.engage(in.delay, pair{from, to}, d)
 }
 
 // ClearSpike removes one Spike(from, to, d).
 func (in *Injector) ClearSpike(from, to int, d time.Duration) {
-	in.mu.Lock()
-	ds := in.delay[pair{from, to}]
-	for i, v := range ds {
-		if v == d {
-			ds = append(ds[:i], ds[i+1:]...)
-			break
-		}
-	}
-	if len(ds) == 0 {
-		delete(in.delay, pair{from, to})
-		in.active.Add(-1)
-	} else {
-		in.delay[pair{from, to}] = ds
-	}
-	in.mu.Unlock()
+	in.release(in.delay, pair{from, to}, d)
 }
 
-// SlowReceiver throttles reads of from→to traffic on the connections the
-// injector wraps, which are the dialed ones: each read chunk pays d of extra
-// delay until ClearSlowReceiver. Overlapping throttles compose: the largest
-// applies. In a cluster that slows to's reads of its own dialed connection to
-// from, which carries from's heartbeat echoes and the reports from writes back
-// about to's lone messages. It does not slow from's data stream to to: that
-// arrives on the connection from dialed, whose accepting end is not wrapped.
-// ROADMAP item 13 holds the fix, a throttle on the accepting end's reads.
+// SlowReceiver throttles to's reads of the from→to traffic until
+// ClearSlowReceiver, whichever end of their connection dialed: a read takes
+// at most a 4 KiB chunk, each d after the one before. Overlapping throttles
+// compose: the largest applies.
 func (in *Injector) SlowReceiver(from, to int, d time.Duration) {
 	in.RecordFault(KindSlowReceiver)
-	in.mu.Lock()
-	if len(in.slow[pair{from, to}]) == 0 {
-		in.active.Add(1)
-	}
-	in.slow[pair{from, to}] = append(in.slow[pair{from, to}], d)
-	in.mu.Unlock()
+	in.engage(in.slow, pair{from, to}, d)
 }
 
 // ClearSlowReceiver removes one SlowReceiver(from, to, d).
 func (in *Injector) ClearSlowReceiver(from, to int, d time.Duration) {
+	in.release(in.slow, pair{from, to}, d)
+}
+
+// engage pushes d onto p's stack in m.
+func (in *Injector) engage(m map[pair][]time.Duration, p pair, d time.Duration) {
 	in.mu.Lock()
-	ds := in.slow[pair{from, to}]
+	defer in.mu.Unlock()
+	if len(m[p]) == 0 {
+		in.active.Add(1)
+	}
+	m[p] = append(m[p], d)
+	in.push(p)
+}
+
+// release removes one d from p's stack in m.
+func (in *Injector) release(m map[pair][]time.Duration, p pair, d time.Duration) {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	ds := m[p]
 	for i, v := range ds {
 		if v == d {
 			ds = append(ds[:i], ds[i+1:]...)
@@ -248,12 +207,14 @@ func (in *Injector) ClearSlowReceiver(from, to int, d time.Duration) {
 		}
 	}
 	if len(ds) == 0 {
-		delete(in.slow, pair{from, to})
-		in.active.Add(-1)
+		if _, ok := m[p]; ok {
+			delete(m, p)
+			in.active.Add(-1)
+		}
 	} else {
-		in.slow[pair{from, to}] = ds
+		m[p] = ds
 	}
-	in.mu.Unlock()
+	in.push(p)
 }
 
 // HealAll lifts every cut, spike and receive throttle (severed connections
@@ -261,96 +222,23 @@ func (in *Injector) ClearSlowReceiver(from, to int, d time.Duration) {
 // may begin.
 func (in *Injector) HealAll() {
 	in.mu.Lock()
-	n := int64(len(in.cut) + len(in.delay) + len(in.slow))
+	defer in.mu.Unlock()
+	engaged := make(map[pair]bool)
+	for _, m := range []map[pair][]time.Duration{in.delay, in.slow} {
+		for p := range m {
+			engaged[p] = true
+		}
+	}
+	for p := range in.cut {
+		engaged[p] = true
+	}
+	in.active.Add(-int64(len(in.cut) + len(in.delay) + len(in.slow)))
 	in.cut = make(map[pair]int)
 	in.delay = make(map[pair][]time.Duration)
 	in.slow = make(map[pair][]time.Duration)
-	in.active.Add(-n)
-	in.mu.Unlock()
-	in.cond.Broadcast()
-}
-
-// Close heals everything and severs every live injected connection. New
-// dials through the hook fail afterwards.
-func (in *Injector) Close() {
-	in.mu.Lock()
-	in.closed = true
-	n := int64(len(in.cut) + len(in.delay) + len(in.slow))
-	in.cut = make(map[pair]int)
-	in.delay = make(map[pair][]time.Duration)
-	in.slow = make(map[pair][]time.Duration)
-	in.active.Add(-n)
-	pairs := make([]pair, 0, len(in.conns))
-	for p := range in.conns {
-		pairs = append(pairs, p)
+	for p := range engaged {
+		in.push(p)
 	}
-	victims := in.takeConnsLocked(pairs...)
-	in.mu.Unlock()
-	in.cond.Broadcast()
-	for _, c := range victims {
-		c.kill()
-	}
-}
-
-// takeConnsLocked removes and returns the live conns of the given pairs.
-// Caller holds in.mu.
-func (in *Injector) takeConnsLocked(pairs ...pair) []*Conn {
-	var out []*Conn
-	for _, p := range pairs {
-		for c := range in.conns[p] {
-			c.severed = true
-			out = append(out, c)
-		}
-		delete(in.conns, p)
-	}
-	return out
-}
-
-// unregister drops a closed conn from the registry and wakes any of its
-// operations stalled in a fault gate (they fail with net.ErrClosed).
-func (in *Injector) unregister(c *Conn) {
-	in.mu.Lock()
-	c.closed = true
-	if set := in.conns[pair{c.from, c.to}]; set != nil {
-		delete(set, c)
-		if len(set) == 0 {
-			delete(in.conns, pair{c.from, c.to})
-		}
-	}
-	in.mu.Unlock()
-	in.cond.Broadcast()
-}
-
-// gateWrite blocks while the conn's forward direction is cut, then returns
-// the extra write delay currently engaged. An error means the conn was
-// severed or the injector closed.
-func (in *Injector) gateWrite(c *Conn) (time.Duration, error) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	for in.cut[pair{c.from, c.to}] > 0 && !c.severed && !c.closed && !in.closed {
-		in.cond.Wait()
-	}
-	if c.severed || c.closed || in.closed {
-		return 0, net.ErrClosed
-	}
-	return maxOf(in.delay[pair{c.from, c.to}]), nil
-}
-
-// quiet reports whether no fault would hold a write on c now: its forward
-// direction is neither cut nor spiked, and c and the injector are live.
-func (in *Injector) quiet(c *Conn) bool {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	p := pair{c.from, c.to}
-	return in.cut[p] == 0 && len(in.delay[p]) == 0 && !c.severed && !c.closed && !in.closed
-}
-
-// readSpike returns the spike engaged on the conn's reverse direction, the
-// traffic its reads carry.
-func (in *Injector) readSpike(c *Conn) time.Duration {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return maxOf(in.delay[pair{c.to, c.from}])
 }
 
 // maxOf is the largest of a stack of delays (zero for none): overlapping
@@ -363,19 +251,4 @@ func maxOf(ds []time.Duration) time.Duration {
 		}
 	}
 	return d
-}
-
-// gateRead blocks while the conn's reverse direction (the traffic its reads
-// carry) is cut, then returns the per-chunk receive throttle currently
-// engaged on that direction.
-func (in *Injector) gateRead(c *Conn) (time.Duration, error) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	for in.cut[pair{c.to, c.from}] > 0 && !c.severed && !c.closed && !in.closed {
-		in.cond.Wait()
-	}
-	if c.severed || c.closed || in.closed {
-		return 0, net.ErrClosed
-	}
-	return maxOf(in.slow[pair{c.to, c.from}]), nil
 }

@@ -33,7 +33,8 @@ type Fabric struct {
 	TimeScale float64
 	// Seed pins the fabric's jitter draws; zero keeps the fabric's default.
 	Seed int64
-	// Faults hooks a faultinject.Injector onto the dial path (Bed.Inj).
+	// Faults puts a faultinject.Injector on the memory fabric (Bed.Inj);
+	// Boot refuses it on TCP, whose sockets carry no faults.
 	Faults bool
 }
 
@@ -41,7 +42,6 @@ type Fabric struct {
 type fabric interface {
 	emunet.Network
 	Seed(int64)
-	SetConnHook(emunet.ConnHook)
 }
 
 func (f Fabric) open() fabric {
@@ -84,19 +84,21 @@ func Flat(n int) *config.Topology {
 type Bed struct {
 	*core.Cluster
 	Net emunet.Network
-	// Inj is the injector hooked onto Net's dial path; nil unless the bed
-	// booted with Fabric.Faults.
+	// Inj is the injector on Net's links; nil unless the bed booted with
+	// Fabric.Faults.
 	Inj *faultinject.Injector
 }
 
 // Boot opens the fabric and boots cfg's topology on it. cfg is the template
 // callers already hand core.OpenCluster; Boot fills in Network.
 func Boot(cfg core.Config, f Fabric) (*Bed, error) {
+	if f.Faults && f.Kind == "tcp" {
+		return nil, fmt.Errorf("testbed: faults need the memory fabric, not %q", f.Kind)
+	}
 	net := f.open()
 	b := &Bed{Net: net}
 	if f.Faults {
-		b.Inj = faultinject.New(metrics.NewRegistry())
-		net.SetConnHook(b.Inj.Hook())
+		b.Inj = faultinject.New(net.(*emunet.MemNetwork), metrics.NewRegistry())
 	}
 	cfg.Network = net
 	cl, err := core.OpenCluster(cfg)
@@ -108,15 +110,12 @@ func Boot(cfg core.Config, f Fabric) (*Bed, error) {
 	return b, nil
 }
 
-// Close shuts down the nodes, then the injector (severing what the nodes
-// left), then the fabric. It returns the cluster's close error.
+// Close shuts down the nodes, then the fabric. It returns the cluster's close
+// error.
 func (b *Bed) Close() error {
 	var err error
 	if b.Cluster != nil {
 		err = b.Cluster.Close()
-	}
-	if b.Inj != nil {
-		b.Inj.Close()
 	}
 	_ = b.Net.Close()
 	return err

@@ -18,6 +18,21 @@ func lan() *emunet.Matrix {
 	return m
 }
 
+// TestBootRefusesFaultsOnTCP: faults are a state of the memory fabric's
+// links, which TCP sockets do not carry, so a TCP bed with faults does not
+// boot, and one without them does.
+func TestBootRefusesFaultsOnTCP(t *testing.T) {
+	if bed, err := Boot(core.Config{Topology: Flat(2)}, Fabric{Kind: "tcp", Faults: true}); err == nil {
+		_ = bed.Close()
+		t.Fatal("a TCP bed booted with faults")
+	}
+	bed, err := Boot(core.Config{Topology: Flat(2)}, Fabric{Kind: "tcp"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = bed.Close()
+}
+
 // TestReadyWaitsForEveryDirectedLink cuts one direction of one link that does
 // not touch node 1. A barrier that watches one node's links (node 1 sends,
 // everyone acks: what Fig. 3 used to wait for) is satisfied; Ready must not

@@ -352,11 +352,11 @@ func loneMessages(t *testing.T, trace optrace.Config, msgs int) (*Transport, *tr
 	t.Helper()
 	fabric := emunet.NewMemNetwork(nil)
 	defer fabric.Close()
-	tap := tapTries(fabric, nil)
+	tapped, tap := tapTries(fabric)
 	sendLog, rec := NewSendLog(1), newRecorder()
 	rep := &reporter{recorder: newRecorder(), self: 2}
 	tr1, err := New(Config{
-		Self: 1, N: 2, Network: fabric, Handler: rec, Log: sendLog,
+		Self: 1, N: 2, Network: tapped, Handler: rec, Log: sendLog,
 		HeartbeatEvery: 20 * time.Millisecond,
 		Trace:          optrace.New(1, trace),
 	})

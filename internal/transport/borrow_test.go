@@ -48,23 +48,15 @@ func (c tryTapConn) TryWriteBuffers(bufs [][]byte) bool {
 	return ok
 }
 
-// tapTries installs a tryTap on fabric's 1→2 dials, outside the connection
-// inner wraps it in if inner is not nil.
-func tapTries(fabric hookedFabric, inner emunet.ConnHook) *tryTap {
+// tapTries puts a tryTap on fabric's 1→2 dials.
+func tapTries(fabric emunet.Network) (emunet.Network, *tryTap) {
 	tap := &tryTap{}
-	fabric.SetConnHook(func(from, to int, conn net.Conn) (net.Conn, error) {
-		if inner != nil {
-			var err error
-			if conn, err = inner(from, to, conn); err != nil {
-				return nil, err
-			}
-		}
+	return tapNet{fabric, func(from, to int, conn net.Conn) net.Conn {
 		if from == 1 && to == 2 {
-			return tryTapConn{conn, tap}, nil
+			return tryTapConn{conn, tap}
 		}
-		return conn, nil
-	})
-	return tap
+		return conn
+	}}, tap
 }
 
 // poll waits for cond, looking every 20 µs: these tests wait for one frame
@@ -126,8 +118,8 @@ func inOrder(t *testing.T, seqs []uint64, n int) {
 // block in its first check, and could write nothing.
 func TestLoneSendGoesOutOnTheSendersGoroutine(t *testing.T) {
 	fabric := emunet.NewMemNetwork(nil)
-	tap := tapTries(fabric, nil)
-	h, _ := startReporters(t, fabric, 2)
+	tapped, tap := tapTries(fabric)
+	h, _ := startReporters(t, tapped, 2)
 	parkLinks(t, h, 1)
 	lk := h.trs[0].links[2]
 	lending(t, lk)
@@ -163,8 +155,8 @@ func TestLoneSendGoesOutOnTheSendersGoroutine(t *testing.T) {
 func TestSendWakesTheWriterWhenItCannotBorrow(t *testing.T) {
 	t.Run("unreported-predecessor", func(t *testing.T) {
 		fabric := emunet.NewMemNetwork(nil)
-		tap := tapTries(fabric, nil)
-		h := startHarnessOn(t, fabric, 2, noHeartbeat, batchLimits{}) // no handler reports
+		tapped, tap := tapTries(fabric)
+		h := startHarnessOn(t, tapped, 2, noHeartbeat, batchLimits{}) // no handler reports
 		parkLinks(t, h, 1)
 		lk := h.trs[0].links[2]
 		for i := 1; i <= 2; i++ {
@@ -183,8 +175,8 @@ func TestSendWakesTheWriterWhenItCannotBorrow(t *testing.T) {
 		m := emunet.NewMatrix()
 		m.Default = emunet.Link{OneWayLatency: 2 * time.Millisecond}
 		fabric := emunet.NewMemNetwork(m)
-		tap := tapTries(fabric, nil)
-		h, _ := startReporters(t, fabric, 2)
+		tapped, tap := tapTries(fabric)
+		h, _ := startReporters(t, tapped, 2)
 		parkLinks(t, h, 1)
 		lk := h.trs[0].links[2]
 		writes := tap.writes.Load()
@@ -200,13 +192,13 @@ func TestSendWakesTheWriterWhenItCannotBorrow(t *testing.T) {
 		// Node 2 is the test: it handshakes, reports, and reads nothing
 		// until the end.
 		fabric := emunet.NewMemNetwork(nil)
-		tap := tapTries(fabric, nil)
+		tapped, tap := tapTries(fabric)
 		ln, err := fabric.Listen(2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		log := NewSendLog(1)
-		tr, err := New(Config{Self: 1, N: 2, Network: fabric, Handler: newRecorder(), Log: log, HeartbeatEvery: noHeartbeat})
+		tr, err := New(Config{Self: 1, N: 2, Network: tapped, Handler: newRecorder(), Log: log, HeartbeatEvery: noHeartbeat})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,10 +259,9 @@ func TestSendWakesTheWriterWhenItCannotBorrow(t *testing.T) {
 
 	t.Run("blackhole", func(t *testing.T) {
 		fabric := emunet.NewMemNetwork(nil)
-		inj := faultinject.New(nil)
-		t.Cleanup(inj.Close)
-		tap := tapTries(fabric, inj.Hook())
-		h, _ := startReporters(t, fabric, 2)
+		inj := faultinject.New(fabric, nil)
+		tapped, tap := tapTries(fabric)
+		h, _ := startReporters(t, tapped, 2)
 		parkLinks(t, h, 1)
 		lending(t, h.trs[0].links[2])
 		inj.Blackhole(1, 2)
@@ -332,9 +323,7 @@ func TestBorrowedSendsRaceTheWritersWork(t *testing.T) {
 func TestBorrowedSendsRaceSeverAndClose(t *testing.T) {
 	const msgs = 200
 	fabric := emunet.NewMemNetwork(nil)
-	inj := faultinject.New(nil)
-	t.Cleanup(inj.Close)
-	fabric.SetConnHook(inj.Hook())
+	inj := faultinject.New(fabric, nil)
 	h, _ := startReportersEvery(t, fabric, 2, time.Millisecond)
 	n1 := h.trs[0]
 	for i := uint64(1); i <= msgs; i++ {

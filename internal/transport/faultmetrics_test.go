@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -24,9 +25,7 @@ import (
 func TestReconnectMetricsConsistency(t *testing.T) {
 	fabric := emunet.NewMemNetwork(nil)
 	defer fabric.Close()
-	inj := faultinject.New(nil)
-	defer inj.Close()
-	fabric.SetConnHook(inj.Hook())
+	inj := faultinject.New(fabric, nil)
 
 	regS, regR := metrics.NewRegistry(), metrics.NewRegistry()
 	mk := func(self int, reg *metrics.Registry, h Handler, log *SendLog) *Transport {
@@ -91,13 +90,15 @@ func TestReconnectMetricsConsistency(t *testing.T) {
 	}
 	s0, r0 := sentBytes(), recvData()
 
-	// Phase 2: cut the link while idle, then append. The frames are
-	// counted as sent when they enter the link's write path but every byte
-	// stalls at the fault gate, so "counted sent but never received" is
-	// deterministic — no mid-frame partial delivery.
+	// Phase 2: cut the link while idle, then append more than the cut
+	// direction holds. The frames are counted as sent when they enter the
+	// link's write path, but no byte becomes readable and the writer parks
+	// at the direction's bound mid-frame, so "counted sent but never
+	// received" is deterministic, and the sever below fails that write.
 	inj.CutLink(1, 2)
+	big := make([]byte, 300<<10)
 	for i := 0; i < 5; i++ {
-		if _, err := sendLog.Append(payload, 0); err != nil {
+		if _, err := sendLog.Append(big, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -137,7 +138,7 @@ func TestReconnectMetricsConsistency(t *testing.T) {
 	}
 	// Exactly five frames once one Hello per connection made, the flap's
 	// included, is set aside.
-	frameBytes := int64(wire.DataFrameOverhead + len(payload))
+	frameBytes := int64(wire.DataFrameOverhead + len(big))
 	if rDelta != 5*frameBytes {
 		t.Fatalf("received byte delta %d beyond %d Hellos, want 5 frames × %d bytes", rDelta, 1+sender.Totals().Reconnects, frameBytes)
 	}
@@ -151,5 +152,65 @@ func TestReconnectMetricsConsistency(t *testing.T) {
 	}
 	if tot.Reconnects < 1 {
 		t.Fatalf("reconnects = %d after a flap", tot.Reconnects)
+	}
+}
+
+// TestSlowReceiverPacesTheDataStream: a slow receiver on 1→2 paces node 2's
+// reads of node 1's stream, which arrives on the connection node 1 dialed.
+// Within a window node 2 reads no more than one 4 KiB chunk per delay, and
+// once the throttle clears the stream runs at full rate again.
+func TestSlowReceiverPacesTheDataStream(t *testing.T) {
+	const (
+		slow   = 10 * time.Millisecond
+		window = 200 * time.Millisecond
+		chunk  = 4 << 10
+	)
+	fabric := emunet.NewMemNetwork(nil)
+	inj := faultinject.New(fabric, nil)
+	h := startHarnessOn(t, fabric, 2, noHeartbeat, batchLimits{})
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // keeps at most 256 KiB ahead of node 2 and no more held
+		defer wg.Done()
+		payload := make([]byte, 1<<10)
+		for seq := uint64(1); ; {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if got := h.trs[1].RecvLast(1); seq > got+256 {
+				h.logs[0].TruncateThrough(got)
+				time.Sleep(100 * time.Microsecond)
+				continue
+			}
+			if _, err := h.logs[0].Append(payload, 0); err != nil {
+				return
+			}
+			h.trs[0].NotifyData()
+			seq++
+		}
+	}()
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	read := func() int64 {
+		before := h.trs[1].Totals().BytesRecv
+		time.Sleep(window)
+		return h.trs[1].Totals().BytesRecv - before
+	}
+	waitUntil(t, 5*time.Second, func() bool { return h.trs[1].RecvLast(1) > 0 })
+	inj.SlowReceiver(1, 2, slow)
+	time.Sleep(2 * slow) // past a read under way as the throttle engaged
+	bound := int64(window/slow+2) * chunk
+	if got := read(); got > bound {
+		t.Fatalf("node 2 read %d bytes of node 1's stream in %v behind a %v slow receiver, want at most %d",
+			got, window, slow, bound)
+	}
+	inj.ClearSlowReceiver(1, 2, slow)
+	if got := read(); got < 4*bound {
+		t.Fatalf("node 2 read %d bytes in %v once the throttle cleared, want over %d", got, window, 4*bound)
 	}
 }

@@ -15,11 +15,20 @@ import (
 	"stabilizer/internal/wire"
 )
 
-// hookedFabric is what both emunet fabrics offer these tests: a Network whose
-// dial path takes a ConnHook.
-type hookedFabric interface {
+// tapNet is a fabric whose Dial hands each connection it makes to wrap and
+// returns what wrap makes of it: how these tests put a tap between a link and
+// its connection.
+type tapNet struct {
 	emunet.Network
-	SetConnHook(emunet.ConnHook)
+	wrap func(from, to int, conn net.Conn) net.Conn
+}
+
+func (n tapNet) Dial(from, to int) (net.Conn, error) {
+	conn, err := n.Network.Dial(from, to)
+	if err != nil {
+		return nil, err
+	}
+	return n.wrap(from, to, conn), nil
 }
 
 // countedConn counts the writes, and the bytes they carried, of the
@@ -60,21 +69,21 @@ func (c countedBuffersConn) WriteBuffers(bufs [][]byte) (int, error) {
 func TestLinkWriteCoalescesUntilIdle(t *testing.T) {
 	fabrics := []struct {
 		name      string
-		mk        func() hookedFabric
+		mk        func() emunet.Network
 		writeOnly bool // hide the connection's WriteBuffers from the link
 		takesBufs bool // the fabric's connection takes buffers
 	}{
-		{"mem", func() hookedFabric { return emunet.NewMemNetwork(nil) }, false, true},
-		{"mem-write-only", func() hookedFabric { return emunet.NewMemNetwork(nil) }, true, true},
-		{"tcp", func() hookedFabric { return emunet.NewTCPNetwork(nil) }, false, false},
+		{"mem", func() emunet.Network { return emunet.NewMemNetwork(nil) }, false, true},
+		{"mem-write-only", func() emunet.Network { return emunet.NewMemNetwork(nil) }, true, true},
+		{"tcp", func() emunet.Network { return emunet.NewTCPNetwork(nil) }, false, false},
 	}
 	for _, f := range fabrics {
 		t.Run(f.name, func(t *testing.T) {
 			fabric := f.mk()
 			var writes, sent atomic.Int64
-			fabric.SetConnHook(func(from, to int, conn net.Conn) (net.Conn, error) {
+			tapped := tapNet{fabric, func(from, to int, conn net.Conn) net.Conn {
 				if from != 1 || to != 2 {
-					return conn, nil
+					return conn
 				}
 				c := countedConn{conn, &writes, &sent}
 				bw, ok := conn.(buffersWriter)
@@ -82,13 +91,13 @@ func TestLinkWriteCoalescesUntilIdle(t *testing.T) {
 					t.Errorf("the fabric's connection takes buffers: %v, want %v", ok, f.takesBufs)
 				}
 				if ok && !f.writeOnly {
-					return countedBuffersConn{c, bw}, nil
+					return countedBuffersConn{c, bw}
 				}
-				return c, nil
-			})
+				return c
+			}}
 			// One entry per batch: a burst appended before the wake-up is
 			// k passes of a busy writer, not one.
-			h := startHarnessOn(t, fabric, 2, noHeartbeat, batchLimits{maxFrames: 1, maxBytes: 16 << 10})
+			h := startHarnessOn(t, tapped, 2, noHeartbeat, batchLimits{maxFrames: 1, maxBytes: 16 << 10})
 			parkLinks(t, h, 1)
 			delivered := func(n int) func() bool {
 				return func() bool { return len(h.recs[1].dataSeqs(1)) == n }
@@ -216,16 +225,16 @@ func TestReconnectStartsOnAFrameBoundary(t *testing.T) {
 		read   bytes.Buffer
 	)
 	budget.Store(-1)
-	fabric.SetConnHook(func(from, to int, conn net.Conn) (net.Conn, error) {
+	tapped := tapNet{fabric, func(from, to int, conn net.Conn) net.Conn {
 		if from != 1 || to != 2 {
-			return conn, nil
+			return conn
 		}
 		if dials.Add(1) == 1 {
-			return cutConn{conn, &budget}, nil
+			return cutConn{conn, &budget}
 		}
-		return tap(conn, &mu, &wrote, &read), nil
-	})
-	h := startHarnessOn(t, fabric, 2, noHeartbeat, batchLimits{})
+		return tap(conn, &mu, &wrote, &read)
+	}}
+	h := startHarnessOn(t, tapped, 2, noHeartbeat, batchLimits{})
 	parkLinks(t, h, 1)
 	rec := h.recs[1]
 
@@ -351,20 +360,20 @@ func TestLinkWriteFramesSurviveOutGrowing(t *testing.T) {
 		mu          sync.Mutex
 		wrote, read bytes.Buffer
 	)
-	fabric.SetConnHook(func(from, to int, conn net.Conn) (net.Conn, error) {
+	tapped := tapNet{fabric, func(from, to int, conn net.Conn) net.Conn {
 		if from != 1 || to != 2 {
-			return conn, nil
+			return conn
 		}
 		c := tap(conn, &mu, &wrote, &read)
 		if _, ok := c.(buffersWriter); !ok {
 			t.Error("the memory fabric's connection does not take buffers")
 		}
-		return c, nil
-	})
+		return c
+	}}
 	log, rec := NewSendLog(1), newRecorder()
 	var err error
 	tr1, err = New(Config{
-		Self: 1, N: 2, Network: fabric, Handler: newRecorder(), Log: log,
+		Self: 1, N: 2, Network: tapped, Handler: newRecorder(), Log: log,
 		HeartbeatEvery: noHeartbeat,
 		Trace:          optrace.New(1, optrace.Config{SampleEvery: 1}),
 		batch:          batchLimits{maxFrames: 1, maxBytes: 16 << 10},
@@ -372,7 +381,7 @@ func TestLinkWriteFramesSurviveOutGrowing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr2, err := New(Config{Self: 2, N: 2, Network: fabric, Handler: rec, Log: NewSendLog(1), HeartbeatEvery: noHeartbeat})
+	tr2, err := New(Config{Self: 2, N: 2, Network: tapped, Handler: rec, Log: NewSendLog(1), HeartbeatEvery: noHeartbeat})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,13 +456,13 @@ func TestLinkControlFramesSurviveASlowReader(t *testing.T) {
 	fabric := emunet.NewMemNetwork(nil)
 	defer fabric.Close()
 	var writes, wrote atomic.Int64
-	fabric.SetConnHook(func(from, to int, conn net.Conn) (net.Conn, error) {
+	tapped := tapNet{fabric, func(from, to int, conn net.Conn) net.Conn {
 		bw, ok := conn.(buffersWriter)
 		if !ok {
 			t.Error("the memory fabric's connection does not take buffers")
 		}
-		return countedBuffersConn{countedConn{conn, &writes, &wrote}, bw}, nil
-	})
+		return countedBuffersConn{countedConn{conn, &writes, &wrote}, bw}
+	}}
 	// Node 2 is this test: it answers the handshake and then reads nothing.
 	l, err := fabric.Listen(2)
 	if err != nil {
@@ -467,7 +476,7 @@ func TestLinkControlFramesSurviveASlowReader(t *testing.T) {
 		}
 		accepted <- c
 	}()
-	tr, err := New(Config{Self: 1, N: 2, Network: fabric, Handler: newRecorder(), Log: NewSendLog(1), HeartbeatEvery: noHeartbeat})
+	tr, err := New(Config{Self: 1, N: 2, Network: tapped, Handler: newRecorder(), Log: NewSendLog(1), HeartbeatEvery: noHeartbeat})
 	if err != nil {
 		t.Fatal(err)
 	}

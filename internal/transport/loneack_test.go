@@ -115,18 +115,17 @@ func (c tapConn) Read(p []byte) (int, error) {
 
 // tapLinks taps, on a two-node fabric, node 2's link to node 1 and node 1's
 // link to node 2, whose reads carry what node 2 writes back to node 1.
-func tapLinks(fabric hookedFabric) (link, reverse *frameTap) {
+func tapLinks(fabric emunet.Network) (tapped emunet.Network, link, reverse *frameTap) {
 	link, reverse = &frameTap{}, &frameTap{}
-	fabric.SetConnHook(func(from, to int, conn net.Conn) (net.Conn, error) {
+	return tapNet{fabric, func(from, to int, conn net.Conn) net.Conn {
 		switch {
 		case from == 2 && to == 1:
-			return tapConn{conn, link}, nil
+			return tapConn{conn, link}
 		case from == 1 && to == 2:
-			return tapConn{conn, reverse}, nil
+			return tapConn{conn, reverse}
 		}
-		return conn, nil
-	})
-	return link, reverse
+		return conn
+	}}, link, reverse
 }
 
 // decode returns the Ack frames among the frames in b, and whether an App
@@ -202,8 +201,8 @@ func echoBarrier(t *testing.T, h *harness) {
 // wake for the report.
 func TestLoneRunReportsGoBackOnTheirConnection(t *testing.T) {
 	fabric := emunet.NewMemNetwork(nil)
-	link, reverse := tapLinks(fabric)
-	h, _ := startReporters(t, fabric, 2)
+	tapped, link, reverse := tapLinks(fabric)
+	h, _ := startReporters(t, tapped, 2)
 	parkLinks(t, h, 1)
 	parkLinks(t, h, 2)
 	before := link.writeCount()
@@ -236,8 +235,8 @@ func TestLoneRunReportsGoBackOnTheirConnection(t *testing.T) {
 func TestStreamRunReportsRideTheLink(t *testing.T) {
 	const k = 8
 	fabric := emunet.NewMemNetwork(nil)
-	link, reverse := tapLinks(fabric)
-	h, reps := startReporters(t, fabric, 2)
+	tapped, link, reverse := tapLinks(fabric)
+	h, reps := startReporters(t, tapped, 2)
 	parkLinks(t, h, 1)
 	parkLinks(t, h, 2)
 	before := link.writeCount()

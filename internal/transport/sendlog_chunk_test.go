@@ -203,14 +203,14 @@ func (c *vectorConn) WriteBuffers(bufs [][]byte) (int, error) {
 func TestCarvedFramesCrossAMemoryLinkAsOneSlice(t *testing.T) {
 	fabric := emunet.NewMemNetwork(nil)
 	var rec *vectorConn
-	fabric.SetConnHook(func(from, to int, conn net.Conn) (net.Conn, error) {
+	tapped := tapNet{fabric, func(from, to int, conn net.Conn) net.Conn {
 		if from != 1 || to != 2 {
-			return conn, nil
+			return conn
 		}
 		rec = &vectorConn{Conn: conn, bw: conn.(buffersWriter)}
-		return rec, nil
-	})
-	h := startHarnessOn(t, fabric, 2, noHeartbeat, batchLimits{maxFrames: 256, maxBytes: 16 << 10})
+		return rec
+	}}
+	h := startHarnessOn(t, tapped, 2, noHeartbeat, batchLimits{maxFrames: 256, maxBytes: 16 << 10})
 	parkLinks(t, h, 1)
 	rec.mu.Lock()
 	before := len(rec.vecs)

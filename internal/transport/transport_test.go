@@ -96,8 +96,8 @@ func startHarnessEvery(t *testing.T, n int, heartbeat time.Duration) *harness {
 	return startHarnessOn(t, emunet.NewMemNetwork(nil), n, heartbeat, batchLimits{})
 }
 
-// startHarnessOn is the general form: the caller supplies the fabric (with
-// whatever ConnHook it carries) and the links' batch bound (zero = default).
+// startHarnessOn is the general form: the caller supplies the fabric (a
+// tapNet, if it taps the links) and the links' batch bound (zero = default).
 func startHarnessOn(t *testing.T, fabric emunet.Network, n int, heartbeat time.Duration, batch batchLimits) *harness {
 	t.Helper()
 	h := &harness{net: fabric}
