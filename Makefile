@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race deflake loc check-benchmark examples chaos chaos-flow chaos-spill chaos-adaptive bench bench-transport bench-transport-short bench-recvrun fuzz-dsl fuzz-segment fuzz-wire
+.PHONY: check vet build test race deflake loc check-benchmark examples chaos chaos-flow chaos-spill chaos-adaptive bench ab fuzz-dsl fuzz-segment fuzz-wire
 
 check: vet build race check-benchmark
 
@@ -37,7 +37,7 @@ deflake:
 # exported methods on Node (both counted by reflection, in
 # TestReadmeListsEveryConfigField and TestNodeSurfaceDoesNotGrowUnnoticed).
 loc:
-	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l
+	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' -not -path './.ab/*' | xargs cat | wc -l
 	@$(GO) test -count=1 -v -run 'TestReadmeListsEveryConfigField$$|TestNodeSurfaceDoesNotGrowUnnoticed$$' . | grep -o 'config fields: .*\|node methods: .*'
 
 # check-benchmark vets and tests benchmark/, a module of its own that the
@@ -92,31 +92,19 @@ chaos-adaptive:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
-# bench-transport reruns the data-plane microbenchmarks (wire codec,
-# send-log drain, end-to-end stream throughput) and rewrites the "current"
-# run in BENCH_transport.json, preserving the recorded pre-batching
-# baseline.
-bench-transport:
-	$(GO) test -bench=. -benchmem -run=^$$ ./internal/wire ./internal/transport \
-	  | $(GO) run ./cmd/benchjson -update BENCH_transport.json
-
-# bench-transport-short is the CI variant: a quick measured pass over the
-# stream-throughput benchmarks, compared against the numbers recorded in
-# BENCH_transport.json. Drops under 20% print a non-blocking warning; a
-# StreamThroughput regression of 20% or more fails the target.
-bench-transport-short:
-	$(GO) test -bench='StreamThroughput' -benchmem -benchtime=1s -run=^$$ ./internal/transport \
-	  | $(GO) run ./cmd/benchjson -compare BENCH_transport.json
-
-# bench-recvrun measures the receive path per message at run lengths 1 to
-# 512 (core's HandleDataRun: recorder update, reports posted on the board,
-# one upcall) and the report board alone (advancing and stale reports, at 8
-# and 32 nodes), and rewrites the "current" run in BENCH_recvrun.json. The file's baseline is
-# the parent commit's per-message HandleData under the same harness, and its
-# end_to_end section (paired benchmark/run.sh runs) is carried over.
-bench-recvrun:
-	$(GO) test -bench='HandleDataRun|QueueAck' -benchmem -run=^$$ ./internal/core ./internal/transport \
-	  | $(GO) run ./cmd/benchjson -update BENCH_recvrun.json
+# ab times the working tree against PARENT on the repository's benchmark:
+# PAIRS alternating parent/change pairs and AA parent/parent pairs per
+# workload (all of BENCHMARK.json's unless WORKLOADS names some), each on an
+# unused seed. It prints the medians, the parent's quartile distance, the
+# pairs won and tied, the failed operations, the host's steal and a verdict
+# per end-to-end metric, and appends every run to LEDGER.json. The parent is
+# exported into .ab/<sha>/; `make ab` refuses to run when benchmark/ or
+# BENCHMARK.json differs between PARENT and the working tree.
+PAIRS ?= 10
+AA ?= 6
+WORKLOADS ?=
+ab:
+	$(GO) run ./cmd/ab -parent '$(PARENT)' -pairs '$(PAIRS)' -aa '$(AA)' -workloads '$(WORKLOADS)'
 
 # fuzz-segment runs the shared segment reader fuzzer: truncated and
 # corrupted tails must recover the intact record prefix and stop cleanly —

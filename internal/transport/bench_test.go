@@ -111,7 +111,7 @@ func BenchmarkSendLogAppendDrainBatch(b *testing.B) {
 // benchmarkThroughput streams b.N messages from node 1 to node 2 over the
 // given matrix and reports the end-to-end delivery rate. trace configures
 // the flight recorder on both ends (zero value = tracing off, the
-// production default and the BENCH_transport.json baseline).
+// production default).
 func benchmarkThroughput(b *testing.B, matrix *emunet.Matrix, payloadSize int, trace optrace.Config) {
 	b.Helper()
 	benchmarkThroughputNet(b, emunet.NewMemNetwork(matrix), payloadSize, trace)

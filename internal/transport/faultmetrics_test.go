@@ -155,6 +155,22 @@ func TestReconnectMetricsConsistency(t *testing.T) {
 	}
 }
 
+// TestIdleSeveredLinkRedials: a sever while both links are parked, with no
+// heartbeat due and nothing to send, reaches each writer through its
+// connection's reverse reader, so each link redials now and not at its next
+// write, which here would never come.
+func TestIdleSeveredLinkRedials(t *testing.T) {
+	fabric := emunet.NewMemNetwork(nil)
+	h := startHarnessOn(t, fabric, 2, noHeartbeat, batchLimits{})
+	for _, tr := range h.trs {
+		lending(t, tr.linkList[0])
+	}
+	fabric.Sever(1, 2)
+	poll(t, "both links to redial", func() bool {
+		return h.trs[0].Totals().Reconnects >= 1 && h.trs[1].Totals().Reconnects >= 1
+	})
+}
+
 // TestSlowReceiverPacesTheDataStream: a slow receiver on 1→2 paces node 2's
 // reads of node 1's stream, which arrives on the connection node 1 dialed.
 // Within a window node 2 reads no more than one 4 KiB chunk per delay, and

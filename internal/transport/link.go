@@ -113,6 +113,9 @@ type link struct {
 	// acked is the highest sequence of this node's stream that the peer has
 	// reported anything about, on either connection (noteReport).
 	acked atomic.Uint64
+	// dead is the current connection's, set by its reverse reader when it
+	// fails (see waitWork). Run goroutine only (the pointer).
+	dead *atomic.Bool
 
 	connMu sync.Mutex
 	conn   net.Conn
@@ -321,7 +324,7 @@ func (l *link) run() {
 		if l.isClosed() {
 			return
 		}
-		conn, lastSeq, err := l.dial()
+		conn, dead, lastSeq, err := l.dial()
 		if err != nil {
 			// Full jitter: sleep uniformly in [floor, backoff] instead of
 			// exactly backoff, so the cluster's links don't re-dial in
@@ -348,6 +351,7 @@ func (l *link) run() {
 		// plane).
 		clear(l.sent)
 		l.scanned, l.peerScanned = 0, 0
+		l.dead = dead
 		l.stream(conn, lastSeq+1)
 		_ = conn.Close()
 	}
@@ -369,14 +373,15 @@ func (l *link) sleep(d time.Duration) bool {
 	}
 }
 
-// dial connects and handshakes within dialTimeout, returning the
-// peer's last received contiguous data sequence. Both the connect and the
-// handshake round trip run in a goroutine: a black-holed fabric dial, or a
-// peer that accepts but never answers the Hello, cannot hang the run loop.
+// dial connects and handshakes within dialTimeout, returning the peer's last
+// received contiguous data sequence and the connection's dead flag. Both the
+// connect and the handshake round trip run in a goroutine: a black-holed
+// fabric dial, or a peer that accepts but never answers the Hello, cannot
+// hang the run loop.
 // The in-flight connection is handed out on connCh as soon as it exists, so
 // an abandoning caller can close it — which aborts a handshake stalled in a
 // fault gate or a dead network, letting the goroutine finish.
-func (l *link) dial() (net.Conn, uint64, error) {
+func (l *link) dial() (net.Conn, *atomic.Bool, uint64, error) {
 	connCh := make(chan net.Conn, 1)
 	resCh := make(chan dialResult, 1)
 	go func() {
@@ -421,16 +426,16 @@ func (l *link) dial() (net.Conn, uint64, error) {
 	case res = <-resCh:
 	case <-timer.C:
 		go reapDial(connCh, resCh)
-		return nil, 0, errDialTimeout
+		return nil, nil, 0, errDialTimeout
 	case <-l.t.stop:
 		go reapDial(connCh, resCh)
-		return nil, 0, net.ErrClosed
+		return nil, nil, 0, net.ErrClosed
 	}
 	if res.err != nil {
 		if res.conn != nil {
 			_ = res.conn.Close()
 		}
-		return nil, 0, res.err
+		return nil, nil, 0, res.err
 	}
 	conn, r := res.conn, res.r
 	l.connMu.Lock()
@@ -443,8 +448,11 @@ func (l *link) dial() (net.Conn, uint64, error) {
 	// heartbeats echoed back, which double as RTT probes and liveness
 	// evidence, and the reports about our stream that a lone message of ours
 	// raised at the peer (serveIncoming writes them back on this
-	// connection). The goroutine is in the transport's wait group, so no
-	// report reaches the Handler after Close has returned.
+	// connection). A read error marks the connection dead and rings the
+	// writer, which may be parked with nothing to write. The goroutine is in
+	// the transport's wait group, so no report reaches the Handler after
+	// Close has returned.
+	dead := new(atomic.Bool)
 	l.t.wg.Add(1)
 	go func() {
 		defer l.t.wg.Done()
@@ -452,6 +460,8 @@ func (l *link) dial() (net.Conn, uint64, error) {
 			msg, err := r.Next()
 			if err != nil {
 				_ = conn.Close()
+				dead.Store(true)
+				l.wake()
 				return
 			}
 			switch m := msg.(type) {
@@ -466,7 +476,7 @@ func (l *link) dial() (net.Conn, uint64, error) {
 			}
 		}
 	}()
-	return conn, res.lastSeq, nil
+	return conn, dead, res.lastSeq, nil
 }
 
 // dialResult carries a completed dial-and-handshake back to the run loop.
@@ -766,7 +776,8 @@ func (l *link) encodeControl() bool {
 // heartbeat, a report about the link's own peer, or a log entry at
 // or beyond cursor. Every source is checked before the first park, so a
 // caller that has just flushed (and perhaps yielded: see stream) gets its
-// re-check here. Returns false on close. It publishes cursor in l.cursor, and
+// re-check here. Returns false on close or a dead connection, read only while
+// the writer holds the stream. It publishes cursor in l.cursor, and
 // with lend (and a try-write on the connection) parks the stream for a Send to
 // borrow (borrow), taking it back on each wake-up (reclaim) and reading the
 // cursor the borrowers left: the caller resumes from l.cursor.
@@ -788,7 +799,7 @@ func (l *link) waitWork(cursor uint64, lend bool) bool {
 		l.mu.Lock()
 		closed, queued := l.closed, len(l.apps) > 0 || l.hbDue
 		l.mu.Unlock()
-		if closed {
+		if closed || l.dead.Load() {
 			return false
 		}
 		if queued || l.reportDue() {

@@ -77,7 +77,7 @@ func BenchmarkSpillReadback(b *testing.B) {
 // harness as BenchmarkStreamThroughputLocal, but the sender's log is a
 // tiered log whose cap is far above the benchmark's in-flight
 // window, so the spiller arms but never runs. msgs/s must stay within 5%
-// of the recorded StreamThroughputLocal numbers in BENCH_transport.json.
+// of BenchmarkStreamThroughputLocal's, run beside it on the same host.
 func BenchmarkStreamThroughputSpillUntriggered(b *testing.B) {
 	l, err := newSendLogFlow(1, FlowConfig{
 		MaxBytes: 1 << 30, // the 8192-message window tops out ~2 MB
